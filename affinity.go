@@ -75,6 +75,8 @@
 package affinity
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
 	"affinity/internal/core"
@@ -280,7 +282,7 @@ var (
 	// ErrEmptyRange reports an interval no value can satisfy (e.g. lo > hi).
 	ErrEmptyRange = core.ErrEmptyRange
 	// ErrBadThresholdOp reports an unknown threshold operator.
-	ErrBadThresholdOp = core.ErrBadThresholdOp
+	ErrBadThresholdOp = errors.New("affinity: unknown threshold operator")
 	// ErrBadTopK reports a top-k query with k < 1.
 	ErrBadTopK = core.ErrBadTopK
 )
@@ -305,14 +307,28 @@ type Result = core.QueryResult
 // IntervalQuery describes one interval query of an IntervalBatch.
 type IntervalQuery = core.IntervalQuery
 
-// ThresholdQuery describes one MET query of a ThresholdBatch.
-type ThresholdQuery = core.ThresholdQuery
+// ThresholdQuery describes one MET query of a ThresholdBatch — sugar over the
+// half-bounded interval predicate.
+type ThresholdQuery struct {
+	Measure Measure
+	Tau     float64
+	Op      ThresholdOp
+}
 
-// RangeQuery describes one MER query of a RangeBatch.
-type RangeQuery = core.RangeQuery
+// RangeQuery describes one MER query of a RangeBatch — sugar over the closed
+// interval predicate.
+type RangeQuery struct {
+	Measure Measure
+	Lo, Hi  float64
+}
 
-// TopKQuery describes one top-k (MEK) query of a TopKBatch.
-type TopKQuery = core.TopKQuery
+// TopKQuery describes one top-k (MEK) query of a TopKBatch: the K entries
+// with the greatest (Largest) or smallest measure values.
+type TopKQuery struct {
+	Measure Measure
+	K       int
+	Largest bool
+}
 
 // ComputeQuery describes one MEC query of a ComputeBatch.
 type ComputeQuery = core.ComputeQuery
@@ -501,11 +517,9 @@ type Engine struct {
 	inner *core.Engine
 }
 
-// New builds an AFFINITY engine: it clusters the series with AFCLST, computes
-// affine relationships with SYMEX+, precomputes the pivot summaries and
-// builds the SCAPE index.
-func New(d *Dataset, opts Options) (*Engine, error) {
-	eng, err := core.Build(d, core.Config{
+// config translates the public options into the engine configuration.
+func (opts Options) config() core.Config {
+	return core.Config{
 		Clusters:                  opts.Clusters,
 		MaxIterations:             opts.MaxIterations,
 		MinChanges:                opts.MinChanges,
@@ -531,7 +545,14 @@ func New(d *Dataset, opts Options) (*Engine, error) {
 			Enabled:      opts.Sketch.Enabled,
 			Coefficients: opts.Sketch.Coefficients,
 		},
-	})
+	}
+}
+
+// New builds an AFFINITY engine: it clusters the series with AFCLST, computes
+// affine relationships with SYMEX+, precomputes the pivot summaries and
+// builds the SCAPE index.
+func New(d *Dataset, opts Options) (*Engine, error) {
+	eng, err := core.Build(d, opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -575,13 +596,16 @@ func (e *Engine) Interval(m Measure, iv Interval, method Method) (Result, error)
 // pairs (for T- and D-measures) whose measure is above or below tau — sugar
 // over Interval with the half-bounded open predicate.
 func (e *Engine) Threshold(m Measure, tau float64, op ThresholdOp, method Method) (Result, error) {
-	return e.inner.Threshold(m, tau, op, method)
+	if !op.Valid() {
+		return Result{}, fmt.Errorf("%w: %d", ErrBadThresholdOp, int(op))
+	}
+	return e.inner.Interval(m, op.Interval(tau), method)
 }
 
 // Range answers a MER query: all series or sequence pairs whose measure lies
 // in [lo, hi] — sugar over Interval with the closed predicate.
 func (e *Engine) Range(m Measure, lo, hi float64, method Method) (Result, error) {
-	return e.inner.Range(m, lo, hi, method)
+	return e.inner.Interval(m, interval.Between(lo, hi), method)
 }
 
 // TopK answers a top-k (MEK) query: the k series or sequence pairs with the
@@ -615,13 +639,24 @@ func (e *Engine) Explain(spec QuerySpec, method Method) (Result, QueryPlan, erro
 // equals the result of the corresponding single Threshold call, in the same
 // order.
 func (e *Engine) ThresholdBatch(qs []ThresholdQuery, method Method) ([]Result, error) {
-	return e.inner.ThresholdBatch(qs, method)
+	specs := make([]QuerySpec, len(qs))
+	for i, q := range qs {
+		if !q.Op.Valid() {
+			return nil, fmt.Errorf("%w: %d", ErrBadThresholdOp, int(q.Op))
+		}
+		specs[i] = plan.Threshold(q.Measure, q.Tau, q.Op)
+	}
+	return e.batch(specs, method)
 }
 
 // RangeBatch answers k MER queries in one pass, with the same sharing and
 // equivalence guarantees as ThresholdBatch.
 func (e *Engine) RangeBatch(qs []RangeQuery, method Method) ([]Result, error) {
-	return e.inner.RangeBatch(qs, method)
+	specs := make([]QuerySpec, len(qs))
+	for i, q := range qs {
+		specs[i] = plan.Range(q.Measure, q.Lo, q.Hi)
+	}
+	return e.batch(specs, method)
 }
 
 // IntervalBatch answers k interval queries in one pass, with the same sharing
@@ -634,7 +669,17 @@ func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]Result, err
 // queries share one pass over the sequence pairs, and out[i] equals the
 // corresponding single TopK call.
 func (e *Engine) TopKBatch(qs []TopKQuery, method Method) ([]Result, error) {
-	return e.inner.TopKBatch(qs, method)
+	specs := make([]QuerySpec, len(qs))
+	for i, q := range qs {
+		specs[i] = plan.TopK(q.Measure, q.K, q.Largest)
+	}
+	return e.batch(specs, method)
+}
+
+// batch answers a batch of interval/top-k specs against a single epoch.
+func (e *Engine) batch(specs []QuerySpec, method Method) ([]Result, error) {
+	out, _, err := core.Run(e.inner.View(), specs, method, false)
+	return out, err
 }
 
 // ComputeBatch answers k MEC queries against a single epoch; out[i] equals
@@ -678,28 +723,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error { return e.inner.WriteSnapshot
 // Stream are honoured, so a snapshot-loaded engine streams exactly like an
 // identically configured New engine.
 func NewFromSnapshot(d *Dataset, r io.Reader, opts Options) (*Engine, error) {
-	eng, err := core.BuildFromSnapshot(d, r, core.Config{
-		SkipIndex:   opts.SkipIndex,
-		Parallelism: opts.Parallelism,
-		MaxLSFD:     opts.MaxLSFD,
-		CostModel:   opts.CostModel,
-		Stream: core.StreamConfig{
-			DriftBound:        opts.Stream.DriftBound,
-			AutoAdvance:       opts.Stream.AutoAdvance,
-			StatsRefreshEvery: opts.Stream.StatsRefreshEvery,
-			Parallelism:       opts.Stream.Parallelism,
-			IndexCrossover:    opts.Stream.IndexCrossover,
-		},
-		Cache: qcache.Options{
-			Enabled:      opts.Cache.Enabled,
-			MaxBytes:     opts.Cache.MaxBytes,
-			EpochHistory: opts.Cache.EpochHistory,
-		},
-		Sketch: sketch.Options{
-			Enabled:      opts.Sketch.Enabled,
-			Coefficients: opts.Sketch.Coefficients,
-		},
-	})
+	eng, err := core.BuildFromSnapshot(d, r, opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +740,7 @@ func (e *Engine) CorrelationMatrix(ids []SeriesID) ([][]float64, error) {
 // CorrelatedPairs is a convenience wrapper returning all sequence pairs with
 // correlation above tau, answered from the SCAPE index.
 func (e *Engine) CorrelatedPairs(tau float64) ([]Pair, error) {
-	res, err := e.inner.Threshold(stats.Correlation, tau, scape.Above, core.MethodIndex)
+	res, err := e.inner.Interval(stats.Correlation, interval.GreaterThan(tau), core.MethodIndex)
 	if err != nil {
 		return nil, err
 	}

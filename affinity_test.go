@@ -202,4 +202,18 @@ func TestPublicAutoAndExplain(t *testing.T) {
 	if _, err := eng.Threshold(Jaccard, 0.5, Above, Index); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("jaccard via index err = %v, want ErrMeasureNotIndexed", err)
 	}
+	// The threshold operator is validated where the named sugar lives: a spec
+	// cannot carry a bad one, so single and batch reject it before planning.
+	for _, method := range []Method{Naive, Affine, Index, Auto} {
+		if _, err := eng.Threshold(Correlation, 0.5, ThresholdOp(9), method); !errors.Is(err, ErrBadThresholdOp) {
+			t.Fatalf("%v: bad op err = %v, want ErrBadThresholdOp", method, err)
+		}
+		bad := []ThresholdQuery{{Measure: Cosine, Tau: 0.5, Op: Above}, {Measure: Correlation, Tau: 0.5, Op: ThresholdOp(9)}}
+		if _, err := eng.ThresholdBatch(bad, method); !errors.Is(err, ErrBadThresholdOp) {
+			t.Fatalf("%v: batched bad op err = %v, want ErrBadThresholdOp", method, err)
+		}
+	}
+	if _, err := eng.TopKBatch([]TopKQuery{{Measure: Correlation, K: 0, Largest: true}}, Auto); !errors.Is(err, ErrBadTopK) {
+		t.Fatalf("k = 0 err = %v, want ErrBadTopK", err)
+	}
 }

@@ -21,7 +21,6 @@ import (
 	"affinity/internal/experiments"
 	"affinity/internal/interval"
 	"affinity/internal/qcache"
-	"affinity/internal/scape"
 	"affinity/internal/shard"
 	"affinity/internal/sketch"
 	"affinity/internal/stats"
@@ -276,7 +275,7 @@ func BenchmarkScapeCorrelationThreshold(b *testing.B) {
 	engine := benchmarkEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Threshold(stats.Correlation, 0.9, scape.Above, core.MethodIndex); err != nil {
+		if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +287,7 @@ func BenchmarkNaiveCorrelationThreshold(b *testing.B) {
 	engine := benchmarkEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Threshold(stats.Correlation, 0.9, scape.Above, core.MethodNaive); err != nil {
+		if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +311,7 @@ func BenchmarkDistanceMeasureThreshold(b *testing.B) {
 		tau := vals[len(vals)/2]
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Threshold(m, tau, scape.Below, core.MethodIndex); err != nil {
+				if _, err := engine.Interval(m, interval.LessThan(tau), core.MethodIndex); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -656,7 +655,7 @@ func BenchmarkStreamQueryDuringAdvance(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Threshold(stats.Correlation, 0.9, scape.Above, core.MethodIndex); err != nil {
+		if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -733,7 +732,7 @@ func BenchmarkParallelIndexThreshold(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Threshold(stats.Correlation, 0.9, scape.Above, core.MethodIndex); err != nil {
+				if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -749,7 +748,7 @@ func BenchmarkThresholdBatchVsSingles(b *testing.B) {
 	batch := experiments.StandardThresholdBatch()
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.ThresholdBatch(batch, core.MethodIndex); err != nil {
+			if _, err := engine.IntervalBatch(batch, core.MethodIndex); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -757,7 +756,7 @@ func BenchmarkThresholdBatchVsSingles(b *testing.B) {
 	b.Run("singles", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range batch {
-				if _, err := engine.Threshold(q.Measure, q.Tau, q.Op, core.MethodIndex); err != nil {
+				if _, err := engine.Interval(q.Measure, q.Interval, core.MethodIndex); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -765,7 +764,7 @@ func BenchmarkThresholdBatchVsSingles(b *testing.B) {
 	})
 	b.Run("batch-naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.ThresholdBatch(batch, core.MethodNaive); err != nil {
+			if _, err := engine.IntervalBatch(batch, core.MethodNaive); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -773,7 +772,7 @@ func BenchmarkThresholdBatchVsSingles(b *testing.B) {
 	b.Run("singles-naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range batch {
-				if _, err := engine.Threshold(q.Measure, q.Tau, q.Op, core.MethodNaive); err != nil {
+				if _, err := engine.Interval(q.Measure, q.Interval, core.MethodNaive); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -799,13 +798,13 @@ func BenchmarkCachedInterval(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the entry: the first issue misses, runs cold and stores.
-	if _, err := engine.Range(stats.Covariance, -0.5, 0.9, core.MethodAffine); err != nil {
+	if _, err := engine.Interval(stats.Covariance, interval.Between(-0.5, 0.9), core.MethodAffine); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Range(stats.Covariance, -0.5, 0.9, core.MethodAffine); err != nil {
+		if _, err := engine.Interval(stats.Covariance, interval.Between(-0.5, 0.9), core.MethodAffine); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ import (
 var experimentOrder = []string{
 	"table3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 	"fig15", "fig16", "table4", "ablation-pinv", "ablation-pruning",
-	"parallel", "planner", "measures", "topk", "advance", "sweep", "shard",
+	"parallel", "planner", "measures", "topk", "advance", "shard",
 	"cache", "sketch",
 }
 
@@ -432,24 +432,6 @@ func runExperiment(id string, scale experiments.Scale, levels []int, out io.Writ
 			printStreamStats(out, r.Mode, r.Stats)
 		}
 		return nil
-
-	case "sweep":
-		// W_N sweep-kernel throughput: the scalar reference, the blocked
-		// float64 kernels (byte-identical results) and the float32 tier,
-		// reported as effective bytes/sec over the pair data one full sweep
-		// must consume.
-		rows, err := experiments.SweepExperiment(scale, 3)
-		if err != nil {
-			return err
-		}
-		w := newTable(out)
-		fmt.Fprintln(w, "dataset\tmeasure\tvariant\tpairs\tsamples\ttime\tMB/s\tspeedup")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%v\t%s\t%d\t%d\t%v\t%.1f\t%.2fx\n",
-				r.Dataset, r.Measure, r.Variant, r.Pairs, r.Samples,
-				r.Time.Round(time.Microsecond), r.BytesPerSec/(1<<20), r.Speedup)
-		}
-		return w.Flush()
 
 	case "sketch":
 		// The DFT coefficient-sketch filter-and-refine tier vs the plain

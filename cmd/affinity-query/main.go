@@ -132,7 +132,7 @@ func run(args []string, out io.Writer) error {
 		printResult(out, d, res, *limit)
 		return nil
 	case "mer":
-		res, err := engine.Range(m, *lo, *hi, method)
+		res, err := engine.Interval(m, interval.Between(*lo, *hi), method)
 		if err != nil {
 			return err
 		}

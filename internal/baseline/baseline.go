@@ -159,43 +159,6 @@ func (n *Naive) SweepValues(sp *measure.Spec, pairs []timeseries.Pair, values []
 	return nil
 }
 
-// SweepValues32 is SweepValues on the float32 kernel tier: base terms stream
-// the float32 mirror of the window (half the bytes) into float64 accumulators,
-// so results carry the documented kernel tolerance instead of byte-identity.
-// Per-series parameters (normalizers) stay float64.  Bases without a float32
-// kernel fall back to the float64 blocked path.
-func (n *Naive) SweepValues32(sp *measure.Spec, pairs []timeseries.Pair, values []float64) error {
-	kern, mom, err := n.Kernel()
-	if err != nil {
-		return err
-	}
-	baseBlock := kern.BaseBlock32(sp.Base)
-	if baseBlock == nil {
-		return n.SweepValues(sp, pairs, values)
-	}
-	numSamples := n.data.NumSamples()
-	for lo := 0; lo < len(pairs); lo += kernel.BlockPairs {
-		hi := lo + kernel.BlockPairs
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		chunk, out := pairs[lo:hi], values[lo:hi]
-		baseBlock(mom, chunk, out)
-		if !sp.Derived() {
-			continue
-		}
-		for i, p := range chunk {
-			u := sp.Param(mom.Stat(p.U), mom.Stat(p.V))
-			v, err := sp.EvalOrNaN(out[i], u, numSamples)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-	}
-	return nil
-}
-
 // sweepValuesScalar is the per-pair fallback for bases without a blocked
 // kernel; it is also the reference implementation the kernel parity tests
 // compare against.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"affinity/internal/interval"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
@@ -106,19 +107,19 @@ func TestAutoMatchesEveryForcedMethod(t *testing.T) {
 // answer identically to the corresponding single auto calls.
 func TestAutoBatchMatchesSingleAuto(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
-	var tqs []ThresholdQuery
+	var tqs []plan.QuerySpec
 	for _, m := range stats.AllMeasures() {
 		tqs = append(tqs,
-			ThresholdQuery{Measure: m, Tau: 0.3, Op: scape.Above},
-			ThresholdQuery{Measure: m, Tau: 0.7, Op: scape.Below},
+			plan.Threshold(m, 0.3, scape.Above),
+			plan.Threshold(m, 0.7, scape.Below),
 		)
 	}
-	batch, err := e.ThresholdBatch(tqs, MethodAuto)
+	batch, err := runSpecs(e, tqs, MethodAuto)
 	if err != nil {
 		t.Fatalf("ThresholdBatch auto: %v", err)
 	}
 	for i, q := range tqs {
-		single, err := e.Threshold(q.Measure, q.Tau, q.Op, MethodAuto)
+		single, err := e.Interval(q.Measure, q.Interval, MethodAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestAutoComputeMatchesResolvedMethod(t *testing.T) {
 		} else {
 			k = 8
 		}
-		p, err := st.plan(plan.Compute(m, k))
+		p, err := st.Plan(plan.Compute(m, k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestAutoJaccardAvoidsIndex(t *testing.T) {
 	if p.Method == MethodIndex {
 		t.Fatal("auto chose the index for jaccard")
 	}
-	if _, err := e.Threshold(stats.Jaccard, 0.5, scape.Above, MethodIndex); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := e.Interval(stats.Jaccard, interval.GreaterThan(0.5), MethodIndex); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("fixed index jaccard err = %v, want ErrMeasureNotIndexed", err)
 	}
 }

@@ -8,19 +8,15 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/plan"
-	"affinity/internal/qcache"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
-// This file is the query executor: every row-returning query — interval
-// (MET/MER) or top-k (MEK), single or batched — is validated into an
-// execItem, its method resolved (the cost-based planner answers MethodAuto),
-// and the whole batch answered against one epoch:
+// This file is the single engine's cold execution (Backend.Execute): a batch
+// of resolved items answered against one epoch with as much shared work as
+// the methods allow:
 //
-//   - epoch pinning: the batch is answered from one engineState, so a
-//     concurrent Advance cannot split it across epochs;
 //   - shared scans: sweep-method (naive/affine) pairwise queries on the same
 //     (measure, method) share one pass over the sequence pairs — each pair's
 //     value and derived-measure normalizer is computed once and tested
@@ -32,36 +28,13 @@ import (
 //
 // Results are guaranteed — and pinned by TestBatchMatchesSingleQueries — to
 // equal the corresponding sequence of single-query calls, element for
-// element, in the same order; single queries are literally batches of one.
+// element, in the same order.
 
 // IntervalQuery describes one interval (MET/MER) query of a batch: entries
 // whose measure value lies in Interval.
 type IntervalQuery struct {
 	Measure  stats.Measure
 	Interval interval.Interval
-}
-
-// ThresholdQuery describes one MET query of a batch — sugar over the
-// half-bounded interval predicate.
-type ThresholdQuery struct {
-	Measure stats.Measure
-	Tau     float64
-	Op      scape.ThresholdOp
-}
-
-// RangeQuery describes one MER query of a batch — sugar over the closed
-// interval predicate.
-type RangeQuery struct {
-	Measure stats.Measure
-	Lo, Hi  float64
-}
-
-// TopKQuery describes one top-k (MEK) query of a batch: the K entries with
-// the greatest (Largest) or smallest measure values.
-type TopKQuery struct {
-	Measure stats.Measure
-	K       int
-	Largest bool
 }
 
 // ComputeQuery describes one MEC query of a batch: an L-measure over IDs
@@ -81,205 +54,72 @@ type ComputeResult struct {
 // IntervalBatch answers a batch of interval queries with the selected method.
 // out[i] corresponds to qs[i] and is identical to Interval(qs[i]...).
 func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]QueryResult, error) {
-	st := e.state()
-	items := make([]execItem, len(qs))
+	specs := make([]plan.QuerySpec, len(qs))
 	for i, q := range qs {
-		it, err := st.newItem(plan.Interval(q.Measure, q.Interval), method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = it
+		specs[i] = plan.Interval(q.Measure, q.Interval)
 	}
-	return st.runBatch(items)
-}
-
-// ThresholdBatch answers a batch of MET queries with the selected method.
-// out[i] corresponds to qs[i] and is identical to Threshold(qs[i]...).
-func (e *Engine) ThresholdBatch(qs []ThresholdQuery, method Method) ([]QueryResult, error) {
-	st := e.state()
-	items := make([]execItem, len(qs))
-	for i, q := range qs {
-		if !q.Op.Valid() {
-			return nil, fmt.Errorf("%w: %d", ErrBadThresholdOp, int(q.Op))
-		}
-		it, err := st.newItem(plan.Threshold(q.Measure, q.Tau, q.Op), method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = it
-	}
-	return st.runBatch(items)
-}
-
-// RangeBatch answers a batch of MER queries with the selected method.
-// out[i] corresponds to qs[i] and is identical to Range(qs[i]...).
-func (e *Engine) RangeBatch(qs []RangeQuery, method Method) ([]QueryResult, error) {
-	st := e.state()
-	items := make([]execItem, len(qs))
-	for i, q := range qs {
-		it, err := st.newItem(plan.Range(q.Measure, q.Lo, q.Hi), method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = it
-	}
-	return st.runBatch(items)
-}
-
-// TopKBatch answers a batch of top-k queries with the selected method.
-// out[i] corresponds to qs[i] and is identical to TopK(qs[i]...); sweep-method
-// queries share one pass over the sequence pairs with any other batched
-// queries on the same (base measure, method).
-func (e *Engine) TopKBatch(qs []TopKQuery, method Method) ([]QueryResult, error) {
-	st := e.state()
-	items := make([]execItem, len(qs))
-	for i, q := range qs {
-		it, err := st.newItem(plan.TopK(q.Measure, q.K, q.Largest), method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = it
-	}
-	return st.runBatch(items)
+	out, _, err := Run(e.state(), specs, method, false)
+	return out, err
 }
 
 // ComputeBatch answers a batch of MEC queries with the selected method.
 // out[i] corresponds to qs[i] and is identical to the matching
 // ComputeLocation/ComputePairwise call.
 func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult, error) {
-	return e.state().computeBatch(qs, method)
+	return Compute(e.state(), qs, method)
 }
 
-// execItem is one validated interval/top-k query in executor form: its
-// logical spec and the resolved concrete method.
-type execItem struct {
-	spec     plan.QuerySpec
-	method   Method
-	location bool
-}
-
-// newItem validates a spec and resolves its execution method (the planner
-// answers MethodAuto).  Validation precedes resolution so malformed queries
-// fail with the same typed error under every method.
-func (e *engineState) newItem(spec plan.QuerySpec, method Method) (execItem, error) {
-	if err := validateSpec(spec); err != nil {
-		return execItem{}, err
-	}
-	concrete, err := e.resolve(spec, method)
-	if err != nil {
-		return execItem{}, err
-	}
-	return buildItem(spec, concrete), nil
-}
-
-// validateSpec rejects malformed interval/top-k specs with the typed
-// sentinels shared by every entry point.
-func validateSpec(spec plan.QuerySpec) error {
-	switch spec.Kind {
-	case plan.KindInterval:
-		if spec.Interval.Empty() {
-			return fmt.Errorf("%w: %v", ErrEmptyRange, spec.Interval)
-		}
-	case plan.KindTopK:
-		if spec.K < 1 {
-			return fmt.Errorf("%w: %d", ErrBadTopK, spec.K)
-		}
-	default:
-		return fmt.Errorf("core: %v is not an interval or top-k query kind", spec.Kind)
-	}
-	return nil
-}
-
-// buildItem assembles the executor form of a validated spec with its
-// resolved concrete method.
-func buildItem(spec plan.QuerySpec, concrete Method) execItem {
-	sp, ok := measure.Find(spec.Measure)
-	return execItem{
-		spec:     spec,
-		method:   concrete,
-		location: ok && sp.Location(),
-	}
-}
-
-// runBatch answers a validated batch: location queries run directly from the
+// Execute answers resolved items cold: location queries run directly from the
 // cached per-series vectors or the location trees, index-method interval
 // queries share one pivot-node traversal, index top-k queries run their
-// best-first traversals, and sweep-method pairwise queries — interval and
-// top-k alike — share one multi-predicate pass, with results scattered back
-// into request order.
-func (e *engineState) runBatch(items []execItem) ([]QueryResult, error) {
-	return e.runBatchEx(items, nil)
-}
-
-// runBatchEx is runBatch with per-item cache observability: when actuals is
-// non-nil (the Explain paths) it records, index-aligned with items, which
-// cache tier served each item.  Every cacheable item consults the semantic
-// result cache before execution — this is the single choke point all entry
-// points flow through, so single queries, batches, Views and the shard
-// coordinator's per-shard scans share one cache story.
-func (e *engineState) runBatchEx(items []execItem, actuals []cacheActual) ([]QueryResult, error) {
+// best-first traversals, prescreen-eligible naive sweeps take the sketch
+// filter-and-refine path, and the remaining sweep-method pairwise queries —
+// interval and top-k alike — share one multi-predicate pass, with results
+// scattered back into request order.
+func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, error) {
 	out := make([]QueryResult, len(items))
 	var indexQueries []scape.PairQuery
 	var indexIdx []int
-	var sweeps []pairSweepItem
+	var sweeps []Item
 	var sweepIdx []int
-	var storeKeys []qcache.Key
-	var storeIdx []int
 	for i, it := range items {
-		if e.cache != nil {
-			if key, ok := cacheKey(it); ok {
-				if res, act, ok := e.cacheServe(it, key); ok {
-					out[i] = res
-					if actuals != nil {
-						actuals[i] = act
-					}
-					continue
-				}
-				e.cache.Miss()
-				storeKeys = append(storeKeys, key)
-				storeIdx = append(storeIdx, i)
-			}
-		}
 		switch {
-		case it.location:
+		case it.Location:
 			res, err := e.locationQuery(it)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = res
-		case it.method == MethodIndex:
+		case it.Method == MethodIndex:
 			if e.index == nil {
 				return nil, ErrNoIndex
 			}
-			if it.spec.Kind == plan.KindTopK {
-				pairs, values, _, err := e.index.PairTopK(it.spec.Measure, it.spec.K, it.spec.Largest)
+			if it.Spec.Kind == plan.KindTopK {
+				pairs, values, _, err := e.index.PairTopK(it.Spec.Measure, it.Spec.K, it.Spec.Largest)
 				if err != nil {
 					return nil, err
 				}
 				out[i] = QueryResult{Pairs: pairs, Values: values}
 				continue
 			}
-			indexQueries = append(indexQueries, it.spec.PairQuery())
+			indexQueries = append(indexQueries, it.Spec.PairQuery())
 			indexIdx = append(indexIdx, i)
-		default:
-			if e.sketchUsable(it) {
-				// Filter-and-refine sweep: prescreen against the epoch's
-				// coefficient sketches, exact kernels only for ambiguous
-				// pairs.  Byte-identical to the shared scan below by
-				// construction, so which path an item takes never shows in
-				// results — only in latency and counters.
-				res, act, err := e.sketchSweep(it)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = res
-				if actuals != nil {
-					actuals[i].sketched = act.sketched
-					actuals[i].refined = act.refined
-				}
-				continue
+		case e.sketchUsable(it):
+			// Filter-and-refine sweep: prescreen against the epoch's
+			// coefficient sketches, exact kernels only for ambiguous pairs.
+			// Byte-identical to the shared scan below by construction, so
+			// which path an item takes never shows in results — only in
+			// latency and counters.
+			res, act, err := e.sketchSweep(it)
+			if err != nil {
+				return nil, err
 			}
-			sweeps = append(sweeps, newSweepItem(it))
+			out[i] = res
+			if actuals != nil {
+				actuals[i] = act
+			}
+		default:
+			sweeps = append(sweeps, it)
 			sweepIdx = append(sweepIdx, i)
 		}
 	}
@@ -301,67 +141,64 @@ func (e *engineState) runBatchEx(items []execItem, actuals []cacheActual) ([]Que
 			out[i] = results[k]
 		}
 	}
-	for k, i := range storeIdx {
-		e.cacheStore(items[i], storeKeys[k], out[i])
-	}
 	return out, nil
 }
 
 // locationQuery answers one L-measure interval or top-k query with its
-// resolved method.
-func (e *engineState) locationQuery(it execItem) (QueryResult, error) {
-	spec := it.spec
-	if spec.Kind == plan.KindTopK {
-		return e.locationTopK(it)
-	}
-	switch it.method {
-	case MethodNaive:
-		ids, err := e.naive.SeriesInterval(spec.Measure, spec.Interval)
-		return QueryResult{Series: ids}, err
-	case MethodAffine:
-		estimates, ok := e.seriesLocation[spec.Measure]
-		if !ok {
-			return QueryResult{}, fmt.Errorf("core: no location estimates for %v", spec.Measure)
-		}
-		var out []timeseries.SeriesID
-		for id, v := range estimates {
-			if spec.Interval.Contains(v) {
-				out = append(out, timeseries.SeriesID(id))
-			}
-		}
-		return QueryResult{Series: out}, nil
-	case MethodIndex:
+// resolved method: from the index's location trees, or by filtering / ranking
+// the per-series values of the sweep methods.
+func (e *engineState) locationQuery(it Item) (QueryResult, error) {
+	spec := it.Spec
+	if it.Method == MethodIndex {
 		if e.index == nil {
 			return QueryResult{}, ErrNoIndex
 		}
+		if spec.Kind == plan.KindTopK {
+			ids, values, err := e.index.SeriesTopK(spec.Measure, spec.K, spec.Largest)
+			return QueryResult{Series: ids, Values: values}, err
+		}
 		ids, err := e.index.SeriesInterval(spec.Measure, spec.Interval)
 		return QueryResult{Series: ids}, err
+	}
+	ids := e.data.IDs()
+	values, err := e.locationValues(spec.Measure, ids, it.Method)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	if spec.Kind == plan.KindTopK {
+		return topSeries(ids, values, spec.K, spec.Largest), nil
+	}
+	var out []timeseries.SeriesID
+	for i, v := range values {
+		if spec.Interval.Contains(v) {
+			out = append(out, ids[i])
+		}
+	}
+	return QueryResult{Series: out}, nil
+}
+
+// locationValues returns an L-measure's value for each requested series:
+// from the raw window (naive) or from the affine per-series estimates.
+func (e *engineState) locationValues(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
+	switch method {
+	case MethodNaive:
+		return e.naive.Location(m, ids)
+	case MethodAffine:
+		estimates, ok := e.seriesLocation[m]
+		if !ok {
+			return nil, fmt.Errorf("core: no location estimates for %v", m)
+		}
+		out := make([]float64, len(ids))
+		for i, id := range ids {
+			if int(id) < 0 || int(id) >= len(estimates) {
+				return nil, fmt.Errorf("%w: %d", timeseries.ErrInvalidSeries, id)
+			}
+			out[i] = estimates[id]
+		}
+		return out, nil
 	default:
-		return QueryResult{}, fmt.Errorf("%w: %v", ErrBadMethod, it.method)
+		return nil, fmt.Errorf("%w: %v for an L-measure", ErrBadMethod, method)
 	}
-}
-
-// pairSweepItem is one sweep-method (naive/affine) pairwise query in
-// shared-pass form: an interval predicate (compacted branch-free against each
-// value block), or a top-k heap when topk is set.
-type pairSweepItem struct {
-	measure stats.Measure
-	method  Method // MethodNaive or MethodAffine
-	topk    bool
-	iv      interval.Interval
-	k       int
-	largest bool
-}
-
-// newSweepItem converts an executor item into sweep form.
-func newSweepItem(it execItem) pairSweepItem {
-	s := pairSweepItem{measure: it.spec.Measure, method: it.method}
-	if it.spec.Kind == plan.KindTopK {
-		s.topk, s.k, s.largest = true, it.spec.K, it.spec.Largest
-	} else {
-		s.iv = it.spec.Interval
-	}
-	return s
 }
 
 // pairMultiSweep answers every sweep item in one pass over the sequence
@@ -374,7 +211,7 @@ func newSweepItem(it execItem) pairSweepItem {
 // results) or through the deterministic (value, pair) total order (top-k
 // heaps), so out[k] equals the sequential single-query scan for items[k]
 // exactly.
-func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, error) {
+func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
 	// baseKey identifies one shared base computation; specs that withhold
 	// BatchGroupable get a solo group keyed by their own identity.
 	type baseKey struct {
@@ -391,14 +228,14 @@ func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, erro
 	groups := make(map[baseKey][]*measureGroup)
 	baseSpecs := make(map[baseKey]*measure.Spec)
 	for k, p := range items {
-		sp, ok := measure.Find(p.measure)
-		if !ok || !sp.Pairwise() {
-			return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", p.measure, stats.ErrUnknownMeasure)
+		sp, err := pairwiseSpec(p.Spec.Measure)
+		if err != nil {
+			return nil, err
 		}
-		if p.method != MethodNaive && p.method != MethodAffine {
-			return nil, fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.method)
+		if p.Method != MethodNaive && p.Method != MethodAffine {
+			return nil, fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
 		}
-		key := baseKey{base: sp.Base, method: p.method, solo: -1}
+		key := baseKey{base: sp.Base, method: p.Method, solo: -1}
 		if !sp.BatchGroupable {
 			key.solo = sp.ID
 		}
@@ -438,8 +275,8 @@ func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, erro
 			heaps: make([]*scape.TopHeap, len(items)),
 		}
 		for k, p := range items {
-			if p.topk {
-				local.heaps[k] = scape.NewTopHeap(p.k, p.largest)
+			if p.Spec.Kind == plan.KindTopK {
+				local.heaps[k] = scape.NewTopHeap(p.Spec.K, p.Spec.Largest)
 			}
 		}
 		// Two kernel-block buffers per row block — O(blocks) allocations for
@@ -503,8 +340,8 @@ func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, erro
 						}
 					}
 					for _, k := range mg.idxs {
-						if !items[k].topk {
-							local.pairs[k] = kernel.CompactPairs(local.pairs[k], chunk, vals, items[k].iv)
+						if items[k].Spec.Kind != plan.KindTopK {
+							local.pairs[k] = kernel.CompactPairs(local.pairs[k], chunk, vals, items[k].Spec.Interval)
 						} else {
 							for i := range chunk {
 								local.heaps[k].Offer(chunk[i], vals[i])
@@ -522,7 +359,7 @@ func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, erro
 	}
 	out := make([]QueryResult, len(items))
 	for k, p := range items {
-		if !p.topk {
+		if p.Spec.Kind != plan.KindTopK {
 			perBlock := make([][]timeseries.Pair, len(parts))
 			for b := range parts {
 				perBlock[b] = parts[b].pairs[k]
@@ -533,7 +370,7 @@ func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, erro
 		// Merge the per-block heaps: the retained set is a function of the
 		// offered (value, pair) multiset under a total order, so the merge is
 		// independent of the block partition.
-		final := scape.NewTopHeap(p.k, p.largest)
+		final := scape.NewTopHeap(p.Spec.K, p.Spec.Largest)
 		for b := range parts {
 			bp, bv := parts[b].heaps[k].Sorted()
 			for i := range bp {
@@ -542,31 +379,6 @@ func (e *engineState) pairMultiSweep(items []pairSweepItem) ([]QueryResult, erro
 		}
 		topPairs, values := final.Sorted()
 		out[k] = QueryResult{Pairs: topPairs, Values: values}
-	}
-	return out, nil
-}
-
-func (e *engineState) computeBatch(qs []ComputeQuery, method Method) ([]ComputeResult, error) {
-	// MEC queries read only cached epoch state (pivot summaries, per-series
-	// normalizers, location estimates), so the sharing is the epoch pinning
-	// itself.  Queries run sequentially here: each pairwise computation
-	// already shards its rows across the full worker pool, and nesting the
-	// two levels would spawn up to Parallelism² goroutines of O(n²) work.
-	out := make([]ComputeResult, len(qs))
-	for i, q := range qs {
-		if q.Measure.Class() == stats.LocationClass {
-			values, err := e.computeLocation(q.Measure, q.IDs, method)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ComputeResult{Location: values}
-			continue
-		}
-		matrix, err := e.computePairwise(q.Measure, q.IDs, method)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ComputeResult{Pairwise: matrix}
 	}
 	return out, nil
 }

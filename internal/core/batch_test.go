@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
 )
@@ -19,20 +20,20 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 		method := method
 		t.Run(method.String(), func(t *testing.T) {
-			var tqs []ThresholdQuery
-			var rqs []RangeQuery
+			var tqs []plan.QuerySpec
+			var rqs []plan.QuerySpec
 			for _, m := range stats.AllMeasures() {
 				if method == MethodIndex && m == stats.Jaccard {
 					continue // not indexable
 				}
 				tqs = append(tqs,
-					ThresholdQuery{Measure: m, Tau: 0.3, Op: scape.Above},
-					ThresholdQuery{Measure: m, Tau: 0.7, Op: scape.Below},
+					plan.Threshold(m, 0.3, scape.Above),
+					plan.Threshold(m, 0.7, scape.Below),
 				)
-				rqs = append(rqs, RangeQuery{Measure: m, Lo: -0.4, Hi: 0.8})
+				rqs = append(rqs, plan.Range(m, -0.4, 0.8))
 			}
 
-			batch, err := e.ThresholdBatch(tqs, method)
+			batch, err := runSpecs(e, tqs, method)
 			if err != nil {
 				t.Fatalf("ThresholdBatch: %v", err)
 			}
@@ -40,28 +41,26 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 				t.Fatalf("ThresholdBatch returned %d results for %d queries", len(batch), len(tqs))
 			}
 			for i, q := range tqs {
-				single, err := e.Threshold(q.Measure, q.Tau, q.Op, method)
+				single, err := e.Interval(q.Measure, q.Interval, method)
 				if err != nil {
 					t.Fatalf("single threshold %v: %v", q, err)
 				}
 				if got, want := fmt.Sprintf("%v", batch[i]), fmt.Sprintf("%v", single); got != want {
-					t.Errorf("threshold %v %v %v: batch %.120s != single %.120s",
-						q.Measure, q.Op, q.Tau, got, want)
+					t.Errorf("%v: batch %.120s != single %.120s", q, got, want)
 				}
 			}
 
-			rbatch, err := e.RangeBatch(rqs, method)
+			rbatch, err := runSpecs(e, rqs, method)
 			if err != nil {
 				t.Fatalf("RangeBatch: %v", err)
 			}
 			for i, q := range rqs {
-				single, err := e.Range(q.Measure, q.Lo, q.Hi, method)
+				single, err := e.Interval(q.Measure, q.Interval, method)
 				if err != nil {
 					t.Fatalf("single range %v: %v", q, err)
 				}
 				if got, want := fmt.Sprintf("%v", rbatch[i]), fmt.Sprintf("%v", single); got != want {
-					t.Errorf("range %v [%v,%v]: batch %.120s != single %.120s",
-						q.Measure, q.Lo, q.Hi, got, want)
+					t.Errorf("%v: batch %.120s != single %.120s", q, got, want)
 				}
 			}
 		})
@@ -114,20 +113,20 @@ func TestComputeBatchMatchesSingleQueries(t *testing.T) {
 // + duplicate measures with different predicates) round-trips correctly.
 func TestBatchMixedMeasures(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 2})
-	qs := []ThresholdQuery{
-		{Measure: stats.Mean, Tau: 0.0, Op: scape.Above},
-		{Measure: stats.Correlation, Tau: 0.9, Op: scape.Above},
-		{Measure: stats.Correlation, Tau: 0.1, Op: scape.Below},
-		{Measure: stats.Covariance, Tau: 0.0, Op: scape.Above},
-		{Measure: stats.Mode, Tau: 0.5, Op: scape.Below},
+	qs := []plan.QuerySpec{
+		plan.Threshold(stats.Mean, 0.0, scape.Above),
+		plan.Threshold(stats.Correlation, 0.9, scape.Above),
+		plan.Threshold(stats.Correlation, 0.1, scape.Below),
+		plan.Threshold(stats.Covariance, 0.0, scape.Above),
+		plan.Threshold(stats.Mode, 0.5, scape.Below),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-		batch, err := e.ThresholdBatch(qs, method)
+		batch, err := runSpecs(e, qs, method)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
 		for i, q := range qs {
-			single, err := e.Threshold(q.Measure, q.Tau, q.Op, method)
+			single, err := e.Interval(q.Measure, q.Interval, method)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,16 +141,16 @@ func TestBatchMixedMeasures(t *testing.T) {
 // the same way single queries do.
 func TestBatchValidation(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	if _, err := e.RangeBatch([]RangeQuery{{Measure: stats.Correlation, Lo: 1, Hi: -1}}, MethodAffine); err == nil {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Range(stats.Correlation, 1, -1)}, MethodAffine); err == nil {
 		t.Fatal("empty range accepted")
 	}
-	if _, err := e.ThresholdBatch([]ThresholdQuery{{Measure: stats.Correlation, Op: scape.ThresholdOp(9)}}, MethodAffine); err == nil {
-		t.Fatal("bad operator accepted")
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Compute(stats.Correlation, 2)}, MethodAffine); err == nil {
+		t.Fatal("compute spec accepted by the row pipeline")
 	}
 	if _, err := e.ComputeBatch([]ComputeQuery{{Measure: stats.Correlation}}, MethodIndex); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("MEC via index: err = %v, want ErrBadMethod", err)
 	}
-	empty, err := e.ThresholdBatch(nil, MethodAffine)
+	empty, err := runSpecs(e, nil, MethodAffine)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v, %v", empty, err)
 	}
@@ -161,10 +160,10 @@ func TestBatchValidation(t *testing.T) {
 // engine fail with ErrNoIndex like single queries.
 func TestBatchNoIndex(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, SkipIndex: true})
-	if _, err := e.ThresholdBatch([]ThresholdQuery{{Measure: stats.Correlation, Tau: 0.5, Op: scape.Above}}, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Threshold(stats.Correlation, 0.5, scape.Above)}, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
-	if _, err := e.RangeBatch([]RangeQuery{{Measure: stats.Correlation, Lo: 0, Hi: 1}}, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Range(stats.Correlation, 0, 1)}, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
 }

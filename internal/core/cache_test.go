@@ -43,10 +43,10 @@ func cacheParityCases() []cacheCase {
 				cacheCase{
 					name: fmt.Sprintf("interval/%v/%v", m, method),
 					probe: func(e *Engine) (any, error) {
-						return e.Range(m, -0.5, 0.9, method)
+						return e.Interval(m, interval.Between(-0.5, 0.9), method)
 					},
 					narrower: func(e *Engine) (any, error) {
-						return e.Range(m, -0.1, 0.6, method)
+						return e.Interval(m, interval.Between(-0.1, 0.6), method)
 					},
 				},
 				cacheCase{
@@ -66,29 +66,29 @@ func cacheParityCases() []cacheCase {
 	cases = append(cases, cacheCase{
 		name: "interval-batch/covariance",
 		probe: func(e *Engine) (any, error) {
-			return e.RangeBatch([]RangeQuery{
-				{Measure: stats.Covariance, Lo: -0.5, Hi: 0.9},
-				{Measure: stats.Correlation, Lo: 0.1, Hi: 0.8},
+			return runSpecs(e, []plan.QuerySpec{
+				plan.Range(stats.Covariance, -0.5, 0.9),
+				plan.Range(stats.Correlation, 0.1, 0.8),
 			}, MethodAffine)
 		},
 		narrower: func(e *Engine) (any, error) {
-			return e.RangeBatch([]RangeQuery{
-				{Measure: stats.Covariance, Lo: -0.2, Hi: 0.5},
-				{Measure: stats.Correlation, Lo: 0.2, Hi: 0.7},
+			return runSpecs(e, []plan.QuerySpec{
+				plan.Range(stats.Covariance, -0.2, 0.5),
+				plan.Range(stats.Correlation, 0.2, 0.7),
 			}, MethodAffine)
 		},
 	}, cacheCase{
 		name: "topk-batch/correlation",
 		probe: func(e *Engine) (any, error) {
-			return e.TopKBatch([]TopKQuery{
-				{Measure: stats.Correlation, K: 8, Largest: true},
-				{Measure: stats.DotProduct, K: 8, Largest: false},
+			return runSpecs(e, []plan.QuerySpec{
+				plan.TopK(stats.Correlation, 8, true),
+				plan.TopK(stats.DotProduct, 8, false),
 			}, MethodAffine)
 		},
 		narrower: func(e *Engine) (any, error) {
-			return e.TopKBatch([]TopKQuery{
-				{Measure: stats.Correlation, K: 3, Largest: true},
-				{Measure: stats.DotProduct, K: 3, Largest: false},
+			return runSpecs(e, []plan.QuerySpec{
+				plan.TopK(stats.Correlation, 3, true),
+				plan.TopK(stats.DotProduct, 3, false),
 			}, MethodAffine)
 		},
 	})
@@ -195,14 +195,14 @@ func TestCacheTiersActuallyServe(t *testing.T) {
 	probe := func() {
 		// Twice: first issue repairs (or misses on the cold epoch), the
 		// repeat is an exact hit against the migrated entry.
-		if _, err := e.Range(stats.Covariance, 2.0, math.Inf(1), MethodAffine); err != nil {
+		if _, err := e.Interval(stats.Covariance, interval.Between(2.0, math.Inf(1)), MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Range(stats.Covariance, 2.0, math.Inf(1), MethodAffine); err != nil {
+		if _, err := e.Interval(stats.Covariance, interval.Between(2.0, math.Inf(1)), MethodAffine); err != nil {
 			t.Fatal(err)
 		}
 		// Contained tail served by filtering the [2, +inf) entry's rows.
-		if _, err := e.Range(stats.Covariance, 3.0, math.Inf(1), MethodAffine); err != nil {
+		if _, err := e.Interval(stats.Covariance, interval.Between(3.0, math.Inf(1)), MethodAffine); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.TopK(stats.Correlation, 10, true, MethodAffine); err != nil {

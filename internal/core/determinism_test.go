@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
@@ -73,19 +74,19 @@ func determinismCases() []queryCase {
 				queryCase{
 					name: fmt.Sprintf("threshold/%v/%v", m, method),
 					run: func(e *Engine) (any, error) {
-						return e.Threshold(m, 0.25, scape.Above, method)
+						return e.Interval(m, interval.GreaterThan(0.25), method)
 					},
 				},
 				queryCase{
 					name: fmt.Sprintf("threshold-below/%v/%v", m, method),
 					run: func(e *Engine) (any, error) {
-						return e.Threshold(m, 0.75, scape.Below, method)
+						return e.Interval(m, interval.LessThan(0.75), method)
 					},
 				},
 				queryCase{
 					name: fmt.Sprintf("range/%v/%v", m, method),
 					run: func(e *Engine) (any, error) {
-						return e.Range(m, -0.5, 0.9, method)
+						return e.Interval(m, interval.Between(-0.5, 0.9), method)
 					},
 				},
 			)
@@ -281,11 +282,11 @@ func TestDeterministicRebuild(t *testing.T) {
 	}
 	a, b := build(), build()
 	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.Mean} {
-		ra, err := a.Threshold(m, 0.2, scape.Above, MethodIndex)
+		ra, err := a.Interval(m, interval.GreaterThan(0.2), MethodIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.Threshold(m, 0.2, scape.Above, MethodIndex)
+		rb, err := b.Interval(m, interval.GreaterThan(0.2), MethodIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +327,7 @@ func TestTieOrderingStable(t *testing.T) {
 	var want string
 	for _, p := range determinismLevels {
 		e := build(p)
-		res, err := e.Threshold(stats.Covariance, 0.0, scape.Above, MethodIndex)
+		res, err := e.Interval(stats.Covariance, interval.GreaterThan(0.0), MethodIndex)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ type Config struct {
 	// Stream configures the incremental maintenance path.
 	Stream StreamConfig
 	// Cache configures the epoch-aware semantic result cache consulted by the
-	// unified executor (internal/qcache).  The zero value disables caching;
+	// shared query pipeline (internal/qcache).  The zero value disables caching;
 	// cached results are byte-identical to cold execution at every tier, so
 	// enabling it changes latency only.
 	Cache qcache.Options

@@ -6,7 +6,8 @@ import (
 	"testing"
 
 	"affinity/internal/dataset"
-	"affinity/internal/scape"
+	"affinity/internal/interval"
+	"affinity/internal/plan"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -28,6 +29,14 @@ func buildTestEngine(t testing.TB, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// runSpecs answers a batch of interval/top-k specs against the engine's
+// current epoch — the spec-level door the named batch sugar of the public
+// facade is built on.
+func runSpecs(e *Engine, specs []plan.QuerySpec, method Method) ([]QueryResult, error) {
+	out, _, err := Run(e.View(), specs, method, false)
+	return out, err
 }
 
 func TestBuildInfo(t *testing.T) {
@@ -64,10 +73,10 @@ func TestBuildWithoutIndex(t *testing.T) {
 	if e.Index() != nil || e.Info().IndexBuilt {
 		t.Fatal("index should not be built")
 	}
-	if _, err := e.Threshold(stats.Covariance, 0, scape.Above, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := e.Interval(stats.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("index query err = %v", err)
 	}
-	if _, err := e.Range(stats.Covariance, 0, 1, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := e.Interval(stats.Covariance, interval.Between(0, 1), MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("index range err = %v", err)
 	}
 }
@@ -250,18 +259,18 @@ func TestThresholdMethodsAgree(t *testing.T) {
 
 	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation} {
 		// Pick a threshold from the naive value distribution.
-		naive, err := e.Threshold(m, 0, scape.Above, MethodNaive)
+		naive, err := e.Interval(m, interval.GreaterThan(0), MethodNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if naive.Size() == 0 {
 			t.Fatalf("%v: empty naive result; bad test threshold", m)
 		}
-		affine, err := e.Threshold(m, 0, scape.Above, MethodAffine)
+		affine, err := e.Interval(m, interval.GreaterThan(0), MethodAffine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, err := e.Threshold(m, 0, scape.Above, MethodIndex)
+		indexed, err := e.Interval(m, interval.GreaterThan(0), MethodIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,15 +290,15 @@ func TestThresholdMethodsAgree(t *testing.T) {
 func TestRangeMethodsAgree(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 8})
 	lo, hi := 0.2, 0.9
-	naive, err := e.Range(stats.Correlation, lo, hi, MethodNaive)
+	naive, err := e.Interval(stats.Correlation, interval.Between(lo, hi), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	affine, err := e.Range(stats.Correlation, lo, hi, MethodAffine)
+	affine, err := e.Interval(stats.Correlation, interval.Between(lo, hi), MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := e.Range(stats.Correlation, lo, hi, MethodIndex)
+	indexed, err := e.Interval(stats.Correlation, interval.Between(lo, hi), MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +308,7 @@ func TestRangeMethodsAgree(t *testing.T) {
 	if diff := symmetricDiff(naive.Pairs, affine.Pairs); float64(diff) > 0.15*float64(len(naive.Pairs))+3 {
 		t.Fatalf("affine range result differs from naive by %d of %d pairs", diff, len(naive.Pairs))
 	}
-	if _, err := e.Range(stats.Correlation, 1, 0, MethodNaive); err == nil {
+	if _, err := e.Interval(stats.Correlation, interval.Between(1, 0), MethodNaive); err == nil {
 		t.Fatal("inverted range should error")
 	}
 }
@@ -317,7 +326,7 @@ func TestLocationThresholdAndRange(t *testing.T) {
 	tau /= float64(len(means))
 
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-		res, err := e.Threshold(stats.Mean, tau, scape.Above, method)
+		res, err := e.Interval(stats.Mean, interval.GreaterThan(tau), method)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -330,7 +339,7 @@ func TestLocationThresholdAndRange(t *testing.T) {
 			}
 		}
 
-		ranged, err := e.Range(stats.Mean, tau-1, tau+1, method)
+		ranged, err := e.Interval(stats.Mean, interval.Between(tau-1, tau+1), method)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -340,16 +349,16 @@ func TestLocationThresholdAndRange(t *testing.T) {
 			}
 		}
 	}
-	if _, err := e.Threshold(stats.Mean, tau, scape.Above, Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(stats.Mean, interval.GreaterThan(tau), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
-	if _, err := e.Range(stats.Mean, 0, 1, Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(stats.Mean, interval.Between(0, 1), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
-	if _, err := e.Threshold(stats.Covariance, 0, scape.Above, Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(stats.Covariance, interval.GreaterThan(0), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
-	if _, err := e.Range(stats.Covariance, 0, 1, Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(stats.Covariance, interval.Between(0, 1), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
 }

@@ -1,0 +1,476 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"affinity/internal/measure"
+	"affinity/internal/par"
+	"affinity/internal/plan"
+	"affinity/internal/qcache"
+	"affinity/internal/scape"
+	"affinity/internal/stats"
+	"affinity/internal/timeseries"
+)
+
+// This file is the query pipeline, written once.  Every query the engine
+// serves is a plan.QuerySpec plus a Method, and every row-returning one —
+// interval (MET/MER) or top-k (MEK), single or batched, on one engine or on S
+// shards — runs
+//
+//	validate → plan → cache → execute → store
+//
+// against one pinned epoch of a Backend.  The pipeline owns spec validation,
+// MethodAuto resolution and method pricing, the result-cache protocol and the
+// Explain actuals; a Backend answers only what genuinely differs between one
+// engine and a sharded coordinator.  engineState (one epoch of an Engine) and
+// shard's coordinator epoch are the two implementations.
+//
+// Cache correctness contract (pinned by the cache determinism harnesses):
+// every result served from the cache is byte-identical to the cold execution
+// of the same query at the same epoch.
+//
+//   - Exact hits return the stored slices unchanged.
+//   - Containment filters stored rows by their stored values — the same
+//     values the execution methods decide membership by — and filtering
+//     preserves the method's canonical result order, of which the narrower
+//     result is a subsequence.
+//   - Delta repair re-evaluates the candidate set (cached rows ∪ stale pairs
+//     of the crossed epochs) with the same affine evaluator the sweep uses,
+//     in canonical pair order, and only commits when the repaired row count
+//     equals the index's exact selectivity: a subset of the true result with
+//     the true result's cardinality is the true result.  Any disagreement
+//     falls back to a cold run.
+
+// Backend is one pinned epoch the pipeline can run against.  Its methods must
+// be deterministic in the epoch state, so that plans and results are
+// identical at any parallelism and any shard count.
+type Backend interface {
+	// Epoch, Table, CostModel and Cache are the planner and cache handles:
+	// the epoch number cache entries are stamped with, the table statistics
+	// and cost model MethodAuto is priced against (global ones on a sharded
+	// backend, so the chosen method does not depend on the shard count), and
+	// the result cache (nil when disabled).
+	Epoch() int
+	Table() plan.TableStats
+	CostModel() plan.CostModel
+	Cache() *qcache.Cache
+	// Replica returns a single-engine epoch holding the state that is
+	// replicated rather than partitioned — the raw window and the per-series
+	// statistics.  L-measure and naive MEC queries are answered from it.
+	Replica() View
+
+	// Selectivity is the index's result-size estimate for an indexable
+	// interval spec; it is only asked when Table().HasIndex.
+	Selectivity(spec plan.QuerySpec) (scape.Selectivity, error)
+	// ExactRows is delta repair's completeness oracle: the index's result
+	// count for q, and whether that count is exact.
+	ExactRows(q scape.PairQuery) (rows int, exact bool, err error)
+	// PairValue evaluates one canonical pair with a concrete sweep method
+	// (MethodNaive or MethodAffine), and SelfValue a series against itself.
+	PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error)
+	SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error)
+	// Execute answers resolved items cold, out[i] for items[i].  A non-nil
+	// actuals is index-aligned with items and receives the sketch counts.
+	Execute(items []Item, actuals []Actual) ([]QueryResult, error)
+}
+
+// Item is one validated interval/top-k query with its concrete method.
+type Item struct {
+	Spec   plan.QuerySpec
+	Method Method
+	// Location marks an L-measure query: answered per series from replicated
+	// state, never cached and never fanned out.
+	Location bool
+}
+
+// Actual is what the pipeline observed while answering one item (Explain):
+// the cache tier that served it with the size of a repair's delta, or the
+// pairs its sketch prescreen classified and passed on to the exact kernels.
+type Actual struct {
+	Tier     qcache.Tier
+	Repaired int
+	Sketched int
+	Refined  int
+}
+
+// Run answers a batch of interval/top-k specs against one backend epoch.
+// out[i] belongs to specs[i] and equals the single-query answer exactly: a
+// single query is a batch of one.  The whole batch is validated before
+// anything executes, so a malformed batch fails with its typed error and no
+// side effect.  With wantPlans every spec is priced (a concrete method keeps
+// the alternatives' cost columns) and plans[i] carries the actuals:
+// ActualRows per item, and the wall time of the shared execution as Duration
+// on every plan, because fused scans cannot be attributed per item.
+func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]QueryResult, []plan.Plan, error) {
+	for _, spec := range specs {
+		if err := validateSpec(spec); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := checkMethod(method); err != nil {
+		return nil, nil, err
+	}
+	var plans []plan.Plan
+	var acts []Actual
+	var start time.Time
+	if wantPlans {
+		plans = make([]plan.Plan, len(specs))
+		acts = make([]Actual, len(specs))
+		for i, spec := range specs {
+			p, err := price(b, spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			if method != MethodAuto {
+				p = p.WithMethod(method)
+			}
+			plans[i] = p
+		}
+		start = time.Now()
+	}
+
+	out := make([]QueryResult, len(specs))
+	cache := b.Cache()
+	// cold[k] answers specs[coldAt[k]]; cold[storeAt[k]] missed the cache and
+	// is stored under storeKeys[k] once executed.
+	var cold []Item
+	var coldAt, storeAt []int
+	var storeKeys []qcache.Key
+	for i, spec := range specs {
+		it := Item{Spec: spec, Method: method}
+		if sp, ok := measure.Find(spec.Measure); ok {
+			it.Location = sp.Location()
+		}
+		if wantPlans {
+			it.Method = plans[i].Method
+		} else if method == MethodAuto {
+			p, err := price(b, spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			it.Method = p.Method
+		}
+		if cache != nil && !it.Location {
+			key := cacheKey(it)
+			if res, act, ok := cacheServe(b, cache, it, key); ok {
+				out[i] = res
+				if wantPlans {
+					acts[i] = act
+				}
+				continue
+			}
+			cache.Miss()
+			storeKeys = append(storeKeys, key)
+			storeAt = append(storeAt, len(cold))
+		}
+		if cold == nil {
+			cold = make([]Item, 0, len(specs)-i)
+			coldAt = make([]int, 0, len(specs)-i)
+		}
+		cold = append(cold, it)
+		coldAt = append(coldAt, i)
+	}
+	if len(cold) > 0 {
+		var coldActs []Actual
+		if wantPlans {
+			coldActs = make([]Actual, len(cold))
+		}
+		results, err := b.Execute(cold, coldActs)
+		if err != nil {
+			return nil, nil, err
+		}
+		for k, i := range coldAt {
+			out[i] = results[k]
+			if wantPlans {
+				acts[i] = coldActs[k]
+			}
+		}
+		for k, at := range storeAt {
+			cacheStore(b, cache, cold[at], storeKeys[k], results[at])
+		}
+	}
+	if wantPlans {
+		dur := time.Since(start)
+		for i := range plans {
+			plans[i].Duration = dur
+			plans[i].ActualRows = out[i].Size()
+			// A repeated query reports what actually happened — the cache tier
+			// that served it and the delta's size — not a pretended full run.
+			plans[i].CacheTier = acts[i].Tier.String()
+			plans[i].CacheRepairedPairs = acts[i].Repaired
+			plans[i].SketchedPairs = acts[i].Sketched
+			plans[i].SketchRefinedPairs = acts[i].Refined
+		}
+	}
+	return out, plans, nil
+}
+
+// runOne answers a single query as a batch of one.
+func runOne(b Backend, spec plan.QuerySpec, method Method) (QueryResult, error) {
+	out, _, err := Run(b, []plan.QuerySpec{spec}, method, false)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	return out[0], nil
+}
+
+// validateSpec rejects malformed interval/top-k specs with the typed
+// sentinels shared by every entry point.
+func validateSpec(spec plan.QuerySpec) error {
+	switch spec.Kind {
+	case plan.KindInterval:
+		if spec.Interval.Empty() {
+			return fmt.Errorf("%w: %v", ErrEmptyRange, spec.Interval)
+		}
+	case plan.KindTopK:
+		if spec.K < 1 {
+			return fmt.Errorf("%w: %d", ErrBadTopK, spec.K)
+		}
+	default:
+		return fmt.Errorf("core: %v is not an interval or top-k query kind", spec.Kind)
+	}
+	return nil
+}
+
+func checkMethod(method Method) error {
+	if method != MethodAuto && !method.Concrete() {
+		return fmt.Errorf("%w: %v", ErrBadMethod, method)
+	}
+	return nil
+}
+
+// price plans a spec against the backend's epoch: the index supplies a
+// selectivity estimate when it can answer the query, and the cost model does
+// the rest.  Whether the index is consulted at all derives from the measure's
+// declared Indexable capability — a non-indexable measure (e.g. Jaccard)
+// plans among the sweep methods without ever touching the index.  Top-k and
+// compute queries have no a-priori predicate to estimate; the cost model
+// prices them from the table statistics alone.
+func price(b Backend, spec plan.QuerySpec) (plan.Plan, error) {
+	table := b.Table()
+	var sel *scape.Selectivity
+	sp, known := measure.Find(spec.Measure)
+	if table.HasIndex && spec.Kind == plan.KindInterval && known && sp.Indexable {
+		s, err := b.Selectivity(spec)
+		switch {
+		case err == nil:
+			sel = &s
+		case errors.Is(err, scape.ErrMeasureNotIndexed):
+			// The index was built without this measure (restricted
+			// Options.PairMeasures/DerivedMeasures); plan among the sweeps.
+		default:
+			return plan.Plan{}, err
+		}
+	}
+	return b.CostModel().Plan(spec, table, sel), nil
+}
+
+// resolve maps a requested method to the concrete one that will run:
+// concrete methods pass through, MethodAuto asks the planner.
+func resolve(b Backend, spec plan.QuerySpec, method Method) (Method, error) {
+	if err := checkMethod(method); err != nil || method != MethodAuto {
+		return method, err
+	}
+	p, err := price(b, spec)
+	return p.Method, err
+}
+
+// cacheKey builds the cache key of a pairwise item.  L-measure items never
+// reach the cache: their results are cheap per-series reads with no pairwise
+// scan to save.
+func cacheKey(it Item) qcache.Key {
+	if it.Spec.Kind == plan.KindTopK {
+		return qcache.TopKKey(it.Spec.Measure, it.Method, it.Spec.K, it.Spec.Largest)
+	}
+	return qcache.IntervalKey(it.Spec.Measure, it.Method, it.Spec.Interval)
+}
+
+// cacheServe answers one item from the cache if any reuse tier applies:
+// exact/containment through Lookup, then delta repair.  The returned
+// QueryResult shares the cache's backing arrays (read-only by contract).
+func cacheServe(b Backend, cache *qcache.Cache, it Item, key qcache.Key) (QueryResult, Actual, bool) {
+	if r, tier, ok := cache.Lookup(key, b.Epoch()); ok {
+		res := QueryResult{Pairs: r.Pairs}
+		if it.Spec.Kind == plan.KindTopK {
+			// Interval results carry nil Values by contract.
+			res.Values = r.Values
+		}
+		return res, Actual{Tier: tier}, true
+	}
+	if pairs, candidates, ok := tryRepair(b, cache, it, key); ok {
+		return QueryResult{Pairs: pairs}, Actual{Tier: qcache.TierRepaired, Repaired: candidates}, true
+	}
+	return QueryResult{}, Actual{}, false
+}
+
+// tryRepair carries a cached interval result across Advances by delta repair.
+// Eligibility: an affine-method interval entry (the repair evaluator and the
+// canonical result order are the affine sweep's), an index whose selectivity
+// count is exact for the measure (the completeness oracle), and a universe
+// with no fallback pairs (the oracle must count the same universe the sweep
+// scans).  The cost model arbitrates repair vs re-scan, and a repaired row
+// count that disagrees with the oracle — a pair outside the candidate set
+// drifted across the interval boundary without being refit — abandons the
+// repair for a cold run.
+func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]timeseries.Pair, int, bool) {
+	table := b.Table()
+	if it.Spec.Kind != plan.KindInterval || it.Method != MethodAffine ||
+		!table.HasIndex || table.FallbackPairs != 0 {
+		return nil, 0, false
+	}
+	rp, ok := cache.PlanRepair(key, b.Epoch())
+	if !ok {
+		return nil, 0, false
+	}
+	rows, exact, err := b.ExactRows(it.Spec.PairQuery())
+	if err != nil || !exact {
+		return nil, 0, false
+	}
+	cost := b.CostModel()
+	p := cost.Plan(it.Spec, table, &scape.Selectivity{Rows: rows, Exact: true})
+	if cost.RepairCost(len(rp.Candidates), rows, table) >= p.CostAffine {
+		return nil, 0, false
+	}
+	pairs := make([]timeseries.Pair, 0, rows)
+	values := make([]float64, 0, rows)
+	for _, pair := range rp.Candidates {
+		v, err := b.PairValue(it.Spec.Measure, pair, MethodAffine)
+		if err != nil {
+			return nil, 0, false
+		}
+		if it.Spec.Interval.Contains(v) {
+			pairs = append(pairs, pair)
+			values = append(values, v)
+		}
+	}
+	if len(pairs) != rows {
+		cache.NoteRepairFallback()
+		return nil, 0, false
+	}
+	cache.CommitRepair(key, b.Epoch(), pairs, values, len(rp.Candidates))
+	return pairs, len(rp.Candidates), true
+}
+
+// cacheStore installs a cold execution's result.  Interval entries need the
+// result rows' measure values (containment filtering and repair seeding read
+// them), which interval executions do not produce — they are captured post
+// hoc with the per-pair evaluator of the item's method, once per cold query;
+// a hit never pays it.  Top-k entries store their ranking values directly.
+func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res QueryResult) {
+	if it.Spec.Kind == plan.KindTopK {
+		cache.Put(key, b.Epoch(), res.Pairs, res.Values)
+		return
+	}
+	// Affine and index entries both store the affine evaluator's values: index
+	// and affine results are byte-identical by the engine's W_A ≡ SCAPE
+	// invariant, so one evaluator serves both.
+	evaluator := MethodAffine
+	if it.Method == MethodNaive {
+		evaluator = MethodNaive
+	}
+	values := make([]float64, len(res.Pairs))
+	for i, pair := range res.Pairs {
+		v, err := b.PairValue(it.Spec.Measure, pair, evaluator)
+		if err != nil {
+			return // not storable; the returned result is unaffected
+		}
+		values[i] = v
+	}
+	cache.Put(key, b.Epoch(), res.Pairs, values)
+}
+
+// Compute answers a batch of MEC queries against one backend epoch; out[i]
+// is identical to the matching single ComputeLocation/ComputePairwise call.
+// MEC queries read only cached epoch state, so the sharing is the epoch
+// pinning itself.  Queries run sequentially: each pairwise computation
+// already shards its rows across the full worker pool, and nesting the two
+// levels would spawn up to Parallelism² goroutines of O(n²) work.
+func Compute(b Backend, qs []ComputeQuery, method Method) ([]ComputeResult, error) {
+	out := make([]ComputeResult, len(qs))
+	for i, q := range qs {
+		var err error
+		if q.Measure.Class() == stats.LocationClass {
+			out[i].Location, err = computeLocation(b, q.Measure, q.IDs, method)
+		} else {
+			out[i].Pairwise, err = computePairwise(b, q.Measure, q.IDs, method)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// computeLocation answers an L-measure MEC query.  Per-series state is
+// replicated, so the backend's replica answers it; the method is still
+// resolved against the backend's own table.
+func computeLocation(b Backend, m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
+	if sp, ok := measure.Find(m); !ok || !sp.Location() {
+		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, stats.ErrUnknownMeasure)
+	}
+	method, err := resolve(b, plan.Compute(m, len(ids)), method)
+	if err != nil {
+		return nil, err
+	}
+	return b.Replica().locationValues(m, ids, method)
+}
+
+// computePairwise answers a pairwise MEC query: the |ψ|-by-|ψ| matrix in the
+// order given, undefined derived values as NaN.  The naive method reads only
+// the raw window, which the replica holds; the affine method asks the backend
+// for every cell, so a sharded backend propagates each pair from the pivot
+// summary of the shard that owns it.
+func computePairwise(b Backend, m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
+	if !m.Pairwise() {
+		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
+	}
+	method, err := resolve(b, plan.Compute(m, len(ids)), method)
+	if err != nil {
+		return nil, err
+	}
+	switch method {
+	case MethodNaive:
+		return b.Replica().naive.Pairwise(m, ids)
+	case MethodAffine:
+		out := make([][]float64, len(ids))
+		for i := range out {
+			out[i] = make([]float64, len(ids))
+		}
+		// Row-sharded: worker i fills out[i][j] for j >= i plus the mirrored
+		// column entries out[j][i]; all written cells are distinct, and each
+		// cell's value depends only on (i, j), so the matrix is identical at
+		// any parallelism.
+		err := par.Do(len(ids), b.Replica().par, func(i int) error {
+			u := ids[i]
+			for j := i; j < len(ids); j++ {
+				v := ids[j]
+				var value float64
+				var err error
+				if u == v {
+					value, err = b.SelfValue(m, u)
+				} else {
+					pair, perr := timeseries.NewPair(u, v)
+					if perr != nil {
+						return perr
+					}
+					value, err = b.PairValue(m, pair, MethodAffine)
+				}
+				value, err = measure.OrNaN(value, err)
+				if err != nil {
+					return err
+				}
+				out[i][j] = value
+				out[j][i] = value
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	default:
+		return nil, fmt.Errorf("%w: %v for pairwise MEC", ErrBadMethod, method)
+	}
+}

@@ -9,8 +9,8 @@ import (
 	"affinity/internal/stats"
 )
 
-// TestExplainBatchParity pins the batch/single Explain contract: ExplainBatch
-// must return the same results and the same plans (estimates, chosen method,
+// TestExplainBatchParity pins the batch/single Explain contract: Run with
+// plans over a batch must return the same results and the same plans (estimates, chosen method,
 // actual rows) as issuing each Explain individually — only Duration differs,
 // because the batch execution is shared.  This is the regression test for the
 // bug where only the single-query path populated plan actuals.
@@ -30,9 +30,9 @@ func TestExplainBatchParity(t *testing.T) {
 		plan.Range(stats.Jaccard, 0.2, 0.8),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodAuto} {
-		results, plans, err := e.ExplainBatch(specs, method)
+		results, plans, err := Run(e.View(), specs, method, true)
 		if err != nil {
-			t.Fatalf("%v: ExplainBatch: %v", method, err)
+			t.Fatalf("%v: explained batch: %v", method, err)
 		}
 		if len(results) != len(specs) || len(plans) != len(specs) {
 			t.Fatalf("%v: got %d results, %d plans for %d specs", method, len(results), len(plans), len(specs))
@@ -61,11 +61,11 @@ func TestExplainBatchParity(t *testing.T) {
 		}
 	}
 
-	if _, _, err := e.ExplainBatch(specs, Method(99)); err == nil {
-		t.Fatal("ExplainBatch accepted an invalid method")
+	if _, _, err := Run(e.View(), specs, Method(99), true); err == nil {
+		t.Fatal("explained batch accepted an invalid method")
 	}
 	bad := []plan.QuerySpec{plan.TopK(stats.Correlation, 0, true)}
-	if _, _, err := e.ExplainBatch(bad, MethodAuto); err == nil {
-		t.Fatal("ExplainBatch accepted k=0")
+	if _, _, err := Run(e.View(), bad, MethodAuto, true); err == nil {
+		t.Fatal("explained batch accepted k=0")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/plan"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -52,17 +53,13 @@ func TestDegenerateNaNOracle(t *testing.T) {
 		e := buildDegenerateEngine(t, p)
 		m := stats.Correlation
 
-		// MEC sweeps: NaN exactly on the degenerate pairs, all four naive
-		// variants and the affine path agreeing on positions.
+		// MEC sweeps: NaN exactly on the degenerate pairs, both naive variants
+		// and the affine path agreeing on positions.
 		blocked, err := e.PairwiseSweepNaive(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := e.PairwiseSweepNaiveScalar(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f32, err := e.PairwiseSweepNaive32(m)
+		scalar, err := e.pairwiseSweepNaiveScalar(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +72,7 @@ func TestDegenerateNaNOracle(t *testing.T) {
 			for _, sweep := range []struct {
 				name string
 				vals []float64
-			}{{"blocked", blocked.Values}, {"scalar", scalar.Values}, {"f32", f32.Values}, {"affine", affine.Values}} {
+			}{{"blocked", blocked.Values}, {"scalar", scalar.Values}, {"affine", affine.Values}} {
 				if got := math.IsNaN(sweep.vals[i]); got != want {
 					t.Fatalf("P=%d %s sweep pair %v: IsNaN=%v, want %v", p, sweep.name, pair, got, want)
 				}
@@ -125,7 +122,7 @@ func TestDegenerateNaNOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("P=%d TopK(%v): %v", p, method, err)
 			}
-			topBatched, err := e.TopKBatch([]TopKQuery{{Measure: m, K: k, Largest: true}}, method)
+			topBatched, err := runSpecs(e, []plan.QuerySpec{plan.TopK(m, k, true)}, method)
 			if err != nil {
 				t.Fatalf("P=%d TopKBatch(%v): %v", p, method, err)
 			}

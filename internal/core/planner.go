@@ -1,18 +1,14 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"time"
-
-	"affinity/internal/measure"
 	"affinity/internal/plan"
+	"affinity/internal/qcache"
 	"affinity/internal/scape"
 )
 
-// This file integrates the cost-based planner (internal/plan) into the
-// engine: per-epoch table statistics, MethodAuto resolution and the Explain
-// entry point.
+// This file is the engine's side of the cost-based planner (internal/plan):
+// the per-epoch table statistics and the handles the shared pipeline
+// (executor.go) plans, caches and verifies through.
 
 // finishPlanner fills the epoch's planner inputs once every artifact is in
 // place.  Everything here derives from the epoch state alone, so engines
@@ -36,138 +32,30 @@ func (st *engineState) finishPlanner(cfg Config) {
 	}
 }
 
-// resolve maps a requested method to the concrete one that will run:
-// concrete methods pass through, MethodAuto asks the planner.
-func (e *engineState) resolve(spec plan.QuerySpec, method Method) (Method, error) {
-	if method != MethodAuto {
-		if !method.Concrete() {
-			return 0, fmt.Errorf("%w: %v", ErrBadMethod, method)
-		}
-		return method, nil
+// The planner and cache handles of Backend, and the two index probes the
+// pipeline prices and verifies with.
+
+func (e *engineState) Epoch() int                { return e.epoch }
+func (e *engineState) Table() plan.TableStats    { return e.table }
+func (e *engineState) CostModel() plan.CostModel { return e.cost }
+func (e *engineState) Cache() *qcache.Cache      { return e.cache }
+func (e *engineState) Replica() View             { return View{e} }
+
+func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error) {
+	if e.index == nil {
+		return scape.Selectivity{}, ErrNoIndex
 	}
-	p, err := e.plan(spec)
-	if err != nil {
-		return 0, err
-	}
-	return p.Method, nil
+	return e.index.EstimateSelectivity(spec.PairQuery())
 }
 
-// plan prices a spec against this epoch: the index supplies a selectivity
-// estimate when it can answer the query, and the cost model does the rest.
-// Whether the index is consulted at all derives from the measure's declared
-// Indexable capability — a non-indexable measure (e.g. Jaccard) plans among
-// the sweep methods without ever touching the index.  Top-k queries have no
-// a-priori predicate to estimate; the cost model prices their best-first
-// traversal from the table statistics alone.
-func (e *engineState) plan(spec plan.QuerySpec) (plan.Plan, error) {
-	var sel *scape.Selectivity
-	sp, known := measure.Find(spec.Measure)
-	if e.index != nil && spec.Kind == plan.KindInterval && known && sp.Indexable {
-		s, err := e.index.EstimateSelectivity(spec.PairQuery())
-		switch {
-		case err == nil:
-			sel = &s
-		case errors.Is(err, scape.ErrMeasureNotIndexed):
-			// The index was built without this measure (restricted
-			// Options.PairMeasures/DerivedMeasures); plan among the sweeps.
-		default:
-			return plan.Plan{}, err
-		}
+func (e *engineState) ExactRows(q scape.PairQuery) (int, bool, error) {
+	if e.index == nil {
+		return 0, false, ErrNoIndex
 	}
-	return e.cost.Plan(spec, e.table, sel), nil
+	return e.index.ExactRows(q)
 }
 
-// explain implements Engine.Explain for one epoch: one planning pass prices
-// the query, and the executed item is derived from that same plan.
-func (e *engineState) explain(spec plan.QuerySpec, method Method) (QueryResult, plan.Plan, error) {
-	if err := validateSpec(spec); err != nil {
-		return QueryResult{}, plan.Plan{}, err
-	}
-	if method != MethodAuto && !method.Concrete() {
-		return QueryResult{}, plan.Plan{}, fmt.Errorf("%w: %v", ErrBadMethod, method)
-	}
-	p, err := e.plan(spec)
-	if err != nil {
-		return QueryResult{}, plan.Plan{}, err
-	}
-	if method != MethodAuto {
-		// Price the requested method; keep the alternatives for comparison.
-		p.Method = method
-		switch method {
-		case MethodNaive:
-			p.EstimatedCost = p.CostNaive
-		case MethodAffine:
-			p.EstimatedCost = p.CostAffine
-		case MethodIndex:
-			p.EstimatedCost = p.CostIndex
-		}
-	}
-	start := time.Now()
-	acts := make([]cacheActual, 1)
-	out, err := e.runBatchEx([]execItem{buildItem(spec, p.Method)}, acts)
-	if err != nil {
-		return QueryResult{}, plan.Plan{}, err
-	}
-	p.Duration = time.Since(start)
-	p.ActualRows = out[0].Size()
-	// A repeated query reports what actually happened — the cache tier that
-	// served it and the delta's size — instead of pretending a full execution.
-	p.CacheTier = acts[0].tier.String()
-	p.CacheRepairedPairs = acts[0].repaired
-	p.SketchedPairs = acts[0].sketched
-	p.SketchRefinedPairs = acts[0].refined
-	return out[0], p, nil
-}
-
-// explainBatch implements Engine.ExplainBatch for one epoch: every spec is
-// planned exactly as explain would plan it alone, the whole batch executes
-// through the shared executor, and — unlike the historical batch path, which
-// dropped them — the actuals are filled per item.  ActualRows is per query;
-// Duration is the wall time of the shared batch execution, reported
-// identically on every plan because the scans are fused and cannot be
-// attributed per item.
-func (e *engineState) explainBatch(specs []plan.QuerySpec, method Method) ([]QueryResult, []plan.Plan, error) {
-	if method != MethodAuto && !method.Concrete() {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadMethod, method)
-	}
-	plans := make([]plan.Plan, len(specs))
-	items := make([]execItem, len(specs))
-	for i, spec := range specs {
-		if err := validateSpec(spec); err != nil {
-			return nil, nil, err
-		}
-		p, err := e.plan(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if method != MethodAuto {
-			p.Method = method
-			switch method {
-			case MethodNaive:
-				p.EstimatedCost = p.CostNaive
-			case MethodAffine:
-				p.EstimatedCost = p.CostAffine
-			case MethodIndex:
-				p.EstimatedCost = p.CostIndex
-			}
-		}
-		plans[i] = p
-		items[i] = buildItem(spec, p.Method)
-	}
-	start := time.Now()
-	acts := make([]cacheActual, len(items))
-	out, err := e.runBatchEx(items, acts)
-	if err != nil {
-		return nil, nil, err
-	}
-	dur := time.Since(start)
-	for i := range plans {
-		plans[i].Duration = dur
-		plans[i].ActualRows = out[i].Size()
-		plans[i].CacheTier = acts[i].tier.String()
-		plans[i].CacheRepairedPairs = acts[i].repaired
-		plans[i].SketchedPairs = acts[i].sketched
-		plans[i].SketchRefinedPairs = acts[i].refined
-	}
-	return out, plans, nil
+// Plan prices a query spec against the epoch without executing it.
+func (e *engineState) Plan(spec plan.QuerySpec) (plan.Plan, error) {
+	return price(e, spec)
 }

@@ -5,9 +5,7 @@ import (
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/par"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -31,50 +29,28 @@ func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) }
 // Append/Advance: a query started before an epoch swap keeps serving the old
 // epoch's window, relationships and index.
 //
-// A single interval or top-k query is a batch of one: the same epoch-pinned
-// executor (batch.go) serves every entry point, so single and batched queries
-// share one validation, planning and scan implementation — and fail with the
-// same typed errors.  Threshold and Range are constructors over Interval, not
-// separate code paths.
-
-// ComputeLocation answers a MEC query for an L-measure over the requested
-// series, using the selected method (Query 1 with an L-measure).
-func (e *Engine) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
-	return e.state().computeLocation(m, ids, method)
-}
-
-// ComputePairwise answers a MEC query for a T- or D-measure over the
-// requested series: the |ψ|-by-|ψ| matrix of pairwise values in the order
-// given.  Undefined derived values (zero normalizer) are reported as NaN.
-func (e *Engine) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
-	return e.state().computePairwise(m, ids, method)
-}
-
-// PairValue computes a single pairwise measure with the selected method.
-func (e *Engine) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
-	return e.state().pairValue(m, pair, method)
-}
+// Each is sugar over the shared pipeline (executor.go): a single interval or
+// top-k query is a batch of one, so single and batched queries share one
+// validation, planning, caching and scan implementation — and fail with the
+// same typed errors.
 
 // Interval answers the unified interval query: entries whose measure value
 // lies in iv, computed with the selected method.  MET and MER queries are its
 // half-bounded and bounded instances.
 func (e *Engine) Interval(m stats.Measure, iv interval.Interval, method Method) (QueryResult, error) {
-	return e.state().singleQuery(plan.Interval(m, iv), method)
+	return runOne(e.state(), plan.Interval(m, iv), method)
 }
 
-// Threshold answers a MET query (Query 2): entries whose measure is above
-// (or below) tau — sugar over Interval with the half-bounded open predicate.
-func (e *Engine) Threshold(m stats.Measure, tau float64, op scape.ThresholdOp, method Method) (QueryResult, error) {
-	if !op.Valid() {
-		return QueryResult{}, fmt.Errorf("%w: %d", ErrBadThresholdOp, int(op))
-	}
-	return e.state().singleQuery(plan.Threshold(m, tau, op), method)
-}
-
-// Range answers a MER query (Query 3): entries whose measure lies in
-// [lo, hi] — sugar over Interval with the closed predicate.
-func (e *Engine) Range(m stats.Measure, lo, hi float64, method Method) (QueryResult, error) {
-	return e.state().singleQuery(plan.Range(m, lo, hi), method)
+// TopK answers a top-k (MEK) query: the k entries — series for L-measures,
+// sequence pairs for T- and D-measures — with the greatest (largest) or
+// smallest measure value, best first, ties broken by series/pair identity.
+// The result's Values align with Series or Pairs.  MethodIndex runs the SCAPE
+// best-first traversal, the sweep methods ride the shared multi-predicate
+// pass with a bounded result heap, and MethodAuto lets the planner choose —
+// non-indexable measures (Jaccard) price the index at +Inf and fall back to
+// the heap sweep through the same capability flags interval queries use.
+func (e *Engine) TopK(m stats.Measure, k int, largest bool, method Method) (QueryResult, error) {
+	return runOne(e.state(), plan.TopK(m, k, largest), method)
 }
 
 // Explain plans an interval or top-k query, executes it, and returns the
@@ -84,124 +60,41 @@ func (e *Engine) Range(m stats.Measure, lo, hi float64, method Method) (QueryRes
 // method the plan prices that method (the cost columns still show the
 // alternatives).
 func (e *Engine) Explain(spec plan.QuerySpec, method Method) (QueryResult, plan.Plan, error) {
-	return e.state().explain(spec, method)
-}
-
-// ExplainBatch plans and executes a batch of interval/top-k queries,
-// returning per-item plans with the actuals populated — the batch analogue of
-// Explain.  plans[i].ActualRows is the i-th result's size; plans[i].Duration
-// is the wall time of the shared batch execution (scans are fused across
-// items, so per-item attribution is not possible).
-func (e *Engine) ExplainBatch(specs []plan.QuerySpec, method Method) ([]QueryResult, []plan.Plan, error) {
-	return e.state().explainBatch(specs, method)
-}
-
-// singleQuery answers one interval/top-k query as a batch of one.
-func (e *engineState) singleQuery(spec plan.QuerySpec, method Method) (QueryResult, error) {
-	it, err := e.newItem(spec, method)
+	out, plans, err := Run(e.state(), []plan.QuerySpec{spec}, method, true)
 	if err != nil {
-		return QueryResult{}, err
+		return QueryResult{}, plan.Plan{}, err
 	}
-	out, err := e.runBatch([]execItem{it})
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return out[0], nil
+	return out[0], plans[0], nil
 }
 
-// computeLocation implements ComputeLocation for one epoch.
-func (e *engineState) computeLocation(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
-	if sp, ok := measure.Find(m); !ok || !sp.Location() {
-		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, stats.ErrUnknownMeasure)
-	}
-	method, err := e.resolve(plan.Compute(m, len(ids)), method)
-	if err != nil {
-		return nil, err
-	}
-	switch method {
-	case MethodNaive:
-		return e.naive.Location(m, ids)
-	case MethodAffine:
-		estimates, ok := e.seriesLocation[m]
-		if !ok {
-			return nil, fmt.Errorf("core: no location estimates for %v", m)
-		}
-		out := make([]float64, len(ids))
-		for i, id := range ids {
-			if int(id) < 0 || int(id) >= len(estimates) {
-				return nil, fmt.Errorf("%w: %d", timeseries.ErrInvalidSeries, id)
-			}
-			out[i] = estimates[id]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: %v for location MEC", ErrBadMethod, method)
-	}
+// ComputeLocation answers a MEC query for an L-measure over the requested
+// series, using the selected method (Query 1 with an L-measure).
+func (e *Engine) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
+	return computeLocation(e.state(), m, ids, method)
 }
 
-// computePairwise implements ComputePairwise for one epoch.
-func (e *engineState) computePairwise(m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
-	if !m.Pairwise() {
-		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
-	}
-	method, err := e.resolve(plan.Compute(m, len(ids)), method)
-	if err != nil {
-		return nil, err
-	}
-	switch method {
-	case MethodNaive:
-		return e.naive.Pairwise(m, ids)
-	case MethodAffine:
-		out := make([][]float64, len(ids))
-		for i := range out {
-			out[i] = make([]float64, len(ids))
-		}
-		// Row-sharded: worker i fills out[i][j] for j >= i plus the mirrored
-		// column entries out[j][i]; all written cells are distinct, and each
-		// cell's value depends only on (i, j), so the matrix is identical at
-		// any parallelism.
-		err := par.Do(len(ids), e.par, func(i int) error {
-			u := ids[i]
-			for j := i; j < len(ids); j++ {
-				v := ids[j]
-				var value float64
-				var err error
-				if u == v {
-					value, err = e.selfPairValue(m, u)
-				} else {
-					pair, perr := timeseries.NewPair(u, v)
-					if perr != nil {
-						return perr
-					}
-					value, err = e.affinePairValue(m, pair)
-				}
-				value, err = measure.OrNaN(value, err)
-				if err != nil {
-					return err
-				}
-				out[i][j] = value
-				out[j][i] = value
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: %v for pairwise MEC", ErrBadMethod, method)
-	}
+// ComputePairwise answers a MEC query for a T- or D-measure over the
+// requested series: the |ψ|-by-|ψ| matrix of pairwise values in the order
+// given.  Undefined derived values (zero normalizer) are reported as NaN.
+func (e *Engine) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
+	return computePairwise(e.state(), m, ids, method)
 }
 
-// pairValue implements PairValue for one epoch.
-func (e *engineState) pairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
+// PairValue computes a single pairwise measure with the selected method.
+func (e *Engine) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
+	st := e.state()
 	if !m.Pairwise() {
 		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
 	}
-	method, err := e.resolve(plan.Compute(m, 2), method)
+	method, err := resolve(st, plan.Compute(m, 2), method)
 	if err != nil {
 		return 0, err
 	}
+	return st.PairValue(m, pair, method)
+}
+
+// PairValue evaluates one pair with a concrete sweep method (Backend).
+func (e *engineState) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
 	switch method {
 	case MethodNaive:
 		return e.naive.PairValue(m, pair)
@@ -233,9 +126,9 @@ func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (fl
 // relationships (the W_A method): the propagated base T value put through the
 // spec's transform with the pair's separable parameter.
 func (e *engineState) affinePairValue(m stats.Measure, pair timeseries.Pair) (float64, error) {
-	sp, ok := measure.Find(m)
-	if !ok || !sp.Pairwise() {
-		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
+	sp, err := pairwiseSpec(m)
+	if err != nil {
+		return 0, err
 	}
 	if !pair.Valid() {
 		canonical, err := timeseries.NewPair(pair.U, pair.V)
@@ -254,33 +147,16 @@ func (e *engineState) affinePairValue(m stats.Measure, pair timeseries.Pair) (fl
 	return sp.Value(base, sp.Param(e.seriesStat(pair.U), e.seriesStat(pair.V)), e.data.NumSamples())
 }
 
-// selfPairValue returns the diagonal entry of a pairwise MEC response: the
+// SelfValue returns the diagonal entry of a pairwise MEC response: the
 // measure of a series with itself, declared per spec over the cached
-// per-series statistics.
-func (e *engineState) selfPairValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
+// per-series statistics (replicated, so identical on every shard).
+func (e *engineState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
 	if int(id) < 0 || int(id) >= len(e.seriesVariance) {
 		return 0, fmt.Errorf("%w: %d", timeseries.ErrInvalidSeries, id)
 	}
-	sp, ok := measure.Find(m)
-	if !ok || !sp.Pairwise() {
-		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
+	sp, err := pairwiseSpec(m)
+	if err != nil {
+		return 0, err
 	}
 	return sp.SelfValue(e.seriesStat(id))
-}
-
-func thresholdKeep(tau float64, above bool) func(float64) bool {
-	if above {
-		return func(v float64) bool { return v > tau }
-	}
-	return func(v float64) bool { return v < tau }
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

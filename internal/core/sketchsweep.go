@@ -25,13 +25,6 @@ import (
 // same order, the result is byte-identical to the unpruned sweep — the
 // property TestSketchSweepParity pins with Float64bits comparisons.
 
-// sketchActual reports one prescreened sweep's work for Explain: how many
-// pairs the prescreen classified and how many reached the exact kernels.
-type sketchActual struct {
-	sketched int
-	refined  int
-}
-
 // buildSketch computes the epoch's sketch set from the naive kernel mirror —
 // the same contiguous columns and hoisted moments the exact sweeps read.
 func (st *engineState) buildSketch(opts sketch.Options, parallelism int, counters *sketch.Counters) error {
@@ -47,18 +40,19 @@ func (st *engineState) buildSketch(opts sketch.Options, parallelism int, counter
 // sketch-enabled epoch, a resolved naive-method pairwise sweep, and a measure
 // whose value bounds the sketch can derive.  Everything else takes the plain
 // shared-scan path unchanged.
-func (e *engineState) sketchUsable(it execItem) bool {
-	if e.sketch == nil || it.location || it.method != MethodNaive {
+func (e *engineState) sketchUsable(it Item) bool {
+	if e.sketch == nil || it.Location || it.Method != MethodNaive {
 		return false
 	}
-	sp, ok := measure.Find(it.spec.Measure)
+	sp, ok := measure.Find(it.Spec.Measure)
 	return ok && sp.SketchBoundable()
 }
 
-// sketchSweep answers one prescreen-eligible sweep item.
-func (e *engineState) sketchSweep(it execItem) (QueryResult, sketchActual, error) {
-	sp, _ := measure.Find(it.spec.Measure)
-	if it.spec.Kind == plan.KindTopK {
+// sketchSweep answers one prescreen-eligible sweep item, reporting how many
+// pairs the prescreen classified and how many reached the exact kernels.
+func (e *engineState) sketchSweep(it Item) (QueryResult, Actual, error) {
+	sp, _ := measure.Find(it.Spec.Measure)
+	if it.Spec.Kind == plan.KindTopK {
 		return e.sketchTopK(it, sp)
 	}
 	return e.sketchInterval(it, sp)
@@ -74,15 +68,15 @@ func (e *engineState) sketchSweep(it execItem) (QueryResult, sketchActual, error
 // containment), NaN for definite-out pairs (never matches), and the exact
 // value for ambiguous ones — so the emitted set and order equal the unpruned
 // sweep's exactly.
-func (e *engineState) sketchInterval(it execItem, sp *measure.Spec) (QueryResult, sketchActual, error) {
+func (e *engineState) sketchInterval(it Item, sp *measure.Spec) (QueryResult, Actual, error) {
 	pairs := e.pairUniverse()
 	numSamples := e.data.NumSamples()
 	kern, mom, err := e.naive.Kernel()
 	if err != nil {
-		return QueryResult{}, sketchActual{}, err
+		return QueryResult{}, Actual{}, err
 	}
 	sk := e.sketch
-	iv := it.spec.Interval
+	iv := it.Spec.Interval
 	baseBlock := kern.BaseBlock(sp.Base)
 	blocks := par.Blocks(len(pairs), e.par)
 	perBlock := make([][]timeseries.Pair, len(blocks))
@@ -168,13 +162,13 @@ func (e *engineState) sketchInterval(it execItem, sp *measure.Spec) (QueryResult
 		return nil
 	})
 	if err != nil {
-		return QueryResult{}, sketchActual{}, err
+		return QueryResult{}, Actual{}, err
 	}
 	sk.Counters().CountSweep(cIn.Load(), cOut.Load(), cAmb.Load())
 	// Interval results carry nil Values by contract, matching every other
 	// interval execution path.
 	return QueryResult{Pairs: par.FlattenBlocks(perBlock)},
-		sketchActual{sketched: len(pairs), refined: int(cAmb.Load())}, nil
+		Actual{Sketched: len(pairs), Refined: int(cAmb.Load())}, nil
 }
 
 // sketchTopK runs the best-first top-k sweep: every 256-pair chunk gets an
@@ -189,15 +183,15 @@ func (e *engineState) sketchInterval(it execItem, sp *measure.Spec) (QueryResult
 // Every pair that could appear in the exact sweep's heap is offered, and the
 // heap's retained set is a function of the offered (value, pair) multiset
 // under its total order, so the result equals the unpruned sweep's exactly.
-func (e *engineState) sketchTopK(it execItem, sp *measure.Spec) (QueryResult, sketchActual, error) {
+func (e *engineState) sketchTopK(it Item, sp *measure.Spec) (QueryResult, Actual, error) {
 	pairs := e.pairUniverse()
 	numSamples := e.data.NumSamples()
 	kern, mom, err := e.naive.Kernel()
 	if err != nil {
-		return QueryResult{}, sketchActual{}, err
+		return QueryResult{}, Actual{}, err
 	}
 	sk := e.sketch
-	largest := it.spec.Largest
+	largest := it.Spec.Largest
 	numChunks := (len(pairs) + kernel.BlockPairs - 1) / kernel.BlockPairs
 	chunkOf := func(c int) []timeseries.Pair {
 		lo := c * kernel.BlockPairs
@@ -248,7 +242,7 @@ func (e *engineState) sketchTopK(it execItem, sp *measure.Spec) (QueryResult, sk
 		return nil
 	})
 	if err != nil {
-		return QueryResult{}, sketchActual{}, err
+		return QueryResult{}, Actual{}, err
 	}
 
 	// Phase 2: best-first exact refinement.  Ties in score break by chunk
@@ -264,7 +258,7 @@ func (e *engineState) sketchTopK(it execItem, sp *measure.Spec) (QueryResult, sk
 		}
 		return order[i] < order[j]
 	})
-	heap := scape.NewTopHeap(it.spec.K, largest)
+	heap := scape.NewTopHeap(it.Spec.K, largest)
 	baseBlock := kern.BaseBlock(sp.Base)
 	tbuf := make([]float64, kernel.BlockPairs)
 	vbuf := make([]float64, kernel.BlockPairs)
@@ -292,7 +286,7 @@ func (e *engineState) sketchTopK(it execItem, sp *measure.Spec) (QueryResult, sk
 				u := sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
 				v, verr := sp.EvalOrNaN(t[i], u, numSamples)
 				if verr != nil {
-					return QueryResult{}, sketchActual{}, verr
+					return QueryResult{}, Actual{}, verr
 				}
 				vals[i] = v
 			}
@@ -305,5 +299,5 @@ func (e *engineState) sketchTopK(it execItem, sp *measure.Spec) (QueryResult, sk
 	sk.Counters().CountTopK(int64(refined), int64(skipped))
 	topPairs, values := heap.Sorted()
 	return QueryResult{Pairs: topPairs, Values: values},
-		sketchActual{sketched: len(pairs), refined: refined}, nil
+		Actual{Sketched: len(pairs), Refined: refined}, nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"affinity/internal/dataset"
-	"affinity/internal/scape"
+	"affinity/internal/interval"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -55,11 +55,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Index queries give the same results.
-	orig, err := e.Threshold(stats.Correlation, 0.9, scape.Above, MethodIndex)
+	orig, err := e.Interval(stats.Correlation, interval.GreaterThan(0.9), MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := restored.Threshold(stats.Correlation, 0.9, scape.Above, MethodIndex)
+	loaded, err := restored.Interval(stats.Correlation, interval.GreaterThan(0.9), MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSnapshotSkipIndex(t *testing.T) {
 	if restored.Index() != nil {
 		t.Fatal("SkipIndex should leave the index unbuilt")
 	}
-	if _, err := restored.Threshold(stats.Covariance, 0, scape.Above, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := restored.Interval(stats.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("index query err = %v", err)
 	}
 }

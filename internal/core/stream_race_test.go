@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
@@ -61,7 +62,7 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		reader(func() error {
-			res, err := e.Threshold(stats.Correlation, 0.8, scape.Above, MethodIndex)
+			res, err := e.Interval(stats.Correlation, interval.GreaterThan(0.8), MethodIndex)
 			if err != nil {
 				return err
 			}
@@ -91,7 +92,7 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 		return err
 	})
 	reader(func() error {
-		_, err := e.Range(stats.Covariance, -0.5, 0.5, MethodIndex)
+		_, err := e.Interval(stats.Covariance, interval.Between(-0.5, 0.5), MethodIndex)
 		return err
 	})
 	reader(func() error {
@@ -194,12 +195,12 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		reader(func() error {
-			_, err := e.Threshold(stats.Correlation, 0.8, scape.Above, MethodIndex)
+			_, err := e.Interval(stats.Correlation, interval.GreaterThan(0.8), MethodIndex)
 			return err
 		})
 	}
 	reader(func() error {
-		_, err := e.Range(stats.Covariance, -0.5, 0.5, MethodIndex)
+		_, err := e.Interval(stats.Covariance, interval.Between(-0.5, 0.5), MethodIndex)
 		return err
 	})
 	reader(func() error {
@@ -338,14 +339,14 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 		}()
 	}
 
-	thresholdBatch := []ThresholdQuery{
-		{Measure: stats.Correlation, Tau: 0.8, Op: scape.Above},
-		{Measure: stats.Covariance, Tau: 0.0, Op: scape.Below},
-		{Measure: stats.Mean, Tau: 0.2, Op: scape.Above},
+	thresholdBatch := []plan.QuerySpec{
+		plan.Threshold(stats.Correlation, 0.8, scape.Above),
+		plan.Threshold(stats.Covariance, 0.0, scape.Below),
+		plan.Threshold(stats.Mean, 0.2, scape.Above),
 	}
-	rangeBatch := []RangeQuery{
-		{Measure: stats.Cosine, Lo: 0.5, Hi: 1.0},
-		{Measure: stats.Covariance, Lo: -0.5, Hi: 0.5},
+	rangeBatch := []plan.QuerySpec{
+		plan.Range(stats.Cosine, 0.5, 1.0),
+		plan.Range(stats.Covariance, -0.5, 0.5),
 	}
 	computeBatch := []ComputeQuery{
 		{Measure: stats.Correlation, IDs: ids[:8]},
@@ -354,7 +355,7 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 		method := method
 		reader(func() error {
-			res, err := e.ThresholdBatch(thresholdBatch, method)
+			res, err := runSpecs(e, thresholdBatch, method)
 			if err != nil {
 				return err
 			}
@@ -364,7 +365,7 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 			return nil
 		})
 		reader(func() error {
-			_, err := e.RangeBatch(rangeBatch, method)
+			_, err := runSpecs(e, rangeBatch, method)
 			return err
 		})
 	}
@@ -374,11 +375,11 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	})
 	// Sharded single-query scans alongside the batches.
 	reader(func() error {
-		_, err := e.Threshold(stats.Correlation, 0.8, scape.Above, MethodIndex)
+		_, err := e.Interval(stats.Correlation, interval.GreaterThan(0.8), MethodIndex)
 		return err
 	})
 	reader(func() error {
-		_, err := e.Range(stats.DotProduct, -1, 1, MethodAffine)
+		_, err := e.Interval(stats.DotProduct, interval.Between(-1, 1), MethodAffine)
 		return err
 	})
 	reader(func() error {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"affinity/internal/dataset"
-	"affinity/internal/scape"
+	"affinity/internal/interval"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -202,11 +202,11 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 
 		// Index threshold results must select the same pair sets.
 		for _, tau := range []float64{0.9, 0.5} {
-			sres, err := streaming.Threshold(stats.Correlation, tau, scape.Above, MethodIndex)
+			sres, err := streaming.Interval(stats.Correlation, interval.GreaterThan(tau), MethodIndex)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cres, err := cold.Threshold(stats.Correlation, tau, scape.Above, MethodIndex)
+			cres, err := cold.Interval(stats.Correlation, interval.GreaterThan(tau), MethodIndex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 			}
 			// Internal consistency: the index answers must match the affine
 			// path of the same engine.
-			ares, err := streaming.Threshold(stats.Correlation, tau, scape.Above, MethodAffine)
+			ares, err := streaming.Interval(stats.Correlation, interval.GreaterThan(tau), MethodAffine)
 			if err != nil {
 				t.Fatal(err)
 			}

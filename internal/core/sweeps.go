@@ -19,10 +19,8 @@ import (
 // The naive sweep runs on the blocked columnar kernels (internal/kernel):
 // per-series moments are hoisted out of the pair loop and base values reduce
 // a block of pairs per call, byte-identical to the scalar path at any
-// parallelism (values[i] depends only on pairs[i]).  The scalar path survives
-// as PairwiseSweepNaiveScalar — the parity-test oracle and the bench
-// baseline — and PairwiseSweepNaive32 exposes the float32 tier (documented
-// tolerance, not byte-identity).
+// parallelism (values[i] depends only on pairs[i]); the scalar per-pair path
+// is the oracle of the kernel parity tests.
 //
 // The affine sweeps deliberately re-derive the per-measure pivot-side
 // quantities from the raw pivot matrices instead of using the engine's cached
@@ -47,24 +45,6 @@ type LocationSweepResult struct {
 // derived value carry NaN.
 func (e *Engine) PairwiseSweepNaive(m stats.Measure) (*PairSweepResult, error) {
 	return e.state().pairwiseSweepNaive(m)
-}
-
-// PairwiseSweepNaiveScalar is the scalar reference implementation of the W_N
-// sweep: one pair at a time through the measure registry, exactly as the
-// engine computed it before the blocked kernels.  It is kept as the oracle
-// the kernel parity tests compare against and as the pre-kernel baseline the
-// sweep-throughput experiment reports speedups over.
-func (e *Engine) PairwiseSweepNaiveScalar(m stats.Measure) (*PairSweepResult, error) {
-	return e.state().pairwiseSweepNaiveScalar(m)
-}
-
-// PairwiseSweepNaive32 computes the W_N sweep on the float32 kernel tier:
-// half the streamed bytes, float64 accumulators, results within the
-// documented tolerance of the float64 path (see internal/kernel) rather than
-// byte-identical.  Measures whose base has no float32 kernel fall back to the
-// float64 blocked path.
-func (e *Engine) PairwiseSweepNaive32(m stats.Measure) (*PairSweepResult, error) {
-	return e.state().pairwiseSweepNaive32(m)
 }
 
 // PairwiseSweepAffine computes a T- or D-measure for every sequence pair with
@@ -111,46 +91,6 @@ func (e *engineState) pairwiseSweepNaive(m stats.Measure) (*PairSweepResult, err
 	values := make([]float64, len(pairs))
 	err = par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
 		return e.naive.SweepValues(sp, pairs[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PairSweepResult{Pairs: pairs, Values: values}, nil
-}
-
-// pairwiseSweepNaiveScalar implements PairwiseSweepNaiveScalar for one epoch.
-func (e *engineState) pairwiseSweepNaiveScalar(m stats.Measure) (*PairSweepResult, error) {
-	if _, err := pairwiseSpec(m); err != nil {
-		return nil, err
-	}
-	pairs := e.data.AllPairs()
-	values := make([]float64, len(pairs))
-	err := par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			v, err := measure.OrNaN(e.naive.PairValue(m, pairs[i]))
-			if err != nil {
-				return err
-			}
-			values[i] = v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PairSweepResult{Pairs: pairs, Values: values}, nil
-}
-
-// pairwiseSweepNaive32 implements PairwiseSweepNaive32 for one epoch.
-func (e *engineState) pairwiseSweepNaive32(m stats.Measure) (*PairSweepResult, error) {
-	sp, err := pairwiseSpec(m)
-	if err != nil {
-		return nil, err
-	}
-	pairs := e.data.AllPairs()
-	values := make([]float64, len(pairs))
-	err = par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
-		return e.naive.SweepValues32(sp, pairs[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi])
 	})
 	if err != nil {
 		return nil, err

@@ -1,60 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
-
-// Top-k (MEK) execution.  Pairwise top-k routes through the shared batch
-// executor (batch.go): MethodIndex runs the SCAPE best-first traversal
-// (scape.PairTopK), the sweep methods ride the shared multi-predicate pass
-// with a bounded result heap, and MethodAuto lets the planner choose —
-// non-indexable measures (Jaccard) price the index at +Inf and fall back to
-// the heap sweep through the same capability flags interval queries use.
-// This file holds the entry points and the L-measure path.
-
-// TopK answers a top-k (MEK) query: the k entries — series for L-measures,
-// sequence pairs for T- and D-measures — with the greatest (largest) or
-// smallest measure value, best first, ties broken by series/pair identity.
-// The result's Values align with Series or Pairs.
-func (e *Engine) TopK(m stats.Measure, k int, largest bool, method Method) (QueryResult, error) {
-	return e.state().singleQuery(plan.TopK(m, k, largest), method)
-}
-
-// locationTopK answers one L-measure top-k query with its resolved method.
-func (e *engineState) locationTopK(it execItem) (QueryResult, error) {
-	spec := it.spec
-	switch it.method {
-	case MethodNaive:
-		values, err := e.naive.Location(spec.Measure, e.data.IDs())
-		if err != nil {
-			return QueryResult{}, err
-		}
-		return topSeries(e.data.IDs(), values, spec.K, spec.Largest), nil
-	case MethodAffine:
-		estimates, ok := e.seriesLocation[spec.Measure]
-		if !ok {
-			return QueryResult{}, fmt.Errorf("core: no location estimates for %v", spec.Measure)
-		}
-		return topSeries(e.data.IDs(), estimates, spec.K, spec.Largest), nil
-	case MethodIndex:
-		if e.index == nil {
-			return QueryResult{}, ErrNoIndex
-		}
-		ids, values, err := e.index.SeriesTopK(spec.Measure, spec.K, spec.Largest)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		return QueryResult{Series: ids, Values: values}, nil
-	default:
-		return QueryResult{}, fmt.Errorf("%w: %v", ErrBadMethod, it.method)
-	}
-}
 
 // topSeries selects the k best series under the shared total order: by value
 // in the requested direction, ties broken by ascending series identity.

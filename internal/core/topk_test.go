@@ -176,15 +176,15 @@ func TestTopKLocationMeasures(t *testing.T) {
 // methods (incl. Auto) and mixed directions, riding the shared sweep pass.
 func TestTopKBatchMatchesSingle(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
-	var qs []TopKQuery
+	var qs []plan.QuerySpec
 	for _, m := range stats.AllMeasures() {
 		qs = append(qs,
-			TopKQuery{Measure: m, K: 3, Largest: true},
-			TopKQuery{Measure: m, K: 9, Largest: false},
+			plan.TopK(m, 3, true),
+			plan.TopK(m, 9, false),
 		)
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodAuto} {
-		batch, err := e.TopKBatch(qs, method)
+		batch, err := runSpecs(e, qs, method)
 		if err != nil {
 			t.Fatalf("TopKBatch %v: %v", method, err)
 		}
@@ -240,7 +240,7 @@ func TestTopKValidation(t *testing.T) {
 		if _, err := e.TopK(stats.Correlation, k, true, MethodNaive); !errors.Is(err, ErrBadTopK) {
 			t.Fatalf("k=%d err = %v, want ErrBadTopK", k, err)
 		}
-		_, berr := e.TopKBatch([]TopKQuery{{Measure: stats.Correlation, K: k, Largest: true}}, MethodNaive)
+		_, berr := runSpecs(e, []plan.QuerySpec{plan.TopK(stats.Correlation, k, true)}, MethodNaive)
 		if !errors.Is(berr, ErrBadTopK) {
 			t.Fatalf("batched k=%d err = %v, want ErrBadTopK", k, berr)
 		}

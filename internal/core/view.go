@@ -1,128 +1,50 @@
 package core
 
 import (
-	"affinity/internal/interval"
-	"affinity/internal/plan"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
-// View is one pinned epoch of an engine: every query it answers reads the
-// same immutable engineState, however many Advances land on the engine in the
+// View is one pinned epoch of an engine: everything it answers reads the same
+// immutable engineState, however many Advances land on the engine in the
 // meantime.  The engine's own query methods already pin per call; View pins
 // across calls, which is what a sharded coordinator needs — a coordinator
 // epoch is a vector of shard Views captured behind one atomic pointer, so a
 // multi-call scatter-gather (or a streaming top-k merge polling shards one
 // node at a time) never straddles a shard's epoch swap.
 //
+// A View is a Backend: Run and Compute answer queries against the pinned
+// epoch, and a coordinator calls Execute, PairValue, Selectivity and
+// ExactRows on its shard views directly.  Note that on a restricted (sharded)
+// engine the affine PairValue falls back to the naive computation for pairs
+// outside the shard's universe; a coordinator routes each pair to its owning
+// shard instead.
+//
 // The zero View is invalid; obtain one from Engine.View.
 type View struct {
-	st *engineState
+	*engineState
 }
 
 // View captures the engine's current epoch.
-func (e *Engine) View() View { return View{st: e.state()} }
+func (e *Engine) View() View { return View{e.state()} }
 
 // Valid reports whether the view is bound to an epoch.
-func (v View) Valid() bool { return v.st != nil }
+func (v View) Valid() bool { return v.engineState != nil }
 
-// Epoch returns the pinned epoch number.
-func (v View) Epoch() int { return v.st.epoch }
+// Data returns the epoch's data matrix (read-only).
+func (e *engineState) Data() *timeseries.DataMatrix { return e.data }
 
-// Data returns the pinned epoch's data matrix (read-only).
-func (v View) Data() *timeseries.DataMatrix { return v.st.data }
+// Relationships returns the epoch's SYMEX result.
+func (e *engineState) Relationships() *symex.Result { return e.rel }
 
-// Relationships returns the pinned epoch's SYMEX result.
-func (v View) Relationships() *symex.Result { return v.st.rel }
+// Index returns the epoch's SCAPE index, or nil when the engine was built
+// with SkipIndex.
+func (e *engineState) Index() *scape.Index { return e.index }
 
-// Index returns the pinned epoch's SCAPE index, or nil when the engine was
-// built with SkipIndex.
-func (v View) Index() *scape.Index { return v.st.index }
+// Info returns the epoch's build statistics.
+func (e *engineState) Info() BuildInfo { return e.info }
 
-// Info returns the pinned epoch's build statistics.
-func (v View) Info() BuildInfo { return v.st.info }
-
-// NumUniversePairs returns the size of the pinned epoch's pairwise query
-// universe (the restricted assigned set under Config.AssignedPairsOnly).
-func (v View) NumUniversePairs() int { return v.st.numUniversePairs() }
-
-// Interval answers an interval query against the pinned epoch.
-func (v View) Interval(m stats.Measure, iv interval.Interval, method Method) (QueryResult, error) {
-	return v.st.singleQuery(plan.Interval(m, iv), method)
-}
-
-// TopK answers a top-k query against the pinned epoch.
-func (v View) TopK(m stats.Measure, k int, largest bool, method Method) (QueryResult, error) {
-	return v.st.singleQuery(plan.TopK(m, k, largest), method)
-}
-
-// IntervalBatch answers a batch of interval queries against the pinned epoch.
-func (v View) IntervalBatch(qs []IntervalQuery, method Method) ([]QueryResult, error) {
-	items := make([]execItem, len(qs))
-	for i, q := range qs {
-		it, err := v.st.newItem(plan.Interval(q.Measure, q.Interval), method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = it
-	}
-	return v.st.runBatch(items)
-}
-
-// TopKBatch answers a batch of top-k queries against the pinned epoch.
-func (v View) TopKBatch(qs []TopKQuery, method Method) ([]QueryResult, error) {
-	items := make([]execItem, len(qs))
-	for i, q := range qs {
-		it, err := v.st.newItem(plan.TopK(q.Measure, q.K, q.Largest), method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = it
-	}
-	return v.st.runBatch(items)
-}
-
-// ComputeLocation answers an L-measure MEC query against the pinned epoch.
-func (v View) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
-	return v.st.computeLocation(m, ids, method)
-}
-
-// ComputePairwise answers a pairwise MEC query against the pinned epoch.
-// Note that on a restricted (sharded) engine the affine method falls back to
-// the naive computation for pairs outside the shard's universe; a coordinator
-// routes each pair to its owning shard instead of calling this across shards.
-func (v View) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
-	return v.st.computePairwise(m, ids, method)
-}
-
-// PairValue computes one pairwise measure value against the pinned epoch.
-func (v View) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
-	return v.st.pairValue(m, pair, method)
-}
-
-// SelfPairValue returns the diagonal entry of a pairwise MEC response — the
-// measure of a series with itself — from the pinned epoch's cached per-series
-// statistics.  It is the same value a ComputePairwise diagonal reports, and
-// is shard-independent (per-series state is replicated on every shard).
-func (v View) SelfPairValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
-	return v.st.selfPairValue(m, id)
-}
-
-// Plan prices a query spec against the pinned epoch without executing it.
-func (v View) Plan(spec plan.QuerySpec) (plan.Plan, error) {
-	return v.st.plan(spec)
-}
-
-// Explain plans, executes and reports actuals for one query against the
-// pinned epoch.
-func (v View) Explain(spec plan.QuerySpec, method Method) (QueryResult, plan.Plan, error) {
-	return v.st.explain(spec, method)
-}
-
-// ExplainBatch plans and executes a batch against the pinned epoch with
-// per-item actuals.
-func (v View) ExplainBatch(specs []plan.QuerySpec, method Method) ([]QueryResult, []plan.Plan, error) {
-	return v.st.explainBatch(specs, method)
-}
+// NumUniversePairs returns the size of the epoch's pairwise query universe
+// (the restricted assigned set under Config.AssignedPairsOnly).
+func (e *engineState) NumUniversePairs() int { return e.numUniversePairs() }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"affinity/internal/core"
+	"affinity/internal/interval"
 	"affinity/internal/qcache"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
@@ -115,10 +116,10 @@ func cacheQueries(e *core.Engine) ([]cacheQueryDef, error) {
 		defs = append(defs, cacheQueryDef{
 			name: fmt.Sprintf("cov-tail-q%.2f", band.loQ),
 			probe: func(e *core.Engine) (core.QueryResult, error) {
-				return e.Range(stats.Covariance, lo, infinity, core.MethodAffine)
+				return e.Interval(stats.Covariance, interval.Between(lo, infinity), core.MethodAffine)
 			},
 			contained: func(e *core.Engine) (core.QueryResult, error) {
-				return e.Range(stats.Covariance, tighter, infinity, core.MethodAffine)
+				return e.Interval(stats.Covariance, interval.Between(tighter, infinity), core.MethodAffine)
 			},
 		})
 	}

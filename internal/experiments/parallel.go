@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"affinity/internal/core"
-	"affinity/internal/scape"
+	"affinity/internal/interval"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -22,16 +22,16 @@ import (
 // StandardThresholdBatch is the 8-query mixed MET workload shared by the
 // parallel-scaling experiment and BenchmarkThresholdBatchVsSingles, so
 // BENCH_pr2.json's batch columns always describe the same workload.
-func StandardThresholdBatch() []core.ThresholdQuery {
-	return []core.ThresholdQuery{
-		{Measure: stats.Correlation, Tau: 0.9, Op: scape.Above},
-		{Measure: stats.Correlation, Tau: 0.5, Op: scape.Above},
-		{Measure: stats.Covariance, Tau: 0.0, Op: scape.Above},
-		{Measure: stats.Cosine, Tau: 0.8, Op: scape.Above},
-		{Measure: stats.DotProduct, Tau: 0.0, Op: scape.Below},
-		{Measure: stats.Dice, Tau: 0.7, Op: scape.Above},
-		{Measure: stats.HarmonicMean, Tau: 0.3, Op: scape.Above},
-		{Measure: stats.Mean, Tau: 0.0, Op: scape.Above},
+func StandardThresholdBatch() []core.IntervalQuery {
+	return []core.IntervalQuery{
+		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.9)},
+		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.5)},
+		{Measure: stats.Covariance, Interval: interval.GreaterThan(0.0)},
+		{Measure: stats.Cosine, Interval: interval.GreaterThan(0.8)},
+		{Measure: stats.DotProduct, Interval: interval.LessThan(0.0)},
+		{Measure: stats.Dice, Interval: interval.GreaterThan(0.7)},
+		{Measure: stats.HarmonicMean, Interval: interval.GreaterThan(0.3)},
+		{Measure: stats.Mean, Interval: interval.GreaterThan(0.0)},
 	}
 }
 
@@ -107,7 +107,7 @@ func ParallelScaling(d *timeseries.DataMatrix, ticks [][]float64, clusters int, 
 		var res core.QueryResult
 		row.ThresholdIndexTime, err = timeRepeated(50*time.Millisecond, 64, func() error {
 			var err error
-			res, err = eng.Threshold(stats.Correlation, 0.9, scape.Above, core.MethodIndex)
+			res, err = eng.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex)
 			return err
 		})
 		if err != nil {
@@ -132,7 +132,7 @@ func ParallelScaling(d *timeseries.DataMatrix, ticks [][]float64, clusters int, 
 		}
 
 		row.ThresholdAffineTime, err = timeRepeated(50*time.Millisecond, 16, func() error {
-			_, err := eng.Threshold(stats.Correlation, 0.9, scape.Above, core.MethodAffine)
+			_, err := eng.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodAffine)
 			return err
 		})
 		if err != nil {
@@ -140,7 +140,7 @@ func ParallelScaling(d *timeseries.DataMatrix, ticks [][]float64, clusters int, 
 		}
 
 		row.BatchTime, err = timeRepeated(50*time.Millisecond, 16, func() error {
-			_, err := eng.ThresholdBatch(batch, core.MethodIndex)
+			_, err := eng.IntervalBatch(batch, core.MethodIndex)
 			return err
 		})
 		if err != nil {
@@ -148,7 +148,7 @@ func ParallelScaling(d *timeseries.DataMatrix, ticks [][]float64, clusters int, 
 		}
 		row.SingleLoopTime, err = timeRepeated(50*time.Millisecond, 16, func() error {
 			for _, q := range batch {
-				if _, err := eng.Threshold(q.Measure, q.Tau, q.Op, core.MethodIndex); err != nil {
+				if _, err := eng.Interval(q.Measure, q.Interval, core.MethodIndex); err != nil {
 					return err
 				}
 			}

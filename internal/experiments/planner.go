@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"affinity/internal/core"
+	"affinity/internal/interval"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
@@ -73,7 +74,7 @@ func PlannerSweep(d *timeseries.DataMatrix, m stats.Measure, clusters int, seed 
 		row.Candidates = p.Candidates
 		row.AutoChoice = p.Method.String()
 
-		chosen, err := eng.Threshold(m, tau, scape.Above, p.Method)
+		chosen, err := eng.Interval(m, interval.GreaterThan(tau), p.Method)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +98,7 @@ func PlannerSweep(d *timeseries.DataMatrix, m stats.Measure, clusters int, seed 
 		for _, tm := range timings {
 			method := tm.method
 			*tm.out, err = timeRepeated(20*time.Millisecond, 16, func() error {
-				_, err := eng.Threshold(m, tau, scape.Above, method)
+				_, err := eng.Interval(m, interval.GreaterThan(tau), method)
 				return err
 			})
 			if errors.Is(err, core.ErrMeasureNotIndexed) {

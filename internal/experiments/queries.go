@@ -8,7 +8,7 @@ import (
 
 	"affinity/internal/baseline"
 	"affinity/internal/core"
-	"affinity/internal/scape"
+	"affinity/internal/interval"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -146,7 +146,7 @@ func (env *queryEnvironment) thresholdPoint(m stats.Measure, tau float64) (Query
 	var result core.QueryResult
 	naiveTime, err := timeRepeated(queryTimingFloor, queryTimingReps, func() error {
 		var innerErr error
-		result, innerErr = env.engine.Threshold(m, tau, scape.Above, core.MethodNaive)
+		result, innerErr = env.engine.Interval(m, interval.GreaterThan(tau), core.MethodNaive)
 		return innerErr
 	})
 	if err != nil {
@@ -156,7 +156,7 @@ func (env *queryEnvironment) thresholdPoint(m stats.Measure, tau float64) (Query
 	row.NaiveTime = naiveTime
 
 	row.AffineTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Threshold(m, tau, scape.Above, core.MethodAffine)
+		_, innerErr := env.engine.Interval(m, interval.GreaterThan(tau), core.MethodAffine)
 		return innerErr
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func (env *queryEnvironment) thresholdPoint(m stats.Measure, tau float64) (Query
 	}
 
 	row.ScapeTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Threshold(m, tau, scape.Above, core.MethodIndex)
+		_, innerErr := env.engine.Interval(m, interval.GreaterThan(tau), core.MethodIndex)
 		return innerErr
 	})
 	if err != nil {
@@ -231,7 +231,7 @@ func (env *queryEnvironment) rangePoint(m stats.Measure, lo, hi float64) (QueryR
 	var result core.QueryResult
 	naiveTime, err := timeRepeated(queryTimingFloor, queryTimingReps, func() error {
 		var innerErr error
-		result, innerErr = env.engine.Range(m, lo, hi, core.MethodNaive)
+		result, innerErr = env.engine.Interval(m, interval.Between(lo, hi), core.MethodNaive)
 		return innerErr
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ func (env *queryEnvironment) rangePoint(m stats.Measure, lo, hi float64) (QueryR
 	row.NaiveTime = naiveTime
 
 	row.AffineTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Range(m, lo, hi, core.MethodAffine)
+		_, innerErr := env.engine.Interval(m, interval.Between(lo, hi), core.MethodAffine)
 		return innerErr
 	})
 	if err != nil {
@@ -249,7 +249,7 @@ func (env *queryEnvironment) rangePoint(m stats.Measure, lo, hi float64) (QueryR
 	}
 
 	row.ScapeTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Range(m, lo, hi, core.MethodIndex)
+		_, innerErr := env.engine.Interval(m, interval.Between(lo, hi), core.MethodIndex)
 		return innerErr
 	})
 	if err != nil {

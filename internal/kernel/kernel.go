@@ -1,8 +1,7 @@
 // Package kernel holds the blocked, branch-free sweep kernels behind the
 // engine's full-dataset W_N scans: a contiguous columnar mirror of the data
-// matrix (float64, with an optional float32 tier), hoisted per-series moments,
-// and base T-measure evaluators that reduce a whole block of sequence pairs
-// per call.
+// matrix, hoisted per-series moments, and base T-measure evaluators that
+// reduce a whole block of sequence pairs per call.
 //
 // The scalar W_N path evaluates one pair at a time through the measure
 // registry: a correlation costs two mean passes, one covariance pass and two
@@ -27,18 +26,9 @@
 // plus the output slot per pair, with consecutive pairs sharing their lower
 // column under the canonical lexicographic pair order — stays inside the L2
 // cache while the slab streams through at memory bandwidth.
-//
-// The float32 tier halves the streamed bytes for bandwidth-bound sweeps.  Its
-// accumulators stay float64, so the only precision loss is the one-time
-// rounding of each sample to float32: results match the float64 kernels to a
-// relative tolerance of about 1e-6 per sample magnitude (float32 has 24
-// mantissa bits), documented and enforced as 1e-4 on the engine's datasets —
-// it is an approximation tier, never used where byte-identity is promised.
 package kernel
 
 import (
-	"sync"
-
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
@@ -54,13 +44,10 @@ const BlockPairs = 256
 // Matrix is the columnar mirror of a data window: every series occupies one
 // contiguous stride of the slab, so blocked kernels stream it sequentially
 // instead of chasing per-series slice headers.  A Matrix is immutable after
-// FromData; the float32 tier is materialized lazily on first use.
+// FromData.
 type Matrix struct {
 	vals []float64 // n contiguous columns of m samples each
 	n, m int
-
-	f32Once sync.Once
-	f32     []float32
 }
 
 // FromData builds the columnar mirror of a data matrix.
@@ -89,20 +76,6 @@ func (k *Matrix) NumSamples() int { return k.m }
 func (k *Matrix) Col(id timeseries.SeriesID) []float64 {
 	lo := int(id) * k.m
 	return k.vals[lo : lo+k.m : lo+k.m]
-}
-
-// col32 returns the float32 tier of series id's column, materializing the
-// tier on first use (safe for concurrent callers).
-func (k *Matrix) col32(id timeseries.SeriesID) []float32 {
-	k.f32Once.Do(func() {
-		f := make([]float32, len(k.vals))
-		for i, v := range k.vals {
-			f[i] = float32(v)
-		}
-		k.f32 = f
-	})
-	lo := int(id) * k.m
-	return k.f32[lo : lo+k.m : lo+k.m]
 }
 
 // Moments carries the hoisted per-series statistics of one window, indexed by
@@ -168,18 +141,6 @@ func (k *Matrix) BaseBlock(base measure.Measure) func(mo *Moments, pairs []times
 	}
 }
 
-// BaseBlock32 is BaseBlock for the float32 tier.
-func (k *Matrix) BaseBlock32(base measure.Measure) func(mo *Moments, pairs []timeseries.Pair, out []float64) {
-	switch base {
-	case measure.Covariance:
-		return k.CovBlock32
-	case measure.DotProduct:
-		return k.DotBlock32
-	default:
-		return nil
-	}
-}
-
 // CovBlock fills out[i] with the sample covariance of pairs[i], hoisting the
 // two column means from mo.  The inner loop is a single accumulator in sample
 // order with the same expression shape as measure.CovarianceOf, and MeanOf
@@ -214,39 +175,6 @@ func (k *Matrix) DotBlock(_ *Moments, pairs []timeseries.Pair, out []float64) {
 		var sum float64
 		for j := range x {
 			sum += x[j] * y[j]
-		}
-		out[i] = sum
-	}
-}
-
-// CovBlock32 is the float32 tier of CovBlock: float32 columns, float64 means
-// and accumulator.  Results are within the documented tolerance of the
-// float64 kernel, not byte-identical.
-func (k *Matrix) CovBlock32(mo *Moments, pairs []timeseries.Pair, out []float64) {
-	if k.m == 1 {
-		for i := range pairs {
-			out[i] = 0
-		}
-		return
-	}
-	for i, p := range pairs {
-		x, y := k.col32(p.U), k.col32(p.V)
-		mx, my := mo.Mean[p.U], mo.Mean[p.V]
-		var ss float64
-		for j := range x {
-			ss += (float64(x[j]) - mx) * (float64(y[j]) - my)
-		}
-		out[i] = ss / float64(k.m-1)
-	}
-}
-
-// DotBlock32 is the float32 tier of DotBlock.
-func (k *Matrix) DotBlock32(_ *Moments, pairs []timeseries.Pair, out []float64) {
-	for i, p := range pairs {
-		x, y := k.col32(p.U), k.col32(p.V)
-		var sum float64
-		for j := range x {
-			sum += float64(x[j]) * float64(y[j])
 		}
 		out[i] = sum
 	}

@@ -126,44 +126,6 @@ func TestBlocksSingleSampleWindow(t *testing.T) {
 			t.Errorf("CovBlock m=1 out[%d] = %v, want 0 (CovarianceOf convention)", i, out[i])
 		}
 	}
-	k.CovBlock32(mo, pairs, out)
-	for i := range out {
-		if out[i] != 0 {
-			t.Errorf("CovBlock32 m=1 out[%d] = %v, want 0", i, out[i])
-		}
-	}
-}
-
-// Float32Tolerance is the relative error bound the float32 tier promises
-// against the float64 kernels on engine datasets (see the package comment).
-const Float32Tolerance = 1e-4
-
-func TestFloat32TierWithinTolerance(t *testing.T) {
-	d, k, mo := testMatrix(t, 9, 137)
-	pairs := allPairsWithDiagonal(d.NumSeries())
-	f64 := make([]float64, len(pairs))
-	f32 := make([]float64, len(pairs))
-
-	k.CovBlock(mo, pairs, f64)
-	k.CovBlock32(mo, pairs, f32)
-	assertWithinRelTol(t, "cov", pairs, f64, f32)
-
-	k.DotBlock(mo, pairs, f64)
-	k.DotBlock32(mo, pairs, f32)
-	assertWithinRelTol(t, "dot", pairs, f64, f32)
-}
-
-func assertWithinRelTol(t *testing.T, what string, pairs []timeseries.Pair, f64, f32 []float64) {
-	t.Helper()
-	for i := range f64 {
-		denom := math.Abs(f64[i])
-		if denom < 1 {
-			denom = 1 // absolute tolerance near zero
-		}
-		if rel := math.Abs(f32[i]-f64[i]) / denom; rel > Float32Tolerance {
-			t.Errorf("%s32(%v) = %v vs %v: relative error %.3g > %g", what, pairs[i], f32[i], f64[i], rel, Float32Tolerance)
-		}
-	}
 }
 
 func TestBaseBlockDispatch(t *testing.T) {
@@ -173,12 +135,6 @@ func TestBaseBlockDispatch(t *testing.T) {
 	}
 	if k.BaseBlock(measure.Mean) != nil {
 		t.Fatal("L-measure must not have a blocked kernel")
-	}
-	if k.BaseBlock32(measure.Covariance) == nil || k.BaseBlock32(measure.DotProduct) == nil {
-		t.Fatal("builtin bases must have float32 kernels")
-	}
-	if k.BaseBlock32(measure.Median) != nil {
-		t.Fatal("L-measure must not have a float32 kernel")
 	}
 }
 

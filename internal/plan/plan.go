@@ -219,6 +219,22 @@ type Plan struct {
 	SketchRefinedPairs int
 }
 
+// WithMethod returns the plan re-priced for a caller-fixed concrete method:
+// EstimatedCost becomes that method's cost column, and the other columns stay
+// for comparison.
+func (p Plan) WithMethod(m Method) Plan {
+	p.Method = m
+	switch m {
+	case MethodNaive:
+		p.EstimatedCost = p.CostNaive
+	case MethodAffine:
+		p.EstimatedCost = p.CostAffine
+	case MethodIndex:
+		p.EstimatedCost = p.CostIndex
+	}
+	return p
+}
+
 // String renders the plan for diagnostics and EXPLAIN-style output.
 func (p Plan) String() string {
 	s := fmt.Sprintf("%v → %v (est %d rows, cost %.3g; WN %.3g, WA %.3g, SCAPE %.3g)",

@@ -182,6 +182,10 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 			NumPivots:     rel.Stats.NumPivots,
 			FallbackPairs: d.NumPairs() - len(rel.Relationships),
 			HasIndex:      !c.cfg.Engine.SkipIndex,
+			// Sketches are per series, built by every shard over the shared
+			// window, so shard 0's statistics describe the global prescreen.
+			SketchCoefficients: views[0].Table().SketchCoefficients,
+			SketchAmbiguity:    views[0].Table().SketchAmbiguity,
 		},
 		cost:  c.cfg.Engine.CostModel,
 		cache: c.cache,

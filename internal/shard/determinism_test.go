@@ -6,6 +6,7 @@ import (
 
 	"affinity/internal/core"
 	"affinity/internal/dataset"
+	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
@@ -71,6 +72,13 @@ func render(res any, err error) string {
 	return fmt.Sprintf("%v", res)
 }
 
+// runSpecs answers a batch of specs through the shared pipeline against one
+// backend epoch: an engine's View or a coordinator's state.
+func runSpecs(b core.Backend, specs []plan.QuerySpec, method core.Method) ([]core.QueryResult, error) {
+	out, _, err := core.Run(b, specs, method, false)
+	return out, err
+}
+
 // shardQueryCase is one table entry of the sharded determinism harness.
 type shardQueryCase struct {
 	name   string
@@ -92,19 +100,19 @@ func shardDeterminismCases() []shardQueryCase {
 				shardQueryCase{
 					name: fmt.Sprintf("threshold/%v/%v", m, method),
 					engine: func(e *core.Engine) (any, error) {
-						return e.Threshold(m, 0.25, scape.Above, method)
+						return e.Interval(m, interval.GreaterThan(0.25), method)
 					},
 					coord: func(c *Coordinator) (any, error) {
-						return c.Threshold(m, 0.25, scape.Above, method)
+						return c.Interval(m, interval.GreaterThan(0.25), method)
 					},
 				},
 				shardQueryCase{
 					name: fmt.Sprintf("range/%v/%v", m, method),
 					engine: func(e *core.Engine) (any, error) {
-						return e.Range(m, -0.5, 0.9, method)
+						return e.Interval(m, interval.Between(-0.5, 0.9), method)
 					},
 					coord: func(c *Coordinator) (any, error) {
-						return c.Range(m, -0.5, 0.9, method)
+						return c.Interval(m, interval.Between(-0.5, 0.9), method)
 					},
 				},
 				shardQueryCase{
@@ -161,35 +169,35 @@ func shardDeterminismCases() []shardQueryCase {
 			shardQueryCase{
 				name: fmt.Sprintf("batch-interval/%v", method),
 				engine: func(e *core.Engine) (any, error) {
-					var qs []core.ThresholdQuery
+					var qs []plan.QuerySpec
 					for _, m := range batchMeasures {
-						qs = append(qs, core.ThresholdQuery{Measure: m, Tau: 0.3, Op: scape.Above})
+						qs = append(qs, plan.Threshold(m, 0.3, scape.Above))
 					}
-					return e.ThresholdBatch(qs, method)
+					return runSpecs(e.View(), qs, method)
 				},
 				coord: func(c *Coordinator) (any, error) {
-					var qs []core.ThresholdQuery
+					var qs []plan.QuerySpec
 					for _, m := range batchMeasures {
-						qs = append(qs, core.ThresholdQuery{Measure: m, Tau: 0.3, Op: scape.Above})
+						qs = append(qs, plan.Threshold(m, 0.3, scape.Above))
 					}
-					return c.ThresholdBatch(qs, method)
+					return runSpecs(c.state(), qs, method)
 				},
 			},
 			shardQueryCase{
 				name: fmt.Sprintf("batch-topk/%v", method),
 				engine: func(e *core.Engine) (any, error) {
-					var qs []core.TopKQuery
+					var qs []plan.QuerySpec
 					for _, m := range batchMeasures {
-						qs = append(qs, core.TopKQuery{Measure: m, K: 5, Largest: true})
+						qs = append(qs, plan.TopK(m, 5, true))
 					}
-					return e.TopKBatch(qs, method)
+					return runSpecs(e.View(), qs, method)
 				},
 				coord: func(c *Coordinator) (any, error) {
-					var qs []core.TopKQuery
+					var qs []plan.QuerySpec
 					for _, m := range batchMeasures {
-						qs = append(qs, core.TopKQuery{Measure: m, K: 5, Largest: true})
+						qs = append(qs, plan.TopK(m, 5, true))
 					}
-					return c.TopKBatch(qs, method)
+					return runSpecs(c.state(), qs, method)
 				},
 			},
 		)

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"fmt"
-	"time"
-
 	"affinity/internal/core"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
@@ -43,76 +40,51 @@ type ExplainResult struct {
 	Shards []ShardPlan
 }
 
+// tracedState is a coordinator epoch that also records each shard's
+// contribution to the one item it executes.
+type tracedState struct {
+	*coordState
+	shards []shardActual
+}
+
+func (t *tracedState) Execute(items []core.Item, actuals []core.Actual) ([]core.QueryResult, error) {
+	t.shards = make([]shardActual, len(t.views))
+	return t.execute(items, actuals, t.shards)
+}
+
 // Explain plans a query against the global table, executes it by
 // scatter-gather, and reports the global plan plus each shard's estimated
-// cost, contributed rows and — for index top-k — examined entries.
+// cost, contributed rows and — for index top-k — examined entries.  A
+// cache-served query has no fan-out, so its per-shard entries carry estimates
+// only (zero actuals).
 func (c *Coordinator) Explain(spec plan.QuerySpec, method core.Method) (ExplainResult, error) {
-	cs := c.state()
-	if err := validateSpec(spec); err != nil {
-		return ExplainResult{}, err
-	}
-	if method != core.MethodAuto && !method.Concrete() {
-		return ExplainResult{}, fmt.Errorf("%w: %v", core.ErrBadMethod, method)
-	}
-	p, err := cs.plan(spec)
+	t := &tracedState{coordState: c.state()}
+	res, plans, err := core.Run(t, []plan.QuerySpec{spec}, method, true)
 	if err != nil {
 		return ExplainResult{}, err
 	}
-	if method != core.MethodAuto {
-		p.Method = method
-		p.EstimatedCost = methodCost(p, method)
-	}
-
-	start := time.Now()
-	res, actuals, act, err := cs.cachedExecute(spec, p.Method, true)
-	if err != nil {
-		return ExplainResult{}, err
-	}
-	p.Duration = time.Since(start)
-	p.ActualRows = res.Size()
-	// A repeated query reports the cache tier that served it and the delta's
-	// size; a cache-served query has no fan-out, so the per-shard entries
-	// below carry estimates only (zero actuals).
-	p.CacheTier = act.tier.String()
-	p.CacheRepairedPairs = act.repaired
-	out := ExplainResult{Result: res, Plan: p}
-
+	out := ExplainResult{Result: res[0], Plan: plans[0]}
 	if sp, known := measure.Find(spec.Measure); known && sp.Location() {
 		// L-measure queries run on the coordinator's location index or on
 		// shard 0's replicated per-series state; there is no fan-out to
 		// attribute.
 		return out, nil
 	}
-	perShardCost := make([]float64, len(cs.views))
-	for s, v := range cs.views {
+	perShardCost := make([]float64, len(t.views))
+	for s, v := range t.views {
 		shp, err := v.Plan(spec)
 		if err != nil {
 			return ExplainResult{}, err
 		}
-		shp.Method = p.Method
-		shp.EstimatedCost = methodCost(shp, p.Method)
-		perShardCost[s] = shp.EstimatedCost
-		entry := ShardPlan{Shard: s, Plan: shp}
-		if actuals != nil {
-			entry.Plan.ActualRows = actuals[s].rows
-			entry.Plan.Duration = actuals[s].dur
-			entry.Examined = actuals[s].examined
+		entry := ShardPlan{Shard: s, Plan: shp.WithMethod(out.Plan.Method)}
+		perShardCost[s] = entry.Plan.EstimatedCost
+		if t.shards != nil {
+			entry.Plan.ActualRows = t.shards[s].rows
+			entry.Plan.Duration = t.shards[s].dur
+			entry.Examined = t.shards[s].examined
 		}
 		out.Shards = append(out.Shards, entry)
 	}
-	out.ShardedCost = cs.cost.ShardedCost(perShardCost)
+	out.ShardedCost = t.cost.ShardedCost(perShardCost)
 	return out, nil
-}
-
-// methodCost picks the plan's cost column for the given concrete method.
-func methodCost(p plan.Plan, method core.Method) float64 {
-	switch method {
-	case core.MethodNaive:
-		return p.CostNaive
-	case core.MethodAffine:
-		return p.CostAffine
-	case core.MethodIndex:
-		return p.CostIndex
-	}
-	return p.EstimatedCost
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -18,11 +17,82 @@ import (
 	"affinity/internal/timeseries"
 )
 
-// Scatter-gather query execution.  The design invariant throughout: the
-// coordinator resolves MethodAuto against the global table statistics (never
-// the per-shard ones), the shards execute with the resolved concrete method,
-// and every merge is in a deterministic order — so results are byte-identical
-// to a single unsharded engine at any shard count and parallelism.
+// Scatter-gather query execution.  A coordinator epoch is a core.Backend: the
+// shared pipeline (core.Run, core.Compute) validates, plans, caches and
+// stores exactly as it does for a single engine, and this file answers only
+// what sharding changes — how an estimate or a count is summed over shards,
+// which shard evaluates a pair, and how resolved items are scattered and
+// their results merged.  The design invariant throughout: MethodAuto is
+// resolved against the global table statistics (never the per-shard ones),
+// the shards execute with the resolved concrete method, and every merge is in
+// a deterministic order — so results are byte-identical to a single unsharded
+// engine at any shard count and parallelism.
+//
+// The result cache lives here too, at the global merge layer: one entry per
+// merged result, so a hit skips the whole fan-out.  The shard engines run
+// with their own caches disabled — caching both layers would double the
+// memory for results the coordinator already holds merged.
+
+func (cs *coordState) Epoch() int                { return cs.epoch }
+func (cs *coordState) Table() plan.TableStats    { return cs.table }
+func (cs *coordState) CostModel() plan.CostModel { return cs.cost }
+func (cs *coordState) Cache() *qcache.Cache      { return cs.cache }
+
+// Replica returns shard 0: the raw window and the per-series state are
+// replicated on every shard, so any one of them answers L-measure and naive
+// MEC queries exactly like a single engine.
+func (cs *coordState) Replica() core.View { return cs.views[0] }
+
+// Selectivity assembles the estimate from the shards.  Per-pivot-node
+// estimates are additive and the shard pivot sets are disjoint, so the summed
+// Rows/Candidates equal the global index's estimate (and Exact holds only
+// when it holds on every shard), making the MethodAuto choice independent of
+// the shard count.  L-measure estimates come from the coordinator's location
+// index.
+func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error) {
+	if sp, known := measure.Find(spec.Measure); known && sp.Location() {
+		return cs.locIndex.EstimateSelectivity(spec.PairQuery())
+	}
+	total := scape.Selectivity{Exact: true}
+	for _, v := range cs.views {
+		s, err := v.Selectivity(spec)
+		if err != nil {
+			return scape.Selectivity{}, err
+		}
+		total.Rows += s.Rows
+		total.Candidates += s.Candidates
+		total.Exact = total.Exact && s.Exact
+	}
+	return total, nil
+}
+
+// ExactRows sums the per-shard exact counts into the global completeness
+// count (per-node counts are additive over the disjoint shard pivot sets).
+func (cs *coordState) ExactRows(q scape.PairQuery) (int, bool, error) {
+	rows := 0
+	for _, v := range cs.views {
+		r, exact, err := v.ExactRows(q)
+		if err != nil || !exact {
+			return 0, false, err
+		}
+		rows += r
+	}
+	return rows, true, nil
+}
+
+// PairValue routes an affine evaluation to the shard owning the pair's pivot,
+// so the propagation uses the owning shard's pivot summary — the same summary
+// a single engine holds.  The naive method reads only the shared window.
+func (cs *coordState) PairValue(m stats.Measure, pair timeseries.Pair, method core.Method) (float64, error) {
+	if method == core.MethodAffine {
+		return cs.views[cs.pairOwner(pair)].PairValue(m, pair, method)
+	}
+	return cs.views[0].PairValue(m, pair, method)
+}
+
+func (cs *coordState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
+	return cs.views[0].SelfValue(m, id)
+}
 
 // shardActual carries one shard's observed contribution to a query, for
 // Explain.
@@ -32,168 +102,127 @@ type shardActual struct {
 	dur      time.Duration
 }
 
-// validateSpec mirrors the engine's validation so malformed queries fail with
-// the same typed errors at any shard count.
-func validateSpec(spec plan.QuerySpec) error {
-	switch spec.Kind {
-	case plan.KindInterval:
-		if spec.Interval.Empty() {
-			return fmt.Errorf("%w: %v", core.ErrEmptyRange, spec.Interval)
-		}
-	case plan.KindTopK:
-		if spec.K < 1 {
-			return fmt.Errorf("%w: %d", core.ErrBadTopK, spec.K)
-		}
-	default:
-		return fmt.Errorf("shard: %v is not an interval or top-k query kind", spec.Kind)
-	}
-	return nil
+// Execute answers resolved items cold by scatter-gather.
+func (cs *coordState) Execute(items []core.Item, actuals []core.Actual) ([]core.QueryResult, error) {
+	return cs.execute(items, actuals, nil)
 }
 
-// plan prices a spec exactly like a single unsharded engine: the global table
-// statistics plus — for indexable interval queries — a selectivity estimate
-// assembled from the shards.  Per-pivot-node estimates are additive and the
-// shard pivot sets are disjoint, so the summed Rows/Candidates equal the
-// global index's estimate (and Exact holds only when it holds on every
-// shard), making the MethodAuto choice independent of the shard count.
-func (cs *coordState) plan(spec plan.QuerySpec) (plan.Plan, error) {
-	var sel *scape.Selectivity
-	sp, known := measure.Find(spec.Measure)
-	if cs.table.HasIndex && spec.Kind == plan.KindInterval && known && sp.Indexable {
-		if sp.Location() {
-			s, err := cs.locIndex.EstimateSelectivity(spec.PairQuery())
-			switch {
-			case err == nil:
-				sel = &s
-			case errors.Is(err, scape.ErrMeasureNotIndexed):
-			default:
-				return plan.Plan{}, err
-			}
-		} else {
-			total := scape.Selectivity{Exact: true}
-			have := true
-			for _, v := range cs.views {
-				s, err := v.Index().EstimateSelectivity(spec.PairQuery())
-				if errors.Is(err, scape.ErrMeasureNotIndexed) {
-					have = false
-					break
-				}
-				if err != nil {
-					return plan.Plan{}, err
-				}
-				total.Rows += s.Rows
-				total.Candidates += s.Candidates
-				total.Exact = total.Exact && s.Exact
-			}
-			if have {
-				sel = &total
-			}
+// execute is Execute with per-shard observability: a non-nil trace (Explain,
+// one item) has one slot per shard and receives each shard's contribution.
+// L-measure items do not fan out; index-method items run their dedicated
+// merges; sweep-method items fan out grouped per concrete method, so each
+// shard answers a group through its fused multi-predicate sweep.
+func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []shardActual) ([]core.QueryResult, error) {
+	out := make([]core.QueryResult, len(items))
+	var naive, affine []int
+	for i, it := range items {
+		var err error
+		switch {
+		case it.Location:
+			out[i], err = cs.locationQuery(it)
+		case it.Method == core.MethodNaive:
+			naive = append(naive, i)
+		case it.Method == core.MethodAffine:
+			affine = append(affine, i)
+		case it.Spec.Kind == plan.KindTopK:
+			out[i], err = cs.indexTopK(it.Spec, trace)
+		default:
+			out[i], err = cs.indexInterval(it.Spec, trace)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return cs.cost.Plan(spec, cs.table, sel), nil
+	for _, group := range [][]int{naive, affine} {
+		if err := cs.sweep(items, group, out, actuals, trace); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// resolve maps a requested method to the concrete one that will run.
-func (cs *coordState) resolve(spec plan.QuerySpec, method core.Method) (core.Method, error) {
-	if method != core.MethodAuto {
-		if !method.Concrete() {
-			return 0, fmt.Errorf("%w: %v", core.ErrBadMethod, method)
-		}
-		return method, nil
-	}
-	p, err := cs.plan(spec)
-	if err != nil {
-		return 0, err
-	}
-	return p.Method, nil
-}
-
-// query validates, resolves and executes one interval/top-k query.
-func (cs *coordState) query(spec plan.QuerySpec, method core.Method) (core.QueryResult, error) {
-	if err := validateSpec(spec); err != nil {
-		return core.QueryResult{}, err
-	}
-	concrete, err := cs.resolve(spec, method)
-	if err != nil {
-		return core.QueryResult{}, err
-	}
-	res, _, _, err := cs.cachedExecute(spec, concrete, false)
-	return res, err
-}
-
-// execute runs a validated spec with its concrete method.  With wantActuals
-// it reports each shard's contribution (nil for L-measure queries, which do
-// not fan out: per-series state is replicated, so shard 0 — or the
-// coordinator's location index — answers exactly like a single engine).
-func (cs *coordState) execute(spec plan.QuerySpec, concrete core.Method, wantActuals bool) (core.QueryResult, []shardActual, error) {
-	if sp, known := measure.Find(spec.Measure); known && sp.Location() {
-		res, err := cs.locationQuery(spec, concrete)
-		return res, nil, err
-	}
-	switch spec.Kind {
-	case plan.KindTopK:
-		if concrete == core.MethodIndex {
-			return cs.indexTopK(spec, wantActuals)
-		}
-		return cs.sweepTopK(spec, concrete)
-	default:
-		if concrete == core.MethodIndex {
-			return cs.indexInterval(spec)
-		}
-		return cs.sweepInterval(spec, concrete)
-	}
-}
-
-// locationQuery answers an L-measure interval/top-k query.
-func (cs *coordState) locationQuery(spec plan.QuerySpec, concrete core.Method) (core.QueryResult, error) {
-	switch concrete {
-	case core.MethodNaive, core.MethodAffine:
-		if spec.Kind == plan.KindTopK {
-			return cs.views[0].TopK(spec.Measure, spec.K, spec.Largest, concrete)
-		}
-		return cs.views[0].Interval(spec.Measure, spec.Interval, concrete)
-	case core.MethodIndex:
-		if cs.locIndex == nil {
-			return core.QueryResult{}, core.ErrNoIndex
-		}
-		if spec.Kind == plan.KindTopK {
-			ids, values, err := cs.locIndex.SeriesTopK(spec.Measure, spec.K, spec.Largest)
-			if err != nil {
-				return core.QueryResult{}, err
-			}
-			return core.QueryResult{Series: ids, Values: values}, nil
-		}
-		ids, err := cs.locIndex.SeriesInterval(spec.Measure, spec.Interval)
+// locationQuery answers an L-measure interval/top-k item: per-series state is
+// replicated, so shard 0 answers the sweep methods exactly like a single
+// engine, and the coordinator's location index answers the index method (the
+// shard indexes carry no location trees).
+func (cs *coordState) locationQuery(it core.Item) (core.QueryResult, error) {
+	if it.Method != core.MethodIndex {
+		res, err := cs.views[0].Execute([]core.Item{it}, nil)
 		if err != nil {
 			return core.QueryResult{}, err
 		}
-		return core.QueryResult{Series: ids}, nil
-	default:
-		return core.QueryResult{}, fmt.Errorf("%w: %v", core.ErrBadMethod, concrete)
+		return res[0], nil
 	}
+	if cs.locIndex == nil {
+		return core.QueryResult{}, core.ErrNoIndex
+	}
+	if it.Spec.Kind == plan.KindTopK {
+		ids, values, err := cs.locIndex.SeriesTopK(it.Spec.Measure, it.Spec.K, it.Spec.Largest)
+		return core.QueryResult{Series: ids, Values: values}, err
+	}
+	ids, err := cs.locIndex.SeriesInterval(it.Spec.Measure, it.Spec.Interval)
+	return core.QueryResult{Series: ids}, err
 }
 
-// sweepInterval scatters a sweep-method interval query and k-way merges the
-// per-shard results by (U, V): the shard universes are disjoint sorted subsets
-// of the canonical pair order, so the merge reproduces a single engine's
-// sweep order exactly.
-func (cs *coordState) sweepInterval(spec plan.QuerySpec, concrete core.Method) (core.QueryResult, []shardActual, error) {
-	results := make([]core.QueryResult, len(cs.views))
-	actuals := make([]shardActual, len(cs.views))
+// sweep scatters the sweep-method items items[group...] (all of one method)
+// to every shard and merges per item.  Interval results k-way merge by (U, V):
+// the shard universes are disjoint sorted subsets of the canonical pair order,
+// so the merge reproduces a single engine's sweep order exactly.  Top-k
+// results re-offer each shard's local top-k into one global heap: the heap's
+// (value, pair-id) total order is scan-order-independent, so the retained set
+// equals a single engine's.  Sketch prescreen counts sum over the shards.
+func (cs *coordState) sweep(items []core.Item, group []int, out []core.QueryResult, actuals []core.Actual, trace []shardActual) error {
+	if len(group) == 0 {
+		return nil
+	}
+	sub := make([]core.Item, len(group))
+	for j, i := range group {
+		sub[j] = items[i]
+	}
+	shardRes := make([][]core.QueryResult, len(cs.views))
+	shardActs := make([][]core.Actual, len(cs.views)) // nil per shard unless actuals are wanted
 	err := par.Do(len(cs.views), len(cs.views), func(s int) error {
+		if actuals != nil {
+			shardActs[s] = make([]core.Actual, len(sub))
+		}
 		start := time.Now()
-		r, err := cs.views[s].Interval(spec.Measure, spec.Interval, concrete)
+		res, err := cs.views[s].Execute(sub, shardActs[s])
 		if err != nil {
 			return err
 		}
-		results[s] = r
-		actuals[s] = shardActual{rows: len(r.Pairs), dur: time.Since(start)}
+		shardRes[s] = res
+		if trace != nil {
+			trace[s] = shardActual{rows: len(res[0].Pairs), dur: time.Since(start)}
+		}
 		return nil
 	})
 	if err != nil {
-		return core.QueryResult{}, nil, err
+		return err
 	}
-	return core.QueryResult{Pairs: mergePairLists(results)}, actuals, nil
+	perShard := make([]core.QueryResult, len(cs.views))
+	for j, i := range group {
+		for s := range cs.views {
+			perShard[s] = shardRes[s][j]
+			if actuals != nil {
+				actuals[i].Sketched += shardActs[s][j].Sketched
+				actuals[i].Refined += shardActs[s][j].Refined
+			}
+		}
+		spec := items[i].Spec
+		if spec.Kind != plan.KindTopK {
+			out[i] = core.QueryResult{Pairs: mergePairLists(perShard)}
+			continue
+		}
+		heap := scape.NewTopHeap(spec.K, spec.Largest)
+		for _, r := range perShard {
+			for x := range r.Pairs {
+				heap.Offer(r.Pairs[x], r.Values[x])
+			}
+		}
+		pairs, values := heap.Sorted()
+		out[i] = core.QueryResult{Pairs: pairs, Values: values}
+	}
+	return nil
 }
 
 // mergePairLists k-way merges per-shard pair lists sorted by (U, V).
@@ -235,9 +264,8 @@ func pairBefore(a, b timeseries.Pair) bool {
 // pivot order.  A single engine's PairInterval is the concatenation of its
 // node blocks in exactly that order, and every pivot node lives wholly on one
 // shard, so the merged concatenation is byte-identical.
-func (cs *coordState) indexInterval(spec plan.QuerySpec) (core.QueryResult, []shardActual, error) {
+func (cs *coordState) indexInterval(spec plan.QuerySpec, trace []shardActual) (core.QueryResult, error) {
 	blocks := make([][]scape.NodeResult, len(cs.views))
-	actuals := make([]shardActual, len(cs.views))
 	err := par.Do(len(cs.views), len(cs.views), func(s int) error {
 		idx := cs.views[s].Index()
 		if idx == nil {
@@ -249,17 +277,19 @@ func (cs *coordState) indexInterval(spec plan.QuerySpec) (core.QueryResult, []sh
 			return err
 		}
 		blocks[s] = nr
-		rows := 0
-		for _, b := range nr {
-			rows += len(b.Pairs)
+		if trace != nil {
+			rows := 0
+			for _, b := range nr {
+				rows += len(b.Pairs)
+			}
+			trace[s] = shardActual{rows: rows, dur: time.Since(start)}
 		}
-		actuals[s] = shardActual{rows: rows, dur: time.Since(start)}
 		return nil
 	})
 	if err != nil {
-		return core.QueryResult{}, nil, err
+		return core.QueryResult{}, err
 	}
-	return core.QueryResult{Pairs: mergeNodeBlocks(blocks)}, actuals, nil
+	return core.QueryResult{Pairs: mergeNodeBlocks(blocks)}, nil
 }
 
 // mergeNodeBlocks concatenates per-shard node blocks in canonical pivot order.
@@ -291,36 +321,6 @@ func pivotBefore(a, b symex.Pivot) bool {
 	return a.Cluster < b.Cluster
 }
 
-// sweepTopK scatters a sweep-method top-k query and re-offers each shard's
-// local top-k into one global heap.  The shard universes are disjoint and the
-// heap's (value, pair-id) total order is scan-order-independent, so the
-// retained set equals a single engine's.
-func (cs *coordState) sweepTopK(spec plan.QuerySpec, concrete core.Method) (core.QueryResult, []shardActual, error) {
-	results := make([]core.QueryResult, len(cs.views))
-	actuals := make([]shardActual, len(cs.views))
-	err := par.Do(len(cs.views), len(cs.views), func(s int) error {
-		start := time.Now()
-		r, err := cs.views[s].TopK(spec.Measure, spec.K, spec.Largest, concrete)
-		if err != nil {
-			return err
-		}
-		results[s] = r
-		actuals[s] = shardActual{rows: len(r.Pairs), dur: time.Since(start)}
-		return nil
-	})
-	if err != nil {
-		return core.QueryResult{}, nil, err
-	}
-	heap := scape.NewTopHeap(spec.K, spec.Largest)
-	for _, r := range results {
-		for i := range r.Pairs {
-			heap.Offer(r.Pairs[i], r.Values[i])
-		}
-	}
-	pairs, values := heap.Sorted()
-	return core.QueryResult{Pairs: pairs, Values: values}, actuals, nil
-}
-
 // indexTopK runs the streaming top-k merge: one SCAPE best-first cursor per
 // shard, one global k-heap.  Each round polls the shard whose next pivot node
 // has the best optimistic bound (ties to the lowest shard id) and steps its
@@ -335,16 +335,16 @@ func (cs *coordState) sweepTopK(spec plan.QuerySpec, concrete core.Method) (core
 // result.  Any entry of the true top-k always beats every running v_k, so the
 // retained set — and with (value, pair-id) ordering, the result bytes — are
 // identical to a single engine's.
-func (cs *coordState) indexTopK(spec plan.QuerySpec, wantActuals bool) (core.QueryResult, []shardActual, error) {
+func (cs *coordState) indexTopK(spec plan.QuerySpec, trace []shardActual) (core.QueryResult, error) {
 	cursors := make([]*scape.TopKCursor, len(cs.views))
 	for s, v := range cs.views {
 		idx := v.Index()
 		if idx == nil {
-			return core.QueryResult{}, nil, core.ErrNoIndex
+			return core.QueryResult{}, core.ErrNoIndex
 		}
 		cur, err := idx.NewTopKCursor(spec.Measure, spec.Largest)
 		if err != nil {
-			return core.QueryResult{}, nil, err
+			return core.QueryResult{}, err
 		}
 		cursors[s] = cur
 	}
@@ -373,21 +373,19 @@ func (cs *coordState) indexTopK(spec plan.QuerySpec, wantActuals bool) (core.Que
 			break
 		}
 		if _, err := cursors[best].Step(heap); err != nil {
-			return core.QueryResult{}, nil, err
+			return core.QueryResult{}, err
 		}
 	}
 	pairs, values := heap.Sorted()
-	var actuals []shardActual
-	if wantActuals {
-		actuals = make([]shardActual, len(cs.views))
+	if trace != nil {
 		for s, cur := range cursors {
-			actuals[s].examined = cur.Examined()
+			trace[s].examined = cur.Examined()
 		}
 		for _, p := range pairs {
-			actuals[cs.pairOwner(p)].rows++
+			trace[cs.pairOwner(p)].rows++
 		}
 	}
-	return core.QueryResult{Pairs: pairs, Values: values}, actuals, nil
+	return core.QueryResult{Pairs: pairs, Values: values}, nil
 }
 
 // boundBetter reports whether bound b strictly beats the incumbent, so bound
@@ -409,281 +407,63 @@ func (cs *coordState) pairOwner(pair timeseries.Pair) int {
 	return 0
 }
 
+// one answers a single interval/top-k query as a batch of one.
+func (c *Coordinator) one(spec plan.QuerySpec, method core.Method) (core.QueryResult, error) {
+	out, _, err := core.Run(c.state(), []plan.QuerySpec{spec}, method, false)
+	if err != nil {
+		return core.QueryResult{}, err
+	}
+	return out[0], nil
+}
+
 // Interval answers the unified interval query (MET/MER) by scatter-gather.
 func (c *Coordinator) Interval(m stats.Measure, iv interval.Interval, method core.Method) (core.QueryResult, error) {
-	return c.state().query(plan.Interval(m, iv), method)
+	return c.one(plan.Interval(m, iv), method)
 }
 
-// Threshold answers a MET query — sugar over Interval.
-func (c *Coordinator) Threshold(m stats.Measure, tau float64, op scape.ThresholdOp, method core.Method) (core.QueryResult, error) {
-	if !op.Valid() {
-		return core.QueryResult{}, fmt.Errorf("%w: %d", core.ErrBadThresholdOp, int(op))
-	}
-	return c.state().query(plan.Threshold(m, tau, op), method)
-}
-
-// Range answers a MER query — sugar over Interval.
-func (c *Coordinator) Range(m stats.Measure, lo, hi float64, method core.Method) (core.QueryResult, error) {
-	return c.state().query(plan.Range(m, lo, hi), method)
-}
-
-// TopK answers a top-k (MEK) query with the streaming per-shard merge.
+// TopK answers a top-k (MEK) query; the index method runs the streaming
+// per-shard merge.
 func (c *Coordinator) TopK(m stats.Measure, k int, largest bool, method core.Method) (core.QueryResult, error) {
-	return c.state().query(plan.TopK(m, k, largest), method)
+	return c.one(plan.TopK(m, k, largest), method)
 }
 
-// IntervalBatch answers a batch of interval queries; out[i] is identical to
-// Interval(qs[i]...).
+// IntervalBatch answers a batch of interval queries against one pinned
+// coordinator epoch; out[i] is identical to Interval(qs[i]...).
 func (c *Coordinator) IntervalBatch(qs []core.IntervalQuery, method core.Method) ([]core.QueryResult, error) {
 	specs := make([]plan.QuerySpec, len(qs))
 	for i, q := range qs {
 		specs[i] = plan.Interval(q.Measure, q.Interval)
 	}
-	return c.state().batch(specs, method)
+	out, _, err := core.Run(c.state(), specs, method, false)
+	return out, err
 }
 
-// ThresholdBatch answers a batch of MET queries.
-func (c *Coordinator) ThresholdBatch(qs []core.ThresholdQuery, method core.Method) ([]core.QueryResult, error) {
-	specs := make([]plan.QuerySpec, len(qs))
-	for i, q := range qs {
-		if !q.Op.Valid() {
-			return nil, fmt.Errorf("%w: %d", core.ErrBadThresholdOp, int(q.Op))
-		}
-		specs[i] = plan.Threshold(q.Measure, q.Tau, q.Op)
-	}
-	return c.state().batch(specs, method)
+// ComputeBatch answers a batch of MEC queries against one pinned coordinator
+// epoch: a concurrent Advance cannot split the batch across epochs.
+func (c *Coordinator) ComputeBatch(qs []core.ComputeQuery, method core.Method) ([]core.ComputeResult, error) {
+	return core.Compute(c.state(), qs, method)
 }
 
-// RangeBatch answers a batch of MER queries.
-func (c *Coordinator) RangeBatch(qs []core.RangeQuery, method core.Method) ([]core.QueryResult, error) {
-	specs := make([]plan.QuerySpec, len(qs))
-	for i, q := range qs {
-		specs[i] = plan.Range(q.Measure, q.Lo, q.Hi)
-	}
-	return c.state().batch(specs, method)
-}
-
-// TopKBatch answers a batch of top-k queries.
-func (c *Coordinator) TopKBatch(qs []core.TopKQuery, method core.Method) ([]core.QueryResult, error) {
-	specs := make([]plan.QuerySpec, len(qs))
-	for i, q := range qs {
-		specs[i] = plan.TopK(q.Measure, q.K, q.Largest)
-	}
-	return c.state().batch(specs, method)
-}
-
-// batch answers a mixed batch of interval/top-k specs against one pinned
-// coordinator epoch.  All specs validate and resolve up front (so malformed
-// batches fail atomically, like the engine's); sweep-method items then fan
-// out grouped per concrete method — each shard answers its group through its
-// fused multi-predicate sweep — while index-method and L-measure items run
-// their dedicated paths.
-func (cs *coordState) batch(specs []plan.QuerySpec, method core.Method) ([]core.QueryResult, error) {
-	concrete := make([]core.Method, len(specs))
-	for i, spec := range specs {
-		if err := validateSpec(spec); err != nil {
-			return nil, err
-		}
-		m, err := cs.resolve(spec, method)
-		if err != nil {
-			return nil, err
-		}
-		concrete[i] = m
-	}
-	out := make([]core.QueryResult, len(specs))
-	sweepGroups := make(map[core.Method][]int)
-	// Cache-missed items remember their keys so the merged results are stored
-	// after execution; cache-served items skip their execution path entirely.
-	var storeKeys []qcache.Key
-	var storeIdx []int
-	for i, spec := range specs {
-		if sp, known := measure.Find(spec.Measure); known && sp.Location() {
-			r, err := cs.locationQuery(spec, concrete[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-			continue
-		}
-		if cs.cache != nil {
-			if key, ok := coordCacheKey(spec, concrete[i]); ok {
-				if r, _, served := cs.cacheServe(spec, concrete[i], key); served {
-					out[i] = r
-					continue
-				}
-				cs.cache.Miss()
-				storeKeys = append(storeKeys, key)
-				storeIdx = append(storeIdx, i)
-			}
-		}
-		if concrete[i] == core.MethodIndex {
-			r, _, err := cs.execute(spec, concrete[i], false)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-			continue
-		}
-		sweepGroups[concrete[i]] = append(sweepGroups[concrete[i]], i)
-	}
-	for _, m := range []core.Method{core.MethodNaive, core.MethodAffine} {
-		idxs := sweepGroups[m]
-		if len(idxs) == 0 {
-			continue
-		}
-		sub := make([]plan.QuerySpec, len(idxs))
-		for j, i := range idxs {
-			sub[j] = specs[i]
-		}
-		shardRes := make([][]core.QueryResult, len(cs.views))
-		err := par.Do(len(cs.views), len(cs.views), func(s int) error {
-			res, _, err := cs.views[s].ExplainBatch(sub, m)
-			shardRes[s] = res
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range idxs {
-			if specs[i].Kind == plan.KindTopK {
-				heap := scape.NewTopHeap(specs[i].K, specs[i].Largest)
-				for s := range cs.views {
-					r := shardRes[s][j]
-					for x := range r.Pairs {
-						heap.Offer(r.Pairs[x], r.Values[x])
-					}
-				}
-				pairs, values := heap.Sorted()
-				out[i] = core.QueryResult{Pairs: pairs, Values: values}
-			} else {
-				perShard := make([]core.QueryResult, len(cs.views))
-				for s := range cs.views {
-					perShard[s] = shardRes[s][j]
-				}
-				out[i] = core.QueryResult{Pairs: mergePairLists(perShard)}
-			}
-		}
-	}
-	for k, i := range storeIdx {
-		cs.cacheStore(specs[i], concrete[i], storeKeys[k], out[i])
-	}
-	return out, nil
-}
-
-// ComputeLocation answers an L-measure MEC query.  Per-series state is
-// replicated on every shard, so shard 0 answers exactly like a single engine;
-// the method is still resolved against the global table.
+// ComputeLocation answers an L-measure MEC query.
 func (c *Coordinator) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method core.Method) ([]float64, error) {
-	cs := c.state()
-	if sp, ok := measure.Find(m); !ok || !sp.Location() {
+	if m.Class() != stats.LocationClass {
 		return nil, fmt.Errorf("shard: %v is not an L-measure: %w", m, stats.ErrUnknownMeasure)
 	}
-	concrete, err := cs.resolve(plan.Compute(m, len(ids)), method)
+	out, err := c.ComputeBatch([]core.ComputeQuery{{Measure: m, IDs: ids}}, method)
 	if err != nil {
 		return nil, err
 	}
-	return cs.views[0].ComputeLocation(m, ids, concrete)
+	return out[0].Location, nil
 }
 
-// ComputePairwise answers a pairwise MEC query.  The naive method runs on
-// shard 0 (it reads only the shared window); the affine method routes every
-// pair to the shard owning its pivot, so each propagation uses the owning
-// shard's pivot summary — the same summary a single engine holds.
+// ComputePairwise answers a pairwise MEC query.
 func (c *Coordinator) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method core.Method) ([][]float64, error) {
-	cs := c.state()
-	if !m.Pairwise() {
+	if m.Class() == stats.LocationClass {
 		return nil, fmt.Errorf("shard: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
 	}
-	concrete, err := cs.resolve(plan.Compute(m, len(ids)), method)
+	out, err := c.ComputeBatch([]core.ComputeQuery{{Measure: m, IDs: ids}}, method)
 	if err != nil {
 		return nil, err
 	}
-	switch concrete {
-	case core.MethodNaive:
-		return cs.views[0].ComputePairwise(m, ids, core.MethodNaive)
-	case core.MethodAffine:
-		out := make([][]float64, len(ids))
-		for i := range out {
-			out[i] = make([]float64, len(ids))
-		}
-		err := par.Do(len(ids), c.cfg.Engine.Parallelism, func(i int) error {
-			u := ids[i]
-			for j := i; j < len(ids); j++ {
-				v := ids[j]
-				var value float64
-				var err error
-				if u == v {
-					value, err = cs.views[0].SelfPairValue(m, u)
-				} else {
-					pair, perr := timeseries.NewPair(u, v)
-					if perr != nil {
-						return perr
-					}
-					value, err = cs.views[cs.pairOwner(pair)].PairValue(m, pair, core.MethodAffine)
-				}
-				value, err = measure.OrNaN(value, err)
-				if err != nil {
-					return err
-				}
-				out[i][j] = value
-				out[j][i] = value
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: %v for pairwise MEC", core.ErrBadMethod, concrete)
-	}
-}
-
-// PairValue computes a single pairwise measure, routed to the pair's owning
-// shard for the affine method.
-func (c *Coordinator) PairValue(m stats.Measure, pair timeseries.Pair, method core.Method) (float64, error) {
-	cs := c.state()
-	if !m.Pairwise() {
-		return 0, fmt.Errorf("shard: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
-	}
-	concrete, err := cs.resolve(plan.Compute(m, 2), method)
-	if err != nil {
-		return 0, err
-	}
-	switch concrete {
-	case core.MethodNaive:
-		return cs.views[0].PairValue(m, pair, core.MethodNaive)
-	case core.MethodAffine:
-		if !pair.Valid() {
-			canonical, err := timeseries.NewPair(pair.U, pair.V)
-			if err != nil {
-				return 0, err
-			}
-			pair = canonical
-		}
-		return cs.views[cs.pairOwner(pair)].PairValue(m, pair, core.MethodAffine)
-	default:
-		return 0, fmt.Errorf("%w: %v for PairValue", core.ErrBadMethod, concrete)
-	}
-}
-
-// ComputeBatch answers a batch of MEC queries.
-func (c *Coordinator) ComputeBatch(qs []core.ComputeQuery, method core.Method) ([]core.ComputeResult, error) {
-	out := make([]core.ComputeResult, len(qs))
-	for i, q := range qs {
-		if sp, ok := measure.Find(q.Measure); ok && sp.Location() {
-			values, err := c.ComputeLocation(q.Measure, q.IDs, method)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = core.ComputeResult{Location: values}
-			continue
-		}
-		values, err := c.ComputePairwise(q.Measure, q.IDs, method)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = core.ComputeResult{Pairwise: values}
-	}
-	return out, nil
+	return out[0].Pairwise, nil
 }

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"affinity/internal/core"
+	"affinity/internal/interval"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
+	"affinity/internal/sketch"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -215,12 +217,30 @@ func TestCoordinatorExplain(t *testing.T) {
 		t.Fatalf("L-measure explain reported %d shard plans", len(lres.Shards))
 	}
 
-	// Error paths.
-	if _, err := c.Explain(plan.TopK(stats.Correlation, 0, true), core.MethodAuto); err == nil {
-		t.Fatal("accepted k=0")
+	// Sketch actuals: with the prescreen enabled, a naive interval sweep's
+	// classified and refined pair counts sum over the shards to the single
+	// engine's (the shard universes partition the pair set and classification
+	// is per pair), and the whole plan — sketch-aware cost columns included —
+	// still matches.
+	skCfg := cfg
+	skCfg.Sketch = sketch.Options{Enabled: true, Coefficients: 4}
+	se, sc := buildFixturePair(t, 3, skCfg)
+	skSpec := plan.Interval(stats.Correlation, interval.GreaterThan(0.9))
+	_, sep, err := se.Explain(skSpec, core.MethodNaive)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Explain(spec, core.Method(99)); err == nil {
-		t.Fatal("accepted invalid method")
+	sres, err := sc.Explain(skSpec, core.MethodNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sep.SketchedPairs != se.Data().NumPairs() || sep.SketchRefinedPairs == 0 {
+		t.Fatalf("engine sketch actuals %d/%d", sep.SketchedPairs, sep.SketchRefinedPairs)
+	}
+	scp := sres.Plan
+	scp.Duration, sep.Duration = 0, 0
+	if fmt.Sprintf("%+v", scp) != fmt.Sprintf("%+v", sep) {
+		t.Fatalf("sketched coordinator plan %+v != engine plan %+v", scp, sep)
 	}
 }
 
@@ -306,18 +326,10 @@ func TestCoordinatorSkipIndex(t *testing.T) {
 	cfg := core.Config{Clusters: 4, Seed: 5, SkipIndex: true}
 	e, c := buildFixturePair(t, 2, cfg)
 
-	if _, err := c.Threshold(stats.Correlation, 0.25, scape.Above, core.MethodIndex); !errors.Is(err, core.ErrNoIndex) {
-		t.Fatal("index interval without index should fail with ErrNoIndex")
-	}
-	if _, err := c.TopK(stats.Correlation, 3, true, core.MethodIndex); !errors.Is(err, core.ErrNoIndex) {
-		t.Fatal("index top-k without index should fail with ErrNoIndex")
-	}
-	if _, err := c.Threshold(stats.Mean, 0.1, scape.Above, core.MethodIndex); !errors.Is(err, core.ErrNoIndex) {
-		t.Fatal("L-measure index query without index should fail with ErrNoIndex")
-	}
-	// Auto falls back to sweeps, identically to the engine.
-	want := render(e.Threshold(stats.Correlation, 0.25, scape.Above, core.MethodAuto))
-	got := render(c.Threshold(stats.Correlation, 0.25, scape.Above, core.MethodAuto))
+	// Auto falls back to sweeps, identically to the engine (the ErrNoIndex
+	// probes are rows of the shared pipeline table, pipeline_test.go).
+	want := render(e.Interval(stats.Correlation, interval.GreaterThan(0.25), core.MethodAuto))
+	got := render(c.Interval(stats.Correlation, interval.GreaterThan(0.25), core.MethodAuto))
 	if got != want {
 		t.Fatalf("SkipIndex auto diverged: %s vs %s", got, want)
 	}
@@ -338,23 +350,19 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v ComputeBatch diverged:\n%s\n%s", method, got, want)
 		}
-
-		pair, err := timeseries.NewPair(2, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantV := render(e.PairValue(stats.Covariance, pair, method))
-		gotV := render(c.PairValue(stats.Covariance, pair, method))
+	}
+	// The per-pair evaluators route to the owning shard (affine) or the
+	// replicated window (naive) and must match the engine's bit for bit.
+	pair, err := timeseries.NewPair(2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine} {
+		wantV := render(e.View().PairValue(stats.Covariance, pair, method))
+		gotV := render(c.state().PairValue(stats.Covariance, pair, method))
 		if gotV != wantV {
 			t.Fatalf("%v PairValue diverged: %s vs %s", method, gotV, wantV)
 		}
-	}
-	// Non-canonical pair orders are canonicalized like the engine's.
-	flipped := timeseries.Pair{U: 9, V: 2}
-	want := render(e.PairValue(stats.Covariance, flipped, core.MethodAffine))
-	got := render(c.PairValue(stats.Covariance, flipped, core.MethodAffine))
-	if got != want {
-		t.Fatalf("flipped PairValue diverged: %s vs %s", got, want)
 	}
 
 	// Type guards.
@@ -364,17 +372,8 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 	if _, err := c.ComputePairwise(stats.Mean, ids, core.MethodAuto); !errors.Is(err, stats.ErrUnknownMeasure) {
 		t.Fatal("ComputePairwise accepted an L-measure")
 	}
-	if _, err := c.PairValue(stats.Mean, timeseries.Pair{U: 0, V: 1}, core.MethodAuto); !errors.Is(err, stats.ErrUnknownMeasure) {
-		t.Fatal("PairValue accepted an L-measure")
-	}
 	if _, err := c.ComputePairwise(stats.Correlation, ids, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 		t.Fatal("pairwise MEC accepted MethodIndex")
-	}
-	if _, err := c.ThresholdBatch([]core.ThresholdQuery{{Measure: stats.Correlation, Tau: 0, Op: scape.ThresholdOp(9)}}, core.MethodAuto); !errors.Is(err, core.ErrBadThresholdOp) {
-		t.Fatal("batch accepted bad threshold op")
-	}
-	if _, err := c.Threshold(stats.Correlation, 0, scape.ThresholdOp(9), core.MethodAuto); !errors.Is(err, core.ErrBadThresholdOp) {
-		t.Fatal("accepted bad threshold op")
 	}
 }
 
