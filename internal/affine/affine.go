@@ -37,28 +37,37 @@ var ErrBadShape = errors.New("affine: bad shape")
 
 // Transform is an affine transformation (A, b) between two pair matrices.
 type Transform struct {
-	// A is the 2-by-2 transformation matrix.
-	A *mat.Matrix
+	// A is the 2-by-2 transformation matrix, A[row][column].
+	A [2][2]float64
 	// B is the translation vector (b1, b2).
 	B [2]float64
 }
 
 // Columns returns the two columns a1 and a2 of the transformation matrix.
 func (t *Transform) Columns() (a1, a2 [2]float64) {
-	a1 = [2]float64{t.A.At(0, 0), t.A.At(1, 0)}
-	a2 = [2]float64{t.A.At(0, 1), t.A.At(1, 1)}
+	a1 = [2]float64{t.A[0][0], t.A[1][0]}
+	a2 = [2]float64{t.A[0][1], t.A[1][1]}
 	return a1, a2
 }
 
-// Clone returns a deep copy of the transform.
+// Clone returns a copy of the transform.
 func (t *Transform) Clone() *Transform {
-	return &Transform{A: t.A.Clone(), B: t.B}
+	c := *t
+	return &c
+}
+
+// matrix returns A as a generic 2-by-2 matrix, for the routines that go
+// through mat.
+func (t *Transform) matrix() *mat.Matrix {
+	a := mat.New(2, 2)
+	copy(a.RawData(), []float64{t.A[0][0], t.A[0][1], t.A[1][0], t.A[1][1]})
+	return a
 }
 
 // String renders the transform compactly.
 func (t *Transform) String() string {
 	return fmt.Sprintf("A=[[%.4g %.4g][%.4g %.4g]] b=[%.4g %.4g]",
-		t.A.At(0, 0), t.A.At(0, 1), t.A.At(1, 0), t.A.At(1, 1), t.B[0], t.B[1])
+		t.A[0][0], t.A[0][1], t.A[1][0], t.A[1][1], t.B[0], t.B[1])
 }
 
 // DesignMatrix returns the m-by-3 matrix [X, 1_m] used to solve for an affine
@@ -103,11 +112,10 @@ func FitWithPseudoInverse(designPinv, target *mat.Matrix) (*Transform, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := sol.Slice(0, 2, 0, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &Transform{A: a, B: [2]float64{sol.At(2, 0), sol.At(2, 1)}}, nil
+	return &Transform{
+		A: [2][2]float64{{sol.At(0, 0), sol.At(0, 1)}, {sol.At(1, 0), sol.At(1, 1)}},
+		B: [2]float64{sol.At(2, 0), sol.At(2, 1)},
+	}, nil
 }
 
 // Apply returns X·A + 1_m·bᵀ for an m-by-2 input X.
@@ -115,7 +123,7 @@ func (t *Transform) Apply(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != 2 {
 		return nil, fmt.Errorf("%w: input must be m-by-2, got %dx%d", ErrBadShape, x.Rows(), x.Cols())
 	}
-	xa, err := x.Mul(t.A)
+	xa, err := x.Mul(t.matrix())
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +153,10 @@ func (t *Transform) ResidualNorm(source, target *mat.Matrix) (float64, error) {
 // source pair matrix, it returns the propagated L-measure vector of the
 // target pair matrix, L(Y)ᵀ = L(X)ᵀ·A + bᵀ.
 func (t *Transform) PropagateLocation(sourceLocation [2]float64) [2]float64 {
-	a := t.A
+	a := &t.A
 	return [2]float64{
-		sourceLocation[0]*a.At(0, 0) + sourceLocation[1]*a.At(1, 0) + t.B[0],
-		sourceLocation[0]*a.At(0, 1) + sourceLocation[1]*a.At(1, 1) + t.B[1],
+		sourceLocation[0]*a[0][0] + sourceLocation[1]*a[1][0] + t.B[0],
+		sourceLocation[0]*a[0][1] + sourceLocation[1]*a[1][1] + t.B[1],
 	}
 }
 
@@ -159,12 +167,12 @@ func (t *Transform) PropagateCovarianceMatrix(sourceCov *mat.Matrix) (*mat.Matri
 		return nil, fmt.Errorf("%w: covariance must be 2x2, got %dx%d",
 			ErrBadShape, sourceCov.Rows(), sourceCov.Cols())
 	}
-	at := t.A.T()
-	tmp, err := at.Mul(sourceCov)
+	a := t.matrix()
+	tmp, err := a.T().Mul(sourceCov)
 	if err != nil {
 		return nil, err
 	}
-	return tmp.Mul(t.A)
+	return tmp.Mul(a)
 }
 
 // PropagateCovariance applies the off-diagonal part of Eq. 6:
@@ -181,12 +189,39 @@ func (t *Transform) PropagateCovariance(sourceCov *mat.Matrix) (float64, error) 
 // PropagateVariances returns the two diagonal entries of Aᵀ·Σ(X)·A: the
 // variances of the two target series, used to build separable normalizers
 // without touching the raw target series.
+//
+// The streaming drift scorer calls this once per relationship per epoch and
+// the stale set (hence every later answer) depends on its bits, so it is the
+// closed form of PropagateCovarianceMatrix's two mat.Mul calls: entry (j, j)
+// is row j of Aᵀ·Σ times column j of A, every sum starting from zero, adding
+// terms in k order and skipping a term whose left factor is exactly zero.
 func (t *Transform) PropagateVariances(sourceCov *mat.Matrix) ([2]float64, error) {
-	full, err := t.PropagateCovarianceMatrix(sourceCov)
-	if err != nil {
-		return [2]float64{}, err
+	if sourceCov.Rows() != 2 || sourceCov.Cols() != 2 {
+		return [2]float64{}, fmt.Errorf("%w: covariance must be 2x2, got %dx%d",
+			ErrBadShape, sourceCov.Rows(), sourceCov.Cols())
 	}
-	return [2]float64{full.At(0, 0), full.At(1, 1)}, nil
+	cov := sourceCov.RawData()
+	var out [2]float64
+	for j := range out {
+		var t0, t1 float64 // row j of Aᵀ·Σ
+		if a := t.A[0][j]; a != 0 {
+			t0 += a * cov[0]
+			t1 += a * cov[1]
+		}
+		if a := t.A[1][j]; a != 0 {
+			t0 += a * cov[2]
+			t1 += a * cov[3]
+		}
+		var v float64
+		if t0 != 0 {
+			v += t0 * t.A[0][j]
+		}
+		if t1 != 0 {
+			v += t1 * t.A[1][j]
+		}
+		out[j] = v
+	}
+	return out, nil
 }
 
 // PropagateDotProduct computes the dot product between the two target series

@@ -23,15 +23,29 @@ func randomPairMatrix(rng *rand.Rand, m int) *mat.Matrix {
 
 func randomTransform(rng *rand.Rand) *Transform {
 	for {
-		a, _ := mat.NewFromRows([][]float64{
+		a := [2][2]float64{
 			{rng.NormFloat64(), rng.NormFloat64()},
 			{rng.NormFloat64(), rng.NormFloat64()},
-		})
-		if d, _ := mat.Det2x2(a); math.Abs(d) > 0.1 {
+		}
+		if d := a[0][0]*a[1][1] - a[0][1]*a[1][0]; math.Abs(d) > 0.1 {
 			return &Transform{A: a, B: [2]float64{rng.NormFloat64(), rng.NormFloat64()}}
 		}
 	}
 }
+
+// equalA reports whether two transformation matrices agree within tol.
+func equalA(a, b [2][2]float64, tol float64) bool {
+	for i := range a {
+		for j := range a[i] {
+			if math.Abs(a[i][j]-b[i][j]) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+var identityA = [2][2]float64{{1, 0}, {0, 1}}
 
 func TestFitRecoversExactTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -46,7 +60,7 @@ func TestFitRecoversExactTransform(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
-		if !fitted.A.Equal(truth.A, 1e-7) {
+		if !equalA(fitted.A, truth.A, 1e-7) {
 			t.Fatalf("trial %d: A mismatch\nfitted %v\ntruth %v", trial, fitted.A, truth.A)
 		}
 		if math.Abs(fitted.B[0]-truth.B[0]) > 1e-7 || math.Abs(fitted.B[1]-truth.B[1]) > 1e-7 {
@@ -79,7 +93,7 @@ func TestFitWithPseudoInverseMatchesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !direct.A.Equal(cached.A, 1e-10) ||
+	if !equalA(direct.A, cached.A, 1e-10) ||
 		math.Abs(direct.B[0]-cached.B[0]) > 1e-10 ||
 		math.Abs(direct.B[1]-cached.B[1]) > 1e-10 {
 		t.Fatal("cached pseudo-inverse fit differs from direct fit")
@@ -105,9 +119,9 @@ func TestFitCommonSeriesGivesCanonicalFirstColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(tr.A.At(0, 0)-1) > 1e-8 || math.Abs(tr.A.At(1, 0)) > 1e-8 || math.Abs(tr.B[0]) > 1e-8 {
+	if math.Abs(tr.A[0][0]-1) > 1e-8 || math.Abs(tr.A[1][0]) > 1e-8 || math.Abs(tr.B[0]) > 1e-8 {
 		t.Fatalf("first column not canonical: a1=(%v,%v) b1=%v",
-			tr.A.At(0, 0), tr.A.At(1, 0), tr.B[0])
+			tr.A[0][0], tr.A[1][0], tr.B[0])
 	}
 }
 
@@ -127,7 +141,7 @@ func TestShapeErrors(t *testing.T) {
 	if _, err := Fit(good, bad); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("Fit target err = %v", err)
 	}
-	tr := &Transform{A: mat.Identity(2)}
+	tr := &Transform{A: identityA}
 	if _, err := tr.Apply(bad); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("Apply err = %v", err)
 	}
@@ -391,12 +405,55 @@ func TestPropagateVariances(t *testing.T) {
 	}
 }
 
+// TestPropagateVariancesMatchesMatrixChain: the closed form must return the
+// bits of the diagonal of the generic Aᵀ·Σ·A product — the streaming drift
+// scorer's stale set depends on them — including when exact zeros in A or in
+// an intermediate row trigger mat.Mul's zero skip, and at extreme magnitudes.
+func TestPropagateVariancesMatchesMatrixChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	negZero := math.Copysign(0, -1)
+	pick := func(scale float64) float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		default:
+			return scale * rng.NormFloat64()
+		}
+	}
+	for trial := 0; trial < 4000; trial++ {
+		scale := []float64{1, 1e150, 1e-150, 1e-200}[trial%4]
+		tr := &Transform{A: [2][2]float64{{pick(scale), pick(1)}, {pick(1), pick(scale)}}}
+		c01 := pick(scale)
+		cov, _ := mat.NewFromRows([][]float64{{pick(scale), c01}, {c01, pick(1)}})
+		if trial%7 == 0 { // an intermediate that cancels to exactly zero
+			tr.A = [2][2]float64{{1, 2}, {-1, 3}}
+			cov, _ = mat.NewFromRows([][]float64{{4, 1}, {4, 1}})
+		}
+		full, err := tr.PropagateCovarianceMatrix(cov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.PropagateVariances(cov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			if math.Float64bits(got[j]) != math.Float64bits(full.At(j, j)) {
+				t.Fatalf("trial %d: variance %d = %v (%#x), matrix chain %v (%#x)\nA=%v cov=%v", trial, j,
+					got[j], math.Float64bits(got[j]), full.At(j, j), math.Float64bits(full.At(j, j)), tr.A, cov)
+			}
+		}
+	}
+}
+
 func TestCloneAndString(t *testing.T) {
-	tr := &Transform{A: mat.Identity(2), B: [2]float64{1, 2}}
+	tr := &Transform{A: identityA, B: [2]float64{1, 2}}
 	cp := tr.Clone()
-	cp.A.Set(0, 0, 99)
+	cp.A[0][0] = 99
 	cp.B[0] = 99
-	if tr.A.At(0, 0) != 1 || tr.B[0] != 1 {
+	if tr.A[0][0] != 1 || tr.B[0] != 1 {
 		t.Fatal("Clone must not share state")
 	}
 	if tr.String() == "" {

@@ -213,9 +213,9 @@ func assertStatesEquivalent(t *testing.T, engines []*Engine) {
 			}
 			for r := 0; r < 2; r++ {
 				for c := 0; c < 2; c++ {
-					if gotRel.Transform.A.At(r, c) != wantRel.Transform.A.At(r, c) {
+					if gotRel.Transform.A[r][c] != wantRel.Transform.A[r][c] {
 						t.Fatalf("parallelism %d: transform A[%d,%d] of %v differs: %v vs %v",
-							p, r, c, pair, gotRel.Transform.A.At(r, c), wantRel.Transform.A.At(r, c))
+							p, r, c, pair, gotRel.Transform.A[r][c], wantRel.Transform.A[r][c])
 					}
 				}
 			}

@@ -12,7 +12,6 @@ import (
 	"affinity/internal/affine"
 	"affinity/internal/baseline"
 	"affinity/internal/cluster"
-	"affinity/internal/mat"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
 	"affinity/internal/sketch"
@@ -118,7 +117,7 @@ func (e *engineState) writeSnapshot(w io.Writer) error {
 			return err
 		}
 		a := rel.Transform.A
-		for _, v := range []float64{a.At(0, 0), a.At(0, 1), a.At(1, 0), a.At(1, 1),
+		for _, v := range []float64{a[0][0], a[0][1], a[1][0], a[1][1],
 			rel.Transform.B[0], rel.Transform.B[1]} {
 			if err := writeF64(v); err != nil {
 				return err
@@ -247,16 +246,14 @@ func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engi
 		if !pair.Contains(pivot.Common) || pivot.Cluster < 0 || pivot.Cluster >= k {
 			return nil, fmt.Errorf("%w: invalid pivot %v for pair %v", ErrBadSnapshot, pivot, pair)
 		}
-		a := mat.New(2, 2)
-		a.Set(0, 0, values[0])
-		a.Set(0, 1, values[1])
-		a.Set(1, 0, values[2])
-		a.Set(1, 1, values[3])
 		relationship := &symex.Relationship{
-			Pair:      pair,
-			Pivot:     pivot,
-			Transform: &affine.Transform{A: a, B: [2]float64{values[4], values[5]}},
-			Flipped:   flippedByte == 1,
+			Pair:  pair,
+			Pivot: pivot,
+			Transform: &affine.Transform{
+				A: [2][2]float64{{values[0], values[1]}, {values[2], values[3]}},
+				B: [2]float64{values[4], values[5]},
+			},
+			Flipped: flippedByte == 1,
 		}
 		if _, dup := rel.Relationships[pair]; dup {
 			return nil, fmt.Errorf("%w: duplicate relationship for pair %v", ErrBadSnapshot, pair)

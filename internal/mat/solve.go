@@ -23,7 +23,7 @@ func PseudoInverse(a *Matrix) (*Matrix, error) {
 		return New(n, m), nil
 	}
 	// Truncation threshold in the spirit of LAPACK's default.
-	tol := float64(max(m, n)) * 2.220446049250313e-16 * svd.S[0]
+	tol := float64(max(m, n)) * Epsilon * svd.S[0]
 
 	// A⁺ = V * Σ⁺ * Uᵀ.  Compute V * Σ⁺ first (n-by-p), then multiply by Uᵀ.
 	vsInv := New(n, p)

@@ -15,13 +15,17 @@ type SVD struct {
 	V *Matrix   // n-by-p right singular vectors
 }
 
-// jacobiMaxSweeps bounds the number of one-sided Jacobi sweeps.  Convergence
+// JacobiMaxSweeps bounds the number of one-sided Jacobi sweeps.  Convergence
 // for the small, well-conditioned matrices used by Affinity is typically
 // reached in fewer than 10 sweeps.
-const jacobiMaxSweeps = 60
+const JacobiMaxSweeps = 60
 
-// svdTol is the relative off-diagonal tolerance for Jacobi convergence.
-const svdTol = 1e-14
+// SVDTol is the relative off-diagonal tolerance for Jacobi convergence.
+const SVDTol = 1e-14
+
+// Epsilon is the float64 machine epsilon that scales the singular-value
+// truncation thresholds of Rank and PseudoInverse.
+const Epsilon = 2.220446049250313e-16
 
 // ComputeSVD computes the thin SVD of a using the one-sided Jacobi method.
 //
@@ -49,7 +53,7 @@ func ComputeSVD(a *Matrix) (*SVD, error) {
 	w := a.Clone()
 	v := Identity(n)
 
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
+	for sweep := 0; sweep < JacobiMaxSweeps; sweep++ {
 		converged := true
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -64,7 +68,7 @@ func ComputeSVD(a *Matrix) (*SVD, error) {
 				if alpha == 0 || beta == 0 {
 					continue
 				}
-				if math.Abs(gamma) > svdTol*math.Sqrt(alpha*beta) {
+				if math.Abs(gamma) > SVDTol*math.Sqrt(alpha*beta) {
 					converged = false
 					// Compute the Jacobi rotation that annihilates gamma.
 					zeta := (beta - alpha) / (2 * gamma)
@@ -157,7 +161,7 @@ func Rank(a *Matrix, tol float64) (int, error) {
 	}
 	if tol <= 0 {
 		m, n := a.Dims()
-		tol = float64(max(m, n)) * 2.220446049250313e-16
+		tol = float64(max(m, n)) * Epsilon
 	}
 	threshold := tol * svd.S[0]
 	rank := 0

@@ -402,7 +402,7 @@ func pairCode(e timeseries.Pair, numSeries int) float64 {
 func newSequenceNode(e timeseries.Pair, r *symex.Relationship) *sequenceNode {
 	return &sequenceNode{
 		pair: e,
-		beta: [3]float64{r.Transform.A.At(0, 1), r.Transform.A.At(1, 1), r.Transform.B[1]},
+		beta: [3]float64{r.Transform.A[0][1], r.Transform.A[1][1], r.Transform.B[1]},
 	}
 }
 

@@ -42,7 +42,7 @@ package sketch
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -179,8 +179,8 @@ func (s *Set) Ambiguity() float64 { return s.ambiguity }
 // buildScratch is the pooled per-goroutine FFT/selection scratch of full
 // sketch rebuilds.
 type buildScratch struct {
-	spec  []complex128
-	order []int32
+	spec []complex128
+	mag  []float64 // squared magnitudes of the non-DC bins, mag[k-1] for bin k
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -232,34 +232,66 @@ func (s *Set) rebuild(v int, col []float64, mom *kernel.Moments, plan *dft.Plan)
 	}
 	sc := scratchPool.Get().(*buildScratch)
 	sc.spec = plan.TransformInto(sc.spec, col)
-	if cap(sc.order) < s.m-1 {
-		sc.order = make([]int32, s.m-1)
-	}
-	order := sc.order[:s.m-1]
-	for k := range order {
-		order[k] = int32(k + 1)
-	}
 	spec := sc.spec
-	mag := func(k int32) float64 {
-		c := spec[k]
-		return real(c)*real(c) + imag(c)*imag(c)
+	if cap(sc.mag) < s.m-1 {
+		sc.mag = make([]float64, s.m-1)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		mi, mj := mag(order[i]), mag(order[j])
-		if mi != mj {
-			return mi > mj
-		}
-		return order[i] < order[j]
-	})
-	kept := order[:s.d]
-	sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
+	mag := sc.mag[:s.m-1]
+	for i := range mag {
+		c := spec[i+1]
+		mag[i] = real(c)*real(c) + imag(c)*imag(c)
+	}
 	base := v * s.d
+	kept := s.idx[base : base+s.d]
+	selectTop(kept, mag)
+	slices.Sort(kept)
 	for i, k := range kept {
-		s.idx[base+i] = k
 		s.re[base+i] = real(spec[k])
 		s.im[base+i] = imag(spec[k])
 	}
 	scratchPool.Put(sc)
+}
+
+// selectTop fills kept with the len(kept) best bins k in [1, len(mag)] under
+// the total order "larger mag[k-1] first, smaller k on ties", in no particular
+// order.  It scans the bins once against a heap of the current selection whose
+// root is its worst member, so the cost is O(m + replaced·log d) rather than a
+// full sort of all m-1 bins.
+func selectTop(kept []int32, mag []float64) {
+	worse := func(a, b int32) bool {
+		if ma, mb := mag[a-1], mag[b-1]; ma != mb {
+			return ma < mb
+		}
+		return a > b
+	}
+	sift := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(kept) {
+				return
+			}
+			if c+1 < len(kept) && worse(kept[c+1], kept[c]) {
+				c++
+			}
+			if !worse(kept[c], kept[i]) {
+				return
+			}
+			kept[i], kept[c] = kept[c], kept[i]
+			i = c
+		}
+	}
+	for i := range kept {
+		kept[i] = int32(i + 1)
+	}
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	for k := int32(len(kept) + 1); int(k) <= len(mag); k++ {
+		if worse(kept[0], k) {
+			kept[0] = k
+			sift(0)
+		}
+	}
 }
 
 // finish fills the per-series energies from the epoch's exact moments and

@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"affinity/internal/dft"
@@ -141,6 +142,80 @@ func TestBuildDeterministicAcrossParallelism(t *testing.T) {
 				math.Float64bits(got.re[i]) != math.Float64bits(want.re[i]) ||
 				math.Float64bits(got.im[i]) != math.Float64bits(want.im[i]) {
 				t.Fatalf("P=%d: slab entry %d differs", p, i)
+			}
+		}
+	}
+}
+
+// fullSortTop is the selection rebuild used before selectTop: sort every
+// non-DC bin by (magnitude descending, index ascending), keep the first d,
+// return them ascending.  It is the oracle for TestSelectTopMatchesFullSort.
+func fullSortTop(spec []complex128, d int) []int32 {
+	order := make([]int32, len(spec)-1)
+	for k := range order {
+		order[k] = int32(k + 1)
+	}
+	mag := func(k int32) float64 {
+		c := spec[k]
+		return real(c)*real(c) + imag(c)*imag(c)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		mi, mj := mag(order[i]), mag(order[j])
+		if mi != mj {
+			return mi > mj
+		}
+		return order[i] < order[j]
+	})
+	kept := order[:d]
+	sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
+	return kept
+}
+
+// TestSelectTopMatchesFullSort: the heap selection must keep exactly the bins
+// the full sort kept — with their re/im bits and the rebuilt counter — on
+// random windows and on windows whose spectra tie exactly (an all-zero
+// series, an impulse whose bins all have magnitude 1, a pure cosine whose
+// mirrored bins are equal).
+func TestSelectTopMatchesFullSort(t *testing.T) {
+	for _, m := range []int{8, 64, 90, 96} { // radix-2 and Bluestein lengths
+		_, _, cols := buildWindow(t, 6, m, int64(100+m))
+		impulse := make([]float64, m)
+		impulse[0] = 1
+		cosine := make([]float64, m)
+		for i := range cosine {
+			cosine[i] = math.Cos(2 * math.Pi * float64(3*i) / float64(m))
+		}
+		cols = append(cols, make([]float64, m), impulse, cosine)
+		d, err := timeseries.NewDataMatrix(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern, err := kernel.FromData(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mom, err := kern.Moments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{1, 2, 7, 16, m - 1} {
+			counters := &Counters{}
+			s := Build(kern, mom, Options{Enabled: true, Coefficients: width}, 1, counters)
+			if got := counters.Snapshot().Rebuilt; got != int64(len(cols)) {
+				t.Fatalf("m=%d d=%d: rebuilt counter %d, want %d", m, width, got, len(cols))
+			}
+			for v, col := range cols {
+				spec := dft.PlanFor(m).TransformInto(nil, col)
+				want := fullSortTop(spec, s.d)
+				for i, k := range want {
+					at := v*s.d + i
+					if s.idx[at] != k ||
+						math.Float64bits(s.re[at]) != math.Float64bits(real(spec[k])) ||
+						math.Float64bits(s.im[at]) != math.Float64bits(imag(spec[k])) {
+						t.Fatalf("m=%d d=%d series %d slot %d: kept bin %d (%v, %v), full sort keeps bin %d (%v, %v)",
+							m, width, v, i, s.idx[at], s.re[at], s.im[at], k, real(spec[k]), imag(spec[k]))
+					}
+				}
 			}
 		}
 	}

@@ -1,0 +1,187 @@
+package symex
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"affinity/internal/affine"
+	"affinity/internal/mat"
+)
+
+// oracleFit is the generic route the kernels replace: design matrix,
+// mat.PseudoInverse, affine.FitWithPseudoInverse.  It returns the 3×m
+// pseudo-inverse and the fitted transform.
+func oracleFit(t testing.TB, common, centre, other []float64) (*mat.Matrix, *affine.Transform) {
+	t.Helper()
+	source, err := mat.NewFromColumns(common, centre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := affine.DesignMatrix(source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinv, err := mat.PseudoInverse(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := mat.NewFromColumns(common, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := affine.FitWithPseudoInverse(pinv, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pinv, tr
+}
+
+func transformBits(tr *affine.Transform) [6]uint64 {
+	return [6]uint64{
+		math.Float64bits(tr.A[0][0]), math.Float64bits(tr.A[0][1]),
+		math.Float64bits(tr.A[1][0]), math.Float64bits(tr.A[1][1]),
+		math.Float64bits(tr.B[0]), math.Float64bits(tr.B[1]),
+	}
+}
+
+// checkKernelParity requires the kernels' pseudo-inverse rows and transform
+// to carry exactly the oracle's bits.
+func checkKernelParity(t testing.TB, k *pivotFit, common, centre, other []float64) {
+	t.Helper()
+	pinv, want := oracleFit(t, common, centre, other)
+	k.setPivot(common, centre)
+	m := len(common)
+	for i, row := range k.rows {
+		if len(row) != m {
+			t.Fatalf("row %d has %d entries, want %d", i, len(row), m)
+		}
+		for c, got := range row {
+			if math.Float64bits(got) != math.Float64bits(pinv.At(i, c)) {
+				t.Fatalf("m=%d: pinv[%d][%d] = %v (%#x), oracle %v (%#x)", m, i, c,
+					got, math.Float64bits(got), pinv.At(i, c), math.Float64bits(pinv.At(i, c)))
+			}
+		}
+	}
+	if got := k.fit(other); transformBits(got) != transformBits(want) {
+		t.Fatalf("m=%d: transform %v, oracle %v", m, got, want)
+	}
+}
+
+func normals(rng *rand.Rand, m int, scale float64) []float64 {
+	out := make([]float64, m)
+	for i := range out {
+		out[i] = scale * rng.NormFloat64()
+	}
+	return out
+}
+
+func constant(m int, v float64) []float64 {
+	out := make([]float64, m)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// TestFitKernelParity pins the matrix-free kernels to the generic mat/affine
+// route bit for bit, over the window lengths that select each code path
+// (m=2 decomposes the transpose), well-conditioned and rank-deficient
+// designs, extreme magnitudes, and pseudo-inverse rows holding exact zeros.
+func TestFitKernelParity(t *testing.T) {
+	for _, m := range []int{2, 3, 90, 720} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		random := func() []float64 { return normals(rng, m, 1) }
+		spike := make([]float64, m) // zero but for one sample: rows keep exact zeros
+		spike[m/2] = 3
+		ramp := make([]float64, m)
+		for i := range ramp {
+			ramp[i] = float64(i)
+		}
+		shared := random()
+		cases := []struct {
+			name                  string
+			common, centre, other []float64
+		}{
+			{"random", random(), random(), random()},
+			{"correlated", shared, scaled(shared, 0.7, 0.1, rng), scaled(shared, -1.3, 0.2, rng)},
+			{"exact zeros", spike, constant(m, 0), random()},
+			{"all zero design", constant(m, 0), constant(m, 0), random()},
+			{"constant common", constant(m, 4.5), random(), random()},
+			{"centre proportional to one", random(), constant(m, -2), random()},
+			{"common equals centre", shared, shared, random()},
+			{"common and centre constant", constant(m, 1), constant(m, 1), ramp},
+			{"integers", ramp, constant(m, 1), ramp},
+			{"huge", normals(rng, m, 1e150), normals(rng, m, 1e150), normals(rng, m, 1e150)},
+			{"tiny", normals(rng, m, 1e-150), normals(rng, m, 1e-150), normals(rng, m, 1e-150)},
+			{"mixed magnitudes", normals(rng, m, 1e150), normals(rng, m, 1e-150), random()},
+			{"other is common", shared, random(), shared},
+		}
+		k := new(pivotFit)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("m=%d/%s", m, tc.name), func(t *testing.T) {
+				checkKernelParity(t, k, tc.common, tc.centre, tc.other)
+			})
+		}
+	}
+}
+
+// TestFitKernelScratchReuse runs one scratch over pivots of changing window
+// length and conditioning: nothing of an earlier pivot may leak into a later
+// one.
+func TestFitKernelScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	k := new(pivotFit)
+	for _, m := range []int{40, 2, 40, 3, 720, 2, 90} {
+		checkKernelParity(t, k, normals(rng, m, 1), normals(rng, m, 1), normals(rng, m, 1))
+		checkKernelParity(t, k, constant(m, 2), constant(m, 2), normals(rng, m, 1))
+	}
+}
+
+func scaled(x []float64, a, noise float64, rng *rand.Rand) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = a*v + noise*rng.NormFloat64()
+	}
+	return out
+}
+
+// FuzzFitKernelParity decodes three equally long finite columns from the
+// input and requires kernel-vs-oracle bit equality on them.
+func FuzzFitKernelParity(f *testing.F) {
+	seed := func(cols ...[]float64) {
+		var b []byte
+		for i := range cols[0] {
+			for _, col := range cols {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(col[i]))
+			}
+		}
+		f.Add(b)
+	}
+	seed([]float64{1, 2}, []float64{3, 5}, []float64{-1, 4})
+	seed([]float64{1, 2, 3}, []float64{1, 1, 1}, []float64{2, 4, 6})
+	seed([]float64{0, 0, 0, 7}, []float64{0, 0, 0, 0}, []float64{1, -1, 1, -1})
+	seed([]float64{1e150, -1e150, 3e149}, []float64{1e-150, 2e-150, 0}, []float64{1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := len(data) / 24
+		if m < 2 {
+			return
+		}
+		if m > 64 {
+			m = 64
+		}
+		cols := [3][]float64{make([]float64, m), make([]float64, m), make([]float64, m)}
+		for i := 0; i < m; i++ {
+			for j := range cols {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data[(3*i+j)*8:]))
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return // DataMatrix.Validate rejects non-finite samples
+				}
+				cols[j][i] = v
+			}
+		}
+		checkKernelParity(t, new(pivotFit), cols[0], cols[1], cols[2])
+	})
+}

@@ -65,41 +65,49 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 		return nil, rs, fmt.Errorf("symex: cluster centers have %d samples, window has %d",
 			len(prev.Clustering.Centers[0]), d.NumSamples())
 	}
-	assignments := prev.assignmentList()
+	assignments := prev.AssignmentList()
 	if len(assignments) == 0 {
 		return nil, rs, fmt.Errorf("symex: previous result has no assignments to refit")
 	}
 
+	// The assignment list is frozen with the clustering and never mutated, so
+	// every epoch's result shares it.
 	res := &Result{
 		Relationships: make(map[timeseries.Pair]*Relationship, len(prev.Relationships)),
 		Pivots:        make(map[Pivot][]timeseries.Pair, len(prev.Pivots)),
-		Assignments:   make([]Assignment, 0, len(assignments)),
+		Assignments:   assignments,
 		Clustering:    prev.Clustering,
 	}
-
-	var staleAssign []assignment
-	for _, a := range assignments {
-		res.Assignments = append(res.Assignments, Assignment{Pair: a.pair, Pivot: a.pivot})
-		if opts.Stale == nil || opts.Stale[a.pair] {
-			staleAssign = append(staleAssign, a)
-			continue
+	// The SCAPE build consumes each pivot's pair list in this order: reused
+	// pairs in assignment order, then refit pairs in assignment order.
+	keep := func(rel *Relationship) {
+		list, ok := res.Pivots[rel.Pivot]
+		if !ok {
+			list = make([]timeseries.Pair, 0, len(prev.Pivots[rel.Pivot]))
 		}
-		if r, ok := prev.Relationships[a.pair]; ok {
-			res.Relationships[a.pair] = r
-			res.Pivots[a.pivot] = append(res.Pivots[a.pivot], a.pair)
-			rs.Reused++
-		}
-		// A carried-over pair with no previous relationship was pruned;
-		// it stays pruned until its drift marks it stale again.
+		res.Relationships[rel.Pair] = rel
+		res.Pivots[rel.Pivot] = append(list, rel.Pair)
 	}
 
-	f := &fitter{
-		data:       d,
-		clustering: prev.Clustering,
-		useCache:   true,
-		maxLSFD:    opts.MaxLSFD,
+	staleAssign := assignments
+	if opts.Stale != nil {
+		staleAssign = nil
+		for _, a := range assignments {
+			if opts.Stale[a.Pair] {
+				staleAssign = append(staleAssign, a)
+				continue
+			}
+			if r, ok := prev.Relationships[a.Pair]; ok {
+				keep(r)
+				rs.Reused++
+			}
+			// A carried-over pair with no previous relationship was pruned;
+			// it stays pruned until its drift marks it stale again.
+		}
 	}
-	fitted, err := f.fitAll(staleAssign, opts.Parallelism)
+
+	f := &fitter{data: d, clustering: prev.Clustering, maxLSFD: opts.MaxLSFD}
+	fitted, pinvs, err := f.fitAll(staleAssign, true, opts.Parallelism)
 	if err != nil {
 		return nil, rs, err
 	}
@@ -108,19 +116,16 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 			rs.Pruned++
 			continue
 		}
-		res.Relationships[fr.rel.Pair] = fr.rel
-		res.Pivots[fr.rel.Pivot] = append(res.Pivots[fr.rel.Pivot], fr.rel.Pair)
+		keep(fr.rel)
 		rs.Refit++
 	}
-	rs.PivotInverses = len(f.distinctPivots)
+	rs.PivotInverses = pinvs
 
 	res.Stats.NumRelationships = len(res.Relationships)
 	res.Stats.NumPivots = len(res.Pivots)
 	res.Stats.PrunedRelationships = rs.Pruned
-	res.Stats.PseudoInverseComputations = rs.PivotInverses
-	if len(staleAssign) > rs.PivotInverses {
-		res.Stats.PseudoInverseCacheHits = len(staleAssign) - rs.PivotInverses
-	}
+	res.Stats.PseudoInverseComputations = pinvs
+	res.Stats.PseudoInverseCacheHits = len(staleAssign) - pinvs
 	return res, rs, nil
 }
 
@@ -142,16 +147,5 @@ func (r *Result) AssignmentList() []Assignment {
 		}
 		return out[i].Pair.V < out[j].Pair.V
 	})
-	return out
-}
-
-// assignmentList returns AssignmentList converted to the internal record
-// type used by the fitter.
-func (r *Result) assignmentList() []assignment {
-	list := r.AssignmentList()
-	out := make([]assignment, len(list))
-	for i, a := range list {
-		out[i] = assignment{pair: a.Pair, pivot: a.Pivot, common: a.Pivot.Common}
-	}
 	return out
 }

@@ -1,7 +1,6 @@
 package symex
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -69,17 +68,8 @@ func TestRefitAllMatchesComputeOnSameClustering(t *testing.T) {
 		if rr.Pivot != fr.Pivot || rr.Flipped != fr.Flipped {
 			t.Fatalf("pair %v: pivot/flip mismatch %+v vs %+v", pair, rr, fr)
 		}
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				if math.Abs(rr.Transform.A.At(i, j)-fr.Transform.A.At(i, j)) > 1e-9 {
-					t.Fatalf("pair %v: A[%d][%d] = %v vs %v",
-						pair, i, j, rr.Transform.A.At(i, j), fr.Transform.A.At(i, j))
-				}
-			}
-		}
-		if math.Abs(rr.Transform.B[0]-fr.Transform.B[0]) > 1e-9 ||
-			math.Abs(rr.Transform.B[1]-fr.Transform.B[1]) > 1e-9 {
-			t.Fatalf("pair %v: b mismatch", pair)
+		if *rr.Transform != *fr.Transform {
+			t.Fatalf("pair %v: transform %v vs %v", pair, rr.Transform, fr.Transform)
 		}
 	}
 }

@@ -202,16 +202,21 @@ func (r *Result) PivotMatrix(d *timeseries.DataMatrix, p Pivot) (*mat.Matrix, er
 // slice: the first aliases the data matrix's backing storage and the second
 // the clustering's center vector.
 func (r *Result) PivotColumns(d *timeseries.DataMatrix, p Pivot) (common, center []float64, err error) {
-	if p.Cluster < 0 || p.Cluster >= r.Clustering.K() {
-		return nil, nil, fmt.Errorf("symex: pivot %v references unknown cluster", p)
+	return pivotColumns(d, r.Clustering, p)
+}
+
+func pivotColumns(d *timeseries.DataMatrix, clustering *cluster.Result, p Pivot) (common, center []float64, err error) {
+	if p.Cluster < 0 || p.Cluster >= clustering.K() {
+		return nil, nil, fmt.Errorf("symex: pivot %v references unknown cluster (k=%d)", p, clustering.K())
 	}
 	common, err = d.Series(p.Common)
 	if err != nil {
 		return nil, nil, err
 	}
-	center = r.Clustering.Centers[p.Cluster]
+	center = clustering.Centers[p.Cluster]
 	if len(center) != len(common) {
-		return nil, nil, fmt.Errorf("symex: cluster center has %d samples, window has %d", len(center), len(common))
+		return nil, nil, fmt.Errorf("%w: cluster center has %d samples, window has %d",
+			timeseries.ErrShapeMismatch, len(center), len(common))
 	}
 	return common, center, nil
 }
@@ -297,13 +302,8 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	}
 
 	// Phase 2: fit the affine relationships.
-	f := &fitter{
-		data:       d,
-		clustering: clustering,
-		useCache:   opts.CachePseudoInverse,
-		maxLSFD:    opts.MaxLSFD,
-	}
-	fitted, err := f.fitAll(ex.assignments, opts.Parallelism)
+	f := &fitter{data: d, clustering: clustering, maxLSFD: opts.MaxLSFD}
+	fitted, pinvs, err := f.fitAll(ex.assignments, opts.CachePseudoInverse, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -311,11 +311,8 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	res := &Result{
 		Relationships: make(map[timeseries.Pair]*Relationship, len(fitted)),
 		Pivots:        make(map[Pivot][]timeseries.Pair),
-		Assignments:   make([]Assignment, 0, len(ex.assignments)),
+		Assignments:   ex.assignments,
 		Clustering:    clustering,
-	}
-	for _, a := range ex.assignments {
-		res.Assignments = append(res.Assignments, Assignment{Pair: a.pair, Pivot: a.pivot})
 	}
 	pruned := 0
 	for _, fr := range fitted {
@@ -330,21 +327,9 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	res.Stats.NumRelationships = len(res.Relationships)
 	res.Stats.NumPivots = len(res.Pivots)
 	res.Stats.PrunedRelationships = pruned
-	if opts.CachePseudoInverse {
-		res.Stats.PseudoInverseComputations = len(f.distinctPivots)
-		res.Stats.PseudoInverseCacheHits = len(ex.assignments) - len(f.distinctPivots)
-	} else {
-		res.Stats.PseudoInverseComputations = len(ex.assignments)
-	}
+	res.Stats.PseudoInverseComputations = pinvs
+	res.Stats.PseudoInverseCacheHits = len(ex.assignments) - pinvs
 	return res, nil
-}
-
-// assignment records the pivot assignment of one sequence pair produced by
-// the exploration phase, before any fitting happens.
-type assignment struct {
-	pair   timeseries.Pair
-	pivot  Pivot
-	common timeseries.SeriesID
 }
 
 // explorer carries the state of the exploration phase.
@@ -353,7 +338,7 @@ type explorer struct {
 	clustering  *cluster.Result
 	limit       int
 	assigned    map[timeseries.Pair]bool
-	assignments []assignment
+	assignments []Assignment
 }
 
 // done reports whether the relationship limit has been reached.
@@ -398,11 +383,7 @@ func (ex *explorer) assign(e timeseries.Pair, common timeseries.SeriesID) error 
 		return err
 	}
 	ex.assigned[e] = true
-	ex.assignments = append(ex.assignments, assignment{
-		pair:   e,
-		pivot:  Pivot{Common: common, Cluster: omega},
-		common: common,
-	})
+	ex.assignments = append(ex.assignments, Assignment{Pair: e, Pivot: Pivot{Common: common, Cluster: omega}})
 	return nil
 }
 
@@ -414,128 +395,126 @@ type fittedRelationship struct {
 
 // fitter carries the state of the fitting phase.
 type fitter struct {
-	data           *timeseries.DataMatrix
-	clustering     *cluster.Result
-	useCache       bool
-	maxLSFD        float64
-	distinctPivots map[Pivot]*mat.Matrix // pivot -> cached pseudo-inverse
+	data       *timeseries.DataMatrix
+	clustering *cluster.Result
+	maxLSFD    float64
 }
 
-// fitAll fits every assignment, sequentially or with the requested number of
-// worker goroutines.
-func (f *fitter) fitAll(assignments []assignment, parallelism int) ([]fittedRelationship, error) {
-	// With the SYMEX+ cache, the pseudo-inverse of [O_p, 1_m] is computed
-	// once per distinct pivot.  Doing this up front (also in parallel) keeps
-	// the per-assignment work read-only.
-	f.distinctPivots = make(map[Pivot]*mat.Matrix)
-	if f.useCache {
-		var pivots []Pivot
-		seen := make(map[Pivot]bool)
-		for _, a := range assignments {
-			if !seen[a.pivot] {
-				seen[a.pivot] = true
-				pivots = append(pivots, a.pivot)
-			}
-		}
-		pinvs := make([]*mat.Matrix, len(pivots))
-		err := par.Do(len(pivots), parallelism, func(i int) error {
-			pinv, err := f.designPseudoInverse(pivots[i])
-			if err != nil {
+// fitAll fits every assignment and returns the fits at their assignments'
+// indices, so the output is the same at any parallelism, plus the number of
+// pseudo-inverses it computed.
+//
+// The unit of work is a pivot group.  With batch set (SYMEX+) a group is all
+// assignments of one pivot: a worker computes the pivot's pseudo-inverse rows
+// once and fits the whole group while the rows sit in cache, so no
+// pseudo-inverse outlives its group.  Without it (plain SYMEX) every
+// assignment is its own group and pays for its own pseudo-inverse.  Workers
+// take contiguous blocks of groups, one O(m) scratch per block.
+func (f *fitter) fitAll(assignments []Assignment, batch bool, parallelism int) ([]fittedRelationship, int, error) {
+	if m := f.data.NumSamples(); m < 2 {
+		return nil, 0, fmt.Errorf("%w: fitting needs a window of at least 2 samples, got %d", affine.ErrBadShape, m)
+	}
+	members, start := pivotGroups(assignments, batch)
+	out := make([]fittedRelationship, len(assignments))
+	groups := len(start) - 1
+	err := par.DoBlocks(groups, parallelism, func(_ int, blk par.Block) error {
+		k := new(pivotFit)
+		for g := blk.Lo; g < blk.Hi; g++ {
+			if err := f.fitGroup(k, assignments, members[start[g]:start[g+1]], out); err != nil {
 				return err
 			}
-			pinvs[i] = pinv
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		for i, p := range pivots {
-			f.distinctPivots[p] = pinvs[i]
-		}
-	}
-
-	out := make([]fittedRelationship, len(assignments))
-	err := par.Do(len(assignments), parallelism, func(i int) error {
-		fr, err := f.fitOne(assignments[i])
-		if err != nil {
-			return err
-		}
-		out[i] = fr
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, groups, nil
 }
 
-// fitOne solves the least-squares affine relationship for one assignment.
-func (f *fitter) fitOne(a assignment) (fittedRelationship, error) {
-	other, err := a.pair.Other(a.common)
-	if err != nil {
-		return fittedRelationship{}, err
-	}
-	commonSeries, err := f.data.Series(a.common)
-	if err != nil {
-		return fittedRelationship{}, err
-	}
-	otherSeries, err := f.data.Series(other)
-	if err != nil {
-		return fittedRelationship{}, err
-	}
-	target, err := mat.NewFromColumns(commonSeries, otherSeries)
-	if err != nil {
-		return fittedRelationship{}, err
-	}
-
-	pinv := f.distinctPivots[a.pivot]
-	if pinv == nil {
-		pinv, err = f.designPseudoInverse(a.pivot)
-		if err != nil {
-			return fittedRelationship{}, err
+// pivotGroups partitions the assignment indices into groups: group g is
+// members[start[g]:start[g+1]].  With byPivot set, a group holds every
+// assignment of one pivot, groups ordered by first appearance and members in
+// assignment order; otherwise every assignment is a group of its own.
+func pivotGroups(assignments []Assignment, byPivot bool) (members, start []int) {
+	members = make([]int, len(assignments))
+	if !byPivot {
+		start = make([]int, len(assignments)+1)
+		for i := range members {
+			members[i] = i
+			start[i+1] = i + 1
 		}
+		return members, start
 	}
-	transform, err := affine.FitWithPseudoInverse(pinv, target)
+	group := make([]int, len(assignments))
+	index := make(map[Pivot]int)
+	var sizes []int
+	for i, a := range assignments {
+		g, ok := index[a.Pivot]
+		if !ok {
+			g = len(sizes)
+			index[a.Pivot] = g
+			sizes = append(sizes, 0)
+		}
+		group[i] = g
+		sizes[g]++
+	}
+	start = make([]int, len(sizes)+1)
+	for g, size := range sizes {
+		start[g+1] = start[g] + size
+	}
+	next := sizes // the sizes are spent: reuse them as each group's fill cursor
+	copy(next, start)
+	for i, g := range group {
+		members[next[g]] = i
+		next[g]++
+	}
+	return members, start
+}
+
+// fitGroup computes the pseudo-inverse of one pivot's design matrix into the
+// scratch k and solves the least-squares affine relationship of every member
+// assignment (all of which name that pivot) against it.
+func (f *fitter) fitGroup(k *pivotFit, assignments []Assignment, members []int, out []fittedRelationship) error {
+	p := assignments[members[0]].Pivot
+	common, center, err := pivotColumns(f.data, f.clustering, p)
 	if err != nil {
-		return fittedRelationship{}, fmt.Errorf("symex: fitting %v against pivot %v: %w", a.pair, a.pivot, err)
+		return err
 	}
-	fr := fittedRelationship{rel: &Relationship{
-		Pair:      a.pair,
-		Pivot:     a.pivot,
-		Transform: transform,
-		Flipped:   a.common == a.pair.V,
-	}}
+	k.setPivot(common, center)
+
+	var op *mat.Matrix
 	if f.maxLSFD > 0 {
-		if a.pivot.Cluster < 0 || a.pivot.Cluster >= len(f.clustering.Centers) {
-			return fittedRelationship{}, fmt.Errorf("symex: pivot %v references unknown cluster (k=%d)",
-				a.pivot, len(f.clustering.Centers))
+		if op, err = mat.NewFromColumns(common, center); err != nil {
+			return err
 		}
-		op, err := f.data.ColumnsMatrix(a.pivot.Common, f.clustering.Centers[a.pivot.Cluster])
+	}
+	for _, i := range members {
+		a := assignments[i]
+		otherID, err := a.Pair.Other(p.Common)
 		if err != nil {
-			return fittedRelationship{}, err
+			return err
 		}
-		distance, err := lsfd.Distance(op, target)
+		other, err := f.data.Series(otherID)
 		if err != nil {
-			return fittedRelationship{}, err
+			return err
 		}
-		fr.lsfd = distance
+		fr := fittedRelationship{rel: &Relationship{
+			Pair:      a.Pair,
+			Pivot:     p,
+			Transform: k.fit(other),
+			Flipped:   p.Common == a.Pair.V,
+		}}
+		if op != nil {
+			target, err := mat.NewFromColumns(common, other)
+			if err != nil {
+				return err
+			}
+			if fr.lsfd, err = lsfd.Distance(op, target); err != nil {
+				return err
+			}
+		}
+		out[i] = fr
 	}
-	return fr, nil
-}
-
-// designPseudoInverse builds the pivot pair matrix O_p, its design matrix
-// [O_p, 1_m] and the pseudo-inverse of the latter.
-func (f *fitter) designPseudoInverse(p Pivot) (*mat.Matrix, error) {
-	if p.Cluster < 0 || p.Cluster >= len(f.clustering.Centers) {
-		return nil, fmt.Errorf("symex: pivot %v references unknown cluster (k=%d)", p, len(f.clustering.Centers))
-	}
-	op, err := f.data.ColumnsMatrix(p.Common, f.clustering.Centers[p.Cluster])
-	if err != nil {
-		return nil, err
-	}
-	design, err := affine.DesignMatrix(op)
-	if err != nil {
-		return nil, err
-	}
-	return mat.PseudoInverse(design)
+	return nil
 }

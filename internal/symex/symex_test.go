@@ -163,7 +163,7 @@ func TestCacheStatsDifferBetweenSymexAndSymexPlus(t *testing.T) {
 		if a.Pivot != b.Pivot || a.Flipped != b.Flipped {
 			t.Fatalf("pair %v: pivot/orientation mismatch", e)
 		}
-		if !a.Transform.A.Equal(b.Transform.A, 1e-9) {
+		if *a.Transform != *b.Transform {
 			t.Fatalf("pair %v: transforms differ", e)
 		}
 	}
