@@ -3,13 +3,18 @@
 // deletion with rebalancing, and copy-on-write clones.
 //
 // The SCAPE index (Section 5 of the paper) stores, per pivot pair, a "sorted
-// container, like a B-tree" of sequence nodes keyed by their scalar
-// projection ξ.  Threshold and range queries then translate into key-range
-// scans over these containers.  This package is that sorted container.
+// container, like a B-tree" of sequence nodes.  This package is that sorted
+// container wherever the index mutates one: the per-pivot sequence stores
+// (keyed by pair code, carried across epochs and delta-updated) and the
+// global location trees (filled by ordered inserts).  The per-(pivot,
+// measure) containers keyed by the scalar projection ξ are not trees any
+// more: ξ depends on the window, so they are re-derived whole every epoch
+// and never mutated, and internal/scape keeps them as exact-size sorted
+// arrays (scape.xiArray) with the same scan and rank operations.
 //
 // Clone produces a second tree sharing every node with the original;
 // mutations on either side copy only the touched root-to-leaf path, so the
-// streaming engine can delta-build the next epoch's containers while
+// streaming engine can delta-build the next epoch's sequence stores while
 // concurrent readers keep scanning the previous epoch untouched
 // (persistent-tree-style structural sharing).
 package btree

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"testing"
+
+	"affinity/internal/symex"
+	"affinity/internal/timeseries"
+)
+
+// advanceAllocs measures the allocations of one Append + Advance on an
+// n-series engine whose drift bound no relationship ever exceeds: the stale
+// set is empty, so the epoch does only its fixed work.
+func advanceAllocs(t *testing.T, n int) (allocs float64, relationships, pivots int) {
+	t.Helper()
+	fx := makeStreamFixture(t, n, 48, 64, 5)
+	e, err := Build(fx.window, Config{Clusters: 4, Seed: 2, Stream: StreamConfig{DriftBound: 1e12, StatsRefreshEvery: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := e.Append(fx.ticks[next%len(fx.ticks)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		info, err := e.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.RefitRelationships != 0 || info.FullRefit {
+			t.Fatalf("n=%d: the epoch refit %d relationships (full=%v), want an empty stale set", n, info.RefitRelationships, info.FullRefit)
+		}
+	})
+	rel := e.Relationships()
+	return allocs, rel.Len(), len(rel.Layout().Pivots())
+}
+
+// TestAdvanceAllocationsFollowPivots: doubling n at fixed K quadruples the
+// relationships and doubles the pivots.  An Advance that refits nothing
+// allocates per pivot (summaries, index nodes, ξ-containers) and never per
+// relationship, so its allocation count may double — not quadruple.
+func TestAdvanceAllocationsFollowPivots(t *testing.T) {
+	small, smallRels, smallPivots := advanceAllocs(t, 32)
+	large, largeRels, largePivots := advanceAllocs(t, 64)
+	if largeRels < 4*smallRels || largePivots > 5*smallPivots/2 {
+		t.Fatalf("fixture does not separate the two growth rates: relationships %d → %d, pivots %d → %d",
+			smallRels, largeRels, smallPivots, largePivots)
+	}
+	if large > 2.5*small {
+		t.Fatalf("an empty-stale-set Advance allocates %.0f times at n=64 against %.0f at n=32 (×%.2f): growth follows the %d → %d relationships, not the %d → %d pivots",
+			large, small, large/small, smallRels, largeRels, smallPivots, largePivots)
+	}
+}
+
+// TestAdvanceInfoCountersUnderPruning replays every epoch of a pruning,
+// drift-bounded stream against the counts a map-based bookkeeping of the same
+// stale sets gives: refit, reused and pivot counters, and the life cycle of a
+// pruned pair — it stays pruned (and out of the stale set) until a refresh
+// epoch takes it back.
+func TestAdvanceInfoCountersUnderPruning(t *testing.T) {
+	const refreshEvery = 3
+	fx := makeStreamFixture(t, 16, 60, 48, 11)
+	e, err := Build(fx.window, Config{
+		Clusters: 3, Seed: 4, MaxLSFD: 0.05,
+		Stream: StreamConfig{DriftBound: 0.02, StatsRefreshEvery: refreshEvery},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(rel *symex.Result) map[timeseries.Pair]bool {
+		out := map[timeseries.Pair]bool{}
+		for r := range rel.All() {
+			out[r.Pair] = true
+		}
+		return out
+	}
+	prev := live(e.Relationships())
+	if len(prev) == len(e.Relationships().AssignmentList()) {
+		t.Fatal("the bound prunes nothing")
+	}
+	events := map[string]int{}
+	for epoch := 1; epoch <= 12; epoch++ {
+		for _, tick := range fx.ticks[(epoch-1)*4 : epoch*4] {
+			if err := e.Append(tick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := e.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := e.Relationships()
+		now := live(rel)
+		reused, stalePivots := 0, map[symex.Pivot]bool{}
+		for _, a := range rel.AssignmentList() {
+			if info.Stale[a.Pair] {
+				stalePivots[a.Pivot] = true
+				if !prev[a.Pair] && epoch%refreshEvery != 0 {
+					t.Fatalf("epoch %d: pruned pair %v went stale outside a refresh epoch", epoch, a.Pair)
+				}
+				continue
+			}
+			if prev[a.Pair] {
+				reused++
+			}
+			if prev[a.Pair] != now[a.Pair] {
+				t.Fatalf("epoch %d: pair %v changed without being stale", epoch, a.Pair)
+			}
+			if !prev[a.Pair] {
+				events["stayed pruned"]++
+			}
+		}
+		if info.ReusedRelationships != reused || info.RefitRelationships != len(now)-reused || info.RefitPivots != len(stalePivots) {
+			t.Fatalf("epoch %d: refit/reused/pivots %d/%d/%d, bookkeeping gives %d/%d/%d", epoch,
+				info.RefitRelationships, info.ReusedRelationships, info.RefitPivots, len(now)-reused, reused, len(stalePivots))
+		}
+		if e.Info().NumRelationships != len(now) || rel.Stats.NumRelationships != len(now) {
+			t.Fatalf("epoch %d: relationship counters %d/%d, %d stored", epoch, e.Info().NumRelationships, rel.Stats.NumRelationships, len(now))
+		}
+		for pair := range info.Stale {
+			switch {
+			case prev[pair] && !now[pair]:
+				events["pruned"]++
+			case !prev[pair] && now[pair]:
+				events["revived"]++
+			}
+		}
+		prev = now
+	}
+	for _, ev := range []string{"pruned", "stayed pruned", "revived"} {
+		if events[ev] == 0 {
+			t.Fatalf("the stream never exercised %q: %v", ev, events)
+		}
+	}
+}

@@ -199,12 +199,13 @@ func assertStatesEquivalent(t *testing.T, engines []*Engine) {
 		if got, want := st.info.RefitRelationships, ref.info.RefitRelationships; got != want {
 			t.Errorf("parallelism %d: refit %d relationships, want %d", p, got, want)
 		}
-		if len(st.rel.Relationships) != len(ref.rel.Relationships) {
-			t.Fatalf("parallelism %d: relationship map size %d, want %d",
-				p, len(st.rel.Relationships), len(ref.rel.Relationships))
+		if st.rel.Len() != ref.rel.Len() {
+			t.Fatalf("parallelism %d: %d stored relationships, want %d",
+				p, st.rel.Len(), ref.rel.Len())
 		}
-		for pair, wantRel := range ref.rel.Relationships {
-			gotRel, ok := st.rel.Relationships[pair]
+		for wantRel := range ref.rel.All() {
+			pair := wantRel.Pair
+			gotRel, ok := st.rel.Relationship(pair)
 			if !ok {
 				t.Fatalf("parallelism %d: missing relationship for %v", p, pair)
 			}

@@ -144,7 +144,7 @@ type Config struct {
 	MaxRelationships int
 	// Parallelism is the number of worker goroutines used across the whole
 	// hot path: AFCLST assignment/update rounds, the SYMEX least-squares
-	// fits, pivot summaries, calibration, drift scoring, SCAPE B-tree
+	// fits, pivot summaries, calibration, drift scoring, SCAPE container
 	// construction and sharded/batched query scans (0 or 1 = sequential).
 	// Every parallel stage merges per-shard results in a deterministic
 	// order, so results are identical at any level.
@@ -253,14 +253,12 @@ type BuildInfo struct {
 
 // pivotSummary caches the pivot-side quantities every propagation needs: the
 // second-moment terms of O_p (covariance and Gram blocks, column sums) that
-// measure specs assemble their moment matrices from, the 2-by-2 covariance
-// matrix the streaming drift scorer feeds to PropagateVariances (cached here
-// so per-relationship drift scoring allocates nothing), and the per-column
-// L-measures.
+// measure specs assemble their moment matrices from, and the 2-by-2
+// covariance matrix the streaming drift scorer feeds to PropagateVariances
+// (cached here so per-relationship drift scoring allocates nothing).
 type pivotSummary struct {
-	terms     measure.PivotTerms
-	cov       *mat.Matrix
-	locations map[stats.Measure][2]float64
+	terms measure.PivotTerms
+	cov   *mat.Matrix
 }
 
 // engineState is one immutable epoch of the engine: the data window and every
@@ -281,7 +279,9 @@ type engineState struct {
 	// unrestricted scan order.  Nil means the full n·(n-1)/2 universe.
 	pairs []timeseries.Pair
 
-	summaries map[symex.Pivot]*pivotSummary
+	// summaries holds one summary per assigned pivot, aligned with
+	// rel.Layout().Pivots() — found from a relationship's slot without hashing.
+	summaries []*pivotSummary
 	// Per-series incremental sufficient statistics (Σx, Σx²), carried across
 	// epochs with O(slide) updates and periodically refreshed from the raw
 	// window.
@@ -354,31 +354,22 @@ type Engine struct {
 // Build constructs the engine: AFCLST → SYMEX(+) → pivot summaries → SCAPE.
 func Build(d *timeseries.DataMatrix, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	st, err := buildState(d, cfg)
+	start := time.Now()
+	rel, info, err := computeRelationships(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.cache = qcache.New(cfg.Cache)
-	e := &Engine{cfg: cfg}
-	e.cur.Store(st)
-	return e, nil
+	return assembleEngine(d, cfg, rel, info, start)
 }
 
-func buildState(d *timeseries.DataMatrix, cfg Config) (*engineState, error) {
-	start := time.Now()
+// computeRelationships runs stages 1+2 of a build — AFCLST (unless
+// cfg.Clustering is set), then SYMEX/SYMEX+ — and reports their timings and
+// fit counters.
+func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, BuildInfo, error) {
+	var info BuildInfo
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return nil, info, err
 	}
-
-	st := &engineState{
-		data:  d,
-		naive: baseline.NewNaive(d),
-		par:   cfg.Parallelism,
-	}
-
-	// Stage 1+2: clustering and affine relationships (SYMEX internally runs
-	// AFCLST; timing for the two stages is reported together as SymexDuration
-	// with ClusteringDuration covering the explicit pre-clustering run).
 	clustering := cfg.Clustering
 	if clustering == nil {
 		clusterStart := time.Now()
@@ -391,12 +382,11 @@ func buildState(d *timeseries.DataMatrix, cfg Config) (*engineState, error) {
 			Parallelism:   cfg.Parallelism,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: clustering: %w", err)
+			return nil, info, fmt.Errorf("core: clustering: %w", err)
 		}
-		st.info.ClusteringDuration = time.Since(clusterStart)
-		st.info.ClusterIterations = clustering.Iterations
+		info.ClusteringDuration = time.Since(clusterStart)
+		info.ClusterIterations = clustering.Iterations
 	}
-
 	symexStart := time.Now()
 	rel, err := symex.Compute(d, symex.Options{
 		Clustering:         clustering,
@@ -406,10 +396,31 @@ func buildState(d *timeseries.DataMatrix, cfg Config) (*engineState, error) {
 		MaxLSFD:            cfg.MaxLSFD,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: symex: %w", err)
+		return nil, info, fmt.Errorf("core: symex: %w", err)
 	}
-	st.rel = rel
-	st.info.SymexDuration = time.Since(symexStart)
+	info.SymexDuration = time.Since(symexStart)
+	info.PseudoInverseCount = rel.Stats.PseudoInverseComputations
+	info.PseudoInverseHits = rel.Stats.PseudoInverseCacheHits
+	info.UsedPseudoInverseTag = "SYMEX+"
+	if cfg.DisablePseudoInverseCache {
+		info.UsedPseudoInverseTag = "SYMEX"
+	}
+	return rel, info, nil
+}
+
+// assembleEngine runs stages 3–5 of a build over a relationship result,
+// however it was obtained (computed, restricted to a shard, or decoded from a
+// snapshot): pivot summaries and per-series statistics, the SCAPE index
+// (unless cfg.SkipIndex) and the coefficient sketches.  info carries what the
+// earlier stages recorded; start is when the build began.
+func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, info BuildInfo, start time.Time) (*Engine, error) {
+	st := &engineState{
+		data:  d,
+		naive: baseline.NewNaive(d),
+		rel:   rel,
+		par:   cfg.Parallelism,
+		info:  info,
+	}
 	if cfg.AssignedPairsOnly {
 		st.pairs = assignedPairs(rel)
 	}
@@ -439,16 +450,9 @@ func buildState(d *timeseries.DataMatrix, cfg Config) (*engineState, error) {
 
 	st.info.NumSeries = d.NumSeries()
 	st.info.NumSamples = d.NumSamples()
-	st.info.NumPairs = d.NumPairs()
+	st.info.NumPairs = st.numUniversePairs()
 	st.info.NumPivots = rel.Stats.NumPivots
 	st.info.NumRelationships = rel.Stats.NumRelationships
-	st.info.PseudoInverseCount = rel.Stats.PseudoInverseComputations
-	st.info.PseudoInverseHits = rel.Stats.PseudoInverseCacheHits
-	if cfg.DisablePseudoInverseCache {
-		st.info.UsedPseudoInverseTag = "SYMEX"
-	} else {
-		st.info.UsedPseudoInverseTag = "SYMEX+"
-	}
 	// Stage 5: the coefficient-sketch prescreen tier (before finishPlanner so
 	// the table statistics can describe it).
 	if cfg.Sketch.Enabled {
@@ -459,7 +463,10 @@ func buildState(d *timeseries.DataMatrix, cfg Config) (*engineState, error) {
 
 	st.info.TotalDuration = time.Since(start)
 	st.finishPlanner(cfg)
-	return st, nil
+	st.cache = qcache.New(cfg.Cache)
+	e := &Engine{cfg: cfg}
+	e.cur.Store(st)
+	return e, nil
 }
 
 // state returns the current epoch.  Every query method loads it exactly once
@@ -501,37 +508,8 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 	clustering := st.rel.Clustering
 	n := st.data.NumSeries()
 
-	// Pivot summaries from joint sufficient statistics of [s_common, r].
-	// The summary set covers every assigned pivot (not just pivots with a
-	// surviving relationship) so that a streaming refit can revive a
-	// previously pruned pair without missing its summary.  Summaries are
-	// independent per pivot and fan out across the worker pool.
-	pivotSet := make(map[symex.Pivot]bool, len(st.rel.Pivots))
-	pivotOrder := make([]symex.Pivot, 0, len(st.rel.Pivots))
-	for _, a := range st.rel.Assignments {
-		if !pivotSet[a.Pivot] {
-			pivotSet[a.Pivot] = true
-			pivotOrder = append(pivotOrder, a.Pivot)
-		}
-	}
-	// Pivots with no surviving assignment are appended in the canonical
-	// (Common, Cluster) order — never Go's randomized map order — so the
-	// par.Gather work distribution below (and which pivot's error would
-	// surface) is deterministic run to run.
-	for _, pivot := range st.rel.SortedPivots() {
-		if !pivotSet[pivot] {
-			pivotSet[pivot] = true
-			pivotOrder = append(pivotOrder, pivot)
-		}
-	}
-
-	// Location measures of the cluster centers (invariant across epochs while
-	// the clustering is frozen) and of every distinct common series, computed
-	// once up front.  Pivots share both sides heavily — a handful of clusters
-	// and a few pivots per common series — so memoizing turns O(|pivots|)
-	// ComputeLocation calls (the mode's bucketing sort dominated the Advance
-	// profile) into O(K + |commons|), with bit-identical values: the summaries
-	// below read the same ComputeLocation results they used to recompute.
+	// Location measures of the cluster centers, invariant across epochs while
+	// the clustering is frozen.
 	if prev != nil && prev.centerLocation != nil && prev.rel.Clustering == clustering {
 		st.centerLocation = prev.centerLocation
 	} else {
@@ -548,40 +526,16 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 			st.centerLocation[m] = centers
 		}
 	}
-	commonSet := make(map[timeseries.SeriesID]bool, len(pivotOrder))
-	commonOrder := make([]timeseries.SeriesID, 0, len(pivotOrder))
-	for _, pivot := range pivotOrder {
-		if !commonSet[pivot.Common] {
-			commonSet[pivot.Common] = true
-			commonOrder = append(commonOrder, pivot.Common)
-		}
-	}
-	lMeasures := stats.LMeasures()
-	commonLocs, err := par.Gather(len(commonOrder), parallelism, func(i int) (map[stats.Measure]float64, error) {
-		s, err := st.data.Series(commonOrder[i])
-		if err != nil {
-			return nil, err
-		}
-		locs := make(map[stats.Measure]float64, len(lMeasures))
-		for _, m := range lMeasures {
-			v, err := stats.ComputeLocation(m, s)
-			if err != nil {
-				return nil, err
-			}
-			locs[m] = v
-		}
-		return locs, nil
-	})
-	if err != nil {
-		return err
-	}
-	commonLocation := make(map[timeseries.SeriesID]map[stats.Measure]float64, len(commonOrder))
-	for i, id := range commonOrder {
-		commonLocation[id] = commonLocs[i]
-	}
 
-	summaries, err := par.Gather(len(pivotOrder), parallelism, func(i int) (*pivotSummary, error) {
-		pivot := pivotOrder[i]
+	// Pivot summaries from joint sufficient statistics of [s_common, r].
+	// The summary set covers every assigned pivot (not just pivots with a
+	// surviving relationship) so that a streaming refit can revive a
+	// previously pruned pair without missing its summary.  Summaries are
+	// independent per pivot and fan out across the worker pool, in the
+	// layout's canonical pivot order.
+	pivots := st.rel.Layout().Pivots()
+	summaries, err := par.Gather(len(pivots), parallelism, func(i int) (*pivotSummary, error) {
+		pivot := pivots[i]
 		if pivot.Cluster < 0 || pivot.Cluster >= clustering.K() {
 			return nil, fmt.Errorf("core: pivot %v references unknown cluster", pivot)
 		}
@@ -596,31 +550,20 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 		}
 		cov := rp.CovarianceMatrix()
 		dot := rp.GramMatrix()
-		summary := &pivotSummary{
+		return &pivotSummary{
 			terms: measure.PivotTerms{
 				Cov:        [3]float64{cov.At(0, 0), cov.At(0, 1), cov.At(1, 1)},
 				Dot:        [3]float64{dot.At(0, 0), dot.At(0, 1), dot.At(1, 1)},
 				ColSums:    rp.Sums(),
 				NumSamples: rp.Count(),
 			},
-			cov:       cov,
-			locations: make(map[stats.Measure][2]float64, 3),
-		}
-		for _, m := range lMeasures {
-			summary.locations[m] = [2]float64{
-				commonLocation[pivot.Common][m],
-				st.centerLocation[m][pivot.Cluster],
-			}
-		}
-		return summary, nil
+			cov: cov,
+		}, nil
 	})
 	if err != nil {
 		return err
 	}
-	st.summaries = make(map[symex.Pivot]*pivotSummary, len(pivotOrder))
-	for i, pivot := range pivotOrder {
-		st.summaries[pivot] = summaries[i]
-	}
+	st.summaries = summaries
 
 	// Per-series statistics from the running sufficient sums.  On the build
 	// path the sums are seeded here; on the advance path the caller already
@@ -753,35 +696,8 @@ func assignedPairs(rel *symex.Result) []timeseries.Pair {
 // shard its restriction through BuildFromRelationships — byte-identical to
 // the stages a single Build would run, because it is the same code path.
 func ComputeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, error) {
-	cfg = cfg.withDefaults()
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	clustering := cfg.Clustering
-	if clustering == nil {
-		var err error
-		clustering, err = cluster.Run(d, cluster.Config{
-			K:             cfg.Clusters,
-			MaxIterations: cfg.MaxIterations,
-			MinChanges:    cfg.MinChanges,
-			Seed:          cfg.Seed,
-			Parallelism:   cfg.Parallelism,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: clustering: %w", err)
-		}
-	}
-	rel, err := symex.Compute(d, symex.Options{
-		Clustering:         clustering,
-		CachePseudoInverse: !cfg.DisablePseudoInverseCache,
-		MaxRelationships:   cfg.MaxRelationships,
-		Parallelism:        cfg.Parallelism,
-		MaxLSFD:            cfg.MaxLSFD,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: symex: %w", err)
-	}
-	return rel, nil
+	rel, _, err := computeRelationships(d, cfg.withDefaults())
+	return rel, err
 }
 
 // BuildFromRelationships assembles an engine from a pre-computed relationship
@@ -796,5 +712,5 @@ func BuildFromRelationships(d *timeseries.DataMatrix, cfg Config, rel *symex.Res
 	if rel == nil || rel.Clustering == nil {
 		return nil, fmt.Errorf("core: BuildFromRelationships needs a relationship result with clustering")
 	}
-	return buildFromRelationships(d, cfg.withDefaults(), rel)
+	return assembleEngine(d, cfg.withDefaults(), rel, BuildInfo{UsedPseudoInverseTag: "snapshot"}, time.Now())
 }

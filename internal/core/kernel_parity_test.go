@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"affinity/internal/par"
 	"affinity/internal/stats"
 	"affinity/internal/symex"
+	"affinity/internal/timeseries"
 )
 
 // pairwiseMeasures returns every registered T- and D-measure — the full
@@ -84,10 +86,27 @@ func TestAffineSweepStableErrorWithBadPivots(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
 		for run := 0; run < 5; run++ {
 			e := buildTestEngine(t, Config{Clusters: 4, Seed: 33, Parallelism: p})
-			rel := e.Relationships()
-			rel.Pivots[symex.Pivot{Common: 0, Cluster: 99}] = nil
-			rel.Pivots[symex.Pivot{Common: 1, Cluster: 98}] = nil
-			_, err := e.PairwiseSweepAffine(stats.Covariance)
+			// The same epoch over a result in which one relationship each of
+			// series 0 and 1 names a cluster that does not exist.
+			bad := *e.state()
+			assignments := slices.Clone(bad.rel.AssignmentList())
+			rels := make([]*symex.Relationship, len(assignments))
+			for slot := range rels {
+				rels[slot] = bad.rel.At(slot)
+			}
+			for common, cluster := range map[timeseries.SeriesID]int{0: 99, 1: 98} {
+				slot := slices.IndexFunc(assignments, func(a symex.Assignment) bool { return a.Pivot.Common == common })
+				assignments[slot].Pivot.Cluster = cluster
+				moved := *rels[slot]
+				moved.Pivot = assignments[slot].Pivot
+				rels[slot] = &moved
+			}
+			layout, err := symex.NewLayout(bad.data.NumSeries(), assignments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad.rel = symex.NewResult(layout, bad.rel.Clustering, rels)
+			_, err = bad.pairwiseSweepAffine(stats.Covariance)
 			if err == nil {
 				t.Fatalf("P=%d run %d: expected error from bad pivots", p, run)
 			}

@@ -23,7 +23,7 @@ func (st *engineState) finishPlanner(cfg Config) {
 		NumSamples:    st.data.NumSamples(),
 		NumPairs:      st.numUniversePairs(),
 		NumPivots:     st.rel.Stats.NumPivots,
-		FallbackPairs: st.numUniversePairs() - len(st.rel.Relationships),
+		FallbackPairs: st.numUniversePairs() - st.rel.Len(),
 		HasIndex:      st.index != nil,
 	}
 	if st.sketch != nil {

@@ -111,15 +111,13 @@ func (e *engineState) PairValue(m stats.Measure, pair timeseries.Pair, method Me
 // whose relationship was pruned (Config.MaxLSFD) fall back to the naive
 // computation, preserving correctness at the cost of a raw-series scan.
 func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (float64, error) {
-	rel, ok := e.rel.Relationship(pair)
-	if !ok {
+	layout := e.rel.Layout()
+	slot, ok := layout.Slot(pair)
+	if !ok || e.rel.At(slot) == nil {
 		return e.naive.PairValue(sp.ID, pair)
 	}
-	summary, ok := e.summaries[rel.Pivot]
-	if !ok {
-		return 0, fmt.Errorf("core: no summary for pivot %v", rel.Pivot)
-	}
-	return rel.Transform.PropagateMoment(sp.Moment(summary.terms)), nil
+	summary := e.summaries[layout.PivotOf(slot)]
+	return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(summary.terms)), nil
 }
 
 // affinePairValue computes a pairwise T- or D-measure through affine

@@ -10,11 +10,7 @@ import (
 	"time"
 
 	"affinity/internal/affine"
-	"affinity/internal/baseline"
 	"affinity/internal/cluster"
-	"affinity/internal/qcache"
-	"affinity/internal/scape"
-	"affinity/internal/sketch"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -92,13 +88,13 @@ func (e *engineState) writeSnapshot(w io.Writer) error {
 			return err
 		}
 	}
-	if err := writeU32(uint32(len(e.rel.Relationships))); err != nil {
+	if err := writeU32(uint32(e.rel.Len())); err != nil {
 		return err
 	}
 	// Iterate pairs in a deterministic order so identical engines produce
 	// byte-identical snapshots.
 	for _, pair := range e.data.AllPairs() {
-		rel, ok := e.rel.Relationships[pair]
+		rel, ok := e.rel.Relationship(pair)
 		if !ok {
 			continue
 		}
@@ -212,12 +208,11 @@ func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engi
 		return nil, fmt.Errorf("%w: %d relationships for %d pairs", ErrBadSnapshot, count, maxPairs)
 	}
 
-	rel := &symex.Result{
-		Relationships: make(map[timeseries.Pair]*symex.Relationship, count),
-		Pivots:        make(map[symex.Pivot][]timeseries.Pair),
-		Clustering:    clustering,
-	}
-	for i := 0; i < int(count); i++ {
+	// The records become the assignment list in file order (a snapshot keeps
+	// no pruned pairs), one relationship per slot.
+	assignments := make([]symex.Assignment, count)
+	rels := make([]*symex.Relationship, count)
+	for i := range rels {
 		var fields [4]uint32
 		for j := range fields {
 			v, err := readU32()
@@ -246,7 +241,8 @@ func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engi
 		if !pair.Contains(pivot.Common) || pivot.Cluster < 0 || pivot.Cluster >= k {
 			return nil, fmt.Errorf("%w: invalid pivot %v for pair %v", ErrBadSnapshot, pivot, pair)
 		}
-		relationship := &symex.Relationship{
+		assignments[i] = symex.Assignment{Pair: pair, Pivot: pivot}
+		rels[i] = &symex.Relationship{
 			Pair:  pair,
 			Pivot: pivot,
 			Transform: &affine.Transform{
@@ -255,67 +251,11 @@ func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engi
 			},
 			Flipped: flippedByte == 1,
 		}
-		if _, dup := rel.Relationships[pair]; dup {
-			return nil, fmt.Errorf("%w: duplicate relationship for pair %v", ErrBadSnapshot, pair)
-		}
-		rel.Relationships[pair] = relationship
-		rel.Pivots[pivot] = append(rel.Pivots[pivot], pair)
 	}
-	rel.Stats.NumRelationships = len(rel.Relationships)
-	rel.Stats.NumPivots = len(rel.Pivots)
-
-	return buildFromRelationships(d, cfg, rel)
-}
-
-// buildFromRelationships assembles an engine from pre-existing affine
-// relationships (the load path of a snapshot): it recomputes the pivot
-// summaries, per-series statistics and the SCAPE index, skipping the AFCLST
-// and SYMEX stages entirely.
-func buildFromRelationships(d *timeseries.DataMatrix, cfg Config, rel *symex.Result) (*Engine, error) {
-	start := time.Now()
-	st := &engineState{
-		data:  d,
-		naive: baseline.NewNaive(d),
-		rel:   rel,
-		par:   cfg.Parallelism,
+	layout, err := symex.NewLayout(n, assignments)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if cfg.AssignedPairsOnly {
-		st.pairs = assignedPairs(rel)
-	}
-	summaryStart := time.Now()
-	if err := st.buildDerived(nil, cfg.Parallelism); err != nil {
-		return nil, err
-	}
-	st.info.SummaryDuration = time.Since(summaryStart)
-
-	if !cfg.SkipIndex {
-		indexStart := time.Now()
-		idx, err := scape.Build(d, rel, cfg.indexOptions(cfg.Parallelism))
-		if err != nil {
-			return nil, fmt.Errorf("core: building SCAPE index from snapshot: %w", err)
-		}
-		st.index = idx
-		st.info.IndexDuration = time.Since(indexStart)
-		st.info.IndexBuilt = true
-		st.info.IndexSequenceNodes = idx.Stats().SequenceNodes
-		st.info.IndexPivotNodes = idx.Stats().Pivots
-	}
-
-	st.info.NumSeries = d.NumSeries()
-	st.info.NumSamples = d.NumSamples()
-	st.info.NumPairs = st.numUniversePairs()
-	st.info.NumPivots = rel.Stats.NumPivots
-	st.info.NumRelationships = rel.Stats.NumRelationships
-	st.info.UsedPseudoInverseTag = "snapshot"
-	if cfg.Sketch.Enabled {
-		if err := st.buildSketch(cfg.Sketch, cfg.Parallelism, &sketch.Counters{}); err != nil {
-			return nil, err
-		}
-	}
-	st.info.TotalDuration = time.Since(start)
-	st.finishPlanner(cfg)
-	st.cache = qcache.New(cfg.Cache)
-	e := &Engine{cfg: cfg}
-	e.cur.Store(st)
-	return e, nil
+	return assembleEngine(d, cfg, symex.NewResult(layout, clustering, rels),
+		BuildInfo{UsedPseudoInverseTag: "snapshot"}, time.Now())
 }

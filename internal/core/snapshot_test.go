@@ -139,3 +139,38 @@ func TestSnapshotValidation(t *testing.T) {
 		t.Fatal("invalid dataset should error")
 	}
 }
+
+// TestBuildInfoNumPairsIsQueryUniverse pins Info().NumPairs on every build
+// path: it is the number of pairs the engine answers queries over — all of
+// them by default, the assigned ones under AssignedPairsOnly — whether the
+// engine was built cold, from relationships, or from a snapshot.
+func TestBuildInfoNumPairsIsQueryUniverse(t *testing.T) {
+	plain := buildTestEngine(t, Config{Clusters: 4, Seed: 35})
+	if got, want := plain.Info().NumPairs, plain.Data().NumPairs(); got != want {
+		t.Fatalf("default build: NumPairs = %d, want every pair (%d)", got, want)
+	}
+
+	const budget = 100
+	cfg := Config{Clusters: 4, Seed: 35, AssignedPairsOnly: true, MaxRelationships: budget}
+	e := buildTestEngine(t, cfg)
+	if got := e.Info().NumPairs; got != budget || got >= e.Data().NumPairs() {
+		t.Fatalf("restricted build: NumPairs = %d, want the %d assigned pairs (of %d)", got, budget, e.Data().NumPairs())
+	}
+	fromRel, err := BuildFromRelationships(e.Data(), cfg, e.Relationships())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromSnapshot, err := BuildFromSnapshot(e.Data(), &buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, other := range map[string]*Engine{"BuildFromRelationships": fromRel, "BuildFromSnapshot": fromSnapshot} {
+		if got := other.Info().NumPairs; got != budget {
+			t.Fatalf("%s: NumPairs = %d, want %d", path, got, budget)
+		}
+	}
+}

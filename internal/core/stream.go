@@ -24,15 +24,33 @@ import (
 // of samples from the left edge.  The cluster structure (assignment ω and
 // centers r_l) is frozen across epochs — the paper's AFCLST centers are
 // unit-length directions that drift slowly relative to the window — so the
-// pair→pivot assignment from the original SYMEX exploration stays valid and
-// an epoch only has to
+// pair→pivot assignment from the original SYMEX exploration, and with it the
+// layout every epoch's relationship store is indexed by, stays valid.
 //
-//  1. slide the per-series running sufficient statistics (O(n·slide)),
-//  2. recompute the pivot summaries on the new window (O(|pivots|·m)),
-//  3. re-fit the affine relationships whose LSFD-drift proxy moved more than
-//     StreamConfig.DriftBound since their last fit (per stale pivot one
-//     pseudo-inverse, per stale pair one O(m) least-squares solve),
-//  4. rebuild the SCAPE index over the (partly reused) relationships.
+// What an epoch costs, with n series, m samples, a slide of s samples,
+// P assigned pivots of k relationships each, and a stale set of size |stale|:
+//
+//	O(n·m)           copy the window into one slab (SlideCopy) — the memmove
+//	                 the epoch swap is made of
+//	O(n·s)           slide the running sums Σx, Σx² per series
+//	O(n·s·log m)     slide the sorted columns (order statistics: median, mode
+//	                 are then read off them, O(1) and one pass, never re-sorted)
+//	O(P·m)           pivot summaries and the index's α vectors: two joint
+//	                 reductions of [s_common, r_cluster] per pivot
+//	O(P·k)           drift scoring, a closed form per relationship found by
+//	                 slot (no hashing)
+//	O(|stale|·m)     re-fit the stale relationships: one pseudo-inverse per
+//	                 stale pivot, one O(m) solve per stale pair
+//	O(|stale|·log k) delete and re-insert the stale pairs in their pivots'
+//	                 copy-on-write sequence stores
+//	O(P·k·log k)     re-derive the ξ-containers: project and sort each pivot's
+//	                 entries into exact-size arrays
+//	O(n)             location trees, per-series statistics, calibration
+//
+// Nothing in an epoch is O(relationships) map work: the relationship store is
+// a slice cloned and overwritten at the stale slots, and the per-pivot state
+// is found by index.  The terms that remain proportional to P·k are
+// arithmetic over contiguous memory.
 //
 // With DriftBound <= 0 every relationship is re-fitted, which makes an epoch
 // exactly equivalent to a cold Build on the slid window with the frozen
@@ -111,8 +129,8 @@ func (e *Engine) PendingSamples() int {
 
 // Advance folds every buffered tick into a new epoch: the window slides
 // forward by the buffered count, stale affine relationships are re-fitted,
-// summaries and the SCAPE index are rebuilt, and the new epoch is swapped in
-// atomically.  Queries issued concurrently keep serving the previous epoch
+// the summaries are recomputed, the SCAPE index is updated incrementally, and
+// the new epoch is swapped in atomically.  Queries issued concurrently keep serving the previous epoch
 // until the swap and the next epoch afterwards.  With an empty buffer
 // Advance is a no-op.
 func (e *Engine) Advance() (AdvanceInfo, error) {
@@ -299,7 +317,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	// before the swap means no query can observe the new epoch without the
 	// cache knowing which pairs changed beyond the refit bound.
 	st.cache = old.cache
-	st.cache.OnAdvance(st.epoch, sortedStalePairs(stale), stale == nil)
+	st.cache.OnAdvance(st.epoch, SortedStalePairs(stale), stale == nil)
 
 	st.info.AdvanceDuration = time.Since(start)
 	e.stream.Advances++
@@ -321,9 +339,9 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	return info, nil
 }
 
-// sortedStalePairs flattens a stale set into canonical (U,V) order, the order
+// SortedStalePairs flattens a stale set into canonical (U,V) order, the order
 // every repair evaluation and determinism check relies on.  nil in, nil out.
-func sortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
+func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 	if stale == nil {
 		return nil
 	}
@@ -377,40 +395,37 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 	bound := cfg.Stream.DriftBound
 	if bound > 0 && slide < st.data.NumSamples() {
 		// Drift scoring is O(1) per relationship and independent across
-		// relationships: score into a flag slice aligned with the (ordered)
-		// assignment list, then collect — the stale set is identical at any
-		// parallelism.
-		assignments := old.rel.AssignmentList()
-		flags := e.getFlags(len(assignments))
+		// relationships: score into a flag slice aligned with the assignment
+		// slots, then collect — the stale set is identical at any
+		// parallelism.  The walk goes pivot by pivot through the layout, so a
+		// relationship and its pivot's summary are both found by index.
+		layout := old.rel.Layout()
+		flags := e.getFlags(len(layout.Assignments()))
 		defer e.putFlags(flags)
-		err := par.Do(len(assignments), parallelism, func(i int) error {
-			a := assignments[i]
-			rel, ok := old.rel.Relationships[a.Pair]
-			if !ok {
-				// Previously pruned: no transform exists to measure drift
-				// against, so retry it only on the periodic refresh epochs —
-				// a permanently poorly-fit pair must not force an O(m) refit
-				// on every Advance.
-				flags[i] = refresh
-				return nil
+		err := par.DoBlocks(len(layout.Pivots()), parallelism, func(_ int, blk par.Block) error {
+			for pi := blk.Lo; pi < blk.Hi; pi++ {
+				summary := st.summaries[pi]
+				for _, slot := range layout.PivotSlots(pi) {
+					rel := old.rel.At(int(slot))
+					if rel == nil {
+						// Previously pruned: no transform exists to measure
+						// drift against, so retry it only on the periodic
+						// refresh epochs — a permanently poorly-fit pair must
+						// not force an O(m) refit on every Advance.
+						flags[slot] = refresh
+						continue
+					}
+					flags[slot] = relationshipDrift(rel, summary, st.seriesVariance[rel.Other()]) > bound
+				}
 			}
-			other, err := a.Pair.Other(a.Pivot.Common)
-			if err != nil {
-				return err
-			}
-			summary, ok := st.summaries[a.Pivot]
-			if !ok {
-				return fmt.Errorf("core: no summary for pivot %v", a.Pivot)
-			}
-			flags[i] = relationshipDrift(rel, summary, st.seriesVariance[other]) > bound
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		stale = make(map[timeseries.Pair]bool)
-		for i, a := range assignments {
-			if flags[i] {
+		for slot, a := range layout.Assignments() {
+			if flags[slot] {
 				stale[a.Pair] = true
 			}
 		}

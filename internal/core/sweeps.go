@@ -7,7 +7,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/stats"
-	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
@@ -109,13 +108,18 @@ func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, er
 	// computed directly from the common series and the cluster center through
 	// the base spec's term evaluator, so the cost per pivot is exactly the
 	// raw-sample passes the base T-measure needs.  The pivot order is the
-	// canonical (Common, Cluster) sort — never Go's randomized map order — so
-	// both the work distribution and which pivot's error surfaces when
-	// several fail are deterministic at any parallelism.
+	// layout's canonical (Common, Cluster) order, so both the work
+	// distribution and which pivot's error surfaces when several fail are
+	// deterministic at any parallelism — and a relationship finds its pivot's
+	// moment by index.  Pivots without a relationship are skipped.
 	clustering := e.rel.Clustering
-	pivotOrder := e.rel.SortedPivots()
-	pivotMoments, err := par.Gather(len(pivotOrder), e.par, func(i int) (measure.Moment, error) {
+	layout := e.rel.Layout()
+	pivotOrder := layout.Pivots()
+	moments, err := par.Gather(len(pivotOrder), e.par, func(i int) (measure.Moment, error) {
 		pivot := pivotOrder[i]
+		if e.rel.PivotLen(i) == 0 {
+			return measure.Moment{}, nil
+		}
 		common, err := e.data.Series(pivot.Common)
 		if err != nil {
 			return measure.Moment{}, err
@@ -132,10 +136,6 @@ func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, er
 	if err != nil {
 		return nil, err
 	}
-	moments := make(map[symex.Pivot]measure.Moment, len(pivotOrder))
-	for i, pivot := range pivotOrder {
-		moments[pivot] = pivotMoments[i]
-	}
 
 	pairs := e.data.AllPairs()
 	values := make([]float64, len(pairs))
@@ -143,11 +143,11 @@ func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, er
 	err = par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
 		for i := blk.Lo; i < blk.Hi; i++ {
 			pair := pairs[i]
-			rel, ok := e.rel.Relationship(pair)
-			if !ok {
+			slot, ok := layout.Slot(pair)
+			if !ok || e.rel.At(slot) == nil {
 				return fmt.Errorf("core: no affine relationship for pair %v", pair)
 			}
-			value := rel.Transform.PropagateMoment(moments[rel.Pivot])
+			value := e.rel.At(slot).Transform.PropagateMoment(moments[layout.PivotOf(slot)])
 			if sp.Derived() {
 				u := sp.Param(e.seriesStat(pair.U), e.seriesStat(pair.V))
 				v, err := sp.EvalOrNaN(value, u, numSamples)

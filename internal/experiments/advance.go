@@ -71,7 +71,7 @@ func AdvanceStaleSweep(d *timeseries.DataMatrix, clusters int, seed int64, slide
 	}
 
 	// A deterministic shuffled pair order; fraction f takes the first f·|rel|.
-	pairs := make([]timeseries.Pair, 0, len(rel1.Relationships))
+	pairs := make([]timeseries.Pair, 0, rel1.Len())
 	for _, a := range rel1.AssignmentList() {
 		pairs = append(pairs, a.Pair)
 	}

@@ -50,9 +50,15 @@ type Matrix struct {
 	n, m int
 }
 
-// FromData builds the columnar mirror of a data matrix.
+// FromData builds the columnar mirror of a data matrix.  A matrix that is
+// already one contiguous slab (every window a streaming engine slides into)
+// is aliased, not copied: nothing writes to a slab after SlideCopy filled it,
+// so the mirror stays immutable either way.
 func FromData(d *timeseries.DataMatrix) (*Matrix, error) {
 	n, m := d.NumSeries(), d.NumSamples()
+	if slab := d.Slab(); slab != nil {
+		return &Matrix{vals: slab, n: n, m: m}, nil
+	}
 	k := &Matrix{vals: make([]float64, n*m), n: n, m: m}
 	for _, id := range d.IDs() {
 		s, err := d.Series(id)
@@ -70,9 +76,9 @@ func (k *Matrix) NumSeries() int { return k.n }
 // NumSamples returns m, the column length.
 func (k *Matrix) NumSamples() int { return k.m }
 
-// Col returns series id's column of the slab.  The copy made by FromData
-// preserves every bit of the source series, so reductions over Col are
-// bit-identical to reductions over DataMatrix.Series.
+// Col returns series id's column of the slab.  The slab holds every bit of
+// the source series (aliased or copied by FromData), so reductions over Col
+// are bit-identical to reductions over DataMatrix.Series.
 func (k *Matrix) Col(id timeseries.SeriesID) []float64 {
 	lo := int(id) * k.m
 	return k.vals[lo : lo+k.m : lo+k.m]

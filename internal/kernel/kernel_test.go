@@ -187,3 +187,88 @@ func TestMask1(t *testing.T) {
 		t.Fatal("Mask1 must map true→1, false→0")
 	}
 }
+
+// TestFromDataAliasesSlidWindow: a window produced by SlideCopy is one slab,
+// and FromData mirrors it without copying.  The aliasing mirror and a copied
+// mirror of the same samples give the same bits everywhere, and nothing done
+// to the source window afterwards reaches the mirror.
+func TestFromDataAliasesSlidWindow(t *testing.T) {
+	base, _, _ := testMatrix(t, 7, 64)
+	rng := rand.New(rand.NewSource(11))
+	batch := make([][]float64, base.NumSeries())
+	for v := range batch {
+		batch[v] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	slid, err := base.SlideCopy(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliased, err := FromData(slid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slid.Slab() == nil || &aliased.vals[0] != &slid.Slab()[0] {
+		t.Fatal("FromData copied a window that is already one slab")
+	}
+	copied, err := FromData(slid.Clone()) // Clone lays the columns out separately
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &copied.vals[0] == &slid.Slab()[0] {
+		t.Fatal("a cloned window must not alias the original's slab")
+	}
+
+	requireSame := func(label string) {
+		t.Helper()
+		am, err := aliased.Moments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := copied.Moments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < aliased.NumSeries(); v++ {
+			for name, pair := range map[string][2]float64{
+				"sum": {am.Sum[v], cm.Sum[v]}, "mean": {am.Mean[v], cm.Mean[v]},
+				"variance": {am.Variance[v], cm.Variance[v]}, "sqnorm": {am.SqNorm[v], cm.SqNorm[v]},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("%s: %s of series %d: aliased %v, copied %v", label, name, v, pair[0], pair[1])
+				}
+			}
+		}
+		pairs := allPairsWithDiagonal(aliased.NumSeries())
+		got, want := make([]float64, len(pairs)), make([]float64, len(pairs))
+		for _, base := range []measure.Measure{measure.Covariance, measure.DotProduct} {
+			aliased.BaseBlock(base)(am, pairs, got)
+			copied.BaseBlock(base)(cm, pairs, want)
+			for i := range pairs {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: %v of %v: aliased %v, copied %v", label, base, pairs[i], got[i], want[i])
+				}
+			}
+		}
+	}
+	requireSame("fresh")
+
+	// Every in-place mutator of the source leaves the mirror's bits alone.
+	if err := slid.AppendSamples(batch); err != nil {
+		t.Fatal(err)
+	}
+	requireSame("after AppendSamples")
+	if err := slid.SlideWindow(5); err != nil {
+		t.Fatal(err)
+	}
+	requireSame("after SlideWindow")
+	if err := slid.Append("extra", make([]float64, slid.NumSamples())); err != nil {
+		t.Fatal(err)
+	}
+	requireSame("after Append")
+	if slid.Slab() != nil {
+		t.Fatal("a mutated window still claims to be one slab")
+	}
+	if again, err := FromData(slid); err != nil || again.NumSamples() != slid.NumSamples() || again.NumSeries() != slid.NumSeries() {
+		t.Fatalf("FromData of the mutated window: %v", err)
+	}
+}

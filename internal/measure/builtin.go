@@ -37,6 +37,7 @@ func init() {
 		Indexable:          true,
 		AffinePropagatable: true,
 		EvalLocation:       MedianOf,
+		EvalSorted:         MedianOfSorted,
 		NaivePasses:        2, // copy + sort dominates a plain scan
 	}))
 	mustBe(Mode, Register(Spec{
@@ -47,6 +48,9 @@ func init() {
 		AffinePropagatable: true,
 		EvalLocation: func(x []float64) (float64, error) {
 			return ModeOf(x, DefaultModePrecision)
+		},
+		EvalSorted: func(sorted []float64) (float64, error) {
+			return ModeOfSorted(sorted, DefaultModePrecision)
 		},
 		NaivePasses: 2, // hash-count pass + bucket scan
 	}))

@@ -186,6 +186,11 @@ type Spec struct {
 
 	// EvalLocation computes the measure of one raw series (L-measures only).
 	EvalLocation func(x []float64) (float64, error)
+	// EvalSorted, when set, computes the same bits as EvalLocation from the
+	// series' samples in SortSamples order.  Only order statistics declare it
+	// (the mean's rounding depends on summation order); a window that keeps
+	// its samples sorted evaluates them without sorting or hashing.
+	EvalSorted func(sorted []float64) (float64, error)
 
 	// NaivePasses is the relative cost of one naive evaluation in units of
 	// full raw-sample passes; the cost planner multiplies it into the W_N

@@ -9,7 +9,7 @@ import (
 )
 
 // Selectivity is the index's estimate of an interval query's result size,
-// computed from the B-trees' per-node subtree counts without materializing a
+// computed from the sorted containers' rank counts without materializing a
 // single result entry.
 type Selectivity struct {
 	// Rows is the estimated number of result entries.
@@ -25,7 +25,7 @@ type Selectivity struct {
 }
 
 // EstimateSelectivity estimates the result size of an interval (MET/MER)
-// query in O(|pivots| · log) time from the subtree counts of the sorted
+// query in O(|pivots| · log) time from the rank counts of the sorted
 // containers.  For T-measures and L-measures the modified bounds τ' = τ/‖α_q‖
 // turn the question into exact key-range counts; for D-measures the spec's
 // inverse transform and the per-pivot parameter bounds (U^min_q, U^max_q)
@@ -57,7 +57,7 @@ func (idx *Index) EstimateSelectivity(q PairQuery) (Selectivity, error) {
 }
 
 // ExactRows returns the exact result cardinality of an interval query when
-// the index can certify it (T- and L-measure estimates come from subtree
+// the index can certify it (T- and L-measure estimates come from rank
 // counts over the same modified bounds the scans use, so they equal the scan's
 // result size entry for entry), with ok=false when the count is only a band
 // estimate (D-measures) or the measure is not indexed.  The query cache's
@@ -94,11 +94,11 @@ func (idx *Index) estimateBase(q PairQuery) (Selectivity, error) {
 		if pm.alphaNorm == 0 {
 			// Degenerate pivot: every represented value is 0.
 			if q.Interval.Contains(0) {
-				sel.Rows += pm.tree.Len()
+				sel.Rows += pm.xi.Len()
 			}
 			continue
 		}
-		sel.Rows += countInterval(pm.tree, scaleInterval(q.Interval, pm.alphaNorm))
+		sel.Rows += pm.xi.countInterval(scaleInterval(q.Interval, pm.alphaNorm))
 	}
 	return sel, nil
 }
@@ -123,7 +123,7 @@ func (idx *Index) estimateDerived(q PairQuery, sp *measure.Spec) (Selectivity, e
 		if db.pm == nil {
 			return Selectivity{}, fmt.Errorf("%w: base measure %v", ErrMeasureNotIndexed, sp.Base)
 		}
-		cand := db.pm.tree.Len()
+		cand := db.pm.xi.Len()
 		switch {
 		case pred.evalAll:
 			// The scan evaluates each entry exactly (and rejects undefined
@@ -180,8 +180,8 @@ func (db derivedBounds) countWindow(sp *measure.Spec, eval interval.Interval, nu
 		}
 		return interval.Bound{Value: x, Open: b.Open}
 	}
-	window := countInterval(db.pm.tree, interval.New(edge(fromLo, from), edge(toHi, to)))
-	definite = countInterval(db.pm.tree, interval.New(edge(fromHi, from), edge(toLo, to)))
+	window := db.pm.xi.countInterval(interval.New(edge(fromLo, from), edge(toHi, to)))
+	definite = db.pm.xi.countInterval(interval.New(edge(fromHi, from), edge(toLo, to)))
 	if band = window - definite; band < 0 {
 		band = 0
 	}

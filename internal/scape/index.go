@@ -7,7 +7,7 @@
 //
 // For every pivot pair p_q produced by SYMEX+ the index keeps a pivot node
 // with, per indexed measure, the vector α_q and its norm ‖α_q‖; the sequence
-// pairs assigned to the pivot are stored in sorted containers (B-trees) keyed
+// pairs assigned to the pivot are stored in sorted containers keyed
 // by the scalar projection ξ_qd = α_qᵀβ_qd / ‖α_q‖, where β_qd = (a12, a22,
 // b2) is derived purely from the affine relationship (A, b)_e.  Because all
 // affine relationships are built with the common series as the first column,
@@ -34,6 +34,18 @@
 // maintains one global B-tree per L-measure keyed by the series' measure
 // value estimated through an affine relationship (falling back to a direct
 // computation for series that only ever appear as the common member).
+//
+// # Containers
+//
+// Two kinds of sorted container back the index, chosen by how they change.
+// A pivot's sequence store (keyed by pair code) and the location trees are
+// B-trees (internal/btree): the sequence store lives across epochs and is
+// mutated — Update clones it copy-on-write and deletes and re-inserts only
+// the stale pairs — and the location trees are filled by ordered inserts.
+// The per-(pivot, measure) ξ-containers are sorted arrays (xiArray): ξ depends
+// on the window, so every epoch derives them afresh in one piece and nothing
+// ever mutates them; an exact-size array is a fraction of a bulk-loaded
+// tree's memory and build time and scans at least as fast.
 package scape
 
 import (
@@ -82,7 +94,7 @@ type Options struct {
 	DisableDerivedPruning bool
 	// Parallelism is the number of goroutines used to shard threshold/range
 	// scans by pivot at query time, and — unless BuildParallelism overrides
-	// it — to build the pivot nodes (one B-tree set per pivot).  Zero or one
+	// it — to build the pivot nodes (one container set per pivot).  Zero or one
 	// runs sequentially.  Pivot nodes are kept in a deterministic
 	// (Common, Cluster) order and per-pivot partial results are merged in
 	// that order, so query results are byte-identical at any level.
@@ -124,7 +136,7 @@ func SeparableDerivedMeasures() []stats.Measure {
 }
 
 // sequenceNode is the per-relationship payload shared by all per-measure
-// trees of a pivot node.  It holds only window-independent state (the pair
+// ξ-containers of a pivot node.  It holds only window-independent state (the pair
 // and its affine β), so incremental updates can carry nodes of unchanged
 // relationships across epochs untouched; the separable D-measure parameters
 // U_e are derived at query time from the index's per-series statistics.
@@ -138,7 +150,7 @@ type sequenceNode struct {
 type pivotMeasure struct {
 	alpha     [3]float64
 	alphaNorm float64
-	tree      *btree.Tree[*sequenceNode]
+	xi        xiArray
 }
 
 // pivotNode groups everything the index stores for one pivot pair.
@@ -147,7 +159,7 @@ type pivotNode struct {
 	measures map[stats.Measure]*pivotMeasure
 	// seq is the pivot's sequence store: the canonical container of sequence
 	// nodes keyed by pair code (a total order over canonical pairs).  It holds
-	// the window-independent payloads the per-measure ξ-trees are derived
+	// the window-independent payloads the per-measure ξ-containers are derived
 	// from, and is the unit of cross-epoch sharing: Update clones it
 	// copy-on-write and applies only the stale pairs' deletions/insertions.
 	seq *btree.Tree[*sequenceNode]
@@ -155,7 +167,7 @@ type pivotNode struct {
 	// nodes, for every indexed D-measure; they drive the Section 5.3 pruning.
 	paramBounds map[stats.Measure][2]float64
 	pairs       int
-	// insertions counts the B-tree entries created while building this
+	// insertions counts the ξ-container entries created while building this
 	// node; nodes are built in parallel, so the counter is per-node and summed
 	// into BuildStats afterwards.
 	insertions int
@@ -217,7 +229,7 @@ func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, e
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if rel == nil || len(rel.Relationships) == 0 {
+	if rel == nil || rel.Len() == 0 {
 		return nil, fmt.Errorf("scape: no affine relationships to index")
 	}
 	opts = opts.withDefaults()
@@ -273,19 +285,18 @@ func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, e
 	}
 	idx.perSeries = perSeries
 
-	// Build pivot nodes, one per pivot, in a deterministic (Common, Cluster)
-	// order.  The nodes are independent — each owns its B-trees — so they are
-	// built in parallel and gathered in index order; queries later scan
-	// idx.pivots in this same order, which is what makes result ordering
-	// independent of both map iteration and parallelism.
-	pivotOrder := rel.SortedPivots()
+	// Build pivot nodes, one per pivot with a relationship, in the canonical
+	// (Common, Cluster) order.  The nodes are independent — each owns its
+	// containers — so they are built in parallel and gathered in index order;
+	// queries later scan idx.pivots in this same order, which is what makes
+	// result ordering independent of parallelism.
+	pivotOrder := livePivots(rel)
 	centers, err := computeCenterMoments(rel)
 	if err != nil {
 		return nil, err
 	}
 	nodes, err := par.Gather(len(pivotOrder), opts.buildParallelism(), func(i int) (*pivotNode, error) {
-		pivot := pivotOrder[i]
-		return idx.buildPivotNode(d, rel, pivot, rel.Pivots[pivot], perSeries, centers)
+		return idx.buildPivotNode(d, rel, pivotOrder[i], perSeries, centers)
 	})
 	if err != nil {
 		return nil, err
@@ -310,12 +321,24 @@ func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, e
 	}
 
 	idx.stats.Pivots = len(idx.pivots)
-	idx.stats.SequenceNodes = len(rel.Relationships)
+	idx.stats.SequenceNodes = rel.Len()
 	idx.stats.IndexedTMeasures = len(idx.pairMeasures)
 	idx.stats.IndexedDMeasures = len(idx.derivedSet)
 	idx.stats.IndexedLMeasures = len(idx.locationSet)
 	idx.stats.DerivedPruningOn = !opts.DisableDerivedPruning
 	return idx, nil
+}
+
+// livePivots returns the pivots that get a node — those with at least one
+// relationship — as ascending positions in the layout's canonical pivot list.
+func livePivots(rel *symex.Result) []int {
+	var out []int
+	for pi := range rel.Layout().Pivots() {
+		if rel.PivotLen(pi) > 0 {
+			out = append(out, pi)
+		}
+	}
+	return out
 }
 
 // seriesStats caches per-series variance, squared norm and sum.
@@ -406,41 +429,22 @@ func newSequenceNode(e timeseries.Pair, r *symex.Relationship) *sequenceNode {
 	}
 }
 
-// buildPivotNode constructs one pivot node from scratch: the sequence store
-// in canonical pair order, then the window-dependent state on top of it.
+// buildPivotNode constructs the node of pivot pi (a position in the layout's
+// pivot list) from scratch: the sequence store in canonical pair order, then
+// the window-dependent state on top of it.
 func (idx *Index) buildPivotNode(d *timeseries.DataMatrix, rel *symex.Result,
-	pivot symex.Pivot, pairs []timeseries.Pair, perSeries *seriesStats, centers []centerMoments) (*pivotNode, error) {
+	pi int, perSeries *seriesStats, centers []centerMoments) (*pivotNode, error) {
 
-	seq, err := idx.makeSeqStore(rel, pivot, pairs)
-	if err != nil {
-		return nil, err
+	// The layout hands the pivot's relationships over in canonical pair order
+	// already: bulk-load one sequence node each.
+	codes := make([]float64, 0, rel.PivotLen(pi))
+	nodes := make([]*sequenceNode, 0, rel.PivotLen(pi))
+	for r := range rel.PivotRelationships(pi) {
+		nodes = append(nodes, newSequenceNode(r.Pair, r))
+		codes = append(codes, pairCode(r.Pair, idx.numSeries))
 	}
-	return idx.finishPivotNode(d, rel, pivot, seq, perSeries, centers)
-}
-
-// makeSeqStore bulk-loads a pivot's sequence store with one node per assigned
-// pair, in canonical pair order.
-func (idx *Index) makeSeqStore(rel *symex.Result, pivot symex.Pivot, pairs []timeseries.Pair) (*btree.Tree[*sequenceNode], error) {
-	sorted := append(make([]timeseries.Pair, 0, len(pairs)), pairs...)
-	sort.Slice(sorted, func(i, j int) bool { return pairLess(sorted[i], sorted[j]) })
-	codes := make([]float64, len(sorted))
-	nodes := make([]*sequenceNode, len(sorted))
-	for i, e := range sorted {
-		r, ok := rel.Relationships[e]
-		if !ok {
-			return nil, fmt.Errorf("scape: pivot %v references unknown pair %v", pivot, e)
-		}
-		nodes[i] = newSequenceNode(e, r)
-		codes[i] = pairCode(e, idx.numSeries)
-	}
-	return btree.FromSorted(codes, nodes), nil
-}
-
-// xiEntry pairs a sequence node with its scalar projection while the
-// per-measure tree contents are being sorted.
-type xiEntry struct {
-	xi float64
-	sn *sequenceNode
+	seq := btree.FromSorted(codes, nodes)
+	return idx.finishPivotNode(d, rel, rel.Layout().Pivots()[pi], seq, perSeries, centers)
 }
 
 // pivotScratch holds the reusable per-pivot build buffers.  The buffers grow
@@ -450,8 +454,6 @@ type xiEntry struct {
 type pivotScratch struct {
 	nodes   []*sequenceNode
 	entries []xiEntry
-	keys    []float64
-	vals    []*sequenceNode
 }
 
 var pivotScratchPool sync.Pool
@@ -467,7 +469,7 @@ func getScratch() (*pivotScratch, bool) {
 func putScratch(sc *pivotScratch) { pivotScratchPool.Put(sc) }
 
 // finishPivotNode derives all window-dependent per-pivot state — α per
-// measure, the D-measure parameter bounds, and the per-measure ξ-trees — from
+// measure, the D-measure parameter bounds, and the per-measure ξ-containers — from
 // a pivot's sequence store.  It is the single code path shared by Build and
 // Update, which is what makes incrementally maintained indexes byte-identical
 // to freshly built ones: both sides feed the same sequence-node payloads, in
@@ -551,25 +553,26 @@ func (idx *Index) finishPivotNode(d *timeseries.DataMatrix, rel *symex.Result,
 		node.paramBounds[m] = [2]float64{lo, hi}
 	}
 
-	// ξ-trees: project every node, stable-sort (preserving canonical pair
-	// order among equal projections, matching sequential insertion), and
-	// bulk-load.  This replaces per-entry random inserts with O(k) tree
-	// construction from pooled buffers.
+	// ξ-containers: project every node, sort by (ξ, canonical pair rank) and
+	// lay keys and nodes out side by side.  One exact-size allocation of each
+	// kind serves all of the pivot's measures.
+	k := len(nodes)
+	keys := make([]float64, k*len(node.measures))
+	vals := make([]*sequenceNode, k*len(node.measures))
 	for _, pm := range node.measures {
 		entries := sc.entries[:0]
-		for _, sn := range nodes {
-			entries = append(entries, xiEntry{xi: scalarProjection(pm, sn.beta), sn: sn})
+		for rank, sn := range nodes {
+			entries = append(entries, xiEntry{xi: scalarProjection(pm, sn.beta), rank: int32(rank)})
 		}
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].xi < entries[j].xi })
-		keys := sc.keys[:0]
-		vals := sc.vals[:0]
-		for _, e := range entries {
-			keys = append(keys, e.xi)
-			vals = append(vals, e.sn)
+		sc.entries = entries
+		sortXi(entries)
+		pm.xi = xiArray{keys: keys[:k:k], nodes: vals[:k:k]}
+		keys, vals = keys[k:], vals[k:]
+		for i, e := range entries {
+			pm.xi.keys[i] = e.xi
+			pm.xi.nodes[i] = nodes[e.rank]
 		}
-		pm.tree = btree.FromSorted(keys, vals)
-		node.insertions += len(entries)
-		sc.entries, sc.keys, sc.vals = entries, keys, vals
+		node.insertions += k
 	}
 	return node, nil
 }
@@ -579,15 +582,13 @@ func (idx *Index) finishPivotNode(d *timeseries.DataMatrix, rel *symex.Result,
 // directly otherwise) and inserts them into the global location trees.
 func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result) error {
 	// Pick, for every series, one relationship in which it is the "other"
-	// (non-common) member.  Relationships live in a map, so the candidate with
-	// the smallest canonical pair is chosen to keep the estimate (and thus the
-	// tree contents) independent of map iteration order.
-	chosen := make(map[timeseries.SeriesID]*symex.Relationship, d.NumSeries())
-	for _, r := range rel.Relationships {
-		other := r.Other()
-		cur, ok := chosen[other]
-		if !ok || pairLess(r.Pair, cur.Pair) {
-			chosen[other] = r
+	// (non-common) member: the candidate with the smallest canonical pair, so
+	// the estimate (and thus the tree contents) does not depend on the order
+	// the relationships are stored in.
+	chosen := make([]*symex.Relationship, d.NumSeries())
+	for r := range rel.All() {
+		if cur := chosen[r.Other()]; cur == nil || pairLess(r.Pair, cur.Pair) {
+			chosen[r.Other()] = r
 		}
 	}
 
@@ -634,16 +635,12 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 		values map[stats.Measure][2]float64
 	}
 	pivotLocs, err := par.Gather(len(pivotOrder), idx.opts.buildParallelism(), func(i int) (pivotLoc, error) {
-		// L-measures straight off the common column slice of O_p
-		// (ComputeLocation never mutates its input; the median path copies
-		// before sorting).
-		common, _, err := rel.PivotColumns(d, pivotOrder[i])
-		if err != nil {
-			return pivotLoc{}, err
-		}
+		// L-measures of the common series off the window itself: order
+		// statistics read its sorted column (slid, not re-sorted, from epoch
+		// to epoch), bit-identical to reducing the raw column.
 		pl := pivotLoc{values: make(map[stats.Measure][2]float64, len(measures))}
 		for _, m := range measures {
-			lc, err := stats.ComputeLocation(m, common)
+			lc, err := stats.WindowLocation(m, d, pivotOrder[i].Common)
 			if err != nil {
 				return pivotLoc{}, err
 			}
@@ -674,11 +671,7 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 				vals[m] = propagated[1]
 				continue
 			}
-			s, err := d.Series(id)
-			if err != nil {
-				return err
-			}
-			v, err := stats.ComputeLocation(m, s)
+			v, err := stats.WindowLocation(m, d, id)
 			if err != nil {
 				return err
 			}

@@ -24,7 +24,7 @@ func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if rel == nil || len(rel.Relationships) == 0 {
+	if rel == nil || rel.Len() == 0 {
 		return nil, fmt.Errorf("scape: no affine relationships to index")
 	}
 	opts = opts.withDefaults()

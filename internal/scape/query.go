@@ -144,7 +144,7 @@ func (idx *Index) PairIntervalNodes(m stats.Measure, iv interval.Interval) ([]No
 
 // PairBatch answers a batch of pairwise interval queries in one pass over the
 // pivot nodes: every node is visited once and serves all queries from its
-// B-trees before the scan moves on, sharing the per-node α lookups and the
+// ξ-containers before the scan moves on, sharing the per-node α lookups and the
 // node traversal across the batch.  out[i] holds the result of qs[i] and is
 // identical — including order — to the result of the corresponding single
 // PairInterval call.
@@ -207,7 +207,7 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 		}
 		var found *sequenceNode
 		var foundXi float64
-		pm.tree.Ascend(func(key float64, sn *sequenceNode) bool {
+		pm.xi.Ascend(func(key float64, sn *sequenceNode) bool {
 			if sn.pair == e {
 				found = sn
 				foundXi = key
@@ -237,7 +237,7 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 // rebuilds.
 func (idx *Index) shardPivots(scan func(node *pivotNode, out []timeseries.Pair) ([]timeseries.Pair, error)) ([]timeseries.Pair, error) {
 	// Contiguous node blocks (not one task per node) keep the per-task
-	// dispatch overhead negligible next to the tree scans; scans append into
+	// dispatch overhead negligible next to the container scans; scans append into
 	// the per-block buffer directly, so matching pairs are written once.
 	blocks := par.Blocks(len(idx.pivots), idx.opts.Parallelism)
 	parts := make([][]timeseries.Pair, len(blocks))
@@ -297,7 +297,7 @@ func (idx *Index) scanNode(node *pivotNode, ps pairScan, out []timeseries.Pair) 
 // nodeBaseInterval scans one pivot node for a T-measure interval query: the
 // value interval maps into the scalar projection domain through the modified
 // bounds τ' = τ/‖α_q‖ (Section 5.2), followed by an ordered scan of the
-// B-tree.
+// ξ-container.
 func nodeBaseInterval(node *pivotNode, m stats.Measure, iv interval.Interval, out []timeseries.Pair) ([]timeseries.Pair, error) {
 	pm, ok := node.measures[m]
 	if !ok {
@@ -306,14 +306,14 @@ func nodeBaseInterval(node *pivotNode, m stats.Measure, iv interval.Interval, ou
 	if pm.alphaNorm == 0 {
 		// Degenerate pivot: every value it represents is 0.
 		if iv.Contains(0) {
-			pm.tree.Ascend(func(_ float64, sn *sequenceNode) bool {
+			pm.xi.Ascend(func(_ float64, sn *sequenceNode) bool {
 				out = append(out, sn.pair)
 				return true
 			})
 		}
 		return out, nil
 	}
-	ascendInterval(pm.tree, scaleInterval(iv, pm.alphaNorm), func(_ float64, sn *sequenceNode) bool {
+	pm.xi.ascendInterval(scaleInterval(iv, pm.alphaNorm), func(_ float64, sn *sequenceNode) bool {
 		out = append(out, sn.pair)
 		return true
 	})
@@ -321,7 +321,7 @@ func nodeBaseInterval(node *pivotNode, m stats.Measure, iv interval.Interval, ou
 }
 
 // scaleInterval divides both finite endpoints by a positive norm, mapping a
-// value-space interval into ξ space for a T-measure tree.
+// value-space interval into ξ space for a T-measure container.
 func scaleInterval(iv interval.Interval, norm float64) interval.Interval {
 	if !iv.Lo.Unbounded {
 		iv.Lo.Value /= norm
@@ -334,7 +334,7 @@ func scaleInterval(iv interval.Interval, norm float64) interval.Interval {
 
 // ascendInterval visits the tree entries whose key lies in iv, in ascending
 // key order: the closed key window [Lo, Hi] restricted by skipping keys equal
-// to an open endpoint.
+// to an open endpoint.  (The location trees; ξ-containers have their own.)
 func ascendInterval[V any](t *btree.Tree[V], iv interval.Interval, fn func(key float64, v V) bool) {
 	lo, hi := iv.Lo.Limit(-1), iv.Hi.Limit(1)
 	t.AscendRange(lo, hi, func(key float64, v V) bool {
@@ -546,14 +546,14 @@ func (idx *Index) nodeDerivedInterval(node *pivotNode, sp *measure.Spec, pred de
 	}
 	if pred.evalAll || !db.canPrune {
 		// No pruning possible (or disabled): evaluate every entry.
-		db.pm.tree.Ascend(func(xi float64, sn *sequenceNode) bool {
+		db.pm.xi.Ascend(func(xi float64, sn *sequenceNode) bool {
 			evaluate(xi, sn)
 			return true
 		})
 		return out, nil
 	}
 	w := db.window(sp, pred.eval, idx.numSamples)
-	db.pm.tree.AscendRange(w.scanLo, w.scanHi, func(xi float64, sn *sequenceNode) bool {
+	db.pm.xi.AscendRange(w.scanLo, w.scanHi, func(xi float64, sn *sequenceNode) bool {
 		if xi > w.defLo && xi < w.defHi {
 			out = append(out, sn.pair)
 			return true

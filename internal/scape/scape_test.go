@@ -58,8 +58,9 @@ func testDataset(t testing.TB, seed int64, n, m int) (*timeseries.DataMatrix, *s
 // index stores.  Pairs with an undefined derived value are omitted.
 func affineEstimates(t testing.TB, d *timeseries.DataMatrix, rel *symex.Result, m stats.Measure) map[timeseries.Pair]float64 {
 	t.Helper()
-	out := make(map[timeseries.Pair]float64, len(rel.Relationships))
-	for e, r := range rel.Relationships {
+	out := make(map[timeseries.Pair]float64, rel.Len())
+	for r := range rel.All() {
+		e := r.Pair
 		op, err := rel.PivotMatrix(d, r.Pivot)
 		if err != nil {
 			t.Fatal(err)
@@ -107,8 +108,8 @@ func TestBuildBasics(t *testing.T) {
 	if st.Pivots != rel.Stats.NumPivots {
 		t.Fatalf("pivots = %d, want %d", st.Pivots, rel.Stats.NumPivots)
 	}
-	if st.SequenceNodes != len(rel.Relationships) {
-		t.Fatalf("sequence nodes = %d, want %d", st.SequenceNodes, len(rel.Relationships))
+	if st.SequenceNodes != rel.Len() {
+		t.Fatalf("sequence nodes = %d, want %d", st.SequenceNodes, rel.Len())
 	}
 	if idx.NumPivots() != st.Pivots {
 		t.Fatal("NumPivots mismatch")

@@ -298,7 +298,7 @@ func (idx *Index) scanNodeTopK(node *pivotNode, sp *measure.Spec, largest bool, 
 		}
 		if pm.alphaNorm == 0 {
 			if iv.Contains(0) {
-				pm.tree.Ascend(func(_ float64, sn *sequenceNode) bool {
+				pm.xi.Ascend(func(_ float64, sn *sequenceNode) bool {
 					examined++
 					heap.Offer(sn.pair, 0)
 					return true
@@ -306,7 +306,7 @@ func (idx *Index) scanNodeTopK(node *pivotNode, sp *measure.Spec, largest bool, 
 			}
 			return examined, nil
 		}
-		ascendInterval(pm.tree, scaleInterval(iv, pm.alphaNorm), func(xi float64, sn *sequenceNode) bool {
+		pm.xi.ascendInterval(scaleInterval(iv, pm.alphaNorm), func(xi float64, sn *sequenceNode) bool {
 			examined++
 			heap.Offer(sn.pair, pm.alphaNorm*xi)
 			return true
@@ -333,14 +333,14 @@ func (idx *Index) scanNodeTopK(node *pivotNode, sp *measure.Spec, largest bool, 
 		return true
 	}
 	if pred.evalAll || !db.canPrune {
-		db.pm.tree.Ascend(offer)
+		db.pm.xi.Ascend(offer)
 		return examined, nil
 	}
 	// Unlike an interval scan there is no blind-accept region: the heap needs
 	// every candidate's exact value to rank it, so the whole conservative
 	// window is evaluated.
 	w := db.window(sp, pred.eval, idx.numSamples)
-	db.pm.tree.AscendRange(w.scanLo, w.scanHi, offer)
+	db.pm.xi.AscendRange(w.scanLo, w.scanHi, offer)
 	return examined, nil
 }
 
@@ -388,7 +388,7 @@ func (idx *Index) SeriesTopK(m stats.Measure, k int, largest bool) ([]timeseries
 }
 
 // nodeTopBound returns the optimistic bound on the best value a pivot node
-// can contain for the measure: exact tree extremes scaled by ‖α‖ for
+// can contain for the measure: exact container extremes scaled by ‖α‖ for
 // T-measures; for D-measures the transform evaluated at the corners of the
 // [T_min, T_max] × [U^min, U^max] box (every registered transform is monotone
 // in T and, for fixed T, monotone in U, so the box extrema sit at corners).
@@ -399,11 +399,11 @@ func (idx *Index) nodeTopBound(node *pivotNode, sp *measure.Spec, largest bool) 
 	if pm == nil {
 		return 0, false, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.Base)
 	}
-	minXi, ok := pm.tree.MinKey()
+	minXi, ok := pm.xi.MinKey()
 	if !ok {
 		return 0, false, nil
 	}
-	maxXi, _ := pm.tree.MaxKey()
+	maxXi, _ := pm.xi.MaxKey()
 	if !sp.Derived() {
 		if pm.alphaNorm == 0 {
 			return 0, true, nil

@@ -63,7 +63,8 @@ func TestPairTopKMatchesIndexValues(t *testing.T) {
 		// The index's own representation of every pair, via the same
 		// evaluator the scans use.
 		estimates := make(map[timeseries.Pair]float64, entries)
-		for e := range rel.Relationships {
+		for r := range rel.All() {
+			e := r.Pair
 			v, err := idx.PairValue(m, e)
 			if err != nil {
 				continue

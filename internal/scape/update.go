@@ -90,7 +90,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	if err := d.Validate(); err != nil {
 		return nil, us, err
 	}
-	if rel == nil || len(rel.Relationships) == 0 {
+	if rel == nil || rel.Len() == 0 {
 		return nil, us, fmt.Errorf("scape: no affine relationships to index")
 	}
 	if d.NumSeries() != prev.numSeries {
@@ -101,7 +101,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	if stale == nil {
 		us.StaleFraction = 1
 	} else {
-		us.StaleFraction = float64(len(stale)) / float64(len(rel.Relationships))
+		us.StaleFraction = float64(len(stale)) / float64(rel.Len())
 	}
 	if us.StaleFraction > us.Crossover {
 		us.FellBack = true
@@ -138,21 +138,23 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		return nil, us, err
 	}
 
-	// Group the stale pairs by their (fixed) pivot assignment; each pivot's
-	// delta is applied in canonical pair order for deterministic work.
-	staleByPivot := make(map[symex.Pivot][]timeseries.Pair)
-	if len(stale) > 0 {
-		for _, a := range rel.AssignmentList() {
-			if stale[a.Pair] {
-				staleByPivot[a.Pivot] = append(staleByPivot[a.Pivot], a.Pair)
-			}
-		}
-		for _, list := range staleByPivot {
-			sort.Slice(list, func(i, j int) bool { return pairLess(list[i], list[j]) })
+	// Group the stale pairs by their (fixed) pivot assignment, found through
+	// the layout's slot index — work in the stale set, not the relationship
+	// set; each pivot's delta is applied in canonical pair order for
+	// deterministic work.
+	layout := rel.Layout()
+	staleByPivot := make(map[int][]timeseries.Pair)
+	for p, isStale := range stale {
+		if slot, ok := layout.Slot(p); ok && isStale {
+			pi := layout.PivotOf(slot)
+			staleByPivot[pi] = append(staleByPivot[pi], p)
 		}
 	}
+	for _, list := range staleByPivot {
+		sort.Slice(list, func(i, j int) bool { return pairLess(list[i], list[j]) })
+	}
 
-	pivotOrder := rel.SortedPivots()
+	pivotOrder := livePivots(rel)
 
 	type updNode struct {
 		node     *pivotNode
@@ -163,14 +165,14 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		rebuilt  bool
 	}
 	results, err := par.Gather(len(pivotOrder), opts.Parallelism, func(i int) (updNode, error) {
-		pivot := pivotOrder[i]
-		pairs := rel.Pivots[pivot]
+		pi := pivotOrder[i]
+		pivot := layout.Pivots()[pi]
 		prevNode := prev.byPivot[pivot]
 		if prevNode == nil {
-			node, err := idx.buildPivotNode(d, rel, pivot, pairs, perSeries, centers)
+			node, err := idx.buildPivotNode(d, rel, pi, perSeries, centers)
 			return updNode{node: node, rebuilt: true}, err
 		}
-		changes := staleByPivot[pivot]
+		changes := staleByPivot[pi]
 		var un updNode
 		var seq *btree.Tree[*sequenceNode]
 		if len(changes) == 0 {
@@ -187,7 +189,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 				}
 			}
 			for _, p := range changes {
-				r, ok := rel.Relationships[p]
+				r, ok := rel.Relationship(p)
 				if !ok {
 					// Refit pruned the pair; the deletion above removed it.
 					continue
@@ -197,9 +199,9 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 			}
 			un.cloned = true
 		}
-		if seq.Len() != len(pairs) {
+		if seq.Len() != rel.PivotLen(pi) {
 			return un, fmt.Errorf("scape: incremental update diverged for pivot %v: store has %d pairs, relationships have %d",
-				pivot, seq.Len(), len(pairs))
+				pivot, seq.Len(), rel.PivotLen(pi))
 		}
 		node, err := idx.finishPivotNode(d, rel, pivot, seq, perSeries, centers)
 		un.node = node
@@ -238,7 +240,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	}
 
 	idx.stats.Pivots = len(idx.pivots)
-	idx.stats.SequenceNodes = len(rel.Relationships)
+	idx.stats.SequenceNodes = rel.Len()
 	idx.stats.IndexedTMeasures = len(idx.pairMeasures)
 	idx.stats.IndexedDMeasures = len(idx.derivedSet)
 	idx.stats.IndexedLMeasures = len(idx.locationSet)

@@ -190,6 +190,34 @@ func TestUpdateMatchesFullBuild(t *testing.T) {
 	}
 }
 
+// TestUpdateIgnoresFalseStaleEntries: the stale set is a map[Pair]bool, and a
+// pair mapped to false is not stale — neither Refit nor Update touches it.
+func TestUpdateIgnoresFalseStaleEntries(t *testing.T) {
+	d1, d2, rel1 := slidingDataset(t, 11, 36, 240, 24)
+	idx1, err := Build(d1, rel1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := staleSubset(rel1, 0.2, 5)
+	for p := range stale {
+		stale[p] = false
+	}
+	rel2, rs, err := symex.Refit(d2, rel1, symex.RefitOptions{Stale: stale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Refit != 0 || rs.Reused != rel1.Len() {
+		t.Fatalf("refit stats %+v, want every relationship reused", rs)
+	}
+	upd, us, err := idx1.Update(d2, rel2, stale, UpdateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us.StoresCloned != 0 || us.EntriesDeleted != 0 || us.EntriesInserted != 0 || us.StoresShared != upd.NumPivots() {
+		t.Fatalf("update stats %+v, want every store shared", us)
+	}
+}
+
 func TestUpdateCrossoverFallsBackToBuild(t *testing.T) {
 	d1, d2, rel1 := slidingDataset(t, 17, 24, 200, 20)
 	idx1, err := Build(d1, rel1, Options{})

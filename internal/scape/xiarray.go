@@ -1,0 +1,141 @@
+package scape
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+
+	"affinity/internal/interval"
+)
+
+// xiArray is one (pivot, measure) ξ-container: the pivot's sequence nodes
+// sorted by scalar projection, keys and nodes side by side in exact-size
+// slices.  A ξ-container is derived from the epoch's window, built in one
+// piece and replaced wholesale by the next epoch, so it needs none of a
+// B-tree's mutation machinery: a sorted array answers the same ordered scans
+// and rank counts at a fraction of the memory (a 14-entry tree preallocates
+// two 33-slot leaf arrays) and of the build time.
+//
+// Entries are ordered by (ξ, canonical pair rank) — what a stable sort by ξ
+// over canonically ordered nodes produces.  A NaN ξ (only an overflowed
+// transform yields one) sorts first, as cmp.Compare orders it, where no range
+// scan reaches it: every bound comparison against NaN is false.
+type xiArray struct {
+	keys  []float64
+	nodes []*sequenceNode
+}
+
+// xiEntry is one projected node while a container is being sorted: its ξ and
+// its rank in the pivot's canonical pair order.
+type xiEntry struct {
+	xi   float64
+	rank int32
+}
+
+// sortXi puts the entries into container order.
+func sortXi(entries []xiEntry) {
+	slices.SortFunc(entries, func(a, b xiEntry) int {
+		switch {
+		case a.xi < b.xi:
+			return -1
+		case a.xi > b.xi:
+			return +1
+		case a.xi == b.xi:
+			return cmp.Compare(a.rank, b.rank)
+		}
+		// One of the two is NaN: cmp.Compare orders NaN first.
+		return cmp.Or(cmp.Compare(a.xi, b.xi), cmp.Compare(a.rank, b.rank))
+	})
+}
+
+// Len returns the number of entries.
+func (a *xiArray) Len() int { return len(a.keys) }
+
+// Ascend visits every entry in container order until fn returns false.
+func (a *xiArray) Ascend(fn func(xi float64, sn *sequenceNode) bool) {
+	for i, xi := range a.keys {
+		if !fn(xi, a.nodes[i]) {
+			return
+		}
+	}
+}
+
+// AscendRange visits the entries with min <= ξ <= max in container order
+// until fn returns false.
+func (a *xiArray) AscendRange(min, max float64, fn func(xi float64, sn *sequenceNode) bool) {
+	a.ascendInterval(interval.Between(min, max), fn)
+}
+
+// Rank returns the number of entries ordered before ξ = key: those with a
+// smaller ξ, and the NaN ones.
+func (a *xiArray) Rank(key float64) int {
+	return sort.Search(len(a.keys), func(i int) bool { return a.keys[i] >= key })
+}
+
+// CountGreater returns the number of entries with ξ strictly above key.
+func (a *xiArray) CountGreater(key float64) int {
+	return len(a.keys) - sort.Search(len(a.keys), func(i int) bool { return a.keys[i] > key })
+}
+
+// bounds returns the index window [lo, hi) of the entries whose ξ lies in iv
+// (hi <= lo when there is none).  An unbounded low side still ranks −∞: that
+// skips exactly the NaN entries, which no bound comparison is true of.
+func (a *xiArray) bounds(iv interval.Interval) (lo, hi int) {
+	switch {
+	case iv.Lo.Unbounded:
+		lo = a.Rank(math.Inf(-1))
+	case iv.Lo.Open:
+		lo = len(a.keys) - a.CountGreater(iv.Lo.Value)
+	default:
+		lo = a.Rank(iv.Lo.Value)
+	}
+	switch {
+	case iv.Hi.Unbounded:
+		hi = len(a.keys)
+	case iv.Hi.Open:
+		hi = a.Rank(iv.Hi.Value)
+	default:
+		hi = len(a.keys) - a.CountGreater(iv.Hi.Value)
+	}
+	return lo, hi
+}
+
+// ascendInterval visits the entries whose ξ lies in iv, in container order,
+// until fn returns false.
+func (a *xiArray) ascendInterval(iv interval.Interval, fn func(xi float64, sn *sequenceNode) bool) {
+	lo, hi := a.bounds(iv)
+	for i := lo; i < hi; i++ {
+		if !fn(a.keys[i], a.nodes[i]) {
+			return
+		}
+	}
+}
+
+// countInterval counts the entries whose ξ lies in iv in O(log k).
+func (a *xiArray) countInterval(iv interval.Interval) int {
+	lo, hi := a.bounds(iv)
+	return max(hi-lo, 0)
+}
+
+// MinKey returns the smallest ξ, and false when the container holds no
+// entry with a defined (non-NaN) ξ.
+func (a *xiArray) MinKey() (float64, bool) {
+	first := 0
+	if len(a.keys) > 0 && math.IsNaN(a.keys[0]) {
+		first = a.Rank(math.Inf(-1)) // past the NaN entries
+	}
+	if first == len(a.keys) {
+		return 0, false
+	}
+	return a.keys[first], true
+}
+
+// MaxKey returns the largest ξ, and false when the container holds no entry
+// with a defined (non-NaN) ξ.
+func (a *xiArray) MaxKey() (float64, bool) {
+	if _, ok := a.MinKey(); !ok {
+		return 0, false
+	}
+	return a.keys[len(a.keys)-1], true
+}

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,10 +82,12 @@ type Coordinator struct {
 	cfg       Config
 	engines   []*core.Engine
 	placement Placement
-	// assignments is the frozen global pair→pivot assignment list; shard
-	// refits keep it frozen too, so it stays the merge order for every epoch.
-	assignments []symex.Assignment
-	locOpts     scape.Options
+	// layout is the frozen global assignment layout and slots[s][i] the global
+	// slot of shard s's slot i; shard refits keep their layouts frozen too,
+	// so merging an epoch is one slot copy per relationship.
+	layout  *symex.Layout
+	slots   [][]int32
+	locOpts scape.Options
 	// cache is the global result cache, caching merged scatter-gather results
 	// at the coordinator (Config.Engine.Cache; nil when disabled).
 	cache *qcache.Cache
@@ -124,9 +125,14 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	shardCfg.Cache = qcache.Options{}
 
 	engines := make([]*core.Engine, pl.Shards)
+	slots := make([][]int32, pl.Shards)
 	err = par.Do(pl.Shards, pl.Shards, func(s int) error {
-		e, err := core.BuildFromRelationships(d, shardCfg, Restrict(rel, pl.Owner, s))
-		engines[s] = e
+		restricted, owned, err := Restrict(rel, pl.Owner, s)
+		if err != nil {
+			return err
+		}
+		slots[s] = owned
+		engines[s], err = core.BuildFromRelationships(d, shardCfg, restricted)
 		return err
 	})
 	if err != nil {
@@ -138,12 +144,13 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 		locOpts.Parallelism = cfg.Engine.Parallelism
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		engines:     engines,
-		placement:   pl,
-		assignments: rel.AssignmentList(),
-		locOpts:     locOpts,
-		cache:       qcache.New(cfg.Engine.Cache),
+		cfg:       cfg,
+		engines:   engines,
+		placement: pl,
+		layout:    rel.Layout(),
+		slots:     slots,
+		locOpts:   locOpts,
+		cache:     qcache.New(cfg.Engine.Cache),
 	}
 	views := make([]core.View, len(engines))
 	for i, e := range engines {
@@ -180,7 +187,7 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 			NumSamples:    d.NumSamples(),
 			NumPairs:      d.NumPairs(),
 			NumPivots:     rel.Stats.NumPivots,
-			FallbackPairs: d.NumPairs() - len(rel.Relationships),
+			FallbackPairs: d.NumPairs() - rel.Len(),
 			HasIndex:      !c.cfg.Engine.SkipIndex,
 			// Sketches are per series, built by every shard over the shared
 			// window, so shard 0's statistics describe the global prescreen.
@@ -320,7 +327,7 @@ func (c *Coordinator) advanceLocked() (core.AdvanceInfo, error) {
 			}
 		}
 	}
-	c.cache.OnAdvance(st.epoch, sortedStalePairs(stale), fullRefit)
+	c.cache.OnAdvance(st.epoch, core.SortedStalePairs(stale), fullRefit)
 
 	c.cur.Store(st)
 	c.pending = nil
@@ -337,53 +344,25 @@ func (c *Coordinator) advanceLocked() (core.AdvanceInfo, error) {
 	return agg, nil
 }
 
-// sortedStalePairs flattens a stale set into canonical (U, V) order; nil in,
-// nil out.
-func sortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
-	if stale == nil {
-		return nil
-	}
-	out := make([]timeseries.Pair, 0, len(stale))
-	for p := range stale {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
 // mergeRelationships rebuilds the global relationship result from the shard
-// epochs: relationships union (the pivot sets are disjoint), pivot lists in
-// the frozen global assignment order, shared clustering.  Because each shard
-// refits exactly the restriction of the global assignment list, the union is
-// byte-identical to a single engine's refit of the whole list.
+// epochs: every shard slot is copied to its global slot (the shards' slot
+// sets partition the global ones), over the shared global layout.  Because
+// each shard refits exactly the restriction of the global assignment list,
+// the union is byte-identical to a single engine's refit of the whole list.
 func (c *Coordinator) mergeRelationships(views []core.View) *symex.Result {
-	merged := &symex.Result{
-		Relationships: make(map[timeseries.Pair]*symex.Relationship),
-		Pivots:        make(map[symex.Pivot][]timeseries.Pair),
-		Assignments:   c.assignments,
-		Clustering:    views[0].Relationships().Clustering,
+	rels := make([]*symex.Relationship, len(c.layout.Assignments()))
+	for s, v := range views {
+		for i, slot := range c.slots[s] {
+			rels[slot] = v.Relationships().At(i)
+		}
 	}
+	merged := symex.NewResult(c.layout, views[0].Relationships().Clustering, rels)
 	for _, v := range views {
-		sr := v.Relationships()
-		for p, r := range sr.Relationships {
-			merged.Relationships[p] = r
-		}
-		merged.Stats.PseudoInverseComputations += sr.Stats.PseudoInverseComputations
-		merged.Stats.PseudoInverseCacheHits += sr.Stats.PseudoInverseCacheHits
-		merged.Stats.PrunedRelationships += sr.Stats.PrunedRelationships
+		st := v.Relationships().Stats
+		merged.Stats.PseudoInverseComputations += st.PseudoInverseComputations
+		merged.Stats.PseudoInverseCacheHits += st.PseudoInverseCacheHits
+		merged.Stats.PrunedRelationships += st.PrunedRelationships
 	}
-	for _, a := range c.assignments {
-		if _, ok := merged.Relationships[a.Pair]; ok {
-			merged.Pivots[a.Pivot] = append(merged.Pivots[a.Pivot], a.Pair)
-		}
-	}
-	merged.Stats.NumRelationships = len(merged.Relationships)
-	merged.Stats.NumPivots = len(merged.Pivots)
 	return merged
 }
 

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"affinity/internal/symex"
-	"affinity/internal/timeseries"
 )
 
 // Placement assigns every SYMEX pivot to a shard.
@@ -75,29 +74,15 @@ func ComputePlacement(rel *symex.Result, shards int) (Placement, error) {
 	if shards < 1 {
 		return Placement{}, fmt.Errorf("shard: need at least one shard, got %d", shards)
 	}
-	if len(rel.Relationships) == 0 {
+	if rel.Len() == 0 {
 		return Placement{}, fmt.Errorf("shard: no affine relationships to place")
 	}
 	n := len(rel.Clustering.Assignment)
 
 	// Distinct assigned pivots in canonical order, grouped by cluster.  The
-	// assignment list covers pruned pairs too, so every pivot a streaming
-	// refit could revive gets an owner.
-	seen := make(map[symex.Pivot]bool)
-	var pivots []symex.Pivot
-	for _, a := range rel.AssignmentList() {
-		if !seen[a.Pivot] {
-			seen[a.Pivot] = true
-			pivots = append(pivots, a.Pivot)
-		}
-	}
-	for _, p := range rel.SortedPivots() {
-		if !seen[p] {
-			seen[p] = true
-			pivots = append(pivots, p)
-		}
-	}
-	symex.SortPivots(pivots)
+	// layout covers pruned pairs too, so every pivot a streaming refit could
+	// revive gets an owner.
+	pivots := rel.Layout().Pivots()
 
 	sizes := rel.Clustering.Sizes()
 	byCluster := make(map[int][]symex.Pivot)
@@ -111,9 +96,9 @@ func ComputePlacement(rel *symex.Result, shards int) (Placement, error) {
 	sort.Ints(clusterOrder)
 
 	// Relationship counts per pivot, for the non-empty-shard constraint.
-	relCount := make(map[symex.Pivot]int, len(rel.Pivots))
-	for p, pairs := range rel.Pivots {
-		relCount[p] = len(pairs)
+	relCount := make(map[symex.Pivot]int, len(pivots))
+	for pi, p := range pivots {
+		relCount[p] = rel.PivotLen(pi)
 	}
 
 	for s := shards; s >= 1; s-- {
@@ -220,28 +205,26 @@ func tryPlacement(n, shards int, clusterOrder []int, byCluster map[int][]symex.P
 	return pl, true
 }
 
-// Restrict builds shard s's relationship result: the global assignments,
-// relationships and pivot lists filtered to the pivots s owns, preserving the
-// global iteration order everywhere (so each shard's pivot nodes, summaries
-// and refits are built from exactly the slices of the global structures a
-// single engine would use).  The clustering is shared, not copied.
-func Restrict(rel *symex.Result, owner map[symex.Pivot]int, s int) *symex.Result {
-	out := &symex.Result{
-		Relationships: make(map[timeseries.Pair]*symex.Relationship),
-		Pivots:        make(map[symex.Pivot][]timeseries.Pair),
-		Clustering:    rel.Clustering,
-	}
-	for _, a := range rel.AssignmentList() {
-		if owner[a.Pivot] != s {
-			continue
-		}
-		out.Assignments = append(out.Assignments, a)
-		if r, ok := rel.Relationships[a.Pair]; ok {
-			out.Relationships[a.Pair] = r
-			out.Pivots[a.Pivot] = append(out.Pivots[a.Pivot], a.Pair)
+// Restrict builds shard s's relationship result: the global assignments and
+// relationships filtered to the pivots s owns, preserving the global
+// assignment order (so each shard's pivot nodes, summaries and refits are
+// built from exactly the slices of the global structures a single engine would
+// use).  slots[i] is the global slot of the shard result's slot i — what the
+// coordinator copies back through when it merges an epoch.  The clustering is
+// shared, not copied.
+func Restrict(rel *symex.Result, owner map[symex.Pivot]int, s int) (restricted *symex.Result, slots []int32, err error) {
+	var assignments []symex.Assignment
+	var rels []*symex.Relationship
+	for slot, a := range rel.AssignmentList() {
+		if owner[a.Pivot] == s {
+			slots = append(slots, int32(slot))
+			assignments = append(assignments, a)
+			rels = append(rels, rel.At(slot))
 		}
 	}
-	out.Stats.NumRelationships = len(out.Relationships)
-	out.Stats.NumPivots = len(out.Pivots)
-	return out
+	layout, err := symex.NewLayout(len(rel.Clustering.Assignment), assignments)
+	if err != nil {
+		return nil, nil, err
+	}
+	return symex.NewResult(layout, rel.Clustering, rels), slots, nil
 }

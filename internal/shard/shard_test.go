@@ -101,15 +101,21 @@ func TestComputePlacement(t *testing.T) {
 	total := 0
 	seen := make(map[timeseries.Pair]bool)
 	for s := 0; s < pl.Shards; s++ {
-		r := Restrict(rel, pl.Owner, s)
-		total += len(r.Assignments)
-		for _, a := range r.Assignments {
+		r, slots, err := Restrict(rel, pl.Owner, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(r.AssignmentList())
+		for i, a := range r.AssignmentList() {
 			if seen[a.Pair] {
 				t.Fatalf("pair %v on two shards", a.Pair)
 			}
 			seen[a.Pair] = true
+			if rel.AssignmentList()[slots[i]] != a || rel.At(int(slots[i])) != r.At(i) {
+				t.Fatalf("shard %d slot %d does not mirror global slot %d", s, i, slots[i])
+			}
 		}
-		if len(r.Relationships) == 0 {
+		if r.Len() == 0 {
 			t.Fatalf("shard %d has no relationships", s)
 		}
 		if r.Clustering != rel.Clustering {
@@ -392,5 +398,84 @@ func TestCoordinatorSingleShardAccessors(t *testing.T) {
 	}
 	if c.Epoch() != 0 {
 		t.Fatalf("epoch %d", c.Epoch())
+	}
+}
+
+// TestRestrictThenMergeIsIdentity: restricting the global result to the
+// shards and merging the shard results back is the identity — every global
+// slot gets its own relationship back (pruned slots stay pruned), over the
+// same layout, with the same counts — at build time and, against a single
+// engine fed the same ticks, after a drift-selected refit.
+func TestRestrictThenMergeIsIdentity(t *testing.T) {
+	cfg := core.Config{Clusters: 4, Seed: 5, MaxLSFD: 0.05, Stream: core.StreamConfig{DriftBound: 0.02}}
+	fx := makeShardFixture(t, 24, 90, 12, 7)
+	single, err := core.Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Build(fx.window, Config{Shards: 3, Engine: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := c.Relationships()
+	if global.Stats.PrunedRelationships == 0 || global.Len() == 0 {
+		t.Fatalf("the bound prunes %d of %d pairs: nothing to keep pruned", global.Stats.PrunedRelationships, len(global.AssignmentList()))
+	}
+	views := func() []core.View {
+		out := make([]core.View, len(c.engines))
+		for i, e := range c.engines {
+			out[i] = e.View()
+		}
+		return out
+	}
+	merged := c.mergeRelationships(views())
+	if merged.Layout() != global.Layout() || merged.Clustering != global.Clustering {
+		t.Fatal("the merge rebuilt the layout or the clustering instead of sharing them")
+	}
+	if merged.Len() != global.Len() || merged.Stats.NumPivots != global.Stats.NumPivots {
+		t.Fatalf("merged %d relationships over %d pivots, global %d over %d",
+			merged.Len(), merged.Stats.NumPivots, global.Len(), global.Stats.NumPivots)
+	}
+	for slot := range global.AssignmentList() {
+		if merged.At(slot) != global.At(slot) {
+			t.Fatalf("slot %d: the merge returned a different relationship than Restrict was given", slot)
+		}
+	}
+
+	for epoch := 0; epoch < 3; epoch++ {
+		for _, tick := range fx.ticks[epoch*4 : epoch*4+4] {
+			if err := single.Append(tick); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Append(tick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := single.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.RefitRelationships != want.RefitRelationships || got.ReusedRelationships != want.ReusedRelationships ||
+			got.RefitPivots != want.RefitPivots || len(got.Stale) != len(want.Stale) {
+			t.Fatalf("epoch %d: coordinator refit/reused/pivots %d/%d/%d (%d stale), single engine %d/%d/%d (%d stale)", epoch+1,
+				got.RefitRelationships, got.ReusedRelationships, got.RefitPivots, len(got.Stale),
+				want.RefitRelationships, want.ReusedRelationships, want.RefitPivots, len(want.Stale))
+		}
+		merged, ref := c.Relationships(), single.Relationships()
+		if merged.Layout() != global.Layout() || merged.Len() != ref.Len() || merged.Stats.NumPivots != ref.Stats.NumPivots {
+			t.Fatalf("epoch %d: merged %d relationships over %d pivots, single engine %d over %d", epoch+1,
+				merged.Len(), merged.Stats.NumPivots, ref.Len(), ref.Stats.NumPivots)
+		}
+		for _, a := range merged.AssignmentList() {
+			g, gok := merged.Relationship(a.Pair)
+			w, wok := ref.Relationship(a.Pair)
+			if gok != wok || (gok && (g.Pivot != w.Pivot || g.Flipped != w.Flipped || *g.Transform != *w.Transform)) {
+				t.Fatalf("epoch %d: pair %v differs between the merged result and the single engine", epoch+1, a.Pair)
+			}
+		}
 	}
 }

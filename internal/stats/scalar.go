@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"affinity/internal/measure"
+	"affinity/internal/timeseries"
 )
 
 // The scalar primitives live in internal/measure (the registry's specs are
@@ -126,6 +127,30 @@ func ComputeLocation(m Measure, x []float64) (float64, error) {
 		return 0, fmt.Errorf("%w: %v is not an L-measure", ErrUnknownMeasure, m)
 	}
 	return sp.EvalLocation(x)
+}
+
+// WindowLocation computes an L-measure of series id of the window d — the
+// same bits as ComputeLocation over d.Series(id).  Order statistics (median,
+// mode) are read off the window's sorted column, which a streaming window
+// slides instead of re-sorting; the mean reduces the raw series, because its
+// rounding depends on sample order.
+func WindowLocation(m Measure, d *timeseries.DataMatrix, id timeseries.SeriesID) (float64, error) {
+	sp, ok := measure.Find(m)
+	if !ok || !sp.Location() {
+		return 0, fmt.Errorf("%w: %v is not an L-measure", ErrUnknownMeasure, m)
+	}
+	if sp.EvalSorted != nil {
+		sorted, err := d.SortedSeries(id)
+		if err != nil {
+			return 0, err
+		}
+		return sp.EvalSorted(sorted)
+	}
+	s, err := d.Series(id)
+	if err != nil {
+		return 0, err
+	}
+	return sp.EvalLocation(s)
 }
 
 // ComputePair computes a T- or D-measure for a pair of series through the

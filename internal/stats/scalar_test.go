@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"affinity/internal/timeseries"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -361,5 +363,49 @@ func TestPairwiseSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWindowLocationMatchesComputeLocation: reading an L-measure off a window
+// (sorted column for the order statistics, raw series for the mean) gives the
+// bits ComputeLocation gives on the raw series, before and after a slide.
+func TestWindowLocationMatchesComputeLocation(t *testing.T) {
+	d, err := timeseries.NewDataMatrix([][]float64{
+		{3, 1, 2, 2, 9, -4, 0.5},
+		{0, math.Copysign(0, -1), 0, 1, -1, 0, math.Copysign(0, -1)},
+		{7, 7, 7, 7, 7, 7, 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(d *timeseries.DataMatrix) {
+		t.Helper()
+		for _, m := range LMeasures() {
+			for _, id := range d.IDs() {
+				s, _ := d.Series(id)
+				want, err := ComputeLocation(m, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := WindowLocation(m, d, id)
+				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("WindowLocation(%v, series %d) = %v, %v; ComputeLocation = %v", m, id, got, err, want)
+				}
+			}
+		}
+	}
+	check(d)
+	next, err := d.SlideCopy([][]float64{{2, 2}, {math.Copysign(0, -1), 5}, {7, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(next)
+	if _, err := WindowLocation(Covariance, d, 0); !errors.Is(err, ErrUnknownMeasure) {
+		t.Fatalf("WindowLocation of a pairwise measure: err = %v", err)
+	}
+	for _, m := range LMeasures() {
+		if _, err := WindowLocation(m, d, 9); !errors.Is(err, timeseries.ErrInvalidSeries) {
+			t.Fatalf("WindowLocation(%v) of an unknown series: err = %v", m, err)
+		}
 	}
 }

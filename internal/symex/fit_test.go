@@ -40,7 +40,8 @@ func pairMatrices(t testing.TB, d *timeseries.DataMatrix, res *Result, pair time
 // bits the generic affine.Fit produces for it on d.
 func requireGenericFits(t testing.TB, label string, d *timeseries.DataMatrix, res *Result, only map[timeseries.Pair]bool) {
 	t.Helper()
-	for pair, rel := range res.Relationships {
+	for rel := range res.All() {
+		pair := rel.Pair
 		if only != nil && !only[pair] {
 			continue
 		}
@@ -71,8 +72,8 @@ func TestResultsMatchGenericFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Relationships) != d.NumPairs() {
-			t.Fatalf("cache=%v: %d relationships, want %d", cache, len(res.Relationships), d.NumPairs())
+		if res.Len() != d.NumPairs() {
+			t.Fatalf("cache=%v: %d relationships, want %d", cache, res.Len(), d.NumPairs())
 		}
 		requireGenericFits(t, fmt.Sprintf("Compute cache=%v", cache), d, res, nil)
 		prev = res
@@ -86,7 +87,7 @@ func TestResultsMatchGenericFit(t *testing.T) {
 	requireGenericFits(t, "full Refit", next, full, nil)
 
 	stale := map[timeseries.Pair]bool{}
-	for i, a := range prev.Assignments {
+	for i, a := range prev.AssignmentList() {
 		if i%3 == 0 {
 			stale[a.Pair] = true
 		}
@@ -95,7 +96,7 @@ func TestResultsMatchGenericFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Refit != len(stale) || rs.Reused != len(prev.Relationships)-len(stale) {
+	if rs.Refit != len(stale) || rs.Reused != prev.Len()-len(stale) {
 		t.Fatalf("selective refit stats %+v with %d stale pairs", rs, len(stale))
 	}
 	requireGenericFits(t, "selective Refit", next, partial, stale)
@@ -109,17 +110,18 @@ func requireSameResult(t testing.TB, label string, got, want *Result) {
 	if got.Stats != want.Stats {
 		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
 	}
-	if !reflect.DeepEqual(got.Assignments, want.Assignments) {
+	if !reflect.DeepEqual(got.AssignmentList(), want.AssignmentList()) {
 		t.Fatalf("%s: assignment lists differ", label)
 	}
-	if !reflect.DeepEqual(got.Pivots, want.Pivots) {
+	if !reflect.DeepEqual(pivotPairs(got), pivotPairs(want)) {
 		t.Fatalf("%s: pivot pair lists differ", label)
 	}
-	if len(got.Relationships) != len(want.Relationships) {
-		t.Fatalf("%s: %d relationships, want %d", label, len(got.Relationships), len(want.Relationships))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d relationships, want %d", label, got.Len(), want.Len())
 	}
-	for pair, w := range want.Relationships {
-		g, ok := got.Relationships[pair]
+	for w := range want.All() {
+		pair := w.Pair
+		g, ok := got.Relationship(pair)
 		if !ok {
 			t.Fatalf("%s: pair %v missing", label, pair)
 		}
@@ -155,7 +157,7 @@ func TestFitsIndependentOfParallelism(t *testing.T) {
 					t.Fatal(err)
 				}
 				stale := map[timeseries.Pair]bool{}
-				for i, a := range res.Assignments {
+				for i, a := range res.AssignmentList() {
 					if i%4 != 1 {
 						stale[a.Pair] = true
 					}
@@ -177,9 +179,10 @@ func TestFitsIndependentOfParallelism(t *testing.T) {
 }
 
 // TestRefitBookkeeping pins what Refit shares with and derives from the
-// previous result: the assignment list is shared, not copied, and every
-// pivot's pair list is "reused pairs in assignment order, then refit pairs in
-// assignment order" — the order the SCAPE build consumes.
+// previous result: the layout (assignment list and indexes) is shared by
+// pointer, not copied, and every pivot's relationships come back in canonical
+// pair order — the order the SCAPE sequence stores keep — whichever of them
+// were refit.
 func TestRefitBookkeeping(t *testing.T) {
 	d := correlatedData(t, 43, 3, 12, 60, 0.05)
 	prev, err := Compute(d, defaultOptions())
@@ -188,7 +191,7 @@ func TestRefitBookkeeping(t *testing.T) {
 	}
 	next := slideData(t, d, 8, 4)
 	stale := map[timeseries.Pair]bool{}
-	for i, a := range prev.Assignments {
+	for i, a := range prev.AssignmentList() {
 		if i%2 == 0 {
 			stale[a.Pair] = true
 		}
@@ -197,19 +200,22 @@ func TestRefitBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &res.Assignments[0] != &prev.Assignments[0] || len(res.Assignments) != len(prev.Assignments) {
-		t.Fatal("Refit must share the previous result's assignment list")
+	if res.Layout() != prev.Layout() {
+		t.Fatal("Refit must share the previous result's layout")
 	}
 	want := make(map[Pivot][]timeseries.Pair)
-	for _, wantStale := range []bool{false, true} {
-		for _, a := range prev.Assignments {
-			if stale[a.Pair] == wantStale {
-				want[a.Pivot] = append(want[a.Pivot], a.Pair)
-			}
-		}
+	for _, pair := range d.AllPairs() {
+		slot, _ := prev.Layout().Slot(pair)
+		p := prev.AssignmentList()[slot].Pivot
+		want[p] = append(want[p], pair)
 	}
-	if !reflect.DeepEqual(res.Pivots, want) {
-		t.Fatalf("pivot pair lists are not reused-then-refit in assignment order:\n got %v\nwant %v", res.Pivots, want)
+	if got := pivotPairs(res); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pivot pair lists are not in canonical pair order:\n got %v\nwant %v", got, want)
+	}
+	for rel := range res.All() {
+		if prevRel, _ := prev.Relationship(rel.Pair); (rel == prevRel) == stale[rel.Pair] {
+			t.Fatalf("pair %v: stale=%v but shared with the previous result=%v", rel.Pair, stale[rel.Pair], rel == prevRel)
+		}
 	}
 }
 
@@ -231,8 +237,8 @@ func TestRefitAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Refit != len(prev.Assignments) || len(res.Relationships) != rs.Refit {
-		t.Fatalf("full refit stats %+v over %d assignments", rs, len(prev.Assignments))
+	if rs.Refit != len(prev.AssignmentList()) || res.Len() != rs.Refit {
+		t.Fatalf("full refit stats %+v over %d assignments", rs, len(prev.AssignmentList()))
 	}
 	const scratch = 6 * m * 8 // one sequential worker's pivotFit buffers
 	perRelationship := (float64(after.TotalAlloc-before.TotalAlloc) - scratch) / float64(rs.Refit)
@@ -303,13 +309,13 @@ func TestMaxLSFDPrunesByGenericDistance(t *testing.T) {
 	check := func(label string, data *timeseries.DataMatrix, res *Result, pruned int) {
 		t.Helper()
 		wantPruned := 0
-		for _, a := range res.Assignments {
+		for _, a := range res.AssignmentList() {
 			op, target := pairMatrices(t, data, res, a.Pair, a.Pivot)
 			dist, err := lsfd.Distance(op, target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, kept := res.Relationships[a.Pair]
+			_, kept := res.Relationship(a.Pair)
 			if kept != !(dist > bound) {
 				t.Fatalf("%s: pair %v has LSFD %v against bound %v but kept=%v", label, a.Pair, dist, bound, kept)
 			}
@@ -317,8 +323,8 @@ func TestMaxLSFDPrunesByGenericDistance(t *testing.T) {
 				wantPruned++
 			}
 		}
-		if wantPruned == 0 || wantPruned == len(res.Assignments) {
-			t.Fatalf("%s: %d of %d pairs pruned — the bound does not split the pairs", label, wantPruned, len(res.Assignments))
+		if wantPruned == 0 || wantPruned == len(res.AssignmentList()) {
+			t.Fatalf("%s: %d of %d pairs pruned — the bound does not split the pairs", label, wantPruned, len(res.AssignmentList()))
 		}
 		if pruned != wantPruned {
 			t.Fatalf("%s: reported %d pruned pairs, want %d", label, pruned, wantPruned)

@@ -29,16 +29,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", workers, err)
 		}
-		if len(parallel.Relationships) != len(sequential.Relationships) {
+		if parallel.Len() != sequential.Len() {
 			t.Fatalf("parallelism %d: %d relationships, want %d",
-				workers, len(parallel.Relationships), len(sequential.Relationships))
+				workers, parallel.Len(), sequential.Len())
 		}
 		if parallel.Stats != sequential.Stats {
 			t.Fatalf("parallelism %d: stats %+v differ from sequential %+v",
 				workers, parallel.Stats, sequential.Stats)
 		}
-		for e, seq := range sequential.Relationships {
-			par, ok := parallel.Relationships[e]
+		for e, seq := range relMap(sequential) {
+			par, ok := relMap(parallel)[e]
 			if !ok {
 				t.Fatalf("parallelism %d: pair %v missing", workers, e)
 			}
@@ -101,7 +101,7 @@ func TestMaxLSFDPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loose.Stats.PrunedRelationships != 0 ||
-		len(loose.Relationships) != len(unpruned.Relationships) {
+		loose.Len() != unpruned.Len() {
 		t.Fatalf("loose bound pruned %d relationships", loose.Stats.PrunedRelationships)
 	}
 
@@ -114,9 +114,9 @@ func TestMaxLSFDPruning(t *testing.T) {
 	if tight.Stats.PrunedRelationships == 0 {
 		t.Fatal("tight bound should prune relationships on noisy data")
 	}
-	if len(tight.Relationships)+tight.Stats.PrunedRelationships != len(unpruned.Relationships) {
+	if tight.Len()+tight.Stats.PrunedRelationships != unpruned.Len() {
 		t.Fatalf("pruned + kept = %d, want %d",
-			len(tight.Relationships)+tight.Stats.PrunedRelationships, len(unpruned.Relationships))
+			tight.Len()+tight.Stats.PrunedRelationships, unpruned.Len())
 	}
 
 	// Every surviving relationship must actually satisfy the bound.
@@ -125,7 +125,7 @@ func TestMaxLSFDPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e, rel := range pruned.Relationships {
+	for e, rel := range relMap(pruned) {
 		op, err := pruned.PivotMatrix(d, rel.Pivot)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@ package symex
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"affinity/internal/timeseries"
 )
@@ -51,8 +51,9 @@ type RefitStats struct {
 
 // Refit produces a new Result over the (slid) data matrix d: stale
 // relationships are re-fitted with fresh per-pivot pseudo-inverses, fresh
-// ones are shared with prev.  The clustering and the pair→pivot assignment
-// are taken from prev unchanged.
+// ones are shared with prev.  The clustering and the layout (the pair→pivot
+// assignment and its indexes) are taken from prev unchanged, so the work
+// beyond the fits is one slice clone and a visit to the stale slots.
 func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, RefitStats, error) {
 	var rs RefitStats
 	if err := d.Validate(); err != nil {
@@ -65,87 +66,45 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 		return nil, rs, fmt.Errorf("symex: cluster centers have %d samples, window has %d",
 			len(prev.Clustering.Centers[0]), d.NumSamples())
 	}
-	assignments := prev.AssignmentList()
-	if len(assignments) == 0 {
+	layout := prev.layout
+	if len(layout.assignments) == 0 {
 		return nil, rs, fmt.Errorf("symex: previous result has no assignments to refit")
 	}
 
-	// The assignment list is frozen with the clustering and never mutated, so
-	// every epoch's result shares it.
-	res := &Result{
-		Relationships: make(map[timeseries.Pair]*Relationship, len(prev.Relationships)),
-		Pivots:        make(map[Pivot][]timeseries.Pair, len(prev.Pivots)),
-		Assignments:   assignments,
-		Clustering:    prev.Clustering,
-	}
-	// The SCAPE build consumes each pivot's pair list in this order: reused
-	// pairs in assignment order, then refit pairs in assignment order.
-	keep := func(rel *Relationship) {
-		list, ok := res.Pivots[rel.Pivot]
-		if !ok {
-			list = make([]timeseries.Pair, 0, len(prev.Pivots[rel.Pivot]))
-		}
-		res.Relationships[rel.Pair] = rel
-		res.Pivots[rel.Pivot] = append(list, rel.Pair)
-	}
-
-	staleAssign := assignments
+	// The stale slots in assignment order; nil keeps meaning "every slot".
+	// A carried-over slot keeps its previous outcome: a pruned pair stays
+	// pruned until its drift marks it stale again.
+	var slots []int32
+	fitted, wasLive := len(layout.assignments), prev.n
 	if opts.Stale != nil {
-		staleAssign = nil
-		for _, a := range assignments {
-			if opts.Stale[a.Pair] {
-				staleAssign = append(staleAssign, a)
-				continue
+		slots = make([]int32, 0, len(opts.Stale))
+		wasLive = 0
+		for pair, isStale := range opts.Stale {
+			if slot, ok := layout.Slot(pair); ok && isStale {
+				slots = append(slots, int32(slot))
+				if prev.rels[slot] != nil {
+					wasLive++
+				}
 			}
-			if r, ok := prev.Relationships[a.Pair]; ok {
-				keep(r)
-				rs.Reused++
-			}
-			// A carried-over pair with no previous relationship was pruned;
-			// it stays pruned until its drift marks it stale again.
 		}
+		slices.Sort(slots)
+		fitted = len(slots)
 	}
+	rs.Reused = prev.n - wasLive
 
-	f := &fitter{data: d, clustering: prev.Clustering, maxLSFD: opts.MaxLSFD}
-	fitted, pinvs, err := f.fitAll(staleAssign, true, opts.Parallelism)
+	rels := slices.Clone(prev.rels)
+	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, maxLSFD: opts.MaxLSFD}
+	pinvs, err := f.fitSlots(rels, slots, true, opts.Parallelism)
 	if err != nil {
 		return nil, rs, err
 	}
-	for _, fr := range fitted {
-		if opts.MaxLSFD > 0 && fr.lsfd > opts.MaxLSFD {
-			rs.Pruned++
-			continue
-		}
-		keep(fr.rel)
-		rs.Refit++
-	}
+	res := NewResult(layout, prev.Clustering, rels)
+	rs.Refit = res.n - rs.Reused
+	rs.Pruned = fitted - rs.Refit
 	rs.PivotInverses = pinvs
 
-	res.Stats.NumRelationships = len(res.Relationships)
-	res.Stats.NumPivots = len(res.Pivots)
 	res.Stats.PrunedRelationships = rs.Pruned
 	res.Stats.PseudoInverseComputations = pinvs
-	res.Stats.PseudoInverseCacheHits = len(staleAssign) - pinvs
+	res.Stats.PseudoInverseCacheHits = fitted - pinvs
 	return res, rs, nil
-}
-
-// AssignmentList returns the result's pair→pivot assignments, reconstructing
-// them from the relationship map when the result predates assignment
-// tracking (e.g. a decoded snapshot, which loses pruned pairs).  The
-// reconstructed list is sorted for determinism.
-func (r *Result) AssignmentList() []Assignment {
-	if len(r.Assignments) > 0 {
-		return r.Assignments
-	}
-	out := make([]Assignment, 0, len(r.Relationships))
-	for pair, rel := range r.Relationships {
-		out = append(out, Assignment{Pair: pair, Pivot: rel.Pivot})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pair.U != out[j].Pair.U {
-			return out[i].Pair.U < out[j].Pair.U
-		}
-		return out[i].Pair.V < out[j].Pair.V
-	})
-	return out
 }

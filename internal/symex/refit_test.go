@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"affinity/internal/cluster"
 	"affinity/internal/timeseries"
 )
 
@@ -48,7 +49,7 @@ func TestRefitAllMatchesComputeOnSameClustering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Refit: %v", err)
 	}
-	if rs.Reused != 0 || rs.Refit != len(prev.Assignments) {
+	if rs.Reused != 0 || rs.Refit != len(prev.AssignmentList()) {
 		t.Fatalf("full refit stats = %+v", rs)
 	}
 
@@ -56,12 +57,12 @@ func TestRefitAllMatchesComputeOnSameClustering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compute on slid window: %v", err)
 	}
-	if len(refitted.Relationships) != len(fresh.Relationships) {
+	if refitted.Len() != fresh.Len() {
 		t.Fatalf("refit has %d relationships, fresh compute %d",
-			len(refitted.Relationships), len(fresh.Relationships))
+			refitted.Len(), fresh.Len())
 	}
-	for pair, fr := range fresh.Relationships {
-		rr, ok := refitted.Relationships[pair]
+	for pair, fr := range relMap(fresh) {
+		rr, ok := relMap(refitted)[pair]
 		if !ok {
 			t.Fatalf("refit missing pair %v", pair)
 		}
@@ -86,7 +87,7 @@ func TestRefitSelectiveReusesFreshRelationships(t *testing.T) {
 	next := slideData(t, d, 7, 6)
 
 	var stalePair timeseries.Pair
-	for pair := range prev.Relationships {
+	for pair := range relMap(prev) {
 		stalePair = pair
 		break
 	}
@@ -95,46 +96,72 @@ func TestRefitSelectiveReusesFreshRelationships(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Refit: %v", err)
 	}
-	if rs.Refit != 1 || rs.Reused != len(prev.Relationships)-1 {
+	if rs.Refit != 1 || rs.Reused != prev.Len()-1 {
 		t.Fatalf("selective refit stats = %+v", rs)
 	}
 	if rs.PivotInverses != 1 {
 		t.Fatalf("PivotInverses = %d, want 1", rs.PivotInverses)
 	}
-	for pair, rel := range refitted.Relationships {
+	for pair, rel := range relMap(refitted) {
 		if pair == stalePair {
-			if rel == prev.Relationships[pair] {
+			if rel == relMap(prev)[pair] {
 				t.Fatalf("stale pair %v was not re-fitted", pair)
 			}
 			continue
 		}
-		if rel != prev.Relationships[pair] {
+		if rel != relMap(prev)[pair] {
 			t.Fatalf("fresh pair %v was not carried over by pointer", pair)
 		}
 	}
 }
 
-// TestRefitWithoutAssignments exercises the snapshot path: a Result whose
-// Assignments slice is empty falls back to reconstructing assignments from
-// the relationship map.
+// TestRefitWithoutAssignments exercises the snapshot path: a result rebuilt
+// from its surviving relationships alone — a snapshot keeps no assignment
+// list, so pruned pairs are lost and the relationships arrive in pair order —
+// refits every one of them to the bits the original result's refit gives.
 func TestRefitWithoutAssignments(t *testing.T) {
-	d := correlatedData(t, 8, 3, 9, 50, 0.05)
-	prev, err := Compute(d, defaultOptions())
+	d := correlatedData(t, 46, 3, 15, 80, 0.05)
+	prev, err := Compute(d, Options{Cluster: cluster.Config{K: 3, Seed: 1}, CachePseudoInverse: true, MaxLSFD: 0.5})
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
-	prev.Assignments = nil
+	if prev.Stats.PrunedRelationships == 0 {
+		t.Fatal("the bound prunes nothing: the snapshot loses no pair")
+	}
+	var assignments []Assignment
+	var rels []*Relationship
+	for _, pair := range d.AllPairs() {
+		if rel, ok := prev.Relationship(pair); ok {
+			assignments = append(assignments, Assignment{Pair: pair, Pivot: rel.Pivot})
+			rels = append(rels, rel)
+		}
+	}
+	layout, err := NewLayout(d.NumSeries(), assignments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewResult(layout, prev.Clustering, rels)
+	if restored.Len() != prev.Len() || restored.Stats.NumPivots != prev.Stats.NumPivots {
+		t.Fatalf("restored %d relationships over %d pivots, want %d over %d",
+			restored.Len(), restored.Stats.NumPivots, prev.Len(), prev.Stats.NumPivots)
+	}
 	next := slideData(t, d, 21, 5)
-	refitted, rs, err := Refit(next, prev, RefitOptions{})
+	refitted, rs, err := Refit(next, restored, RefitOptions{})
 	if err != nil {
 		t.Fatalf("Refit: %v", err)
 	}
-	if len(refitted.Relationships) != len(prev.Relationships) {
-		t.Fatalf("refit produced %d relationships, want %d",
-			len(refitted.Relationships), len(prev.Relationships))
+	if refitted.Len() != prev.Len() || rs.Refit != prev.Len() {
+		t.Fatalf("refit produced %d relationships (stats %+v), want %d", refitted.Len(), rs, prev.Len())
 	}
-	if rs.Refit != len(prev.Relationships) {
-		t.Fatalf("stats = %+v", rs)
+	want, _, err := Refit(next, prev, RefitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rel := range refitted.All() {
+		w, ok := want.Relationship(rel.Pair)
+		if !ok || rel.Pivot != w.Pivot || rel.Flipped != w.Flipped || *rel.Transform != *w.Transform {
+			t.Fatalf("pair %v: restored refit %+v, original refit %+v", rel.Pair, rel, w)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ package symex
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"affinity/internal/affine"
 	"affinity/internal/cluster"
@@ -102,8 +101,8 @@ type Options struct {
 	// MaxLSFD, when positive, prunes affine relationships whose LSFD between
 	// the pivot pair matrix and the sequence pair matrix exceeds the bound
 	// (Section 4: "we can, if required, prune the unnecessary affine
-	// relationships").  Pruned pairs are absent from Relationships and the
-	// engine falls back to the naive method for them.
+	// relationships").  Pruned pairs have no relationship in the result and
+	// the engine falls back to the naive method for them.
 	MaxLSFD float64
 }
 
@@ -133,76 +132,6 @@ type Assignment struct {
 	// Pivot is the pivot pair assigned to e; Pivot.Common identifies which
 	// member of the pair is kept as the common series.
 	Pivot Pivot
-}
-
-// Result is the output of SYMEX/SYMEX+: the affine relationship hash map
-// (affHash), the pivot pair map (pivotHash) and the clustering they are based
-// on.
-type Result struct {
-	// Relationships maps every covered sequence pair to its affine
-	// relationship (the paper's affHash).
-	Relationships map[timeseries.Pair]*Relationship
-	// Pivots maps every generated pivot pair to the sequence pairs assigned
-	// to it (the paper's pivotHash, with the assignment lists that the SCAPE
-	// index needs).
-	Pivots map[Pivot][]timeseries.Pair
-	// Assignments is the full pair→pivot assignment produced by the
-	// exploration, including pairs whose relationship was pruned by the
-	// MaxLSFD bound.  Refit uses it to rebuild relationships on new window
-	// contents without re-exploring.
-	Assignments []Assignment
-	// Clustering is the AFCLST result used to build pivot pairs.
-	Clustering *cluster.Result
-	// Stats holds work counters.
-	Stats Stats
-}
-
-// Relationship returns the affine relationship for a sequence pair.
-func (r *Result) Relationship(e timeseries.Pair) (*Relationship, bool) {
-	rel, ok := r.Relationships[e]
-	return rel, ok
-}
-
-// SortPivots orders a pivot slice by the canonical (Common, Cluster) order —
-// the one total order every consumer of the Pivots map must use before
-// feeding pivots to parallel helpers, so that both work distribution and
-// error selection are independent of Go's randomized map iteration.
-func SortPivots(ps []Pivot) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Common != ps[j].Common {
-			return ps[i].Common < ps[j].Common
-		}
-		return ps[i].Cluster < ps[j].Cluster
-	})
-}
-
-// SortedPivots returns the keys of the Pivots map in canonical
-// (Common, Cluster) order.
-func (r *Result) SortedPivots() []Pivot {
-	out := make([]Pivot, 0, len(r.Pivots))
-	for p := range r.Pivots {
-		out = append(out, p)
-	}
-	SortPivots(out)
-	return out
-}
-
-// PivotMatrix rebuilds the pivot pair matrix O_p = [s_common, r_cluster] for
-// a pivot generated by this result.
-func (r *Result) PivotMatrix(d *timeseries.DataMatrix, p Pivot) (*mat.Matrix, error) {
-	if p.Cluster < 0 || p.Cluster >= r.Clustering.K() {
-		return nil, fmt.Errorf("symex: pivot %v references unknown cluster", p)
-	}
-	return d.ColumnsMatrix(p.Common, r.Clustering.Centers[p.Cluster])
-}
-
-// PivotColumns returns the two columns of O_p = [s_common, r_cluster] as
-// read-only slice views, with the same validation as PivotMatrix but without
-// materializing (copying) the pair matrix.  Callers must not mutate either
-// slice: the first aliases the data matrix's backing storage and the second
-// the clustering's center vector.
-func (r *Result) PivotColumns(d *timeseries.DataMatrix, p Pivot) (common, center []float64, err error) {
-	return pivotColumns(d, r.Clustering, p)
 }
 
 func pivotColumns(d *timeseries.DataMatrix, clustering *cluster.Result, p Pivot) (common, center []float64, err error) {
@@ -301,34 +230,21 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 		}
 	}
 
-	// Phase 2: fit the affine relationships.
-	f := &fitter{data: d, clustering: clustering, maxLSFD: opts.MaxLSFD}
-	fitted, pinvs, err := f.fitAll(ex.assignments, opts.CachePseudoInverse, opts.Parallelism)
+	// Phase 2: fit the affine relationships, one slot per assignment.
+	layout, err := NewLayout(n, ex.assignments)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Relationships: make(map[timeseries.Pair]*Relationship, len(fitted)),
-		Pivots:        make(map[Pivot][]timeseries.Pair),
-		Assignments:   ex.assignments,
-		Clustering:    clustering,
+	rels := make([]*Relationship, len(ex.assignments))
+	f := &fitter{data: d, clustering: clustering, layout: layout, maxLSFD: opts.MaxLSFD}
+	pinvs, err := f.fitSlots(rels, nil, opts.CachePseudoInverse, opts.Parallelism)
+	if err != nil {
+		return nil, err
 	}
-	pruned := 0
-	for _, fr := range fitted {
-		if opts.MaxLSFD > 0 && fr.lsfd > opts.MaxLSFD {
-			pruned++
-			continue
-		}
-		res.Relationships[fr.rel.Pair] = fr.rel
-		res.Pivots[fr.rel.Pivot] = append(res.Pivots[fr.rel.Pivot], fr.rel.Pair)
-	}
-
-	res.Stats.NumRelationships = len(res.Relationships)
-	res.Stats.NumPivots = len(res.Pivots)
-	res.Stats.PrunedRelationships = pruned
+	res := NewResult(layout, clustering, rels)
+	res.Stats.PrunedRelationships = len(rels) - res.Len()
 	res.Stats.PseudoInverseComputations = pinvs
-	res.Stats.PseudoInverseCacheHits = len(ex.assignments) - pinvs
+	res.Stats.PseudoInverseCacheHits = len(rels) - pinvs
 	return res, nil
 }
 
@@ -387,95 +303,63 @@ func (ex *explorer) assign(e timeseries.Pair, common timeseries.SeriesID) error 
 	return nil
 }
 
-// fittedRelationship is the output of fitting one assignment.
-type fittedRelationship struct {
-	rel  *Relationship
-	lsfd float64 // only populated when LSFD pruning is requested
-}
-
 // fitter carries the state of the fitting phase.
 type fitter struct {
 	data       *timeseries.DataMatrix
 	clustering *cluster.Result
+	layout     *Layout
 	maxLSFD    float64
 }
 
-// fitAll fits every assignment and returns the fits at their assignments'
-// indices, so the output is the same at any parallelism, plus the number of
-// pseudo-inverses it computed.
+// fitSlots fits the assignments at the given slots (nil means every slot)
+// against the window and stores each fit at rels[slot] — nil when the MaxLSFD
+// bound prunes it.  Every fit is independent and lands at its own slot, so the
+// output is the same at any parallelism.  It returns the number of
+// pseudo-inverses computed.
 //
-// The unit of work is a pivot group.  With batch set (SYMEX+) a group is all
-// assignments of one pivot: a worker computes the pivot's pseudo-inverse rows
-// once and fits the whole group while the rows sit in cache, so no
-// pseudo-inverse outlives its group.  Without it (plain SYMEX) every
-// assignment is its own group and pays for its own pseudo-inverse.  Workers
-// take contiguous blocks of groups, one O(m) scratch per block.
-func (f *fitter) fitAll(assignments []Assignment, batch bool, parallelism int) ([]fittedRelationship, int, error) {
+// The unit of work is a pivot group: all the slots to fit that share a
+// pivot.  With batch set (SYMEX+) a worker computes the pivot's pseudo-inverse
+// rows once and fits the whole group while the rows sit in cache, so no
+// pseudo-inverse outlives its group; without it (plain SYMEX) every fit pays
+// for its own.  Workers take contiguous blocks of groups, one O(m) scratch
+// per block.
+func (f *fitter) fitSlots(rels []*Relationship, slots []int32, batch bool, parallelism int) (int, error) {
 	if m := f.data.NumSamples(); m < 2 {
-		return nil, 0, fmt.Errorf("%w: fitting needs a window of at least 2 samples, got %d", affine.ErrBadShape, m)
+		return 0, fmt.Errorf("%w: fitting needs a window of at least 2 samples, got %d", affine.ErrBadShape, m)
 	}
-	members, start := pivotGroups(assignments, batch)
-	out := make([]fittedRelationship, len(assignments))
-	groups := len(start) - 1
-	err := par.DoBlocks(groups, parallelism, func(_ int, blk par.Block) error {
+	members, start := f.layout.byPivot, f.layout.pivotStart
+	if slots != nil {
+		members, start = f.layout.bucket(slots)
+	}
+	pinvs := len(members)
+	if batch {
+		pinvs = 0
+		for g := range len(start) - 1 {
+			if start[g] < start[g+1] {
+				pinvs++
+			}
+		}
+	}
+	err := par.DoBlocks(len(start)-1, parallelism, func(_ int, blk par.Block) error {
 		k := new(pivotFit)
 		for g := blk.Lo; g < blk.Hi; g++ {
-			if err := f.fitGroup(k, assignments, members[start[g]:start[g+1]], out); err != nil {
-				return err
+			if group := members[start[g]:start[g+1]]; len(group) > 0 {
+				if err := f.fitGroup(k, group, rels, batch); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, groups, nil
-}
-
-// pivotGroups partitions the assignment indices into groups: group g is
-// members[start[g]:start[g+1]].  With byPivot set, a group holds every
-// assignment of one pivot, groups ordered by first appearance and members in
-// assignment order; otherwise every assignment is a group of its own.
-func pivotGroups(assignments []Assignment, byPivot bool) (members, start []int) {
-	members = make([]int, len(assignments))
-	if !byPivot {
-		start = make([]int, len(assignments)+1)
-		for i := range members {
-			members[i] = i
-			start[i+1] = i + 1
-		}
-		return members, start
-	}
-	group := make([]int, len(assignments))
-	index := make(map[Pivot]int)
-	var sizes []int
-	for i, a := range assignments {
-		g, ok := index[a.Pivot]
-		if !ok {
-			g = len(sizes)
-			index[a.Pivot] = g
-			sizes = append(sizes, 0)
-		}
-		group[i] = g
-		sizes[g]++
-	}
-	start = make([]int, len(sizes)+1)
-	for g, size := range sizes {
-		start[g+1] = start[g] + size
-	}
-	next := sizes // the sizes are spent: reuse them as each group's fill cursor
-	copy(next, start)
-	for i, g := range group {
-		members[next[g]] = i
-		next[g]++
-	}
-	return members, start
+	return pinvs, err
 }
 
 // fitGroup computes the pseudo-inverse of one pivot's design matrix into the
 // scratch k and solves the least-squares affine relationship of every member
-// assignment (all of which name that pivot) against it.
-func (f *fitter) fitGroup(k *pivotFit, assignments []Assignment, members []int, out []fittedRelationship) error {
+// slot (all of which name that pivot) against it — recomputing it per member
+// unless the fits are batched.
+func (f *fitter) fitGroup(k *pivotFit, members []int32, rels []*Relationship, batch bool) error {
+	assignments := f.layout.assignments
 	p := assignments[members[0]].Pivot
 	common, center, err := pivotColumns(f.data, f.clustering, p)
 	if err != nil {
@@ -489,8 +373,11 @@ func (f *fitter) fitGroup(k *pivotFit, assignments []Assignment, members []int, 
 			return err
 		}
 	}
-	for _, i := range members {
-		a := assignments[i]
+	for i, slot := range members {
+		if i > 0 && !batch {
+			k.setPivot(common, center)
+		}
+		a := assignments[slot]
 		otherID, err := a.Pair.Other(p.Common)
 		if err != nil {
 			return err
@@ -499,22 +386,25 @@ func (f *fitter) fitGroup(k *pivotFit, assignments []Assignment, members []int, 
 		if err != nil {
 			return err
 		}
-		fr := fittedRelationship{rel: &Relationship{
+		rels[slot] = &Relationship{
 			Pair:      a.Pair,
 			Pivot:     p,
 			Transform: k.fit(other),
 			Flipped:   p.Common == a.Pair.V,
-		}}
+		}
 		if op != nil {
 			target, err := mat.NewFromColumns(common, other)
 			if err != nil {
 				return err
 			}
-			if fr.lsfd, err = lsfd.Distance(op, target); err != nil {
+			dist, err := lsfd.Distance(op, target)
+			if err != nil {
 				return err
 			}
+			if dist > f.maxLSFD {
+				rels[slot] = nil
+			}
 		}
-		out[i] = fr
 	}
 	return nil
 }

@@ -56,14 +56,14 @@ func TestComputeCoversAllPairs(t *testing.T) {
 		t.Fatalf("Compute: %v", err)
 	}
 	wantPairs := d.NumPairs()
-	if len(res.Relationships) != wantPairs {
-		t.Fatalf("relationships = %d, want %d", len(res.Relationships), wantPairs)
+	if res.Len() != wantPairs {
+		t.Fatalf("relationships = %d, want %d", res.Len(), wantPairs)
 	}
 	if res.Stats.NumRelationships != wantPairs {
 		t.Fatalf("stats relationships = %d, want %d", res.Stats.NumRelationships, wantPairs)
 	}
 	// Every pair appears exactly once and is canonical.
-	for e, rel := range res.Relationships {
+	for e, rel := range relMap(res) {
 		if !e.Valid() {
 			t.Fatalf("non-canonical pair %v", e)
 		}
@@ -101,7 +101,7 @@ func TestComputePivotCountBound(t *testing.T) {
 	// Pivot assignment lists must partition the pair set.
 	seen := map[timeseries.Pair]bool{}
 	total := 0
-	for _, pairs := range res.Pivots {
+	for _, pairs := range pivotPairs(res) {
 		for _, e := range pairs {
 			if seen[e] {
 				t.Fatalf("pair %v assigned to two pivots", e)
@@ -110,8 +110,8 @@ func TestComputePivotCountBound(t *testing.T) {
 			total++
 		}
 	}
-	if total != len(res.Relationships) {
-		t.Fatalf("pivot assignment covers %d pairs, want %d", total, len(res.Relationships))
+	if total != res.Len() {
+		t.Fatalf("pivot assignment covers %d pairs, want %d", total, res.Len())
 	}
 }
 
@@ -152,11 +152,11 @@ func TestCacheStatsDifferBetweenSymexAndSymexPlus(t *testing.T) {
 
 	// Both variants must produce identical relationships (same clustering
 	// seed, same exploration order).
-	if len(resPlain.Relationships) != len(resCached.Relationships) {
+	if resPlain.Len() != resCached.Len() {
 		t.Fatal("SYMEX and SYMEX+ disagree on the number of relationships")
 	}
-	for e, a := range resPlain.Relationships {
-		b, ok := resCached.Relationships[e]
+	for e, a := range relMap(resPlain) {
+		b, ok := relMap(resCached)[e]
 		if !ok {
 			t.Fatalf("pair %v missing from SYMEX+ result", e)
 		}
@@ -177,8 +177,8 @@ func TestMaxRelationshipsLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Relationships) != 25 {
-		t.Fatalf("limited run produced %d relationships, want 25", len(res.Relationships))
+	if res.Len() != 25 {
+		t.Fatalf("limited run produced %d relationships, want 25", res.Len())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestRelationshipAccuracyOnCorrelatedData(t *testing.T) {
 	}
 
 	var truth, approx []float64
-	for e, rel := range res.Relationships {
+	for e, rel := range relMap(res) {
 		op, err := res.PivotMatrix(d, rel.Pivot)
 		if err != nil {
 			t.Fatal(err)
@@ -261,8 +261,8 @@ func TestComputeSmallestValidInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Relationships) != 1 {
-		t.Fatalf("n=2 should yield exactly one relationship, got %d", len(res.Relationships))
+	if res.Len() != 1 {
+		t.Fatalf("n=2 should yield exactly one relationship, got %d", res.Len())
 	}
 }
 
@@ -279,7 +279,7 @@ func TestPivotMatrixErrors(t *testing.T) {
 		t.Fatal("unknown series should error")
 	}
 	var anyPivot Pivot
-	for p := range res.Pivots {
+	for p := range pivotPairs(res) {
 		anyPivot = p
 		break
 	}

@@ -18,8 +18,10 @@ package timeseries
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"affinity/internal/mat"
+	"affinity/internal/measure"
 )
 
 // ErrInvalidSeries indicates an out-of-range or malformed series identifier.
@@ -84,11 +86,38 @@ func (p Pair) Other(id SeriesID) (SeriesID, error) {
 // SlideWindow evicts the oldest samples from the left edge.  The start index
 // records how many samples have been evicted over the matrix's lifetime, so
 // sample i of the current window is logical stream position start+i.
+//
+// A window also answers order statistics: SortedSeries returns a series'
+// samples in sorted order, built for the whole matrix on first use and from
+// then on slid by SlideCopy in O(slide) insertions per series instead of
+// re-sorted, so a streaming engine reads medians and modes off every epoch's
+// window without a per-epoch sort.
 type DataMatrix struct {
 	names  []string    // optional per-series names, len n (may be empty strings)
 	series [][]float64 // n slices of length m
 	m      int         // samples per series
 	start  int         // logical stream index of the first retained sample
+
+	// slab, when non-nil, is the one allocation backing every series:
+	// series[v] is slab[v*m:(v+1)*m].  SlideCopy lays its result out this way
+	// so the kernel mirror can alias the window instead of copying it; the
+	// in-place mutators drop it.
+	slab []float64
+
+	// sorted holds the n columns of the window in measure.SortSamples order,
+	// column v at sorted[v*m:(v+1)*m]; nil until the first SortedSeries call.
+	// sortMu guards the field (queries on one epoch may race to build it).
+	sortMu sync.Mutex
+	sorted []float64
+}
+
+// mutated drops the state derived from the series' current layout and
+// contents; every in-place mutator calls it.
+func (d *DataMatrix) mutated() {
+	d.slab = nil
+	d.sortMu.Lock()
+	d.sorted = nil
+	d.sortMu.Unlock()
 }
 
 // NewDataMatrix builds a data matrix from n series of equal length.  The
@@ -133,6 +162,7 @@ func (d *DataMatrix) Append(name string, values []float64) error {
 	copy(cp, values)
 	d.series = append(d.series, cp)
 	d.names = append(d.names, name)
+	d.mutated()
 	return nil
 }
 
@@ -175,6 +205,7 @@ func (d *DataMatrix) AppendSamples(batch [][]float64) error {
 		d.series[v] = append(d.series[v], batch[v]...)
 	}
 	d.m += grow
+	d.mutated()
 	return nil
 }
 
@@ -194,6 +225,7 @@ func (d *DataMatrix) SlideWindow(count int) error {
 	}
 	d.m -= count
 	d.start += count
+	d.mutated()
 	return nil
 }
 
@@ -224,24 +256,108 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 			return nil, fmt.Errorf("timeseries: batch for series %d contains NaN or Inf", v)
 		}
 	}
+	// One slab for the whole window, columns cap-limited so an AppendSamples
+	// on the copy reallocates a column instead of writing into its neighbour.
+	m := d.m
 	out := &DataMatrix{
 		names:  append([]string(nil), d.names...),
 		series: make([][]float64, len(d.series)),
-		m:      d.m,
+		m:      m,
 		start:  d.start + slide,
+		slab:   make([]float64, len(d.series)*m),
 	}
 	for v, s := range d.series {
-		w := make([]float64, d.m)
-		if slide >= d.m {
-			copy(w, batch[v][slide-d.m:])
+		w := out.slab[v*m : (v+1)*m : (v+1)*m]
+		if slide >= m {
+			copy(w, batch[v][slide-m:])
 		} else {
 			copy(w, s[slide:])
-			copy(w[d.m-slide:], batch[v])
+			copy(w[m-slide:], batch[v])
 		}
 		out.series[v] = w
 	}
+
+	// A window that has its sorted columns hands them on, slid: whoever
+	// shares the copy (every shard behind a coordinator) shares them too.
+	d.sortMu.Lock()
+	sorted := d.sorted
+	d.sortMu.Unlock()
+	if sorted != nil {
+		out.sorted = append([]float64(nil), sorted...) // one copy, no zeroing pass
+		for v, s := range d.series {
+			w := out.sorted[v*m : (v+1)*m]
+			if slide >= m {
+				copy(w, out.series[v])
+				measure.SortSamples(w)
+				continue
+			}
+			for i, in := range batch[v] {
+				replaceSorted(w, s[i], in)
+			}
+		}
+	}
 	return out, nil
 }
+
+// replaceSorted swaps one occurrence of out for in inside w, which is and
+// stays in measure.SortSamples order: one binary search each for the sample
+// leaving and the slot of the one arriving (after any equal samples), then a
+// memmove of the stretch between them.  out must be present in w.
+func replaceSorted(w []float64, out, in float64) {
+	p := sortedRank(w, out, false) // an occurrence of out
+	q := sortedRank(w, in, true)
+	if q > p {
+		copy(w[p:], w[p+1:q])
+		w[q-1] = in
+	} else {
+		copy(w[q+1:p+1], w[q:p])
+		w[q] = in
+	}
+}
+
+// sortedRank returns how many samples of the sorted w are ordered before x —
+// or, with equal set, before or equal to it.
+func sortedRank(w []float64, x float64, equal bool) int {
+	lo, hi := 0, len(w)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if measure.SampleLess(w[mid], x) || (equal && !measure.SampleLess(x, w[mid])) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// SortedSeries returns the samples of series id in measure.SortSamples order
+// (by value, −0 before +0).  The first call sorts every column of the matrix
+// once; matrices produced from it by SlideCopy inherit the columns slid.  The
+// returned slice is internal storage and must not be modified.
+func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
+	if err := d.checkID(id); err != nil {
+		return nil, err
+	}
+	d.sortMu.Lock()
+	if d.sorted == nil {
+		d.sorted = make([]float64, len(d.series)*d.m)
+		for v, s := range d.series {
+			w := d.sorted[v*d.m : (v+1)*d.m]
+			copy(w, s)
+			measure.SortSamples(w)
+		}
+	}
+	sorted := d.sorted
+	d.sortMu.Unlock()
+	lo := int(id) * d.m
+	return sorted[lo : lo+d.m : lo+d.m], nil
+}
+
+// Slab returns the window as n contiguous columns of m samples — column v at
+// [v*m, (v+1)*m) — when the matrix is laid out that way (a SlideCopy result
+// not mutated since), and nil otherwise.  The slice is internal storage and
+// must not be modified.
+func (d *DataMatrix) Slab() []float64 { return d.slab }
 
 // Name returns the name of series id (empty when unnamed).
 func (d *DataMatrix) Name(id SeriesID) string {
