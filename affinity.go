@@ -426,11 +426,21 @@ type StreamOptions struct {
 // execution of the same query, so enabling the cache changes latency only.
 // Explain reports the serving tier on QueryPlan.CacheTier, and StreamStats
 // carries the hit/miss/repair counters.
+//
+// A cache-enabled engine also makes its misses cheaper: a sweep-method query
+// that does run takes its base T-measure values (covariance or dot product,
+// naive or affine) from a per-epoch column evaluated once by the first such
+// sweep of the epoch, so every later sweep only derives its own measure and
+// filters.  Columns die with their epoch and change no answer;
+// QueryPlan.BaseValues and StreamStats.SweepBaseFills/SweepBaseReuses report
+// them.
 type CacheOptions struct {
 	// Enabled turns the cache on (the zero value keeps it off).
 	Enabled bool
 	// MaxBytes is the deterministic LRU eviction budget over the entries'
-	// estimated memory footprint (default 32 MiB).
+	// estimated memory footprint (default 32 MiB).  An epoch's base columns
+	// (8 bytes per pair each) may take up to a quarter of it on top; a column
+	// that does not fit is not kept.
 	MaxBytes int64
 	// EpochHistory is how many trailing Advances' stale sets are retained for
 	// delta repair; entries older than the window are expired (default 8).
@@ -465,8 +475,9 @@ type SketchOptions struct {
 
 // StreamStats reports the engine's cumulative incremental-maintenance
 // counters: index delta-updates vs rebuilds, sequence-store mutations,
-// scratch-pool behavior, the phase timings of the most recent Advance, and
-// the result cache's hit/miss/repair counters.
+// scratch-pool behavior, the phase timings of the most recent Advance, the
+// result cache's hit/miss/repair counters and the base-column fill/reuse
+// counters.
 type StreamStats = core.StreamStats
 
 // AdvanceInfo describes one streaming epoch transition.

@@ -14,6 +14,7 @@ package affinity
 import (
 	"flag"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -429,9 +430,9 @@ func BenchmarkSweep(b *testing.B) {
 // BenchmarkSketchSweep times an interval sweep through the coefficient-sketch
 // filter-and-refine tier at a selective predicate (the 90th percentile of the
 // correlation distribution).  CI tracks its allocs/op against
-// BENCH_BUDGET.json: the prescreen allocates the pair list, the compacted
-// result and O(blocks) per-worker scratch — like BenchmarkSweep, never
-// O(pairs) transient garbage.  The sketch set itself is built per epoch, so
+// BENCH_BUDGET.json: the prescreen allocates the compacted result and
+// O(blocks) per-worker scratch (the pair universe is enumerated chunk by
+// chunk, not materialized) — never O(pairs) transient garbage.  The sketch set itself is built per epoch, so
 // the warm-up query keeps it and the columnar mirror out of the timed region.
 func BenchmarkSketchSweep(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
@@ -812,5 +813,51 @@ func BenchmarkCachedInterval(b *testing.B) {
 	ss := engine.StreamStats()
 	if ss.CacheExactHits < b.N {
 		b.Fatalf("exact hits %d < %d iterations: the hit path was not exercised", ss.CacheExactHits, b.N)
+	}
+}
+
+// BenchmarkCachedSweepMiss is the base-column smoke row: naive correlation
+// bands that each miss the result cache (equal widths at distinct offsets
+// never contain one another) at one epoch whose covariance column the warm-up
+// sweep filled — the steady state of a cache-enabled engine between two
+// Advances.  CI tracks its allocs/op against BENCH_BUDGET.json: a miss on a
+// warm base derives, compacts and stores, so it allocates the result (twice,
+// pairs and values, with append growth) plus O(blocks) scratch — never the
+// pair universe and never a second column.  The cache budget is small enough
+// that old bands are evicted: a miss scans the stored entries for one that
+// contains it, and ns/op should not grow with b.N.
+func BenchmarkCachedSweepMiss(b *testing.B) {
+	sensor, err := experiments.GenerateSensorOnly(benchScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := core.Build(sensor, core.Config{
+		Clusters: 6, Seed: 42, SkipIndex: true,
+		Cache: qcache.Options{Enabled: true, MaxBytes: 256 << 10},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	band := func(i int) interval.Interval {
+		_, frac := math.Modf(float64(i+1) * math.Phi)
+		lo := -1 + 1.9*frac
+		return interval.Between(lo, lo+0.1)
+	}
+	if _, err := engine.Interval(stats.Correlation, band(-1), core.MethodNaive); err != nil {
+		b.Fatal(err)
+	}
+	warm := engine.StreamStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Interval(stats.Correlation, band(i), core.MethodNaive); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	ss := engine.StreamStats()
+	if ss.SweepBaseFills != 1 || ss.SweepBaseReuses-warm.SweepBaseReuses != int64(b.N) || ss.CacheMisses-warm.CacheMisses != b.N {
+		b.Fatalf("%d iterations: %d column fills, %d reuses, %d cache misses: not every iteration was a miss on a warm base",
+			b.N, ss.SweepBaseFills, ss.SweepBaseReuses-warm.SweepBaseReuses, ss.CacheMisses-warm.CacheMisses)
 	}
 }

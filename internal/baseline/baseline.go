@@ -198,15 +198,12 @@ func (n *Naive) PairInterval(m stats.Measure, iv interval.Interval) ([]timeserie
 	if !ok || !sp.Pairwise() {
 		return nil, fmt.Errorf("%w: %v is not a pairwise measure", stats.ErrUnknownMeasure, m)
 	}
-	pairs := n.data.AllPairs()
+	numPairs := n.data.NumPairs()
 	var out []timeseries.Pair
+	scratch := make([]timeseries.Pair, kernel.BlockPairs)
 	values := make([]float64, kernel.BlockPairs)
-	for lo := 0; lo < len(pairs); lo += kernel.BlockPairs {
-		hi := lo + kernel.BlockPairs
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		chunk := pairs[lo:hi]
+	for lo := 0; lo < numPairs; lo += kernel.BlockPairs {
+		chunk := n.data.PairsAt(lo, scratch[:min(kernel.BlockPairs, numPairs-lo)])
 		if err := n.SweepValues(sp, chunk, values[:len(chunk)]); err != nil {
 			return nil, err
 		}

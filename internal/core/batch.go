@@ -133,12 +133,15 @@ func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, er
 		}
 	}
 	if len(sweepIdx) > 0 {
-		results, err := e.pairMultiSweep(sweeps)
+		results, sources, err := e.pairMultiSweep(sweeps)
 		if err != nil {
 			return nil, err
 		}
 		for k, i := range sweepIdx {
 			out[i] = results[k]
+			if actuals != nil {
+				actuals[i].BaseValues = sources[k]
+			}
 		}
 	}
 	return out, nil
@@ -207,66 +210,91 @@ func (e *engineState) locationValues(m stats.Measure, ids []timeseries.SeriesID,
 // computed once and every measure sharing it applies only its own transform
 // before testing its interval predicates and offering its top-k heaps —
 // queries on cosine, Dice and Euclidean distance all ride one dot-product
-// evaluation.  Per-block partial results are merged in block order (interval
-// results) or through the deterministic (value, pair) total order (top-k
-// heaps), so out[k] equals the sequential single-query scan for items[k]
-// exactly.
-func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
-	// baseKey identifies one shared base computation; specs that withhold
-	// BatchGroupable get a solo group keyed by their own identity.
-	type baseKey struct {
-		base   stats.Measure
-		method Method
-		solo   stats.Measure
-	}
+// evaluation.  On a cache-enabled engine the sharing extends across calls: a
+// group's base values come from the epoch's base column (basecolumns.go),
+// evaluated by the first sweep that needs them.  Per-block partial results are
+// merged in block order (interval results) or through the deterministic
+// (value, pair) total order (top-k heaps), so out[k] equals the sequential
+// single-query scan for items[k] exactly.  sources[k] says whether items[k]'s
+// base values were a column this call filled or reused ("" when streamed).
+//
+// On a cache-enabled engine an interval result also carries the value of
+// every row it kept — the sweep has them in hand and the cache stores them —
+// which Run strips before returning: interval results keep nil Values by
+// contract.
+func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, []string, error) {
 	// measureGroup is one measure's items within a base group.
 	type measureGroup struct {
 		sp   *measure.Spec
 		idxs []int
 	}
-	keyOrder := make([]baseKey, 0, len(items))
-	groups := make(map[baseKey][]*measureGroup)
-	baseSpecs := make(map[baseKey]*measure.Spec)
+	// baseGroup is one shared base computation: its column when the epoch
+	// memoises it, nil when the block loop streams it chunk by chunk.
+	type baseGroup struct {
+		key      baseKey
+		column   []float64
+		measures []*measureGroup
+	}
+	var groups []*baseGroup
+	groupOf := make(map[baseKey]*baseGroup)
 	for k, p := range items {
 		sp, err := pairwiseSpec(p.Spec.Measure)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if p.Method != MethodNaive && p.Method != MethodAffine {
-			return nil, fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
+			return nil, nil, fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
 		}
 		key := baseKey{base: sp.Base, method: p.Method, solo: -1}
 		if !sp.BatchGroupable {
 			key.solo = sp.ID
 		}
-		if _, seen := groups[key]; !seen {
-			keyOrder = append(keyOrder, key)
-			baseSpecs[key] = measure.Lookup(sp.Base)
+		g := groupOf[key]
+		if g == nil {
+			g = &baseGroup{key: key}
+			groupOf[key] = g
+			groups = append(groups, g)
 		}
 		var mg *measureGroup
-		for _, g := range groups[key] {
-			if g.sp.ID == sp.ID {
-				mg = g
+		for _, have := range g.measures {
+			if have.sp.ID == sp.ID {
+				mg = have
 				break
 			}
 		}
 		if mg == nil {
 			mg = &measureGroup{sp: sp}
-			groups[key] = append(groups[key], mg)
+			g.measures = append(g.measures, mg)
 		}
 		mg.idxs = append(mg.idxs, k)
 	}
 
-	pairs := e.pairUniverse()
-	numSamples := e.data.NumSamples()
-	kern, mom, err := e.naive.Kernel()
-	if err != nil {
-		return nil, err
+	sources := make([]string, len(items))
+	for _, g := range groups {
+		column, source, err := e.baseColumn(g.key)
+		if err != nil {
+			return nil, nil, err
+		}
+		g.column = column
+		for _, mg := range g.measures {
+			for _, k := range mg.idxs {
+				sources[k] = source
+			}
+		}
 	}
-	blocks := par.Blocks(len(pairs), e.par)
+
+	numPairs := e.numUniversePairs()
+	numSamples := e.data.NumSamples()
+	_, mom, err := e.naive.Kernel()
+	if err != nil {
+		return nil, nil, err
+	}
+	keepValues := e.cache != nil
+	blocks := par.Blocks(numPairs, e.par)
 	type blockPart struct {
-		pairs [][]timeseries.Pair // per interval item
-		heaps []*scape.TopHeap    // per top-k item
+		pairs  [][]timeseries.Pair // per interval item
+		values [][]float64         // per interval item, with keepValues
+		heaps  []*scape.TopHeap    // per top-k item
 	}
 	parts := make([]blockPart, len(blocks))
 	err = par.Do(len(blocks), e.par, func(b int) error {
@@ -274,58 +302,41 @@ func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
 			pairs: make([][]timeseries.Pair, len(items)),
 			heaps: make([]*scape.TopHeap, len(items)),
 		}
+		if keepValues {
+			local.values = make([][]float64, len(items))
+		}
 		for k, p := range items {
 			if p.Spec.Kind == plan.KindTopK {
 				local.heaps[k] = scape.NewTopHeap(p.Spec.K, p.Spec.Largest)
 			}
 		}
-		// Two kernel-block buffers per row block — O(blocks) allocations for
-		// the whole sweep, never O(pairs): tbuf holds each group's shared base
-		// values, vbuf each derived measure's transformed values.  Undefined
-		// derived values flow as NaN (EvalOrNaN): interval compaction never
-		// matches NaN and the heaps never rank it, so degenerate pairs drop
-		// out of every result without per-pair control flow.
+		// Kernel-block buffers per row block — O(blocks) allocations for the
+		// whole sweep, never O(pairs): scratch holds the chunk's pairs (the
+		// universe is enumerated, not materialized), tbuf a streamed group's
+		// base values, vbuf each derived measure's transformed values.
+		// Undefined derived values flow as NaN (EvalOrNaN): interval compaction
+		// never matches NaN and the heaps never rank it, so degenerate pairs
+		// drop out of every result without per-pair control flow.
+		scratch := make([]timeseries.Pair, kernel.BlockPairs)
 		tbuf := make([]float64, kernel.BlockPairs)
 		vbuf := make([]float64, kernel.BlockPairs)
-		blockPairs := pairs[blocks[b].Lo:blocks[b].Hi]
-		for lo := 0; lo < len(blockPairs); lo += kernel.BlockPairs {
-			hi := lo + kernel.BlockPairs
-			if hi > len(blockPairs) {
-				hi = len(blockPairs)
-			}
-			chunk := blockPairs[lo:hi]
-			t := tbuf[:len(chunk)]
-			for _, key := range keyOrder {
-				baseSp := baseSpecs[key]
-				if key.method == MethodNaive {
-					if baseBlock := kern.BaseBlock(key.base); baseBlock != nil {
-						baseBlock(mom, chunk, t)
-					} else {
-						// Extension base without a blocked kernel: scalar.
-						for i, pair := range chunk {
-							v, err := e.naive.PairValue(key.base, pair)
-							if err != nil {
-								return err
-							}
-							t[i] = v
-						}
-					}
-				} else {
-					for i, pair := range chunk {
-						v, err := e.affinePairBase(baseSp, pair)
-						if err != nil {
-							return err
-						}
-						t[i] = v
-					}
+		for lo := blocks[b].Lo; lo < blocks[b].Hi; lo += kernel.BlockPairs {
+			hi := min(lo+kernel.BlockPairs, blocks[b].Hi)
+			chunk := e.universeChunk(lo, hi, scratch)
+			for _, g := range groups {
+				t := tbuf[:len(chunk)]
+				if g.column != nil {
+					t = g.column[lo:hi]
+				} else if err := e.fillBase(g.key, chunk, t); err != nil {
+					return err
 				}
-				for _, mg := range groups[key] {
+				for _, mg := range g.measures {
 					vals := t
 					if mg.sp.Derived() {
 						vals = vbuf[:len(chunk)]
 						for i, pair := range chunk {
 							var u float64
-							if key.method == MethodNaive {
+							if g.key.method == MethodNaive {
 								// Hoisted kernel moments; bit-identical to
 								// NaiveSeriesStat on the raw series.
 								u = mg.sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
@@ -342,6 +353,9 @@ func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
 					for _, k := range mg.idxs {
 						if items[k].Spec.Kind != plan.KindTopK {
 							local.pairs[k] = kernel.CompactPairs(local.pairs[k], chunk, vals, items[k].Spec.Interval)
+							if keepValues {
+								local.values[k] = kernel.CompactValues(local.values[k], vals, items[k].Spec.Interval)
+							}
 						} else {
 							for i := range chunk {
 								local.heaps[k].Offer(chunk[i], vals[i])
@@ -355,7 +369,7 @@ func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]QueryResult, len(items))
 	for k, p := range items {
@@ -365,6 +379,13 @@ func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
 				perBlock[b] = parts[b].pairs[k]
 			}
 			out[k] = QueryResult{Pairs: par.FlattenBlocks(perBlock)}
+			if keepValues {
+				perBlockValues := make([][]float64, len(parts))
+				for b := range parts {
+					perBlockValues[b] = parts[b].values[k]
+				}
+				out[k].Values = par.FlattenBlocks(perBlockValues)
+			}
 			continue
 		}
 		// Merge the per-block heaps: the retained set is a function of the
@@ -380,5 +401,5 @@ func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, error) {
 		topPairs, values := final.Sorted()
 		out[k] = QueryResult{Pairs: topPairs, Values: values}
 	}
-	return out, nil
+	return out, sources, nil
 }

@@ -242,9 +242,10 @@ func TestCacheTiersActuallyServe(t *testing.T) {
 }
 
 // TestExplainCachePlanParity pins satellite contract two: on repeated queries
-// Explain reports the cache tier and repaired-pair count as plan actuals, and
+// Explain reports the cache tier and repaired-pair count as plan actuals, a
+// cold sweep reports whether it filled or reused the epoch's base column, and
 // a cached engine's plan is identical to a cold engine's modulo Duration and
-// the two cache fields.
+// those three fields.
 func TestExplainCachePlanParity(t *testing.T) {
 	const rounds, slide = 3, 1 // one-tick slides: see TestCacheTiersActuallyServe
 	cfg := Config{
@@ -271,8 +272,8 @@ func TestExplainCachePlanParity(t *testing.T) {
 	topkPrefix := plan.TopK(stats.Correlation, 4, true)
 
 	// explain runs the spec on both engines, asserts result parity and plan
-	// parity modulo Duration/CacheTier/CacheRepairedPairs, and returns the
-	// cached engine's plan for tier assertions.
+	// parity modulo Duration/CacheTier/CacheRepairedPairs/BaseValues, and
+	// returns the cached engine's plan for tier assertions.
 	explain := func(tag string, s plan.QuerySpec) plan.Plan {
 		t.Helper()
 		wantRes, wantPlan, err := cold.Explain(s, MethodAffine)
@@ -290,20 +291,24 @@ func TestExplainCachePlanParity(t *testing.T) {
 			p.Duration = 0
 			p.CacheTier = ""
 			p.CacheRepairedPairs = 0
+			p.BaseValues = ""
 			return p
 		}
 		if fmt.Sprintf("%+v", norm(gotPlan)) != fmt.Sprintf("%+v", norm(wantPlan)) {
 			t.Fatalf("%s: cached plan diverges from cold modulo cache fields:\n got: %+v\nwant: %+v",
 				tag, norm(gotPlan), norm(wantPlan))
 		}
-		if wantPlan.CacheTier != "" || wantPlan.CacheRepairedPairs != 0 {
+		if wantPlan.CacheTier != "" || wantPlan.CacheRepairedPairs != 0 || wantPlan.BaseValues != "" {
 			t.Fatalf("%s: cold engine reported cache actuals: %+v", tag, wantPlan)
+		}
+		if (gotPlan.CacheTier != "") != (gotPlan.BaseValues == "") {
+			t.Fatalf("%s: want base values reported exactly when no cache tier served: %+v", tag, gotPlan)
 		}
 		return gotPlan
 	}
 
-	if p := explain("miss", spec); p.CacheTier != "" {
-		t.Fatalf("first issue reported tier %q, want none", p.CacheTier)
+	if p := explain("miss", spec); p.CacheTier != "" || p.BaseValues != "filled" {
+		t.Fatalf("first issue reported tier %q and base values %q, want none and filled", p.CacheTier, p.BaseValues)
 	}
 	if p := explain("exact", spec); p.CacheTier != "exact" {
 		t.Fatalf("repeat issue reported tier %q, want exact", p.CacheTier)
@@ -311,8 +316,10 @@ func TestExplainCachePlanParity(t *testing.T) {
 	if p := explain("contained", contained); p.CacheTier != "contained" {
 		t.Fatalf("narrower issue reported tier %q, want contained", p.CacheTier)
 	}
-	if p := explain("topk-miss", topk); p.CacheTier != "" {
-		t.Fatalf("first top-k reported tier %q, want none", p.CacheTier)
+	// Correlation derives from covariance: its first sweep rides the column
+	// the covariance miss filled.
+	if p := explain("topk-miss", topk); p.CacheTier != "" || p.BaseValues != "reused" {
+		t.Fatalf("first top-k reported tier %q and base values %q, want none and reused", p.CacheTier, p.BaseValues)
 	}
 	if p := explain("topk-prefix", topkPrefix); p.CacheTier != "contained" {
 		t.Fatalf("prefix top-k reported tier %q, want contained", p.CacheTier)

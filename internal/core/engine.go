@@ -318,6 +318,11 @@ type engineState struct {
 	// simply miss.
 	cache *qcache.Cache
 
+	// cols memoises the epoch's base T-measure columns for the sweep executor
+	// (basecolumns.go).  Filled lazily by the epoch's own sweeps and never
+	// carried across Advance; with the cache disabled it keeps nothing.
+	cols *baseColumns
+
 	// sketch is the epoch's coefficient-sketch set (nil when Config.Sketch is
 	// disabled): the filter half of the filter-and-refine sweep tier.  Like the
 	// index it is immutable per epoch; Advance derives the next epoch's set
@@ -343,6 +348,8 @@ type Engine struct {
 	pending [][]float64
 	// stream accumulates incremental-maintenance observability counters.
 	stream StreamStats
+	// sweep counts base-column fills and reuses across every epoch's sweeps.
+	sweep sweepCounters
 	// batchPool recycles the per-epoch tick-transpose buffers; flagPool
 	// recycles the drift-scoring flag slices.  Both only ever hold buffers
 	// released at the end of an Advance, so pooled memory is bounded by one
@@ -465,6 +472,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	st.finishPlanner(cfg)
 	st.cache = qcache.New(cfg.Cache)
 	e := &Engine{cfg: cfg}
+	st.cols = e.newBaseColumns(st.cache)
 	e.cur.Store(st)
 	return e, nil
 }
@@ -654,17 +662,9 @@ func (e *engineState) seriesStat(id timeseries.SeriesID) measure.SeriesStat {
 	return measure.SeriesStat{Variance: e.seriesVariance[id], SqNorm: e.seriesSqNorm[id]}
 }
 
-// pairUniverse returns the epoch's pairwise query universe: the restricted
-// assigned-pair set under Config.AssignedPairsOnly, all pairs otherwise.
-func (e *engineState) pairUniverse() []timeseries.Pair {
-	if e.pairs != nil {
-		return e.pairs
-	}
-	return e.data.AllPairs()
-}
-
-// numUniversePairs returns the size of the pairwise query universe without
-// materializing the unrestricted pair list.
+// numUniversePairs returns the size of the epoch's pairwise query universe:
+// the restricted assigned-pair set under Config.AssignedPairsOnly, all pairs
+// otherwise.  Sweeps walk it through universeChunk.
 func (e *engineState) numUniversePairs() int {
 	if e.pairs != nil {
 		return len(e.pairs)

@@ -86,13 +86,16 @@ type Item struct {
 }
 
 // Actual is what the pipeline observed while answering one item (Explain):
-// the cache tier that served it with the size of a repair's delta, or the
-// pairs its sketch prescreen classified and passed on to the exact kernels.
+// the cache tier that served it with the size of a repair's delta, the pairs
+// its sketch prescreen classified and passed on to the exact kernels, or
+// whether its sweep filled or reused the epoch's base column ("filled",
+// "reused"; empty when the sweep streamed its base values or none ran).
 type Actual struct {
-	Tier     qcache.Tier
-	Repaired int
-	Sketched int
-	Refined  int
+	Tier       qcache.Tier
+	Repaired   int
+	Sketched   int
+	Refined    int
+	BaseValues string
 }
 
 // Run answers a batch of interval/top-k specs against one backend epoch.
@@ -183,6 +186,11 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 		}
 		for k, i := range coldAt {
 			out[i] = results[k]
+			if cold[k].Spec.Kind == plan.KindInterval {
+				// A sweep hands its rows' values over for cacheStore only:
+				// interval results carry nil Values by contract.
+				out[i].Values = nil
+			}
 			if wantPlans {
 				acts[i] = coldActs[k]
 			}
@@ -202,6 +210,7 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 			plans[i].CacheRepairedPairs = acts[i].Repaired
 			plans[i].SketchedPairs = acts[i].Sketched
 			plans[i].SketchRefinedPairs = acts[i].Refined
+			plans[i].BaseValues = acts[i].BaseValues
 		}
 	}
 	return out, plans, nil
@@ -355,11 +364,15 @@ func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]times
 
 // cacheStore installs a cold execution's result.  Interval entries need the
 // result rows' measure values (containment filtering and repair seeding read
-// them), which interval executions do not produce — they are captured post
-// hoc with the per-pair evaluator of the item's method, once per cold query;
-// a hit never pays it.  Top-k entries store their ranking values directly.
+// them).  A single engine's sweep compacts them next to the pairs it keeps and
+// hands them over in res.Values; the executions that do not produce values —
+// the index, the sketch path, a coordinator's merged fan-out — have them
+// captured post hoc with the per-pair evaluator of the item's method, once
+// per cold query; a hit never pays it.  Both give the same bits: the sweeps
+// are bit-identical to the per-pair evaluators by the engine's parity
+// contract.  Top-k entries store their ranking values directly.
 func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res QueryResult) {
-	if it.Spec.Kind == plan.KindTopK {
+	if it.Spec.Kind == plan.KindTopK || res.Values != nil {
 		cache.Put(key, b.Epoch(), res.Pairs, res.Values)
 		return
 	}

@@ -69,7 +69,7 @@ func (e *engineState) sketchSweep(it Item) (QueryResult, Actual, error) {
 // value for ambiguous ones — so the emitted set and order equal the unpruned
 // sweep's exactly.
 func (e *engineState) sketchInterval(it Item, sp *measure.Spec) (QueryResult, Actual, error) {
-	pairs := e.pairUniverse()
+	numPairs := e.numUniversePairs()
 	numSamples := e.data.NumSamples()
 	kern, mom, err := e.naive.Kernel()
 	if err != nil {
@@ -78,12 +78,13 @@ func (e *engineState) sketchInterval(it Item, sp *measure.Spec) (QueryResult, Ac
 	sk := e.sketch
 	iv := it.Spec.Interval
 	baseBlock := kern.BaseBlock(sp.Base)
-	blocks := par.Blocks(len(pairs), e.par)
+	blocks := par.Blocks(numPairs, e.par)
 	perBlock := make([][]timeseries.Pair, len(blocks))
 	var cIn, cOut, cAmb atomic.Int64
 	err = par.Do(len(blocks), e.par, func(b int) error {
-		// O(blocks) scratch, like the exact sweep: per-chunk bound, class and
-		// kernel buffers reused across the block's chunks.
+		// O(blocks) scratch, like the exact sweep: per-chunk pair, bound, class
+		// and kernel buffers reused across the block's chunks.
+		scratch := make([]timeseries.Pair, kernel.BlockPairs)
 		tLo := make([]float64, kernel.BlockPairs)
 		tHi := make([]float64, kernel.BlockPairs)
 		cls := make([]sketch.Class, kernel.BlockPairs)
@@ -92,13 +93,8 @@ func (e *engineState) sketchInterval(it Item, sp *measure.Spec) (QueryResult, Ac
 		vbuf := make([]float64, kernel.BlockPairs)
 		var res []timeseries.Pair
 		var in, out, ambN int64
-		blockPairs := pairs[blocks[b].Lo:blocks[b].Hi]
-		for lo := 0; lo < len(blockPairs); lo += kernel.BlockPairs {
-			hi := lo + kernel.BlockPairs
-			if hi > len(blockPairs) {
-				hi = len(blockPairs)
-			}
-			chunk := blockPairs[lo:hi]
+		for lo := blocks[b].Lo; lo < blocks[b].Hi; lo += kernel.BlockPairs {
+			chunk := e.universeChunk(lo, min(lo+kernel.BlockPairs, blocks[b].Hi), scratch)
 			bLo, bHi := tLo[:len(chunk)], tHi[:len(chunk)]
 			bounded := sk.BoundBlock(sp.Base, mom, chunk, bLo, bHi)
 			amb = amb[:0]
@@ -168,7 +164,7 @@ func (e *engineState) sketchInterval(it Item, sp *measure.Spec) (QueryResult, Ac
 	// Interval results carry nil Values by contract, matching every other
 	// interval execution path.
 	return QueryResult{Pairs: par.FlattenBlocks(perBlock)},
-		Actual{Sketched: len(pairs), Refined: int(cAmb.Load())}, nil
+		Actual{Sketched: numPairs, Refined: int(cAmb.Load())}, nil
 }
 
 // sketchTopK runs the best-first top-k sweep: every 256-pair chunk gets an
@@ -184,7 +180,7 @@ func (e *engineState) sketchInterval(it Item, sp *measure.Spec) (QueryResult, Ac
 // heap's retained set is a function of the offered (value, pair) multiset
 // under its total order, so the result equals the unpruned sweep's exactly.
 func (e *engineState) sketchTopK(it Item, sp *measure.Spec) (QueryResult, Actual, error) {
-	pairs := e.pairUniverse()
+	numPairs := e.numUniversePairs()
 	numSamples := e.data.NumSamples()
 	kern, mom, err := e.naive.Kernel()
 	if err != nil {
@@ -192,14 +188,10 @@ func (e *engineState) sketchTopK(it Item, sp *measure.Spec) (QueryResult, Actual
 	}
 	sk := e.sketch
 	largest := it.Spec.Largest
-	numChunks := (len(pairs) + kernel.BlockPairs - 1) / kernel.BlockPairs
-	chunkOf := func(c int) []timeseries.Pair {
+	numChunks := (numPairs + kernel.BlockPairs - 1) / kernel.BlockPairs
+	chunkOf := func(c int, scratch []timeseries.Pair) []timeseries.Pair {
 		lo := c * kernel.BlockPairs
-		hi := lo + kernel.BlockPairs
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		return pairs[lo:hi]
+		return e.universeChunk(lo, min(lo+kernel.BlockPairs, numPairs), scratch)
 	}
 
 	// Phase 1: optimistic chunk scores from the sketched bounds, sharded with
@@ -208,10 +200,11 @@ func (e *engineState) sketchTopK(it Item, sp *measure.Spec) (QueryResult, Actual
 	scores := make([]float64, numChunks)
 	cblocks := par.Blocks(numChunks, e.par)
 	err = par.Do(len(cblocks), e.par, func(cb int) error {
+		scratch := make([]timeseries.Pair, kernel.BlockPairs)
 		tLo := make([]float64, kernel.BlockPairs)
 		tHi := make([]float64, kernel.BlockPairs)
 		for c := cblocks[cb].Lo; c < cblocks[cb].Hi; c++ {
-			chunk := chunkOf(c)
+			chunk := chunkOf(c, scratch)
 			bLo, bHi := tLo[:len(chunk)], tHi[:len(chunk)]
 			bounded := sk.BoundBlock(sp.Base, mom, chunk, bLo, bHi)
 			score := math.Inf(-1)
@@ -260,23 +253,21 @@ func (e *engineState) sketchTopK(it Item, sp *measure.Spec) (QueryResult, Actual
 	})
 	heap := scape.NewTopHeap(it.Spec.K, largest)
 	baseBlock := kern.BaseBlock(sp.Base)
+	scratch := make([]timeseries.Pair, kernel.BlockPairs)
 	tbuf := make([]float64, kernel.BlockPairs)
 	vbuf := make([]float64, kernel.BlockPairs)
-	refined, skipped := 0, 0
-	for oi, c := range order {
+	refined := 0
+	for _, c := range order {
 		if t, full := heap.Threshold(); full {
 			tEff := t
 			if !largest {
 				tEff = -t
 			}
 			if scores[c] < tEff {
-				for _, cc := range order[oi:] {
-					skipped += len(chunkOf(cc))
-				}
 				break
 			}
 		}
-		chunk := chunkOf(c)
+		chunk := chunkOf(c, scratch)
 		t := tbuf[:len(chunk)]
 		baseBlock(mom, chunk, t)
 		vals := t
@@ -296,8 +287,9 @@ func (e *engineState) sketchTopK(it Item, sp *measure.Spec) (QueryResult, Actual
 		}
 		refined += len(chunk)
 	}
-	sk.Counters().CountTopK(int64(refined), int64(skipped))
+	// Every chunk is either refined whole or skipped whole.
+	sk.Counters().CountTopK(int64(refined), int64(numPairs-refined))
 	topPairs, values := heap.Sorted()
 	return QueryResult{Pairs: topPairs, Values: values},
-		Actual{Sketched: len(pairs), Refined: refined}, nil
+		Actual{Sketched: numPairs, Refined: refined}, nil
 }

@@ -318,6 +318,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	// cache knowing which pairs changed beyond the refit bound.
 	st.cache = old.cache
 	st.cache.OnAdvance(st.epoch, SortedStalePairs(stale), stale == nil)
+	st.cols = e.newBaseColumns(st.cache)
 
 	st.info.AdvanceDuration = time.Since(start)
 	e.stream.Advances++

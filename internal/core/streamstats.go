@@ -77,6 +77,13 @@ type StreamStats struct {
 	SketchDefiniteOut      int64
 	SketchAmbiguous        int64
 	SketchTopKSkippedPairs int64
+	// Base-column counters (zero when the result cache is disabled).
+	// SweepBaseFills counts evaluations of a (base T-measure, method) over the
+	// whole pair universe — at most one per base, method and epoch — and
+	// SweepBaseReuses the sweep groups that took their base values from a
+	// column an earlier sweep of the epoch had already filled.
+	SweepBaseFills  int64
+	SweepBaseReuses int64
 }
 
 // CacheHitRate returns the fraction of cache-eligible queries served from the
@@ -135,6 +142,8 @@ func (e *Engine) StreamStats() StreamStats {
 	s.CacheExpired = cs.Expired
 	s.CacheEntries = cs.Entries
 	s.CacheBytes = cs.Bytes
+	s.SweepBaseFills = e.sweep.fills.Load()
+	s.SweepBaseReuses = e.sweep.reuses.Load()
 	if sk := e.state().sketch; sk != nil {
 		ss := sk.Counters().Snapshot()
 		s.SketchRebuilt = ss.Rebuilt

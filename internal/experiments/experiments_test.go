@@ -97,14 +97,16 @@ func TestOnlineWorkloadShape(t *testing.T) {
 	if rows[0].NumQueries != 20 || rows[1].NumQueries != 40 {
 		t.Fatalf("query counts %+v", rows)
 	}
+	// The workload grows by operation count (the prefixes asserted above).
+	// The two rows' wall times are sub-millisecond and invert on a loaded
+	// machine, so only each row's own consistency is checked.
 	for _, r := range rows {
 		if r.NaiveTime <= 0 || r.AffineTime <= 0 {
 			t.Fatalf("non-positive times %+v", r)
 		}
-	}
-	// The naive cost must grow with the workload size.
-	if rows[1].NaiveTime < rows[0].NaiveTime {
-		t.Fatalf("naive time should grow with the workload: %v then %v", rows[0].NaiveTime, rows[1].NaiveTime)
+		if want := float64(r.NaiveTime) / float64(r.AffineTime); r.Speedup != want {
+			t.Fatalf("speedup %v is not NaiveTime/AffineTime = %v: %+v", r.Speedup, want, r)
+		}
 	}
 }
 

@@ -14,10 +14,18 @@
 //     of the pair loop and computed once per series with exactly the scalar
 //     primitives (measure.MeanOf, measure.VarianceOf, measure.DotProductOf),
 //     so reusing them is bit-identical to recomputing them per pair;
-//   - the per-pair base reduction is a single pass over the two contiguous
-//     columns with one accumulator in sample order — the same expression
-//     shape as measure.CovarianceOf / measure.DotProductOf, so the compiler
-//     emits the same instruction sequence and the same bits come out;
+//   - the per-pair base reduction keeps, for every pair, one accumulator that
+//     walks the two contiguous columns in sample order with the expression
+//     shape of measure.CovarianceOf / measure.DotProductOf, so each pair's
+//     sequence of rounded operations — and therefore its bits — is the scalar
+//     path's.  What is shared is everything around that chain: the evaluators
+//     reduce a 1×4 register tile, four pairs per inner loop, so the four
+//     independent add chains overlap in the floating-point pipeline (one chain
+//     alone is bound by add latency), and consecutive canonical pairs (u,v),
+//     (u,v+1), … load — and for covariance centre — their common column once
+//     for four partners.  (On samples the engine rejects at its boundary the
+//     guarantee is NaN-for-NaN: which payload survives a NaN·NaN is the
+//     operand order the compiler picked, not a property of the arithmetic.);
 //   - undefined derived values propagate arithmetically as NaN (see
 //     measure.OrNaN) and interval predicates compact results branch-free
 //     (CompactPairs) instead of taking a data-dependent branch per pair.
@@ -147,12 +155,26 @@ func (k *Matrix) BaseBlock(base measure.Measure) func(mo *Moments, pairs []times
 	}
 }
 
+// tile is the number of pairs one inner loop of a blocked evaluator reduces:
+// four accumulators plus the shared operand stay in registers on every
+// supported architecture, and four independent chains are enough to hide the
+// floating-point add latency the one-pair loop is bound by.
+const tile = 4
+
+// sharedU reports whether the four pairs of a tile have one lower column —
+// the common case under the canonical pair order, where a run (u,v), (u,v+1),
+// … only breaks at the end of u's row.
+func sharedU(q []timeseries.Pair) bool {
+	return q[0].U == q[1].U && q[0].U == q[2].U && q[0].U == q[3].U
+}
+
 // CovBlock fills out[i] with the sample covariance of pairs[i], hoisting the
-// two column means from mo.  The inner loop is a single accumulator in sample
-// order with the same expression shape as measure.CovarianceOf, and MeanOf
-// per pair equals the hoisted mean bit for bit, so out matches the scalar
-// path exactly.  Pairs with U == V are allowed (the covariance of a series
-// with itself, used for matrix diagonals).
+// column means from mo.  Pairs are reduced a tile at a time; every pair keeps
+// its own accumulator in sample order with the expression shape of
+// measure.CovarianceOf, and MeanOf per pair equals the hoisted mean bit for
+// bit, so out matches the scalar path exactly in any pair order.  Pairs with
+// U == V are allowed (the covariance of a series with itself, used for matrix
+// diagonals).
 func (k *Matrix) CovBlock(mo *Moments, pairs []timeseries.Pair, out []float64) {
 	if k.m == 1 {
 		for i := range pairs {
@@ -160,6 +182,46 @@ func (k *Matrix) CovBlock(mo *Moments, pairs []timeseries.Pair, out []float64) {
 		}
 		return
 	}
+	// CovarianceOf divides by m−1; a reciprocal multiply could differ in the
+	// last ulp, so the division stays.
+	div := float64(k.m - 1)
+	full := len(pairs) - len(pairs)%tile
+	for i := 0; i < full; i += tile {
+		q := pairs[i : i+tile : i+tile]
+		var s0, s1, s2, s3 float64
+		y0, y1, y2, y3 := k.Col(q[0].V), k.Col(q[1].V), k.Col(q[2].V), k.Col(q[3].V)
+		my0, my1, my2, my3 := mo.Mean[q[0].V], mo.Mean[q[1].V], mo.Mean[q[2].V], mo.Mean[q[3].V]
+		if sharedU(q) {
+			x, mx := k.Col(q[0].U), mo.Mean[q[0].U]
+			y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+			for j, xj := range x {
+				dx := xj - mx
+				s0 += dx * (y0[j] - my0)
+				s1 += dx * (y1[j] - my1)
+				s2 += dx * (y2[j] - my2)
+				s3 += dx * (y3[j] - my3)
+			}
+		} else {
+			x0, x1, x2, x3 := k.Col(q[0].U), k.Col(q[1].U), k.Col(q[2].U), k.Col(q[3].U)
+			mx0, mx1, mx2, mx3 := mo.Mean[q[0].U], mo.Mean[q[1].U], mo.Mean[q[2].U], mo.Mean[q[3].U]
+			x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+			y0, y1, y2, y3 = y0[:len(x0)], y1[:len(x0)], y2[:len(x0)], y3[:len(x0)]
+			for j := range x0 {
+				s0 += (x0[j] - mx0) * (y0[j] - my0)
+				s1 += (x1[j] - mx1) * (y1[j] - my1)
+				s2 += (x2[j] - mx2) * (y2[j] - my2)
+				s3 += (x3[j] - mx3) * (y3[j] - my3)
+			}
+		}
+		o := out[i : i+tile : i+tile]
+		o[0], o[1], o[2], o[3] = s0/div, s1/div, s2/div, s3/div
+	}
+	k.covPairs(mo, pairs[full:], out[full:])
+}
+
+// covPairs is the one-pair covariance loop — the scalar path's loop over
+// hoisted means — for the tail of a block that does not fill a tile.
+func (k *Matrix) covPairs(mo *Moments, pairs []timeseries.Pair, out []float64) {
 	for i, p := range pairs {
 		x, y := k.Col(p.U), k.Col(p.V)
 		mx, my := mo.Mean[p.U], mo.Mean[p.V]
@@ -167,15 +229,47 @@ func (k *Matrix) CovBlock(mo *Moments, pairs []timeseries.Pair, out []float64) {
 		for j := range x {
 			ss += (x[j] - mx) * (y[j] - my)
 		}
-		// CovarianceOf divides by m−1; a reciprocal multiply could differ in
-		// the last ulp, so the division stays.
 		out[i] = ss / float64(k.m-1)
 	}
 }
 
-// DotBlock fills out[i] with the inner product of pairs[i] — the same single
-// accumulator in sample order as measure.DotProductOf.
+// DotBlock fills out[i] with the inner product of pairs[i], a tile at a time
+// like CovBlock: one accumulator per pair in sample order, the shape of
+// measure.DotProductOf.
 func (k *Matrix) DotBlock(_ *Moments, pairs []timeseries.Pair, out []float64) {
+	full := len(pairs) - len(pairs)%tile
+	for i := 0; i < full; i += tile {
+		q := pairs[i : i+tile : i+tile]
+		var s0, s1, s2, s3 float64
+		y0, y1, y2, y3 := k.Col(q[0].V), k.Col(q[1].V), k.Col(q[2].V), k.Col(q[3].V)
+		if sharedU(q) {
+			x := k.Col(q[0].U)
+			y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+			for j, xj := range x {
+				s0 += xj * y0[j]
+				s1 += xj * y1[j]
+				s2 += xj * y2[j]
+				s3 += xj * y3[j]
+			}
+		} else {
+			x0, x1, x2, x3 := k.Col(q[0].U), k.Col(q[1].U), k.Col(q[2].U), k.Col(q[3].U)
+			x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+			y0, y1, y2, y3 = y0[:len(x0)], y1[:len(x0)], y2[:len(x0)], y3[:len(x0)]
+			for j := range x0 {
+				s0 += x0[j] * y0[j]
+				s1 += x1[j] * y1[j]
+				s2 += x2[j] * y2[j]
+				s3 += x3[j] * y3[j]
+			}
+		}
+		o := out[i : i+tile : i+tile]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	k.dotPairs(pairs[full:], out[full:])
+}
+
+// dotPairs is the one-pair inner-product loop, for the tail of a block.
+func (k *Matrix) dotPairs(pairs []timeseries.Pair, out []float64) {
 	for i, p := range pairs {
 		x, y := k.Col(p.U), k.Col(p.V)
 		var sum float64
@@ -206,6 +300,20 @@ func CompactPairs(dst []timeseries.Pair, pairs []timeseries.Pair, values []float
 	for i, p := range pairs {
 		dst[w] = p
 		w += Mask1(iv.Contains(values[i]))
+	}
+	return dst[:w]
+}
+
+// CompactValues is CompactPairs for the values themselves: it appends to dst
+// every values[i] the interval contains, in order, with the same branch-free
+// write — so compacting a chunk's pairs and its values by one interval keeps
+// the two lists aligned.
+func CompactValues(dst []float64, values []float64, iv interval.Interval) []float64 {
+	w := len(dst)
+	dst = append(dst, values...) // reserve; surplus is trimmed below
+	for _, v := range values {
+		dst[w] = v
+		w += Mask1(iv.Contains(v))
 	}
 	return dst[:w]
 }

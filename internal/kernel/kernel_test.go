@@ -26,6 +26,12 @@ func testMatrix(t *testing.T, n, m int) (*timeseries.DataMatrix, *Matrix, *Momen
 			}
 		}
 	}
+	return mirror(t, rows)
+}
+
+// mirror builds the data matrix of rows, its columnar mirror and moments.
+func mirror(t testing.TB, rows [][]float64) (*timeseries.DataMatrix, *Matrix, *Moments) {
+	t.Helper()
 	d, err := timeseries.NewDataMatrix(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -86,12 +92,59 @@ func TestMomentsMatchScalarPrimitives(t *testing.T) {
 	}
 }
 
-// TestBlocksBitIdenticalToScalar is the kernel's core contract: CovBlock and
-// DotBlock must reproduce measure.CovarianceOf / measure.DotProductOf bit for
-// bit on every pair, the diagonal included.
-func TestBlocksBitIdenticalToScalar(t *testing.T) {
-	d, k, mo := testMatrix(t, 9, 137)
-	pairs := allPairsWithDiagonal(d.NumSeries())
+// hostileMatrix builds an n×m window whose series walk the edges of float64:
+// by series id mod 9 a constant series, plain normals, ±0 among normals,
+// +Inf, −Inf and NaN among normals, magnitudes near 1e+150 and 1e−150, and
+// denormals.  The engine rejects NaN and ±Inf samples at its boundary; the
+// kernels must agree with the scalar path on them all the same.
+func hostileMatrix(t testing.TB, rng *rand.Rand, n, m int) (*timeseries.DataMatrix, *Matrix, *Moments) {
+	t.Helper()
+	rows := make([][]float64, n)
+	for v := range rows {
+		rows[v] = make([]float64, m)
+		for j := range rows[v] {
+			x := rng.NormFloat64()*10 + float64(v)
+			switch v % 9 {
+			case 0:
+				x = 42
+			case 2:
+				switch rng.Intn(3) {
+				case 0:
+					x = 0
+				case 1:
+					x = math.Copysign(0, -1)
+				}
+			case 3, 4, 5:
+				if rng.Intn(4) == 0 {
+					x = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[v%9-3]
+				}
+			case 6:
+				x *= 1e150
+			case 7:
+				x *= 1e-150
+			case 8:
+				x = math.Copysign(float64(rng.Intn(1000))*math.SmallestNonzeroFloat64, x)
+			}
+			rows[v][j] = x
+		}
+	}
+	return mirror(t, rows)
+}
+
+// sameBits is the parity relation: equal bits, or NaN on both sides.  Which
+// payload survives NaN·NaN or NaN+NaN is the operand order of the instruction
+// the compiler emitted, so when a window mixes NaN samples with ±Inf ones
+// (whose centring yields the other, "indefinite" NaN) the payload is not a
+// property of the arithmetic; the NaN is.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// requireBlocksMatchScalar runs CovBlock and DotBlock over the pair list and
+// requires every output to carry the bits of measure.CovarianceOf /
+// measure.DotProductOf on the same two series.
+func requireBlocksMatchScalar(t testing.TB, d *timeseries.DataMatrix, k *Matrix, mo *Moments, pairs []timeseries.Pair) {
+	t.Helper()
 	cov := make([]float64, len(pairs))
 	dot := make([]float64, len(pairs))
 	k.CovBlock(mo, pairs, cov)
@@ -103,17 +156,65 @@ func TestBlocksBitIdenticalToScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(cov[i]) != math.Float64bits(wantCov) {
-			t.Errorf("CovBlock(%v) = %x, scalar = %x", p, math.Float64bits(cov[i]), math.Float64bits(wantCov))
+		if !sameBits(cov[i], wantCov) {
+			t.Fatalf("CovBlock of %d pairs, [%d] = %v: %x, scalar %x", len(pairs), i, p, math.Float64bits(cov[i]), math.Float64bits(wantCov))
 		}
 		wantDot, err := measure.DotProductOf(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(dot[i]) != math.Float64bits(wantDot) {
-			t.Errorf("DotBlock(%v) = %x, scalar = %x", p, math.Float64bits(dot[i]), math.Float64bits(wantDot))
+		if !sameBits(dot[i], wantDot) {
+			t.Fatalf("DotBlock of %d pairs, [%d] = %v: %x, scalar %x", len(pairs), i, p, math.Float64bits(dot[i]), math.Float64bits(wantDot))
 		}
 	}
+}
+
+// TestBlocksBitIdenticalToScalar is the kernel's core contract: CovBlock and
+// DotBlock must reproduce measure.CovarianceOf / measure.DotProductOf bit for
+// bit on every pair — whatever tile the pair lands in.  Lists of every length
+// 0…9 start at every offset of the canonical order (so a tile's lower column
+// changes at each of its four positions, and every tail length follows every
+// tile shape), of the order with the diagonal, and of a shuffle of it, over
+// windows from one sample up and data from hostileMatrix.
+func TestBlocksBitIdenticalToScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, m := range []int{1, 2, 3, 7, 137, 360} {
+		d, k, mo := hostileMatrix(t, rng, 10, m)
+		diagonal := allPairsWithDiagonal(d.NumSeries())
+		shuffled := append([]timeseries.Pair(nil), diagonal...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, order := range [][]timeseries.Pair{d.AllPairs(), diagonal, shuffled} {
+			requireBlocksMatchScalar(t, d, k, mo, order)
+			for length := 0; length <= 9; length++ {
+				for lo := 0; lo+length <= len(order); lo++ {
+					requireBlocksMatchScalar(t, d, k, mo, order[lo:lo+length])
+				}
+			}
+		}
+	}
+}
+
+// FuzzTileKernelParity probes the same contract on generated inputs: a
+// hostileMatrix of fuzzed shape and a pair list of fuzzed length, drawn with
+// repeats, U == V and U > V allowed, so tiles mix shared and unshared lower
+// columns in every arrangement.
+func FuzzTileKernelParity(f *testing.F) {
+	for i, m := range []uint8{1, 2, 3, 7, 137, 255} {
+		f.Add(int64(i)+1, uint8(2+3*i), m, uint8(5+9*i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, m, length uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		d, k, mo := hostileMatrix(t, rng, 1+int(n)%24, 1+int(m))
+		pairs := make([]timeseries.Pair, length)
+		for i := range pairs {
+			u := timeseries.SeriesID(rng.Intn(d.NumSeries()))
+			pairs[i] = timeseries.Pair{U: u, V: timeseries.SeriesID(rng.Intn(d.NumSeries()))}
+			if i > 0 && rng.Intn(3) > 0 {
+				pairs[i].U = pairs[i-1].U // runs sharing a lower column, as in the canonical order
+			}
+		}
+		requireBlocksMatchScalar(t, d, k, mo, pairs)
+	})
 }
 
 func TestBlocksSingleSampleWindow(t *testing.T) {
@@ -159,9 +260,21 @@ func TestCompactPairsMatchesFilterLoop(t *testing.T) {
 	}
 	for _, iv := range intervals {
 		var want []timeseries.Pair
+		var wantValues []float64
 		for i, p := range pairs {
 			if iv.Contains(values[i]) {
 				want = append(want, p)
+				wantValues = append(wantValues, values[i])
+			}
+		}
+		// CompactValues keeps the values of exactly the rows CompactPairs keeps.
+		gotValues := CompactValues([]float64{7}, values, iv)
+		if gotValues[0] != 7 || len(gotValues) != 1+len(wantValues) {
+			t.Fatalf("CompactValues(%v) with prefix: len %d, want %d", iv, len(gotValues), 1+len(wantValues))
+		}
+		for i, v := range wantValues {
+			if gotValues[1+i] != v {
+				t.Fatalf("CompactValues(%v)[%d] = %v, want %v", iv, i, gotValues[1+i], v)
 			}
 		}
 		got := CompactPairs(nil, pairs, values, iv)
@@ -272,3 +385,32 @@ func TestFromDataAliasesSlidWindow(t *testing.T) {
 		t.Fatalf("FromData of the mutated window: %v", err)
 	}
 }
+
+// benchmarkBlock times one blocked evaluator over the canonical pairs of an
+// n×m window in BlockPairs chunks — the sweep's access pattern — and reports
+// ns per pair.
+func benchmarkBlock(b *testing.B, n, m int, eval func(*Matrix, *Moments, []timeseries.Pair, []float64)) {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, m)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64()
+		}
+	}
+	d, k, mo := mirror(b, rows)
+	pairs := d.AllPairs()
+	out := make([]float64, BlockPairs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(pairs); lo += BlockPairs {
+			hi := min(lo+BlockPairs, len(pairs))
+			eval(k, mo, pairs[lo:hi], out[:hi-lo])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
+}
+
+func BenchmarkCovBlock(b *testing.B)           { benchmarkBlock(b, 168, 360, (*Matrix).CovBlock) }
+func BenchmarkDotBlock(b *testing.B)           { benchmarkBlock(b, 168, 360, (*Matrix).DotBlock) }
+func BenchmarkCovBlockLongWindow(b *testing.B) { benchmarkBlock(b, 128, 720, (*Matrix).CovBlock) }

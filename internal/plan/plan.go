@@ -217,6 +217,12 @@ type Plan struct {
 	// did not execute through the sketch tier.
 	SketchedPairs      int
 	SketchRefinedPairs int
+	// BaseValues reports where a sweep-method execution on a cache-enabled
+	// engine took its base T-measure values from: "filled" when this query
+	// evaluated the epoch's base column, "reused" when an earlier sweep of the
+	// same base at this epoch already had.  Empty when the sweep streamed its
+	// base values (cache off, over the column budget) or no sweep ran.
+	BaseValues string
 }
 
 // WithMethod returns the plan re-priced for a caller-fixed concrete method:
@@ -249,6 +255,9 @@ func (p Plan) String() string {
 	}
 	if p.SketchedPairs > 0 {
 		s += fmt.Sprintf(" [sketch %d pairs, %d refined]", p.SketchedPairs, p.SketchRefinedPairs)
+	}
+	if p.BaseValues != "" {
+		s += fmt.Sprintf(" [base values %s]", p.BaseValues)
 	}
 	return s
 }

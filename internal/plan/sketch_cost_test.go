@@ -89,7 +89,10 @@ func TestPlanStringSketchActuals(t *testing.T) {
 	if s := p.String(); !strings.Contains(s, "sketch 820 pairs, 37 refined") {
 		t.Fatalf("Plan.String() = %q", s)
 	}
-	if s := (Plan{Spec: Range(stats.Covariance, 0, 1)}).String(); strings.Contains(s, "sketch") {
-		t.Fatalf("sketch actuals rendered on a non-sketch plan: %q", s)
+	if s := (Plan{Spec: Range(stats.Covariance, 0, 1)}).String(); strings.Contains(s, "sketch") || strings.Contains(s, "base values") {
+		t.Fatalf("sketch or base-column actuals rendered on a plan without them: %q", s)
+	}
+	if s := (Plan{Spec: Range(stats.Covariance, 0, 1), BaseValues: "reused"}).String(); !strings.Contains(s, "[base values reused]") {
+		t.Fatalf("Plan.String() = %q", s)
 	}
 }

@@ -395,6 +395,8 @@ func (c *Coordinator) StreamStats() core.StreamStats {
 		agg.SketchDefiniteOut += s.SketchDefiniteOut
 		agg.SketchAmbiguous += s.SketchAmbiguous
 		agg.SketchTopKSkippedPairs += s.SketchTopKSkippedPairs
+		agg.SweepBaseFills += s.SweepBaseFills
+		agg.SweepBaseReuses += s.SweepBaseReuses
 		if s.LastStaleFraction > agg.LastStaleFraction {
 			agg.LastStaleFraction = s.LastStaleFraction
 		}

@@ -328,6 +328,13 @@ func runShardDeterminismSplit(t *testing.T, baseCfg, coordCfg core.Config, passe
 		}
 		check(fmt.Sprintf("epoch%d", r+1))
 	}
+	// Base columns are a single engine's: the shards run cache-disabled and
+	// keep none, whatever the coordinator's cache does.
+	for _, ce := range coords {
+		if ss := ce.c.StreamStats(); ss.SweepBaseFills != 0 || ss.SweepBaseReuses != 0 {
+			t.Fatalf("%s: shards kept base columns: %d fills, %d reuses", ce.name, ss.SweepBaseFills, ss.SweepBaseReuses)
+		}
+	}
 }
 
 func TestShardedDeterminism(t *testing.T) {

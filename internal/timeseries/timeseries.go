@@ -18,6 +18,7 @@ package timeseries
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"affinity/internal/mat"
@@ -415,6 +416,38 @@ func (d *DataMatrix) AllPairs() []Pair {
 		}
 	}
 	return pairs
+}
+
+// PairsAt fills dst with the len(dst) pairs that follow position rank in the
+// AllPairs order and returns it, so a scan can walk the pair set a chunk at a
+// time through one scratch buffer instead of materializing all n(n-1)/2
+// pairs.  rank+len(dst) must not exceed NumPairs().
+func (d *DataMatrix) PairsAt(rank int, dst []Pair) []Pair {
+	if len(dst) == 0 {
+		return dst
+	}
+	n := d.NumSeries()
+	// Row u of the order starts at u·n − u·(u+1)/2 and holds n−1−u pairs.
+	// Unrank with the closed form, then correct the float estimate by walking.
+	rowStart := func(u int) int { return u*n - u*(u+1)/2 }
+	b := float64(2*n - 1)
+	u := int((b - math.Sqrt(b*b-8*float64(rank))) / 2)
+	u = max(0, min(u, n-2))
+	for rowStart(u) > rank {
+		u--
+	}
+	for rowStart(u+1) <= rank {
+		u++
+	}
+	v := u + 1 + rank - rowStart(u)
+	for i := range dst {
+		dst[i] = Pair{U: SeriesID(u), V: SeriesID(v)}
+		if v++; v == n {
+			u++
+			v = u + 1
+		}
+	}
+	return dst
 }
 
 // NumPairs returns |P| = n(n-1)/2.

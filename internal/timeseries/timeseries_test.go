@@ -143,6 +143,41 @@ func TestAllPairs(t *testing.T) {
 	}
 }
 
+// TestPairsAtMatchesAllPairs: walking the pair set through PairsAt gives the
+// AllPairs list from every starting rank — so at every boundary any chunking
+// can produce — for the degenerate sizes and the benchmark's n.
+func TestPairsAtMatchesAllPairs(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 17, 168} {
+		series := make([][]float64, n)
+		for i := range series {
+			series[i] = []float64{float64(i)}
+		}
+		d, err := NewDataMatrix(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := d.AllPairs()
+		if got := d.PairsAt(0, nil); len(got) != 0 {
+			t.Fatalf("n=%d: PairsAt into an empty buffer returned %d pairs", n, len(got))
+		}
+		check := func(lo, size int) {
+			t.Helper()
+			hi := min(lo+size, len(want))
+			for i, p := range d.PairsAt(lo, make([]Pair, hi-lo)) {
+				if p != want[lo+i] {
+					t.Fatalf("n=%d: PairsAt(%d, %d)[%d] = %v, AllPairs has %v", n, lo, hi-lo, i, p, want[lo+i])
+				}
+			}
+		}
+		check(0, len(want))
+		for _, size := range []int{1, 2, 7, 256} {
+			for lo := range want {
+				check(lo, size)
+			}
+		}
+	}
+}
+
 func TestPairMatrixAndColumnsMatrix(t *testing.T) {
 	d := sample3x4()
 	pm, err := d.PairMatrix(Pair{U: 0, V: 1})
