@@ -281,7 +281,7 @@ type engineState struct {
 
 	// summaries holds one summary per assigned pivot, aligned with
 	// rel.Layout().Pivots() — found from a relationship's slot without hashing.
-	summaries []*pivotSummary
+	summaries []pivotSummary
 	// Per-series incremental sufficient statistics (Σx, Σx²), carried across
 	// epochs with O(slide) updates and periodically refreshed from the raw
 	// window.
@@ -298,6 +298,8 @@ type engineState struct {
 	calibB []float64
 	// Cached location measures of the k cluster centers, keyed by measure.
 	centerLocation map[stats.Measure][]float64
+	// Self-moments of the k cluster centers, reduced once per clustering.
+	centerMoments []selfMoment
 	// Affine-estimated per-series location measures (the W_A path for
 	// L-measures); keyed by measure.
 	seriesLocation map[stats.Measure][]float64
@@ -535,43 +537,13 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 		}
 	}
 
-	// Pivot summaries from joint sufficient statistics of [s_common, r].
-	// The summary set covers every assigned pivot (not just pivots with a
-	// surviving relationship) so that a streaming refit can revive a
-	// previously pruned pair without missing its summary.  Summaries are
-	// independent per pivot and fan out across the worker pool, in the
-	// layout's canonical pivot order.
-	pivots := st.rel.Layout().Pivots()
-	summaries, err := par.Gather(len(pivots), parallelism, func(i int) (*pivotSummary, error) {
-		pivot := pivots[i]
-		if pivot.Cluster < 0 || pivot.Cluster >= clustering.K() {
-			return nil, fmt.Errorf("core: pivot %v references unknown cluster", pivot)
-		}
-		common, err := st.data.Series(pivot.Common)
-		if err != nil {
-			return nil, err
-		}
-		center := clustering.Centers[pivot.Cluster]
-		rp, err := stats.NewRunningPairFrom(common, center)
-		if err != nil {
-			return nil, err
-		}
-		cov := rp.CovarianceMatrix()
-		dot := rp.GramMatrix()
-		return &pivotSummary{
-			terms: measure.PivotTerms{
-				Cov:        [3]float64{cov.At(0, 0), cov.At(0, 1), cov.At(1, 1)},
-				Dot:        [3]float64{dot.At(0, 0), dot.At(0, 1), dot.At(1, 1)},
-				ColSums:    rp.Sums(),
-				NumSamples: rp.Count(),
-			},
-			cov: cov,
-		}, nil
-	})
+	series, err := st.selfMoments(prev, parallelism)
 	if err != nil {
 		return err
 	}
-	st.summaries = summaries
+	if err := st.buildSummaries(series, parallelism); err != nil {
+		return err
+	}
 
 	// Per-series statistics from the running sufficient sums.  On the build
 	// path the sums are seeded here; on the advance path the caller already
@@ -604,7 +576,7 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 	// the median and the mode (which is exactly the error pattern the paper
 	// reports in Figs. 9–10).
 	if st.calibA == nil {
-		if err := st.calibrate(parallelism); err != nil {
+		if err := st.calibrate(series, parallelism); err != nil {
 			return err
 		}
 	}
@@ -627,31 +599,158 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 	return nil
 }
 
-// calibrate fills calibA and calibB from one joint-sufficient-statistics
-// pass per series against its cluster center, sharded by series.
-func (st *engineState) calibrate(parallelism int) error {
+// selfMoment holds Σx and Σx² of one column — a window series or a cluster
+// center — each reduced in sample order from zero: the self terms of the joint
+// sufficient statistics a stats.RunningPair seeded from two columns holds.
+type selfMoment struct {
+	sum, sqNorm float64
+}
+
+// selfMoments returns the self-moments of every window series, reduced fresh
+// from the epoch's window (the slid st.running sums round differently), and
+// fills st.centerMoments: centers are frozen with the clustering, so theirs
+// are reduced once per clustering and carried over from prev while it is the
+// same object.
+func (st *engineState) selfMoments(prev *engineState, parallelism int) ([]selfMoment, error) {
 	clustering := st.rel.Clustering
-	n := st.data.NumSeries()
+	if prev != nil && prev.centerMoments != nil && prev.rel.Clustering == clustering {
+		st.centerMoments = prev.centerMoments
+	} else {
+		st.centerMoments = make([]selfMoment, clustering.K())
+		for l, r := range clustering.Centers {
+			st.centerMoments[l].sum, st.centerMoments[l].sqNorm = measure.SumSqNorm(r)
+		}
+	}
+	series := make([]selfMoment, st.data.NumSeries())
+	err := par.Do(len(series), parallelism, func(v int) error {
+		s, err := st.data.Series(timeseries.SeriesID(v))
+		if err != nil {
+			return err
+		}
+		series[v].sum, series[v].sqNorm = measure.SumSqNorm(s)
+		return nil
+	})
+	return series, err
+}
+
+// buildSummaries fills st.summaries from the joint sufficient statistics of
+// every assigned pivot's [s_common, r_cluster] — the numbers
+// stats.NewRunningPairFrom reduces from the two columns, without that pass per
+// pivot: the self-moments belong to a series (series) or to a center
+// (st.centerMoments); only Σxy is specific to a pivot, and
+// measure.CrossMoments reduces it for all centers of a common series in one
+// shared-operand pass.  The summary set covers every assigned pivot (not just
+// pivots with a surviving relationship) so that a streaming refit can revive a
+// previously pruned pair without missing its summary.
+func (st *engineState) buildSummaries(series []selfMoment, parallelism int) error {
+	clustering := st.rel.Clustering
+	m := st.data.NumSamples()
+	pivots := st.rel.Layout().Pivots()
+	// Check every pivot's columns in pivot order first, so the error reported
+	// does not depend on how the reduction below is blocked.
+	for _, pivot := range pivots {
+		if pivot.Cluster < 0 || pivot.Cluster >= clustering.K() {
+			return fmt.Errorf("core: pivot %v references unknown cluster", pivot)
+		}
+		if _, err := st.data.Series(pivot.Common); err != nil {
+			return err
+		}
+		if c := clustering.Centers[pivot.Cluster]; len(c) != m {
+			return fmt.Errorf("%w: %d vs %d", stats.ErrLengthMismatch, m, len(c))
+		}
+	}
+
+	// One slab each for the summaries and their 2-by-2 covariance blocks.
+	// Pivots are in (Common, Cluster) order, so the pivots of one common series
+	// are a run; a run cut by a block boundary is reduced in two pieces, which
+	// changes no output (every pivot has its own accumulator).
+	st.summaries = make([]pivotSummary, len(pivots))
+	covs := make([]float64, 4*len(pivots))
+	return par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
+		var centers [][]float64
+		var dots []float64
+		for lo := blk.Lo; lo < blk.Hi; {
+			common := pivots[lo].Common
+			hi := lo
+			centers = centers[:0]
+			for ; hi < blk.Hi && pivots[hi].Common == common; hi++ {
+				centers = append(centers, clustering.Centers[pivots[hi].Cluster])
+			}
+			x, err := st.data.Series(common)
+			if err != nil {
+				return err
+			}
+			if cap(dots) < len(centers) {
+				dots = make([]float64, len(centers))
+			}
+			dots = dots[:len(centers)]
+			if err := measure.CrossMoments(x, 0, centers, nil, dots, nil); err != nil {
+				return err
+			}
+			for i := lo; i < hi; i++ {
+				cm := st.centerMoments[pivots[i].Cluster]
+				rp := stats.RunningPairFromSums(m, series[common].sum, cm.sum, series[common].sqNorm, cm.sqNorm, dots[i-lo])
+				cov := covs[4*i : 4*i+4 : 4*i+4]
+				cov[0], cov[1], cov[3] = rp.VarianceX(), rp.Covariance(), rp.VarianceY()
+				cov[2] = cov[1]
+				covMatrix, err := mat.NewFromData(2, 2, cov)
+				if err != nil {
+					return err
+				}
+				st.summaries[i] = pivotSummary{
+					terms: measure.PivotTerms{
+						Cov:        [3]float64{cov[0], cov[1], cov[3]},
+						Dot:        [3]float64{series[common].sqNorm, rp.DotProduct(), cm.sqNorm},
+						ColSums:    rp.Sums(),
+						NumSamples: rp.Count(),
+					},
+					cov: covMatrix,
+				}
+			}
+			lo = hi
+		}
+		return nil
+	})
+}
+
+// calibrate fills calibA and calibB: the least-squares line of every series
+// against its cluster center, from the joint sufficient statistics of the two
+// columns.  The self-moments are the memoised ones; the cross term Σ r·s is
+// reduced per cluster, the center loaded once for a tile of its members.
+func (st *engineState) calibrate(series []selfMoment, parallelism int) error {
+	clustering := st.rel.Clustering
+	n, m := st.data.NumSeries(), st.data.NumSamples()
+	members := make([][]timeseries.SeriesID, clustering.K())
+	for _, id := range st.data.IDs() {
+		omega, err := clustering.Omega(id)
+		if err != nil {
+			return err
+		}
+		if c := clustering.Centers[omega]; len(c) != m {
+			return fmt.Errorf("%w: %d vs %d", stats.ErrLengthMismatch, len(c), m)
+		}
+		members[omega] = append(members[omega], id)
+	}
 	st.calibA = make([]float64, n)
 	st.calibB = make([]float64, n)
-	ids := st.data.IDs()
-	return par.Do(len(ids), parallelism, func(i int) error {
-		id := ids[i]
-		s, err := st.data.Series(id)
-		if err != nil {
+	return par.Do(len(members), parallelism, func(l int) error {
+		cols := make([][]float64, len(members[l]))
+		for i, id := range members[l] {
+			s, err := st.data.Series(id)
+			if err != nil {
+				return err
+			}
+			cols[i] = s
+		}
+		dots := make([]float64, len(cols))
+		if err := measure.CrossMoments(clustering.Centers[l], 0, cols, nil, dots, nil); err != nil {
 			return err
 		}
-		center, err := clustering.Center(id)
-		if err != nil {
-			return err
+		cm := st.centerMoments[l]
+		for i, id := range members[l] {
+			rp := stats.RunningPairFromSums(m, cm.sum, series[id].sum, cm.sqNorm, series[id].sqNorm, dots[i])
+			st.calibA[id], st.calibB[id], _ = rp.LineFit()
 		}
-		rp, err := stats.NewRunningPairFrom(center, s)
-		if err != nil {
-			return err
-		}
-		a, b, _ := rp.LineFit()
-		st.calibA[id] = a
-		st.calibB[id] = b
 		return nil
 	})
 }

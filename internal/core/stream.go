@@ -27,30 +27,53 @@ import (
 // pair→pivot assignment from the original SYMEX exploration, and with it the
 // layout every epoch's relationship store is indexed by, stays valid.
 //
-// What an epoch costs, with n series, m samples, a slide of s samples,
-// P assigned pivots of k relationships each, and a stale set of size |stale|:
+// What an epoch costs, with n series, m samples, a slide of s samples, K
+// cluster centers, P assigned pivots of k relationships each, D indexed
+// D-measures and a stale set of size |stale|:
 //
 //	O(n·m)           copy the window into one slab (SlideCopy) — the memmove
-//	                 the epoch swap is made of
+//	                 the epoch swap is made of.  The batch is checked for
+//	                 non-finite samples as it is copied in and the window
+//	                 carries its validation mark along, so nothing downstream
+//	                 scans the n·m samples for NaN again
 //	O(n·s)           slide the running sums Σx, Σx² per series
 //	O(n·s·log m)     slide the sorted columns (order statistics: median, mode
 //	                 are then read off them, O(1) and one pass, never re-sorted)
-//	O(P·m)           pivot summaries and the index's α vectors: two joint
-//	                 reductions of [s_common, r_cluster] per pivot
+//	O(n·m + K)       self-moments: Σx, Σx², mean, variance once per series,
+//	                 for the summaries and again for the index; per center
+//	                 once per clustering, carried from epoch to epoch
+//	O(P·m)           the pivot cross moments — Σxy for the summaries,
+//	                 Σxy and Σ(x−x̄)(y−ȳ) for the index's α vectors — in one
+//	                 shared-operand pass per consumer: a common series is
+//	                 loaded once for a tile of its centers
+//	                 (measure.CrossMoments), not once per pivot and term
+//	O(n·m)           calibration: Σ r·s per series, a center loaded once for
+//	                 a tile of its members
 //	O(P·k)           drift scoring, a closed form per relationship found by
 //	                 slot (no hashing)
 //	O(|stale|·m)     re-fit the stale relationships: one pseudo-inverse per
 //	                 stale pivot, one O(m) solve per stale pair
 //	O(|stale|·log k) delete and re-insert the stale pairs in their pivots'
-//	                 copy-on-write sequence stores
-//	O(P·k·log k)     re-derive the ξ-containers: project and sort each pivot's
-//	                 entries into exact-size arrays
-//	O(n)             location trees, per-series statistics, calibration
+//	                 copy-on-write sequence stores, and re-snapshot those
+//	O(P·k + inv)     re-derive the ξ-containers: project each pivot's entries
+//	                 in the previous epoch's container order and repair the
+//	                 inversions the new window caused (a fraction of a percent
+//	                 of the entries at slide 1); only a pivot whose store
+//	                 changed sorts cold, O(k·log k)
+//	O(n)             location trees, per-series statistics
 //
-// Nothing in an epoch is O(relationships) map work: the relationship store is
-// a slice cloned and overwritten at the stale slots, and the per-pivot state
-// is found by index.  The terms that remain proportional to P·k are
-// arithmetic over contiguous memory.
+// and, outside Advance, on the first query of the epoch that prunes by a
+// D-measure:
+//
+//	O(P·k)           that measure's parameter bounds (U^min, U^max) for every
+//	                 pivot — per queried measure, never O(P·k·D) up front
+//
+// Nothing in an epoch is O(relationships) map work, and nothing is allocated
+// per relationship or, in the index, per pivot: the relationship store is a
+// slice cloned and overwritten at the stale slots, the per-pivot state is
+// found by index, and an epoch's summaries, ξ keys, container orders and
+// per-(pivot, measure) headers are one slab each.  The terms that remain
+// proportional to P·k are arithmetic over contiguous memory.
 //
 // With DriftBound <= 0 every relationship is re-fitted, which makes an epoch
 // exactly equivalent to a cold Build on the slid window with the frozen
@@ -405,7 +428,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 		defer e.putFlags(flags)
 		err := par.DoBlocks(len(layout.Pivots()), parallelism, func(_ int, blk par.Block) error {
 			for pi := blk.Lo; pi < blk.Hi; pi++ {
-				summary := st.summaries[pi]
+				summary := &st.summaries[pi]
 				for _, slot := range layout.PivotSlots(pi) {
 					rel := old.rel.At(int(slot))
 					if rel == nil {

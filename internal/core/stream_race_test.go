@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,5 +410,84 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	}
 	if queries.Load() == 0 {
 		t.Fatal("no queries executed concurrently")
+	}
+}
+
+// TestFirstDerivedQueriesRaceAdvance: a D-measure's pruning bounds are reduced
+// by the first query of an epoch that prunes by it.  Every epoch, many
+// goroutines issue that first correlation / Euclidean / cosine query against
+// one pinned View at once — while Advance assembles the next epoch from the
+// same index — and each must read its own epoch's bounds: the answers equal
+// those of a twin engine whose index never prunes, epoch by epoch.
+func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
+	const n, window, slide, rounds, readers = 16, 80, 5, 8, 6
+	fx := makeStreamFixture(t, n, window, slide*rounds, 59)
+	cfg := Config{
+		Clusters: 4, Seed: 13, Parallelism: 2,
+		Stream: StreamConfig{DriftBound: 0.01, IndexCrossover: 0.999},
+	}
+	e, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Index = scape.Options{DisableDerivedPruning: true}
+	twin, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []plan.QuerySpec{
+		plan.Interval(stats.Correlation, interval.GreaterThan(0.6)),
+		plan.Interval(stats.EuclideanDistance, interval.AtMost(4)),
+		plan.Interval(stats.Cosine, interval.Between(0.2, 0.95)),
+		plan.TopK(stats.Correlation, 7, true),
+		plan.TopK(stats.EuclideanDistance, 7, false),
+	}
+	for round := 0; round < rounds; round++ {
+		v := e.View()
+		want, _, err := Run(twin.View(), specs, MethodIndex, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		got := make([][]QueryResult, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				// Each reader leads with another query, so every measure's
+				// bounds have several goroutines racing to reduce them.
+				mine := append(append([]plan.QuerySpec(nil), specs[r%len(specs):]...), specs[:r%len(specs)]...)
+				out, _, err := Run(v, mine, MethodIndex, false)
+				if err == nil {
+					out = append(out[len(specs)-r%len(specs):], out[:len(specs)-r%len(specs)]...)
+				}
+				got[r], errs[r] = out, err
+			}()
+		}
+		close(start)
+		for _, engine := range []*Engine{e, twin} {
+			appendTicks(t, engine, fx.ticks[round*slide:(round+1)*slide])
+			if _, err := engine.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		for r := range got {
+			if errs[r] != nil {
+				t.Fatalf("epoch %d reader %d: %v", round, r, errs[r])
+			}
+			for q := range specs {
+				if !slices.Equal(got[r][q].Pairs, want[q].Pairs) || !slices.Equal(got[r][q].Values, want[q].Values) {
+					t.Fatalf("epoch %d reader %d query %d: %d pairs, the never-pruning twin has %d",
+						round, r, q, len(got[r][q].Pairs), len(want[q].Pairs))
+				}
+			}
+		}
+	}
+	if ss := e.StreamStats(); ss.IndexUpdates == 0 {
+		t.Fatalf("no epoch took the incremental index path: %+v", ss)
 	}
 }

@@ -1,0 +1,93 @@
+package core
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"affinity/internal/timeseries"
+)
+
+// A data matrix remembers a successful Validate and SlideCopy hands the mark
+// on, so a streaming epoch no longer scans its window twice.  Every door that
+// takes a window from outside must still scan one that arrives without the
+// mark — or with a mark a later mutation cleared.
+func TestNonFiniteWindowRejectedAtEveryDoor(t *testing.T) {
+	const n, window = 12, 40
+	fx := makeStreamFixture(t, n, window, 4, 31)
+	cfg := Config{Clusters: 3, Seed: 1, Stream: StreamConfig{DriftBound: 0.5}}
+	e, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot bytes.Buffer
+	if err := e.WriteSnapshot(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+
+	// withSample returns a fresh (unmarked) copy of the window with one sample
+	// replaced.
+	withSample := func(d *timeseries.DataMatrix, v float64) *timeseries.DataMatrix {
+		c := d.Clone()
+		s, err := c.Series(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s[window/2] = v
+		return c
+	}
+	batch := make([][]float64, n)
+	for v := range batch {
+		batch[v] = []float64{fx.ticks[0][v]}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := withSample(fx.window, v)
+		if _, err := Build(bad, cfg); err == nil {
+			t.Fatalf("Build accepted a window holding %v", v)
+		}
+		if _, err := BuildFromRelationships(bad, cfg, e.Relationships()); err == nil {
+			t.Fatalf("BuildFromRelationships accepted a window holding %v", v)
+		}
+		if _, err := BuildFromSnapshot(bad, bytes.NewReader(snapshot.Bytes()), cfg); err == nil {
+			t.Fatalf("BuildFromSnapshot accepted a window holding %v", v)
+		}
+		slid, err := e.Data().SlideCopy(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.AdvanceShared(withSample(slid, v), batch); err == nil {
+			t.Fatalf("AdvanceShared accepted a slid window holding %v", v)
+		}
+		if e.Epoch() != 0 {
+			t.Fatalf("a rejected window advanced the engine to epoch %d", e.Epoch())
+		}
+	}
+
+	// A window slid from the engine's own carries the mark; mutated back into
+	// the same shape it has lost it, and what the mutation let in is found.
+	slid, err := e.Data().SlideCopy(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slid.AppendSamples(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := slid.SlideWindow(1); err != nil {
+		t.Fatal(err)
+	}
+	s, err := slid.Series(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[0] = math.NaN()
+	if _, err := e.AdvanceShared(slid, batch); err == nil {
+		t.Fatal("AdvanceShared trusted the mark of a window mutated since it was validated")
+	}
+	// The unmutated slid copy is what a coordinator hands its shards.
+	if slid, err = e.Data().SlideCopy(batch); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := e.AdvanceShared(slid, batch); err != nil || info.Epoch != 1 {
+		t.Fatalf("AdvanceShared on the engine's own slid window: %+v, %v", info, err)
+	}
+}

@@ -86,11 +86,12 @@ func (idx *Index) estimateSeries(q PairQuery) (Selectivity, error) {
 // pivot node with the same modified bounds the scans use.
 func (idx *Index) estimateBase(q PairQuery) (Selectivity, error) {
 	sel := Selectivity{Exact: true}
-	for _, node := range idx.pivots {
-		pm := node.measures[q.Measure]
-		if pm == nil {
-			return Selectivity{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, q.Measure)
-		}
+	slot := idx.baseSlot(q.Measure)
+	if slot < 0 {
+		return Selectivity{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, q.Measure)
+	}
+	for i := range idx.pivots {
+		pm := &idx.pivots[i].measures[slot]
 		if pm.alphaNorm == 0 {
 			// Degenerate pivot: every represented value is 0.
 			if q.Interval.Contains(0) {
@@ -118,11 +119,16 @@ func (idx *Index) estimateDerived(q PairQuery, sp *measure.Spec) (Selectivity, e
 	trivial := pred.evalAll && sideTrivial(pred.eval.Lo, sp.RangeMin, false) &&
 		sideTrivial(pred.eval.Hi, sp.RangeMax, true)
 	sel := Selectivity{}
-	for _, node := range idx.pivots {
-		db := idx.nodeBounds(node, sp)
-		if db.pm == nil {
-			return Selectivity{}, fmt.Errorf("%w: base measure %v", ErrMeasureNotIndexed, sp.Base)
-		}
+	slot := idx.baseSlot(sp.Base)
+	if slot < 0 {
+		return Selectivity{}, fmt.Errorf("%w: base measure %v", ErrMeasureNotIndexed, sp.Base)
+	}
+	var bounds [][2]float64
+	if !pred.evalAll {
+		bounds = idx.paramBoundsOf(sp)
+	}
+	for i := range idx.pivots {
+		db := idx.nodeBounds(i, slot, sp, bounds)
 		cand := db.pm.xi.Len()
 		switch {
 		case pred.evalAll:

@@ -24,11 +24,11 @@
 // while remaining exactly correct for every measure.  β is computed once per
 // relationship and never changes.
 //
-// D-measures are indexed through their base T-measure: each sequence node
-// additionally stores the separable normalizer U_e of every indexed
-// D-measure, and each pivot node stores the minimum and maximum normalizer
-// among its sequence nodes (U^min_q, U^max_q), which drive the index pruning
-// of Section 5.3.
+// D-measures are indexed through their base T-measure: the separable
+// normalizer U_e of a sequence node is derived at query time from the window's
+// per-series statistics, and per pivot node the minimum and maximum normalizer
+// among its sequence nodes (U^min_q, U^max_q) drive the index pruning of
+// Section 5.3.
 //
 // Location (L-) measures apply to single series rather than pairs; the index
 // maintains one global B-tree per L-measure keyed by the series' measure
@@ -42,20 +42,36 @@
 // B-trees (internal/btree): the sequence store lives across epochs and is
 // mutated — Update clones it copy-on-write and deletes and re-inserts only
 // the stale pairs — and the location trees are filled by ordered inserts.
-// The per-(pivot, measure) ξ-containers are sorted arrays (xiArray): ξ depends
-// on the window, so every epoch derives them afresh in one piece and nothing
-// ever mutates them; an exact-size array is a fraction of a bulk-loaded
-// tree's memory and build time and scans at least as fast.
+// Beside its store every pivot node keeps the store's canonical snapshot: the
+// sequence nodes in pair order, one flat slice, which the next epoch's node
+// shares whenever it shares the store.  The per-(pivot, measure) ξ-containers
+// are sorted arrays (xiArray) over that snapshot: the ξ keys and, beside them,
+// the permutation of canonical ranks that sorts them.  ξ depends on the
+// window, so every epoch derives the keys afresh and nothing ever mutates a
+// container — but the order barely moves between neighbouring windows, so a
+// node that shares its store projects in the previous epoch's order and only
+// repairs the few inversions (the (ξ, rank) order is total, so the repaired
+// array is the array a cold sort produces).  All of an epoch's keys,
+// permutations and per-(pivot, measure) headers are carved out of one slab
+// each per index.
+//
+// The pruning bounds (U^min_q, U^max_q) of a D-measure are not part of the
+// epoch's construction at all: they are reduced for every pivot, from the
+// canonical snapshots, by the first query of the epoch that prunes by that
+// measure, once (a sync.Once per index and D-measure).  A measure nobody asks
+// about at an epoch is never bounded.
 package scape
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"affinity/internal/btree"
+	"affinity/internal/cluster"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/stats"
@@ -155,24 +171,20 @@ type pivotMeasure struct {
 
 // pivotNode groups everything the index stores for one pivot pair.
 type pivotNode struct {
-	pivot    symex.Pivot
-	measures map[stats.Measure]*pivotMeasure
+	pivot symex.Pivot
+	// measures[s] is the pivot's state for the index's s-th T-measure
+	// (Index.tMeasures), a window of the index's pivotMeasure slab.
+	measures []pivotMeasure
 	// seq is the pivot's sequence store: the canonical container of sequence
 	// nodes keyed by pair code (a total order over canonical pairs).  It holds
 	// the window-independent payloads the per-measure ξ-containers are derived
 	// from, and is the unit of cross-epoch sharing: Update clones it
 	// copy-on-write and applies only the stale pairs' deletions/insertions.
 	seq *btree.Tree[*sequenceNode]
-	// paramBounds[measure] = (U^min_q, U^max_q) across the pivot's sequence
-	// nodes, for every indexed D-measure; they drive the Section 5.3 pruning.
-	paramBounds map[stats.Measure][2]float64
-	pairs       int
-	// insertions counts the ξ-container entries created while building this
-	// node; nodes are built in parallel, so the counter is per-node and summed
-	// into BuildStats afterwards.
-	insertions int
-	// scratchHit records whether the node's build scratch came from the pool.
-	scratchHit bool
+	// canon is seq's content in canonical pair order.  Every ξ-container of
+	// the node is a permutation of it, and a node that shares seq with the
+	// previous epoch's node shares canon too.
+	canon []*sequenceNode
 }
 
 // seriesEntry is the payload of the global location trees.
@@ -200,9 +212,18 @@ type BuildStats struct {
 
 // Index is the SCAPE index.
 type Index struct {
-	opts    Options
-	pivots  []*pivotNode
-	byPivot map[symex.Pivot]*pivotNode
+	opts Options
+	// pivots holds one node per pivot with a relationship, in the canonical
+	// (Common, Cluster) order.
+	pivots []pivotNode
+	// tMeasures / dMeasures / lMeasures list the indexed measures of each
+	// class in ascending order; per-pivot measure state, the parameter bounds
+	// and the center locations are slices aligned with them.
+	tMeasures []stats.Measure
+	dMeasures []stats.Measure
+	lMeasures []stats.Measure
+	// bounds[s] holds the pruning bounds of dMeasures[s], reduced on first use.
+	bounds []paramBounds
 	// location[measure] holds the global per-series tree for an L-measure.
 	location map[stats.Measure]*btree.Tree[seriesEntry]
 	// pairMeasures / derivedSet for quick membership checks.
@@ -214,7 +235,22 @@ type Index struct {
 	// perSeries holds the window's per-series variance and squared norm; the
 	// separable D-measure parameters U_e are computed from it at query time.
 	perSeries *seriesStats
-	stats     BuildStats
+	// centerLoc[l] holds the L-measures (aligned with lMeasures) of center l of
+	// clustering, nil until a location estimate first needed it.  Centers are
+	// frozen, so Update carries the table over while the clustering is the same
+	// object.
+	clustering *cluster.Result
+	centerLoc  [][]float64
+	stats      BuildStats
+}
+
+// paramBounds holds (U^min_q, U^max_q) of one D-measure for every pivot node,
+// aligned with Index.pivots: the Section 5.3 pruning bounds.  The parameters
+// depend on the window's per-series statistics, so the bounds are per epoch;
+// they are reduced by the first query that prunes by the measure.
+type paramBounds struct {
+	once     sync.Once
+	perPivot [][2]float64
 }
 
 // Stats returns build statistics.
@@ -223,9 +259,34 @@ func (idx *Index) Stats() BuildStats { return idx.stats }
 // NumPivots returns the number of pivot nodes.
 func (idx *Index) NumPivots() int { return len(idx.pivots) }
 
+// baseSlot returns the position of T-measure m in a node's measures, −1 when
+// it is not indexed.
+func (idx *Index) baseSlot(m stats.Measure) int { return slices.Index(idx.tMeasures, m) }
+
+// findPivot returns the position of a pivot's node, false when it has none.
+// hint is where the node sits if the index has the caller's set of nodes —
+// the case from one epoch to the next unless a pivot lost or regained its
+// last relationship.
+func (idx *Index) findPivot(p symex.Pivot, hint int) (int, bool) {
+	if hint < len(idx.pivots) && idx.pivots[hint].pivot == p {
+		return hint, true
+	}
+	at := sort.Search(len(idx.pivots), func(i int) bool {
+		q := idx.pivots[i].pivot
+		return q.Common > p.Common || (q.Common == p.Common && q.Cluster >= p.Cluster)
+	})
+	return at, at < len(idx.pivots) && idx.pivots[at].pivot == p
+}
+
 // Build constructs a SCAPE index from the affine relationships produced by
 // SYMEX/SYMEX+ over the given data matrix.
 func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
+	return build(d, rel, opts, nil)
+}
+
+// build is Build; prev, when non-nil, is an index of an earlier epoch whose
+// center locations are carried over (Update falling back to a full build).
+func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Index) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -248,22 +309,9 @@ func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, e
 			return nil, fmt.Errorf("%w: %v has a non-separable normalizer", ErrMeasureNotIndexed, m)
 		}
 	}
-	for _, m := range opts.LocationMeasures {
-		sp, ok := measure.Find(m)
-		if !ok || !sp.Location() {
-			return nil, fmt.Errorf("%w: %v is not an L-measure", ErrBadQuery, m)
-		}
-	}
-
-	idx := &Index{
-		opts:         opts,
-		byPivot:      make(map[symex.Pivot]*pivotNode),
-		location:     make(map[stats.Measure]*btree.Tree[seriesEntry]),
-		pairMeasures: make(map[stats.Measure]bool),
-		derivedSet:   make(map[stats.Measure]bool),
-		locationSet:  make(map[stats.Measure]bool),
-		numSamples:   d.NumSamples(),
-		numSeries:    d.NumSeries(),
+	idx, err := newIndex(d, opts)
+	if err != nil {
+		return nil, err
 	}
 	for _, m := range opts.PairMeasures {
 		idx.pairMeasures[m] = true
@@ -273,60 +321,51 @@ func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, e
 		// A derived measure needs its base T-measure to be indexed.
 		idx.pairMeasures[m.Base()] = true
 	}
+	idx.tMeasures = sortedMeasures(idx.pairMeasures)
+	idx.dMeasures = sortedMeasures(idx.derivedSet)
+
+	if _, err := idx.buildNodes(d, rel, nil, nil, opts.buildParallelism()); err != nil {
+		return nil, err
+	}
+	if err := idx.buildLocationTrees(d, rel, prev); err != nil {
+		return nil, err
+	}
+	idx.finishStats(rel)
+	return idx, nil
+}
+
+// newIndex returns an index over d's shape with its L-measures registered
+// and no pivot nodes: what Build and BuildLocationOnly start from.
+func newIndex(d *timeseries.DataMatrix, opts Options) (*Index, error) {
+	for _, m := range opts.LocationMeasures {
+		sp, ok := measure.Find(m)
+		if !ok || !sp.Location() {
+			return nil, fmt.Errorf("%w: %v is not an L-measure", ErrBadQuery, m)
+		}
+	}
+	idx := &Index{
+		opts:         opts,
+		pairMeasures: make(map[stats.Measure]bool),
+		derivedSet:   make(map[stats.Measure]bool),
+		locationSet:  make(map[stats.Measure]bool),
+		numSamples:   d.NumSamples(),
+		numSeries:    d.NumSeries(),
+	}
 	for _, m := range opts.LocationMeasures {
 		idx.locationSet[m] = true
 	}
+	idx.lMeasures = sortedMeasures(idx.locationSet)
+	return idx, nil
+}
 
-	// Per-series quantities for separable normalizers (variance and squared
-	// norm), computed once in O(n·m).
-	perSeries, err := computeSeriesStats(d, opts.buildParallelism())
-	if err != nil {
-		return nil, err
-	}
-	idx.perSeries = perSeries
-
-	// Build pivot nodes, one per pivot with a relationship, in the canonical
-	// (Common, Cluster) order.  The nodes are independent — each owns its
-	// containers — so they are built in parallel and gathered in index order;
-	// queries later scan idx.pivots in this same order, which is what makes
-	// result ordering independent of parallelism.
-	pivotOrder := livePivots(rel)
-	centers, err := computeCenterMoments(rel)
-	if err != nil {
-		return nil, err
-	}
-	nodes, err := par.Gather(len(pivotOrder), opts.buildParallelism(), func(i int) (*pivotNode, error) {
-		return idx.buildPivotNode(d, rel, pivotOrder[i], perSeries, centers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	treeInsertions := 0
-	for _, node := range nodes {
-		idx.pivots = append(idx.pivots, node)
-		idx.byPivot[node.pivot] = node
-		treeInsertions += node.insertions
-		idx.stats.ScratchGets++
-		if node.scratchHit {
-			idx.stats.ScratchHits++
-		}
-	}
-	idx.stats.TotalTreeInsertion += treeInsertions
-
-	// Build global location trees.
-	if len(opts.LocationMeasures) > 0 {
-		if err := idx.buildLocationTrees(d, rel); err != nil {
-			return nil, err
-		}
-	}
-
+// finishStats fills the content counters once the nodes and trees are built.
+func (idx *Index) finishStats(rel *symex.Result) {
 	idx.stats.Pivots = len(idx.pivots)
 	idx.stats.SequenceNodes = rel.Len()
 	idx.stats.IndexedTMeasures = len(idx.pairMeasures)
 	idx.stats.IndexedDMeasures = len(idx.derivedSet)
 	idx.stats.IndexedLMeasures = len(idx.locationSet)
-	idx.stats.DerivedPruningOn = !opts.DisableDerivedPruning
-	return idx, nil
+	idx.stats.DerivedPruningOn = !idx.opts.DisableDerivedPruning
 }
 
 // livePivots returns the pivots that get a node — those with at least one
@@ -341,24 +380,21 @@ func livePivots(rel *symex.Result) []int {
 	return out
 }
 
-// seriesStats caches per-series variance, squared norm and sum.
+// seriesStats caches the per-series statistics of the window: variance and
+// squared norm (what spec parameters read) and the sum.
 type seriesStats struct {
-	variance []float64
-	sqNorm   []float64
-	sum      []float64
+	stats []measure.SeriesStat
+	sum   []float64
 }
 
 // stat returns the SeriesStat bundle of one series for spec parameters.
-func (s *seriesStats) stat(id timeseries.SeriesID) measure.SeriesStat {
-	return measure.SeriesStat{Variance: s.variance[id], SqNorm: s.sqNorm[id]}
-}
+func (s *seriesStats) stat(id timeseries.SeriesID) measure.SeriesStat { return s.stats[id] }
 
 func computeSeriesStats(d *timeseries.DataMatrix, parallelism int) (*seriesStats, error) {
 	n := d.NumSeries()
 	out := &seriesStats{
-		variance: make([]float64, n),
-		sqNorm:   make([]float64, n),
-		sum:      make([]float64, n),
+		stats: make([]measure.SeriesStat, n),
+		sum:   make([]float64, n),
 	}
 	ids := d.IDs()
 	err := par.Do(len(ids), parallelism, func(i int) error {
@@ -371,13 +407,9 @@ func computeSeriesStats(d *timeseries.DataMatrix, parallelism int) (*seriesStats
 		if err != nil {
 			return err
 		}
-		sq, err := stats.DotProductOf(s, s)
-		if err != nil {
-			return err
-		}
-		out.variance[id] = v
-		out.sqNorm[id] = sq
-		out.sum[id] = stats.SumOf(s)
+		sum, sq := measure.SumSqNorm(s)
+		out.stats[id] = measure.SeriesStat{Variance: v, SqNorm: sq}
+		out.sum[id] = sum
 		return nil
 	})
 	if err != nil {
@@ -388,12 +420,12 @@ func computeSeriesStats(d *timeseries.DataMatrix, parallelism int) (*seriesStats
 
 // centerMoments caches the self-moments of one cluster center: every pivot of
 // the same cluster shares them, so they are reduced once per epoch instead of
-// once per pivot.  The values come from the same slice primitives
-// finishPivotNode used to call per pivot, so they are bit-identical.
+// once per pivot.
 type centerMoments struct {
 	variance float64 // VarianceOf(center)
 	sqNorm   float64 // DotProductOf(center, center)
 	sum      float64 // SumOf(center)
+	mean     float64 // MeanOf(center)
 }
 
 // computeCenterMoments reduces each cluster center once.
@@ -404,11 +436,8 @@ func computeCenterMoments(rel *symex.Result) ([]centerMoments, error) {
 		if err != nil {
 			return nil, err
 		}
-		sq, err := stats.DotProductOf(center, center)
-		if err != nil {
-			return nil, err
-		}
-		out[l] = centerMoments{variance: v, sqNorm: sq, sum: stats.SumOf(center)}
+		sum, sq := measure.SumSqNorm(center)
+		out[l] = centerMoments{variance: v, sqNorm: sq, sum: sum, mean: sum / float64(len(center))}
 	}
 	return out, nil
 }
@@ -422,37 +451,44 @@ func pairCode(e timeseries.Pair, numSeries int) float64 {
 }
 
 // newSequenceNode builds the window-independent payload of one relationship.
-func newSequenceNode(e timeseries.Pair, r *symex.Relationship) *sequenceNode {
-	return &sequenceNode{
+func newSequenceNode(e timeseries.Pair, r *symex.Relationship) sequenceNode {
+	return sequenceNode{
 		pair: e,
 		beta: [3]float64{r.Transform.A[0][1], r.Transform.A[1][1], r.Transform.B[1]},
 	}
 }
 
-// buildPivotNode constructs the node of pivot pi (a position in the layout's
-// pivot list) from scratch: the sequence store in canonical pair order, then
-// the window-dependent state on top of it.
-func (idx *Index) buildPivotNode(d *timeseries.DataMatrix, rel *symex.Result,
-	pi int, perSeries *seriesStats, centers []centerMoments) (*pivotNode, error) {
-
+// buildStore builds the sequence store of pivot pi (a position in the
+// layout's pivot list) from scratch, and its canonical snapshot.
+func (idx *Index) buildStore(rel *symex.Result, pi int) (*btree.Tree[*sequenceNode], []*sequenceNode) {
 	// The layout hands the pivot's relationships over in canonical pair order
-	// already: bulk-load one sequence node each.
-	codes := make([]float64, 0, rel.PivotLen(pi))
-	nodes := make([]*sequenceNode, 0, rel.PivotLen(pi))
+	// already: bulk-load one sequence node each, the payloads in one slab.
+	k := rel.PivotLen(pi)
+	payloads := make([]sequenceNode, 0, k)
+	codes := make([]float64, 0, k)
+	canon := make([]*sequenceNode, 0, k)
 	for r := range rel.PivotRelationships(pi) {
-		nodes = append(nodes, newSequenceNode(r.Pair, r))
+		payloads = append(payloads, newSequenceNode(r.Pair, r))
+		canon = append(canon, &payloads[len(payloads)-1])
 		codes = append(codes, pairCode(r.Pair, idx.numSeries))
 	}
-	seq := btree.FromSorted(codes, nodes)
-	return idx.finishPivotNode(d, rel, rel.Layout().Pivots()[pi], seq, perSeries, centers)
+	return btree.FromSorted(codes, canon), canon
 }
 
-// pivotScratch holds the reusable per-pivot build buffers.  The buffers grow
-// to the largest pivot they have served and are recycled through a pool
-// across pivots and epochs, keeping the per-epoch allocation count
-// independent of the number of relationships.
+// snapshotStore returns a store's content in canonical pair order.
+func snapshotStore(seq *btree.Tree[*sequenceNode]) []*sequenceNode {
+	canon := make([]*sequenceNode, 0, seq.Len())
+	seq.Ascend(func(_ float64, sn *sequenceNode) bool {
+		canon = append(canon, sn)
+		return true
+	})
+	return canon
+}
+
+// pivotScratch holds the reusable per-pivot build buffer.  It grows to the
+// largest pivot it has served and is recycled through a pool across pivots
+// and epochs.
 type pivotScratch struct {
-	nodes   []*sequenceNode
 	entries []xiEntry
 }
 
@@ -468,119 +504,235 @@ func getScratch() (*pivotScratch, bool) {
 
 func putScratch(sc *pivotScratch) { pivotScratchPool.Put(sc) }
 
-// finishPivotNode derives all window-dependent per-pivot state — α per
-// measure, the D-measure parameter bounds, and the per-measure ξ-containers — from
-// a pivot's sequence store.  It is the single code path shared by Build and
-// Update, which is what makes incrementally maintained indexes byte-identical
-// to freshly built ones: both sides feed the same sequence-node payloads, in
-// the same canonical pair order, through the same floating-point operations.
-func (idx *Index) finishPivotNode(d *timeseries.DataMatrix, rel *symex.Result,
-	pivot symex.Pivot, seq *btree.Tree[*sequenceNode], perSeries *seriesStats, centers []centerMoments) (*pivotNode, error) {
+// storeDelta reports how Update obtained one pivot's sequence store.
+type storeDelta struct {
+	deleted, inserted       int
+	shared, cloned, rebuilt bool
+}
 
-	// The pivot's second-moment terms are reduced straight off the two column
-	// slices of O_p = [s_common, r_cluster] — bit-identical to reducing a
-	// materialized pair matrix (stats.PairMatrix* delegate to these same slice
-	// primitives), but without the two column copies and the row-major matrix
-	// allocation per pivot, which dominated the build profile.  The self-moments
-	// of both columns are memoized (per series in perSeries, per cluster in
-	// centers), leaving only the two cross-column reductions per pivot.
-	common, center, err := rel.PivotColumns(d, pivot)
+// nodeWork is what building one pivot node cost, summed into the statistics
+// once the (parallel) build is over.
+type nodeWork struct {
+	storeDelta
+	scratchHit bool
+}
+
+// buildNodes builds idx.pivots — one node per pivot of rel with a
+// relationship — and is the single code path behind Build and Update.  With a
+// previous index a pivot's sequence store is carried over: shared wholesale
+// when no stale pair is assigned to the pivot, cloned copy-on-write and
+// patched otherwise; without one (Build, or a pivot the previous index had no
+// node for) it is bulk-loaded.  Everything window-dependent is then derived
+// by finishPivotNode, from the same payloads in the same canonical order
+// through the same floating-point operations on every route, which is what
+// makes incrementally maintained indexes byte-identical to freshly built ones.
+//
+// The nodes are independent, so contiguous blocks of them are built in
+// parallel, each writing its own windows of the index's slabs; queries later
+// scan idx.pivots in this same order, which is what makes result ordering
+// independent of parallelism.
+func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
+	staleByPivot map[int][]timeseries.Pair, parallelism int) ([]nodeWork, error) {
+
+	// Per-series quantities for separable normalizers (variance and squared
+	// norm), computed once in O(n·m), and the self-moments of the centers.
+	perSeries, err := computeSeriesStats(d, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	cov, err := stats.CovarianceOf(common, center)
+	idx.perSeries = perSeries
+	centers, err := computeCenterMoments(rel)
 	if err != nil {
 		return nil, err
 	}
-	d01, err := stats.DotProductOf(common, center)
-	if err != nil {
-		return nil, err
-	}
-	cm := centers[pivot.Cluster]
-	terms := measure.PivotTerms{
-		Cov:        [3]float64{perSeries.variance[pivot.Common], cov, cm.variance},
-		Dot:        [3]float64{perSeries.sqNorm[pivot.Common], d01, cm.sqNorm},
-		ColSums:    [2]float64{perSeries.sum[pivot.Common], cm.sum},
-		NumSamples: idx.numSamples,
-	}
+	idx.bounds = make([]paramBounds, len(idx.dMeasures))
 
-	node := &pivotNode{
-		pivot:       pivot,
-		seq:         seq,
-		measures:    make(map[stats.Measure]*pivotMeasure),
-		paramBounds: make(map[stats.Measure][2]float64),
-		pairs:       seq.Len(),
-	}
-
-	// α per indexed T-measure is the first row of the measure's augmented
-	// second-moment matrix (Observation 1 / Table 2 fall out of the algebra).
-	for m := range idx.pairMeasures {
-		alpha := measure.Lookup(m).Moment(terms).Alpha()
-		node.measures[m] = &pivotMeasure{
-			alpha:     alpha,
-			alphaNorm: vec3Norm(alpha),
+	pivots := rel.Layout().Pivots()
+	pivotOrder := livePivots(rel)
+	// Check every pivot's columns in pivot order first, so the error reported
+	// does not depend on how the build below is blocked; offsets[i] is where
+	// node i's entries start in the key and rank slabs.
+	offsets := make([]int, len(pivotOrder)+1)
+	for i, pi := range pivotOrder {
+		if _, _, err := rel.PivotColumns(d, pivots[pi]); err != nil {
+			return nil, err
 		}
+		offsets[i+1] = offsets[i] + rel.PivotLen(pi)
 	}
+	specs := make([]*measure.Spec, len(idx.tMeasures))
+	for s, m := range idx.tMeasures {
+		specs[s] = measure.Lookup(m)
+	}
+	T := len(idx.tMeasures)
+	idx.pivots = make([]pivotNode, len(pivotOrder))
+	measures := make([]pivotMeasure, T*len(pivotOrder))
+	keys := make([]float64, T*offsets[len(pivotOrder)])
+	ranks := make([]int32, T*offsets[len(pivotOrder)])
+	work := make([]nodeWork, len(pivotOrder))
 
-	sc, hit := getScratch()
-	node.scratchHit = hit
-	defer putScratch(sc)
-
-	// Snapshot the store in canonical pair order once; every derived
-	// structure below walks this slice.
-	nodes := sc.nodes[:0]
-	seq.Ascend(func(_ float64, sn *sequenceNode) bool {
-		nodes = append(nodes, sn)
-		return true
+	err = par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
+		// The cross moments of O_p = [s_common, r_cluster] are the only
+		// pivot-specific reductions; the pivots of one common series are a run
+		// of the canonical order and are reduced together, the series loaded
+		// once for a tile of its centers.  (A run cut by a block boundary is
+		// reduced in two pieces, which changes no output.)
+		var cols [][]float64
+		var means, dots, covs []float64
+		for lo := blk.Lo; lo < blk.Hi; {
+			common := pivots[pivotOrder[lo]].Common
+			hi := lo
+			cols, means = cols[:0], means[:0]
+			for ; hi < blk.Hi && pivots[pivotOrder[hi]].Common == common; hi++ {
+				l := pivots[pivotOrder[hi]].Cluster
+				cols = append(cols, rel.Clustering.Centers[l])
+				means = append(means, centers[l].mean)
+			}
+			x, err := d.Series(common)
+			if err != nil {
+				return err
+			}
+			if cap(dots) < len(cols) {
+				dots, covs = make([]float64, len(cols)), make([]float64, len(cols))
+			}
+			dots, covs = dots[:len(cols)], covs[:len(cols)]
+			mean := perSeries.sum[common] / float64(len(x)) // MeanOf(x)
+			if err := measure.CrossMoments(x, mean, cols, means, dots, covs); err != nil {
+				return err
+			}
+			for i := lo; i < hi; i++ {
+				pi := pivotOrder[i]
+				pivot := pivots[pi]
+				cm := centers[pivot.Cluster]
+				terms := measure.PivotTerms{
+					Cov:        [3]float64{perSeries.stats[common].Variance, covs[i-lo], cm.variance},
+					Dot:        [3]float64{perSeries.stats[common].SqNorm, dots[i-lo], cm.sqNorm},
+					ColSums:    [2]float64{perSeries.sum[common], cm.sum},
+					NumSamples: idx.numSamples,
+				}
+				node := &idx.pivots[i]
+				node.pivot = pivot
+				node.measures = measures[T*i : T*(i+1) : T*(i+1)]
+				var prevMeasures []pivotMeasure
+				if prev != nil {
+					prevMeasures, work[i].storeDelta, err = prev.carryStore(node, i, rel, pi, staleByPivot[pi])
+					if err != nil {
+						return err
+					}
+				}
+				if node.seq == nil {
+					node.seq, node.canon = idx.buildStore(rel, pi)
+					work[i].rebuilt = true
+				}
+				k := len(node.canon)
+				at := T * offsets[i]
+				work[i].scratchHit = finishPivotNode(node, specs, terms, prevMeasures,
+					keys[at:at+T*k:at+T*k], ranks[at:at+T*k:at+T*k])
+			}
+			lo = hi
+		}
+		return nil
 	})
-	sc.nodes = nodes
-
-	// Parameter bounds (U^min_q, U^max_q) per indexed D-measure over the
-	// pivot's pairs; the parameters depend on the window's per-series
-	// statistics and are therefore recomputed every epoch.
-	for m := range idx.derivedSet {
-		param := measure.Lookup(m).Param
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, sn := range nodes {
-			u := param(perSeries.stat(sn.pair.U), perSeries.stat(sn.pair.V))
-			if u < lo {
-				lo = u
-			}
-			if u > hi {
-				hi = u
-			}
-		}
-		node.paramBounds[m] = [2]float64{lo, hi}
+	if err != nil {
+		return nil, err
 	}
+	for i := range work {
+		idx.stats.TotalTreeInsertion += T * len(idx.pivots[i].canon)
+		idx.stats.ScratchGets++
+		if work[i].scratchHit {
+			idx.stats.ScratchHits++
+		}
+	}
+	return work, nil
+}
 
-	// ξ-containers: project every node, sort by (ξ, canonical pair rank) and
-	// lay keys and nodes out side by side.  One exact-size allocation of each
-	// kind serves all of the pivot's measures.
-	k := len(nodes)
-	keys := make([]float64, k*len(node.measures))
-	vals := make([]*sequenceNode, k*len(node.measures))
-	for _, pm := range node.measures {
+// finishPivotNode derives the window-dependent per-(pivot, measure) state of
+// a node whose store and canonical snapshot are in place: α (the first row of
+// the measure's augmented second-moment matrix — Observation 1 / Table 2 fall
+// out of the algebra), ‖α‖ and the ξ-container — every node projected, sorted
+// by (ξ, canonical pair rank), keys and ranks laid out side by side in the
+// node's windows of the index slabs.
+//
+// prevMeasures, when non-nil, is the previous epoch's state of a node over
+// the same canonical snapshot: the entries are then projected in last epoch's
+// container order, which the new ξ leave nearly sorted, and repaired instead
+// of sorted cold.  The order is total, so both routes produce one array.  It
+// reports whether the scratch buffer came from the pool.
+func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.PivotTerms,
+	prevMeasures []pivotMeasure, keys []float64, ranks []int32) (scratchHit bool) {
+
+	sc, scratchHit := getScratch()
+	defer putScratch(sc)
+	k := len(node.canon)
+	for s, sp := range specs {
+		pm := &node.measures[s]
+		pm.alpha = sp.Moment(terms).Alpha()
+		pm.alphaNorm = vec3Norm(pm.alpha)
 		entries := sc.entries[:0]
-		for rank, sn := range nodes {
-			entries = append(entries, xiEntry{xi: scalarProjection(pm, sn.beta), rank: int32(rank)})
+		if prevMeasures != nil {
+			for _, rank := range prevMeasures[s].xi.ranks {
+				entries = append(entries, xiEntry{xi: scalarProjection(pm, node.canon[rank].beta), rank: rank})
+			}
+			repairXi(entries)
+		} else {
+			for rank, sn := range node.canon {
+				entries = append(entries, xiEntry{xi: scalarProjection(pm, sn.beta), rank: int32(rank)})
+			}
+			sortXi(entries)
 		}
 		sc.entries = entries
-		sortXi(entries)
-		pm.xi = xiArray{keys: keys[:k:k], nodes: vals[:k:k]}
-		keys, vals = keys[k:], vals[k:]
+		pm.xi = xiArray{keys: keys[s*k : (s+1)*k : (s+1)*k], ranks: ranks[s*k : (s+1)*k : (s+1)*k], canon: node.canon}
 		for i, e := range entries {
 			pm.xi.keys[i] = e.xi
-			pm.xi.nodes[i] = nodes[e.rank]
+			pm.xi.ranks[i] = e.rank
 		}
-		node.insertions += k
 	}
-	return node, nil
+	return scratchHit
+}
+
+// paramBoundsOf returns the pruning bounds of an indexed D-measure, one
+// (U^min_q, U^max_q) per pivot node over the node's pairs, reducing them on
+// the epoch's first call; nil when the index does not prune.  The reduction
+// walks each node's canonical snapshot — a flat loop per pivot.
+func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
+	slot := slices.Index(idx.dMeasures, sp.ID)
+	if slot < 0 || idx.opts.DisableDerivedPruning {
+		return nil
+	}
+	pb := &idx.bounds[slot]
+	pb.once.Do(func() {
+		perPivot := make([][2]float64, len(idx.pivots))
+		// The reduction cannot fail; DoBlocks only fans it out.
+		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
+			for i := blk.Lo; i < blk.Hi; i++ {
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for _, sn := range idx.pivots[i].canon {
+					u := sp.Param(idx.perSeries.stat(sn.pair.U), idx.perSeries.stat(sn.pair.V))
+					if u < lo {
+						lo = u
+					}
+					if u > hi {
+						hi = u
+					}
+				}
+				perPivot[i] = [2]float64{lo, hi}
+			}
+			return nil
+		})
+		pb.perPivot = perPivot
+	})
+	return pb.perPivot
 }
 
 // buildLocationTrees estimates every series' L-measures (through an affine
 // relationship when the series appears as the non-common member of one,
-// directly otherwise) and inserts them into the global location trees.
-func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result) error {
+// directly otherwise) and inserts them into the global location trees.  prev,
+// when it indexes the same (frozen) clustering, lends its center locations.
+func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result, prev *Index) error {
+	measures := idx.lMeasures
+	if len(measures) == 0 {
+		return nil
+	}
+	L := len(measures)
 	// Pick, for every series, one relationship in which it is the "other"
 	// (non-common) member: the candidate with the smallest canonical pair, so
 	// the estimate (and thus the tree contents) does not depend on the order
@@ -592,92 +744,56 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 		}
 	}
 
-	measures := sortedMeasures(idx.locationSet)
-	for _, m := range measures {
-		idx.location[m] = btree.New[seriesEntry]()
+	// An estimate reads the locations of its pivot's two columns.  Cluster
+	// centers are frozen with the clustering, so each is reduced once per
+	// clustering, not per epoch; window series are reduced once per epoch
+	// each, below.
+	idx.clustering = rel.Clustering
+	if prev != nil && prev.clustering == rel.Clustering {
+		idx.centerLoc = slices.Clone(prev.centerLoc)
+	} else {
+		idx.centerLoc = make([][]float64, rel.Clustering.K())
 	}
-
-	// Reduce each distinct pivot matrix once per measure, in parallel over
-	// pivots (the O(|pivots|·m) part of the build).
-	var pivotOrder []symex.Pivot
-	seen := make(map[symex.Pivot]bool)
 	ids := d.IDs()
+	direct := make([]bool, len(ids)) // series whose own L-measures are read
 	for _, id := range ids {
-		if r := chosen[id]; r != nil && !seen[r.Pivot] {
-			seen[r.Pivot] = true
-			pivotOrder = append(pivotOrder, r.Pivot)
-		}
-	}
-	// Cluster-center locations are shared by every pivot of the same cluster;
-	// compute each distinct center once and let the per-pivot reduction below
-	// read the memo (bit-identical: the same ComputeLocation call on the same
-	// center slice).
-	centerLoc := make(map[int]map[stats.Measure]float64)
-	for _, p := range pivotOrder {
-		if _, ok := centerLoc[p.Cluster]; ok {
+		r := chosen[id]
+		if r == nil {
+			direct[id] = true
 			continue
 		}
-		_, center, err := rel.PivotColumns(d, p)
+		_, center, err := rel.PivotColumns(d, r.Pivot)
 		if err != nil {
 			return err
 		}
-		locs := make(map[stats.Measure]float64, len(measures))
-		for _, m := range measures {
-			v, err := stats.ComputeLocation(m, center)
-			if err != nil {
+		direct[r.Pivot.Common] = true
+		if idx.centerLoc[r.Pivot.Cluster] != nil {
+			continue
+		}
+		locs := make([]float64, L)
+		for s, m := range measures {
+			if locs[s], err = stats.ComputeLocation(m, center); err != nil {
 				return err
 			}
-			locs[m] = v
 		}
-		centerLoc[p.Cluster] = locs
-	}
-	type pivotLoc struct {
-		values map[stats.Measure][2]float64
-	}
-	pivotLocs, err := par.Gather(len(pivotOrder), idx.opts.buildParallelism(), func(i int) (pivotLoc, error) {
-		// L-measures of the common series off the window itself: order
-		// statistics read its sorted column (slid, not re-sorted, from epoch
-		// to epoch), bit-identical to reducing the raw column.
-		pl := pivotLoc{values: make(map[stats.Measure][2]float64, len(measures))}
-		for _, m := range measures {
-			lc, err := stats.WindowLocation(m, d, pivotOrder[i].Common)
-			if err != nil {
-				return pivotLoc{}, err
-			}
-			pl.values[m] = [2]float64{lc, centerLoc[pivotOrder[i].Cluster][m]}
-		}
-		return pl, nil
-	})
-	if err != nil {
-		return err
-	}
-	locByPivot := make(map[symex.Pivot]pivotLoc, len(pivotOrder))
-	for i, p := range pivotOrder {
-		locByPivot[p] = pivotLocs[i]
+		idx.centerLoc[r.Pivot.Cluster] = locs
 	}
 
-	// Per-series values, sharded by series; the direct (fallback) computation
-	// dominates here for series that only appear as the common member.
-	values := make([]map[stats.Measure]float64, len(ids))
-	estimated := 0
-	err = par.Do(len(ids), idx.opts.buildParallelism(), func(i int) error {
-		id := ids[i]
-		r := chosen[id]
-		vals := make(map[stats.Measure]float64, len(measures))
-		for _, m := range measures {
-			if r != nil {
-				// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
-				propagated := r.Transform.PropagateLocation(locByPivot[r.Pivot].values[m])
-				vals[m] = propagated[1]
-				continue
-			}
-			v, err := stats.WindowLocation(m, d, id)
+	// L-measures of the window's series: order statistics read the sorted
+	// column (slid, not re-sorted, from epoch to epoch), bit-identical to
+	// reducing the raw column.
+	own := make([]float64, L*len(ids))
+	err := par.Do(len(ids), idx.opts.buildParallelism(), func(i int) error {
+		if !direct[ids[i]] {
+			return nil
+		}
+		for s, m := range measures {
+			v, err := stats.WindowLocation(m, d, ids[i])
 			if err != nil {
 				return err
 			}
-			vals[m] = v
+			own[L*i+s] = v
 		}
-		values[i] = vals
 		return nil
 	})
 	if err != nil {
@@ -686,18 +802,31 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 
 	// Sequential inserts in (series, measure) order: ties inside a tree keep
 	// insertion order, so this fixes the scan order deterministically.
+	idx.location = make(map[stats.Measure]*btree.Tree[seriesEntry], L)
+	trees := make([]*btree.Tree[seriesEntry], L)
+	for s, m := range measures {
+		trees[s] = btree.New[seriesEntry]()
+		idx.location[m] = trees[s]
+	}
+	estimated := 0
 	for i, id := range ids {
-		if chosen[id] != nil {
+		r := chosen[id]
+		if r != nil {
 			estimated++
 		}
-		for _, m := range measures {
-			value := values[i][m]
-			idx.location[m].Insert(value, seriesEntry{id: id, value: value})
+		for s := range measures {
+			value := own[L*i+s]
+			if r != nil {
+				// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
+				value = r.Transform.PropagateLocation([2]float64{
+					own[L*int(r.Pivot.Common)+s], idx.centerLoc[r.Pivot.Cluster][s]})[1]
+			}
+			trees[s].Insert(value, seriesEntry{id: id, value: value})
 			idx.stats.TotalTreeInsertion++
 		}
 	}
-	idx.stats.LocationEstimated = estimated * len(measures)
-	idx.stats.LocationComputed = (len(ids) - estimated) * len(measures)
+	idx.stats.LocationEstimated = estimated * L
+	idx.stats.LocationComputed = (len(ids) - estimated) * L
 	return nil
 }
 
@@ -715,7 +844,7 @@ func sortedMeasures(set map[stats.Measure]bool) []stats.Measure {
 	for m := range set {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -3,9 +3,6 @@ package scape
 import (
 	"fmt"
 
-	"affinity/internal/btree"
-	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -27,30 +24,12 @@ func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options
 	if rel == nil || rel.Len() == 0 {
 		return nil, fmt.Errorf("scape: no affine relationships to index")
 	}
-	opts = opts.withDefaults()
-	for _, m := range opts.LocationMeasures {
-		sp, ok := measure.Find(m)
-		if !ok || !sp.Location() {
-			return nil, fmt.Errorf("%w: %v is not an L-measure", ErrBadQuery, m)
-		}
+	idx, err := newIndex(d, opts.withDefaults())
+	if err != nil {
+		return nil, err
 	}
-	idx := &Index{
-		opts:         opts,
-		byPivot:      make(map[symex.Pivot]*pivotNode),
-		location:     make(map[stats.Measure]*btree.Tree[seriesEntry]),
-		pairMeasures: make(map[stats.Measure]bool),
-		derivedSet:   make(map[stats.Measure]bool),
-		locationSet:  make(map[stats.Measure]bool),
-		numSamples:   d.NumSamples(),
-		numSeries:    d.NumSeries(),
-	}
-	for _, m := range opts.LocationMeasures {
-		idx.locationSet[m] = true
-	}
-	if len(opts.LocationMeasures) > 0 {
-		if err := idx.buildLocationTrees(d, rel); err != nil {
-			return nil, err
-		}
+	if err := idx.buildLocationTrees(d, rel, nil); err != nil {
+		return nil, err
 	}
 	idx.stats.IndexedLMeasures = len(idx.locationSet)
 	return idx, nil

@@ -84,9 +84,9 @@ func (idx *Index) PairInterval(m stats.Measure, iv interval.Interval) ([]timeser
 	if err != nil {
 		return nil, err
 	}
-	return idx.shardPivots(func(node *pivotNode, out []timeseries.Pair) ([]timeseries.Pair, error) {
-		return idx.scanNode(node, ps, out)
-	})
+	return idx.shardPivots(func(i int, out []timeseries.Pair) []timeseries.Pair {
+		return idx.scanNode(i, ps, out)
+	}), nil
 }
 
 // SeriesInterval answers an interval query over an L-measure: the series whose
@@ -127,18 +127,11 @@ func (idx *Index) PairIntervalNodes(m stats.Measure, iv interval.Interval) ([]No
 		return nil, err
 	}
 	out := make([]NodeResult, len(idx.pivots))
-	err = par.Do(len(idx.pivots), idx.opts.Parallelism, func(i int) error {
-		node := idx.pivots[i]
-		pairs, err := idx.scanNode(node, ps, nil)
-		if err != nil {
-			return err
-		}
-		out[i] = NodeResult{Pivot: node.pivot, Pairs: pairs}
+	// A compiled scan cannot fail; Do only fans the nodes out.
+	_ = par.Do(len(idx.pivots), idx.opts.Parallelism, func(i int) error {
+		out[i] = NodeResult{Pivot: idx.pivots[i].pivot, Pairs: idx.scanNode(i, ps, nil)}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -162,23 +155,17 @@ func (idx *Index) PairBatch(qs []PairQuery) ([][]timeseries.Pair, error) {
 	// (the same order the single-query scans use).
 	blocks := par.Blocks(len(idx.pivots), idx.opts.Parallelism)
 	parts := make([][][]timeseries.Pair, len(blocks))
-	err := par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
+	// Compiled scans cannot fail; Do only fans the blocks out.
+	_ = par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
 		local := make([][]timeseries.Pair, len(qs))
-		for _, node := range idx.pivots[blocks[b].Lo:blocks[b].Hi] {
+		for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
 			for qi := range scans {
-				var err error
-				local[qi], err = idx.scanNode(node, scans[qi], local[qi])
-				if err != nil {
-					return err
-				}
+				local[qi] = idx.scanNode(i, scans[qi], local[qi])
 			}
 		}
 		parts[b] = local
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([][]timeseries.Pair, len(qs))
 	for qi := range qs {
 		perBlock := make([][]timeseries.Pair, len(parts))
@@ -199,12 +186,12 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	base := sp.Base
-	for _, node := range idx.pivots {
-		pm, ok := node.measures[base]
-		if !ok {
-			continue
-		}
+	slot := idx.baseSlot(sp.Base)
+	if slot < 0 {
+		return 0, fmt.Errorf("scape: pair %v not present in the index", e)
+	}
+	for i := range idx.pivots {
+		pm := &idx.pivots[i].measures[slot]
 		var found *sequenceNode
 		var foundXi float64
 		pm.xi.Ascend(func(key float64, sn *sequenceNode) bool {
@@ -235,26 +222,20 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 // pivot-node order.  idx.pivots is sorted deterministically at build time, so
 // the merged result is byte-identical at any parallelism level and across
 // rebuilds.
-func (idx *Index) shardPivots(scan func(node *pivotNode, out []timeseries.Pair) ([]timeseries.Pair, error)) ([]timeseries.Pair, error) {
+func (idx *Index) shardPivots(scan func(i int, out []timeseries.Pair) []timeseries.Pair) []timeseries.Pair {
 	// Contiguous node blocks (not one task per node) keep the per-task
 	// dispatch overhead negligible next to the container scans; scans append into
 	// the per-block buffer directly, so matching pairs are written once.
 	blocks := par.Blocks(len(idx.pivots), idx.opts.Parallelism)
 	parts := make([][]timeseries.Pair, len(blocks))
-	err := par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
-		for _, node := range idx.pivots[blocks[b].Lo:blocks[b].Hi] {
-			var err error
-			parts[b], err = scan(node, parts[b])
-			if err != nil {
-				return err
-			}
+	// A compiled scan cannot fail; Do only fans the blocks out.
+	_ = par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
+		for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
+			parts[b] = scan(i, parts[b])
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return par.FlattenBlocks(parts), nil
+	return par.FlattenBlocks(parts)
 }
 
 // pairScan is one compiled pairwise interval query: the validated spec plus
@@ -263,6 +244,11 @@ type pairScan struct {
 	sp   *measure.Spec
 	iv   interval.Interval
 	pred derivedPredicate
+	// slot is the position of the spec's base T-measure in a node's measures.
+	slot int
+	// bounds holds the spec's pruning bounds per node, for a derived query
+	// that can use them (nil otherwise: every entry is evaluated).
+	bounds [][2]float64
 }
 
 // compilePair validates a pairwise interval query and precomputes its
@@ -275,34 +261,36 @@ func (idx *Index) compilePair(q PairQuery) (pairScan, error) {
 	if err != nil {
 		return pairScan{}, err
 	}
-	ps := pairScan{sp: sp, iv: q.Interval}
+	if sp.Derived() && !idx.derivedSet[q.Measure] {
+		return pairScan{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, q.Measure)
+	}
+	ps := pairScan{sp: sp, iv: q.Interval, slot: idx.baseSlot(sp.Base)}
+	if ps.slot < 0 {
+		return pairScan{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.Base)
+	}
 	if sp.Derived() {
-		if !idx.derivedSet[q.Measure] {
-			return pairScan{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, q.Measure)
-		}
 		ps.pred = compileDerivedPredicate(sp, q.Interval)
+		if !ps.pred.empty && !ps.pred.evalAll {
+			ps.bounds = idx.paramBoundsOf(sp)
+		}
 	}
 	return ps, nil
 }
 
-// scanNode answers one compiled pairwise query from one pivot node, appending
+// scanNode answers one compiled pairwise query from pivot node i, appending
 // matching pairs to out in scalar-projection order.
-func (idx *Index) scanNode(node *pivotNode, ps pairScan, out []timeseries.Pair) ([]timeseries.Pair, error) {
+func (idx *Index) scanNode(i int, ps pairScan, out []timeseries.Pair) []timeseries.Pair {
 	if !ps.sp.Derived() {
-		return nodeBaseInterval(node, ps.sp.ID, ps.iv, out)
+		return nodeBaseInterval(&idx.pivots[i].measures[ps.slot], ps.iv, out)
 	}
-	return idx.nodeDerivedInterval(node, ps.sp, ps.pred, out)
+	return idx.nodeDerivedInterval(idx.nodeBounds(i, ps.slot, ps.sp, ps.bounds), ps.sp, ps.pred, out)
 }
 
-// nodeBaseInterval scans one pivot node for a T-measure interval query: the
-// value interval maps into the scalar projection domain through the modified
-// bounds τ' = τ/‖α_q‖ (Section 5.2), followed by an ordered scan of the
-// ξ-container.
-func nodeBaseInterval(node *pivotNode, m stats.Measure, iv interval.Interval, out []timeseries.Pair) ([]timeseries.Pair, error) {
-	pm, ok := node.measures[m]
-	if !ok {
-		return out, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
-	}
+// nodeBaseInterval scans one pivot node's state of a T-measure for an interval
+// query: the value interval maps into the scalar projection domain through the
+// modified bounds τ' = τ/‖α_q‖ (Section 5.2), followed by an ordered scan of
+// the ξ-container.
+func nodeBaseInterval(pm *pivotMeasure, iv interval.Interval, out []timeseries.Pair) []timeseries.Pair {
 	if pm.alphaNorm == 0 {
 		// Degenerate pivot: every value it represents is 0.
 		if iv.Contains(0) {
@@ -311,13 +299,13 @@ func nodeBaseInterval(node *pivotNode, m stats.Measure, iv interval.Interval, ou
 				return true
 			})
 		}
-		return out, nil
+		return out
 	}
 	pm.xi.ascendInterval(scaleInterval(iv, pm.alphaNorm), func(_ float64, sn *sequenceNode) bool {
 		out = append(out, sn.pair)
 		return true
 	})
-	return out, nil
+	return out
 }
 
 // scaleInterval divides both finite endpoints by a positive norm, mapping a
@@ -384,19 +372,18 @@ type derivedBounds struct {
 	uMax     float64
 }
 
-// nodeBounds inspects one pivot node for a derived spec: whether the
-// parameter bounds admit pruning at all (spec transforms that divide by the
-// parameter need U^min > 0; an empty or unbounded interval disables pruning
-// for everyone).
-func (idx *Index) nodeBounds(node *pivotNode, sp *measure.Spec) derivedBounds {
-	pm, ok := node.measures[sp.Base]
-	if !ok {
-		return derivedBounds{}
+// nodeBounds inspects pivot node i for a derived spec whose base T-measure
+// sits at slot and whose per-node parameter bounds are bounds (nil when the
+// query or the index does not prune): whether they admit pruning at all (spec
+// transforms that divide by the parameter need U^min > 0; an empty or
+// unbounded interval disables pruning for everyone).
+func (idx *Index) nodeBounds(i, slot int, sp *measure.Spec, bounds [][2]float64) derivedBounds {
+	db := derivedBounds{pm: &idx.pivots[i].measures[slot]}
+	if bounds == nil {
+		return db
 	}
-	b := node.paramBounds[sp.ID]
-	db := derivedBounds{pm: pm, uMin: b[0], uMax: b[1]}
-	db.canPrune = !idx.opts.DisableDerivedPruning &&
-		pm.alphaNorm != 0 &&
+	db.uMin, db.uMax = bounds[i][0], bounds[i][1]
+	db.canPrune = db.pm.alphaNorm != 0 &&
 		!math.IsInf(db.uMin, 1) && db.uMin <= db.uMax &&
 		(!sp.ParamPositive || db.uMin > 0)
 	return db
@@ -530,13 +517,9 @@ func padBound(x float64, dir float64) float64 {
 // definite region are accepted without evaluation, and candidates in the band
 // where membership cannot be decided from the bounds alone are resolved
 // exactly.
-func (idx *Index) nodeDerivedInterval(node *pivotNode, sp *measure.Spec, pred derivedPredicate, out []timeseries.Pair) ([]timeseries.Pair, error) {
-	db := idx.nodeBounds(node, sp)
-	if db.pm == nil {
-		return out, fmt.Errorf("%w: base measure %v", ErrMeasureNotIndexed, sp.Base)
-	}
-	if node.pairs == 0 || pred.empty {
-		return out, nil
+func (idx *Index) nodeDerivedInterval(db derivedBounds, sp *measure.Spec, pred derivedPredicate, out []timeseries.Pair) []timeseries.Pair {
+	if pred.empty {
+		return out
 	}
 	evaluate := func(xi float64, sn *sequenceNode) {
 		v, ok := idx.derivedValue(db.pm, sn, sp, xi)
@@ -550,7 +533,7 @@ func (idx *Index) nodeDerivedInterval(node *pivotNode, sp *measure.Spec, pred de
 			evaluate(xi, sn)
 			return true
 		})
-		return out, nil
+		return out
 	}
 	w := db.window(sp, pred.eval, idx.numSamples)
 	db.pm.xi.AscendRange(w.scanLo, w.scanHi, func(xi float64, sn *sequenceNode) bool {
@@ -561,7 +544,7 @@ func (idx *Index) nodeDerivedInterval(node *pivotNode, sp *measure.Spec, pred de
 		evaluate(xi, sn)
 		return true
 	})
-	return out, nil
+	return out
 }
 
 // derivedValue computes the exact derived measure of a sequence node from

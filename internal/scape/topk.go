@@ -141,18 +141,22 @@ func (h *TopHeap) siftDown(i int) {
 // running [v_k, ·) interval prunes every source against the global k-th
 // value.
 type TopKCursor struct {
-	idx      *Index
-	sp       *measure.Spec
+	idx *Index
+	sp  *measure.Spec
+	// slot is the position of the spec's base T-measure in a node's measures;
+	// bounds holds a derived spec's pruning bounds per node.
+	slot     int
+	bounds   [][2]float64
 	largest  bool
 	cands    []nodeCand
 	next     int
 	examined int
 }
 
-// nodeCand is one pivot node with its optimistic bound, in traversal order.
+// nodeCand is one pivot node (by position in the index) with its optimistic
+// bound, in traversal order.
 type nodeCand struct {
 	order int
-	node  *pivotNode
 	bound float64
 }
 
@@ -169,16 +173,18 @@ func (idx *Index) NewTopKCursor(m stats.Measure, largest bool) (*TopKCursor, err
 	if sp.Derived() && !idx.derivedSet[m] {
 		return nil, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
 	}
+	c := &TopKCursor{idx: idx, sp: sp, slot: idx.baseSlot(sp.Base), largest: largest}
+	if c.slot < 0 {
+		return nil, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.Base)
+	}
+	if sp.Derived() {
+		c.bounds = idx.paramBoundsOf(sp)
+	}
 	cands := make([]nodeCand, 0, len(idx.pivots))
-	for i, node := range idx.pivots {
-		bound, ok, err := idx.nodeTopBound(node, sp, largest)
-		if err != nil {
-			return nil, err
+	for i := range idx.pivots {
+		if bound, ok := c.nodeTopBound(i); ok {
+			cands = append(cands, nodeCand{order: i, bound: bound})
 		}
-		if !ok {
-			continue
-		}
-		cands = append(cands, nodeCand{order: i, node: node, bound: bound})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].bound != cands[j].bound {
@@ -189,7 +195,8 @@ func (idx *Index) NewTopKCursor(m stats.Measure, largest bool) (*TopKCursor, err
 		}
 		return cands[i].order < cands[j].order
 	})
-	return &TopKCursor{idx: idx, sp: sp, largest: largest, cands: cands}, nil
+	c.cands = cands
+	return c, nil
 }
 
 // NextBound returns the optimistic bound of the next unscanned pivot node,
@@ -211,12 +218,8 @@ func (c *TopKCursor) Step(heap *TopHeap) (int, error) {
 	if c.next >= len(c.cands) {
 		return 0, nil
 	}
-	node := c.cands[c.next].node
+	n := c.scanNodeTopK(c.cands[c.next].order, heap)
 	c.next++
-	n, err := c.idx.scanNodeTopK(node, c.sp, c.largest, heap)
-	if err != nil {
-		return 0, err
-	}
 	c.examined += n
 	return n, nil
 }
@@ -285,17 +288,15 @@ func runningInterval(heap *TopHeap, largest bool) interval.Interval {
 	return interval.AtMost(padBound(vk, +1))
 }
 
-// scanNodeTopK offers every entry of one pivot node that could still enter
-// the heap, restricting the scan to the running interval's ξ window, and
-// returns the number of entries examined.
-func (idx *Index) scanNodeTopK(node *pivotNode, sp *measure.Spec, largest bool, heap *TopHeap) (int, error) {
-	iv := runningInterval(heap, largest)
+// scanNodeTopK offers every entry of pivot node i that could still enter the
+// heap, restricting the scan to the running interval's ξ window, and returns
+// the number of entries examined.
+func (c *TopKCursor) scanNodeTopK(i int, heap *TopHeap) int {
+	idx, sp := c.idx, c.sp
+	iv := runningInterval(heap, c.largest)
 	examined := 0
 	if !sp.Derived() {
-		pm := node.measures[sp.ID]
-		if pm == nil {
-			return 0, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.ID)
-		}
+		pm := &idx.pivots[i].measures[c.slot]
 		if pm.alphaNorm == 0 {
 			if iv.Contains(0) {
 				pm.xi.Ascend(func(_ float64, sn *sequenceNode) bool {
@@ -304,26 +305,20 @@ func (idx *Index) scanNodeTopK(node *pivotNode, sp *measure.Spec, largest bool, 
 					return true
 				})
 			}
-			return examined, nil
+			return examined
 		}
 		pm.xi.ascendInterval(scaleInterval(iv, pm.alphaNorm), func(xi float64, sn *sequenceNode) bool {
 			examined++
 			heap.Offer(sn.pair, pm.alphaNorm*xi)
 			return true
 		})
-		return examined, nil
+		return examined
 	}
 
-	db := idx.nodeBounds(node, sp)
-	if db.pm == nil {
-		return 0, fmt.Errorf("%w: base measure %v", ErrMeasureNotIndexed, sp.Base)
-	}
-	if node.pairs == 0 {
-		return 0, nil
-	}
+	db := idx.nodeBounds(i, c.slot, sp, c.bounds)
 	pred := compileDerivedPredicate(sp, iv)
 	if pred.empty {
-		return 0, nil
+		return 0
 	}
 	offer := func(xi float64, sn *sequenceNode) bool {
 		examined++
@@ -334,14 +329,14 @@ func (idx *Index) scanNodeTopK(node *pivotNode, sp *measure.Spec, largest bool, 
 	}
 	if pred.evalAll || !db.canPrune {
 		db.pm.xi.Ascend(offer)
-		return examined, nil
+		return examined
 	}
 	// Unlike an interval scan there is no blind-accept region: the heap needs
 	// every candidate's exact value to rank it, so the whole conservative
 	// window is evaluated.
 	w := db.window(sp, pred.eval, idx.numSamples)
 	db.pm.xi.AscendRange(w.scanLo, w.scanHi, offer)
-	return examined, nil
+	return examined
 }
 
 // SeriesTopK answers a top-k query over an L-measure: the k series with the
@@ -393,40 +388,39 @@ func (idx *Index) SeriesTopK(m stats.Measure, k int, largest bool) ([]timeseries
 // [T_min, T_max] × [U^min, U^max] box (every registered transform is monotone
 // in T and, for fixed T, monotone in U, so the box extrema sit at corners).
 // Nodes whose parameter bounds cannot prune report an unbounded optimum and
-// are simply scanned before the traversal can stop.
-func (idx *Index) nodeTopBound(node *pivotNode, sp *measure.Spec, largest bool) (float64, bool, error) {
-	pm := node.measures[sp.Base]
-	if pm == nil {
-		return 0, false, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.Base)
-	}
+// are simply scanned before the traversal can stop.  A node without an entry
+// of defined ξ reports false.
+func (c *TopKCursor) nodeTopBound(i int) (float64, bool) {
+	idx, sp, largest := c.idx, c.sp, c.largest
+	pm := &idx.pivots[i].measures[c.slot]
 	minXi, ok := pm.xi.MinKey()
 	if !ok {
-		return 0, false, nil
+		return 0, false
 	}
 	maxXi, _ := pm.xi.MaxKey()
 	if !sp.Derived() {
 		if pm.alphaNorm == 0 {
-			return 0, true, nil
+			return 0, true
 		}
 		if largest {
-			return pm.alphaNorm * maxXi, true, nil
+			return pm.alphaNorm * maxXi, true
 		}
-		return pm.alphaNorm * minXi, true, nil
+		return pm.alphaNorm * minXi, true
 	}
-	db := idx.nodeBounds(node, sp)
+	db := idx.nodeBounds(i, c.slot, sp, c.bounds)
 	unbounded := math.Inf(1)
 	if !largest {
 		unbounded = math.Inf(-1)
 	}
 	if !db.canPrune {
-		return unbounded, true, nil
+		return unbounded, true
 	}
 	bound := math.NaN()
 	for _, t := range [2]float64{pm.alphaNorm * minXi, pm.alphaNorm * maxXi} {
 		for _, u := range [2]float64{db.uMin, db.uMax} {
 			v, err := sp.Value(t, u, idx.numSamples)
 			if err != nil {
-				return unbounded, true, nil
+				return unbounded, true
 			}
 			if math.IsNaN(bound) || (largest && v > bound) || (!largest && v < bound) {
 				bound = v
@@ -434,13 +428,13 @@ func (idx *Index) nodeTopBound(node *pivotNode, sp *measure.Spec, largest bool) 
 		}
 	}
 	if math.IsNaN(bound) {
-		return unbounded, true, nil
+		return unbounded, true
 	}
 	// Padded outward: corner and per-entry evaluations round differently, and
 	// an under-estimated bound would let the traversal stop before a node
 	// holding a boundary entry.  The pad only delays the stop marginally.
 	if largest {
-		return padBound(bound, +1), true, nil
+		return padBound(bound, +1), true
 	}
-	return padBound(bound, -1), true, nil
+	return padBound(bound, -1), true
 }

@@ -1,12 +1,10 @@
 package scape
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"affinity/internal/btree"
-	"affinity/internal/par"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -65,13 +63,14 @@ type UpdateStats struct {
 
 // Update produces the index for a new epoch from the previous epoch's index,
 // the re-fitted relationship set, and the set of pairs symex.Refit actually
-// re-fitted.  Pivot sequence stores are cloned copy-on-write and only the
-// stale pairs' entries are deleted/re-inserted; everything derived from the
-// slid window (α vectors, scalar projections, parameter bounds, location
-// estimates) is recomputed through the exact code path Build uses, so the
-// result answers every query byte-identically to Build(d, rel, ...) on the
-// same window.  The previous index is never mutated and stays fully
-// queryable.
+// re-fitted.  Pivot sequence stores are shared or cloned copy-on-write with
+// only the stale pairs' entries deleted/re-inserted; everything derived from
+// the slid window (α vectors, scalar projections, location estimates — and,
+// on demand, parameter bounds) is recomputed through the exact code path Build
+// uses, and a container re-sorted from the previous epoch's order is the array
+// a cold sort yields, so the result answers every query byte-identically to
+// Build(d, rel, ...) on the same window.  The previous index is never mutated
+// and stays fully queryable.
 //
 // A nil stale set means every relationship was refit (mirroring
 // symex.Refit); together with stale fractions above the crossover threshold
@@ -107,7 +106,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		us.FellBack = true
 		bopts := prev.opts
 		bopts.BuildParallelism = opts.Parallelism
-		idx, err := Build(d, rel, bopts)
+		idx, err := build(d, rel, bopts, prev)
 		if err != nil {
 			return nil, us, err
 		}
@@ -116,27 +115,18 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		return idx, us, nil
 	}
 
-	buildOpts := prev.opts
-	buildOpts.BuildParallelism = opts.Parallelism
 	idx := &Index{
-		opts:         buildOpts,
-		byPivot:      make(map[symex.Pivot]*pivotNode),
-		location:     make(map[stats.Measure]*btree.Tree[seriesEntry]),
+		opts:         prev.opts,
+		tMeasures:    prev.tMeasures,
+		dMeasures:    prev.dMeasures,
+		lMeasures:    prev.lMeasures,
 		pairMeasures: prev.pairMeasures,
 		derivedSet:   prev.derivedSet,
 		locationSet:  prev.locationSet,
 		numSamples:   d.NumSamples(),
 		numSeries:    prev.numSeries,
 	}
-	perSeries, err := computeSeriesStats(d, opts.Parallelism)
-	if err != nil {
-		return nil, us, err
-	}
-	idx.perSeries = perSeries
-	centers, err := computeCenterMoments(rel)
-	if err != nil {
-		return nil, us, err
-	}
+	idx.opts.BuildParallelism = opts.Parallelism
 
 	// Group the stale pairs by their (fixed) pivot assignment, found through
 	// the layout's slot index — work in the stale set, not the relationship
@@ -151,101 +141,83 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		}
 	}
 	for _, list := range staleByPivot {
-		sort.Slice(list, func(i, j int) bool { return pairLess(list[i], list[j]) })
+		slices.SortFunc(list, func(a, b timeseries.Pair) int {
+			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+		})
 	}
 
-	pivotOrder := livePivots(rel)
-
-	type updNode struct {
-		node     *pivotNode
-		deleted  int
-		inserted int
-		shared   bool
-		cloned   bool
-		rebuilt  bool
-	}
-	results, err := par.Gather(len(pivotOrder), opts.Parallelism, func(i int) (updNode, error) {
-		pi := pivotOrder[i]
-		pivot := layout.Pivots()[pi]
-		prevNode := prev.byPivot[pivot]
-		if prevNode == nil {
-			node, err := idx.buildPivotNode(d, rel, pi, perSeries, centers)
-			return updNode{node: node, rebuilt: true}, err
-		}
-		changes := staleByPivot[pi]
-		var un updNode
-		var seq *btree.Tree[*sequenceNode]
-		if len(changes) == 0 {
-			// Nothing assigned to this pivot was refit: the store is shared
-			// wholesale with the previous epoch.
-			seq = prevNode.seq
-			un.shared = true
-		} else {
-			seq = prevNode.seq.Clone()
-			for _, p := range changes {
-				code := pairCode(p, idx.numSeries)
-				if seq.Delete(code, func(sn *sequenceNode) bool { return sn.pair == p }) {
-					un.deleted++
-				}
-			}
-			for _, p := range changes {
-				r, ok := rel.Relationship(p)
-				if !ok {
-					// Refit pruned the pair; the deletion above removed it.
-					continue
-				}
-				seq.Insert(pairCode(p, idx.numSeries), newSequenceNode(p, r))
-				un.inserted++
-			}
-			un.cloned = true
-		}
-		if seq.Len() != rel.PivotLen(pi) {
-			return un, fmt.Errorf("scape: incremental update diverged for pivot %v: store has %d pairs, relationships have %d",
-				pivot, seq.Len(), rel.PivotLen(pi))
-		}
-		node, err := idx.finishPivotNode(d, rel, pivot, seq, perSeries, centers)
-		un.node = node
-		return un, err
-	})
+	work, err := idx.buildNodes(d, rel, prev, staleByPivot, opts.Parallelism)
 	if err != nil {
 		return nil, us, err
 	}
-
-	for _, un := range results {
-		idx.pivots = append(idx.pivots, un.node)
-		idx.byPivot[un.node.pivot] = un.node
-		idx.stats.TotalTreeInsertion += un.node.insertions
-		idx.stats.ScratchGets++
-		if un.node.scratchHit {
-			idx.stats.ScratchHits++
-		}
-		us.EntriesDeleted += un.deleted
-		us.EntriesInserted += un.inserted
+	for _, w := range work {
+		us.EntriesDeleted += w.deleted
+		us.EntriesInserted += w.inserted
 		switch {
-		case un.shared:
+		case w.shared:
 			us.StoresShared++
-		case un.cloned:
+		case w.cloned:
 			us.StoresCloned++
-		case un.rebuilt:
+		case w.rebuilt:
 			us.StoresRebuilt++
 		}
 	}
 
 	// Location estimates change with the window every epoch; they are rebuilt
-	// exactly as Build does.
-	if len(idx.opts.LocationMeasures) > 0 {
-		if err := idx.buildLocationTrees(d, rel); err != nil {
-			return nil, us, err
-		}
+	// exactly as Build does, on the previous epoch's center locations.
+	if err := idx.buildLocationTrees(d, rel, prev); err != nil {
+		return nil, us, err
 	}
-
-	idx.stats.Pivots = len(idx.pivots)
-	idx.stats.SequenceNodes = rel.Len()
-	idx.stats.IndexedTMeasures = len(idx.pairMeasures)
-	idx.stats.IndexedDMeasures = len(idx.derivedSet)
-	idx.stats.IndexedLMeasures = len(idx.locationSet)
-	idx.stats.DerivedPruningOn = !idx.opts.DisableDerivedPruning
+	idx.finishStats(rel)
 	us.ScratchGets = idx.stats.ScratchGets
 	us.ScratchHits = idx.stats.ScratchHits
 	return idx, us, nil
+}
+
+// carryStore gives a node of the new epoch the sequence store of this (the
+// previous) index's node for the same pivot: shared wholesale, canonical snapshot
+// included, when no stale pair is assigned to the pivot — it then returns that
+// node's measure state, whose container orders the new epoch repairs — and
+// otherwise cloned copy-on-write with only the stale pairs' entries deleted
+// and re-inserted.  A pivot the index has no node for (revived by refit after
+// full pruning) is left without a store.  hint is the node's position in the
+// new index.
+func (prev *Index) carryStore(node *pivotNode, hint int, rel *symex.Result, pi int,
+	changes []timeseries.Pair) (prevMeasures []pivotMeasure, delta storeDelta, err error) {
+
+	at, ok := prev.findPivot(node.pivot, hint)
+	if !ok {
+		return nil, delta, nil
+	}
+	prevNode := &prev.pivots[at]
+	if len(changes) == 0 {
+		node.seq, node.canon = prevNode.seq, prevNode.canon
+		prevMeasures = prevNode.measures
+		delta.shared = true
+	} else {
+		seq := prevNode.seq.Clone()
+		for _, p := range changes {
+			code := pairCode(p, prev.numSeries)
+			if seq.Delete(code, func(sn *sequenceNode) bool { return sn.pair == p }) {
+				delta.deleted++
+			}
+		}
+		for _, p := range changes {
+			r, ok := rel.Relationship(p)
+			if !ok {
+				// Refit pruned the pair; the deletion above removed it.
+				continue
+			}
+			sn := newSequenceNode(p, r)
+			seq.Insert(pairCode(p, prev.numSeries), &sn)
+			delta.inserted++
+		}
+		node.seq, node.canon = seq, snapshotStore(seq)
+		delta.cloned = true
+	}
+	if node.seq.Len() != rel.PivotLen(pi) {
+		return nil, delta, fmt.Errorf("scape: incremental update diverged for pivot %v: store has %d pairs, relationships have %d",
+			node.pivot, node.seq.Len(), rel.PivotLen(pi))
+	}
+	return prevMeasures, delta, nil
 }

@@ -10,12 +10,16 @@ import (
 )
 
 // xiArray is one (pivot, measure) ξ-container: the pivot's sequence nodes
-// sorted by scalar projection, keys and nodes side by side in exact-size
-// slices.  A ξ-container is derived from the epoch's window, built in one
-// piece and replaced wholesale by the next epoch, so it needs none of a
-// B-tree's mutation machinery: a sorted array answers the same ordered scans
-// and rank counts at a fraction of the memory (a 14-entry tree preallocates
-// two 33-slot leaf arrays) and of the build time.
+// sorted by scalar projection — the keys and, beside them, the canonical rank
+// of each entry's node in the pivot's canonical snapshot, in exact-size
+// windows of the index's slabs.  A ξ-container is derived from the epoch's
+// window, built in one piece and replaced wholesale by the next epoch, so it
+// needs none of a B-tree's mutation machinery: a sorted array answers the same
+// ordered scans and rank counts at a fraction of the memory (a 14-entry tree
+// preallocates two 33-slot leaf arrays) and of the build time.  Keeping ranks
+// instead of node pointers halves the per-entry payload — the snapshot lives
+// once per pivot, shared across measures and, with the store, across epochs —
+// and is what lets the next epoch start from this one's order.
 //
 // Entries are ordered by (ξ, canonical pair rank) — what a stable sort by ξ
 // over canonically ordered nodes produces.  A NaN ξ (only an overflowed
@@ -23,7 +27,8 @@ import (
 // scan reaches it: every bound comparison against NaN is false.
 type xiArray struct {
 	keys  []float64
-	nodes []*sequenceNode
+	ranks []int32
+	canon []*sequenceNode
 }
 
 // xiEntry is one projected node while a container is being sorted: its ξ and
@@ -33,29 +38,56 @@ type xiEntry struct {
 	rank int32
 }
 
+// compareXi is the container order: a strict total order, since ranks are
+// distinct.
+func compareXi(a, b xiEntry) int {
+	switch {
+	case a.xi < b.xi:
+		return -1
+	case a.xi > b.xi:
+		return +1
+	case a.xi == b.xi:
+		return cmp.Compare(a.rank, b.rank)
+	}
+	// One of the two is NaN: cmp.Compare orders NaN first.
+	return cmp.Or(cmp.Compare(a.xi, b.xi), cmp.Compare(a.rank, b.rank))
+}
+
 // sortXi puts the entries into container order.
 func sortXi(entries []xiEntry) {
-	slices.SortFunc(entries, func(a, b xiEntry) int {
-		switch {
-		case a.xi < b.xi:
-			return -1
-		case a.xi > b.xi:
-			return +1
-		case a.xi == b.xi:
-			return cmp.Compare(a.rank, b.rank)
+	slices.SortFunc(entries, compareXi)
+}
+
+// repairXi puts entries that are expected to be nearly in container order
+// into it: an insertion sort, linear in the entries plus the inversions it
+// removes.  The order is total, so the result is sortXi's, entry for entry;
+// once the inversions outgrow a small multiple of the length (the previous
+// order told nothing about this one) it hands the rest to sortXi.
+func repairXi(entries []xiEntry) {
+	budget := 4 * len(entries)
+	for i := 1; i < len(entries); i++ {
+		e, j := entries[i], i
+		for ; j > 0 && compareXi(e, entries[j-1]) < 0; j-- {
+			entries[j] = entries[j-1]
 		}
-		// One of the two is NaN: cmp.Compare orders NaN first.
-		return cmp.Or(cmp.Compare(a.xi, b.xi), cmp.Compare(a.rank, b.rank))
-	})
+		entries[j] = e
+		if budget -= i - j; budget < 0 {
+			sortXi(entries)
+			return
+		}
+	}
 }
 
 // Len returns the number of entries.
 func (a *xiArray) Len() int { return len(a.keys) }
 
+// node returns the sequence node of entry i.
+func (a *xiArray) node(i int) *sequenceNode { return a.canon[a.ranks[i]] }
+
 // Ascend visits every entry in container order until fn returns false.
 func (a *xiArray) Ascend(fn func(xi float64, sn *sequenceNode) bool) {
 	for i, xi := range a.keys {
-		if !fn(xi, a.nodes[i]) {
+		if !fn(xi, a.node(i)) {
 			return
 		}
 	}
@@ -106,7 +138,7 @@ func (a *xiArray) bounds(iv interval.Interval) (lo, hi int) {
 func (a *xiArray) ascendInterval(iv interval.Interval, fn func(xi float64, sn *sequenceNode) bool) {
 	lo, hi := a.bounds(iv)
 	for i := lo; i < hi; i++ {
-		if !fn(a.keys[i], a.nodes[i]) {
+		if !fn(a.keys[i], a.node(i)) {
 			return
 		}
 	}

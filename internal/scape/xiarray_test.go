@@ -175,12 +175,14 @@ func probeIntervals(keys []float64) []interval.Interval {
 // stable-sort + B-tree oracle built from the same sequence store.
 func requireOracleParity(t *testing.T, label string, idx *Index) {
 	t.Helper()
-	for _, node := range idx.pivots {
-		for m, pm := range node.measures {
+	for i := range idx.pivots {
+		node := &idx.pivots[i]
+		for s, m := range idx.tMeasures {
+			pm := &node.measures[s]
 			want := oracleTree(node, pm)
 			got := &pm.xi
-			if got.Len() != want.Len() || got.Len() != node.pairs {
-				t.Fatalf("%s %v %v: %d entries, oracle %d, node %d", label, node.pivot, m, got.Len(), want.Len(), node.pairs)
+			if got.Len() != want.Len() || got.Len() != node.seq.Len() {
+				t.Fatalf("%s %v %v: %d entries, oracle %d, store %d", label, node.pivot, m, got.Len(), want.Len(), node.seq.Len())
 			}
 			if !sameVisits(collect(got.Ascend), collect(want.Ascend)) {
 				t.Fatalf("%s %v %v: iteration order differs from the stable-sort oracle\n got %v", label, node.pivot, m, got.keys)
@@ -232,7 +234,8 @@ func TestXiContainersMatchStableSortTreeOracle(t *testing.T) {
 		}
 		shapes := map[string]bool{}
 		for _, node := range idx.pivots {
-			for _, pm := range node.measures {
+			for s := range node.measures {
+				pm := &node.measures[s]
 				if pm.alphaNorm == 0 {
 					shapes["zero norm"] = true
 				}
@@ -245,7 +248,7 @@ func TestXiContainersMatchStableSortTreeOracle(t *testing.T) {
 					}
 					if i > 0 && xi == pm.xi.keys[i-1] {
 						shapes["equal"] = true
-						if !pairLess(pm.xi.nodes[i-1].pair, pm.xi.nodes[i].pair) {
+						if !pairLess(pm.xi.node(i-1).pair, pm.xi.node(i).pair) {
 							t.Fatalf("P=%d %v: equal ξ not in canonical pair order", p, node.pivot)
 						}
 					}
@@ -283,7 +286,8 @@ func TestNaNProjectionHasADefinedPlace(t *testing.T) {
 		t.Helper()
 		found := 0
 		for _, node := range idx.pivots {
-			for m, pm := range node.measures {
+			for s, m := range idx.tMeasures {
+				pm := &node.measures[s]
 				nans := 0
 				for i, xi := range pm.xi.keys {
 					if math.IsNaN(xi) {

@@ -112,6 +112,14 @@ func NewRunningPairFrom(x, y []float64) (RunningPair, error) {
 	return r, nil
 }
 
+// RunningPairFromSums returns the joint running statistics of n aligned sample
+// pairs whose sums the caller already holds — each reduced in sample order
+// from zero, as Add would have — so the moment formulas below apply without
+// another pass over the windows.
+func RunningPairFromSums(n int, sumX, sumY, sumXX, sumYY, sumXY float64) RunningPair {
+	return RunningPair{n: n, sumX: sumX, sumY: sumY, sumXX: sumXX, sumYY: sumYY, sumXY: sumXY}
+}
+
 // Add folds one aligned sample pair into the window.
 func (r *RunningPair) Add(x, y float64) {
 	r.n++

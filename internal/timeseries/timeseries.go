@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"affinity/internal/mat"
 	"affinity/internal/measure"
@@ -110,11 +111,17 @@ type DataMatrix struct {
 	// sortMu guards the field (queries on one epoch may race to build it).
 	sortMu sync.Mutex
 	sorted []float64
+
+	// validated records that Validate succeeded on the current contents, so
+	// the next Validate need not scan them again.  Several builders may
+	// validate one shared matrix at once, hence the atomic.
+	validated atomic.Bool
 }
 
 // mutated drops the state derived from the series' current layout and
 // contents; every in-place mutator calls it.
 func (d *DataMatrix) mutated() {
+	d.validated.Store(false)
 	d.slab = nil
 	d.sortMu.Lock()
 	d.sorted = nil
@@ -277,6 +284,10 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 		}
 		out.series[v] = w
 	}
+
+	// The batch was just checked sample by sample, so a validated window
+	// slides into a validated window.
+	out.validated.Store(d.validated.Load())
 
 	// A window that has its sorted columns hands them on, slid: whoever
 	// shares the copy (every shard behind a coordinator) shares them too.
@@ -545,8 +556,15 @@ func (d *DataMatrix) Clone() *DataMatrix {
 
 // Validate checks structural invariants: at least one series, equal lengths,
 // and no NaN/Inf samples.  It returns a descriptive error for the first
-// violation found.
+// violation found.  A matrix remembers that it passed: until a mutating method
+// (Append, AppendSamples, SlideWindow) changes it, further calls return
+// without scanning, and SlideCopy hands the mark on to the window it returns.
+// Writing through a slice returned by Series — which callers must not do —
+// goes unnoticed.
 func (d *DataMatrix) Validate() error {
+	if d.validated.Load() {
+		return nil
+	}
 	if len(d.series) == 0 {
 		return fmt.Errorf("%w: data matrix has no series", ErrShapeMismatch)
 	}
@@ -558,5 +576,6 @@ func (d *DataMatrix) Validate() error {
 			return fmt.Errorf("timeseries: series %d (%q) contains NaN or Inf", i, d.names[i])
 		}
 	}
+	d.validated.Store(true)
 	return nil
 }

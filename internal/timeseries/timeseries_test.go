@@ -571,3 +571,101 @@ func TestWindowAndCloneTrackStartIndex(t *testing.T) {
 		t.Fatalf("Window StartIndex = %d", w.StartIndex())
 	}
 }
+
+// poison writes a NaN into a matrix behind its back — through the slice Series
+// hands out, which callers must not write to — so a test can tell whether a
+// Validate call scanned the samples or trusted the mark.
+func poison(t *testing.T, d *DataMatrix) {
+	t.Helper()
+	s, err := d.Series(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[len(s)-1] = math.NaN()
+}
+
+// TestValidateMark: a matrix remembers a successful Validate, SlideCopy hands
+// the mark on from a validated parent only, and every mutating method clears
+// it, so a changed matrix is scanned again.
+func TestValidateMark(t *testing.T) {
+	batch := [][]float64{{10}, {20}, {6}}
+
+	// Never validated: Validate scans, and so does it on the slid copy.
+	d := sample3x4()
+	next, err := d.SlideCopy(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison(t, next)
+	if err := next.Validate(); err == nil {
+		t.Fatal("a copy slid from an unvalidated window was not scanned")
+	}
+	poison(t, d)
+	if err := d.Validate(); err == nil {
+		t.Fatal("an unvalidated window was not scanned")
+	}
+
+	// Validated: the mark holds for the window and for what is slid from it,
+	// copy after copy.
+	d = sample3x4()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	next, err = d.SlideCopy(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next, err = next.SlideCopy(batch); err != nil {
+		t.Fatal(err)
+	}
+	poison(t, next)
+	if err := next.Validate(); err != nil {
+		t.Fatalf("a copy slid from a validated window was scanned again: %v", err)
+	}
+	// A failed Validate leaves no mark behind.
+	bad, _ := NewDataMatrix([][]float64{{1, math.Inf(1)}})
+	for range 2 {
+		if err := bad.Validate(); err == nil {
+			t.Fatal("Inf passed validation")
+		}
+	}
+	// A non-finite batch is rejected whatever the mark says.
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		if _, err := d.SlideCopy([][]float64{{10}, {v}, {6}}); err == nil {
+			t.Fatalf("SlideCopy accepted a batch holding %v", v)
+		}
+	}
+
+	// Every mutating method clears the mark: the poisoned matrix is found out
+	// on the next Validate.
+	mutators := map[string]func(d *DataMatrix) error{
+		"Append":        func(d *DataMatrix) error { return d.Append("z", []float64{1, 2, 3, 4}) },
+		"AppendSamples": func(d *DataMatrix) error { return d.AppendSamples([][]float64{{1}, {2}, {3}}) },
+		"SlideWindow":   func(d *DataMatrix) error { return d.SlideWindow(1) },
+	}
+	for name, mutate := range mutators {
+		d := sample3x4()
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		poison(t, d)
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: a validated matrix was scanned again: %v", name, err)
+		}
+		if err := mutate(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := d.Validate(); err == nil {
+			t.Fatalf("%s left the validation mark standing", name)
+		}
+	}
+	// A clone starts unmarked.
+	c := sample3x4()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	poison(t, c)
+	if err := c.Clone().Validate(); err == nil {
+		t.Fatal("a clone inherited the validation mark")
+	}
+}
