@@ -406,11 +406,6 @@ type StreamOptions struct {
 	// (drift scoring, refits, summary and index rebuilds).  Zero inherits
 	// Options.Parallelism.  Results are identical at any level.
 	Parallelism int
-	// IndexCrossover is the stale fraction above which Advance abandons the
-	// incremental SCAPE index update and rebuilds the index from scratch
-	// (both paths answer queries identically; this is purely a cost
-	// decision).  Zero selects the calibrated default.
-	IndexCrossover float64
 }
 
 // CacheOptions configures the engine's epoch-aware semantic result cache.
@@ -545,7 +540,6 @@ func (opts Options) config() core.Config {
 			AutoAdvance:       opts.Stream.AutoAdvance,
 			StatsRefreshEvery: opts.Stream.StatsRefreshEvery,
 			Parallelism:       opts.Stream.Parallelism,
-			IndexCrossover:    opts.Stream.IndexCrossover,
 		},
 		Cache: qcache.Options{
 			Enabled:      opts.Cache.Enabled,

@@ -554,10 +554,10 @@ func BenchmarkStreamAdvanceExact(b *testing.B) { benchmarkAdvance(b, 0, 8) }
 func BenchmarkStreamAdvanceDriftBounded(b *testing.B) { benchmarkAdvance(b, 0.05, 8) }
 
 // BenchmarkAdvance is the incremental-maintenance smoke row: a drift-bounded
-// Advance with a permissive index crossover, so every epoch exercises the
-// delta path (COW clone + stale delete/insert + recompute) end to end.  CI
-// tracks its allocs/op against a checked-in budget (BENCH_BUDGET.json) to
-// catch allocation regressions in the pooled per-epoch scratch machinery.
+// Advance, so every epoch exercises the incremental index update (stores
+// shared or re-derived per pivot + recompute) end to end.  CI tracks its
+// allocs/op against a checked-in budget (BENCH_BUDGET.json) to catch
+// allocation regressions in the pooled per-epoch scratch machinery.
 func BenchmarkAdvance(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {
@@ -565,7 +565,7 @@ func BenchmarkAdvance(b *testing.B) {
 	}
 	engine, err := core.Build(sensor, core.Config{
 		Clusters: 6, Seed: 42,
-		Stream: core.StreamConfig{DriftBound: 0.05, IndexCrossover: 0.999},
+		Stream: core.StreamConfig{DriftBound: 0.05},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -23,7 +23,6 @@ import (
 
 	"affinity/internal/core"
 	"affinity/internal/experiments"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -387,35 +386,17 @@ func runExperiment(id string, scale experiments.Scale, levels []int, out io.Writ
 		return w.Flush()
 
 	case "advance":
-		// Incremental SCAPE maintenance: a stale-fraction sweep locating the
-		// Update-vs-Build crossover, then end-to-end Advance throughput under
-		// both maintenance policies with latency and allocation counts.
+		// Incremental SCAPE maintenance: end-to-end Advance throughput under
+		// the maintenance policies with latency and allocation counts.
 		sensor, err := experiments.GenerateSensorOnly(scale)
 		if err != nil {
 			return err
 		}
-		sweep, err := experiments.AdvanceStaleSweep(sensor, 6, scale.Seed, 8, nil)
-		if err != nil {
-			return err
-		}
-		w := newTable(out)
-		fmt.Fprintln(w, "stale\tdelta update\tfull build\tspeedup\tdeleted\tinserted\tshared\tcloned")
-		for _, r := range sweep {
-			fmt.Fprintf(w, "%.2f\t%v\t%v\t%.2fx\t%d\t%d\t%d\t%d\n",
-				r.StaleFraction, r.UpdateTime.Round(time.Microsecond), r.BuildTime.Round(time.Microsecond),
-				r.Speedup, r.EntriesDeleted, r.EntriesInserted, r.StoresShared, r.StoresCloned)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "measured crossover at stale fraction %.2f (fallback threshold %.2f)\n\n",
-			experiments.CrossoverPoint(sweep), scape.DefaultCrossover)
-
 		modes, err := experiments.AdvanceThroughput(sensor, 6, scale.Seed, 8, 8, 0)
 		if err != nil {
 			return err
 		}
-		w = newTable(out)
+		w := newTable(out)
 		fmt.Fprintln(w, "policy\tappends/s\tmin\tmedian\tp95\tmax\tallocs/epoch\tKB/epoch\tcold rebuild\tspeedup")
 		for _, r := range modes {
 			fmt.Fprintf(w, "%s\t%.0f\t%v\t%v\t%v\t%v\t%.0f\t%.0f\t%v\t%.2fx\n",
@@ -532,7 +513,7 @@ func runExperiment(id string, scale experiments.Scale, levels []int, out io.Writ
 
 // printStreamStats renders one engine's incremental-maintenance counters.
 func printStreamStats(out io.Writer, label string, ss core.StreamStats) {
-	fmt.Fprintf(out, "%s: %d advances (%d delta-updated, %d rebuilt), stores %d shared / %d cloned / %d rebuilt, entries -%d/+%d, pool hit rate %.0f%%, last stale %.2f\n",
+	fmt.Fprintf(out, "%s: %d advances (%d delta-updated, %d rebuilt), stores %d shared / %d re-derived / %d rebuilt, entries -%d/+%d, pool hit rate %.0f%%, last stale %.2f\n",
 		label, ss.Advances, ss.IndexUpdates, ss.IndexRebuilds,
 		ss.StoresShared, ss.StoresCloned, ss.StoresRebuilt,
 		ss.EntriesDeleted, ss.EntriesInserted, 100*ss.PoolHitRate(), ss.LastStaleFraction)

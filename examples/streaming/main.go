@@ -13,9 +13,9 @@
 //     transform-predicted variance drifted from the observed one are
 //     re-fitted, skipping most of the least-squares work on quiet windows;
 //   - coarse drift-bounded maintenance (DriftBound = 1.0): few relationships
-//     are marked stale per epoch, so the engine also maintains the SCAPE
-//     index incrementally — cloning pivot stores copy-on-write and applying
-//     only the stale pairs' deltas instead of rebuilding the index.
+//     are marked stale per epoch, so the incremental SCAPE index update
+//     shares nearly every pivot store with the previous epoch's index and
+//     re-derives only the ones a stale pair touched.
 //
 // Run with:
 //
@@ -129,11 +129,11 @@ func main() {
 		fmt.Printf("total: %d refits over %d epochs in %v; %d concurrent queries served\n",
 			totalRefit, rounds, elapsed.Round(time.Millisecond), served.Load())
 
-		// Incremental-maintenance observability: how many epochs delta-updated
-		// the SCAPE index vs rebuilt it, how much structural sharing the COW
-		// clones achieved, and how well the per-epoch scratch pools recycled.
+		// Incremental-maintenance observability: how many epochs updated the
+		// SCAPE index vs rebuilt it, how many pivot stores consecutive epochs
+		// shared, and how well the per-epoch scratch pools recycled.
 		ss := eng.StreamStats()
-		fmt.Printf("index maintenance: %d delta updates, %d rebuilds; stores %d shared / %d cloned / %d rebuilt; entries -%d/+%d\n",
+		fmt.Printf("index maintenance: %d delta updates, %d rebuilds; stores %d shared / %d re-derived / %d rebuilt; entries -%d/+%d\n",
 			ss.IndexUpdates, ss.IndexRebuilds,
 			ss.StoresShared, ss.StoresCloned, ss.StoresRebuilt,
 			ss.EntriesDeleted, ss.EntriesInserted)

@@ -70,7 +70,7 @@ func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult
 }
 
 // Execute answers resolved items cold: location queries run directly from the
-// cached per-series vectors or the location trees, index-method interval
+// cached per-series vectors or the location columns, index-method interval
 // queries share one pivot-node traversal, index top-k queries run their
 // best-first traversals, prescreen-eligible naive sweeps take the sketch
 // filter-and-refine path, and the remaining sweep-method pairwise queries —
@@ -148,7 +148,7 @@ func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, er
 }
 
 // locationQuery answers one L-measure interval or top-k query with its
-// resolved method: from the index's location trees, or by filtering / ranking
+// resolved method: from the index's location columns, or by filtering / ranking
 // the per-series values of the sweep methods.
 func (e *engineState) locationQuery(it Item) (QueryResult, error) {
 	spec := it.Spec

@@ -111,11 +111,6 @@ type StreamConfig struct {
 	// scoring, refits, summary and index rebuilds).  Zero inherits
 	// Config.Parallelism; results are identical at any level.
 	Parallelism int
-	// IndexCrossover is the stale fraction above which the incremental SCAPE
-	// index update (scape.Index.Update) abandons the delta path and rebuilds
-	// the index from scratch.  Zero selects scape.DefaultCrossover; query
-	// results are identical on either side of the threshold.
-	IndexCrossover float64
 }
 
 // Config parameterizes engine construction.

@@ -12,8 +12,8 @@ import (
 // maintenance: after a cold build and any sequence of Advances, the
 // delta-updated epoch index answers every query byte-identically to a
 // from-scratch scape.Build over the same window and relationship set — at
-// any parallelism, with drift-bounded partial refits, and through
-// crossover-fallback epochs.
+// any parallelism, with drift-bounded partial refits at small and large stale
+// fractions, and through refit-everything epochs.
 
 // advanceStreamEngine builds an engine and advances it through `rounds`
 // epochs of `slide` ticks from a deterministic fixture.
@@ -102,12 +102,12 @@ func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 }
 
 // TestIncrementalAdvanceMatchesRebuild drives the streaming engine through
-// several epochs at every parallelism level and three crossover settings:
-// the calibrated default, a near-zero crossover that forces a full rebuild
-// whenever anything is stale, and a near-one crossover that keeps the delta
-// path engaged as long as the stale set is partial.  All three must agree
-// with each other and with a from-scratch build of the final window — across
-// every measure, interval and top-k query and every query method.
+// several epochs at every parallelism level under three maintenance regimes,
+// selected by the drift bound: a tight bound that marks most pairs stale every
+// epoch (most stores re-derived), a loose one that marks few (most stores
+// shared), and exact mode, whose nil stale sets rebuild the index.  Each
+// maintained index must match a from-scratch build of its engine's final
+// window and relationships — across every measure, interval and top-k query.
 func TestIncrementalAdvanceMatchesRebuild(t *testing.T) {
 	const rounds, slide = 3, 6
 	for _, p := range determinismLevels {
@@ -116,43 +116,50 @@ func TestIncrementalAdvanceMatchesRebuild(t *testing.T) {
 
 		inc := advanceStreamEngine(t, base, rounds, slide)
 
-		fallback := base
-		fallback.Stream.IndexCrossover = 1e-9
-		reb := advanceStreamEngine(t, fallback, rounds, slide)
+		exact := base
+		exact.Stream.DriftBound = 0
+		reb := advanceStreamEngine(t, exact, rounds, slide)
 
-		sticky := base
-		sticky.Stream.IndexCrossover = 0.999999
-		del := advanceStreamEngine(t, sticky, rounds, slide)
+		loose := base
+		loose.Stream.DriftBound = 0.5
+		del := advanceStreamEngine(t, loose, rounds, slide)
 
-		// The three engines hold identical epoch state (the crossover is a
-		// pure cost decision), so the full engine query surface must agree.
-		assertEnginesAgree(t, []*Engine{inc, reb, del})
-
-		// And each maintained index must match a from-scratch build bit for
-		// bit, including result order.
+		// Each maintained index must match a from-scratch build bit for bit,
+		// including result order.
 		for _, e := range []*Engine{inc, reb, del} {
 			assertIndexMatchesRebuild(t, e)
 		}
 
-		// Accounting sanity: every advance either updated or rebuilt.
+		// Accounting: a bounded drift updates on every advance, exact mode
+		// rebuilds on every advance.
 		for _, e := range []*Engine{inc, reb, del} {
 			ss := e.StreamStats()
 			if ss.Advances != rounds {
 				t.Fatalf("parallelism %d: %d advances, want %d", p, ss.Advances, rounds)
 			}
-			if ss.IndexUpdates+ss.IndexRebuilds != ss.Advances {
-				t.Fatalf("parallelism %d: %d updates + %d rebuilds != %d advances",
-					p, ss.IndexUpdates, ss.IndexRebuilds, ss.Advances)
+			updates, rebuilds := rounds, 0
+			if e == reb {
+				updates, rebuilds = 0, rounds
+			}
+			if ss.IndexUpdates != updates || ss.IndexRebuilds != rebuilds {
+				t.Fatalf("parallelism %d, drift bound %v: %d updates + %d rebuilds over %d advances",
+					p, e.cfg.Stream.DriftBound, ss.IndexUpdates, ss.IndexRebuilds, ss.Advances)
 			}
 		}
-		// The delta-friendly crossover must actually exercise the delta path,
-		// and the near-zero crossover must rebuild whenever pairs went stale.
-		if ss := del.StreamStats(); ss.IndexUpdates == 0 {
-			t.Fatalf("parallelism %d: crossover %v never took the delta path", p, 0.999999)
+		// The two bounds must sit on either side of the share-or-re-derive
+		// decision: the tight one re-derives most stores, the loose one shares
+		// most, and neither regime leaves the other's route untested.
+		tight, few := inc.StreamStats(), del.StreamStats()
+		if tight.StoresCloned <= tight.StoresShared || tight.EntriesInserted == 0 {
+			t.Fatalf("parallelism %d: drift bound 0.01 shared %d stores and re-derived %d (%d entries inserted)",
+				p, tight.StoresShared, tight.StoresCloned, tight.EntriesInserted)
 		}
-		if ss := reb.StreamStats(); ss.IndexUpdates > 0 && ss.EntriesInserted > 0 {
-			t.Fatalf("parallelism %d: near-zero crossover still delta-updated %d entries",
-				p, ss.EntriesInserted)
+		if few.StoresShared <= few.StoresCloned || few.StoresCloned == 0 {
+			t.Fatalf("parallelism %d: drift bound 0.5 shared %d stores and re-derived %d",
+				p, few.StoresShared, few.StoresCloned)
+		}
+		if ss := reb.StreamStats(); ss.StoresShared+ss.StoresCloned+ss.EntriesInserted != 0 {
+			t.Fatalf("parallelism %d: exact mode still shared or re-derived stores: %+v", p, ss)
 		}
 	}
 }
@@ -168,8 +175,8 @@ func TestIncrementalExactModeFallsBack(t *testing.T) {
 		t.Fatalf("exact mode: %d updates, %d rebuilds over %d advances",
 			ss.IndexUpdates, ss.IndexRebuilds, ss.Advances)
 	}
-	if ss.LastStaleFraction != 1 || !ss.LastFellBack {
-		t.Fatalf("exact mode: stale fraction %v, fellBack %v", ss.LastStaleFraction, ss.LastFellBack)
+	if ss.LastStaleFraction != 1 {
+		t.Fatalf("exact mode: stale fraction %v, want 1", ss.LastStaleFraction)
 	}
 	assertIndexMatchesRebuild(t, e)
 }

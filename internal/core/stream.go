@@ -53,14 +53,16 @@ import (
 //	                 slot (no hashing)
 //	O(|stale|·m)     re-fit the stale relationships: one pseudo-inverse per
 //	                 stale pivot, one O(m) solve per stale pair
-//	O(|stale|·log k) delete and re-insert the stale pairs in their pivots'
-//	                 copy-on-write sequence stores, and re-snapshot those
+//	O(|stale| + P'·k) count the stale pairs per pivot and re-derive the
+//	                 sequence stores of the P' pivots that have one from the
+//	                 relationship set; every other store is shared
 //	O(P·k + inv)     re-derive the ξ-containers: project each pivot's entries
 //	                 in the previous epoch's container order and repair the
 //	                 inversions the new window caused (a fraction of a percent
 //	                 of the entries at slide 1); only a pivot whose store
-//	                 changed sorts cold, O(k·log k)
-//	O(n)             location trees, per-series statistics
+//	                 was re-derived sorts cold, O(k·log k)
+//	O(n·log n)       location columns (one sort per L-measure), per-series
+//	                 statistics
 //
 // and, outside Advance, on the first query of the epoch that prunes by a
 // D-measure:
@@ -276,21 +278,18 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 
 	if !e.cfg.SkipIndex {
 		if old.index != nil {
-			// Incremental maintenance: clone the previous epoch's sequence
-			// stores copy-on-write and apply only the stale pairs' deltas.
-			// Update falls back to a full Build on its own above the
-			// crossover stale fraction (or when stale is nil, i.e. every
-			// relationship was refit); either way the resulting index answers
-			// queries byte-identically to a from-scratch Build.
-			idx, us, err := old.index.Update(newData, st.rel, stale, scape.UpdateOptions{
-				Parallelism: parallelism,
-				Crossover:   e.cfg.Stream.IndexCrossover,
-			})
+			// Incremental maintenance: the new index shares the sequence store
+			// of every pivot no stale pair is assigned to and re-derives the
+			// rest from the relationship set.  A nil stale set (every
+			// relationship was refit) leaves nothing to share and builds cold;
+			// either way the resulting index answers queries byte-identically
+			// to a from-scratch Build.
+			idx, us, err := old.index.Update(newData, st.rel, stale, scape.UpdateOptions{Parallelism: parallelism})
 			if err != nil {
 				return AdvanceInfo{}, fmt.Errorf("core: updating SCAPE index: %w", err)
 			}
 			st.index = idx
-			e.stream.addUpdate(us)
+			e.stream.addUpdate(us, stale == nil)
 		} else {
 			idx, err := scape.Build(newData, st.rel, e.cfg.indexOptions(parallelism))
 			if err != nil {

@@ -134,10 +134,10 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesDuringIncrementalAdvance pins the copy-on-write
+// TestConcurrentQueriesDuringIncrementalAdvance pins the immutability
 // contract of incremental index maintenance under -race: readers query both
-// the live engine AND retained previous-epoch indexes (whose sequence stores
-// share nodes with the live one) while Advance applies deltas and the pooled
+// the live engine AND retained previous-epoch indexes (which share sequence
+// stores with the live one) while Advance builds the next index and the pooled
 // per-epoch scratch buffers recycle underneath them.  StreamStats snapshots
 // race against the writer too.
 func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
@@ -147,9 +147,9 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 		Clusters:    4,
 		Seed:        13,
 		Parallelism: 4,
-		// A permissive crossover keeps the delta path engaged whenever the
-		// stale set is partial, so the clones genuinely share subtrees.
-		Stream: StreamConfig{DriftBound: 0.01, Parallelism: 4, IndexCrossover: 0.999},
+		// A bounded drift keeps the stale set partial, so consecutive epochs'
+		// indexes genuinely share sequence stores.
+		Stream: StreamConfig{DriftBound: 0.01, Parallelism: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +168,8 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 	}
 
 	// Retained epochs: the writer publishes each epoch's index here and
-	// readers keep querying old ones — COW isolation must keep every retained
-	// snapshot answering exactly as it did when it was current.
+	// readers keep querying old ones — nothing an Advance does may change what
+	// a retained index answers.
 	var retained sync.Map // epoch int -> *scape.Index
 	retained.Store(0, e.state().index)
 
@@ -424,7 +424,7 @@ func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 	fx := makeStreamFixture(t, n, window, slide*rounds, 59)
 	cfg := Config{
 		Clusters: 4, Seed: 13, Parallelism: 2,
-		Stream: StreamConfig{DriftBound: 0.01, IndexCrossover: 0.999},
+		Stream: StreamConfig{DriftBound: 0.01},
 	}
 	e, err := Build(fx.window, cfg)
 	if err != nil {

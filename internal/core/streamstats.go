@@ -15,16 +15,17 @@ type StreamStats struct {
 	Advances int
 	// IndexUpdates counts epochs whose index was delta-updated incrementally;
 	// IndexRebuilds counts epochs that rebuilt the index from scratch (cold
-	// state, nil stale set, or crossover fallback).
+	// state, or a nil stale set: every relationship was refit).
 	IndexUpdates  int
 	IndexRebuilds int
-	// EntriesDeleted / EntriesInserted total the sequence-store mutations
-	// applied by incremental updates.
+	// EntriesDeleted / EntriesInserted total the stale pairs that left and
+	// entered the sequence stores incremental updates re-derived.
 	EntriesDeleted  int
 	EntriesInserted int
 	// StoresShared / StoresCloned / StoresRebuilt total the per-pivot
 	// sequence-store outcomes across incremental updates: carried over
-	// wholesale, delta-updated through a copy-on-write clone, or built fresh.
+	// wholesale, re-derived because a stale pair was assigned to the pivot, or
+	// built for a pivot the previous index had no node for.
 	StoresShared  int
 	StoresCloned  int
 	StoresRebuilt int
@@ -35,11 +36,9 @@ type StreamStats struct {
 	ScratchHits int
 	PoolGets    int
 	PoolHits    int
-	// LastStaleFraction, LastCrossover and LastFellBack describe the most
-	// recent index maintenance decision.
+	// LastStaleFraction is the stale fraction of the most recent index
+	// maintenance (1 on an epoch that refit everything).
 	LastStaleFraction float64
-	LastCrossover     float64
-	LastFellBack      bool
 	// Phase timings of the most recent Advance: window slide + running-stat
 	// maintenance, drift scoring + refit, index maintenance, planner refresh.
 	LastSlidePhase   time.Duration
@@ -106,9 +105,10 @@ func (s StreamStats) PoolHitRate() float64 {
 	return float64(s.ScratchHits+s.PoolHits) / float64(gets)
 }
 
-// addUpdate folds one incremental-update outcome into the counters.
-func (s *StreamStats) addUpdate(us scape.UpdateStats) {
-	if us.FellBack {
+// addUpdate folds one index-maintenance outcome into the counters; rebuilt
+// marks the epochs whose stale set was nil, which Update builds cold.
+func (s *StreamStats) addUpdate(us scape.UpdateStats, rebuilt bool) {
+	if rebuilt {
 		s.IndexRebuilds++
 	} else {
 		s.IndexUpdates++
@@ -121,8 +121,6 @@ func (s *StreamStats) addUpdate(us scape.UpdateStats) {
 	s.ScratchGets += us.ScratchGets
 	s.ScratchHits += us.ScratchHits
 	s.LastStaleFraction = us.StaleFraction
-	s.LastCrossover = us.Crossover
-	s.LastFellBack = us.FellBack
 }
 
 // StreamStats returns a snapshot of the engine's incremental-maintenance

@@ -43,7 +43,7 @@ type ParallelRow struct {
 	ClusterTime time.Duration // explicit AFCLST run
 	SymexTime   time.Duration // exploration + least-squares fits
 	SummaryTime time.Duration // pivot summaries, calibration, normalizers
-	IndexTime   time.Duration // SCAPE B-tree construction
+	IndexTime   time.Duration // SCAPE index construction
 	BuildTotal  time.Duration
 
 	// One Advance over `slide` buffered ticks with everything re-fitted.

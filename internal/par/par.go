@@ -1,7 +1,7 @@
 // Package par is the shared worker-pool helper behind every parallel code
 // path of the engine: the AFCLST assignment and center updates, the SYMEX+
 // least-squares fits, the pivot summaries, the drift scoring, the SCAPE
-// B-tree construction and the sharded query scans.
+// index construction and the sharded query scans.
 //
 // Every helper preserves determinism by construction: work item i always
 // writes to slot i of a pre-sized output, so the merged result is identical

@@ -17,7 +17,7 @@ type TableStats struct {
 	NumSamples int
 	NumPairs   int
 	// NumPivots is the number of pivot nodes in the SCAPE index (and the
-	// number of B-tree descents a pairwise index query pays).
+	// number of binary searches a pairwise index query pays).
 	NumPivots int
 	// FallbackPairs is the number of sequence pairs without an affine
 	// relationship (pruned by MaxLSFD): the affine method answers them with a
@@ -53,7 +53,9 @@ type CostModel struct {
 	// LookupCost is the cost of reading one cached per-series estimate (the
 	// W_A location path).
 	LookupCost float64
-	// TreeStepCost is the cost of one B-tree descent level.
+	// TreeStepCost is the cost of one step of a search in a sorted container
+	// (a level of a tree descent when the containers were B-trees; the
+	// coefficient was calibrated then and a binary search takes as many).
 	TreeStepCost float64
 	// CandidateCost is the cost of resolving one index candidate exactly
 	// (the D-measure band evaluation of Section 5.3).
@@ -188,7 +190,9 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 				p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
 			}
 			if st.HasIndex && sp.Indexable {
-				// The location tree is scanned whole into the heap.
+				// Priced as one step per series, the cost the planner
+				// experiment calibrated; the location column itself hands
+				// its k extreme entries over without a scan.
 				p.CostIndex = float64(st.NumSeries)*c.TreeStepCost + rows*c.RowCost
 			}
 		} else {
@@ -230,7 +234,7 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 // RepairCost prices the delta repair of a cached interval result across an
 // Advance: one closed-form affine propagation per candidate pair (the cached
 // rows plus the epochs' stale sets), the exact-selectivity verification probe
-// (one B-tree rank descent per pivot), and the emit term.  The executor
+// (one rank search per pivot), and the emit term.  The executor
 // repairs only when this undercuts the stored plan's CostAffine — the price
 // of re-running the sweep the entry came from — so a mostly-stale epoch falls
 // back to a cold scan exactly like the ROADMAP's standing-query item asks.

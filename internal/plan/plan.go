@@ -185,7 +185,7 @@ type Plan struct {
 	// examination count).
 	Candidates int
 	// SelectivityExact reports whether EstimatedRows came from an exact
-	// subtree count rather than a band estimate or heuristic.
+	// rank count rather than a band estimate or heuristic.
 	SelectivityExact bool
 
 	// EstimatedCost is the cost of the chosen method in the model's abstract

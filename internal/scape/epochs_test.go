@@ -17,7 +17,7 @@ import (
 
 // An index maintained by Update must be the index Build makes of the same
 // window and relationships — not just answer alike: the same nodes, α, keys
-// and container orders, bounds and location trees, bit for bit.
+// and container orders, bounds and location columns, bit for bit.
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -25,7 +25,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // build used to run per pivot and D-measure, over the sequence store itself.
 func eagerBounds(idx *Index, node *pivotNode, sp *measure.Spec) [2]float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	node.seq.Ascend(func(_ float64, sn *sequenceNode) bool {
+	for _, sn := range node.canon {
 		u := sp.Param(idx.perSeries.stat(sn.pair.U), idx.perSeries.stat(sn.pair.V))
 		if u < lo {
 			lo = u
@@ -33,8 +33,7 @@ func eagerBounds(idx *Index, node *pivotNode, sp *measure.Spec) [2]float64 {
 		if u > hi {
 			hi = u
 		}
-		return true
-	})
+	}
 	return [2]float64{lo, hi}
 }
 
@@ -60,8 +59,8 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 		if g.pivot != w.pivot {
 			t.Fatalf("%s: node %d is pivot %v, want %v", label, i, g.pivot, w.pivot)
 		}
-		if len(g.canon) != len(w.canon) || g.seq.Len() != len(g.canon) {
-			t.Fatalf("%s %v: %d canonical nodes over a store of %d, want %d", label, g.pivot, len(g.canon), g.seq.Len(), len(w.canon))
+		if len(g.canon) != len(w.canon) {
+			t.Fatalf("%s %v: a store of %d sequence nodes, want %d", label, g.pivot, len(g.canon), len(w.canon))
 		}
 		for r := range w.canon {
 			if g.canon[r].pair != w.canon[r].pair {
@@ -108,19 +107,7 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 			}
 		}
 	}
-	for _, m := range want.lMeasures {
-		var g, w []seriesEntry
-		got.location[m].Ascend(func(_ float64, e seriesEntry) bool { g = append(g, e); return true })
-		want.location[m].Ascend(func(_ float64, e seriesEntry) bool { w = append(w, e); return true })
-		if len(g) != len(w) {
-			t.Fatalf("%s %v: location tree of %d, want %d", label, m, len(g), len(w))
-		}
-		for i := range w {
-			if g[i].id != w[i].id || !sameBits(g[i].value, w[i].value) {
-				t.Fatalf("%s %v: location entry %d = %+v, want %+v", label, m, i, g[i], w[i])
-			}
-		}
-	}
+	requireSameLocation(t, label, got, want)
 	gs, ws := got.stats, want.stats
 	gs.ScratchGets, gs.ScratchHits, ws.ScratchGets, ws.ScratchHits = 0, 0, 0, 0
 	if gs != ws {
@@ -128,14 +115,40 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 	}
 }
 
+// requireSameLocation compares the location columns of two indexes entry by
+// entry.
+func requireSameLocation(t *testing.T, label string, got, want *Index) {
+	t.Helper()
+	if !slices.Equal(got.lMeasures, want.lMeasures) {
+		t.Fatalf("%s: L-measures %v, want %v", label, got.lMeasures, want.lMeasures)
+	}
+	for s, m := range want.lMeasures {
+		g, w := got.location[s], want.location[s]
+		if !slices.Equal(g.ids, w.ids) || len(g.keys) != len(w.keys) {
+			t.Fatalf("%s %v: location column holds series %v, want %v", label, m, g.ids, w.ids)
+		}
+		for i := range w.keys {
+			if !sameBits(g.keys[i], w.keys[i]) {
+				t.Fatalf("%s %v: location entry %d = %v, want %v", label, m, i, g.keys[i], w.keys[i])
+			}
+		}
+	}
+}
+
+// relsOf returns a copy of rel's relationship slots.
+func relsOf(rel *symex.Result) []*symex.Relationship {
+	rels := make([]*symex.Relationship, len(rel.Layout().Assignments()))
+	for slot := range rels {
+		rels[slot] = rel.At(slot)
+	}
+	return rels
+}
+
 // withPivotPruned returns rel with every relationship of pivot pi dropped,
 // and the pairs it dropped.
 func withPivotPruned(rel *symex.Result, pi int) (*symex.Result, []timeseries.Pair) {
 	layout := rel.Layout()
-	rels := make([]*symex.Relationship, len(layout.Assignments()))
-	for slot := range rels {
-		rels[slot] = rel.At(slot)
-	}
+	rels := relsOf(rel)
 	var dropped []timeseries.Pair
 	for _, slot := range layout.PivotSlots(pi) {
 		if rels[slot] != nil {
@@ -146,10 +159,28 @@ func withPivotPruned(rel *symex.Result, pi int) (*symex.Result, []timeseries.Pai
 	return symex.NewResult(layout, rel.Clustering, rels), dropped
 }
 
+// lostToMaxLSFD re-fits one pair of rel under a bound no fit meets: Refit
+// prunes it.
+func lostToMaxLSFD(t *testing.T, d *timeseries.DataMatrix, rel *symex.Result, pair timeseries.Pair) *symex.Result {
+	t.Helper()
+	next, rs, err := symex.Refit(d, rel, symex.RefitOptions{Stale: map[timeseries.Pair]bool{pair: true}, MaxLSFD: 1e-300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := next.Relationship(pair); ok || rs.Pruned != 1 {
+		t.Fatalf("pair %v survived MaxLSFD = 1e-300 (refit stats %+v)", pair, rs)
+	}
+	return next
+}
+
 // TestUpdateEqualsBuildOverEpochs chains fifty epochs of Update at slides of
-// one, eight and a whole window, with a few stale pairs every epoch and a
-// pivot that periodically loses every relationship and gets them back, and
-// holds every epoch's index against a Build of the same inputs.
+// one, eight and a whole window and holds every epoch's index against a Build
+// of the same inputs.  Most epochs have a few stale pairs; every tenth marks
+// half, three quarters or all of them; one pivot periodically loses every
+// relationship and gets them back; another loses one pair to MaxLSFD and, an
+// epoch later, gets it back while losing a second.  Next to the chain runs one
+// of location-only indexes, each built on the previous one and held against a
+// cold one, its clustering swapped for a different one once on the way.
 func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 	const n, m, epochs, groups = 18, 48, 50, 3
 	for _, slide := range []int{1, 8, m} {
@@ -187,14 +218,31 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The pivot that comes and goes: one with several pairs.
-				victim := 0
-				for pi := range rel.Layout().Pivots() {
+				loc, err := BuildLocationOnly(d, rel, opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				locClustering := rel.Clustering
+				// The pivot that comes and goes is the one with the most pairs;
+				// the runner-up trades one pair for another.
+				layout := rel.Layout()
+				victim, trader := 0, -1
+				for pi := range layout.Pivots() {
 					if rel.PivotLen(pi) > rel.PivotLen(victim) {
 						victim = pi
 					}
 				}
-				assignments := rel.Layout().Assignments()
+				for pi := range layout.Pivots() {
+					if pi != victim && (trader < 0 || rel.PivotLen(pi) > rel.PivotLen(trader)) {
+						trader = pi
+					}
+				}
+				if rel.PivotLen(trader) < 2 {
+					t.Fatalf("the second largest pivot has %d pairs: nothing to trade", rel.PivotLen(trader))
+				}
+				assignments := layout.Assignments()
+				lost := assignments[layout.PivotSlots(trader)[0]].Pair
+				traded := assignments[layout.PivotSlots(trader)[1]].Pair
 				var shared, cloned, rebuilt, repaired int
 				for e := 1; e <= epochs; e++ {
 					batch := make([][]float64, n)
@@ -208,11 +256,25 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 					for range 3 {
 						stale[assignments[rng.Intn(len(assignments))].Pair] = true
 					}
-					prune := e%7 == 3
-					if e%7 == 5 { // revive: Refit re-fits a stale pair it finds pruned
-						for _, slot := range rel.Layout().PivotSlots(victim) {
+					if e%10 == 0 {
+						frac := []float64{0.5, 0.75, 1}[(e/10-1)%3]
+						for _, slot := range rng.Perm(len(assignments))[:int(frac*float64(len(assignments)))] {
 							stale[assignments[slot].Pair] = true
 						}
+					}
+					prune := e%7 == 3
+					if e%7 == 5 { // revive: Refit re-fits a stale pair it finds pruned
+						for _, slot := range layout.PivotSlots(victim) {
+							stale[assignments[slot].Pair] = true
+						}
+					}
+					switch e {
+					case 12:
+						stale[lost] = true
+					case 13:
+						stale[lost], stale[traded] = true, true
+					case 14:
+						stale[traded] = true
 					}
 					next, _, err := symex.Refit(d, rel, symex.RefitOptions{Stale: stale, Parallelism: p})
 					if err != nil {
@@ -225,12 +287,39 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 							stale[pair] = true
 						}
 					}
-					upd, us, err := idx.Update(d, next, stale, UpdateOptions{Parallelism: p, Crossover: 0.99})
+					switch e {
+					case 12:
+						next = lostToMaxLSFD(t, d, next, lost)
+					case 13: // the refit above revived lost; the same pivot now loses traded
+						next = lostToMaxLSFD(t, d, next, traded)
+						if _, ok := next.Relationship(lost); !ok || next.PivotLen(trader) != rel.PivotLen(trader) {
+							t.Fatalf("epoch %d: pivot %d did not trade %v for %v", e, trader, traded, lost)
+						}
+					}
+					// What the counters promise, from the two relationship sets: a
+					// stale pair left a re-derived store if the previous set held
+					// it and entered one if the new set does.
+					wantDeleted, wantInserted := 0, 0
+					for pair := range stale {
+						slot, _ := layout.Slot(pair)
+						if pi := layout.PivotOf(slot); rel.PivotLen(pi) == 0 || next.PivotLen(pi) == 0 {
+							continue // no node to compare with, or none to build
+						}
+						if rel.At(slot) != nil {
+							wantDeleted++
+						}
+						if next.At(slot) != nil {
+							wantInserted++
+						}
+					}
+					upd, us, err := idx.Update(d, next, stale, UpdateOptions{Parallelism: p})
 					if err != nil {
 						t.Fatalf("epoch %d: %v", e, err)
 					}
-					if us.FellBack {
-						t.Fatalf("epoch %d fell back at stale fraction %v", e, us.StaleFraction)
+					if us.EntriesDeleted != wantDeleted || us.EntriesInserted != wantInserted ||
+						us.StaleFraction != float64(len(stale))/float64(next.Len()) {
+						t.Fatalf("epoch %d: update stats %+v, want %d deleted, %d inserted, %d of %d stale",
+							e, us, wantDeleted, wantInserted, len(stale), next.Len())
 					}
 					full, err := Build(d, next, opts)
 					if err != nil {
@@ -243,10 +332,51 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 							repaired++
 						}
 					}
-					idx, rel = upd, next
+
+					// The location-only chain: center locations are carried while
+					// the clustering is the same object and reduced again for a
+					// new one (here one whose centers moved).
+					swapped := e == epochs/2
+					if swapped {
+						moved := *next.Clustering
+						moved.Centers = make([][]float64, len(next.Clustering.Centers))
+						for l, c := range next.Clustering.Centers {
+							moved.Centers[l] = make([]float64, len(c))
+							for i, v := range c {
+								moved.Centers[l][i] = 2*v + float64(l+1)
+							}
+						}
+						locClustering = &moved
+					}
+					locRel := next
+					if locClustering != next.Clustering {
+						locRel = symex.NewResult(layout, locClustering, relsOf(next))
+					}
+					chained, err := BuildLocationOnly(d, locRel, opts, loc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, err := BuildLocationOnly(d, locRel, opts, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameLocation(t, fmt.Sprintf("epoch %d, location-only chain", e), chained, cold)
+					if locRel == next {
+						requireSameLocation(t, fmt.Sprintf("epoch %d, location-only against Build", e), chained, full)
+					}
+					carried := 0
+					for l, locs := range loc.centerLoc {
+						if now := chained.centerLoc[l]; locs != nil && now != nil && &locs[0] == &now[0] {
+							carried++
+						}
+					}
+					if swapped == (carried > 0) {
+						t.Fatalf("epoch %d: %d center locations carried (clustering swapped: %v)", e, carried, swapped)
+					}
+					idx, rel, loc = upd, next, chained
 				}
 				if shared == 0 || cloned == 0 || rebuilt < epochs/7 || repaired != shared {
-					t.Fatalf("%d shared (%d on a shared snapshot), %d cloned, %d rebuilt stores: the epochs did not cover every route",
+					t.Fatalf("%d shared (%d on the previous epoch's slice), %d re-derived, %d rebuilt stores: the epochs did not cover every route",
 						shared, repaired, cloned, rebuilt)
 				}
 			})
@@ -312,7 +442,8 @@ func TestRepairXiMatchesSortXi(t *testing.T) {
 
 // TestUpdateRepairsHostilePreviousOrder: the previous epoch's container order
 // is only a starting point.  Scrambled — reversed, on pivots with ‖α‖ = 0,
-// equal and infinite ξ, and NaN ξ — it still leads to Build's index.
+// equal and infinite ξ, and NaN ξ — it still leads to Build's index, whether
+// every store is shared or half, three quarters or all of the pairs are stale.
 func TestUpdateRepairsHostilePreviousOrder(t *testing.T) {
 	for _, nan := range []bool{false, true} {
 		d, next, rel := hostileIndexInputs(t, nan)
@@ -324,24 +455,27 @@ func TestUpdateRepairsHostilePreviousOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{1, 2, 8} {
-			prev, err := Build(d, rel, Options{Parallelism: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range prev.pivots {
-				for s := range prev.pivots[i].measures {
-					slices.Reverse(prev.pivots[i].measures[s].xi.ranks)
+		for _, frac := range []float64{0, 0.5, 0.75, 1} {
+			stale := staleSubset(rel, frac, 7)
+			for _, p := range []int{1, 2, 8} {
+				prev, err := Build(d, rel, Options{Parallelism: p})
+				if err != nil {
+					t.Fatal(err)
 				}
+				for i := range prev.pivots {
+					for s := range prev.pivots[i].measures {
+						slices.Reverse(prev.pivots[i].measures[s].xi.ranks)
+					}
+				}
+				upd, us, err := prev.Update(next, refit, stale, UpdateOptions{Parallelism: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (frac == 0 && us.StoresShared != len(upd.pivots)) || (frac == 1 && us.StoresShared != 0) || (frac > 0 && us.StoresCloned == 0) {
+					t.Fatalf("stale fraction %v: update stats %+v over %d pivots", frac, us, len(upd.pivots))
+				}
+				requireSameIndex(t, fmt.Sprintf("P=%d, stale fraction %v, reversed previous order", p, frac), upd, want)
 			}
-			upd, us, err := prev.Update(next, refit, map[timeseries.Pair]bool{}, UpdateOptions{Parallelism: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if us.StoresShared != len(upd.pivots) {
-				t.Fatalf("update stats %+v, want every store shared", us)
-			}
-			requireSameIndex(t, fmt.Sprintf("P=%d, reversed previous order", p), upd, want)
 		}
 	}
 }

@@ -73,13 +73,14 @@ func (idx *Index) ExactRows(q PairQuery) (int, bool, error) {
 }
 
 // estimateSeries counts L-measure query results exactly from the global
-// location tree.
+// location column.
 func (idx *Index) estimateSeries(q PairQuery) (Selectivity, error) {
-	tree, ok := idx.location[q.Measure]
-	if !ok {
-		return Selectivity{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, q.Measure)
+	col, err := idx.locationOf(q.Measure)
+	if err != nil {
+		return Selectivity{}, err
 	}
-	return Selectivity{Exact: true, Rows: countInterval(tree, q.Interval)}, nil
+	lo, hi := keyWindow(col.keys, q.Interval)
+	return Selectivity{Exact: true, Rows: max(hi-lo, 0)}, nil
 }
 
 // estimateBase counts T-measure query results exactly, one O(log) count per

@@ -25,7 +25,7 @@ func estimateQueries(m stats.Measure) []PairQuery {
 
 // TestEstimateSelectivityExactClasses pins that T- and L-measure estimates
 // equal the actual result sizes exactly: both are derived from the same
-// modified bounds, one by counting subtrees and one by scanning them.
+// modified bounds, one by measuring the index window and one by walking it.
 func TestEstimateSelectivityExactClasses(t *testing.T) {
 	d, rel := testDataset(t, 11, 18, 90)
 	idx, err := Build(d, rel, Options{})

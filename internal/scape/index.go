@@ -31,33 +31,34 @@
 // Section 5.3.
 //
 // Location (L-) measures apply to single series rather than pairs; the index
-// maintains one global B-tree per L-measure keyed by the series' measure
-// value estimated through an affine relationship (falling back to a direct
+// keeps one sorted column per L-measure over the series' measure values,
+// estimated through an affine relationship (falling back to a direct
 // computation for series that only ever appear as the common member).
 //
 // # Containers
 //
-// Two kinds of sorted container back the index, chosen by how they change.
-// A pivot's sequence store (keyed by pair code) and the location trees are
-// B-trees (internal/btree): the sequence store lives across epochs and is
-// mutated — Update clones it copy-on-write and deletes and re-inserts only
-// the stale pairs — and the location trees are filled by ordered inserts.
-// Beside its store every pivot node keeps the store's canonical snapshot: the
-// sequence nodes in pair order, one flat slice, which the next epoch's node
-// shares whenever it shares the store.  The per-(pivot, measure) ξ-containers
-// are sorted arrays (xiArray) over that snapshot: the ξ keys and, beside them,
-// the permutation of canonical ranks that sorts them.  ξ depends on the
-// window, so every epoch derives the keys afresh and nothing ever mutates a
-// container — but the order barely moves between neighbouring windows, so a
-// node that shares its store projects in the previous epoch's order and only
-// repairs the few inversions (the (ξ, rank) order is total, so the repaired
-// array is the array a cold sort produces).  All of an epoch's keys,
-// permutations and per-(pivot, measure) headers are carved out of one slab
-// each per index.
+// Every epoch's index is immutable: it is derived from the epoch's
+// relationship set and window and replaced wholesale by the next, so every
+// container is a sorted array and nothing is ever inserted into or deleted
+// from one.  A pivot's sequence store is the slice of its sequence nodes in
+// canonical pair order — the order symex.Layout hands the pivot's
+// relationships over in.  The next epoch's node shares the slice when no
+// stale pair is assigned to the pivot and re-derives it from the relationship
+// set otherwise.  The per-(pivot, measure) ξ-containers are sorted arrays
+// (xiArray) over that store: the ξ keys and, beside them, the permutation of
+// canonical ranks that sorts them.  ξ depends on the window, so every epoch
+// derives the keys afresh — but the order barely moves between neighbouring
+// windows, so a node that shares its store projects in the previous epoch's
+// order and only repairs the few inversions (the (ξ, rank) order is total, so
+// the repaired array is the array a cold sort produces).  All of an epoch's
+// keys, permutations and per-(pivot, measure) headers are carved out of one
+// slab each per index.  A location column is the same kind of array, ordered
+// by (value, series id), and one routine (keyWindow) maps an interval to the
+// index window of matching entries for both.
 //
 // The pruning bounds (U^min_q, U^max_q) of a D-measure are not part of the
 // epoch's construction at all: they are reduced for every pivot, from the
-// canonical snapshots, by the first query of the epoch that prunes by that
+// sequence stores, by the first query of the epoch that prunes by that
 // measure, once (a sync.Once per index and D-measure).  A measure nobody asks
 // about at an epoch is never bounded.
 package scape
@@ -70,7 +71,6 @@ import (
 	"sort"
 	"sync"
 
-	"affinity/internal/btree"
 	"affinity/internal/cluster"
 	"affinity/internal/measure"
 	"affinity/internal/par"
@@ -175,22 +175,28 @@ type pivotNode struct {
 	// measures[s] is the pivot's state for the index's s-th T-measure
 	// (Index.tMeasures), a window of the index's pivotMeasure slab.
 	measures []pivotMeasure
-	// seq is the pivot's sequence store: the canonical container of sequence
-	// nodes keyed by pair code (a total order over canonical pairs).  It holds
-	// the window-independent payloads the per-measure ξ-containers are derived
-	// from, and is the unit of cross-epoch sharing: Update clones it
-	// copy-on-write and applies only the stale pairs' deletions/insertions.
-	seq *btree.Tree[*sequenceNode]
-	// canon is seq's content in canonical pair order.  Every ξ-container of
-	// the node is a permutation of it, and a node that shares seq with the
-	// previous epoch's node shares canon too.
-	canon []*sequenceNode
+	// canon is the pivot's sequence store: its sequence nodes in canonical
+	// pair order.  It holds the window-independent payloads every ξ-container
+	// of the node is a permutation of, and is the unit of cross-epoch sharing:
+	// Update hands the slice on when no stale pair is assigned to the pivot.
+	canon []sequenceNode
 }
 
-// seriesEntry is the payload of the global location trees.
-type seriesEntry struct {
-	id    timeseries.SeriesID
-	value float64
+// locationColumn is the index of one L-measure: every series' value in
+// ascending order — ties by series id, NaN first, the order of a ξ-container —
+// and the series beside it.
+type locationColumn struct {
+	keys []float64
+	ids  []timeseries.SeriesID
+}
+
+// fill sorts entries — one per series, its value as the key and its id as the
+// rank — into the column.
+func (c locationColumn) fill(entries []xiEntry) {
+	sortXi(entries)
+	for i, e := range entries {
+		c.keys[i], c.ids[i] = e.xi, timeseries.SeriesID(e.rank)
+	}
 }
 
 // BuildStats summarizes the index contents.
@@ -224,8 +230,8 @@ type Index struct {
 	lMeasures []stats.Measure
 	// bounds[s] holds the pruning bounds of dMeasures[s], reduced on first use.
 	bounds []paramBounds
-	// location[measure] holds the global per-series tree for an L-measure.
-	location map[stats.Measure]*btree.Tree[seriesEntry]
+	// location[s] is the global per-series column of lMeasures[s].
+	location []locationColumn
 	// pairMeasures / derivedSet for quick membership checks.
 	pairMeasures map[stats.Measure]bool
 	derivedSet   map[stats.Measure]bool
@@ -327,7 +333,7 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Inde
 	if _, err := idx.buildNodes(d, rel, nil, nil, opts.buildParallelism()); err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationTrees(d, rel, prev); err != nil {
+	if err := idx.buildLocationColumns(d, rel, prev); err != nil {
 		return nil, err
 	}
 	idx.finishStats(rel)
@@ -358,7 +364,7 @@ func newIndex(d *timeseries.DataMatrix, opts Options) (*Index, error) {
 	return idx, nil
 }
 
-// finishStats fills the content counters once the nodes and trees are built.
+// finishStats fills the content counters once the nodes and columns are built.
 func (idx *Index) finishStats(rel *symex.Result) {
 	idx.stats.Pivots = len(idx.pivots)
 	idx.stats.SequenceNodes = rel.Len()
@@ -442,47 +448,68 @@ func computeCenterMoments(rel *symex.Result) ([]centerMoments, error) {
 	return out, nil
 }
 
-// pairCode maps a canonical pair to a float64 key that is strictly monotone
-// in (U, V) lexicographic order, so a sequence store's scan order is the
-// canonical pair order.  IDs are dense [0, numSeries), so U·numSeries+V stays
-// far below 2^53 and the encoding is exact.
-func pairCode(e timeseries.Pair, numSeries int) float64 {
-	return float64(int(e.U)*numSeries + int(e.V))
-}
-
 // newSequenceNode builds the window-independent payload of one relationship.
-func newSequenceNode(e timeseries.Pair, r *symex.Relationship) sequenceNode {
+func newSequenceNode(r *symex.Relationship) sequenceNode {
 	return sequenceNode{
-		pair: e,
+		pair: r.Pair,
 		beta: [3]float64{r.Transform.A[0][1], r.Transform.A[1][1], r.Transform.B[1]},
 	}
 }
 
-// buildStore builds the sequence store of pivot pi (a position in the
-// layout's pivot list) from scratch, and its canonical snapshot.
-func (idx *Index) buildStore(rel *symex.Result, pi int) (*btree.Tree[*sequenceNode], []*sequenceNode) {
-	// The layout hands the pivot's relationships over in canonical pair order
-	// already: bulk-load one sequence node each, the payloads in one slab.
-	k := rel.PivotLen(pi)
-	payloads := make([]sequenceNode, 0, k)
-	codes := make([]float64, 0, k)
-	canon := make([]*sequenceNode, 0, k)
+// buildStore derives the sequence store of pivot pi (a position in the
+// layout's pivot list) from the relationship set: the layout hands the pivot's
+// relationships over in canonical pair order already, one sequence node each.
+func buildStore(rel *symex.Result, pi int) []sequenceNode {
+	canon := make([]sequenceNode, 0, rel.PivotLen(pi))
 	for r := range rel.PivotRelationships(pi) {
-		payloads = append(payloads, newSequenceNode(r.Pair, r))
-		canon = append(canon, &payloads[len(payloads)-1])
-		codes = append(codes, pairCode(r.Pair, idx.numSeries))
+		canon = append(canon, newSequenceNode(r))
 	}
-	return btree.FromSorted(codes, canon), canon
+	return canon
 }
 
-// snapshotStore returns a store's content in canonical pair order.
-func snapshotStore(seq *btree.Tree[*sequenceNode]) []*sequenceNode {
-	canon := make([]*sequenceNode, 0, seq.Len())
-	seq.Ascend(func(_ float64, sn *sequenceNode) bool {
-		canon = append(canon, sn)
-		return true
-	})
-	return canon
+// storeDelta reports how a node's sequence store was obtained: shared with
+// the previous epoch's node, re-derived next to one (deleted and inserted are
+// the stale pairs that left and entered it), or built with no previous node
+// to compare with.
+type storeDelta struct {
+	deleted, inserted          int
+	shared, rederived, rebuilt bool
+}
+
+// nodeStore returns the sequence store of the node for layout pivot pi.  When
+// prev has a node for the pivot and stale (indexed like the layout's pivot
+// list) marks none of its pairs, that is the previous node's slice, returned
+// with the node's measure state, whose container orders the new epoch
+// repairs; in every other case the store is derived from rel.  hint is the
+// node's position in the new index.
+func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []staleCount) (
+	canon []sequenceNode, prevMeasures []pivotMeasure, delta storeDelta, err error) {
+
+	var prevNode *pivotNode
+	if prev != nil {
+		if at, ok := prev.findPivot(rel.Layout().Pivots()[pi], hint); ok {
+			prevNode = &prev.pivots[at]
+		}
+	}
+	if prevNode != nil && stale[pi].pairs == 0 {
+		// Nothing but this check notices a stale set that omits a pair Refit
+		// pruned or revived.
+		if len(prevNode.canon) != rel.PivotLen(pi) {
+			return nil, nil, delta, fmt.Errorf("scape: incremental update diverged for pivot %v: store has %d pairs, relationships have %d",
+				prevNode.pivot, len(prevNode.canon), rel.PivotLen(pi))
+		}
+		delta.shared = true
+		return prevNode.canon, prevNode.measures, delta, nil
+	}
+	canon = buildStore(rel, pi)
+	if prevNode == nil {
+		delta.rebuilt = true
+		return canon, nil, delta, nil
+	}
+	delta.rederived = true
+	delta.inserted = int(stale[pi].live)
+	delta.deleted = len(prevNode.canon) - (len(canon) - delta.inserted)
+	return canon, nil, delta, nil
 }
 
 // pivotScratch holds the reusable per-pivot build buffer.  It grows to the
@@ -504,12 +531,6 @@ func getScratch() (*pivotScratch, bool) {
 
 func putScratch(sc *pivotScratch) { pivotScratchPool.Put(sc) }
 
-// storeDelta reports how Update obtained one pivot's sequence store.
-type storeDelta struct {
-	deleted, inserted       int
-	shared, cloned, rebuilt bool
-}
-
 // nodeWork is what building one pivot node cost, summed into the statistics
 // once the (parallel) build is over.
 type nodeWork struct {
@@ -519,20 +540,21 @@ type nodeWork struct {
 
 // buildNodes builds idx.pivots — one node per pivot of rel with a
 // relationship — and is the single code path behind Build and Update.  With a
-// previous index a pivot's sequence store is carried over: shared wholesale
-// when no stale pair is assigned to the pivot, cloned copy-on-write and
-// patched otherwise; without one (Build, or a pivot the previous index had no
-// node for) it is bulk-loaded.  Everything window-dependent is then derived
-// by finishPivotNode, from the same payloads in the same canonical order
-// through the same floating-point operations on every route, which is what
-// makes incrementally maintained indexes byte-identical to freshly built ones.
+// previous index a pivot's sequence store is shared with that index's node
+// when stale marks no pair of the pivot (stale is indexed like the layout's
+// pivot list); in every other case — Build, a pivot with a stale pair, a pivot
+// the previous index had no node for — it is derived from the relationship
+// set.  Everything window-dependent is then derived by finishPivotNode, from
+// the same payloads in the same canonical order through the same
+// floating-point operations on every route, which is what makes incrementally
+// maintained indexes byte-identical to freshly built ones.
 //
 // The nodes are independent, so contiguous blocks of them are built in
 // parallel, each writing its own windows of the index's slabs; queries later
 // scan idx.pivots in this same order, which is what makes result ordering
 // independent of parallelism.
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
-	staleByPivot map[int][]timeseries.Pair, parallelism int) ([]nodeWork, error) {
+	stale []staleCount, parallelism int) ([]nodeWork, error) {
 
 	// Per-series quantities for separable normalizers (variance and squared
 	// norm), computed once in O(n·m), and the self-moments of the centers.
@@ -613,15 +635,9 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 				node.pivot = pivot
 				node.measures = measures[T*i : T*(i+1) : T*(i+1)]
 				var prevMeasures []pivotMeasure
-				if prev != nil {
-					prevMeasures, work[i].storeDelta, err = prev.carryStore(node, i, rel, pi, staleByPivot[pi])
-					if err != nil {
-						return err
-					}
-				}
-				if node.seq == nil {
-					node.seq, node.canon = idx.buildStore(rel, pi)
-					work[i].rebuilt = true
+				node.canon, prevMeasures, work[i].storeDelta, err = nodeStore(rel, pi, prev, i, stale)
+				if err != nil {
+					return err
 				}
 				k := len(node.canon)
 				at := T * offsets[i]
@@ -646,14 +662,14 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 }
 
 // finishPivotNode derives the window-dependent per-(pivot, measure) state of
-// a node whose store and canonical snapshot are in place: α (the first row of
+// a node whose sequence store is in place: α (the first row of
 // the measure's augmented second-moment matrix — Observation 1 / Table 2 fall
 // out of the algebra), ‖α‖ and the ξ-container — every node projected, sorted
 // by (ξ, canonical pair rank), keys and ranks laid out side by side in the
 // node's windows of the index slabs.
 //
 // prevMeasures, when non-nil, is the previous epoch's state of a node over
-// the same canonical snapshot: the entries are then projected in last epoch's
+// the same sequence store: the entries are then projected in last epoch's
 // container order, which the new ξ leave nearly sorted, and repaired instead
 // of sorted cold.  The order is total, so both routes produce one array.  It
 // reports whether the scratch buffer came from the pool.
@@ -674,8 +690,8 @@ func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.Pivot
 			}
 			repairXi(entries)
 		} else {
-			for rank, sn := range node.canon {
-				entries = append(entries, xiEntry{xi: scalarProjection(pm, sn.beta), rank: int32(rank)})
+			for rank := range node.canon {
+				entries = append(entries, xiEntry{xi: scalarProjection(pm, node.canon[rank].beta), rank: int32(rank)})
 			}
 			sortXi(entries)
 		}
@@ -692,7 +708,7 @@ func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.Pivot
 // paramBoundsOf returns the pruning bounds of an indexed D-measure, one
 // (U^min_q, U^max_q) per pivot node over the node's pairs, reducing them on
 // the epoch's first call; nil when the index does not prune.  The reduction
-// walks each node's canonical snapshot — a flat loop per pivot.
+// walks each node's sequence store — a flat loop per pivot.
 func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 	slot := slices.Index(idx.dMeasures, sp.ID)
 	if slot < 0 || idx.opts.DisableDerivedPruning {
@@ -705,8 +721,10 @@ func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
 			for i := blk.Lo; i < blk.Hi; i++ {
 				lo, hi := math.Inf(1), math.Inf(-1)
-				for _, sn := range idx.pivots[i].canon {
-					u := sp.Param(idx.perSeries.stat(sn.pair.U), idx.perSeries.stat(sn.pair.V))
+				canon := idx.pivots[i].canon
+				for r := range canon {
+					e := canon[r].pair
+					u := sp.Param(idx.perSeries.stat(e.U), idx.perSeries.stat(e.V))
 					if u < lo {
 						lo = u
 					}
@@ -723,11 +741,12 @@ func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 	return pb.perPivot
 }
 
-// buildLocationTrees estimates every series' L-measures (through an affine
+// buildLocationColumns estimates every series' L-measures (through an affine
 // relationship when the series appears as the non-common member of one,
-// directly otherwise) and inserts them into the global location trees.  prev,
-// when it indexes the same (frozen) clustering, lends its center locations.
-func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result, prev *Index) error {
+// directly otherwise) and sorts them into the global location columns.  prev,
+// when it indexes the same (frozen) clustering for the same L-measures, lends
+// its center locations.
+func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Result, prev *Index) error {
 	measures := idx.lMeasures
 	if len(measures) == 0 {
 		return nil
@@ -735,7 +754,7 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 	L := len(measures)
 	// Pick, for every series, one relationship in which it is the "other"
 	// (non-common) member: the candidate with the smallest canonical pair, so
-	// the estimate (and thus the tree contents) does not depend on the order
+	// the estimate (and thus the column contents) does not depend on the order
 	// the relationships are stored in.
 	chosen := make([]*symex.Relationship, d.NumSeries())
 	for r := range rel.All() {
@@ -749,19 +768,21 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 	// clustering, not per epoch; window series are reduced once per epoch
 	// each, below.
 	idx.clustering = rel.Clustering
-	if prev != nil && prev.clustering == rel.Clustering {
+	if prev != nil && prev.clustering == rel.Clustering && slices.Equal(prev.lMeasures, measures) {
 		idx.centerLoc = slices.Clone(prev.centerLoc)
 	} else {
 		idx.centerLoc = make([][]float64, rel.Clustering.K())
 	}
 	ids := d.IDs()
 	direct := make([]bool, len(ids)) // series whose own L-measures are read
+	estimated := 0
 	for _, id := range ids {
 		r := chosen[id]
 		if r == nil {
 			direct[id] = true
 			continue
 		}
+		estimated++
 		_, center, err := rel.PivotColumns(d, r.Pivot)
 		if err != nil {
 			return err
@@ -800,30 +821,27 @@ func (idx *Index) buildLocationTrees(d *timeseries.DataMatrix, rel *symex.Result
 		return err
 	}
 
-	// Sequential inserts in (series, measure) order: ties inside a tree keep
-	// insertion order, so this fixes the scan order deterministically.
-	idx.location = make(map[stats.Measure]*btree.Tree[seriesEntry], L)
-	trees := make([]*btree.Tree[seriesEntry], L)
-	for s, m := range measures {
-		trees[s] = btree.New[seriesEntry]()
-		idx.location[m] = trees[s]
-	}
-	estimated := 0
-	for i, id := range ids {
-		r := chosen[id]
-		if r != nil {
-			estimated++
-		}
-		for s := range measures {
+	// One column per measure, in the ξ-container order with the series id as
+	// the rank: ascending value, equal values by id (what id-ordered inserts
+	// into a tie-stable tree produce), NaN first.
+	n := len(ids)
+	idx.location = make([]locationColumn, L)
+	keys := make([]float64, L*n)
+	sorted := make([]timeseries.SeriesID, L*n)
+	entries := make([]xiEntry, n)
+	for s := range measures {
+		for i, id := range ids {
 			value := own[L*i+s]
-			if r != nil {
+			if r := chosen[id]; r != nil {
 				// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
 				value = r.Transform.PropagateLocation([2]float64{
 					own[L*int(r.Pivot.Common)+s], idx.centerLoc[r.Pivot.Cluster][s]})[1]
 			}
-			trees[s].Insert(value, seriesEntry{id: id, value: value})
-			idx.stats.TotalTreeInsertion++
+			entries[i] = xiEntry{xi: value, rank: int32(id)}
 		}
+		idx.location[s] = locationColumn{keys: keys[s*n : (s+1)*n], ids: sorted[s*n : (s+1)*n]}
+		idx.location[s].fill(entries)
+		idx.stats.TotalTreeInsertion += n
 	}
 	idx.stats.LocationEstimated = estimated * L
 	idx.stats.LocationComputed = (len(ids) - estimated) * L

@@ -8,16 +8,17 @@ import (
 )
 
 // BuildLocationOnly constructs an index holding only the global per-series
-// location trees — no pivot nodes.  A sharded coordinator needs this because
-// location estimates are restriction-dependent: buildLocationTrees picks each
+// location columns — no pivot nodes.  A sharded coordinator needs this because
+// location estimates are restriction-dependent: buildLocationColumns picks each
 // series' estimating relationship as the minimum canonical pair over the
 // WHOLE relationship set, so a shard's restricted set can pick a different
 // relationship than a single global engine would.  The coordinator therefore
 // answers L-measure index queries from one location-only index built over the
 // union of all shards' relationships, which is byte-identical to the
-// single-engine index's location trees, while the shards themselves index no
-// L-measures at all.
-func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
+// single-engine index's location columns, while the shards themselves index no
+// L-measures at all.  prev, when non-nil, is the previous epoch's location-only
+// index: it lends its center locations exactly as Update's previous index does.
+func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Index) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -28,7 +29,7 @@ func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options
 	if err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationTrees(d, rel, nil); err != nil {
+	if err := idx.buildLocationColumns(d, rel, prev); err != nil {
 		return nil, err
 	}
 	idx.stats.IndexedLMeasures = len(idx.locationSet)

@@ -3,8 +3,8 @@ package scape
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"affinity/internal/btree"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/par"
@@ -95,16 +95,24 @@ func (idx *Index) SeriesInterval(m stats.Measure, iv interval.Interval) ([]times
 	if iv.Empty() {
 		return nil, fmt.Errorf("%w: empty interval %v", ErrBadQuery, iv)
 	}
-	tree, ok := idx.location[m]
-	if !ok {
+	col, err := idx.locationOf(m)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := keyWindow(col.keys, iv)
+	if hi <= lo {
+		return nil, nil
+	}
+	return slices.Clone(col.ids[lo:hi]), nil
+}
+
+// locationOf returns the column of an indexed L-measure.
+func (idx *Index) locationOf(m stats.Measure) (*locationColumn, error) {
+	s := slices.Index(idx.lMeasures, m)
+	if s < 0 {
 		return nil, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
 	}
-	var out []timeseries.SeriesID
-	ascendInterval(tree, iv, func(_ float64, e seriesEntry) bool {
-		out = append(out, e.id)
-		return true
-	})
-	return out, nil
+	return &idx.location[s], nil
 }
 
 // NodeResult is one pivot node's contribution to a pairwise interval query:
@@ -318,46 +326,6 @@ func scaleInterval(iv interval.Interval, norm float64) interval.Interval {
 		iv.Hi.Value /= norm
 	}
 	return iv
-}
-
-// ascendInterval visits the tree entries whose key lies in iv, in ascending
-// key order: the closed key window [Lo, Hi] restricted by skipping keys equal
-// to an open endpoint.  (The location trees; ξ-containers have their own.)
-func ascendInterval[V any](t *btree.Tree[V], iv interval.Interval, fn func(key float64, v V) bool) {
-	lo, hi := iv.Lo.Limit(-1), iv.Hi.Limit(1)
-	t.AscendRange(lo, hi, func(key float64, v V) bool {
-		if (iv.Lo.Open && key == lo) || (iv.Hi.Open && key == hi) {
-			return true
-		}
-		return fn(key, v)
-	})
-}
-
-// countInterval counts the tree entries whose key lies in iv in O(log n),
-// from the per-node subtree counts (Rank counts keys strictly below,
-// CountGreater strictly above).
-func countInterval[V any](t *btree.Tree[V], iv interval.Interval) int {
-	n := t.Len()
-	upTo := n // keys satisfying the upper bound
-	switch {
-	case iv.Hi.Unbounded:
-	case iv.Hi.Open:
-		upTo = t.Rank(iv.Hi.Value)
-	default:
-		upTo = n - t.CountGreater(iv.Hi.Value)
-	}
-	below := 0 // keys violating the lower bound
-	switch {
-	case iv.Lo.Unbounded:
-	case iv.Lo.Open:
-		below = n - t.CountGreater(iv.Lo.Value)
-	default:
-		below = t.Rank(iv.Lo.Value)
-	}
-	if c := upTo - below; c > 0 {
-		return c
-	}
-	return 0
 }
 
 // derivedBounds is the per-(node, spec) pruning geometry of Section 5.3,

@@ -13,6 +13,7 @@ package scape
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"affinity/internal/interval"
@@ -340,44 +341,32 @@ func (c *TopKCursor) scanNodeTopK(i int, heap *TopHeap) int {
 }
 
 // SeriesTopK answers a top-k query over an L-measure: the k series with the
-// greatest (largest) or smallest measure value in the global location tree,
+// greatest (largest) or smallest measure value in the global location column,
 // best first with ties broken by ascending series identity.
 func (idx *Index) SeriesTopK(m stats.Measure, k int, largest bool) ([]timeseries.SeriesID, []float64, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: top-k needs k >= 1, got %d", ErrBadQuery, k)
 	}
-	tree, ok := idx.location[m]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
+	col, err := idx.locationOf(m)
+	if err != nil {
+		return nil, nil, err
 	}
-	type entry struct {
-		id    timeseries.SeriesID
-		value float64
+	// A NaN value ranks nowhere; the column keeps those first.
+	first := rankBelow(col.keys, math.Inf(-1))
+	k = min(k, len(col.keys)-first)
+	if !largest {
+		return slices.Clone(col.ids[first : first+k]), slices.Clone(col.keys[first : first+k]), nil
 	}
-	entries := make([]entry, 0, tree.Len())
-	tree.Ascend(func(_ float64, e seriesEntry) bool {
-		if !math.IsNaN(e.value) {
-			entries = append(entries, entry{id: e.id, value: e.value})
-		}
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].value != entries[j].value {
-			if largest {
-				return entries[i].value > entries[j].value
-			}
-			return entries[i].value < entries[j].value
-		}
-		return entries[i].id < entries[j].id
-	})
-	if len(entries) > k {
-		entries = entries[:k]
-	}
-	ids := make([]timeseries.SeriesID, len(entries))
-	values := make([]float64, len(entries))
-	for i, e := range entries {
-		ids[i] = e.id
-		values[i] = e.value
+	// Descending by value, but a run of equal values stays in id order: walk
+	// the runs from the top, each run forwards.
+	ids := make([]timeseries.SeriesID, 0, k)
+	values := make([]float64, 0, k)
+	for hi := len(col.keys); len(ids) < k; {
+		lo := rankBelow(col.keys, col.keys[hi-1])
+		n := min(hi-lo, k-len(ids))
+		ids = append(ids, col.ids[lo:lo+n]...)
+		values = append(values, col.keys[lo:lo+n]...)
+		hi = lo
 	}
 	return ids, values, nil
 }

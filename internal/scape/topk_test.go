@@ -132,7 +132,7 @@ func TestPairTopKPrunes(t *testing.T) {
 	}
 }
 
-// TestSeriesTopK pins L-measure top-k against the location tree's own
+// TestSeriesTopK pins L-measure top-k against the location column's own
 // contents: a full-k query returns every series in value order with id
 // tie-breaks, and smaller k are prefixes.
 func TestSeriesTopK(t *testing.T) {

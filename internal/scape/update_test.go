@@ -157,7 +157,7 @@ func TestUpdateMatchesFullBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, frac := range []float64{0, 0.1, 0.3} {
+	for _, frac := range []float64{0, 0.1, 0.3, 0.5, 0.75, 1} {
 		stale := staleSubset(rel1, frac, 5)
 		rel2, _, err := symex.Refit(d2, rel1, symex.RefitOptions{Stale: stale, Parallelism: 2})
 		if err != nil {
@@ -167,9 +167,6 @@ func TestUpdateMatchesFullBuild(t *testing.T) {
 			upd, us, err := idx1.Update(d2, rel2, stale, UpdateOptions{Parallelism: p})
 			if err != nil {
 				t.Fatalf("frac=%v P=%d: %v", frac, p, err)
-			}
-			if us.FellBack {
-				t.Fatalf("frac=%v P=%d: unexpected fallback (stale fraction %v)", frac, p, us.StaleFraction)
 			}
 			if us.StoresShared+us.StoresCloned+us.StoresRebuilt != upd.NumPivots() {
 				t.Fatalf("store accounting %d+%d+%d != %d pivots",
@@ -191,7 +188,9 @@ func TestUpdateMatchesFullBuild(t *testing.T) {
 }
 
 // TestUpdateIgnoresFalseStaleEntries: the stale set is a map[Pair]bool, and a
-// pair mapped to false is not stale — neither Refit nor Update touches it.
+// pair mapped to false is not stale — neither Refit nor Update touches it, and
+// neither it nor a pair the layout has no slot for counts towards the stale
+// fraction.
 func TestUpdateIgnoresFalseStaleEntries(t *testing.T) {
 	d1, d2, rel1 := slidingDataset(t, 11, 36, 240, 24)
 	idx1, err := Build(d1, rel1, Options{})
@@ -202,6 +201,7 @@ func TestUpdateIgnoresFalseStaleEntries(t *testing.T) {
 	for p := range stale {
 		stale[p] = false
 	}
+	stale[timeseries.Pair{U: 1000, V: 1001}] = true // no such series
 	rel2, rs, err := symex.Refit(d2, rel1, symex.RefitOptions{Stale: stale})
 	if err != nil {
 		t.Fatal(err)
@@ -213,19 +213,37 @@ func TestUpdateIgnoresFalseStaleEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if us.StoresCloned != 0 || us.EntriesDeleted != 0 || us.EntriesInserted != 0 || us.StoresShared != upd.NumPivots() {
-		t.Fatalf("update stats %+v, want every store shared", us)
+	if us.StoresCloned != 0 || us.EntriesDeleted != 0 || us.EntriesInserted != 0 || us.StoresShared != upd.NumPivots() || us.StaleFraction != 0 {
+		t.Fatalf("update stats %+v, want every store shared and nothing stale", us)
+	}
+	// One pair marked for real among them: that pair is the fraction.
+	var marked timeseries.Pair
+	for p := range stale {
+		if _, ok := rel1.Relationship(p); ok {
+			marked = p
+			break
+		}
+	}
+	stale[marked] = true
+	if rel2, _, err = symex.Refit(d2, rel1, symex.RefitOptions{Stale: stale}); err != nil {
+		t.Fatal(err)
+	}
+	if _, us, err = idx1.Update(d2, rel2, stale, UpdateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 / float64(rel2.Len()); us.StaleFraction != want || us.StoresCloned != 1 || us.EntriesDeleted != 1 || us.EntriesInserted != 1 {
+		t.Fatalf("update stats %+v, want one stale pair of %d (fraction %v)", us, rel2.Len(), want)
 	}
 }
 
-func TestUpdateCrossoverFallsBackToBuild(t *testing.T) {
+// TestUpdateNilStaleSetBuildsCold: a nil stale set means every relationship
+// was refit; nothing of the previous stores is shared.
+func TestUpdateNilStaleSetBuildsCold(t *testing.T) {
 	d1, d2, rel1 := slidingDataset(t, 17, 24, 200, 20)
 	idx1, err := Build(d1, rel1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A nil stale set (everything stale) must fall back.
 	rel2, _, err := symex.Refit(d2, rel1, symex.RefitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -234,36 +252,14 @@ func TestUpdateCrossoverFallsBackToBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !us.FellBack || us.StaleFraction != 1 {
-		t.Fatalf("nil stale set: FellBack=%v fraction=%v", us.FellBack, us.StaleFraction)
+	if us.StaleFraction != 1 || us.StoresShared+us.StoresCloned+us.StoresRebuilt != 0 {
+		t.Fatalf("nil stale set: update stats %+v, want a cold build at stale fraction 1", us)
 	}
 	full, err := Build(d2, rel2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertIndexEquivalent(t, upd, full)
-
-	// A stale fraction above an artificially low crossover must fall back too.
-	stale := staleSubset(rel1, 0.2, 3)
-	rel3, _, err := symex.Refit(d2, rel1, symex.RefitOptions{Stale: stale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, us, err = idx1.Update(d2, rel3, stale, UpdateOptions{Crossover: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !us.FellBack {
-		t.Fatalf("stale fraction %v above crossover %v did not fall back", us.StaleFraction, us.Crossover)
-	}
-	// And below the default crossover it must not.
-	_, us, err = idx1.Update(d2, rel3, stale, UpdateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if us.FellBack {
-		t.Fatalf("stale fraction %v under default crossover fell back", us.StaleFraction)
-	}
 }
 
 func TestUpdateChainedEpochs(t *testing.T) {
@@ -320,11 +316,11 @@ func TestUpdateChainedEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if us.FellBack {
-			t.Fatalf("epoch %d fell back at stale fraction %v", e, us.StaleFraction)
+		if us.StoresCloned == 0 {
+			t.Fatalf("epoch %d: update stats %+v, want re-derived stores", e, us)
 		}
 		// The previous epoch's index must remain intact and queryable after
-		// the delta was applied (copy-on-write isolation).
+		// the update (it shares stores with the new one).
 		prevFull, err := Build(window(e-1), rel, Options{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -11,15 +11,13 @@ import (
 
 // xiArray is one (pivot, measure) ξ-container: the pivot's sequence nodes
 // sorted by scalar projection — the keys and, beside them, the canonical rank
-// of each entry's node in the pivot's canonical snapshot, in exact-size
-// windows of the index's slabs.  A ξ-container is derived from the epoch's
-// window, built in one piece and replaced wholesale by the next epoch, so it
-// needs none of a B-tree's mutation machinery: a sorted array answers the same
-// ordered scans and rank counts at a fraction of the memory (a 14-entry tree
-// preallocates two 33-slot leaf arrays) and of the build time.  Keeping ranks
-// instead of node pointers halves the per-entry payload — the snapshot lives
-// once per pivot, shared across measures and, with the store, across epochs —
-// and is what lets the next epoch start from this one's order.
+// of each entry's node in the pivot's sequence store, in exact-size windows of
+// the index's slabs.  A ξ-container is derived from the epoch's window, built
+// in one piece and replaced wholesale by the next epoch, so a sorted array
+// answers its ordered scans and rank counts.  Keeping ranks instead of node
+// pointers halves the per-entry payload — the store lives once per pivot,
+// shared across measures and, when no pair of the pivot went stale, across
+// epochs — and is what lets the next epoch start from this one's order.
 //
 // Entries are ordered by (ξ, canonical pair rank) — what a stable sort by ξ
 // over canonically ordered nodes produces.  A NaN ξ (only an overflowed
@@ -28,7 +26,7 @@ import (
 type xiArray struct {
 	keys  []float64
 	ranks []int32
-	canon []*sequenceNode
+	canon []sequenceNode
 }
 
 // xiEntry is one projected node while a container is being sorted: its ξ and
@@ -82,7 +80,7 @@ func repairXi(entries []xiEntry) {
 func (a *xiArray) Len() int { return len(a.keys) }
 
 // node returns the sequence node of entry i.
-func (a *xiArray) node(i int) *sequenceNode { return a.canon[a.ranks[i]] }
+func (a *xiArray) node(i int) *sequenceNode { return &a.canon[a.ranks[i]] }
 
 // Ascend visits every entry in container order until fn returns false.
 func (a *xiArray) Ascend(fn func(xi float64, sn *sequenceNode) bool) {
@@ -99,36 +97,39 @@ func (a *xiArray) AscendRange(min, max float64, fn func(xi float64, sn *sequence
 	a.ascendInterval(interval.Between(min, max), fn)
 }
 
-// Rank returns the number of entries ordered before ξ = key: those with a
-// smaller ξ, and the NaN ones.
-func (a *xiArray) Rank(key float64) int {
-	return sort.Search(len(a.keys), func(i int) bool { return a.keys[i] >= key })
+// rankBelow returns how many keys of a sorted column (ascending, NaN first: a
+// ξ-container's, a location column's) are ordered before key: the smaller
+// ones, and the NaN ones.
+func rankBelow(keys []float64, key float64) int {
+	return sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
 }
 
-// CountGreater returns the number of entries with ξ strictly above key.
-func (a *xiArray) CountGreater(key float64) int {
-	return len(a.keys) - sort.Search(len(a.keys), func(i int) bool { return a.keys[i] > key })
+// rankThrough returns how many keys of a sorted column are not above key,
+// NaN ones included.
+func rankThrough(keys []float64, key float64) int {
+	return sort.Search(len(keys), func(i int) bool { return keys[i] > key })
 }
 
-// bounds returns the index window [lo, hi) of the entries whose ξ lies in iv
-// (hi <= lo when there is none).  An unbounded low side still ranks −∞: that
-// skips exactly the NaN entries, which no bound comparison is true of.
-func (a *xiArray) bounds(iv interval.Interval) (lo, hi int) {
+// keyWindow returns the index window [lo, hi) of the keys of a sorted column
+// that lie in iv (hi <= lo when there is none).  An unbounded low side still
+// ranks −∞: that skips exactly the NaN keys, which no bound comparison is
+// true of.
+func keyWindow(keys []float64, iv interval.Interval) (lo, hi int) {
 	switch {
 	case iv.Lo.Unbounded:
-		lo = a.Rank(math.Inf(-1))
+		lo = rankBelow(keys, math.Inf(-1))
 	case iv.Lo.Open:
-		lo = len(a.keys) - a.CountGreater(iv.Lo.Value)
+		lo = rankThrough(keys, iv.Lo.Value)
 	default:
-		lo = a.Rank(iv.Lo.Value)
+		lo = rankBelow(keys, iv.Lo.Value)
 	}
 	switch {
 	case iv.Hi.Unbounded:
-		hi = len(a.keys)
+		hi = len(keys)
 	case iv.Hi.Open:
-		hi = a.Rank(iv.Hi.Value)
+		hi = rankBelow(keys, iv.Hi.Value)
 	default:
-		hi = len(a.keys) - a.CountGreater(iv.Hi.Value)
+		hi = rankThrough(keys, iv.Hi.Value)
 	}
 	return lo, hi
 }
@@ -136,7 +137,7 @@ func (a *xiArray) bounds(iv interval.Interval) (lo, hi int) {
 // ascendInterval visits the entries whose ξ lies in iv, in container order,
 // until fn returns false.
 func (a *xiArray) ascendInterval(iv interval.Interval, fn func(xi float64, sn *sequenceNode) bool) {
-	lo, hi := a.bounds(iv)
+	lo, hi := keyWindow(a.keys, iv)
 	for i := lo; i < hi; i++ {
 		if !fn(a.keys[i], a.node(i)) {
 			return
@@ -146,7 +147,7 @@ func (a *xiArray) ascendInterval(iv interval.Interval, fn func(xi float64, sn *s
 
 // countInterval counts the entries whose ξ lies in iv in O(log k).
 func (a *xiArray) countInterval(iv interval.Interval) int {
-	lo, hi := a.bounds(iv)
+	lo, hi := keyWindow(a.keys, iv)
 	return max(hi-lo, 0)
 }
 
@@ -155,7 +156,7 @@ func (a *xiArray) countInterval(iv interval.Interval) int {
 func (a *xiArray) MinKey() (float64, bool) {
 	first := 0
 	if len(a.keys) > 0 && math.IsNaN(a.keys[0]) {
-		first = a.Rank(math.Inf(-1)) // past the NaN entries
+		first = rankBelow(a.keys, math.Inf(-1)) // past the NaN entries
 	}
 	if first == len(a.keys) {
 		return 0, false

@@ -39,8 +39,8 @@ type coordState struct {
 	// rel is the global relationship result: the union of the shard results,
 	// equal to what a single unsharded engine holds at the same epoch.
 	rel *symex.Result
-	// locIndex answers L-measure index queries (location trees only); the
-	// shard indexes carry no location trees, because location estimates
+	// locIndex answers L-measure index queries (location columns only); the
+	// shard indexes carry no location columns, because location estimates
 	// depend on the full relationship set, not a shard's restriction.  Nil
 	// under Config.Engine.SkipIndex.
 	locIndex *scape.Index
@@ -116,7 +116,7 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	shardCfg := cfg.Engine
 	shardCfg.AssignedPairsOnly = true
 	shardCfg.Clustering = rel.Clustering
-	// Location trees are the coordinator's job (they depend on the global
+	// Location columns are the coordinator's job (they depend on the global
 	// relationship set); a non-nil empty list disables them on the shards.
 	shardCfg.Index.LocationMeasures = []stats.Measure{}
 	// Result caching happens once, at the coordinator's merge layer, where a
@@ -156,7 +156,7 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	for i, e := range engines {
 		views[i] = e.View()
 	}
-	st, err := c.makeState(views, d, rel, 0)
+	st, err := c.makeState(views, d, rel, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -166,10 +166,10 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 
 // makeState assembles one coordinator epoch from the captured shard views.
 func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
-	rel *symex.Result, epoch int) (*coordState, error) {
+	rel *symex.Result, epoch int, prevLoc *scape.Index) (*coordState, error) {
 	var locIndex *scape.Index
 	if !c.cfg.Engine.SkipIndex {
-		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts)
+		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts, prevLoc)
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +303,7 @@ func (c *Coordinator) advanceLocked() (core.AdvanceInfo, error) {
 		views[i] = e.View()
 	}
 	merged := c.mergeRelationships(views)
-	st, err := c.makeState(views, newData, merged, cs.epoch+1)
+	st, err := c.makeState(views, newData, merged, cs.epoch+1, cs.locIndex)
 	if err != nil {
 		return core.AdvanceInfo{}, err
 	}
@@ -369,7 +369,7 @@ func (c *Coordinator) mergeRelationships(views []core.View) *symex.Result {
 // StreamStats aggregates the shard engines' maintenance counters: cumulative
 // counters sum across shards; the Last* phase timings report the slowest
 // shard (the shards run in parallel, so the maximum is the coordinator's
-// critical path); LastFellBack is true when any shard fell back to a rebuild.
+// critical path).
 func (c *Coordinator) StreamStats() core.StreamStats {
 	var agg core.StreamStats
 	for i, e := range c.engines {
@@ -400,10 +400,6 @@ func (c *Coordinator) StreamStats() core.StreamStats {
 		if s.LastStaleFraction > agg.LastStaleFraction {
 			agg.LastStaleFraction = s.LastStaleFraction
 		}
-		if s.LastCrossover > agg.LastCrossover {
-			agg.LastCrossover = s.LastCrossover
-		}
-		agg.LastFellBack = agg.LastFellBack || s.LastFellBack
 		if s.LastSlidePhase > agg.LastSlidePhase {
 			agg.LastSlidePhase = s.LastSlidePhase
 		}

@@ -144,7 +144,7 @@ func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []
 // locationQuery answers an L-measure interval/top-k item: per-series state is
 // replicated, so shard 0 answers the sweep methods exactly like a single
 // engine, and the coordinator's location index answers the index method (the
-// shard indexes carry no location trees).
+// shard indexes carry no location columns).
 func (cs *coordState) locationQuery(it core.Item) (core.QueryResult, error) {
 	if it.Method != core.MethodIndex {
 		res, err := cs.views[0].Execute([]core.Item{it}, nil)
