@@ -422,13 +422,16 @@ type StreamOptions struct {
 // Explain reports the serving tier on QueryPlan.CacheTier, and StreamStats
 // carries the hit/miss/repair counters.
 //
-// A cache-enabled engine also makes its misses cheaper: a sweep-method query
-// that does run takes its base T-measure values (covariance or dot product,
-// naive or affine) from a per-epoch column evaluated once by the first such
-// sweep of the epoch, so every later sweep only derives its own measure and
-// filters.  Columns die with their epoch and change no answer;
-// QueryPlan.BaseValues and StreamStats.SweepBaseFills/SweepBaseReuses report
-// them.
+// A cache-enabled engine also makes its misses cheaper: an affine sweep that
+// does run takes its base T-measure values (covariance or dot product) from a
+// per-epoch column evaluated once by the first such sweep of the epoch, so
+// every later sweep only derives its own measure and filters.  Columns die
+// with their epoch and change no answer; QueryPlan.BaseValues and
+// StreamStats.SweepBaseFills/SweepBaseReuses report them.  (Naive sweeps need
+// no column, cache or not: they classify every pair against the pair moments
+// the engine slides from epoch to epoch and reduce only the pairs those cannot
+// decide — QueryPlan.SketchedPairs/SketchRefinedPairs and
+// StreamStats.MomentFills/MomentSweeps/MomentRefinedPairs report that.)
 type CacheOptions struct {
 	// Enabled turns the cache on (the zero value keeps it off).
 	Enabled bool
@@ -447,14 +450,16 @@ type CacheOptions struct {
 //
 // When enabled, the engine keeps a per-series sketch of the d largest-
 // magnitude DFT coefficients of the centered window, maintained incrementally
-// across Advance (series in the drift-stale set are rebuilt; everything else
-// slides its kept coefficients in O(slide·d)).  Naive-method sweeps over
-// measures whose base is covariance or the dot product — Measures reports
-// them as Sketchable — first classify every pair against the query from
-// definite Parseval bounds: definite-in pairs are emitted without touching a
-// raw sample, definite-out pairs are dropped, and only the ambiguous
-// remainder reaches the exact kernels; top-k sweeps visit pair blocks
-// best-first by their optimistic bounds.  Prescreened results are
+// across Advance (every series slides its kept coefficients in O(slide·d);
+// the periodic statistics refresh rebuilds them from a full FFT).
+// Naive-method sweeps over measures whose base is covariance or the dot
+// product — Measures reports them as Sketchable — first classify every pair
+// against the query from definite Parseval bounds: definite-in pairs are
+// emitted without touching a raw sample, definite-out pairs are dropped, and
+// the ambiguous remainder goes on to the engine's slid pair moments, the
+// bound every naive sweep classifies against with or without sketches, and
+// from there — a sliver — to the exact kernels; top-k sweeps visit pair
+// blocks best-first by their optimistic bounds.  Prescreened results are
 // byte-identical to the plain exact sweep by construction, so enabling
 // sketches changes latency only.  Explain reports the filtered/refined pair
 // counts on QueryPlan, and StreamStats carries the prescreen counters.
@@ -471,8 +476,8 @@ type SketchOptions struct {
 // StreamStats reports the engine's cumulative incremental-maintenance
 // counters: index delta-updates vs rebuilds, sequence-store mutations,
 // scratch-pool behavior, the phase timings of the most recent Advance, the
-// result cache's hit/miss/repair counters and the base-column fill/reuse
-// counters.
+// result cache's hit/miss/repair counters, the base-column fill/reuse
+// counters and the pair-moment column's fill/sweep/refined-pair counters.
 type StreamStats = core.StreamStats
 
 // AdvanceInfo describes one streaming epoch transition.

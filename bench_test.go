@@ -816,16 +816,18 @@ func BenchmarkCachedInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkCachedSweepMiss is the base-column smoke row: naive correlation
-// bands that each miss the result cache (equal widths at distinct offsets
-// never contain one another) at one epoch whose covariance column the warm-up
-// sweep filled — the steady state of a cache-enabled engine between two
-// Advances.  CI tracks its allocs/op against BENCH_BUDGET.json: a miss on a
-// warm base derives, compacts and stores, so it allocates the result (twice,
-// pairs and values, with append growth) plus O(blocks) scratch — never the
-// pair universe and never a second column.  The cache budget is small enough
-// that old bands are evicted: a miss scans the stored entries for one that
-// contains it, and ns/op should not grow with b.N.
+// BenchmarkCachedSweepMiss is the smoke row of a naive miss on a cache-enabled
+// engine: correlation bands that each miss the result cache (equal widths at
+// distinct offsets never contain one another) at one epoch whose pair-moment
+// column the warm-up sweep materialised — the steady state between two
+// Advances, which carry the column.  A miss classifies every pair against the
+// column's bounds and sends only the rows it keeps (the cache stores their
+// values) and the sliver it cannot decide to the kernels.  CI tracks its
+// allocs/op against BENCH_BUDGET.json: the result (twice, pairs and values,
+// with append growth) plus O(blocks) scratch — never the pair universe and
+// never a column.  The cache budget is small enough that old bands are
+// evicted: a miss scans the stored entries for one that contains it, and ns/op
+// should not grow with b.N.
 func BenchmarkCachedSweepMiss(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {
@@ -856,8 +858,11 @@ func BenchmarkCachedSweepMiss(b *testing.B) {
 	}
 	b.StopTimer()
 	ss := engine.StreamStats()
-	if ss.SweepBaseFills != 1 || ss.SweepBaseReuses-warm.SweepBaseReuses != int64(b.N) || ss.CacheMisses-warm.CacheMisses != b.N {
-		b.Fatalf("%d iterations: %d column fills, %d reuses, %d cache misses: not every iteration was a miss on a warm base",
-			b.N, ss.SweepBaseFills, ss.SweepBaseReuses-warm.SweepBaseReuses, ss.CacheMisses-warm.CacheMisses)
+	refined := ss.MomentRefinedPairs - warm.MomentRefinedPairs
+	if ss.MomentFills != 1 || ss.MomentSweeps-warm.MomentSweeps != int64(b.N) || ss.CacheMisses-warm.CacheMisses != b.N ||
+		ss.SweepBaseFills != 0 || refined >= int64(b.N*sensor.NumPairs()) {
+		b.Fatalf("%d iterations: %d moment fills, %d moment sweeps refining %d pairs, %d cache misses, %d base fills: not every iteration was a miss on a live moment column",
+			b.N, ss.MomentFills, ss.MomentSweeps-warm.MomentSweeps, refined, ss.CacheMisses-warm.CacheMisses, ss.SweepBaseFills)
 	}
+	b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
 }

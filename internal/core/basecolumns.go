@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/qcache"
@@ -12,24 +11,32 @@ import (
 	"affinity/internal/timeseries"
 )
 
-// This file holds the epoch base columns.  Every D-measure derives from one
-// of two base T-measures, and the online setting is clients re-asking a few
-// measures every tick: across the sweep queries of one epoch the expensive
-// part — the base value of every pair of the universe, by kernel (naive) or
-// by propagation (affine) — is the same handful of vectors over and over.  A
-// cache-enabled engine therefore evaluates each (base, method) once per
-// epoch into a column of len(universe) float64s and lets every later sweep of
-// that base at that epoch — any derived measure, interval or top-k, single
-// or batched — only derive, compact and offer.
+// This file holds the epoch base columns of the affine method.  Every
+// D-measure derives from one of two base T-measures, and the online setting is
+// clients re-asking a few measures every tick: across the affine sweeps of one
+// epoch the expensive part — the base value of every pair of the universe,
+// propagated through the pair's relationship — is the same two vectors over
+// and over.  A cache-enabled engine therefore evaluates each base once per
+// epoch into a column of len(universe) float64s and lets every later affine
+// sweep of that base at that epoch — any derived measure, interval or top-k,
+// single or batched — only derive, compact and offer.
 //
 // A column belongs to one immutable engineState and dies with it: no
 // invalidation, no Advance hook, nothing in snapshots.  Its values are the
 // ones fillBase streams through the per-chunk buffer of a cache-off engine,
 // so whether a sweep reads a column changes its latency and never its answer.
 // Not memoised, deliberately: solo (non-BatchGroupable) groups, whose base
-// evaluation is their own; the sketch path, whose point is to not evaluate
-// most pairs; MEC; and PairwiseSweepNaive/Affine, which are the paper's timed
-// W_N/W_A sweeps.  Shard engines run cache-disabled and so keep no columns.
+// evaluation is their own; MEC; and PairwiseSweepNaive/Affine, which are the
+// paper's timed W_N/W_A sweeps.  Shard engines run cache-disabled and so keep
+// no columns.
+//
+// There is no naive column any more.  A naive base value costs O(m) and an
+// epoch's window differs from the last one's by the slide, so recomputing a
+// naive column per epoch was the last O(pairs·m) term of the serving path; the
+// engine now carries Σ x_u·x_v across epochs in O(slide) per pair
+// (stats.PairMoments) and uses it as a bound, not as a value — the sweep stage
+// (sketchsweep.go) classifies against it and sends only the pairs it cannot
+// decide, and the rows whose values the cache stores, to the kernels.
 
 // baseKey identifies one shared base computation of a sweep: specs that
 // withhold BatchGroupable get a solo group keyed by their own identity
@@ -52,10 +59,13 @@ const (
 	baseReused = "reused"
 )
 
-// sweepCounters are an engine's cumulative base-column counters
-// (StreamStats.SweepBaseFills / SweepBaseReuses).
+// sweepCounters are an engine's cumulative sweep-stage counters: base-column
+// fills and reuses (StreamStats.SweepBaseFills / SweepBaseReuses) and the
+// pair-moment column's materialisations, sweeps and refined pairs
+// (StreamStats.MomentFills / MomentSweeps / MomentRefinedPairs).
 type sweepCounters struct {
-	fills, reuses atomic.Int64
+	fills, reuses                            atomic.Int64
+	momentFills, momentSweeps, momentRefined atomic.Int64
 }
 
 // baseColumns is one epoch's set of base columns.
@@ -81,9 +91,10 @@ type baseColumn struct {
 	err    error
 }
 
-// baseColumn returns the epoch's column of key — base values of the whole
-// pair universe in canonical order — and whether this call filled it or found
-// it; a nil column means the group is not memoised and the caller streams.
+// baseColumn returns the epoch's column of an affine key — base values of the
+// whole pair universe in canonical order — and whether this call filled it or
+// found it; a nil column means the group is not memoised and the caller
+// evaluates chunk by chunk.
 func (e *engineState) baseColumn(key baseKey) ([]float64, string, error) {
 	bc := e.cols
 	if key.solo >= 0 || bc.budget == 0 {
@@ -109,20 +120,7 @@ func (e *engineState) baseColumn(key baseKey) ([]float64, string, error) {
 	source := baseReused
 	col.once.Do(func() {
 		source = baseFilled
-		values := make([]float64, n)
-		col.err = par.DoBlocks(n, e.par, func(_ int, blk par.Block) error {
-			scratch := make([]timeseries.Pair, kernel.BlockPairs)
-			for lo := blk.Lo; lo < blk.Hi; lo += kernel.BlockPairs {
-				hi := min(lo+kernel.BlockPairs, blk.Hi)
-				if err := e.fillBase(key, e.universeChunk(lo, hi, scratch), values[lo:hi]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if col.err == nil {
-			col.values = values
-		}
+		col.values, col.err = e.fillAffineColumn(measure.Lookup(key.base))
 	})
 	if col.err != nil {
 		return nil, "", col.err
@@ -135,22 +133,65 @@ func (e *engineState) baseColumn(key baseKey) ([]float64, string, error) {
 	return col.values, source, nil
 }
 
-// fillBase writes the base T-measure values of chunk into t with the key's
+// fillAffineColumn evaluates an affine base over the whole pair universe.  On
+// the full universe it goes pivot by pivot: the spec's moment matrix is
+// assembled once per pivot instead of once per pair, and each relationship of
+// the pivot propagates it to its pair's position — the same function on the
+// same operands as affinePairBase, so the same bits.  Pairs without a live
+// relationship (unassigned, or pruned by Config.MaxLSFD) are left to that
+// per-pair evaluator, as is every pair of a restricted universe, whose
+// positions are not the pair ranks.
+func (e *engineState) fillAffineColumn(baseSp *measure.Spec) ([]float64, error) {
+	values := make([]float64, e.numUniversePairs())
+	layout := e.rel.Layout()
+	pivoted := e.pairs == nil
+	if pivoted {
+		assignments := layout.Assignments()
+		_ = par.DoBlocks(len(layout.Pivots()), e.par, func(_ int, blk par.Block) error {
+			for pi := blk.Lo; pi < blk.Hi; pi++ {
+				moment := baseSp.Moment(e.summaries[pi].terms)
+				for _, slot := range layout.PivotSlots(pi) {
+					if rel := e.rel.At(int(slot)); rel != nil {
+						values[e.data.PairRank(assignments[slot].Pair)] = rel.Transform.PropagateMoment(moment)
+					}
+				}
+			}
+			return nil
+		})
+		if e.table.FallbackPairs == 0 {
+			return values, nil
+		}
+	}
+	return values, e.forUniverseChunks(e.par, func(lo int, chunk []timeseries.Pair) error {
+		for i, pair := range chunk {
+			if slot, ok := layout.Slot(pair); pivoted && ok && e.rel.At(slot) != nil {
+				continue // propagated above
+			}
+			v, err := e.affinePairBase(baseSp, pair)
+			if err != nil {
+				return err
+			}
+			values[lo+i] = v
+		}
+		return nil
+	})
+}
+
+// fillBase writes the base T-measure values of pairs into t with the key's
 // method: the blocked kernels for naive (scalar for an extension base without
 // one), the propagation through the pair's affine relationship for affine.
-// It is the one place sweep base values are computed — a column fill and a
-// streamed chunk both go through it.
-func (e *engineState) fillBase(key baseKey, chunk []timeseries.Pair, t []float64) error {
+// It is the sweep stage's exact evaluator.
+func (e *engineState) fillBase(key baseKey, pairs []timeseries.Pair, t []float64) error {
 	if key.method == MethodNaive {
 		kern, mom, err := e.naive.Kernel()
 		if err != nil {
 			return err
 		}
 		if baseBlock := kern.BaseBlock(key.base); baseBlock != nil {
-			baseBlock(mom, chunk, t)
+			baseBlock(mom, pairs, t)
 			return nil
 		}
-		for i, pair := range chunk {
+		for i, pair := range pairs {
 			v, err := e.naive.PairValue(key.base, pair)
 			if err != nil {
 				return err
@@ -160,7 +201,7 @@ func (e *engineState) fillBase(key baseKey, chunk []timeseries.Pair, t []float64
 		return nil
 	}
 	baseSp := measure.Lookup(key.base)
-	for i, pair := range chunk {
+	for i, pair := range pairs {
 		v, err := e.affinePairBase(baseSp, pair)
 		if err != nil {
 			return err

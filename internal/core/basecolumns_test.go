@@ -19,8 +19,8 @@ import (
 // This file pins the epoch base columns (basecolumns.go) and the value
 // hand-off from the sweep to the cache: a cache-enabled engine answers every
 // sweep exactly as its cache-off twin, stores exactly the values the per-pair
-// evaluators would have captured, evaluates each (base, method) once per epoch
-// and never carries a column across an Advance.
+// evaluators would have captured, evaluates each affine base once per epoch
+// and never carries a base column across an Advance.
 
 // sweepSpecs is the query battery of one measure: two intervals that do not
 // contain each other (so both miss the cache) and both top-k directions.
@@ -143,13 +143,21 @@ func TestBaseColumnsMatchColdTwin(t *testing.T) {
 				advanceBoth(t, fx.ticks[r*slide:(r+1)*slide], cached, cold)
 				requireSweepParity(t, cached, cold, fmt.Sprintf("epoch%d", r+1))
 			}
-			// Two bases × two methods, filled once per epoch whatever the number
-			// of sweeps; the twin never keeps a column.
-			if s := cached.StreamStats(); s.SweepBaseFills != 4*(rounds+1) || s.SweepBaseReuses == 0 {
-				t.Fatalf("cached engine: %d fills, %d reuses, want %d fills", s.SweepBaseFills, s.SweepBaseReuses, 4*(rounds+1))
+			// Two affine bases, filled once per epoch whatever the number of
+			// sweeps; the twin never keeps a column.  The naive sweeps of both
+			// engines classify against the pair-moment column, materialised by
+			// the first of them and carried by every Advance since.
+			if s := cached.StreamStats(); s.SweepBaseFills != 2*(rounds+1) || s.SweepBaseReuses == 0 {
+				t.Fatalf("cached engine: %d fills, %d reuses, want %d fills", s.SweepBaseFills, s.SweepBaseReuses, 2*(rounds+1))
 			}
 			if s := cold.StreamStats(); s.SweepBaseFills != 0 || s.SweepBaseReuses != 0 {
 				t.Fatalf("cache-off twin counted base columns: %+v", s)
+			}
+			for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
+				if s := e.StreamStats(); s.MomentFills != 1 || s.MomentSweeps == 0 || s.MomentRefinedPairs == 0 {
+					t.Fatalf("%s engine: %d moment fills, %d sweeps, %d refined pairs, want one fill carried over %d epochs",
+						name, s.MomentFills, s.MomentSweeps, s.MomentRefinedPairs, rounds)
+				}
 			}
 		})
 	}
@@ -178,29 +186,31 @@ func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
 	requireSweepParity(t, cached, cold, "epoch0")
 	advanceBoth(t, fx.ticks, cached, cold)
 	requireSweepParity(t, cached, cold, "epoch1")
-	if s := cached.StreamStats(); s.SweepBaseFills != 8 {
-		t.Fatalf("%d fills over two epochs, want 8", s.SweepBaseFills)
+	if s := cached.StreamStats(); s.SweepBaseFills != 4 || s.MomentFills != 1 {
+		t.Fatalf("%d base fills and %d moment fills over two epochs, want 4 and 1", s.SweepBaseFills, s.MomentFills)
 	}
 }
 
-// TestBaseColumnFilledOncePerEpoch: after the first sweep of a base at an
-// epoch, no sweep of that base — another derived measure, a top-k, a batch —
-// evaluates it again; a new epoch starts with no column.
+// TestBaseColumnFilledOncePerEpoch: after the first affine sweep of a base at
+// an epoch, no affine sweep of that base — another derived measure, a top-k, a
+// batch — evaluates it again; a new epoch starts with no column.  Naive sweeps
+// keep no column at all: they report the pairs the stage prescreened and
+// refined instead.
 func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 	cached, _, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 2)
 	counters := func() (fills, reuses int64) {
 		s := cached.StreamStats()
 		return s.SweepBaseFills, s.SweepBaseReuses
 	}
-	explain := func(spec plan.QuerySpec, method Method) string {
+	explain := func(spec plan.QuerySpec, method Method) plan.Plan {
 		t.Helper()
 		_, p, err := cached.Explain(spec, method)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.BaseValues
+		return p
 	}
-	if got := explain(plan.Interval(stats.Cosine, interval.GreaterThan(0.3)), MethodNaive); got != "filled" {
+	if got := explain(plan.Interval(stats.Cosine, interval.GreaterThan(0.3)), MethodAffine).BaseValues; got != "filled" {
 		t.Fatalf("first dot-product sweep reported base values %q, want filled", got)
 	}
 	if fills, reuses := counters(); fills != 1 || reuses != 0 {
@@ -212,37 +222,38 @@ func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 		plan.Interval(stats.EuclideanDistance, interval.LessThan(40)),
 		plan.TopK(stats.DotProduct, 5, true),
 	} {
-		if got := explain(spec, MethodNaive); got != "reused" {
+		if got := explain(spec, MethodAffine).BaseValues; got != "reused" {
 			t.Fatalf("sweep %d of a warm base reported base values %q, want reused", i, got)
 		}
 	}
 	if _, err := runSpecs(cached, []plan.QuerySpec{
 		plan.Interval(stats.Jaccard, interval.GreaterThan(0.1)),
 		plan.TopK(stats.Cosine, 3, false),
-	}, MethodNaive); err != nil {
+	}, MethodAffine); err != nil {
 		t.Fatal(err)
 	}
 	if fills, reuses := counters(); fills != 1 || reuses != 3 {
 		t.Fatalf("after four sweeps of one base: %d fills, %d reuses, want 1 and 3", fills, reuses)
 	}
-	// The other method of the same base is its own column.
-	if got := explain(plan.TopK(stats.Cosine, 3, true), MethodAffine); got != "filled" {
-		t.Fatalf("first affine sweep reported base values %q, want filled", got)
+	// The naive method of the same base touches no column.
+	p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive)
+	if p.BaseValues != "" || p.SketchedPairs != cached.state().numUniversePairs() || p.SketchRefinedPairs == 0 || p.SketchRefinedPairs >= p.SketchedPairs {
+		t.Fatalf("naive sweep reported base values %q, %d pairs prescreened, %d refined", p.BaseValues, p.SketchedPairs, p.SketchRefinedPairs)
 	}
 	// A repeat is an exact hit: no sweep, no column traffic.
-	if got := explain(plan.TopK(stats.Cosine, 3, true), MethodAffine); got != "" {
-		t.Fatalf("an exact hit reported base values %q", got)
+	if p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive); p.BaseValues != "" || p.SketchedPairs != 0 {
+		t.Fatalf("an exact hit reported base values %q, %d pairs prescreened", p.BaseValues, p.SketchedPairs)
 	}
-	if fills, reuses := counters(); fills != 2 || reuses != 3 {
-		t.Fatalf("%d fills, %d reuses, want 2 and 3", fills, reuses)
+	if fills, reuses := counters(); fills != 1 || reuses != 3 {
+		t.Fatalf("%d fills, %d reuses, want 1 and 3", fills, reuses)
 	}
 
 	advanceBoth(t, fx.ticks, cached)
-	if got := explain(plan.TopK(stats.DotProduct, 6, true), MethodNaive); got != "filled" {
+	if got := explain(plan.TopK(stats.DotProduct, 6, true), MethodAffine).BaseValues; got != "filled" {
 		t.Fatalf("first sweep of the new epoch reported base values %q, want filled", got)
 	}
-	if fills, _ := counters(); fills != 3 {
-		t.Fatalf("%d fills after the new epoch's first sweep, want 3", fills)
+	if fills, _ := counters(); fills != 2 {
+		t.Fatalf("%d fills after the new epoch's first sweep, want 2", fills)
 	}
 }
 

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"affinity/internal/interval"
-	"affinity/internal/kernel"
-	"affinity/internal/measure"
-	"affinity/internal/par"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
@@ -18,9 +15,9 @@ import (
 // the methods allow:
 //
 //   - shared scans: sweep-method (naive/affine) pairwise queries on the same
-//     (measure, method) share one pass over the sequence pairs — each pair's
-//     value and derived-measure normalizer is computed once and tested
-//     against every interval predicate and offered to every top-k heap;
+//     (base T-measure, method) share one pass over the sequence pairs — each
+//     base value that is needed at all is evaluated once, for every interval
+//     predicate and every top-k heap that rides it (sketchsweep.go);
 //     index-method interval queries share the pivot-node traversal
 //     (scape.PairBatch visits every pivot node once), while index top-k
 //     queries each run their own best-first traversal;
@@ -72,15 +69,13 @@ func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult
 // Execute answers resolved items cold: location queries run directly from the
 // cached per-series vectors or the location columns, index-method interval
 // queries share one pivot-node traversal, index top-k queries run their
-// best-first traversals, prescreen-eligible naive sweeps take the sketch
-// filter-and-refine path, and the remaining sweep-method pairwise queries —
-// interval and top-k alike — share one multi-predicate pass, with results
-// scattered back into request order.
+// best-first traversals, and the sweep-method pairwise queries — naive and
+// affine, interval and top-k alike — go through the one filter-and-refine
+// stage (sketchsweep.go), with results scattered back into request order.
 func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, error) {
 	out := make([]QueryResult, len(items))
 	var indexQueries []scape.PairQuery
 	var indexIdx []int
-	var sweeps []Item
 	var sweepIdx []int
 	for i, it := range items {
 		switch {
@@ -104,22 +99,7 @@ func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, er
 			}
 			indexQueries = append(indexQueries, it.Spec.PairQuery())
 			indexIdx = append(indexIdx, i)
-		case e.sketchUsable(it):
-			// Filter-and-refine sweep: prescreen against the epoch's
-			// coefficient sketches, exact kernels only for ambiguous pairs.
-			// Byte-identical to the shared scan below by construction, so
-			// which path an item takes never shows in results — only in
-			// latency and counters.
-			res, act, err := e.sketchSweep(it)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-			if actuals != nil {
-				actuals[i] = act
-			}
 		default:
-			sweeps = append(sweeps, it)
 			sweepIdx = append(sweepIdx, i)
 		}
 	}
@@ -133,15 +113,8 @@ func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, er
 		}
 	}
 	if len(sweepIdx) > 0 {
-		results, sources, err := e.pairMultiSweep(sweeps)
-		if err != nil {
+		if err := e.sweep(items, sweepIdx, out, actuals); err != nil {
 			return nil, err
-		}
-		for k, i := range sweepIdx {
-			out[i] = results[k]
-			if actuals != nil {
-				actuals[i].BaseValues = sources[k]
-			}
 		}
 	}
 	return out, nil
@@ -202,204 +175,4 @@ func (e *engineState) locationValues(m stats.Measure, ids []timeseries.SeriesID,
 	default:
 		return nil, fmt.Errorf("%w: %v for an L-measure", ErrBadMethod, method)
 	}
-}
-
-// pairMultiSweep answers every sweep item in one pass over the sequence
-// pairs, sharded by row blocks.  Items group by the spec's
-// (base T-measure, method): per block and pair, each distinct base value is
-// computed once and every measure sharing it applies only its own transform
-// before testing its interval predicates and offering its top-k heaps —
-// queries on cosine, Dice and Euclidean distance all ride one dot-product
-// evaluation.  On a cache-enabled engine the sharing extends across calls: a
-// group's base values come from the epoch's base column (basecolumns.go),
-// evaluated by the first sweep that needs them.  Per-block partial results are
-// merged in block order (interval results) or through the deterministic
-// (value, pair) total order (top-k heaps), so out[k] equals the sequential
-// single-query scan for items[k] exactly.  sources[k] says whether items[k]'s
-// base values were a column this call filled or reused ("" when streamed).
-//
-// On a cache-enabled engine an interval result also carries the value of
-// every row it kept — the sweep has them in hand and the cache stores them —
-// which Run strips before returning: interval results keep nil Values by
-// contract.
-func (e *engineState) pairMultiSweep(items []Item) ([]QueryResult, []string, error) {
-	// measureGroup is one measure's items within a base group.
-	type measureGroup struct {
-		sp   *measure.Spec
-		idxs []int
-	}
-	// baseGroup is one shared base computation: its column when the epoch
-	// memoises it, nil when the block loop streams it chunk by chunk.
-	type baseGroup struct {
-		key      baseKey
-		column   []float64
-		measures []*measureGroup
-	}
-	var groups []*baseGroup
-	groupOf := make(map[baseKey]*baseGroup)
-	for k, p := range items {
-		sp, err := pairwiseSpec(p.Spec.Measure)
-		if err != nil {
-			return nil, nil, err
-		}
-		if p.Method != MethodNaive && p.Method != MethodAffine {
-			return nil, nil, fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
-		}
-		key := baseKey{base: sp.Base, method: p.Method, solo: -1}
-		if !sp.BatchGroupable {
-			key.solo = sp.ID
-		}
-		g := groupOf[key]
-		if g == nil {
-			g = &baseGroup{key: key}
-			groupOf[key] = g
-			groups = append(groups, g)
-		}
-		var mg *measureGroup
-		for _, have := range g.measures {
-			if have.sp.ID == sp.ID {
-				mg = have
-				break
-			}
-		}
-		if mg == nil {
-			mg = &measureGroup{sp: sp}
-			g.measures = append(g.measures, mg)
-		}
-		mg.idxs = append(mg.idxs, k)
-	}
-
-	sources := make([]string, len(items))
-	for _, g := range groups {
-		column, source, err := e.baseColumn(g.key)
-		if err != nil {
-			return nil, nil, err
-		}
-		g.column = column
-		for _, mg := range g.measures {
-			for _, k := range mg.idxs {
-				sources[k] = source
-			}
-		}
-	}
-
-	numPairs := e.numUniversePairs()
-	numSamples := e.data.NumSamples()
-	_, mom, err := e.naive.Kernel()
-	if err != nil {
-		return nil, nil, err
-	}
-	keepValues := e.cache != nil
-	blocks := par.Blocks(numPairs, e.par)
-	type blockPart struct {
-		pairs  [][]timeseries.Pair // per interval item
-		values [][]float64         // per interval item, with keepValues
-		heaps  []*scape.TopHeap    // per top-k item
-	}
-	parts := make([]blockPart, len(blocks))
-	err = par.Do(len(blocks), e.par, func(b int) error {
-		local := blockPart{
-			pairs: make([][]timeseries.Pair, len(items)),
-			heaps: make([]*scape.TopHeap, len(items)),
-		}
-		if keepValues {
-			local.values = make([][]float64, len(items))
-		}
-		for k, p := range items {
-			if p.Spec.Kind == plan.KindTopK {
-				local.heaps[k] = scape.NewTopHeap(p.Spec.K, p.Spec.Largest)
-			}
-		}
-		// Kernel-block buffers per row block — O(blocks) allocations for the
-		// whole sweep, never O(pairs): scratch holds the chunk's pairs (the
-		// universe is enumerated, not materialized), tbuf a streamed group's
-		// base values, vbuf each derived measure's transformed values.
-		// Undefined derived values flow as NaN (EvalOrNaN): interval compaction
-		// never matches NaN and the heaps never rank it, so degenerate pairs
-		// drop out of every result without per-pair control flow.
-		scratch := make([]timeseries.Pair, kernel.BlockPairs)
-		tbuf := make([]float64, kernel.BlockPairs)
-		vbuf := make([]float64, kernel.BlockPairs)
-		for lo := blocks[b].Lo; lo < blocks[b].Hi; lo += kernel.BlockPairs {
-			hi := min(lo+kernel.BlockPairs, blocks[b].Hi)
-			chunk := e.universeChunk(lo, hi, scratch)
-			for _, g := range groups {
-				t := tbuf[:len(chunk)]
-				if g.column != nil {
-					t = g.column[lo:hi]
-				} else if err := e.fillBase(g.key, chunk, t); err != nil {
-					return err
-				}
-				for _, mg := range g.measures {
-					vals := t
-					if mg.sp.Derived() {
-						vals = vbuf[:len(chunk)]
-						for i, pair := range chunk {
-							var u float64
-							if g.key.method == MethodNaive {
-								// Hoisted kernel moments; bit-identical to
-								// NaiveSeriesStat on the raw series.
-								u = mg.sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
-							} else {
-								u = mg.sp.Param(e.seriesStat(pair.U), e.seriesStat(pair.V))
-							}
-							v, verr := mg.sp.EvalOrNaN(t[i], u, numSamples)
-							if verr != nil {
-								return verr
-							}
-							vals[i] = v
-						}
-					}
-					for _, k := range mg.idxs {
-						if items[k].Spec.Kind != plan.KindTopK {
-							local.pairs[k] = kernel.CompactPairs(local.pairs[k], chunk, vals, items[k].Spec.Interval)
-							if keepValues {
-								local.values[k] = kernel.CompactValues(local.values[k], vals, items[k].Spec.Interval)
-							}
-						} else {
-							for i := range chunk {
-								local.heaps[k].Offer(chunk[i], vals[i])
-							}
-						}
-					}
-				}
-			}
-		}
-		parts[b] = local
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]QueryResult, len(items))
-	for k, p := range items {
-		if p.Spec.Kind != plan.KindTopK {
-			perBlock := make([][]timeseries.Pair, len(parts))
-			for b := range parts {
-				perBlock[b] = parts[b].pairs[k]
-			}
-			out[k] = QueryResult{Pairs: par.FlattenBlocks(perBlock)}
-			if keepValues {
-				perBlockValues := make([][]float64, len(parts))
-				for b := range parts {
-					perBlockValues[b] = parts[b].values[k]
-				}
-				out[k].Values = par.FlattenBlocks(perBlockValues)
-			}
-			continue
-		}
-		// Merge the per-block heaps: the retained set is a function of the
-		// offered (value, pair) multiset under a total order, so the merge is
-		// independent of the block partition.
-		final := scape.NewTopHeap(p.Spec.K, p.Spec.Largest)
-		for b := range parts {
-			bp, bv := parts[b].heaps[k].Sorted()
-			for i := range bp {
-				final.Offer(bp[i], bv[i])
-			}
-		}
-		topPairs, values := final.Sorted()
-		out[k] = QueryResult{Pairs: topPairs, Values: values}
-	}
-	return out, sources, nil
 }

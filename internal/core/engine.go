@@ -281,6 +281,9 @@ type engineState struct {
 	// epochs with O(slide) updates and periodically refreshed from the raw
 	// window.
 	running []stats.Running
+	// windowMoments holds Σx and Σx² of every series reduced fresh from this
+	// epoch's window (the slid running sums round differently).
+	windowMoments []selfMoment
 	// Per-series statistics for separable normalizers, derived from running.
 	seriesVariance []float64
 	seriesSqNorm   []float64
@@ -315,15 +318,20 @@ type engineState struct {
 	// simply miss.
 	cache *qcache.Cache
 
-	// cols memoises the epoch's base T-measure columns for the sweep executor
-	// (basecolumns.go).  Filled lazily by the epoch's own sweeps and never
-	// carried across Advance; with the cache disabled it keeps nothing.
+	// cols memoises the epoch's affine base T-measure columns for the sweep
+	// executor (basecolumns.go).  Filled lazily by the epoch's own sweeps and
+	// never carried across Advance; with the cache disabled it keeps nothing.
 	cols *baseColumns
+
+	// moments is the epoch's handle on the slid pair-moment column, the naive
+	// sweeps' bound provider (sketchsweep.go): materialised by the first sweep
+	// that needs it, carried across Advance from then on.
+	moments *momentColumn
 
 	// sketch is the epoch's coefficient-sketch set (nil when Config.Sketch is
 	// disabled): the filter half of the filter-and-refine sweep tier.  Like the
 	// index it is immutable per epoch; Advance derives the next epoch's set
-	// incrementally (stale series rebuild, everything else slides).
+	// incrementally (every series slides; the refresh epochs rebuild).
 	sketch *sketch.Set
 
 	epoch int
@@ -345,7 +353,8 @@ type Engine struct {
 	pending [][]float64
 	// stream accumulates incremental-maintenance observability counters.
 	stream StreamStats
-	// sweep counts base-column fills and reuses across every epoch's sweeps.
+	// sweep counts what the sweep stage did across every epoch: base-column
+	// fills and reuses, pair-moment materialisations, sweeps and refinements.
 	sweep sweepCounters
 	// batchPool recycles the per-epoch tick-transpose buffers; flagPool
 	// recycles the drift-scoring flag slices.  Both only ever hold buffers
@@ -470,6 +479,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	st.cache = qcache.New(cfg.Cache)
 	e := &Engine{cfg: cfg}
 	st.cols = e.newBaseColumns(st.cache)
+	st.moments = e.newMomentColumn()
 	e.cur.Store(st)
 	return e, nil
 }
@@ -536,6 +546,7 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 	if err != nil {
 		return err
 	}
+	st.windowMoments = series
 	if err := st.buildSummaries(series, parallelism); err != nil {
 		return err
 	}

@@ -87,9 +87,10 @@ type Item struct {
 
 // Actual is what the pipeline observed while answering one item (Explain):
 // the cache tier that served it with the size of a repair's delta, the pairs
-// its sketch prescreen classified and passed on to the exact kernels, or
-// whether its sweep filled or reused the epoch's base column ("filled",
-// "reused"; empty when the sweep streamed its base values or none ran).
+// a naive sweep's bound providers prescreened (Sketched) and the pairs it
+// still sent to the exact kernels (Refined), or whether an affine sweep filled
+// or reused the epoch's base column ("filled", "reused"; empty when the sweep
+// evaluated its base values chunk by chunk or none ran).
 type Actual struct {
 	Tier       qcache.Tier
 	Repaired   int
@@ -364,13 +365,14 @@ func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]times
 
 // cacheStore installs a cold execution's result.  Interval entries need the
 // result rows' measure values (containment filtering and repair seeding read
-// them).  A single engine's sweep compacts them next to the pairs it keeps and
-// hands them over in res.Values; the executions that do not produce values —
-// the index, the sketch path, a coordinator's merged fan-out — have them
-// captured post hoc with the per-pair evaluator of the item's method, once
-// per cold query; a hit never pays it.  Both give the same bits: the sweeps
-// are bit-identical to the per-pair evaluators by the engine's parity
-// contract.  Top-k entries store their ranking values directly.
+// them).  A single engine's sweep — naive or affine, prescreened or not — has
+// the exact value of every row it keeps in hand and hands them over in
+// res.Values; the executions that do not produce values — the index, a
+// coordinator's merged fan-out — have them captured post hoc with the per-pair
+// evaluator of the item's method, once per cold query; a hit never pays it.
+// Both give the same bits: the sweeps are bit-identical to the per-pair
+// evaluators by the engine's parity contract.  Top-k entries store their
+// ranking values directly.
 func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res QueryResult) {
 	if it.Spec.Kind == plan.KindTopK || res.Values != nil {
 		cache.Put(key, b.Epoch(), res.Pairs, res.Values)

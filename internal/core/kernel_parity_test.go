@@ -8,6 +8,7 @@ import (
 
 	"affinity/internal/measure"
 	"affinity/internal/par"
+	"affinity/internal/plan"
 	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
@@ -116,4 +117,66 @@ func TestAffineSweepStableErrorWithBadPivots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scalarOracle holds the scalar W_N value of every pair of the full universe
+// for every pairwise measure at one epoch, and answers interval and top-k
+// specs from them by definition: a filter in canonical pair order, a sort by
+// (value, pair identity).  It shares no code with the sweep stage.
+type scalarOracle struct {
+	pairs  []timeseries.Pair
+	values map[stats.Measure][]float64
+}
+
+func newScalarOracle(t testing.TB, e *Engine) *scalarOracle {
+	t.Helper()
+	o := &scalarOracle{values: make(map[stats.Measure][]float64)}
+	for _, m := range pairwiseMeasures() {
+		sweep, err := e.pairwiseSweepNaiveScalar(m)
+		if err != nil {
+			t.Fatalf("scalar sweep of %v: %v", m, err)
+		}
+		o.pairs, o.values[m] = sweep.Pairs, sweep.Values
+	}
+	return o
+}
+
+// answer derives the result of spec over the given universe (nil = every
+// pair).
+func (o *scalarOracle) answer(spec plan.QuerySpec, universe map[timeseries.Pair]bool) QueryResult {
+	type row struct {
+		pair  timeseries.Pair
+		value float64
+	}
+	var rows []row
+	for i, pair := range o.pairs {
+		v := o.values[spec.Measure][i]
+		if universe != nil && !universe[pair] || math.IsNaN(v) {
+			continue
+		}
+		if spec.Kind == plan.KindTopK || spec.Interval.Contains(v) {
+			rows = append(rows, row{pair, v})
+		}
+	}
+	var res QueryResult
+	if spec.Kind == plan.KindTopK {
+		slices.SortStableFunc(rows, func(a, b row) int {
+			if a.value != b.value {
+				if (a.value > b.value) == spec.Largest {
+					return -1
+				}
+				return 1
+			}
+			return 0 // stable: canonical pair order breaks ties
+		})
+		rows = rows[:min(spec.K, len(rows))]
+		res.Values = make([]float64, 0, len(rows))
+	}
+	for _, r := range rows {
+		res.Pairs = append(res.Pairs, r.pair)
+		if spec.Kind == plan.KindTopK {
+			res.Values = append(res.Values, r.value)
+		}
+	}
+	return res
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"affinity/internal/interval"
 	"affinity/internal/plan"
+	"affinity/internal/qcache"
+	"affinity/internal/sketch"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -144,6 +147,90 @@ func TestDegenerateNaNOracle(t *testing.T) {
 					if math.IsNaN(res.Values[i]) {
 						t.Fatalf("P=%d %v top-k ranked a NaN value", p, method)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDegenerateSweepStageParity runs the stage parity battery over degenerate
+// data — a constant series (zero variance), an all-zero series whose samples
+// alternate ±0 (zero norm) — where normalised measures are undefined and the
+// bound providers have nothing definite to say: such pairs must take the exact
+// path and drop out of every result exactly as the scalar oracle drops them,
+// with the cache and the sketch on and off, cold and across Advances.
+func TestDegenerateSweepStageParity(t *testing.T) {
+	const n, m, rounds = 10, 64, 3
+	rng := rand.New(rand.NewSource(5))
+	sample := func(v, t int) float64 {
+		switch v {
+		case 0:
+			return 3
+		case 1:
+			return math.Copysign(0, float64(1-2*(t%2)))
+		default:
+			return math.Sin(float64(t)/4+float64(v)) + rng.NormFloat64()*0.1
+		}
+	}
+	rows := make([][]float64, n)
+	for v := range rows {
+		rows[v] = make([]float64, m)
+		for t := range rows[v] {
+			rows[v][t] = sample(v, t)
+		}
+	}
+	ticks := make([][]float64, rounds)
+	for r := range ticks {
+		ticks[r] = make([]float64, n)
+		for v := range ticks[r] {
+			ticks[r][v] = sample(v, m+r)
+		}
+	}
+	build := func(cfg Config) *Engine {
+		d, err := timeseries.NewDataMatrix(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Clusters, cfg.Seed = 3, 9
+		e, err := Build(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	ref := build(Config{})
+	engines := map[string]*Engine{
+		"plain":        build(Config{Parallelism: 2}),
+		"cache":        build(Config{Cache: qcache.Options{Enabled: true}}),
+		"sketch":       build(Config{Sketch: sketch.Options{Enabled: true, Coefficients: 4}}),
+		"cache+sketch": build(Config{Parallelism: 4, Cache: qcache.Options{Enabled: true}, Sketch: sketch.Options{Enabled: true, Coefficients: 4}}),
+	}
+	for round := 0; round <= rounds; round++ {
+		if round > 0 {
+			advanceBoth(t, ticks[round-1:round], ref)
+			for _, e := range engines {
+				advanceBoth(t, ticks[round-1:round], e)
+			}
+		}
+		oracle := newScalarOracle(t, ref)
+		undefined := 0
+		for _, v := range oracle.values[stats.Cosine] {
+			if math.IsNaN(v) {
+				undefined++
+			}
+		}
+		if undefined != n-1 {
+			t.Fatalf("epoch %d: %d undefined cosine values, want the %d pairs of the zero series", round, undefined, n-1)
+		}
+		for name, e := range engines {
+			for _, m := range pairwiseMeasures() {
+				specs := stageSpecs(m, oracle.values[m])
+				got, err := runSpecs(e, specs, MethodNaive)
+				if err != nil {
+					t.Fatalf("epoch %d %s %v: %v", round, name, m, err)
+				}
+				for i, spec := range specs {
+					mustEqualResults(t, fmt.Sprintf("epoch %d %s %v", round, name, spec), got[i], oracle.answer(spec, nil))
 				}
 			}
 		}

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"affinity/internal/interval"
 	"affinity/internal/plan"
+	"affinity/internal/qcache"
 	"affinity/internal/sketch"
 	"affinity/internal/stats"
+	"affinity/internal/timeseries"
 )
 
 // sketchQuantiles extracts interval endpoints from a sweep's value
@@ -159,9 +163,43 @@ func TestSketchSweepParity(t *testing.T) {
 		if ss.SketchDefiniteIn+ss.SketchDefiniteOut == 0 {
 			t.Fatalf("P=%d: prescreen classified nothing definitively: %+v", tc.p, ss)
 		}
-		if ss.SketchSlid == 0 && tc.drift > 0 {
-			t.Fatalf("P=%d: stale-set regime never slid a sketch: %+v", tc.p, ss)
+		// A series' DFT does not depend on any transform: sketches slide in the
+		// refit-all regime as much as in the stale-set one.
+		if ss.SketchSlid == 0 {
+			t.Fatalf("P=%d drift=%v: no sketch was ever slid: %+v", tc.p, tc.drift, ss)
 		}
+	}
+}
+
+// TestSketchSlidesUnderFullRefit: with DriftBound 0 every relationship is
+// refit every epoch, and every sketch still slides its kept coefficients — a
+// full FFT per series runs only at the build and on the statistics-refresh
+// epochs.  The prescreen stays byte-identical across StatsRefreshEvery + 2
+// epochs, the refresh included.
+func TestSketchSlidesUnderFullRefit(t *testing.T) {
+	const n, refreshEvery = 18, 4
+	fx := makeStreamFixture(t, n, 64, refreshEvery+2, 41)
+	cfg := Config{Clusters: 4, Seed: 7, Stream: StreamConfig{DriftBound: 0, StatsRefreshEvery: refreshEvery}}
+	plain, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sketch = sketch.Options{Enabled: true, Coefficients: 16}
+	sketched, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch, tick := range fx.ticks {
+		advanceBoth(t, [][]float64{tick}, plain, sketched)
+		checkSketchParity(t, fmt.Sprintf("epoch %d", epoch+1), plain, sketched)
+	}
+	ss := sketched.StreamStats()
+	if ss.IndexRebuilds != refreshEvery+2 {
+		t.Fatalf("%d of %d epochs refit everything: the regime is not DriftBound 0's", ss.IndexRebuilds, refreshEvery+2)
+	}
+	if ss.SketchRebuilt != 2*n || ss.SketchSlid != (refreshEvery+1)*n {
+		t.Fatalf("%d sketches rebuilt and %d slid over %d epochs, want %d (build + one refresh) and %d",
+			ss.SketchRebuilt, ss.SketchSlid, refreshEvery+2, 2*n, (refreshEvery+1)*n)
 	}
 }
 
@@ -217,5 +255,220 @@ func TestSketchExplainActuals(t *testing.T) {
 	}
 	if p.SketchRefinedPairs < 0 || p.SketchRefinedPairs > p.SketchedPairs {
 		t.Fatalf("SketchRefinedPairs = %d out of range [0, %d]", p.SketchRefinedPairs, p.SketchedPairs)
+	}
+}
+
+// stageSpecs is the query battery of one measure for the stage parity test,
+// with endpoints taken from the measure's own values so that every predicate
+// has pairs sitting exactly on an endpoint — the ones no bound can decide:
+// the whole universe, closed, open and half-open bands, both half-bounded
+// directions, an empty result, and top-k in both directions at a k inside a
+// run of tied values, a larger k and one past the universe.
+func stageSpecs(m stats.Measure, values []float64) []plan.QuerySpec {
+	specs := []plan.QuerySpec{plan.Interval(m, interval.All())}
+	if finite := sketchQuantiles(values); len(finite) > 2 {
+		q := func(p float64) float64 { return quantile(finite, p) }
+		specs = append(specs,
+			plan.Interval(m, interval.Between(q(0.3), q(0.7))),
+			plan.Interval(m, interval.New(interval.Open(q(0.3)), interval.Open(q(0.7)))),
+			plan.Interval(m, interval.New(interval.Closed(q(0.45)), interval.Open(q(0.55)))),
+			plan.Interval(m, interval.GreaterThan(q(0.9))),
+			plan.Interval(m, interval.AtLeast(q(0.9))),
+			plan.Interval(m, interval.AtMost(q(0.1))),
+			plan.Interval(m, interval.LessThan(q(0.1))),
+			plan.Interval(m, interval.GreaterThan(q(1))),
+		)
+		// Tied quantiles can leave a half-open band empty; the pipeline
+		// rejects those before anything runs.
+		specs = slices.DeleteFunc(specs, func(spec plan.QuerySpec) bool { return spec.Interval.Empty() })
+	}
+	for _, largest := range []bool{true, false} {
+		for _, k := range []int{2, 25, len(values) + 3} {
+			specs = append(specs, plan.TopK(m, k, largest))
+		}
+	}
+	return specs
+}
+
+// TestSweepStageParity holds the one filter-and-refine stage to answers
+// derived from the scalar oracle — every registered pairwise measure × the
+// stageSpecs battery × single and batched × cache on/off × sketch on/off ×
+// P ∈ {1, 2, 8} × the full and an AssignedPairsOnly universe, Float64bits
+// equal — on the cold epoch (which materialises the pair-moment column), over
+// Advances that carry it, and across a statistics-refresh epoch that drops it.
+// Series 1 duplicates series 0, so every measure has tied values for top-k to
+// break by pair identity.
+func TestSweepStageParity(t *testing.T) {
+	const n, window, slide, rounds, refreshEvery = 26, 48, 2, 5, 4
+	fixture := func() *streamFixture {
+		fx := makeStreamFixture(t, n, window, slide*rounds, 67)
+		rows := make([][]float64, n)
+		for v := range rows {
+			s, err := fx.window.Series(timeseries.SeriesID(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[v] = append([]float64(nil), s...)
+		}
+		rows[1] = append([]float64(nil), rows[0]...)
+		d, err := timeseries.NewDataMatrix(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.window = d
+		for _, tick := range fx.ticks {
+			tick[1] = tick[0]
+		}
+		return fx
+	}
+	type variant struct {
+		name string
+		e    *Engine
+	}
+	var engines []variant
+	for _, p := range determinismLevels {
+		for _, cached := range []bool{false, true} {
+			for _, sketched := range []bool{false, true} {
+				for _, restricted := range []bool{false, true} {
+					cfg := Config{
+						Clusters: 4, Seed: 11, Parallelism: p,
+						Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: refreshEvery},
+						Cache:  qcache.Options{Enabled: cached},
+						Sketch: sketch.Options{Enabled: sketched, Coefficients: 8},
+					}
+					if restricted {
+						cfg.AssignedPairsOnly, cfg.MaxRelationships = true, 200
+					}
+					e, err := Build(fixture().window, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if restricted && e.state().numUniversePairs() != 200 {
+						t.Fatalf("restricted universe has %d pairs", e.state().numUniversePairs())
+					}
+					engines = append(engines, variant{fmt.Sprintf("P=%d cache=%v sketch=%v restricted=%v", p, cached, sketched, restricted), e})
+				}
+			}
+		}
+	}
+	fx := fixture()
+	ref, err := Build(fx.window, Config{Clusters: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round <= rounds; round++ {
+		if round > 0 {
+			ticks := fx.ticks[(round-1)*slide : round*slide]
+			advanceBoth(t, ticks, ref)
+			for _, v := range engines {
+				advanceBoth(t, ticks, v.e)
+			}
+		}
+		oracle := newScalarOracle(t, ref)
+		var specs []plan.QuerySpec
+		for _, m := range pairwiseMeasures() {
+			specs = append(specs, stageSpecs(m, oracle.values[m])...)
+		}
+		for _, v := range engines {
+			var universe map[timeseries.Pair]bool
+			if pairs := v.e.state().pairs; pairs != nil {
+				universe = make(map[timeseries.Pair]bool, len(pairs))
+				for _, pair := range pairs {
+					universe[pair] = true
+				}
+			}
+			// Alternate which of the two goes first, so that on a cache-enabled
+			// engine each gets to sweep (the other is then served by the cache).
+			for pass := 0; pass < 2; pass++ {
+				if batched := (pass+round)%2 == 0; batched {
+					got, err := runSpecs(v.e, specs, MethodNaive)
+					if err != nil {
+						t.Fatalf("epoch %d %s batch: %v", round, v.name, err)
+					}
+					for i, spec := range specs {
+						mustEqualResults(t, fmt.Sprintf("epoch %d %s batch %v", round, v.name, spec), got[i], oracle.answer(spec, universe))
+					}
+					continue
+				}
+				for _, spec := range specs {
+					got, err := runSpecs(v.e, []plan.QuerySpec{spec}, MethodNaive)
+					if err != nil {
+						t.Fatalf("epoch %d %s %v: %v", round, v.name, spec, err)
+					}
+					mustEqualResults(t, fmt.Sprintf("epoch %d %s %v", round, v.name, spec), got[0], oracle.answer(spec, universe))
+				}
+			}
+		}
+	}
+	// The column was materialised cold and once more after the refresh epoch;
+	// every other Advance carried it.
+	for _, v := range engines {
+		s := v.e.StreamStats()
+		if want := int64(1 + rounds/refreshEvery); s.MomentFills != want || s.MomentSweeps == 0 {
+			t.Fatalf("%s: %d moment fills, %d sweeps, want %d fills", v.name, s.MomentFills, s.MomentSweeps, want)
+		}
+		if pairs := int64(v.e.state().numUniversePairs()); s.MomentRefinedPairs == 0 || s.MomentRefinedPairs >= s.MomentSweeps*pairs/2 {
+			t.Fatalf("%s: %d sweeps over %d pairs refined %d: the filter decided nothing", v.name, s.MomentSweeps, pairs, s.MomentRefinedPairs)
+		}
+	}
+}
+
+// TestNoNaiveSweepKeepsNoMomentColumn: an engine nobody sweeps naively never
+// materialises the pair-moment column and never slides one — index, affine and
+// planner-routed queries, MEC by any method, single-pair values and the
+// paper's timed W_N sweep (a raw-series scan) all leave it alone, epoch after
+// epoch.  One naive sweep then materialises it, and the next Advance carries it.
+func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
+	fx := makeStreamFixture(t, 20, 90, 6, 7)
+	e, err := Build(fx.window, Config{
+		Clusters: 4, Seed: 5,
+		Stream: StreamConfig{DriftBound: 0.5},
+		Cache:  qcache.Options{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := e.Data().IDs()
+	for round := 0; round < 3; round++ {
+		specs := []plan.QuerySpec{
+			plan.Interval(stats.Correlation, interval.GreaterThan(0.5+0.01*float64(round))),
+			plan.Interval(stats.EuclideanDistance, interval.AtMost(5)),
+			plan.TopK(stats.Covariance, 5, true),
+			plan.Interval(stats.Mean, interval.GreaterThan(0)),
+		}
+		for _, method := range []Method{MethodIndex, MethodAffine, MethodAuto} {
+			_, plans, err := Run(e.View(), specs, method, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans {
+				if p.Method == MethodNaive && p.Spec.Measure != stats.Mean {
+					t.Fatalf("the planner routed %v to a naive sweep: the fixture does not test what it says", p.Spec)
+				}
+			}
+		}
+		for _, method := range []Method{MethodNaive, MethodAffine} {
+			if _, err := e.ComputePairwise(stats.Correlation, ids, method); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.PairwiseSweepNaive(stats.Cosine); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
+			t.Fatal(err)
+		}
+		if s := e.StreamStats(); s.MomentFills != 0 || s.MomentSweeps != 0 || e.state().moments.col.Load() != nil {
+			t.Fatalf("epoch %d: %d moment fills, %d sweeps with no naive sweep asked", round, s.MomentFills, s.MomentSweeps)
+		}
+		advanceBoth(t, fx.ticks[round:round+1], e)
+	}
+	if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
+		t.Fatal(err)
+	}
+	advanceBoth(t, fx.ticks[3:4], e)
+	if s := e.StreamStats(); s.MomentFills != 1 || s.MomentSweeps != 1 || e.state().moments.col.Load() == nil {
+		t.Fatalf("after one naive sweep and an Advance: %d moment fills, %d sweeps, column carried: %v",
+			s.MomentFills, s.MomentSweeps, e.state().moments.col.Load() != nil)
 	}
 }

@@ -37,6 +37,11 @@ import (
 //	                 carries its validation mark along, so nothing downstream
 //	                 scans the n·m samples for NaN again
 //	O(n·s)           slide the running sums Σx, Σx² per series
+//	O(pairs·s)       slide the pair moments Σ x_u·x_v, one multiply-add pair
+//	                 per pair and slid sample — only while a naive sweep has
+//	                 materialised the column (stats.PairMoments); an engine
+//	                 nobody sweeps naively pays nothing, and the statistics
+//	                 refresh epochs drop the column instead of sliding it
 //	O(n·s·log m)     slide the sorted columns (order statistics: median, mode
 //	                 are then read off them, O(1) and one pass, never re-sorted)
 //	O(n·m + K)       self-moments: Σx, Σx², mean, variance once per series,
@@ -69,6 +74,12 @@ import (
 //
 //	O(P·k)           that measure's parameter bounds (U^min, U^max) for every
 //	                 pivot — per queried measure, never O(P·k·D) up front
+//
+// and on the first naive sweep after a build or a statistics refresh epoch:
+//
+//	O(pairs·m)       materialise the pair moments with one DotBlock pass —
+//	                 every StatsRefreshEvery epochs at most, where a naive base
+//	                 column used to cost it every epoch
 //
 // Nothing in an epoch is O(relationships) map work, and nothing is allocated
 // per relationship or, in the index, per pivot: the relationship store is a
@@ -306,30 +317,22 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	}
 	indexDone := time.Now()
 
-	// Sketch maintenance mirrors the index update's delta discipline: series
-	// in the refit/stale set are rebuilt from a full FFT of their new column,
-	// everything else slides its kept coefficients with the sliding-DFT
-	// recurrence.  Full-refit epochs (stale == nil) and the periodic
-	// statistics refreshes rebuild every sketch, bounding the recurrence's
-	// rounding drift exactly like the running statistics' refresh does.
+	// Sketch maintenance: a series' DFT depends on its window and on no affine
+	// transform, so whatever the refit did, every series slides its kept
+	// coefficients with the sliding-DFT recurrence, O(slide·d).  The periodic
+	// statistics refreshes (and a whole-window slide) rebuild every sketch from
+	// a full FFT, which re-picks the kept coefficients and bounds the
+	// recurrence's rounding drift exactly like the running sums' refresh does.
 	if old.sketch != nil {
 		kern, mom, err := st.naive.Kernel()
 		if err != nil {
 			return AdvanceInfo{}, err
 		}
-		var staleSeries []bool
-		if stale != nil {
-			staleSeries = make([]bool, n)
-			for p := range stale {
-				staleSeries[p.U] = true
-				staleSeries[p.V] = true
-			}
-		}
 		oldCol := func(v int) []float64 {
 			col, _ := old.data.Series(timeseries.SeriesID(v)) // ids are in range by construction
 			return col
 		}
-		st.sketch = old.sketch.Advance(kern, mom, oldCol, batch, slide, refresh || stale == nil, staleSeries, parallelism)
+		st.sketch = old.sketch.Advance(kern, mom, oldCol, batch, slide, refresh, nil, parallelism)
 	}
 
 	st.finishPlanner(e.cfg)
@@ -341,6 +344,15 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	st.cache = old.cache
 	st.cache.OnAdvance(st.epoch, SortedStalePairs(stale), stale == nil)
 	st.cols = e.newBaseColumns(st.cache)
+
+	// The pair-moment column, the naive sweeps' other bound provider, slides
+	// beside the running sums while some sweep has materialised it: O(slide)
+	// per pair.  The refresh epochs drop it like they re-seed the sums, which
+	// bounds its rounding drift; the next naive sweep materialises a fresh one.
+	st.moments = e.newMomentColumn()
+	if !refresh {
+		st.slideMoments(old, batch, slide, parallelism)
+	}
 
 	st.info.AdvanceDuration = time.Since(start)
 	e.stream.Advances++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"affinity/internal/interval"
 	"affinity/internal/plan"
+	"affinity/internal/qcache"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
@@ -490,4 +492,85 @@ func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 	if ss := e.StreamStats(); ss.IndexUpdates == 0 {
 		t.Fatalf("no epoch took the incremental index path: %+v", ss)
 	}
+}
+
+// TestFirstNaiveSweepRacesAdvance: the pair-moment column is materialised by
+// the first naive sweep of an epoch that has none.  Every epoch, many
+// goroutines issue that sweep against one pinned View at once — while Advance
+// assembles the next epoch, which either finds the column materialised and
+// carries it or does not and leaves it to its own first sweep.  Both are
+// byte-identical: every reader's answers equal the scalar oracle's at its
+// epoch.  The statistics refresh every third epoch drops the column, so fresh
+// materialisations keep racing the writer.  Run with -race (CI does).
+func TestFirstNaiveSweepRacesAdvance(t *testing.T) {
+	const n, window, slide, rounds, readers = 26, 60, 2, 9, 6
+	fx := makeStreamFixture(t, n, window, slide*rounds, 61)
+	cfg := Config{
+		Clusters: 4, Seed: 13, Parallelism: 2,
+		Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: 3},
+		Cache:  qcache.Options{Enabled: true},
+	}
+	e, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Build(fx.window, Config{Clusters: 4, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		v := e.View()
+		oracle := newScalarOracle(t, twin)
+		var specs []plan.QuerySpec
+		for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.Cosine, stats.EuclideanDistance} {
+			specs = append(specs, stageSpecs(m, oracle.values[m])...)
+		}
+		start := make(chan struct{})
+		got := make([][]QueryResult, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				// Each reader leads with another query, so the materialisation
+				// has several goroutines racing for it.
+				lead := r * len(specs) / readers
+				mine := append(append([]plan.QuerySpec(nil), specs[lead:]...), specs[:lead]...)
+				for _, spec := range mine {
+					out, _, err := Run(v, []plan.QuerySpec{spec}, MethodNaive, false)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					got[r] = append(got[r], out[0])
+				}
+				got[r] = append(got[r][len(specs)-lead:], got[r][:len(specs)-lead]...)
+			}()
+		}
+		close(start)
+		for _, engine := range []*Engine{e, twin} {
+			appendTicks(t, engine, fx.ticks[round*slide:(round+1)*slide])
+			if _, err := engine.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		for r := range got {
+			if errs[r] != nil {
+				t.Fatalf("epoch %d reader %d: %v", round, r, errs[r])
+			}
+			for q, spec := range specs {
+				mustEqualResults(t, fmt.Sprintf("epoch %d reader %d %v", round, r, spec), got[r][q], oracle.answer(spec, nil))
+			}
+		}
+	}
+	// At least the build epoch and every epoch after a refresh materialised;
+	// an epoch whose predecessor's column was not ready in time did too.
+	ss := e.StreamStats()
+	if min := int64(1 + (rounds-1)/3); ss.MomentFills < min || ss.MomentFills > rounds {
+		t.Fatalf("%d materialisations over %d swept epochs, want between %d and %d", ss.MomentFills, rounds, min, rounds)
+	}
+	t.Logf("%d of %d swept epochs materialised the column, the others found it carried", ss.MomentFills, rounds)
 }

@@ -63,12 +63,13 @@ type StreamStats struct {
 	CacheBytes   int64
 	// Sketch-prescreen counters (zero when the sketch tier is disabled).
 	// SketchRebuilt/SketchSlid split the per-series maintenance outcomes:
-	// full-FFT rebuilds (stale series, refresh epochs, the initial build)
+	// full-FFT rebuilds (the initial build, the statistics-refresh epochs)
 	// versus sliding-DFT updates sharing the previous epoch's kept-index
 	// structure.  SketchSweeps counts prescreened sweep executions, and the
 	// DefiniteIn/DefiniteOut/Ambiguous triple their interval classifications —
-	// only ambiguous pairs paid an exact evaluation.  SketchTopKSkippedPairs
-	// counts pairs pruned by best-first top-k bound ordering.
+	// the ambiguous pairs went on to the pair-moment column.
+	// SketchTopKSkippedPairs counts pairs pruned by best-first top-k bound
+	// ordering.
 	SketchRebuilt          int64
 	SketchSlid             int64
 	SketchSweeps           int64
@@ -77,12 +78,22 @@ type StreamStats struct {
 	SketchAmbiguous        int64
 	SketchTopKSkippedPairs int64
 	// Base-column counters (zero when the result cache is disabled).
-	// SweepBaseFills counts evaluations of a (base T-measure, method) over the
-	// whole pair universe — at most one per base, method and epoch — and
+	// SweepBaseFills counts evaluations of an affine base T-measure over the
+	// whole pair universe — at most one per base and epoch — and
 	// SweepBaseReuses the sweep groups that took their base values from a
 	// column an earlier sweep of the epoch had already filled.
 	SweepBaseFills  int64
 	SweepBaseReuses int64
+	// Pair-moment column counters (zero while no naive sweep of a boundable
+	// measure has run).  MomentFills counts materialisations of the column —
+	// one DotBlock pass over the pair universe, by the first such sweep and
+	// again after every statistics refresh epoch — MomentSweeps the sweeps
+	// classified against it, and MomentRefinedPairs the pairs those sweeps
+	// still sent to the exact kernels: the ambiguous sliver and, on a
+	// cache-enabled engine, the rows they kept.
+	MomentFills        int64
+	MomentSweeps       int64
+	MomentRefinedPairs int64
 }
 
 // CacheHitRate returns the fraction of cache-eligible queries served from the
@@ -142,6 +153,9 @@ func (e *Engine) StreamStats() StreamStats {
 	s.CacheBytes = cs.Bytes
 	s.SweepBaseFills = e.sweep.fills.Load()
 	s.SweepBaseReuses = e.sweep.reuses.Load()
+	s.MomentFills = e.sweep.momentFills.Load()
+	s.MomentSweeps = e.sweep.momentSweeps.Load()
+	s.MomentRefinedPairs = e.sweep.momentRefined.Load()
 	if sk := e.state().sketch; sk != nil {
 		ss := sk.Counters().Snapshot()
 		s.SketchRebuilt = ss.Rebuilt

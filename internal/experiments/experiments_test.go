@@ -208,6 +208,11 @@ func TestThresholdAndRangeQueries(t *testing.T) {
 		if r.Measure != stats.Correlation && r.DFTTime != 0 {
 			t.Fatalf("W_F measured for unsupported measure %v", r.Measure)
 		}
+		// The engine's filtered naive method is its own column next to the
+		// paper's raw-series W_N, and only for the measures it applies to.
+		if pairwise := r.Measure.Class() != stats.LocationClass; (r.FilteredNaiveTime > 0) != pairwise {
+			t.Fatalf("filtered naive time %v for %v", r.FilteredNaiveTime, r.Measure)
+		}
 	}
 
 	rangeRows, err := RangeQueries(sensor, nil, []float64{0.3, 0.9}, 3, 1)

@@ -32,19 +32,25 @@ var DefaultResultSizeQuantiles = []float64{0.999, 0.8, 0.6, 0.4, 0.2, 0.001}
 var DefaultRangeWidths = []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0}
 
 // QueryRow is one measured MET or MER query: the result size (x-axis of
-// Figs. 15–16) and the per-query processing time of each method.  DFTTime is
-// zero for measures the W_F baseline does not support (everything except the
-// correlation coefficient).
+// Figs. 15–16) and the per-query processing time of each method.  NaiveTime
+// is the paper's W_N: a scan that reduces every pair from its m raw samples
+// (baseline.Naive), once per query.  FilteredNaiveTime is what the engine's
+// naive method costs when the query is repeated on one engine: its sweep stage
+// classifies against the slid pair-moment column and reduces only the pairs
+// it cannot decide — same answer, not the paper's bar; zero for L-measures,
+// which the stage does not touch.  DFTTime is zero for measures the W_F
+// baseline does not support (everything except the correlation coefficient).
 type QueryRow struct {
-	QueryType  string // "MET" or "MER"
-	Measure    stats.Measure
-	Threshold  float64
-	Low, High  float64
-	ResultSize int
-	NaiveTime  time.Duration
-	AffineTime time.Duration
-	DFTTime    time.Duration
-	ScapeTime  time.Duration
+	QueryType         string // "MET" or "MER"
+	Measure           stats.Measure
+	Threshold         float64
+	Low, High         float64
+	ResultSize        int
+	NaiveTime         time.Duration
+	FilteredNaiveTime time.Duration
+	AffineTime        time.Duration
+	DFTTime           time.Duration
+	ScapeTime         time.Duration
 }
 
 // queryEnvironment bundles everything the MET/MER experiments need.
@@ -141,42 +147,53 @@ func ThresholdQueries(d *timeseries.DataMatrix, measures []stats.Measure, quanti
 }
 
 func (env *queryEnvironment) thresholdPoint(m stats.Measure, tau float64) (QueryRow, error) {
-	row := QueryRow{QueryType: "MET", Measure: m, Threshold: tau}
+	return env.timePoint(QueryRow{QueryType: "MET", Measure: m, Threshold: tau}, interval.GreaterThan(tau), func() error {
+		_, err := env.dft.PairThreshold(tau, true)
+		return err
+	})
+}
 
-	var result core.QueryResult
-	naiveTime, err := timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		var innerErr error
-		result, innerErr = env.engine.Interval(m, interval.GreaterThan(tau), core.MethodNaive)
+// timePoint times one interval query with every method and fills the row's
+// result size and time columns.  W_N is the raw-series scan of the baseline
+// package, as in the paper; the engine's naive method is timed beside it.
+func (env *queryEnvironment) timePoint(row QueryRow, iv interval.Interval, dft func() error) (QueryRow, error) {
+	m := row.Measure
+	naive := env.engine.Naive()
+	var err error
+	row.NaiveTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
+		if m.Class() == stats.LocationClass {
+			ids, innerErr := naive.SeriesInterval(m, iv)
+			row.ResultSize = len(ids)
+			return innerErr
+		}
+		pairs, innerErr := naive.PairInterval(m, iv)
+		row.ResultSize = len(pairs)
 		return innerErr
 	})
 	if err != nil {
 		return row, err
 	}
-	row.ResultSize = result.Size()
-	row.NaiveTime = naiveTime
-
-	row.AffineTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Interval(m, interval.GreaterThan(tau), core.MethodAffine)
-		return innerErr
-	})
-	if err != nil {
-		return row, err
-	}
-
-	row.ScapeTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Interval(m, interval.GreaterThan(tau), core.MethodIndex)
-		return innerErr
-	})
-	if err != nil {
-		return row, err
-	}
-
-	if m == stats.Correlation {
-		row.DFTTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-			_, innerErr := env.dft.PairThreshold(tau, true)
+	for _, timed := range []struct {
+		into   *time.Duration
+		method core.Method
+	}{
+		{&row.FilteredNaiveTime, core.MethodNaive},
+		{&row.AffineTime, core.MethodAffine},
+		{&row.ScapeTime, core.MethodIndex},
+	} {
+		if timed.method == core.MethodNaive && m.Class() == stats.LocationClass {
+			continue
+		}
+		*timed.into, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
+			_, innerErr := env.engine.Interval(m, iv, timed.method)
 			return innerErr
 		})
 		if err != nil {
+			return row, err
+		}
+	}
+	if m == stats.Correlation {
+		if row.DFTTime, err = timeRepeated(queryTimingFloor, queryTimingReps, dft); err != nil {
 			return row, err
 		}
 	}
@@ -226,46 +243,10 @@ func RangeQueries(d *timeseries.DataMatrix, measures []stats.Measure, widths []f
 }
 
 func (env *queryEnvironment) rangePoint(m stats.Measure, lo, hi float64) (QueryRow, error) {
-	row := QueryRow{QueryType: "MER", Measure: m, Low: lo, High: hi}
-
-	var result core.QueryResult
-	naiveTime, err := timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		var innerErr error
-		result, innerErr = env.engine.Interval(m, interval.Between(lo, hi), core.MethodNaive)
-		return innerErr
+	return env.timePoint(QueryRow{QueryType: "MER", Measure: m, Low: lo, High: hi}, interval.Between(lo, hi), func() error {
+		_, err := env.dft.PairRange(lo, hi)
+		return err
 	})
-	if err != nil {
-		return row, err
-	}
-	row.ResultSize = result.Size()
-	row.NaiveTime = naiveTime
-
-	row.AffineTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Interval(m, interval.Between(lo, hi), core.MethodAffine)
-		return innerErr
-	})
-	if err != nil {
-		return row, err
-	}
-
-	row.ScapeTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		_, innerErr := env.engine.Interval(m, interval.Between(lo, hi), core.MethodIndex)
-		return innerErr
-	})
-	if err != nil {
-		return row, err
-	}
-
-	if m == stats.Correlation {
-		row.DFTTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-			_, innerErr := env.dft.PairRange(lo, hi)
-			return innerErr
-		})
-		if err != nil {
-			return row, err
-		}
-	}
-	return row, nil
 }
 
 // Fig15 reproduces Fig. 15 (MET queries on sensor-data).

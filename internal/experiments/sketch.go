@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -39,26 +40,32 @@ type SketchRow struct {
 	// of the quantile-placed predicate over Pairs pairs.
 	TargetSel   float64
 	Rows, Pairs int
-	// AmbiguousFrac is the fraction of pairs the prescreen could not classify
-	// definitively — the pairs that paid an exact evaluation.
-	AmbiguousFrac float64
-	// ExactTime is the best-of-reps wall time of the plain blocked-kernel
-	// sweep (the PR 7 tier); SketchTime of the prescreened sweep; Speedup
-	// their ratio.
-	ExactTime, SketchTime time.Duration
-	Speedup               float64
+	// AmbiguousFrac is the fraction of pairs the sketch could not classify
+	// definitively and handed on to the pair-moment column;
+	// ColumnAmbiguousFrac the fraction the column alone, on an engine without
+	// sketches, sent to the exact kernels.
+	AmbiguousFrac, ColumnAmbiguousFrac float64
+	// ExactTime is the best-of-reps wall time of the raw-series W_N scan on
+	// the blocked kernels (the PR 7 tier, baseline.Naive.PairInterval);
+	// ColumnTime of the engine's naive sweep with the pair-moment column as
+	// its only bound provider; SketchTime of the same sweep with the sketch in
+	// front of the column.  Speedup is ExactTime/SketchTime, SketchGain
+	// ColumnTime/SketchTime: what the sketch tier buys once the column exists.
+	ExactTime, ColumnTime, SketchTime time.Duration
+	Speedup, SketchGain               float64
 }
 
 // SketchPrescreen runs the filter-and-refine experiment on one dataset: for
 // every sketch width and measure it places interval predicates at quantiles
-// of the exact value distribution and times the prescreened sweep against the
-// plain blocked-kernel sweep, asserting byte-identical results before any
+// of the exact value distribution and times the engine's naive sweep — with
+// the sketch in front of the pair-moment column, and with the column alone —
+// against the raw-series scan, asserting byte-identical results before any
 // timing is reported.
 func SketchPrescreen(name string, d *timeseries.DataMatrix, seed int64, reps int) ([]SketchRow, error) {
 	if reps < 1 {
 		reps = 3
 	}
-	exact, err := core.Build(d, core.Config{Clusters: 6, Seed: seed, SkipIndex: true})
+	column, err := core.Build(d, core.Config{Clusters: 6, Seed: seed, SkipIndex: true})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building exact engine: %w", err)
 	}
@@ -73,7 +80,7 @@ func SketchPrescreen(name string, d *timeseries.DataMatrix, seed int64, reps int
 			return nil, fmt.Errorf("experiments: building sketch engine (d=%d): %w", width, err)
 		}
 		for _, m := range SketchMeasures {
-			sweep, err := exact.PairwiseSweepNaive(m)
+			sweep, err := column.PairwiseSweepNaive(m)
 			if err != nil {
 				return nil, err
 			}
@@ -90,60 +97,56 @@ func SketchPrescreen(name string, d *timeseries.DataMatrix, seed int64, reps int
 			for _, sel := range SketchSelectivities {
 				q := finite[int((1-sel)*float64(len(finite)-1))]
 				iv := interval.GreaterThan(q)
-				want, err := exact.Interval(m, iv, core.MethodNaive)
+				want, err := column.Naive().PairInterval(m, iv)
 				if err != nil {
 					return nil, err
 				}
-				// The prescreen's contract before its clock is trusted:
-				// byte-identical results, checked on an untimed run.
-				_, p, err := eng.Explain(plan.Interval(m, iv), core.MethodNaive)
-				if err != nil {
-					return nil, err
-				}
-				got, err := eng.Interval(m, iv, core.MethodNaive)
-				if err != nil {
-					return nil, err
-				}
-				if len(got.Pairs) != len(want.Pairs) {
-					return nil, fmt.Errorf("experiments: sketch sweep of %v in %v returned %d pairs, exact %d",
-						m, iv, len(got.Pairs), len(want.Pairs))
-				}
-				for i := range want.Pairs {
-					if got.Pairs[i] != want.Pairs[i] {
-						return nil, fmt.Errorf("experiments: sketch sweep of %v in %v differs at pair %d", m, iv, i)
-					}
-				}
+				// The filter's contract before its clock is trusted:
+				// byte-identical results, checked on untimed runs.
 				row := SketchRow{
 					Dataset: name, Measure: m, Coefficients: width,
-					TargetSel: sel, Rows: len(want.Pairs), Pairs: numPairs,
+					TargetSel: sel, Rows: len(want), Pairs: numPairs,
 				}
-				if p.SketchedPairs > 0 {
-					row.AmbiguousFrac = float64(p.SketchRefinedPairs) / float64(p.SketchedPairs)
+				before := eng.StreamStats()
+				for _, e := range []*core.Engine{eng, column} {
+					got, p, err := e.Explain(plan.Interval(m, iv), core.MethodNaive)
+					if err != nil {
+						return nil, err
+					}
+					if !slices.Equal(got.Pairs, want) {
+						return nil, fmt.Errorf("experiments: filtered sweep of %v in %v returned %d pairs, the raw-series scan %d",
+							m, iv, len(got.Pairs), len(want))
+					}
+					if e == column && p.SketchedPairs > 0 {
+						row.ColumnAmbiguousFrac = float64(p.SketchRefinedPairs) / float64(p.SketchedPairs)
+					}
+				}
+				after := eng.StreamStats()
+				if classified := after.SketchDefiniteIn + after.SketchDefiniteOut + after.SketchAmbiguous -
+					(before.SketchDefiniteIn + before.SketchDefiniteOut + before.SketchAmbiguous); classified > 0 {
+					row.AmbiguousFrac = float64(after.SketchAmbiguous-before.SketchAmbiguous) / float64(classified)
 				}
 				for r := 0; r < reps; r++ {
-					t, err := timeOnce(func() error {
-						_, err := exact.Interval(m, iv, core.MethodNaive)
-						return err
-					})
-					if err != nil {
-						return nil, err
-					}
-					if row.ExactTime == 0 || t < row.ExactTime {
-						row.ExactTime = t
-					}
-					t, err = timeOnce(func() error {
-						_, err := eng.Interval(m, iv, core.MethodNaive)
-						return err
-					})
-					if err != nil {
-						return nil, err
-					}
-					if row.SketchTime == 0 || t < row.SketchTime {
-						row.SketchTime = t
+					for _, timed := range []struct {
+						into *time.Duration
+						run  func() error
+					}{
+						{&row.ExactTime, func() error { _, err := column.Naive().PairInterval(m, iv); return err }},
+						{&row.ColumnTime, func() error { _, err := column.Interval(m, iv, core.MethodNaive); return err }},
+						{&row.SketchTime, func() error { _, err := eng.Interval(m, iv, core.MethodNaive); return err }},
+					} {
+						t, err := timeOnce(timed.run)
+						if err != nil {
+							return nil, err
+						}
+						if *timed.into == 0 || t < *timed.into {
+							*timed.into = t
+						}
 					}
 				}
 				if row.SketchTime > 0 {
 					row.Speedup = float64(row.ExactTime) / float64(row.SketchTime)
+					row.SketchGain = float64(row.ColumnTime) / float64(row.SketchTime)
 				}
 				rows = append(rows, row)
 			}

@@ -210,18 +210,21 @@ type Plan struct {
 	// repair re-evaluated (zero outside the repaired tier).
 	CacheTier          string
 	CacheRepairedPairs int
-	// SketchedPairs is the number of pairs the coefficient-sketch prescreen
-	// classified for this query, and SketchRefinedPairs the number that
-	// reached the exact kernels (ambiguous pairs of an interval sweep; pairs
-	// in examined chunks of a best-first top-k sweep).  Zero when the query
-	// did not execute through the sketch tier.
+	// SketchedPairs is the number of pairs a naive sweep's bound providers —
+	// the coefficient sketches where the engine keeps them, then the slid
+	// pair moments — prescreened for this query, and SketchRefinedPairs the
+	// number that still reached the exact kernels: the pairs no bound could
+	// decide and, on a cache-enabled engine, the rows the query kept (the
+	// cache stores their values).  Zero when the query did not execute as a
+	// naive sweep of a boundable measure.
 	SketchedPairs      int
 	SketchRefinedPairs int
-	// BaseValues reports where a sweep-method execution on a cache-enabled
-	// engine took its base T-measure values from: "filled" when this query
-	// evaluated the epoch's base column, "reused" when an earlier sweep of the
-	// same base at this epoch already had.  Empty when the sweep streamed its
-	// base values (cache off, over the column budget) or no sweep ran.
+	// BaseValues reports where an affine sweep on a cache-enabled engine took
+	// its base T-measure values from: "filled" when this query evaluated the
+	// epoch's base column, "reused" when an earlier sweep of the same base at
+	// this epoch already had.  Empty when the sweep evaluated its base values
+	// chunk by chunk (cache off, over the column budget, the naive method) or
+	// no sweep ran.
 	BaseValues string
 }
 

@@ -397,6 +397,9 @@ func (c *Coordinator) StreamStats() core.StreamStats {
 		agg.SketchTopKSkippedPairs += s.SketchTopKSkippedPairs
 		agg.SweepBaseFills += s.SweepBaseFills
 		agg.SweepBaseReuses += s.SweepBaseReuses
+		agg.MomentFills += s.MomentFills
+		agg.MomentSweeps += s.MomentSweeps
+		agg.MomentRefinedPairs += s.MomentRefinedPairs
 		if s.LastStaleFraction > agg.LastStaleFraction {
 			agg.LastStaleFraction = s.LastStaleFraction
 		}

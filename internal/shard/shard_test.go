@@ -231,7 +231,13 @@ func TestCoordinatorExplain(t *testing.T) {
 	skCfg := cfg
 	skCfg.Sketch = sketch.Options{Enabled: true, Coefficients: 4}
 	se, sc := buildFixturePair(t, 3, skCfg)
-	skSpec := plan.Interval(stats.Correlation, interval.GreaterThan(0.9))
+	// The endpoint is one pair's exact value, so at least that pair stays
+	// ambiguous under every bound provider and reaches the kernels.
+	endpoint, err := se.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skSpec := plan.Interval(stats.Correlation, interval.GreaterThan(endpoint))
 	_, sep, err := se.Explain(skSpec, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
@@ -308,6 +314,35 @@ func TestCoordinatorStreaming(t *testing.T) {
 	}
 	if ss.LastSlidePhase <= 0 {
 		t.Fatal("phase timings not aggregated")
+	}
+
+	// The pair-moment column belongs to naive sweeps: index and affine
+	// queries materialise it on no shard, the first naive sweep materialises
+	// it on every shard (each over its own pair universe), and the Advance
+	// that follows carries it — AdvanceShared is a shard's whole part in that.
+	for _, method := range []core.Method{core.MethodIndex, core.MethodAffine} {
+		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), method); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ss := c.StreamStats(); ss.MomentFills != 0 || ss.MomentSweeps != 0 {
+		t.Fatalf("%d moment fills, %d sweeps before any naive sweep", ss.MomentFills, ss.MomentSweeps)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), core.MethodNaive); err != nil {
+			t.Fatal(err)
+		}
+		if ss, shards := c.StreamStats(), int64(c.NumShards()); ss.MomentFills != shards || ss.MomentSweeps != int64(round+1)*shards {
+			t.Fatalf("round %d: %d moment fills, %d sweeps over %d shards", round, ss.MomentFills, ss.MomentSweeps, shards)
+		}
+		for _, tick := range fx.ticks[5+round : 6+round] {
+			if err := c.Append(tick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Advance(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// AutoAdvance through the coordinator.

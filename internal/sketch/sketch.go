@@ -35,9 +35,12 @@
 // On Advance every kept coefficient is slid with the standard sliding-DFT
 // recurrence X'[k] = (X[k] − evicted + appended)·e^{2πik/m} per slide step
 // (O(slide·d) per series, sharing the previous epoch's kept-index structure),
-// while series in the symex refit/stale set — and every series on refresh or
-// full-refit epochs — are rebuilt from a full pooled FFT that re-picks the
-// top-d set.  Energies always come from the new epoch's exact moments.
+// while the series the caller marks stale — and every series when it asks for
+// a full rebuild — are rebuilt from a full pooled FFT that re-picks the top-d
+// set.  The engine marks none and asks for the rebuild on its periodic
+// statistics-refresh epochs only: a series' DFT depends on its window, not on
+// which affine relationships were refit.  Energies always come from the new
+// epoch's exact moments.
 package sketch
 
 import (

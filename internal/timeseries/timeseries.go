@@ -461,6 +461,13 @@ func (d *DataMatrix) PairsAt(rank int, dst []Pair) []Pair {
 	return dst
 }
 
+// PairRank returns the position of a canonical pair in the AllPairs order —
+// the inverse of PairsAt.
+func (d *DataMatrix) PairRank(e Pair) int {
+	u, v := int(e.U), int(e.V)
+	return u*d.NumSeries() - u*(u+1)/2 + v - u - 1
+}
+
 // NumPairs returns |P| = n(n-1)/2.
 func (d *DataMatrix) NumPairs() int {
 	n := d.NumSeries()

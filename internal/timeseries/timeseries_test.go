@@ -157,6 +157,11 @@ func TestPairsAtMatchesAllPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := d.AllPairs()
+		for rank, p := range want {
+			if got := d.PairRank(p); got != rank {
+				t.Fatalf("n=%d: PairRank(%v) = %d, AllPairs has it at %d", n, p, got, rank)
+			}
+		}
 		if got := d.PairsAt(0, nil); len(got) != 0 {
 			t.Fatalf("n=%d: PairsAt into an empty buffer returned %d pairs", n, len(got))
 		}
