@@ -51,8 +51,9 @@
 //
 // The three concrete execution methods mirror the paper's evaluation: Naive
 // recomputes from raw data (W_N), Affine uses the affine relationships (W_A),
-// and Index uses the SCAPE index.  Results from Affine and Index are
-// identical; they approximate Naive with the small errors reported in
+// and Index uses the SCAPE index.  Affine and Index answer from the same
+// relationships and return the same rows (their values agree to about 1e-9
+// relative); they approximate Naive with the small errors reported in
 // EXPERIMENTS.md.  A fourth method, Auto, routes each query through a
 // cost-based planner that estimates the query's selectivity from the index
 // and picks the cheapest applicable method; Explain exposes the plan.
@@ -402,10 +403,6 @@ type StreamOptions struct {
 	// from the raw window every this many epochs (default 64), bounding
 	// floating-point drift of the running sums.
 	StatsRefreshEvery int
-	// Parallelism overrides Options.Parallelism for Advance-time work
-	// (drift scoring, refits, summary and index rebuilds).  Zero inherits
-	// Options.Parallelism.  Results are identical at any level.
-	Parallelism int
 }
 
 // CacheOptions configures the engine's epoch-aware semantic result cache.
@@ -421,24 +418,11 @@ type StreamOptions struct {
 // execution of the same query, so enabling the cache changes latency only.
 // Explain reports the serving tier on QueryPlan.CacheTier, and StreamStats
 // carries the hit/miss/repair counters.
-//
-// A cache-enabled engine also makes its misses cheaper: an affine sweep that
-// does run takes its base T-measure values (covariance or dot product) from a
-// per-epoch column evaluated once by the first such sweep of the epoch, so
-// every later sweep only derives its own measure and filters.  Columns die
-// with their epoch and change no answer; QueryPlan.BaseValues and
-// StreamStats.SweepBaseFills/SweepBaseReuses report them.  (Naive sweeps need
-// no column, cache or not: they classify every pair against the pair moments
-// the engine slides from epoch to epoch and reduce only the pairs those cannot
-// decide — QueryPlan.SketchedPairs/SketchRefinedPairs and
-// StreamStats.MomentFills/MomentSweeps/MomentRefinedPairs report that.)
 type CacheOptions struct {
 	// Enabled turns the cache on (the zero value keeps it off).
 	Enabled bool
 	// MaxBytes is the deterministic LRU eviction budget over the entries'
-	// estimated memory footprint (default 32 MiB).  An epoch's base columns
-	// (8 bytes per pair each) may take up to a quarter of it on top; a column
-	// that does not fit is not kept.
+	// estimated memory footprint (default 32 MiB).
 	MaxBytes int64
 	// EpochHistory is how many trailing Advances' stale sets are retained for
 	// delta repair; entries older than the window are expired (default 8).
@@ -544,7 +528,6 @@ func (opts Options) config() core.Config {
 			DriftBound:        opts.Stream.DriftBound,
 			AutoAdvance:       opts.Stream.AutoAdvance,
 			StatsRefreshEvery: opts.Stream.StatsRefreshEvery,
-			Parallelism:       opts.Stream.Parallelism,
 		},
 		Cache: qcache.Options{
 			Enabled:      opts.Cache.Enabled,

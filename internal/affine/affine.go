@@ -293,16 +293,13 @@ func (t *Transform) PropagateMoment(mm measure.Moment) float64 {
 	return quad + t.B[1]*a1h + t.B[0]*a2h + mm.C*t.B[0]*t.B[1]
 }
 
-// PropagateMeasure computes any affine-propagatable pairwise measure of the
+// PropagateMeasure computes any pairwise measure of the
 // target pair: the base T value propagates through the moment matrix and the
 // spec's monotone transform combines it with the target pair's separable
 // parameter (Eq. 8 generalized beyond ratio normalizers).
 func (t *Transform) PropagateMeasure(sp *measure.Spec, mm measure.Moment, param float64, m int) (float64, error) {
 	if !sp.Pairwise() {
 		return 0, fmt.Errorf("affine: %v is not a pairwise measure: %w", sp.ID, measure.ErrUnknownMeasure)
-	}
-	if !sp.AffinePropagatable {
-		return 0, fmt.Errorf("affine: %v is not affine-propagatable: %w", sp.ID, measure.ErrUnknownMeasure)
 	}
 	return sp.Eval(t.PropagateMoment(mm), param, m)
 }

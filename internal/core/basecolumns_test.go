@@ -14,13 +14,15 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/stats"
+	"affinity/internal/timeseries"
 )
 
 // This file pins the epoch base columns (basecolumns.go) and the value
-// hand-off from the sweep to the cache: a cache-enabled engine answers every
-// sweep exactly as its cache-off twin, stores exactly the values the per-pair
-// evaluators would have captured, evaluates each affine base once per epoch
-// and never carries a base column across an Advance.
+// hand-off from the sweep to the cache: every engine, cache or not, evaluates
+// each affine base once per epoch into a column whose values — and the derived
+// values a sweep takes from them — are the single-pair evaluator's bit for bit;
+// a cache-enabled engine answers every sweep exactly as its cache-off twin and
+// stores exactly those values; no column is carried across an Advance.
 
 // sweepSpecs is the query battery of one measure: two intervals that do not
 // contain each other (so both miss the cache) and both top-k directions.
@@ -46,9 +48,9 @@ func requireSameResults(t *testing.T, tag string, got, want []QueryResult) {
 
 // requireSweepParity asks the cached engine and its cache-off twin the whole
 // battery — single calls first, then one mixed batch — with both sweep
-// methods, and checks every stored interval entry against the per-pair
-// evaluator of its method (what cacheStore captured before the sweep handed
-// its values over).
+// methods, and checks every stored interval entry and every top-k value
+// against the per-pair evaluator of its method (affinePairValue for the rows an
+// affine sweep took from the base column).
 func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 	t.Helper()
 	st := cached.state()
@@ -67,6 +69,7 @@ func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 				}
 				requireSameResults(t, label, got, want)
 				if spec.Kind != plan.KindInterval {
+					requireValuesOfPairEvaluator(t, label, st, spec.Measure, method, got[0])
 					continue
 				}
 				stored, tier, ok := st.cache.Lookup(qcache.IntervalKey(spec.Measure, method, spec.Interval), st.epoch)
@@ -76,15 +79,7 @@ func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 				if !slices.Equal(stored.Pairs, want[0].Pairs) || len(stored.Values) != len(stored.Pairs) {
 					t.Fatalf("%s: stored %d pairs / %d values, want %d", label, len(stored.Pairs), len(stored.Values), len(want[0].Pairs))
 				}
-				for i, pair := range stored.Pairs {
-					v, err := st.PairValue(spec.Measure, pair, method)
-					if err != nil {
-						t.Fatalf("%s: PairValue(%v): %v", label, pair, err)
-					}
-					if math.Float64bits(stored.Values[i]) != math.Float64bits(v) {
-						t.Fatalf("%s: stored value of %v = %v, PairValue = %v", label, pair, stored.Values[i], v)
-					}
-				}
+				requireValuesOfPairEvaluator(t, label, st, spec.Measure, method, QueryResult{Pairs: stored.Pairs, Values: stored.Values})
 			}
 			// The batch asks fresh predicates, so it sweeps too.
 			all = append(all,
@@ -100,6 +95,48 @@ func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 			t.Fatalf("%s batch cached: %v", tag, err)
 		}
 		requireSameResults(t, fmt.Sprintf("%s/batch/%v", tag, method), got, want)
+	}
+}
+
+// requireValuesOfPairEvaluator checks the values a sweep reported against the
+// epoch's single-pair evaluator of the method, bit for bit.
+func requireValuesOfPairEvaluator(t *testing.T, label string, st *engineState, m stats.Measure, method Method, res QueryResult) {
+	t.Helper()
+	for i, pair := range res.Pairs {
+		v, err := st.PairValue(m, pair, method)
+		if err != nil {
+			t.Fatalf("%s: PairValue(%v): %v", label, pair, err)
+		}
+		if math.Float64bits(res.Values[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: sweep value of %v = %v, PairValue = %v", label, pair, res.Values[i], v)
+		}
+	}
+}
+
+// requireColumnsOfPairEvaluator compares the epoch's two base columns over the
+// whole universe, and every defined value an affine sweep of each pairwise
+// measure derives from them, bit for bit with affinePairValue.
+func requireColumnsOfPairEvaluator(t *testing.T, tag string, e *Engine) {
+	t.Helper()
+	st := e.state()
+	n := st.numUniversePairs()
+	pairs := st.universeChunk(0, n, make([]timeseries.Pair, n))
+	for _, base := range stats.TMeasures() {
+		col, _, err := st.baseColumn(base)
+		if err != nil || len(col) != n {
+			t.Fatalf("%s: %v column has %d of %d values: %v", tag, base, len(col), n, err)
+		}
+		requireValuesOfPairEvaluator(t, fmt.Sprintf("%s %v column", tag, base), st, base, MethodAffine, QueryResult{Pairs: pairs, Values: col})
+	}
+	for _, m := range pairwiseMeasures() {
+		res, err := runSpecs(e, []plan.QuerySpec{plan.TopK(m, n, true)}, MethodAffine)
+		if err != nil {
+			t.Fatalf("%s: %v sweep: %v", tag, m, err)
+		}
+		if len(res[0].Pairs) == 0 {
+			t.Fatalf("%s: the affine sweep of %v ranked no pair", tag, m)
+		}
+		requireValuesOfPairEvaluator(t, fmt.Sprintf("%s %v sweep", tag, m), st, m, MethodAffine, res[0])
 	}
 }
 
@@ -136,7 +173,8 @@ func TestBaseColumnsMatchColdTwin(t *testing.T) {
 	const rounds, slide = 3, 4
 	for _, p := range determinismLevels {
 		t.Run(fmt.Sprintf("parallelism-%d", p), func(t *testing.T) {
-			cfg := Config{Clusters: 4, Seed: 5, Parallelism: p, Stream: StreamConfig{DriftBound: 0.5}}
+			// Epoch 2 is a statistics-refresh epoch.
+			cfg := Config{Clusters: 4, Seed: 5, Parallelism: p, Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: 2}}
 			cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, rounds*slide)
 			requireSweepParity(t, cached, cold, "epoch0")
 			for r := 0; r < rounds; r++ {
@@ -144,19 +182,18 @@ func TestBaseColumnsMatchColdTwin(t *testing.T) {
 				requireSweepParity(t, cached, cold, fmt.Sprintf("epoch%d", r+1))
 			}
 			// Two affine bases, filled once per epoch whatever the number of
-			// sweeps; the twin never keeps a column.  The naive sweeps of both
-			// engines classify against the pair-moment column, materialised by
-			// the first of them and carried by every Advance since.
-			if s := cached.StreamStats(); s.SweepBaseFills != 2*(rounds+1) || s.SweepBaseReuses == 0 {
-				t.Fatalf("cached engine: %d fills, %d reuses, want %d fills", s.SweepBaseFills, s.SweepBaseReuses, 2*(rounds+1))
-			}
-			if s := cold.StreamStats(); s.SweepBaseFills != 0 || s.SweepBaseReuses != 0 {
-				t.Fatalf("cache-off twin counted base columns: %+v", s)
-			}
+			// sweeps, on the cache-off twin as on the cached engine.  The naive
+			// sweeps of both classify against the pair-moment column,
+			// materialised by the first of them, carried by every Advance since
+			// and dropped once, on the refresh epoch.
 			for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
-				if s := e.StreamStats(); s.MomentFills != 1 || s.MomentSweeps == 0 || s.MomentRefinedPairs == 0 {
-					t.Fatalf("%s engine: %d moment fills, %d sweeps, %d refined pairs, want one fill carried over %d epochs",
-						name, s.MomentFills, s.MomentSweeps, s.MomentRefinedPairs, rounds)
+				s := e.StreamStats()
+				if s.SweepBaseFills != 2*(rounds+1) || s.SweepBaseReuses == 0 {
+					t.Fatalf("%s engine: %d fills, %d reuses, want %d fills", name, s.SweepBaseFills, s.SweepBaseReuses, 2*(rounds+1))
+				}
+				if s.MomentFills != 2 || s.MomentSweeps == 0 || s.MomentRefinedPairs == 0 {
+					t.Fatalf("%s engine: %d moment fills, %d sweeps, %d refined pairs, want a fill at the build and one after the refresh epoch",
+						name, s.MomentFills, s.MomentSweeps, s.MomentRefinedPairs)
 				}
 			}
 		})
@@ -164,9 +201,9 @@ func TestBaseColumnsMatchColdTwin(t *testing.T) {
 }
 
 // TestBaseColumnsRestrictedUniverseAndPruning: the same parity over an
-// AssignedPairsOnly universe (columns indexed by position in the restricted
-// list) with MaxLSFD pruning, where affinePairBase falls back to the naive
-// evaluation for the pruned pairs inside the column fill.
+// AssignedPairsOnly universe (filled by pivot through the slot → position
+// table) with MaxLSFD pruning, where the fill takes the pruned pairs from the
+// naive evaluator as affinePairBase does.
 func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
 	cfg := Config{
 		Clusters: 4, Seed: 5, Parallelism: 2,
@@ -186,102 +223,140 @@ func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
 	requireSweepParity(t, cached, cold, "epoch0")
 	advanceBoth(t, fx.ticks, cached, cold)
 	requireSweepParity(t, cached, cold, "epoch1")
-	if s := cached.StreamStats(); s.SweepBaseFills != 4 || s.MomentFills != 1 {
-		t.Fatalf("%d base fills and %d moment fills over two epochs, want 4 and 1", s.SweepBaseFills, s.MomentFills)
+	for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
+		if s := e.StreamStats(); s.SweepBaseFills != 4 || s.MomentFills != 1 {
+			t.Fatalf("%s engine: %d base fills and %d moment fills over two epochs, want 4 and 1", name, s.SweepBaseFills, s.MomentFills)
+		}
 	}
 }
 
 // TestBaseColumnFilledOncePerEpoch: after the first affine sweep of a base at
 // an epoch, no affine sweep of that base — another derived measure, a top-k, a
-// batch — evaluates it again; a new epoch starts with no column.  Naive sweeps
-// keep no column at all: they report the pairs the stage prescreened and
-// refined instead.
+// batch — evaluates it again, with the cache on or off; a new epoch starts with
+// no column.  Naive sweeps keep no column at all: they report the pairs the
+// stage prescreened and refined instead.
 func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
-	cached, _, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 2)
-	counters := func() (fills, reuses int64) {
-		s := cached.StreamStats()
-		return s.SweepBaseFills, s.SweepBaseReuses
-	}
-	explain := func(spec plan.QuerySpec, method Method) plan.Plan {
-		t.Helper()
-		_, p, err := cached.Explain(spec, method)
-		if err != nil {
+	cached, cold, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 2)
+	for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
+		counters := func() (fills, reuses int64) {
+			s := e.StreamStats()
+			return s.SweepBaseFills, s.SweepBaseReuses
+		}
+		explain := func(spec plan.QuerySpec, method Method) plan.Plan {
+			t.Helper()
+			_, p, err := e.Explain(spec, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		if got := explain(plan.Interval(stats.Cosine, interval.GreaterThan(0.3)), MethodAffine).BaseValues; got != "filled" {
+			t.Fatalf("%s: first dot-product sweep reported base values %q, want filled", name, got)
+		}
+		if fills, reuses := counters(); fills != 1 || reuses != 0 {
+			t.Fatalf("%s: after the first sweep: %d fills, %d reuses, want 1 and 0", name, fills, reuses)
+		}
+		// Same base, same method: a different derived measure, a top-k, and a
+		// batch of both.
+		for i, spec := range []plan.QuerySpec{
+			plan.Interval(stats.EuclideanDistance, interval.LessThan(40)),
+			plan.TopK(stats.DotProduct, 5, true),
+		} {
+			if got := explain(spec, MethodAffine).BaseValues; got != "reused" {
+				t.Fatalf("%s: sweep %d of a warm base reported base values %q, want reused", name, i, got)
+			}
+		}
+		if _, err := runSpecs(e, []plan.QuerySpec{
+			plan.Interval(stats.Jaccard, interval.GreaterThan(0.1)),
+			plan.TopK(stats.Cosine, 3, false),
+		}, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		return p
-	}
-	if got := explain(plan.Interval(stats.Cosine, interval.GreaterThan(0.3)), MethodAffine).BaseValues; got != "filled" {
-		t.Fatalf("first dot-product sweep reported base values %q, want filled", got)
-	}
-	if fills, reuses := counters(); fills != 1 || reuses != 0 {
-		t.Fatalf("after the first sweep: %d fills, %d reuses, want 1 and 0", fills, reuses)
-	}
-	// Same base, same method: a different derived measure, a top-k, and a
-	// batch of both.
-	for i, spec := range []plan.QuerySpec{
-		plan.Interval(stats.EuclideanDistance, interval.LessThan(40)),
-		plan.TopK(stats.DotProduct, 5, true),
-	} {
-		if got := explain(spec, MethodAffine).BaseValues; got != "reused" {
-			t.Fatalf("sweep %d of a warm base reported base values %q, want reused", i, got)
+		if fills, reuses := counters(); fills != 1 || reuses != 3 {
+			t.Fatalf("%s: after four sweeps of one base: %d fills, %d reuses, want 1 and 3", name, fills, reuses)
 		}
-	}
-	if _, err := runSpecs(cached, []plan.QuerySpec{
-		plan.Interval(stats.Jaccard, interval.GreaterThan(0.1)),
-		plan.TopK(stats.Cosine, 3, false),
-	}, MethodAffine); err != nil {
-		t.Fatal(err)
-	}
-	if fills, reuses := counters(); fills != 1 || reuses != 3 {
-		t.Fatalf("after four sweeps of one base: %d fills, %d reuses, want 1 and 3", fills, reuses)
-	}
-	// The naive method of the same base touches no column.
-	p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive)
-	if p.BaseValues != "" || p.SketchedPairs != cached.state().numUniversePairs() || p.SketchRefinedPairs == 0 || p.SketchRefinedPairs >= p.SketchedPairs {
-		t.Fatalf("naive sweep reported base values %q, %d pairs prescreened, %d refined", p.BaseValues, p.SketchedPairs, p.SketchRefinedPairs)
-	}
-	// A repeat is an exact hit: no sweep, no column traffic.
-	if p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive); p.BaseValues != "" || p.SketchedPairs != 0 {
-		t.Fatalf("an exact hit reported base values %q, %d pairs prescreened", p.BaseValues, p.SketchedPairs)
-	}
-	if fills, reuses := counters(); fills != 1 || reuses != 3 {
-		t.Fatalf("%d fills, %d reuses, want 1 and 3", fills, reuses)
-	}
+		// The naive method of the same base touches no column.
+		p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive)
+		if p.BaseValues != "" || p.SketchedPairs != e.state().numUniversePairs() || p.SketchRefinedPairs == 0 || p.SketchRefinedPairs >= p.SketchedPairs {
+			t.Fatalf("%s: naive sweep reported base values %q, %d pairs prescreened, %d refined", name, p.BaseValues, p.SketchedPairs, p.SketchRefinedPairs)
+		}
+		if e == cached {
+			// A repeat is an exact hit: no sweep, no column traffic.
+			if p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive); p.BaseValues != "" || p.SketchedPairs != 0 {
+				t.Fatalf("an exact hit reported base values %q, %d pairs prescreened", p.BaseValues, p.SketchedPairs)
+			}
+		}
+		if fills, reuses := counters(); fills != 1 || reuses != 3 {
+			t.Fatalf("%s: %d fills, %d reuses, want 1 and 3", name, fills, reuses)
+		}
 
-	advanceBoth(t, fx.ticks, cached)
-	if got := explain(plan.TopK(stats.DotProduct, 6, true), MethodAffine).BaseValues; got != "filled" {
-		t.Fatalf("first sweep of the new epoch reported base values %q, want filled", got)
-	}
-	if fills, _ := counters(); fills != 2 {
-		t.Fatalf("%d fills after the new epoch's first sweep, want 2", fills)
+		advanceBoth(t, fx.ticks, e)
+		if got := explain(plan.TopK(stats.DotProduct, 6, true), MethodAffine).BaseValues; got != "filled" {
+			t.Fatalf("%s: first sweep of the new epoch reported base values %q, want filled", name, got)
+		}
+		if fills, _ := counters(); fills != 2 {
+			t.Fatalf("%s: %d fills after the new epoch's first sweep, want 2", name, fills)
+		}
 	}
 }
 
-// TestBaseColumnBudget: a cache whose budget share cannot hold one column
-// keeps none, and every answer is still the twin's.
-func TestBaseColumnBudget(t *testing.T) {
-	// 780 pairs need 6 240 bytes; a quarter of 16 KiB is 4 096.
-	cached, cold, _ := twinEngines(t, Config{Clusters: 4, Seed: 5}, qcache.Options{Enabled: true, MaxBytes: 16 << 10}, 0)
-	for _, m := range []stats.Measure{stats.Correlation, stats.Cosine} {
-		for _, method := range []Method{MethodNaive, MethodAffine} {
-			specs := sweepSpecs(m)
-			want, err := runSpecs(cold, specs, method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := runSpecs(cached, specs, method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResults(t, fmt.Sprintf("%v/%v", m, method), got, want)
+// TestNoAffineSweepAllocatesNoBaseColumn: an engine nobody sweeps by the affine
+// method never allocates a base column — index, naive and planner-routed
+// queries, MEC and single-pair values by the affine method and the paper's
+// timed W_A sweep (its own moments, its own values) all leave both slots
+// empty, epoch after epoch.  One affine sweep then fills its base's column and
+// no other, and the next epoch starts with none.
+func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
+	fx := makeStreamFixture(t, 20, 90, 4, 7)
+	e, err := Build(fx.window, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func() (cov, dot bool) {
+		cols := e.state().cols
+		return cols.cov.values != nil, cols.dot.values != nil
+	}
+	ids := e.Data().IDs()
+	for round := 0; round < 3; round++ {
+		specs := []plan.QuerySpec{
+			plan.Interval(stats.Correlation, interval.GreaterThan(0.5)),
+			plan.Interval(stats.EuclideanDistance, interval.AtMost(5)),
+			plan.TopK(stats.Covariance, 5, true),
 		}
+		for _, method := range []Method{MethodIndex, MethodNaive, MethodAuto} {
+			_, plans, err := Run(e.View(), specs, method, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans {
+				if p.Method == MethodAffine {
+					t.Fatalf("the planner routed %v to an affine sweep: the fixture does not test what it says", p.Spec)
+				}
+			}
+		}
+		if _, err := e.ComputePairwise(stats.Correlation, ids, MethodAffine); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.PairwiseSweepAffine(stats.Cosine); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, MethodAffine); err != nil {
+			t.Fatal(err)
+		}
+		if cov, dot := allocated(); e.StreamStats().SweepBaseFills != 0 || cov || dot {
+			t.Fatalf("epoch %d: %d base fills, columns allocated: %v / %v, with no affine sweep asked", round, e.StreamStats().SweepBaseFills, cov, dot)
+		}
+		advanceBoth(t, fx.ticks[round:round+1], e)
 	}
-	s := cached.StreamStats()
-	if s.SweepBaseFills != 0 || s.SweepBaseReuses != 0 {
-		t.Fatalf("a column over budget was kept: %d fills, %d reuses", s.SweepBaseFills, s.SweepBaseReuses)
+	if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), MethodAffine); err != nil {
+		t.Fatal(err)
 	}
-	if s.CacheEntries == 0 {
-		t.Fatal("the cache itself stored nothing: the budget is too small to tell the two apart")
+	if cov, dot := allocated(); e.StreamStats().SweepBaseFills != 1 || !cov || dot {
+		t.Fatalf("after one correlation sweep: %d base fills, covariance column %v, dot-product column %v", e.StreamStats().SweepBaseFills, cov, dot)
+	}
+	advanceBoth(t, fx.ticks[3:4], e)
+	if cov, dot := allocated(); cov || dot {
+		t.Fatalf("a base column crossed the Advance: %v / %v", cov, dot)
 	}
 }
 

@@ -23,9 +23,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,10 +108,6 @@ type StreamConfig struct {
 	// raw window every this many epochs (0 selects
 	// DefaultStatsRefreshEvery), bounding incremental rounding drift.
 	StatsRefreshEvery int
-	// Parallelism overrides Config.Parallelism for Advance-time work (drift
-	// scoring, refits, summary and index rebuilds).  Zero inherits
-	// Config.Parallelism; results are identical at any level.
-	Parallelism int
 }
 
 // Config parameterizes engine construction.
@@ -192,27 +189,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// advanceParallelism returns the worker count for Advance-time work: the
-// streaming override when set, Config.Parallelism otherwise.
-func (c Config) advanceParallelism() int {
-	if c.Stream.Parallelism > 0 {
-		return c.Stream.Parallelism
-	}
-	return c.Parallelism
-}
-
 // indexOptions returns the SCAPE build options with the engine's parallelism
-// threaded through (an explicit Index.Parallelism wins): query-time sharding
-// always uses Config.Parallelism — the published index serves queries for
-// the whole epoch — while buildParallelism (the Advance-time override on the
-// streaming path) only drives the construction work.
-func (c Config) indexOptions(buildParallelism int) scape.Options {
+// threaded through (an explicit Index.Parallelism wins).
+func (c Config) indexOptions() scape.Options {
 	opts := c.Index
 	if opts.Parallelism == 0 {
 		opts.Parallelism = c.Parallelism
-	}
-	if opts.BuildParallelism == 0 {
-		opts.BuildParallelism = buildParallelism
 	}
 	return opts
 }
@@ -272,7 +254,11 @@ type engineState struct {
 	// (U, V) order — the same order AllPairs uses, so merging several
 	// restricted engines' sweep results by pair identity reconstructs the
 	// unrestricted scan order.  Nil means the full n·(n-1)/2 universe.
-	pairs []timeseries.Pair
+	// pairPos[slot] is the position in pairs of the layout's assignment slot:
+	// where the base-column fill writes the value a relationship propagates.
+	// Both are frozen with the pair→pivot assignment they derive from.
+	pairs   []timeseries.Pair
+	pairPos []int32
 
 	// summaries holds one summary per assigned pivot, aligned with
 	// rel.Layout().Pivots() — found from a relationship's slot without hashing.
@@ -318,9 +304,9 @@ type engineState struct {
 	// simply miss.
 	cache *qcache.Cache
 
-	// cols memoises the epoch's affine base T-measure columns for the sweep
-	// executor (basecolumns.go).  Filled lazily by the epoch's own sweeps and
-	// never carried across Advance; with the cache disabled it keeps nothing.
+	// cols holds the epoch's affine base T-measure columns, the affine sweeps'
+	// source of base values (basecolumns.go).  Filled lazily by the epoch's own
+	// sweeps and never carried across Advance.
 	cols *baseColumns
 
 	// moments is the epoch's handle on the slid pair-moment column, the naive
@@ -435,7 +421,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 		info:  info,
 	}
 	if cfg.AssignedPairsOnly {
-		st.pairs = assignedPairs(rel)
+		st.pairs, st.pairPos = assignedPairs(rel)
 	}
 
 	// Stage 3: pre-processing — fill the pivot summaries (the paper's
@@ -450,7 +436,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	// Stage 4: the SCAPE index.
 	if !cfg.SkipIndex {
 		indexStart := time.Now()
-		idx, err := scape.Build(d, rel, cfg.indexOptions(cfg.Parallelism))
+		idx, err := scape.Build(d, rel, cfg.indexOptions())
 		if err != nil {
 			return nil, fmt.Errorf("core: building SCAPE index: %w", err)
 		}
@@ -478,7 +464,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	st.finishPlanner(cfg)
 	st.cache = qcache.New(cfg.Cache)
 	e := &Engine{cfg: cfg}
-	st.cols = e.newBaseColumns(st.cache)
+	st.cols = e.newBaseColumns()
 	st.moments = e.newMomentColumn()
 	e.cur.Store(st)
 	return e, nil
@@ -778,20 +764,24 @@ func (e *engineState) numUniversePairs() int {
 }
 
 // assignedPairs extracts the assigned pairs of a relationship result in
-// canonical (U, V) order — the AllPairs order, restricted.
-func assignedPairs(rel *symex.Result) []timeseries.Pair {
+// canonical (U, V) order — the AllPairs order, restricted — and the position
+// of every assignment slot's pair in that list.
+func assignedPairs(rel *symex.Result) ([]timeseries.Pair, []int32) {
 	as := rel.AssignmentList()
-	out := make([]timeseries.Pair, len(as))
-	for i, a := range as {
-		out[i] = a.Pair
+	slots := make([]int32, len(as))
+	for slot := range slots {
+		slots[slot] = int32(slot)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(slots, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(as[a].Pair.U, as[b].Pair.U), cmp.Compare(as[a].Pair.V, as[b].Pair.V))
 	})
-	return out
+	pairs := make([]timeseries.Pair, len(as))
+	pos := make([]int32, len(as))
+	for i, slot := range slots {
+		pairs[i] = as[slot].Pair
+		pos[slot] = int32(i)
+	}
+	return pairs, pos
 }
 
 // ComputeRelationships runs only the clustering and relationship stages of a

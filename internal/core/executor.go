@@ -89,8 +89,8 @@ type Item struct {
 // the cache tier that served it with the size of a repair's delta, the pairs
 // a naive sweep's bound providers prescreened (Sketched) and the pairs it
 // still sent to the exact kernels (Refined), or whether an affine sweep filled
-// or reused the epoch's base column ("filled", "reused"; empty when the sweep
-// evaluated its base values chunk by chunk or none ran).
+// or reused the epoch's base column (BaseFilled, BaseReused; empty when no
+// affine sweep ran).
 type Actual struct {
 	Tier       qcache.Tier
 	Repaired   int
@@ -378,9 +378,13 @@ func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res Que
 		cache.Put(key, b.Epoch(), res.Pairs, res.Values)
 		return
 	}
-	// Affine and index entries both store the affine evaluator's values: index
-	// and affine results are byte-identical by the engine's W_A ≡ SCAPE
-	// invariant, so one evaluator serves both.
+	// Affine and index entries both store the affine evaluator's values.  The
+	// two methods answer from the same relationships and return equal result
+	// sets on the parity suites' data, but not equal bits: the index reduces
+	// its own centred pivot moments where the summaries use the sums form, so
+	// its ‖α‖·ξ differs from the propagated value by up to ~2e-9 relative
+	// (DESIGN.md "W_A and SCAPE values").  An index-method entry therefore
+	// holds affine values for the index's rows.
 	evaluator := MethodAffine
 	if it.Method == MethodNaive {
 		evaluator = MethodNaive

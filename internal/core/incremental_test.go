@@ -44,7 +44,7 @@ func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 	if st.index == nil {
 		t.Fatal("engine has no index")
 	}
-	fresh, err := scape.Build(st.data, st.rel, e.cfg.indexOptions(e.cfg.Parallelism))
+	fresh, err := scape.Build(st.data, st.rel, e.cfg.indexOptions())
 	if err != nil {
 		t.Fatalf("fresh build: %v", err)
 	}

@@ -297,9 +297,11 @@ func stageSpecs(m stats.Measure, values []float64) []plan.QuerySpec {
 // equal — on the cold epoch (which materialises the pair-moment column), over
 // Advances that carry it, and across a statistics-refresh epoch that drops it.
 // Series 1 duplicates series 0, so every measure has tied values for top-k to
-// break by pair identity.
+// break by pair identity.  On the same engines and epochs the affine half of
+// the stage — the base columns, with MaxLSFD pruning some relationships — is
+// held to the single-pair evaluator (requireColumnsOfPairEvaluator).
 func TestSweepStageParity(t *testing.T) {
-	const n, window, slide, rounds, refreshEvery = 26, 48, 2, 5, 4
+	const n, window, slide, rounds, refreshEvery, maxLSFD = 26, 48, 2, 5, 4, 0.05
 	fixture := func() *streamFixture {
 		fx := makeStreamFixture(t, n, window, slide*rounds, 67)
 		rows := make([][]float64, n)
@@ -331,7 +333,7 @@ func TestSweepStageParity(t *testing.T) {
 			for _, sketched := range []bool{false, true} {
 				for _, restricted := range []bool{false, true} {
 					cfg := Config{
-						Clusters: 4, Seed: 11, Parallelism: p,
+						Clusters: 4, Seed: 11, Parallelism: p, MaxLSFD: maxLSFD,
 						Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: refreshEvery},
 						Cache:  qcache.Options{Enabled: cached},
 						Sketch: sketch.Options{Enabled: sketched, Coefficients: 8},
@@ -345,6 +347,10 @@ func TestSweepStageParity(t *testing.T) {
 					}
 					if restricted && e.state().numUniversePairs() != 200 {
 						t.Fatalf("restricted universe has %d pairs", e.state().numUniversePairs())
+					}
+					if st := e.state(); st.rel.Len() == 0 || st.rel.Len() == len(st.rel.AssignmentList()) {
+						t.Fatalf("MaxLSFD %v prunes %d of %d relationships: the column's naive fallback is not exercised beside its propagation",
+							maxLSFD, len(st.rel.AssignmentList())-st.rel.Len(), len(st.rel.AssignmentList()))
 					}
 					engines = append(engines, variant{fmt.Sprintf("P=%d cache=%v sketch=%v restricted=%v", p, cached, sketched, restricted), e})
 				}
@@ -370,6 +376,7 @@ func TestSweepStageParity(t *testing.T) {
 			specs = append(specs, stageSpecs(m, oracle.values[m])...)
 		}
 		for _, v := range engines {
+			requireColumnsOfPairEvaluator(t, fmt.Sprintf("epoch %d %s", round, v.name), v.e)
 			var universe map[timeseries.Pair]bool
 			if pairs := v.e.state().pairs; pairs != nil {
 				universe = make(map[timeseries.Pair]bool, len(pairs))
@@ -400,10 +407,14 @@ func TestSweepStageParity(t *testing.T) {
 			}
 		}
 	}
-	// The column was materialised cold and once more after the refresh epoch;
-	// every other Advance carried it.
+	// The pair-moment column was materialised cold and once more after the
+	// refresh epoch, every other Advance carried it; each affine base column was
+	// filled once per epoch.
 	for _, v := range engines {
 		s := v.e.StreamStats()
+		if s.SweepBaseFills != 2*(rounds+1) || s.SweepBaseReuses == 0 {
+			t.Fatalf("%s: %d base fills, %d reuses over %d epochs, want two fills an epoch", v.name, s.SweepBaseFills, s.SweepBaseReuses, rounds+1)
+		}
 		if want := int64(1 + rounds/refreshEvery); s.MomentFills != want || s.MomentSweeps == 0 {
 			t.Fatalf("%s: %d moment fills, %d sweeps, want %d fills", v.name, s.MomentFills, s.MomentSweeps, want)
 		}

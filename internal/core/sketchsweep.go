@@ -40,11 +40,11 @@ import (
 //     within a relative 1e-9 of the kernels' value, so what it leaves are the
 //     pairs within rounding distance of an endpoint.
 //
-// A group with no provider — the affine method, whose base values are a
-// propagation through the pair's relationship (memoised per epoch in a base
-// column, basecolumns.go, on a cache-enabled engine), or a measure whose
-// transform has no liftable bound — is the degenerate case: every pair is
-// ambiguous and the whole chunk is evaluated.
+// A group with no provider — the affine method, whose base values are the
+// epoch's base column (basecolumns.go: every relationship's propagation,
+// evaluated once per base and epoch), or a measure whose transform has no
+// liftable bound — is the degenerate case: every pair is ambiguous and the
+// whole chunk is evaluated.
 //
 // Because every bound is definite (padded past every floating-point error
 // source, DESIGN.md "Slid pair moments") and the pairs that need a value get
@@ -199,8 +199,8 @@ type baseGroup struct {
 	// Without providers every pair is evaluated.
 	bounded   bool
 	providers []boundProvider
-	// column holds an affine group's base values when the epoch memoises them
-	// (nil = evaluated chunk by chunk).
+	// column is an affine group's base values over the pair universe, the
+	// epoch's base column (nil for a naive group, which runs the kernels).
 	column []float64
 }
 
@@ -269,10 +269,7 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 			observed(k, refined)
 			continue
 		}
-		key := baseKey{base: sp.Base, method: p.Method, solo: -1}
-		if !sp.BatchGroupable {
-			key.solo = sp.ID
-		}
+		key := baseKey{base: sp.Base, method: p.Method}
 		gi := slices.IndexFunc(groups, func(g baseGroup) bool { return g.key == key })
 		if gi < 0 {
 			gi = len(groups)
@@ -299,7 +296,7 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 		}
 		var source string
 		if g.key.method == MethodAffine {
-			if g.column, source, err = e.baseColumn(g.key); err != nil {
+			if g.column, source, err = e.baseColumn(g.key.base); err != nil {
 				return err
 			}
 		}
@@ -358,9 +355,9 @@ func (p *sweepPartial) classes(buf []sketch.Class, n int) []sketch.Class {
 // sweepPass is the shared pass: one walk over the pair universe, sharded by
 // row blocks, that answers every item of the given groups.  Per chunk and
 // group the providers classify (classifyChunk), the exact evaluator fills the
-// base value of every pair some item still needs — the whole chunk for a group
-// without providers, from its base column when the epoch memoises one — each
-// measure sharing the base applies its own transform, and every item compacts
+// base value of every pair some item still needs — for an affine group the
+// chunk's stretch of the epoch's base column — each measure sharing the base
+// applies its own transform, and every item compacts
 // its rows or offers its heap.  Per-block partial results merge in block order
 // (intervals) or through the deterministic (value, pair) total order (top-k
 // heaps), so out[k] equals the sequential single-query scan of items[k]
@@ -401,9 +398,9 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 					sub = e.classifyChunk(g, items, lo, chunk, mom, w, classes, local)
 				}
 				t := w.t[:len(sub)]
-				if len(g.providers) == 0 && g.column != nil {
+				if g.column != nil {
 					t = g.column[lo:hi]
-				} else if err := e.fillBase(g.key, sub, t); err != nil {
+				} else if err := e.fillBase(g.key.base, sub, t); err != nil {
 					return err
 				}
 				for _, mg := range g.measures {
@@ -633,7 +630,6 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 	numPairs := e.numUniversePairs()
 	largest := it.Spec.Largest
 	first, last := provs[0], provs[len(provs)-1]
-	key := baseKey{base: sp.Base, method: MethodNaive}
 	var refined int64
 	numChunks := (numPairs + kernel.BlockPairs - 1) / kernel.BlockPairs
 	chunkOf := func(c int, w *chunkScratch) (int, []timeseries.Pair) {
@@ -732,7 +728,7 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 			sub = append(sub, pair)
 		}
 		t := w.t[:len(sub)]
-		if err := e.fillBase(key, sub, t); err != nil {
+		if err := e.fillBase(sp.Base, sub, t); err != nil {
 			return QueryResult{}, 0, err
 		}
 		vals, err := e.deriveValues(sp, MethodNaive, sub, t, w.v[:len(sub)], mom)

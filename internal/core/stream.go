@@ -255,9 +255,10 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 		epoch: old.epoch + 1,
 		// The restricted pair universe (if any) is frozen with the pair→pivot
 		// assignment it was derived from.
-		pairs: old.pairs,
+		pairs:   old.pairs,
+		pairPos: old.pairPos,
 	}
-	parallelism := e.cfg.advanceParallelism()
+	parallelism := e.cfg.Parallelism
 
 	// Slide the running per-series sufficient statistics: O(n·slide) instead
 	// of an O(n·m) rescan.  A full refresh happens when the whole window was
@@ -288,29 +289,17 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	refitDone := time.Now()
 
 	if !e.cfg.SkipIndex {
-		if old.index != nil {
-			// Incremental maintenance: the new index shares the sequence store
-			// of every pivot no stale pair is assigned to and re-derives the
-			// rest from the relationship set.  A nil stale set (every
-			// relationship was refit) leaves nothing to share and builds cold;
-			// either way the resulting index answers queries byte-identically
-			// to a from-scratch Build.
-			idx, us, err := old.index.Update(newData, st.rel, stale, scape.UpdateOptions{Parallelism: parallelism})
-			if err != nil {
-				return AdvanceInfo{}, fmt.Errorf("core: updating SCAPE index: %w", err)
-			}
-			st.index = idx
-			e.stream.addUpdate(us, stale == nil)
-		} else {
-			idx, err := scape.Build(newData, st.rel, e.cfg.indexOptions(parallelism))
-			if err != nil {
-				return AdvanceInfo{}, fmt.Errorf("core: rebuilding SCAPE index: %w", err)
-			}
-			st.index = idx
-			e.stream.IndexRebuilds++
-			e.stream.ScratchGets += idx.Stats().ScratchGets
-			e.stream.ScratchHits += idx.Stats().ScratchHits
+		// Incremental maintenance: the new index shares the sequence store of
+		// every pivot no stale pair is assigned to and re-derives the rest from
+		// the relationship set.  A nil stale set (every relationship was refit)
+		// leaves nothing to share and builds cold; either way the resulting
+		// index answers queries byte-identically to a from-scratch Build.
+		idx, us, err := old.index.Update(newData, st.rel, stale, scape.UpdateOptions{Parallelism: parallelism})
+		if err != nil {
+			return AdvanceInfo{}, fmt.Errorf("core: updating SCAPE index: %w", err)
 		}
+		st.index = idx
+		e.stream.addUpdate(us, stale == nil)
 		st.info.IndexBuilt = true
 		st.info.IndexSequenceNodes = st.index.Stats().SequenceNodes
 		st.info.IndexPivotNodes = st.index.Stats().Pivots
@@ -343,7 +332,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	// cache knowing which pairs changed beyond the refit bound.
 	st.cache = old.cache
 	st.cache.OnAdvance(st.epoch, SortedStalePairs(stale), stale == nil)
-	st.cols = e.newBaseColumns(st.cache)
+	st.cols = e.newBaseColumns()
 
 	// The pair-moment column, the naive sweeps' other bound provider, slides
 	// beside the running sums while some sweep has materialised it: O(slide)
@@ -404,7 +393,7 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 // refit), which the caller threads into the incremental index update.
 func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, refresh bool) (map[timeseries.Pair]bool, error) {
 	cfg := e.cfg
-	parallelism := cfg.advanceParallelism()
+	parallelism := cfg.Parallelism
 	// The pivot assignment is frozen, so every summary and per-series
 	// quantity can be rebuilt before the refit decision: none of them depend
 	// on the transforms.

@@ -151,7 +151,7 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 		Parallelism: 4,
 		// A bounded drift keeps the stale set partial, so consecutive epochs'
 		// indexes genuinely share sequence stores.
-		Stream: StreamConfig{DriftBound: 0.01, Parallelism: 4},
+		Stream: StreamConfig{DriftBound: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 		Clusters:    4,
 		Seed:        13,
 		Parallelism: 4,
-		Stream:      StreamConfig{DriftBound: 0.05, Parallelism: 4},
+		Stream:      StreamConfig{DriftBound: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ type StreamStats struct {
 	// Advances is the number of non-empty epoch transitions performed.
 	Advances int
 	// IndexUpdates counts epochs whose index was delta-updated incrementally;
-	// IndexRebuilds counts epochs that rebuilt the index from scratch (cold
-	// state, or a nil stale set: every relationship was refit).
+	// IndexRebuilds counts epochs that rebuilt the index from scratch (a nil
+	// stale set: every relationship was refit).
 	IndexUpdates  int
 	IndexRebuilds int
 	// EntriesDeleted / EntriesInserted total the stale pairs that left and
@@ -77,10 +77,10 @@ type StreamStats struct {
 	SketchDefiniteOut      int64
 	SketchAmbiguous        int64
 	SketchTopKSkippedPairs int64
-	// Base-column counters (zero when the result cache is disabled).
+	// Base-column counters (zero while no affine sweep has run).
 	// SweepBaseFills counts evaluations of an affine base T-measure over the
-	// whole pair universe — at most one per base and epoch — and
-	// SweepBaseReuses the sweep groups that took their base values from a
+	// whole pair universe — at most one per base and epoch, on every engine —
+	// and SweepBaseReuses the sweep groups that took their base values from a
 	// column an earlier sweep of the epoch had already filled.
 	SweepBaseFills  int64
 	SweepBaseReuses int64

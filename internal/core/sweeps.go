@@ -24,7 +24,11 @@ import (
 // The affine sweeps deliberately re-derive the per-measure pivot-side
 // quantities from the raw pivot matrices instead of using the engine's cached
 // summaries: the paper's W_A timing includes that one-time O(n·k) cost, and
-// excluding it would overstate the speedup.
+// excluding it would overstate the speedup.  What follows it — the O(1)
+// propagation per pair and the D-measure transform — is the engine's own
+// propagation loop and deriveValues (basecolumns.go, sketchsweep.go), so the
+// pairwise sweep differs from an affine query's base column in the moments it
+// reads and in nothing else.
 
 // PairSweepResult holds a full-dataset pairwise MEC result: one value per
 // sequence pair, aligned with Pairs.
@@ -137,28 +141,22 @@ func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, er
 		return nil, err
 	}
 
+	// O(1) per pair: the engine's propagation loop over those moments, then the
+	// measure's transform — the code the epoch's base columns and every affine
+	// sweep run, fed the sweep's own moments.  Values land at the pairs' ranks.
 	pairs := e.data.AllPairs()
-	values := make([]float64, len(pairs))
-	numSamples := e.data.NumSamples()
-	err = par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			pair := pairs[i]
-			slot, ok := layout.Slot(pair)
-			if !ok || e.rel.At(slot) == nil {
-				return fmt.Errorf("core: no affine relationship for pair %v", pair)
+	if e.rel.Len() != len(pairs) {
+		for _, pair := range pairs {
+			if _, ok := e.rel.Relationship(pair); !ok {
+				return nil, fmt.Errorf("core: no affine relationship for pair %v", pair)
 			}
-			value := e.rel.At(slot).Transform.PropagateMoment(moments[layout.PivotOf(slot)])
-			if sp.Derived() {
-				u := sp.Param(e.seriesStat(pair.U), e.seriesStat(pair.V))
-				v, err := sp.EvalOrNaN(value, u, numSamples)
-				if err != nil {
-					return err
-				}
-				value = v
-			}
-			values[i] = value
 		}
-		return nil
+	}
+	values := make([]float64, len(pairs))
+	e.propagate(func(pi int) measure.Moment { return moments[pi] }, nil, values)
+	err = par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
+		_, err := e.deriveValues(sp, MethodAffine, pairs[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi], nil)
+		return err
 	})
 	if err != nil {
 		return nil, err

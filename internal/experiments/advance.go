@@ -95,7 +95,7 @@ func AdvanceThroughput(d *timeseries.DataMatrix, clusters int, seed int64, slide
 	for _, pol := range policies {
 		eng, err := core.Build(window, core.Config{
 			Clusters: clusters, Seed: seed, Parallelism: parallelism,
-			Stream: core.StreamConfig{DriftBound: pol.drift, Parallelism: parallelism},
+			Stream: core.StreamConfig{DriftBound: pol.drift},
 		})
 		if err != nil {
 			return nil, err

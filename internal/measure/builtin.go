@@ -22,30 +22,27 @@ func mustBe(want Measure, got Measure) {
 func init() {
 	// L-measures.
 	mustBe(Mean, Register(Spec{
-		Name:               "mean",
-		Class:              LocationClass,
-		Doc:                "arithmetic mean of the series",
-		Indexable:          true,
-		AffinePropagatable: true,
-		EvalLocation:       MeanOf,
-		NaivePasses:        1,
+		Name:         "mean",
+		Class:        LocationClass,
+		Doc:          "arithmetic mean of the series",
+		Indexable:    true,
+		EvalLocation: MeanOf,
+		NaivePasses:  1,
 	}))
 	mustBe(Median, Register(Spec{
-		Name:               "median",
-		Class:              LocationClass,
-		Doc:                "middle value of the sorted series",
-		Indexable:          true,
-		AffinePropagatable: true,
-		EvalLocation:       MedianOf,
-		EvalSorted:         MedianOfSorted,
-		NaivePasses:        2, // copy + sort dominates a plain scan
+		Name:         "median",
+		Class:        LocationClass,
+		Doc:          "middle value of the sorted series",
+		Indexable:    true,
+		EvalLocation: MedianOf,
+		EvalSorted:   MedianOfSorted,
+		NaivePasses:  2, // copy + sort dominates a plain scan
 	}))
 	mustBe(Mode, Register(Spec{
-		Name:               "mode",
-		Class:              LocationClass,
-		Doc:                "most frequent value (bucketed at 1e-4)",
-		Indexable:          true,
-		AffinePropagatable: true,
+		Name:      "mode",
+		Class:     LocationClass,
+		Doc:       "most frequent value (bucketed at 1e-4)",
+		Indexable: true,
 		EvalLocation: func(x []float64) (float64, error) {
 			return ModeOf(x, DefaultModePrecision)
 		},
@@ -57,13 +54,11 @@ func init() {
 
 	// T-measures.
 	mustBe(Covariance, Register(Spec{
-		Name:               "covariance",
-		Class:              DispersionClass,
-		Doc:                "sample covariance Σ12 (normalized by m−1)",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		EvalBase:           CovarianceOf,
+		Name:      "covariance",
+		Class:     DispersionClass,
+		Doc:       "sample covariance Σ12 (normalized by m−1)",
+		Indexable: true,
+		EvalBase:  CovarianceOf,
 		EvalTerms: func(x, y []float64) (PivotTerms, error) {
 			vx, err := VarianceOf(x)
 			if err != nil {
@@ -86,13 +81,11 @@ func init() {
 		NaivePasses: 1,
 	}))
 	mustBe(DotProduct, Register(Spec{
-		Name:               "dot-product",
-		Class:              DispersionClass,
-		Doc:                "inner product Π12 = ⟨u, v⟩",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		EvalBase:           DotProductOf,
+		Name:      "dot-product",
+		Class:     DispersionClass,
+		Doc:       "inner product Π12 = ⟨u, v⟩",
+		Indexable: true,
+		EvalBase:  DotProductOf,
 		EvalTerms: func(x, y []float64) (PivotTerms, error) {
 			dxx, err := DotProductOf(x, x)
 			if err != nil {
@@ -121,14 +114,12 @@ func init() {
 
 	// Ratio D-measures (monotone increasing, value = T/U).
 	mustBe(Correlation, Register(Spec{
-		Name:               "correlation",
-		Class:              DerivedClass,
-		Base:               Covariance,
-		Doc:                "Pearson correlation Σ12/√(Σ11·Σ22), clamped to [−1, 1]",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedVariance,
+		Name:       "correlation",
+		Class:      DerivedClass,
+		Base:       Covariance,
+		Doc:        "Pearson correlation Σ12/√(Σ11·Σ22), clamped to [−1, 1]",
+		Indexable:  true,
+		ParamStats: NeedVariance,
 		Param: func(u, v SeriesStat) float64 {
 			return math.Sqrt(u.Variance * v.Variance)
 		},
@@ -152,14 +143,12 @@ func init() {
 		NaivePasses: 2,
 	}))
 	mustBe(Cosine, Register(Spec{
-		Name:               "cosine",
-		Class:              DerivedClass,
-		Base:               DotProduct,
-		Doc:                "cosine similarity ⟨u,v⟩/(‖u‖·‖v‖)",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Name:       "cosine",
+		Class:      DerivedClass,
+		Base:       DotProduct,
+		Doc:        "cosine similarity ⟨u,v⟩/(‖u‖·‖v‖)",
+		Indexable:  true,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			return math.Sqrt(u.SqNorm * v.SqNorm)
 		},
@@ -179,10 +168,8 @@ func init() {
 		// exists over a pivot's parameter interval (Section 5.1 excludes it
 		// for the same reason).  This is a declared capability, not a
 		// special case: every layer routes around the index from this flag.
-		Indexable:          false,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Indexable:  false,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			return u.SqNorm + v.SqNorm
 		},
@@ -215,14 +202,12 @@ func init() {
 		NaivePasses: 2,
 	}))
 	mustBe(Dice, Register(Spec{
-		Name:               "dice",
-		Class:              DerivedClass,
-		Base:               DotProduct,
-		Doc:                "generalized Dice 2⟨u,v⟩/(‖u‖²+‖v‖²)",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Name:       "dice",
+		Class:      DerivedClass,
+		Base:       DotProduct,
+		Doc:        "generalized Dice 2⟨u,v⟩/(‖u‖²+‖v‖²)",
+		Indexable:  true,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			return (u.SqNorm + v.SqNorm) / 2
 		},
@@ -233,14 +218,12 @@ func init() {
 		NaivePasses:   2,
 	}))
 	mustBe(HarmonicMean, Register(Spec{
-		Name:               "harmonic-mean",
-		Class:              DerivedClass,
-		Base:               DotProduct,
-		Doc:                "harmonic-mean similarity ⟨u,v⟩·(‖u‖²+‖v‖²)/(‖u‖²·‖v‖²)",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Name:       "harmonic-mean",
+		Class:      DerivedClass,
+		Base:       DotProduct,
+		Doc:        "harmonic-mean similarity ⟨u,v⟩·(‖u‖²+‖v‖²)/(‖u‖²·‖v‖²)",
+		Indexable:  true,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			sum := u.SqNorm + v.SqNorm
 			if sum == 0 {
@@ -264,14 +247,12 @@ func init() {
 	// product).  These exercise the decreasing branch of the SCAPE pruning:
 	// a value-space threshold inverts to an upper bound in T space.
 	mustBe(EuclideanDistance, Register(Spec{
-		Name:               "euclidean",
-		Class:              DerivedClass,
-		Base:               DotProduct,
-		Doc:                "Euclidean distance √(‖u‖²+‖v‖²−2⟨u,v⟩)",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Name:       "euclidean",
+		Class:      DerivedClass,
+		Base:       DotProduct,
+		Doc:        "Euclidean distance √(‖u‖²+‖v‖²−2⟨u,v⟩)",
+		Indexable:  true,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			return u.SqNorm + v.SqNorm
 		},
@@ -296,14 +277,12 @@ func init() {
 		NaivePasses: 2,
 	}))
 	mustBe(MeanSquaredDifference, Register(Spec{
-		Name:               "mean-squared-diff",
-		Class:              DerivedClass,
-		Base:               DotProduct,
-		Doc:                "mean squared difference (‖u‖²+‖v‖²−2⟨u,v⟩)/m",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Name:       "mean-squared-diff",
+		Class:      DerivedClass,
+		Base:       DotProduct,
+		Doc:        "mean squared difference (‖u‖²+‖v‖²−2⟨u,v⟩)/m",
+		Indexable:  true,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			return u.SqNorm + v.SqNorm
 		},
@@ -331,14 +310,12 @@ func init() {
 		NaivePasses: 2,
 	}))
 	mustBe(AngularDistance, Register(Spec{
-		Name:               "angular",
-		Class:              DerivedClass,
-		Base:               DotProduct,
-		Doc:                "angular distance arccos(cosine)/π ∈ [0, 1]",
-		Indexable:          true,
-		AffinePropagatable: true,
-		BatchGroupable:     true,
-		ParamStats:         NeedSqNorm,
+		Name:       "angular",
+		Class:      DerivedClass,
+		Base:       DotProduct,
+		Doc:        "angular distance arccos(cosine)/π ∈ [0, 1]",
+		Indexable:  true,
+		ParamStats: NeedSqNorm,
 		Param: func(u, v SeriesStat) float64 {
 			return math.Sqrt(u.SqNorm * v.SqNorm)
 		},

@@ -171,14 +171,11 @@ type Spec struct {
 	// itself for L- and T-measures).
 	Base Measure
 
-	// Capability flags.  They are declarations, not derived facts: the SCAPE
-	// index refuses non-indexable measures (e.g. Jaccard, whose transform has
-	// a pole inside the reachable T range), the planner never routes a
-	// non-indexable query to the index, and the batch executor only shares a
-	// base-T sweep between measures marked groupable.
-	Indexable          bool
-	AffinePropagatable bool
-	BatchGroupable     bool
+	// Indexable is the one capability flag, a declaration and not a derived
+	// fact: the SCAPE index refuses non-indexable measures (e.g. Jaccard,
+	// whose transform has a pole inside the reachable T range) and the planner
+	// never routes a non-indexable query to the index.
+	Indexable bool
 
 	// Doc is a one-line formula/description used for generated documentation
 	// and CLI help.

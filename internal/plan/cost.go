@@ -97,9 +97,8 @@ const defaultSelectivityFrac = 0.1
 // The per-measure coefficients are keyed by the measure's spec shape rather
 // than its identity: the W_N scan term scales with Spec.NaivePasses (a
 // D-measure pays the base pass plus its per-series statistic passes, a median
-// pays its sort), the W_A fallback term pays the same naive passes, and a
-// measure whose spec withholds AffinePropagatable never prices the affine
-// method at all.  A measure registered tomorrow is priced correctly today.
+// pays its sort) and the W_A fallback term pays the same naive passes.  A
+// measure registered tomorrow is priced correctly today.
 func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) Plan {
 	c = c.withDefaults()
 	p := Plan{
@@ -131,23 +130,17 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 		if sp.Location() {
 			k := float64(spec.NumTargets)
 			p.CostNaive = k * float64(st.NumSamples) * c.SampleCost * passes
-			if sp.AffinePropagatable {
-				p.CostAffine = k * c.LookupCost
-			}
+			p.CostAffine = k * c.LookupCost
 		} else {
 			pairs := float64(spec.NumTargets) * float64(spec.NumTargets+1) / 2
 			p.CostNaive = pairs * float64(st.NumSamples) * c.SampleCost * passes
-			if sp.AffinePropagatable {
-				p.CostAffine = pairs * (c.AffinePairCost + c.fallbackFrac(st)*c.naivePairCost(st, passes))
-			}
+			p.CostAffine = pairs * (c.AffinePairCost + c.fallbackFrac(st)*c.naivePairCost(st, passes))
 		}
 
 	case KindInterval:
 		if sp.Location() {
 			p.CostNaive = float64(st.NumSeries)*float64(st.NumSamples)*c.SampleCost*passes + rows*c.RowCost
-			if sp.AffinePropagatable {
-				p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
-			}
+			p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
 			if sel != nil {
 				p.CostIndex = c.TreeStepCost*log2(st.NumSeries) + rows*c.RowCost
 			}
@@ -166,10 +159,8 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 			}
 			// Pruned pairs fall back to a raw scan plus the failed relationship
 			// lookup, so a mostly-pruned epoch prices affine above naive.
-			if sp.AffinePropagatable {
-				p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
-					float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes)) + rows*c.RowCost
-			}
+			p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
+				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes)) + rows*c.RowCost
 			if sel != nil {
 				perPivot := log2(divCeil(st.NumPairs, st.NumPivots))
 				p.CostIndex = float64(st.NumPivots)*c.TreeStepCost*perPivot +
@@ -186,9 +177,7 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 			p.EstimatedRows = min(spec.K, st.NumSeries)
 			rows = float64(p.EstimatedRows)
 			p.CostNaive = float64(st.NumSeries)*float64(st.NumSamples)*c.SampleCost*passes + rows*c.RowCost
-			if sp.AffinePropagatable {
-				p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
-			}
+			p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
 			if st.HasIndex && sp.Indexable {
 				// Priced as one step per series, the cost the planner
 				// experiment calibrated; the location column itself hands
@@ -206,10 +195,8 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 				p.CostSketch = c.sketchCost(st, passes, st.SketchAmbiguity, rows)
 				p.CostNaive = p.CostSketch
 			}
-			if sp.AffinePropagatable {
-				p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
-					float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes)) + rows*c.RowCost
-			}
+			p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
+				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes)) + rows*c.RowCost
 			if st.HasIndex && sp.Indexable {
 				perPivot := log2(divCeil(st.NumPairs, st.NumPivots))
 				p.Candidates = min(spec.K+st.NumPivots, st.NumPairs)

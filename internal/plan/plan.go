@@ -219,12 +219,10 @@ type Plan struct {
 	// naive sweep of a boundable measure.
 	SketchedPairs      int
 	SketchRefinedPairs int
-	// BaseValues reports where an affine sweep on a cache-enabled engine took
-	// its base T-measure values from: "filled" when this query evaluated the
-	// epoch's base column, "reused" when an earlier sweep of the same base at
-	// this epoch already had.  Empty when the sweep evaluated its base values
-	// chunk by chunk (cache off, over the column budget, the naive method) or
-	// no sweep ran.
+	// BaseValues reports where an affine sweep took its base T-measure values
+	// from: "filled" when this query evaluated the epoch's base column,
+	// "reused" when an earlier sweep of the same base at this epoch already
+	// had.  Empty when no affine sweep ran (another method, a cache hit).
 	BaseValues string
 }
 

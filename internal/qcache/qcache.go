@@ -215,15 +215,6 @@ func New(opts Options) *Cache {
 	return &Cache{opts: opts.withDefaults(), items: make(map[Key]*entry)}
 }
 
-// MaxBytes returns the cache's byte budget (Options.MaxBytes with the default
-// applied), zero on a nil cache.
-func (c *Cache) MaxBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.opts.MaxBytes
-}
-
 // Lookup serves key at the given epoch from the exact or containment tier.
 // The zero-allocation exact path is the first probe; containment scans peer
 // entries of the same measure/method.  ok is false on a miss; the caller may

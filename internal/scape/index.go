@@ -109,24 +109,11 @@ type Options struct {
 	// the ablation benchmark; queries return identical results either way.
 	DisableDerivedPruning bool
 	// Parallelism is the number of goroutines used to shard threshold/range
-	// scans by pivot at query time, and — unless BuildParallelism overrides
-	// it — to build the pivot nodes (one container set per pivot).  Zero or one
-	// runs sequentially.  Pivot nodes are kept in a deterministic
-	// (Common, Cluster) order and per-pivot partial results are merged in
-	// that order, so query results are byte-identical at any level.
+	// scans by pivot at query time and to build the pivot nodes (one container
+	// set per pivot).  Zero or one runs sequentially.  Pivot nodes are kept in
+	// a deterministic (Common, Cluster) order and per-pivot partial results are
+	// merged in that order, so query results are byte-identical at any level.
 	Parallelism int
-	// BuildParallelism, when positive, overrides Parallelism for the build
-	// only (the streaming engine rebuilds the index with its Advance-time
-	// worker count while queries keep the engine-wide one).
-	BuildParallelism int
-}
-
-// buildParallelism returns the worker count for index construction.
-func (o Options) buildParallelism() int {
-	if o.BuildParallelism > 0 {
-		return o.BuildParallelism
-	}
-	return o.Parallelism
 }
 
 func (o Options) withDefaults() Options {
@@ -287,12 +274,13 @@ func (idx *Index) findPivot(p symex.Pivot, hint int) (int, bool) {
 // Build constructs a SCAPE index from the affine relationships produced by
 // SYMEX/SYMEX+ over the given data matrix.
 func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
-	return build(d, rel, opts, nil)
+	return build(d, rel, opts, nil, opts.Parallelism)
 }
 
-// build is Build; prev, when non-nil, is an index of an earlier epoch whose
-// center locations are carried over (Update falling back to a full build).
-func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Index) (*Index, error) {
+// build is Build with the given worker count; prev, when non-nil, is an index
+// of an earlier epoch whose center locations are carried over (Update falling
+// back to a full build).
+func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Index, parallelism int) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -330,10 +318,10 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Inde
 	idx.tMeasures = sortedMeasures(idx.pairMeasures)
 	idx.dMeasures = sortedMeasures(idx.derivedSet)
 
-	if _, err := idx.buildNodes(d, rel, nil, nil, opts.buildParallelism()); err != nil {
+	if _, err := idx.buildNodes(d, rel, nil, nil, parallelism); err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationColumns(d, rel, prev); err != nil {
+	if err := idx.buildLocationColumns(d, rel, prev, parallelism); err != nil {
 		return nil, err
 	}
 	idx.finishStats(rel)
@@ -746,7 +734,7 @@ func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 // directly otherwise) and sorts them into the global location columns.  prev,
 // when it indexes the same (frozen) clustering for the same L-measures, lends
 // its center locations.
-func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Result, prev *Index) error {
+func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Result, prev *Index, parallelism int) error {
 	measures := idx.lMeasures
 	if len(measures) == 0 {
 		return nil
@@ -804,7 +792,7 @@ func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Resu
 	// column (slid, not re-sorted, from epoch to epoch), bit-identical to
 	// reducing the raw column.
 	own := make([]float64, L*len(ids))
-	err := par.Do(len(ids), idx.opts.buildParallelism(), func(i int) error {
+	err := par.Do(len(ids), parallelism, func(i int) error {
 		if !direct[ids[i]] {
 			return nil
 		}

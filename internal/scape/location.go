@@ -29,7 +29,7 @@ func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options
 	if err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationColumns(d, rel, prev); err != nil {
+	if err := idx.buildLocationColumns(d, rel, prev, opts.Parallelism); err != nil {
 		return nil, err
 	}
 	idx.stats.IndexedLMeasures = len(idx.locationSet)

@@ -88,9 +88,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 
 	if stale == nil {
 		us.StaleFraction = 1
-		bopts := prev.opts
-		bopts.BuildParallelism = opts.Parallelism
-		idx, err := build(d, rel, bopts, prev)
+		idx, err := build(d, rel, prev.opts, prev, opts.Parallelism)
 		if err != nil {
 			return nil, us, err
 		}
@@ -110,7 +108,6 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		numSamples:   d.NumSamples(),
 		numSeries:    prev.numSeries,
 	}
-	idx.opts.BuildParallelism = opts.Parallelism
 
 	// Count the stale pairs per (fixed) pivot assignment, found through the
 	// layout's slot index — work in the stale set, not the relationship set.
@@ -148,7 +145,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 
 	// Location estimates change with the window every epoch; they are rebuilt
 	// exactly as Build does, on the previous epoch's center locations.
-	if err := idx.buildLocationColumns(d, rel, prev); err != nil {
+	if err := idx.buildLocationColumns(d, rel, prev, opts.Parallelism); err != nil {
 		return nil, us, err
 	}
 	idx.finishStats(rel)

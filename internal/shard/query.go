@@ -170,7 +170,8 @@ func (cs *coordState) locationQuery(it core.Item) (core.QueryResult, error) {
 // so the merge reproduces a single engine's sweep order exactly.  Top-k
 // results re-offer each shard's local top-k into one global heap: the heap's
 // (value, pair-id) total order is scan-order-independent, so the retained set
-// equals a single engine's.  Sketch prescreen counts sum over the shards.
+// equals a single engine's.  Sketch prescreen counts sum over the shards, and
+// an affine item filled its base values if any shard's column was filled for it.
 func (cs *coordState) sweep(items []core.Item, group []int, out []core.QueryResult, actuals []core.Actual, trace []shardActual) error {
 	if len(group) == 0 {
 		return nil
@@ -206,6 +207,9 @@ func (cs *coordState) sweep(items []core.Item, group []int, out []core.QueryResu
 			if actuals != nil {
 				actuals[i].Sketched += shardActs[s][j].Sketched
 				actuals[i].Refined += shardActs[s][j].Refined
+				if b := shardActs[s][j].BaseValues; actuals[i].BaseValues != core.BaseFilled {
+					actuals[i].BaseValues = b
+				}
 			}
 		}
 		spec := items[i].Spec

@@ -320,6 +320,7 @@ func TestCoordinatorStreaming(t *testing.T) {
 	// queries materialise it on no shard, the first naive sweep materialises
 	// it on every shard (each over its own pair universe), and the Advance
 	// that follows carries it — AdvanceShared is a shard's whole part in that.
+	// The affine sweep fills every shard's covariance base column instead.
 	for _, method := range []core.Method{core.MethodIndex, core.MethodAffine} {
 		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), method); err != nil {
 			t.Fatal(err)
@@ -327,6 +328,9 @@ func TestCoordinatorStreaming(t *testing.T) {
 	}
 	if ss := c.StreamStats(); ss.MomentFills != 0 || ss.MomentSweeps != 0 {
 		t.Fatalf("%d moment fills, %d sweeps before any naive sweep", ss.MomentFills, ss.MomentSweeps)
+	}
+	if ss := c.StreamStats(); ss.SweepBaseFills != int64(c.NumShards()) {
+		t.Fatalf("%d base-column fills after one affine sweep over %d shards", ss.SweepBaseFills, c.NumShards())
 	}
 	for round := 0; round < 2; round++ {
 		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), core.MethodNaive); err != nil {
