@@ -486,7 +486,10 @@ type Options struct {
 	// hot path: clustering, relationship fitting, pivot summaries, SCAPE
 	// index construction, Advance maintenance and sharded/batched query
 	// scans (0 or 1 = sequential).  Every parallel stage merges its shards
-	// in a deterministic order, so results are identical at any level.
+	// in a deterministic order, so results are identical at any level, and
+	// the calling goroutine is always the first worker, so a stage too small
+	// to share costs about what it costs sequentially: set it to the number
+	// of processors the engine may use.
 	Parallelism int
 	// MaxLSFD, when positive, prunes low-quality affine relationships whose
 	// LSFD exceeds the bound.  Queries on pruned pairs transparently fall

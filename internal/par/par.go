@@ -1,7 +1,12 @@
-// Package par is the shared worker-pool helper behind every parallel code
-// path of the engine: the AFCLST assignment and center updates, the SYMEX+
-// least-squares fits, the pivot summaries, the drift scoring, the SCAPE
-// index construction and the sharded query scans.
+// Package par is the shared fan-out helper behind every parallel code path of
+// the engine: the AFCLST assignment and center updates, the SYMEX+
+// least-squares fits, the pivot summaries, the drift scoring, the SCAPE index
+// construction, the sweeps, the index scans and the sharded scatter.
+//
+// Work is claimed, not handed out: the goroutine that calls Do and its helpers
+// take the next index from one atomic cursor, so a job costs one atomic add
+// per item plus one goroutine start per helper — and a job the caller can
+// finish before a helper is even scheduled costs roughly what it costs inline.
 //
 // Every helper preserves determinism by construction: work item i always
 // writes to slot i of a pre-sized output, so the merged result is identical
@@ -16,10 +21,16 @@ import (
 	"sync/atomic"
 )
 
-// Do executes fn(i) for i in [0, count) with up to `parallelism` goroutines
-// (sequentially when parallelism <= 1).  Work is handed out via a channel, so
-// uneven item costs load-balance automatically; fn must be safe to call
-// concurrently for distinct i.
+// Do executes fn(i) for i in [0, count) on up to `parallelism` goroutines
+// (sequentially when parallelism <= 1): the calling goroutine plus
+// parallelism-1 helpers, each claiming the next unclaimed index from a shared
+// cursor until none is left, so uneven item costs load-balance automatically.
+// fn must be safe to call concurrently for distinct i.
+//
+// Do returns when the last item has finished, not when the last helper has
+// exited: a helper that is scheduled late finds the cursor exhausted and
+// returns without touching anything, and fn is never entered after Do has
+// returned.
 //
 // On failure Do returns the error of the LOWEST-INDEXED failing item — not
 // whichever failure a worker reported first — so the surfaced error is the
@@ -42,45 +53,70 @@ func Do(count, parallelism int, fn func(i int) error) error {
 	if parallelism > count {
 		parallelism = count
 	}
-	var (
-		wg sync.WaitGroup
-		// failIdx is the lowest failing index recorded so far; failErr is its
-		// error, guarded by mu (failIdx doubles as a lock-free skip hint).
-		failIdx atomic.Int64
-		mu      sync.Mutex
-		failErr error
-	)
-	failIdx.Store(math.MaxInt64)
-	next := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				// A failure at a lower index already owns the result; skipping
-				// is safe because this item cannot displace it.  The lowest
-				// failing item L is never skipped: only failures set failIdx,
-				// and every failure has index >= L.
-				if int64(i) > failIdx.Load() {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if int64(i) < failIdx.Load() {
-						failIdx.Store(int64(i))
-						failErr = err
-					}
-					mu.Unlock()
-				}
+	j := &job{count: int64(count), fn: fn, done: make(chan struct{})}
+	j.failIdx.Store(math.MaxInt64)
+	for w := 1; w < parallelism; w++ {
+		go j.work()
+	}
+	if !j.work() {
+		// Helpers still hold claimed items; the one that finishes the last
+		// item signals.
+		<-j.done
+	}
+	return j.failErr
+}
+
+// job is the shared state of one parallel Do call.
+type job struct {
+	count int64
+	fn    func(i int) error
+	// next is the claim cursor: Add(1)-1 is the claimed index, and a claim at
+	// or beyond count means nothing is left.
+	next atomic.Int64
+	// finished counts the items that ran or were skipped.  A worker adds its
+	// share once, when it finds the cursor exhausted; the one that brings the
+	// total to count closes done.
+	finished atomic.Int64
+	done     chan struct{}
+	// failIdx is the lowest failing index recorded so far; failErr is its
+	// error, guarded by mu (failIdx doubles as a lock-free skip hint).
+	failIdx atomic.Int64
+	mu      sync.Mutex
+	failErr error
+}
+
+// work claims and runs items until the cursor is exhausted.  It reports
+// whether this worker finished the job's last outstanding item — the caller
+// of Do then has nothing to wait for.
+func (j *job) work() (last bool) {
+	var ran int64
+	for {
+		i := j.next.Add(1) - 1
+		if i >= j.count {
+			break
+		}
+		ran++
+		// A failure at a lower index already owns the result; skipping is
+		// safe because this item cannot displace it.  The lowest failing item
+		// L is never skipped: only failures set failIdx, and every failure
+		// has index >= L.
+		if i > j.failIdx.Load() {
+			continue
+		}
+		if err := j.fn(int(i)); err != nil {
+			j.mu.Lock()
+			if i < j.failIdx.Load() {
+				j.failIdx.Store(i)
+				j.failErr = err
 			}
-		}()
+			j.mu.Unlock()
+		}
 	}
-	for i := 0; i < count; i++ {
-		next <- i
+	if ran == 0 || j.finished.Add(ran) != j.count {
+		return false
 	}
-	close(next)
-	wg.Wait()
-	return failErr
+	close(j.done)
+	return true
 }
 
 // Block is a half-open index interval [Lo, Hi) of a larger work list.

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -167,5 +168,140 @@ func TestFlattenBlocksEmpty(t *testing.T) {
 	}
 	if got := FlattenBlocks([][]int{nil, {}, nil}); got != nil {
 		t.Fatalf("FlattenBlocks(empty parts) = %v, want nil", got)
+	}
+}
+
+// TestDoEveryIndexExactlyOnce pins the claim cursor: at every count and
+// parallelism — fewer items than workers, one item per worker, many items per
+// worker — each index runs exactly once.
+func TestDoEveryIndexExactlyOnce(t *testing.T) {
+	for _, count := range []int{0, 1, 2, 3, 1000} {
+		for _, p := range []int{1, 2, 8, 64} {
+			ran := make([]atomic.Int32, count)
+			if err := Do(count, p, func(i int) error {
+				ran[i].Add(1)
+				return nil
+			}); err != nil {
+				t.Fatalf("count %d parallelism %d: %v", count, p, err)
+			}
+			for i := range ran {
+				if n := ran[i].Load(); n != 1 {
+					t.Fatalf("count %d parallelism %d: index %d ran %d times", count, p, i, n)
+				}
+			}
+		}
+	}
+}
+
+// TestDoFailuresKeepLowerIndices injects failures at several indices: the
+// lowest one's error is returned, and no index below it is skipped — any of
+// them could have failed and taken over as the lowest.
+func TestDoFailuresKeepLowerIndices(t *testing.T) {
+	const count = 1000
+	for _, failAt := range [][]int{{0}, {1, 2}, {499, 500, 998}, {999}, {17, 3, 640}} {
+		lowest := failAt[0]
+		fails := make(map[int]bool, len(failAt))
+		for _, i := range failAt {
+			fails[i] = true
+			lowest = min(lowest, i)
+		}
+		for _, p := range []int{1, 2, 8, 64} {
+			ran := make([]atomic.Int32, count)
+			err := Do(count, p, func(i int) error {
+				ran[i].Add(1)
+				if fails[i] {
+					return fmt.Errorf("item %d failed", i)
+				}
+				return nil
+			})
+			if want := fmt.Sprintf("item %d failed", lowest); err == nil || err.Error() != want {
+				t.Fatalf("failures %v parallelism %d: err = %v, want %q", failAt, p, err, want)
+			}
+			for i := range ran {
+				n := ran[i].Load()
+				if n > 1 || (i <= lowest && n != 1) {
+					t.Fatalf("failures %v parallelism %d: index %d ran %d times", failAt, p, i, n)
+				}
+			}
+		}
+	}
+}
+
+// TestDoNeverEntersFnAfterReturn pins the completion rule: Do returns when the
+// last item has finished, and a helper that gets the processor only afterwards
+// finds the cursor exhausted — it never enters fn.  Short jobs with many more
+// helpers than items, and items that yield mid-flight, maximise the number of
+// helpers still unscheduled when Do returns.
+func TestDoNeverEntersFnAfterReturn(t *testing.T) {
+	for _, count := range []int{1, 2, 3, 50} {
+		for run := 0; run < 200; run++ {
+			var returned, late atomic.Bool
+			var ran atomic.Int64
+			if err := Do(count, 64, func(int) error {
+				if returned.Load() {
+					late.Store(true)
+				}
+				runtime.Gosched()
+				ran.Add(1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			returned.Store(true)
+			if n := ran.Load(); n != int64(count) {
+				t.Fatalf("count %d: Do returned with %d items finished", count, n)
+			}
+			// Let every leftover helper run to its exit.
+			for y := 0; y < 100; y++ {
+				runtime.Gosched()
+			}
+			if late.Load() {
+				t.Fatalf("count %d run %d: fn entered after Do returned", count, run)
+			}
+		}
+	}
+}
+
+// TestDoNested runs Do inside Do — the coordinator → shard → index-scan shape,
+// where an outer item's goroutine is the calling worker of an inner job.
+func TestDoNested(t *testing.T) {
+	const outer, inner = 8, 200
+	for _, p := range []int{1, 2, 8, 64} {
+		sums := make([]int64, outer)
+		err := Do(outer, p, func(o int) error {
+			cells := make([]int64, inner)
+			if err := Do(inner, p, func(i int) error {
+				cells[i] = int64(o*inner + i)
+				return nil
+			}); err != nil {
+				return err
+			}
+			for _, c := range cells {
+				sums[o] += c
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
+		}
+		for o, got := range sums {
+			if want := int64(o*inner*inner + inner*(inner-1)/2); got != want {
+				t.Fatalf("parallelism %d: outer item %d summed to %d, want %d", p, o, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkDo is the fan-out cost on its own: 512 no-op items.
+func BenchmarkDo(b *testing.B) {
+	for _, p := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := Do(512, p, func(int) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -78,15 +78,13 @@ type PairQuery struct {
 
 // PairInterval answers a pairwise interval query (the unified MET/MER scan):
 // every sequence pair whose measure value, as represented by the index, lies
-// in iv.
+// in iv.  It is a PairBatch of one.
 func (idx *Index) PairInterval(m stats.Measure, iv interval.Interval) ([]timeseries.Pair, error) {
-	ps, err := idx.compilePair(PairQuery{Measure: m, Interval: iv})
+	out, err := idx.PairBatch([]PairQuery{{Measure: m, Interval: iv}})
 	if err != nil {
 		return nil, err
 	}
-	return idx.shardPivots(func(i int, out []timeseries.Pair) []timeseries.Pair {
-		return idx.scanNode(i, ps, out)
-	}), nil
+	return out[0], nil
 }
 
 // SeriesInterval answers an interval query over an L-measure: the series whose
@@ -115,34 +113,6 @@ func (idx *Index) locationOf(m stats.Measure) (*locationColumn, error) {
 	return &idx.location[s], nil
 }
 
-// NodeResult is one pivot node's contribution to a pairwise interval query:
-// the pivot identity plus the matching pairs in scalar-projection order.
-type NodeResult struct {
-	Pivot symex.Pivot
-	Pairs []timeseries.Pair
-}
-
-// PairIntervalNodes answers a pairwise interval query like PairInterval but
-// keeps the per-pivot-node result blocks separate, in the index's canonical
-// (Common, Cluster) node order.  Concatenating the blocks reproduces
-// PairInterval exactly.  A sharded coordinator uses this to merge several
-// shards' results into the global node order: each shard's blocks are already
-// canonically sorted, so a k-way merge by pivot reconstructs the byte-exact
-// order a single unsharded index would produce.
-func (idx *Index) PairIntervalNodes(m stats.Measure, iv interval.Interval) ([]NodeResult, error) {
-	ps, err := idx.compilePair(PairQuery{Measure: m, Interval: iv})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]NodeResult, len(idx.pivots))
-	// A compiled scan cannot fail; Do only fans the nodes out.
-	_ = par.Do(len(idx.pivots), idx.opts.Parallelism, func(i int) error {
-		out[i] = NodeResult{Pivot: idx.pivots[i].pivot, Pairs: idx.scanNode(i, ps, nil)}
-		return nil
-	})
-	return out, nil
-}
-
 // PairBatch answers a batch of pairwise interval queries in one pass over the
 // pivot nodes: every node is visited once and serves all queries from its
 // ξ-containers before the scan moves on, sharing the per-node α lookups and the
@@ -150,39 +120,82 @@ func (idx *Index) PairIntervalNodes(m stats.Measure, iv interval.Interval) ([]No
 // identical — including order — to the result of the corresponding single
 // PairInterval call.
 func (idx *Index) PairBatch(qs []PairQuery) ([][]timeseries.Pair, error) {
+	out, _, err := idx.scanBlocks(qs, false)
+	return out, err
+}
+
+// PairBatchNodes is PairBatch that also reports where each pivot node's block
+// ends: ends[i][n] is the length of out[i] after node n, in the index's
+// canonical (Common, Cluster) node order (NumPivots entries per query, one slab
+// for the call).  A sharded coordinator uses the offsets to interleave several
+// shards' node blocks into the global node order: every pivot node lives wholly
+// on one shard and each shard's blocks are already canonically sorted, so the
+// interleaving reconstructs the byte-exact order a single unsharded index
+// would produce.
+func (idx *Index) PairBatchNodes(qs []PairQuery) (out [][]timeseries.Pair, ends [][]int32, err error) {
+	return idx.scanBlocks(qs, true)
+}
+
+// NodePivot returns the pivot of node i, 0 <= i < NumPivots().
+func (idx *Index) NodePivot(i int) symex.Pivot { return idx.pivots[i].pivot }
+
+// scanBlocks is the one interval scan over the pivot nodes: the queries are
+// compiled once, every worker walks a contiguous block of nodes — not one task
+// per node, so the dispatch cost stays negligible next to the container scans —
+// answering all queries per node straight into its per-query buffer, and the
+// buffers are concatenated per query in block order.  idx.pivots is sorted
+// deterministically at build time, so the merged result is byte-identical at
+// any parallelism level and across rebuilds.
+func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair, [][]int32, error) {
 	scans := make([]pairScan, len(qs))
-	for i, q := range qs {
+	for qi, q := range qs {
 		ps, err := idx.compilePair(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		scans[i] = ps
+		scans[qi] = ps
 	}
-	// parts[block][query] — every worker walks a contiguous block of pivot
-	// nodes answering all queries per node, merged per query in block order
-	// (the same order the single-query scans use).
-	blocks := par.Blocks(len(idx.pivots), idx.opts.Parallelism)
-	parts := make([][][]timeseries.Pair, len(blocks))
+	nodes := len(idx.pivots)
+	var ends [][]int32
+	if wantEnds {
+		slab := make([]int32, len(qs)*nodes)
+		ends = make([][]int32, len(qs))
+		for qi := range ends {
+			ends[qi] = slab[qi*nodes : (qi+1)*nodes]
+		}
+	}
+	blocks := par.Blocks(nodes, idx.opts.Parallelism)
+	parts := make([][][]timeseries.Pair, len(blocks)) // parts[block][query]
 	// Compiled scans cannot fail; Do only fans the blocks out.
 	_ = par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
 		local := make([][]timeseries.Pair, len(qs))
 		for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
 			for qi := range scans {
 				local[qi] = idx.scanNode(i, scans[qi], local[qi])
+				if wantEnds {
+					ends[qi][i] = int32(len(local[qi])) // block-local until merged
+				}
 			}
 		}
 		parts[b] = local
 		return nil
 	})
 	out := make([][]timeseries.Pair, len(qs))
+	perBlock := make([][]timeseries.Pair, len(parts))
 	for qi := range qs {
-		perBlock := make([][]timeseries.Pair, len(parts))
+		base := 0
 		for b := range parts {
 			perBlock[b] = parts[b][qi]
+			if wantEnds && base > 0 {
+				for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
+					ends[qi][i] += int32(base)
+				}
+			}
+			base += len(perBlock[b])
 		}
 		out[qi] = par.FlattenBlocks(perBlock)
 	}
-	return out, nil
+	return out, ends, nil
 }
 
 // PairValue returns the index's representation of a pairwise measure for a
@@ -223,27 +236,6 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 		return sp.Value(pm.alphaNorm*foundXi, u, idx.numSamples)
 	}
 	return 0, fmt.Errorf("scape: pair %v not present in the index", e)
-}
-
-// shardPivots runs scan over every pivot node — in parallel when the index
-// was built with Parallelism > 1 — and concatenates the per-node results in
-// pivot-node order.  idx.pivots is sorted deterministically at build time, so
-// the merged result is byte-identical at any parallelism level and across
-// rebuilds.
-func (idx *Index) shardPivots(scan func(i int, out []timeseries.Pair) []timeseries.Pair) []timeseries.Pair {
-	// Contiguous node blocks (not one task per node) keep the per-task
-	// dispatch overhead negligible next to the container scans; scans append into
-	// the per-block buffer directly, so matching pairs are written once.
-	blocks := par.Blocks(len(idx.pivots), idx.opts.Parallelism)
-	parts := make([][]timeseries.Pair, len(blocks))
-	// A compiled scan cannot fail; Do only fans the blocks out.
-	_ = par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
-		for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
-			parts[b] = scan(i, parts[b])
-		}
-		return nil
-	})
-	return par.FlattenBlocks(parts)
 }
 
 // pairScan is one compiled pairwise interval query: the validated spec plus

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
@@ -93,7 +92,14 @@ func (h *TopHeap) Threshold() (float64, bool) {
 // Sorted returns the retained entries best-first.
 func (h *TopHeap) Sorted() ([]timeseries.Pair, []float64) {
 	es := append([]topEntry(nil), h.entries...)
-	sort.Slice(es, func(i, j int) bool { return h.better(es[i], es[j]) })
+	// better is a strict total order (value, then pair id; Offer admits no
+	// NaN), so the sorted permutation is unique.
+	slices.SortFunc(es, func(a, b topEntry) int {
+		if h.better(a, b) {
+			return -1
+		}
+		return 1
+	})
 	pairs := make([]timeseries.Pair, len(es))
 	values := make([]float64, len(es))
 	for i, e := range es {
@@ -187,14 +193,20 @@ func (idx *Index) NewTopKCursor(m stats.Measure, largest bool) (*TopKCursor, err
 			cands = append(cands, nodeCand{order: i, bound: bound})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].bound != cands[j].bound {
+	// Bound best-first, then node position: a strict total order, because
+	// nodeTopBound maps a NaN bound to ±Inf.
+	slices.SortFunc(cands, func(a, b nodeCand) int {
+		ahead := a.order < b.order
+		if a.bound != b.bound {
+			ahead = a.bound < b.bound
 			if largest {
-				return cands[i].bound > cands[j].bound
+				ahead = a.bound > b.bound
 			}
-			return cands[i].bound < cands[j].bound
 		}
-		return cands[i].order < cands[j].order
+		if ahead {
+			return -1
+		}
+		return 1
 	})
 	c.cands = cands
 	return c, nil

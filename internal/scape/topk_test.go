@@ -2,7 +2,9 @@ package scape
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -44,6 +46,19 @@ func topKOracle(estimates map[timeseries.Pair]float64, k int, largest bool) ([]t
 	return pairs, values
 }
 
+// requireNoNaNBound pins what makes the cursor's candidate order a strict
+// total order (bound, then node position): no node's optimistic bound is NaN.
+func requireNoNaNBound(t *testing.T, idx *Index, m stats.Measure, largest bool) {
+	t.Helper()
+	cur, err := idx.NewTopKCursor(m, largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(cur.cands, func(c nodeCand) bool { return math.IsNaN(c.bound) }); i >= 0 {
+		t.Fatalf("%v largest=%v: node %d has a NaN bound", m, largest, cur.cands[i].order)
+	}
+}
+
 // TestPairTopKMatchesIndexValues pins the best-first traversal against a
 // sort of the index's own per-pair values, for T- and D-measures (increasing
 // and decreasing transforms), both directions and several k.  Values must
@@ -72,6 +87,7 @@ func TestPairTopKMatchesIndexValues(t *testing.T) {
 			estimates[e] = v
 		}
 		for _, largest := range []bool{true, false} {
+			requireNoNaNBound(t, idx, m, largest)
 			for _, k := range []int{1, 5, entries + 3} {
 				pairs, values, examined, err := idx.PairTopK(m, k, largest)
 				if err != nil {
@@ -227,6 +243,38 @@ func TestPairBatchMatchesSingleIntervals(t *testing.T) {
 		for j := range single {
 			if batch[i][j] != single[j] {
 				t.Fatalf("query %d entry %d: batch %v != single %v", i, j, batch[i][j], single[j])
+			}
+		}
+	}
+	// The node offsets cut every query's flat result into the blocks a scan of
+	// each node on its own produces, at any worker count.
+	for _, p := range []int{1, 2, 8} {
+		pidx, err := Build(d, rel, Options{Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, ends, err := pidx.PairBatchNodes(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			if !slices.Equal(flat[i], batch[i]) || len(ends[i]) != pidx.NumPivots() {
+				t.Fatalf("P=%d query %d: %d pairs and %d offsets, want the batch's %d pairs and %d offsets",
+					p, i, len(flat[i]), len(ends[i]), len(batch[i]), pidx.NumPivots())
+			}
+			ps, err := pidx.compilePair(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := int32(0)
+			for n, hi := range ends[i] {
+				if want := pidx.scanNode(n, ps, nil); hi < lo || !slices.Equal(flat[i][lo:hi], want) {
+					t.Fatalf("P=%d query %d node %d (%v): block [%d, %d) is not the node's scan %v", p, i, n, pidx.NodePivot(n), lo, hi, want)
+				}
+				lo = hi
+			}
+			if int(lo) != len(flat[i]) {
+				t.Fatalf("P=%d query %d: offsets end at %d of %d pairs", p, i, lo, len(flat[i]))
 			}
 		}
 	}

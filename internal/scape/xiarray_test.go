@@ -350,6 +350,7 @@ func TestNaNProjectionHasADefinedPlace(t *testing.T) {
 				}
 			}
 			for _, largest := range []bool{true, false} {
+				requireNoNaNBound(t, idx, m, largest)
 				pairs, values, _, err := idx.PairTopK(m, 40, largest)
 				if err != nil {
 					t.Fatal(err)

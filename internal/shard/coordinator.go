@@ -46,6 +46,10 @@ type coordState struct {
 	locIndex *scape.Index
 	// owner maps each pivot to its shard (static across epochs).
 	owner map[symex.Pivot]int
+	// schedule is the order index-method interval results are merged in: the
+	// shards' pivot-node lists of this epoch interleaved into the canonical
+	// global node order.
+	schedule []mergeRun
 	// table and cost are the planner inputs of a single unsharded engine at
 	// this epoch: MethodAuto is resolved against the global table, so the
 	// chosen method — and therefore the result bytes — are identical at
@@ -182,6 +186,7 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 		rel:      rel,
 		locIndex: locIndex,
 		owner:    c.placement.Owner,
+		schedule: mergeSchedule(views),
 		table: plan.TableStats{
 			NumSeries:     d.NumSeries(),
 			NumSamples:    d.NumSamples(),

@@ -163,7 +163,7 @@ func shardDeterminismCases() []shardQueryCase {
 	// Batched queries: per-item results must equal their single-query twins,
 	// so comparing the whole batch against the engine's batch suffices.
 	batchMeasures := []stats.Measure{stats.Correlation, stats.Covariance, stats.Mean, stats.Cosine}
-	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodAuto} {
+	for _, method := range methods {
 		method := method
 		cases = append(cases,
 			shardQueryCase{
@@ -202,6 +202,41 @@ func shardDeterminismCases() []shardQueryCase {
 			},
 		)
 	}
+	// One scatter per batch: the coordinator answers the index-method interval
+	// items of a batch in one fan-out, and every item must equal — pair for
+	// pair — the single engine's answer to the same query asked on its own
+	// (the threshold/range cases above pin the coordinator's single answers to
+	// the same baseline).  The batch includes results that are empty after a
+	// scan and empty by the measure's declared range.
+	for _, method := range []core.Method{core.MethodIndex, core.MethodAuto} {
+		method := method
+		cases = append(cases, shardQueryCase{
+			name: fmt.Sprintf("batch-vs-singles/%v", method),
+			engine: func(e *core.Engine) (any, error) {
+				qs := scatterBatch()
+				out := make([]core.QueryResult, len(qs))
+				for i, q := range qs {
+					var err error
+					if out[i], err = e.Interval(q.Measure, q.Interval, method); err != nil {
+						return nil, err
+					}
+				}
+				return out, nil
+			},
+			coord: func(c *Coordinator) (any, error) {
+				return c.IntervalBatch(scatterBatch(), method)
+			},
+		})
+	}
+	// A batch whose items resolve to every execution path at once: index
+	// interval scans, a sweep (Jaccard is not indexable), index and swept
+	// top-k, and L-measure items — each group scattered once, results back in
+	// request order.
+	cases = append(cases, shardQueryCase{
+		name:   "batch-mixed/auto",
+		engine: func(e *core.Engine) (any, error) { return runSpecs(e.View(), mixedBatch(), core.MethodAuto) },
+		coord:  func(c *Coordinator) (any, error) { return runSpecs(c.state(), mixedBatch(), core.MethodAuto) },
+	})
 	// Auto plan parity: the coordinator's global plan must make the same
 	// choice with the same estimates as the single engine at any shard count.
 	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.Mean, stats.Jaccard} {
@@ -238,6 +273,35 @@ func shardDeterminismCases() []shardQueryCase {
 		})
 	}
 	return cases
+}
+
+// scatterBatch is the interval batch of the batch-vs-singles cases: selective,
+// wide, two-sided and decreasing-measure predicates, one that matches nothing
+// after scanning and one outside correlation's declared range.
+func scatterBatch() []core.IntervalQuery {
+	return []core.IntervalQuery{
+		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.9)},
+		{Measure: stats.Covariance, Interval: interval.Between(-0.5, 0.9)},
+		{Measure: stats.Covariance, Interval: interval.GreaterThan(1e9)},
+		{Measure: stats.EuclideanDistance, Interval: interval.LessThan(3)},
+		{Measure: stats.Correlation, Interval: interval.GreaterThan(2)},
+		{Measure: stats.Cosine, Interval: interval.AtLeast(0.25)},
+		{Measure: stats.DotProduct, Interval: interval.All()},
+	}
+}
+
+// mixedBatch is the spec list of the batch-mixed case.
+func mixedBatch() []plan.QuerySpec {
+	return []plan.QuerySpec{
+		plan.Interval(stats.Correlation, interval.GreaterThan(0.95)),
+		plan.Interval(stats.Jaccard, interval.GreaterThan(0.3)),
+		plan.TopK(stats.Correlation, 5, true),
+		plan.Interval(stats.Mean, interval.GreaterThan(0.1)),
+		plan.Interval(stats.Covariance, interval.Between(0.05, 0.1)),
+		plan.TopK(stats.Jaccard, 4, false),
+		plan.TopK(stats.Median, 3, true),
+		plan.Interval(stats.EuclideanDistance, interval.LessThan(1)),
+	}
 }
 
 // runShardDeterminism builds the baseline engine plus the S×P coordinator

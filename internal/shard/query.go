@@ -109,12 +109,14 @@ func (cs *coordState) Execute(items []core.Item, actuals []core.Actual) ([]core.
 
 // execute is Execute with per-shard observability: a non-nil trace (Explain,
 // one item) has one slot per shard and receives each shard's contribution.
-// L-measure items do not fan out; index-method items run their dedicated
-// merges; sweep-method items fan out grouped per concrete method, so each
-// shard answers a group through its fused multi-predicate sweep.
+// L-measure items do not fan out and index top-k items run their streaming
+// merge; everything else is scattered once per group — the index-method
+// interval items, then the sweep-method items per concrete method — so each
+// shard answers a group through one fused pass (its index's batched node
+// traversal, its multi-predicate sweep).
 func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []shardActual) ([]core.QueryResult, error) {
 	out := make([]core.QueryResult, len(items))
-	var naive, affine []int
+	var index, naive, affine []int
 	for i, it := range items {
 		var err error
 		switch {
@@ -127,11 +129,14 @@ func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []
 		case it.Spec.Kind == plan.KindTopK:
 			out[i], err = cs.indexTopK(it.Spec, trace)
 		default:
-			out[i], err = cs.indexInterval(it.Spec, trace)
+			index = append(index, i)
 		}
 		if err != nil {
 			return nil, err
 		}
+	}
+	if err := cs.indexIntervals(items, index, out, trace); err != nil {
+		return nil, err
 	}
 	for _, group := range [][]int{naive, affine} {
 		if err := cs.sweep(items, group, out, actuals, trace); err != nil {
@@ -263,58 +268,98 @@ func pairBefore(a, b timeseries.Pair) bool {
 	return a.V < b.V
 }
 
-// indexInterval scatters an index-method interval query as per-pivot-node
-// blocks and merges the shard block lists in canonical (Common, Cluster)
-// pivot order.  A single engine's PairInterval is the concatenation of its
-// node blocks in exactly that order, and every pivot node lives wholly on one
-// shard, so the merged concatenation is byte-identical.
-func (cs *coordState) indexInterval(spec plan.QuerySpec, trace []shardActual) (core.QueryResult, error) {
-	blocks := make([][]scape.NodeResult, len(cs.views))
+// indexIntervals scatters the index-method interval items items[group...] to
+// every shard once — each shard answers them all in one traversal of its pivot
+// nodes, as flat per-query pair lists with per-node end offsets — and
+// concatenates the node blocks per item along the epoch's merge schedule, the
+// canonical (Common, Cluster) interleaving of the shards' node lists.  A single
+// engine's result is the concatenation of its node blocks in exactly that
+// order, and every pivot node lives wholly on one shard, so the merged
+// concatenation is byte-identical.
+func (cs *coordState) indexIntervals(items []core.Item, group []int, out []core.QueryResult, trace []shardActual) error {
+	if len(group) == 0 {
+		return nil
+	}
+	qs := make([]scape.PairQuery, len(group))
+	for j, i := range group {
+		qs[j] = items[i].Spec.PairQuery()
+	}
+	pairs := make([][][]timeseries.Pair, len(cs.views)) // pairs[shard][query]
+	ends := make([][][]int32, len(cs.views))
 	err := par.Do(len(cs.views), len(cs.views), func(s int) error {
 		idx := cs.views[s].Index()
 		if idx == nil {
 			return core.ErrNoIndex
 		}
 		start := time.Now()
-		nr, err := idx.PairIntervalNodes(spec.Measure, spec.Interval)
-		if err != nil {
-			return err
+		var err error
+		pairs[s], ends[s], err = idx.PairBatchNodes(qs)
+		if err == nil && trace != nil {
+			trace[s] = shardActual{rows: len(pairs[s][0]), dur: time.Since(start)}
 		}
-		blocks[s] = nr
-		if trace != nil {
-			rows := 0
-			for _, b := range nr {
-				rows += len(b.Pairs)
-			}
-			trace[s] = shardActual{rows: rows, dur: time.Since(start)}
-		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return core.QueryResult{}, err
+		return err
 	}
-	return core.QueryResult{Pairs: mergeNodeBlocks(blocks)}, nil
+	for j, i := range group {
+		total := 0
+		for s := range pairs {
+			total += len(pairs[s][j])
+		}
+		if total == 0 {
+			continue
+		}
+		merged := make([]timeseries.Pair, 0, total)
+		for _, run := range cs.schedule {
+			from, e := pairs[run.shard][j], ends[run.shard][j]
+			lo := int32(0)
+			if run.lo > 0 {
+				lo = e[run.lo-1]
+			}
+			merged = append(merged, from[lo:e[run.hi-1]]...)
+		}
+		out[i] = core.QueryResult{Pairs: merged}
+	}
+	return nil
 }
 
-// mergeNodeBlocks concatenates per-shard node blocks in canonical pivot order.
-func mergeNodeBlocks(blocks [][]scape.NodeResult) []timeseries.Pair {
-	heads := make([]int, len(blocks))
-	var out []timeseries.Pair
+// mergeRun is one step of a merge schedule: the blocks of nodes [lo, hi) of
+// one shard's index, which are adjacent in the global node order.
+type mergeRun struct {
+	shard, lo, hi int32
+}
+
+// mergeSchedule interleaves the shard indexes' node lists — each in canonical
+// (Common, Cluster) order, pairwise disjoint — into the global canonical order,
+// as maximal runs of one shard's nodes.  A node list changes only when a pivot
+// loses or regains its last relationship, but the schedule is cheap next to an
+// Advance, so every coordinator epoch derives its own.  Nil when the shards
+// carry no index.
+func mergeSchedule(views []core.View) []mergeRun {
+	heads := make([]int32, len(views))
+	var runs []mergeRun
 	for {
 		best := -1
-		for s, bl := range blocks {
-			if heads[s] >= len(bl) {
+		var bestPivot symex.Pivot
+		for s, v := range views {
+			idx := v.Index()
+			if idx == nil || int(heads[s]) >= idx.NumPivots() {
 				continue
 			}
-			if best == -1 || pivotBefore(bl[heads[s]].Pivot, blocks[best][heads[best]].Pivot) {
-				best = s
+			if p := idx.NodePivot(int(heads[s])); best == -1 || pivotBefore(p, bestPivot) {
+				best, bestPivot = s, p
 			}
 		}
 		if best == -1 {
-			return out
+			return runs
 		}
-		out = append(out, blocks[best][heads[best]].Pairs...)
 		heads[best]++
+		if n := len(runs); n > 0 && runs[n-1].shard == int32(best) {
+			runs[n-1].hi = heads[best]
+		} else {
+			runs = append(runs, mergeRun{shard: int32(best), lo: heads[best] - 1, hi: heads[best]})
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"affinity/internal/scape"
 	"affinity/internal/sketch"
 	"affinity/internal/stats"
+	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
@@ -364,6 +365,123 @@ func TestCoordinatorStreaming(t *testing.T) {
 	}
 	if ac.Epoch() != 1 || ac.PendingSamples() != 0 {
 		t.Fatalf("auto-advance: epoch %d pending %d", ac.Epoch(), ac.PendingSamples())
+	}
+}
+
+// TestIndexScatterFollowsTheEpoch streams a MaxLSFD-pruned coordinator whose
+// pivots lose and regain their last relationship, so the shards' node lists —
+// and with them the merge schedule — change from epoch to epoch.  At every
+// epoch the schedule must be the canonical interleaving of exactly the nodes
+// the shard indexes hold, the batched index scatter and the mixed batch must
+// equal the single engine, and Explain must attribute to each shard the result
+// rows whose pivot it owns.
+func TestIndexScatterFollowsTheEpoch(t *testing.T) {
+	const rounds, slide = 3, 5
+	cfg := core.Config{Clusters: 4, Seed: 5, MaxLSFD: 0.1, Parallelism: 2}
+	fx := makeShardFixture(t, 20, 90, rounds*slide, 7)
+	e, err := core.Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cFx := makeShardFixture(t, 20, 90, rounds*slide, 7)
+	c, err := Build(cFx.window, Config{Shards: 2, Engine: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeCounts := make(map[string]bool)
+	for epoch := 0; ; epoch++ {
+		cs := c.state()
+		// The schedule visits every shard's nodes once, in shard order, and
+		// the pivots it visits ascend strictly in (Common, Cluster) order.
+		heads := make([]int32, len(cs.views))
+		var last *symex.Pivot
+		for _, run := range cs.schedule {
+			if run.lo != heads[run.shard] || run.hi <= run.lo {
+				t.Fatalf("epoch %d: run %+v does not continue shard %d at node %d", epoch, run, run.shard, heads[run.shard])
+			}
+			for n := run.lo; n < run.hi; n++ {
+				p := cs.views[run.shard].Index().NodePivot(int(n))
+				if last != nil && !pivotBefore(*last, p) {
+					t.Fatalf("epoch %d: schedule visits %v after %v", epoch, p, *last)
+				}
+				last = &p
+			}
+			heads[run.shard] = run.hi
+		}
+		counts := ""
+		for s, v := range cs.views {
+			if int(heads[s]) != v.Index().NumPivots() {
+				t.Fatalf("epoch %d: schedule covers %d of shard %d's %d nodes", epoch, heads[s], s, v.Index().NumPivots())
+			}
+			counts += fmt.Sprint(heads[s], " ")
+		}
+		nodeCounts[counts] = true
+
+		for _, method := range []core.Method{core.MethodIndex, core.MethodAuto} {
+			want := render(e.IntervalBatch(scatterBatch(), method))
+			if got := render(c.IntervalBatch(scatterBatch(), method)); got != want {
+				t.Fatalf("epoch %d %v: batch diverged\nengine:      %.300s\ncoordinator: %.300s", epoch, method, want, got)
+			}
+		}
+		wantMixed, wantPlans, err := core.Run(e.View(), mixedBatch(), core.MethodAuto, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMixed, gotPlans, err := core.Run(cs, mixedBatch(), core.MethodAuto, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(gotMixed), fmt.Sprint(wantMixed); got != want {
+			t.Fatalf("epoch %d: mixed batch diverged\nengine:      %.300s\ncoordinator: %.300s", epoch, want, got)
+		}
+		resolved := make(map[core.Method]int)
+		for i, p := range gotPlans {
+			if p.Method != wantPlans[i].Method {
+				t.Fatalf("epoch %d: item %d planned %v on the coordinator, %v on the engine", epoch, i, p.Method, wantPlans[i].Method)
+			}
+			resolved[p.Method]++
+		}
+		if resolved[core.MethodIndex] < 2 || resolved[core.MethodNaive]+resolved[core.MethodAffine] == 0 {
+			t.Fatalf("epoch %d: the mixed batch resolved to %v, want index items and a sweep", epoch, resolved)
+		}
+
+		res, err := c.Explain(plan.Interval(stats.Covariance, interval.Between(-0.5, 0.9)), core.MethodIndex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := make([]int, len(cs.views))
+		for _, p := range res.Result.Pairs {
+			owned[cs.pairOwner(p)]++
+		}
+		if len(res.Result.Pairs) == 0 {
+			t.Fatalf("epoch %d: explained query matched nothing", epoch)
+		}
+		for _, sp := range res.Shards {
+			if sp.Plan.ActualRows != owned[sp.Shard] || sp.Plan.Duration <= 0 {
+				t.Fatalf("epoch %d: shard %d reported %d rows in %v, owns %d of the result", epoch, sp.Shard, sp.Plan.ActualRows, sp.Plan.Duration, owned[sp.Shard])
+			}
+		}
+
+		if epoch == rounds {
+			break
+		}
+		for _, tick := range fx.ticks[epoch*slide : (epoch+1)*slide] {
+			if err := e.Append(tick); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Append(tick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(nodeCounts) < 3 {
+		t.Fatalf("the shards' node lists took %d shapes over %d epochs, want them to change: %v", len(nodeCounts), rounds+1, nodeCounts)
 	}
 }
 
