@@ -188,19 +188,15 @@ func (t *Transform) PropagateCovariance(sourceCov *mat.Matrix) (float64, error) 
 
 // PropagateVariances returns the two diagonal entries of Aᵀ·Σ(X)·A: the
 // variances of the two target series, used to build separable normalizers
-// without touching the raw target series.
+// without touching the raw target series.  cov holds the distinct entries
+// (Σ11, Σ12, Σ22) of the symmetric source covariance — measure.PivotTerms.Cov.
 //
 // The streaming drift scorer calls this once per relationship per epoch and
 // the stale set (hence every later answer) depends on its bits, so it is the
 // closed form of PropagateCovarianceMatrix's two mat.Mul calls: entry (j, j)
 // is row j of Aᵀ·Σ times column j of A, every sum starting from zero, adding
 // terms in k order and skipping a term whose left factor is exactly zero.
-func (t *Transform) PropagateVariances(sourceCov *mat.Matrix) ([2]float64, error) {
-	if sourceCov.Rows() != 2 || sourceCov.Cols() != 2 {
-		return [2]float64{}, fmt.Errorf("%w: covariance must be 2x2, got %dx%d",
-			ErrBadShape, sourceCov.Rows(), sourceCov.Cols())
-	}
-	cov := sourceCov.RawData()
+func (t *Transform) PropagateVariances(cov [3]float64) [2]float64 {
 	var out [2]float64
 	for j := range out {
 		var t0, t1 float64 // row j of Aᵀ·Σ
@@ -209,8 +205,8 @@ func (t *Transform) PropagateVariances(sourceCov *mat.Matrix) ([2]float64, error
 			t1 += a * cov[1]
 		}
 		if a := t.A[1][j]; a != 0 {
-			t0 += a * cov[2]
-			t1 += a * cov[3]
+			t0 += a * cov[1]
+			t1 += a * cov[2]
 		}
 		var v float64
 		if t0 != 0 {
@@ -221,7 +217,7 @@ func (t *Transform) PropagateVariances(sourceCov *mat.Matrix) ([2]float64, error
 		}
 		out[j] = v
 	}
-	return out, nil
+	return out
 }
 
 // PropagateDotProduct computes the dot product between the two target series

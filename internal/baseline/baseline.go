@@ -267,12 +267,13 @@ func (w *DFT) Precompute() error {
 	n := w.data.NumSeries()
 	w.coeffs = make([]map[int]complex128, n)
 	w.degenerate = make([]bool, n)
+	mom := w.data.Moments()
 	for _, id := range w.data.IDs() {
 		s, err := w.data.Series(id)
 		if err != nil {
 			return err
 		}
-		normalized, ok := normalizeSeries(s)
+		normalized, ok := normalizeSeries(s, mom.Mean[id], mom.Variance[id])
 		if !ok {
 			w.degenerate[id] = true
 			w.coeffs[id] = map[int]complex128{}
@@ -291,16 +292,12 @@ func (w *DFT) Precompute() error {
 	return nil
 }
 
-// normalizeSeries returns (x - mean) / (std * sqrt(m-1)) so that the inner
-// product of two normalized series equals their Pearson correlation.  The
-// second return value is false for constant series.
-func normalizeSeries(x []float64) ([]float64, bool) {
-	mean, err := stats.MeanOf(x)
-	if err != nil {
-		return nil, false
-	}
-	variance, err := stats.VarianceOf(x)
-	if err != nil || variance == 0 {
+// normalizeSeries returns (x - mean) / (std * sqrt(m-1)), given the mean and
+// variance of x, so that the inner product of two normalized series equals
+// their Pearson correlation.  The second return value is false for constant
+// series.
+func normalizeSeries(x []float64, mean, variance float64) ([]float64, bool) {
+	if variance == 0 {
 		return nil, false
 	}
 	scale := math.Sqrt(variance * float64(len(x)-1))

@@ -20,8 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"affinity/internal/mat"
+	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/timeseries"
 )
@@ -83,7 +85,11 @@ func (c Config) validate(n int) error {
 }
 
 // Result is the output of AFCLST: the cluster centers r_1 ... r_k and the
-// cluster assignment function ω(v).
+// cluster assignment function ω(v).  A result is frozen once Run returns (or
+// once a hand-built one is first used), and what is a function of its centers
+// alone — their self-moments, their L-measures — is memoised on it, so it is
+// reduced once per clustering however many epochs, indexes and shards share
+// the object.  A Result is held by pointer, never copied.
 type Result struct {
 	// Centers holds k unit-length cluster centers of length m.
 	Centers [][]float64
@@ -98,6 +104,45 @@ type Result struct {
 	Iterations int
 	// Converged reports whether the δ_min stopping rule fired before γ_max.
 	Converged bool
+
+	momentsOnce sync.Once
+	moments     *timeseries.Moments
+	locMu       sync.Mutex
+	locations   map[measure.Measure][]float64
+}
+
+// CenterMoments returns the self-moments of the centers, indexed by cluster.
+// The result must not be modified.
+func (r *Result) CenterMoments() *timeseries.Moments {
+	r.momentsOnce.Do(func() { r.moments = timeseries.NewMoments(r.Centers) })
+	return r.moments
+}
+
+// CenterLocations returns L-measure m of every center, indexed by cluster.
+// The result must not be modified.
+func (r *Result) CenterLocations(m measure.Measure) ([]float64, error) {
+	sp, ok := measure.Find(m)
+	if !ok || !sp.Location() {
+		return nil, fmt.Errorf("%w: %v is not an L-measure", measure.ErrUnknownMeasure, m)
+	}
+	r.locMu.Lock()
+	defer r.locMu.Unlock()
+	if locs, ok := r.locations[m]; ok {
+		return locs, nil
+	}
+	locs := make([]float64, len(r.Centers))
+	for l, center := range r.Centers {
+		v, err := sp.EvalLocation(center)
+		if err != nil {
+			return nil, err
+		}
+		locs[l] = v
+	}
+	if r.locations == nil {
+		r.locations = make(map[measure.Measure][]float64)
+	}
+	r.locations[m] = locs
+	return locs, nil
 }
 
 // K returns the number of clusters.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"affinity/internal/mat"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -255,5 +257,81 @@ func TestRunKEqualsN(t *testing.T) {
 	}
 	if res.K() != d.NumSeries() {
 		t.Fatalf("K() = %d", res.K())
+	}
+}
+
+// TestCenterMemo: what a clustering memoises about its centers — their
+// self-moments and their L-measures — carries the bits of the scalar
+// primitives over the center columns, is reduced once however many goroutines
+// ask first, and belongs to the object: another Result has its own.
+func TestCenterMemo(t *testing.T) {
+	d, _ := clusteredData(t, rand.New(rand.NewSource(3)), 3, 6, 48, 0.05)
+	res, err := Run(d, Config{K: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	const callers = 8
+	moments := make([]*timeseries.Moments, callers)
+	medians := make([][]float64, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			moments[g] = res.CenterMoments()
+			locs, err := res.CenterLocations(measure.Median)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			medians[g] = locs
+		}()
+	}
+	wg.Wait()
+	for g := range moments {
+		if moments[g] != moments[0] || &medians[g][0] != &medians[0][0] {
+			t.Fatalf("caller %d got its own reduction of the centers", g)
+		}
+	}
+
+	mo := res.CenterMoments()
+	for l, c := range res.Centers {
+		mean, _ := measure.MeanOf(c)
+		variance, _ := measure.VarianceOf(c)
+		sqNorm, _ := measure.DotProductOf(c, c)
+		if !sameBits(mo.Sum[l], measure.SumOf(c)) || !sameBits(mo.Mean[l], mean) ||
+			!sameBits(mo.Variance[l], variance) || !sameBits(mo.SqNorm[l], sqNorm) {
+			t.Fatalf("center %d: moments (%v, %v, %v, %v) differ from the scalar primitives",
+				l, mo.Sum[l], mo.Mean[l], mo.Variance[l], mo.SqNorm[l])
+		}
+	}
+	for _, m := range measure.ByClass(measure.LocationClass) {
+		locs, err := res.CenterLocations(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, c := range res.Centers {
+			want, err := measure.Lookup(m).EvalLocation(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(locs[l], want) {
+				t.Fatalf("%v of center %d = %v, EvalLocation gives %v", m, l, locs[l], want)
+			}
+		}
+	}
+	if _, err := res.CenterLocations(measure.Covariance); !errors.Is(err, measure.ErrUnknownMeasure) {
+		t.Fatalf("CenterLocations(covariance): err = %v, want ErrUnknownMeasure", err)
+	}
+	if _, err := (&Result{Centers: [][]float64{{}}}).CenterLocations(measure.Mean); !errors.Is(err, measure.ErrEmptyInput) {
+		t.Fatalf("CenterLocations of an empty center: err = %v, want ErrEmptyInput", err)
+	}
+
+	// A clustering with other centers is another object with its own memo.
+	moved := &Result{Centers: [][]float64{{1, 2, 6}}, Assignment: []int{0}}
+	if got, _ := moved.CenterLocations(measure.Mean); len(got) != 1 || got[0] != 3 || moved.CenterMoments().Sum[0] != 9 {
+		t.Fatalf("a second clustering read %v / %+v", got, moved.CenterMoments())
 	}
 }

@@ -140,7 +140,7 @@ func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32,
 // naive evaluator affinePairBase falls back to.
 func (e *engineState) fillAffineColumn(baseSp *measure.Spec) ([]float64, error) {
 	values := make([]float64, e.numUniversePairs())
-	e.propagate(func(pi int) measure.Moment { return baseSp.Moment(e.summaries[pi].terms) }, e.pairPos, values)
+	e.propagate(func(pi int) measure.Moment { return baseSp.Moment(e.summaries[pi]) }, e.pairPos, values)
 	if e.table.FallbackPairs == 0 {
 		return values, nil
 	}

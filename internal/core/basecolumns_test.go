@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"sync"
@@ -448,5 +450,116 @@ func TestBaseColumnsConcurrentSweepsDuringAdvance(t *testing.T) {
 	wg.Wait()
 	if s := cached.StreamStats(); s.SweepBaseFills == 0 || s.SweepBaseReuses == 0 {
 		t.Fatalf("the sweeps shared no column: %d fills, %d reuses", s.SweepBaseFills, s.SweepBaseReuses)
+	}
+}
+
+// The window's moments live on the DataMatrix and the centers' on the
+// clustering (one home each); what the engine keeps beside them — the slid
+// running sums — is seeded from the former.
+
+// TestRunningReseededFromWindowMoments: at a build and on every statistics
+// refresh epoch (the periodic ones and a whole-window slide) the running sums
+// are re-seeded from the window's memoised moments to exactly the bits the
+// NewRunningFrom pass over the window gave.
+func TestRunningReseededFromWindowMoments(t *testing.T) {
+	const n, window, slide, every = 12, 40, 3, 3
+	fx := makeStreamFixture(t, n, window, slide*7+window, 23)
+	e, err := Build(fx.window, Config{Clusters: 3, Seed: 2, Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: every}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFresh := func(label string, want bool) {
+		t.Helper()
+		st := e.state()
+		fresh := true
+		for v := range st.running {
+			s, err := st.data.Series(timeseries.SeriesID(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.running[v] != stats.NewRunningFrom(s) {
+				fresh = false
+			}
+		}
+		if fresh != want {
+			t.Fatalf("%s: running sums equal to a fresh NewRunningFrom seed: %v, want %v", label, fresh, want)
+		}
+	}
+	requireFresh("build", true)
+	at := 0
+	for epoch := 1; epoch <= 7; epoch++ {
+		appendTicks(t, e, fx.ticks[at:at+slide])
+		at += slide
+		if _, err := e.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		// A slid sum rounds differently from a fresh one on this data, so the
+		// non-refresh epochs tell the two routes apart.
+		requireFresh(fmt.Sprintf("epoch %d", epoch), epoch%every == 0)
+	}
+	appendTicks(t, e, fx.ticks[at:at+window])
+	if _, err := e.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	requireFresh("whole-window slide", true)
+}
+
+// TestSnapshotRestoreAgreesOnCenterMemo: an engine restored from the PR 17
+// fixture holds a decoded clustering — another object than the cold build's —
+// and the two agree bit for bit on what each memoises about its centers.
+func TestSnapshotRestoreAgreesOnCenterMemo(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/snapshot_pr17.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _ := snapshotFixtureBytes(t)
+	restored, err := BuildFromSnapshot(cold.Data(), bytes.NewReader(fixture), Config{
+		Clusters: 3, Stream: StreamConfig{DriftBound: 0.02},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := cold.Relationships().Clustering, restored.Relationships().Clustering
+	if a == b {
+		t.Fatal("the restored engine shares the cold build's clustering object")
+	}
+	sameColumn := func(label string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) || len(want) != a.K() {
+			t.Fatalf("%s: %d values against %d for %d centers", label, len(got), len(want), a.K())
+		}
+		for l := range want {
+			if math.Float64bits(got[l]) != math.Float64bits(want[l]) {
+				t.Fatalf("%s of center %d: restored %v, cold %v", label, l, got[l], want[l])
+			}
+		}
+	}
+	am, bm := a.CenterMoments(), b.CenterMoments()
+	sameColumn("Sum", bm.Sum, am.Sum)
+	sameColumn("Mean", bm.Mean, am.Mean)
+	sameColumn("Variance", bm.Variance, am.Variance)
+	sameColumn("SqNorm", bm.SqNorm, am.SqNorm)
+	for _, m := range stats.LMeasures() {
+		al, err := a.CenterLocations(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl, err := b.CenterLocations(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameColumn(m.String(), bl, al)
+		// And the engines' affine location sweeps, which read them.
+		as, err := cold.LocationSweepAffine(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := restored.LocationSweepAffine(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(as.Values, bs.Values) {
+			t.Fatalf("%v: the affine location sweeps of the cold and the restored engine differ", m)
+		}
 	}
 }

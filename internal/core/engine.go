@@ -33,7 +33,6 @@ import (
 
 	"affinity/internal/baseline"
 	"affinity/internal/cluster"
-	"affinity/internal/mat"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/plan"
@@ -228,16 +227,6 @@ type BuildInfo struct {
 	AdvanceDuration     time.Duration
 }
 
-// pivotSummary caches the pivot-side quantities every propagation needs: the
-// second-moment terms of O_p (covariance and Gram blocks, column sums) that
-// measure specs assemble their moment matrices from, and the 2-by-2
-// covariance matrix the streaming drift scorer feeds to PropagateVariances
-// (cached here so per-relationship drift scoring allocates nothing).
-type pivotSummary struct {
-	terms measure.PivotTerms
-	cov   *mat.Matrix
-}
-
 // engineState is one immutable epoch of the engine: the data window and every
 // artifact derived from it.  Queries load the current state once and never
 // observe a partially updated epoch; Advance builds a full replacement state
@@ -260,16 +249,17 @@ type engineState struct {
 	pairs   []timeseries.Pair
 	pairPos []int32
 
-	// summaries holds one summary per assigned pivot, aligned with
-	// rel.Layout().Pivots() — found from a relationship's slot without hashing.
-	summaries []pivotSummary
+	// summaries holds the pivot-side quantities every propagation needs — the
+	// second-moment terms of O_p (covariance and Gram blocks, column sums) that
+	// measure specs assemble their moment matrices from — one per assigned
+	// pivot, aligned with rel.Layout().Pivots() and so found from a
+	// relationship's slot without hashing.
+	summaries []measure.PivotTerms
 	// Per-series incremental sufficient statistics (Σx, Σx²), carried across
-	// epochs with O(slide) updates and periodically refreshed from the raw
-	// window.
+	// epochs with O(slide) updates and periodically re-seeded from the window's
+	// memoised moments (data.Moments(), the fresh reduction every consumer of
+	// this window shares; the slid sums round differently).
 	running []stats.Running
-	// windowMoments holds Σx and Σx² of every series reduced fresh from this
-	// epoch's window (the slid running sums round differently).
-	windowMoments []selfMoment
 	// Per-series statistics for separable normalizers, derived from running.
 	seriesVariance []float64
 	seriesSqNorm   []float64
@@ -280,10 +270,6 @@ type engineState struct {
 	// k cluster centers instead of all n series.
 	calibA []float64
 	calibB []float64
-	// Cached location measures of the k cluster centers, keyed by measure.
-	centerLocation map[stats.Measure][]float64
-	// Self-moments of the k cluster centers, reduced once per clustering.
-	centerMoments []selfMoment
 	// Affine-estimated per-series location measures (the W_A path for
 	// L-measures); keyed by measure.
 	seriesLocation map[stats.Measure][]float64
@@ -428,7 +414,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	// "fill the values in the empty hash map pivotHash") and the per-series
 	// statistics used by separable normalizers and location estimates.
 	summaryStart := time.Now()
-	if err := st.buildDerived(nil, cfg.Parallelism); err != nil {
+	if err := st.buildDerived(cfg.Parallelism); err != nil {
 		return nil, err
 	}
 	st.info.SummaryDuration = time.Since(summaryStart)
@@ -498,60 +484,27 @@ func (e *Engine) Epoch() int { return e.state().epoch }
 
 // buildDerived fills the pivot summaries, the per-series statistics, the
 // calibration/drift quantities and the affine-estimated per-series locations
-// for the state's window.  prev, when non-nil, is the previous epoch:
-// quantities that cannot change between epochs (the cluster-center location
-// measures) are reused from it, and st.running is assumed to have been
-// carried over and slid by the caller; with prev == nil everything is
-// computed from scratch.  parallelism shards the per-pivot and per-series
-// work; the outputs are keyed maps and index-aligned slices, so they are
-// identical at any level.
-func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
-	clustering := st.rel.Clustering
+// for the state's window.  A non-nil st.running was carried over and slid by
+// the caller (the advance path); a nil one is seeded here (a build, or a
+// statistics refresh epoch).  Whatever is a function of the window alone or of
+// the clustering alone — the series' and the centers' self-moments, the
+// centers' L-measures — is read off the memo on that object, never reduced
+// here.  parallelism shards the per-pivot and per-series work; the outputs are
+// index-aligned slices, so they are identical at any level.
+func (st *engineState) buildDerived(parallelism int) error {
 	n := st.data.NumSeries()
 
-	// Location measures of the cluster centers, invariant across epochs while
-	// the clustering is frozen.
-	if prev != nil && prev.centerLocation != nil && prev.rel.Clustering == clustering {
-		st.centerLocation = prev.centerLocation
-	} else {
-		st.centerLocation = make(map[stats.Measure][]float64, 3)
-		for _, m := range stats.LMeasures() {
-			centers := make([]float64, clustering.K())
-			for l, r := range clustering.Centers {
-				v, err := stats.ComputeLocation(m, r)
-				if err != nil {
-					return err
-				}
-				centers[l] = v
-			}
-			st.centerLocation[m] = centers
-		}
-	}
-
-	series, err := st.selfMoments(prev, parallelism)
-	if err != nil {
-		return err
-	}
-	st.windowMoments = series
-	if err := st.buildSummaries(series, parallelism); err != nil {
+	if err := st.buildSummaries(parallelism); err != nil {
 		return err
 	}
 
-	// Per-series statistics from the running sufficient sums.  On the build
-	// path the sums are seeded here; on the advance path the caller already
-	// slid them.
-	if prev == nil || st.running == nil {
+	// Per-series statistics from the running sufficient sums.  A fresh Σx and
+	// Σx² in sample order from zero is exactly what seeding them takes.
+	if st.running == nil {
+		series := st.data.Moments()
 		st.running = make([]stats.Running, n)
-		ids := st.data.IDs()
-		if err := par.Do(len(ids), parallelism, func(i int) error {
-			s, err := st.data.Series(ids[i])
-			if err != nil {
-				return err
-			}
-			st.running[ids[i]] = stats.NewRunningFrom(s)
-			return nil
-		}); err != nil {
-			return err
+		for v := range st.running {
+			st.running[v] = stats.RunningFromSums(st.data.NumSamples(), series.Sum[v], series.SqNorm[v])
 		}
 	}
 	st.seriesVariance = make([]float64, n)
@@ -568,74 +521,56 @@ func (st *engineState) buildDerived(prev *engineState, parallelism int) error {
 	// the median and the mode (which is exactly the error pattern the paper
 	// reports in Figs. 9–10).
 	if st.calibA == nil {
-		if err := st.calibrate(series, parallelism); err != nil {
+		if err := st.calibrate(parallelism); err != nil {
 			return err
 		}
 	}
 
 	// Per-series location estimates propagated through the affine calibration
-	// against the (already computed) cluster-center locations.
+	// against the cluster-center locations.
 	st.seriesLocation = make(map[stats.Measure][]float64, 3)
 	for _, m := range stats.LMeasures() {
-		centers := st.centerLocation[m]
-		values := make([]float64, n)
-		for _, id := range st.data.IDs() {
-			omega, err := clustering.Omega(id)
-			if err != nil {
-				return err
-			}
-			values[id] = st.calibA[id]*centers[omega] + st.calibB[id]
+		values, err := st.calibratedLocations(m)
+		if err != nil {
+			return err
 		}
 		st.seriesLocation[m] = values
 	}
 	return nil
 }
 
-// selfMoment holds Σx and Σx² of one column — a window series or a cluster
-// center — each reduced in sample order from zero: the self terms of the joint
-// sufficient statistics a stats.RunningPair seeded from two columns holds.
-type selfMoment struct {
-	sum, sqNorm float64
-}
-
-// selfMoments returns the self-moments of every window series, reduced fresh
-// from the epoch's window (the slid st.running sums round differently), and
-// fills st.centerMoments: centers are frozen with the clustering, so theirs
-// are reduced once per clustering and carried over from prev while it is the
-// same object.
-func (st *engineState) selfMoments(prev *engineState, parallelism int) ([]selfMoment, error) {
+// calibratedLocations estimates L-measure m of every series from its cluster
+// center's through the series' 1-D calibration (Eq. 5 restricted to the
+// cluster-center column): O(1) per series.
+func (st *engineState) calibratedLocations(m stats.Measure) ([]float64, error) {
 	clustering := st.rel.Clustering
-	if prev != nil && prev.centerMoments != nil && prev.rel.Clustering == clustering {
-		st.centerMoments = prev.centerMoments
-	} else {
-		st.centerMoments = make([]selfMoment, clustering.K())
-		for l, r := range clustering.Centers {
-			st.centerMoments[l].sum, st.centerMoments[l].sqNorm = measure.SumSqNorm(r)
-		}
+	centers, err := clustering.CenterLocations(m)
+	if err != nil {
+		return nil, err
 	}
-	series := make([]selfMoment, st.data.NumSeries())
-	err := par.Do(len(series), parallelism, func(v int) error {
-		s, err := st.data.Series(timeseries.SeriesID(v))
+	values := make([]float64, st.data.NumSeries())
+	for _, id := range st.data.IDs() {
+		omega, err := clustering.Omega(id)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		series[v].sum, series[v].sqNorm = measure.SumSqNorm(s)
-		return nil
-	})
-	return series, err
+		values[id] = st.calibA[id]*centers[omega] + st.calibB[id]
+	}
+	return values, nil
 }
 
 // buildSummaries fills st.summaries from the joint sufficient statistics of
 // every assigned pivot's [s_common, r_cluster] — the numbers
 // stats.NewRunningPairFrom reduces from the two columns, without that pass per
-// pivot: the self-moments belong to a series (series) or to a center
-// (st.centerMoments); only Σxy is specific to a pivot, and
-// measure.CrossMoments reduces it for all centers of a common series in one
-// shared-operand pass.  The summary set covers every assigned pivot (not just
-// pivots with a surviving relationship) so that a streaming refit can revive a
-// previously pruned pair without missing its summary.
-func (st *engineState) buildSummaries(series []selfMoment, parallelism int) error {
+// pivot: the self-moments belong to a series or to a center and are memoised
+// there; only Σxy is specific to a pivot, and measure.CrossMoments reduces it
+// for all centers of a common series in one shared-operand pass.  The summary
+// set covers every assigned pivot (not just pivots with a surviving
+// relationship) so that a streaming refit can revive a previously pruned pair
+// without missing its summary.
+func (st *engineState) buildSummaries(parallelism int) error {
 	clustering := st.rel.Clustering
+	series, cms := st.data.Moments(), clustering.CenterMoments()
 	m := st.data.NumSamples()
 	pivots := st.rel.Layout().Pivots()
 	// Check every pivot's columns in pivot order first, so the error reported
@@ -652,12 +587,10 @@ func (st *engineState) buildSummaries(series []selfMoment, parallelism int) erro
 		}
 	}
 
-	// One slab each for the summaries and their 2-by-2 covariance blocks.
 	// Pivots are in (Common, Cluster) order, so the pivots of one common series
 	// are a run; a run cut by a block boundary is reduced in two pieces, which
 	// changes no output (every pivot has its own accumulator).
-	st.summaries = make([]pivotSummary, len(pivots))
-	covs := make([]float64, 4*len(pivots))
+	st.summaries = make([]measure.PivotTerms, len(pivots))
 	return par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
 		var centers [][]float64
 		var dots []float64
@@ -680,23 +613,13 @@ func (st *engineState) buildSummaries(series []selfMoment, parallelism int) erro
 				return err
 			}
 			for i := lo; i < hi; i++ {
-				cm := st.centerMoments[pivots[i].Cluster]
-				rp := stats.RunningPairFromSums(m, series[common].sum, cm.sum, series[common].sqNorm, cm.sqNorm, dots[i-lo])
-				cov := covs[4*i : 4*i+4 : 4*i+4]
-				cov[0], cov[1], cov[3] = rp.VarianceX(), rp.Covariance(), rp.VarianceY()
-				cov[2] = cov[1]
-				covMatrix, err := mat.NewFromData(2, 2, cov)
-				if err != nil {
-					return err
-				}
-				st.summaries[i] = pivotSummary{
-					terms: measure.PivotTerms{
-						Cov:        [3]float64{cov[0], cov[1], cov[3]},
-						Dot:        [3]float64{series[common].sqNorm, rp.DotProduct(), cm.sqNorm},
-						ColSums:    rp.Sums(),
-						NumSamples: rp.Count(),
-					},
-					cov: covMatrix,
+				l := pivots[i].Cluster
+				rp := stats.RunningPairFromSums(m, series.Sum[common], cms.Sum[l], series.SqNorm[common], cms.SqNorm[l], dots[i-lo])
+				st.summaries[i] = measure.PivotTerms{
+					Cov:        [3]float64{rp.VarianceX(), rp.Covariance(), rp.VarianceY()},
+					Dot:        [3]float64{series.SqNorm[common], rp.DotProduct(), cms.SqNorm[l]},
+					ColSums:    rp.Sums(),
+					NumSamples: rp.Count(),
 				}
 			}
 			lo = hi
@@ -709,8 +632,9 @@ func (st *engineState) buildSummaries(series []selfMoment, parallelism int) erro
 // against its cluster center, from the joint sufficient statistics of the two
 // columns.  The self-moments are the memoised ones; the cross term Σ r·s is
 // reduced per cluster, the center loaded once for a tile of its members.
-func (st *engineState) calibrate(series []selfMoment, parallelism int) error {
+func (st *engineState) calibrate(parallelism int) error {
 	clustering := st.rel.Clustering
+	series, cms := st.data.Moments(), clustering.CenterMoments()
 	n, m := st.data.NumSeries(), st.data.NumSamples()
 	members := make([][]timeseries.SeriesID, clustering.K())
 	for _, id := range st.data.IDs() {
@@ -738,9 +662,8 @@ func (st *engineState) calibrate(series []selfMoment, parallelism int) error {
 		if err := measure.CrossMoments(clustering.Centers[l], 0, cols, nil, dots, nil); err != nil {
 			return err
 		}
-		cm := st.centerMoments[l]
 		for i, id := range members[l] {
-			rp := stats.RunningPairFromSums(m, cm.sum, series[id].sum, cm.sqNorm, series[id].sqNorm, dots[i])
+			rp := stats.RunningPairFromSums(m, cms.Sum[l], series.Sum[id], cms.SqNorm[l], series.SqNorm[id], dots[i])
 			st.calibA[id], st.calibB[id], _ = rp.LineFit()
 		}
 		return nil

@@ -116,8 +116,7 @@ func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (fl
 	if !ok || e.rel.At(slot) == nil {
 		return e.naive.PairValue(sp.ID, pair)
 	}
-	summary := &e.summaries[layout.PivotOf(slot)]
-	return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(summary.terms)), nil
+	return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(e.summaries[layout.PivotOf(slot)])), nil
 }
 
 // affinePairValue computes a pairwise T- or D-measure through affine

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -115,11 +115,7 @@ func (st *engineState) slideMoments(old *engineState, batch [][]float64, slide, 
 	if prev == nil {
 		return
 	}
-	sqNorm := make([]float64, len(st.windowMoments))
-	for v, sm := range st.windowMoments {
-		sqNorm[v] = sm.sqNorm
-	}
-	next := prev.Slid(slide, sqNorm)
+	next := prev.Slid(slide, st.data.Moments().SqNorm)
 	if next == nil {
 		return
 	}
@@ -691,23 +687,11 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 	}
 	theta, certain := floor.Threshold()
 
-	// Phase 2.  Ties in score break by chunk index, so the visit order is
-	// deterministic.
-	order := make([]int, numChunks)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := scores[order[i]], scores[order[j]]
-		if si != sj {
-			return si > sj
-		}
-		return order[i] < order[j]
-	})
+	// Phase 2.
 	heap := scape.NewTopHeap(it.Spec.K, largest)
 	w := new(chunkScratch)
 	visited := 0
-	for _, c := range order {
+	for _, c := range chunkVisitOrder(scores) {
 		if vk, full := heap.Threshold(); full {
 			if !largest {
 				vk = -vk
@@ -746,6 +730,20 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 	}
 	topPairs, values := heap.Sorted()
 	return QueryResult{Pairs: topPairs, Values: values}, refined, nil
+}
+
+// chunkVisitOrder returns the chunk indices by descending score, ties by
+// ascending index — a strict total order (no score is NaN), so the visit order
+// is deterministic.
+func chunkVisitOrder(scores []float64) []int {
+	order := make([]int, len(scores))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(scores[b], scores[a]), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // liftBounds fills w.lo/w.hi with the provider's bounds on the value of sp for

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"affinity/internal/baseline"
@@ -44,14 +45,19 @@ import (
 //	                 refresh epochs drop the column instead of sliding it
 //	O(n·s·log m)     slide the sorted columns (order statistics: median, mode
 //	                 are then read off them, O(1) and one pass, never re-sorted)
-//	O(n·m + K)       self-moments: Σx, Σx², mean, variance once per series,
-//	                 for the summaries and again for the index; per center
-//	                 once per clustering, carried from epoch to epoch
+//	O(n·m)           self-moments: Σx, Σx², mean, variance once per series
+//	                 and window, whoever asks — the summaries, the index, the
+//	                 kernel mirror and every shard behind a coordinator read
+//	                 the one reduction memoised on the window
+//	                 (DataMatrix.Moments); the K centers' are memoised on the
+//	                 clustering and cost an epoch nothing
 //	O(P·m)           the pivot cross moments — Σxy for the summaries,
 //	                 Σxy and Σ(x−x̄)(y−ȳ) for the index's α vectors — in one
-//	                 shared-operand pass per consumer: a common series is
-//	                 loaded once for a tile of its centers
-//	                 (measure.CrossMoments), not once per pivot and term
+//	                 shared-operand pass per consumer (the only window
+//	                 reduction with two homes: the two forms round
+//	                 differently): a common series is loaded once for a tile
+//	                 of its centers (measure.CrossMoments), not once per pivot
+//	                 and term
 //	O(n·m)           calibration: Σ r·s per series, a center loaded once for
 //	                 a tile of its members
 //	O(P·k)           drift scoring, a closed form per relationship found by
@@ -81,12 +87,16 @@ import (
 //	                 every StatsRefreshEvery epochs at most, where a naive base
 //	                 column used to cost it every epoch
 //
-// Nothing in an epoch is O(relationships) map work, and nothing is allocated
-// per relationship or, in the index, per pivot: the relationship store is a
-// slice cloned and overwritten at the stale slots, the per-pivot state is
-// found by index, and an epoch's summaries, ξ keys, container orders and
-// per-(pivot, measure) headers are one slab each.  The terms that remain
-// proportional to P·k are arithmetic over contiguous memory.
+// One thing in an epoch is still map work: the stale set travels as drift
+// flags → map[Pair]bool → sorted slice → per-pivot counts, O(|stale|) hashing
+// — O(relationships) when a tight DriftBound marks most of them — because
+// symex.RefitOptions.Stale and Index.Update's parameter are maps the frozen
+// benchmark compiles against (ROADMAP item 3 replaces them with layout slots).
+// Nothing else is, and nothing is allocated per relationship or per pivot: the
+// relationship store is a slice cloned and overwritten at the stale slots, the
+// per-pivot state is found by index, and an epoch's summaries, ξ keys,
+// container orders and per-(pivot, measure) headers are one slab each.  The
+// terms that remain proportional to P·k are arithmetic over contiguous memory.
 //
 // With DriftBound <= 0 every relationship is re-fitted, which makes an epoch
 // exactly equivalent to a cold Build on the slid window with the frozen
@@ -373,11 +383,8 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 	for p := range stale {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(out, func(a, b timeseries.Pair) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	return out
 }
@@ -398,7 +405,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 	// quantity can be rebuilt before the refit decision: none of them depend
 	// on the transforms.
 	st.rel = old.rel
-	if err := st.buildDerived(old, parallelism); err != nil {
+	if err := st.buildDerived(parallelism); err != nil {
 		return nil, err
 	}
 
@@ -428,7 +435,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 		defer e.putFlags(flags)
 		err := par.DoBlocks(len(layout.Pivots()), parallelism, func(_ int, blk par.Block) error {
 			for pi := blk.Lo; pi < blk.Hi; pi++ {
-				summary := &st.summaries[pi]
+				cov := st.summaries[pi].Cov
 				for _, slot := range layout.PivotSlots(pi) {
 					rel := old.rel.At(int(slot))
 					if rel == nil {
@@ -439,7 +446,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 						flags[slot] = refresh
 						continue
 					}
-					flags[slot] = relationshipDrift(rel, summary, st.seriesVariance[rel.Other()]) > bound
+					flags[slot] = relationshipDrift(rel, cov, st.seriesVariance[rel.Other()]) > bound
 				}
 			}
 			return nil
@@ -480,15 +487,12 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 
 // relationshipDrift returns the relative discrepancy between the variance of
 // the relationship's non-common series as predicted by its (possibly stale)
-// transform on the current pivot summary, and the series' true variance from
-// the running statistics.  A fresh fit has a small discrepancy (only the fit
-// residual); a transform invalidated by window movement drifts away from the
-// observed variance.
-func relationshipDrift(rel *symex.Relationship, summary *pivotSummary, trueVar float64) float64 {
-	vars, err := rel.Transform.PropagateVariances(summary.cov)
-	if err != nil {
-		return math.Inf(1)
-	}
+// transform on the current pivot summary's covariance terms, and the series'
+// true variance from the running statistics.  A fresh fit has a small
+// discrepancy (only the fit residual); a transform invalidated by window
+// movement drifts away from the observed variance.
+func relationshipDrift(rel *symex.Relationship, cov [3]float64, trueVar float64) float64 {
+	vars := rel.Transform.PropagateVariances(cov)
 	denom := trueVar
 	if denom < 1e-12 {
 		denom = 1e-12

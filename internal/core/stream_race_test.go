@@ -574,3 +574,65 @@ func TestFirstNaiveSweepRacesAdvance(t *testing.T) {
 	}
 	t.Logf("%d of %d swept epochs materialised the column, the others found it carried", ss.MomentFills, rounds)
 }
+
+// TestPinnedEpochReadsItsOwnWindowMoments: readers that hold an old epoch
+// while Advance publishes new ones keep reading the moments of their own
+// window — the memo lives on the epoch's DataMatrix, the consumers of that
+// window (engine, kernel mirror) share the one object, and nothing an Advance
+// does to later windows reaches it.  Run with -race.
+func TestPinnedEpochReadsItsOwnWindowMoments(t *testing.T) {
+	const n, window, slide, rounds, readers = 18, 48, 2, 8, 4
+	fx := makeStreamFixture(t, n, window, slide*rounds, 67)
+	e, err := Build(fx.window, Config{
+		Clusters: 3, Seed: 5, Parallelism: 2,
+		Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		v := e.View()
+		start := make(chan struct{})
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				mo := v.Data().Moments()
+				_, kmo, err := v.naive.Kernel()
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				if kmo != mo {
+					errs[r] = fmt.Errorf("epoch %d: the kernel mirror reads another reduction than the window's", v.epoch)
+					return
+				}
+				for id := 0; id < n; id++ {
+					s, _ := v.Data().Series(timeseries.SeriesID(id))
+					variance, _ := stats.VarianceOf(s)
+					if mo.Sum[id] != stats.SumOf(s) || mo.Variance[id] != variance {
+						errs[r] = fmt.Errorf("epoch %d series %d: pinned moments are not its window's", v.epoch, id)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		appendTicks(t, e, fx.ticks[round*slide:(round+1)*slide])
+		if _, err := e.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d reader %d: %v", round, r, err)
+			}
+		}
+		if next := e.View(); next.Data().Moments() == v.Data().Moments() {
+			t.Fatalf("round %d: the new epoch inherited the old window's moments", round)
+		}
+	}
+}

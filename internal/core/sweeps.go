@@ -65,9 +65,9 @@ func (e *Engine) LocationSweepNaive(m stats.Measure) (*LocationSweepResult, erro
 }
 
 // LocationSweepAffine computes an L-measure for every series with the W_A
-// method: the measure is computed exactly for the k cluster centers only and
-// propagated to every series through its 1-D affine calibration, making the
-// per-series cost O(1) instead of O(m).
+// method: the measure is computed exactly for the k cluster centers only (once
+// per clustering, memoised on it) and propagated to every series through its
+// 1-D affine calibration, making the per-series cost O(1) instead of O(m).
 func (e *Engine) LocationSweepAffine(m stats.Measure) (*LocationSweepResult, error) {
 	return e.state().locationSweepAffine(m)
 }
@@ -173,27 +173,13 @@ func (e *engineState) locationSweepNaive(m stats.Measure) (*LocationSweepResult,
 	return &LocationSweepResult{Values: values}, nil
 }
 
-// locationSweepAffine implements LocationSweepAffine for one epoch.
+// locationSweepAffine implements LocationSweepAffine for one epoch: the
+// centers' values are the clustering's, the O(1) propagation per series is
+// redone.
 func (e *engineState) locationSweepAffine(m stats.Measure) (*LocationSweepResult, error) {
-	if sp, ok := measure.Find(m); !ok || !sp.Location() {
-		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, stats.ErrUnknownMeasure)
-	}
-	clustering := e.rel.Clustering
-	centers := make([]float64, clustering.K())
-	for l, r := range clustering.Centers {
-		v, err := stats.ComputeLocation(m, r)
-		if err != nil {
-			return nil, err
-		}
-		centers[l] = v
-	}
-	values := make([]float64, e.data.NumSeries())
-	for _, id := range e.data.IDs() {
-		omega, err := clustering.Omega(id)
-		if err != nil {
-			return nil, err
-		}
-		values[id] = e.calibA[id]*centers[omega] + e.calibB[id]
+	values, err := e.calibratedLocations(m)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &LocationSweepResult{Values: values}, nil
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"affinity/internal/timeseries"
 )
@@ -21,14 +22,15 @@ func topSeries(ids []timeseries.SeriesID, values []float64, k int, largest bool)
 			entries = append(entries, entry{id: id, value: values[i]})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].value != entries[j].value {
-			if largest {
-				return entries[i].value > entries[j].value
+	// A strict total order but for a repeated id, whose entries are identical.
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.value != b.value { // ±0 tie, like every other equal pair of values
+			if (a.value > b.value) == largest {
+				return -1
 			}
-			return entries[i].value < entries[j].value
+			return 1
 		}
-		return entries[i].id < entries[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	if len(entries) > k {
 		entries = entries[:k]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -269,6 +270,101 @@ func TestTopKPruningExaminesFewerCandidates(t *testing.T) {
 		}
 		if examined >= entries {
 			t.Errorf("%v top-1: examined %d of %d entries — no pruning", m, examined, entries)
+		}
+	}
+}
+
+// The sorts on the Advance and query paths run through slices.SortFunc; each
+// comparator is a total order (or sorts values whose duplicates are
+// identical), so the result is one slice whatever the algorithm.  These tables
+// pin it where values tie.
+
+func TestTopSeriesOrderOnTies(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ids := func(xs ...int) []timeseries.SeriesID {
+		out := make([]timeseries.SeriesID, len(xs))
+		for i, x := range xs {
+			out[i] = timeseries.SeriesID(x)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		ids     []timeseries.SeriesID
+		values  []float64
+		k       int
+		largest bool
+		want    []timeseries.SeriesID
+		wantVal []float64
+	}{
+		{"zeros of both signs tie by id, largest", ids(4, 2, 3, 1), []float64{0, negZero, 0, negZero}, 4, true,
+			ids(1, 2, 3, 4), []float64{negZero, negZero, 0, 0}},
+		{"zeros of both signs tie by id, smallest", ids(4, 2, 3, 1), []float64{0, negZero, 0, negZero}, 3, false,
+			ids(1, 2, 3), []float64{negZero, negZero, 0}},
+		{"equal values around a distinct one", ids(9, 5, 7, 6), []float64{1.5, 1.5, 2, 1.5}, 4, true,
+			ids(7, 5, 6, 9), []float64{2, 1.5, 1.5, 1.5}},
+		{"NaN never ranks, infinities do", ids(0, 1, 2, 3), []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0}, 4, false,
+			ids(1, 3, 2), []float64{math.Inf(-1), 0, math.Inf(1)}},
+		{"a repeated id", ids(3, 1, 3), []float64{2, 2, 2}, 3, true,
+			ids(1, 3, 3), []float64{2, 2, 2}},
+		{"k cuts inside a tie", ids(8, 6, 7), []float64{1, 1, 1}, 2, true,
+			ids(6, 7), []float64{1, 1}},
+	} {
+		got := topSeries(tc.ids, tc.values, tc.k, tc.largest)
+		if !slices.Equal(got.Series, tc.want) {
+			t.Errorf("%s: series %v, want %v", tc.name, got.Series, tc.want)
+		}
+		for i := range tc.wantVal {
+			if i >= len(got.Values) || math.Float64bits(got.Values[i]) != math.Float64bits(tc.wantVal[i]) {
+				t.Errorf("%s: values %v, want %v", tc.name, got.Values, tc.wantVal)
+				break
+			}
+		}
+	}
+}
+
+func TestChunkVisitOrderOnTies(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		scores []float64
+		want   []int
+	}{
+		{"none", nil, []int{}},
+		{"all equal: chunk order", []float64{3, 3, 3, 3}, []int{0, 1, 2, 3}},
+		{"descending score, ties by chunk", []float64{1, 5, 1, 5, 2}, []int{1, 3, 4, 0, 2}},
+		{"unprunable chunks first", []float64{0, inf, -inf, inf, 7}, []int{1, 3, 4, 0, 2}},
+		{"zeros of both signs are one score", []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}, []int{0, 1, 2}},
+	} {
+		if got := chunkVisitOrder(tc.scores); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestSortedStalePairsOrder(t *testing.T) {
+	p := func(u, v int) timeseries.Pair {
+		return timeseries.Pair{U: timeseries.SeriesID(u), V: timeseries.SeriesID(v)}
+	}
+	if SortedStalePairs(nil) != nil {
+		t.Fatal("a nil stale set (full refit) must stay nil")
+	}
+	for _, tc := range []struct {
+		name string
+		in   []timeseries.Pair
+		want []timeseries.Pair
+	}{
+		{"empty", nil, []timeseries.Pair{}},
+		{"one row", []timeseries.Pair{p(2, 9), p(2, 3), p(2, 5)}, []timeseries.Pair{p(2, 3), p(2, 5), p(2, 9)}},
+		{"one column", []timeseries.Pair{p(4, 7), p(0, 7), p(2, 7)}, []timeseries.Pair{p(0, 7), p(2, 7), p(4, 7)}},
+		{"U before V", []timeseries.Pair{p(1, 2), p(0, 9), p(1, 0), p(0, 3)}, []timeseries.Pair{p(0, 3), p(0, 9), p(1, 0), p(1, 2)}},
+	} {
+		stale := make(map[timeseries.Pair]bool)
+		for _, pair := range tc.in {
+			stale[pair] = true
+		}
+		if got := SortedStalePairs(stale); got == nil || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -11,9 +11,10 @@
 // mechanical sympathy without changing a single output bit:
 //
 //   - per-series moments (sum, mean, variance, squared norm) are hoisted out
-//     of the pair loop and computed once per series with exactly the scalar
-//     primitives (measure.MeanOf, measure.VarianceOf, measure.DotProductOf),
-//     so reusing them is bit-identical to recomputing them per pair;
+//     of the pair loop: the window reduces them once, with the operation order
+//     of the scalar primitives (measure.MeanOf, measure.VarianceOf,
+//     measure.DotProductOf), so reading them is bit-identical to recomputing
+//     them per pair;
 //   - the per-pair base reduction keeps, for every pair, one accumulator that
 //     walks the two contiguous columns in sample order with the expression
 //     shape of measure.CovarianceOf / measure.DotProductOf, so each pair's
@@ -56,18 +57,22 @@ const BlockPairs = 256
 type Matrix struct {
 	vals []float64 // n contiguous columns of m samples each
 	n, m int
+	mom  *Moments // of the window as FromData saw it
 }
 
 // FromData builds the columnar mirror of a data matrix.  A matrix that is
 // already one contiguous slab (every window a streaming engine slides into)
 // is aliased, not copied: nothing writes to a slab after SlideCopy filled it,
-// so the mirror stays immutable either way.
+// so the mirror stays immutable either way.  The window's moments are taken
+// here, with the samples: a mirror outlives in-place mutations of its source,
+// which drop the source's memo.
 func FromData(d *timeseries.DataMatrix) (*Matrix, error) {
 	n, m := d.NumSeries(), d.NumSamples()
-	if slab := d.Slab(); slab != nil {
-		return &Matrix{vals: slab, n: n, m: m}, nil
+	k := &Matrix{vals: d.Slab(), n: n, m: m, mom: d.Moments()}
+	if k.vals != nil {
+		return k, nil
 	}
-	k := &Matrix{vals: make([]float64, n*m), n: n, m: m}
+	k.vals = make([]float64, n*m)
 	for _, id := range d.IDs() {
 		s, err := d.Series(id)
 		if err != nil {
@@ -92,54 +97,16 @@ func (k *Matrix) Col(id timeseries.SeriesID) []float64 {
 	return k.vals[lo : lo+k.m : lo+k.m]
 }
 
-// Moments carries the hoisted per-series statistics of one window, indexed by
-// series identifier.  Each field is computed with the exact scalar primitive
-// the naive W_N path uses (MeanOf, VarianceOf, DotProductOf(x, x), SumOf), so
-// a kernel that reads a hoisted moment produces the same bits as a scalar
-// evaluation that recomputes it per pair.
-type Moments struct {
-	Sum      []float64 // Σx (SumOf)
-	Mean     []float64 // Σx/m (MeanOf)
-	Variance []float64 // Σ(x−mean)²/(m−1) (VarianceOf)
-	SqNorm   []float64 // ⟨x, x⟩ (DotProductOf(x, x))
-}
+// Moments is the window's memoised per-series statistics
+// (timeseries.DataMatrix.Moments): each field carries the bits of the scalar
+// primitive the naive W_N path uses (SumOf, MeanOf, VarianceOf,
+// DotProductOf(x, x)), so a kernel that reads a hoisted moment produces the
+// same bits as a scalar evaluation that recomputes it per pair.
+type Moments = timeseries.Moments
 
-// Moments computes the hoisted per-series statistics of the mirror.
-func (k *Matrix) Moments() (*Moments, error) {
-	mo := &Moments{
-		Sum:      make([]float64, k.n),
-		Mean:     make([]float64, k.n),
-		Variance: make([]float64, k.n),
-		SqNorm:   make([]float64, k.n),
-	}
-	for v := 0; v < k.n; v++ {
-		col := k.Col(timeseries.SeriesID(v))
-		mo.Sum[v] = measure.SumOf(col)
-		mean, err := measure.MeanOf(col)
-		if err != nil {
-			return nil, err
-		}
-		mo.Mean[v] = mean
-		variance, err := measure.VarianceOf(col)
-		if err != nil {
-			return nil, err
-		}
-		mo.Variance[v] = variance
-		sq, err := measure.DotProductOf(col, col)
-		if err != nil {
-			return nil, err
-		}
-		mo.SqNorm[v] = sq
-	}
-	return mo, nil
-}
-
-// Stat returns series id's statistics in measure.SeriesStat form —
-// bit-identical to measure.NaiveSeriesStat on the same series for every mask,
-// since both fields come from the same primitives over the same samples.
-func (mo *Moments) Stat(id timeseries.SeriesID) measure.SeriesStat {
-	return measure.SeriesStat{Variance: mo.Variance[id], SqNorm: mo.SqNorm[id]}
-}
+// Moments returns the per-series statistics of the window the mirror was built
+// from.
+func (k *Matrix) Moments() (*Moments, error) { return k.mom, nil }
 
 // BaseBlock returns the blocked evaluator of a base T-measure, or nil when
 // the base has no blocked kernel (an extension measure whose base is neither

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,35 +61,42 @@ func allPairsWithDiagonal(n int) []timeseries.Pair {
 }
 
 func TestMomentsMatchScalarPrimitives(t *testing.T) {
+	check := func(label string, d *timeseries.DataMatrix, mo *Moments) {
+		t.Helper()
+		if mo != d.Moments() {
+			t.Fatalf("%s: the mirror's moments are not the window's memo", label)
+		}
+		for _, id := range d.IDs() {
+			s, err := d.Series(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean, _ := measure.MeanOf(s)
+			variance, _ := measure.VarianceOf(s)
+			sq, _ := measure.DotProductOf(s, s)
+			for name, pair := range map[string][2]float64{
+				"Sum": {mo.Sum[id], measure.SumOf(s)}, "Mean": {mo.Mean[id], mean},
+				"Variance": {mo.Variance[id], variance}, "SqNorm": {mo.SqNorm[id], sq},
+			} {
+				if !sameBits(pair[0], pair[1]) {
+					t.Errorf("%s: %s[%d] = %v, the scalar primitive gives %v", label, name, id, pair[0], pair[1])
+				}
+			}
+			want, err := measure.NaiveSeriesStat(measure.NeedVariance|measure.NeedSqNorm, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := mo.Stat(id); !sameBits(st.Variance, want.Variance) || !sameBits(st.SqNorm, want.SqNorm) {
+				t.Errorf("%s: Stat(%d) = %+v, want NaiveSeriesStat = %+v", label, id, st, want)
+			}
+		}
+	}
 	d, _, mo := testMatrix(t, 9, 137)
-	for _, id := range d.IDs() {
-		s, err := d.Series(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := mo.Sum[id]; got != measure.SumOf(s) {
-			t.Errorf("Sum[%d] = %v, want SumOf = %v", id, got, measure.SumOf(s))
-		}
-		mean, _ := measure.MeanOf(s)
-		if mo.Mean[id] != mean {
-			t.Errorf("Mean[%d] = %v, want MeanOf = %v", id, mo.Mean[id], mean)
-		}
-		variance, _ := measure.VarianceOf(s)
-		if mo.Variance[id] != variance {
-			t.Errorf("Variance[%d] = %v, want VarianceOf = %v", id, mo.Variance[id], variance)
-		}
-		sq, _ := measure.DotProductOf(s, s)
-		if mo.SqNorm[id] != sq {
-			t.Errorf("SqNorm[%d] = %v, want DotProductOf = %v", id, mo.SqNorm[id], sq)
-		}
-		st := mo.Stat(id)
-		want, err := measure.NaiveSeriesStat(measure.NeedVariance|measure.NeedSqNorm, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != want {
-			t.Errorf("Stat(%d) = %+v, want NaiveSeriesStat = %+v", id, st, want)
-		}
+	check("plain", d, mo)
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {9, 7}, {18, 137}} {
+		d, _, mo := hostileMatrix(t, rng, shape[0], shape[1])
+		check(fmt.Sprintf("hostile %d×%d", shape[0], shape[1]), d, mo)
 	}
 }
 
@@ -330,6 +338,12 @@ func TestFromDataAliasesSlidWindow(t *testing.T) {
 	if &copied.vals[0] == &slid.Slab()[0] {
 		t.Fatal("a cloned window must not alias the original's slab")
 	}
+	// A second mirror of the window, whose moments nobody asks for until its
+	// source has been mutated.
+	late, err := FromData(slid)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	requireSame := func(label string) {
 		t.Helper()
@@ -380,6 +394,16 @@ func TestFromDataAliasesSlidWindow(t *testing.T) {
 	requireSame("after Append")
 	if slid.Slab() != nil {
 		t.Fatal("a mutated window still claims to be one slab")
+	}
+	// A mirror keeps the moments of the window it was built from: the late
+	// mirror reads the memo the first one read, not the mutated source's.
+	am, _ := aliased.Moments()
+	lm, err := late.Moments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm != am || lm == slid.Moments() || len(lm.Sum) != late.NumSeries() {
+		t.Fatal("a mirror's first Moments call after its source was mutated did not return the moments of the window it mirrors")
 	}
 	if again, err := FromData(slid); err != nil || again.NumSamples() != slid.NumSamples() || again.NumSeries() != slid.NumSeries() {
 		t.Fatalf("FromData of the mutated window: %v", err)

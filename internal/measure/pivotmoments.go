@@ -139,14 +139,3 @@ func crossCovDots(x []float64, mx float64, ys [][]float64, mys, dot, cov []float
 		dot[c], cov[c] = d0, s0
 	}
 }
-
-// SumSqNorm returns Σx and Σx² of the samples from one pass: the bits of
-// SumOf(x) and of DotProductOf(x, x), each on its own accumulator in sample
-// order.
-func SumSqNorm(x []float64) (sum, sqNorm float64) {
-	for _, v := range x {
-		sum += v
-		sqNorm += v * v
-	}
-	return sum, sqNorm
-}

@@ -8,6 +8,7 @@ import (
 
 	"affinity/internal/measure"
 	"affinity/internal/stats"
+	"affinity/internal/timeseries"
 )
 
 // The tiled pivot-moment reductions promise the bits of the scalar routes
@@ -74,7 +75,10 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 	if err := measure.CrossMoments(x, mx, ys, mys, dot, cov); err != nil {
 		t.Fatal(err)
 	}
-	sumX, sqX := measure.SumSqNorm(x)
+	// The self-moments the engine pairs the cross terms with: the memoised
+	// reduction of a window's (or a clustering's) columns.
+	self := timeseries.NewMoments(append([][]float64{x}, ys...))
+	sumX, sqX := self.Sum[0], self.SqNorm[0]
 	same := func(got, want float64) bool {
 		// The products of 1e±150 samples overflow to ±Inf and their sums to
 		// NaN; which NaN is not part of the contract.
@@ -85,7 +89,7 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sumY, sqY := measure.SumSqNorm(y)
+		sumY, sqY := self.Sum[1+c], self.SqNorm[1+c]
 		from := stats.RunningPairFromSums(m, sumX, sumY, sqX, sqY, dotOnly[c])
 		if !same(from.Sums()[0], rp.Sums()[0]) || !same(from.Sums()[1], rp.Sums()[1]) ||
 			!same(from.VarianceX(), rp.VarianceX()) || !same(from.VarianceY(), rp.VarianceY()) ||
@@ -114,10 +118,10 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 		}
 	}
 	if sum := measure.SumOf(x); !same(sumX, sum) {
-		t.Fatalf("m=%d: SumSqNorm sum %v, SumOf %v", m, sumX, sum)
+		t.Fatalf("m=%d: memoised sum %v, SumOf %v", m, sumX, sum)
 	}
 	if sq, _ := measure.DotProductOf(x, x); !same(sqX, sq) {
-		t.Fatalf("m=%d: SumSqNorm sqNorm %v, DotProductOf(x, x) %v", m, sqX, sq)
+		t.Fatalf("m=%d: memoised sqNorm %v, DotProductOf(x, x) %v", m, sqX, sq)
 	}
 }
 

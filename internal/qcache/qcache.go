@@ -34,9 +34,10 @@
 package qcache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"affinity/internal/interval"
@@ -414,9 +415,8 @@ func (c *Cache) PlanRepair(key Key, epoch int) (RepairPlan, bool) {
 	for _, s := range staleSets {
 		candidates = append(candidates, s...)
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		return a.U < b.U || (a.U == b.U && a.V < b.V)
+	slices.SortFunc(candidates, func(a, b timeseries.Pair) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	dedup := candidates[:0]
 	for i, p := range candidates {

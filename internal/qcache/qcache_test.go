@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"slices"
 	"testing"
 
 	"affinity/internal/interval"
@@ -278,6 +279,44 @@ func TestPlanRepairCandidates(t *testing.T) {
 	s := c.Stats()
 	if s.RepairHits != 1 || s.RepairedPairs != 4 {
 		t.Fatalf("Stats = %+v, want 1 repair hit, 4 repaired pairs", s)
+	}
+}
+
+// TestPlanRepairCandidateOrder pins the candidate list where entries tie: the
+// union of the entry's rows and the stale sets comes back in canonical (U, V)
+// order with every duplicate — within a set, across sets, against the rows —
+// collapsed to one.
+func TestPlanRepairCandidateOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		rows  []timeseries.Pair
+		stale [][]timeseries.Pair
+		want  []timeseries.Pair
+	}{
+		{"disjoint, reversed", []timeseries.Pair{pair(5, 6), pair(3, 4)}, [][]timeseries.Pair{{pair(1, 2)}, {pair(0, 9)}},
+			[]timeseries.Pair{pair(0, 9), pair(1, 2), pair(3, 4), pair(5, 6)}},
+		{"one row of pairs", []timeseries.Pair{pair(2, 9), pair(2, 3)}, [][]timeseries.Pair{{pair(2, 5)}, {pair(2, 4)}},
+			[]timeseries.Pair{pair(2, 3), pair(2, 4), pair(2, 5), pair(2, 9)}},
+		{"duplicates everywhere", []timeseries.Pair{pair(1, 3), pair(0, 2)}, [][]timeseries.Pair{{pair(1, 3), pair(0, 2)}, {pair(1, 3), pair(0, 1)}},
+			[]timeseries.Pair{pair(0, 1), pair(0, 2), pair(1, 3)}},
+		{"no rows", nil, [][]timeseries.Pair{{pair(4, 5), pair(0, 7)}, {}},
+			[]timeseries.Pair{pair(0, 7), pair(4, 5)}},
+	} {
+		c := enabled(0, 4)
+		key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
+		c.Put(key, 0, tc.rows, make([]float64, len(tc.rows)))
+		stale := 0
+		for i, set := range tc.stale {
+			c.OnAdvance(i+1, set, false)
+			stale += len(set)
+		}
+		rp, ok := c.PlanRepair(key, len(tc.stale))
+		if !ok {
+			t.Fatalf("%s: PlanRepair not possible", tc.name)
+		}
+		if !slices.Equal(rp.Candidates, tc.want) || rp.StalePairs != stale {
+			t.Errorf("%s: candidates %v (%d stale), want %v (%d stale)", tc.name, rp.Candidates, rp.StalePairs, tc.want, stale)
+		}
 	}
 }
 

@@ -71,7 +71,6 @@ import (
 	"sort"
 	"sync"
 
-	"affinity/internal/cluster"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/stats"
@@ -225,16 +224,10 @@ type Index struct {
 	locationSet  map[stats.Measure]bool
 	numSamples   int
 	numSeries    int
-	// perSeries holds the window's per-series variance and squared norm; the
-	// separable D-measure parameters U_e are computed from it at query time.
-	perSeries *seriesStats
-	// centerLoc[l] holds the L-measures (aligned with lMeasures) of center l of
-	// clustering, nil until a location estimate first needed it.  Centers are
-	// frozen, so Update carries the table over while the clustering is the same
-	// object.
-	clustering *cluster.Result
-	centerLoc  [][]float64
-	stats      BuildStats
+	// moments is the window's memoised per-series moments; the separable
+	// D-measure parameters U_e are computed from them at query time.
+	moments *timeseries.Moments
+	stats   BuildStats
 }
 
 // paramBounds holds (U^min_q, U^max_q) of one D-measure for every pivot node,
@@ -274,13 +267,12 @@ func (idx *Index) findPivot(p symex.Pivot, hint int) (int, bool) {
 // Build constructs a SCAPE index from the affine relationships produced by
 // SYMEX/SYMEX+ over the given data matrix.
 func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
-	return build(d, rel, opts, nil, opts.Parallelism)
+	return build(d, rel, opts, opts.Parallelism)
 }
 
-// build is Build with the given worker count; prev, when non-nil, is an index
-// of an earlier epoch whose center locations are carried over (Update falling
-// back to a full build).
-func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Index, parallelism int) (*Index, error) {
+// build is Build with the given worker count (Update falling back to a full
+// build brings its own).
+func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelism int) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -321,7 +313,7 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Inde
 	if _, err := idx.buildNodes(d, rel, nil, nil, parallelism); err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationColumns(d, rel, prev, parallelism); err != nil {
+	if err := idx.buildLocationColumns(d, rel, parallelism); err != nil {
 		return nil, err
 	}
 	idx.finishStats(rel)
@@ -372,68 +364,6 @@ func livePivots(rel *symex.Result) []int {
 		}
 	}
 	return out
-}
-
-// seriesStats caches the per-series statistics of the window: variance and
-// squared norm (what spec parameters read) and the sum.
-type seriesStats struct {
-	stats []measure.SeriesStat
-	sum   []float64
-}
-
-// stat returns the SeriesStat bundle of one series for spec parameters.
-func (s *seriesStats) stat(id timeseries.SeriesID) measure.SeriesStat { return s.stats[id] }
-
-func computeSeriesStats(d *timeseries.DataMatrix, parallelism int) (*seriesStats, error) {
-	n := d.NumSeries()
-	out := &seriesStats{
-		stats: make([]measure.SeriesStat, n),
-		sum:   make([]float64, n),
-	}
-	ids := d.IDs()
-	err := par.Do(len(ids), parallelism, func(i int) error {
-		id := ids[i]
-		s, err := d.Series(id)
-		if err != nil {
-			return err
-		}
-		v, err := stats.VarianceOf(s)
-		if err != nil {
-			return err
-		}
-		sum, sq := measure.SumSqNorm(s)
-		out.stats[id] = measure.SeriesStat{Variance: v, SqNorm: sq}
-		out.sum[id] = sum
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// centerMoments caches the self-moments of one cluster center: every pivot of
-// the same cluster shares them, so they are reduced once per epoch instead of
-// once per pivot.
-type centerMoments struct {
-	variance float64 // VarianceOf(center)
-	sqNorm   float64 // DotProductOf(center, center)
-	sum      float64 // SumOf(center)
-	mean     float64 // MeanOf(center)
-}
-
-// computeCenterMoments reduces each cluster center once.
-func computeCenterMoments(rel *symex.Result) ([]centerMoments, error) {
-	out := make([]centerMoments, len(rel.Clustering.Centers))
-	for l, center := range rel.Clustering.Centers {
-		v, err := stats.VarianceOf(center)
-		if err != nil {
-			return nil, err
-		}
-		sum, sq := measure.SumSqNorm(center)
-		out[l] = centerMoments{variance: v, sqNorm: sq, sum: sum, mean: sum / float64(len(center))}
-	}
-	return out, nil
 }
 
 // newSequenceNode builds the window-independent payload of one relationship.
@@ -544,17 +474,10 @@ type nodeWork struct {
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
 	stale []staleCount, parallelism int) ([]nodeWork, error) {
 
-	// Per-series quantities for separable normalizers (variance and squared
-	// norm), computed once in O(n·m), and the self-moments of the centers.
-	perSeries, err := computeSeriesStats(d, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	idx.perSeries = perSeries
-	centers, err := computeCenterMoments(rel)
-	if err != nil {
-		return nil, err
-	}
+	// The self-moments of the pivots' columns are memoised where the columns
+	// live: a series' on the window, a center's on the clustering.
+	series, centers := d.Moments(), rel.Clustering.CenterMoments()
+	idx.moments = series
 	idx.bounds = make([]paramBounds, len(idx.dMeasures))
 
 	pivots := rel.Layout().Pivots()
@@ -580,7 +503,7 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 	ranks := make([]int32, T*offsets[len(pivotOrder)])
 	work := make([]nodeWork, len(pivotOrder))
 
-	err = par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
+	err := par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
 		// The cross moments of O_p = [s_common, r_cluster] are the only
 		// pivot-specific reductions; the pivots of one common series are a run
 		// of the canonical order and are reduced together, the series loaded
@@ -595,7 +518,7 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 			for ; hi < blk.Hi && pivots[pivotOrder[hi]].Common == common; hi++ {
 				l := pivots[pivotOrder[hi]].Cluster
 				cols = append(cols, rel.Clustering.Centers[l])
-				means = append(means, centers[l].mean)
+				means = append(means, centers.Mean[l])
 			}
 			x, err := d.Series(common)
 			if err != nil {
@@ -605,18 +528,17 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 				dots, covs = make([]float64, len(cols)), make([]float64, len(cols))
 			}
 			dots, covs = dots[:len(cols)], covs[:len(cols)]
-			mean := perSeries.sum[common] / float64(len(x)) // MeanOf(x)
-			if err := measure.CrossMoments(x, mean, cols, means, dots, covs); err != nil {
+			if err := measure.CrossMoments(x, series.Mean[common], cols, means, dots, covs); err != nil {
 				return err
 			}
 			for i := lo; i < hi; i++ {
 				pi := pivotOrder[i]
 				pivot := pivots[pi]
-				cm := centers[pivot.Cluster]
+				l := pivot.Cluster
 				terms := measure.PivotTerms{
-					Cov:        [3]float64{perSeries.stats[common].Variance, covs[i-lo], cm.variance},
-					Dot:        [3]float64{perSeries.stats[common].SqNorm, dots[i-lo], cm.sqNorm},
-					ColSums:    [2]float64{perSeries.sum[common], cm.sum},
+					Cov:        [3]float64{series.Variance[common], covs[i-lo], centers.Variance[l]},
+					Dot:        [3]float64{series.SqNorm[common], dots[i-lo], centers.SqNorm[l]},
+					ColSums:    [2]float64{series.Sum[common], centers.Sum[l]},
 					NumSamples: idx.numSamples,
 				}
 				node := &idx.pivots[i]
@@ -712,7 +634,7 @@ func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 				canon := idx.pivots[i].canon
 				for r := range canon {
 					e := canon[r].pair
-					u := sp.Param(idx.perSeries.stat(e.U), idx.perSeries.stat(e.V))
+					u := sp.Param(idx.moments.Stat(e.U), idx.moments.Stat(e.V))
 					if u < lo {
 						lo = u
 					}
@@ -731,10 +653,8 @@ func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 
 // buildLocationColumns estimates every series' L-measures (through an affine
 // relationship when the series appears as the non-common member of one,
-// directly otherwise) and sorts them into the global location columns.  prev,
-// when it indexes the same (frozen) clustering for the same L-measures, lends
-// its center locations.
-func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Result, prev *Index, parallelism int) error {
+// directly otherwise) and sorts them into the global location columns.
+func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Result, parallelism int) error {
 	measures := idx.lMeasures
 	if len(measures) == 0 {
 		return nil
@@ -751,15 +671,16 @@ func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Resu
 		}
 	}
 
-	// An estimate reads the locations of its pivot's two columns.  Cluster
-	// centers are frozen with the clustering, so each is reduced once per
-	// clustering, not per epoch; window series are reduced once per epoch
-	// each, below.
-	idx.clustering = rel.Clustering
-	if prev != nil && prev.clustering == rel.Clustering && slices.Equal(prev.lMeasures, measures) {
-		idx.centerLoc = slices.Clone(prev.centerLoc)
-	} else {
-		idx.centerLoc = make([][]float64, rel.Clustering.K())
+	// An estimate reads the locations of its pivot's two columns.  A center's
+	// are memoised on the clustering it is frozen with; window series are
+	// reduced once per epoch each, below.
+	centers := make([][]float64, L)
+	for s, m := range measures {
+		locs, err := rel.Clustering.CenterLocations(m)
+		if err != nil {
+			return err
+		}
+		centers[s] = locs
 	}
 	ids := d.IDs()
 	direct := make([]bool, len(ids)) // series whose own L-measures are read
@@ -771,21 +692,10 @@ func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Resu
 			continue
 		}
 		estimated++
-		_, center, err := rel.PivotColumns(d, r.Pivot)
-		if err != nil {
+		if _, _, err := rel.PivotColumns(d, r.Pivot); err != nil {
 			return err
 		}
 		direct[r.Pivot.Common] = true
-		if idx.centerLoc[r.Pivot.Cluster] != nil {
-			continue
-		}
-		locs := make([]float64, L)
-		for s, m := range measures {
-			if locs[s], err = stats.ComputeLocation(m, center); err != nil {
-				return err
-			}
-		}
-		idx.centerLoc[r.Pivot.Cluster] = locs
 	}
 
 	// L-measures of the window's series: order statistics read the sorted
@@ -823,7 +733,7 @@ func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Resu
 			if r := chosen[id]; r != nil {
 				// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
 				value = r.Transform.PropagateLocation([2]float64{
-					own[L*int(r.Pivot.Common)+s], idx.centerLoc[r.Pivot.Cluster][s]})[1]
+					own[L*int(r.Pivot.Common)+s], centers[s][r.Pivot.Cluster]})[1]
 			}
 			entries[i] = xiEntry{xi: value, rank: int32(id)}
 		}

@@ -16,9 +16,10 @@ import (
 // answers L-measure index queries from one location-only index built over the
 // union of all shards' relationships, which is byte-identical to the
 // single-engine index's location columns, while the shards themselves index no
-// L-measures at all.  prev, when non-nil, is the previous epoch's location-only
-// index: it lends its center locations exactly as Update's previous index does.
-func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options, prev *Index) (*Index, error) {
+// L-measures at all.  The last parameter, the previous epoch's location-only
+// index, is ignored: the center locations it used to lend are memoised on the
+// clustering.
+func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options, _ *Index) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,7 +30,7 @@ func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options
 	if err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationColumns(d, rel, prev, opts.Parallelism); err != nil {
+	if err := idx.buildLocationColumns(d, rel, opts.Parallelism); err != nil {
 		return nil, err
 	}
 	idx.stats.IndexedLMeasures = len(idx.locationSet)

@@ -232,7 +232,7 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 		if !idx.derivedSet[m] {
 			return 0, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
 		}
-		u := sp.Param(idx.perSeries.stat(e.U), idx.perSeries.stat(e.V))
+		u := sp.Param(idx.moments.Stat(e.U), idx.moments.Stat(e.V))
 		return sp.Value(pm.alphaNorm*foundXi, u, idx.numSamples)
 	}
 	return 0, fmt.Errorf("scape: pair %v not present in the index", e)
@@ -514,7 +514,7 @@ func (idx *Index) derivedValue(pm *pivotMeasure, sn *sequenceNode, sp *measure.S
 	if !idx.derivedSet[sp.ID] {
 		return 0, false
 	}
-	u := sp.Param(idx.perSeries.stat(sn.pair.U), idx.perSeries.stat(sn.pair.V))
+	u := sp.Param(idx.moments.Stat(sn.pair.U), idx.moments.Stat(sn.pair.V))
 	v, err := sp.Value(pm.alphaNorm*xi, u, idx.numSamples)
 	if err != nil {
 		return 0, false

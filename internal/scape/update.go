@@ -10,9 +10,10 @@ import (
 // An epoch's index is derived from the epoch's relationship set, so an
 // incremental update is a cold Build minus what it may share with the previous
 // epoch's index: the sequence store of every pivot no stale pair is assigned
-// to (and with it the container orders the new ξ are repaired from), and the
-// center locations of an unchanged clustering.  There is one maintenance
-// path; how much it shares is decided per pivot, not per epoch.
+// to, and with it the container orders the new ξ are repaired from.  (What is
+// frozen with the clustering lives on the clustering, not on an index.)  There
+// is one maintenance path; how much it shares is decided per pivot, not per
+// epoch.
 
 // UpdateOptions configures an incremental index update.
 type UpdateOptions struct {
@@ -88,7 +89,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 
 	if stale == nil {
 		us.StaleFraction = 1
-		idx, err := build(d, rel, prev.opts, prev, opts.Parallelism)
+		idx, err := build(d, rel, prev.opts, opts.Parallelism)
 		if err != nil {
 			return nil, us, err
 		}
@@ -144,8 +145,8 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	}
 
 	// Location estimates change with the window every epoch; they are rebuilt
-	// exactly as Build does, on the previous epoch's center locations.
-	if err := idx.buildLocationColumns(d, rel, prev, opts.Parallelism); err != nil {
+	// exactly as Build does.
+	if err := idx.buildLocationColumns(d, rel, opts.Parallelism); err != nil {
 		return nil, us, err
 	}
 	idx.finishStats(rel)

@@ -160,7 +160,7 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	for i, e := range engines {
 		views[i] = e.View()
 	}
-	st, err := c.makeState(views, d, rel, 0, nil)
+	st, err := c.makeState(views, d, rel, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -170,10 +170,10 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 
 // makeState assembles one coordinator epoch from the captured shard views.
 func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
-	rel *symex.Result, epoch int, prevLoc *scape.Index) (*coordState, error) {
+	rel *symex.Result, epoch int) (*coordState, error) {
 	var locIndex *scape.Index
 	if !c.cfg.Engine.SkipIndex {
-		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts, prevLoc)
+		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +308,7 @@ func (c *Coordinator) advanceLocked() (core.AdvanceInfo, error) {
 		views[i] = e.View()
 	}
 	merged := c.mergeRelationships(views)
-	st, err := c.makeState(views, newData, merged, cs.epoch+1, cs.locIndex)
+	st, err := c.makeState(views, newData, merged, cs.epoch+1)
 	if err != nil {
 		return core.AdvanceInfo{}, err
 	}

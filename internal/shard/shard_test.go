@@ -636,3 +636,53 @@ func TestRestrictThenMergeIsIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestShardsShareOneWindowReduction: behind a coordinator every shard engine,
+// every shard's kernel mirror and the coordinator itself read one reduction of
+// the shared window — the memo on the DataMatrix — and one reduction of the
+// frozen centers, at a build and after every Advance, instead of making S + 1.
+func TestShardsShareOneWindowReduction(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		fx := makeShardFixture(t, 24, 90, 6, 7)
+		c, err := Build(fx.window, Config{Shards: shards, Engine: core.Config{
+			Clusters: 4, Seed: 5, Parallelism: 2, Stream: core.StreamConfig{DriftBound: 0.5},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NumShards() != shards {
+			t.Fatalf("S=%d: built %d shards", shards, c.NumShards())
+		}
+		var previous *timeseries.Moments
+		for epoch := 0; epoch <= 3; epoch++ {
+			if epoch > 0 {
+				for _, tick := range fx.ticks[2*(epoch-1) : 2*epoch] {
+					if err := c.Append(tick); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := c.Advance(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			window := c.Data().Moments()
+			if window == previous {
+				t.Fatalf("S=%d epoch %d: the slid window kept its predecessor's moments", shards, epoch)
+			}
+			previous = window
+			centers := c.Relationships().Clustering.CenterMoments()
+			for s, e := range c.engines {
+				_, kernel, err := e.Naive().Kernel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Data().Moments() != window || kernel != window {
+					t.Fatalf("S=%d epoch %d shard %d: the shard reduced the shared window itself", shards, epoch, s)
+				}
+				if e.Relationships().Clustering.CenterMoments() != centers {
+					t.Fatalf("S=%d epoch %d shard %d: the shard reduced the frozen centers itself", shards, epoch, s)
+				}
+			}
+		}
+	}
+}

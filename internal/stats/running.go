@@ -35,6 +35,14 @@ func NewRunningFrom(x []float64) Running {
 	return r
 }
 
+// RunningFromSums returns the running statistics of n samples whose Σx and
+// Σx² the caller already holds — each reduced in sample order from zero, as
+// Add would have (a window's memoised Sum and SqNorm are) — so seeding costs
+// no pass over the window.
+func RunningFromSums(n int, sum, sumSq float64) Running {
+	return Running{n: n, sum: sum, sumSq: sumSq}
+}
+
 // Add folds new samples into the window.
 func (r *Running) Add(xs ...float64) {
 	for _, x := range xs {

@@ -130,10 +130,10 @@ func ComputeLocation(m Measure, x []float64) (float64, error) {
 }
 
 // WindowLocation computes an L-measure of series id of the window d — the
-// same bits as ComputeLocation over d.Series(id).  Order statistics (median,
-// mode) are read off the window's sorted column, which a streaming window
-// slides instead of re-sorting; the mean reduces the raw series, because its
-// rounding depends on sample order.
+// same bits as ComputeLocation over d.Series(id) — from what the window
+// memoises.  Order statistics (median, mode) are read off its sorted column,
+// which a streaming window slides instead of re-sorting, and the mean off its
+// moments; only an L-measure with neither reduces the raw series.
 func WindowLocation(m Measure, d *timeseries.DataMatrix, id timeseries.SeriesID) (float64, error) {
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Location() {
@@ -149,6 +149,9 @@ func WindowLocation(m Measure, d *timeseries.DataMatrix, id timeseries.SeriesID)
 	s, err := d.Series(id)
 	if err != nil {
 		return 0, err
+	}
+	if m == Mean {
+		return d.Moments().Mean[id], nil
 	}
 	return sp.EvalLocation(s)
 }

@@ -261,10 +261,8 @@ func TestFitShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shortCenter := *good
-	shortCenter.Centers = [][]float64{good.Centers[0], good.Centers[1][:29]}
-	missingCenter := *good
-	missingCenter.Centers = good.Centers[:1]
+	shortCenter := &cluster.Result{Centers: [][]float64{good.Centers[0], good.Centers[1][:29]}, Assignment: good.Assignment}
+	missingCenter := &cluster.Result{Centers: good.Centers[:1], Assignment: good.Assignment}
 
 	for _, p := range []int{1, 4} {
 		for _, cache := range []bool{false, true} {
@@ -273,11 +271,11 @@ func TestFitShapeErrors(t *testing.T) {
 			if _, err := Compute(oneSample, opts); !errors.Is(err, affine.ErrBadShape) {
 				t.Fatalf("P=%d cache=%v: one-sample window: err = %v, want affine.ErrBadShape", p, cache, err)
 			}
-			opts.Clustering = &shortCenter
+			opts.Clustering = shortCenter
 			if _, err := Compute(d, opts); !errors.Is(err, timeseries.ErrShapeMismatch) {
 				t.Fatalf("P=%d cache=%v: short center: err = %v, want timeseries.ErrShapeMismatch", p, cache, err)
 			}
-			opts.Clustering = &missingCenter
+			opts.Clustering = missingCenter
 			if _, err := Compute(d, opts); err == nil || !strings.Contains(err.Error(), "unknown cluster") {
 				t.Fatalf("P=%d cache=%v: missing center: err = %v, want an unknown-cluster error", p, cache, err)
 			}
@@ -286,11 +284,11 @@ func TestFitShapeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev.Clustering = &shortCenter
+		prev.Clustering = shortCenter
 		if _, _, err := Refit(d, prev, RefitOptions{Parallelism: p}); !errors.Is(err, timeseries.ErrShapeMismatch) {
 			t.Fatalf("P=%d: Refit with a short center: err = %v, want timeseries.ErrShapeMismatch", p, err)
 		}
-		prev.Clustering = &missingCenter
+		prev.Clustering = missingCenter
 		if _, _, err := Refit(d, prev, RefitOptions{Parallelism: p}); err == nil || !strings.Contains(err.Error(), "unknown cluster") {
 			t.Fatalf("P=%d: Refit with a missing center: err = %v, want an unknown-cluster error", p, err)
 		}

@@ -155,9 +155,11 @@ func TestComputeErrorsSurfaceFromParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the centers so pivot matrices cannot be built.
-	broken := *clustering
-	broken.Centers = [][]float64{{1, 2, 3}} // wrong length and too few centers
-	_, err = Compute(d, Options{Clustering: &broken, CachePseudoInverse: true, Parallelism: 4})
+	broken := &cluster.Result{
+		Centers:    [][]float64{{1, 2, 3}}, // wrong length and too few centers
+		Assignment: clustering.Assignment,
+	}
+	_, err = Compute(d, Options{Clustering: broken, CachePseudoInverse: true, Parallelism: 4})
 	if err == nil {
 		t.Fatal("broken clustering should produce an error")
 	}

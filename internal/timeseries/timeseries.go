@@ -93,7 +93,8 @@ func (p Pair) Other(id SeriesID) (SeriesID, error) {
 // samples in sorted order, built for the whole matrix on first use and from
 // then on slid by SlideCopy in O(slide) insertions per series instead of
 // re-sorted, so a streaming engine reads medians and modes off every epoch's
-// window without a per-epoch sort.
+// window without a per-epoch sort.  Moments returns the series' self-moments
+// (Σx, mean, variance, Σx²), reduced once per window for every consumer.
 type DataMatrix struct {
 	names  []string    // optional per-series names, len n (may be empty strings)
 	series [][]float64 // n slices of length m
@@ -108,9 +109,11 @@ type DataMatrix struct {
 
 	// sorted holds the n columns of the window in measure.SortSamples order,
 	// column v at sorted[v*m:(v+1)*m]; nil until the first SortedSeries call.
-	// sortMu guards the field (queries on one epoch may race to build it).
-	sortMu sync.Mutex
-	sorted []float64
+	// moments holds the series' self-moments; nil until the first Moments call.
+	// memoMu guards both fields (queries on one epoch may race to build them).
+	memoMu  sync.Mutex
+	sorted  []float64
+	moments *Moments
 
 	// validated records that Validate succeeded on the current contents, so
 	// the next Validate need not scan them again.  Several builders may
@@ -123,9 +126,10 @@ type DataMatrix struct {
 func (d *DataMatrix) mutated() {
 	d.validated.Store(false)
 	d.slab = nil
-	d.sortMu.Lock()
+	d.memoMu.Lock()
 	d.sorted = nil
-	d.sortMu.Unlock()
+	d.moments = nil
+	d.memoMu.Unlock()
 }
 
 // NewDataMatrix builds a data matrix from n series of equal length.  The
@@ -291,9 +295,9 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 
 	// A window that has its sorted columns hands them on, slid: whoever
 	// shares the copy (every shard behind a coordinator) shares them too.
-	d.sortMu.Lock()
+	d.memoMu.Lock()
 	sorted := d.sorted
-	d.sortMu.Unlock()
+	d.memoMu.Unlock()
 	if sorted != nil {
 		out.sorted = append([]float64(nil), sorted...) // one copy, no zeroing pass
 		for v, s := range d.series {
@@ -350,7 +354,7 @@ func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
 	if err := d.checkID(id); err != nil {
 		return nil, err
 	}
-	d.sortMu.Lock()
+	d.memoMu.Lock()
 	if d.sorted == nil {
 		d.sorted = make([]float64, len(d.series)*d.m)
 		for v, s := range d.series {
@@ -360,7 +364,7 @@ func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
 		}
 	}
 	sorted := d.sorted
-	d.sortMu.Unlock()
+	d.memoMu.Unlock()
 	lo := int(id) * d.m
 	return sorted[lo : lo+d.m : lo+d.m], nil
 }

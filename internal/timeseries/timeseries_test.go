@@ -3,9 +3,14 @@ package timeseries
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+
+	"affinity/internal/measure"
 )
 
 func sample3x4() *DataMatrix {
@@ -672,5 +677,223 @@ func TestValidateMark(t *testing.T) {
 	poison(t, c)
 	if err := c.Clone().Validate(); err == nil {
 		t.Fatal("a clone inherited the validation mark")
+	}
+}
+
+// The window's moments are the one reduction of its columns every layer above
+// reads.  These tests hold every field to the scalar primitive it stands in
+// for, bit for bit, and the memo to the window it was reduced from.
+
+// requireMomentsParity checks d.Moments() against SumOf / MeanOf / VarianceOf /
+// DotProductOf(x, x) of every series.
+func requireMomentsParity(t testing.TB, d *DataMatrix, label string) {
+	t.Helper()
+	mo := d.Moments()
+	if d.Moments() != mo {
+		t.Fatalf("%s: two Moments calls returned two objects", label)
+	}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	}
+	for _, id := range d.IDs() {
+		x, _ := d.Series(id)
+		mean, _ := measure.MeanOf(x)
+		variance, _ := measure.VarianceOf(x)
+		sqNorm, _ := measure.DotProductOf(x, x)
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Sum", mo.Sum[id], measure.SumOf(x)},
+			{"Mean", mo.Mean[id], mean},
+			{"Variance", mo.Variance[id], variance},
+			{"SqNorm", mo.SqNorm[id], sqNorm},
+		} {
+			if !same(f.got, f.want) {
+				t.Fatalf("%s series %d: %s = %v (bits %x), the scalar primitive gives %v (bits %x)\n%v",
+					label, id, f.name, f.got, math.Float64bits(f.got), f.want, math.Float64bits(f.want), x)
+			}
+		}
+		if st := mo.Stat(id); !same(st.Variance, variance) || !same(st.SqNorm, sqNorm) {
+			t.Fatalf("%s series %d: Stat = %+v", label, id, st)
+		}
+	}
+}
+
+// momentsWindow draws an n × m window, column v from flavour+v of sampleSource.
+func momentsWindow(t testing.TB, seed int64, n, m int, flavour uint8) *DataMatrix {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cols := make([][]float64, n)
+	for v := range cols {
+		next := sampleSource(flavour+uint8(v), rng)
+		cols[v] = make([]float64, m)
+		for i := range cols[v] {
+			cols[v][i] = next()
+		}
+	}
+	d, err := NewDataMatrix(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestWindowMomentsParity(t *testing.T) {
+	for flavour := uint8(0); flavour < 6; flavour++ {
+		for _, n := range []int{1, 2, 5} {
+			for _, m := range []int{1, 2, 3, 7, 137, 360} {
+				d := momentsWindow(t, int64(flavour)*31+int64(m), n, m, flavour)
+				requireMomentsParity(t, d, fmt.Sprintf("flavour %d, %d×%d", flavour, n, m))
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	hostile := map[string][]float64{
+		"constant":         {2.5, 2.5, 2.5, 2.5, 2.5},
+		"near-constant":    {1e8, 1e8 + 1e-7, 1e8 - 1e-7, 1e8, 1e8 + 2e-7},
+		"cancelling":       {1e16, 1, -1e16, 1, 3},
+		"huge":             {1e150, -1e150, 1e150, 3e150, -2e150},
+		"squares overflow": {1e160, 1e160, -1e160, 1e160, 1e160},
+		"tiny":             {1e-150, -1e-150, 3e-150, 1e-160, 0},
+		"denormal":         {5e-324, -5e-324, 1e-310, 2e-310, -1e-310},
+		"negative zeros":   {negZero, negZero, negZero, negZero, negZero},
+		"both zeros":       {0, negZero, 0, negZero, 0},
+	}
+	for name, col := range hostile {
+		for _, m := range []int{1, 2, len(col)} {
+			for _, n := range []int{1, 2} {
+				cols := make([][]float64, n)
+				for v := range cols {
+					cols[v] = col[:m]
+				}
+				d, err := NewDataMatrix(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMomentsParity(t, d, fmt.Sprintf("%s, %d×%d", name, n, m))
+			}
+		}
+	}
+	if mo := (&DataMatrix{}).Moments(); len(mo.Sum)+len(mo.Mean)+len(mo.Variance)+len(mo.SqNorm) != 0 {
+		t.Fatalf("an empty matrix has moments %+v", mo)
+	}
+}
+
+func FuzzWindowMomentsParity(f *testing.F) {
+	for flavour := uint8(0); flavour < 6; flavour++ {
+		f.Add(int64(flavour)+1, uint8(9+flavour), uint8(3), flavour)
+	}
+	f.Add(int64(7), uint8(0), uint8(0), uint8(3)) // 1 × 1
+	f.Add(int64(8), uint8(1), uint8(1), uint8(4)) // 2 × 2
+	f.Fuzz(func(t *testing.T, seed int64, m, n, flavour uint8) {
+		d := momentsWindow(t, seed, 1+int(n)%4, 1+int(m)%96, flavour)
+		requireMomentsParity(t, d, "built")
+		// A slid window reduces fresh: its memo is its own and holds to the
+		// primitives over its own samples.
+		batch := make([][]float64, d.NumSeries())
+		for v := range batch {
+			s, _ := d.Series(SeriesID(v))
+			batch[v] = []float64{s[0] * 0.5, 1 + float64(v)}
+		}
+		next, err := d.SlideCopy(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMomentsParity(t, next, "slid")
+	})
+}
+
+// TestMomentsLifecycle: the memo is built on first use, dropped by every
+// in-place mutator, and never handed to another window — SlideCopy, Clone,
+// SubMatrix and Window results reduce their own samples.
+func TestMomentsLifecycle(t *testing.T) {
+	batch := [][]float64{{10}, {20}, {6}}
+	mutators := map[string]func(d *DataMatrix) error{
+		"Append":        func(d *DataMatrix) error { return d.Append("z", make([]float64, d.NumSamples())) },
+		"AppendSamples": func(d *DataMatrix) error { return d.AppendSamples(batch) },
+		"SlideWindow":   func(d *DataMatrix) error { return d.SlideWindow(1) },
+	}
+	for name, mutate := range mutators {
+		d := sample3x4()
+		before := d.Moments()
+		if err := mutate(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d.Moments() == before {
+			t.Fatalf("%s kept the moments of the window it changed", name)
+		}
+		requireMomentsParity(t, d, name)
+	}
+
+	d := sample3x4()
+	memo := d.Moments()
+	derived := map[string]func() (*DataMatrix, error){
+		"SlideCopy": func() (*DataMatrix, error) { return d.SlideCopy(batch) },
+		"Clone":     func() (*DataMatrix, error) { return d.Clone(), nil },
+		"SubMatrix": func() (*DataMatrix, error) { return d.SubMatrix([]SeriesID{2, 0}) },
+		"Window":    func() (*DataMatrix, error) { return d.Window(1, 3) },
+	}
+	for name, derive := range derived {
+		x, err := derive()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if x.moments != nil {
+			t.Fatalf("%s handed on a memo", name)
+		}
+		requireMomentsParity(t, x, name)
+	}
+	if d.Moments() != memo {
+		t.Fatal("deriving another window dropped the receiver's memo")
+	}
+}
+
+// TestMomentsConcurrentFirstCallers: goroutines racing for a window's first
+// Moments call all get the one object (run under -race).
+func TestMomentsConcurrentFirstCallers(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		d := momentsWindow(t, int64(round), 8, 64, 5)
+		got := make([]*Moments, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = d.Moments()
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			if got[g] != got[0] {
+				t.Fatalf("round %d: goroutine %d got its own moments", round, g)
+			}
+		}
+		requireMomentsParity(t, d, "concurrent")
+	}
+}
+
+// BenchmarkWindowMoments is the per-epoch cost of the one reduction, beside
+// what the four scalar primitives cost a consumer that made its own.
+func BenchmarkWindowMoments(b *testing.B) {
+	for _, shape := range [][2]int{{168, 360}, {128, 720}, {670, 720}} {
+		d := momentsWindow(b, 1, shape[0], shape[1], 5)
+		b.Run(fmt.Sprintf("%dx%d/memo", shape[0], shape[1]), func(b *testing.B) {
+			for b.Loop() {
+				NewMoments(d.series)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/primitives", shape[0], shape[1]), func(b *testing.B) {
+			var sink float64
+			for b.Loop() {
+				for _, x := range d.series {
+					mean, _ := measure.MeanOf(x)
+					variance, _ := measure.VarianceOf(x)
+					sqNorm, _ := measure.DotProductOf(x, x)
+					sink += measure.SumOf(x) + mean + variance + sqNorm
+				}
+			}
+			_ = sink
+		})
 	}
 }
