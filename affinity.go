@@ -390,18 +390,20 @@ type StreamOptions struct {
 	// slide: a relationship is re-fitted only when the relative discrepancy
 	// between its transform-predicted variance of the non-common series and
 	// the series' true windowed variance exceeds the bound.  Zero (the
-	// default) refits every relationship on every Advance, which keeps the
-	// engine exactly equivalent to a cold rebuild on the slid window (with
-	// the frozen clustering); a small positive value (e.g. 0.05) skips
+	// default) refits every relationship on every Advance, which keeps every
+	// answer bit-identical to a cold rebuild's on the slid window (with the
+	// frozen clustering); a small positive value (e.g. 0.05) skips
 	// refits on quiet streams at the cost of a bounded extra approximation
 	// error.
 	DriftBound float64
 	// AutoAdvance, when positive, makes Append run Advance automatically
 	// once this many ticks are buffered.
 	AutoAdvance int
-	// StatsRefreshEvery recomputes the incremental per-series statistics
-	// from the raw window every this many epochs (default 64), bounding
-	// floating-point drift of the running sums.
+	// StatsRefreshEvery is the number of epochs between refresh epochs
+	// (default 64), which re-reduce from the raw window what the others slide
+	// — the naive sweeps' pair-moment column and the sketches' coefficients —
+	// bounding their floating-point drift, and retry pruned relationships.
+	// Per-series statistics are never slid: every epoch reads its window's.
 	StatsRefreshEvery int
 }
 

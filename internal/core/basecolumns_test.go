@@ -454,38 +454,31 @@ func TestBaseColumnsConcurrentSweepsDuringAdvance(t *testing.T) {
 }
 
 // The window's moments live on the DataMatrix and the centers' on the
-// clustering (one home each); what the engine keeps beside them — the slid
-// running sums — is seeded from the former.
+// clustering (one home each); the engine keeps nothing beside them.
 
-// TestRunningReseededFromWindowMoments: at a build and on every statistics
-// refresh epoch (the periodic ones and a whole-window slide) the running sums
-// are re-seeded from the window's memoised moments to exactly the bits the
-// NewRunningFrom pass over the window gave.
-func TestRunningReseededFromWindowMoments(t *testing.T) {
+// TestSeriesStatsAreTheWindowMemo: at a build, on every epoch — refresh
+// epochs (the periodic ones and a whole-window slide) and the others alike —
+// the per-series statistics every W_A path reads are the window's memoised
+// moments, the very object W_N's kernels read.
+func TestSeriesStatsAreTheWindowMemo(t *testing.T) {
 	const n, window, slide, every = 12, 40, 3, 3
 	fx := makeStreamFixture(t, n, window, slide*7+window, 23)
 	e, err := Build(fx.window, Config{Clusters: 3, Seed: 2, Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: every}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFresh := func(label string, want bool) {
+	requireMemo := func(label string) {
 		t.Helper()
 		st := e.state()
-		fresh := true
-		for v := range st.running {
-			s, err := st.data.Series(timeseries.SeriesID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.running[v] != stats.NewRunningFrom(s) {
-				fresh = false
-			}
+		_, mom, err := st.naive.Kernel()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fresh != want {
-			t.Fatalf("%s: running sums equal to a fresh NewRunningFrom seed: %v, want %v", label, fresh, want)
+		if st.seriesMoments != st.data.Moments() || mom != st.seriesMoments {
+			t.Fatalf("%s: the engine's per-series statistics are not the window's memo", label)
 		}
 	}
-	requireFresh("build", true)
+	requireMemo("build")
 	at := 0
 	for epoch := 1; epoch <= 7; epoch++ {
 		appendTicks(t, e, fx.ticks[at:at+slide])
@@ -493,15 +486,13 @@ func TestRunningReseededFromWindowMoments(t *testing.T) {
 		if _, err := e.Advance(); err != nil {
 			t.Fatal(err)
 		}
-		// A slid sum rounds differently from a fresh one on this data, so the
-		// non-refresh epochs tell the two routes apart.
-		requireFresh(fmt.Sprintf("epoch %d", epoch), epoch%every == 0)
+		requireMemo(fmt.Sprintf("epoch %d", epoch))
 	}
 	appendTicks(t, e, fx.ticks[at:at+window])
 	if _, err := e.Advance(); err != nil {
 		t.Fatal(err)
 	}
-	requireFresh("whole-window slide", true)
+	requireMemo("whole-window slide")
 }
 
 // TestSnapshotRestoreAgreesOnCenterMemo: an engine restored from the PR 17

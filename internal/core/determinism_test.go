@@ -224,8 +224,8 @@ func assertStatesEquivalent(t *testing.T, engines []*Engine) {
 				t.Fatalf("parallelism %d: transform b of %v differs", p, pair)
 			}
 		}
-		for i := range ref.seriesVariance {
-			if st.seriesVariance[i] != ref.seriesVariance[i] || st.seriesSqNorm[i] != ref.seriesSqNorm[i] {
+		for i := range ref.seriesMoments.Variance {
+			if st.seriesMoments.Stat(timeseries.SeriesID(i)) != ref.seriesMoments.Stat(timeseries.SeriesID(i)) {
 				t.Fatalf("parallelism %d: per-series stats of %d differ", p, i)
 			}
 			if st.calibA[i] != ref.calibA[i] || st.calibB[i] != ref.calibB[i] {

@@ -85,8 +85,9 @@ var ErrBadTopK = errors.New("core: top-k needs k >= 1")
 var ErrMeasureNotIndexed = scape.ErrMeasureNotIndexed
 
 // DefaultStatsRefreshEvery is the default number of Advance epochs between
-// from-scratch refreshes of the running per-series statistics, bounding the
-// rounding drift of the incremental sufficient sums.
+// from-scratch refreshes of the quantities Advance slides instead of
+// re-reducing — the pair-moment column and the sketches' coefficients —
+// bounding the rounding drift of their recurrences.
 const DefaultStatsRefreshEvery = 64
 
 // StreamConfig parameterizes the incremental maintenance path (stream.go).
@@ -95,7 +96,7 @@ type StreamConfig struct {
 	// window slide, a relationship is re-fitted only when the relative
 	// discrepancy between the variance of its non-common series predicted by
 	// the stored transform (through the fresh pivot summary, Eq. 6) and the
-	// series' true variance (known from the running statistics) exceeds this
+	// series' true variance (the window's memoised moments) exceeds this
 	// bound — an O(1)-per-pair surrogate for the relationship's LSFD drift.
 	// Zero or negative refits every relationship on every Advance — the
 	// exact-maintenance default.
@@ -103,9 +104,11 @@ type StreamConfig struct {
 	// AutoAdvance, when positive, makes Append trigger an Advance
 	// automatically once this many samples are buffered.
 	AutoAdvance int
-	// StatsRefreshEvery recomputes the running per-series statistics from the
-	// raw window every this many epochs (0 selects
-	// DefaultStatsRefreshEvery), bounding incremental rounding drift.
+	// StatsRefreshEvery is the number of epochs between refresh epochs (0
+	// selects DefaultStatsRefreshEvery): on those the pair-moment column is
+	// dropped and re-reduced by the next naive sweep, every sketch is rebuilt
+	// from a full FFT, and pruned relationships get a refit attempt.  Between
+	// them both are slid, and the refresh bounds their rounding drift.
 	StatsRefreshEvery int
 }
 
@@ -255,14 +258,10 @@ type engineState struct {
 	// pivot, aligned with rel.Layout().Pivots() and so found from a
 	// relationship's slot without hashing.
 	summaries []measure.PivotTerms
-	// Per-series incremental sufficient statistics (Σx, Σx²), carried across
-	// epochs with O(slide) updates and periodically re-seeded from the window's
-	// memoised moments (data.Moments(), the fresh reduction every consumer of
-	// this window shares; the slid sums round differently).
-	running []stats.Running
-	// Per-series statistics for separable normalizers, derived from running.
-	seriesVariance []float64
-	seriesSqNorm   []float64
+	// seriesMoments is the window's memoised per-series moments
+	// (data.Moments()): what separable normalizers, self values and drift
+	// scoring read — the one reduction W_N and the index read too.
+	seriesMoments *timeseries.Moments
 	// Per-series 1-D affine calibration against the series' cluster center:
 	// s_v ≈ calibA[v]·r_ω(v) + calibB[v]·1.  Location measures of a series
 	// are estimated as calibA·L(r_ω(v)) + calibB (Eq. 5 restricted to the
@@ -400,11 +399,12 @@ func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 // earlier stages recorded; start is when the build began.
 func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, info BuildInfo, start time.Time) (*Engine, error) {
 	st := &engineState{
-		data:  d,
-		naive: baseline.NewNaive(d),
-		rel:   rel,
-		par:   cfg.Parallelism,
-		info:  info,
+		data:          d,
+		seriesMoments: d.Moments(),
+		naive:         baseline.NewNaive(d),
+		rel:           rel,
+		par:           cfg.Parallelism,
+		info:          info,
 	}
 	if cfg.AssignedPairsOnly {
 		st.pairs, st.pairPos = assignedPairs(rel)
@@ -482,37 +482,20 @@ func (e *Engine) Naive() *baseline.Naive { return e.state().naive }
 // built engine).
 func (e *Engine) Epoch() int { return e.state().epoch }
 
-// buildDerived fills the pivot summaries, the per-series statistics, the
-// calibration/drift quantities and the affine-estimated per-series locations
-// for the state's window.  A non-nil st.running was carried over and slid by
-// the caller (the advance path); a nil one is seeded here (a build, or a
-// statistics refresh epoch).  Whatever is a function of the window alone or of
-// the clustering alone — the series' and the centers' self-moments, the
-// centers' L-measures — is read off the memo on that object, never reduced
-// here.  parallelism shards the per-pivot and per-series work; the outputs are
-// index-aligned slices, so they are identical at any level.
+// buildDerived fills the pivot summaries, the calibration and the
+// affine-estimated per-series locations for the state's window.  Whatever is
+// a function of the window alone or of the clustering alone — the series' and
+// the centers' self-moments, the centers' L-measures — is read off the memo on
+// that object, never reduced here, so an epoch's derived state is exactly a
+// cold build's on the same window.  parallelism shards the per-pivot and
+// per-series work; the outputs are index-aligned slices, so they are identical
+// at any level.
 func (st *engineState) buildDerived(parallelism int) error {
-	n := st.data.NumSeries()
-
-	if err := st.buildSummaries(parallelism); err != nil {
+	summaries, err := st.rel.PivotTerms(st.data, parallelism)
+	if err != nil {
 		return err
 	}
-
-	// Per-series statistics from the running sufficient sums.  A fresh Σx and
-	// Σx² in sample order from zero is exactly what seeding them takes.
-	if st.running == nil {
-		series := st.data.Moments()
-		st.running = make([]stats.Running, n)
-		for v := range st.running {
-			st.running[v] = stats.RunningFromSums(st.data.NumSamples(), series.Sum[v], series.SqNorm[v])
-		}
-	}
-	st.seriesVariance = make([]float64, n)
-	st.seriesSqNorm = make([]float64, n)
-	for i := range st.running {
-		st.seriesVariance[i] = st.running[i].Variance()
-		st.seriesSqNorm[i] = st.running[i].SqNorm()
-	}
+	st.summaries = summaries
 
 	// Per-series 1-D affine calibration against the cluster center: the
 	// least-squares fit of s_v onto [r_ω(v), 1].  Because the design contains
@@ -520,10 +503,8 @@ func (st *engineState) buildDerived(parallelism int) error {
 	// propagated through (a, b) are exact for the mean and approximate for
 	// the median and the mode (which is exactly the error pattern the paper
 	// reports in Figs. 9–10).
-	if st.calibA == nil {
-		if err := st.calibrate(parallelism); err != nil {
-			return err
-		}
+	if err := st.calibrate(parallelism); err != nil {
+		return err
 	}
 
 	// Per-series location estimates propagated through the affine calibration
@@ -559,82 +540,15 @@ func (st *engineState) calibratedLocations(m stats.Measure) ([]float64, error) {
 	return values, nil
 }
 
-// buildSummaries fills st.summaries from the joint sufficient statistics of
-// every assigned pivot's [s_common, r_cluster] — the numbers
-// stats.NewRunningPairFrom reduces from the two columns, without that pass per
-// pivot: the self-moments belong to a series or to a center and are memoised
-// there; only Σxy is specific to a pivot, and measure.CrossMoments reduces it
-// for all centers of a common series in one shared-operand pass.  The summary
-// set covers every assigned pivot (not just pivots with a surviving
-// relationship) so that a streaming refit can revive a previously pruned pair
-// without missing its summary.
-func (st *engineState) buildSummaries(parallelism int) error {
-	clustering := st.rel.Clustering
-	series, cms := st.data.Moments(), clustering.CenterMoments()
-	m := st.data.NumSamples()
-	pivots := st.rel.Layout().Pivots()
-	// Check every pivot's columns in pivot order first, so the error reported
-	// does not depend on how the reduction below is blocked.
-	for _, pivot := range pivots {
-		if pivot.Cluster < 0 || pivot.Cluster >= clustering.K() {
-			return fmt.Errorf("core: pivot %v references unknown cluster", pivot)
-		}
-		if _, err := st.data.Series(pivot.Common); err != nil {
-			return err
-		}
-		if c := clustering.Centers[pivot.Cluster]; len(c) != m {
-			return fmt.Errorf("%w: %d vs %d", stats.ErrLengthMismatch, m, len(c))
-		}
-	}
-
-	// Pivots are in (Common, Cluster) order, so the pivots of one common series
-	// are a run; a run cut by a block boundary is reduced in two pieces, which
-	// changes no output (every pivot has its own accumulator).
-	st.summaries = make([]measure.PivotTerms, len(pivots))
-	return par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
-		var centers [][]float64
-		var dots []float64
-		for lo := blk.Lo; lo < blk.Hi; {
-			common := pivots[lo].Common
-			hi := lo
-			centers = centers[:0]
-			for ; hi < blk.Hi && pivots[hi].Common == common; hi++ {
-				centers = append(centers, clustering.Centers[pivots[hi].Cluster])
-			}
-			x, err := st.data.Series(common)
-			if err != nil {
-				return err
-			}
-			if cap(dots) < len(centers) {
-				dots = make([]float64, len(centers))
-			}
-			dots = dots[:len(centers)]
-			if err := measure.CrossMoments(x, 0, centers, nil, dots, nil); err != nil {
-				return err
-			}
-			for i := lo; i < hi; i++ {
-				l := pivots[i].Cluster
-				rp := stats.RunningPairFromSums(m, series.Sum[common], cms.Sum[l], series.SqNorm[common], cms.SqNorm[l], dots[i-lo])
-				st.summaries[i] = measure.PivotTerms{
-					Cov:        [3]float64{rp.VarianceX(), rp.Covariance(), rp.VarianceY()},
-					Dot:        [3]float64{series.SqNorm[common], rp.DotProduct(), cms.SqNorm[l]},
-					ColSums:    rp.Sums(),
-					NumSamples: rp.Count(),
-				}
-			}
-			lo = hi
-		}
-		return nil
-	})
-}
-
 // calibrate fills calibA and calibB: the least-squares line of every series
-// against its cluster center, from the joint sufficient statistics of the two
-// columns.  The self-moments are the memoised ones; the cross term Σ r·s is
-// reduced per cluster, the center loaded once for a tile of its members.
+// against its cluster center, a = cov(r, s)/var(r) and b = mean_s − a·mean_r
+// (a = 0 under a constant center).  The self-moments are the memoised
+// two-pass ones and the covariance is CrossMoments' centred form — the form of
+// every other second moment the engine reads — reduced per cluster, the
+// center loaded once for a tile of its members.
 func (st *engineState) calibrate(parallelism int) error {
 	clustering := st.rel.Clustering
-	series, cms := st.data.Moments(), clustering.CenterMoments()
+	series, cms := st.seriesMoments, clustering.CenterMoments()
 	n, m := st.data.NumSeries(), st.data.NumSamples()
 	members := make([][]timeseries.SeriesID, clustering.K())
 	for _, id := range st.data.IDs() {
@@ -650,30 +564,29 @@ func (st *engineState) calibrate(parallelism int) error {
 	st.calibA = make([]float64, n)
 	st.calibB = make([]float64, n)
 	return par.Do(len(members), parallelism, func(l int) error {
-		cols := make([][]float64, len(members[l]))
+		k := len(members[l])
+		cols := make([][]float64, k)
+		buf := make([]float64, 3*k)
+		means, dots, covs := buf[:k], buf[k:2*k], buf[2*k:]
 		for i, id := range members[l] {
 			s, err := st.data.Series(id)
 			if err != nil {
 				return err
 			}
-			cols[i] = s
+			cols[i], means[i] = s, series.Mean[id]
 		}
-		dots := make([]float64, len(cols))
-		if err := measure.CrossMoments(clustering.Centers[l], 0, cols, nil, dots, nil); err != nil {
+		if err := measure.CrossMoments(clustering.Centers[l], cms.Mean[l], cols, means, dots, covs); err != nil {
 			return err
 		}
 		for i, id := range members[l] {
-			rp := stats.RunningPairFromSums(m, cms.Sum[l], series.Sum[id], cms.SqNorm[l], series.SqNorm[id], dots[i])
-			st.calibA[id], st.calibB[id], _ = rp.LineFit()
+			var a float64
+			if cms.Variance[l] != 0 {
+				a = covs[i] / cms.Variance[l]
+			}
+			st.calibA[id], st.calibB[id] = a, series.Mean[id]-a*cms.Mean[l]
 		}
 		return nil
 	})
-}
-
-// seriesStat bundles the cached per-series statistics of one series for
-// measure-spec parameters.
-func (e *engineState) seriesStat(id timeseries.SeriesID) measure.SeriesStat {
-	return measure.SeriesStat{Variance: e.seriesVariance[id], SqNorm: e.seriesSqNorm[id]}
 }
 
 // numUniversePairs returns the size of the epoch's pairwise query universe:

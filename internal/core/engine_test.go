@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
+	"affinity/internal/cluster"
 	"affinity/internal/dataset"
 	"affinity/internal/interval"
 	"affinity/internal/plan"
@@ -208,7 +210,59 @@ func TestPairwiseDiagonal(t *testing.T) {
 			if math.Abs(approx[i][i]-truth[i][i]) > 1e-6*(1+math.Abs(truth[i][i])) {
 				t.Fatalf("%v diagonal [%d] = %v, want %v", m, i, approx[i][i], truth[i][i])
 			}
+			// W_A's self values read the window's two-pass moments, the bits
+			// of the naive reductions of a series against itself.
+			if (m == stats.Covariance || m == stats.DotProduct) && math.Float64bits(approx[i][i]) != math.Float64bits(truth[i][i]) {
+				t.Fatalf("%v diagonal [%d] = %x, W_N's %x", m, i, math.Float64bits(approx[i][i]), math.Float64bits(truth[i][i]))
+			}
 		}
+	}
+}
+
+// TestCalibrationOfAConstantCenter: a series whose cluster center is constant
+// is calibrated to the line a = 0, b = its mean (the degenerate branch of the
+// least-squares fit), bit for bit.
+func TestCalibrationOfAConstantCenter(t *testing.T) {
+	d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: 12, NumSamples: 40, NumGroups: 3, Noise: 0.05, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Build(d, Config{Clusters: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := first.Relationships().Clustering
+	// The clustering is copied so the built engine's memo is not shared.
+	clustering := &cluster.Result{Centers: make([][]float64, len(base.Centers)), Assignment: base.Assignment}
+	for l, c := range base.Centers {
+		clustering.Centers[l] = slices.Clone(c)
+	}
+	for j := range clustering.Centers[0] {
+		clustering.Centers[0][j] = 0.25
+	}
+	e, err := Build(d, Config{Clusters: 3, Clustering: clustering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.state()
+	members := 0
+	for _, id := range d.IDs() {
+		omega, err := clustering.Omega(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if omega != 0 {
+			continue
+		}
+		members++
+		s, _ := d.Series(id)
+		mean, _ := stats.MeanOf(s)
+		if st.calibA[id] != 0 || math.Float64bits(st.calibB[id]) != math.Float64bits(mean) {
+			t.Fatalf("series %d against a constant center: a = %v, b = %v, want 0, %v", id, st.calibA[id], st.calibB[id], mean)
+		}
+	}
+	if members == 0 {
+		t.Fatal("the constant center has no members")
 	}
 }
 

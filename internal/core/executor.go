@@ -380,9 +380,9 @@ func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res Que
 	}
 	// Affine and index entries both store the affine evaluator's values.  The
 	// two methods answer from the same relationships and return equal result
-	// sets on the parity suites' data, but not equal bits: the index reduces
-	// its own centred pivot moments where the summaries use the sums form, so
-	// its ‖α‖·ξ differs from the propagated value by up to ~2e-9 relative
+	// sets on the parity suites' data, but not equal bits: both read the same
+	// pivot terms, yet the index evaluates ‖α‖·(αᵀβ/‖α‖) where W_A evaluates
+	// the propagation quadratic form, so the two differ in the last digits
 	// (DESIGN.md "W_A and SCAPE values").  An index-method entry therefore
 	// holds affine values for the index's rows.
 	evaluator := MethodAffine

@@ -141,19 +141,20 @@ func (e *engineState) affinePairValue(m stats.Measure, pair timeseries.Pair) (fl
 	if !sp.Derived() {
 		return base, nil
 	}
-	return sp.Value(base, sp.Param(e.seriesStat(pair.U), e.seriesStat(pair.V)), e.data.NumSamples())
+	return sp.Value(base, sp.Param(e.seriesMoments.Stat(pair.U), e.seriesMoments.Stat(pair.V)), e.data.NumSamples())
 }
 
 // SelfValue returns the diagonal entry of a pairwise MEC response: the
-// measure of a series with itself, declared per spec over the cached
-// per-series statistics (replicated, so identical on every shard).
+// measure of a series with itself, declared per spec over the window's
+// memoised per-series moments (one object, so identical on every shard and
+// to W_N's diagonal).
 func (e *engineState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
-	if int(id) < 0 || int(id) >= len(e.seriesVariance) {
+	if int(id) < 0 || int(id) >= len(e.seriesMoments.Variance) {
 		return 0, fmt.Errorf("%w: %d", timeseries.ErrInvalidSeries, id)
 	}
 	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return 0, err
 	}
-	return sp.SelfValue(e.seriesStat(id))
+	return sp.SelfValue(e.seriesMoments.Stat(id))
 }

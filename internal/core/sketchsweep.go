@@ -400,7 +400,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 					return err
 				}
 				for _, mg := range g.measures {
-					vals, err := e.deriveValues(mg.sp, g.key.method, sub, t, w.v[:len(sub)], mom)
+					vals, err := e.deriveValues(mg.sp, sub, t, w.v[:len(sub)])
 					if err != nil {
 						return err
 					}
@@ -582,21 +582,16 @@ func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []
 
 // deriveValues turns base values t of pairs into the values of sp: t itself
 // for a T-measure, the spec's transform over the pair's separable parameter —
-// from the hoisted kernel moments for naive (bit-identical to NaiveSeriesStat
-// on the raw series), from the running statistics for affine — into buf for a
+// from the window's memoised moments, which naive and affine share
+// (bit-identical to NaiveSeriesStat on the raw series) — into buf for a
 // D-measure, NaN where the measure is undefined.
-func (e *engineState) deriveValues(sp *measure.Spec, method Method, pairs []timeseries.Pair, t, buf []float64, mom *kernel.Moments) ([]float64, error) {
+func (e *engineState) deriveValues(sp *measure.Spec, pairs []timeseries.Pair, t, buf []float64) ([]float64, error) {
 	if !sp.Derived() {
 		return t, nil
 	}
 	numSamples := e.data.NumSamples()
 	for i, pair := range pairs {
-		var u float64
-		if method == MethodNaive {
-			u = sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
-		} else {
-			u = sp.Param(e.seriesStat(pair.U), e.seriesStat(pair.V))
-		}
+		u := sp.Param(e.seriesMoments.Stat(pair.U), e.seriesMoments.Stat(pair.V))
 		v, err := sp.EvalOrNaN(t[i], u, numSamples)
 		if err != nil {
 			return nil, err
@@ -715,7 +710,7 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 		if err := e.fillBase(sp.Base, sub, t); err != nil {
 			return QueryResult{}, 0, err
 		}
-		vals, err := e.deriveValues(sp, MethodNaive, sub, t, w.v[:len(sub)], mom)
+		vals, err := e.deriveValues(sp, sub, t, w.v[:len(sub)])
 		if err != nil {
 			return QueryResult{}, 0, err
 		}

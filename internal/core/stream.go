@@ -10,7 +10,6 @@ import (
 
 	"affinity/internal/baseline"
 	"affinity/internal/par"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 
@@ -37,7 +36,6 @@ import (
 //	                 non-finite samples as it is copied in and the window
 //	                 carries its validation mark along, so nothing downstream
 //	                 scans the n·m samples for NaN again
-//	O(n·s)           slide the running sums Σx, Σx² per series
 //	O(pairs·s)       slide the pair moments Σ x_u·x_v, one multiply-add pair
 //	                 per pair and slid sample — only while a naive sweep has
 //	                 materialised the column (stats.PairMoments); an engine
@@ -46,20 +44,20 @@ import (
 //	O(n·s·log m)     slide the sorted columns (order statistics: median, mode
 //	                 are then read off them, O(1) and one pass, never re-sorted)
 //	O(n·m)           self-moments: Σx, Σx², mean, variance once per series
-//	                 and window, whoever asks — the summaries, the index, the
-//	                 kernel mirror and every shard behind a coordinator read
-//	                 the one reduction memoised on the window
-//	                 (DataMatrix.Moments); the K centers' are memoised on the
-//	                 clustering and cost an epoch nothing
-//	O(P·m)           the pivot cross moments — Σxy for the summaries,
-//	                 Σxy and Σ(x−x̄)(y−ȳ) for the index's α vectors — in one
-//	                 shared-operand pass per consumer (the only window
-//	                 reduction with two homes: the two forms round
-//	                 differently): a common series is loaded once for a tile
-//	                 of its centers (measure.CrossMoments), not once per pivot
-//	                 and term
-//	O(n·m)           calibration: Σ r·s per series, a center loaded once for
-//	                 a tile of its members
+//	                 and window, whoever asks — the summaries, the normalizers,
+//	                 drift scoring, the index, the kernel mirror and every
+//	                 shard behind a coordinator read the one two-pass
+//	                 reduction memoised on the window (DataMatrix.Moments);
+//	                 the K centers' are memoised on the clustering and cost
+//	                 an epoch nothing
+//	O(P·m)           the pivot cross moments Σxy and Σ(x−x̄)(y−ȳ): one form,
+//	                 reduced once per consumer (the summaries and the index
+//	                 each call symex.Result.PivotTerms) in one shared-operand
+//	                 pass — a common series is loaded once for a tile of its
+//	                 centers (measure.CrossMoments), not once per pivot and
+//	                 term
+//	O(n·m)           calibration: Σ(r−r̄)(s−s̄) per series, a center loaded
+//	                 once for a tile of its members
 //	O(P·k)           drift scoring, a closed form per relationship found by
 //	                 slot (no hashing)
 //	O(|stale|·m)     re-fit the stale relationships: one pseudo-inverse per
@@ -99,10 +97,13 @@ import (
 // terms that remain proportional to P·k are arithmetic over contiguous memory.
 //
 // With DriftBound <= 0 every relationship is re-fitted, which makes an epoch
-// exactly equivalent to a cold Build on the slid window with the frozen
-// clustering — the property the streaming equivalence tests pin down.  A
-// positive bound trades a controlled amount of approximation error for
-// skipping most of the least-squares work on quiet windows.
+// bit-identical to a cold Build on the slid window with the frozen clustering:
+// every quantity an answer reads is either a function of that window reduced
+// from it afresh, or exact (the slid columns only bound, and the refinement
+// behind them reads the window) — the property the streaming equivalence
+// tests pin down, on every method.  A positive bound trades a controlled
+// amount of approximation error for skipping most of the least-squares work
+// on quiet windows.
 //
 // Queries never block on an Advance: the next epoch is assembled on the
 // side and swapped in with one atomic store (see engineState).
@@ -194,8 +195,8 @@ func (e *Engine) advanceLocked() (AdvanceInfo, error) {
 	n := old.data.NumSeries()
 
 	// Transpose the buffered ticks into per-series batches.  The buffer comes
-	// from the engine's pool: SlideCopy and the running-stat slide below both
-	// copy out of it, so it is recycled at the end of the epoch.
+	// from the engine's pool: SlideCopy, the sketch slide and the pair-moment
+	// slide only read it, so it is recycled at the end of the epoch.
 	bs := e.getBatch()
 	defer e.putBatch(bs)
 	batch := bs.columns(n, slide)
@@ -222,8 +223,8 @@ func (e *Engine) advanceLocked() (AdvanceInfo, error) {
 // columns it was slid with.  A sharded coordinator uses this to transpose and
 // SlideCopy the incoming ticks exactly once and then advance every shard
 // engine in parallel against the same shared (read-only) inputs; each shard's
-// epoch assembly — running-statistics slide, drift scoring, refit, index
-// update — is identical to what its own Advance would have done with the same
+// epoch assembly — drift scoring, refit, index update, sketch and pair-moment
+// slides — is identical to what its own Advance would have done with the same
 // ticks.  It must not be mixed with Append on the same engine: ticks buffered
 // through Append are ignored (and kept) by AdvanceShared.
 func (e *Engine) AdvanceShared(newData *timeseries.DataMatrix, batch [][]float64) (AdvanceInfo, error) {
@@ -255,40 +256,28 @@ func (e *Engine) AdvanceShared(newData *timeseries.DataMatrix, batch [][]float64
 // Advance and AdvanceShared.  Callers hold streamMu.
 func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, batch [][]float64, slide int) (AdvanceInfo, error) {
 	start := time.Now()
-	n := old.data.NumSeries()
 	m := old.data.NumSamples()
 
 	st := &engineState{
-		data:  newData,
-		naive: baseline.NewNaive(newData),
-		par:   e.cfg.Parallelism,
-		epoch: old.epoch + 1,
+		data: newData,
+		// The per-series statistics are the slid window's own moments, reduced
+		// by whichever consumer of this window asks first (a coordinator's
+		// shards share one reduction) and never slid: a slid sum is not the
+		// bits a cold build on the same window reads.
+		seriesMoments: newData.Moments(),
+		naive:         baseline.NewNaive(newData),
+		par:           e.cfg.Parallelism,
+		epoch:         old.epoch + 1,
 		// The restricted pair universe (if any) is frozen with the pair→pivot
 		// assignment it was derived from.
 		pairs:   old.pairs,
 		pairPos: old.pairPos,
 	}
 	parallelism := e.cfg.Parallelism
-
-	// Slide the running per-series sufficient statistics: O(n·slide) instead
-	// of an O(n·m) rescan.  A full refresh happens when the whole window was
-	// replaced or on the periodic schedule that bounds rounding drift.
+	// The refresh epochs — a whole-window slide, or the periodic schedule —
+	// re-reduce what the other epochs slide (the pair-moment column, the
+	// sketches) and retry pruned relationships.
 	refresh := slide >= m || st.epoch%e.cfg.Stream.StatsRefreshEvery == 0
-	if !refresh {
-		st.running = make([]stats.Running, n)
-		copy(st.running, old.running)
-		if err := par.Do(n, parallelism, func(v int) error {
-			evicted, err := old.data.Series(timeseries.SeriesID(v))
-			if err != nil {
-				return err
-			}
-			st.running[v].Add(batch[v]...)
-			st.running[v].Evict(evicted[:slide]...)
-			return nil
-		}); err != nil {
-			return AdvanceInfo{}, err
-		}
-	}
 
 	slideDone := time.Now()
 
@@ -321,7 +310,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	// coefficients with the sliding-DFT recurrence, O(slide·d).  The periodic
 	// statistics refreshes (and a whole-window slide) rebuild every sketch from
 	// a full FFT, which re-picks the kept coefficients and bounds the
-	// recurrence's rounding drift exactly like the running sums' refresh does.
+	// recurrence's rounding drift.
 	if old.sketch != nil {
 		kern, mom, err := st.naive.Kernel()
 		if err != nil {
@@ -345,9 +334,9 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	st.cols = e.newBaseColumns()
 
 	// The pair-moment column, the naive sweeps' other bound provider, slides
-	// beside the running sums while some sweep has materialised it: O(slide)
-	// per pair.  The refresh epochs drop it like they re-seed the sums, which
-	// bounds its rounding drift; the next naive sweep materialises a fresh one.
+	// while some sweep has materialised it: O(slide) per pair.  The refresh
+	// epochs drop it, which bounds its rounding drift; the next naive sweep
+	// materialises a fresh one.
 	st.moments = e.newMomentColumn()
 	if !refresh {
 		st.slideMoments(old, batch, slide, parallelism)
@@ -390,8 +379,8 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 }
 
 // relAndDerived performs the epoch's relationship maintenance: it rebuilds
-// the window-derived quantities (pivot summaries, per-series statistics,
-// calibration), measures each old relationship's drift on the new window,
+// the window-derived quantities (pivot summaries, calibration, location
+// estimates), measures each old relationship's drift on the new window,
 // re-fits the stale ones and installs the resulting relationship set.
 // refresh marks the periodic full-refresh epochs, on which previously pruned
 // pairs also get a refit attempt.
@@ -412,8 +401,8 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 	// Select stale relationships by measuring each stale-candidate transform
 	// against the new window: the transform predicts the variance of the
 	// pair's non-common series from the new pivot summary (Eq. 6 restricted
-	// to the diagonal), and the true variance is known from the running
-	// statistics.  A relative discrepancy above DriftBound marks the
+	// to the diagonal), and the true variance is the window's memoised
+	// one.  A relative discrepancy above DriftBound marks the
 	// relationship stale.  This is the O(1)-per-pair surrogate for the LSFD
 	// drift: a transform whose propagated second column no longer matches
 	// the observed series cannot have a small LSFD to the current sequence
@@ -446,7 +435,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 						flags[slot] = refresh
 						continue
 					}
-					flags[slot] = relationshipDrift(rel, cov, st.seriesVariance[rel.Other()]) > bound
+					flags[slot] = relationshipDrift(rel, cov, st.seriesMoments.Variance[rel.Other()]) > bound
 				}
 			}
 			return nil
@@ -488,7 +477,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 // relationshipDrift returns the relative discrepancy between the variance of
 // the relationship's non-common series as predicted by its (possibly stale)
 // transform on the current pivot summary's covariance terms, and the series'
-// true variance from the running statistics.  A fresh fit has a small
+// true variance from the window's moments.  A fresh fit has a small
 // discrepancy (only the fit residual); a transform invalidated by window
 // movement drifts away from the observed variance.
 func relationshipDrift(rel *symex.Relationship, cov [3]float64, trueVar float64) float64 {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"affinity/internal/dataset"
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -58,30 +61,6 @@ func appendTicks(t testing.TB, e *Engine, ticks [][]float64) {
 	}
 }
 
-// maxAbsDiffMatrix returns the max |a-b| over two same-shape matrices,
-// treating paired NaNs as equal.
-func maxAbsDiffMatrix(t testing.TB, a, b [][]float64) float64 {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("matrix size %d vs %d", len(a), len(b))
-	}
-	var worst float64
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("row %d size %d vs %d", i, len(a[i]), len(b[i]))
-		}
-		for j := range a[i] {
-			if math.IsNaN(a[i][j]) && math.IsNaN(b[i][j]) {
-				continue
-			}
-			if d := math.Abs(a[i][j] - b[i][j]); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
 func pairSet(pairs []timeseries.Pair) map[timeseries.Pair]bool {
 	out := make(map[timeseries.Pair]bool, len(pairs))
 	for _, p := range pairs {
@@ -90,35 +69,73 @@ func pairSet(pairs []timeseries.Pair) map[timeseries.Pair]bool {
 	return out
 }
 
+// coldParityAnswers renders every answer the streaming equivalence test
+// compares, labelled, one string each: MEC by naive and affine, and interval
+// (above the cold build's median naive value) and top-k by naive, affine and
+// index, for pairwise and location measures alike.  %v prints the shortest
+// decimal that round-trips a float64, so equal strings are equal bits.
+func coldParityAnswers(t *testing.T, e *Engine, ids []timeseries.SeriesID, medians map[stats.Measure]float64) map[string]string {
+	t.Helper()
+	render := func(res any, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("%v", res)
+	}
+	out := make(map[string]string)
+	for m, med := range medians {
+		for _, method := range []Method{MethodNaive, MethodAffine} {
+			key := fmt.Sprintf("%v/%v/", m, method)
+			if !m.Pairwise() {
+				out[key+"mec"] = render(e.ComputeLocation(m, ids, method))
+			} else {
+				out[key+"mec"] = render(e.ComputePairwise(m, ids, method))
+			}
+		}
+		for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
+			key := fmt.Sprintf("%v/%v/", m, method)
+			out[key+"interval"] = render(e.Interval(m, interval.GreaterThan(med), method))
+			out[key+"topk"] = render(e.TopK(m, 5, true, method))
+		}
+	}
+	return out
+}
+
 // TestAdvanceMatchesColdRebuildFrozenClustering is the streaming equivalence
-// test of the acceptance criteria: across three window slides, an Advance
-// with the refit-all default must produce query results identical (to
-// floating-point noise) to a cold Build on the slid window with the same
-// frozen clustering — for the naive, affine and index methods.
+// test: across three window slides, an Advance
+// with the refit-all default (DriftBound 0) answers every query bit for bit
+// like a cold Build on the slid window with the same frozen clustering — MEC,
+// interval, top-k (values included) and location, by the naive, affine and
+// index methods, at any parallelism.
 func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 	const n, window, slide, rounds = 18, 90, 12, 3
 	fx := makeStreamFixture(t, n, window, slide*rounds, 3)
-	cfg := Config{Clusters: 4, Seed: 7}
-	streaming, err := Build(fx.window, cfg)
-	if err != nil {
-		t.Fatal(err)
+	levels := []int{1, 2, 8}
+	streaming := make([]*Engine, len(levels))
+	for i, p := range levels {
+		e, err := Build(fx.window, Config{Clusters: 4, Seed: 7, Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streaming[i] = e
 	}
-	frozen := streaming.Relationships().Clustering
+	frozen := streaming[0].Relationships().Clustering
 	ids := fx.window.IDs()
+	measures := []stats.Measure{stats.Correlation, stats.Covariance, stats.DotProduct, stats.Cosine,
+		stats.EuclideanDistance, stats.Mean, stats.Median, stats.Mode}
 
 	current := fx.window
 	for round := 0; round < rounds; round++ {
 		ticks := fx.ticks[round*slide : (round+1)*slide]
-		appendTicks(t, streaming, ticks)
-		info, err := streaming.Advance()
-		if err != nil {
-			t.Fatalf("round %d: Advance: %v", round, err)
-		}
-		if info.Epoch != round+1 || info.Slide != slide {
-			t.Fatalf("round %d: info = %+v", round, info)
-		}
-		if info.RefitRelationships != n*(n-1)/2 {
-			t.Fatalf("round %d: refit-all should refit every pair, got %+v", round, info)
+		for i, e := range streaming {
+			appendTicks(t, e, ticks)
+			info, err := e.Advance()
+			if err != nil {
+				t.Fatalf("round %d P=%d: Advance: %v", round, levels[i], err)
+			}
+			if info.Epoch != round+1 || info.Slide != slide || info.RefitRelationships != n*(n-1)/2 {
+				t.Fatalf("round %d P=%d: refit-all should refit every pair, got %+v", round, levels[i], info)
+			}
 		}
 
 		// Cold rebuild on the manually slid window with the same clustering.
@@ -142,90 +159,71 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 
 		// Window contents: the streaming window must equal the manually slid
 		// window exactly.
-		if streaming.Data().NumSamples() != window || streaming.Data().StartIndex() != (round+1)*slide {
-			t.Fatalf("round %d: window shape m=%d start=%d",
-				round, streaming.Data().NumSamples(), streaming.Data().StartIndex())
-		}
-		for v := 0; v < n; v++ {
-			sw, _ := streaming.Data().Series(timeseries.SeriesID(v))
-			cw, _ := slid.Series(timeseries.SeriesID(v))
-			for i := range sw {
-				if sw[i] != cw[i] {
-					t.Fatalf("round %d: series %d sample %d: %v vs %v", round, v, i, sw[i], cw[i])
+		for i, e := range streaming {
+			if e.Data().NumSamples() != window || e.Data().StartIndex() != (round+1)*slide {
+				t.Fatalf("round %d P=%d: window shape m=%d start=%d",
+					round, levels[i], e.Data().NumSamples(), e.Data().StartIndex())
+			}
+			for v := 0; v < n; v++ {
+				sw, _ := e.Data().Series(timeseries.SeriesID(v))
+				cw, _ := slid.Series(timeseries.SeriesID(v))
+				if !slices.Equal(sw, cw) {
+					t.Fatalf("round %d P=%d: series %d differs from the slid window", round, levels[i], v)
 				}
 			}
 		}
 
-		// Naive results must be bit-identical (same raw window).
-		for _, m := range []stats.Measure{stats.Correlation, stats.Covariance} {
-			sn, err := streaming.ComputePairwise(m, ids, MethodNaive)
-			if err != nil {
-				t.Fatal(err)
+		medians := make(map[stats.Measure]float64, len(measures))
+		for _, m := range measures {
+			var vals []float64
+			if !m.Pairwise() {
+				if vals, err = cold.ComputeLocation(m, ids, MethodNaive); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				sweep, err := cold.PairwiseSweepNaive(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals = slices.Clone(sweep.Values)
 			}
-			cn, err := cold.ComputePairwise(m, ids, MethodNaive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiffMatrix(t, sn, cn); d != 0 {
-				t.Fatalf("round %d: naive %v differs by %v", round, m, d)
-			}
+			slices.Sort(vals)
+			medians[m] = vals[len(vals)/2]
 		}
-
-		// Affine results must agree to floating-point noise: identical
-		// relationships were fitted on identical data.
-		for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.DotProduct, stats.Cosine} {
-			sa, err := streaming.ComputePairwise(m, ids, MethodAffine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ca, err := cold.ComputePairwise(m, ids, MethodAffine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiffMatrix(t, sa, ca); d > 1e-9 {
-				t.Fatalf("round %d: affine %v differs by %v", round, m, d)
-			}
-		}
-		la, err := streaming.ComputeLocation(stats.Mean, ids, MethodAffine)
+		// The pivot summaries are the terms the index was built from
+		// (symex.Result.PivotTerms, which scape calls too) and a cold build's.
+		terms, err := cold.state().rel.PivotTerms(slid, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, err := cold.ComputeLocation(stats.Mean, ids, MethodAffine)
-		if err != nil {
-			t.Fatal(err)
+		for i, e := range streaming {
+			for _, sums := range [][]measure.PivotTerms{e.state().summaries, cold.state().summaries} {
+				if fmt.Sprintf("%v", sums) != fmt.Sprintf("%v", terms) {
+					t.Fatalf("round %d P=%d: pivot summaries differ from the index's pivot terms", round, levels[i])
+				}
+			}
 		}
-		for i := range la {
-			if math.Abs(la[i]-lc[i]) > 1e-9 {
-				t.Fatalf("round %d: affine mean[%d] %v vs %v", round, i, la[i], lc[i])
+		want := coldParityAnswers(t, cold, ids, medians)
+		for i, e := range streaming {
+			for key, got := range coldParityAnswers(t, e, ids, medians) {
+				if got != want[key] {
+					t.Fatalf("round %d P=%d %s: streamed\n%.400s\ncold\n%.400s", round, levels[i], key, got, want[key])
+				}
 			}
 		}
 
-		// Index threshold results must select the same pair sets.
+		// Internal consistency: the index answers select the same pair sets as
+		// the affine path of the same engine.
 		for _, tau := range []float64{0.9, 0.5} {
-			sres, err := streaming.Interval(stats.Correlation, interval.GreaterThan(tau), MethodIndex)
+			sres, err := streaming[0].Interval(stats.Correlation, interval.GreaterThan(tau), MethodIndex)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cres, err := cold.Interval(stats.Correlation, interval.GreaterThan(tau), MethodIndex)
+			ares, err := streaming[0].Interval(stats.Correlation, interval.GreaterThan(tau), MethodAffine)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, cs := pairSet(sres.Pairs), pairSet(cres.Pairs)
-			if len(ss) != len(cs) {
-				t.Fatalf("round %d tau %v: index sets %d vs %d", round, tau, len(ss), len(cs))
-			}
-			for p := range ss {
-				if !cs[p] {
-					t.Fatalf("round %d tau %v: pair %v only in streaming result", round, tau, p)
-				}
-			}
-			// Internal consistency: the index answers must match the affine
-			// path of the same engine.
-			ares, err := streaming.Interval(stats.Correlation, interval.GreaterThan(tau), MethodAffine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			as := pairSet(ares.Pairs)
+			ss, as := pairSet(sres.Pairs), pairSet(ares.Pairs)
 			if len(as) != len(ss) {
 				t.Fatalf("round %d tau %v: index %d pairs vs affine %d", round, tau, len(ss), len(as))
 			}
@@ -391,8 +389,8 @@ func TestAdvanceNoOpAndAppendErrors(t *testing.T) {
 }
 
 // TestAdvanceWholeWindowReplacement slides by more than the window length in
-// one Advance: every old sample is evicted and the running statistics are
-// reseeded from the new window.
+// one Advance: every old sample is evicted and nothing of the old window is
+// carried into the new one's statistics.
 func TestAdvanceWholeWindowReplacement(t *testing.T) {
 	const n, window = 12, 40
 	fx := makeStreamFixture(t, n, window, window+10, 31)
@@ -429,9 +427,10 @@ func TestAdvanceWholeWindowReplacement(t *testing.T) {
 	}
 }
 
-// TestRunningStatsStayFreshAcrossEpochs pins the incremental per-series
-// statistics against a from-scratch recomputation after several slides.
-func TestRunningStatsStayFreshAcrossEpochs(t *testing.T) {
+// TestSeriesStatsStayFreshAcrossEpochs pins the per-series statistics after
+// several slides to a from-scratch recomputation on the slid window, bit for
+// bit: they are that window's own two-pass reduction, never slid.
+func TestSeriesStatsStayFreshAcrossEpochs(t *testing.T) {
 	const n, window, slide, rounds = 12, 60, 7, 5
 	fx := makeStreamFixture(t, n, window, slide*rounds, 37)
 	e, err := Build(fx.window, Config{Clusters: 3, Seed: 2})
@@ -450,13 +449,14 @@ func TestRunningStatsStayFreshAcrossEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := st.seriesMoments.Stat(timeseries.SeriesID(v))
 		wantVar, _ := stats.VarianceOf(s)
-		if math.Abs(st.seriesVariance[v]-wantVar) > 1e-9*(1+math.Abs(wantVar)) {
-			t.Fatalf("series %d variance %v vs %v", v, st.seriesVariance[v], wantVar)
+		if math.Float64bits(got.Variance) != math.Float64bits(wantVar) {
+			t.Fatalf("series %d variance %v vs %v", v, got.Variance, wantVar)
 		}
 		wantSq, _ := stats.DotProductOf(s, s)
-		if math.Abs(st.seriesSqNorm[v]-wantSq) > 1e-9*(1+math.Abs(wantSq)) {
-			t.Fatalf("series %d sqnorm %v vs %v", v, st.seriesSqNorm[v], wantSq)
+		if math.Float64bits(got.SqNorm) != math.Float64bits(wantSq) {
+			t.Fatalf("series %d sqnorm %v vs %v", v, got.SqNorm, wantSq)
 		}
 	}
 }

@@ -39,8 +39,10 @@ type StreamStats struct {
 	// LastStaleFraction is the stale fraction of the most recent index
 	// maintenance (1 on an epoch that refit everything).
 	LastStaleFraction float64
-	// Phase timings of the most recent Advance: window slide + running-stat
-	// maintenance, drift scoring + refit, index maintenance, planner refresh.
+	// Phase timings of the most recent Advance: the slid window's per-series
+	// moments (its reduction, or a memo read where another consumer of the
+	// window reduced it first), drift scoring + refit, index maintenance,
+	// planner refresh.
 	LastSlidePhase   time.Duration
 	LastRefitPhase   time.Duration
 	LastIndexPhase   time.Duration

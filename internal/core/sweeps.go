@@ -155,7 +155,7 @@ func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, er
 	values := make([]float64, len(pairs))
 	e.propagate(func(pi int) measure.Moment { return moments[pi] }, nil, values)
 	err = par.DoBlocks(len(pairs), e.par, func(_ int, blk par.Block) error {
-		_, err := e.deriveValues(sp, MethodAffine, pairs[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi], nil)
+		_, err := e.deriveValues(sp, pairs[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi], values[blk.Lo:blk.Hi])
 		return err
 	})
 	if err != nil {

@@ -7,15 +7,15 @@ import (
 	"testing"
 
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
-// The tiled pivot-moment reductions promise the bits of the scalar routes
-// they replaced: stats.NewRunningPairFrom (the joint sums behind the pivot
-// summaries and the calibration) and measure.CovarianceOf / DotProductOf (the
-// index's α terms).  These tests hold them to it on finite data that walks the
-// edges of float64.
+// The tiled pivot-moment reductions promise the bits of the scalar primitives
+// they stand in for: measure.CovarianceOf and DotProductOf for the cross terms
+// of the pivot terms and the calibration, and — for the self-moments they are
+// paired with, memoised by timeseries.NewMoments — SumOf, VarianceOf and
+// DotProductOf(x, x).  These tests hold them to it on finite data that walks
+// the edges of float64.
 
 // hostileColumn draws m finite samples of one of seven kinds: a constant,
 // plain normals, ±0 among normals, magnitudes near 1e+150 and near 1e−150,
@@ -75,31 +75,12 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 	if err := measure.CrossMoments(x, mx, ys, mys, dot, cov); err != nil {
 		t.Fatal(err)
 	}
-	// The self-moments the engine pairs the cross terms with: the memoised
-	// reduction of a window's (or a clustering's) columns.
-	self := timeseries.NewMoments(append([][]float64{x}, ys...))
-	sumX, sqX := self.Sum[0], self.SqNorm[0]
 	same := func(got, want float64) bool {
 		// The products of 1e±150 samples overflow to ±Inf and their sums to
 		// NaN; which NaN is not part of the contract.
 		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
 	}
 	for c, y := range ys {
-		rp, err := stats.NewRunningPairFrom(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumY, sqY := self.Sum[1+c], self.SqNorm[1+c]
-		from := stats.RunningPairFromSums(m, sumX, sumY, sqX, sqY, dotOnly[c])
-		if !same(from.Sums()[0], rp.Sums()[0]) || !same(from.Sums()[1], rp.Sums()[1]) ||
-			!same(from.VarianceX(), rp.VarianceX()) || !same(from.VarianceY(), rp.VarianceY()) ||
-			!same(from.DotProduct(), rp.DotProduct()) || !same(from.Covariance(), rp.Covariance()) ||
-			from.Count() != rp.Count() {
-			t.Fatalf("m=%d, %d centres, centre %d: joint sums %+v, NewRunningPairFrom %+v", m, len(ys), c, from, rp)
-		}
-		if gx, gy := from.GramMatrix(), rp.GramMatrix(); !same(gx.At(0, 0), gy.At(0, 0)) || !same(gx.At(1, 1), gy.At(1, 1)) {
-			t.Fatalf("m=%d, %d centres, centre %d: Σx², Σy² differ from NewRunningPairFrom", m, len(ys), c)
-		}
 		wantDot, err := measure.DotProductOf(x, y)
 		if err != nil {
 			t.Fatal(err)
@@ -117,11 +98,24 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 				math.Float64bits(cov[c]), math.Float64bits(wantCov))
 		}
 	}
-	if sum := measure.SumOf(x); !same(sumX, sum) {
-		t.Fatalf("m=%d: memoised sum %v, SumOf %v", m, sumX, sum)
-	}
-	if sq, _ := measure.DotProductOf(x, x); !same(sqX, sq) {
-		t.Fatalf("m=%d: memoised sqNorm %v, DotProductOf(x, x) %v", m, sqX, sq)
+	// The self-moments the engine pairs the cross terms with: the memoised
+	// reduction of a window's (or a clustering's) columns.
+	cols := append([][]float64{x}, ys...)
+	self := timeseries.NewMoments(cols)
+	for c, col := range cols {
+		variance, err := measure.VarianceOf(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err := measure.DotProductOf(col, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(self.Sum[c], measure.SumOf(col)) || !same(self.Mean[c], meanOf(t, col)) ||
+			!same(self.Variance[c], variance) || !same(self.SqNorm[c], sq) {
+			t.Fatalf("m=%d, column %d: memoised moments (%v, %v, %v, %v), scalar primitives (%v, %v, %v, %v)", m, c,
+				self.Sum[c], self.Mean[c], self.Variance[c], self.SqNorm[c], measure.SumOf(col), meanOf(t, col), variance, sq)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // Scalar statistic primitives.  These are the raw-series building blocks the
 // built-in specs are assembled from; internal/stats re-exports them for
 // callers outside the measure layer.  They are deliberately two-pass (mean
-// then moments): the naive W_N method is the accuracy baseline, so it avoids
-// the cancellation the one-pass running sums (internal/stats.Running) accept
-// for O(1) updates.
+// then moments), which avoids the cancellation of the one-pass sums formula
+// (Σx² − m·x̄²)/(m−1); every second moment the engine reads — W_N, W_A and
+// the index alike — has this form.
 
 // DefaultModePrecision is the bucket width used when computing the mode of a
 // real-valued series.  Real measurements rarely repeat exactly, so the mode

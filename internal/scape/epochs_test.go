@@ -115,6 +115,26 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 	}
 }
 
+// requireAlphaFromPivotTerms checks that every node's α is the first row of
+// its measure's moment matrix over the pivot terms W_A propagates through
+// (symex.Result.PivotTerms, reduced here at parallelism 1), bit for bit.
+func requireAlphaFromPivotTerms(t *testing.T, label string, idx *Index, d *timeseries.DataMatrix, rel *symex.Result) {
+	t.Helper()
+	terms, err := rel.PivotTerms(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pi := range livePivots(rel) {
+		node := &idx.pivots[i]
+		for s, m := range idx.tMeasures {
+			want := measure.Lookup(m).Moment(terms[pi]).Alpha()
+			if got := node.measures[s].alpha; !sameBits(got[0], want[0]) || !sameBits(got[1], want[1]) || !sameBits(got[2], want[2]) {
+				t.Fatalf("%s %v %v: α = %v, the pivot terms give %v", label, node.pivot, m, got, want)
+			}
+		}
+	}
+}
+
 // requireSameLocation compares the location columns of two indexes entry by
 // entry.
 func requireSameLocation(t *testing.T, label string, got, want *Index) {
@@ -215,10 +235,6 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 				}
 				opts := Options{Parallelism: p}
 				idx, err := Build(d, rel, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				loc, err := BuildLocationOnly(d, rel, opts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -326,6 +342,7 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireSameIndex(t, fmt.Sprintf("epoch %d", e), upd, full)
+					requireAlphaFromPivotTerms(t, fmt.Sprintf("epoch %d", e), upd, d, next)
 					if upd.moments != d.Moments() || full.moments != d.Moments() {
 						t.Fatalf("epoch %d: an index reduced the window's columns itself", e)
 					}
@@ -336,7 +353,7 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 						}
 					}
 
-					// The location-only chain: center locations live on the
+					// The location-only index: center locations live on the
 					// clustering object, so a new one (here one whose centers
 					// moved) brings its own.
 					if e == epochs/2 {
@@ -353,19 +370,18 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 					if locClustering != next.Clustering {
 						locRel = symex.NewResult(layout, locClustering, relsOf(next))
 					}
-					chained, err := BuildLocationOnly(d, locRel, opts, loc)
+					loc, err := BuildLocationOnly(d, locRel, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cold, err := BuildLocationOnly(d, locRel, opts, nil)
-					if err != nil {
-						t.Fatal(err)
+					want := full
+					if locRel != next {
+						if want, err = Build(d, locRel, opts); err != nil {
+							t.Fatal(err)
+						}
 					}
-					requireSameLocation(t, fmt.Sprintf("epoch %d, location-only chain", e), chained, cold)
-					if locRel == next {
-						requireSameLocation(t, fmt.Sprintf("epoch %d, location-only against Build", e), chained, full)
-					}
-					idx, rel, loc = upd, next, chained
+					requireSameLocation(t, fmt.Sprintf("epoch %d, location-only against Build", e), loc, want)
+					idx, rel = upd, next
 				}
 				if shared == 0 || cloned == 0 || rebuilt < epochs/7 || repaired != shared {
 					t.Fatalf("%d shared (%d on the previous epoch's slice), %d re-derived, %d rebuilt stores: the epochs did not cover every route",

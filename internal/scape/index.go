@@ -474,22 +474,20 @@ type nodeWork struct {
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
 	stale []staleCount, parallelism int) ([]nodeWork, error) {
 
-	// The self-moments of the pivots' columns are memoised where the columns
-	// live: a series' on the window, a center's on the clustering.
-	series, centers := d.Moments(), rel.Clustering.CenterMoments()
-	idx.moments = series
+	idx.moments = d.Moments()
 	idx.bounds = make([]paramBounds, len(idx.dMeasures))
 
+	// The pivot terms are the ones W_A propagates through, assembled in one
+	// place (symex.Result.PivotTerms); it also checks every pivot's columns.
+	terms, err := rel.PivotTerms(d, parallelism)
+	if err != nil {
+		return nil, err
+	}
 	pivots := rel.Layout().Pivots()
 	pivotOrder := livePivots(rel)
-	// Check every pivot's columns in pivot order first, so the error reported
-	// does not depend on how the build below is blocked; offsets[i] is where
-	// node i's entries start in the key and rank slabs.
+	// offsets[i] is where node i's entries start in the key and rank slabs.
 	offsets := make([]int, len(pivotOrder)+1)
 	for i, pi := range pivotOrder {
-		if _, _, err := rel.PivotColumns(d, pivots[pi]); err != nil {
-			return nil, err
-		}
 		offsets[i+1] = offsets[i] + rel.PivotLen(pi)
 	}
 	specs := make([]*measure.Spec, len(idx.tMeasures))
@@ -503,58 +501,22 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 	ranks := make([]int32, T*offsets[len(pivotOrder)])
 	work := make([]nodeWork, len(pivotOrder))
 
-	err := par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
-		// The cross moments of O_p = [s_common, r_cluster] are the only
-		// pivot-specific reductions; the pivots of one common series are a run
-		// of the canonical order and are reduced together, the series loaded
-		// once for a tile of its centers.  (A run cut by a block boundary is
-		// reduced in two pieces, which changes no output.)
-		var cols [][]float64
-		var means, dots, covs []float64
-		for lo := blk.Lo; lo < blk.Hi; {
-			common := pivots[pivotOrder[lo]].Common
-			hi := lo
-			cols, means = cols[:0], means[:0]
-			for ; hi < blk.Hi && pivots[pivotOrder[hi]].Common == common; hi++ {
-				l := pivots[pivotOrder[hi]].Cluster
-				cols = append(cols, rel.Clustering.Centers[l])
-				means = append(means, centers.Mean[l])
-			}
-			x, err := d.Series(common)
+	err = par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
+		for i := blk.Lo; i < blk.Hi; i++ {
+			pi := pivotOrder[i]
+			node := &idx.pivots[i]
+			node.pivot = pivots[pi]
+			node.measures = measures[T*i : T*(i+1) : T*(i+1)]
+			var prevMeasures []pivotMeasure
+			var err error
+			node.canon, prevMeasures, work[i].storeDelta, err = nodeStore(rel, pi, prev, i, stale)
 			if err != nil {
 				return err
 			}
-			if cap(dots) < len(cols) {
-				dots, covs = make([]float64, len(cols)), make([]float64, len(cols))
-			}
-			dots, covs = dots[:len(cols)], covs[:len(cols)]
-			if err := measure.CrossMoments(x, series.Mean[common], cols, means, dots, covs); err != nil {
-				return err
-			}
-			for i := lo; i < hi; i++ {
-				pi := pivotOrder[i]
-				pivot := pivots[pi]
-				l := pivot.Cluster
-				terms := measure.PivotTerms{
-					Cov:        [3]float64{series.Variance[common], covs[i-lo], centers.Variance[l]},
-					Dot:        [3]float64{series.SqNorm[common], dots[i-lo], centers.SqNorm[l]},
-					ColSums:    [2]float64{series.Sum[common], centers.Sum[l]},
-					NumSamples: idx.numSamples,
-				}
-				node := &idx.pivots[i]
-				node.pivot = pivot
-				node.measures = measures[T*i : T*(i+1) : T*(i+1)]
-				var prevMeasures []pivotMeasure
-				node.canon, prevMeasures, work[i].storeDelta, err = nodeStore(rel, pi, prev, i, stale)
-				if err != nil {
-					return err
-				}
-				k := len(node.canon)
-				at := T * offsets[i]
-				work[i].scratchHit = finishPivotNode(node, specs, terms, prevMeasures,
-					keys[at:at+T*k:at+T*k], ranks[at:at+T*k:at+T*k])
-			}
-			lo = hi
+			k := len(node.canon)
+			at := T * offsets[i]
+			work[i].scratchHit = finishPivotNode(node, specs, terms[pi], prevMeasures,
+				keys[at:at+T*k:at+T*k], ranks[at:at+T*k:at+T*k])
 		}
 		return nil
 	})

@@ -16,10 +16,9 @@ import (
 // answers L-measure index queries from one location-only index built over the
 // union of all shards' relationships, which is byte-identical to the
 // single-engine index's location columns, while the shards themselves index no
-// L-measures at all.  The last parameter, the previous epoch's location-only
-// index, is ignored: the center locations it used to lend are memoised on the
-// clustering.
-func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options, _ *Index) (*Index, error) {
+// L-measures at all.  The center locations it reads are memoised on the
+// clustering, so an epoch's build reduces no center.
+func BuildLocationOnly(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

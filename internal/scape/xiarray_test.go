@@ -557,7 +557,7 @@ func TestBuildSortsLocationEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Update", upd)
-	loc, err := BuildLocationOnly(next, rel, Options{}, nil)
+	loc, err := BuildLocationOnly(next, rel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 	rel *symex.Result, epoch int) (*coordState, error) {
 	var locIndex *scape.Index
 	if !c.cfg.Engine.SkipIndex {
-		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts, nil)
+		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts)
 		if err != nil {
 			return nil, err
 		}

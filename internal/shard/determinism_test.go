@@ -309,15 +309,17 @@ func mixedBatch() []plan.QuerySpec {
 // Advances), and asserts every query case agrees at every epoch.
 func runShardDeterminism(t *testing.T, cfg core.Config) {
 	t.Helper()
-	runShardDeterminismSplit(t, cfg, cfg, 1)
+	runShardDeterminismSplit(t, cfg, cfg, 1, false)
 }
 
 // runShardDeterminismSplit is the harness core: the baseline engine runs
 // baseCfg, the coordinators run coordCfg, and every epoch's battery is issued
 // `passes` times against each coordinator.  A second pass turns every query
 // into a cache-hit candidate when coordCfg enables the result cache, so the
-// cached answers are compared against the cold baseline too.
-func runShardDeterminismSplit(t *testing.T, baseCfg, coordCfg core.Config, passes int) {
+// cached answers are compared against the cold baseline too.  With cold set
+// the baseline is not streamed: every epoch it is built afresh on the slid
+// window over the coordinators' frozen clustering.
+func runShardDeterminismSplit(t *testing.T, baseCfg, coordCfg core.Config, passes int, cold bool) {
 	t.Helper()
 	const n, window, rounds, slide = 20, 90, 3, 5
 
@@ -367,15 +369,34 @@ func runShardDeterminismSplit(t *testing.T, baseCfg, coordCfg core.Config, passe
 	}
 
 	check("epoch0")
+	slid := fx.window
 	for r := 0; r < rounds; r++ {
 		ticks := fx.ticks[r*slide : (r+1)*slide]
-		for _, tick := range ticks {
-			if err := baseline.Append(tick); err != nil {
+		if cold {
+			batch := make([][]float64, n)
+			for v := range batch {
+				batch[v] = make([]float64, slide)
+				for s, tick := range ticks {
+					batch[v][s] = tick[v]
+				}
+			}
+			if slid, err = slid.SlideCopy(batch); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := baseline.Advance(); err != nil {
-			t.Fatalf("baseline advance %d: %v", r, err)
+			frozenCfg := baseCfg
+			frozenCfg.Clustering = baseline.Relationships().Clustering
+			if baseline, err = core.Build(slid, frozenCfg); err != nil {
+				t.Fatalf("baseline cold build %d: %v", r, err)
+			}
+		} else {
+			for _, tick := range ticks {
+				if err := baseline.Append(tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := baseline.Advance(); err != nil {
+				t.Fatalf("baseline advance %d: %v", r, err)
+			}
 		}
 		for _, ce := range coords {
 			for _, tick := range ticks {
@@ -390,8 +411,8 @@ func runShardDeterminismSplit(t *testing.T, baseCfg, coordCfg core.Config, passe
 			if info.Epoch != r+1 || info.Slide != slide {
 				t.Fatalf("%s advance %d: info %+v", ce.name, r, info)
 			}
-			if ce.c.Epoch() != baseline.Epoch() {
-				t.Fatalf("%s epoch %d != baseline %d", ce.name, ce.c.Epoch(), baseline.Epoch())
+			if ce.c.Epoch() != r+1 {
+				t.Fatalf("%s epoch %d, want %d", ce.name, ce.c.Epoch(), r+1)
 			}
 		}
 		check(fmt.Sprintf("epoch%d", r+1))
@@ -437,5 +458,5 @@ func TestShardedDeterminismCached(t *testing.T) {
 	}
 	cached := cold
 	cached.Cache = qcache.Options{Enabled: true}
-	runShardDeterminismSplit(t, cold, cached, 2)
+	runShardDeterminismSplit(t, cold, cached, 2, false)
 }

@@ -10,8 +10,9 @@
 // land wholly on one shard.  Pivots of the same cluster are co-located
 // (cluster-aligned placement), which keeps each shard's pivot summaries
 // reading a small set of cluster centers; the cheap O(n) per-series state
-// (running statistics, calibration, location estimates) is replicated on
-// every shard, and all shards read the same immutable data window.
+// (calibration, location estimates) is replicated on every shard, and all
+// shards read the same immutable data window and its one memoised reduction to
+// per-series moments.
 package shard
 
 import (

@@ -366,6 +366,12 @@ func TestCoordinatorStreaming(t *testing.T) {
 	if ac.Epoch() != 1 || ac.PendingSamples() != 0 {
 		t.Fatalf("auto-advance: epoch %d pending %d", ac.Epoch(), ac.PendingSamples())
 	}
+
+	// Streamed with the refit-all default, a coordinator at every S and P
+	// answers the whole determinism battery bit for bit like a cold single
+	// engine built on the slid window over the frozen clustering.
+	cold := core.Config{Clusters: 4, Seed: 5}
+	runShardDeterminismSplit(t, cold, cold, 1, true)
 }
 
 // TestIndexScatterFollowsTheEpoch streams a MaxLSFD-pruned coordinator whose

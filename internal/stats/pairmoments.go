@@ -6,10 +6,10 @@ import (
 	"affinity/internal/timeseries"
 )
 
-// This file is the cross term of the streaming sufficient statistics: where
-// Running slides Σx and Σx² of one series, PairMoments slides Σ x_u·x_v of
-// every pair of a fixed pair list — the recurrence RunningPair.Add/Evict has
-// carried since the seed, as one column instead of one struct per pair.
+// This file is the one streaming sufficient statistic the engine slides:
+// PairMoments slides Σ x_u·x_v of every pair of a fixed pair list, one add and
+// one evict product per pair and slid sample, as one column.  Per-series
+// moments are never slid; every epoch reads its window's fresh reduction.
 //
 // The column is a bound provider, not a value provider: a slid sum is not the
 // bits the blocked kernels reduce from the window, so no answer is ever read

@@ -8,6 +8,8 @@ import (
 
 	"affinity/internal/cluster"
 	"affinity/internal/mat"
+	"affinity/internal/measure"
+	"affinity/internal/par"
 	"affinity/internal/timeseries"
 )
 
@@ -246,4 +248,68 @@ func (r *Result) PivotMatrix(d *timeseries.DataMatrix, p Pivot) (*mat.Matrix, er
 // the clustering's center vector.
 func (r *Result) PivotColumns(d *timeseries.DataMatrix, p Pivot) (common, center []float64, err error) {
 	return pivotColumns(d, r.Clustering, p)
+}
+
+// PivotTerms returns the pivot-side terms of every layout pivot over window d,
+// aligned with Layout().Pivots() (pruned pivots included, so a refit that
+// revives a pair finds its pivot's terms): the covariance and Gram blocks and
+// the column sums of O_p = [s_common, r_cluster] — the moments the paper's
+// pre-processing step stores in pivotHash, which W_A propagates (Eqs. 5–7) and
+// whose first row is SCAPE's α.  This is the one place they are assembled.
+// The self-moments are the memoised two-pass ones of the window and of the
+// clustering; the cross terms are reduced by measure.CrossMoments in the
+// centred form, the common series loaded once for a tile of its centers.
+// The output is identical at any parallelism.
+func (r *Result) PivotTerms(d *timeseries.DataMatrix, parallelism int) ([]measure.PivotTerms, error) {
+	pivots := r.layout.pivots
+	// Check every pivot's columns in pivot order first, so the error reported
+	// does not depend on how the reduction below is blocked.
+	for _, p := range pivots {
+		if _, _, err := r.PivotColumns(d, p); err != nil {
+			return nil, err
+		}
+	}
+	series, centers := d.Moments(), r.Clustering.CenterMoments()
+	terms := make([]measure.PivotTerms, len(pivots))
+	// Pivots are in (Common, Cluster) order, so the pivots of one common series
+	// are a run; a run cut by a block boundary is reduced in two pieces, which
+	// changes no output (every pivot has its own accumulators).
+	k := r.Clustering.K() // a common series has at most one pivot per center
+	err := par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
+		cols := make([][]float64, 0, k)
+		scratch := make([]float64, 3*k)
+		for lo := blk.Lo; lo < blk.Hi; {
+			common := pivots[lo].Common
+			cols = cols[:0]
+			for hi := lo; hi < blk.Hi && pivots[hi].Common == common; hi++ {
+				cols = append(cols, r.Clustering.Centers[pivots[hi].Cluster])
+			}
+			run := pivots[lo : lo+len(cols)]
+			means, dots, covs := scratch[:len(run)], scratch[k:k+len(run)], scratch[2*k:2*k+len(run)]
+			for i, p := range run {
+				means[i] = centers.Mean[p.Cluster]
+			}
+			x, err := d.Series(common)
+			if err != nil {
+				return err
+			}
+			if err := measure.CrossMoments(x, series.Mean[common], cols, means, dots, covs); err != nil {
+				return err
+			}
+			for i, p := range run {
+				terms[lo+i] = measure.PivotTerms{
+					Cov:        [3]float64{series.Variance[common], covs[i], centers.Variance[p.Cluster]},
+					Dot:        [3]float64{series.SqNorm[common], dots[i], centers.SqNorm[p.Cluster]},
+					ColSums:    [2]float64{series.Sum[common], centers.Sum[p.Cluster]},
+					NumSamples: len(x),
+				}
+			}
+			lo += len(run)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return terms, nil
 }

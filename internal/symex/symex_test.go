@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"affinity/internal/cluster"
@@ -292,6 +293,71 @@ func TestPivotMatrixErrors(t *testing.T) {
 	}
 	if anyPivot.String() == "" {
 		t.Fatal("Pivot.String should render")
+	}
+}
+
+// TestPivotTermsMatchScalarPrimitives: the one assembly of the pivot terms is
+// the two-pass scalar reductions of each pivot's two columns, bit for bit, for
+// every layout pivot (pruned ones included) and at any parallelism, and it
+// rejects a pivot whose columns do not fit the window.
+func TestPivotTermsMatchScalarPrimitives(t *testing.T) {
+	d := correlatedData(t, 11, 3, 16, 73, 0.05)
+	opts := defaultOptions()
+	opts.MaxLSFD = 0.05
+	res, err := Compute(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pivots := res.Layout().Pivots()
+	pruned := 0
+	for pi := range pivots {
+		if res.PivotLen(pi) == 0 {
+			pruned++
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("MaxLSFD pruned no pivot: the pruned-pivot case is not covered")
+	}
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	for _, p := range []int{1, 2, 8} {
+		terms, err := res.PivotTerms(d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(terms) != len(pivots) {
+			t.Fatalf("P=%d: %d terms for %d pivots", p, len(terms), len(pivots))
+		}
+		for pi, pivot := range pivots {
+			x, r, err := res.PivotColumns(d, pivot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			varX, _ := stats.VarianceOf(x)
+			varR, _ := stats.VarianceOf(r)
+			cov, _ := stats.CovarianceOf(x, r)
+			sqX, _ := stats.DotProductOf(x, x)
+			sqR, _ := stats.DotProductOf(r, r)
+			dot, _ := stats.DotProductOf(x, r)
+			want := [8]float64{varX, cov, varR, sqX, dot, sqR, stats.SumOf(x), stats.SumOf(r)}
+			got := terms[pi]
+			have := [8]float64{got.Cov[0], got.Cov[1], got.Cov[2], got.Dot[0], got.Dot[1], got.Dot[2], got.ColSums[0], got.ColSums[1]}
+			for i := range want {
+				if bits(have[i]) != bits(want[i]) {
+					t.Fatalf("P=%d pivot %v: terms %v, scalar primitives %v", p, pivot, have, want)
+				}
+			}
+			if got.NumSamples != d.NumSamples() {
+				t.Fatalf("P=%d pivot %v: %d samples, want %d", p, pivot, got.NumSamples, d.NumSamples())
+			}
+		}
+	}
+
+	short := &cluster.Result{Centers: make([][]float64, len(res.Clustering.Centers)), Assignment: res.Clustering.Assignment}
+	for l, c := range res.Clustering.Centers {
+		short.Centers[l] = c[:len(c)-1]
+	}
+	if _, err := NewResult(res.Layout(), short, slices.Clone(res.rels)).PivotTerms(d, 2); !errors.Is(err, timeseries.ErrShapeMismatch) {
+		t.Fatalf("short centers: %v, want timeseries.ErrShapeMismatch", err)
 	}
 }
 
