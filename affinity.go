@@ -479,8 +479,11 @@ type Options struct {
 	MinChanges int
 	// Seed makes clustering (and therefore the whole build) reproducible.
 	Seed int64
-	// DisablePseudoInverseCache selects plain SYMEX instead of SYMEX+
-	// (slower build, identical results); exposed mainly for benchmarking.
+	// DisablePseudoInverseCache selects plain SYMEX — one pseudo-inverse per
+	// relationship, the paper's Fig 13 ablation — instead of SYMEX+'s
+	// moment-form fits (slower build; the fits agree to about 1e-12 of each
+	// series' standard deviation, not bit for bit); exposed mainly for
+	// benchmarking.
 	DisablePseudoInverseCache bool
 	// SkipIndex skips the SCAPE index when only MEC queries are needed.
 	SkipIndex bool

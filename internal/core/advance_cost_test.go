@@ -54,7 +54,8 @@ func TestAdvanceAllocationsFollowPivots(t *testing.T) {
 
 // TestAdvanceInfoCountersUnderPruning replays every epoch of a pruning,
 // drift-bounded stream against the counts a map-based bookkeeping of the same
-// stale sets gives: refit, reused and pivot counters, and the life cycle of a
+// stale sets gives: refit and reused counters, the kernel-pivot counter against
+// the result's own, and the life cycle of a
 // pruned pair — it stays pruned (and out of the stale set) until a refresh
 // epoch takes it back.
 func TestAdvanceInfoCountersUnderPruning(t *testing.T) {
@@ -110,9 +111,13 @@ func TestAdvanceInfoCountersUnderPruning(t *testing.T) {
 				events["stayed pruned"]++
 			}
 		}
-		if info.ReusedRelationships != reused || info.RefitRelationships != len(now)-reused || info.RefitPivots != len(stalePivots) {
-			t.Fatalf("epoch %d: refit/reused/pivots %d/%d/%d, bookkeeping gives %d/%d/%d", epoch,
-				info.RefitRelationships, info.ReusedRelationships, info.RefitPivots, len(now)-reused, reused, len(stalePivots))
+		// RefitPivots counts the stale pivots the kernel fitted — those the
+		// moment form's guard turned away, a subset of the stale pivots.
+		if info.ReusedRelationships != reused || info.RefitRelationships != len(now)-reused ||
+			info.RefitPivots != rel.Stats.PseudoInverseComputations || info.RefitPivots > len(stalePivots) {
+			t.Fatalf("epoch %d: refit/reused/kernel pivots %d/%d/%d (%d in Stats), bookkeeping gives %d/%d and %d stale pivots", epoch,
+				info.RefitRelationships, info.ReusedRelationships, info.RefitPivots, rel.Stats.PseudoInverseComputations,
+				len(now)-reused, reused, len(stalePivots))
 		}
 		if e.Info().NumRelationships != len(now) || rel.Stats.NumRelationships != len(now) {
 			t.Fatalf("epoch %d: relationship counters %d/%d, %d stored", epoch, e.Info().NumRelationships, rel.Stats.NumRelationships, len(now))

@@ -34,7 +34,6 @@ import (
 	"affinity/internal/baseline"
 	"affinity/internal/cluster"
 	"affinity/internal/measure"
-	"affinity/internal/par"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
@@ -127,7 +126,9 @@ type Config struct {
 	// clustering (used by streaming equivalence tests and by rebuilds that
 	// deliberately freeze the cluster structure).
 	Clustering *cluster.Result
-	// DisablePseudoInverseCache selects plain SYMEX instead of SYMEX+.
+	// DisablePseudoInverseCache selects plain SYMEX — one m-sample
+	// pseudo-inverse per relationship, the paper's Fig 13 ablation — instead
+	// of SYMEX+ (the moment-form fits).
 	DisablePseudoInverseCache bool
 	// SkipIndex skips building the SCAPE index (MEC-only deployments).
 	SkipIndex bool
@@ -205,12 +206,15 @@ func (c Config) indexOptions() scape.Options {
 // For a streaming engine the per-epoch fields (Epoch, RefitRelationships,
 // ReusedRelationships, AdvanceDuration) describe the most recent Advance.
 type BuildInfo struct {
-	NumSeries            int
-	NumSamples           int
-	NumPairs             int
-	NumPivots            int
-	NumRelationships     int
-	ClusterIterations    int
+	NumSeries         int
+	NumSamples        int
+	NumPairs          int
+	NumPivots         int
+	NumRelationships  int
+	ClusterIterations int
+	// PseudoInverseCount counts the pivots (relationships, under plain SYMEX)
+	// the m-sample kernel fitted: under SYMEX+ only those the moment form's
+	// exactness guard turned away.  PseudoInverseHits counts the other fits.
 	PseudoInverseCount   int
 	PseudoInverseHits    int
 	ClusteringDuration   time.Duration
@@ -487,9 +491,12 @@ func (e *Engine) Epoch() int { return e.state().epoch }
 // a function of the window alone or of the clustering alone — the series' and
 // the centers' self-moments, the centers' L-measures — is read off the memo on
 // that object, never reduced here, so an epoch's derived state is exactly a
-// cold build's on the same window.  parallelism shards the per-pivot and
-// per-series work; the outputs are index-aligned slices, so they are identical
-// at any level.
+// cold build's on the same window.  The pivot terms and the centre
+// covariances are the relationship layout's memo for the window: a build
+// reads what Compute's fits reduced, an Advance reduces them here and the
+// Refit and the index update after it read them.  parallelism shards the
+// per-pivot and per-series work; the outputs are index-aligned slices, so they
+// are identical at any level.
 func (st *engineState) buildDerived(parallelism int) error {
 	summaries, err := st.rel.PivotTerms(st.data, parallelism)
 	if err != nil {
@@ -543,50 +550,27 @@ func (st *engineState) calibratedLocations(m stats.Measure) ([]float64, error) {
 // calibrate fills calibA and calibB: the least-squares line of every series
 // against its cluster center, a = cov(r, s)/var(r) and b = mean_s − a·mean_r
 // (a = 0 under a constant center).  The self-moments are the memoised
-// two-pass ones and the covariance is CrossMoments' centred form — the form of
-// every other second moment the engine reads — reduced per cluster, the
-// center loaded once for a tile of its members.
+// two-pass ones and the covariance is symex.Result.CenterCovariances — the one
+// reduction of it per window, which the moment-form fits read too.
 func (st *engineState) calibrate(parallelism int) error {
+	covs, err := st.rel.CenterCovariances(st.data, parallelism)
+	if err != nil {
+		return err
+	}
 	clustering := st.rel.Clustering
 	series, cms := st.seriesMoments, clustering.CenterMoments()
-	n, m := st.data.NumSeries(), st.data.NumSamples()
-	members := make([][]timeseries.SeriesID, clustering.K())
-	for _, id := range st.data.IDs() {
-		omega, err := clustering.Omega(id)
-		if err != nil {
-			return err
-		}
-		if c := clustering.Centers[omega]; len(c) != m {
-			return fmt.Errorf("%w: %d vs %d", stats.ErrLengthMismatch, len(c), m)
-		}
-		members[omega] = append(members[omega], id)
-	}
+	n := st.data.NumSeries()
 	st.calibA = make([]float64, n)
 	st.calibB = make([]float64, n)
-	return par.Do(len(members), parallelism, func(l int) error {
-		k := len(members[l])
-		cols := make([][]float64, k)
-		buf := make([]float64, 3*k)
-		means, dots, covs := buf[:k], buf[k:2*k], buf[2*k:]
-		for i, id := range members[l] {
-			s, err := st.data.Series(id)
-			if err != nil {
-				return err
-			}
-			cols[i], means[i] = s, series.Mean[id]
+	for _, id := range st.data.IDs() {
+		l := clustering.Assignment[id]
+		var a float64
+		if cms.Variance[l] != 0 {
+			a = covs[id] / cms.Variance[l]
 		}
-		if err := measure.CrossMoments(clustering.Centers[l], cms.Mean[l], cols, means, dots, covs); err != nil {
-			return err
-		}
-		for i, id := range members[l] {
-			var a float64
-			if cms.Variance[l] != 0 {
-				a = covs[i] / cms.Variance[l]
-			}
-			st.calibA[id], st.calibB[id] = a, series.Mean[id]-a*cms.Mean[l]
-		}
-		return nil
-	})
+		st.calibA[id], st.calibB[id] = a, series.Mean[id]-a*cms.Mean[l]
+	}
+	return nil
 }
 
 // numUniversePairs returns the size of the epoch's pairwise query universe:

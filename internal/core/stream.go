@@ -51,17 +51,24 @@ import (
 //	                 the K centers' are memoised on the clustering and cost
 //	                 an epoch nothing
 //	O(P·m)           the pivot cross moments Σxy and Σ(x−x̄)(y−ȳ): one form,
-//	                 reduced once per consumer (the summaries and the index
-//	                 each call symex.Result.PivotTerms) in one shared-operand
-//	                 pass — a common series is loaded once for a tile of its
-//	                 centers (measure.CrossMoments), not once per pivot and
-//	                 term
-//	O(n·m)           calibration: Σ(r−r̄)(s−s̄) per series, a center loaded
+//	                 reduced once per window and engine
+//	                 (symex.Result.PivotTerms, memoised on the layout: the
+//	                 summaries, drift scoring, the fits and the index read
+//	                 the one reduction) in one shared-operand pass — a
+//	                 common series is loaded once for a tile of its centers
+//	                 (measure.CrossMoments), not once per pivot and term
+//	O(n·m)           Σ(r−r̄)(s−s̄) of every series with its own center, once
+//	                 per window and engine (symex.Result.CenterCovariances:
+//	                 the calibration and the fits read it), a center loaded
 //	                 once for a tile of its members
 //	O(P·k)           drift scoring, a closed form per relationship found by
 //	                 slot (no hashing)
-//	O(|stale|·m)     re-fit the stale relationships: one pseudo-inverse per
-//	                 stale pivot, one O(m) solve per stale pair
+//	O(|stale|·m)     re-fit the stale relationships: one centred dot
+//	+ O(P)           cov(s_common, s_other) per stale pair (kernel.CovBlock,
+//	                 four pairs of a pivot per tile), then the moment form's
+//	                 2×2 solve — a determinant per stale pivot, O(1) per
+//	                 pair; only a pivot the exactness guard turns away pays
+//	                 the kernel's pseudo-inverse and three dots per pair
 //	O(|stale| + P'·k) count the stale pairs per pivot and re-derive the
 //	                 sequence stores of the P' pivots that have one from the
 //	                 relationship set; every other store is shared
@@ -123,7 +130,9 @@ type AdvanceInfo struct {
 	RefitRelationships int
 	// ReusedRelationships is the number carried over unchanged.
 	ReusedRelationships int
-	// RefitPivots is the number of pivot pseudo-inverses recomputed.
+	// RefitPivots is the number of stale pivots the m-sample kernel refit —
+	// under SYMEX+ only those the moment form's exactness guard turned away,
+	// each one pseudo-inverse.
 	RefitPivots int
 	// Stale is the drift-selected stale pair set handed to the refit (nil on
 	// full-refit epochs).  A sharded coordinator unions the per-shard sets to

@@ -3,8 +3,12 @@ package symex
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +16,7 @@ import (
 	"affinity/internal/cluster"
 	"affinity/internal/lsfd"
 	"affinity/internal/mat"
+	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -36,30 +41,185 @@ func pairMatrices(t testing.TB, d *timeseries.DataMatrix, res *Result, pair time
 	return op, target
 }
 
-// requireGenericFits requires every relationship of res to carry exactly the
-// bits the generic affine.Fit produces for it on d.
-func requireGenericFits(t testing.TB, label string, d *timeseries.DataMatrix, res *Result, only map[timeseries.Pair]bool) {
+// momentOracle is the moment-form fit of one relationship assembled from the
+// scalar primitives — the bits the window and centre memos, CrossMoments and
+// CovBlock carry — through the production solve.  ok is false where the
+// exactness guard sends the pivot to the kernel.
+func momentOracle(common, centre, other []float64) (tr *affine.Transform, ok bool) {
+	vs, _ := stats.VarianceOf(common)
+	vr, _ := stats.VarianceOf(centre)
+	csr, _ := stats.CovarianceOf(common, centre)
+	csy, _ := stats.CovarianceOf(common, other)
+	cry, _ := stats.CovarianceOf(centre, other)
+	ms, _ := stats.MeanOf(common)
+	mr, _ := stats.MeanOf(centre)
+	my, _ := stats.MeanOf(other)
+	mp, ok := newMomentPivot(len(common), [3]float64{vs, csr, vr}, ms, mr)
+	if !ok {
+		return nil, false
+	}
+	as, ar, b := mp.solve(csy, cry, my)
+	if !finite(as) || !finite(ar) || !finite(b) {
+		return nil, false
+	}
+	return &affine.Transform{A: [2][2]float64{{1, as}, {0, ar}}, B: [2]float64{0, b}}, true
+}
+
+// fitColumns returns the three columns of one relationship's fit.
+func fitColumns(t testing.TB, d *timeseries.DataMatrix, clustering *cluster.Result, pair timeseries.Pair, p Pivot) (common, centre, other []float64) {
 	t.Helper()
+	common, centre, err := pivotColumns(d, clustering, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherID, err := pair.Other(p.Common)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ = d.Series(otherID)
+	return common, centre, other
+}
+
+// expectedFit is the oracle of one relationship: under SYMEX+ (batch) the
+// moment form where the guard admits the pivot, otherwise the generic
+// affine.Fit.  It reports whether the kernel's route was taken.
+func expectedFit(t testing.TB, d *timeseries.DataMatrix, clustering *cluster.Result, pair timeseries.Pair, p Pivot, batch bool) (tr *affine.Transform, kernel bool) {
+	t.Helper()
+	common, centre, other := fitColumns(t, d, clustering, pair, p)
+	if batch {
+		if tr, ok := momentOracle(common, centre, other); ok {
+			return tr, false
+		}
+	}
+	op, target := pairMatrices(t, d, &Result{Clustering: clustering}, pair, p)
+	tr, err := affine.Fit(op, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, true
+}
+
+// exactFit returns the least-squares coefficients (a_s, a_r, b) of other on
+// [common, centre, 1] from the centred normal equations evaluated in 256-bit
+// arithmetic — the reference the float64 routes are measured against.
+func exactFit(common, centre, other []float64) (as, ar, b float64) {
+	const prec = 256
+	num := func(v float64) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(v) }
+	mean := func(x []float64) *big.Float {
+		sum := num(0)
+		for _, v := range x {
+			sum.Add(sum, num(v))
+		}
+		return sum.Quo(sum, num(float64(len(x))))
+	}
+	cols := [3][]float64{common, centre, other}
+	var means [3]*big.Float
+	for i, c := range cols {
+		means[i] = mean(c)
+	}
+	// cross[i][j] = Σ (x_i − x̄_i)(x_j − x̄_j)
+	var cross [3][3]*big.Float
+	for i := range cols {
+		for j := i; j < 3; j++ {
+			sum := num(0)
+			for k := range common {
+				di := num(cols[i][k])
+				di.Sub(di, means[i])
+				dj := num(cols[j][k])
+				dj.Sub(dj, means[j])
+				sum.Add(sum, di.Mul(di, dj))
+			}
+			cross[i][j], cross[j][i] = sum, sum
+		}
+	}
+	mul := func(x, y *big.Float) *big.Float { return new(big.Float).SetPrec(prec).Mul(x, y) }
+	sub := func(x, y *big.Float) *big.Float { return new(big.Float).SetPrec(prec).Sub(x, y) }
+	det := sub(mul(cross[0][0], cross[1][1]), mul(cross[0][1], cross[0][1]))
+	bas := sub(mul(cross[1][1], cross[0][2]), mul(cross[0][1], cross[1][2]))
+	bar := sub(mul(cross[0][0], cross[1][2]), mul(cross[0][1], cross[0][2]))
+	bas.Quo(bas, det)
+	bar.Quo(bar, det)
+	bb := sub(sub(means[2], mul(bas, means[0])), mul(bar, means[1]))
+	as, _ = bas.Float64()
+	ar, _ = bar.Float64()
+	b, _ = bb.Float64()
+	return as, ar, b
+}
+
+// requireWithinFitBound requires a moment-form transform to have the exact
+// canonical first column a₁ = (1, 0), b₁ = 0 and to agree with the exact least
+// squares fit of the same columns within the bound tau's comment derives, in
+// σ_v units: 2·(1 + 2‖â‖∞)·η / (1 − ρ²) on each slope with
+// η = (m + 2)·u + (m·u·κ)², κ the columns' largest |mean|/σ, and on b the
+// slopes' error times the means plus b's own rounding.  (The generic fit is
+// no yardstick here: on windows whose means dwarf their spread its uncentred
+// design is itself off by 1e-12 σ_v, which its first column shows.)  It
+// returns the largest slope error in σ_v units.
+func requireWithinFitBound(t testing.TB, label string, common, centre, other []float64, got *affine.Transform) float64 {
+	t.Helper()
+	if got.A[0][0] != 1 || got.A[1][0] != 0 || got.B[0] != 0 {
+		t.Fatalf("%s: first column %v, %v, b₁ %v, want exactly 1, 0, 0", label, got.A[0][0], got.A[1][0], got.B[0])
+	}
+	vs, _ := stats.VarianceOf(common)
+	vr, _ := stats.VarianceOf(centre)
+	vy, _ := stats.VarianceOf(other)
+	csr, _ := stats.CovarianceOf(common, centre)
+	ms, _ := stats.MeanOf(common)
+	mr, _ := stats.MeanOf(centre)
+	my, _ := stats.MeanOf(other)
+	ss, sr, sy := math.Sqrt(vs), math.Sqrt(vr), math.Sqrt(vy)
+	as, ar, b := exactFit(common, centre, other)
+	rho := csr / (ss * sr)
+	oneMinusRho2 := 1 - rho*rho
+	m := float64(len(common))
+	kappa := max(math.Abs(ms)/ss, math.Abs(mr)/sr, math.Abs(my)/sy)
+	eta := (m+2)*0x1p-53 + (m*0x1p-53*kappa)*(m*0x1p-53*kappa)
+	aHat := max(math.Abs(as)*ss/sy, math.Abs(ar)*sr/sy)
+	bound := 2 * (1 + 2*aHat) * eta / oneMinusRho2
+	boundB := bound*(math.Abs(ms)/ss+math.Abs(mr)/sr) + 2*eta*(math.Abs(my)+math.Abs(as*ms)+math.Abs(ar*mr))/sy
+	ds := math.Abs(got.A[0][1]-as) * ss / sy
+	dr := math.Abs(got.A[1][1]-ar) * sr / sy
+	db := math.Abs(got.B[1]-b) / sy
+	if !(ds <= bound) || !(dr <= bound) || !(db <= boundB) {
+		t.Fatalf("%s: moment form %v, exact fit %v %v %v: slopes off by %.3g, %.3g and b by %.3g σ_v, bounds %.3g, %.3g (1 − ρ² = %.3g)",
+			label, got, as, ar, b, ds, dr, db, bound, boundB, oneMinusRho2)
+	}
+	return max(ds, dr)
+}
+
+// requireFits holds every relationship of res (those in only, when non-nil) to
+// its route: the bits of expectedFit, and for a moment-form one agreement with
+// the exact fit within requireWithinFitBound.  It returns how many
+// relationships took the moment form and which pivots took the kernel.
+func requireFits(t testing.TB, label string, d *timeseries.DataMatrix, res *Result, only map[timeseries.Pair]bool, batch bool) (moment int, kernel map[Pivot]bool) {
+	t.Helper()
+	kernel = map[Pivot]bool{}
 	for rel := range res.All() {
 		pair := rel.Pair
 		if only != nil && !only[pair] {
 			continue
 		}
-		op, target := pairMatrices(t, d, res, pair, rel.Pivot)
-		want, err := affine.Fit(op, target)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, viaKernel := expectedFit(t, d, res.Clustering, pair, rel.Pivot, batch)
 		if transformBits(rel.Transform) != transformBits(want) {
-			t.Fatalf("%s: pair %v pivot %v: transform %v, generic fit %v", label, pair, rel.Pivot, rel.Transform, want)
+			t.Fatalf("%s: pair %v pivot %v (kernel=%v): transform %v, oracle %v", label, pair, rel.Pivot, viaKernel, rel.Transform, want)
 		}
+		if viaKernel {
+			kernel[rel.Pivot] = true
+			continue
+		}
+		moment++
+		common, centre, other := fitColumns(t, d, res.Clustering, pair, rel.Pivot)
+		requireWithinFitBound(t, fmt.Sprintf("%s: pair %v pivot %v", label, pair, rel.Pivot), common, centre, other, rel.Transform)
 	}
+	return moment, kernel
 }
 
-// TestResultsMatchGenericFit: Compute (SYMEX and SYMEX+) and Refit (full and
-// selective) must produce the coefficients of the generic mat/affine route
-// bit for bit — the contract that let the kernels replace it without
-// re-capturing any golden fixture.
+// TestResultsMatchGenericFit: plain SYMEX, and every pivot the exactness guard
+// sends to the kernel, produce the coefficients of the generic mat/affine
+// route bit for bit; every other SYMEX+ relationship is the moment form — the
+// scalar-primitive oracle's bits, within the derived bound of the exact least
+// squares fit — in Compute and in full and selective Refits.  A hand-made window puts a
+// pivot on every branch of the guard.
 func TestResultsMatchGenericFit(t *testing.T) {
 	d := correlatedData(t, 41, 3, 14, 90, 0.05)
 	clustering, err := cluster.Run(d, cluster.Config{K: 3, Seed: 1})
@@ -75,7 +235,16 @@ func TestResultsMatchGenericFit(t *testing.T) {
 		if res.Len() != d.NumPairs() {
 			t.Fatalf("cache=%v: %d relationships, want %d", cache, res.Len(), d.NumPairs())
 		}
-		requireGenericFits(t, fmt.Sprintf("Compute cache=%v", cache), d, res, nil)
+		// A pivot whose common series is the only other member of its
+		// cluster has 1 − ρ² ≈ 1e-15 and keeps the kernel.
+		moment, kernel := requireFits(t, fmt.Sprintf("Compute cache=%v", cache), d, res, nil, cache)
+		pinvs := len(kernel)
+		if !cache {
+			pinvs = res.Len()
+		}
+		if cache == (moment == 0) || res.Stats.PseudoInverseComputations != pinvs {
+			t.Fatalf("cache=%v: %d moment-form fits, %d pseudo-inverses for %d kernel pivots", cache, moment, res.Stats.PseudoInverseComputations, len(kernel))
+		}
 		prev = res
 	}
 
@@ -84,7 +253,7 @@ func TestResultsMatchGenericFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireGenericFits(t, "full Refit", next, full, nil)
+	requireFits(t, "full Refit", next, full, nil, true)
 
 	stale := map[timeseries.Pair]bool{}
 	for i, a := range prev.AssignmentList() {
@@ -99,7 +268,125 @@ func TestResultsMatchGenericFit(t *testing.T) {
 	if rs.Refit != len(stale) || rs.Reused != prev.Len()-len(stale) {
 		t.Fatalf("selective refit stats %+v with %d stale pairs", rs, len(stale))
 	}
-	requireGenericFits(t, "selective Refit", next, partial, stale)
+	requireFits(t, "selective Refit", next, partial, stale, true)
+
+	// Two samples: the centred system is underdetermined, every pivot keeps
+	// the kernel.
+	d2 := correlatedData(t, 48, 2, 6, 2, 0.05)
+	two, err := Compute(d2, Options{Cluster: cluster.Config{K: 2, Seed: 1}, CachePseudoInverse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moment, _ := requireFits(t, "m=2", d2, two, nil, true); moment != 0 || two.Stats.PseudoInverseComputations != two.Stats.NumPivots {
+		t.Fatalf("m=2: %d moment-form fits, %d pseudo-inverses for %d pivots", moment, two.Stats.PseudoInverseComputations, two.Stats.NumPivots)
+	}
+
+	// Two branches a single relationship reaches: a centre that is not the
+	// other series' own (its centre covariance is not the one the moment form
+	// needs), and a slope that overflows (a common series of spread 1e-9
+	// against another of scale 1e300).  Both keep the kernel's bits.
+	rng := rand.New(rand.NewSource(50))
+	huge, tiny := normals(rng, 90, 1e300), normals(rng, 90, 1e-9)
+	for name, c := range map[string]struct {
+		common, centre, other []float64
+		ownCentre             bool
+	}{
+		"foreign centre": {normals(rng, 90, 1), normals(rng, 90, 1), normals(rng, 90, 1), false},
+		"overflow":       {tiny, normals(rng, 90, 1), huge, true},
+	} {
+		got, rs := fitOne(t, c.common, c.centre, c.other, c.ownCentre)
+		if _, want := oracleFit(t, c.common, c.centre, c.other); transformBits(got) != transformBits(want) || rs.PivotInverses != 1 {
+			t.Fatalf("%s: transform %v (%d pseudo-inverses), kernel %v", name, got, rs.PivotInverses, want)
+		}
+	}
+
+	// The guard's branches, one pivot each (common series, cluster).
+	dg, guarded := guardData(t, 90)
+	res, rs, err := Refit(dg, guarded, RefitOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kernel := requireFits(t, "guard branches", dg, res, nil, true)
+	for p, want := range map[Pivot]bool{
+		{Common: 0, Cluster: 0}: true,  // constant common series
+		{Common: 5, Cluster: 1}: true,  // constant centre
+		{Common: 2, Cluster: 2}: true,  // common series equal to its centre
+		{Common: 4, Cluster: 4}: true,  // 1 − ρ² = tau/2
+		{Common: 3, Cluster: 3}: false, // 1 − ρ² = 2·tau: just past the guard
+		{Common: 1, Cluster: 0}: false, // an ordinary pivot
+	} {
+		if slices.Index(res.Layout().Pivots(), p) < 0 || kernel[p] != want {
+			t.Fatalf("pivot %v: kernel=%v, want %v", p, kernel[p], want)
+		}
+	}
+	if rs.PivotInverses != len(kernel) || res.Stats.PseudoInverseComputations != len(kernel) {
+		t.Fatalf("%d pseudo-inverses reported (%d in Stats), %d pivots took the kernel", rs.PivotInverses, res.Stats.PseudoInverseComputations, len(kernel))
+	}
+}
+
+// guardData returns an m-sample window of ten series and a result over a
+// hand-made layout (pair (u, v) keeps u as its common series) whose pivots hit
+// every branch of the moment form's guard: series 0 is constant, centre 1 is
+// constant, centre 2 is series 2, and centres 3 and 4 are series 3 and 4 plus
+// just enough orthogonal noise that 1 − ρ² is 2·tau and tau/2.
+func guardData(t testing.TB, m int) (*timeseries.DataMatrix, *Result) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(49))
+	series := make([][]float64, 10)
+	for v := range series {
+		series[v] = normals(rng, m, 1+float64(v))
+		for i := range series[v] {
+			series[v][i] += float64(v) + math.Sin(float64(i)/7)
+		}
+	}
+	series[0] = constant(m, 3)
+	// nearly returns x plus noise orthogonal to its centred part, scaled so the
+	// pair's 1 − ρ² is q.
+	nearly := func(x []float64, q float64) []float64 {
+		mx, _ := stats.MeanOf(x)
+		z := normals(rng, m, 1)
+		mz, _ := stats.MeanOf(z)
+		var xz, xx float64
+		for i := range z {
+			z[i] -= mz
+			xz += (x[i] - mx) * z[i]
+			xx += (x[i] - mx) * (x[i] - mx)
+		}
+		for i := range z {
+			z[i] -= xz / xx * (x[i] - mx)
+		}
+		vx, _ := stats.VarianceOf(x)
+		vz, _ := stats.VarianceOf(z)
+		eps := math.Sqrt(q * vx / (vz * (1 - q)))
+		out := make([]float64, m)
+		for i := range out {
+			out[i] = x[i] + eps*z[i]
+		}
+		return out
+	}
+	clustering := &cluster.Result{
+		Centers: [][]float64{
+			normals(rng, m, 1),
+			constant(m, 0.25),
+			slices.Clone(series[2]),
+			nearly(series[3], 2*tau),
+			nearly(series[4], tau/2),
+		},
+		Assignment: []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4},
+	}
+	d, err := timeseries.NewDataMatrix(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var assignments []Assignment
+	for _, pair := range d.AllPairs() {
+		assignments = append(assignments, Assignment{Pair: pair, Pivot: Pivot{Common: pair.U, Cluster: clustering.Assignment[pair.V]}})
+	}
+	layout, err := NewLayout(d.NumSeries(), assignments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, NewResult(layout, clustering, make([]*Relationship, len(assignments)))
 }
 
 // requireSameResult compares everything a consumer can observe of two
@@ -219,9 +506,10 @@ func TestRefitBookkeeping(t *testing.T) {
 	}
 }
 
-// TestRefitAllocations: a full Refit works out of per-worker scratch — it must
-// not allocate anything proportional to the window per relationship (the
-// generic route copied 2·m floats per fit).
+// TestRefitAllocations: a full Refit works out of per-worker scratch and the
+// window's O(pivots + series) memo — it must not allocate anything
+// proportional to the window per relationship (the generic route copied 2·m
+// floats per fit).
 func TestRefitAllocations(t *testing.T) {
 	const m = 4096
 	d := correlatedData(t, 44, 2, 40, m, 0.05)
@@ -240,7 +528,7 @@ func TestRefitAllocations(t *testing.T) {
 	if rs.Refit != len(prev.AssignmentList()) || res.Len() != rs.Refit {
 		t.Fatalf("full refit stats %+v over %d assignments", rs, len(prev.AssignmentList()))
 	}
-	const scratch = 6 * m * 8 // one sequential worker's pivotFit buffers
+	const scratch = 6 * m * 8 // one worker's kernel buffers, were a pivot to take the kernel
 	perRelationship := (float64(after.TotalAlloc-before.TotalAlloc) - scratch) / float64(rs.Refit)
 	if perRelationship >= 256 {
 		t.Fatalf("full Refit allocated %.0f B per relationship beyond scratch at m=%d, want < 256", perRelationship, m)

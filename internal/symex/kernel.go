@@ -7,12 +7,14 @@ import (
 	"affinity/internal/mat"
 )
 
-// This file holds the two matrix-free kernels behind every SYMEX fit.  The
-// generic route — affine.DesignMatrix, mat.PseudoInverse, then
-// affine.FitWithPseudoInverse's mat.Mul — stays the public entry and the
-// oracle the parity tests compare against; the kernels perform the same
-// floating-point operations in the same order on plain slices, so every
-// coefficient keeps its bits:
+// This file holds the two matrix-free kernels behind the m-sample fit, which
+// has two callers left: plain SYMEX (the Fig 13 ablation) and the SYMEX+
+// pivots the moment form's exactness guard turns away (momentfit.go); every
+// other SYMEX+ relationship is a 2×2 centred solve.  The generic route —
+// affine.DesignMatrix, mat.PseudoInverse, then affine.FitWithPseudoInverse's
+// mat.Mul — stays the public entry and the oracle the parity tests compare
+// against; the kernels perform the same floating-point operations in the same
+// order on plain slices, so every coefficient keeps its bits:
 //
 //   - setPivot is mat.PseudoInverse specialised to the design matrix
 //     [s_common, r_cluster, 1_m]: the same one-sided Jacobi sweeps

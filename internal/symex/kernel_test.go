@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"affinity/internal/affine"
+	"affinity/internal/cluster"
 	"affinity/internal/mat"
+	"affinity/internal/stats"
+	"affinity/internal/timeseries"
 )
 
 // oracleFit is the generic route the kernels replace: design matrix,
@@ -183,5 +186,98 @@ func FuzzFitKernelParity(f *testing.F) {
 			}
 		}
 		checkKernelParity(t, new(pivotFit), cols[0], cols[1], cols[2])
+	})
+}
+
+// fitOne fits the one relationship of a two-series window through Refit: the
+// other series regressed on [common, centre, 1_m].  Unless ownCentre is set,
+// the other series belongs to a second cluster, so centre is not its own.
+func fitOne(t testing.TB, common, centre, other []float64, ownCentre bool) (*affine.Transform, RefitStats) {
+	t.Helper()
+	d, err := timeseries.NewDataMatrix([][]float64{common, other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := NewLayout(2, []Assignment{{Pair: timeseries.Pair{U: 0, V: 1}, Pivot: Pivot{Common: 0, Cluster: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustering := &cluster.Result{Centers: [][]float64{centre, other}, Assignment: []int{0, 1}}
+	if ownCentre {
+		clustering.Assignment[1] = 0
+	}
+	res, rs, err := Refit(d, NewResult(layout, clustering, make([]*Relationship, 1)), RefitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.At(0).Transform, rs
+}
+
+// FuzzMomentFitParity decodes three equally long finite columns like
+// FuzzFitKernelParity and fits the one relationship they form — common series,
+// centre, other series — through Refit.  Where the exactness guard admits the
+// pivot the transform carries momentOracle's bits (which pins the reductions'
+// and the solve's operation order) and, on columns whose spread stays well
+// inside the float range and above the rounding of their means, keeps the
+// exact canonical first column and lies within requireWithinFitBound of the
+// exact fit; everywhere else it carries the kernel's bits.
+func FuzzMomentFitParity(f *testing.F) {
+	seed := func(cols ...[]float64) {
+		var b []byte
+		for i := range cols[0] {
+			for _, col := range cols {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(col[i]))
+			}
+		}
+		f.Add(b)
+	}
+	seed([]float64{1, 2, 4}, []float64{3, 5, 4}, []float64{-1, 4, 0})
+	seed([]float64{1, 2, 3}, []float64{1, 1, 1}, []float64{2, 4, 6})
+	seed([]float64{0, 0, 0, 7}, []float64{0, 0, 1, 0}, []float64{1, -1, 1, -1})
+	seed([]float64{1e150, -1e150, 3e149}, []float64{1e-150, 2e-150, 0}, []float64{1, 2, 3})
+	seed([]float64{100.1, 100.3, 99.8, 100.2}, []float64{0.4, 0.6, 0.5, 0.48}, []float64{7, 7.5, 6.4, 7.3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := len(data) / 24
+		if m < 2 {
+			return
+		}
+		if m > 64 {
+			m = 64
+		}
+		cols := [3][]float64{make([]float64, m), make([]float64, m), make([]float64, m)}
+		for i := 0; i < m; i++ {
+			for j := range cols {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data[(3*i+j)*8:]))
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return // DataMatrix.Validate rejects non-finite samples
+				}
+				cols[j][i] = v
+			}
+		}
+		common, centre, other := cols[0], cols[1], cols[2]
+		got, rs := fitOne(t, common, centre, other, true)
+		want, ok := momentOracle(common, centre, other)
+		if !ok {
+			if _, kernel := oracleFit(t, common, centre, other); transformBits(got) != transformBits(kernel) || rs.PivotInverses != 1 {
+				t.Fatalf("guarded pivot: transform %v (%d pseudo-inverses), kernel %v", got, rs.PivotInverses, kernel)
+			}
+			return
+		}
+		if transformBits(got) != transformBits(want) || rs.PivotInverses != 0 {
+			t.Fatalf("moment form: transform %v (%d pseudo-inverses), oracle %v", got, rs.PivotInverses, want)
+		}
+		for _, col := range cols {
+			v, _ := stats.VarianceOf(col)
+			mean, _ := stats.MeanOf(col)
+			for _, x := range col {
+				if x != 0 && (math.Abs(x) > 0x1p300 || math.Abs(x) < 0x1p-300) {
+					return
+				}
+			}
+			if floor := 16 * float64(m) * 0x1p-52 * mean; !(v > floor*floor) || !(v > 0x1p-600) {
+				return
+			}
+		}
+		requireWithinFitBound(t, "moment form", common, centre, other, got)
 	})
 }

@@ -42,18 +42,23 @@ type RefitStats struct {
 	Refit int
 	// Reused is the number of relationships carried over unchanged.
 	Reused int
-	// PivotInverses is the number of design-matrix pseudo-inverses
-	// recomputed (one per pivot with at least one stale relationship).
+	// PivotInverses is the number of pivots with a stale relationship that
+	// the kernel fitted — those the moment form's exactness guard turned
+	// away — each one design-matrix pseudo-inverse.
 	PivotInverses int
 	// Pruned is the number of re-fitted relationships dropped by MaxLSFD.
 	Pruned int
 }
 
 // Refit produces a new Result over the (slid) data matrix d: stale
-// relationships are re-fitted with fresh per-pivot pseudo-inverses, fresh
-// ones are shared with prev.  The clustering and the layout (the pair→pivot
-// assignment and its indexes) are taken from prev unchanged, so the work
-// beyond the fits is one slice clone and a visit to the stale slots.
+// relationships are re-fitted the way SYMEX+ fits them (the moment form, the
+// kernel where the guard says so), fresh ones are shared with prev.  The
+// clustering and the layout (the pair→pivot assignment and its indexes) are
+// taken from prev unchanged, so the work beyond the fits is one slice clone
+// and a visit to the stale slots; the window's pivot terms and centre
+// covariances are the layout's memo, which the engine has filled for d before
+// it calls Refit, and one centred dot per stale pair is what is left.  Every
+// centre is checked against d's length before anything is reduced.
 func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, RefitStats, error) {
 	var rs RefitStats
 	if err := d.Validate(); err != nil {
@@ -62,9 +67,8 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 	if prev == nil || prev.Clustering == nil {
 		return nil, rs, fmt.Errorf("symex: refit needs a previous result with clustering")
 	}
-	if len(prev.Clustering.Centers) > 0 && len(prev.Clustering.Centers[0]) != d.NumSamples() {
-		return nil, rs, fmt.Errorf("symex: cluster centers have %d samples, window has %d",
-			len(prev.Clustering.Centers[0]), d.NumSamples())
+	if err := checkCenters(prev.Clustering, d.NumSamples()); err != nil {
+		return nil, rs, err
 	}
 	layout := prev.layout
 	if len(layout.assignments) == 0 {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"affinity/internal/cluster"
 	"affinity/internal/mat"
@@ -18,9 +20,10 @@ import (
 // hashing — pair→slot, slot→pivot and each pivot's slots.  A slot is a
 // position in the assignment list.  The assignment depends only on n and the
 // clustering, so a layout is built once per clustering and every epoch's
-// Result shares it by pointer; nothing in it is ever mutated.  The pair→slot
-// index is dense: 4 B for each of the n(n−1)/2 pairs, assigned or not, so a
-// layout (the global one and each shard's restriction alike) costs O(n²).
+// Result shares it by pointer; nothing in it is ever mutated but the memo of
+// the latest window's reductions (windowMemo).  The pair→slot index is dense:
+// 4 B for each of the n(n−1)/2 pairs, assigned or not, so a layout (the global
+// one and each shard's restriction alike) costs O(n²).
 type Layout struct {
 	assignments []Assignment
 	n           int     // series count; pairs index the strict upper triangle
@@ -31,7 +34,52 @@ type Layout struct {
 	// order; pivot i's group is byPivot[pivotStart[i]:pivotStart[i+1]].
 	byPivot    []int32
 	pivotStart []int32
+
+	memo atomic.Pointer[windowMemo]
 }
+
+// windowMemo holds what one window reduces against a layout's pivots and a
+// clustering: the pivot terms and the series-versus-own-centre covariances.
+// An epoch asks for them several times — the engine's summaries, drift
+// scoring and calibration, the fits, the index — and every ask after the
+// first reads the memo, so each is reduced once per window and engine.  The
+// key is the window's own memo object (a mutated window drops it, so a stale
+// entry can never match) and the clustering; the layout keeps the latest
+// window's entry only, which is what an Advance, the Refit inside it and the
+// index update after it all share.
+type windowMemo struct {
+	window     *timeseries.Moments
+	clustering *cluster.Result
+
+	termsOnce sync.Once
+	terms     []measure.PivotTerms
+	termsErr  error
+
+	covOnce   sync.Once
+	centerCov []float64
+	covErr    error
+}
+
+// memoFor returns the layout's memo entry for window d and the clustering,
+// replacing the entry of any other window.
+func (l *Layout) memoFor(d *timeseries.DataMatrix, clustering *cluster.Result) *windowMemo {
+	window := d.Moments()
+	for {
+		w := l.memo.Load()
+		if w != nil && w.window == window && w.clustering == clustering {
+			return w
+		}
+		next := &windowMemo{window: window, clustering: clustering}
+		if l.memo.CompareAndSwap(w, next) {
+			return next
+		}
+	}
+}
+
+// reductions counts the reductions windowMemo performs.  Nothing reads it
+// but a test that runs alone and pins "once per window and engine" on the
+// deltas.
+var reductions struct{ terms, centerCovs atomic.Int64 }
 
 // NewLayout indexes an assignment list over n series.  It rejects a pair
 // outside the series, a pivot whose common series is not a member of its
@@ -254,27 +302,41 @@ func (r *Result) PivotColumns(d *timeseries.DataMatrix, p Pivot) (common, center
 // aligned with Layout().Pivots() (pruned pivots included, so a refit that
 // revives a pair finds its pivot's terms): the covariance and Gram blocks and
 // the column sums of O_p = [s_common, r_cluster] — the moments the paper's
-// pre-processing step stores in pivotHash, which W_A propagates (Eqs. 5–7) and
-// whose first row is SCAPE's α.  This is the one place they are assembled.
-// The self-moments are the memoised two-pass ones of the window and of the
+// pre-processing step stores in pivotHash, which W_A propagates (Eqs. 5–7),
+// whose first row is SCAPE's α and whose covariance block is the Gram of the
+// moment-form fit.  This is the one place they are assembled, once per window
+// (memoised on the layout; the result must not be modified).  The
+// self-moments are the memoised two-pass ones of the window and of the
 // clustering; the cross terms are reduced by measure.CrossMoments in the
 // centred form, the common series loaded once for a tile of its centers.
 // The output is identical at any parallelism.
 func (r *Result) PivotTerms(d *timeseries.DataMatrix, parallelism int) ([]measure.PivotTerms, error) {
-	pivots := r.layout.pivots
+	return pivotTerms(d, r.layout, r.Clustering, parallelism)
+}
+
+func pivotTerms(d *timeseries.DataMatrix, l *Layout, clustering *cluster.Result, parallelism int) ([]measure.PivotTerms, error) {
+	w := l.memoFor(d, clustering)
+	w.termsOnce.Do(func() {
+		reductions.terms.Add(1)
+		w.terms, w.termsErr = reducePivotTerms(d, l.pivots, clustering, parallelism)
+	})
+	return w.terms, w.termsErr
+}
+
+func reducePivotTerms(d *timeseries.DataMatrix, pivots []Pivot, clustering *cluster.Result, parallelism int) ([]measure.PivotTerms, error) {
 	// Check every pivot's columns in pivot order first, so the error reported
 	// does not depend on how the reduction below is blocked.
 	for _, p := range pivots {
-		if _, _, err := r.PivotColumns(d, p); err != nil {
+		if _, _, err := pivotColumns(d, clustering, p); err != nil {
 			return nil, err
 		}
 	}
-	series, centers := d.Moments(), r.Clustering.CenterMoments()
+	series, centers := d.Moments(), clustering.CenterMoments()
 	terms := make([]measure.PivotTerms, len(pivots))
 	// Pivots are in (Common, Cluster) order, so the pivots of one common series
 	// are a run; a run cut by a block boundary is reduced in two pieces, which
 	// changes no output (every pivot has its own accumulators).
-	k := r.Clustering.K() // a common series has at most one pivot per center
+	k := clustering.K() // a common series has at most one pivot per center
 	err := par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
 		cols := make([][]float64, 0, k)
 		scratch := make([]float64, 3*k)
@@ -282,7 +344,7 @@ func (r *Result) PivotTerms(d *timeseries.DataMatrix, parallelism int) ([]measur
 			common := pivots[lo].Common
 			cols = cols[:0]
 			for hi := lo; hi < blk.Hi && pivots[hi].Common == common; hi++ {
-				cols = append(cols, r.Clustering.Centers[pivots[hi].Cluster])
+				cols = append(cols, clustering.Centers[pivots[hi].Cluster])
 			}
 			run := pivots[lo : lo+len(cols)]
 			means, dots, covs := scratch[:len(run)], scratch[k:k+len(run)], scratch[2*k:2*k+len(run)]
@@ -312,4 +374,69 @@ func (r *Result) PivotTerms(d *timeseries.DataMatrix, parallelism int) ([]measur
 		return nil, err
 	}
 	return terms, nil
+}
+
+// CenterCovariances returns, for every series v of window d, the centred
+// covariance cov(r_ω(v), s_v) of the series with its own cluster centre
+// (CovarianceOf's bits).  It is the one home of that reduction: the engine's
+// per-series calibration reads it, and so does every moment-form fit, since
+// the centre of pivot (u, ω(v)) is the other series' own.  Memoised on the
+// layout per window like PivotTerms; the result must not be modified.  Each
+// centre is loaded once for a tile of its members, and the output is
+// identical at any parallelism.
+func (r *Result) CenterCovariances(d *timeseries.DataMatrix, parallelism int) ([]float64, error) {
+	return centerCovariances(d, r.layout, r.Clustering, parallelism)
+}
+
+func centerCovariances(d *timeseries.DataMatrix, l *Layout, clustering *cluster.Result, parallelism int) ([]float64, error) {
+	w := l.memoFor(d, clustering)
+	w.covOnce.Do(func() {
+		reductions.centerCovs.Add(1)
+		w.centerCov, w.covErr = reduceCenterCovariances(d, clustering, parallelism)
+	})
+	return w.centerCov, w.covErr
+}
+
+func reduceCenterCovariances(d *timeseries.DataMatrix, clustering *cluster.Result, parallelism int) ([]float64, error) {
+	if err := checkCenters(clustering, d.NumSamples()); err != nil {
+		return nil, err
+	}
+	k := clustering.K()
+	members := make([][]timeseries.SeriesID, k)
+	for _, id := range d.IDs() {
+		omega, err := clustering.Omega(id)
+		if err != nil {
+			return nil, err
+		}
+		if omega < 0 || omega >= k {
+			return nil, fmt.Errorf("symex: series %d is assigned to unknown cluster %d (k=%d)", id, omega, k)
+		}
+		members[omega] = append(members[omega], id)
+	}
+	series, centers := d.Moments(), clustering.CenterMoments()
+	covs := make([]float64, d.NumSeries())
+	err := par.Do(k, parallelism, func(l int) error {
+		size := len(members[l])
+		cols := make([][]float64, size)
+		buf := make([]float64, 3*size)
+		means, dots, out := buf[:size], buf[size:2*size], buf[2*size:]
+		for i, id := range members[l] {
+			s, err := d.Series(id)
+			if err != nil {
+				return err
+			}
+			cols[i], means[i] = s, series.Mean[id]
+		}
+		if err := measure.CrossMoments(clustering.Centers[l], centers.Mean[l], cols, means, dots, out); err != nil {
+			return err
+		}
+		for i, id := range members[l] {
+			covs[id] = out[i]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return covs, nil
 }

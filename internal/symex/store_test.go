@@ -7,15 +7,16 @@ import (
 	"sync"
 	"testing"
 
-	"affinity/internal/affine"
 	"affinity/internal/cluster"
 	"affinity/internal/lsfd"
 	"affinity/internal/timeseries"
 )
 
 // mapStore is the relationship store Result used to be — the affHash and
-// pivotHash maps filled by a hand-rolled loop — refit through the generic
-// affine.Fit / lsfd.Distance route.  It is the oracle of the slot store.
+// pivotHash maps filled by a hand-rolled loop — refit through the oracle fits
+// (expectedFit: the scalar moment form, the generic affine.Fit where the guard
+// keeps the kernel) and the generic lsfd.Distance.  It is the oracle of the
+// slot store.
 type mapStore struct {
 	rels   map[timeseries.Pair]*Relationship
 	pivots map[Pivot][]timeseries.Pair
@@ -44,12 +45,11 @@ func (s *mapStore) refit(t testing.TB, d *timeseries.DataMatrix, res *Result, st
 			continue
 		}
 		fitted++
-		fitPivots[a.Pivot] = true
-		op, target := pairMatrices(t, d, res, a.Pair, a.Pivot)
-		tr, err := affine.Fit(op, target)
-		if err != nil {
-			t.Fatal(err)
+		tr, kernel := expectedFit(t, d, res.Clustering, a.Pair, a.Pivot, true)
+		if kernel {
+			fitPivots[a.Pivot] = true
 		}
+		op, target := pairMatrices(t, d, res, a.Pair, a.Pivot)
 		if maxLSFD > 0 {
 			dist, err := lsfd.Distance(op, target)
 			if err != nil {

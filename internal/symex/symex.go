@@ -12,19 +12,28 @@
 // guarantees exact propagation of the dot product (Lemma 1) and lets the
 // SCAPE index assume a canonical first transformation column a1 = (1, 0)ᵀ.
 //
-// SYMEX+ differs from SYMEX only by caching the pseudo-inverse of the design
-// matrix [O_p, 1_m] per pivot pair, avoiding its recomputation for the many
-// sequence pairs that share a pivot; the paper measures a 3.5–4x speedup.
+// SYMEX+ differs from SYMEX by sharing the per-pivot part of the fit across
+// the many sequence pairs of a pivot; the paper caches the pseudo-inverse of
+// the design matrix [O_p, 1_m] and measures a 3.5–4x speedup.  Here SYMEX+
+// goes further and shares second moments instead: every relationship is one
+// closed-form 2×2 centred solve over moments the epoch reduces anyway, plus
+// one pair covariance (momentfit.go).  The m-sample pseudo-inverse kernel
+// (kernel.go) is left to two callers: the pivots the moment form's exactness
+// guard turns away, and plain SYMEX, the paper's Fig 13 ablation, which still
+// computes one pseudo-inverse per relationship.
 package symex
 
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"affinity/internal/affine"
 	"affinity/internal/cluster"
+	"affinity/internal/kernel"
 	"affinity/internal/lsfd"
 	"affinity/internal/mat"
+	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/timeseries"
 )
@@ -82,8 +91,11 @@ func (r *Relationship) Other() timeseries.SeriesID {
 type Options struct {
 	// Cluster holds the AFCLST parameters.
 	Cluster cluster.Config
-	// CachePseudoInverse selects the SYMEX+ variant: the pseudo-inverse of
-	// [O_p, 1_m] is computed once per pivot pair and reused.
+	// CachePseudoInverse selects the SYMEX+ variant: the per-pivot part of
+	// the fit is shared by the pivot's relationships — the moment form, or
+	// the pseudo-inverse of [O_p, 1_m] computed once per pivot where the
+	// exactness guard keeps the kernel.  Without it (plain SYMEX) every
+	// relationship computes its own pseudo-inverse.
 	CachePseudoInverse bool
 	// MaxRelationships, when positive, stops the exploration after this many
 	// affine relationships have been produced.  It is used by the scalability
@@ -112,11 +124,14 @@ type Stats struct {
 	NumRelationships int
 	// NumPivots is the number of distinct pivot pairs generated (≤ n·k).
 	NumPivots int
-	// PseudoInverseComputations counts how many design-matrix pseudo-inverses
-	// were actually computed.
+	// PseudoInverseComputations counts the pseudo-inverses the m-sample
+	// kernel computed: one per relationship under plain SYMEX, one per pivot
+	// the moment form's exactness guard turned away under SYMEX+ (none on
+	// well-conditioned data).
 	PseudoInverseComputations int
-	// PseudoInverseCacheHits counts how many times a cached pseudo-inverse
-	// was reused (always zero for plain SYMEX).
+	// PseudoInverseCacheHits counts the fits that computed no pseudo-inverse
+	// of their own: the fitted relationships minus PseudoInverseComputations
+	// (always zero for plain SYMEX).
 	PseudoInverseCacheHits int
 	// PrunedRelationships counts relationships dropped by the MaxLSFD bound.
 	PrunedRelationships int
@@ -175,6 +190,10 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("symex: clustering: %w", err)
 		}
+	}
+
+	if err := checkCenters(clustering, d.NumSamples()); err != nil {
+		return nil, err
 	}
 
 	// Phase 1: systematic exploration of P (Algorithm 2).  Two anchor pairs
@@ -309,20 +328,36 @@ type fitter struct {
 	clustering *cluster.Result
 	layout     *Layout
 	maxLSFD    float64
+
+	// The moment form's inputs over data (loadMoments; unset for plain SYMEX).
+	terms           []measure.PivotTerms
+	centerCov       []float64
+	series, centers *timeseries.Moments
+	kern            *kernel.Matrix
+}
+
+// fitScratch is one worker's scratch, reused across the pivot groups of its
+// block: the kernel's buffers (sized on the first guarded pivot) and the
+// moment form's per-member lists, grown to the largest group.
+type fitScratch struct {
+	k      pivotFit
+	others []timeseries.SeriesID // each member's non-common series
+	pairs  []timeseries.Pair     // (common, other), CovBlock's input
+	covs   []float64             // cov(s_common, s_other)
 }
 
 // fitSlots fits the assignments at the given slots (nil means every slot)
 // against the window and stores each fit at rels[slot] — nil when the MaxLSFD
 // bound prunes it.  Every fit is independent and lands at its own slot, so the
 // output is the same at any parallelism.  It returns the number of
-// pseudo-inverses computed.
+// pseudo-inverses the kernel computed.
 //
 // The unit of work is a pivot group: all the slots to fit that share a
-// pivot.  With batch set (SYMEX+) a worker computes the pivot's pseudo-inverse
-// rows once and fits the whole group while the rows sit in cache, so no
-// pseudo-inverse outlives its group; without it (plain SYMEX) every fit pays
-// for its own.  Workers take contiguous blocks of groups, one O(m) scratch
-// per block.
+// pivot.  With batch set (SYMEX+) a group takes the moment form
+// (momentfit.go) unless the exactness guard sends it to the kernel, which then
+// computes the pivot's pseudo-inverse rows once for the whole group; without
+// it (plain SYMEX) every fit pays for its own pseudo-inverse.  Workers take
+// contiguous blocks of groups, one scratch per block.
 func (f *fitter) fitSlots(rels []*Relationship, slots []int32, batch bool, parallelism int) (int, error) {
 	if m := f.data.NumSamples(); m < 2 {
 		return 0, fmt.Errorf("%w: fitting needs a window of at least 2 samples, got %d", affine.ErrBadShape, m)
@@ -331,79 +366,103 @@ func (f *fitter) fitSlots(rels []*Relationship, slots []int32, batch bool, paral
 	if slots != nil {
 		members, start = f.layout.bucket(slots)
 	}
-	pinvs := len(members)
-	if batch {
-		pinvs = 0
-		for g := range len(start) - 1 {
-			if start[g] < start[g+1] {
-				pinvs++
-			}
+	if batch && len(members) > 0 {
+		if err := f.loadMoments(parallelism); err != nil {
+			return 0, err
 		}
 	}
+	var pinvs atomic.Int64
 	err := par.DoBlocks(len(start)-1, parallelism, func(_ int, blk par.Block) error {
-		k := new(pivotFit)
+		w := new(fitScratch)
 		for g := blk.Lo; g < blk.Hi; g++ {
 			if group := members[start[g]:start[g+1]]; len(group) > 0 {
-				if err := f.fitGroup(k, group, rels, batch); err != nil {
+				n, err := f.fitGroup(w, g, group, rels, batch)
+				if err != nil {
 					return err
 				}
+				pinvs.Add(int64(n))
 			}
 		}
 		return nil
 	})
-	return pinvs, err
+	return int(pinvs.Load()), err
 }
 
-// fitGroup computes the pseudo-inverse of one pivot's design matrix into the
-// scratch k and solves the least-squares affine relationship of every member
-// slot (all of which name that pivot) against it — recomputing it per member
-// unless the fits are batched.
-func (f *fitter) fitGroup(k *pivotFit, members []int32, rels []*Relationship, batch bool) error {
-	assignments := f.layout.assignments
-	p := assignments[members[0]].Pivot
+// fitGroup fits every member slot of pivot pi — by the moment form when
+// batched and admitted by the guard, by the kernel otherwise — and applies the
+// MaxLSFD bound.  It returns the number of pseudo-inverses computed.
+func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relationship, batch bool) (int, error) {
+	p := f.layout.pivots[pi]
 	common, center, err := pivotColumns(f.data, f.clustering, p)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	k.setPivot(common, center)
-
-	var op *mat.Matrix
-	if f.maxLSFD > 0 {
-		if op, err = mat.NewFromColumns(common, center); err != nil {
-			return err
+	w.others = w.others[:0]
+	for _, slot := range members {
+		other, err := f.layout.assignments[slot].Pair.Other(p.Common)
+		if err != nil {
+			return 0, err
 		}
+		w.others = append(w.others, other)
+	}
+
+	pinvs := 0
+	if !batch || !f.momentGroup(w, pi, members, rels) {
+		// The kernel: the one caller of setPivot, once per group under SYMEX+
+		// and once per relationship under plain SYMEX.
+		for i, slot := range members {
+			if i == 0 || !batch {
+				w.k.setPivot(common, center)
+				pinvs++
+			}
+			other, err := f.data.Series(w.others[i])
+			if err != nil {
+				return 0, err
+			}
+			rels[slot] = f.relationship(slot, p, w.k.fit(other))
+		}
+	}
+
+	if f.maxLSFD <= 0 {
+		return pinvs, nil
+	}
+	op, err := mat.NewFromColumns(common, center)
+	if err != nil {
+		return 0, err
 	}
 	for i, slot := range members {
-		if i > 0 && !batch {
-			k.setPivot(common, center)
-		}
-		a := assignments[slot]
-		otherID, err := a.Pair.Other(p.Common)
+		other, err := f.data.Series(w.others[i])
 		if err != nil {
-			return err
+			return 0, err
 		}
-		other, err := f.data.Series(otherID)
+		target, err := mat.NewFromColumns(common, other)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		rels[slot] = &Relationship{
-			Pair:      a.Pair,
-			Pivot:     p,
-			Transform: k.fit(other),
-			Flipped:   p.Common == a.Pair.V,
+		dist, err := lsfd.Distance(op, target)
+		if err != nil {
+			return 0, err
 		}
-		if op != nil {
-			target, err := mat.NewFromColumns(common, other)
-			if err != nil {
-				return err
-			}
-			dist, err := lsfd.Distance(op, target)
-			if err != nil {
-				return err
-			}
-			if dist > f.maxLSFD {
-				rels[slot] = nil
-			}
+		if dist > f.maxLSFD {
+			rels[slot] = nil
+		}
+	}
+	return pinvs, nil
+}
+
+// relationship wraps the transform fitted for an assignment slot of pivot p.
+func (f *fitter) relationship(slot int32, p Pivot, tr *affine.Transform) *Relationship {
+	pair := f.layout.assignments[slot].Pair
+	return &Relationship{Pair: pair, Pivot: p, Transform: tr, Flipped: p.Common == pair.V}
+}
+
+// checkCenters rejects a clustering whose centres do not all match an
+// m-sample window, before anything reduces or indexes one.
+func checkCenters(clustering *cluster.Result, m int) error {
+	for l, c := range clustering.Centers {
+		if len(c) != m {
+			return fmt.Errorf("%w: cluster center %d has %d samples, window has %d",
+				timeseries.ErrShapeMismatch, l, len(c), m)
 		}
 	}
 	return nil

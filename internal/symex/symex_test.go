@@ -2,12 +2,16 @@ package symex
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"affinity/internal/cluster"
+	"affinity/internal/measure"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -138,21 +142,18 @@ func TestCacheStatsDifferBetweenSymexAndSymexPlus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resCached.Stats.PseudoInverseComputations != resCached.Stats.NumPivots {
-		t.Fatalf("SYMEX+ should compute one pseudo-inverse per pivot: %d vs %d",
-			resCached.Stats.PseudoInverseComputations, resCached.Stats.NumPivots)
+	// SYMEX+ fits this well-conditioned window by the moment form throughout:
+	// no pivot goes through the kernel's pseudo-inverse.
+	if resCached.Stats.PseudoInverseComputations != 0 {
+		t.Fatalf("SYMEX+ computed %d pseudo-inverses, want 0", resCached.Stats.PseudoInverseComputations)
 	}
-	if resCached.Stats.PseudoInverseCacheHits !=
-		resCached.Stats.NumRelationships-resCached.Stats.NumPivots {
-		t.Fatalf("cache hits = %d, want %d", resCached.Stats.PseudoInverseCacheHits,
-			resCached.Stats.NumRelationships-resCached.Stats.NumPivots)
-	}
-	if resCached.Stats.PseudoInverseComputations >= resPlain.Stats.PseudoInverseComputations {
-		t.Fatal("SYMEX+ should compute strictly fewer pseudo-inverses than SYMEX")
+	if resCached.Stats.PseudoInverseCacheHits != resCached.Stats.NumRelationships {
+		t.Fatalf("cache hits = %d, want %d", resCached.Stats.PseudoInverseCacheHits, resCached.Stats.NumRelationships)
 	}
 
-	// Both variants must produce identical relationships (same clustering
-	// seed, same exploration order).
+	// Both variants explore identically (same clustering seed, same
+	// exploration order); SYMEX+'s fits are within the moment form's bound of
+	// the exact least-squares fit.
 	if resPlain.Len() != resCached.Len() {
 		t.Fatal("SYMEX and SYMEX+ disagree on the number of relationships")
 	}
@@ -164,9 +165,8 @@ func TestCacheStatsDifferBetweenSymexAndSymexPlus(t *testing.T) {
 		if a.Pivot != b.Pivot || a.Flipped != b.Flipped {
 			t.Fatalf("pair %v: pivot/orientation mismatch", e)
 		}
-		if *a.Transform != *b.Transform {
-			t.Fatalf("pair %v: transforms differ", e)
-		}
+		common, centre, other := fitColumns(t, d, resCached.Clustering, e, b.Pivot)
+		requireWithinFitBound(t, fmt.Sprintf("pair %v", e), common, centre, other, b.Transform)
 	}
 }
 
@@ -359,6 +359,46 @@ func TestPivotTermsMatchScalarPrimitives(t *testing.T) {
 	if _, err := NewResult(res.Layout(), short, slices.Clone(res.rels)).PivotTerms(d, 2); !errors.Is(err, timeseries.ErrShapeMismatch) {
 		t.Fatalf("short centers: %v, want timeseries.ErrShapeMismatch", err)
 	}
+}
+
+// TestWindowMemoUnderConcurrentWindows: goroutines asking one layout for the
+// pivot terms and centre covariances of two windows at once each get their
+// own window's values (a direct reduction's) — the memo never hands one window
+// another's, whichever entry the layout holds when it is asked.
+func TestWindowMemoUnderConcurrentWindows(t *testing.T) {
+	d := correlatedData(t, 12, 3, 12, 50, 0.05)
+	res, err := Compute(d, defaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := []*timeseries.DataMatrix{d, slideData(t, d, 13, 7)}
+	wantTerms := make([][]measure.PivotTerms, len(windows))
+	wantCovs := make([][]float64, len(windows))
+	for i, w := range windows {
+		if wantTerms[i], err = reducePivotTerms(w, res.Layout().Pivots(), res.Clustering, 1); err != nil {
+			t.Fatal(err)
+		}
+		if wantCovs[i], err = reduceCenterCovariances(w, res.Clustering, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				w := (g + i) % len(windows)
+				terms, err := res.PivotTerms(windows[w], 2)
+				covs, err2 := res.CenterCovariances(windows[w], 2)
+				if err != nil || err2 != nil || !reflect.DeepEqual(terms, wantTerms[w]) || !reflect.DeepEqual(covs, wantCovs[w]) {
+					t.Errorf("goroutine %d, window %d: the memo returned another window's reductions (%v, %v)", g, w, err, err2)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRelationshipLookup(t *testing.T) {
