@@ -6,7 +6,7 @@
 //	"AFFINITY: Efficiently Querying Statistical Measures on Time-Series Data."
 //	ICDE 2013.
 //
-// AFFINITY answers three kinds of statistical queries over a collection of n
+// AFFINITY answers four kinds of statistical queries over a collection of n
 // time series with m samples each:
 //
 //   - measure computation (MEC): the value of a measure for a requested set
@@ -720,9 +720,10 @@ func (e *Engine) WriteSnapshot(w io.Writer) error { return e.inner.WriteSnapshot
 
 // NewFromSnapshot rebuilds an engine from a snapshot written by WriteSnapshot
 // and the dataset it was built on.  Clustering-related options are ignored
-// (they are part of the snapshot); SkipIndex, Parallelism, MaxLSFD and
-// Stream are honoured, so a snapshot-loaded engine streams exactly like an
-// identically configured New engine.
+// (they are part of the snapshot); SkipIndex, Parallelism, MaxLSFD, CostModel,
+// Stream, Cache and Sketch are honoured, so a snapshot-loaded engine plans,
+// caches, prescreens and streams exactly like an identically configured New
+// engine.
 func NewFromSnapshot(d *Dataset, r io.Reader, opts Options) (*Engine, error) {
 	eng, err := core.BuildFromSnapshot(d, r, opts.config())
 	if err != nil {

@@ -300,7 +300,7 @@ func BenchmarkNaiveCorrelationThreshold(b *testing.B) {
 // so the CI bench smoke exercises each.
 func BenchmarkDistanceMeasureThreshold(b *testing.B) {
 	engine := benchmarkEngine(b)
-	for _, m := range experiments.NewDistanceMeasures() {
+	for _, m := range []stats.Measure{stats.EuclideanDistance, stats.MeanSquaredDifference, stats.AngularDistance} {
 		m := m
 		// Median-scale thresholds per measure (values from the affine sweep).
 		sweep, err := engine.PairwiseSweepAffine(m)
@@ -746,7 +746,16 @@ func BenchmarkParallelIndexThreshold(b *testing.B) {
 // traversal; naive/affine batches additionally share per-pair values).
 func BenchmarkThresholdBatchVsSingles(b *testing.B) {
 	engine := benchmarkEngine(b)
-	batch := experiments.StandardThresholdBatch()
+	batch := []core.IntervalQuery{
+		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.9)},
+		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.5)},
+		{Measure: stats.Covariance, Interval: interval.GreaterThan(0.0)},
+		{Measure: stats.Cosine, Interval: interval.GreaterThan(0.8)},
+		{Measure: stats.DotProduct, Interval: interval.LessThan(0.0)},
+		{Measure: stats.Dice, Interval: interval.GreaterThan(0.7)},
+		{Measure: stats.HarmonicMean, Interval: interval.GreaterThan(0.3)},
+		{Measure: stats.Mean, Interval: interval.GreaterThan(0.0)},
+	}
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.IntervalBatch(batch, core.MethodIndex); err != nil {

@@ -135,20 +135,6 @@ func (t *Transform) Apply(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// ResidualNorm returns ‖X·A + 1·bᵀ − Y‖_F, the Frobenius norm of the fit
-// residual, used as a direct quality diagnostic for an affine relationship.
-func (t *Transform) ResidualNorm(source, target *mat.Matrix) (float64, error) {
-	approx, err := t.Apply(source)
-	if err != nil {
-		return 0, err
-	}
-	diff, err := approx.SubMat(target)
-	if err != nil {
-		return 0, err
-	}
-	return diff.FrobeniusNorm(), nil
-}
-
 // PropagateLocation applies Eq. 5: given the L-measure vector (l1, l2) of the
 // source pair matrix, it returns the propagated L-measure vector of the
 // target pair matrix, L(Y)ᵀ = L(X)ᵀ·A + bᵀ.
@@ -158,21 +144,6 @@ func (t *Transform) PropagateLocation(sourceLocation [2]float64) [2]float64 {
 		sourceLocation[0]*a[0][0] + sourceLocation[1]*a[1][0] + t.B[0],
 		sourceLocation[0]*a[0][1] + sourceLocation[1]*a[1][1] + t.B[1],
 	}
-}
-
-// PropagateCovarianceMatrix applies Eq. 6: Σ(Y) = Aᵀ·Σ(X)·A, returning the
-// full 2-by-2 covariance matrix of the target.
-func (t *Transform) PropagateCovarianceMatrix(sourceCov *mat.Matrix) (*mat.Matrix, error) {
-	if sourceCov.Rows() != 2 || sourceCov.Cols() != 2 {
-		return nil, fmt.Errorf("%w: covariance must be 2x2, got %dx%d",
-			ErrBadShape, sourceCov.Rows(), sourceCov.Cols())
-	}
-	a := t.matrix()
-	tmp, err := a.T().Mul(sourceCov)
-	if err != nil {
-		return nil, err
-	}
-	return tmp.Mul(a)
 }
 
 // PropagateCovariance applies the off-diagonal part of Eq. 6:
@@ -193,7 +164,7 @@ func (t *Transform) PropagateCovariance(sourceCov *mat.Matrix) (float64, error) 
 //
 // The streaming drift scorer calls this once per relationship per epoch and
 // the stale set (hence every later answer) depends on its bits, so it is the
-// closed form of PropagateCovarianceMatrix's two mat.Mul calls: entry (j, j)
+// closed form of the generic product Aᵀ·Σ·A by two mat.Mul calls: entry (j, j)
 // is row j of Aᵀ·Σ times column j of A, every sum starting from zero, adding
 // terms in k order and skipping a term whose left factor is exactly zero.
 func (t *Transform) PropagateVariances(cov [3]float64) [2]float64 {
@@ -218,57 +189,6 @@ func (t *Transform) PropagateVariances(cov [3]float64) [2]float64 {
 		out[j] = v
 	}
 	return out
-}
-
-// PropagateDotProduct computes the dot product between the two target series
-// from source-side quantities only (Eq. 7 in exact form):
-//
-//	Π12(Y) = a1ᵀ·Π(X)·a2 + b2·(a1ᵀh) + b1·(a2ᵀh) + m·b1·b2
-//
-// where Π(X) is the 2-by-2 Gram matrix of the source, h = (h1(X), h2(X)) are
-// the column sums of the source and m is the number of samples.
-func (t *Transform) PropagateDotProduct(sourceDot *mat.Matrix, sourceColumnSums [2]float64, m int) (float64, error) {
-	if sourceDot.Rows() != 2 || sourceDot.Cols() != 2 {
-		return 0, fmt.Errorf("%w: dot product matrix must be 2x2, got %dx%d",
-			ErrBadShape, sourceDot.Rows(), sourceDot.Cols())
-	}
-	if m <= 0 {
-		return 0, fmt.Errorf("%w: non-positive sample count %d", ErrBadShape, m)
-	}
-	a1, a2 := t.Columns()
-	quad := quadraticForm(a1, sourceDot, a2)
-	a1h := a1[0]*sourceColumnSums[0] + a1[1]*sourceColumnSums[1]
-	a2h := a2[0]*sourceColumnSums[0] + a2[1]*sourceColumnSums[1]
-	return quad + t.B[1]*a1h + t.B[0]*a2h + float64(m)*t.B[0]*t.B[1], nil
-}
-
-// PropagateDotProductMatrix returns the full 2-by-2 Gram matrix of the target
-// computed from source-side quantities, by applying the exact expansion to
-// every (i, j) combination of target columns.
-func (t *Transform) PropagateDotProductMatrix(sourceDot *mat.Matrix, sourceColumnSums [2]float64, m int) (*mat.Matrix, error) {
-	if sourceDot.Rows() != 2 || sourceDot.Cols() != 2 {
-		return nil, fmt.Errorf("%w: dot product matrix must be 2x2, got %dx%d",
-			ErrBadShape, sourceDot.Rows(), sourceDot.Cols())
-	}
-	if m <= 0 {
-		return nil, fmt.Errorf("%w: non-positive sample count %d", ErrBadShape, m)
-	}
-	cols := [2][2]float64{}
-	cols[0], cols[1] = t.Columns()
-	h := sourceColumnSums
-	out := mat.New(2, 2)
-	for i := 0; i < 2; i++ {
-		for j := i; j < 2; j++ {
-			ai, aj := cols[i], cols[j]
-			quad := quadraticForm(ai, sourceDot, aj)
-			aih := ai[0]*h[0] + ai[1]*h[1]
-			ajh := aj[0]*h[0] + aj[1]*h[1]
-			v := quad + t.B[j]*aih + t.B[i]*ajh + float64(m)*t.B[i]*t.B[j]
-			out.Set(i, j, v)
-			out.Set(j, i, v)
-		}
-	}
-	return out, nil
 }
 
 // PropagateMoment computes a T-measure of the target pair from source-side

@@ -156,26 +156,6 @@ func (r *Result) Omega(v timeseries.SeriesID) (int, error) {
 	return r.Assignment[v], nil
 }
 
-// Center returns the cluster center r_ω(v) assigned to series v.
-func (r *Result) Center(v timeseries.SeriesID) ([]float64, error) {
-	omega, err := r.Omega(v)
-	if err != nil {
-		return nil, err
-	}
-	return r.Centers[omega], nil
-}
-
-// Members returns the series assigned to cluster l.
-func (r *Result) Members(l int) []timeseries.SeriesID {
-	var out []timeseries.SeriesID
-	for v, c := range r.Assignment {
-		if c == l {
-			out = append(out, timeseries.SeriesID(v))
-		}
-	}
-	return out
-}
-
 // Sizes returns the number of members per cluster.
 func (r *Result) Sizes() []int {
 	sizes := make([]int, len(r.Centers))

@@ -223,28 +223,14 @@ func TestResultAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	center, err := res.Center(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(center, res.Centers[omega], 0) {
-		t.Fatal("Center(0) should return the assigned cluster's center")
+	if omega != res.Assignment[0] {
+		t.Fatalf("Omega(0) = %d, want the assignment %d", omega, res.Assignment[0])
 	}
 	if _, err := res.Omega(timeseries.SeriesID(99)); err == nil {
 		t.Fatal("out-of-range Omega should error")
 	}
-	if _, err := res.Center(timeseries.SeriesID(-1)); err == nil {
-		t.Fatal("out-of-range Center should error")
-	}
-	members := res.Members(omega)
-	found := false
-	for _, m := range members {
-		if m == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("Members should include series 0 in its assigned cluster")
+	if _, err := res.Omega(timeseries.SeriesID(-1)); err == nil {
+		t.Fatal("negative Omega should error")
 	}
 }
 

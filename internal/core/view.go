@@ -44,7 +44,3 @@ func (e *engineState) Index() *scape.Index { return e.index }
 
 // Info returns the epoch's build statistics.
 func (e *engineState) Info() BuildInfo { return e.info }
-
-// NumUniversePairs returns the size of the epoch's pairwise query universe
-// (the restricted assigned set under Config.AssignedPairsOnly).
-func (e *engineState) NumUniversePairs() int { return e.numUniversePairs() }

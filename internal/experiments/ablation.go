@@ -153,28 +153,3 @@ func samePairs(a, b []timeseries.Pair) bool {
 	}
 	return true
 }
-
-// AblationKSensitivity re-exposes the cluster-count sensitivity of the
-// trade-off sweep for a single measure, making the ablation callable on its
-// own: it reports the RMSE of the covariance estimate as k grows.
-type KSensitivityRow struct {
-	Clusters int
-	RMSEPct  float64
-	Speedup  float64
-}
-
-// AblationKSensitivity runs the covariance trade-off for the given ks.
-func AblationKSensitivity(d *timeseries.DataMatrix, ks []int, seed int64) ([]KSensitivityRow, error) {
-	rows, err := TradeoffSweep("ablation", d, ks, seed)
-	if err != nil {
-		return nil, err
-	}
-	var out []KSensitivityRow
-	for _, r := range rows {
-		if r.Measure != stats.Covariance {
-			continue
-		}
-		out = append(out, KSensitivityRow{Clusters: r.Clusters, RMSEPct: r.RMSEPct, Speedup: r.Speedup})
-	}
-	return out, nil
-}

@@ -282,38 +282,6 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("pruned and unpruned results differ at tau=%v", r.Threshold)
 		}
 	}
-
-	kRows, err := AblationKSensitivity(sensor, []int{3, 5}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kRows) != 2 {
-		t.Fatalf("k-sensitivity rows = %d", len(kRows))
-	}
-}
-
-func TestTopKSweepShape(t *testing.T) {
-	rows, err := TopKSweeps(testScale, 3, []int{1, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2*3*2 { // datasets × measures × ks
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.ResultSize != r.K && r.ResultSize > r.NaivePairs {
-			t.Fatalf("row %+v: result size out of range", r)
-		}
-		if r.Examined <= 0 || r.NaivePairs <= 0 {
-			t.Fatalf("row %+v: missing pruning metrics", r)
-		}
-		if r.NaiveTime <= 0 || r.AffineTime <= 0 || r.IndexTime <= 0 || r.AutoTime <= 0 {
-			t.Fatalf("row %+v: missing timings", r)
-		}
-		if r.AutoChoice == "" {
-			t.Fatalf("row %+v: missing auto choice", r)
-		}
-	}
 }
 
 func TestTimingHelpers(t *testing.T) {
@@ -336,46 +304,5 @@ func TestTimingHelpers(t *testing.T) {
 	}
 	if speedup(2*time.Second, time.Second) != 2 {
 		t.Fatal("speedup arithmetic wrong")
-	}
-}
-
-func TestShardScalingShape(t *testing.T) {
-	rows, err := ShardScaling(testScale, 3, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6*2 { // queries × shard counts
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Shards < 1 || r.Shards > 2 {
-			t.Fatalf("row %+v: shard count out of range", r)
-		}
-		if len(r.ShardRows) != r.Shards {
-			t.Fatalf("row %+v: per-shard rows missing", r)
-		}
-		if r.Time <= 0 || r.SingleTime <= 0 {
-			t.Fatalf("row %+v: missing timings", r)
-		}
-		if r.Query == "topk" {
-			if r.ExaminedSingle <= 0 || r.ExaminedTotal <= 0 {
-				t.Fatalf("row %+v: missing pruning metrics", r)
-			}
-			// The acceptance bar: the v_k broadcast keeps the union of shard
-			// traversals within 2x of the single engine's.
-			if r.ExaminedTotal > 2*r.ExaminedSingle {
-				t.Fatalf("row %+v: sharded merge examined %d entries, single engine %d",
-					r, r.ExaminedTotal, r.ExaminedSingle)
-			}
-			total := 0
-			for _, n := range r.ShardRows {
-				total += n
-			}
-			if total != r.ResultSize {
-				t.Fatalf("row %+v: shard rows do not decompose the result", r)
-			}
-		} else if r.CriticalPath <= 0 {
-			t.Fatalf("row %+v: missing critical path", r)
-		}
 	}
 }

@@ -41,20 +41,15 @@ func TestConstantSeries(t *testing.T) {
 		if d != 0 {
 			t.Fatalf("%s: LSFD = %v, want exactly 0", tc.name, d)
 		}
-		dep, err := IsAffinelyDependent(tc.x, tc.y, 1e-9)
-		if err != nil || !dep {
-			t.Fatalf("%s: IsAffinelyDependent = %v, %v", tc.name, dep, err)
-		}
 	}
 }
 
-// TestConstantCenter covers the clustering-diagnostic convenience on a
-// zero-variance pivot center.
+// TestConstantCenter covers a pivot pair whose center has zero variance.
 func TestConstantCenter(t *testing.T) {
 	common := []float64{1, 2, 3, 4, 5}
 	other := []float64{5, 3, 1, 4, 2}
 	center := []float64{2, 2, 2, 2, 2}
-	d, err := DistanceToCenter(common, other, center)
+	d, err := Distance(pivotPairs(t, common, other, center))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +97,6 @@ func TestNaNPropagation(t *testing.T) {
 			d2, err := SquaredDistance(args[0], args[1])
 			if err != nil || !math.IsNaN(d2) {
 				t.Fatalf("%s at (%d,%d): SquaredDistance = %v, %v, want NaN", name, pos.i, pos.j, d2, err)
-			}
-			// A NaN distance is never "dependent": NaN ≤ tol is false.
-			dep, err := IsAffinelyDependent(args[0], args[1], math.Inf(1))
-			if err != nil || dep {
-				t.Fatalf("%s: IsAffinelyDependent on NaN input = %v, %v, want false", name, dep, err)
 			}
 		}
 	}

@@ -65,21 +65,6 @@ func SquaredDistance(x, y *mat.Matrix) (float64, error) {
 	return d2, nil
 }
 
-// DistanceToCenter returns the LSFD between the pair matrix [common, other]
-// and the pivot-style pair matrix [common, center].  It is a convenience used
-// by clustering quality diagnostics.
-func DistanceToCenter(common, other, center []float64) (float64, error) {
-	x, err := mat.NewFromColumns(common, other)
-	if err != nil {
-		return 0, fmt.Errorf("lsfd: %w", err)
-	}
-	y, err := mat.NewFromColumns(common, center)
-	if err != nil {
-		return 0, fmt.Errorf("lsfd: %w", err)
-	}
-	return Distance(x, y)
-}
-
 // hasNaN reports whether any entry of the pair matrix is NaN.
 func hasNaN(a *mat.Matrix) bool {
 	r, c := a.Dims()
@@ -103,14 +88,4 @@ func validatePair(x, y *mat.Matrix) error {
 		return fmt.Errorf("%w: got %dx%d and %dx%d", ErrBadShape, xr, xc, yr, yc)
 	}
 	return nil
-}
-
-// IsAffinelyDependent reports whether Y is (numerically) an exact affine
-// transform of X, i.e. whether the LSFD is below tol.
-func IsAffinelyDependent(x, y *mat.Matrix, tol float64) (bool, error) {
-	d, err := Distance(x, y)
-	if err != nil {
-		return false, err
-	}
-	return d <= tol, nil
 }

@@ -142,16 +142,6 @@ func (m *Matrix) boundsCheck(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) []float64 {
 	if j < 0 || j >= m.cols {
@@ -241,32 +231,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 			sum += v * x[j]
 		}
 		out[i] = sum
-	}
-	return out, nil
-}
-
-// AddMat returns the element-wise sum m+other.
-func (m *Matrix) AddMat(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("mat: cannot add %dx%d and %dx%d: %w",
-			m.rows, m.cols, other.rows, other.cols, ErrDimensionMismatch)
-	}
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// SubMat returns the element-wise difference m-other.
-func (m *Matrix) SubMat(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("mat: cannot subtract %dx%d and %dx%d: %w",
-			m.rows, m.cols, other.rows, other.cols, ErrDimensionMismatch)
-	}
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] -= v
 	}
 	return out, nil
 }

@@ -39,21 +39,6 @@ func PseudoInverse(a *Matrix) (*Matrix, error) {
 	return vsInv.Mul(svd.U.T())
 }
 
-// LeastSquares solves the linear least-squares problem min ||A X - B||_F for
-// X, where A is m-by-n and B is m-by-k.  It returns the n-by-k minimum-norm
-// solution A⁺ B.
-func LeastSquares(a, b *Matrix) (*Matrix, error) {
-	if a.Rows() != b.Rows() {
-		return nil, fmt.Errorf("mat: least squares row mismatch %d vs %d: %w",
-			a.Rows(), b.Rows(), ErrDimensionMismatch)
-	}
-	pinv, err := PseudoInverse(a)
-	if err != nil {
-		return nil, err
-	}
-	return pinv.Mul(b)
-}
-
 // Inverse2x2 returns the inverse of a 2-by-2 matrix.  It returns ErrSingular
 // when the determinant is (numerically) zero.
 func Inverse2x2(a *Matrix) (*Matrix, error) {

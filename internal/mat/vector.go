@@ -54,25 +54,6 @@ func Normalize(v []float64) []float64 {
 	return out
 }
 
-// AxpyInPlace computes y += alpha*x in place.
-func AxpyInPlace(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// ScaleVec returns alpha*x as a new slice.
-func ScaleVec(alpha float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = alpha * v
-	}
-	return out
-}
-
 // SubVec returns a-b as a new slice.
 func SubVec(a, b []float64) []float64 {
 	if len(a) != len(b) {

@@ -34,21 +34,12 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestAxpyScaleSubAdd(t *testing.T) {
-	y := []float64{1, 1, 1}
-	AxpyInPlace(2, []float64{1, 2, 3}, y)
-	if !VecEqual(y, []float64{3, 5, 7}, 0) {
-		t.Fatalf("Axpy = %v", y)
-	}
-	if got := ScaleVec(3, []float64{1, -1}); !VecEqual(got, []float64{3, -3}, 0) {
-		t.Fatalf("ScaleVec = %v", got)
-	}
 	if got := SubVec([]float64{5, 5}, []float64{2, 3}); !VecEqual(got, []float64{3, 2}, 0) {
 		t.Fatalf("SubVec = %v", got)
 	}
 	if got := AddVec([]float64{5, 5}, []float64{2, 3}); !VecEqual(got, []float64{7, 8}, 0) {
 		t.Fatalf("AddVec = %v", got)
 	}
-	assertPanics(t, func() { AxpyInPlace(1, []float64{1}, []float64{1, 2}) }, "Axpy mismatch")
 	assertPanics(t, func() { SubVec([]float64{1}, []float64{1, 2}) }, "SubVec mismatch")
 	assertPanics(t, func() { AddVec([]float64{1}, []float64{1, 2}) }, "AddVec mismatch")
 }

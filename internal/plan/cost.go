@@ -37,9 +37,8 @@ type TableStats struct {
 
 // CostModel prices a query per execution method.  The coefficients are
 // per-operation costs in nanosecond-scale abstract units, calibrated offline
-// against the planner crossover experiment (`affinity-bench -experiment
-// planner`, recorded in BENCH_pr3.json); their ratios, not their absolute
-// values, drive the choices.  The model is deliberately blind to the worker
+// against the planner crossover sweep (EXPERIMENTS.md, "Cost-based planner
+// crossover"); their ratios, not their absolute values, drive the choices.  The model is deliberately blind to the worker
 // count: parallelism speeds every method by roughly the same factor, and
 // keeping it out of the formulas makes plan choices identical at any
 // Parallelism level.

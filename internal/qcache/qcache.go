@@ -171,9 +171,6 @@ type Stats struct {
 	Bytes     int64
 }
 
-// Hits is the total across all three tiers.
-func (s Stats) Hits() int { return s.ExactHits + s.ContainmentHits + s.RepairHits }
-
 type entry struct {
 	key    Key
 	epoch  int
@@ -574,29 +571,6 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// EntryStat describes one live entry, for diagnostics and tests.
-type EntryStat struct {
-	Key   Key
-	Epoch int
-	Rows  int
-	Bytes int64
-	Hits  int
-}
-
-// EntryStats lists the live entries from most to least recently used.
-func (c *Cache) EntryStats() []EntryStat {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]EntryStat, 0, len(c.items))
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, EntryStat{Key: e.key, Epoch: e.epoch, Rows: len(e.pairs), Bytes: e.bytes, Hits: e.hits})
-	}
-	return out
 }
 
 // String summarizes the cache for logs.

@@ -259,11 +259,11 @@ func shardDeterminismCases() []shardQueryCase {
 				return p, nil
 			},
 			coord: func(c *Coordinator) (any, error) {
-				res, err := c.Explain(plan.Threshold(m, 0.25, scape.Above), core.MethodAuto)
+				_, plans, err := core.Run(c.state(), []plan.QuerySpec{plan.Threshold(m, 0.25, scape.Above)}, core.MethodAuto, true)
 				if err != nil {
 					return nil, err
 				}
-				p := res.Plan
+				p := plans[0]
 				p.Duration = 0
 				p.CacheTier = ""
 				p.CacheRepairedPairs = 0

@@ -34,7 +34,8 @@ type surface interface {
 }
 
 // sugarDoor routes every request shape that has named sugar through it —
-// single interval/top-k, interval-only batches, single Explain — and the rest
+// single interval/top-k, interval-only batches, a single explained query (the
+// engine's Explain; core.Run with plans on a coordinator epoch) — and the rest
 // (mixed batches, batched plans) through core.Run on the backend.
 func sugarDoor(name string, s surface, explain func(plan.QuerySpec, core.Method) (core.QueryResult, error),
 	backend func() core.Backend) door {
@@ -76,8 +77,11 @@ func pipelineDoors(t *testing.T, cfg core.Config) []door {
 	coordDoor := func(c *Coordinator) door {
 		return sugarDoor(fmt.Sprintf("Coordinator S=%d", c.NumShards()), c,
 			func(spec plan.QuerySpec, method core.Method) (core.QueryResult, error) {
-				res, err := c.Explain(spec, method)
-				return res.Result, err
+				out, _, err := core.Run(c.state(), []plan.QuerySpec{spec}, method, true)
+				if err != nil {
+					return core.QueryResult{}, err
+				}
+				return out[0], nil
 			},
 			func() core.Backend { return c.state() })
 	}

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"affinity/internal/core"
 	"affinity/internal/interval"
@@ -94,27 +93,13 @@ func (cs *coordState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float6
 	return cs.views[0].SelfValue(m, id)
 }
 
-// shardActual carries one shard's observed contribution to a query, for
-// Explain.
-type shardActual struct {
-	rows     int
-	examined int
-	dur      time.Duration
-}
-
-// Execute answers resolved items cold by scatter-gather.
+// Execute answers resolved items cold by scatter-gather.  L-measure items do
+// not fan out and index top-k items run their streaming merge; everything
+// else is scattered once per group — the index-method interval items, then
+// the sweep-method items per concrete method — so each shard answers a group
+// through one fused pass (its index's batched node traversal, its
+// multi-predicate sweep).
 func (cs *coordState) Execute(items []core.Item, actuals []core.Actual) ([]core.QueryResult, error) {
-	return cs.execute(items, actuals, nil)
-}
-
-// execute is Execute with per-shard observability: a non-nil trace (Explain,
-// one item) has one slot per shard and receives each shard's contribution.
-// L-measure items do not fan out and index top-k items run their streaming
-// merge; everything else is scattered once per group — the index-method
-// interval items, then the sweep-method items per concrete method — so each
-// shard answers a group through one fused pass (its index's batched node
-// traversal, its multi-predicate sweep).
-func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []shardActual) ([]core.QueryResult, error) {
 	out := make([]core.QueryResult, len(items))
 	var index, naive, affine []int
 	for i, it := range items {
@@ -127,7 +112,7 @@ func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []
 		case it.Method == core.MethodAffine:
 			affine = append(affine, i)
 		case it.Spec.Kind == plan.KindTopK:
-			out[i], err = cs.indexTopK(it.Spec, trace)
+			out[i], err = cs.indexTopK(it.Spec)
 		default:
 			index = append(index, i)
 		}
@@ -135,11 +120,11 @@ func (cs *coordState) execute(items []core.Item, actuals []core.Actual, trace []
 			return nil, err
 		}
 	}
-	if err := cs.indexIntervals(items, index, out, trace); err != nil {
+	if err := cs.indexIntervals(items, index, out); err != nil {
 		return nil, err
 	}
 	for _, group := range [][]int{naive, affine} {
-		if err := cs.sweep(items, group, out, actuals, trace); err != nil {
+		if err := cs.sweep(items, group, out, actuals); err != nil {
 			return nil, err
 		}
 	}
@@ -177,7 +162,7 @@ func (cs *coordState) locationQuery(it core.Item) (core.QueryResult, error) {
 // (value, pair-id) total order is scan-order-independent, so the retained set
 // equals a single engine's.  Sketch prescreen counts sum over the shards, and
 // an affine item filled its base values if any shard's column was filled for it.
-func (cs *coordState) sweep(items []core.Item, group []int, out []core.QueryResult, actuals []core.Actual, trace []shardActual) error {
+func (cs *coordState) sweep(items []core.Item, group []int, out []core.QueryResult, actuals []core.Actual) error {
 	if len(group) == 0 {
 		return nil
 	}
@@ -191,16 +176,9 @@ func (cs *coordState) sweep(items []core.Item, group []int, out []core.QueryResu
 		if actuals != nil {
 			shardActs[s] = make([]core.Actual, len(sub))
 		}
-		start := time.Now()
-		res, err := cs.views[s].Execute(sub, shardActs[s])
-		if err != nil {
-			return err
-		}
-		shardRes[s] = res
-		if trace != nil {
-			trace[s] = shardActual{rows: len(res[0].Pairs), dur: time.Since(start)}
-		}
-		return nil
+		var err error
+		shardRes[s], err = cs.views[s].Execute(sub, shardActs[s])
+		return err
 	})
 	if err != nil {
 		return err
@@ -276,7 +254,7 @@ func pairBefore(a, b timeseries.Pair) bool {
 // engine's result is the concatenation of its node blocks in exactly that
 // order, and every pivot node lives wholly on one shard, so the merged
 // concatenation is byte-identical.
-func (cs *coordState) indexIntervals(items []core.Item, group []int, out []core.QueryResult, trace []shardActual) error {
+func (cs *coordState) indexIntervals(items []core.Item, group []int, out []core.QueryResult) error {
 	if len(group) == 0 {
 		return nil
 	}
@@ -291,12 +269,8 @@ func (cs *coordState) indexIntervals(items []core.Item, group []int, out []core.
 		if idx == nil {
 			return core.ErrNoIndex
 		}
-		start := time.Now()
 		var err error
 		pairs[s], ends[s], err = idx.PairBatchNodes(qs)
-		if err == nil && trace != nil {
-			trace[s] = shardActual{rows: len(pairs[s][0]), dur: time.Since(start)}
-		}
 		return err
 	})
 	if err != nil {
@@ -384,7 +358,7 @@ func pivotBefore(a, b symex.Pivot) bool {
 // result.  Any entry of the true top-k always beats every running v_k, so the
 // retained set — and with (value, pair-id) ordering, the result bytes — are
 // identical to a single engine's.
-func (cs *coordState) indexTopK(spec plan.QuerySpec, trace []shardActual) (core.QueryResult, error) {
+func (cs *coordState) indexTopK(spec plan.QuerySpec) (core.QueryResult, error) {
 	cursors := make([]*scape.TopKCursor, len(cs.views))
 	for s, v := range cs.views {
 		idx := v.Index()
@@ -426,14 +400,6 @@ func (cs *coordState) indexTopK(spec plan.QuerySpec, trace []shardActual) (core.
 		}
 	}
 	pairs, values := heap.Sorted()
-	if trace != nil {
-		for s, cur := range cursors {
-			trace[s].examined = cur.Examined()
-		}
-		for _, p := range pairs {
-			trace[cs.pairOwner(p)].rows++
-		}
-	}
 	return core.QueryResult{Pairs: pairs, Values: values}, nil
 }
 

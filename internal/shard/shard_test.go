@@ -136,99 +136,41 @@ func TestComputePlacement(t *testing.T) {
 	}
 }
 
+// TestCoordinatorExplain pins what a coordinator epoch reports when core.Run
+// is asked for plans — the explain path — against the single engine's
+// Explain: the global plan is priced on the global table and its ActualRows
+// count the merged result, and with the sketch prescreen on, the classified
+// and refined pair counts of a naive sweep sum over the shards to the single
+// engine's.
 func TestCoordinatorExplain(t *testing.T) {
 	cfg := core.Config{Clusters: 4, Seed: 5, Parallelism: 2}
 	e, c := buildFixturePair(t, 3, cfg)
-	S := c.NumShards()
+	explain := func(c *Coordinator, spec plan.QuerySpec, method core.Method) (core.QueryResult, plan.Plan) {
+		t.Helper()
+		out, plans, err := core.Run(c.state(), []plan.QuerySpec{spec}, method, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0], plans[0]
+	}
 
-	// Index interval: per-shard actuals must decompose the global result.
 	spec := plan.Threshold(stats.Correlation, 0.25, scape.Above)
-	res, err := c.Explain(spec, core.MethodIndex)
-	if err != nil {
-		t.Fatal(err)
+	res, cp := explain(c, spec, core.MethodIndex)
+	if cp.Method != core.MethodIndex {
+		t.Fatalf("plan method %v", cp.Method)
 	}
-	if res.Plan.Method != core.MethodIndex {
-		t.Fatalf("plan method %v", res.Plan.Method)
+	if cp.ActualRows != res.Size() {
+		t.Fatalf("ActualRows %d, result %d", cp.ActualRows, res.Size())
 	}
-	if res.Plan.ActualRows != res.Result.Size() {
-		t.Fatalf("ActualRows %d, result %d", res.Plan.ActualRows, res.Result.Size())
-	}
-	if len(res.Shards) != S {
-		t.Fatalf("got %d shard plans, want %d", len(res.Shards), S)
-	}
-	rows := 0
-	for _, sp := range res.Shards {
-		rows += sp.Plan.ActualRows
-		if sp.Plan.Method != core.MethodIndex {
-			t.Fatalf("shard %d plan method %v", sp.Shard, sp.Plan.Method)
-		}
-	}
-	if rows != res.Result.Size() {
-		t.Fatalf("shard rows %d do not decompose result %d", rows, res.Result.Size())
-	}
-	if res.ShardedCost <= 0 {
-		t.Fatalf("ShardedCost %v", res.ShardedCost)
-	}
-	// The sharded price includes the fan-out overhead.
-	worst := 0.0
-	for _, sp := range res.Shards {
-		if sp.Plan.EstimatedCost > worst {
-			worst = sp.Plan.EstimatedCost
-		}
-	}
-	if want := worst + float64(S)*plan.DefaultFanOutCost; math.Abs(res.ShardedCost-want) > 1e-9 {
-		t.Fatalf("ShardedCost %v, want %v", res.ShardedCost, want)
-	}
-
-	// Top-k via the streaming merge: pruning actuals per shard, and the total
-	// entries examined must stay within 2× of the single-engine traversal.
-	tkSpec := plan.TopK(stats.Correlation, 5, true)
-	tk, err := c.Explain(tkSpec, core.MethodIndex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	examined := 0
-	tkRows := 0
-	for _, sp := range tk.Shards {
-		examined += sp.Examined
-		tkRows += sp.Plan.ActualRows
-	}
-	if tkRows != tk.Result.Size() {
-		t.Fatalf("top-k shard rows %d != result %d", tkRows, tk.Result.Size())
-	}
-	_, _, singleExamined, err := e.Index().PairTopK(stats.Correlation, 5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if examined == 0 || examined > 2*singleExamined {
-		t.Fatalf("sharded merge examined %d entries, single engine %d (budget 2x)", examined, singleExamined)
-	}
-
-	// The global plan must match the unsharded engine's.
 	_, ep, err := e.Explain(spec, core.MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := res.Plan
 	cp.Duration, ep.Duration = 0, 0
 	if fmt.Sprintf("%+v", cp) != fmt.Sprintf("%+v", ep) {
 		t.Fatalf("coordinator plan %+v != engine plan %+v", cp, ep)
 	}
 
-	// L-measure explain: no fan-out to attribute.
-	lres, err := c.Explain(plan.Threshold(stats.Mean, 0.1, scape.Above), core.MethodAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lres.Shards != nil {
-		t.Fatalf("L-measure explain reported %d shard plans", len(lres.Shards))
-	}
-
-	// Sketch actuals: with the prescreen enabled, a naive interval sweep's
-	// classified and refined pair counts sum over the shards to the single
-	// engine's (the shard universes partition the pair set and classification
-	// is per pair), and the whole plan — sketch-aware cost columns included —
-	// still matches.
 	skCfg := cfg
 	skCfg.Sketch = sketch.Options{Enabled: true, Coefficients: 4}
 	se, sc := buildFixturePair(t, 3, skCfg)
@@ -243,14 +185,10 @@ func TestCoordinatorExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := sc.Explain(skSpec, core.MethodNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, scp := explain(sc, skSpec, core.MethodNaive)
 	if sep.SketchedPairs != se.Data().NumPairs() || sep.SketchRefinedPairs == 0 {
 		t.Fatalf("engine sketch actuals %d/%d", sep.SketchedPairs, sep.SketchRefinedPairs)
 	}
-	scp := sres.Plan
 	scp.Duration, sep.Duration = 0, 0
 	if fmt.Sprintf("%+v", scp) != fmt.Sprintf("%+v", sep) {
 		t.Fatalf("sketched coordinator plan %+v != engine plan %+v", scp, sep)
@@ -379,8 +317,7 @@ func TestCoordinatorStreaming(t *testing.T) {
 // and with them the merge schedule — change from epoch to epoch.  At every
 // epoch the schedule must be the canonical interleaving of exactly the nodes
 // the shard indexes hold, the batched index scatter and the mixed batch must
-// equal the single engine, and Explain must attribute to each shard the result
-// rows whose pivot it owns.
+// equal the single engine.
 func TestIndexScatterFollowsTheEpoch(t *testing.T) {
 	const rounds, slide = 3, 5
 	cfg := core.Config{Clusters: 4, Seed: 5, MaxLSFD: 0.1, Parallelism: 2}
@@ -449,23 +386,6 @@ func TestIndexScatterFollowsTheEpoch(t *testing.T) {
 		}
 		if resolved[core.MethodIndex] < 2 || resolved[core.MethodNaive]+resolved[core.MethodAffine] == 0 {
 			t.Fatalf("epoch %d: the mixed batch resolved to %v, want index items and a sweep", epoch, resolved)
-		}
-
-		res, err := c.Explain(plan.Interval(stats.Covariance, interval.Between(-0.5, 0.9)), core.MethodIndex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owned := make([]int, len(cs.views))
-		for _, p := range res.Result.Pairs {
-			owned[cs.pairOwner(p)]++
-		}
-		if len(res.Result.Pairs) == 0 {
-			t.Fatalf("epoch %d: explained query matched nothing", epoch)
-		}
-		for _, sp := range res.Shards {
-			if sp.Plan.ActualRows != owned[sp.Shard] || sp.Plan.Duration <= 0 {
-				t.Fatalf("epoch %d: shard %d reported %d rows in %v, owns %d of the result", epoch, sp.Shard, sp.Plan.ActualRows, sp.Plan.Duration, owned[sp.Shard])
-			}
 		}
 
 		if epoch == rounds {

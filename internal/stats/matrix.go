@@ -74,16 +74,6 @@ func PairwiseMatrix(m Measure, d *timeseries.DataMatrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// CovarianceMatrix returns the n-by-n sample covariance matrix Σ(S).
-func CovarianceMatrix(d *timeseries.DataMatrix) (*mat.Matrix, error) {
-	return PairwiseMatrix(Covariance, d)
-}
-
-// DotProductMatrix returns the n-by-n dot product matrix Π(S).
-func DotProductMatrix(d *timeseries.DataMatrix) (*mat.Matrix, error) {
-	return PairwiseMatrix(DotProduct, d)
-}
-
 // CorrelationMatrix returns the n-by-n Pearson correlation matrix ρ(S).
 func CorrelationMatrix(d *timeseries.DataMatrix) (*mat.Matrix, error) {
 	return PairwiseMatrix(Correlation, d)

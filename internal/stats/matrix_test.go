@@ -47,9 +47,9 @@ func TestLocationVector(t *testing.T) {
 
 func TestPairwiseMatrixCovariance(t *testing.T) {
 	d := testData(t)
-	cov, err := CovarianceMatrix(d)
+	cov, err := PairwiseMatrix(Covariance, d)
 	if err != nil {
-		t.Fatalf("CovarianceMatrix: %v", err)
+		t.Fatalf("PairwiseMatrix(Covariance): %v", err)
 	}
 	if r, c := cov.Dims(); r != 3 || c != 3 {
 		t.Fatalf("dims (%d,%d)", r, c)
@@ -89,9 +89,9 @@ func TestPairwiseMatrixCorrelationAndDot(t *testing.T) {
 		t.Fatalf("diagonal correlation = %v, want 1", corr.At(0, 0))
 	}
 
-	dot, err := DotProductMatrix(d)
+	dot, err := PairwiseMatrix(DotProduct, d)
 	if err != nil {
-		t.Fatalf("DotProductMatrix: %v", err)
+		t.Fatalf("PairwiseMatrix(DotProduct): %v", err)
 	}
 	s0, _ := d.Series(0)
 	s2, _ := d.Series(2)

@@ -54,40 +54,10 @@ func CosineOf(x, y []float64) (float64, error) {
 	return measure.EvalPair(measure.Cosine, x, y)
 }
 
-// JaccardOf returns the generalized (real-valued) Jaccard coefficient
-// x·y / (‖x‖² + ‖y‖² − x·y), the standard extension of the set-based Jaccard
-// coefficient to real vectors (also known as the Tanimoto coefficient).
-func JaccardOf(x, y []float64) (float64, error) {
-	return measure.EvalPair(measure.Jaccard, x, y)
-}
-
-// DiceOf returns the generalized Dice coefficient 2·x·y / (‖x‖² + ‖y‖²).
-func DiceOf(x, y []float64) (float64, error) {
-	return measure.EvalPair(measure.Dice, x, y)
-}
-
-// HarmonicMeanOf returns the dot product normalized by the arithmetic mean of
-// the squared norms, i.e. the harmonic-mean style similarity
-// x·y / ((‖x‖²·‖y‖²) / (‖x‖² + ‖y‖²)).
-func HarmonicMeanOf(x, y []float64) (float64, error) {
-	return measure.EvalPair(measure.HarmonicMean, x, y)
-}
-
 // EuclideanDistanceOf returns the Euclidean distance ‖x − y‖, evaluated
 // through the algebra as √(‖x‖² + ‖y‖² − 2·x·y).
 func EuclideanDistanceOf(x, y []float64) (float64, error) {
 	return measure.EvalPair(measure.EuclideanDistance, x, y)
-}
-
-// MeanSquaredDifferenceOf returns ‖x − y‖²/m, the mean squared difference of
-// two equally long series.
-func MeanSquaredDifferenceOf(x, y []float64) (float64, error) {
-	return measure.EvalPair(measure.MeanSquaredDifference, x, y)
-}
-
-// AngularDistanceOf returns arccos(cosine(x, y))/π ∈ [0, 1].
-func AngularDistanceOf(x, y []float64) (float64, error) {
-	return measure.EvalPair(measure.AngularDistance, x, y)
 }
 
 // NormalizerOf returns the separable parameter U of a D-measure, computed

@@ -201,24 +201,24 @@ func TestDerivedDotProductMeasures(t *testing.T) {
 	if err != nil || !almostEqual(cos, 0.5, 1e-12) {
 		t.Fatalf("CosineOf = %v, %v", cos, err)
 	}
-	jac, err := JaccardOf(x, y)
+	jac, err := ComputePair(Jaccard, x, y)
 	if err != nil || !almostEqual(jac, 1.0/3.0, 1e-12) {
-		t.Fatalf("JaccardOf = %v, %v", jac, err)
+		t.Fatalf("Jaccard = %v, %v", jac, err)
 	}
-	dice, err := DiceOf(x, y)
+	dice, err := ComputePair(Dice, x, y)
 	if err != nil || !almostEqual(dice, 0.5, 1e-12) {
-		t.Fatalf("DiceOf = %v, %v", dice, err)
+		t.Fatalf("Dice = %v, %v", dice, err)
 	}
-	hm, err := HarmonicMeanOf(x, y)
+	hm, err := ComputePair(HarmonicMean, x, y)
 	if err != nil || !almostEqual(hm, 1.0, 1e-12) {
-		t.Fatalf("HarmonicMeanOf = %v, %v", hm, err)
+		t.Fatalf("HarmonicMean = %v, %v", hm, err)
 	}
 
 	// Self-similarity should be 1 for cosine, Jaccard and Dice.
-	for _, f := range []func(a, b []float64) (float64, error){CosineOf, JaccardOf, DiceOf} {
-		v, err := f(x, x)
+	for _, m := range []Measure{Cosine, Jaccard, Dice} {
+		v, err := ComputePair(m, x, x)
 		if err != nil || !almostEqual(v, 1, 1e-12) {
-			t.Fatalf("self similarity = %v, %v", v, err)
+			t.Fatalf("%v self similarity = %v, %v", m, v, err)
 		}
 	}
 

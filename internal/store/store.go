@@ -213,18 +213,3 @@ func (s *Store) ListDatasets() ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// DeleteDataset removes a dataset from the store.
-func (s *Store) DeleteDataset(name string) error {
-	path, err := s.segmentPath(name)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		return fmt.Errorf("store: deleting %q: %w", name, err)
-	}
-	return nil
-}

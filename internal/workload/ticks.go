@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"affinity/internal/timeseries"
 )
 
 // DefaultTickSkew is the default Zipf exponent of the hot-series activity
@@ -100,31 +98,4 @@ func (s *TickStream) Ticks(count int) [][]float64 {
 		out[i] = s.Next()
 	}
 	return out
-}
-
-// Amplitudes returns each series' per-tick step scale (diagnostics/tests).
-func (s *TickStream) Amplitudes() []float64 {
-	out := make([]float64, len(s.amplitude))
-	copy(out, s.amplitude)
-	return out
-}
-
-// HotSeries returns the ids sorted hottest-first (largest amplitude, ties by
-// ascending id) — the update-side analogue of PopularityCounts.
-func (s *TickStream) HotSeries() []timeseries.SeriesID {
-	ids := make([]timeseries.SeriesID, len(s.amplitude))
-	for i := range ids {
-		ids[i] = timeseries.SeriesID(i)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ids[j-1], ids[j]
-			if s.amplitude[b] > s.amplitude[a] || (s.amplitude[b] == s.amplitude[a] && b < a) {
-				ids[j-1], ids[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	return ids
 }

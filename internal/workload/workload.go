@@ -142,61 +142,3 @@ func PopularityCounts(queries []MECQuery, numSeries int) []int {
 	}
 	return counts
 }
-
-// ThresholdQuery is one measure threshold (MET) query.
-type ThresholdQuery struct {
-	Measure   stats.Measure
-	Threshold float64
-	Above     bool
-}
-
-// RangeQuery is one measure range (MER) query.
-type RangeQuery struct {
-	Measure stats.Measure
-	Low     float64
-	High    float64
-}
-
-// ThresholdSweep builds a MET workload whose thresholds sweep the value
-// distribution of a measure from the given quantile anchors, producing result
-// sets of increasing size the way Figs. 15–16 of the paper sweep the result
-// size axis.  Values must be sorted ascending.
-func ThresholdSweep(m stats.Measure, sortedValues []float64, quantiles []float64, above bool) ([]ThresholdQuery, error) {
-	if len(sortedValues) == 0 {
-		return nil, fmt.Errorf("%w: no values to sweep", ErrBadConfig)
-	}
-	out := make([]ThresholdQuery, 0, len(quantiles))
-	for _, q := range quantiles {
-		if q < 0 || q > 1 {
-			return nil, fmt.Errorf("%w: quantile %v outside [0,1]", ErrBadConfig, q)
-		}
-		idx := int(q * float64(len(sortedValues)-1))
-		out = append(out, ThresholdQuery{Measure: m, Threshold: sortedValues[idx], Above: above})
-	}
-	return out, nil
-}
-
-// RangeSweep builds a MER workload with ranges centred on the median of the
-// value distribution and widening towards the full range.
-func RangeSweep(m stats.Measure, sortedValues []float64, widths []float64) ([]RangeQuery, error) {
-	if len(sortedValues) == 0 {
-		return nil, fmt.Errorf("%w: no values to sweep", ErrBadConfig)
-	}
-	n := len(sortedValues)
-	out := make([]RangeQuery, 0, len(widths))
-	for _, w := range widths {
-		if w <= 0 || w > 1 {
-			return nil, fmt.Errorf("%w: width %v outside (0,1]", ErrBadConfig, w)
-		}
-		loIdx := int((0.5 - w/2) * float64(n-1))
-		hiIdx := int((0.5 + w/2) * float64(n-1))
-		if loIdx < 0 {
-			loIdx = 0
-		}
-		if hiIdx > n-1 {
-			hiIdx = n - 1
-		}
-		out = append(out, RangeQuery{Measure: m, Low: sortedValues[loIdx], High: sortedValues[hiIdx]})
-	}
-	return out, nil
-}

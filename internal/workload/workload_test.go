@@ -133,60 +133,3 @@ func TestPopularityCountsIgnoresOutOfRange(t *testing.T) {
 		t.Fatalf("out-of-range identifiers should be ignored, counts = %v", counts)
 	}
 }
-
-func TestThresholdSweep(t *testing.T) {
-	values := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	queries, err := ThresholdSweep(stats.Covariance, values, []float64{0, 0.5, 1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(queries) != 3 {
-		t.Fatalf("sweep size %d", len(queries))
-	}
-	if queries[0].Threshold != 1 || queries[2].Threshold != 10 {
-		t.Fatalf("sweep thresholds = %v", queries)
-	}
-	if !queries[0].Above || queries[0].Measure != stats.Covariance {
-		t.Fatal("sweep metadata wrong")
-	}
-	if _, err := ThresholdSweep(stats.Covariance, nil, []float64{0.5}, true); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("empty values err = %v", err)
-	}
-	if _, err := ThresholdSweep(stats.Covariance, values, []float64{1.5}, true); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("bad quantile err = %v", err)
-	}
-}
-
-func TestRangeSweep(t *testing.T) {
-	values := make([]float64, 101)
-	for i := range values {
-		values[i] = float64(i)
-	}
-	queries, err := RangeSweep(stats.Correlation, values, []float64{0.1, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(queries) != 3 {
-		t.Fatalf("sweep size %d", len(queries))
-	}
-	for i := 1; i < len(queries); i++ {
-		prevWidth := queries[i-1].High - queries[i-1].Low
-		width := queries[i].High - queries[i].Low
-		if width < prevWidth {
-			t.Fatal("range widths should be non-decreasing")
-		}
-	}
-	last := queries[len(queries)-1]
-	if last.Low != 0 || last.High != 100 {
-		t.Fatalf("full-width range = %+v", last)
-	}
-	if _, err := RangeSweep(stats.Correlation, nil, []float64{0.5}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("empty values err = %v", err)
-	}
-	if _, err := RangeSweep(stats.Correlation, values, []float64{0}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("zero width err = %v", err)
-	}
-	if _, err := RangeSweep(stats.Correlation, values, []float64{2}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("too-wide err = %v", err)
-	}
-}
