@@ -667,10 +667,11 @@ func BenchmarkStreamQueryDuringAdvance(b *testing.B) {
 
 // --- parallel engine benchmarks -------------------------------------------
 
-// BenchmarkParallelBuild measures the cold build at several worker counts;
-// per-phase timings are attached as metrics.  On multi-core hardware the
-// symex/summaries/index phases scale close to linearly; on a single core the
-// levels coincide (the determinism tests pin that results are identical
+// BenchmarkParallelBuild measures the cold build at several worker counts.
+// Every phase fans out over the same workers: AFCLST's assignment by series
+// block and its Gram power iterations one cluster per item, the SYMEX+ fits
+// by pivot group, the summaries and the index by pivot.  On a single core
+// the levels coincide (the determinism tests pin that results are identical
 // either way).
 func BenchmarkParallelBuild(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())

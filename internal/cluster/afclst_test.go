@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"affinity/internal/mat"
+	"affinity/internal/dataset"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
@@ -66,8 +66,8 @@ func TestRunBasicProperties(t *testing.T) {
 		if len(center) != d.NumSamples() {
 			t.Fatalf("center length %d, want %d", len(center), d.NumSamples())
 		}
-		if math.Abs(mat.Norm(center)-1) > 1e-9 {
-			t.Fatalf("center not unit length: %v", mat.Norm(center))
+		if math.Abs(norm(center)-1) > 1e-9 {
+			t.Fatalf("center not unit length: %v", norm(center))
 		}
 	}
 	if res.Iterations < 1 {
@@ -128,7 +128,7 @@ func TestRunLowProjectionErrorForCleanData(t *testing.T) {
 	}
 	for v, e := range res.ProjectionErrors {
 		s, _ := d.Series(timeseries.SeriesID(v))
-		if e > 1e-6*(1+mat.Norm(s)) {
+		if e > 1e-6*(1+norm(s)) {
 			t.Fatalf("series %d projection error %v, want ~0", v, e)
 		}
 	}
@@ -203,11 +203,13 @@ func TestRunHandlesConstantAndZeroSeries(t *testing.T) {
 		t.Fatalf("Run with degenerate series: %v", err)
 	}
 	for _, c := range res.Centers {
-		if mat.HasNaN(c) {
-			t.Fatal("center contains NaN")
+		for _, x := range c {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatal("center contains NaN")
+			}
 		}
-		if math.Abs(mat.Norm(c)-1) > 1e-9 {
-			t.Fatalf("center norm %v", mat.Norm(c))
+		if math.Abs(norm(c)-1) > 1e-9 {
+			t.Fatalf("center norm %v", norm(c))
 		}
 	}
 }
@@ -319,5 +321,105 @@ func TestCenterMemo(t *testing.T) {
 	moved := &Result{Centers: [][]float64{{1, 2, 6}}, Assignment: []int{0}}
 	if got, _ := moved.CenterLocations(measure.Mean); len(got) != 1 || got[0] != 3 || moved.CenterMoments().Sum[0] != 9 {
 		t.Fatalf("a second clustering read %v / %+v", got, moved.CenterMoments())
+	}
+}
+
+// scaled returns 2^j·d.
+func scaled(t testing.TB, d *timeseries.DataMatrix, j int) *timeseries.DataMatrix {
+	t.Helper()
+	cols := make([][]float64, d.NumSeries())
+	for v := range cols {
+		s, _ := d.Series(timeseries.SeriesID(v))
+		cols[v] = make([]float64, len(s))
+		for i, x := range s {
+			cols[v][i] = math.Ldexp(x, j)
+		}
+	}
+	out, err := timeseries.NewDataMatrix(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRunScaleEquivariant: AFCLST is scale-free, and so is Run to the bit —
+// scaling the data by 2^j moves no assignment and no center bit, however far
+// j pushes the member Gram past overflow (2⁵¹⁵) or underflow (2⁻⁵⁶⁵).
+func TestRunScaleEquivariant(t *testing.T) {
+	d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: 24, NumSamples: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 4, Seed: 1}
+	base, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{-565, -300, 0, 300, 515} {
+		got, err := Run(scaled(t, d, j), cfg)
+		if err != nil {
+			t.Fatalf("2^%d: %v", j, err)
+		}
+		for v := range base.Assignment {
+			if got.Assignment[v] != base.Assignment[v] {
+				t.Fatalf("2^%d: series %d in cluster %d, want %d (sizes %v, want %v)",
+					j, v, got.Assignment[v], base.Assignment[v], got.Sizes(), base.Sizes())
+			}
+		}
+		for l, c := range got.Centers {
+			for i, x := range c {
+				if math.IsNaN(x) || math.Float64bits(x) != math.Float64bits(base.Centers[l][i]) {
+					t.Fatalf("2^%d: center %d sample %d = %v, want %v", j, l, i, x, base.Centers[l][i])
+				}
+			}
+		}
+	}
+}
+
+// TestRunAllocations: a Run allocates its workspace once — nothing per
+// (series, center) and nothing per round beyond the fan-out and a buffer that
+// grows.
+func TestRunAllocations(t *testing.T) {
+	d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: 168, NumSamples: 360, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(d, Config{K: 6, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 800 {
+		t.Fatalf("Run made %.0f allocations, want at most 800", allocs)
+	}
+	t.Logf("%.0f allocations per Run", allocs)
+}
+
+// BenchmarkRun times one clustering of the stream_steady and stream_churn
+// windows' shapes.
+func BenchmarkRun(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		stock bool
+		n, m  int
+	}{{"sensor168x360", false, 168, 360}, {"stock128x720", true, 128, 720}} {
+		var d *timeseries.DataMatrix
+		var err error
+		if c.stock {
+			d, err = dataset.GenerateStock(dataset.StockConfig{NumSeries: c.n, NumSamples: c.m, Seed: 1})
+		} else {
+			d, err = dataset.GenerateSensor(dataset.SensorConfig{NumSeries: c.n, NumSamples: c.m, Seed: 1})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(d, Config{K: 6, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

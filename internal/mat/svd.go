@@ -191,92 +191,6 @@ func (s *SVD) Reconstruct() (*Matrix, error) {
 	return us.Mul(s.V.T())
 }
 
-// DominantLeftSingularVector returns the left singular vector associated with
-// the largest singular value of a, computed without forming the full SVD.
-//
-// It uses power iteration on the small Gram matrix AᵀA (n-by-n, where n is
-// the number of columns) and then maps the dominant right singular vector
-// back through A, which is far cheaper than a full decomposition when A is a
-// tall m-by-c matrix with c << m (the AFCLST cluster update).  The returned
-// vector has unit length.  For a matrix with a single column the normalized
-// column is returned directly.
-func DominantLeftSingularVector(a *Matrix) ([]float64, error) {
-	m, n := a.Dims()
-	if m == 0 || n == 0 {
-		return nil, fmt.Errorf("mat: empty %dx%d matrix: %w", m, n, ErrDimensionMismatch)
-	}
-	if n == 1 {
-		return Normalize(a.Col(0)), nil
-	}
-
-	// Gram matrix G = AᵀA (n-by-n).
-	g := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			var sum float64
-			for r := 0; r < m; r++ {
-				sum += a.data[r*n+i] * a.data[r*n+j]
-			}
-			g.data[i*n+j] = sum
-			g.data[j*n+i] = sum
-		}
-	}
-
-	// Power iteration for the dominant eigenvector of G.
-	v := make([]float64, n)
-	for i := range v {
-		// Deterministic non-degenerate start vector.
-		v[i] = 1 / math.Sqrt(float64(n)+float64(i))
-	}
-	v = Normalize(v)
-	const maxIter = 500
-	const tol = 1e-13
-	for iter := 0; iter < maxIter; iter++ {
-		next, err := g.MulVec(v)
-		if err != nil {
-			return nil, err
-		}
-		norm := Norm(next)
-		if norm == 0 {
-			// A is the zero matrix; any unit vector is a valid answer.
-			out := make([]float64, m)
-			out[0] = 1
-			return out, nil
-		}
-		for i := range next {
-			next[i] /= norm
-		}
-		// Convergence on direction (sign-insensitive).
-		var diff float64
-		for i := range next {
-			d := math.Abs(math.Abs(next[i]) - math.Abs(v[i]))
-			if d > diff {
-				diff = d
-			}
-		}
-		v = next
-		if diff < tol {
-			break
-		}
-	}
-
-	// Map back: u = A v / ||A v||.
-	av, err := a.MulVec(v)
-	if err != nil {
-		return nil, err
-	}
-	norm := Norm(av)
-	if norm == 0 {
-		out := make([]float64, m)
-		out[0] = 1
-		return out, nil
-	}
-	for i := range av {
-		av[i] /= norm
-	}
-	return av, nil
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -151,53 +151,6 @@ func TestSVDFrobeniusProperty(t *testing.T) {
 	}
 }
 
-func TestDominantLeftSingularVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randomMatrix(rng, 30, 5)
-	u1, err := DominantLeftSingularVector(a)
-	if err != nil {
-		t.Fatalf("DominantLeftSingularVector: %v", err)
-	}
-	if math.Abs(Norm(u1)-1) > 1e-9 {
-		t.Fatalf("dominant vector not unit length: %v", Norm(u1))
-	}
-	svd, _ := ComputeSVD(a)
-	full := svd.U.Col(0)
-	// Compare up to sign.
-	dot := math.Abs(Dot(u1, full))
-	if math.Abs(dot-1) > 1e-6 {
-		t.Fatalf("dominant left singular vector disagrees with full SVD: |dot| = %v", dot)
-	}
-}
-
-func TestDominantLeftSingularVectorSingleColumn(t *testing.T) {
-	a, _ := NewFromColumns([]float64{3, 4})
-	u, err := DominantLeftSingularVector(a)
-	if err != nil {
-		t.Fatalf("DominantLeftSingularVector: %v", err)
-	}
-	if !VecEqual(u, []float64{0.6, 0.8}, 1e-12) {
-		t.Fatalf("got %v, want [0.6 0.8]", u)
-	}
-}
-
-func TestDominantLeftSingularVectorZeroMatrix(t *testing.T) {
-	a := New(4, 3)
-	u, err := DominantLeftSingularVector(a)
-	if err != nil {
-		t.Fatalf("DominantLeftSingularVector: %v", err)
-	}
-	if math.Abs(Norm(u)-1) > 1e-12 {
-		t.Fatalf("zero-matrix fallback should still be unit length, got %v", Norm(u))
-	}
-}
-
-func TestDominantLeftSingularVectorEmpty(t *testing.T) {
-	if _, err := DominantLeftSingularVector(New(0, 0)); err == nil {
-		t.Fatal("empty matrix should error")
-	}
-}
-
 func TestRankFullRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomMatrix(rng, 6, 3)
