@@ -26,7 +26,7 @@ import (
 
 var experimentOrder = []string{
 	"table3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"fig15", "fig16", "table4", "ablation-pinv", "ablation-pruning",
+	"fig15", "fig16", "table4", "ablation-pinv",
 }
 
 func main() {
@@ -229,24 +229,6 @@ func runExperiment(id string, scale experiments.Scale, out io.Writer) error {
 			fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%.2fx\t%d\t%d\n", r.Dataset, r.Relationships,
 				r.WithoutCacheTime.Round(time.Microsecond), r.WithCacheTime.Round(time.Microsecond),
 				r.Factor, r.PinvWithoutCache, r.PinvWithCache)
-		}
-		return w.Flush()
-
-	case "ablation-pruning":
-		sensor, err := experiments.GenerateSensorOnly(scale)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.AblationScapePruning(sensor, 6, scale.Seed, nil)
-		if err != nil {
-			return err
-		}
-		w := newTable(out)
-		fmt.Fprintln(w, "threshold\tresult size\twith pruning\twithout pruning\tspeedup\tidentical results")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.2f\t%d\t%v\t%v\t%.2fx\t%v\n", r.Threshold, r.ResultSize,
-				r.WithPruning.Round(time.Microsecond), r.WithoutPruning.Round(time.Microsecond),
-				r.PruningSpeedup, r.ResultsIdentical)
 		}
 		return w.Flush()
 

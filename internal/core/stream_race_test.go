@@ -415,12 +415,12 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	}
 }
 
-// TestFirstDerivedQueriesRaceAdvance: a D-measure's pruning bounds are reduced
-// by the first query of an epoch that prunes by it.  Every epoch, many
+// TestFirstDerivedQueriesRaceAdvance: a D-measure's value column is filled by
+// the first scan or top-k of an epoch that names it.  Every epoch, many
 // goroutines issue that first correlation / Euclidean / cosine query against
 // one pinned View at once — while Advance assembles the next epoch from the
-// same index — and each must read its own epoch's bounds: the answers equal
-// those of a twin engine whose index never prunes, epoch by epoch.
+// same index — and each must read its own epoch's column: the answers equal
+// those of a twin engine one goroutine queries, epoch by epoch.
 func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 	const n, window, slide, rounds, readers = 16, 80, 5, 8, 6
 	fx := makeStreamFixture(t, n, window, slide*rounds, 59)
@@ -432,7 +432,6 @@ func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Index = scape.Options{DisableDerivedPruning: true}
 	twin, err := Build(fx.window, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +459,7 @@ func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 				defer wg.Done()
 				<-start
 				// Each reader leads with another query, so every measure's
-				// bounds have several goroutines racing to reduce them.
+				// column has several goroutines racing to fill it.
 				mine := append(append([]plan.QuerySpec(nil), specs[r%len(specs):]...), specs[:r%len(specs)]...)
 				out, _, err := Run(v, mine, MethodIndex, false)
 				if err == nil {
@@ -483,7 +482,7 @@ func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 			}
 			for q := range specs {
 				if !slices.Equal(got[r][q].Pairs, want[q].Pairs) || !slices.Equal(got[r][q].Values, want[q].Values) {
-					t.Fatalf("epoch %d reader %d query %d: %d pairs, the never-pruning twin has %d",
+					t.Fatalf("epoch %d reader %d query %d: %d pairs, the sequential twin has %d",
 						round, r, q, len(got[r][q].Pairs), len(want[q].Pairs))
 				}
 			}

@@ -269,19 +269,6 @@ func TestAblations(t *testing.T) {
 	if cacheRow.Relationships != sensor.NumPairs() {
 		t.Fatalf("relationships = %d", cacheRow.Relationships)
 	}
-
-	pruningRows, err := AblationScapePruning(sensor, 3, 1, []float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pruningRows) != 2 {
-		t.Fatalf("pruning rows = %d", len(pruningRows))
-	}
-	for _, r := range pruningRows {
-		if !r.ResultsIdentical {
-			t.Fatalf("pruned and unpruned results differ at tau=%v", r.Threshold)
-		}
-	}
 }
 
 func TestTimingHelpers(t *testing.T) {

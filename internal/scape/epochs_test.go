@@ -38,8 +38,8 @@ func eagerBounds(idx *Index, node *pivotNode, sp *measure.Spec) [2]float64 {
 }
 
 // requireSameIndex compares two indexes field by field.  Reading the bounds
-// reduces them on both sides, so callers that watch the on-demand discipline
-// do that first.
+// and value columns fills them on both sides, so callers that watch the
+// on-demand discipline do that first.
 func requireSameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	if len(got.pivots) != len(want.pivots) {
@@ -105,6 +105,10 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 					t.Fatalf("%s %v %v: bounds %v, Build %v, eager loop %v", label, m, want.pivots[i].pivot, gb[i], wb[i], oracle)
 				}
 			}
+		}
+		gc, wc := got.columnOf(sp), want.columnOf(sp)
+		if !slices.EqualFunc(gc.values, wc.values, sameBits) || !slices.Equal(gc.extremes, wc.extremes) {
+			t.Fatalf("%s %v: value columns differ", label, m)
 		}
 	}
 	requireSameLocation(t, label, got, want)
@@ -499,8 +503,9 @@ func boundedMeasures(idx *Index) []stats.Measure {
 	return out
 }
 
-// TestParamBoundsReducedOnDemand: an epoch's pruning bounds exist only for
-// the D-measures a query of that epoch pruned by, and belong to that epoch.
+// TestParamBoundsReducedOnDemand: an epoch's parameter bounds exist only for
+// the D-measures an estimate of that epoch counted by, and belong to that
+// epoch.  Scans, batches and top-k read value columns and reduce none.
 func TestParamBoundsReducedOnDemand(t *testing.T) {
 	d1, d2, rel1 := slidingDataset(t, 11, 36, 240, 24)
 	idx, err := Build(d1, rel1, Options{})
@@ -515,49 +520,54 @@ func TestParamBoundsReducedOnDemand(t *testing.T) {
 	}
 	expect("fresh index", idx)
 
-	// Queries that cannot use bounds reduce none: T- and L-measures, a
-	// predicate outside the measure's range, one that evaluates every entry.
+	// Queries reduce none; neither do estimates that cannot use bounds: T- and
+	// L-measures, a predicate outside the measure's range, one that evaluates
+	// every entry.
 	for _, q := range []PairQuery{
 		{Measure: stats.Covariance, Interval: interval.AtLeast(0.1)},
 		{Measure: stats.DotProduct, Interval: interval.Between(-1, 1)},
 		{Measure: stats.Correlation, Interval: interval.GreaterThan(2)},
 		{Measure: stats.Correlation, Interval: interval.GreaterThan(-2)},
+		{Measure: stats.Correlation, Interval: interval.AtLeast(0.5)},
 	} {
 		if _, err := idx.PairInterval(q.Measure, q.Interval); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := idx.EstimateSelectivity(q); err != nil {
-			t.Fatal(err)
+		if q.Interval != interval.AtLeast(0.5) {
+			if _, err := idx.EstimateSelectivity(q); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if _, _, _, err := idx.PairTopK(stats.Covariance, 5, true); err != nil {
+	if _, err := idx.PairBatch([]PairQuery{{Measure: stats.Cosine, Interval: interval.AtMost(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.SeriesInterval(stats.Mean, interval.AtLeast(0)); err != nil {
+	if _, _, _, err := idx.PairTopK(stats.EuclideanDistance, 5, false); err != nil {
 		t.Fatal(err)
 	}
-	expect("after queries that do not prune", idx)
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Mean, Interval: interval.AtLeast(0)}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after queries and estimates that do not bound", idx)
 
-	// Each door that prunes reduces its own measure, once.
-	if _, err := idx.PairInterval(stats.Correlation, interval.AtLeast(0.5)); err != nil {
+	// Each estimate that counts by bounds reduces its own measure, once.
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Correlation, Interval: interval.AtLeast(0.5)}); err != nil {
 		t.Fatal(err)
 	}
-	expect("after a correlation scan", idx, stats.Correlation)
+	expect("after a correlation estimate", idx, stats.Correlation)
 	first := &idx.paramBoundsOf(measure.Lookup(stats.Correlation))[0]
-	if _, err := idx.PairBatch([]PairQuery{{Measure: stats.Correlation, Interval: interval.AtMost(0)}}); err != nil {
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Correlation, Interval: interval.AtMost(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if again := &idx.paramBoundsOf(measure.Lookup(stats.Correlation))[0]; again != first {
 		t.Fatal("the correlation bounds were reduced twice at one epoch")
 	}
-	if _, _, _, err := idx.PairTopK(stats.Cosine, 5, true); err != nil {
-		t.Fatal(err)
+	for _, m := range []stats.Measure{stats.Cosine, stats.EuclideanDistance} {
+		if _, err := idx.EstimateSelectivity(PairQuery{Measure: m, Interval: interval.AtMost(3)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	expect("after a cosine top-k", idx, stats.Correlation, stats.Cosine)
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.EuclideanDistance, Interval: interval.AtMost(3)}); err != nil {
-		t.Fatal(err)
-	}
-	expect("after a Euclidean estimate", idx, stats.Correlation, stats.Cosine, stats.EuclideanDistance)
+	expect("after cosine and Euclidean estimates", idx, stats.Correlation, stats.Cosine, stats.EuclideanDistance)
 
 	// The next epoch starts without bounds and reduces its own; the pinned
 	// previous index keeps reading the ones of its window.
@@ -571,10 +581,10 @@ func TestParamBoundsReducedOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("updated index", upd)
-	if _, err := upd.PairInterval(stats.Cosine, interval.AtLeast(0.5)); err != nil {
+	if _, err := upd.EstimateSelectivity(PairQuery{Measure: stats.Cosine, Interval: interval.AtLeast(0.5)}); err != nil {
 		t.Fatal(err)
 	}
-	expect("updated index after a cosine scan", upd, stats.Cosine)
+	expect("updated index after a cosine estimate", upd, stats.Cosine)
 	expect("previous index", idx, stats.Correlation, stats.Cosine, stats.EuclideanDistance)
 	sp := measure.Lookup(stats.Cosine)
 	moved := false
@@ -588,79 +598,5 @@ func TestParamBoundsReducedOnDemand(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("the slid window left every cosine bound where it was: the test cannot tell the epochs apart")
-	}
-}
-
-// TestNoBoundsWithoutPruning: an index that does not prune — by option, or
-// because it indexes no D-measure — never reduces bounds and behaves as before.
-func TestNoBoundsWithoutPruning(t *testing.T) {
-	d, _, rel := slidingDataset(t, 11, 36, 240, 24)
-	pruning, err := Build(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ablated, err := Build(d, rel, Options{DisableDerivedPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range SeparableDerivedMeasures() {
-		for _, iv := range []interval.Interval{interval.AtLeast(0.4), interval.Between(0.1, 0.9), interval.LessThan(0.2)} {
-			got, err := ablated.PairInterval(m, iv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := pruning.PairInterval(m, iv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v %v: %d pairs without pruning, %d with", m, iv, len(got), len(want))
-			}
-			if _, err := ablated.EstimateSelectivity(PairQuery{Measure: m, Interval: iv}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		gp, gv, _, err := ablated.PairTopK(m, 9, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp, wv, _, err := pruning.PairTopK(m, 9, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(gp, wp) || !slices.Equal(gv, wv) {
-			t.Fatalf("%v: top-k differs without pruning", m)
-		}
-	}
-	if got := boundedMeasures(ablated); got != nil {
-		t.Fatalf("an index with pruning disabled reduced bounds for %v", got)
-	}
-	if got := boundedMeasures(pruning); len(got) != len(pruning.dMeasures) {
-		t.Fatalf("the pruning index reduced bounds for %v of %v", got, pruning.dMeasures)
-	}
-
-	plain, err := Build(d, rel, Options{DerivedMeasures: []stats.Measure{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.bounds) != 0 || plain.Stats().IndexedDMeasures != 0 || plain.Stats().IndexedTMeasures != 2 {
-		t.Fatalf("index without D-measures: %d bound slots, stats %+v", len(plain.bounds), plain.Stats())
-	}
-	if _, err := plain.PairInterval(stats.Correlation, interval.AtLeast(0.5)); err == nil {
-		t.Fatal("an index without D-measures answered a correlation query")
-	}
-	if _, _, _, err := plain.PairTopK(stats.Cosine, 3, true); err == nil {
-		t.Fatal("an index without D-measures answered a cosine top-k")
-	}
-	got, err := plain.PairInterval(stats.Covariance, interval.AtLeast(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := pruning.PairInterval(stats.Covariance, interval.AtLeast(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("covariance scan: %d pairs without D-measures, %d with", len(got), len(want))
 	}
 }

@@ -14,10 +14,9 @@ import (
 type Selectivity struct {
 	// Rows is the estimated number of result entries.
 	Rows int
-	// Candidates is the number of sequence nodes whose exact derived value an
-	// index scan would have to evaluate (the band of Section 5.3 where the
-	// parameter bounds cannot decide membership).  Zero for T- and L-measure
-	// queries, which the index answers without per-entry evaluation.
+	// Candidates is the number of sequence nodes in the band of Section 5.3
+	// where the parameter bounds cannot decide membership, which the planner
+	// prices as per-entry evaluations.  Zero for T- and L-measure queries.
 	Candidates int
 	// Exact reports whether Rows is exact with respect to the index contents
 	// (true for T- and L-measures, false for the D-measure band estimate).
@@ -169,8 +168,12 @@ func sideTrivial(b interval.Bound, extreme float64, hiSide bool) bool {
 }
 
 // countWindow counts, for one node, the entries definitely inside the
-// predicate and the undecidable band, using the same (unpadded) geometry as
-// the scans: the conservative window minus the definite region.
+// predicate and the undecidable band: the conservative ξ window minus the
+// definite region.  The monotone-direction mirroring is applied once, to the
+// interval: for decreasing transforms the value interval's high end is the
+// low-T end.  A closed endpoint at the clamp extreme the transform plateaus to
+// on its side is satisfied by the entire plateau — arbitrarily large |T| — so
+// that side is unbounded rather than inverted.
 func (db derivedBounds) countWindow(sp *measure.Spec, eval interval.Interval, numSamples int) (definite, band int) {
 	from, to := eval.Lo, eval.Hi
 	fromExtreme, toExtreme := sp.RangeMin, sp.RangeMax
@@ -193,4 +196,53 @@ func (db derivedBounds) countWindow(sp *measure.Spec, eval interval.Interval, nu
 		band = 0
 	}
 	return definite, band
+}
+
+// derivedBounds is the per-(node, spec) geometry of Section 5.3, generalized
+// to both monotone directions, that the estimator counts with: value-space
+// query bounds invert through the spec's InvertT into ξ-space bounds, with the
+// pivot's parameter interval [U^min, U^max] supplying the conservative and
+// the definite ends.
+type derivedBounds struct {
+	pm       *pivotMeasure
+	canPrune bool
+	uMin     float64
+	uMax     float64
+}
+
+// nodeBounds inspects pivot node i for a derived spec whose base T-measure
+// sits at slot and whose per-node parameter bounds are bounds (nil when the
+// query evaluates every entry): whether they admit pruning at all (spec
+// transforms that divide by the parameter need U^min > 0; an empty or
+// unbounded interval disables pruning for everyone).
+func (idx *Index) nodeBounds(i, slot int, sp *measure.Spec, bounds [][2]float64) derivedBounds {
+	db := derivedBounds{pm: &idx.pivots[i].measures[slot]}
+	if bounds == nil {
+		return db
+	}
+	db.uMin, db.uMax = bounds[i][0], bounds[i][1]
+	db.canPrune = db.pm.alphaNorm != 0 &&
+		!math.IsInf(db.uMin, 1) && db.uMin <= db.uMax &&
+		(!sp.ParamPositive || db.uMin > 0)
+	return db
+}
+
+// xiBounds maps one value-space bound v into ξ space: the smallest and
+// largest scalar projections at which the transform can cross v for any
+// parameter in the node's interval.
+func (db derivedBounds) xiBounds(sp *measure.Spec, v float64, numSamples int) (lo, hi float64) {
+	tLo, tHi := sp.TBounds(v, db.uMin, db.uMax, numSamples)
+	return tLo / db.pm.alphaNorm, tHi / db.pm.alphaNorm
+}
+
+// sideBounds maps one endpoint of the evaluation interval into ξ space.
+// dir = −1 for the low-T end of the matching T interval, +1 for the high-T
+// end; unbounded endpoints and closed endpoints on the clamp plateau extend
+// their side without inversion.
+func (db derivedBounds) sideBounds(sp *measure.Spec, b interval.Bound, extreme float64, dir int, numSamples int) (lo, hi float64) {
+	if b.Unbounded || (sp.Bounded && !b.Open && b.Value == extreme) {
+		v := math.Inf(dir)
+		return v, v
+	}
+	return db.xiBounds(sp, b.Value, numSamples)
 }

@@ -25,10 +25,12 @@
 // relationship and never changes.
 //
 // D-measures are indexed through their base T-measure: the separable
-// normalizer U_e of a sequence node is derived at query time from the window's
-// per-series statistics, and per pivot node the minimum and maximum normalizer
-// among its sequence nodes (U^min_q, U^max_q) drive the index pruning of
-// Section 5.3.
+// normalizer U_e of a sequence node is derived from the window's per-series
+// statistics, and the measure's value of every entry of the base ξ-container,
+// ‖α‖·ξ put through the spec's transform with that normalizer, is read from a
+// per-epoch value column.  Per pivot node the minimum and maximum normalizer
+// among its sequence nodes (U^min_q, U^max_q) of Section 5.3 remain the
+// selectivity estimator's geometry.
 //
 // Location (L-) measures apply to single series rather than pairs; the index
 // keeps one sorted column per L-measure over the series' measure values,
@@ -56,11 +58,14 @@
 // by (value, series id), and one routine (keyWindow) maps an interval to the
 // index window of matching entries for both.
 //
-// The pruning bounds (U^min_q, U^max_q) of a D-measure are not part of the
-// epoch's construction at all: they are reduced for every pivot, from the
-// sequence stores, by the first query of the epoch that prunes by that
-// measure, once (a sync.Once per index and D-measure).  A measure nobody asks
-// about at an epoch is never bounded.
+// Neither the value column of a D-measure nor its parameter bounds
+// (U^min_q, U^max_q) are part of the epoch's construction.  The column — one
+// value per entry in container order, NaN where the measure is undefined,
+// beside each node's extremes over its defined values — is filled by the
+// first interval scan, batch or top-k of the epoch that names the measure;
+// the bounds by the first selectivity estimate.  Each happens once (a
+// sync.Once per index and D-measure), and a measure nobody asks about at an
+// epoch is never evaluated.
 package scape
 
 import (
@@ -96,22 +101,19 @@ type Options struct {
 	// through their base T-measure and do not need to be listed.  Nil selects
 	// all T-measures (covariance and dot product).
 	PairMeasures []stats.Measure
-	// DerivedMeasures lists the D-measures for which normalizers and pruning
-	// bounds should be maintained.  Nil selects every D-measure with a
-	// separable normalizer (correlation, cosine, Dice, harmonic mean).
+	// DerivedMeasures lists the D-measures the index answers: each gets a
+	// per-epoch value column and parameter bounds, filled on first use.  Nil
+	// selects every D-measure with a separable normalizer.
 	DerivedMeasures []stats.Measure
 	// LocationMeasures lists the L-measures to index over individual series.
 	// Nil selects mean, median and mode.
 	LocationMeasures []stats.Measure
-	// DisableDerivedPruning turns off the U^min/U^max pruning of Section 5.3
-	// (every candidate's exact derived value is evaluated instead).  Used by
-	// the ablation benchmark; queries return identical results either way.
-	DisableDerivedPruning bool
 	// Parallelism is the number of goroutines used to shard threshold/range
-	// scans by pivot at query time and to build the pivot nodes (one container
-	// set per pivot).  Zero or one runs sequentially.  Pivot nodes are kept in
-	// a deterministic (Common, Cluster) order and per-pivot partial results are
-	// merged in that order, so query results are byte-identical at any level.
+	// scans by pivot at query time, to build the pivot nodes (one container
+	// set per pivot) and to fill value columns.  Zero or one runs
+	// sequentially.  Pivot nodes are kept in a deterministic (Common, Cluster)
+	// order and per-pivot partial results are merged in that order, so query
+	// results are byte-identical at any level.
 	Parallelism int
 }
 
@@ -194,7 +196,6 @@ type BuildStats struct {
 	IndexedLMeasures   int
 	LocationEstimated  int // series whose L-value came from an affine relationship
 	LocationComputed   int // series whose L-value was computed directly (fallback)
-	DerivedPruningOn   bool
 	TotalTreeInsertion int
 	// ScratchGets/ScratchHits count per-pivot scratch buffer requests and how
 	// many were satisfied from the shared pool (vs freshly allocated).
@@ -214,8 +215,13 @@ type Index struct {
 	tMeasures []stats.Measure
 	dMeasures []stats.Measure
 	lMeasures []stats.Measure
-	// bounds[s] holds the pruning bounds of dMeasures[s], reduced on first use.
-	bounds []paramBounds
+	// offsets[i] is where node i's entries start in every value column (node
+	// i holds offsets[i+1] − offsets[i] entries under every measure).
+	offsets []int
+	// bounds[s] holds the parameter bounds of dMeasures[s] and columns[s] its
+	// value column, each filled on first use.
+	bounds  []paramBounds
+	columns []valueColumn
 	// location[s] is the global per-series column of lMeasures[s].
 	location []locationColumn
 	// pairMeasures / derivedSet for quick membership checks.
@@ -231,12 +237,24 @@ type Index struct {
 }
 
 // paramBounds holds (U^min_q, U^max_q) of one D-measure for every pivot node,
-// aligned with Index.pivots: the Section 5.3 pruning bounds.  The parameters
-// depend on the window's per-series statistics, so the bounds are per epoch;
-// they are reduced by the first query that prunes by the measure.
+// aligned with Index.pivots: the Section 5.3 bounds the selectivity estimator
+// counts with.  The parameters depend on the window's per-series statistics,
+// so the bounds are per epoch; they are reduced by the first estimate.
 type paramBounds struct {
 	once     sync.Once
 	perPivot [][2]float64
+}
+
+// valueColumn holds one D-measure's value of every entry of the index, node
+// by node (Index.offsets) and, within a node, in the order of the node's base
+// ξ-container; NaN marks an entry whose value is undefined.  extremes[i] is
+// the smallest and largest defined value of node i, (+Inf, −Inf) when it has
+// none.  The values depend on the window, so the column is per epoch; it is
+// filled by the first scan or top-k that names the measure.
+type valueColumn struct {
+	once     sync.Once
+	values   []float64
+	extremes [][2]float64
 }
 
 // Stats returns build statistics.
@@ -351,7 +369,6 @@ func (idx *Index) finishStats(rel *symex.Result) {
 	idx.stats.IndexedTMeasures = len(idx.pairMeasures)
 	idx.stats.IndexedDMeasures = len(idx.derivedSet)
 	idx.stats.IndexedLMeasures = len(idx.locationSet)
-	idx.stats.DerivedPruningOn = !idx.opts.DisableDerivedPruning
 }
 
 // livePivots returns the pivots that get a node — those with at least one
@@ -476,6 +493,7 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 
 	idx.moments = d.Moments()
 	idx.bounds = make([]paramBounds, len(idx.dMeasures))
+	idx.columns = make([]valueColumn, len(idx.dMeasures))
 
 	// The pivot terms are the ones W_A propagates through, assembled in one
 	// place (symex.Result.PivotTerms); it also checks every pivot's columns.
@@ -485,11 +503,13 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 	}
 	pivots := rel.Layout().Pivots()
 	pivotOrder := livePivots(rel)
-	// offsets[i] is where node i's entries start in the key and rank slabs.
+	// offsets[i] is where node i's entries start in the key and rank slabs
+	// (times the T-measure count) and in every value column.
 	offsets := make([]int, len(pivotOrder)+1)
 	for i, pi := range pivotOrder {
 		offsets[i+1] = offsets[i] + rel.PivotLen(pi)
 	}
+	idx.offsets = offsets
 	specs := make([]*measure.Spec, len(idx.tMeasures))
 	for s, m := range idx.tMeasures {
 		specs[s] = measure.Lookup(m)
@@ -577,13 +597,13 @@ func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.Pivot
 	return scratchHit
 }
 
-// paramBoundsOf returns the pruning bounds of an indexed D-measure, one
+// paramBoundsOf returns the parameter bounds of an indexed D-measure, one
 // (U^min_q, U^max_q) per pivot node over the node's pairs, reducing them on
-// the epoch's first call; nil when the index does not prune.  The reduction
+// the epoch's first call; nil when the measure is not indexed.  The reduction
 // walks each node's sequence store — a flat loop per pivot.
 func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 	slot := slices.Index(idx.dMeasures, sp.ID)
-	if slot < 0 || idx.opts.DisableDerivedPruning {
+	if slot < 0 {
 		return nil
 	}
 	pb := &idx.bounds[slot]
@@ -611,6 +631,59 @@ func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
 		pb.perPivot = perPivot
 	})
 	return pb.perPivot
+}
+
+// columnOf returns the value column of an indexed D-measure, filling it on
+// the epoch's first call: every entry of every node's base ξ-container is
+// evaluated once, blocks of nodes in parallel.
+func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
+	col := &idx.columns[slices.Index(idx.dMeasures, sp.ID)]
+	col.once.Do(func() {
+		base := idx.baseSlot(sp.Base)
+		values := make([]float64, idx.offsets[len(idx.pivots)])
+		extremes := make([][2]float64, len(idx.pivots))
+		// The evaluation cannot fail; DoBlocks only fans it out.
+		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
+			for i := blk.Lo; i < blk.Hi; i++ {
+				pm := &idx.pivots[i].measures[base]
+				node := values[idx.offsets[i]:idx.offsets[i+1]]
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for j, xi := range pm.xi.keys {
+					v := idx.derivedValue(pm, pm.xi.node(j), sp, xi)
+					node[j] = v
+					// No comparison with NaN holds: undefined values bound nothing.
+					if v < lo {
+						lo = v
+					}
+					if v > hi {
+						hi = v
+					}
+				}
+				extremes[i] = [2]float64{lo, hi}
+			}
+			return nil
+		})
+		col.values, col.extremes = values, extremes
+	})
+	return col
+}
+
+// nodeValues returns node i's window of a value column.
+func (idx *Index) nodeValues(col *valueColumn, i int) []float64 {
+	return col.values[idx.offsets[i]:idx.offsets[i+1]]
+}
+
+// derivedValue computes the exact derived measure of a sequence node from
+// index-resident quantities: the spec transform of ‖α‖·ξ and the separable
+// parameter derived from the window's per-series statistics; NaN when the
+// measure is undefined for the pair.
+func (idx *Index) derivedValue(pm *pivotMeasure, sn *sequenceNode, sp *measure.Spec, xi float64) float64 {
+	u := sp.Param(idx.moments.Stat(sn.pair.U), idx.moments.Stat(sn.pair.V))
+	v, err := sp.Value(pm.alphaNorm*xi, u, idx.numSamples)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
 }
 
 // buildLocationColumns estimates every series' L-measures (through an affine

@@ -1,7 +1,7 @@
 package scape
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"affinity/internal/interval"
@@ -9,86 +9,58 @@ import (
 )
 
 // TestIntervalWindowPlateauEnds pins the clamp-plateau geometry of bounded
-// interval queries: a closed endpoint sitting exactly at the value a clamped
-// transform plateaus to (distance 0, correlation ±1) is satisfied by
+// interval estimates: a closed endpoint sitting exactly at the value a
+// clamped transform plateaus to (distance 0, correlation ±1) is satisfied by
 // arbitrarily large |T|, so the matching end of the ξ window must be
 // unbounded — otherwise an index built from stale (drift-bounded) transforms
-// whose propagated T overshoots the node's parameter interval would silently
-// drop plateau entries that the unpruned scan and the affine method include.
+// whose propagated T overshoots the node's parameter interval would have its
+// plateau entries left out of the count.  Two one-entry nodes probe the far
+// ends, ξ = ∓10⁶.
 func TestIntervalWindowPlateauEnds(t *testing.T) {
-	db := derivedBounds{
-		pm:       &pivotMeasure{alphaNorm: 2},
-		canPrune: true,
-		uMin:     4,
-		uMax:     9,
-	}
 	const m = 16
-	window := func(sp *measure.Spec, lo, hi float64) xiWindow {
-		return db.window(sp, interval.Between(lo, hi), m)
+	counted := func(sp *measure.Spec, iv interval.Interval, xi float64) bool {
+		db := derivedBounds{pm: &pivotMeasure{alphaNorm: 2, xi: xiArray{keys: []float64{xi}}}, canPrune: true, uMin: 4, uMax: 9}
+		definite, band := db.countWindow(sp, iv, m)
+		return definite+band > 0
+	}
+	expect := func(sp *measure.Spec, iv interval.Interval, low, high bool) {
+		t.Helper()
+		if gotLow, gotHigh := counted(sp, iv, -1e6), counted(sp, iv, 1e6); gotLow != low || gotHigh != high {
+			t.Fatalf("%v %v: far-low entry counted %v, far-high %v; want %v, %v", sp.ID, iv, gotLow, gotHigh, low, high)
+		}
 	}
 
 	// Euclidean [0, x]: the lo bound is the decreasing transform's high-T
-	// plateau, so the high-T end must be +Inf while the low-T end stays the
+	// plateau, so the high-T end is unbounded while the low-T end stays the
 	// finite inversion of x.
 	eu := measure.Lookup(measure.EuclideanDistance)
-	w := window(eu, 0, 1.5)
-	if math.IsInf(w.scanLo, 0) || math.IsInf(w.defLo, 0) {
-		t.Fatalf("euclidean [0,1.5]: finite hi-bound end expected, got scanLo=%v defLo=%v", w.scanLo, w.defLo)
-	}
-	if !math.IsInf(w.scanHi, 1) || !math.IsInf(w.defHi, 1) {
-		t.Fatalf("euclidean [0,1.5]: plateau end must be +Inf, got scanHi=%v defHi=%v", w.scanHi, w.defHi)
-	}
+	expect(eu, interval.Between(0, 1.5), false, true)
 	// Interior range: both ends finite.
-	w = window(eu, 0.25, 1.5)
-	if math.IsInf(w.scanHi, 0) || math.IsInf(w.defHi, 0) {
-		t.Fatalf("euclidean interior range: scanHi=%v defHi=%v should be finite", w.scanHi, w.defHi)
-	}
+	expect(eu, interval.Between(0.25, 1.5), false, false)
 
 	// Correlation [x, 1]: the hi bound is the increasing transform's high-T
-	// plateau (clamp at 1).
+	// plateau (clamp at 1); [-1, x]: the lo bound is the low-T plateau.
 	corr := measure.Lookup(measure.Correlation)
-	w = window(corr, 0.5, 1)
-	if math.IsInf(w.scanLo, 0) || math.IsInf(w.defLo, 0) {
-		t.Fatalf("correlation [0.5,1]: scanLo=%v defLo=%v should be finite", w.scanLo, w.defLo)
-	}
-	if !math.IsInf(w.scanHi, 1) || !math.IsInf(w.defHi, 1) {
-		t.Fatalf("correlation [0.5,1]: plateau end must be +Inf, got scanHi=%v defHi=%v", w.scanHi, w.defHi)
-	}
-	// Correlation [-1, x]: the lo bound is the low-T plateau.
-	w = window(corr, -1, 0.5)
-	if !math.IsInf(w.scanLo, -1) || !math.IsInf(w.defLo, -1) {
-		t.Fatalf("correlation [-1,0.5]: plateau end must be -Inf, got scanLo=%v defLo=%v", w.scanLo, w.defLo)
-	}
+	expect(corr, interval.Between(0.5, 1), false, true)
+	expect(corr, interval.Between(-1, 0.5), true, false)
 	// An OPEN endpoint at the plateau value excludes the plateau itself, so
-	// the window must stay finite (old MET "value > extreme" semantics).
-	w = db.window(corr, interval.New(interval.Open(-1), interval.Closed(0.5)), m)
-	if math.IsInf(w.scanLo, 0) {
-		t.Fatalf("correlation (-1,0.5]: open plateau endpoint must invert finitely, got scanLo=%v", w.scanLo)
-	}
+	// the window stays finite.
+	expect(corr, interval.New(interval.Open(-1), interval.Closed(0.5)), false, false)
 
-	// Unbounded ratio transforms (cosine is not declared Bounded) keep
-	// finite inversions at any probe.
-	cos := measure.Lookup(measure.Cosine)
-	w = window(cos, -1, 1)
-	if math.IsInf(w.scanLo, 0) || math.IsInf(w.scanHi, 0) {
-		t.Fatalf("cosine [-1,1]: bounds should stay finite, got %v..%v", w.scanLo, w.scanHi)
-	}
+	// Unbounded ratio transforms (cosine is not declared Bounded) keep finite
+	// inversions at any probe.
+	expect(measure.Lookup(measure.Cosine), interval.Between(-1, 1), false, false)
 }
 
-// TestRangePlateauScanIncludesOvershoot builds a node whose stored projection
-// implies a propagated T beyond the parameter interval (the stale-transform
-// regime) and checks the pruned range scan keeps the plateau entry.
+// TestRangePlateauScanIncludesOvershoot checks that range scans anchored at
+// the plateau values of the clamped transforms keep every plateau entry: the
+// per-entry oracle's answer, pair for pair.
 func TestRangePlateauScanIncludesOvershoot(t *testing.T) {
 	d, rel := testDataset(t, 9, 12, 60)
 	idx, err := Build(d, rel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := Build(d, rel, Options{DisableDerivedPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ranges anchored at the plateau values of the clamped transforms.
 	cases := []struct {
 		m      measure.Measure
 		lo, hi float64
@@ -100,22 +72,13 @@ func TestRangePlateauScanIncludesOvershoot(t *testing.T) {
 		{measure.Correlation, -1, -0.2},
 	}
 	for _, tc := range cases {
-		a, err := idx.PairInterval(tc.m, interval.Between(tc.lo, tc.hi))
+		got, err := idx.PairInterval(tc.m, interval.Between(tc.lo, tc.hi))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := unpruned.PairInterval(tc.m, interval.Between(tc.lo, tc.hi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%v [%v,%v]: pruned %d vs unpruned %d", tc.m, tc.lo, tc.hi, len(a), len(b))
-		}
-		sa, sb := pairSet(a), pairSet(b)
-		for e := range sb {
-			if !sa[e] {
-				t.Fatalf("%v [%v,%v]: pair %v dropped by pruning", tc.m, tc.lo, tc.hi, e)
-			}
+		want := oracleInterval(perEntryOracle(idx, measure.Lookup(tc.m)), interval.Between(tc.lo, tc.hi))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v [%v,%v]: %d pairs, the oracle %d", tc.m, tc.lo, tc.hi, len(got), len(want))
 		}
 	}
 }

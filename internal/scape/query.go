@@ -2,7 +2,6 @@ package scape
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"affinity/internal/interval"
@@ -246,9 +245,8 @@ type pairScan struct {
 	pred derivedPredicate
 	// slot is the position of the spec's base T-measure in a node's measures.
 	slot int
-	// bounds holds the spec's pruning bounds per node, for a derived query
-	// that can use them (nil otherwise: every entry is evaluated).
-	bounds [][2]float64
+	// col is a derived query's value column (nil when its predicate is empty).
+	col *valueColumn
 }
 
 // compilePair validates a pairwise interval query and precomputes its
@@ -270,8 +268,8 @@ func (idx *Index) compilePair(q PairQuery) (pairScan, error) {
 	}
 	if sp.Derived() {
 		ps.pred = compileDerivedPredicate(sp, q.Interval)
-		if !ps.pred.empty && !ps.pred.evalAll {
-			ps.bounds = idx.paramBoundsOf(sp)
+		if !ps.pred.empty {
+			ps.col = idx.columnOf(sp)
 		}
 	}
 	return ps, nil
@@ -280,10 +278,20 @@ func (idx *Index) compilePair(q PairQuery) (pairScan, error) {
 // scanNode answers one compiled pairwise query from pivot node i, appending
 // matching pairs to out in scalar-projection order.
 func (idx *Index) scanNode(i int, ps pairScan, out []timeseries.Pair) []timeseries.Pair {
+	pm := &idx.pivots[i].measures[ps.slot]
 	if !ps.sp.Derived() {
-		return nodeBaseInterval(&idx.pivots[i].measures[ps.slot], ps.iv, out)
+		return nodeBaseInterval(pm, ps.iv, out)
 	}
-	return idx.nodeDerivedInterval(idx.nodeBounds(i, ps.slot, ps.sp, ps.bounds), ps.sp, ps.pred, out)
+	if ps.col == nil {
+		return out
+	}
+	// The column is in the base container's order: entry j is pm.xi's j-th.
+	for j, v := range idx.nodeValues(ps.col, i) {
+		if ps.pred.eval.Contains(v) {
+			out = append(out, pm.xi.node(j).pair)
+		}
+	}
+	return out
 }
 
 // nodeBaseInterval scans one pivot node's state of a T-measure for an interval
@@ -318,43 +326,6 @@ func scaleInterval(iv interval.Interval, norm float64) interval.Interval {
 		iv.Hi.Value /= norm
 	}
 	return iv
-}
-
-// derivedBounds is the per-(node, spec) pruning geometry of Section 5.3,
-// generalized to both monotone directions: value-space query bounds invert
-// through the spec's InvertT into ξ-space scan bounds, with the pivot's
-// parameter interval [U^min, U^max] supplying the conservative and the
-// definite ends.
-type derivedBounds struct {
-	pm       *pivotMeasure
-	canPrune bool
-	uMin     float64
-	uMax     float64
-}
-
-// nodeBounds inspects pivot node i for a derived spec whose base T-measure
-// sits at slot and whose per-node parameter bounds are bounds (nil when the
-// query or the index does not prune): whether they admit pruning at all (spec
-// transforms that divide by the parameter need U^min > 0; an empty or
-// unbounded interval disables pruning for everyone).
-func (idx *Index) nodeBounds(i, slot int, sp *measure.Spec, bounds [][2]float64) derivedBounds {
-	db := derivedBounds{pm: &idx.pivots[i].measures[slot]}
-	if bounds == nil {
-		return db
-	}
-	db.uMin, db.uMax = bounds[i][0], bounds[i][1]
-	db.canPrune = db.pm.alphaNorm != 0 &&
-		!math.IsInf(db.uMin, 1) && db.uMin <= db.uMax &&
-		(!sp.ParamPositive || db.uMin > 0)
-	return db
-}
-
-// xiBounds maps one value-space bound v into ξ space: the smallest and
-// largest scalar projections at which the transform can cross v for any
-// parameter in the node's interval.
-func (db derivedBounds) xiBounds(sp *measure.Spec, v float64, numSamples int) (lo, hi float64) {
-	tLo, tHi := sp.TBounds(v, db.uMin, db.uMax, numSamples)
-	return tLo / db.pm.alphaNorm, tHi / db.pm.alphaNorm
 }
 
 // derivedPredicate is the query-level shape of a derived interval query,
@@ -407,117 +378,4 @@ func compileDerivedPredicate(sp *measure.Spec, iv interval.Interval) derivedPred
 		}
 	}
 	return pred
-}
-
-// xiWindow is the ξ-space geometry of one derived query on one pivot node:
-// the conservative scan window [scanLo, scanHi] outside which no parameter in
-// the node's interval can satisfy the predicate, and the definite region
-// (defLo, defHi) inside which every parameter does (case I of Fig. 8(b)) —
-// its entries are accepted without evaluating the exact value.
-type xiWindow struct {
-	scanLo, scanHi float64
-	defLo, defHi   float64
-}
-
-// window maps the evaluation interval into the ξ geometry of one node.  The
-// monotone-direction mirroring is applied here, once, to the interval: for
-// decreasing transforms the value interval's high end is the low-T end.  A
-// closed endpoint sitting at the clamp extreme the transform plateaus to on
-// its side is satisfied by the entire plateau — arbitrarily large |T| — so
-// that side is unbounded rather than inverted: a stale transform whose
-// propagated T overshoots the parameter interval still lands inside the scan
-// window and is resolved by exact evaluation.
-func (db derivedBounds) window(sp *measure.Spec, eval interval.Interval, numSamples int) xiWindow {
-	from, to := eval.Lo, eval.Hi
-	fromExtreme, toExtreme := sp.RangeMin, sp.RangeMax
-	if sp.Decreasing {
-		from, to = eval.Hi, eval.Lo
-		fromExtreme, toExtreme = sp.RangeMax, sp.RangeMin
-	}
-	fromLo, fromHi := db.sideBounds(sp, from, fromExtreme, -1, numSamples)
-	toLo, toHi := db.sideBounds(sp, to, toExtreme, +1, numSamples)
-	return xiWindow{
-		scanLo: padBound(fromLo, -1),
-		scanHi: padBound(toHi, +1),
-		defLo:  padBound(fromHi, +1),
-		defHi:  padBound(toLo, -1),
-	}
-}
-
-// sideBounds maps one endpoint of the evaluation interval into ξ space.
-// dir = −1 for the low-T end of the matching T interval, +1 for the high-T
-// end; unbounded endpoints and closed endpoints on the clamp plateau extend
-// their side without inversion.
-func (db derivedBounds) sideBounds(sp *measure.Spec, b interval.Bound, extreme float64, dir int, numSamples int) (lo, hi float64) {
-	if b.Unbounded || (sp.Bounded && !b.Open && b.Value == extreme) {
-		v := math.Inf(dir)
-		return v, v
-	}
-	return db.xiBounds(sp, b.Value, numSamples)
-}
-
-// padBound nudges a pruning boundary outward (dir = −1 toward smaller ξ,
-// +1 toward larger) by a relative epsilon.  The bound tests and the exact
-// per-entry evaluation round differently (ξ·‖α‖ reconstructs t inexactly), so
-// an entry sitting within floating-point distance of a boundary could be
-// blind-accepted by the bound while exact evaluation rejects it — or be
-// skipped while evaluation accepts it.  Widening the conservative bounds and
-// shrinking the definite region by this margin routes every ambiguous entry
-// through exact evaluation, which is the ground truth: results with and
-// without pruning stay identical.
-func padBound(x float64, dir float64) float64 {
-	if math.IsInf(x, 0) {
-		return x
-	}
-	return x + dir*1e-9*(1+math.Abs(x))
-}
-
-// nodeDerivedInterval scans one pivot node for a D-measure interval query:
-// the scan range in ξ is restricted with the parameter bounds, entries in the
-// definite region are accepted without evaluation, and candidates in the band
-// where membership cannot be decided from the bounds alone are resolved
-// exactly.
-func (idx *Index) nodeDerivedInterval(db derivedBounds, sp *measure.Spec, pred derivedPredicate, out []timeseries.Pair) []timeseries.Pair {
-	if pred.empty {
-		return out
-	}
-	evaluate := func(xi float64, sn *sequenceNode) {
-		v, ok := idx.derivedValue(db.pm, sn, sp, xi)
-		if ok && pred.eval.Contains(v) {
-			out = append(out, sn.pair)
-		}
-	}
-	if pred.evalAll || !db.canPrune {
-		// No pruning possible (or disabled): evaluate every entry.
-		db.pm.xi.Ascend(func(xi float64, sn *sequenceNode) bool {
-			evaluate(xi, sn)
-			return true
-		})
-		return out
-	}
-	w := db.window(sp, pred.eval, idx.numSamples)
-	db.pm.xi.AscendRange(w.scanLo, w.scanHi, func(xi float64, sn *sequenceNode) bool {
-		if xi > w.defLo && xi < w.defHi {
-			out = append(out, sn.pair)
-			return true
-		}
-		evaluate(xi, sn)
-		return true
-	})
-	return out
-}
-
-// derivedValue computes the exact derived measure of a sequence node from
-// index-resident quantities: the spec transform of ‖α‖·ξ and the separable
-// parameter derived from the window's per-series statistics.
-func (idx *Index) derivedValue(pm *pivotMeasure, sn *sequenceNode, sp *measure.Spec, xi float64) (float64, bool) {
-	if !idx.derivedSet[sp.ID] {
-		return 0, false
-	}
-	u := sp.Param(idx.moments.Stat(sn.pair.U), idx.moments.Stat(sn.pair.V))
-	v, err := sp.Value(pm.alphaNorm*xi, u, idx.numSamples)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
 }

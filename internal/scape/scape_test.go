@@ -118,9 +118,6 @@ func TestBuildBasics(t *testing.T) {
 		st.IndexedDMeasures != len(SeparableDerivedMeasures()) {
 		t.Fatalf("measure counts L=%d T=%d D=%d", st.IndexedLMeasures, st.IndexedTMeasures, st.IndexedDMeasures)
 	}
-	if !st.DerivedPruningOn {
-		t.Fatal("pruning should be on by default")
-	}
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -263,66 +260,6 @@ func TestPairRangeMatchesAffineEstimates(t *testing.T) {
 		}
 		if !ok {
 			t.Fatalf("%v range [%v, %v] mismatch: got %d want %d", m, lo, hi, len(gotSet), len(want))
-		}
-	}
-}
-
-func TestDerivedPruningAblationIdenticalResults(t *testing.T) {
-	d, rel := testDataset(t, 5, 15, 80)
-	pruned, err := Build(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unpruned, err := Build(d, rel, Options{DisableDerivedPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every indexable D-measure — increasing ratios and decreasing distances
-	// alike — must answer identically with and without the parameter-bound
-	// pruning, at thresholds spanning its own value distribution.
-	for _, m := range SeparableDerivedMeasures() {
-		estimates := affineEstimates(t, d, rel, m)
-		values := make([]float64, 0, len(estimates))
-		for _, v := range estimates {
-			values = append(values, v)
-		}
-		sort.Float64s(values)
-		pick := func(q float64) float64 { return values[int(q*float64(len(values)-1))] }
-		// The out-of-distribution probes (below every value / above every
-		// value) exercise the Bounded short-circuits for clamped transforms.
-		for _, tau := range []float64{pick(0.05), pick(0.3), pick(0.6), pick(0.95), pick(0) - 1, pick(1) + 1} {
-			for _, op := range []ThresholdOp{Above, Below} {
-				a, err := pruned.PairInterval(m, op.Interval(tau))
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := unpruned.PairInterval(m, op.Interval(tau))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("%v %v %v: pruned %d vs unpruned %d results", m, op, tau, len(a), len(b))
-				}
-				sa, sb := pairSet(a), pairSet(b)
-				for e := range sa {
-					if !sb[e] {
-						t.Fatalf("%v %v %v: pair %v only in pruned result", m, op, tau, e)
-					}
-				}
-			}
-		}
-		for _, r := range [][2]float64{{pick(0.1), pick(0.5)}, {pick(0.4), pick(0.9)}, {pick(0), pick(1)}} {
-			a, err := pruned.PairInterval(m, interval.Between(r[0], r[1]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := unpruned.PairInterval(m, interval.Between(r[0], r[1]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("%v range %v: pruned %d vs unpruned %d", m, r, len(a), len(b))
-			}
 		}
 	}
 }

@@ -1,13 +1,14 @@
 // Top-k (MEK) queries over the SCAPE index: the k pairs with the most extreme
 // measure value, executed as a best-first traversal of the pivot nodes.
 //
-// Top-k is "adaptively discover the interval [v_k, best]": the per-node
-// derived bounds that prune interval scans also order the pivot nodes by the
-// best value they could possibly contain.  Nodes are visited best-first; each
-// visited node is scanned only inside the running interval [v_k, ·] (v_k =
-// the k-th best value found so far, tightening as the result heap fills), and
-// the traversal stops as soon as the next node's optimistic bound cannot beat
-// v_k — nodes beyond that point are never examined at all.
+// Top-k is "adaptively discover the interval [v_k, best]": every pivot node
+// is bounded by the best value it contains — its container extreme scaled by
+// ‖α‖ for a T-measure, its value-column extreme for a D-measure — and the
+// nodes are visited best-first.  A T-measure node is scanned only inside the
+// running interval [v_k, ·] (v_k = the k-th best value found so far,
+// tightening as the result heap fills), a D-measure node offers its column
+// values, and the traversal stops as soon as the next node's bound cannot
+// beat v_k — nodes beyond that point are never examined at all.
 package scape
 
 import (
@@ -151,24 +152,24 @@ type TopKCursor struct {
 	idx *Index
 	sp  *measure.Spec
 	// slot is the position of the spec's base T-measure in a node's measures;
-	// bounds holds a derived spec's pruning bounds per node.
-	slot     int
-	bounds   [][2]float64
-	largest  bool
+	// col is a derived spec's value column.
+	slot    int
+	col     *valueColumn
+	largest bool
+	// cands is a binary heap of the unscanned nodes, the next one first.
 	cands    []nodeCand
-	next     int
 	examined int
 }
 
 // nodeCand is one pivot node (by position in the index) with its optimistic
-// bound, in traversal order.
+// bound.
 type nodeCand struct {
 	order int
 	bound float64
 }
 
 // NewTopKCursor prepares a best-first traversal for a pairwise measure: every
-// pivot node's optimistic bound is evaluated and the nodes are sorted by
+// pivot node's optimistic bound is evaluated and the nodes are heaped by
 // (bound best-first, node order).  The cursor itself holds no result state —
 // ranking lives in the TopHeap passed to Step — so several cursors can feed
 // one heap.
@@ -185,42 +186,58 @@ func (idx *Index) NewTopKCursor(m stats.Measure, largest bool) (*TopKCursor, err
 		return nil, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.Base)
 	}
 	if sp.Derived() {
-		c.bounds = idx.paramBoundsOf(sp)
+		c.col = idx.columnOf(sp)
 	}
-	cands := make([]nodeCand, 0, len(idx.pivots))
+	c.cands = make([]nodeCand, 0, len(idx.pivots))
 	for i := range idx.pivots {
 		if bound, ok := c.nodeTopBound(i); ok {
-			cands = append(cands, nodeCand{order: i, bound: bound})
+			c.cands = append(c.cands, nodeCand{order: i, bound: bound})
 		}
 	}
-	// Bound best-first, then node position: a strict total order, because
-	// nodeTopBound maps a NaN bound to ±Inf.
-	slices.SortFunc(cands, func(a, b nodeCand) int {
-		ahead := a.order < b.order
-		if a.bound != b.bound {
-			ahead = a.bound < b.bound
-			if largest {
-				ahead = a.bound > b.bound
+	for i := len(c.cands)/2 - 1; i >= 0; i-- {
+		c.siftDown(i)
+	}
+	return c, nil
+}
+
+// ahead reports whether candidate a is visited before b: bound best-first,
+// then node position — a strict total order, because no bound is NaN.
+func (c *TopKCursor) ahead(a, b nodeCand) bool {
+	if a.bound != b.bound {
+		if c.largest {
+			return a.bound > b.bound
+		}
+		return a.bound < b.bound
+	}
+	return a.order < b.order
+}
+
+func (c *TopKCursor) siftDown(i int) {
+	n := len(c.cands)
+	for {
+		first := i
+		for ch := 2*i + 1; ch <= 2*i+2 && ch < n; ch++ {
+			if c.ahead(c.cands[ch], c.cands[first]) {
+				first = ch
 			}
 		}
-		if ahead {
-			return -1
+		if first == i {
+			return
 		}
-		return 1
-	})
-	c.cands = cands
-	return c, nil
+		c.cands[i], c.cands[first] = c.cands[first], c.cands[i]
+		i = first
+	}
 }
 
 // NextBound returns the optimistic bound of the next unscanned pivot node,
 // or false when the cursor is exhausted.  The bound is the best value the
-// node could possibly contribute; because nodes are bound-sorted it also
-// bounds everything the cursor has left.
+// node could possibly contribute; because nodes are visited in bound order it
+// also bounds everything the cursor has left.
 func (c *TopKCursor) NextBound() (float64, bool) {
-	if c.next >= len(c.cands) {
+	if len(c.cands) == 0 {
 		return 0, false
 	}
-	return c.cands[c.next].bound, true
+	return c.cands[0].bound, true
 }
 
 // Step scans the next pivot node against the heap, restricted to the heap's
@@ -228,21 +245,25 @@ func (c *TopKCursor) NextBound() (float64, bool) {
 // examined.  Callers decide when to stop by comparing NextBound against the
 // heap's Threshold.
 func (c *TopKCursor) Step(heap *TopHeap) (int, error) {
-	if c.next >= len(c.cands) {
+	if len(c.cands) == 0 {
 		return 0, nil
 	}
-	n := c.scanNodeTopK(c.cands[c.next].order, heap)
-	c.next++
+	i := c.cands[0].order
+	last := len(c.cands) - 1
+	c.cands[0] = c.cands[last]
+	c.cands = c.cands[:last]
+	c.siftDown(0)
+	n := c.scanNodeTopK(i, heap)
 	c.examined += n
 	return n, nil
 }
 
 // Examined returns the total number of sequence-node entries the cursor's
-// Steps have evaluated.
+// Steps have examined.
 func (c *TopKCursor) Examined() int { return c.examined }
 
 // Exhausted reports whether every candidate node has been scanned.
-func (c *TopKCursor) Exhausted() bool { return c.next >= len(c.cands) }
+func (c *TopKCursor) Exhausted() bool { return len(c.cands) == 0 }
 
 // BoundBeats reports whether an optimistic bound could still improve a full
 // heap with k-th value vk: true unless the bound is strictly worse.  A bound
@@ -271,8 +292,8 @@ func (idx *Index) PairTopK(m stats.Measure, k int, largest bool) ([]timeseries.P
 	heap := NewTopHeap(k, largest)
 	for !cur.Exhausted() {
 		// Pruning invariant: once the heap is full, a node whose optimistic
-		// bound is strictly worse than v_k cannot contribute — and the list is
-		// bound-sorted, so neither can any later node.
+		// bound is strictly worse than v_k cannot contribute — and nodes come
+		// in bound order, so neither can any later node.
 		bound, _ := cur.NextBound()
 		if vk, full := heap.Threshold(); full && !BoundBeats(bound, vk, largest) {
 			break
@@ -285,11 +306,11 @@ func (idx *Index) PairTopK(m stats.Measure, k int, largest bool) ([]timeseries.P
 	return pairs, values, cur.Examined(), nil
 }
 
-// runningInterval is the predicate "could still enter the heap": unbounded
-// until the heap fills, then closed at v_k on the moving side.  The endpoint
-// is padded outward by the scan epsilon so an entry whose value reconstructs
-// to exactly v_k through a differently-rounded ξ window is still examined
-// (the heap's exact comparison rejects anything genuinely worse).
+// runningInterval is the predicate "could still enter the heap" of a T-measure
+// scan: unbounded until the heap fills, then closed at v_k on the moving side.
+// The endpoint is padded outward by a relative epsilon so an entry whose value
+// reconstructs to exactly v_k through a differently-rounded ξ window is still
+// examined (the heap's exact comparison rejects anything genuinely worse).
 func runningInterval(heap *TopHeap, largest bool) interval.Interval {
 	vk, full := heap.Threshold()
 	if !full {
@@ -301,54 +322,44 @@ func runningInterval(heap *TopHeap, largest bool) interval.Interval {
 	return interval.AtMost(padBound(vk, +1))
 }
 
-// scanNodeTopK offers every entry of pivot node i that could still enter the
-// heap, restricting the scan to the running interval's ξ window, and returns
-// the number of entries examined.
+// padBound nudges a bound outward (dir = −1 toward smaller values, +1 toward
+// larger) by a relative epsilon; infinite bounds stay where they are.
+func padBound(x float64, dir float64) float64 {
+	if math.IsInf(x, 0) {
+		return x
+	}
+	return x + dir*1e-9*(1+math.Abs(x))
+}
+
+// scanNodeTopK offers pivot node i's entries to the heap and returns the
+// number of entries examined: a T-measure node's entries inside the running
+// interval's ξ window, a D-measure node's every value from the column.
 func (c *TopKCursor) scanNodeTopK(i int, heap *TopHeap) int {
-	idx, sp := c.idx, c.sp
+	pm := &c.idx.pivots[i].measures[c.slot]
+	if c.col != nil {
+		values := c.idx.nodeValues(c.col, i)
+		for j, v := range values {
+			heap.Offer(pm.xi.node(j).pair, v)
+		}
+		return len(values)
+	}
 	iv := runningInterval(heap, c.largest)
 	examined := 0
-	if !sp.Derived() {
-		pm := &idx.pivots[i].measures[c.slot]
-		if pm.alphaNorm == 0 {
-			if iv.Contains(0) {
-				pm.xi.Ascend(func(_ float64, sn *sequenceNode) bool {
-					examined++
-					heap.Offer(sn.pair, 0)
-					return true
-				})
-			}
-			return examined
+	if pm.alphaNorm == 0 {
+		if iv.Contains(0) {
+			pm.xi.Ascend(func(_ float64, sn *sequenceNode) bool {
+				examined++
+				heap.Offer(sn.pair, 0)
+				return true
+			})
 		}
-		pm.xi.ascendInterval(scaleInterval(iv, pm.alphaNorm), func(xi float64, sn *sequenceNode) bool {
-			examined++
-			heap.Offer(sn.pair, pm.alphaNorm*xi)
-			return true
-		})
 		return examined
 	}
-
-	db := idx.nodeBounds(i, c.slot, sp, c.bounds)
-	pred := compileDerivedPredicate(sp, iv)
-	if pred.empty {
-		return 0
-	}
-	offer := func(xi float64, sn *sequenceNode) bool {
+	pm.xi.ascendInterval(scaleInterval(iv, pm.alphaNorm), func(xi float64, sn *sequenceNode) bool {
 		examined++
-		if v, ok := idx.derivedValue(db.pm, sn, sp, xi); ok {
-			heap.Offer(sn.pair, v)
-		}
+		heap.Offer(sn.pair, pm.alphaNorm*xi)
 		return true
-	}
-	if pred.evalAll || !db.canPrune {
-		db.pm.xi.Ascend(offer)
-		return examined
-	}
-	// Unlike an interval scan there is no blind-accept region: the heap needs
-	// every candidate's exact value to rank it, so the whole conservative
-	// window is evaluated.
-	w := db.window(sp, pred.eval, idx.numSamples)
-	db.pm.xi.AscendRange(w.scanLo, w.scanHi, offer)
+	})
 	return examined
 }
 
@@ -384,58 +395,31 @@ func (idx *Index) SeriesTopK(m stats.Measure, k int, largest bool) ([]timeseries
 }
 
 // nodeTopBound returns the optimistic bound on the best value a pivot node
-// can contain for the measure: exact container extremes scaled by ‖α‖ for
-// T-measures; for D-measures the transform evaluated at the corners of the
-// [T_min, T_max] × [U^min, U^max] box (every registered transform is monotone
-// in T and, for fixed T, monotone in U, so the box extrema sit at corners).
-// Nodes whose parameter bounds cannot prune report an unbounded optimum and
-// are simply scanned before the traversal can stop.  A node without an entry
-// of defined ξ reports false.
+// can contain for the measure: the exact container extreme scaled by ‖α‖ for
+// a T-measure, the exact column extreme for a D-measure.  A node without an
+// entry of defined ξ — or, for a D-measure, of defined value — reports false.
 func (c *TopKCursor) nodeTopBound(i int) (float64, bool) {
-	idx, sp, largest := c.idx, c.sp, c.largest
-	pm := &idx.pivots[i].measures[c.slot]
+	if c.col != nil {
+		lo, hi := c.col.extremes[i][0], c.col.extremes[i][1]
+		if lo > hi {
+			return 0, false
+		}
+		if c.largest {
+			return hi, true
+		}
+		return lo, true
+	}
+	pm := &c.idx.pivots[i].measures[c.slot]
 	minXi, ok := pm.xi.MinKey()
 	if !ok {
 		return 0, false
 	}
 	maxXi, _ := pm.xi.MaxKey()
-	if !sp.Derived() {
-		if pm.alphaNorm == 0 {
-			return 0, true
-		}
-		if largest {
-			return pm.alphaNorm * maxXi, true
-		}
-		return pm.alphaNorm * minXi, true
+	if pm.alphaNorm == 0 {
+		return 0, true
 	}
-	db := idx.nodeBounds(i, c.slot, sp, c.bounds)
-	unbounded := math.Inf(1)
-	if !largest {
-		unbounded = math.Inf(-1)
+	if c.largest {
+		return pm.alphaNorm * maxXi, true
 	}
-	if !db.canPrune {
-		return unbounded, true
-	}
-	bound := math.NaN()
-	for _, t := range [2]float64{pm.alphaNorm * minXi, pm.alphaNorm * maxXi} {
-		for _, u := range [2]float64{db.uMin, db.uMax} {
-			v, err := sp.Value(t, u, idx.numSamples)
-			if err != nil {
-				return unbounded, true
-			}
-			if math.IsNaN(bound) || (largest && v > bound) || (!largest && v < bound) {
-				bound = v
-			}
-		}
-	}
-	if math.IsNaN(bound) {
-		return unbounded, true
-	}
-	// Padded outward: corner and per-entry evaluations round differently, and
-	// an under-estimated bound would let the traversal stop before a node
-	// holding a boundary entry.  The pad only delays the stop marginally.
-	if largest {
-		return padBound(bound, +1), true
-	}
-	return padBound(bound, -1), true
+	return pm.alphaNorm * minXi, true
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -113,7 +114,8 @@ func TestPairTopKMatchesIndexValues(t *testing.T) {
 }
 
 // TestPairTopKPrunes pins that small-k traversals stop before examining
-// every entry on a measure without clamp plateaus.
+// every entry, on a T-measure and on D-measures, and still return the
+// per-entry oracle's ranking.
 func TestPairTopKPrunes(t *testing.T) {
 	d, rel := testDataset(t, 22, 18, 90)
 	idx, err := Build(d, rel, Options{})
@@ -121,29 +123,21 @@ func TestPairTopKPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := idx.Stats().SequenceNodes
-	_, _, examined, err := idx.PairTopK(stats.Covariance, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if examined >= entries {
-		t.Fatalf("covariance top-1 examined %d of %d entries — no pruning", examined, entries)
-	}
-	// Disabling derived pruning removes the bounds but not correctness.
-	unpruned, err := Build(d, rel, Options{DisableDerivedPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, av, _, err := idx.PairTopK(stats.Correlation, 5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bv, _, err := unpruned.PairTopK(stats.Correlation, 5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] || av[i] != bv[i] {
-			t.Fatalf("entry %d: pruned (%v, %v) != unpruned (%v, %v)", i, a[i], av[i], b[i], bv[i])
+	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.EuclideanDistance} {
+		largest := m != stats.EuclideanDistance
+		pairs, values, examined, err := idx.PairTopK(m, 5, largest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if examined >= entries {
+			t.Fatalf("%v top-5 examined %d of %d entries — no pruning", m, examined, entries)
+		}
+		if m == stats.Covariance {
+			continue
+		}
+		wantPairs, wantValues := topKOracle(oracleValues(perEntryOracle(idx, measure.Lookup(m))), 5, largest)
+		if !slices.Equal(pairs, wantPairs) || !slices.Equal(values, wantValues) {
+			t.Fatalf("%v top-5: (%v, %v), the oracle (%v, %v)", m, pairs, values, wantPairs, wantValues)
 		}
 	}
 }
