@@ -266,7 +266,7 @@ func BenchmarkScapeCorrelationThreshold(b *testing.B) {
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		engine, ticks := streamBenchSetup(b, 0.05)
+		engine, ticks := streamBenchSetup(b, core.Config{Stream: core.StreamConfig{DriftBound: 0.05}})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -434,8 +434,11 @@ func BenchmarkSweep(b *testing.B) {
 // correlation distribution).  CI tracks its allocs/op against
 // BENCH_BUDGET.json: the prescreen allocates the compacted result and
 // O(blocks) per-worker scratch (the pair universe is enumerated chunk by
-// chunk, not materialized) — never O(pairs) transient garbage.  The sketch set itself is built per epoch, so
-// the warm-up query keeps it and the columnar mirror out of the timed region.
+// chunk, not materialized) — never O(pairs) transient garbage.  The sketch
+// set, the pair-moment column and the epoch's covariance sketch-bound column
+// are per epoch, so the warm-up query keeps their fills out of the timed
+// region: each timed sweep reads the bound column.  BenchmarkSketchSweepCold
+// times the sweep that fills it.
 func BenchmarkSketchSweep(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {
@@ -474,19 +477,54 @@ func BenchmarkSketchSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchSweepCold times BenchmarkSketchSweep's query as the first
+// sketched sweep of each epoch: the covariance sketch-bound column's fill —
+// one BoundBlock pass over the pair universe — included, the Advance that
+// starts the epoch outside the timer.
+func BenchmarkSketchSweepCold(b *testing.B) {
+	engine, ticks := streamBenchSetup(b, core.Config{
+		SkipIndex: true,
+		Stream:    core.StreamConfig{DriftBound: 0.05},
+		Sketch:    sketch.Options{Enabled: true, Coefficients: 16},
+	})
+	sweep, err := engine.PairwiseSweepNaive(stats.Correlation)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := append([]float64(nil), sweep.Values...)
+	sort.Float64s(vals)
+	iv := interval.GreaterThan(vals[int(0.9*float64(len(vals)-1))])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for s := 0; s < 8; s++ {
+			if err := engine.Append(ticks[(i*8+s)%len(ticks)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := engine.Advance(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := engine.Interval(stats.Correlation, iv, core.MethodNaive); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- streaming benchmarks -------------------------------------------------
 
-// streamBenchSetup builds a streaming engine and a supply of future ticks.
-func streamBenchSetup(b *testing.B, driftBound float64) (*core.Engine, [][]float64) {
+// streamBenchSetup builds a streaming engine (cfg with 6 clusters, seed 42)
+// and a supply of future ticks.
+func streamBenchSetup(b *testing.B, cfg core.Config) (*core.Engine, [][]float64) {
 	b.Helper()
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := core.Build(sensor, core.Config{
-		Clusters: 6, Seed: 42,
-		Stream: core.StreamConfig{DriftBound: driftBound},
-	})
+	cfg.Clusters, cfg.Seed = 6, 42
+	engine, err := core.Build(sensor, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,7 +550,7 @@ func streamBenchSetup(b *testing.B, driftBound float64) (*core.Engine, [][]float
 
 // BenchmarkStreamAppend measures the pure buffering cost of one tick.
 func BenchmarkStreamAppend(b *testing.B) {
-	engine, ticks := streamBenchSetup(b, 0)
+	engine, ticks := streamBenchSetup(b, core.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := engine.Append(ticks[i%len(ticks)]); err != nil {
@@ -524,7 +562,7 @@ func BenchmarkStreamAppend(b *testing.B) {
 // benchmarkAdvance measures one Advance folding `slide` ticks, under the
 // given refit policy.
 func benchmarkAdvance(b *testing.B, driftBound float64, slide int) {
-	engine, ticks := streamBenchSetup(b, driftBound)
+	engine, ticks := streamBenchSetup(b, core.Config{Stream: core.StreamConfig{DriftBound: driftBound}})
 	b.ResetTimer()
 	var refit, reused int
 	for i := 0; i < b.N; i++ {
@@ -610,7 +648,7 @@ func BenchmarkAdvance(b *testing.B) {
 // BenchmarkColdRebuild measures the alternative the streaming path replaces:
 // a full Build (AFCLST + SYMEX+ + summaries + SCAPE) on the slid window.
 func BenchmarkColdRebuild(b *testing.B) {
-	engine, ticks := streamBenchSetup(b, 0)
+	engine, ticks := streamBenchSetup(b, core.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -633,7 +671,7 @@ func BenchmarkColdRebuild(b *testing.B) {
 // while a writer goroutine continuously advances the window, demonstrating
 // the non-blocking read path.
 func BenchmarkStreamQueryDuringAdvance(b *testing.B) {
-	engine, ticks := streamBenchSetup(b, 0)
+	engine, ticks := streamBenchSetup(b, core.Config{})
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

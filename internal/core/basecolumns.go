@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/stats"
@@ -29,12 +31,19 @@ import (
 // same operands), which stays the source for MEC, cache repair and the values
 // the cache stores.
 //
-// There is no naive column.  A naive base value costs O(m) and an epoch's
-// window differs from the last one's by the slide, so the engine carries
-// Σ x_u·x_v across epochs in O(slide) per pair (stats.PairMoments) and uses it
-// as a bound, not as a value — the sweep stage (sketchsweep.go) classifies
-// against it and sends only the pairs it cannot decide, and the rows whose
-// values the cache stores, to the kernels (fillBase).
+// There is no naive value column.  A naive base value costs O(m) and an
+// epoch's window differs from the last one's by the slide, so the engine
+// carries Σ x_u·x_v across epochs in O(slide) per pair (stats.PairMoments) and
+// uses it as a bound, not as a value — the sweep stage (sketchsweep.go)
+// classifies against it and sends only the pairs it cannot decide, and the
+// rows whose values the cache stores, to the kernels (fillBase).
+//
+// The naive bounds of a sketch-enabled engine are columns too.  A pair's
+// coefficient-sketch bound on a base depends on the epoch and the base, never
+// on the query, so the first sketched naive sweep or top-k of a base at an
+// epoch evaluates sketch.(*Set).BoundBlock over the universe into a bound
+// column (lo and hi per pair, NaN where the sketch has no bound), and every
+// later one of that base at that epoch reads it.
 
 // baseKey identifies one shared base computation of a sweep.
 type baseKey struct {
@@ -49,19 +58,22 @@ const (
 )
 
 // sweepCounters are an engine's cumulative sweep-stage counters: base-column
-// fills and reuses (StreamStats.SweepBaseFills / SweepBaseReuses) and the
+// fills and reuses (StreamStats.SweepBaseFills / SweepBaseReuses), the
 // pair-moment column's materialisations, sweeps and refined pairs
-// (StreamStats.MomentFills / MomentSweeps / MomentRefinedPairs).
+// (StreamStats.MomentFills / MomentSweeps / MomentRefinedPairs) and the
+// sketch-bound column fills (read by tests only).
 type sweepCounters struct {
 	fills, reuses                            atomic.Int64
 	momentFills, momentSweeps, momentRefined atomic.Int64
+	boundFills                               atomic.Int64
 }
 
-// baseColumns is one epoch's affine base columns, one slot per base
-// T-measure.
+// baseColumns is one epoch's affine base columns and sketch-bound columns,
+// one slot each per base T-measure.
 type baseColumns struct {
-	counters *sweepCounters
-	cov, dot baseColumn
+	counters             *sweepCounters
+	cov, dot             baseColumn
+	covBounds, dotBounds boundColumn
 }
 
 func (e *Engine) newBaseColumns() *baseColumns { return &baseColumns{counters: &e.sweep} }
@@ -101,6 +113,46 @@ func (e *engineState) baseColumn(base stats.Measure) ([]float64, string, error) 
 		e.cols.counters.reuses.Add(1)
 	}
 	return col.values, source, nil
+}
+
+// boundColumn is an epoch's sketch bounds on one base over the pair universe
+// in canonical order, filled by the first sketched sweep of the base.
+type boundColumn struct {
+	once   sync.Once
+	lo, hi []float64
+}
+
+// sketchBounds returns the epoch's sketch-bound column of a base, filling it
+// on first use with the bits BoundBlock gives each pair (mom is the naive
+// kernel's moments), or nil for a base the sketch cannot bound.  The fill
+// fans out over the universe, so callers resolve the column before their own
+// fan-out, never inside a worker.
+func (e *engineState) sketchBounds(base stats.Measure, mom *kernel.Moments) *boundColumn {
+	var col *boundColumn
+	switch base {
+	case measure.Covariance:
+		col = &e.cols.covBounds
+	case measure.DotProduct:
+		col = &e.cols.dotBounds
+	default:
+		return nil
+	}
+	col.once.Do(func() {
+		n := e.numUniversePairs()
+		lo, hi := make([]float64, n), make([]float64, n)
+		_ = e.forUniverseChunks(e.par, func(at int, chunk []timeseries.Pair) error {
+			cLo, cHi := lo[at:at+len(chunk)], hi[at:at+len(chunk)]
+			if !e.sketch.BoundBlock(base, mom, chunk, cLo, cHi) {
+				for i := range cLo {
+					cLo[i], cHi[i] = math.NaN(), math.NaN()
+				}
+			}
+			return nil
+		})
+		col.lo, col.hi = lo, hi
+		e.cols.counters.boundFills.Add(1)
+	})
+	return col
 }
 
 // propagate is the W_A propagation loop (Eqs. 5–7), the only one: pivot by

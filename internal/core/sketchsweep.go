@@ -34,7 +34,9 @@ import (
 // in the order they are asked:
 //
 //   - the DFT coefficient sketch (internal/sketch) where Config.Sketch is on:
-//     a Parseval bound, O(d) per pair, that settles most pairs;
+//     a Parseval bound that settles most pairs, evaluated — O(d) per pair —
+//     once per base and epoch into a bound column (basecolumns.go) that every
+//     sweep of the base reads;
 //   - the slid pair-moment column (stats.PairMoments) on whatever is still
 //     ambiguous: Σ x_u·x_v carried from epoch to epoch in O(slide) per pair,
 //     within a relative 1e-9 of the kernels' value, so what it leaves are the
@@ -146,31 +148,37 @@ func (e *engineState) forUniverseChunks(parallelism int, fn func(lo int, chunk [
 }
 
 // boundProvider is one source of bounds on a naive group's base values: the
-// epoch's coefficient sketches or its pair-moment column (exactly one is set).
+// epoch's sketch-bound column of the base or its pair-moment column (exactly
+// one is set).
 type boundProvider struct {
-	sketch  *sketch.Set
+	sketch  *boundColumn
 	moments *stats.PairMoments
 }
 
 // bounds fills lo/hi with an interval that contains the exact base value of
 // every pair of chunk — universe positions [at, at+len(chunk)) — and NaN
-// endpoints where the provider has none.
+// endpoints where the provider has none.  A sketch column is copied, because
+// the callers lift lo/hi in place.
 func (p boundProvider) bounds(base measure.Measure, mom *kernel.Moments, at int, chunk []timeseries.Pair, lo, hi []float64) {
 	if p.sketch != nil {
-		p.sketch.BoundBlock(base, mom, chunk, lo, hi)
+		copy(lo, p.sketch.lo[at:at+len(chunk)])
+		copy(hi, p.sketch.hi[at:at+len(chunk)])
 		return
 	}
 	p.moments.Bounds(base == measure.Covariance, mom.Sum, at, chunk, lo, hi)
 }
 
-// boundProviders lists the providers of a naive group of boundable measures,
-// in the order they are asked: the sketch first where the engine keeps one —
-// its classification is what its counters and the planner's SketchAmbiguity
-// describe — then the column on what the sketch leaves.
-func (e *engineState) boundProviders() ([]boundProvider, error) {
+// boundProviders lists the providers of a naive group of boundable measures
+// on base, in the order they are asked: the sketch first where the engine
+// keeps one — its classification is what its counters and the planner's
+// SketchAmbiguity describe — then the pair-moment column on what the sketch
+// leaves.  It resolves both columns, so it runs before the group's fan-out.
+func (e *engineState) boundProviders(base measure.Measure, mom *kernel.Moments) ([]boundProvider, error) {
 	provs := make([]boundProvider, 0, 2)
 	if e.sketch != nil {
-		provs = append(provs, boundProvider{sketch: e.sketch})
+		if col := e.sketchBounds(base, mom); col != nil {
+			provs = append(provs, boundProvider{sketch: col})
+		}
 	}
 	pm, err := e.pairMoments()
 	if pm != nil {
@@ -228,10 +236,8 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 	}
 	states := make([]itemState, len(items))
 	groups := make([]baseGroup, 0, len(idxs))
-	// provs are the epoch's bound providers, resolved by the first item that
-	// can use them; observed records what they did for one item.
-	var provs []boundProvider
-	observed := func(k int, refined int64) {
+	// observed records what an item's bound providers did for it.
+	observed := func(k int, provs []boundProvider, refined int64) {
 		if provs[len(provs)-1].moments != nil {
 			e.moments.counters.momentSweeps.Add(1)
 			e.moments.counters.momentRefined.Add(refined)
@@ -252,18 +258,19 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 			return fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
 		}
 		boundable := p.Method == MethodNaive && sp.SketchBoundable()
-		if boundable && provs == nil {
-			if provs, err = e.boundProviders(); err != nil {
+		if boundable && p.Spec.Kind == plan.KindTopK {
+			provs, err := e.boundProviders(sp.Base, mom)
+			if err != nil {
 				return err
 			}
-		}
-		if boundable && len(provs) > 0 && p.Spec.Kind == plan.KindTopK {
-			var refined int64
-			if out[k], refined, err = e.boundTopK(p, sp, provs, mom); err != nil {
-				return err
+			if len(provs) > 0 {
+				var refined int64
+				if out[k], refined, err = e.boundTopK(p, sp, provs, mom); err != nil {
+					return err
+				}
+				observed(k, provs, refined)
+				continue
 			}
-			observed(k, refined)
-			continue
 		}
 		key := baseKey{base: sp.Base, method: p.Method}
 		gi := slices.IndexFunc(groups, func(g baseGroup) bool { return g.key == key })
@@ -288,7 +295,9 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 	for gi := range groups {
 		g := &groups[gi]
 		if g.bounded {
-			g.providers = provs
+			if g.providers, err = e.boundProviders(g.key.base, mom); err != nil {
+				return err
+			}
 		}
 		var source string
 		if g.key.method == MethodAffine {
@@ -311,12 +320,18 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 	if err := e.sweepPass(items, groups, states, numCls, mom, out); err != nil {
 		return err
 	}
-	for _, k := range idxs {
-		if st := &states[k]; st.cls >= 0 {
-			if provs[0].sketch != nil {
-				e.sketch.Counters().CountSweep(st.in, st.out, st.ambiguous)
+	for _, g := range groups {
+		if len(g.providers) == 0 {
+			continue
+		}
+		for _, mg := range g.measures {
+			for _, k := range mg.idxs {
+				st := &states[k]
+				if g.providers[0].sketch != nil {
+					e.sketch.Counters().CountSweep(st.in, st.out, st.ambiguous)
+				}
+				observed(k, g.providers, st.refined)
 			}
-			observed(k, st.refined)
 		}
 	}
 	return nil
