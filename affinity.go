@@ -20,9 +20,12 @@
 //     sensor pairs under Euclidean distance.
 //
 // MET and MER are two faces of one predicate — "value lies in an interval" —
-// and the whole query stack consumes that single Interval type; top-k runs as
-// a best-first index traversal that adaptively tightens the interval
-// [v_k, best].
+// and the whole query stack consumes that single Interval type: a MET query
+// is Interval with GreaterThan or LessThan (AtLeast / AtMost for the closed
+// forms), a MER query is Interval with Between.  Top-k runs as a best-first
+// index traversal that adaptively tightens the interval [v_k, best].  The
+// engine thus has two questions, each with one door — Interval and TopK —
+// plus Batch, which answers a mixed list of QuerySpecs against one epoch.
 //
 // Instead of computing a pairwise measure for all n(n−1)/2 pairs from the
 // raw data, AFFINITY clusters the series (AFCLST), computes one affine
@@ -38,7 +41,7 @@
 //	eng, _ := affinity.New(data, affinity.Options{Clusters: 6})
 //
 //	// All pairs of stocks whose intra-day correlation exceeds 0.9:
-//	res, _ := eng.Threshold(affinity.Correlation, 0.9, affinity.Above, affinity.Index)
+//	res, _ := eng.Interval(affinity.Correlation, affinity.GreaterThan(0.9), affinity.Index)
 //	for _, pair := range res.Pairs {
 //		fmt.Println(data.Name(pair.U), data.Name(pair.V))
 //	}
@@ -51,12 +54,17 @@
 //
 // The three concrete execution methods mirror the paper's evaluation: Naive
 // recomputes from raw data (W_N), Affine uses the affine relationships (W_A),
-// and Index uses the SCAPE index.  Affine and Index answer from the same
-// relationships and return the same rows (their values agree to about 1e-9
-// relative); they approximate Naive with the small errors reported in
-// EXPERIMENTS.md.  A fourth method, Auto, routes each query through a
-// cost-based planner that estimates the query's selectivity from the index
-// and picks the cheapest applicable method; Explain exposes the plan.
+// and Index uses the SCAPE index.  For T- and D-measures Affine and Index
+// answer from the same relationships and return the same rows (their values
+// agree to about 1e-9 relative).  For L-measures they use two different
+// estimators and may return different rows: Affine reads each series' 1-D
+// calibration against its cluster centre, Index propagates the location
+// through one affine relationship in which the series is the non-common
+// member (DESIGN.md, "Two L-measure estimators").  Both approximate Naive
+// with the small errors reported in EXPERIMENTS.md.  A fourth method, Auto,
+// routes each query through a cost-based planner that estimates the query's
+// selectivity from the index and picks the cheapest applicable method;
+// Explain exposes the plan.
 //
 // # Streaming
 //
@@ -76,8 +84,6 @@
 package affinity
 
 import (
-	"errors"
-	"fmt"
 	"io"
 
 	"affinity/internal/core"
@@ -86,7 +92,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/scape"
 	"affinity/internal/sketch"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
@@ -125,7 +130,7 @@ const (
 
 	// Distance D-measures: monotone-decreasing transforms of the dot
 	// product, registered through the declarative measure algebra
-	// (internal/measure) — Threshold/Range on them exercise the SCAPE
+	// (internal/measure) — interval queries on them exercise the SCAPE
 	// index's decreasing-transform pruning path.
 	EuclideanDistance     = stats.EuclideanDistance
 	MeanSquaredDifference = stats.MeanSquaredDifference
@@ -235,37 +240,19 @@ func ParseInterval(s string) (Interval, error) { return interval.Parse(s) }
 func IntervalGrammar() string { return interval.Grammar() }
 
 // QuerySpec is the logical form of one interval (MET/MER) or top-k (MEK)
-// query, used by Explain.  Build one with IntervalSpec, ThresholdSpec,
-// RangeSpec or TopKSpec.
+// query, read by Explain and Batch.  Build one with IntervalSpec or TopKSpec.
 type QuerySpec = plan.QuerySpec
 
 // QueryPlan is the planner's decision for one query: chosen method,
 // per-method cost estimates, estimated and actual result sizes.
 type QueryPlan = plan.Plan
 
-// CostModel holds the planner's per-operation cost coefficients
-// (Options.CostModel; the zero value selects the calibrated defaults).
-type CostModel = plan.CostModel
-
-// DefaultCostModel returns the calibrated default planner coefficients.
-func DefaultCostModel() CostModel { return plan.DefaultCostModel() }
-
-// IntervalSpec builds the logical spec of an interval query for Explain.
+// IntervalSpec builds the logical spec of an interval (MET/MER) query.
 func IntervalSpec(m Measure, iv Interval) QuerySpec {
 	return plan.Interval(m, iv)
 }
 
-// ThresholdSpec builds the logical spec of a MET query for Explain.
-func ThresholdSpec(m Measure, tau float64, op ThresholdOp) QuerySpec {
-	return plan.Threshold(m, tau, op)
-}
-
-// RangeSpec builds the logical spec of a MER query for Explain.
-func RangeSpec(m Measure, lo, hi float64) QuerySpec {
-	return plan.Range(m, lo, hi)
-}
-
-// TopKSpec builds the logical spec of a top-k (MEK) query for Explain.
+// TopKSpec builds the logical spec of a top-k (MEK) query.
 func TopKSpec(m Measure, k int, largest bool) QuerySpec {
 	return plan.TopK(m, k, largest)
 }
@@ -282,54 +269,15 @@ var (
 	ErrMeasureNotIndexed = core.ErrMeasureNotIndexed
 	// ErrEmptyRange reports an interval no value can satisfy (e.g. lo > hi).
 	ErrEmptyRange = core.ErrEmptyRange
-	// ErrBadThresholdOp reports an unknown threshold operator.
-	ErrBadThresholdOp = errors.New("affinity: unknown threshold operator")
 	// ErrBadTopK reports a top-k query with k < 1.
 	ErrBadTopK = core.ErrBadTopK
 )
 
-// ThresholdOp selects the comparison direction of a threshold query.
-type ThresholdOp = scape.ThresholdOp
-
-// Threshold directions.
-const (
-	// Above selects entries with measure value strictly greater than τ.
-	Above = scape.Above
-	// Below selects entries with measure value strictly less than τ.
-	Below = scape.Below
-)
-
-// Result is the answer to an interval (threshold/range) or top-k query:
+// Result is the answer to an interval (MET/MER) or top-k query:
 // Series for L-measures, Pairs for T- and D-measures.  For top-k queries
 // Values aligns with Series or Pairs and carries the measure value that
 // ranked each entry, best first.
 type Result = core.QueryResult
-
-// IntervalQuery describes one interval query of an IntervalBatch.
-type IntervalQuery = core.IntervalQuery
-
-// ThresholdQuery describes one MET query of a ThresholdBatch — sugar over the
-// half-bounded interval predicate.
-type ThresholdQuery struct {
-	Measure Measure
-	Tau     float64
-	Op      ThresholdOp
-}
-
-// RangeQuery describes one MER query of a RangeBatch — sugar over the closed
-// interval predicate.
-type RangeQuery struct {
-	Measure Measure
-	Lo, Hi  float64
-}
-
-// TopKQuery describes one top-k (MEK) query of a TopKBatch: the K entries
-// with the greatest (Largest) or smallest measure values.
-type TopKQuery struct {
-	Measure Measure
-	K       int
-	Largest bool
-}
 
 // ComputeQuery describes one MEC query of a ComputeBatch.
 type ComputeQuery = core.ComputeQuery
@@ -396,9 +344,6 @@ type StreamOptions struct {
 	// refits on quiet streams at the cost of a bounded extra approximation
 	// error.
 	DriftBound float64
-	// AutoAdvance, when positive, makes Append run Advance automatically
-	// once this many ticks are buffered.
-	AutoAdvance int
 	// StatsRefreshEvery is the number of epochs between refresh epochs
 	// (default 64), which re-reduce from the raw window what the others slide
 	// — the naive sweeps' pair-moment column and the sketches' coefficients —
@@ -479,12 +424,6 @@ type Options struct {
 	MinChanges int
 	// Seed makes clustering (and therefore the whole build) reproducible.
 	Seed int64
-	// DisablePseudoInverseCache selects plain SYMEX — one pseudo-inverse per
-	// relationship, the paper's Fig 13 ablation — instead of SYMEX+'s
-	// moment-form fits (slower build; the fits agree to about 1e-12 of each
-	// series' standard deviation, not bit for bit); exposed mainly for
-	// benchmarking.
-	DisablePseudoInverseCache bool
 	// SkipIndex skips the SCAPE index when only MEC queries are needed.
 	SkipIndex bool
 	// Parallelism is the number of worker goroutines used across the whole
@@ -500,9 +439,6 @@ type Options struct {
 	// LSFD exceeds the bound.  Queries on pruned pairs transparently fall
 	// back to the naive method; index queries do not report pruned pairs.
 	MaxLSFD float64
-	// CostModel overrides the planner's per-operation cost coefficients used
-	// by the Auto method and Explain (zero value = calibrated defaults).
-	CostModel CostModel
 	// Stream configures the streaming update path (Append/Advance).
 	Stream StreamOptions
 	// Cache configures the epoch-aware result cache (off by default; cached
@@ -523,18 +459,15 @@ type Engine struct {
 // config translates the public options into the engine configuration.
 func (opts Options) config() core.Config {
 	return core.Config{
-		Clusters:                  opts.Clusters,
-		MaxIterations:             opts.MaxIterations,
-		MinChanges:                opts.MinChanges,
-		Seed:                      opts.Seed,
-		DisablePseudoInverseCache: opts.DisablePseudoInverseCache,
-		SkipIndex:                 opts.SkipIndex,
-		Parallelism:               opts.Parallelism,
-		MaxLSFD:                   opts.MaxLSFD,
-		CostModel:                 opts.CostModel,
+		Clusters:      opts.Clusters,
+		MaxIterations: opts.MaxIterations,
+		MinChanges:    opts.MinChanges,
+		Seed:          opts.Seed,
+		SkipIndex:     opts.SkipIndex,
+		Parallelism:   opts.Parallelism,
+		MaxLSFD:       opts.MaxLSFD,
 		Stream: core.StreamConfig{
 			DriftBound:        opts.Stream.DriftBound,
-			AutoAdvance:       opts.Stream.AutoAdvance,
 			StatsRefreshEvery: opts.Stream.StatsRefreshEvery,
 		},
 		Cache: qcache.Options{
@@ -588,25 +521,10 @@ func (e *Engine) PairValue(m Measure, pair Pair, method Method) (float64, error)
 
 // Interval answers the unified interval query: all series (for L-measures)
 // or sequence pairs (for T- and D-measures) whose measure value lies in iv.
-// Threshold and Range are constructors over this single predicate.
+// A MET query passes GreaterThan(τ) or LessThan(τ), a MER query Between(lo,
+// hi); AtLeast, AtMost, NewInterval and ParseInterval build the other forms.
 func (e *Engine) Interval(m Measure, iv Interval, method Method) (Result, error) {
 	return e.inner.Interval(m, iv, method)
-}
-
-// Threshold answers a MET query: all series (for L-measures) or sequence
-// pairs (for T- and D-measures) whose measure is above or below tau — sugar
-// over Interval with the half-bounded open predicate.
-func (e *Engine) Threshold(m Measure, tau float64, op ThresholdOp, method Method) (Result, error) {
-	if !op.Valid() {
-		return Result{}, fmt.Errorf("%w: %d", ErrBadThresholdOp, int(op))
-	}
-	return e.inner.Interval(m, op.Interval(tau), method)
-}
-
-// Range answers a MER query: all series or sequence pairs whose measure lies
-// in [lo, hi] — sugar over Interval with the closed predicate.
-func (e *Engine) Range(m Measure, lo, hi float64, method Method) (Result, error) {
-	return e.inner.Interval(m, interval.Between(lo, hi), method)
 }
 
 // TopK answers a top-k (MEK) query: the k series or sequence pairs with the
@@ -621,64 +539,26 @@ func (e *Engine) TopK(m Measure, k int, largest bool, method Method) (Result, er
 	return e.inner.TopK(m, k, largest, method)
 }
 
-// Explain plans a MET/MER query, executes it, and returns the result with the
-// plan: per-method cost estimates, the selectivity estimate that drove the
-// choice, and the observed actuals (rows, duration).  With Auto the plan
-// shows the planner's pick; with a concrete method it prices that method and
-// keeps the alternatives for comparison.
+// Explain plans an interval or top-k query, executes it, and returns the
+// result with the plan: per-method cost estimates, the selectivity estimate
+// that drove the choice, and the observed actuals (rows, duration).  With Auto
+// the plan shows the planner's pick; with a concrete method it prices that
+// method and keeps the alternatives for comparison.
 //
-//	res, plan, _ := eng.Explain(affinity.ThresholdSpec(affinity.Correlation, 0.9, affinity.Above), affinity.Auto)
+//	res, plan, _ := eng.Explain(affinity.IntervalSpec(affinity.Correlation, affinity.GreaterThan(0.9)), affinity.Auto)
 //	fmt.Println(plan) // MET correlation > 0.9 → SCAPE (est 118 rows, cost ...)
 func (e *Engine) Explain(spec QuerySpec, method Method) (Result, QueryPlan, error) {
 	return e.inner.Explain(spec, method)
 }
 
-// ThresholdBatch answers k MET queries in one pass: the whole batch is served
-// from a single epoch (a concurrent Advance cannot split it), queries on the
-// same measure share one sweep with the per-pair values and normalizers
-// computed once, and index queries share the pivot-node traversal.  out[i]
-// equals the result of the corresponding single Threshold call, in the same
-// order.
-func (e *Engine) ThresholdBatch(qs []ThresholdQuery, method Method) ([]Result, error) {
-	specs := make([]QuerySpec, len(qs))
-	for i, q := range qs {
-		if !q.Op.Valid() {
-			return nil, fmt.Errorf("%w: %d", ErrBadThresholdOp, int(q.Op))
-		}
-		specs[i] = plan.Threshold(q.Measure, q.Tau, q.Op)
-	}
-	return e.batch(specs, method)
-}
-
-// RangeBatch answers k MER queries in one pass, with the same sharing and
-// equivalence guarantees as ThresholdBatch.
-func (e *Engine) RangeBatch(qs []RangeQuery, method Method) ([]Result, error) {
-	specs := make([]QuerySpec, len(qs))
-	for i, q := range qs {
-		specs[i] = plan.Range(q.Measure, q.Lo, q.Hi)
-	}
-	return e.batch(specs, method)
-}
-
-// IntervalBatch answers k interval queries in one pass, with the same sharing
-// and equivalence guarantees as ThresholdBatch.
-func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]Result, error) {
-	return e.inner.IntervalBatch(qs, method)
-}
-
-// TopKBatch answers k top-k queries against a single epoch; sweep-method
-// queries share one pass over the sequence pairs, and out[i] equals the
-// corresponding single TopK call.
-func (e *Engine) TopKBatch(qs []TopKQuery, method Method) ([]Result, error) {
-	specs := make([]QuerySpec, len(qs))
-	for i, q := range qs {
-		specs[i] = plan.TopK(q.Measure, q.K, q.Largest)
-	}
-	return e.batch(specs, method)
-}
-
-// batch answers a batch of interval/top-k specs against a single epoch.
-func (e *Engine) batch(specs []QuerySpec, method Method) ([]Result, error) {
+// Batch answers a mixed list of interval and top-k specs (IntervalSpec,
+// TopKSpec) against a single epoch, so a concurrent Advance cannot split it.
+// Interval specs on the same measure share one sweep with the per-pair
+// values and normalizers computed once, index specs share the pivot-node
+// traversal, and sweep-method top-k specs share one pass over the sequence
+// pairs.  out[i] equals the result of the corresponding single Interval or
+// TopK call, in the same order; the first invalid spec fails the batch.
+func (e *Engine) Batch(specs []QuerySpec, method Method) ([]Result, error) {
 	out, _, err := core.Run(e.inner.View(), specs, method, false)
 	return out, err
 }
@@ -690,9 +570,9 @@ func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult
 }
 
 // Append buffers one newly arrived tick — one sample per series, in series
-// order — for the next Advance.  With StreamOptions.AutoAdvance set, Append
-// advances the window automatically at the configured buffer size.  Append
-// never blocks concurrent queries.
+// order — for the next Advance; to advance at a fixed buffer size, call
+// Advance once PendingSamples reaches it.  Append never blocks concurrent
+// queries.
 func (e *Engine) Append(tick []float64) error { return e.inner.Append(tick) }
 
 // Advance folds every buffered tick into a new epoch: the window slides
@@ -720,8 +600,8 @@ func (e *Engine) WriteSnapshot(w io.Writer) error { return e.inner.WriteSnapshot
 
 // NewFromSnapshot rebuilds an engine from a snapshot written by WriteSnapshot
 // and the dataset it was built on.  Clustering-related options are ignored
-// (they are part of the snapshot); SkipIndex, Parallelism, MaxLSFD, CostModel,
-// Stream, Cache and Sketch are honoured, so a snapshot-loaded engine plans,
+// (they are part of the snapshot); SkipIndex, Parallelism, MaxLSFD, Stream,
+// Cache and Sketch are honoured, so a snapshot-loaded engine plans,
 // caches, prescreens and streams exactly like an identically configured New
 // engine.
 func NewFromSnapshot(d *Dataset, r io.Reader, opts Options) (*Engine, error) {

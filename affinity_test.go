@@ -3,6 +3,8 @@ package affinity
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,7 +55,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// MET via index and convenience wrapper.
-	res, err := eng.Threshold(Correlation, 0.9, Above, Index)
+	res, err := eng.Interval(Correlation, GreaterThan(0.9), Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +64,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(pairs) != len(res.Pairs) {
-		t.Fatalf("CorrelatedPairs %d vs Threshold %d", len(pairs), len(res.Pairs))
+		t.Fatalf("CorrelatedPairs %d vs Interval %d", len(pairs), len(res.Pairs))
 	}
 	if len(pairs) == 0 {
 		t.Fatal("clustered data should contain highly correlated pairs")
 	}
 
 	// MER.
-	ranged, err := eng.Range(Covariance, 0, math.Inf(1), Affine)
+	ranged, err := eng.Interval(Covariance, Between(0, math.Inf(1)), Affine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +141,8 @@ func TestPublicOptionsVariants(t *testing.T) {
 	if noIndex.Info().IndexBuilt {
 		t.Fatal("SkipIndex should not build the index")
 	}
-	if _, err := noIndex.Threshold(Covariance, 0, Above, Index); err == nil {
+	if _, err := noIndex.Interval(Covariance, GreaterThan(0), Index); err == nil {
 		t.Fatal("index query without index should error")
-	}
-	plain, err := New(data, Options{Clusters: 3, DisablePseudoInverseCache: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Info().PseudoInverseHits != 0 {
-		t.Fatal("plain SYMEX should have no cache hits")
 	}
 	if _, err := New(&Dataset{}, Options{}); err == nil {
 		t.Fatal("empty dataset should error")
@@ -158,14 +153,14 @@ func TestPublicAutoAndExplain(t *testing.T) {
 	eng, _ := buildPublicEngine(t)
 
 	// Auto answers every query type and matches the plan's chosen method.
-	res, plan, err := eng.Explain(ThresholdSpec(Correlation, 0.9, Above), Auto)
+	res, plan, err := eng.Explain(IntervalSpec(Correlation, GreaterThan(0.9)), Auto)
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
 	if !plan.Method.Concrete() {
 		t.Fatalf("plan method %v is not concrete", plan.Method)
 	}
-	fixed, err := eng.Threshold(Correlation, 0.9, Above, plan.Method)
+	fixed, err := eng.Interval(Correlation, GreaterThan(0.9), plan.Method)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +174,16 @@ func TestPublicAutoAndExplain(t *testing.T) {
 		t.Fatalf("plan renders %q", plan.String())
 	}
 
-	// Range spec + fixed-method explain.
-	if _, p, err := eng.Explain(RangeSpec(Covariance, -1, 1), Naive); err != nil || p.Method != Naive {
+	// MER spec + fixed-method explain.
+	if _, p, err := eng.Explain(IntervalSpec(Covariance, Between(-1, 1)), Naive); err != nil || p.Method != Naive {
 		t.Fatalf("fixed-method explain: %v %v", p, err)
 	}
 
 	// Auto works on batches and plain queries.
-	if _, err := eng.Range(Mean, -1, 1, Auto); err != nil {
+	if _, err := eng.Interval(Mean, Between(-1, 1), Auto); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ThresholdBatch([]ThresholdQuery{{Measure: Cosine, Tau: 0.5, Op: Above}}, Auto); err != nil {
+	if _, err := eng.Batch([]QuerySpec{IntervalSpec(Cosine, GreaterThan(0.5))}, Auto); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.ComputeLocation(Mean, eng.Data().IDs(), Auto); err != nil {
@@ -196,24 +191,83 @@ func TestPublicAutoAndExplain(t *testing.T) {
 	}
 
 	// Typed errors surface through the facade.
-	if _, err := eng.Range(Correlation, 2, 1, Auto); !errors.Is(err, ErrEmptyRange) {
+	if _, err := eng.Interval(Correlation, Between(2, 1), Auto); !errors.Is(err, ErrEmptyRange) {
 		t.Fatalf("empty range err = %v, want ErrEmptyRange", err)
 	}
-	if _, err := eng.Threshold(Jaccard, 0.5, Above, Index); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := eng.Interval(Jaccard, GreaterThan(0.5), Index); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("jaccard via index err = %v, want ErrMeasureNotIndexed", err)
 	}
-	// The threshold operator is validated where the named sugar lives: a spec
-	// cannot carry a bad one, so single and batch reject it before planning.
-	for _, method := range []Method{Naive, Affine, Index, Auto} {
-		if _, err := eng.Threshold(Correlation, 0.5, ThresholdOp(9), method); !errors.Is(err, ErrBadThresholdOp) {
-			t.Fatalf("%v: bad op err = %v, want ErrBadThresholdOp", method, err)
-		}
-		bad := []ThresholdQuery{{Measure: Cosine, Tau: 0.5, Op: Above}, {Measure: Correlation, Tau: 0.5, Op: ThresholdOp(9)}}
-		if _, err := eng.ThresholdBatch(bad, method); !errors.Is(err, ErrBadThresholdOp) {
-			t.Fatalf("%v: batched bad op err = %v, want ErrBadThresholdOp", method, err)
-		}
-	}
-	if _, err := eng.TopKBatch([]TopKQuery{{Measure: Correlation, K: 0, Largest: true}}, Auto); !errors.Is(err, ErrBadTopK) {
+	if _, err := eng.Batch([]QuerySpec{TopKSpec(Correlation, 0, true)}, Auto); !errors.Is(err, ErrBadTopK) {
 		t.Fatalf("k = 0 err = %v, want ErrBadTopK", err)
+	}
+}
+
+// TestPublicEngineMethodSet pins the engine's public surface: two questions
+// (Interval, TopK) with one door each, one mixed batch door, the MEC doors,
+// Explain, the streaming and snapshot lifecycle and the two convenience
+// wrappers.  A new method is a deliberate API change: add it here.
+func TestPublicEngineMethodSet(t *testing.T) {
+	want := []string{
+		"Advance", "Append", "Batch", "ComputeBatch", "ComputeLocation",
+		"ComputePairwise", "CorrelatedPairs", "CorrelationMatrix", "Data",
+		"Epoch", "Explain", "Info", "Interval", "PairValue", "PendingSamples",
+		"StreamStats", "TopK", "WriteSnapshot",
+	}
+	typ := reflect.TypeOf((*Engine)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Engine methods = %v, want %v", got, want)
+	}
+}
+
+// TestBatchMatchesSingleCalls: Batch over a mixed list — MET both ways, MER,
+// top-k in both directions and an L-measure interval — equals the single
+// Interval and TopK calls element by element under every method, and a spec
+// with k = 0 fails the batch with the single call's error.
+func TestBatchMatchesSingleCalls(t *testing.T) {
+	eng, _ := buildPublicEngine(t)
+	type single func(Method) (Result, error)
+	cases := []struct {
+		spec QuerySpec
+		call single
+	}{
+		{IntervalSpec(Correlation, GreaterThan(0.8)), func(m Method) (Result, error) { return eng.Interval(Correlation, GreaterThan(0.8), m) }},
+		{IntervalSpec(Cosine, LessThan(0.2)), func(m Method) (Result, error) { return eng.Interval(Cosine, LessThan(0.2), m) }},
+		{IntervalSpec(Covariance, Between(-0.1, 0.1)), func(m Method) (Result, error) { return eng.Interval(Covariance, Between(-0.1, 0.1), m) }},
+		{TopKSpec(Correlation, 5, true), func(m Method) (Result, error) { return eng.TopK(Correlation, 5, true, m) }},
+		{TopKSpec(EuclideanDistance, 4, false), func(m Method) (Result, error) { return eng.TopK(EuclideanDistance, 4, false, m) }},
+		{IntervalSpec(Median, AtLeast(0)), func(m Method) (Result, error) { return eng.Interval(Median, AtLeast(0), m) }},
+	}
+	specs := make([]QuerySpec, len(cases))
+	for i, c := range cases {
+		specs[i] = c.spec
+	}
+	for _, method := range []Method{Naive, Affine, Index, Auto} {
+		got, err := eng.Batch(specs, method)
+		if err != nil {
+			t.Fatalf("%v: %v", method, err)
+		}
+		if len(got) != len(cases) {
+			t.Fatalf("%v: %d results for %d specs", method, len(got), len(cases))
+		}
+		for i, c := range cases {
+			want, err := c.call(method)
+			if err != nil {
+				t.Fatalf("%v: single %v: %v", method, c.spec, err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("%v: batch[%d] (%v) = %+v, single call = %+v", method, i, c.spec, got[i], want)
+			}
+		}
+		bad := append(slices.Clone(specs), TopKSpec(Correlation, 0, true))
+		if _, err := eng.Batch(bad, method); !errors.Is(err, ErrBadTopK) {
+			t.Fatalf("%v: batch with k = 0 err = %v, want ErrBadTopK", method, err)
+		}
+		if _, err := eng.TopK(Correlation, 0, true, method); !errors.Is(err, ErrBadTopK) {
+			t.Fatalf("%v: single k = 0 err = %v, want ErrBadTopK", method, err)
+		}
 	}
 }

@@ -782,7 +782,7 @@ func BenchmarkParallelIndexThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkThresholdBatchVsSingles compares an 8-query ThresholdBatch with
+// BenchmarkThresholdBatchVsSingles compares an 8-query MET interval batch with
 // the same queries issued individually (the batch shares the pivot-node
 // traversal; naive/affine batches additionally share per-pair values).
 func BenchmarkThresholdBatchVsSingles(b *testing.B) {

@@ -31,11 +31,8 @@ import (
 	"strconv"
 	"strings"
 
-	"affinity/internal/core"
-	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity"
 	"affinity/internal/store"
-	"affinity/internal/timeseries"
 )
 
 func main() {
@@ -47,16 +44,20 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("affinity-query", flag.ContinueOnError)
+	var names []string
+	for _, info := range affinity.Measures() {
+		names = append(names, info.Name)
+	}
 	var (
 		storeDir  = fs.String("store", "", "store directory holding the dataset")
 		dsName    = fs.String("dataset", "", "dataset name inside the store")
 		csvPath   = fs.String("csv", "", "CSV file to load instead of the store")
 		queryKind = fs.String("query", "mec", "query type: mec, met, mer, interval or topk")
-		measure   = fs.String("measure", "correlation", "statistical measure ("+strings.Join(stats.MeasureNames(), ", ")+")")
+		measure   = fs.String("measure", "correlation", "statistical measure ("+strings.Join(names, ", ")+")")
 		methodStr = fs.String("method", "wa", "execution method: wn (naive), wa (affine), scape (index) or auto (planner)")
 		seriesArg = fs.String("series", "", "comma-separated series identifiers for MEC queries (empty = all)")
 		threshold = fs.Float64("threshold", 0.9, "MET threshold")
-		op        = fs.String("op", ">", "MET comparison operator, from the interval grammar: "+interval.Grammar())
+		op        = fs.String("op", ">", "MET comparison operator, from the interval grammar: "+affinity.IntervalGrammar())
 		below     = fs.Bool("below", false, "MET: shorthand for -op \"<\"")
 		lo        = fs.Float64("lo", 0, "MER lower bound")
 		hi        = fs.Float64("hi", 1, "MER upper bound")
@@ -75,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := stats.ParseMeasure(*measure)
+	m, err := affinity.ParseMeasure(*measure)
 	if err != nil {
 		return err
 	}
@@ -86,13 +87,13 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "dataset: %d series x %d samples; building engine (k=%d)...\n",
 		d.NumSeries(), d.NumSamples(), *clusters)
-	engine, err := core.Build(d, core.Config{Clusters: *clusters, Seed: *seed})
+	engine, err := affinity.New(d, affinity.Options{Clusters: *clusters, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	info := engine.Info()
-	fmt.Fprintf(out, "built %s: %d pivot pairs, %d affine relationships in %v\n",
-		info.UsedPseudoInverseTag, info.NumPivots, info.NumRelationships, info.TotalDuration)
+	fmt.Fprintf(out, "built: %d pivot pairs, %d affine relationships in %v\n",
+		info.NumPivots, info.NumRelationships, info.TotalDuration)
 
 	if *topk > 0 {
 		res, err := engine.TopK(m, *topk, !*smallest, method)
@@ -120,7 +121,7 @@ func run(args []string, out io.Writer) error {
 		if *below {
 			opS = "<"
 		}
-		iv, err := interval.Parse(fmt.Sprintf("%s %v", opS, *threshold))
+		iv, err := affinity.ParseInterval(fmt.Sprintf("%s %v", opS, *threshold))
 		if err != nil {
 			return err
 		}
@@ -132,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		printResult(out, d, res, *limit)
 		return nil
 	case "mer":
-		res, err := engine.Interval(m, interval.Between(*lo, *hi), method)
+		res, err := engine.Interval(m, affinity.Between(*lo, *hi), method)
 		if err != nil {
 			return err
 		}
@@ -140,7 +141,7 @@ func run(args []string, out io.Writer) error {
 		printResult(out, d, res, *limit)
 		return nil
 	case "interval":
-		iv, err := interval.Parse(*intervalS)
+		iv, err := affinity.ParseInterval(*intervalS)
 		if err != nil {
 			return err
 		}
@@ -158,7 +159,7 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-func loadDataset(storeDir, name, csvPath string) (*timeseries.DataMatrix, error) {
+func loadDataset(storeDir, name, csvPath string) (*affinity.Dataset, error) {
 	switch {
 	case csvPath != "":
 		f, err := os.Open(csvPath)
@@ -166,7 +167,7 @@ func loadDataset(storeDir, name, csvPath string) (*timeseries.DataMatrix, error)
 			return nil, err
 		}
 		defer f.Close()
-		return timeseries.ReadCSV(f)
+		return affinity.ReadCSV(f)
 	case storeDir != "" && name != "":
 		st, err := store.Open(storeDir)
 		if err != nil {
@@ -178,40 +179,40 @@ func loadDataset(storeDir, name, csvPath string) (*timeseries.DataMatrix, error)
 	}
 }
 
-func parseMethod(s string) (core.Method, error) {
+func parseMethod(s string) (affinity.Method, error) {
 	switch strings.ToLower(s) {
 	case "wn", "naive":
-		return core.MethodNaive, nil
+		return affinity.Naive, nil
 	case "wa", "affine":
-		return core.MethodAffine, nil
+		return affinity.Affine, nil
 	case "scape", "index":
-		return core.MethodIndex, nil
+		return affinity.Index, nil
 	case "auto":
-		return core.MethodAuto, nil
+		return affinity.Auto, nil
 	default:
 		return 0, fmt.Errorf("unknown method %q (want wn, wa, scape or auto)", s)
 	}
 }
 
-func parseSeries(arg string, d *timeseries.DataMatrix) ([]timeseries.SeriesID, error) {
+func parseSeries(arg string, d *affinity.Dataset) ([]affinity.SeriesID, error) {
 	if strings.TrimSpace(arg) == "" {
 		return d.IDs(), nil
 	}
 	parts := strings.Split(arg, ",")
-	ids := make([]timeseries.SeriesID, 0, len(parts))
+	ids := make([]affinity.SeriesID, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("invalid series identifier %q: %v", p, err)
 		}
-		ids = append(ids, timeseries.SeriesID(v))
+		ids = append(ids, affinity.SeriesID(v))
 	}
 	return ids, nil
 }
 
-func runMEC(out io.Writer, engine *core.Engine, d *timeseries.DataMatrix,
-	m stats.Measure, ids []timeseries.SeriesID, method core.Method, limit int) error {
-	if m.Class() == stats.LocationClass {
+func runMEC(out io.Writer, engine *affinity.Engine, d *affinity.Dataset,
+	m affinity.Measure, ids []affinity.SeriesID, method affinity.Method, limit int) error {
+	if !m.Pairwise() {
 		values, err := engine.ComputeLocation(m, ids, method)
 		if err != nil {
 			return err
@@ -249,7 +250,7 @@ func runMEC(out io.Writer, engine *core.Engine, d *timeseries.DataMatrix,
 	return nil
 }
 
-func printResult(out io.Writer, d *timeseries.DataMatrix, res core.QueryResult, limit int) {
+func printResult(out io.Writer, d *affinity.Dataset, res affinity.Result, limit int) {
 	// Top-k results carry the ranking value per entry; interval results don't.
 	value := func(i int) string {
 		if res.Values == nil {

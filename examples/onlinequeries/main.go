@@ -85,7 +85,7 @@ func main() {
 	}
 	fmt.Println("\nEXPLAIN correlation threshold sweep:")
 	for _, tau := range []float64{0.95, 0.8, 0.5, 0.0} {
-		res, plan, err := eng.Explain(affinity.ThresholdSpec(affinity.Correlation, tau, affinity.Above), affinity.Auto)
+		res, plan, err := eng.Explain(affinity.IntervalSpec(affinity.Correlation, affinity.GreaterThan(tau)), affinity.Auto)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,8 +35,8 @@ func main() {
 		log.Fatal(err)
 	}
 	info := engine.Info()
-	fmt.Printf("built %s: %d pivot pairs, %d affine relationships in %v\n\n",
-		info.UsedPseudoInverseTag, info.NumPivots, info.NumRelationships, info.TotalDuration)
+	fmt.Printf("built: %d pivot pairs, %d affine relationships in %v\n\n",
+		info.NumPivots, info.NumRelationships, info.TotalDuration)
 
 	// 3. MEC query: the mean of the first five series, computed through
 	// affine relationships (W_A).
@@ -68,13 +68,13 @@ func main() {
 		fmt.Printf("  %-22s %-22s rho=%.4f\n", data.Name(p.U), data.Name(p.V), rho)
 	}
 
-	// 5. MER query: all pairs whose covariance lies in a range, with the
-	// naive method for comparison.
-	res, err := engine.Range(affinity.Covariance, 0.5, 2.0, affinity.Index)
+	// 5. MER query: all pairs whose covariance lies in the closed interval
+	// [0.5, 2.0], with the naive method for comparison.
+	res, err := engine.Interval(affinity.Covariance, affinity.Between(0.5, 2.0), affinity.Index)
 	if err != nil {
 		log.Fatal(err)
 	}
-	naive, err := engine.Range(affinity.Covariance, 0.5, 2.0, affinity.Naive)
+	naive, err := engine.Interval(affinity.Covariance, affinity.Between(0.5, 2.0), affinity.Naive)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Sensor threshold queries: monitor a fleet of environmental sensors and
-// answer measure threshold (MET) and measure range (MER) queries over several
-// statistical measures from one SCAPE index, comparing against the naive
-// method.
+// answer measure threshold (MET) and measure range (MER) queries — interval
+// predicates, half-bounded and bounded — over several statistical measures
+// from one SCAPE index, comparing against the naive method.
 //
 // Run with:
 //
@@ -38,27 +38,27 @@ func main() {
 	// MET on a D-measure: strongly correlated sensor pairs (e.g. redundant or
 	// co-located sensors).
 	compare(engine, "correlated pairs (rho > 0.98)", func(method affinity.Method) (int, error) {
-		res, err := engine.Threshold(affinity.Correlation, 0.98, affinity.Above, method)
+		res, err := engine.Interval(affinity.Correlation, affinity.GreaterThan(0.98), method)
 		return res.Size(), err
 	})
 
 	// MET on a T-measure: sensor pairs whose covariance exceeds a bound
 	// (jointly volatile sensors).
 	compare(engine, "high-covariance pairs (cov > 5)", func(method affinity.Method) (int, error) {
-		res, err := engine.Threshold(affinity.Covariance, 5, affinity.Above, method)
+		res, err := engine.Interval(affinity.Covariance, affinity.GreaterThan(5), method)
 		return res.Size(), err
 	})
 
 	// MER on a D-measure: moderately correlated pairs.
 	compare(engine, "moderately correlated pairs (0.3 <= rho <= 0.7)", func(method affinity.Method) (int, error) {
-		res, err := engine.Range(affinity.Correlation, 0.3, 0.7, method)
+		res, err := engine.Interval(affinity.Correlation, affinity.Between(0.3, 0.7), method)
 		return res.Size(), err
 	})
 
 	// MET on an L-measure: sensors whose median reading is negative
 	// (mis-calibrated or offline sensors).
 	compare(engine, "sensors with median < 0", func(method affinity.Method) (int, error) {
-		res, err := engine.Threshold(affinity.Median, 0, affinity.Below, method)
+		res, err := engine.Interval(affinity.Median, affinity.LessThan(0), method)
 		return res.Size(), err
 	})
 }

@@ -1,7 +1,7 @@
 package affinity_test
 
 // Golden parity suite: pins that every measure returns byte-identical results
-// through the naive, affine and SCAPE methods, for Threshold/Range/Compute
+// through the naive, affine and SCAPE methods, for MET/MER interval and MEC
 // queries, issued both singly and in batches.  The fixture in
 // testdata/golden_measures.json was captured before the declarative measure
 // algebra refactor (internal/measure); any refactor of the measure plumbing
@@ -180,25 +180,22 @@ func collectGolden(t testing.TB) []goldenCase {
 		q25, q50, q75 := quantiles(t, eng, m)
 		cases = append(cases, floatsCase(fmt.Sprintf("%v/quantiles", m), []float64{q25, q50, q75}, nil))
 
-		var tqs []affinity.ThresholdQuery
-		var rqs []affinity.RangeQuery
+		above, below, mer := affinity.GreaterThan(q50), affinity.LessThan(q50), affinity.Between(q25, q75)
 		for _, method := range methods {
 			// MET above/below and MER at the measure's own scale.
-			resA, errA := eng.Threshold(m, q50, affinity.Above, method.m)
+			resA, errA := eng.Interval(m, above, method.m)
 			cases = append(cases, resultCase(fmt.Sprintf("%v/%s/met-above", m, method.name), resA, errA))
-			resB, errB := eng.Threshold(m, q50, affinity.Below, method.m)
+			resB, errB := eng.Interval(m, below, method.m)
 			cases = append(cases, resultCase(fmt.Sprintf("%v/%s/met-below", m, method.name), resB, errB))
-			resR, errR := eng.Range(m, q25, q75, method.m)
+			resR, errR := eng.Interval(m, mer, method.m)
 			cases = append(cases, resultCase(fmt.Sprintf("%v/%s/mer", m, method.name), resR, errR))
 		}
-		tqs = append(tqs,
-			affinity.ThresholdQuery{Measure: m, Tau: q50, Op: affinity.Above},
-			affinity.ThresholdQuery{Measure: m, Tau: q50, Op: affinity.Below})
-		rqs = append(rqs, affinity.RangeQuery{Measure: m, Lo: q25, Hi: q75})
+		mets := []affinity.QuerySpec{affinity.IntervalSpec(m, above), affinity.IntervalSpec(m, below)}
+		mers := []affinity.QuerySpec{affinity.IntervalSpec(m, mer)}
 
 		// Batched MET/MER per sweep method plus the index where applicable.
 		for _, method := range methods {
-			bt, err := eng.ThresholdBatch(tqs, method.m)
+			bt, err := eng.Batch(mets, method.m)
 			if err != nil {
 				cases = append(cases, goldenCase{Key: fmt.Sprintf("%v/%s/met-batch", m, method.name), Err: err.Error()})
 			} else {
@@ -206,7 +203,7 @@ func collectGolden(t testing.TB) []goldenCase {
 					cases = append(cases, resultCase(fmt.Sprintf("%v/%s/met-batch-%d", m, method.name, i), res, nil))
 				}
 			}
-			br, err := eng.RangeBatch(rqs, method.m)
+			br, err := eng.Batch(mers, method.m)
 			if err != nil {
 				cases = append(cases, goldenCase{Key: fmt.Sprintf("%v/%s/mer-batch", m, method.name), Err: err.Error()})
 			} else {

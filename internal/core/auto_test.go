@@ -7,7 +7,6 @@ import (
 
 	"affinity/internal/interval"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -18,10 +17,10 @@ func autoSpecs() []plan.QuerySpec {
 	var specs []plan.QuerySpec
 	for _, m := range stats.AllMeasures() {
 		specs = append(specs,
-			plan.Threshold(m, 0.25, scape.Above),
-			plan.Threshold(m, 0.9, scape.Above),
-			plan.Threshold(m, 0.75, scape.Below),
-			plan.Range(m, -0.5, 0.9),
+			plan.Interval(m, interval.GreaterThan(0.25)),
+			plan.Interval(m, interval.GreaterThan(0.9)),
+			plan.Interval(m, interval.LessThan(0.75)),
+			plan.Interval(m, interval.Between(-0.5, 0.9)),
 		)
 	}
 	return specs
@@ -110,13 +109,13 @@ func TestAutoBatchMatchesSingleAuto(t *testing.T) {
 	var tqs []plan.QuerySpec
 	for _, m := range stats.AllMeasures() {
 		tqs = append(tqs,
-			plan.Threshold(m, 0.3, scape.Above),
-			plan.Threshold(m, 0.7, scape.Below),
+			plan.Interval(m, interval.GreaterThan(0.3)),
+			plan.Interval(m, interval.LessThan(0.7)),
 		)
 	}
 	batch, err := runSpecs(e, tqs, MethodAuto)
 	if err != nil {
-		t.Fatalf("ThresholdBatch auto: %v", err)
+		t.Fatalf("MET batch auto: %v", err)
 	}
 	for i, q := range tqs {
 		single, err := e.Interval(q.Measure, q.Interval, MethodAuto)
@@ -208,7 +207,7 @@ func TestAutoWithoutIndex(t *testing.T) {
 // with ErrMeasureNotIndexed.
 func TestAutoJaccardAvoidsIndex(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	spec := plan.Threshold(stats.Jaccard, 0.5, scape.Above)
+	spec := plan.Interval(stats.Jaccard, interval.GreaterThan(0.5))
 	_, p, err := e.Explain(spec, MethodAuto)
 	if err != nil {
 		t.Fatalf("auto jaccard: %v", err)
@@ -225,7 +224,7 @@ func TestAutoJaccardAvoidsIndex(t *testing.T) {
 // reports that method with its own cost while still pricing alternatives.
 func TestExplainFixedMethod(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	res, p, err := e.Explain(plan.Threshold(stats.Correlation, 0.8, scape.Above), MethodNaive)
+	res, p, err := e.Explain(plan.Interval(stats.Correlation, interval.GreaterThan(0.8)), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +237,9 @@ func TestExplainFixedMethod(t *testing.T) {
 	if _, _, err := e.Explain(plan.Compute(stats.Mean, 3), MethodAuto); err == nil {
 		t.Fatal("Explain accepted a MEC spec")
 	}
-	// A spec built from an unknown threshold operator carries the
-	// empty-matching interval, so Explain rejects it instead of silently
-	// answering the "above" form.
-	if _, _, err := e.Explain(plan.Threshold(stats.Correlation, 0.9, scape.ThresholdOp(42)), MethodAuto); !errors.Is(err, ErrEmptyRange) {
-		t.Fatalf("Explain with unknown op err = %v, want ErrEmptyRange", err)
+	// An interval no value can satisfy is rejected, not planned.
+	empty := interval.New(interval.Open(0.9), interval.Open(0.9))
+	if _, _, err := e.Explain(plan.Interval(stats.Correlation, empty), MethodAuto); !errors.Is(err, ErrEmptyRange) {
+		t.Fatalf("Explain with an empty interval err = %v, want ErrEmptyRange", err)
 	}
 }

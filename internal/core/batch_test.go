@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"testing"
 
+	"affinity/internal/interval"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 )
 
 // TestBatchMatchesSingleQueries pins the batched API's equivalence guarantee:
-// ThresholdBatch and RangeBatch must return, for every measure and execution
-// method, exactly what the corresponding sequence of single-query calls
+// a batch of MET specs and a batch of MER specs must return, for every
+// measure and execution method, exactly what the corresponding sequence of single-query calls
 // returns — same entries, same order.
 func TestBatchMatchesSingleQueries(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
@@ -27,18 +27,18 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 					continue // not indexable
 				}
 				tqs = append(tqs,
-					plan.Threshold(m, 0.3, scape.Above),
-					plan.Threshold(m, 0.7, scape.Below),
+					plan.Interval(m, interval.GreaterThan(0.3)),
+					plan.Interval(m, interval.LessThan(0.7)),
 				)
-				rqs = append(rqs, plan.Range(m, -0.4, 0.8))
+				rqs = append(rqs, plan.Interval(m, interval.Between(-0.4, 0.8)))
 			}
 
 			batch, err := runSpecs(e, tqs, method)
 			if err != nil {
-				t.Fatalf("ThresholdBatch: %v", err)
+				t.Fatalf("MET batch: %v", err)
 			}
 			if len(batch) != len(tqs) {
-				t.Fatalf("ThresholdBatch returned %d results for %d queries", len(batch), len(tqs))
+				t.Fatalf("MET batch returned %d results for %d queries", len(batch), len(tqs))
 			}
 			for i, q := range tqs {
 				single, err := e.Interval(q.Measure, q.Interval, method)
@@ -52,7 +52,7 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 
 			rbatch, err := runSpecs(e, rqs, method)
 			if err != nil {
-				t.Fatalf("RangeBatch: %v", err)
+				t.Fatalf("MER batch: %v", err)
 			}
 			for i, q := range rqs {
 				single, err := e.Interval(q.Measure, q.Interval, method)
@@ -114,11 +114,11 @@ func TestComputeBatchMatchesSingleQueries(t *testing.T) {
 func TestBatchMixedMeasures(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 2})
 	qs := []plan.QuerySpec{
-		plan.Threshold(stats.Mean, 0.0, scape.Above),
-		plan.Threshold(stats.Correlation, 0.9, scape.Above),
-		plan.Threshold(stats.Correlation, 0.1, scape.Below),
-		plan.Threshold(stats.Covariance, 0.0, scape.Above),
-		plan.Threshold(stats.Mode, 0.5, scape.Below),
+		plan.Interval(stats.Mean, interval.GreaterThan(0.0)),
+		plan.Interval(stats.Correlation, interval.GreaterThan(0.9)),
+		plan.Interval(stats.Correlation, interval.LessThan(0.1)),
+		plan.Interval(stats.Covariance, interval.GreaterThan(0.0)),
+		plan.Interval(stats.Mode, interval.LessThan(0.5)),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 		batch, err := runSpecs(e, qs, method)
@@ -141,7 +141,7 @@ func TestBatchMixedMeasures(t *testing.T) {
 // the same way single queries do.
 func TestBatchValidation(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Range(stats.Correlation, 1, -1)}, MethodAffine); err == nil {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(stats.Correlation, interval.Between(1, -1))}, MethodAffine); err == nil {
 		t.Fatal("empty range accepted")
 	}
 	if _, err := runSpecs(e, []plan.QuerySpec{plan.Compute(stats.Correlation, 2)}, MethodAffine); err == nil {
@@ -160,10 +160,10 @@ func TestBatchValidation(t *testing.T) {
 // engine fail with ErrNoIndex like single queries.
 func TestBatchNoIndex(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, SkipIndex: true})
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Threshold(stats.Correlation, 0.5, scape.Above)}, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(stats.Correlation, interval.GreaterThan(0.5))}, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Range(stats.Correlation, 0, 1)}, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(stats.Correlation, interval.Between(0, 1))}, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
 }

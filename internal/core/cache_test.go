@@ -67,14 +67,14 @@ func cacheParityCases() []cacheCase {
 		name: "interval-batch/covariance",
 		probe: func(e *Engine) (any, error) {
 			return runSpecs(e, []plan.QuerySpec{
-				plan.Range(stats.Covariance, -0.5, 0.9),
-				plan.Range(stats.Correlation, 0.1, 0.8),
+				plan.Interval(stats.Covariance, interval.Between(-0.5, 0.9)),
+				plan.Interval(stats.Correlation, interval.Between(0.1, 0.8)),
 			}, MethodAffine)
 		},
 		narrower: func(e *Engine) (any, error) {
 			return runSpecs(e, []plan.QuerySpec{
-				plan.Range(stats.Covariance, -0.2, 0.5),
-				plan.Range(stats.Correlation, 0.2, 0.7),
+				plan.Interval(stats.Covariance, interval.Between(-0.2, 0.5)),
+				plan.Interval(stats.Correlation, interval.Between(0.2, 0.7)),
 			}, MethodAffine)
 		},
 	}, cacheCase{
@@ -236,8 +236,8 @@ func TestCacheTiersActuallyServe(t *testing.T) {
 	if s.CacheEntries == 0 || s.CacheBytes == 0 {
 		t.Errorf("cache occupancy empty: %+v", s)
 	}
-	if hr := s.CacheHitRate(); hr <= 0 || hr >= 1 {
-		t.Errorf("hit rate %v outside (0, 1)", hr)
+	if hits := s.CacheExactHits + s.CacheContainmentHits + s.CacheRepairHits; hits == 0 || s.CacheMisses == 0 {
+		t.Errorf("want both hits and misses: %d hits, %d misses", hits, s.CacheMisses)
 	}
 }
 

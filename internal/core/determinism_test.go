@@ -9,7 +9,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -55,7 +54,7 @@ type queryCase struct {
 	run  func(e *Engine) (any, error)
 }
 
-// determinismCases enumerate Threshold/Range/Compute queries across measures
+// determinismCases enumerate MET/MER/MEC queries across measures
 // and methods — including MethodAuto, whose plan choices must also be
 // identical at every parallelism level.  Results are compared with %v
 // formatting, which preserves order and exact float bits (NaN formats
@@ -97,7 +96,7 @@ func determinismCases() []queryCase {
 			queryCase{
 				name: fmt.Sprintf("plan/threshold/%v", m),
 				run: func(e *Engine) (any, error) {
-					_, p, err := e.Explain(plan.Threshold(m, 0.25, scape.Above), MethodAuto)
+					_, p, err := e.Explain(plan.Interval(m, interval.GreaterThan(0.25)), MethodAuto)
 					if err != nil {
 						return nil, err
 					}
@@ -107,7 +106,7 @@ func determinismCases() []queryCase {
 			queryCase{
 				name: fmt.Sprintf("plan/range/%v", m),
 				run: func(e *Engine) (any, error) {
-					_, p, err := e.Explain(plan.Range(m, -0.5, 0.9), MethodAuto)
+					_, p, err := e.Explain(plan.Interval(m, interval.Between(-0.5, 0.9)), MethodAuto)
 					if err != nil {
 						return nil, err
 					}

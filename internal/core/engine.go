@@ -70,10 +70,6 @@ var ErrNoIndex = errors.New("core: engine was built without the SCAPE index")
 // upper bound, on both the single and the batched path.
 var ErrEmptyRange = errors.New("core: empty range")
 
-// ErrBadThresholdOp is returned for an unknown threshold operator, on both
-// the single and the batched path.
-var ErrBadThresholdOp = errors.New("core: unknown threshold operator")
-
 // ErrBadTopK is returned for a top-k query with k < 1, on both the single and
 // the batched path.
 var ErrBadTopK = errors.New("core: top-k needs k >= 1")
@@ -100,9 +96,6 @@ type StreamConfig struct {
 	// Zero or negative refits every relationship on every Advance — the
 	// exact-maintenance default.
 	DriftBound float64
-	// AutoAdvance, when positive, makes Append trigger an Advance
-	// automatically once this many samples are buffered.
-	AutoAdvance int
 	// StatsRefreshEvery is the number of epochs between refresh epochs (0
 	// selects DefaultStatsRefreshEvery): on those the pair-moment column is
 	// dropped and re-reduced by the next naive sweep, every sketch is rebuilt
@@ -126,10 +119,6 @@ type Config struct {
 	// clustering (used by streaming equivalence tests and by rebuilds that
 	// deliberately freeze the cluster structure).
 	Clustering *cluster.Result
-	// DisablePseudoInverseCache selects plain SYMEX — one m-sample
-	// pseudo-inverse per relationship, the paper's Fig 13 ablation — instead
-	// of SYMEX+ (the moment-form fits).
-	DisablePseudoInverseCache bool
 	// SkipIndex skips building the SCAPE index (MEC-only deployments).
 	SkipIndex bool
 	// Index holds SCAPE build options.
@@ -212,20 +201,20 @@ type BuildInfo struct {
 	NumPivots         int
 	NumRelationships  int
 	ClusterIterations int
-	// PseudoInverseCount counts the pivots (relationships, under plain SYMEX)
-	// the m-sample kernel fitted: under SYMEX+ only those the moment form's
-	// exactness guard turned away.  PseudoInverseHits counts the other fits.
-	PseudoInverseCount   int
-	PseudoInverseHits    int
-	ClusteringDuration   time.Duration
-	SymexDuration        time.Duration
-	SummaryDuration      time.Duration
-	IndexDuration        time.Duration
-	TotalDuration        time.Duration
-	IndexSequenceNodes   int
-	IndexPivotNodes      int
-	IndexBuilt           bool
-	UsedPseudoInverseTag string
+	// PseudoInverseCount counts the pivots the m-sample kernel fitted: those
+	// the moment form's exactness guard turned away.  PseudoInverseHits counts
+	// the other fits.  Both are zero for an engine assembled from given
+	// relationships (a snapshot or a shard).
+	PseudoInverseCount int
+	PseudoInverseHits  int
+	ClusteringDuration time.Duration
+	SymexDuration      time.Duration
+	SummaryDuration    time.Duration
+	IndexDuration      time.Duration
+	TotalDuration      time.Duration
+	IndexSequenceNodes int
+	IndexPivotNodes    int
+	IndexBuilt         bool
 
 	// Streaming epoch counters.
 	Epoch               int
@@ -351,7 +340,7 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Engine, error) {
 }
 
 // computeRelationships runs stages 1+2 of a build — AFCLST (unless
-// cfg.Clustering is set), then SYMEX/SYMEX+ — and reports their timings and
+// cfg.Clustering is set), then SYMEX+ — and reports their timings and
 // fit counters.
 func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, BuildInfo, error) {
 	var info BuildInfo
@@ -378,7 +367,7 @@ func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 	symexStart := time.Now()
 	rel, err := symex.Compute(d, symex.Options{
 		Clustering:         clustering,
-		CachePseudoInverse: !cfg.DisablePseudoInverseCache,
+		CachePseudoInverse: true,
 		MaxRelationships:   cfg.MaxRelationships,
 		Parallelism:        cfg.Parallelism,
 		MaxLSFD:            cfg.MaxLSFD,
@@ -389,10 +378,6 @@ func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 	info.SymexDuration = time.Since(symexStart)
 	info.PseudoInverseCount = rel.Stats.PseudoInverseComputations
 	info.PseudoInverseHits = rel.Stats.PseudoInverseCacheHits
-	info.UsedPseudoInverseTag = "SYMEX+"
-	if cfg.DisablePseudoInverseCache {
-		info.UsedPseudoInverseTag = "SYMEX"
-	}
 	return rel, info, nil
 }
 
@@ -605,7 +590,7 @@ func assignedPairs(rel *symex.Result) ([]timeseries.Pair, []int32) {
 }
 
 // ComputeRelationships runs only the clustering and relationship stages of a
-// build (AFCLST unless cfg.Clustering is set, then SYMEX/SYMEX+) and returns
+// build (AFCLST unless cfg.Clustering is set, then SYMEX+) and returns
 // the result without assembling an engine.  A sharded coordinator uses it to
 // compute one global relationship set, partition it by pivot, and hand each
 // shard its restriction through BuildFromRelationships — byte-identical to
@@ -627,5 +612,5 @@ func BuildFromRelationships(d *timeseries.DataMatrix, cfg Config, rel *symex.Res
 	if rel == nil || rel.Clustering == nil {
 		return nil, fmt.Errorf("core: BuildFromRelationships needs a relationship result with clustering")
 	}
-	return assembleEngine(d, cfg.withDefaults(), rel, BuildInfo{UsedPseudoInverseTag: "snapshot"}, time.Now())
+	return assembleEngine(d, cfg.withDefaults(), rel, BuildInfo{}, time.Now())
 }

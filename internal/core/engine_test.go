@@ -11,6 +11,7 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/plan"
 	"affinity/internal/stats"
+	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
@@ -34,8 +35,7 @@ func buildTestEngine(t testing.TB, cfg Config) *Engine {
 }
 
 // runSpecs answers a batch of interval/top-k specs against the engine's
-// current epoch — the spec-level door the named batch sugar of the public
-// facade is built on.
+// current epoch — the door the public facade's Batch is.
 func runSpecs(e *Engine, specs []plan.QuerySpec, method Method) ([]QueryResult, error) {
 	out, _, err := Run(e.View(), specs, method, false)
 	return out, err
@@ -58,9 +58,6 @@ func TestBuildInfo(t *testing.T) {
 	}
 	if !info.IndexBuilt || info.IndexPivotNodes != info.NumPivots {
 		t.Fatalf("index info %+v", info)
-	}
-	if info.UsedPseudoInverseTag != "SYMEX+" {
-		t.Fatalf("tag = %q", info.UsedPseudoInverseTag)
 	}
 	if info.TotalDuration <= 0 {
 		t.Fatal("durations should be recorded")
@@ -94,17 +91,46 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestPlainSymexBuild: an engine assembled from plain SYMEX relationships
+// (the Fig 13 ablation's fits, one pseudo-inverse per relationship) answers
+// like the SYMEX+ engine, whose moment-form fits agree to about 1e-12 of each
+// series' standard deviation.
 func TestPlainSymexBuild(t *testing.T) {
-	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, DisablePseudoInverseCache: true})
-	info := e.Info()
-	if info.UsedPseudoInverseTag != "SYMEX" {
-		t.Fatalf("tag = %q", info.UsedPseudoInverseTag)
+	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
+	rel := e.Relationships()
+	plainRel, err := symex.Compute(e.Data(), symex.Options{Clustering: rel.Clustering})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if info.PseudoInverseHits != 0 {
-		t.Fatalf("plain SYMEX should have no cache hits, got %d", info.PseudoInverseHits)
+	if plainRel.Stats.PseudoInverseCacheHits != 0 {
+		t.Fatalf("plain SYMEX should have no cache hits, got %d", plainRel.Stats.PseudoInverseCacheHits)
 	}
-	if info.PseudoInverseCount != info.NumRelationships {
-		t.Fatalf("pseudo-inverse count %d != relationships %d", info.PseudoInverseCount, info.NumRelationships)
+	if plainRel.Stats.PseudoInverseComputations != plainRel.Stats.NumRelationships {
+		t.Fatalf("pseudo-inverse count %d != relationships %d",
+			plainRel.Stats.PseudoInverseComputations, plainRel.Stats.NumRelationships)
+	}
+	plain, err := BuildFromRelationships(e.Data(), Config{}, plainRel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Info().NumRelationships != e.Info().NumRelationships {
+		t.Fatalf("relationships %d != %d", plain.Info().NumRelationships, e.Info().NumRelationships)
+	}
+	ids := e.Data().IDs()
+	want, err := e.ComputePairwise(stats.Correlation, ids, MethodAffine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plain.ComputePairwise(stats.Correlation, ids, MethodAffine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		for j := range want[i] {
+			if math.Abs(got[i][j]-want[i][j]) > 1e-9 {
+				t.Fatalf("correlation (%d,%d): plain %v, SYMEX+ %v", i, j, got[i][j], want[i][j])
+			}
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"affinity/internal/interval"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 )
 
@@ -22,12 +22,12 @@ func TestExplainBatchParity(t *testing.T) {
 	}
 
 	specs := []plan.QuerySpec{
-		plan.Threshold(stats.Correlation, 0.25, scape.Above),
-		plan.Range(stats.Covariance, -0.5, 0.9),
+		plan.Interval(stats.Correlation, interval.GreaterThan(0.25)),
+		plan.Interval(stats.Covariance, interval.Between(-0.5, 0.9)),
 		plan.TopK(stats.Correlation, 4, true),
-		plan.Threshold(stats.Mean, 0.1, scape.Below),
+		plan.Interval(stats.Mean, interval.LessThan(0.1)),
 		plan.TopK(stats.Cosine, 3, false),
-		plan.Range(stats.Jaccard, 0.2, 0.8),
+		plan.Interval(stats.Jaccard, interval.Between(0.2, 0.8)),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodAuto} {
 		results, plans, err := Run(e.View(), specs, method, true)

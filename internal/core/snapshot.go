@@ -257,5 +257,5 @@ func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engi
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return assembleEngine(d, cfg, symex.NewResult(layout, clustering, rels),
-		BuildInfo{UsedPseudoInverseTag: "snapshot"}, time.Now())
+		BuildInfo{}, time.Now())
 }

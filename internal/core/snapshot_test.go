@@ -33,9 +33,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.Info().NumPivots != e.Info().NumPivots {
 		t.Fatalf("pivots %d != %d", restored.Info().NumPivots, e.Info().NumPivots)
 	}
-	if restored.Info().UsedPseudoInverseTag != "snapshot" {
-		t.Fatalf("tag = %q", restored.Info().UsedPseudoInverseTag)
-	}
 	if !restored.Info().IndexBuilt {
 		t.Fatal("index should be rebuilt from the snapshot")
 	}

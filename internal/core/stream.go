@@ -148,10 +148,8 @@ type AdvanceInfo struct {
 }
 
 // Append buffers one tick — one new sample per series, in series order — for
-// the next Advance.  When StreamConfig.AutoAdvance is positive, Append
-// triggers the Advance automatically once that many ticks are buffered.
-//
-// Append never blocks queries; it only contends with other writers.
+// the next Advance.  Append never blocks queries; it only contends with other
+// writers.
 func (e *Engine) Append(tick []float64) error {
 	st := e.state()
 	if len(tick) != st.data.NumSeries() {
@@ -168,10 +166,6 @@ func (e *Engine) Append(tick []float64) error {
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
 	e.pending = append(e.pending, cp)
-	if e.cfg.Stream.AutoAdvance > 0 && len(e.pending) >= e.cfg.Stream.AutoAdvance {
-		_, err := e.advanceLocked()
-		return err
-	}
 	return nil
 }
 
@@ -192,10 +186,6 @@ func (e *Engine) PendingSamples() int {
 func (e *Engine) Advance() (AdvanceInfo, error) {
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
-	return e.advanceLocked()
-}
-
-func (e *Engine) advanceLocked() (AdvanceInfo, error) {
 	old := e.state()
 	slide := len(e.pending)
 	if slide == 0 {

@@ -289,7 +289,7 @@ func TestConcurrentAppenders(t *testing.T) {
 }
 
 // TestConcurrentBatchedQueriesDuringParallelAdvance hammers the batched and
-// sharded query paths — ThresholdBatch/RangeBatch/ComputeBatch plus the
+// sharded query paths — MET, MER and compute batches plus the
 // block-sharded single-query scans — from many goroutines while a fully
 // parallel Advance (drift scoring, refits, summaries and index rebuild all
 // fanned out over workers) swaps epochs underneath them.  Run with -race (CI
@@ -343,13 +343,13 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	}
 
 	thresholdBatch := []plan.QuerySpec{
-		plan.Threshold(stats.Correlation, 0.8, scape.Above),
-		plan.Threshold(stats.Covariance, 0.0, scape.Below),
-		plan.Threshold(stats.Mean, 0.2, scape.Above),
+		plan.Interval(stats.Correlation, interval.GreaterThan(0.8)),
+		plan.Interval(stats.Covariance, interval.LessThan(0.0)),
+		plan.Interval(stats.Mean, interval.GreaterThan(0.2)),
 	}
 	rangeBatch := []plan.QuerySpec{
-		plan.Range(stats.Cosine, 0.5, 1.0),
-		plan.Range(stats.Covariance, -0.5, 0.5),
+		plan.Interval(stats.Cosine, interval.Between(0.5, 1.0)),
+		plan.Interval(stats.Covariance, interval.Between(-0.5, 0.5)),
 	}
 	computeBatch := []ComputeQuery{
 		{Measure: stats.Correlation, IDs: ids[:8]},

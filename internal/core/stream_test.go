@@ -329,37 +329,6 @@ func TestSelectiveRefitDrift(t *testing.T) {
 	}
 }
 
-// TestAutoAdvance checks that Append triggers Advance at the configured
-// buffer size.
-func TestAutoAdvance(t *testing.T) {
-	const n, window = 12, 60
-	fx := makeStreamFixture(t, n, window, 8, 23)
-	e, err := Build(fx.window, Config{
-		Clusters: 3, Seed: 1,
-		Stream: StreamConfig{AutoAdvance: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := e.Append(fx.ticks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Epoch() != 0 || e.PendingSamples() != 3 {
-		t.Fatalf("before auto-advance: epoch %d pending %d", e.Epoch(), e.PendingSamples())
-	}
-	if err := e.Append(fx.ticks[3]); err != nil {
-		t.Fatal(err)
-	}
-	if e.Epoch() != 1 || e.PendingSamples() != 0 {
-		t.Fatalf("after auto-advance: epoch %d pending %d", e.Epoch(), e.PendingSamples())
-	}
-	if e.Data().StartIndex() != 4 {
-		t.Fatalf("StartIndex = %d", e.Data().StartIndex())
-	}
-}
-
 // TestAdvanceNoOpAndAppendErrors covers the trivial streaming edges.
 func TestAdvanceNoOpAndAppendErrors(t *testing.T) {
 	const n, window = 12, 60

@@ -98,16 +98,6 @@ type StreamStats struct {
 	MomentRefinedPairs int64
 }
 
-// CacheHitRate returns the fraction of cache-eligible queries served from the
-// cache, in [0, 1] (0 when none were seen).
-func (s StreamStats) CacheHitRate() float64 {
-	total := s.CacheExactHits + s.CacheContainmentHits + s.CacheRepairHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheExactHits+s.CacheContainmentHits+s.CacheRepairHits) / float64(total)
-}
-
 // PoolHitRate returns the combined hit rate of all scratch pools in [0, 1]
 // (1 when no pool was ever consulted).
 func (s StreamStats) PoolHitRate() float64 {

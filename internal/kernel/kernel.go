@@ -64,8 +64,8 @@ type Matrix struct {
 // already one contiguous slab (every window a streaming engine slides into)
 // is aliased, not copied: nothing writes to a slab after SlideCopy filled it,
 // so the mirror stays immutable either way.  The window's moments are taken
-// here, with the samples: a mirror outlives in-place mutations of its source,
-// which drop the source's memo.
+// here, with the samples: a mirror outlives an Append to its source, which
+// drops the source's memo.
 func FromData(d *timeseries.DataMatrix) (*Matrix, error) {
 	n, m := d.NumSeries(), d.NumSamples()
 	k := &Matrix{vals: d.Slab(), n: n, m: m, mom: d.Moments()}

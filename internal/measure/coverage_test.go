@@ -37,9 +37,6 @@ func TestMeasureMethods(t *testing.T) {
 	if LocationClass.String() != "L" || Class(42).String() != "class(42)" {
 		t.Fatal("Class.String wrong")
 	}
-	if len(Names()) != len(All()) || Names()[0] != "mean" {
-		t.Fatal("Names wrong")
-	}
 	if len(ByClass(LocationClass)) != 3 || len(ByClass(DispersionClass)) != 2 {
 		t.Fatal("ByClass wrong")
 	}

@@ -529,16 +529,6 @@ func IndexableDerived() []Measure {
 	return out
 }
 
-// Names returns every registered measure name in registration order (CLI
-// help and generated docs enumerate the registry through this).
-func Names() []string {
-	out := make([]string, len(specs))
-	for i, sp := range specs {
-		out[i] = sp.Name
-	}
-	return out
-}
-
 // NaiveSeriesStat computes the per-series statistics selected by mask from a
 // raw series, using the same two-pass formulas as the scalar primitives so
 // naive evaluation is bit-identical to the historical direct computations.

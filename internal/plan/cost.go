@@ -232,37 +232,6 @@ func (c CostModel) RepairCost(candidates, rows int, st TableStats) float64 {
 		float64(rows)*c.RowCost
 }
 
-// DefaultFanOutCost is the per-shard coordination overhead of a scatter-gather
-// execution (dispatch, per-shard result collection, merge bookkeeping), in the
-// same abstract units as the CostModel coefficients.  It is of the order of a
-// few tree descents: fan-out is cheap next to any real scan, which is exactly
-// why the coordinator fans every pairwise query out instead of planning
-// "single shard vs all shards".
-const DefaultFanOutCost = 200
-
-// ShardedCost prices a scatter-gather execution across shards: the shards run
-// in parallel, so the scan term is the most expensive per-shard estimate, plus
-// DefaultFanOutCost per shard for the coordinator's dispatch and merge.
-//
-// The sharded price is reported by a coordinator's Explain for observability
-// only — it never feeds a method choice.  Per-shard plans are priced against
-// per-shard table statistics, and the coordinator resolves MethodAuto against
-// the global (unsharded) table, so the chosen method is identical at every
-// shard count; folding fan-out overhead into the choice would break the
-// sharded/unsharded determinism contract.
-func (c CostModel) ShardedCost(perShard []float64) float64 {
-	if len(perShard) == 0 {
-		return 0
-	}
-	worst := perShard[0]
-	for _, v := range perShard[1:] {
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst + float64(len(perShard))*DefaultFanOutCost
-}
-
 // sketchCost prices the filter-and-refine naive sweep: the prescreen touches
 // d sketched coefficients per pair (the merge-intersection bound), the
 // estimated ambiguous fraction pays the full exact evaluation, and emission

@@ -14,8 +14,8 @@
 //
 // The logical query language has three kinds: interval queries (the unified
 // MET/MER predicate "value ∈ I"), top-k (MEK) queries, and compute (MEC)
-// queries.  Threshold and range specs are constructors over the interval
-// kind, not kinds of their own.
+// queries.  MET and MER are the half-bounded and bounded instances of the
+// interval kind, built with Interval, not kinds of their own.
 //
 // Everything in this package is deterministic in its inputs: the cost model
 // never consults the clock, the worker count or any sampled state, so two
@@ -118,19 +118,6 @@ type QuerySpec struct {
 // lies in iv.
 func Interval(m stats.Measure, iv interval.Interval) QuerySpec {
 	return QuerySpec{Kind: KindInterval, Measure: m, Interval: iv}
-}
-
-// Threshold builds the spec of a MET query — sugar over Interval with the
-// half-bounded open predicate (τ, +∞) or (−∞, τ).  Callers validate op
-// (ThresholdOp.Valid) before converting.
-func Threshold(m stats.Measure, tau float64, op scape.ThresholdOp) QuerySpec {
-	return Interval(m, op.Interval(tau))
-}
-
-// Range builds the spec of a MER query — sugar over Interval with the closed
-// predicate [lo, hi].
-func Range(m stats.Measure, lo, hi float64) QuerySpec {
-	return Interval(m, interval.Between(lo, hi))
 }
 
 // TopK builds the spec of a top-k (MEK) query: the k entries with the

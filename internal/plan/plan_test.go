@@ -52,7 +52,7 @@ func TestMethodStrings(t *testing.T) {
 }
 
 func TestSpecConstructors(t *testing.T) {
-	s := Threshold(stats.Correlation, 0.9, scape.Above)
+	s := Interval(stats.Correlation, interval.GreaterThan(0.9))
 	if s.Kind != KindInterval || s.Measure != stats.Correlation {
 		t.Fatalf("threshold spec %+v", s)
 	}
@@ -65,7 +65,7 @@ func TestSpecConstructors(t *testing.T) {
 	if !strings.Contains(s.String(), "MET correlation > 0.9") {
 		t.Fatalf("threshold spec renders %q", s.String())
 	}
-	r := Range(stats.Covariance, -1, 2)
+	r := Interval(stats.Covariance, interval.Between(-1, 2))
 	if r.Kind != KindInterval || !r.Interval.Bounded() {
 		t.Fatalf("range spec %+v", r)
 	}
@@ -129,7 +129,7 @@ func TestTopKCosts(t *testing.T) {
 // MET query on an indexed measure goes to SCAPE.
 func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 	sel := &scape.Selectivity{Rows: 120, Exact: true}
-	p := DefaultCostModel().Plan(Threshold(stats.Covariance, 0.9, scape.Above), bigTable(), sel)
+	p := DefaultCostModel().Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
 	if p.Method != MethodIndex {
 		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
 	}
@@ -149,7 +149,7 @@ func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 func TestChoosesAffineWithoutIndex(t *testing.T) {
 	st := bigTable()
 	st.HasIndex = false
-	p := DefaultCostModel().Plan(Threshold(stats.Jaccard, 0.5, scape.Above), st, nil)
+	p := DefaultCostModel().Plan(Interval(stats.Jaccard, interval.GreaterThan(0.5)), st, nil)
 	if p.Method != MethodAffine {
 		t.Fatalf("chose %v, want WA: %v", p.Method, p)
 	}
@@ -170,7 +170,7 @@ func TestChoosesNaiveWhenFullyPruned(t *testing.T) {
 	st := bigTable()
 	st.HasIndex = false
 	st.FallbackPairs = st.NumPairs
-	p := DefaultCostModel().Plan(Threshold(stats.Correlation, 0.5, scape.Above), st, nil)
+	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.5)), st, nil)
 	if p.Method != MethodNaive {
 		t.Fatalf("chose %v, want WN: %v", p.Method, p)
 	}
@@ -204,7 +204,7 @@ func TestCandidateHeavyDerivedQueryAvoidsIndex(t *testing.T) {
 	st := bigTable()
 	st.NumPivots = st.NumPairs / 4 // shallow trees: high per-pivot overhead
 	sel := &scape.Selectivity{Rows: st.NumPairs / 2, Candidates: st.NumPairs}
-	p := DefaultCostModel().Plan(Threshold(stats.Correlation, 0.0, scape.Above), st, sel)
+	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.0)), st, sel)
 	if p.Method != MethodAffine {
 		t.Fatalf("chose %v, want WA: %v", p.Method, p)
 	}
@@ -215,8 +215,8 @@ func TestCandidateHeavyDerivedQueryAvoidsIndex(t *testing.T) {
 func TestZeroModelUsesDefaults(t *testing.T) {
 	sel := &scape.Selectivity{Rows: 10, Exact: true}
 	var zero CostModel
-	a := zero.Plan(Threshold(stats.Covariance, 0.9, scape.Above), bigTable(), sel)
-	b := DefaultCostModel().Plan(Threshold(stats.Covariance, 0.9, scape.Above), bigTable(), sel)
+	a := zero.Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
+	b := DefaultCostModel().Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
 	if a.Method != b.Method || a.EstimatedCost != b.EstimatedCost {
 		t.Fatalf("zero model diverges from default: %v vs %v", a, b)
 	}
@@ -226,7 +226,7 @@ func TestZeroModelUsesDefaults(t *testing.T) {
 // lookup scan <= naive recomputation.
 func TestLocationThresholdCosts(t *testing.T) {
 	sel := &scape.Selectivity{Rows: 30, Exact: true}
-	p := DefaultCostModel().Plan(Range(stats.Mean, 0, 1), bigTable(), sel)
+	p := DefaultCostModel().Plan(Interval(stats.Mean, interval.Between(0, 1)), bigTable(), sel)
 	if p.Method != MethodIndex {
 		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
 	}
@@ -237,7 +237,7 @@ func TestLocationThresholdCosts(t *testing.T) {
 
 // TestPlanString smoke-tests the EXPLAIN rendering.
 func TestPlanString(t *testing.T) {
-	p := DefaultCostModel().Plan(Threshold(stats.Correlation, 0.9, scape.Above),
+	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.9)),
 		bigTable(), &scape.Selectivity{Rows: 5, Exact: true})
 	s := p.String()
 	for _, frag := range []string{"MET correlation", "SCAPE", "est 5 rows"} {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"affinity/internal/scape"
+	"affinity/internal/interval"
 	"affinity/internal/stats"
 )
 
@@ -27,7 +27,7 @@ func sketchTable() TableStats {
 func TestSketchCostLowersNaiveRoute(t *testing.T) {
 	cm := DefaultCostModel()
 	for _, spec := range []QuerySpec{
-		Range(stats.Covariance, 0.2, 0.9),
+		Interval(stats.Covariance, interval.Between(0.2, 0.9)),
 		TopK(stats.Correlation, 10, true),
 	} {
 		plain := cm.Plan(spec, bigTable(), nil)
@@ -59,8 +59,8 @@ func TestSketchCostLowersNaiveRoute(t *testing.T) {
 func TestSketchCostHalfBoundedCheaper(t *testing.T) {
 	cm := DefaultCostModel()
 	st := sketchTable()
-	met := cm.Plan(Threshold(stats.Covariance, 0.9, scape.Above), st, nil)
-	mer := cm.Plan(Range(stats.Covariance, 0.2, 0.9), st, nil)
+	met := cm.Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), st, nil)
+	mer := cm.Plan(Interval(stats.Covariance, interval.Between(0.2, 0.9)), st, nil)
 	if !(met.CostSketch < mer.CostSketch) {
 		t.Fatalf("MET sketch cost %v not below MER %v", met.CostSketch, mer.CostSketch)
 	}
@@ -70,13 +70,13 @@ func TestSketchCostHalfBoundedCheaper(t *testing.T) {
 // a fully ambiguous epoch never prices below the plain sweep.
 func TestSketchCostInapplicable(t *testing.T) {
 	cm := DefaultCostModel()
-	if p := cm.Plan(Threshold(stats.Mean, 1, scape.Above), sketchTable(), nil); !math.IsInf(p.CostSketch, 1) {
+	if p := cm.Plan(Interval(stats.Mean, interval.GreaterThan(1)), sketchTable(), nil); !math.IsInf(p.CostSketch, 1) {
 		t.Fatalf("location query priced a sketch prescreen: %v", p)
 	}
 	st := sketchTable()
 	st.SketchAmbiguity = 1
-	worst := cm.Plan(Range(stats.Covariance, 0.2, 0.9), st, nil)
-	plain := cm.Plan(Range(stats.Covariance, 0.2, 0.9), bigTable(), nil)
+	worst := cm.Plan(Interval(stats.Covariance, interval.Between(0.2, 0.9)), st, nil)
+	plain := cm.Plan(Interval(stats.Covariance, interval.Between(0.2, 0.9)), bigTable(), nil)
 	if worst.CostSketch < plain.CostNaive {
 		t.Fatalf("fully ambiguous prescreen %v priced below the plain sweep %v",
 			worst.CostSketch, plain.CostNaive)
@@ -85,14 +85,14 @@ func TestSketchCostInapplicable(t *testing.T) {
 
 // TestPlanStringSketchActuals: Explain output renders the prescreen actuals.
 func TestPlanStringSketchActuals(t *testing.T) {
-	p := Plan{Spec: Range(stats.Covariance, 0, 1), SketchedPairs: 820, SketchRefinedPairs: 37}
+	p := Plan{Spec: Interval(stats.Covariance, interval.Between(0, 1)), SketchedPairs: 820, SketchRefinedPairs: 37}
 	if s := p.String(); !strings.Contains(s, "sketch 820 pairs, 37 refined") {
 		t.Fatalf("Plan.String() = %q", s)
 	}
-	if s := (Plan{Spec: Range(stats.Covariance, 0, 1)}).String(); strings.Contains(s, "sketch") || strings.Contains(s, "base values") {
+	if s := (Plan{Spec: Interval(stats.Covariance, interval.Between(0, 1))}).String(); strings.Contains(s, "sketch") || strings.Contains(s, "base values") {
 		t.Fatalf("sketch or base-column actuals rendered on a plan without them: %q", s)
 	}
-	if s := (Plan{Spec: Range(stats.Covariance, 0, 1), BaseValues: "reused"}).String(); !strings.Contains(s, "[base values reused]") {
+	if s := (Plan{Spec: Interval(stats.Covariance, interval.Between(0, 1)), BaseValues: "reused"}).String(); !strings.Contains(s, "[base values reused]") {
 		t.Fatalf("Plan.String() = %q", s)
 	}
 }

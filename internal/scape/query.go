@@ -12,52 +12,6 @@ import (
 	"affinity/internal/timeseries"
 )
 
-// ThresholdOp selects the comparison direction of a measure threshold (MET)
-// query: Query 2 asks for entries whose measure is "greater or lesser than"
-// a user-defined threshold τ.  It is sugar over the canonical interval
-// predicate — the engine converts it with Interval and every scan below
-// consumes intervals only.
-type ThresholdOp int
-
-const (
-	// Above selects entries with measure value strictly greater than τ.
-	Above ThresholdOp = iota
-	// Below selects entries with measure value strictly less than τ.
-	Below
-)
-
-// Valid reports whether op names a known comparison direction.
-func (op ThresholdOp) Valid() bool { return op == Above || op == Below }
-
-// String renders the operator; out-of-range values render as "unknown(N)"
-// instead of masquerading as a valid comparison.
-func (op ThresholdOp) String() string {
-	switch op {
-	case Above:
-		return ">"
-	case Below:
-		return "<"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(op))
-	}
-}
-
-// Interval returns the predicate form of "value op τ": the half-bounded open
-// interval (τ, +∞) or (−∞, τ).  An unknown operator converts to the
-// empty-matching degenerate interval, so a spec built from it fails interval
-// validation instead of silently running as one of the valid directions;
-// callers that want the dedicated bad-operator error Valid-check op first.
-func (op ThresholdOp) Interval(tau float64) interval.Interval {
-	switch op {
-	case Above:
-		return interval.GreaterThan(tau)
-	case Below:
-		return interval.LessThan(tau)
-	default:
-		return interval.New(interval.Open(tau), interval.Open(tau))
-	}
-}
-
 // pairSpec validates that m names a pairwise measure and returns its spec.
 func pairSpec(m stats.Measure) (*measure.Spec, error) {
 	sp, ok := measure.Find(m)

@@ -419,42 +419,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-// TestThresholdOpSugar pins the operator sugar: String renders the known
-// operators and a stable "unknown(N)" form for anything else, Valid gates
-// conversion, and Interval produces the strict half-bounded predicates.
-func TestThresholdOpSugar(t *testing.T) {
-	cases := []struct {
-		op    ThresholdOp
-		str   string
-		valid bool
-	}{
-		{Above, ">", true},
-		{Below, "<", true},
-		{ThresholdOp(-1), "unknown(-1)", false},
-		{ThresholdOp(2), "unknown(2)", false},
-		{ThresholdOp(9), "unknown(9)", false},
-	}
-	for _, tc := range cases {
-		if got := tc.op.String(); got != tc.str {
-			t.Errorf("ThresholdOp(%d).String() = %q, want %q", int(tc.op), got, tc.str)
-		}
-		if got := tc.op.Valid(); got != tc.valid {
-			t.Errorf("ThresholdOp(%d).Valid() = %v, want %v", int(tc.op), got, tc.valid)
-		}
-	}
-	if iv := Above.Interval(0.5); !iv.Contains(0.6) || iv.Contains(0.5) || iv.Contains(0.4) {
-		t.Errorf("Above.Interval(0.5) = %v is not (0.5, +inf)", iv)
-	}
-	if iv := Below.Interval(0.5); !iv.Contains(0.4) || iv.Contains(0.5) || iv.Contains(0.6) {
-		t.Errorf("Below.Interval(0.5) = %v is not (-inf, 0.5)", iv)
-	}
-	// An unknown operator converts to the empty-matching degenerate interval
-	// so downstream validation rejects it instead of running it as Above.
-	if iv := ThresholdOp(9).Interval(0.5); !iv.Empty() {
-		t.Errorf("unknown op Interval = %v, want empty", iv)
-	}
-}
-
 func TestConstantSeriesDoesNotBreakIndex(t *testing.T) {
 	series := [][]float64{
 		{1, 2, 3, 4, 5, 6, 7, 8},

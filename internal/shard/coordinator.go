@@ -222,8 +222,7 @@ func (c *Coordinator) Data() *timeseries.DataMatrix { return c.state().data }
 // Relationships returns the current epoch's global (merged) SYMEX result.
 func (c *Coordinator) Relationships() *symex.Result { return c.state().rel }
 
-// Append buffers one tick for the next Advance, mirroring core.Engine.Append
-// (including StreamConfig.AutoAdvance).
+// Append buffers one tick for the next Advance, mirroring core.Engine.Append.
 func (c *Coordinator) Append(tick []float64) error {
 	cs := c.state()
 	if len(tick) != cs.data.NumSeries() {
@@ -240,10 +239,6 @@ func (c *Coordinator) Append(tick []float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pending = append(c.pending, cp)
-	if a := c.cfg.Engine.Stream.AutoAdvance; a > 0 && len(c.pending) >= a {
-		_, err := c.advanceLocked()
-		return err
-	}
 	return nil
 }
 
@@ -266,10 +261,6 @@ func (c *Coordinator) PendingSamples() int {
 func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.advanceLocked()
-}
-
-func (c *Coordinator) advanceLocked() (core.AdvanceInfo, error) {
 	cs := c.state()
 	slide := len(c.pending)
 	if slide == 0 {

@@ -10,7 +10,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
@@ -171,14 +170,14 @@ func shardDeterminismCases() []shardQueryCase {
 				engine: func(e *core.Engine) (any, error) {
 					var qs []plan.QuerySpec
 					for _, m := range batchMeasures {
-						qs = append(qs, plan.Threshold(m, 0.3, scape.Above))
+						qs = append(qs, plan.Interval(m, interval.GreaterThan(0.3)))
 					}
 					return runSpecs(e.View(), qs, method)
 				},
 				coord: func(c *Coordinator) (any, error) {
 					var qs []plan.QuerySpec
 					for _, m := range batchMeasures {
-						qs = append(qs, plan.Threshold(m, 0.3, scape.Above))
+						qs = append(qs, plan.Interval(m, interval.GreaterThan(0.3)))
 					}
 					return runSpecs(c.state(), qs, method)
 				},
@@ -244,7 +243,7 @@ func shardDeterminismCases() []shardQueryCase {
 		cases = append(cases, shardQueryCase{
 			name: fmt.Sprintf("plan/%v", m),
 			engine: func(e *core.Engine) (any, error) {
-				_, p, err := e.Explain(plan.Threshold(m, 0.25, scape.Above), core.MethodAuto)
+				_, p, err := e.Explain(plan.Interval(m, interval.GreaterThan(0.25)), core.MethodAuto)
 				if err != nil {
 					return nil, err
 				}
@@ -259,7 +258,7 @@ func shardDeterminismCases() []shardQueryCase {
 				return p, nil
 			},
 			coord: func(c *Coordinator) (any, error) {
-				_, plans, err := core.Run(c.state(), []plan.QuerySpec{plan.Threshold(m, 0.25, scape.Above)}, core.MethodAuto, true)
+				_, plans, err := core.Run(c.state(), []plan.QuerySpec{plan.Interval(m, interval.GreaterThan(0.25))}, core.MethodAuto, true)
 				if err != nil {
 					return nil, err
 				}

@@ -10,7 +10,6 @@ import (
 	"affinity/internal/core"
 	"affinity/internal/interval"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/stats"
 )
 
@@ -122,33 +121,33 @@ func TestPipelineSpecTable(t *testing.T) {
 		want    error // nil: the query must answer, identically through every door
 		anyErr  bool  // the failure carries no typed sentinel
 	}{
-		{name: "empty range", doors: indexed, spec: plan.Range(stats.Correlation, 1, -1), methods: allMethods, want: core.ErrEmptyRange},
+		{name: "empty range", doors: indexed, spec: plan.Interval(stats.Correlation, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
 		{name: "empty half-open interval", doors: indexed, methods: allMethods, want: core.ErrEmptyRange,
 			spec: plan.Interval(stats.Correlation, interval.New(interval.Open(1), interval.Closed(1)))},
-		{name: "empty L-measure range", doors: indexed, spec: plan.Range(stats.Mean, 1, -1), methods: allMethods, want: core.ErrEmptyRange},
+		{name: "empty L-measure range", doors: indexed, spec: plan.Interval(stats.Mean, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
 		{name: "k = 0", doors: indexed, spec: plan.TopK(stats.Correlation, 0, true), methods: allMethods, want: core.ErrBadTopK},
 		{name: "k < 0, L-measure", doors: indexed, spec: plan.TopK(stats.Mean, -3, false), methods: allMethods, want: core.ErrBadTopK},
 		{name: "compute spec in the row pipeline", doors: indexed, spec: plan.Compute(stats.Correlation, 2), methods: allMethods, anyErr: true},
-		{name: "bad method, interval", doors: indexed, spec: plan.Threshold(stats.Correlation, 0.5, scape.Above), methods: only(core.Method(42)), want: core.ErrBadMethod},
+		{name: "bad method, interval", doors: indexed, spec: plan.Interval(stats.Correlation, interval.GreaterThan(0.5)), methods: only(core.Method(42)), want: core.ErrBadMethod},
 		{name: "bad method, top-k", doors: indexed, spec: plan.TopK(stats.Correlation, 3, true), methods: only(core.Method(42)), want: core.ErrBadMethod},
-		{name: "bad method, L-measure", doors: indexed, spec: plan.Threshold(stats.Mean, 0.1, scape.Above), methods: only(core.Method(-1)), want: core.ErrBadMethod},
-		{name: "jaccard via index", doors: indexed, spec: plan.Threshold(stats.Jaccard, 0.5, scape.Above), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
-		{name: "jaccard range via index", doors: indexed, spec: plan.Range(stats.Jaccard, 0, 1), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
+		{name: "bad method, L-measure", doors: indexed, spec: plan.Interval(stats.Mean, interval.GreaterThan(0.1)), methods: only(core.Method(-1)), want: core.ErrBadMethod},
+		{name: "jaccard via index", doors: indexed, spec: plan.Interval(stats.Jaccard, interval.GreaterThan(0.5)), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
+		{name: "jaccard range via index", doors: indexed, spec: plan.Interval(stats.Jaccard, interval.Between(0, 1)), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
 		{name: "jaccard top-k via index", doors: indexed, spec: plan.TopK(stats.Jaccard, 3, true), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
-		{name: "jaccard via the sweeps and auto", doors: indexed, spec: plan.Threshold(stats.Jaccard, 0.5, scape.Above),
+		{name: "jaccard via the sweeps and auto", doors: indexed, spec: plan.Interval(stats.Jaccard, interval.GreaterThan(0.5)),
 			methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto)},
-		{name: "no index, interval", doors: indexless, spec: plan.Threshold(stats.Correlation, 0.25, scape.Above), methods: only(core.MethodIndex), want: core.ErrNoIndex},
+		{name: "no index, interval", doors: indexless, spec: plan.Interval(stats.Correlation, interval.GreaterThan(0.25)), methods: only(core.MethodIndex), want: core.ErrNoIndex},
 		{name: "no index, top-k", doors: indexless, spec: plan.TopK(stats.Correlation, 3, true), methods: only(core.MethodIndex), want: core.ErrNoIndex},
-		{name: "no index, L-measure interval", doors: indexless, spec: plan.Threshold(stats.Mean, 0.1, scape.Above), methods: only(core.MethodIndex), want: core.ErrNoIndex},
+		{name: "no index, L-measure interval", doors: indexless, spec: plan.Interval(stats.Mean, interval.GreaterThan(0.1)), methods: only(core.MethodIndex), want: core.ErrNoIndex},
 		{name: "no index, L-measure top-k", doors: indexless, spec: plan.TopK(stats.Mean, 3, true), methods: only(core.MethodIndex), want: core.ErrNoIndex},
-		{name: "no index, sweeps and auto answer", doors: indexless, spec: plan.Threshold(stats.Correlation, 0.25, scape.Above),
+		{name: "no index, sweeps and auto answer", doors: indexless, spec: plan.Interval(stats.Correlation, interval.GreaterThan(0.25)),
 			methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto)},
-		{name: "L-measure interval, every method", doors: indexed, spec: plan.Threshold(stats.Mean, 0.1, scape.Above), methods: allMethods},
-		{name: "L-measure range, every method", doors: indexed, spec: plan.Range(stats.Median, -0.5, 0.5), methods: allMethods},
+		{name: "L-measure interval, every method", doors: indexed, spec: plan.Interval(stats.Mean, interval.GreaterThan(0.1)), methods: allMethods},
+		{name: "L-measure range, every method", doors: indexed, spec: plan.Interval(stats.Median, interval.Between(-0.5, 0.5)), methods: allMethods},
 		{name: "L-measure top-k, every method", doors: indexed, spec: plan.TopK(stats.Mode, 4, false), methods: allMethods},
 	}
 
-	valid := plan.Threshold(stats.Covariance, 0, scape.Above)
+	valid := plan.Interval(stats.Covariance, interval.GreaterThan(0))
 	for _, row := range rows {
 		for _, method := range row.methods {
 			var reference string
@@ -223,9 +222,9 @@ func TestPipelineBatchEqualsSingle(t *testing.T) {
 				continue // not indexable
 			}
 			specs = append(specs,
-				plan.Threshold(m, 0.3, scape.Above),
-				plan.Threshold(m, 0.7, scape.Below),
-				plan.Range(m, -0.4, 0.8),
+				plan.Interval(m, interval.GreaterThan(0.3)),
+				plan.Interval(m, interval.LessThan(0.7)),
+				plan.Interval(m, interval.Between(-0.4, 0.8)),
 				plan.TopK(m, 3, true),
 				plan.TopK(m, 9, false),
 			)

@@ -9,7 +9,6 @@ import (
 	"affinity/internal/core"
 	"affinity/internal/interval"
 	"affinity/internal/plan"
-	"affinity/internal/scape"
 	"affinity/internal/sketch"
 	"affinity/internal/stats"
 	"affinity/internal/symex"
@@ -154,7 +153,7 @@ func TestCoordinatorExplain(t *testing.T) {
 		return out[0], plans[0]
 	}
 
-	spec := plan.Threshold(stats.Correlation, 0.25, scape.Above)
+	spec := plan.Interval(stats.Correlation, interval.GreaterThan(0.25))
 	res, cp := explain(c, spec, core.MethodIndex)
 	if cp.Method != core.MethodIndex {
 		t.Fatalf("plan method %v", cp.Method)
@@ -286,23 +285,6 @@ func TestCoordinatorStreaming(t *testing.T) {
 		if _, err := c.Advance(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// AutoAdvance through the coordinator.
-	autoCfg := cfg
-	autoCfg.Stream.AutoAdvance = 3
-	aFx := makeShardFixture(t, 24, 90, 3, 7)
-	ac, err := Build(aFx.window, Config{Shards: 2, Engine: autoCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tick := range aFx.ticks {
-		if err := ac.Append(tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ac.Epoch() != 1 || ac.PendingSamples() != 0 {
-		t.Fatalf("auto-advance: epoch %d pending %d", ac.Epoch(), ac.PendingSamples())
 	}
 
 	// Streamed with the refit-all default, a coordinator at every S and P

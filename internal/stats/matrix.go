@@ -121,25 +121,6 @@ func PairMatrixCovariance(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// PairMatrixDotProduct computes the 2-by-2 dot product (Gram) matrix Π(X) of
-// an m-by-2 pair matrix X.
-func PairMatrixDotProduct(x *mat.Matrix) (*mat.Matrix, error) {
-	if x.Cols() != 2 {
-		return nil, fmt.Errorf("%w: pair matrix must have 2 columns, got %d", ErrLengthMismatch, x.Cols())
-	}
-	c0 := x.Col(0)
-	c1 := x.Col(1)
-	d00, _ := DotProductOf(c0, c0)
-	d01, _ := DotProductOf(c0, c1)
-	d11, _ := DotProductOf(c1, c1)
-	out := mat.New(2, 2)
-	out.Set(0, 0, d00)
-	out.Set(0, 1, d01)
-	out.Set(1, 0, d01)
-	out.Set(1, 1, d11)
-	return out, nil
-}
-
 // PairMatrixLocation computes the length-2 vector of an L-measure for the two
 // columns of a pair matrix.
 func PairMatrixLocation(m Measure, x *mat.Matrix) ([]float64, error) {
@@ -155,15 +136,6 @@ func PairMatrixLocation(m Measure, x *mat.Matrix) ([]float64, error) {
 		return nil, err
 	}
 	return []float64{l0, l1}, nil
-}
-
-// ColumnSums returns (h1(X), h2(X)): the per-column sums of a pair matrix,
-// used by the dot product propagation rule (Eq. 7).
-func ColumnSums(x *mat.Matrix) ([]float64, error) {
-	if x.Cols() != 2 {
-		return nil, fmt.Errorf("%w: pair matrix must have 2 columns, got %d", ErrLengthMismatch, x.Cols())
-	}
-	return []float64{SumOf(x.Col(0)), SumOf(x.Col(1))}, nil
 }
 
 // RMSE computes the percentage root-mean-square error between true and

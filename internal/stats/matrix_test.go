@@ -154,15 +154,6 @@ func TestPairMatrixHelpers(t *testing.T) {
 		t.Fatalf("pair var = %v, want %v", cov.At(1, 1), wantVar)
 	}
 
-	dot, err := PairMatrixDotProduct(x)
-	if err != nil {
-		t.Fatalf("PairMatrixDotProduct: %v", err)
-	}
-	wantDot, _ := DotProductOf(s0, s2)
-	if !almostEqual(dot.At(0, 1), wantDot, 1e-12) {
-		t.Fatalf("pair dot = %v, want %v", dot.At(0, 1), wantDot)
-	}
-
 	loc, err := PairMatrixLocation(Mean, x)
 	if err != nil {
 		t.Fatalf("PairMatrixLocation: %v", err)
@@ -171,25 +162,11 @@ func TestPairMatrixHelpers(t *testing.T) {
 		t.Fatalf("pair mean = %v", loc)
 	}
 
-	sums, err := ColumnSums(x)
-	if err != nil {
-		t.Fatalf("ColumnSums: %v", err)
-	}
-	if !almostEqual(sums[0], 15, 1e-12) || !almostEqual(sums[1], 26, 1e-12) {
-		t.Fatalf("ColumnSums = %v", sums)
-	}
-
 	wide := mat.New(5, 3)
 	if _, err := PairMatrixCovariance(wide); err == nil {
 		t.Fatal("3-column matrix should error")
 	}
-	if _, err := PairMatrixDotProduct(wide); err == nil {
-		t.Fatal("3-column matrix should error")
-	}
 	if _, err := PairMatrixLocation(Mean, wide); err == nil {
-		t.Fatal("3-column matrix should error")
-	}
-	if _, err := ColumnSums(wide); err == nil {
 		t.Fatal("3-column matrix should error")
 	}
 }

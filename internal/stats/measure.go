@@ -78,10 +78,6 @@ var (
 // Measure value with one registry map lookup.
 func ParseMeasure(name string) (Measure, error) { return measure.Parse(name) }
 
-// MeasureNames returns the names of every registered measure in registration
-// order, for CLI flag help and generated documentation.
-func MeasureNames() []string { return measure.Names() }
-
 // AllMeasures returns every registered measure, useful for exhaustive tests
 // and for workload generators.
 func AllMeasures() []Measure { return measure.All() }

@@ -90,7 +90,4 @@ func TestMeasureGroupHelpers(t *testing.T) {
 	if total != len(AllMeasures()) {
 		t.Fatalf("groups cover %d measures, want %d", total, len(AllMeasures()))
 	}
-	if len(MeasureNames()) != len(AllMeasures()) {
-		t.Fatal("MeasureNames drifted from AllMeasures")
-	}
 }

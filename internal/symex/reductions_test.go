@@ -21,8 +21,7 @@ type streamer interface {
 // series-versus-own-centre covariances are each reduced once per engine — the
 // fits, the summaries and drift scoring, the calibration and the index all
 // read the one reduction — at a build and on every Advance, whether the epoch
-// refits everything or a drift-selected stale set.  Plain SYMEX fits without
-// them and reduces them once, for the summaries.  A coordinator of S shards
+// refits everything or a drift-selected stale set.  A coordinator of S shards
 // reduces once per shard (each shard its own pivots), plus once for the
 // global fits at a build.
 func TestOneReductionPerWindowAndEngine(t *testing.T) {
@@ -54,7 +53,6 @@ func TestOneReductionPerWindowAndEngine(t *testing.T) {
 	builds := []build{
 		{"SYMEX+ refit-all", 1, 1, engine(core.Config{Clusters: 4, Seed: 2, Parallelism: 2})},
 		{"SYMEX+ drift-selected", 1, 1, engine(core.Config{Clusters: 4, Seed: 2, Stream: core.StreamConfig{DriftBound: 0.05}})},
-		{"plain SYMEX", 1, 1, engine(core.Config{Clusters: 4, Seed: 2, DisablePseudoInverseCache: true})},
 	}
 	for _, s := range []int{1, 2, 4} {
 		s := s

@@ -57,8 +57,8 @@ func (mo *Moments) Stat(id SeriesID) measure.SeriesStat {
 
 // Moments returns the self-moments of the window's series, reduced on the
 // first call and shared by every later one — every engine, index, kernel
-// mirror and shard over this window reads the same object.  The in-place
-// mutators drop them; SlideCopy does not hand them on, because a slid sum is
+// mirror and shard over this window reads the same object.  Append drops
+// them; SlideCopy does not hand them on, because a slid sum is
 // not the bits a fresh reduction yields.  The result must not be modified.
 func (d *DataMatrix) Moments() *Moments {
 	d.memoMu.Lock()

@@ -158,9 +158,7 @@ func TestSortedSeriesLifecycle(t *testing.T) {
 	requireSortedParity(t, slid, 1)
 
 	mutators := map[string]func(*DataMatrix) error{
-		"AppendSamples": func(x *DataMatrix) error { return x.AppendSamples(batch) },
-		"SlideWindow":   func(x *DataMatrix) error { return x.SlideWindow(2) },
-		"Append":        func(x *DataMatrix) error { return x.Append("d", make([]float64, x.NumSamples())) },
+		"Append": func(x *DataMatrix) error { return x.Append("d", make([]float64, x.NumSamples())) },
 	}
 	for name, mutate := range mutators {
 		x, err := slid.SlideCopy(batch)
@@ -170,8 +168,8 @@ func TestSortedSeriesLifecycle(t *testing.T) {
 		if x.Slab() == nil || x.sorted == nil {
 			t.Fatalf("%s: SlideCopy result has no slab or no sorted columns", name)
 		}
-		// The columns are cap-limited views of the slab, so no mutator — an
-		// append least of all — can write into it.
+		// The columns are cap-limited views of the slab, so Append cannot
+		// write into it.
 		slab := x.Slab()
 		before := append([]float64(nil), slab...)
 		if err := mutate(x); err != nil {

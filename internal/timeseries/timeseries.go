@@ -84,10 +84,12 @@ func (p Pair) Other(id SeriesID) (SeriesID, error) {
 // Affinity algorithm accesses whole series at a time.
 //
 // A data matrix can act as a sliding window over an unbounded stream:
-// AppendSamples adds new samples to the right edge of every series and
-// SlideWindow evicts the oldest samples from the left edge.  The start index
-// records how many samples have been evicted over the matrix's lifetime, so
-// sample i of the current window is logical stream position start+i.
+// SlideCopy returns the next window — a batch of new samples appended at the
+// right edge of every series, as many of the oldest evicted from the left
+// edge — and leaves the receiver untouched, so a query holding the old window
+// keeps reading it.  The start index records how many samples have been
+// evicted over the stream's lifetime, so sample i of the current window is
+// logical stream position start+i.
 //
 // A window also answers order statistics: SortedSeries returns a series'
 // samples in sorted order, built for the whole matrix on first use and from
@@ -103,8 +105,8 @@ type DataMatrix struct {
 
 	// slab, when non-nil, is the one allocation backing every series:
 	// series[v] is slab[v*m:(v+1)*m].  SlideCopy lays its result out this way
-	// so the kernel mirror can alias the window instead of copying it; the
-	// in-place mutators drop it.
+	// so the kernel mirror can alias the window instead of copying it; Append
+	// drops it.
 	slab []float64
 
 	// sorted holds the n columns of the window in measure.SortSamples order,
@@ -119,17 +121,6 @@ type DataMatrix struct {
 	// the next Validate need not scan them again.  Several builders may
 	// validate one shared matrix at once, hence the atomic.
 	validated atomic.Bool
-}
-
-// mutated drops the state derived from the series' current layout and
-// contents; every in-place mutator calls it.
-func (d *DataMatrix) mutated() {
-	d.validated.Store(false)
-	d.slab = nil
-	d.memoMu.Lock()
-	d.sorted = nil
-	d.moments = nil
-	d.memoMu.Unlock()
 }
 
 // NewDataMatrix builds a data matrix from n series of equal length.  The
@@ -174,7 +165,13 @@ func (d *DataMatrix) Append(name string, values []float64) error {
 	copy(cp, values)
 	d.series = append(d.series, cp)
 	d.names = append(d.names, name)
-	d.mutated()
+	// Drop the state derived from the previous layout and contents.
+	d.validated.Store(false)
+	d.slab = nil
+	d.memoMu.Lock()
+	d.sorted = nil
+	d.moments = nil
+	d.memoMu.Unlock()
 	return nil
 }
 
@@ -185,61 +182,9 @@ func (d *DataMatrix) NumSeries() int { return len(d.series) }
 func (d *DataMatrix) NumSamples() int { return d.m }
 
 // StartIndex returns the logical stream position of the first retained
-// sample: the total number of samples evicted by SlideWindow (and SlideCopy)
-// over the matrix's lifetime.  A matrix that never slid has start index 0.
+// sample: the total number of samples SlideCopy evicted on the way from the
+// first window to this one.  A window that never slid has start index 0.
 func (d *DataMatrix) StartIndex() int { return d.start }
-
-// AppendSamples extends every series by the given batch of new samples:
-// batch[v] holds the samples to append to series v, and all batches must have
-// the same length.  An empty batch length is a no-op.  The samples are copied.
-func (d *DataMatrix) AppendSamples(batch [][]float64) error {
-	if len(batch) != len(d.series) {
-		return fmt.Errorf("%w: batch for %d series, matrix has %d",
-			ErrShapeMismatch, len(batch), len(d.series))
-	}
-	if len(d.series) == 0 {
-		return fmt.Errorf("%w: cannot append samples to an empty matrix", ErrShapeMismatch)
-	}
-	grow := len(batch[0])
-	for v, b := range batch {
-		if len(b) != grow {
-			return fmt.Errorf("%w: batch for series %d has %d samples, want %d",
-				ErrShapeMismatch, v, len(b), grow)
-		}
-		if mat.HasNaN(b) {
-			return fmt.Errorf("timeseries: batch for series %d contains NaN or Inf", v)
-		}
-	}
-	if grow == 0 {
-		return nil
-	}
-	for v := range d.series {
-		d.series[v] = append(d.series[v], batch[v]...)
-	}
-	d.m += grow
-	d.mutated()
-	return nil
-}
-
-// SlideWindow evicts the oldest count samples from every series, advancing
-// the window's start index.  At least one sample must remain.  The eviction
-// reslices in place; backing memory is reclaimed on the next SlideCopy or
-// Clone.
-func (d *DataMatrix) SlideWindow(count int) error {
-	if count < 0 || count >= d.m {
-		return fmt.Errorf("%w: cannot evict %d of %d samples", ErrShapeMismatch, count, d.m)
-	}
-	if count == 0 {
-		return nil
-	}
-	for v := range d.series {
-		d.series[v] = d.series[v][count:]
-	}
-	d.m -= count
-	d.start += count
-	d.mutated()
-	return nil
-}
 
 // SlideCopy returns a new data matrix whose window holds the most recent
 // NumSamples() samples of every series after appending the batch: the window
@@ -268,8 +213,8 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 			return nil, fmt.Errorf("timeseries: batch for series %d contains NaN or Inf", v)
 		}
 	}
-	// One slab for the whole window, columns cap-limited so an AppendSamples
-	// on the copy reallocates a column instead of writing into its neighbour.
+	// One slab for the whole window, columns cap-limited so no column can
+	// grow into its neighbour.
 	m := d.m
 	out := &DataMatrix{
 		names:  append([]string(nil), d.names...),
@@ -551,8 +496,7 @@ func (d *DataMatrix) Matrix() (*mat.Matrix, error) {
 	return mat.NewFromColumns(d.series...)
 }
 
-// Clone returns a deep copy of the data matrix (compacting any backing
-// memory retained by a previous in-place SlideWindow).
+// Clone returns a deep copy of the data matrix.
 func (d *DataMatrix) Clone() *DataMatrix {
 	out := &DataMatrix{m: d.m, start: d.start}
 	out.names = append([]string(nil), d.names...)
@@ -567,9 +511,8 @@ func (d *DataMatrix) Clone() *DataMatrix {
 
 // Validate checks structural invariants: at least one series, equal lengths,
 // and no NaN/Inf samples.  It returns a descriptive error for the first
-// violation found.  A matrix remembers that it passed: until a mutating method
-// (Append, AppendSamples, SlideWindow) changes it, further calls return
-// without scanning, and SlideCopy hands the mark on to the window it returns.
+// violation found.  A matrix remembers that it passed: until Append adds a
+// series, further calls return without scanning, and SlideCopy hands the mark on to the window it returns.
 // Writing through a slice returned by Series — which callers must not do —
 // goes unnoticed.
 func (d *DataMatrix) Validate() error {

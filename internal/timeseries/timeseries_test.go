@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -444,71 +445,75 @@ func TestBinaryCorruption(t *testing.T) {
 	}
 }
 
+// TestAppendSamplesAndSlideWindow: successive slides append each batch at
+// the right edge and evict as many samples at the left, and the start index
+// accumulates across them.
 func TestAppendSamplesAndSlideWindow(t *testing.T) {
 	d := sample3x4()
 	if d.StartIndex() != 0 {
 		t.Fatalf("fresh StartIndex = %d", d.StartIndex())
 	}
-	if err := d.AppendSamples([][]float64{{10, 11}, {20, 22}, {5, 5}}); err != nil {
-		t.Fatalf("AppendSamples: %v", err)
+	next, err := d.SlideCopy([][]float64{{10, 11}, {20, 22}, {5, 5}})
+	if err != nil {
+		t.Fatalf("SlideCopy: %v", err)
 	}
-	if d.NumSamples() != 6 {
-		t.Fatalf("NumSamples after append = %d", d.NumSamples())
+	next, err = next.SlideCopy([][]float64{{12}, {24}, {5}})
+	if err != nil {
+		t.Fatalf("second SlideCopy: %v", err)
 	}
-	s, _ := d.Series(0)
-	want := []float64{1, 2, 3, 4, 10, 11}
+	if next.NumSamples() != 4 || next.StartIndex() != 3 {
+		t.Fatalf("after two slides: m=%d start=%d", next.NumSamples(), next.StartIndex())
+	}
+	s, _ := next.Series(0)
+	want := []float64{4, 10, 11, 12}
 	for i := range want {
 		if s[i] != want[i] {
-			t.Fatalf("series 0 after append = %v, want %v", s, want)
+			t.Fatalf("series 0 after two slides = %v, want %v", s, want)
 		}
 	}
-	if err := d.SlideWindow(2); err != nil {
-		t.Fatalf("SlideWindow: %v", err)
-	}
-	if d.NumSamples() != 4 || d.StartIndex() != 2 {
-		t.Fatalf("after slide: m=%d start=%d", d.NumSamples(), d.StartIndex())
-	}
-	s, _ = d.Series(0)
-	want = []float64{3, 4, 10, 11}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("series 0 after slide = %v, want %v", s, want)
-		}
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("Validate after slide: %v", err)
+	if err := next.Validate(); err != nil {
+		t.Fatalf("Validate after slides: %v", err)
 	}
 }
 
+// TestAppendSamplesErrors: a slide's batch must hold one equally long,
+// finite column per series; a rejected batch leaves the receiver unchanged.
 func TestAppendSamplesErrors(t *testing.T) {
 	d := sample3x4()
-	if err := d.AppendSamples([][]float64{{1}, {2}}); !errors.Is(err, ErrShapeMismatch) {
+	if _, err := d.SlideCopy([][]float64{{1}, {2}}); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("wrong batch width error = %v", err)
 	}
-	if err := d.AppendSamples([][]float64{{1}, {2, 3}, {4}}); !errors.Is(err, ErrShapeMismatch) {
+	if _, err := d.SlideCopy([][]float64{{1}, {2, 3}, {4}}); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("ragged batch error = %v", err)
 	}
-	if err := d.AppendSamples([][]float64{{1}, {math.NaN()}, {4}}); err == nil {
+	if _, err := d.SlideCopy([][]float64{{1}, {math.NaN()}, {4}}); err == nil {
 		t.Fatal("NaN batch should be rejected")
 	}
-	if err := d.AppendSamples([][]float64{{}, {}, {}}); err != nil {
-		t.Fatalf("empty batch should be a no-op, got %v", err)
-	}
-	if d.NumSamples() != 4 {
-		t.Fatalf("NumSamples after failed appends = %d", d.NumSamples())
+	if d.NumSamples() != 4 || d.StartIndex() != 0 {
+		t.Fatalf("receiver after failed slides: m=%d start=%d", d.NumSamples(), d.StartIndex())
 	}
 }
 
+// TestSlideWindowErrors: an empty matrix cannot slide, and an empty batch
+// slides by nothing — the copy holds the same samples at the same start.
 func TestSlideWindowErrors(t *testing.T) {
+	if _, err := (&DataMatrix{}).SlideCopy(nil); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("sliding an empty matrix error = %v", err)
+	}
 	d := sample3x4()
-	if err := d.SlideWindow(4); !errors.Is(err, ErrShapeMismatch) {
-		t.Fatalf("evicting the whole window should fail, got %v", err)
+	same, err := d.SlideCopy([][]float64{{}, {}, {}})
+	if err != nil {
+		t.Fatalf("empty batch should slide by nothing, got %v", err)
 	}
-	if err := d.SlideWindow(-1); !errors.Is(err, ErrShapeMismatch) {
-		t.Fatalf("negative eviction error = %v", err)
+	if same.NumSamples() != 4 || same.StartIndex() != 0 {
+		t.Fatalf("empty slide: m=%d start=%d", same.NumSamples(), same.StartIndex())
 	}
-	if err := d.SlideWindow(0); err != nil {
-		t.Fatalf("zero eviction should be a no-op, got %v", err)
+	for _, id := range d.IDs() {
+		got, _ := same.Series(id)
+		want, _ := d.Series(id)
+		if !slices.Equal(got, want) {
+			t.Fatalf("series %d after an empty slide = %v, want %v", id, got, want)
+		}
 	}
 }
 
@@ -565,9 +570,9 @@ func TestSlideCopyBatchLongerThanWindow(t *testing.T) {
 }
 
 func TestWindowAndCloneTrackStartIndex(t *testing.T) {
-	d := sample3x4()
-	if err := d.SlideWindow(1); err != nil {
-		t.Fatalf("SlideWindow: %v", err)
+	d, err := sample3x4().SlideCopy([][]float64{{5}, {10}, {5}})
+	if err != nil {
+		t.Fatalf("SlideCopy: %v", err)
 	}
 	c := d.Clone()
 	if c.StartIndex() != 1 {
@@ -646,12 +651,10 @@ func TestValidateMark(t *testing.T) {
 		}
 	}
 
-	// Every mutating method clears the mark: the poisoned matrix is found out
+	// Append clears the mark: the poisoned matrix is found out
 	// on the next Validate.
 	mutators := map[string]func(d *DataMatrix) error{
-		"Append":        func(d *DataMatrix) error { return d.Append("z", []float64{1, 2, 3, 4}) },
-		"AppendSamples": func(d *DataMatrix) error { return d.AppendSamples([][]float64{{1}, {2}, {3}}) },
-		"SlideWindow":   func(d *DataMatrix) error { return d.SlideWindow(1) },
+		"Append": func(d *DataMatrix) error { return d.Append("z", []float64{1, 2, 3, 4}) },
 	}
 	for name, mutate := range mutators {
 		d := sample3x4()
@@ -804,15 +807,13 @@ func FuzzWindowMomentsParity(f *testing.F) {
 	})
 }
 
-// TestMomentsLifecycle: the memo is built on first use, dropped by every
-// in-place mutator, and never handed to another window — SlideCopy, Clone,
-// SubMatrix and Window results reduce their own samples.
+// TestMomentsLifecycle: the memo is built on first use, dropped by Append,
+// and never handed to another window — SlideCopy, Clone, SubMatrix and
+// Window results reduce their own samples.
 func TestMomentsLifecycle(t *testing.T) {
 	batch := [][]float64{{10}, {20}, {6}}
 	mutators := map[string]func(d *DataMatrix) error{
-		"Append":        func(d *DataMatrix) error { return d.Append("z", make([]float64, d.NumSamples())) },
-		"AppendSamples": func(d *DataMatrix) error { return d.AppendSamples(batch) },
-		"SlideWindow":   func(d *DataMatrix) error { return d.SlideWindow(1) },
+		"Append": func(d *DataMatrix) error { return d.Append("z", make([]float64, d.NumSamples())) },
 	}
 	for name, mutate := range mutators {
 		d := sample3x4()

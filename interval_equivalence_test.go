@@ -1,17 +1,11 @@
 package affinity_test
 
-// Interval↔threshold equivalence suite: the unified interval predicate is the
-// single implementation behind Threshold and Range, and this property test
-// pins the contract byte-for-byte — every (tau, op) query equals its interval
-// form and every [lo, hi] query equals its Between form, across all measures,
-// all concrete methods, single and batched paths.  The probed thresholds
-// include exact measure values (boundary equality exercises the open/closed
-// endpoint handling) and probes outside a bounded measure's declared value
-// range (the clamp-plateau short-circuits).
+// Interval predicate suite: the endpoint semantics of the one predicate type
+// every MET and MER query is written in, probed at an exact measure value so
+// boundary equality exercises the open/closed endpoint handling.
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -34,29 +28,19 @@ func equivalenceEngine(t testing.TB) *affinity.Engine {
 	return eng
 }
 
-// probeTaus returns thresholds spanning the measure's naive value
-// distribution — including EXACT observed values, which sit precisely on the
-// open/closed boundary — plus probes strictly outside the observed (and any
-// declared) range.
-func probeTaus(t testing.TB, eng *affinity.Engine, m affinity.Measure) []float64 {
+// observedMedian returns the median of the pairwise measure's naive values: an exact
+// observed value, so it sits precisely on the open/closed boundary.
+func observedMedian(t testing.TB, eng *affinity.Engine, m affinity.Measure) float64 {
 	t.Helper()
+	matrix, err := eng.ComputePairwise(m, eng.Data().IDs(), affinity.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var vals []float64
-	if !m.Pairwise() {
-		vs, err := eng.ComputeLocation(m, eng.Data().IDs(), affinity.Naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals = vs
-	} else {
-		matrix, err := eng.ComputePairwise(m, eng.Data().IDs(), affinity.Naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range matrix {
-			for j := i + 1; j < len(matrix[i]); j++ {
-				if !math.IsNaN(matrix[i][j]) {
-					vals = append(vals, matrix[i][j])
-				}
+	for i := range matrix {
+		for j := i + 1; j < len(matrix[i]); j++ {
+			if !math.IsNaN(matrix[i][j]) {
+				vals = append(vals, matrix[i][j])
 			}
 		}
 	}
@@ -64,102 +48,7 @@ func probeTaus(t testing.TB, eng *affinity.Engine, m affinity.Measure) []float64
 	if len(vals) == 0 {
 		t.Fatalf("%v: no finite values", m)
 	}
-	return []float64{
-		vals[0],               // boundary equality at the extreme
-		vals[len(vals)/2],     // boundary equality at the median
-		vals[len(vals)-1],     // boundary equality at the other extreme
-		vals[0] - 2,           // below every value (out of declared range for clamped measures)
-		vals[len(vals)-1] + 2, // above every value
-	}
-}
-
-func renderResult(res affinity.Result, err error) string {
-	if err != nil {
-		return "err:" + err.Error()
-	}
-	return fmt.Sprintf("%v|%v|%v", res.Series, res.Pairs, res.Values)
-}
-
-// TestThresholdEqualsIntervalForm pins MET ≡ interval for every
-// (measure, tau, op, method), single and batched.
-func TestThresholdEqualsIntervalForm(t *testing.T) {
-	eng := equivalenceEngine(t)
-	methods := []affinity.Method{affinity.Naive, affinity.Affine, affinity.Index}
-	for _, m := range measuresUnderTest() {
-		taus := probeTaus(t, eng, m)
-		var tqs []affinity.ThresholdQuery
-		var ivqs []affinity.IntervalQuery
-		for _, tau := range taus {
-			for _, op := range []affinity.ThresholdOp{affinity.Above, affinity.Below} {
-				iv := affinity.GreaterThan(tau)
-				if op == affinity.Below {
-					iv = affinity.LessThan(tau)
-				}
-				tqs = append(tqs, affinity.ThresholdQuery{Measure: m, Tau: tau, Op: op})
-				ivqs = append(ivqs, affinity.IntervalQuery{Measure: m, Interval: iv})
-				for _, method := range methods {
-					thr, terr := eng.Threshold(m, tau, op, method)
-					ivr, ierr := eng.Interval(m, iv, method)
-					if got, want := renderResult(thr, terr), renderResult(ivr, ierr); got != want {
-						t.Errorf("%v %v %v via %v: threshold %.80q != interval %.80q", m, op, tau, method, got, want)
-					}
-				}
-			}
-		}
-		for _, method := range methods {
-			tb, terr := eng.ThresholdBatch(tqs, method)
-			ib, ierr := eng.IntervalBatch(ivqs, method)
-			if (terr == nil) != (ierr == nil) {
-				t.Fatalf("%v via %v: batch errors diverge: %v vs %v", m, method, terr, ierr)
-			}
-			if terr != nil {
-				if terr.Error() != ierr.Error() {
-					t.Errorf("%v via %v: batch error text diverges: %v vs %v", m, method, terr, ierr)
-				}
-				continue
-			}
-			for i := range tb {
-				if renderResult(tb[i], nil) != renderResult(ib[i], nil) {
-					t.Errorf("%v via %v: batched threshold %d != batched interval", m, method, i)
-				}
-			}
-		}
-	}
-}
-
-// TestRangeEqualsIntervalForm pins MER ≡ closed interval for every measure
-// and method, including degenerate point ranges at exact observed values.
-func TestRangeEqualsIntervalForm(t *testing.T) {
-	eng := equivalenceEngine(t)
-	methods := []affinity.Method{affinity.Naive, affinity.Affine, affinity.Index}
-	for _, m := range measuresUnderTest() {
-		taus := probeTaus(t, eng, m)
-		ranges := [][2]float64{
-			{taus[0], taus[2]},
-			{taus[1], taus[1]}, // point range at an exact observed value
-			{taus[3], taus[1]}, // lo outside the observed/declared range
-			{taus[1], taus[4]}, // hi outside the observed/declared range
-		}
-		for _, r := range ranges {
-			for _, method := range methods {
-				rr, rerr := eng.Range(m, r[0], r[1], method)
-				ir, ierr := eng.Interval(m, affinity.Between(r[0], r[1]), method)
-				if got, want := renderResult(rr, rerr), renderResult(ir, ierr); got != want {
-					t.Errorf("%v [%v, %v] via %v: range != interval", m, r[0], r[1], method)
-				}
-			}
-		}
-	}
-}
-
-// measuresUnderTest returns every registered measure.
-func measuresUnderTest() []affinity.Measure {
-	infos := affinity.Measures()
-	out := make([]affinity.Measure, len(infos))
-	for i, info := range infos {
-		out[i] = info.Measure
-	}
-	return out
+	return vals[len(vals)/2]
 }
 
 // TestIntervalOpenClosedSemantics pins the endpoint semantics the grammar
@@ -169,8 +58,7 @@ func measuresUnderTest() []affinity.Measure {
 func TestIntervalOpenClosedSemantics(t *testing.T) {
 	eng := equivalenceEngine(t)
 	for _, m := range []affinity.Measure{affinity.Covariance, affinity.Correlation, affinity.EuclideanDistance} {
-		taus := probeTaus(t, eng, m)
-		tau := taus[1]
+		tau := observedMedian(t, eng, m)
 		for _, method := range []affinity.Method{affinity.Naive, affinity.Affine, affinity.Index} {
 			atLeast, err := eng.Interval(m, affinity.AtLeast(tau), method)
 			if err != nil {

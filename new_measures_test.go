@@ -2,7 +2,7 @@ package affinity_test
 
 // End-to-end acceptance tests for the measures registered through the
 // declarative algebra (Euclidean distance, mean squared difference, angular
-// distance): Threshold/Range/Compute through naive, affine and SCAPE —
+// distance): MET/MER intervals and MEC through naive, affine and SCAPE —
 // including MethodAuto with Explain plans — agreeing with the naive method
 // within 1e-9, with the index's decreasing-transform pruning demonstrably
 // active.
@@ -144,24 +144,24 @@ func TestNewMeasuresAllMethodsAgreeWithNaive(t *testing.T) {
 				m    affinity.Method
 			}{{"affine", affinity.Affine}, {"index", affinity.Index}} {
 				for _, tau := range taus {
-					for _, op := range []affinity.ThresholdOp{affinity.Above, affinity.Below} {
-						want, err := eng.Threshold(m, tau, op, affinity.Naive)
+					for _, iv := range []affinity.Interval{affinity.GreaterThan(tau), affinity.LessThan(tau)} {
+						want, err := eng.Interval(m, iv, affinity.Naive)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := eng.Threshold(m, tau, op, method.m)
+						got, err := eng.Interval(m, iv, method.m)
 						if err != nil {
 							t.Fatalf("%s threshold: %v", method.name, err)
 						}
-						assertSameSet(t, fmt.Sprintf("MET %v %v %v via %s", m, op, tau, method.name),
+						assertSameSet(t, fmt.Sprintf("MET %v %v via %s", m, iv, method.name),
 							got, want, naiveValues, boundaryTol(m), tau)
 					}
 				}
-				want, err := eng.Range(m, lo, hi, affinity.Naive)
+				want, err := eng.Interval(m, affinity.Between(lo, hi), affinity.Naive)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Range(m, lo, hi, method.m)
+				got, err := eng.Interval(m, affinity.Between(lo, hi), method.m)
 				if err != nil {
 					t.Fatalf("%s range: %v", method.name, err)
 				}
@@ -173,7 +173,7 @@ func TestNewMeasuresAllMethodsAgreeWithNaive(t *testing.T) {
 			// chosen method, actuals filled, and the decreasing-transform
 			// pruning visibly at work (a definite region exists: the scan
 			// does not need an exact evaluation for every pair).
-			spec := affinity.ThresholdSpec(m, taus[1], affinity.Above)
+			spec := affinity.IntervalSpec(m, affinity.GreaterThan(taus[1]))
 			res, p, err := eng.Explain(spec, affinity.Auto)
 			if err != nil {
 				t.Fatal(err)
@@ -181,7 +181,7 @@ func TestNewMeasuresAllMethodsAgreeWithNaive(t *testing.T) {
 			if p.Method == affinity.Auto {
 				t.Fatalf("Explain left a non-concrete method: %v", p)
 			}
-			fixed, err := eng.Threshold(m, taus[1], affinity.Above, p.Method)
+			fixed, err := eng.Interval(m, affinity.GreaterThan(taus[1]), p.Method)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,18 +200,18 @@ func TestNewMeasuresAllMethodsAgreeWithNaive(t *testing.T) {
 			// Batched queries answer identically to singles for the new
 			// measures under every method.
 			for _, method := range []affinity.Method{affinity.Naive, affinity.Affine, affinity.Index, affinity.Auto} {
-				batch, err := eng.ThresholdBatch([]affinity.ThresholdQuery{
-					{Measure: m, Tau: taus[1], Op: affinity.Above},
-					{Measure: m, Tau: taus[0], Op: affinity.Below},
+				batch, err := eng.Batch([]affinity.QuerySpec{
+					affinity.IntervalSpec(m, affinity.GreaterThan(taus[1])),
+					affinity.IntervalSpec(m, affinity.LessThan(taus[0])),
 				}, method)
 				if err != nil {
 					t.Fatalf("batch via %v: %v", method, err)
 				}
-				s0, err := eng.Threshold(m, taus[1], affinity.Above, method)
+				s0, err := eng.Interval(m, affinity.GreaterThan(taus[1]), method)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s1, err := eng.Threshold(m, taus[0], affinity.Below, method)
+				s1, err := eng.Interval(m, affinity.LessThan(taus[0]), method)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,8 +223,8 @@ func TestNewMeasuresAllMethodsAgreeWithNaive(t *testing.T) {
 }
 
 // TestNewMeasuresOutOfRangeProbes pins the Bounded short-circuits end to end:
-// distances are non-negative, so a negative Above-threshold matches every
-// pair and a negative Below-threshold none, on every method identically.
+// distances are non-negative, so the interval (−1, +∞) matches every pair
+// and (−∞, −1) none, on every method identically.
 func TestNewMeasuresOutOfRangeProbes(t *testing.T) {
 	eng, err := affinity.New(exactAffineDataset(t), affinity.Options{Clusters: 4, Seed: 3})
 	if err != nil {
@@ -232,15 +232,15 @@ func TestNewMeasuresOutOfRangeProbes(t *testing.T) {
 	}
 	for _, m := range newMeasures() {
 		for _, method := range []affinity.Method{affinity.Naive, affinity.Affine, affinity.Index, affinity.Auto} {
-			all, err := eng.Threshold(m, -1, affinity.Above, method)
+			all, err := eng.Interval(m, affinity.GreaterThan(-1), method)
 			if err != nil {
 				t.Fatalf("%v via %v: %v", m, method, err)
 			}
-			none, err := eng.Threshold(m, -1, affinity.Below, method)
+			none, err := eng.Interval(m, affinity.LessThan(-1), method)
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := eng.Threshold(m, -1, affinity.Above, affinity.Naive)
+			naive, err := eng.Interval(m, affinity.GreaterThan(-1), affinity.Naive)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,11 +98,11 @@ func TestPublicStreaming(t *testing.T) {
 		}
 
 		// Index and affine threshold answers agree after the epoch swap.
-		idxRes, err := eng.Threshold(Correlation, 0.9, Above, Index)
+		idxRes, err := eng.Interval(Correlation, GreaterThan(0.9), Index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		affRes, err := eng.Threshold(Correlation, 0.9, Above, Affine)
+		affRes, err := eng.Interval(Correlation, GreaterThan(0.9), Affine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,29 +110,5 @@ func TestPublicStreaming(t *testing.T) {
 			t.Fatalf("round %d: index %d pairs, affine %d",
 				round, len(idxRes.Pairs), len(affRes.Pairs))
 		}
-	}
-}
-
-// TestPublicStreamingAutoAdvance exercises StreamOptions.AutoAdvance through
-// the facade.
-func TestPublicStreamingAutoAdvance(t *testing.T) {
-	const n, window = 12, 80
-	initial, ticks := streamData(t, n, window, 6)
-	eng, err := New(initial, Options{
-		Clusters: 4,
-		Seed:     2,
-		Stream:   StreamOptions{AutoAdvance: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := eng.Append(ticks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.Epoch() != 2 || eng.PendingSamples() != 0 {
-		t.Fatalf("epoch %d pending %d after 6 auto-advancing ticks",
-			eng.Epoch(), eng.PendingSamples())
 	}
 }
