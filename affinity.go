@@ -188,8 +188,7 @@ const (
 	// Index answers threshold and range queries from the SCAPE index.
 	Index = core.MethodIndex
 	// Auto lets the cost-based planner pick the cheapest applicable method
-	// per query, from the index's selectivity estimate and the engine's
-	// table statistics.  No method wins everywhere (Section 6); Auto is the
+	// per query, from the engine's table statistics.  No method wins everywhere (Section 6); Auto is the
 	// right default when the workload mixes selectivities and measures.
 	Auto = core.MethodAuto
 )
@@ -540,8 +539,8 @@ func (e *Engine) TopK(m Measure, k int, largest bool, method Method) (Result, er
 }
 
 // Explain plans an interval or top-k query, executes it, and returns the
-// result with the plan: per-method cost estimates, the selectivity estimate
-// that drove the choice, and the observed actuals (rows, duration).  With Auto
+// result with the plan: per-method cost estimates, the index's row count of
+// an interval query, and the observed actuals (rows, duration).  With Auto
 // the plan shows the planner's pick; with a concrete method it prices that
 // method and keeps the alternatives for comparison.
 //

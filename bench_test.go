@@ -21,6 +21,7 @@ import (
 	"affinity/internal/core"
 	"affinity/internal/experiments"
 	"affinity/internal/interval"
+	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/shard"
 	"affinity/internal/sketch"
@@ -296,9 +297,37 @@ func BenchmarkNaiveCorrelationThreshold(b *testing.B) {
 	}
 }
 
+// BenchmarkAutoDerivedInterval times a correlation MET through the index and
+// through MethodAuto at one epoch whose correlation value column is warm, so
+// the gap between the two rows is what resolving Auto costs; Auto plans from
+// the epoch's table statistics alone and resolves to the index here.
+func BenchmarkAutoDerivedInterval(b *testing.B) {
+	engine := benchmarkEngine(b)
+	iv := interval.GreaterThan(0.9)
+	p, err := engine.View().Plan(plan.Interval(stats.Correlation, iv))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if p.Method != core.MethodIndex {
+		b.Fatalf("Auto resolves the correlation MET to %v, not the index: %v", p.Method, p)
+	}
+	for _, method := range []core.Method{core.MethodIndex, core.MethodAuto} {
+		b.Run(method.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Interval(stats.Correlation, iv, method); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
+		})
+	}
+}
+
 // BenchmarkDistanceMeasureThreshold measures one MET query per
-// registry-registered distance measure against the SCAPE index — the
-// monotone-decreasing pruning path — with one sub-benchmark row per measure
+// registry-registered distance measure against the SCAPE index — a
+// monotone-decreasing transform read from its value column — with one
+// sub-benchmark row per measure
 // so the CI bench smoke exercises each.
 func BenchmarkDistanceMeasureThreshold(b *testing.B) {
 	engine := benchmarkEngine(b)

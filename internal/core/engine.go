@@ -10,7 +10,7 @@
 //   - MethodIndex  (SCAPE): answer threshold/range queries from the index;
 //   - MethodAuto: route each query through the cost-based planner
 //     (internal/plan), which picks the cheapest applicable method from the
-//     index's selectivity estimate and the epoch's table statistics.
+//     epoch's table statistics.
 //
 // The engine is streaming-capable: all built artifacts (window data, affine
 // relationships, pivot summaries, SCAPE index) live in an immutable

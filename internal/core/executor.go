@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -61,12 +60,11 @@ type Backend interface {
 	// statistics.  L-measure and naive MEC queries are answered from it.
 	Replica() View
 
-	// Selectivity is the index's result-size estimate for an indexable
-	// interval spec; it is only asked when Table().HasIndex.
+	// Selectivity is the index's row count for an interval spec over a
+	// measure Table().Indexes, equal to the index scan's result size.  A
+	// priced plan that reports it (Explain, View.Plan) and delta repair's
+	// completeness check ask for it — MethodAuto never does.
 	Selectivity(spec plan.QuerySpec) (scape.Selectivity, error)
-	// ExactRows is delta repair's completeness oracle: the index's result
-	// count for q, and whether that count is exact.
-	ExactRows(q scape.PairQuery) (rows int, exact bool, err error)
 	// PairValue evaluates one canonical pair with a concrete sweep method
 	// (MethodNaive or MethodAffine), and SelfValue a series against itself.
 	PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error)
@@ -150,11 +148,7 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 		if wantPlans {
 			it.Method = plans[i].Method
 		} else if method == MethodAuto {
-			p, err := price(b, spec)
-			if err != nil {
-				return nil, nil, err
-			}
-			it.Method = p.Method
+			it.Method = decide(b, spec).Method
 		}
 		if cache != nil && !it.Location {
 			key := cacheKey(it)
@@ -251,30 +245,27 @@ func checkMethod(method Method) error {
 	return nil
 }
 
-// price plans a spec against the backend's epoch: the index supplies a
-// selectivity estimate when it can answer the query, and the cost model does
-// the rest.  Whether the index is consulted at all derives from the measure's
-// declared Indexable capability — a non-indexable measure (e.g. Jaccard)
-// plans among the sweep methods without ever touching the index.  Top-k and
-// compute queries have no a-priori predicate to estimate; the cost model
-// prices them from the table statistics alone.
+// decide plans a spec against the backend's epoch from its table statistics
+// alone: they say which measures the index covers, so a non-indexable measure
+// (e.g. Jaccard) or one a restricted index was built without plans among the
+// sweeps, and no row count could change the choice.  MethodAuto resolves
+// through it and never asks the index anything.
+func decide(b Backend, spec plan.QuerySpec) plan.Plan {
+	return b.CostModel().Plan(spec, b.Table(), nil)
+}
+
+// price is decide with the index's row count of an interval spec the index
+// covers as EstimatedRows: the plan Explain and View.Plan report.
 func price(b Backend, spec plan.QuerySpec) (plan.Plan, error) {
 	table := b.Table()
-	var sel *scape.Selectivity
-	sp, known := measure.Find(spec.Measure)
-	if table.HasIndex && spec.Kind == plan.KindInterval && known && sp.Indexable {
-		s, err := b.Selectivity(spec)
-		switch {
-		case err == nil:
-			sel = &s
-		case errors.Is(err, scape.ErrMeasureNotIndexed):
-			// The index was built without this measure (restricted
-			// Options.PairMeasures/DerivedMeasures); plan among the sweeps.
-		default:
-			return plan.Plan{}, err
-		}
+	if spec.Kind != plan.KindInterval || !table.Indexes(spec.Measure) {
+		return decide(b, spec), nil
 	}
-	return b.CostModel().Plan(spec, table, sel), nil
+	sel, err := b.Selectivity(spec)
+	if err != nil {
+		return plan.Plan{}, err
+	}
+	return b.CostModel().Plan(spec, table, &sel), nil
 }
 
 // resolve maps a requested method to the concrete one that will run:
@@ -283,8 +274,7 @@ func resolve(b Backend, spec plan.QuerySpec, method Method) (Method, error) {
 	if err := checkMethod(method); err != nil || method != MethodAuto {
 		return method, err
 	}
-	p, err := price(b, spec)
-	return p.Method, err
+	return decide(b, spec).Method, nil
 }
 
 // cacheKey builds the cache key of a pairwise item.  L-measure items never
@@ -317,29 +307,33 @@ func cacheServe(b Backend, cache *qcache.Cache, it Item, key qcache.Key) (QueryR
 
 // tryRepair carries a cached interval result across Advances by delta repair.
 // Eligibility: an affine-method interval entry (the repair evaluator and the
-// canonical result order are the affine sweep's), an index whose selectivity
-// count is exact for the measure (the completeness oracle), and a universe
-// with no fallback pairs (the oracle must count the same universe the sweep
-// scans).  The cost model arbitrates repair vs re-scan, and a repaired row
-// count that disagrees with the oracle — a pair outside the candidate set
-// drifted across the interval boundary without being refit — abandons the
-// repair for a cold run.
+// canonical result order are the affine sweep's) over a T-measure the index
+// covers (the index's row count is the completeness oracle; a D-measure
+// declines before any cache or index work, because its count would fill the
+// measure's value column, which costs what the cold scan repair would save),
+// and a universe with no fallback pairs (the oracle must count the same
+// universe the sweep scans).  The cost model arbitrates repair vs re-scan, and a
+// repaired row count that disagrees with the oracle — a pair outside the
+// candidate set drifted across the interval boundary without being refit —
+// abandons the repair for a cold run.
 func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]timeseries.Pair, int, bool) {
 	table := b.Table()
 	if it.Spec.Kind != plan.KindInterval || it.Method != MethodAffine ||
-		!table.HasIndex || table.FallbackPairs != 0 {
+		it.Spec.Measure.Class() == stats.DerivedClass || !table.Indexes(it.Spec.Measure) ||
+		table.FallbackPairs != 0 {
 		return nil, 0, false
 	}
 	rp, ok := cache.PlanRepair(key, b.Epoch())
 	if !ok {
 		return nil, 0, false
 	}
-	rows, exact, err := b.ExactRows(it.Spec.PairQuery())
-	if err != nil || !exact {
+	sel, err := b.Selectivity(it.Spec)
+	if err != nil {
 		return nil, 0, false
 	}
+	rows := sel.Rows
 	cost := b.CostModel()
-	p := cost.Plan(it.Spec, table, &scape.Selectivity{Rows: rows, Exact: true})
+	p := cost.Plan(it.Spec, table, &sel)
 	if cost.RepairCost(len(rp.Candidates), rows, table) >= p.CostAffine {
 		return nil, 0, false
 	}

@@ -24,7 +24,9 @@ func (st *engineState) finishPlanner(cfg Config) {
 		NumPairs:      st.numUniversePairs(),
 		NumPivots:     st.rel.Stats.NumPivots,
 		FallbackPairs: st.numUniversePairs() - st.rel.Len(),
-		HasIndex:      st.index != nil,
+	}
+	if st.index != nil {
+		st.table.Indexed = st.index.Measures()
 	}
 	if st.sketch != nil {
 		st.table.SketchCoefficients = st.sketch.Coefficients()
@@ -33,7 +35,7 @@ func (st *engineState) finishPlanner(cfg Config) {
 }
 
 // The planner and cache handles of Backend, and the two index probes the
-// pipeline prices and verifies with.
+// pipeline reports and verifies with.
 
 func (e *engineState) Epoch() int                { return e.epoch }
 func (e *engineState) Table() plan.TableStats    { return e.table }
@@ -46,13 +48,6 @@ func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 		return scape.Selectivity{}, ErrNoIndex
 	}
 	return e.index.EstimateSelectivity(spec.PairQuery())
-}
-
-func (e *engineState) ExactRows(q scape.PairQuery) (int, bool, error) {
-	if e.index == nil {
-		return 0, false, ErrNoIndex
-	}
-	return e.index.ExactRows(q)
 }
 
 // Plan prices a query spec against the epoch without executing it.

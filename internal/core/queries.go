@@ -54,8 +54,9 @@ func (e *Engine) TopK(m stats.Measure, k int, largest bool, method Method) (Quer
 }
 
 // Explain plans an interval or top-k query, executes it, and returns the
-// result together with the plan: the per-method cost estimates, the
-// selectivity estimate that drove the choice, and the observed actuals.  With
+// result together with the plan: the per-method cost estimates, the index's
+// row count of an interval query (which no choice depends on), and the
+// observed actuals.  With
 // MethodAuto the plan's method is the planner's choice; with a concrete
 // method the plan prices that method (the cost columns still show the
 // alternatives).

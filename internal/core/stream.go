@@ -80,11 +80,11 @@ import (
 //	O(n·log n)       location columns (one sort per L-measure), per-series
 //	                 statistics
 //
-// and, outside Advance, on the first query of the epoch that prunes by a
-// D-measure:
+// and, outside Advance, on the first index query or count of the epoch that
+// names a D-measure:
 //
-//	O(P·k)           that measure's parameter bounds (U^min, U^max) for every
-//	                 pivot — per queried measure, never O(P·k·D) up front
+//	O(P·k)           that measure's value column, one value per sequence
+//	                 node — per queried measure, never O(P·k·D) up front
 //
 // and on the first naive sweep after a build or a statistics refresh epoch:
 //

@@ -15,8 +15,8 @@ import (
 // node at a time) never straddles a shard's epoch swap.
 //
 // A View is a Backend: Run and Compute answer queries against the pinned
-// epoch, and a coordinator calls Execute, PairValue, Selectivity and
-// ExactRows on its shard views directly.  Note that on a restricted (sharded)
+// epoch, and a coordinator calls Execute, PairValue and Selectivity on its
+// shard views directly.  Note that on a restricted (sharded)
 // engine the affine PairValue falls back to the naive computation for pairs
 // outside the shard's universe; a coordinator routes each pair to its owning
 // shard instead.

@@ -9,9 +9,8 @@ import "math"
 // The three distance measures at the end are the proof that the algebra pays
 // for itself: they are monotone-decreasing transforms of the dot product with
 // separable parameters, so registering them here is all it takes for naive
-// evaluation, W_A propagation, SCAPE indexing with pruning, selectivity
-// estimation, cost-based planning and batch grouping to serve them — no other
-// layer names them.
+// evaluation, W_A propagation, SCAPE indexing, sketch bounds, cost-based
+// planning and batch grouping to serve them — no other layer names them.
 
 func mustBe(want Measure, got Measure) {
 	if got != want {
@@ -129,11 +128,9 @@ func init() {
 			}
 			return clamp(t/u, -1, 1), nil
 		},
-		InvertT:       func(v, u float64, _ int) float64 { return v * u },
-		ParamPositive: true,
-		Bounded:       true,
-		RangeMin:      -1,
-		RangeMax:      1,
+		Bounded:  true,
+		RangeMin: -1,
+		RangeMax: 1,
 		SelfValue: func(s SeriesStat) (float64, error) {
 			if s.Variance == 0 {
 				return 0, ErrZeroNormalizer
@@ -152,11 +149,9 @@ func init() {
 		Param: func(u, v SeriesStat) float64 {
 			return math.Sqrt(u.SqNorm * v.SqNorm)
 		},
-		Value:         ratioValue,
-		InvertT:       func(v, u float64, _ int) float64 { return v * u },
-		ParamPositive: true,
-		SelfValue:     unitSelfValue,
-		NaivePasses:   2,
+		Value:       ratioValue,
+		SelfValue:   unitSelfValue,
+		NaivePasses: 2,
 	}))
 	mustBe(Jaccard, Register(Spec{
 		Name:  "jaccard",
@@ -164,9 +159,8 @@ func init() {
 		Base:  DotProduct,
 		Doc:   "generalized Jaccard ⟨u,v⟩/(‖u‖²+‖v‖²−⟨u,v⟩)",
 		// Not indexable: the transform t/(u−t) has a pole at t = u, which is
-		// inside the reachable dot-product range, so no monotone inverse
-		// exists over a pivot's parameter interval (Section 5.1 excludes it
-		// for the same reason).  This is a declared capability, not a
+		// inside the reachable dot-product range, so the transform is not
+		// monotone there (Section 5.1 excludes it for the same reason).  This is a declared capability, not a
 		// special case: every layer routes around the index from this flag.
 		Indexable:  false,
 		ParamStats: NeedSqNorm,
@@ -211,11 +205,9 @@ func init() {
 		Param: func(u, v SeriesStat) float64 {
 			return (u.SqNorm + v.SqNorm) / 2
 		},
-		Value:         ratioValue,
-		InvertT:       func(v, u float64, _ int) float64 { return v * u },
-		ParamPositive: true,
-		SelfValue:     unitSelfValue,
-		NaivePasses:   2,
+		Value:       ratioValue,
+		SelfValue:   unitSelfValue,
+		NaivePasses: 2,
 	}))
 	mustBe(HarmonicMean, Register(Spec{
 		Name:       "harmonic-mean",
@@ -231,9 +223,7 @@ func init() {
 			}
 			return u.SqNorm * v.SqNorm / sum
 		},
-		Value:         ratioValue,
-		InvertT:       func(v, u float64, _ int) float64 { return v * u },
-		ParamPositive: true,
+		Value: ratioValue,
 		SelfValue: func(s SeriesStat) (float64, error) {
 			if s.SqNorm == 0 {
 				return 0, ErrZeroNormalizer
@@ -244,8 +234,9 @@ func init() {
 	}))
 
 	// Distance D-measures (monotone decreasing transforms of the dot
-	// product).  These exercise the decreasing branch of the SCAPE pruning:
-	// a value-space threshold inverts to an upper bound in T space.
+	// product).  These exercise the decreasing branch of every monotone
+	// lift (Spec.BoundValue): a definite T interval maps to a value interval
+	// with its ends swapped.
 	mustBe(EuclideanDistance, Register(Spec{
 		Name:       "euclidean",
 		Class:      DerivedClass,
@@ -263,13 +254,7 @@ func init() {
 			}
 			return math.Sqrt(diff), nil
 		},
-		Decreasing: true,
-		InvertT: func(v, u float64, _ int) float64 {
-			if v < 0 { // distances are non-negative: every t is below v...
-				return inf(1) // ...so t < +Inf ⟺ value > v for every pair
-			}
-			return (u - v*v) / 2
-		},
+		Decreasing:  true,
 		Bounded:     true,
 		RangeMin:    0,
 		RangeMax:    math.Inf(1),
@@ -296,13 +281,7 @@ func init() {
 			}
 			return diff / float64(m), nil
 		},
-		Decreasing: true,
-		InvertT: func(v, u float64, m int) float64 {
-			if v < 0 { // below the range: the clamp at 0 keeps every t above v
-				return inf(1)
-			}
-			return (u - v*float64(m)) / 2
-		},
+		Decreasing:  true,
 		Bounded:     true,
 		RangeMin:    0,
 		RangeMax:    math.Inf(1),
@@ -326,19 +305,9 @@ func init() {
 			return math.Acos(clamp(t/u, -1, 1)) / math.Pi, nil
 		},
 		Decreasing: true,
-		InvertT: func(v, u float64, _ int) float64 {
-			if v < 0 { // below the transform's range: every t qualifies as "greater"
-				return inf(1)
-			}
-			if v > 1 { // above the range: no t does
-				return inf(-1)
-			}
-			return math.Cos(v*math.Pi) * u
-		},
-		ParamPositive: true,
-		Bounded:       true,
-		RangeMin:      0,
-		RangeMax:      1,
+		Bounded:    true,
+		RangeMin:   0,
+		RangeMax:   1,
 		SelfValue: func(s SeriesStat) (float64, error) {
 			if s.SqNorm == 0 {
 				return 0, ErrZeroNormalizer

@@ -279,13 +279,6 @@ func TestRegisterValidation(t *testing.T) {
 	mustPanic("D without base", Spec{Name: "cov-test-d", Class: DerivedClass, Base: Mean})
 	mustPanic("D without transform", Spec{Name: "cov-test-d2", Class: DerivedClass, Base: Covariance})
 	mustPanic("unknown class", Spec{Name: "cov-test-c", Class: Class(9)})
-	mustPanic("indexable without inverse", Spec{
-		Name: "cov-test-i", Class: DerivedClass, Base: Covariance,
-		Indexable: true,
-		Param:     func(u, v SeriesStat) float64 { return 1 },
-		Value:     ratioValue,
-		SelfValue: unitSelfValue,
-	})
 	if Lookup(Mean).Name != "mean" {
 		t.Fatal("failed registrations must not disturb the registry")
 	}

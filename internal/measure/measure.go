@@ -28,11 +28,10 @@
 //     transforms such as the Euclidean distance √(U − 2T).
 //
 // Monotonicity is what makes a D-measure indexable: SCAPE orders sequence
-// pairs by their base T value, and a threshold in value space maps through the
-// inverse transform InvertT to a threshold in T space.  Because InvertT is
-// monotone in U as well, the per-pivot parameter bounds [U^min, U^max] yield
-// conservative scan bounds and a definite-acceptance region (Section 5.3),
-// generalized here to both monotone directions.
+// pairs by their base T value and reads every pair's measure value from a
+// per-epoch column, and a definite interval of T values lifts to a definite
+// interval of measure values (Spec.BoundValue) for the sketch prescreen,
+// in both monotone directions.
 package measure
 
 import (
@@ -220,16 +219,6 @@ type Spec struct {
 	// Decreasing reports that Value is monotone decreasing in t (distances);
 	// false means increasing (similarities and all T-measures).
 	Decreasing bool
-	// InvertT returns the base T value at which Value(·, u, m) crosses v,
-	// mapping value-space query bounds into T space for index pruning.  It
-	// must be monotone in u (so parameter-interval endpoints bound it) and
-	// conservative outside Value's range: +Inf/−Inf when every/no t
-	// qualifies.  Required when Indexable is set on a D-measure.
-	InvertT func(v, u float64, m int) float64
-	// ParamPositive declares the transform needs u > 0 to be well defined;
-	// index pruning is disabled on pivot nodes whose parameter bounds
-	// include non-positive values.
-	ParamPositive bool
 	// ValueBounds, when non-nil, maps a definite base-T interval [tLo, tHi]
 	// onto a definite value interval for a pair with parameter u and m
 	// samples, for transforms where endpoint evaluation alone is unsound
@@ -240,10 +229,8 @@ type Spec struct {
 	ValueBounds func(tLo, tHi, u float64, m int) (lo, hi float64, ok bool)
 	// Bounded declares that Value's output is confined to the closed
 	// interval [RangeMin, RangeMax] (by clamping or by construction).  Index
-	// scans use it to short-circuit probes outside the range: the clamp
-	// plateaus make InvertT meaningless there, so a threshold at or beyond
-	// an extreme either matches nothing or requires exact evaluation of
-	// every entry.  Use ±Inf for a half-bounded range.
+	// scans use it to answer a probe disjoint from the range without reading
+	// a single value.  Use ±Inf for a half-bounded range.
 	Bounded  bool
 	RangeMin float64
 	RangeMax float64
@@ -291,19 +278,6 @@ func OrNaN(v float64, err error) (float64, error) {
 // as NaN instead of ErrZeroNormalizer control flow.
 func (s *Spec) EvalOrNaN(t, u float64, m int) (float64, error) {
 	return OrNaN(s.Eval(t, u, m))
-}
-
-// TBounds returns the smallest and largest base-T thresholds InvertT attains
-// over the parameter interval [uMin, uMax].  Because InvertT is monotone in
-// u, the extrema sit at the endpoints; the pair brackets the true per-pair
-// threshold for every parameter the interval admits.
-func (s *Spec) TBounds(v, uMin, uMax float64, m int) (lo, hi float64) {
-	a := s.InvertT(v, uMin, m)
-	b := s.InvertT(v, uMax, m)
-	if a <= b {
-		return a, b
-	}
-	return b, a
 }
 
 // BoundValue lifts a definite base-T interval [tLo, tHi] (tLo <= tHi) to a
@@ -399,9 +373,6 @@ func Register(s Spec) Measure {
 		}
 		if s.Param == nil || s.Value == nil {
 			panic(fmt.Sprintf("measure: D-measure %q without Param/Value", s.Name))
-		}
-		if s.Indexable && s.InvertT == nil {
-			panic(fmt.Sprintf("measure: indexable D-measure %q without InvertT", s.Name))
 		}
 		s.EvalBase = base.EvalBase
 		s.EvalTerms = base.EvalTerms
@@ -590,6 +561,3 @@ func clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// inf is a shorthand for ±infinity used by InvertT implementations.
-func inf(sign int) float64 { return math.Inf(sign) }

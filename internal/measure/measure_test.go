@@ -34,9 +34,6 @@ func TestRegistryInvariants(t *testing.T) {
 			if sp.Param == nil || sp.Value == nil || sp.SelfValue == nil {
 				t.Fatalf("%v missing derived evaluators", m)
 			}
-			if sp.Indexable && sp.InvertT == nil {
-				t.Fatalf("%v indexable without InvertT", m)
-			}
 		} else if sp.Base != m {
 			t.Fatalf("%v base should be itself, got %v", m, sp.Base)
 		}
@@ -119,29 +116,6 @@ func TestDistanceMeasureValues(t *testing.T) {
 	}
 	if v, err := EvalPair(EuclideanDistance, zero, zero); err != nil || v != 0 {
 		t.Fatalf("euclidean of zero vectors = %v, %v; want 0", v, err)
-	}
-}
-
-// TestInvertTOutOfRange pins the conservative behavior of the decreasing
-// transforms' inverses outside the transform's value range: a negative
-// distance threshold must admit every base value, an angular threshold above
-// 1 none.
-func TestInvertTOutOfRange(t *testing.T) {
-	eu := Lookup(EuclideanDistance)
-	if got := eu.InvertT(-0.5, 10, 4); !math.IsInf(got, 1) {
-		t.Fatalf("euclidean InvertT(-0.5) = %v, want +Inf", got)
-	}
-	ang := Lookup(AngularDistance)
-	if got := ang.InvertT(-0.1, 10, 4); !math.IsInf(got, 1) {
-		t.Fatalf("angular InvertT(-0.1) = %v, want +Inf", got)
-	}
-	if got := ang.InvertT(1.5, 10, 4); !math.IsInf(got, -1) {
-		t.Fatalf("angular InvertT(1.5) = %v, want -Inf", got)
-	}
-	// TBounds orders its endpoints regardless of the parameter direction.
-	lo, hi := eu.TBounds(2.0, 3.0, 9.0, 4)
-	if lo > hi || lo != (3.0-4)/2 || hi != (9.0-4)/2 {
-		t.Fatalf("euclidean TBounds = (%v, %v)", lo, hi)
 	}
 }
 

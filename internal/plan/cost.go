@@ -2,10 +2,12 @@ package plan
 
 import (
 	"math"
+	"slices"
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/scape"
+	"affinity/internal/stats"
 )
 
 // TableStats describes the epoch a query will run against — the inputs the
@@ -23,8 +25,10 @@ type TableStats struct {
 	// relationship (pruned by MaxLSFD): the affine method answers them with a
 	// raw-series scan, so they bill at naive cost.
 	FallbackPairs int
-	// HasIndex reports whether the epoch carries a SCAPE index.
-	HasIndex bool
+	// Indexed lists, in ascending order, the measures the epoch's SCAPE index
+	// answers interval and top-k queries for; empty when the epoch has no
+	// index.  Whether the index route applies is decided from it alone.
+	Indexed []stats.Measure
 	// SketchCoefficients is the width d of the epoch's coefficient sketches
 	// (zero when the sketch tier is disabled), and SketchAmbiguity the
 	// epoch's deterministic estimate of the prescreen's ambiguous fraction —
@@ -56,8 +60,8 @@ type CostModel struct {
 	// (a level of a tree descent when the containers were B-trees; the
 	// coefficient was calibrated then and a binary search takes as many).
 	TreeStepCost float64
-	// CandidateCost is the cost of resolving one index candidate exactly
-	// (the D-measure band evaluation of Section 5.3).
+	// CandidateCost is the cost of examining one index entry in a best-first
+	// top-k traversal.
 	CandidateCost float64
 	// RowCost is the cost of emitting one result row.
 	RowCost float64
@@ -84,14 +88,19 @@ func (c CostModel) withDefaults() CostModel {
 	return c
 }
 
-// defaultSelectivityFrac is the assumed result fraction when no index
-// estimate is available (no index built, or the measure is not indexable).
-// It only weights the emit term, which is small next to the scan terms.
+// Indexes reports whether the epoch's index answers queries over m.
+func (st TableStats) Indexes(m stats.Measure) bool { return slices.Contains(st.Indexed, m) }
+
+// defaultSelectivityFrac is the assumed result fraction when no index count
+// is at hand.  It only weights the emit term, which no choice depends on.
 const defaultSelectivityFrac = 0.1
 
 // Plan prices every applicable method for the query and returns the decision.
-// sel is the index's selectivity estimate, or nil when the index cannot
-// answer the query (absent, measure not indexed, or a compute query).
+// Whether the index applies comes from st alone.  sel is the index's count of
+// an interval query's rows, or nil when none was asked for; it fills
+// EstimatedRows and nothing else can depend on it: every method emits the
+// same rows, so the choice compares the methods' costs without the emit term
+// they share, which is added to the cost columns afterwards for display.
 //
 // The per-measure coefficients are keyed by the measure's spec shape rather
 // than its identity: the W_N scan term scales with Spec.NaivePasses (a
@@ -108,21 +117,20 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 		CostSketch: math.Inf(1),
 	}
 	sp, known := measure.Find(spec.Measure)
-	if sel != nil {
-		p.EstimatedRows = sel.Rows
-		p.Candidates = sel.Candidates
-		p.SelectivityExact = sel.Exact
-	} else if known {
-		p.EstimatedRows = c.heuristicRows(spec, sp, st)
-	}
 	if !known {
 		// An unregistered measure prices nothing; execution will reject it
 		// with ErrUnknownMeasure regardless of the chosen method.
 		p.Method, p.EstimatedCost = MethodNaive, p.CostNaive
 		return p
 	}
-	rows := float64(p.EstimatedRows)
+	if sel != nil {
+		p.EstimatedRows = sel.Rows
+		p.SelectivityExact = true
+	} else {
+		p.EstimatedRows = c.heuristicRows(spec, sp, st)
+	}
 	passes := sp.NaivePasses
+	indexed := st.Indexes(spec.Measure)
 
 	switch spec.Kind {
 	case KindCompute:
@@ -138,13 +146,13 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 
 	case KindInterval:
 		if sp.Location() {
-			p.CostNaive = float64(st.NumSeries)*float64(st.NumSamples)*c.SampleCost*passes + rows*c.RowCost
-			p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
-			if sel != nil {
-				p.CostIndex = c.TreeStepCost*log2(st.NumSeries) + rows*c.RowCost
+			p.CostNaive = float64(st.NumSeries) * float64(st.NumSamples) * c.SampleCost * passes
+			p.CostAffine = float64(st.NumSeries) * c.LookupCost
+			if indexed {
+				p.CostIndex = c.TreeStepCost * log2(st.NumSeries)
 			}
 		} else {
-			p.CostNaive = float64(st.NumPairs)*float64(st.NumSamples)*c.SampleCost*passes + rows*c.RowCost
+			p.CostNaive = float64(st.NumPairs) * float64(st.NumSamples) * c.SampleCost * passes
 			// A sketch-enabled epoch executes the naive route through the
 			// filter-and-refine prescreen, so the naive price IS the sketch
 			// price: the O(d)-per-pair bound pass plus the ambiguous
@@ -153,17 +161,18 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 			// ambiguous estimate.
 			if st.SketchCoefficients > 0 && sp.SketchBoundable() {
 				amb := st.SketchAmbiguity * boundedEndpoints(spec.Interval) / 2
-				p.CostSketch = c.sketchCost(st, passes, amb, rows)
+				p.CostSketch = c.sketchCost(st, passes, amb)
 				p.CostNaive = p.CostSketch
 			}
 			// Pruned pairs fall back to a raw scan plus the failed relationship
 			// lookup, so a mostly-pruned epoch prices affine above naive.
 			p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
-				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes)) + rows*c.RowCost
-			if sel != nil {
-				perPivot := log2(divCeil(st.NumPairs, st.NumPivots))
-				p.CostIndex = float64(st.NumPivots)*c.TreeStepCost*perPivot +
-					float64(sel.Candidates)*c.CandidateCost + rows*c.RowCost
+				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes))
+			// One binary search per pivot node: a T-measure node scans its
+			// ξ window, a D-measure node is decided by its value column's
+			// extremes or scanned — neither evaluates anything per entry.
+			if indexed {
+				p.CostIndex = c.indexSteps(st)
 			}
 		}
 
@@ -174,47 +183,55 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 		// the optimistic bounds stop it.
 		if sp.Location() {
 			p.EstimatedRows = min(spec.K, st.NumSeries)
-			rows = float64(p.EstimatedRows)
-			p.CostNaive = float64(st.NumSeries)*float64(st.NumSamples)*c.SampleCost*passes + rows*c.RowCost
-			p.CostAffine = float64(st.NumSeries)*c.LookupCost + rows*c.RowCost
-			if st.HasIndex && sp.Indexable {
+			p.CostNaive = float64(st.NumSeries) * float64(st.NumSamples) * c.SampleCost * passes
+			p.CostAffine = float64(st.NumSeries) * c.LookupCost
+			if indexed {
 				// Priced as one step per series, the cost the planner
 				// experiment calibrated; the location column itself hands
 				// its k extreme entries over without a scan.
-				p.CostIndex = float64(st.NumSeries)*c.TreeStepCost + rows*c.RowCost
+				p.CostIndex = float64(st.NumSeries) * c.TreeStepCost
 			}
 		} else {
 			p.EstimatedRows = min(spec.K, st.NumPairs)
-			rows = float64(p.EstimatedRows)
-			p.CostNaive = float64(st.NumPairs)*float64(st.NumSamples)*c.SampleCost*passes + rows*c.RowCost
+			p.CostNaive = float64(st.NumPairs) * float64(st.NumSamples) * c.SampleCost * passes
 			// The sketch-enabled naive route scans best-first and stops when
 			// the optimistic bounds cannot beat v_k; the examined fraction is
 			// governed by the same bound width the ambiguity estimates.
 			if st.SketchCoefficients > 0 && sp.SketchBoundable() {
-				p.CostSketch = c.sketchCost(st, passes, st.SketchAmbiguity, rows)
+				p.CostSketch = c.sketchCost(st, passes, st.SketchAmbiguity)
 				p.CostNaive = p.CostSketch
 			}
 			p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
-				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes)) + rows*c.RowCost
-			if st.HasIndex && sp.Indexable {
-				perPivot := log2(divCeil(st.NumPairs, st.NumPivots))
+				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes))
+			if indexed {
 				p.Candidates = min(spec.K+st.NumPivots, st.NumPairs)
-				p.CostIndex = float64(st.NumPivots)*c.TreeStepCost*perPivot +
-					float64(p.Candidates)*c.CandidateCost + rows*c.RowCost
+				p.CostIndex = c.indexSteps(st) + float64(p.Candidates)*c.CandidateCost
 			}
 		}
 	}
 
 	// Pick the cheapest applicable method; on exact ties prefer the index,
 	// then affine (the structures that scale), so the choice is deterministic.
-	p.Method, p.EstimatedCost = MethodIndex, p.CostIndex
-	if p.CostAffine < p.EstimatedCost {
-		p.Method, p.EstimatedCost = MethodAffine, p.CostAffine
+	method, cost := MethodIndex, p.CostIndex
+	if p.CostAffine < cost {
+		method, cost = MethodAffine, p.CostAffine
 	}
-	if p.CostNaive < p.EstimatedCost {
-		p.Method, p.EstimatedCost = MethodNaive, p.CostNaive
+	if p.CostNaive < cost {
+		method = MethodNaive
 	}
-	return p
+	emit := float64(p.EstimatedRows) * c.RowCost
+	p.CostNaive += emit
+	p.CostAffine += emit
+	p.CostIndex += emit
+	p.CostSketch += emit
+	return p.WithMethod(method)
+}
+
+// indexSteps prices the binary searches of a pairwise index scan: one per
+// pivot node, over the node's share of the pairs.
+func (c CostModel) indexSteps(st TableStats) float64 {
+	perPivot := log2(divCeil(st.NumPairs, st.NumPivots))
+	return float64(st.NumPivots) * c.TreeStepCost * perPivot
 }
 
 // RepairCost prices the delta repair of a cached interval result across an
@@ -226,23 +243,19 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 // back to a cold scan exactly like the ROADMAP's standing-query item asks.
 func (c CostModel) RepairCost(candidates, rows int, st TableStats) float64 {
 	c = c.withDefaults()
-	perPivot := log2(divCeil(st.NumPairs, st.NumPivots))
-	return float64(candidates)*c.AffinePairCost +
-		float64(st.NumPivots)*c.TreeStepCost*perPivot +
-		float64(rows)*c.RowCost
+	return float64(candidates)*c.AffinePairCost + c.indexSteps(st) + float64(rows)*c.RowCost
 }
 
 // sketchCost prices the filter-and-refine naive sweep: the prescreen touches
 // d sketched coefficients per pair (the merge-intersection bound), the
 // estimated ambiguous fraction pays the full exact evaluation, and emission
-// is per row as everywhere else.
-func (c CostModel) sketchCost(st TableStats, passes, ambFrac, rows float64) float64 {
+// is the emit term every method shares.
+func (c CostModel) sketchCost(st TableStats, passes, ambFrac float64) float64 {
 	if ambFrac > 1 {
 		ambFrac = 1
 	}
 	return float64(st.NumPairs)*float64(st.SketchCoefficients)*c.SampleCost +
-		ambFrac*float64(st.NumPairs)*c.naivePairCost(st, passes) +
-		rows*c.RowCost
+		ambFrac*float64(st.NumPairs)*c.naivePairCost(st, passes)
 }
 
 // boundedEndpoints counts an interval predicate's finite endpoints (0–2): the
@@ -258,7 +271,7 @@ func boundedEndpoints(iv interval.Interval) float64 {
 	return n
 }
 
-// heuristicRows is the result-size guess without an index estimate.
+// heuristicRows is the result-size guess without an index count.
 func (c CostModel) heuristicRows(spec QuerySpec, sp *measure.Spec, st TableStats) int {
 	if spec.Kind == KindCompute {
 		return 0

@@ -5,12 +5,13 @@
 // wins everywhere: the naive method (W_N) is exact but touches every raw
 // sample, the affine method (W_A) answers from closed-form propagations in
 // O(1) per pair but degrades to naive scans for pruned relationships, and the
-// SCAPE index answers interval queries in time proportional to the result —
-// until selectivity grows and a full sweep is cheaper than a tree walk per
-// pivot.  The planner makes that choice per query: a QuerySpec is the logical
-// query, TableStats describes the epoch it runs against, scape.Selectivity
-// supplies the index's O(|pivots|·log) result-size estimate, and
-// CostModel.Plan prices every applicable method and picks the cheapest.
+// SCAPE index answers interval queries with one search per pivot node.  The
+// planner makes the choice per query: a QuerySpec is the logical query,
+// TableStats describes the epoch it runs against — which measures its index
+// covers among them — and CostModel.Plan prices every applicable method and
+// picks the cheapest.  Every method emits the same rows, so the choice needs
+// no result-size estimate; Explain asks the index for its count
+// (scape.Selectivity) only to report it.
 //
 // The logical query language has three kinds: interval queries (the unified
 // MET/MER predicate "value ∈ I"), top-k (MEK) queries, and compute (MEC)
@@ -43,8 +44,7 @@ const (
 	// MethodIndex answers interval and top-k queries from the SCAPE index.
 	MethodIndex
 	// MethodAuto routes each query through the cost model, which picks the
-	// cheapest applicable concrete method for the query's estimated
-	// selectivity.
+	// cheapest applicable concrete method for the epoch's table statistics.
 	MethodAuto
 )
 
@@ -132,7 +132,7 @@ func Compute(m stats.Measure, numTargets int) QuerySpec {
 }
 
 // PairQuery converts an interval spec into the index's query form, used to
-// obtain a selectivity estimate.
+// ask the index for its row count.
 func (s QuerySpec) PairQuery() scape.PairQuery {
 	return scape.PairQuery{Measure: s.Measure, Interval: s.Interval}
 }
@@ -164,20 +164,22 @@ type Plan struct {
 	Spec   QuerySpec
 	Method Method
 
-	// EstimatedRows is the expected result size (exact for T-/L-measure
-	// index estimates, banded for D-measures, heuristic without an index).
+	// EstimatedRows is the expected result size: the index's exact count of
+	// an interval query's rows when the plan was asked for it (Explain,
+	// View.Plan), k for top-k, a heuristic otherwise.  No method choice
+	// depends on it.
 	EstimatedRows int
-	// Candidates is the number of exact evaluations an index scan would need
-	// (the D-measure pruning band; for top-k, the expected best-first
-	// examination count).
+	// Candidates is the expected number of entries a best-first index top-k
+	// examines (zero for other queries).
 	Candidates int
-	// SelectivityExact reports whether EstimatedRows came from an exact
-	// rank count rather than a band estimate or heuristic.
+	// SelectivityExact reports whether EstimatedRows is the index's count
+	// rather than a heuristic.
 	SelectivityExact bool
 
 	// EstimatedCost is the cost of the chosen method in the model's abstract
 	// units; CostNaive/CostAffine/CostIndex are the per-method estimates
-	// (+Inf for methods not applicable to this query).  CostSketch is the
+	// (+Inf for methods not applicable to this query), each including the
+	// emit term for EstimatedRows that all methods share.  CostSketch is the
 	// price of the filter-and-refine prescreen the naive route executes
 	// through on sketch-enabled epochs (+Inf when inapplicable); when finite
 	// it IS the naive route's price, so CostNaive equals it.

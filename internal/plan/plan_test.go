@@ -7,19 +7,26 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/scape"
 	"affinity/internal/stats"
 )
 
-// bigTable is a thousand-series epoch with an index: the regime the paper's
-// evaluation runs in.
+// bigTable is a thousand-series epoch with an index over every indexable
+// measure: the regime the paper's evaluation runs in.
 func bigTable() TableStats {
+	var indexed []stats.Measure
+	for _, sp := range measure.Specs() {
+		if sp.Indexable {
+			indexed = append(indexed, sp.ID)
+		}
+	}
 	return TableStats{
 		NumSeries:  1000,
 		NumSamples: 400,
 		NumPairs:   1000 * 999 / 2,
 		NumPivots:  1800,
-		HasIndex:   true,
+		Indexed:    indexed,
 	}
 }
 
@@ -116,7 +123,7 @@ func TestTopKCosts(t *testing.T) {
 		t.Fatalf("jaccard top-k priced the index: %v", pj)
 	}
 	st := bigTable()
-	st.HasIndex = false
+	st.Indexed = nil
 	if pn := cm.Plan(TopK(stats.Correlation, 10, true), st, nil); pn.Method == MethodIndex {
 		t.Fatalf("no-index top-k chose the index: %v", pn)
 	}
@@ -128,7 +135,7 @@ func TestTopKCosts(t *testing.T) {
 // TestChoosesIndexForSelectiveQuery pins the headline decision: a selective
 // MET query on an indexed measure goes to SCAPE.
 func TestChoosesIndexForSelectiveQuery(t *testing.T) {
-	sel := &scape.Selectivity{Rows: 120, Exact: true}
+	sel := &scape.Selectivity{Rows: 120}
 	p := DefaultCostModel().Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
 	if p.Method != MethodIndex {
 		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
@@ -148,13 +155,13 @@ func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 // an engine built with SkipIndex) fall to the affine sweep.
 func TestChoosesAffineWithoutIndex(t *testing.T) {
 	st := bigTable()
-	st.HasIndex = false
+	st.Indexed = nil
 	p := DefaultCostModel().Plan(Interval(stats.Jaccard, interval.GreaterThan(0.5)), st, nil)
 	if p.Method != MethodAffine {
 		t.Fatalf("chose %v, want WA: %v", p.Method, p)
 	}
 	if !math.IsInf(p.CostIndex, 1) {
-		t.Fatalf("index cost should be +Inf without an estimate: %v", p)
+		t.Fatalf("index cost should be +Inf without an index: %v", p)
 	}
 	if p.SelectivityExact || p.EstimatedRows == 0 {
 		t.Fatalf("heuristic rows expected: %+v", p)
@@ -168,7 +175,7 @@ func TestChoosesAffineWithoutIndex(t *testing.T) {
 // pruned one only adds a failed map lookup.)
 func TestChoosesNaiveWhenFullyPruned(t *testing.T) {
 	st := bigTable()
-	st.HasIndex = false
+	st.Indexed = nil
 	st.FallbackPairs = st.NumPairs
 	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.5)), st, nil)
 	if p.Method != MethodNaive {
@@ -197,23 +204,44 @@ func TestComputeQueriesNeverChooseIndex(t *testing.T) {
 	}
 }
 
-// TestCandidateHeavyDerivedQueryAvoidsIndex pins the D-measure crossover:
-// when the pruning bounds decide almost nothing (every entry is a candidate
-// needing exact evaluation), the tree overhead makes the affine sweep win.
-func TestCandidateHeavyDerivedQueryAvoidsIndex(t *testing.T) {
+// TestDerivedIntervalPricedLikeTMeasure pins the D-measure price: an index
+// scan reads the epoch's value column and evaluates nothing, so a D-measure
+// interval costs what its base T-measure's does — node steps plus emit, no
+// candidate term — and stays on the index even where shallow trees made the
+// old per-candidate price lose to the affine sweep.  The row count fills
+// EstimatedRows and moves every cost column by the same emit term, so no
+// count changes the choice; an index without the measure prices nothing.
+func TestDerivedIntervalPricedLikeTMeasure(t *testing.T) {
+	cm := DefaultCostModel()
 	st := bigTable()
 	st.NumPivots = st.NumPairs / 4 // shallow trees: high per-pivot overhead
-	sel := &scape.Selectivity{Rows: st.NumPairs / 2, Candidates: st.NumPairs}
-	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.0)), st, sel)
-	if p.Method != MethodAffine {
-		t.Fatalf("chose %v, want WA: %v", p.Method, p)
+	for _, rows := range []int{0, 17, st.NumPairs / 2, st.NumPairs} {
+		sel := &scape.Selectivity{Rows: rows}
+		for _, iv := range []interval.Interval{interval.GreaterThan(0), interval.Between(-0.3, 0.7), interval.All()} {
+			d := cm.Plan(Interval(stats.Correlation, iv), st, sel)
+			base := cm.Plan(Interval(stats.Covariance, iv), st, sel)
+			if d.CostIndex != base.CostIndex || d.Candidates != 0 {
+				t.Fatalf("rows %d %v: correlation index cost %v (%d candidates), covariance %v",
+					rows, iv, d.CostIndex, d.Candidates, base.CostIndex)
+			}
+			if d.Method != MethodIndex || d.EstimatedRows != rows || !d.SelectivityExact {
+				t.Fatalf("rows %d %v: %v", rows, iv, d)
+			}
+			if blind := cm.Plan(Interval(stats.Correlation, iv), st, nil); blind.Method != d.Method {
+				t.Fatalf("rows %d %v: the count moved the choice from %v to %v", rows, iv, blind.Method, d.Method)
+			}
+		}
+	}
+	st.Indexed = []stats.Measure{stats.Covariance, stats.DotProduct}
+	if p := cm.Plan(Interval(stats.Correlation, interval.GreaterThan(0)), st, nil); !math.IsInf(p.CostIndex, 1) {
+		t.Fatalf("an index without correlation priced it: %v", p)
 	}
 }
 
 // TestZeroModelUsesDefaults pins that a zero CostModel behaves like the
 // calibrated default, so an unset Config never panics or picks degenerately.
 func TestZeroModelUsesDefaults(t *testing.T) {
-	sel := &scape.Selectivity{Rows: 10, Exact: true}
+	sel := &scape.Selectivity{Rows: 10}
 	var zero CostModel
 	a := zero.Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
 	b := DefaultCostModel().Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
@@ -225,7 +253,7 @@ func TestZeroModelUsesDefaults(t *testing.T) {
 // TestLocationThresholdCosts pins the L-measure ordering: index <= affine
 // lookup scan <= naive recomputation.
 func TestLocationThresholdCosts(t *testing.T) {
-	sel := &scape.Selectivity{Rows: 30, Exact: true}
+	sel := &scape.Selectivity{Rows: 30}
 	p := DefaultCostModel().Plan(Interval(stats.Mean, interval.Between(0, 1)), bigTable(), sel)
 	if p.Method != MethodIndex {
 		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
@@ -238,7 +266,7 @@ func TestLocationThresholdCosts(t *testing.T) {
 // TestPlanString smoke-tests the EXPLAIN rendering.
 func TestPlanString(t *testing.T) {
 	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.9)),
-		bigTable(), &scape.Selectivity{Rows: 5, Exact: true})
+		bigTable(), &scape.Selectivity{Rows: 5})
 	s := p.String()
 	for _, frag := range []string{"MET correlation", "SCAPE", "est 5 rows"} {
 		if !strings.Contains(s, frag) {

@@ -149,11 +149,70 @@ func oracleIntervals(sp *measure.Spec, values map[timeseries.Pair]float64) []int
 	return slices.DeleteFunc(ivs, interval.Interval.Empty)
 }
 
+// nodeProbes returns intervals anchored at the extremes of every node with a
+// defined value: closed at both (the node lies inside, each extreme exactly on
+// a closed endpoint), closed at one (the node touches the interval at one
+// entry), open at one (the node misses it, just).
+func nodeProbes(entries [][]oracleEntry) []interval.Interval {
+	var ivs []interval.Interval
+	for _, node := range entries {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, e := range node {
+			if e.defined {
+				lo, hi = min(lo, e.value), max(hi, e.value)
+			}
+		}
+		if lo <= hi {
+			ivs = append(ivs, interval.Between(lo, hi), interval.AtLeast(hi), interval.AtMost(lo),
+				interval.GreaterThan(hi), interval.LessThan(lo))
+		}
+	}
+	return slices.DeleteFunc(ivs, interval.Interval.Empty)
+}
+
+// requireNodeEnds holds one D-measure's batch against the oracle on probes
+// anchored at the nodes' extremes: PairBatchNodes returns the oracle's pairs
+// with node ends at the oracle's running counts, and the selectivity count is
+// the oracle's.
+func requireNodeEnds(t *testing.T, idx *Index, sp *measure.Spec, entries [][]oracleEntry) {
+	t.Helper()
+	ivs := nodeProbes(entries)
+	qs := make([]PairQuery, len(ivs))
+	for q, iv := range ivs {
+		qs[q] = PairQuery{Measure: sp.ID, Interval: iv}
+	}
+	out, ends, err := idx.PairBatchNodes(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, iv := range ivs {
+		var want []timeseries.Pair
+		for i, node := range entries {
+			for _, e := range node {
+				if e.defined && iv.Contains(e.value) {
+					want = append(want, e.pair)
+				}
+			}
+			if int(ends[q][i]) != len(want) {
+				t.Fatalf("%v %v: node %d ends at %d, the oracle at %d", sp.ID, iv, i, ends[q][i], len(want))
+			}
+		}
+		if !slices.Equal(out[q], want) {
+			t.Fatalf("%v %v: scan %d pairs, the oracle %d", sp.ID, iv, len(out[q]), len(want))
+		}
+		if sel, err := idx.EstimateSelectivity(qs[q]); err != nil || sel.Rows != len(want) {
+			t.Fatalf("%v %v: counted %d rows (%v), the oracle %d", sp.ID, iv, sel.Rows, err, len(want))
+		}
+	}
+}
+
 // TestDerivedScansMatchPerEntryOracle holds every indexable D-measure's
-// interval scans, batches and top-k against the per-entry oracle: the same
-// pairs in the same order, the same value bits.  The inputs cover series of
-// zero variance, a pivot with ‖α‖ = 0 and NaN ξ (the hostile index), exact
-// ties at v_k (the tied dataset) and a plain one, at P ∈ {1, 2, 8}.
+// interval scans, batches, counts and top-k against the per-entry oracle: the
+// same pairs in the same order, the same value bits.  The inputs cover series
+// of zero variance, a pivot with ‖α‖ = 0 and NaN ξ (the hostile index), exact
+// ties at v_k (the tied dataset) and a plain one, at P ∈ {1, 2, 8}.  Probes
+// anchored at node extremes put closed and open endpoints exactly on stored
+// values and check the batch's node ends.
 func TestDerivedScansMatchPerEntryOracle(t *testing.T) {
 	hostile, _, hostileRel := hostileIndexInputs(t, true)
 	plain, plainRel := testDataset(t, 5, 15, 80)
@@ -194,6 +253,7 @@ func TestDerivedScansMatchPerEntryOracle(t *testing.T) {
 							t.Fatalf("%v %v: scan %d pairs, batch %d, the oracle %d", m, iv, len(got), len(batch[q]), len(want))
 						}
 					}
+					requireNodeEnds(t, idx, sp, entries)
 
 					for _, largest := range []bool{true, false} {
 						ranked, _ := topKOracle(values, len(values), largest)
@@ -266,9 +326,9 @@ func requireColumn(t *testing.T, label string, idx *Index, sp *measure.Spec) {
 }
 
 // TestDerivedColumnsFilledOnDemand: Build and Update fill no column; the
-// first scan, batch or top-k of an epoch that names a D-measure fills that
-// measure's column — and only it — once, also when several goroutines ask at
-// once; estimates fill none; an index without D-measures has no columns.
+// first scan, batch, top-k or selectivity count of an epoch that names a
+// D-measure fills that measure's column — and only it — once, also when
+// several goroutines ask at once; an index without D-measures has no columns.
 func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	d1, d2, rel1 := slidingDataset(t, 11, 36, 240, 24)
 	idx, err := Build(d1, rel1, Options{})
@@ -283,20 +343,16 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	}
 	expect("fresh index", idx)
 
-	// Queries that name no D-measure or whose predicate is empty, estimates
-	// and single-pair lookups fill none.
+	// Queries and counts that name no D-measure or whose predicate misses
+	// the measure's range, and single-pair lookups, fill none.
 	for _, q := range []PairQuery{
 		{Measure: stats.Covariance, Interval: interval.AtLeast(0.1)},
 		{Measure: stats.DotProduct, Interval: interval.Between(-1, 1)},
 		{Measure: stats.Correlation, Interval: interval.GreaterThan(2)},
 		{Measure: stats.EuclideanDistance, Interval: interval.LessThan(-1)},
-		{Measure: stats.Cosine, Interval: interval.AtLeast(0.5)},
 	} {
 		if _, err := idx.EstimateSelectivity(q); err != nil {
 			t.Fatal(err)
-		}
-		if q.Measure == stats.Cosine {
-			continue
 		}
 		if _, err := idx.PairInterval(q.Measure, q.Interval); err != nil {
 			t.Fatal(err)
@@ -333,10 +389,17 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("after a Dice batch", idx, stats.Correlation, stats.Dice)
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Cosine, Interval: interval.AtLeast(0.5)}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a cosine count", idx, stats.Correlation, stats.Cosine, stats.Dice)
+	cosine := &idx.columnOf(measure.Lookup(stats.Cosine)).values[0]
 	if _, _, _, err := idx.PairTopK(stats.Cosine, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	expect("after a cosine top-k", idx, stats.Correlation, stats.Cosine, stats.Dice)
+	if &idx.columnOf(measure.Lookup(stats.Cosine)).values[0] != cosine {
+		t.Fatal("the cosine column was filled twice at one epoch")
+	}
 	requireColumn(t, "first epoch", idx, corr)
 
 	// The next epoch starts without columns and fills its own; the pinned
@@ -419,8 +482,8 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.columns) != 0 || len(plain.bounds) != 0 || plain.Stats().IndexedDMeasures != 0 || plain.Stats().IndexedTMeasures != 2 {
-		t.Fatalf("index without D-measures: %d columns, %d bound slots, stats %+v", len(plain.columns), len(plain.bounds), plain.Stats())
+	if len(plain.columns) != 0 || plain.Stats().IndexedDMeasures != 0 || plain.Stats().IndexedTMeasures != 2 {
+		t.Fatalf("index without D-measures: %d columns, stats %+v", len(plain.columns), plain.Stats())
 	}
 	if _, err := plain.PairInterval(stats.Correlation, interval.AtLeast(0.5)); err == nil {
 		t.Fatal("an index without D-measures answered a correlation query")

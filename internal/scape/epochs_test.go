@@ -8,38 +8,20 @@ import (
 	"testing"
 
 	"affinity/internal/cluster"
-	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
 // An index maintained by Update must be the index Build makes of the same
 // window and relationships — not just answer alike: the same nodes, α, keys
-// and container orders, bounds and location columns, bit for bit.
+// and container orders, value columns and location columns, bit for bit.
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// eagerBounds is the oracle for the on-demand parameter bounds: the loop the
-// build used to run per pivot and D-measure, over the sequence store itself.
-func eagerBounds(idx *Index, node *pivotNode, sp *measure.Spec) [2]float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, sn := range node.canon {
-		u := sp.Param(idx.moments.Stat(sn.pair.U), idx.moments.Stat(sn.pair.V))
-		if u < lo {
-			lo = u
-		}
-		if u > hi {
-			hi = u
-		}
-	}
-	return [2]float64{lo, hi}
-}
-
-// requireSameIndex compares two indexes field by field.  Reading the bounds
-// and value columns fills them on both sides, so callers that watch the
-// on-demand discipline do that first.
+// requireSameIndex compares two indexes field by field.  Reading the value
+// columns fills them on both sides, so callers that watch the on-demand
+// discipline do that first.
 func requireSameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	if len(got.pivots) != len(want.pivots) {
@@ -94,18 +76,6 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 	}
 	for _, m := range want.dMeasures {
 		sp := measure.Lookup(m)
-		gb, wb := got.paramBoundsOf(sp), want.paramBoundsOf(sp)
-		if len(gb) != len(wb) {
-			t.Fatalf("%s %v: bounds for %d nodes, want %d", label, m, len(gb), len(wb))
-		}
-		for i := range wb {
-			oracle := eagerBounds(want, &want.pivots[i], sp)
-			for c := range oracle {
-				if !sameBits(gb[i][c], wb[i][c]) || !sameBits(wb[i][c], oracle[c]) {
-					t.Fatalf("%s %v %v: bounds %v, Build %v, eager loop %v", label, m, want.pivots[i].pivot, gb[i], wb[i], oracle)
-				}
-			}
-		}
 		gc, wc := got.columnOf(sp), want.columnOf(sp)
 		if !slices.EqualFunc(gc.values, wc.values, sameBits) || !slices.Equal(gc.extremes, wc.extremes) {
 			t.Fatalf("%s %v: value columns differ", label, m)
@@ -489,114 +459,5 @@ func TestUpdateRepairsHostilePreviousOrder(t *testing.T) {
 				requireSameIndex(t, fmt.Sprintf("P=%d, stale fraction %v, reversed previous order", p, frac), upd, want)
 			}
 		}
-	}
-}
-
-// boundedMeasures lists the D-measures whose bounds an index has reduced.
-func boundedMeasures(idx *Index) []stats.Measure {
-	var out []stats.Measure
-	for s, m := range idx.dMeasures {
-		if idx.bounds[s].perPivot != nil {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// TestParamBoundsReducedOnDemand: an epoch's parameter bounds exist only for
-// the D-measures an estimate of that epoch counted by, and belong to that
-// epoch.  Scans, batches and top-k read value columns and reduce none.
-func TestParamBoundsReducedOnDemand(t *testing.T) {
-	d1, d2, rel1 := slidingDataset(t, 11, 36, 240, 24)
-	idx, err := Build(d1, rel1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	expect := func(label string, idx *Index, want ...stats.Measure) {
-		t.Helper()
-		if got := boundedMeasures(idx); !slices.Equal(got, want) {
-			t.Fatalf("%s: bounds reduced for %v, want %v", label, got, want)
-		}
-	}
-	expect("fresh index", idx)
-
-	// Queries reduce none; neither do estimates that cannot use bounds: T- and
-	// L-measures, a predicate outside the measure's range, one that evaluates
-	// every entry.
-	for _, q := range []PairQuery{
-		{Measure: stats.Covariance, Interval: interval.AtLeast(0.1)},
-		{Measure: stats.DotProduct, Interval: interval.Between(-1, 1)},
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(2)},
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(-2)},
-		{Measure: stats.Correlation, Interval: interval.AtLeast(0.5)},
-	} {
-		if _, err := idx.PairInterval(q.Measure, q.Interval); err != nil {
-			t.Fatal(err)
-		}
-		if q.Interval != interval.AtLeast(0.5) {
-			if _, err := idx.EstimateSelectivity(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := idx.PairBatch([]PairQuery{{Measure: stats.Cosine, Interval: interval.AtMost(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := idx.PairTopK(stats.EuclideanDistance, 5, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Mean, Interval: interval.AtLeast(0)}); err != nil {
-		t.Fatal(err)
-	}
-	expect("after queries and estimates that do not bound", idx)
-
-	// Each estimate that counts by bounds reduces its own measure, once.
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Correlation, Interval: interval.AtLeast(0.5)}); err != nil {
-		t.Fatal(err)
-	}
-	expect("after a correlation estimate", idx, stats.Correlation)
-	first := &idx.paramBoundsOf(measure.Lookup(stats.Correlation))[0]
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Correlation, Interval: interval.AtMost(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if again := &idx.paramBoundsOf(measure.Lookup(stats.Correlation))[0]; again != first {
-		t.Fatal("the correlation bounds were reduced twice at one epoch")
-	}
-	for _, m := range []stats.Measure{stats.Cosine, stats.EuclideanDistance} {
-		if _, err := idx.EstimateSelectivity(PairQuery{Measure: m, Interval: interval.AtMost(3)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	expect("after cosine and Euclidean estimates", idx, stats.Correlation, stats.Cosine, stats.EuclideanDistance)
-
-	// The next epoch starts without bounds and reduces its own; the pinned
-	// previous index keeps reading the ones of its window.
-	stale := staleSubset(rel1, 0.1, 5)
-	rel2, _, err := symex.Refit(d2, rel1, symex.RefitOptions{Stale: stale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	upd, _, err := idx.Update(d2, rel2, stale, UpdateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	expect("updated index", upd)
-	if _, err := upd.EstimateSelectivity(PairQuery{Measure: stats.Cosine, Interval: interval.AtLeast(0.5)}); err != nil {
-		t.Fatal(err)
-	}
-	expect("updated index after a cosine estimate", upd, stats.Cosine)
-	expect("previous index", idx, stats.Correlation, stats.Cosine, stats.EuclideanDistance)
-	sp := measure.Lookup(stats.Cosine)
-	moved := false
-	for i, b := range idx.paramBoundsOf(sp) {
-		if oracle := eagerBounds(idx, &idx.pivots[i], sp); b != oracle {
-			t.Fatalf("previous index: cosine bounds of %v are %v, its own window gives %v", idx.pivots[i].pivot, b, oracle)
-		}
-		if at, ok := upd.findPivot(idx.pivots[i].pivot, i); ok && upd.paramBoundsOf(sp)[at] != b {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("the slid window left every cosine bound where it was: the test cannot tell the epochs apart")
 	}
 }

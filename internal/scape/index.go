@@ -28,9 +28,9 @@
 // normalizer U_e of a sequence node is derived from the window's per-series
 // statistics, and the measure's value of every entry of the base ξ-container,
 // ‖α‖·ξ put through the spec's transform with that normalizer, is read from a
-// per-epoch value column.  Per pivot node the minimum and maximum normalizer
-// among its sequence nodes (U^min_q, U^max_q) of Section 5.3 remain the
-// selectivity estimator's geometry.
+// per-epoch value column, and a scan tests each entry's value.  The paper's
+// per-pivot normalizer bounds (U^min_q, U^max_q) of Section 5.3, which pruned
+// by inverting the transform, are not needed once every value is in hand.
 //
 // Location (L-) measures apply to single series rather than pairs; the index
 // keeps one sorted column per L-measure over the series' measure values,
@@ -58,14 +58,12 @@
 // by (value, series id), and one routine (keyWindow) maps an interval to the
 // index window of matching entries for both.
 //
-// Neither the value column of a D-measure nor its parameter bounds
-// (U^min_q, U^max_q) are part of the epoch's construction.  The column — one
-// value per entry in container order, NaN where the measure is undefined,
-// beside each node's extremes over its defined values — is filled by the
-// first interval scan, batch or top-k of the epoch that names the measure;
-// the bounds by the first selectivity estimate.  Each happens once (a
-// sync.Once per index and D-measure), and a measure nobody asks about at an
-// epoch is never evaluated.
+// The value column of a D-measure is not part of the epoch's construction.
+// The column — one value per entry in container order, NaN where the measure
+// is undefined, beside each node's extremes over its defined values — is
+// filled by the first interval scan, batch, top-k or selectivity count of the
+// epoch that names the measure, once (a sync.Once per index and D-measure); a
+// measure nobody asks about at an epoch is never evaluated.
 package scape
 
 import (
@@ -76,6 +74,7 @@ import (
 	"sort"
 	"sync"
 
+	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/stats"
@@ -102,8 +101,8 @@ type Options struct {
 	// all T-measures (covariance and dot product).
 	PairMeasures []stats.Measure
 	// DerivedMeasures lists the D-measures the index answers: each gets a
-	// per-epoch value column and parameter bounds, filled on first use.  Nil
-	// selects every D-measure with a separable normalizer.
+	// per-epoch value column, filled on first use.  Nil selects every
+	// D-measure with a separable normalizer.
 	DerivedMeasures []stats.Measure
 	// LocationMeasures lists the L-measures to index over individual series.
 	// Nil selects mean, median and mode.
@@ -131,8 +130,8 @@ func (o Options) withDefaults() Options {
 }
 
 // SeparableDerivedMeasures returns the D-measures the index can serve: those
-// whose spec declares a separable parameter with a monotone, invertible value
-// transform (Section 5.1, "Indexing D-Measures", generalized to decreasing
+// whose spec declares a separable parameter with a monotone value transform
+// (Section 5.1, "Indexing D-Measures", generalized to decreasing
 // transforms).  The generalized Jaccard coefficient declares itself
 // non-indexable: its transform has a pole inside the reachable base range.
 func SeparableDerivedMeasures() []stats.Measure {
@@ -210,7 +209,7 @@ type Index struct {
 	// (Common, Cluster) order.
 	pivots []pivotNode
 	// tMeasures / dMeasures / lMeasures list the indexed measures of each
-	// class in ascending order; per-pivot measure state, the parameter bounds
+	// class in ascending order; per-pivot measure state, the value columns
 	// and the center locations are slices aligned with them.
 	tMeasures []stats.Measure
 	dMeasures []stats.Measure
@@ -218,9 +217,7 @@ type Index struct {
 	// offsets[i] is where node i's entries start in every value column (node
 	// i holds offsets[i+1] − offsets[i] entries under every measure).
 	offsets []int
-	// bounds[s] holds the parameter bounds of dMeasures[s] and columns[s] its
-	// value column, each filled on first use.
-	bounds  []paramBounds
+	// columns[s] is the value column of dMeasures[s], filled on first use.
 	columns []valueColumn
 	// location[s] is the global per-series column of lMeasures[s].
 	location []locationColumn
@@ -236,25 +233,24 @@ type Index struct {
 	stats   BuildStats
 }
 
-// paramBounds holds (U^min_q, U^max_q) of one D-measure for every pivot node,
-// aligned with Index.pivots: the Section 5.3 bounds the selectivity estimator
-// counts with.  The parameters depend on the window's per-series statistics,
-// so the bounds are per epoch; they are reduced by the first estimate.
-type paramBounds struct {
-	once     sync.Once
-	perPivot [][2]float64
-}
-
 // valueColumn holds one D-measure's value of every entry of the index, node
 // by node (Index.offsets) and, within a node, in the order of the node's base
 // ξ-container; NaN marks an entry whose value is undefined.  extremes[i] is
 // the smallest and largest defined value of node i, (+Inf, −Inf) when it has
 // none.  The values depend on the window, so the column is per epoch; it is
-// filled by the first scan or top-k that names the measure.
+// filled by the first scan, top-k or count that names the measure.
 type valueColumn struct {
 	once     sync.Once
 	values   []float64
 	extremes [][2]float64
+}
+
+// misses reports whether no value of the closed range [lo, hi] lies in iv:
+// the range is empty, ends below iv's low end or starts above its high end.
+func misses(iv interval.Interval, lo, hi float64) bool {
+	return lo > hi ||
+		!iv.Lo.Unbounded && (hi < iv.Lo.Value || hi == iv.Lo.Value && iv.Lo.Open) ||
+		!iv.Hi.Unbounded && (lo > iv.Hi.Value || lo == iv.Hi.Value && iv.Hi.Open)
 }
 
 // Stats returns build statistics.
@@ -262,6 +258,14 @@ func (idx *Index) Stats() BuildStats { return idx.stats }
 
 // NumPivots returns the number of pivot nodes.
 func (idx *Index) NumPivots() int { return len(idx.pivots) }
+
+// Measures returns every measure the index answers interval and top-k
+// queries for — its T-, D- and L-measures — in ascending order.
+func (idx *Index) Measures() []stats.Measure {
+	out := slices.Concat(idx.tMeasures, idx.dMeasures, idx.lMeasures)
+	slices.Sort(out)
+	return out
+}
 
 // baseSlot returns the position of T-measure m in a node's measures, −1 when
 // it is not indexed.
@@ -492,7 +496,6 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 	stale []staleCount, parallelism int) ([]nodeWork, error) {
 
 	idx.moments = d.Moments()
-	idx.bounds = make([]paramBounds, len(idx.dMeasures))
 	idx.columns = make([]valueColumn, len(idx.dMeasures))
 
 	// The pivot terms are the ones W_A propagates through, assembled in one
@@ -597,45 +600,12 @@ func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.Pivot
 	return scratchHit
 }
 
-// paramBoundsOf returns the parameter bounds of an indexed D-measure, one
-// (U^min_q, U^max_q) per pivot node over the node's pairs, reducing them on
-// the epoch's first call; nil when the measure is not indexed.  The reduction
-// walks each node's sequence store — a flat loop per pivot.
-func (idx *Index) paramBoundsOf(sp *measure.Spec) [][2]float64 {
-	slot := slices.Index(idx.dMeasures, sp.ID)
-	if slot < 0 {
-		return nil
-	}
-	pb := &idx.bounds[slot]
-	pb.once.Do(func() {
-		perPivot := make([][2]float64, len(idx.pivots))
-		// The reduction cannot fail; DoBlocks only fans it out.
-		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
-			for i := blk.Lo; i < blk.Hi; i++ {
-				lo, hi := math.Inf(1), math.Inf(-1)
-				canon := idx.pivots[i].canon
-				for r := range canon {
-					e := canon[r].pair
-					u := sp.Param(idx.moments.Stat(e.U), idx.moments.Stat(e.V))
-					if u < lo {
-						lo = u
-					}
-					if u > hi {
-						hi = u
-					}
-				}
-				perPivot[i] = [2]float64{lo, hi}
-			}
-			return nil
-		})
-		pb.perPivot = perPivot
-	})
-	return pb.perPivot
-}
-
 // columnOf returns the value column of an indexed D-measure, filling it on
-// the epoch's first call: every entry of every node's base ξ-container is
-// evaluated once, blocks of nodes in parallel.
+// the epoch's first call, blocks of nodes in parallel.  Per node the
+// separable parameter is evaluated once per entry of the canonical store,
+// walking it in order, and the transform once per entry of the base
+// ξ-container, in container order, reading its entry's parameter through the
+// container's ranks.
 func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
 	col := &idx.columns[slices.Index(idx.dMeasures, sp.ID)]
 	col.once.Do(func() {
@@ -644,12 +614,19 @@ func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
 		extremes := make([][2]float64, len(idx.pivots))
 		// The evaluation cannot fail; DoBlocks only fans it out.
 		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
+			var params []float64
 			for i := blk.Lo; i < blk.Hi; i++ {
+				canon := idx.pivots[i].canon
+				params = params[:0]
+				for r := range canon {
+					e := canon[r].pair
+					params = append(params, sp.Param(idx.moments.Stat(e.U), idx.moments.Stat(e.V)))
+				}
 				pm := &idx.pivots[i].measures[base]
 				node := values[idx.offsets[i]:idx.offsets[i+1]]
 				lo, hi := math.Inf(1), math.Inf(-1)
 				for j, xi := range pm.xi.keys {
-					v := idx.derivedValue(pm, pm.xi.node(j), sp, xi)
+					v := idx.derivedValue(pm, sp, xi, params[pm.xi.ranks[j]])
 					node[j] = v
 					// No comparison with NaN holds: undefined values bound nothing.
 					if v < lo {
@@ -674,11 +651,10 @@ func (idx *Index) nodeValues(col *valueColumn, i int) []float64 {
 }
 
 // derivedValue computes the exact derived measure of a sequence node from
-// index-resident quantities: the spec transform of ‖α‖·ξ and the separable
-// parameter derived from the window's per-series statistics; NaN when the
-// measure is undefined for the pair.
-func (idx *Index) derivedValue(pm *pivotMeasure, sn *sequenceNode, sp *measure.Spec, xi float64) float64 {
-	u := sp.Param(idx.moments.Stat(sn.pair.U), idx.moments.Stat(sn.pair.V))
+// index-resident quantities: the spec transform of ‖α‖·ξ with the node's
+// separable parameter u, derived from the window's per-series statistics; NaN
+// when the measure is undefined for the pair.
+func (idx *Index) derivedValue(pm *pivotMeasure, sp *measure.Spec, xi, u float64) float64 {
 	v, err := sp.Value(pm.alphaNorm*xi, u, idx.numSamples)
 	if err != nil {
 		return math.NaN()

@@ -191,15 +191,15 @@ func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error)
 	return 0, fmt.Errorf("scape: pair %v not present in the index", e)
 }
 
-// pairScan is one compiled pairwise interval query: the validated spec plus
-// the derived-measure predicate shape, computed once and applied per node.
+// pairScan is one compiled pairwise interval query: the validated spec and
+// interval, computed once and applied per node.
 type pairScan struct {
-	sp   *measure.Spec
-	iv   interval.Interval
-	pred derivedPredicate
+	sp *measure.Spec
+	iv interval.Interval
 	// slot is the position of the spec's base T-measure in a node's measures.
 	slot int
-	// col is a derived query's value column (nil when its predicate is empty).
+	// col is a derived query's value column (nil when the interval misses the
+	// measure's declared range).
 	col *valueColumn
 }
 
@@ -220,28 +220,31 @@ func (idx *Index) compilePair(q PairQuery) (pairScan, error) {
 	if ps.slot < 0 {
 		return pairScan{}, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, sp.Base)
 	}
-	if sp.Derived() {
-		ps.pred = compileDerivedPredicate(sp, q.Interval)
-		if !ps.pred.empty {
-			ps.col = idx.columnOf(sp)
-		}
+	// An interval that misses the measure's declared range matches no
+	// defined value: answer it without filling the column.
+	if sp.Derived() && !(sp.Bounded && misses(q.Interval, sp.RangeMin, sp.RangeMax)) {
+		ps.col = idx.columnOf(sp)
 	}
 	return ps, nil
 }
 
 // scanNode answers one compiled pairwise query from pivot node i, appending
-// matching pairs to out in scalar-projection order.
+// matching pairs to out in scalar-projection order.  A D-measure node whose
+// stored extremes miss the interval is skipped; any other tests its entries.
 func (idx *Index) scanNode(i int, ps pairScan, out []timeseries.Pair) []timeseries.Pair {
 	pm := &idx.pivots[i].measures[ps.slot]
 	if !ps.sp.Derived() {
 		return nodeBaseInterval(pm, ps.iv, out)
 	}
-	if ps.col == nil {
+	// Every defined value of the node lies within its stored extremes, so a
+	// node whose extremes miss the interval (or that has no defined value)
+	// matches nothing.
+	if ps.col == nil || misses(ps.iv, ps.col.extremes[i][0], ps.col.extremes[i][1]) {
 		return out
 	}
 	// The column is in the base container's order: entry j is pm.xi's j-th.
 	for j, v := range idx.nodeValues(ps.col, i) {
-		if ps.pred.eval.Contains(v) {
+		if ps.iv.Contains(v) {
 			out = append(out, pm.xi.node(j).pair)
 		}
 	}
@@ -280,56 +283,4 @@ func scaleInterval(iv interval.Interval, norm float64) interval.Interval {
 		iv.Hi.Value /= norm
 	}
 	return iv
-}
-
-// derivedPredicate is the query-level shape of a derived interval query,
-// shared by every pivot node: the evaluation predicate with closed
-// out-of-range endpoints clipped to the declared value range, and whether an
-// open endpoint strictly outside the range defeats the inverse transform
-// (the clamp plateaus there), forcing exact evaluation of every entry.
-type derivedPredicate struct {
-	eval    interval.Interval
-	empty   bool
-	evalAll bool
-}
-
-// compileDerivedPredicate applies the spec's declared value range to the
-// query interval once, before any node is visited:
-//
-//   - an interval disjoint from [RangeMin, RangeMax] matches nothing;
-//   - a closed endpoint beyond the range clips to the extreme (every defined
-//     value satisfies that side), keeping the inverse transform inside its
-//     domain;
-//   - an open endpoint strictly beyond the range cannot be inverted (a strict
-//     predicate on the plateau side is decided only by exact evaluation,
-//     which still rejects pairs whose value is undefined).
-func compileDerivedPredicate(sp *measure.Spec, iv interval.Interval) derivedPredicate {
-	pred := derivedPredicate{eval: iv}
-	if !sp.Bounded {
-		return pred
-	}
-	lo, hi := iv.Lo, iv.Hi
-	if !lo.Unbounded && (lo.Value > sp.RangeMax || (lo.Value == sp.RangeMax && lo.Open)) {
-		pred.empty = true
-		return pred
-	}
-	if !hi.Unbounded && (hi.Value < sp.RangeMin || (hi.Value == sp.RangeMin && hi.Open)) {
-		pred.empty = true
-		return pred
-	}
-	if !lo.Unbounded && lo.Value < sp.RangeMin {
-		if lo.Open {
-			pred.evalAll = true
-		} else {
-			pred.eval.Lo = interval.Closed(sp.RangeMin)
-		}
-	}
-	if !hi.Unbounded && hi.Value > sp.RangeMax {
-		if hi.Open {
-			pred.evalAll = true
-		} else {
-			pred.eval.Hi = interval.Closed(sp.RangeMax)
-		}
-	}
-	return pred
 }

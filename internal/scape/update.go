@@ -61,7 +61,7 @@ type staleCount struct{ pairs, live int32 }
 // re-fitted.  A pivot's sequence store is shared with the previous index when
 // no stale pair is assigned to it and re-derived from rel otherwise;
 // everything derived from the slid window (α vectors, scalar projections,
-// location estimates — and, on demand, parameter bounds) is recomputed through
+// location estimates — and, on demand, value columns) is recomputed through
 // the exact code path Build uses, and a container re-sorted from the previous
 // epoch's order is the array a cold sort yields, so the result answers every
 // query byte-identically to Build(d, rel, ...) on the same window.  The

@@ -345,8 +345,8 @@ func TestNaNProjectionHasADefinedPlace(t *testing.T) {
 						t.Fatalf("%s: %v %v returned pair %v, whose ξ is NaN", label, m, iv, e)
 					}
 				}
-				if rows, exact, err := idx.ExactRows(PairQuery{Measure: m, Interval: iv}); err != nil || (exact && rows != len(pairs)) {
-					t.Fatalf("%s: %v %v: exact row count %d (%v), scan returned %d", label, m, iv, rows, err, len(pairs))
+				if sel, err := idx.EstimateSelectivity(PairQuery{Measure: m, Interval: iv}); err != nil || sel.Rows != len(pairs) {
+					t.Fatalf("%s: %v %v: count %d (%v), scan returned %d", label, m, iv, sel.Rows, err, len(pairs))
 				}
 			}
 			for _, largest := range []bool{true, false} {
@@ -472,7 +472,7 @@ func TestLocationColumnsMatchInsertOrderTreeOracle(t *testing.T) {
 				t.Fatalf("%s: %v selects series %v, the tree %v", name, iv, got, w)
 			}
 			sel, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Mean, Interval: iv})
-			if err != nil || !sel.Exact || sel.Rows != len(w) {
+			if err != nil || sel.Rows != len(w) {
 				t.Fatalf("%s: count of %v = %+v (%v), scan returns %d", name, iv, sel, err, len(w))
 			}
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,12 +173,17 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 	rel *symex.Result, epoch int) (*coordState, error) {
 	var locIndex *scape.Index
+	var indexed []stats.Measure
 	if !c.cfg.Engine.SkipIndex {
 		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts)
 		if err != nil {
 			return nil, err
 		}
 		locIndex = idx
+		// The shards index the pairwise measures (all alike) and the
+		// coordinator the L-measures.
+		indexed = slices.Concat(views[0].Table().Indexed, idx.Measures())
+		slices.Sort(indexed)
 	}
 	return &coordState{
 		epoch:    epoch,
@@ -193,7 +199,7 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 			NumPairs:      d.NumPairs(),
 			NumPivots:     rel.Stats.NumPivots,
 			FallbackPairs: d.NumPairs() - rel.Len(),
-			HasIndex:      !c.cfg.Engine.SkipIndex,
+			Indexed:       indexed,
 			// Sketches are per series, built by every shard over the shared
 			// window, so shard 0's statistics describe the global prescreen.
 			SketchCoefficients: views[0].Table().SketchCoefficients,

@@ -42,41 +42,23 @@ func (cs *coordState) Cache() *qcache.Cache      { return cs.cache }
 // MEC queries exactly like a single engine.
 func (cs *coordState) Replica() core.View { return cs.views[0] }
 
-// Selectivity assembles the estimate from the shards.  Per-pivot-node
-// estimates are additive and the shard pivot sets are disjoint, so the summed
-// Rows/Candidates equal the global index's estimate (and Exact holds only
-// when it holds on every shard), making the MethodAuto choice independent of
-// the shard count.  L-measure estimates come from the coordinator's location
-// index.
+// Selectivity assembles the row count from the shards.  Per-pivot-node
+// counts are additive and the shard pivot sets are disjoint, so the summed
+// Rows equal the global index's count, whatever the shard count.  L-measure
+// counts come from the coordinator's location index.
 func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error) {
 	if sp, known := measure.Find(spec.Measure); known && sp.Location() {
 		return cs.locIndex.EstimateSelectivity(spec.PairQuery())
 	}
-	total := scape.Selectivity{Exact: true}
+	var total scape.Selectivity
 	for _, v := range cs.views {
 		s, err := v.Selectivity(spec)
 		if err != nil {
 			return scape.Selectivity{}, err
 		}
 		total.Rows += s.Rows
-		total.Candidates += s.Candidates
-		total.Exact = total.Exact && s.Exact
 	}
 	return total, nil
-}
-
-// ExactRows sums the per-shard exact counts into the global completeness
-// count (per-node counts are additive over the disjoint shard pivot sets).
-func (cs *coordState) ExactRows(q scape.PairQuery) (int, bool, error) {
-	rows := 0
-	for _, v := range cs.views {
-		r, exact, err := v.ExactRows(q)
-		if err != nil || !exact {
-			return 0, false, err
-		}
-		rows += r
-	}
-	return rows, true, nil
 }
 
 // PairValue routes an affine evaluation to the shard owning the pair's pivot,
