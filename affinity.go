@@ -389,10 +389,13 @@ type CacheOptions struct {
 // the ambiguous remainder goes on to the engine's slid pair moments, the
 // bound every naive sweep classifies against with or without sketches, and
 // from there — a sliver — to the exact kernels; top-k sweeps visit pair
-// blocks best-first by their optimistic bounds.  Prescreened results are
-// byte-identical to the plain exact sweep by construction, so enabling
-// sketches changes latency only.  Explain reports the filtered/refined pair
-// counts on QueryPlan, and StreamStats carries the prescreen counters.
+// blocks best-first by their optimistic bounds.  At an epoch whose fit was
+// full (the build, and every Advance that refits everything) a
+// covariance-base sweep reads the covariances the fit reduced instead and
+// consults neither bound.  Prescreened results are byte-identical to the
+// plain exact sweep by construction, so enabling sketches changes latency
+// only.  Explain reports the filtered/refined pair counts on QueryPlan, and
+// StreamStats carries the prescreen counters.
 type SketchOptions struct {
 	// Enabled turns the sketch tier on (the zero value keeps it off).
 	Enabled bool

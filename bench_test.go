@@ -460,7 +460,9 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkSketchSweep times an interval sweep through the coefficient-sketch
 // filter-and-refine tier at a selective predicate (the 90th percentile of the
-// correlation distribution).  CI tracks its allocs/op against
+// cosine distribution — a dot-product base measure, because at the build
+// epoch, a full fit, a correlation sweep reads the naive covariance column
+// and never the sketch).  CI tracks its allocs/op against
 // BENCH_BUDGET.json: the prescreen allocates the compacted result and
 // O(blocks) per-worker scratch (the pair universe is enumerated chunk by
 // chunk, not materialized) — never O(pairs) transient garbage.  The sketch
@@ -480,14 +482,14 @@ func BenchmarkSketchSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sweep, err := engine.PairwiseSweepNaive(stats.Correlation)
+	sweep, err := engine.PairwiseSweepNaive(stats.Cosine)
 	if err != nil {
 		b.Fatal(err)
 	}
 	vals := append([]float64(nil), sweep.Values...)
 	sort.Float64s(vals)
 	iv := interval.GreaterThan(vals[int(0.9*float64(len(vals)-1))])
-	if _, err := engine.Interval(stats.Correlation, iv, core.MethodNaive); err != nil {
+	if _, err := engine.Interval(stats.Cosine, iv, core.MethodNaive); err != nil {
 		b.Fatal(err)
 	}
 	info := engine.Info()
@@ -495,7 +497,7 @@ func BenchmarkSketchSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Correlation, iv, core.MethodNaive); err != nil {
+		if _, err := engine.Interval(stats.Cosine, iv, core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -896,10 +898,12 @@ func BenchmarkCachedInterval(b *testing.B) {
 }
 
 // BenchmarkCachedSweepMiss is the smoke row of a naive miss on a cache-enabled
-// engine: correlation bands that each miss the result cache (equal widths at
+// engine: cosine bands that each miss the result cache (equal widths at
 // distinct offsets never contain one another) at one epoch whose pair-moment
 // column the warm-up sweep materialised — the steady state between two
-// Advances, which carry the column.  A miss classifies every pair against the
+// Advances, which carry the column.  Cosine is a dot-product base measure with
+// correlation's [−1, 1] range: at the build epoch, a full fit, correlation
+// reads the naive covariance column and never the pair moments.  A miss classifies every pair against the
 // column's bounds and sends only the rows it keeps (the cache stores their
 // values) and the sliver it cannot decide to the kernels.  CI tracks its
 // allocs/op against BENCH_BUDGET.json: the result (twice, pairs and values,
@@ -924,14 +928,14 @@ func BenchmarkCachedSweepMiss(b *testing.B) {
 		lo := -1 + 1.9*frac
 		return interval.Between(lo, lo+0.1)
 	}
-	if _, err := engine.Interval(stats.Correlation, band(-1), core.MethodNaive); err != nil {
+	if _, err := engine.Interval(stats.Cosine, band(-1), core.MethodNaive); err != nil {
 		b.Fatal(err)
 	}
 	warm := engine.StreamStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Correlation, band(i), core.MethodNaive); err != nil {
+		if _, err := engine.Interval(stats.Cosine, band(i), core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}

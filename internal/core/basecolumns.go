@@ -31,12 +31,20 @@ import (
 // same operands), which stays the source for MEC, cache repair and the values
 // the cache stores.
 //
-// There is no naive value column.  A naive base value costs O(m) and an
-// epoch's window differs from the last one's by the slide, so the engine
-// carries Σ x_u·x_v across epochs in O(slide) per pair (stats.PairMoments) and
-// uses it as a bound, not as a value — the sweep stage (sketchsweep.go)
-// classifies against it and sends only the pairs it cannot decide, and the
-// rows whose values the cache stores, to the kernels (fillBase).
+// The naive covariance column is the fit's.  A full SYMEX+ fit reduces
+// cov(s_u, s_v) of every assigned pair for the moment form with the very
+// kernel fillBase runs (symex.Result.PairCov), so at an epoch whose fit was
+// full and covers the universe the first naive sweep of a covariance-base
+// measure scatters those values into canonical order (fitCovColumn) and every
+// naive covariance and correlation query of the epoch — interval, top-k,
+// batch, MEC and PairValue — reads it like an affine column: no bounds, no
+// kernels.  Elsewhere — the dot-product base, and every epoch after a partial
+// refit — a naive base value costs O(m) and an epoch's window differs from the
+// last one's by the slide, so the engine carries Σ x_u·x_v across epochs in
+// O(slide) per pair (stats.PairMoments) and uses it as a bound, not as a
+// value — the sweep stage (sketchsweep.go) classifies against it and sends
+// only the pairs it cannot decide, and the rows whose values the cache stores,
+// to the kernels (fillBase).
 //
 // The naive bounds of a sketch-enabled engine are columns too.  A pair's
 // coefficient-sketch bound on a base depends on the epoch and the base, never
@@ -51,10 +59,13 @@ type baseKey struct {
 	method Method
 }
 
-// Values of Actual.BaseValues and plan.Plan.BaseValues.
+// Values of Actual.BaseValues and plan.Plan.BaseValues: an affine sweep filled
+// or reused the epoch's base column, or a naive sweep read the fit's
+// covariance column.
 const (
 	BaseFilled = "filled"
 	BaseReused = "reused"
+	BaseFit    = "fit"
 )
 
 // sweepCounters are an engine's cumulative sweep-stage counters: base-column
@@ -69,11 +80,12 @@ type sweepCounters struct {
 }
 
 // baseColumns is one epoch's affine base columns and sketch-bound columns,
-// one slot each per base T-measure.
+// one slot each per base T-measure, and its naive covariance column.
 type baseColumns struct {
 	counters             *sweepCounters
 	cov, dot             baseColumn
 	covBounds, dotBounds boundColumn
+	fitCov               baseColumn
 }
 
 func (e *Engine) newBaseColumns() *baseColumns { return &baseColumns{counters: &e.sweep} }
@@ -155,6 +167,48 @@ func (e *engineState) sketchBounds(base stats.Measure, mom *kernel.Moments) *bou
 	return col
 }
 
+// fitCovColumn returns the epoch's exact naive covariance column: the pair
+// covariances the epoch's full fit reduced (symex.Result.PairCov) scattered
+// into canonical universe order — for every pair the bits fillBase's CovBlock
+// gives it, since the kernel's products commute.  It is nil after a partial
+// refit and wherever the assignments do not cover the universe
+// (Config.MaxRelationships); a restricted universe is its assignments, so a
+// shard has one whenever its fit was full.
+func (e *engineState) fitCovColumn() []float64 {
+	col := &e.cols.fitCov
+	col.once.Do(func() {
+		covs := e.rel.PairCov()
+		if covs == nil || len(covs) != e.numUniversePairs() {
+			return
+		}
+		col.values = make([]float64, len(covs))
+		for slot, c := range covs {
+			col.values[e.columnPos(e.pairPos, int32(slot))] = c
+		}
+	})
+	return col.values
+}
+
+// naiveColumn returns the column a naive sweep reads a base's values from —
+// the fit's covariance column for the covariance base — or nil when the sweep
+// evaluates them.
+func (e *engineState) naiveColumn(base stats.Measure) []float64 {
+	if base != measure.Covariance {
+		return nil
+	}
+	return e.fitCovColumn()
+}
+
+// columnPos returns the position of an assignment slot's pair in a column over
+// the pair universe: pos[slot] where a position table is given, the pair's
+// rank in the full universe otherwise.
+func (e *engineState) columnPos(pos []int32, slot int32) int {
+	if pos != nil {
+		return int(pos[slot])
+	}
+	return e.data.PairRank(e.rel.Layout().Assignments()[slot].Pair)
+}
+
 // propagate is the W_A propagation loop (Eqs. 5–7), the only one: pivot by
 // pivot, the pivot's moment matrix is taken once and every live relationship
 // of the pivot propagates it in O(1) to its pair's position in values —
@@ -163,22 +217,13 @@ func (e *engineState) sketchBounds(base stats.Measure, mom *kernel.Moments) *bou
 // alone.
 func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32, values []float64) {
 	layout := e.rel.Layout()
-	assignments := layout.Assignments()
 	_ = par.DoBlocks(len(layout.Pivots()), e.par, func(_ int, blk par.Block) error {
 		for pi := blk.Lo; pi < blk.Hi; pi++ {
 			mom := moment(pi)
 			for _, slot := range layout.PivotSlots(pi) {
-				rel := e.rel.At(int(slot))
-				if rel == nil {
-					continue
+				if rel := e.rel.At(int(slot)); rel != nil {
+					values[e.columnPos(pos, slot)] = rel.Transform.PropagateMoment(mom)
 				}
-				var at int
-				if pos != nil {
-					at = int(pos[slot])
-				} else {
-					at = e.data.PairRank(assignments[slot].Pair)
-				}
-				values[at] = rel.Transform.PropagateMoment(mom)
 			}
 		}
 		return nil

@@ -86,9 +86,10 @@ type Item struct {
 // Actual is what the pipeline observed while answering one item (Explain):
 // the cache tier that served it with the size of a repair's delta, the pairs
 // a naive sweep's bound providers prescreened (Sketched) and the pairs it
-// still sent to the exact kernels (Refined), or whether an affine sweep filled
-// or reused the epoch's base column (BaseFilled, BaseReused; empty when no
-// affine sweep ran).
+// still sent to the exact kernels (Refined), or where a sweep's base values
+// came from: an affine sweep filled or reused the epoch's base column
+// (BaseFilled, BaseReused), a naive one read the fit's covariance column
+// (BaseFit); empty when the sweep evaluated them or none ran.
 type Actual struct {
 	Tier       qcache.Tier
 	Repaired   int
@@ -431,22 +432,26 @@ func computeLocation(b Backend, m stats.Measure, ids []timeseries.SeriesID, meth
 }
 
 // computePairwise answers a pairwise MEC query: the |ψ|-by-|ψ| matrix in the
-// order given, undefined derived values as NaN.  The naive method reads only
-// the raw window, which the replica holds; the affine method asks the backend
-// for every cell, so a sharded backend propagates each pair from the pivot
-// summary of the shard that owns it.
+// order given, undefined derived values as NaN.  The naive method reads the
+// raw window, which the replica holds, unless the epoch has a naive column of
+// the measure's base (naiveColumn); then it, like the affine method, asks the
+// backend for every cell, so a sharded backend answers each pair from the
+// shard that owns it — its pivot summary or its column.
 func computePairwise(b Backend, m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
-	if !m.Pairwise() {
-		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
-	}
-	method, err := resolve(b, plan.Compute(m, len(ids)), method)
+	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return nil, err
 	}
-	switch method {
-	case MethodNaive:
+	method, err = resolve(b, plan.Compute(m, len(ids)), method)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case method == MethodNaive && b.Replica().naiveColumn(sp.Base) == nil:
 		return b.Replica().naive.Pairwise(m, ids)
-	case MethodAffine:
+	case method == MethodNaive || method == MethodAffine:
+		// Pair by pair through the backend: the affine propagation, or the
+		// naive covariance column of the owning engine.
 		out := make([][]float64, len(ids))
 		for i := range out {
 			out[i] = make([]float64, len(ids))
@@ -468,7 +473,7 @@ func computePairwise(b Backend, m stats.Measure, ids []timeseries.SeriesID, meth
 					if perr != nil {
 						return perr
 					}
-					value, err = b.PairValue(m, pair, MethodAffine)
+					value, err = b.PairValue(m, pair, method)
 				}
 				value, err = measure.OrNaN(value, err)
 				if err != nil {

@@ -94,10 +94,19 @@ func (e *Engine) PairValue(m stats.Measure, pair timeseries.Pair, method Method)
 	return st.PairValue(m, pair, method)
 }
 
-// PairValue evaluates one pair with a concrete sweep method (Backend).
+// PairValue evaluates one pair with a concrete sweep method (Backend).  The
+// naive method reads a canonical pair of the universe off the epoch's naive
+// column of the measure's base where the epoch has one (naiveColumn), and
+// evaluates the raw series otherwise.
 func (e *engineState) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
 	switch method {
 	case MethodNaive:
+		if sp, err := pairwiseSpec(m); err == nil {
+			slot, ok := e.rel.Layout().Slot(pair)
+			if col := e.naiveColumn(sp.Base); col != nil && ok {
+				return e.derivePair(sp, pair, col[e.columnPos(e.pairPos, int32(slot))])
+			}
+		}
 		return e.naive.PairValue(m, pair)
 	case MethodAffine:
 		return e.affinePairValue(m, pair)
@@ -139,6 +148,13 @@ func (e *engineState) affinePairValue(m stats.Measure, pair timeseries.Pair) (fl
 	if err != nil {
 		return 0, err
 	}
+	return e.derivePair(sp, pair, base)
+}
+
+// derivePair puts a pair's base T value through sp's transform with the pair's
+// separable parameter over the window's memoised moments — the bits
+// measure.EvalPair gives on the raw series.
+func (e *engineState) derivePair(sp *measure.Spec, pair timeseries.Pair, base float64) (float64, error) {
 	if !sp.Derived() {
 		return base, nil
 	}

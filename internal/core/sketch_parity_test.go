@@ -235,7 +235,9 @@ func TestSketchLowCoefficientParity(t *testing.T) {
 
 // TestSketchExplainActuals pins the observability contract: Explain through
 // the sketch tier stamps the prescreened and refined pair counts on the plan,
-// and refined never exceeds sketched.
+// and refined never exceeds sketched.  The query is on cosine, a dot-product
+// base measure with correlation's [−1, 1] range: at the build epoch, a full
+// fit, a correlation query reads the naive covariance column instead.
 func TestSketchExplainActuals(t *testing.T) {
 	fx := makeStreamFixture(t, 12, 60, 0, 47)
 	e, err := Build(fx.window, Config{
@@ -245,7 +247,7 @@ func TestSketchExplainActuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p, err := e.Explain(plan.Interval(stats.Correlation, interval.Between(0.5, 0.9)), MethodNaive)
+	_, p, err := e.Explain(plan.Interval(stats.Cosine, interval.Between(0.5, 0.9)), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,13 +269,15 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 
 // TestSketchBoundColumnConcurrentFirstSweeps: eight goroutines issue an
 // epoch's first naive sweeps at once — each base's column is filled exactly
-// once and every answer equals the sketch-free twin's.  Run with -race (CI
+// once and every answer equals the sketch-free twin's.  The epochs are
+// partial refits (DriftBound > 0, after a first Advance), where the
+// covariance base has no fit column and is sketched too.  Run with -race (CI
 // does).
 func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 	const goroutines = 8
 	for _, p := range []int{1, 8} {
-		fx := makeStreamFixture(t, 24, 90, 2, 19)
-		cfg := Config{Clusters: 4, Seed: 5, Parallelism: p}
+		fx := makeStreamFixture(t, 24, 90, 3, 19)
+		cfg := Config{Clusters: 4, Seed: 5, Parallelism: p, Stream: StreamConfig{DriftBound: 0.5}}
 		plain, err := Build(fx.window, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -285,6 +287,7 @@ func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		advanceBoth(t, fx.ticks[:1], e, plain)
 		specs := []plan.QuerySpec{
 			plan.Interval(stats.Correlation, interval.GreaterThan(0.4)),
 			plan.Interval(stats.Cosine, interval.Between(0.2, 0.9)),
@@ -321,17 +324,17 @@ func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 			wg.Wait()
 			for g := range got {
 				if errs[g] != nil {
-					t.Fatalf("P=%d epoch %d goroutine %d: %v", p, round, g, errs[g])
+					t.Fatalf("P=%d epoch %d goroutine %d: %v", p, round+1, g, errs[g])
 				}
 				for i := range specs {
 					q := (g + i) % len(specs)
-					mustEqualResults(t, fmt.Sprintf("P=%d epoch %d goroutine %d %v", p, round, g, specs[q]), got[g][i], want[q])
+					mustEqualResults(t, fmt.Sprintf("P=%d epoch %d goroutine %d %v", p, round+1, g, specs[q]), got[g][i], want[q])
 				}
 			}
 			if d := e.sweep.boundFills.Load() - fills; d != 2 {
-				t.Fatalf("P=%d epoch %d: %d bound-column fills under %d concurrent first sweeps, want 2 (one per base)", p, round, d, goroutines)
+				t.Fatalf("P=%d epoch %d: %d bound-column fills under %d concurrent first sweeps, want 2 (one per base)", p, round+1, d, goroutines)
 			}
-			advanceBoth(t, fx.ticks[round:round+1], e, plain)
+			advanceBoth(t, fx.ticks[round+1:round+2], e, plain)
 		}
 	}
 }
@@ -341,19 +344,22 @@ func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 // in both directions — and holds the sketch tier's counters to an oracle that
 // bounds every item afresh with BoundBlock per chunk and classifies each pair
 // with sketch.Classify: the column changes what a sweep reads, not what it
-// counts.
+// counts.  The epochs are partial refits (DriftBound > 0, after a first
+// Advance), where correlation has no fit column and is sketched.
 func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 	for _, p := range determinismLevels {
 		fx := makeStreamFixture(t, 30, 90, 2, 23)
 		e, err := Build(fx.window, Config{
 			Clusters: 4, Seed: 5, Parallelism: p,
 			Sketch: sketch.Options{Enabled: true, Coefficients: 8},
+			Stream: StreamConfig{DriftBound: 0.5},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		advanceBoth(t, fx.ticks[:1], e)
 		for round := 0; round < 2; round++ {
-			label := fmt.Sprintf("P=%d epoch %d", p, round)
+			label := fmt.Sprintf("P=%d epoch %d", p, round+1)
 			oracle := newScalarOracle(t, e)
 			var specs []plan.QuerySpec
 			for _, m := range []stats.Measure{stats.Correlation, stats.Cosine, stats.EuclideanDistance} {
@@ -400,7 +406,9 @@ func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 			if want.DefiniteIn == 0 || want.DefiniteOut == 0 || want.Ambiguous == 0 || want.TopKSkippedPairs == 0 {
 				t.Fatalf("%s: the sequence leaves a counter at zero (%+v): the oracle is vacuous", label, want)
 			}
-			advanceBoth(t, fx.ticks[round:round+1], e)
+			if round == 0 {
+				advanceBoth(t, fx.ticks[1:2], e)
+			}
 		}
 	}
 }

@@ -44,9 +44,11 @@ import (
 //
 // A group with no provider — the affine method, whose base values are the
 // epoch's base column (basecolumns.go: every relationship's propagation,
-// evaluated once per base and epoch), or a measure whose transform has no
-// liftable bound — is the degenerate case: every pair is ambiguous and the
-// whole chunk is evaluated.
+// evaluated once per base and epoch), a naive group on the covariance base at
+// an epoch whose full fit left the naive covariance column (the fit's
+// CovBlock values, the kernels' own bits), or a measure whose transform has
+// no liftable bound — is the degenerate case: every pair is ambiguous and the
+// whole chunk is evaluated, or read off the group's column.
 //
 // Because every bound is definite (padded past every floating-point error
 // source, DESIGN.md "Slid pair moments") and the pairs that need a value get
@@ -203,8 +205,9 @@ type baseGroup struct {
 	// Without providers every pair is evaluated.
 	bounded   bool
 	providers []boundProvider
-	// column is an affine group's base values over the pair universe, the
-	// epoch's base column (nil for a naive group, which runs the kernels).
+	// column is the group's base values over the pair universe — an affine
+	// group's base column, a naive covariance group's fit column — or nil
+	// for a naive group that runs the kernels.
 	column []float64
 }
 
@@ -222,8 +225,9 @@ type itemState struct {
 // (base T-measure, method) — queries on cosine, Dice and Euclidean distance
 // all ride one dot-product evaluation — and every group runs the stage at the
 // head of this file in one shared pass over the pair universe (sweepPass).
-// Only a naive top-k item of a boundable measure runs on its own (boundTopK):
-// it has to see every pair's bound before it knows which pairs to refine.
+// Only a naive top-k item of a boundable measure without a column runs on its
+// own (boundTopK): it has to see every pair's bound before it knows which
+// pairs to refine.
 //
 // On a cache-enabled engine an interval result also carries the value of
 // every row it kept — the stage has them in hand and the cache stores them —
@@ -257,7 +261,9 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 		if p.Method != MethodNaive && p.Method != MethodAffine {
 			return fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
 		}
-		boundable := p.Method == MethodNaive && sp.SketchBoundable()
+		// A naive item the fit's covariance column answers rides its group
+		// like an affine item: no bounds, no classification, no boundTopK.
+		boundable := p.Method == MethodNaive && sp.SketchBoundable() && e.naiveColumn(sp.Base) == nil
 		if boundable && p.Spec.Kind == plan.KindTopK {
 			provs, err := e.boundProviders(sp.Base, mom)
 			if err != nil {
@@ -304,6 +310,8 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 			if g.column, source, err = e.baseColumn(g.key.base); err != nil {
 				return err
 			}
+		} else if g.column = e.naiveColumn(g.key.base); g.column != nil {
+			source = BaseFit
 		}
 		for _, mg := range g.measures {
 			for _, k := range mg.idxs {

@@ -225,6 +225,46 @@ func FuzzTileKernelParity(f *testing.F) {
 	})
 }
 
+// FuzzCovBlockOrientation pins the invariant the naive covariance column rests
+// on: CovBlock gives a pair the same bits in either orientation and in any
+// tile.  The SYMEX+ fit reduces cov(s_common, s_other) a pivot at a time, in
+// runs that share the common column (shared-U tiles), and a naive sweep
+// evaluates the canonical pair wherever its chunk puts it — so a pair list,
+// the same list with every pair flipped (its runs become mixed tiles sharing
+// the upper column) and each pair on its own (the scalar tail) must agree bit
+// for bit, NaN for NaN on hostileMatrix's non-finite samples.  The seeds cover
+// m ∈ {1, 2, 3}, and from n = 9 on the windows hold a constant column and
+// columns near 1e±150.
+func FuzzCovBlockOrientation(f *testing.F) {
+	for i, m := range []uint8{0, 1, 2, 6, 136, 255} {
+		f.Add(int64(i)+1, uint8(3+4*i), m, uint8(4+9*i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, m, length uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		d, k, mo := hostileMatrix(t, rng, 2+int(n)%24, 1+int(m))
+		pairs := make([]timeseries.Pair, length)
+		flipped := make([]timeseries.Pair, length)
+		for i := range pairs {
+			u := timeseries.SeriesID(rng.Intn(d.NumSeries()))
+			if i > 0 && rng.Intn(3) > 0 {
+				u = pairs[i-1].U // a pivot's run: one common column
+			}
+			v := timeseries.SeriesID(rng.Intn(d.NumSeries()))
+			pairs[i], flipped[i] = timeseries.Pair{U: u, V: v}, timeseries.Pair{U: v, V: u}
+		}
+		got, back, alone := make([]float64, length), make([]float64, length), make([]float64, 1)
+		k.CovBlock(mo, pairs, got)
+		k.CovBlock(mo, flipped, back)
+		for i, p := range pairs {
+			k.CovBlock(mo, pairs[i:i+1], alone)
+			if !sameBits(got[i], back[i]) || !sameBits(got[i], alone[0]) {
+				t.Fatalf("pair %d of %d, %v over m=%d: %x in the list, %x flipped, %x alone", i, len(pairs), p, d.NumSamples(),
+					math.Float64bits(got[i]), math.Float64bits(back[i]), math.Float64bits(alone[0]))
+			}
+		}
+	})
+}
+
 func TestBlocksSingleSampleWindow(t *testing.T) {
 	d, k, mo := testMatrix(t, 4, 1)
 	pairs := allPairsWithDiagonal(d.NumSeries())

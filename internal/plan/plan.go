@@ -205,13 +205,16 @@ type Plan struct {
 	// number that still reached the exact kernels: the pairs no bound could
 	// decide and, on a cache-enabled engine, the rows the query kept (the
 	// cache stores their values).  Zero when the query did not execute as a
-	// naive sweep of a boundable measure.
+	// naive sweep of a boundable measure, or read the epoch's naive
+	// covariance column.
 	SketchedPairs      int
 	SketchRefinedPairs int
-	// BaseValues reports where an affine sweep took its base T-measure values
-	// from: "filled" when this query evaluated the epoch's base column,
-	// "reused" when an earlier sweep of the same base at this epoch already
-	// had.  Empty when no affine sweep ran (another method, a cache hit).
+	// BaseValues reports where a sweep took its base T-measure values from:
+	// "filled" when this affine query evaluated the epoch's base column,
+	// "reused" when an earlier affine sweep of the same base at this epoch
+	// already had, "fit" when this naive query read the covariances the
+	// epoch's full fit reduced.  Empty when the sweep evaluated its base
+	// values or none ran (the index, a cache hit).
 	BaseValues string
 }
 

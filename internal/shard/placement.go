@@ -212,20 +212,16 @@ func tryPlacement(n, shards int, clusterOrder []int, byCluster map[int][]symex.P
 // built from exactly the slices of the global structures a single engine would
 // use).  slots[i] is the global slot of the shard result's slot i — what the
 // coordinator copies back through when it merges an epoch.  The clustering is
-// shared, not copied.
+// shared, not copied; a full fit's pair covariances come along (Subset).
 func Restrict(rel *symex.Result, owner map[symex.Pivot]int, s int) (restricted *symex.Result, slots []int32, err error) {
-	var assignments []symex.Assignment
-	var rels []*symex.Relationship
 	for slot, a := range rel.AssignmentList() {
 		if owner[a.Pivot] == s {
 			slots = append(slots, int32(slot))
-			assignments = append(assignments, a)
-			rels = append(rels, rel.At(slot))
 		}
 	}
-	layout, err := symex.NewLayout(len(rel.Clustering.Assignment), assignments)
+	restricted, err = rel.Subset(slots)
 	if err != nil {
 		return nil, nil, err
 	}
-	return symex.NewResult(layout, rel.Clustering, rels), slots, nil
+	return restricted, slots, nil
 }

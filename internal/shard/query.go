@@ -61,14 +61,13 @@ func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 	return total, nil
 }
 
-// PairValue routes an affine evaluation to the shard owning the pair's pivot,
-// so the propagation uses the owning shard's pivot summary — the same summary
-// a single engine holds.  The naive method reads only the shared window.
+// PairValue routes an evaluation to the shard owning the pair's pivot, so the
+// propagation uses the owning shard's pivot summary — the same summary a
+// single engine holds — and a naive evaluation finds the pair in the owning
+// shard's naive covariance column where the epoch has one (any shard's raw
+// window gives the same bits otherwise).
 func (cs *coordState) PairValue(m stats.Measure, pair timeseries.Pair, method core.Method) (float64, error) {
-	if method == core.MethodAffine {
-		return cs.views[cs.pairOwner(pair)].PairValue(m, pair, method)
-	}
-	return cs.views[0].PairValue(m, pair, method)
+	return cs.views[cs.pairOwner(pair)].PairValue(m, pair, method)
 }
 
 func (cs *coordState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
@@ -394,12 +393,13 @@ func boundBetter(b, incumbent float64, largest bool) bool {
 	return b < incumbent
 }
 
-// pairOwner returns the shard owning a pair: the owner of its pivot's
-// cluster.  A pair without a surviving relationship is answered naively —
+// pairOwner returns the shard owning a pair: the owner of its assigned pivot,
+// pruned or not.  A pair without an assignment is answered naively —
 // identically on every shard — and routes to shard 0.
 func (cs *coordState) pairOwner(pair timeseries.Pair) int {
-	if r, ok := cs.rel.Relationship(pair); ok {
-		return cs.owner[r.Pivot]
+	layout := cs.rel.Layout()
+	if slot, ok := layout.Slot(pair); ok {
+		return cs.owner[layout.Assignments()[slot].Pivot]
 	}
 	return 0
 }

@@ -170,16 +170,19 @@ func TestCoordinatorExplain(t *testing.T) {
 		t.Fatalf("coordinator plan %+v != engine plan %+v", cp, ep)
 	}
 
+	// The sketched query is on cosine, a dot-product base measure: at the
+	// build epoch, a full fit, a correlation query reads the shards' naive
+	// covariance columns instead of the prescreen.
 	skCfg := cfg
 	skCfg.Sketch = sketch.Options{Enabled: true, Coefficients: 4}
 	se, sc := buildFixturePair(t, 3, skCfg)
 	// The endpoint is one pair's exact value, so at least that pair stays
 	// ambiguous under every bound provider and reaches the kernels.
-	endpoint, err := se.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
+	endpoint, err := se.PairValue(stats.Cosine, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skSpec := plan.Interval(stats.Correlation, interval.GreaterThan(endpoint))
+	skSpec := plan.Interval(stats.Cosine, interval.GreaterThan(endpoint))
 	_, sep, err := se.Explain(skSpec, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +262,8 @@ func TestCoordinatorStreaming(t *testing.T) {
 	// it on every shard (each over its own pair universe), and the Advance
 	// that follows carries it — AdvanceShared is a shard's whole part in that.
 	// The affine sweep fills every shard's covariance base column instead.
+	// The naive sweeps are on cosine: these epochs are full refits, where a
+	// covariance-base naive sweep reads the fit's column and no bound.
 	for _, method := range []core.Method{core.MethodIndex, core.MethodAffine} {
 		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), method); err != nil {
 			t.Fatal(err)
@@ -271,7 +276,7 @@ func TestCoordinatorStreaming(t *testing.T) {
 		t.Fatalf("%d base-column fills after one affine sweep over %d shards", ss.SweepBaseFills, c.NumShards())
 	}
 	for round := 0; round < 2; round++ {
-		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), core.MethodNaive); err != nil {
+		if _, err := c.Interval(stats.Cosine, interval.GreaterThan(0.5), core.MethodNaive); err != nil {
 			t.Fatal(err)
 		}
 		if ss, shards := c.StreamStats(), int64(c.NumShards()); ss.MomentFills != shards || ss.MomentSweeps != int64(round+1)*shards {

@@ -52,7 +52,11 @@ func (s *Set) pairCore(u, v int) (sum, kuE, kvE float64) {
 }
 
 // centeredBounds returns the padded definite interval of the centered inner
-// product ⟨x̂, ŷ⟩ for the pair (u, v).
+// product ⟨x̂, ŷ⟩ for the pair (u, v).  The padding scales with the raw norms
+// ‖x‖·‖y‖, not the centred energies: the kept coefficients come from an FFT
+// of the raw column and slide over raw samples, so their rounding is relative
+// to ‖x‖, DC component included — the whole error of a constant series, whose
+// centred energy is 0.
 func (s *Set) centeredBounds(u, v int) (lo, hi float64) {
 	sum, kuE, kvE := s.pairCore(u, v)
 	fm := float64(s.m)
@@ -61,7 +65,7 @@ func (s *Set) centeredBounds(u, v int) (lo, hi float64) {
 	ru := math.Sqrt(math.Max(0, eu-kuE/fm))
 	rv := math.Sqrt(math.Max(0, ev-kvE/fm))
 	rad := ru * rv
-	pad := epsRel * (math.Abs(sm) + rad + math.Sqrt(eu*ev))
+	pad := epsRel * (math.Abs(sm) + rad + math.Sqrt(s.sqNorm[u]*s.sqNorm[v]))
 	return sm - rad - pad, sm + rad + pad
 }
 

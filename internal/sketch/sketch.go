@@ -152,6 +152,7 @@ type Set struct {
 	idx    []int32   // n·d kept coefficient indices, ascending per series
 	re, im []float64 // n·d kept coefficient values
 	energy []float64 // n: centered window energy ‖x̂‖² = (m−1)·Var
+	sqNorm []float64 // n: raw window energy ‖x‖², which scales the padding
 
 	// twiddle[k] = e^{+2πik/m}, the per-step sliding-DFT rotation; computed
 	// once and shared by every epoch's Set of this engine.
@@ -223,6 +224,7 @@ func newSet(n, m, d int, counters *Counters) *Set {
 		re:       make([]float64, n*d),
 		im:       make([]float64, n*d),
 		energy:   make([]float64, n),
+		sqNorm:   make([]float64, n),
 		counters: counters,
 	}
 }
@@ -302,6 +304,7 @@ func selectTop(kept []int32, mag []float64) {
 func (s *Set) finish(mom *kernel.Moments) {
 	fm := float64(s.m)
 	var resSum float64
+	copy(s.sqNorm, mom.SqNorm)
 	for v := 0; v < s.n; v++ {
 		e := float64(s.m-1) * mom.Variance[v]
 		s.energy[v] = e

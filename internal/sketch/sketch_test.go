@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -105,6 +106,56 @@ func TestBoundSoundness(t *testing.T) {
 				t.Fatalf("m=%d d=%d: full-width sketch bound width %v should be tight", m, d, worst)
 			}
 		}
+	}
+}
+
+// TestBoundSoundnessOffsetSeries: the rounding of the kept coefficients —
+// from the FFT and from every sliding step — scales with a series' raw norm,
+// DC component included, not with its centred energy, so a series whose mean
+// dwarfs its spread (a constant one most of all, centred energy 0, every
+// covariance exactly 0) must still get bounds that hold the exact values:
+// after Build and after each of several slides that keep the offsets.
+func TestBoundSoundnessOffsetSeries(t *testing.T) {
+	const n, m = 8, 70
+	rng := rand.New(rand.NewSource(11))
+	offsets := []float64{3, 1e3, 1e4, 0, 0, 0, 0, 0}
+	spreads := []float64{0, 0, 1e-3, 1, 1, 1, 1, 1}
+	sample := func(v int) float64 { return offsets[v] + spreads[v]*rng.NormFloat64() + float64(v) }
+	cols := make([][]float64, n)
+	for v := range cols {
+		cols[v] = make([]float64, m)
+		for i := range cols[v] {
+			cols[v][i] = sample(v)
+		}
+	}
+	window := func(cols [][]float64) (*kernel.Matrix, *kernel.Moments) {
+		d, err := timeseries.NewDataMatrix(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern, err := kernel.FromData(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kern, d.Moments()
+	}
+	kern, mom := window(cols)
+	s := Build(kern, mom, Options{Enabled: true, Coefficients: 8}, 1, &Counters{})
+	checkBounds(t, s, mom, cols, "build")
+	for step := 0; step < 6; step++ {
+		ticks := make([][]float64, 2)
+		for j := range ticks {
+			ticks[j] = make([]float64, n)
+			for v := range ticks[j] {
+				ticks[j][v] = sample(v)
+			}
+		}
+		prev := cols
+		var batch [][]float64
+		cols, batch = slideWindow(prev, ticks)
+		kern, mom = window(cols)
+		s = s.Advance(kern, mom, func(v int) []float64 { return prev[v] }, batch, len(ticks), false, nil, 1)
+		checkBounds(t, s, mom, cols, fmt.Sprintf("slide %d", step+1))
 	}
 }
 

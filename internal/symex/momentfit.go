@@ -138,21 +138,33 @@ func (f *fitter) loadMoments(parallelism int) (err error) {
 // kernel — the pivot fails newMomentPivot, a member's own centre is not the
 // pivot's (so cov(r, y) is not its centre covariance), or a coefficient
 // overflows — and the caller then refits every member.
-func (f *fitter) momentGroup(w *fitScratch, pi int, members []int32, rels []*Relationship) bool {
+//
+// A full fit passes covs (slot-aligned) and gets every member's cov(s, y) at
+// covs[slot] from the same CovBlock call whatever the guard decides, so a full
+// fit reduces each pair covariance once and keeps all of them
+// (Result.PairCov).  A partial refit passes nil and reduces them only for the
+// pivots the guard admits.
+func (f *fitter) momentGroup(w *fitScratch, pi int, members []int32, rels []*Relationship, covs []float64) bool {
 	p := f.layout.pivots[pi]
 	mp, ok := newMomentPivot(f.data.NumSamples(), f.terms[pi].Cov, f.series.Mean[p.Common], f.centers.Mean[p.Cluster])
-	if !ok {
-		return false
-	}
 	w.pairs = w.pairs[:0]
 	for _, v := range w.others {
-		if f.clustering.Assignment[v] != p.Cluster {
-			return false
-		}
+		ok = ok && f.clustering.Assignment[v] == p.Cluster
 		w.pairs = append(w.pairs, timeseries.Pair{U: p.Common, V: v})
+	}
+	if !ok && covs == nil {
+		return false
 	}
 	w.covs = slices.Grow(w.covs[:0], len(w.pairs))[:len(w.pairs)]
 	f.kern.CovBlock(f.series, w.pairs, w.covs)
+	if covs != nil {
+		for i, slot := range members {
+			covs[slot] = w.covs[i]
+		}
+	}
+	if !ok {
+		return false
+	}
 	for i, slot := range members {
 		v := w.others[i]
 		as, ar, b := mp.solve(w.covs[i], f.centerCov[v], f.series.Mean[v])

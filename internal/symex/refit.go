@@ -19,7 +19,8 @@ import (
 // are re-fitted against the new window; the rest are carried over unchanged
 // (transforms are immutable, so old and new results share them).  Passing a
 // nil set refits everything, which reproduces exactly what Compute would
-// produce on the new window with the same clustering.
+// produce on the new window with the same clustering, the pair covariances
+// (Result.PairCov) included; a partial refit keeps none.
 
 // RefitOptions configures Refit.
 type RefitOptions struct {
@@ -97,12 +98,17 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 	rs.Reused = prev.n - wasLive
 
 	rels := slices.Clone(prev.rels)
+	var covs []float64
+	if slots == nil {
+		covs = make([]float64, len(rels))
+	}
 	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, maxLSFD: opts.MaxLSFD}
-	pinvs, err := f.fitSlots(rels, slots, true, opts.Parallelism)
+	pinvs, err := f.fitSlots(rels, covs, slots, true, opts.Parallelism)
 	if err != nil {
 		return nil, rs, err
 	}
 	res := NewResult(layout, prev.Clustering, rels)
+	res.pairCov = covs
 	rs.Refit = res.n - rs.Reused
 	rs.Pruned = fitted - rs.Refit
 	rs.PivotInverses = pinvs

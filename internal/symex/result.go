@@ -200,6 +200,9 @@ type Result struct {
 	rels []*Relationship
 	live []int32 // surviving relationships per pivot, aligned with Pivots
 	n    int     // surviving relationships in total
+	// pairCov[slot] is cov(s_common, s_other) of the slot's pair over the
+	// fitted window, kept by a full SYMEX+ fit (PairCov); nil otherwise.
+	pairCov []float64
 	// Clustering is the AFCLST result used to build pivot pairs.
 	Clustering *cluster.Result
 	// Stats holds work counters.
@@ -233,6 +236,40 @@ func NewResult(l *Layout, clustering *cluster.Result, rels []*Relationship) *Res
 
 // Layout returns the frozen assignment indexes the result is stored against.
 func (r *Result) Layout() *Layout { return r.layout }
+
+// PairCov returns, aligned with the assignment slots, the covariance of every
+// assigned pair over the fitted window — the kernel.CovBlock bits of the
+// pair in (common, other) orientation, which are the canonical pair's bits
+// (the kernel's products commute) — or nil.  A full SYMEX+ fit (Compute, or
+// Refit with a nil stale set) reduces every one of them for the moment form
+// and keeps them, pruned slots and guard-routed pivots included; a partial
+// Refit, plain SYMEX and a result assembled from given relationships (a
+// snapshot) have none.  The slice must not be modified.
+func (r *Result) PairCov() []float64 { return r.pairCov }
+
+// Subset restricts the result to the given assignment slots, in the order
+// given: a result over a layout of those assignments alone that shares the
+// clustering and the relationships and carries the slots' pair covariances
+// when r has them.  The fit counters of Stats are left zero.
+func (r *Result) Subset(slots []int32) (*Result, error) {
+	assignments := make([]Assignment, len(slots))
+	rels := make([]*Relationship, len(slots))
+	for i, slot := range slots {
+		assignments[i], rels[i] = r.layout.assignments[slot], r.rels[slot]
+	}
+	layout, err := NewLayout(r.layout.n, assignments)
+	if err != nil {
+		return nil, err
+	}
+	res := NewResult(layout, r.Clustering, rels)
+	if r.pairCov != nil {
+		res.pairCov = make([]float64, len(slots))
+		for i, slot := range slots {
+			res.pairCov[i] = r.pairCov[slot]
+		}
+	}
+	return res, nil
+}
 
 // AssignmentList returns the full pair→pivot assignment produced by the
 // exploration, including pairs whose relationship is pruned.

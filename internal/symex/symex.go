@@ -255,12 +255,17 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 		return nil, err
 	}
 	rels := make([]*Relationship, len(ex.assignments))
+	var covs []float64
+	if opts.CachePseudoInverse {
+		covs = make([]float64, len(rels))
+	}
 	f := &fitter{data: d, clustering: clustering, layout: layout, maxLSFD: opts.MaxLSFD}
-	pinvs, err := f.fitSlots(rels, nil, opts.CachePseudoInverse, opts.Parallelism)
+	pinvs, err := f.fitSlots(rels, covs, nil, opts.CachePseudoInverse, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	res := NewResult(layout, clustering, rels)
+	res.pairCov = covs
 	res.Stats.PrunedRelationships = len(rels) - res.Len()
 	res.Stats.PseudoInverseComputations = pinvs
 	res.Stats.PseudoInverseCacheHits = len(rels) - pinvs
@@ -348,9 +353,11 @@ type fitScratch struct {
 
 // fitSlots fits the assignments at the given slots (nil means every slot)
 // against the window and stores each fit at rels[slot] — nil when the MaxLSFD
-// bound prunes it.  Every fit is independent and lands at its own slot, so the
-// output is the same at any parallelism.  It returns the number of
-// pseudo-inverses the kernel computed.
+// bound prunes it.  With batch set and covs non-nil it also stores every
+// fitted slot's pair covariance cov(s_common, s_other) at covs[slot], pruned
+// or not and whichever route the fit took (momentGroup).  Every fit is
+// independent and lands at its own slot, so the output is the same at any
+// parallelism.  It returns the number of pseudo-inverses the kernel computed.
 //
 // The unit of work is a pivot group: all the slots to fit that share a
 // pivot.  With batch set (SYMEX+) a group takes the moment form
@@ -358,7 +365,7 @@ type fitScratch struct {
 // computes the pivot's pseudo-inverse rows once for the whole group; without
 // it (plain SYMEX) every fit pays for its own pseudo-inverse.  Workers take
 // contiguous blocks of groups, one scratch per block.
-func (f *fitter) fitSlots(rels []*Relationship, slots []int32, batch bool, parallelism int) (int, error) {
+func (f *fitter) fitSlots(rels []*Relationship, covs []float64, slots []int32, batch bool, parallelism int) (int, error) {
 	if m := f.data.NumSamples(); m < 2 {
 		return 0, fmt.Errorf("%w: fitting needs a window of at least 2 samples, got %d", affine.ErrBadShape, m)
 	}
@@ -376,7 +383,7 @@ func (f *fitter) fitSlots(rels []*Relationship, slots []int32, batch bool, paral
 		w := new(fitScratch)
 		for g := blk.Lo; g < blk.Hi; g++ {
 			if group := members[start[g]:start[g+1]]; len(group) > 0 {
-				n, err := f.fitGroup(w, g, group, rels, batch)
+				n, err := f.fitGroup(w, g, group, rels, covs, batch)
 				if err != nil {
 					return err
 				}
@@ -391,7 +398,7 @@ func (f *fitter) fitSlots(rels []*Relationship, slots []int32, batch bool, paral
 // fitGroup fits every member slot of pivot pi — by the moment form when
 // batched and admitted by the guard, by the kernel otherwise — and applies the
 // MaxLSFD bound.  It returns the number of pseudo-inverses computed.
-func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relationship, batch bool) (int, error) {
+func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relationship, covs []float64, batch bool) (int, error) {
 	p := f.layout.pivots[pi]
 	common, center, err := pivotColumns(f.data, f.clustering, p)
 	if err != nil {
@@ -407,7 +414,7 @@ func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relati
 	}
 
 	pinvs := 0
-	if !batch || !f.momentGroup(w, pi, members, rels) {
+	if !batch || !f.momentGroup(w, pi, members, rels, covs) {
 		// The kernel: the one caller of setPivot, once per group under SYMEX+
 		// and once per relationship under plain SYMEX.
 		for i, slot := range members {
