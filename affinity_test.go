@@ -222,52 +222,3 @@ func TestPublicEngineMethodSet(t *testing.T) {
 		t.Fatalf("*Engine methods = %v, want %v", got, want)
 	}
 }
-
-// TestBatchMatchesSingleCalls: Batch over a mixed list — MET both ways, MER,
-// top-k in both directions and an L-measure interval — equals the single
-// Interval and TopK calls element by element under every method, and a spec
-// with k = 0 fails the batch with the single call's error.
-func TestBatchMatchesSingleCalls(t *testing.T) {
-	eng, _ := buildPublicEngine(t)
-	type single func(Method) (Result, error)
-	cases := []struct {
-		spec QuerySpec
-		call single
-	}{
-		{IntervalSpec(Correlation, GreaterThan(0.8)), func(m Method) (Result, error) { return eng.Interval(Correlation, GreaterThan(0.8), m) }},
-		{IntervalSpec(Cosine, LessThan(0.2)), func(m Method) (Result, error) { return eng.Interval(Cosine, LessThan(0.2), m) }},
-		{IntervalSpec(Covariance, Between(-0.1, 0.1)), func(m Method) (Result, error) { return eng.Interval(Covariance, Between(-0.1, 0.1), m) }},
-		{TopKSpec(Correlation, 5, true), func(m Method) (Result, error) { return eng.TopK(Correlation, 5, true, m) }},
-		{TopKSpec(EuclideanDistance, 4, false), func(m Method) (Result, error) { return eng.TopK(EuclideanDistance, 4, false, m) }},
-		{IntervalSpec(Median, AtLeast(0)), func(m Method) (Result, error) { return eng.Interval(Median, AtLeast(0), m) }},
-	}
-	specs := make([]QuerySpec, len(cases))
-	for i, c := range cases {
-		specs[i] = c.spec
-	}
-	for _, method := range []Method{Naive, Affine, Index, Auto} {
-		got, err := eng.Batch(specs, method)
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if len(got) != len(cases) {
-			t.Fatalf("%v: %d results for %d specs", method, len(got), len(cases))
-		}
-		for i, c := range cases {
-			want, err := c.call(method)
-			if err != nil {
-				t.Fatalf("%v: single %v: %v", method, c.spec, err)
-			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("%v: batch[%d] (%v) = %+v, single call = %+v", method, i, c.spec, got[i], want)
-			}
-		}
-		bad := append(slices.Clone(specs), TopKSpec(Correlation, 0, true))
-		if _, err := eng.Batch(bad, method); !errors.Is(err, ErrBadTopK) {
-			t.Fatalf("%v: batch with k = 0 err = %v, want ErrBadTopK", method, err)
-		}
-		if _, err := eng.TopK(Correlation, 0, true, method); !errors.Is(err, ErrBadTopK) {
-			t.Fatalf("%v: single k = 0 err = %v, want ErrBadTopK", method, err)
-		}
-	}
-}

@@ -362,9 +362,9 @@ func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]times
 // result rows' measure values (containment filtering and repair seeding read
 // them).  A single engine's sweep — naive or affine, prescreened or not — has
 // the exact value of every row it keeps in hand and hands them over in
-// res.Values; the executions that do not produce values — the index, a
-// coordinator's merged fan-out — have them captured post hoc with the per-pair
-// evaluator of the item's method, once per cold query; a hit never pays it.
+// res.Values; a coordinator's merged fan-out has them captured post hoc with
+// the per-pair evaluator of the item's method, once per cold query (a hit
+// never pays it), and an index entry stores none (see below).
 // Both give the same bits: the sweeps are bit-identical to the per-pair
 // evaluators by the engine's parity contract.  Top-k entries store their
 // ranking values directly.
@@ -373,20 +373,19 @@ func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res Que
 		cache.Put(key, b.Epoch(), res.Pairs, res.Values)
 		return
 	}
-	// Affine and index entries both store the affine evaluator's values.  The
-	// two methods answer from the same relationships and return equal result
-	// sets on the parity suites' data, but not equal bits: both read the same
-	// pivot terms, yet the index evaluates ‖α‖·(αᵀβ/‖α‖) where W_A evaluates
-	// the propagation quadratic form, so the two differ in the last digits
-	// (DESIGN.md "W_A and SCAPE values").  An index-method entry therefore
-	// holds affine values for the index's rows.
-	evaluator := MethodAffine
-	if it.Method == MethodNaive {
-		evaluator = MethodNaive
+	// An index entry serves exact hits only: the index decides membership by
+	// its own values (ξ against τ/‖α‖ for a T-measure), which no per-pair
+	// evaluator reproduces bit for bit — W_A evaluates the propagation
+	// quadratic form (DESIGN.md "W_A and SCAPE values") — so filtering other
+	// values could move a row on a narrower interval's boundary.  Without
+	// values the containment tier passes the entry by.
+	if it.Method == MethodIndex {
+		cache.Put(key, b.Epoch(), res.Pairs, nil)
+		return
 	}
 	values := make([]float64, len(res.Pairs))
 	for i, pair := range res.Pairs {
-		v, err := b.PairValue(it.Spec.Measure, pair, evaluator)
+		v, err := b.PairValue(it.Spec.Measure, pair, it.Method)
 		if err != nil {
 			return // not storable; the returned result is unaffected
 		}
@@ -448,7 +447,22 @@ func computePairwise(b Backend, m stats.Measure, ids []timeseries.SeriesID, meth
 	}
 	switch {
 	case method == MethodNaive && b.Replica().naiveColumn(sp.Base) == nil:
-		return b.Replica().naive.Pairwise(m, ids)
+		out, err := b.Replica().naive.Pairwise(m, ids)
+		if err != nil {
+			return nil, err
+		}
+		// A series with itself is the spec's declared self value on every
+		// route: the kernels' cov/√(var·var) overflows to 0 past ~1e77.
+		for i, u := range ids {
+			for j, v := range ids {
+				if u == v {
+					if out[i][j], err = measure.OrNaN(b.SelfValue(m, u)); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+		return out, nil
 	case method == MethodNaive || method == MethodAffine:
 		// Pair by pair through the backend: the affine propagation, or the
 		// naive covariance column of the owning engine.

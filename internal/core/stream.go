@@ -478,12 +478,16 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 // transform on the current pivot summary's covariance terms, and the series'
 // true variance from the window's moments.  A fresh fit has a small
 // discrepancy (only the fit residual); a transform invalidated by window
-// movement drifts away from the observed variance.
+// movement drifts away from the observed variance.  The ratio is scale-free:
+// a window scaled by a power of two scores the same bits.  A constant series
+// (true variance 0) has drifted iff the transform predicts any variance.
 func relationshipDrift(rel *symex.Relationship, cov [3]float64, trueVar float64) float64 {
 	vars := rel.Transform.PropagateVariances(cov)
-	denom := trueVar
-	if denom < 1e-12 {
-		denom = 1e-12
+	if trueVar == 0 {
+		if vars[1] == 0 {
+			return 0
+		}
+		return math.Inf(1)
 	}
-	return math.Abs(vars[1]-trueVar) / denom
+	return math.Abs(vars[1]-trueVar) / trueVar
 }

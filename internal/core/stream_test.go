@@ -329,6 +329,63 @@ func TestSelectiveRefitDrift(t *testing.T) {
 	}
 }
 
+// TestDriftScoringIsScaleFree: drift is a relative discrepancy, so a stream
+// scaled by 2^-200 or 2^200 — every window variance far below or above any
+// absolute floor — refits exactly the relationships the unscaled stream does,
+// epoch by epoch, stale set by stale set.
+func TestDriftScoringIsScaleFree(t *testing.T) {
+	const n, window, slide, rounds = 20, 90, 8, 4
+	fx := makeStreamFixture(t, n, window, slide*rounds, 7)
+	history := func(exp int) []string {
+		series := make([][]float64, n)
+		for v := range series {
+			x, err := fx.window.SeriesCopy(timeseries.SeriesID(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range x {
+				x[i] = math.Ldexp(x[i], exp)
+			}
+			series[v] = x
+		}
+		d, err := timeseries.NewDataMatrix(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Build(d, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.05}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for r := 0; r < rounds; r++ {
+			for _, tick := range fx.ticks[r*slide : (r+1)*slide] {
+				scaled := make([]float64, n)
+				for v, x := range tick {
+					scaled[v] = math.Ldexp(x, exp)
+				}
+				if err := e.Append(scaled); err != nil {
+					t.Fatal(err)
+				}
+			}
+			info, err := e.Advance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprint(info.RefitRelationships, SortedStalePairs(info.Stale)))
+		}
+		return out
+	}
+	want := history(0)
+	if want[0] == fmt.Sprint(0, []timeseries.Pair{}) {
+		t.Fatal("the unscaled stream refits nothing: the test cannot tell scales apart")
+	}
+	for _, exp := range []int{-200, 200} {
+		if got := history(exp); !slices.Equal(got, want) {
+			t.Fatalf("scale 2^%d: refits %.200v, unscaled %.200v", exp, got, want)
+		}
+	}
+}
+
 // TestAdvanceNoOpAndAppendErrors covers the trivial streaming edges.
 func TestAdvanceNoOpAndAppendErrors(t *testing.T) {
 	const n, window = 12, 60

@@ -29,6 +29,10 @@ type View struct {
 // View captures the engine's current epoch.
 func (e *Engine) View() View { return View{e.state()} }
 
+// Restore reinstates an epoch captured with View: a coordinator whose
+// cross-shard barrier failed puts its advanced shards back.
+func (e *Engine) Restore(v View) { e.cur.Store(v.engineState) }
+
 // Valid reports whether the view is bound to an epoch.
 func (v View) Valid() bool { return v.engineState != nil }
 

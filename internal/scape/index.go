@@ -298,10 +298,12 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if rel == nil || rel.Len() == 0 {
+	opts = opts.withDefaults()
+	// An index without L-measures may be empty: a coordinator shard whose
+	// relationships a refit pruned all away answers no pair, like the engine.
+	if rel == nil || rel.Len() == 0 && len(opts.LocationMeasures) > 0 {
 		return nil, fmt.Errorf("scape: no affine relationships to index")
 	}
-	opts = opts.withDefaults()
 	for _, m := range opts.PairMeasures {
 		sp, ok := measure.Find(m)
 		if !ok || sp.Derived() || !sp.Pairwise() {

@@ -330,3 +330,30 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// FuzzTopKPaddedWindow pins padBound, the no-false-dismissal pad of a
+// T-measure top-k scan: whenever an entry's value ‖α‖·ξ would enter a full
+// heap at threshold v_k (it ties or beats v_k), its ξ lies inside the window
+// the scan ascends, scaleInterval(runningInterval(...), ‖α‖), although the
+// division that window takes rounds differently from the product.
+func FuzzTopKPaddedWindow(f *testing.F) {
+	f.Add(1.0, 0.5, 0.5, true)
+	f.Add(3.0, 1.0/3, 1.0, false)
+	f.Add(1e-300, 1e300, 1.0, true)
+	f.Add(0.1, -7.0, -0.7, false)
+	f.Fuzz(func(t *testing.T, alphaNorm, xi, vk float64, largest bool) {
+		value := alphaNorm * xi
+		if !(alphaNorm > 0) || math.IsInf(alphaNorm, 0) || math.IsInf(xi, 0) || math.IsNaN(xi) ||
+			math.IsInf(vk, 0) || math.IsNaN(vk) || math.IsInf(value, 0) {
+			return // the index scales finite ξ by a finite positive norm
+		}
+		if !BoundBeats(value, vk, largest) {
+			return
+		}
+		heap := NewTopHeap(1, largest)
+		heap.Offer(timeseries.Pair{U: 0, V: 1}, vk)
+		if window := scaleInterval(runningInterval(heap, largest), alphaNorm); !window.Contains(xi) {
+			t.Fatalf("‖α‖ %v · ξ %v = %v beats v_k %v (largest %v) but ξ is outside %v", alphaNorm, xi, value, vk, largest, window)
+		}
+	})
+}

@@ -79,7 +79,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	if err := d.Validate(); err != nil {
 		return nil, us, err
 	}
-	if rel == nil || rel.Len() == 0 {
+	if rel == nil || rel.Len() == 0 && len(prev.opts.LocationMeasures) > 0 {
 		return nil, us, fmt.Errorf("scape: no affine relationships to index")
 	}
 	if d.NumSeries() != prev.numSeries {

@@ -288,6 +288,14 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 		return core.AdvanceInfo{}, err
 	}
 
+	// A failed barrier restores every shard's previous epoch, so a failed
+	// Advance leaves the coordinator where it was, like an engine's.
+	fail := func(err error) (core.AdvanceInfo, error) {
+		for s, e := range c.engines {
+			e.Restore(cs.views[s])
+		}
+		return core.AdvanceInfo{}, err
+	}
 	infos := make([]core.AdvanceInfo, len(c.engines))
 	err = par.Do(len(c.engines), len(c.engines), func(s int) error {
 		info, err := c.engines[s].AdvanceShared(newData, batch)
@@ -295,7 +303,7 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 		return err
 	})
 	if err != nil {
-		return core.AdvanceInfo{}, err
+		return fail(err)
 	}
 
 	// Barrier crossed: every shard has swapped.  Capture the new views, merge
@@ -307,7 +315,7 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 	merged := c.mergeRelationships(views)
 	st, err := c.makeState(views, newData, merged, cs.epoch+1)
 	if err != nil {
-		return core.AdvanceInfo{}, err
+		return fail(err)
 	}
 
 	// The coordinator's stale set is the union of the per-shard sets (the

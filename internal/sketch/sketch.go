@@ -153,6 +153,10 @@ type Set struct {
 	re, im []float64 // n·d kept coefficient values
 	energy []float64 // n: centered window energy ‖x̂‖² = (m−1)·Var
 	sqNorm []float64 // n: raw window energy ‖x‖², which scales the padding
+	// peak is each series' largest raw window energy since its last
+	// rebuild: the sliding recurrence's rounding scales with it, not with
+	// the current window's (see slideRebuild).
+	peak []float64
 
 	// twiddle[k] = e^{+2πik/m}, the per-step sliding-DFT rotation; computed
 	// once and shared by every epoch's Set of this engine.
@@ -207,6 +211,7 @@ func Build(kern *kernel.Matrix, mom *kernel.Moments, opts Options, parallelism i
 		return nil
 	})
 	counters.rebuilt.Add(int64(n))
+	copy(s.peak, mom.SqNorm)
 	s.finish(mom)
 	return s
 }
@@ -225,6 +230,7 @@ func newSet(n, m, d int, counters *Counters) *Set {
 		im:       make([]float64, n*d),
 		energy:   make([]float64, n),
 		sqNorm:   make([]float64, n),
+		peak:     make([]float64, n),
 		counters: counters,
 	}
 }
@@ -330,12 +336,21 @@ func (s *Set) finish(mom *kernel.Moments) {
 	s.ambiguity = amb
 }
 
+// slideRebuild bounds how far a series' window energy may fall below its
+// peak since the last rebuild before its coefficients are rebuilt instead of
+// slid: the recurrence's rounding is relative to the largest samples it ever
+// carried, epsRel's padding to the current window's, and a peak 10⁴ times the
+// current energy (samples 100 times larger) still leaves epsRel a margin of
+// about 4·10⁶/d slide steps.  Streams of steady magnitude never hit it.
+const slideRebuild = 1e4
+
 // Advance derives the next epoch's sketch set.  Every series' kept
 // coefficients are slid by the per-step sliding-DFT recurrence over the
 // evicted (old window prefix) and appended (batch) samples; series with
-// stale[v] set — and every series when rebuildAll is true or slide >= m —
-// are instead rebuilt from a full FFT of the new column, re-picking the
-// top-d set.  kern and mom describe the new window.
+// stale[v] set or whose energy fell below its peak by slideRebuild — and
+// every series when rebuildAll is true or slide >= m — are instead rebuilt
+// from a full FFT of the new column, re-picking the top-d set.  kern and mom
+// describe the new window.
 func (s *Set) Advance(kern *kernel.Matrix, mom *kernel.Moments, oldCols func(v int) []float64, batch [][]float64, slide int, rebuildAll bool, stale []bool, parallelism int) *Set {
 	n, m := kern.NumSeries(), kern.NumSamples()
 	next := newSet(n, m, s.d, s.counters)
@@ -346,8 +361,10 @@ func (s *Set) Advance(kern *kernel.Matrix, mom *kernel.Moments, oldCols func(v i
 	plan := dft.PlanFor(m)
 	var rebuilt, slid atomic.Int64
 	_ = par.Do(n, parallelism, func(v int) error {
-		if rebuildAll || (stale != nil && stale[v]) {
+		next.peak[v] = max(s.peak[v], mom.SqNorm[v])
+		if rebuildAll || (stale != nil && stale[v]) || next.peak[v] > slideRebuild*mom.SqNorm[v] {
 			next.rebuild(v, kern.Col(timeseries.SeriesID(v)), mom, plan)
+			next.peak[v] = mom.SqNorm[v]
 			rebuilt.Add(1)
 			return nil
 		}

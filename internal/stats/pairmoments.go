@@ -22,8 +22,8 @@ import (
 // puts around the exact kernels' value, in units of A_u·A_v — the largest
 // ‖x_u‖·‖x_v‖ any window had while the sum was being slid.  It sits beside
 // the two other paddings of the engine's no-false-dismissal filters: the 1e-9
-// of the SCAPE boundary probes (scape/query.go) and the sketch tier's 1e-7
-// (sketch.epsRel).  The derivation: with ε = 2⁻⁵³ the kernel's own value is
+// of the SCAPE top-k running interval (scape.padBound, scape/topk.go) and the
+// sketch tier's 1e-7 (sketch.epsRel).  The derivation: with ε = 2⁻⁵³ the kernel's own value is
 // within (m+4)·ε·A_u·A_v of the true sum, the column's starts there too (it is
 // materialised by the same kernel), the mean term Σx_u·Σx_v/m adds another
 // (2m+3)·ε, and each slid sample rounds two products, one difference and one
