@@ -96,7 +96,7 @@ func expectedFit(t testing.TB, d *timeseries.DataMatrix, clustering *cluster.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, true
+	return canonical(tr), true
 }
 
 // exactFit returns the least-squares coefficients (a_s, a_r, b) of other on

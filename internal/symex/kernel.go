@@ -14,7 +14,8 @@ import (
 // affine.DesignMatrix, mat.PseudoInverse, then affine.FitWithPseudoInverse's
 // mat.Mul — stays the public entry and the oracle the parity tests compare
 // against; the kernels perform the same floating-point operations in the same
-// order on plain slices, so every coefficient keeps its bits:
+// order on plain slices, so every coefficient of the other series keeps its
+// bits:
 //
 //   - setPivot is mat.PseudoInverse specialised to the design matrix
 //     [s_common, r_cluster, 1_m]: the same one-sided Jacobi sweeps
@@ -24,16 +25,18 @@ import (
 //     term whose left factor is exactly zero is skipped) for V·Σ⁺·Uᵀ.
 //   - fit is one column of mat.Mul(pinv, [s_common, s_other]): three running
 //     dot products of the pseudo-inverse rows with the other series, read in
-//     place.  The column for s_common is the same for every relationship of
-//     the pivot and is computed once by setPivot.
+//     place.  The column for s_common is not read off the pseudo-inverse: it
+//     is (1, 0, 0) exactly, s_common being the design's own first column.
+//     Where the design is rank-deficient (a constant common series) the
+//     minimum-norm solution would be another one, which W_A would propagate
+//     and SCAPE, assuming a₁ = (1, 0)ᵀ, would not.
 
 // pivotFit is one worker's scratch: the pseudo-inverse of the current pivot's
-// design matrix and the first column of every solution that uses it.
+// design matrix.
 type pivotFit struct {
-	size  int          // samples the buffers below were sized for
-	w     [3][]float64 // Jacobi working columns, then unit left singular vectors
-	rows  [3][]float64 // rows of the 3×m pseudo-inverse
-	first [3]float64   // pinv · s_common
+	size int          // samples the buffers below were sized for
+	w    [3][]float64 // Jacobi working columns, then unit left singular vectors
+	rows [3][]float64 // rows of the 3×m pseudo-inverse
 }
 
 // resize points the scratch at buffers for an m-sample window.  The working
@@ -52,9 +55,8 @@ func (k *pivotFit) resize(m int) {
 	}
 }
 
-// setPivot computes the pseudo-inverse of [common, centre, 1_m] into k.rows
-// and the shared first solution column into k.first.  Both columns must have
-// the same length m >= 2; the caller validates that.
+// setPivot computes the pseudo-inverse of [common, centre, 1_m] into k.rows.
+// Both columns must have the same length m >= 2; the caller validates that.
 func (k *pivotFit) setPivot(common, centre []float64) {
 	k.resize(len(common))
 	if len(common) == 2 {
@@ -62,7 +64,6 @@ func (k *pivotFit) setPivot(common, centre []float64) {
 	} else {
 		k.pinvTall(common, centre)
 	}
-	k.first = k.dots(common)
 }
 
 // pinvTall handles m >= 3, where mat.ComputeSVD works on the design matrix
@@ -228,12 +229,12 @@ func (k *pivotFit) dots(x []float64) [3]float64 {
 }
 
 // fit returns the least-squares transform from the current pivot's
-// [s_common, r_cluster] to [s_common, other]: the first two solution rows
-// form A, the last one is bᵀ.
+// [s_common, r_cluster] to [s_common, other]: the other series' solution is
+// A's second column and b₂, the first column the exact (1, 0, 0).
 func (k *pivotFit) fit(other []float64) *affine.Transform {
 	s := k.dots(other)
 	return &affine.Transform{
-		A: [2][2]float64{{k.first[0], s[0]}, {k.first[1], s[1]}},
-		B: [2]float64{k.first[2], s[2]},
+		A: [2][2]float64{{1, s[0]}, {0, s[1]}},
+		B: [2]float64{0, s[2]},
 	}
 }

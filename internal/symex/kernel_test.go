@@ -16,7 +16,7 @@ import (
 
 // oracleFit is the generic route the kernels replace: design matrix,
 // mat.PseudoInverse, affine.FitWithPseudoInverse.  It returns the 3×m
-// pseudo-inverse and the fitted transform.
+// pseudo-inverse and the fitted transform, its first column canonical.
 func oracleFit(t testing.TB, common, centre, other []float64) (*mat.Matrix, *affine.Transform) {
 	t.Helper()
 	source, err := mat.NewFromColumns(common, centre)
@@ -39,7 +39,15 @@ func oracleFit(t testing.TB, common, centre, other []float64) (*mat.Matrix, *aff
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pinv, tr
+	return pinv, canonical(tr)
+}
+
+// canonical sets a generic fit's first column to the exact solution (1, 0, 0)
+// for s_common that the kernel and the moment form return, where the generic
+// route reads the pseudo-inverse's (minimum-norm on a rank-deficient design).
+func canonical(tr *affine.Transform) *affine.Transform {
+	tr.A[0][0], tr.A[1][0], tr.B[0] = 1, 0, 0
+	return tr
 }
 
 func transformBits(tr *affine.Transform) [6]uint64 {

@@ -167,7 +167,7 @@ func TestRefitWithoutAssignments(t *testing.T) {
 }
 
 // TestRefitWindowMismatch rejects a window whose length no longer matches the
-// frozen cluster centers.
+// frozen cluster centers, and a previous result without a clustering.
 func TestRefitWindowMismatch(t *testing.T) {
 	d := correlatedData(t, 9, 3, 8, 40, 0.05)
 	prev, err := Compute(d, defaultOptions())
@@ -180,5 +180,8 @@ func TestRefitWindowMismatch(t *testing.T) {
 	}
 	if _, _, err := Refit(shorter, prev, RefitOptions{}); err == nil {
 		t.Fatal("refit with mismatched window length should fail")
+	}
+	if _, _, err := Refit(d, &Result{}, RefitOptions{}); err == nil {
+		t.Fatal("refit of a result without a clustering should fail")
 	}
 }

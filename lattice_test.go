@@ -241,7 +241,8 @@ type replayer struct {
 	pending [][]float64
 	last    *op
 	// reused reports that the reference's last Advance carried a
-	// relationship over from an older window; see checkOracle.
+	// relationship over from an older window: Lemma 1 and the fit oracle
+	// hold only for fits of the current window.
 	reused bool
 }
 
@@ -601,13 +602,8 @@ func checkCell(c *cell, q query, answer string) error {
 }
 
 // checkOracle asserts the reference-cell properties: Naive is the scalar
-// oracle, and Affine and Index return the same rows on T- and D-measures
-// while every relationship was fitted on the current window.  A relationship
-// carried over under a positive DriftBound answers through its whole
-// transform on the affine route but through its second column on the index,
-// and a kernel fit of a constant common series has a non-canonical first
-// column (ROADMAP), so there the two may differ.
-func checkOracle(ref *cell, q query, o oracle, reused bool, res any, err error) error {
+// oracle, and Affine and Index return the same rows on T- and D-measures.
+func checkOracle(ref *cell, q query, o oracle, res any, err error) error {
 	if err != nil || !q.measure.Valid() {
 		return nil
 	}
@@ -655,7 +651,7 @@ func checkOracle(ref *cell, q query, o oracle, reused bool, res any, err error) 
 			return fmt.Errorf("%s: naive answer differs from the scalar oracle:\n got  %.400s\n want %.400s", label, got, w)
 		}
 	case core.MethodAffine, core.MethodIndex:
-		if q.door > doorExplain || !q.measure.Pairwise() || !measure.Lookup(q.measure).Indexable || reused || extremeNorms(ref.b.Data()) {
+		if q.door > doorExplain || !q.measure.Pairwise() || !measure.Lookup(q.measure).Indexable || extremeNorms(ref.b.Data()) {
 			return nil
 		}
 		other := core.MethodIndex + core.MethodAffine - q.method
@@ -679,9 +675,8 @@ func checkOracle(ref *cell, q query, o oracle, reused bool, res any, err error) 
 // relationship keeps its pair's common series and is a least-squares fit, so
 // its residual is orthogonal to that series and it propagates the pair's dot
 // product — and covariance — exactly up to rounding, far below 1e-7 of
-// ‖x_u‖·‖x_v‖.  A fit the moment form's guard should have sent to the kernel
-// breaks it.  It holds while every relationship was fitted on the current
-// window (see checkOracle).
+// ‖x_u‖·‖x_v‖.  It holds while every relationship was fitted on the current
+// window.
 func checkLemma1(ref *cell) error {
 	d := ref.b.Data()
 	norm := norms(d)
@@ -991,7 +986,7 @@ func (r *replayer) apply(o *op) error {
 	if err := sameAnswer(fmt.Sprintf("%v door %d method %v", q.resolved, q.door, q.method), cells, answers, group); err != nil {
 		return err
 	}
-	return checkOracle(ref, q, oracles[q.measure], r.reused, refRes, refErr)
+	return checkOracle(ref, q, oracles[q.measure], refRes, refErr)
 }
 
 // generate draws the bytes of the i-th generated sequence.
