@@ -285,6 +285,49 @@ func BenchmarkScapeCorrelationThreshold(b *testing.B) {
 	})
 }
 
+// BenchmarkIndexInterval times an index batch shaped like the streaming
+// lifecycle's steady pass: MET at 1 % and 20 % and MER at 5 % of the pairs
+// over correlation, covariance and Euclidean distance (the distance measure's
+// tails at its low, "close" end).  CI tracks its allocs/op against
+// BENCH_BUDGET.json: the scan fills pooled per-block buffers and allocates
+// each answer once, at its final size, plus O(queries) bookkeeping — never a
+// buffer grown by append.  The warm-up batch fills the epoch's Euclidean
+// distance value column and the pool outside the timed region.
+func BenchmarkIndexInterval(b *testing.B) {
+	engine := benchmarkEngine(b)
+	var batch []core.IntervalQuery
+	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.EuclideanDistance} {
+		sweep, err := engine.PairwiseSweepNaive(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vals := append([]float64(nil), sweep.Values...)
+		sort.Float64s(vals)
+		at := func(q float64) float64 { return vals[int(q*float64(len(vals)-1))] }
+		if m == stats.EuclideanDistance {
+			batch = append(batch,
+				core.IntervalQuery{Measure: m, Interval: interval.LessThan(at(0.01))},
+				core.IntervalQuery{Measure: m, Interval: interval.LessThan(at(0.20))},
+				core.IntervalQuery{Measure: m, Interval: interval.Between(at(0.02), at(0.07))})
+			continue
+		}
+		batch = append(batch,
+			core.IntervalQuery{Measure: m, Interval: interval.GreaterThan(at(0.99))},
+			core.IntervalQuery{Measure: m, Interval: interval.GreaterThan(at(0.80))},
+			core.IntervalQuery{Measure: m, Interval: interval.Between(at(0.93), at(0.98))})
+	}
+	if _, err := engine.IntervalBatch(batch, core.MethodIndex); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.IntervalBatch(batch, core.MethodIndex); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNaiveCorrelationThreshold measures the same query with the naive
 // method, for comparison with BenchmarkScapeCorrelationThreshold.
 func BenchmarkNaiveCorrelationThreshold(b *testing.B) {
@@ -463,9 +506,10 @@ func BenchmarkSweep(b *testing.B) {
 // cosine distribution — a dot-product base measure, because at the build
 // epoch, a full fit, a correlation sweep reads the naive covariance column
 // and never the sketch).  CI tracks its allocs/op against
-// BENCH_BUDGET.json: the prescreen allocates the compacted result and
-// O(blocks) per-worker scratch (the pair universe is enumerated chunk by
-// chunk, not materialized) — never O(pairs) transient garbage.  The sketch
+// BENCH_BUDGET.json: the prescreen allocates the compacted result once, at its
+// final size, and borrows its per-block scratch from a pool (the pair universe
+// is enumerated chunk by chunk, not materialized) — never O(pairs) transient
+// garbage.  The sketch
 // set, the pair-moment column and the epoch's covariance sketch-bound column
 // are per epoch, so the warm-up query keeps their fills out of the timed
 // region: each timed sweep reads the bound column.  BenchmarkSketchSweepCold
@@ -906,11 +950,11 @@ func BenchmarkCachedInterval(b *testing.B) {
 // reads the naive covariance column and never the pair moments.  A miss classifies every pair against the
 // column's bounds and sends only the rows it keeps (the cache stores their
 // values) and the sliver it cannot decide to the kernels.  CI tracks its
-// allocs/op against BENCH_BUDGET.json: the result (twice, pairs and values,
-// with append growth) plus O(blocks) scratch — never the pair universe and
-// never a column.  The cache budget is small enough that old bands are
-// evicted: a miss scans the stored entries for one that contains it, and ns/op
-// should not grow with b.N.
+// allocs/op against BENCH_BUDGET.json: the result, pairs and values, each
+// allocated once at its final size; the per-block scratch is pooled — never
+// the pair universe and never a column.  The cache budget is small enough
+// that old bands are evicted: a miss scans the stored entries for one that
+// contains it, and ns/op should not grow with b.N.
 func BenchmarkCachedSweepMiss(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {

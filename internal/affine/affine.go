@@ -157,38 +157,36 @@ func (t *Transform) PropagateCovariance(sourceCov *mat.Matrix) (float64, error) 
 	return quadraticForm(a1, sourceCov, a2), nil
 }
 
-// PropagateVariances returns the two diagonal entries of Aᵀ·Σ(X)·A: the
-// variances of the two target series, used to build separable normalizers
-// without touching the raw target series.  cov holds the distinct entries
-// (Σ11, Σ12, Σ22) of the symmetric source covariance — measure.PivotTerms.Cov.
+// PropagateSecondVariance returns entry (2, 2) of Aᵀ·Σ(X)·A: the variance
+// of the second target series, the one a relationship maps off the common
+// series, without touching the raw target series.  cov holds the distinct
+// entries (Σ11, Σ12, Σ22) of the symmetric source covariance —
+// measure.PivotTerms.Cov.
 //
 // The streaming drift scorer calls this once per relationship per epoch and
 // the stale set (hence every later answer) depends on its bits, so it is the
-// closed form of the generic product Aᵀ·Σ·A by two mat.Mul calls: entry (j, j)
-// is row j of Aᵀ·Σ times column j of A, every sum starting from zero, adding
+// closed form of the generic product Aᵀ·Σ·A by two mat.Mul calls: the entry
+// is row 2 of Aᵀ·Σ times column 2 of A, every sum starting from zero, adding
 // terms in k order and skipping a term whose left factor is exactly zero.
-func (t *Transform) PropagateVariances(cov [3]float64) [2]float64 {
-	var out [2]float64
-	for j := range out {
-		var t0, t1 float64 // row j of Aᵀ·Σ
-		if a := t.A[0][j]; a != 0 {
-			t0 += a * cov[0]
-			t1 += a * cov[1]
-		}
-		if a := t.A[1][j]; a != 0 {
-			t0 += a * cov[1]
-			t1 += a * cov[2]
-		}
-		var v float64
-		if t0 != 0 {
-			v += t0 * t.A[0][j]
-		}
-		if t1 != 0 {
-			v += t1 * t.A[1][j]
-		}
-		out[j] = v
+func (t *Transform) PropagateSecondVariance(cov [3]float64) float64 {
+	a0, a1 := t.A[0][1], t.A[1][1]
+	var t0, t1 float64 // row 2 of Aᵀ·Σ
+	if a0 != 0 {
+		t0 += a0 * cov[0]
+		t1 += a0 * cov[1]
 	}
-	return out
+	if a1 != 0 {
+		t0 += a1 * cov[1]
+		t1 += a1 * cov[2]
+	}
+	var v float64
+	if t0 != 0 {
+		v += t0 * a0
+	}
+	if t1 != 0 {
+		v += t1 * a1
+	}
+	return v
 }
 
 // PropagateMoment computes a T-measure of the target pair from source-side

@@ -136,12 +136,14 @@ func (st *engineState) slideMoments(old *engineState, batch [][]float64, slide, 
 }
 
 // forUniverseChunks calls fn for every kernel-sized chunk of the pair
-// universe — positions [lo, lo+len(chunk)) — sharded by row blocks.
+// universe — positions [lo, lo+len(chunk)) — sharded by row blocks.  A chunk
+// lives in the block's pooled scratch: fn must not keep it.
 func (e *engineState) forUniverseChunks(parallelism int, fn func(lo int, chunk []timeseries.Pair) error) error {
 	return par.DoBlocks(e.numUniversePairs(), parallelism, func(_ int, blk par.Block) error {
-		scratch := make([]timeseries.Pair, kernel.BlockPairs)
+		sc, _ := blockScratchPool.Get()
+		defer blockScratchPool.Put(sc)
 		for lo := blk.Lo; lo < blk.Hi; lo += kernel.BlockPairs {
-			if err := fn(lo, e.universeChunk(lo, min(lo+kernel.BlockPairs, blk.Hi), scratch)); err != nil {
+			if err := fn(lo, e.universeChunk(lo, min(lo+kernel.BlockPairs, blk.Hi), sc.pairs[:])); err != nil {
 				return err
 			}
 		}
@@ -345,8 +347,8 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 	return nil
 }
 
-// chunkScratch is a row block's working set — one allocation, reused across
-// the block's chunks: pairs holds the chunk (the universe is enumerated, not
+// chunkScratch is a row block's per-chunk working set, reused across the
+// block's chunks: pairs holds the chunk (the universe is enumerated, not
 // materialised), sub the pairs whose exact values are needed and subAt their
 // positions in it, t and v base and derived values, lo and hi a provider's
 // bounds.
@@ -355,6 +357,31 @@ type chunkScratch struct {
 	t, v, lo, hi [kernel.BlockPairs]float64
 	subAt        [kernel.BlockPairs]int16
 	need         [kernel.BlockPairs]bool
+}
+
+// blockScratch is the pooled working set of one row block of a pass over the
+// pair universe — a sweep, a top-k's bounding phase, a column fill: the chunk
+// scratch plus, for the shared sweep pass, the class buffer of its classified
+// items and every item's partial result, whose pair and value buffers keep the
+// capacity they grew to from call to call.
+type blockScratch struct {
+	chunkScratch
+	classes  []sketch.Class
+	partials []sweepPartial
+}
+
+var blockScratchPool par.Scratch[blockScratch]
+
+// reset readies the scratch for a sweep of items items, numCls of them
+// classified, and returns the items' empty partials.
+func (sc *blockScratch) reset(items, numCls int) []sweepPartial {
+	sc.classes = slices.Grow(sc.classes[:0], numCls*kernel.BlockPairs)[:numCls*kernel.BlockPairs]
+	sc.partials = slices.Grow(sc.partials[:0], items)[:items]
+	for k := range sc.partials {
+		p := &sc.partials[k]
+		*p = sweepPartial{pairs: p.pairs[:0], values: p.values[:0]}
+	}
+	return sc.partials
 }
 
 // sweepPartial is one item's share of one row block of the shared pass.
@@ -380,14 +407,22 @@ func (p *sweepPartial) classes(buf []sketch.Class, n int) []sketch.Class {
 // its rows or offers its heap.  Per-block partial results merge in block order
 // (intervals) or through the deterministic (value, pair) total order (top-k
 // heaps), so out[k] equals the sequential single-query scan of items[k]
-// exactly.
+// exactly.  The partials live in pooled block scratch; the merge copies each
+// interval result into its answer, allocated once at its final size.
 func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemState, numCls int, mom *kernel.Moments, out []QueryResult) error {
 	keepValues := e.cache != nil
 	blocks := par.Blocks(e.numUniversePairs(), e.par)
-	// parts[b·len(items)+k] is item k's share of block b.
-	parts := make([]sweepPartial, len(blocks)*len(items))
+	// scratch[b].partials[k] is item k's share of block b.
+	scratch := make([]*blockScratch, len(blocks))
+	defer func() {
+		for _, sc := range scratch {
+			blockScratchPool.Put(sc)
+		}
+	}()
 	err := par.Do(len(blocks), e.par, func(b int) error {
-		local := parts[b*len(items):][:len(items)]
+		w, _ := blockScratchPool.Get()
+		scratch[b] = w
+		local := w.reset(len(items), numCls)
 		for gi := range groups {
 			for _, mg := range groups[gi].measures {
 				for _, k := range mg.idxs {
@@ -402,11 +437,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 		// derived values flow as NaN (EvalOrNaN): interval compaction never
 		// matches NaN and the heaps never rank it, so degenerate pairs drop out
 		// of every result without per-pair control flow.
-		w := new(chunkScratch)
-		var classes []sketch.Class
-		if numCls > 0 {
-			classes = make([]sketch.Class, numCls*kernel.BlockPairs)
-		}
+		classes := w.classes
 		for lo := blocks[b].Lo; lo < blocks[b].Hi; lo += kernel.BlockPairs {
 			hi := min(lo+kernel.BlockPairs, blocks[b].Hi)
 			chunk := e.universeChunk(lo, hi, w.pairs[:])
@@ -414,7 +445,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 				g := &groups[gi]
 				sub := chunk
 				if len(g.providers) > 0 {
-					sub = e.classifyChunk(g, items, lo, chunk, mom, w, classes, local)
+					sub = e.classifyChunk(g, items, lo, chunk, mom, &w.chunkScratch, classes, local)
 				}
 				t := w.t[:len(sub)]
 				if g.column != nil {
@@ -443,12 +474,6 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 							// A definite-in row needs no value unless the cache
 							// stores it; where one is in hand it decides, so a
 							// kept row's membership is the exact value's.
-							if p.pairs == nil {
-								p.pairs = make([]timeseries.Pair, 0, kernel.BlockPairs)
-								if keepValues {
-									p.values = make([]float64, 0, kernel.BlockPairs)
-								}
-							}
 							for i, c := range p.classes(classes, len(chunk)) {
 								switch {
 								case c == sketch.DefiniteOut:
@@ -479,16 +504,16 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 					// of the offered (value, pair) multiset under a total order,
 					// so the merge is independent of the block partition.
 					final := scape.NewTopHeap(spec.K, spec.Largest)
-					for b := range blocks {
-						offerAll(final, parts[b*len(items)+k].heap)
+					for _, sc := range scratch {
+						offerAll(final, sc.partials[k].heap)
 					}
 					topPairs, values := final.Sorted()
 					out[k] = QueryResult{Pairs: topPairs, Values: values}
 					continue
 				}
 				rows := 0
-				for b := range blocks {
-					rows += len(parts[b*len(items)+k].pairs)
+				for _, sc := range scratch {
+					rows += len(sc.partials[k].pairs)
 				}
 				if rows > 0 {
 					out[k].Pairs = make([]timeseries.Pair, 0, rows)
@@ -497,8 +522,8 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 					}
 				}
 				st := &states[k]
-				for b := range blocks {
-					p := &parts[b*len(items)+k]
+				for _, sc := range scratch {
+					p := &sc.partials[k]
 					out[k].Pairs = append(out[k].Pairs, p.pairs...)
 					out[k].Values = append(out[k].Values, p.values...)
 					st.in += p.in
@@ -672,7 +697,9 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 	cblocks := par.Blocks(numChunks, e.par)
 	floors := make([]*scape.TopHeap, len(cblocks))
 	_ = par.Do(len(cblocks), e.par, func(cb int) error {
-		w := new(chunkScratch)
+		sc, _ := blockScratchPool.Get()
+		defer blockScratchPool.Put(sc)
+		w := &sc.chunkScratch
 		floor := scape.NewTopHeap(it.Spec.K, largest)
 		for c := cblocks[cb].Lo; c < cblocks[cb].Hi; c++ {
 			at, chunk := chunkOf(c, w)
@@ -707,7 +734,9 @@ func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider
 
 	// Phase 2.
 	heap := scape.NewTopHeap(it.Spec.K, largest)
-	w := new(chunkScratch)
+	sc, _ := blockScratchPool.Get()
+	defer blockScratchPool.Put(sc)
+	w := &sc.chunkScratch
 	visited := 0
 	for _, c := range chunkVisitOrder(scores) {
 		if vk, full := heap.Threshold(); full {

@@ -482,12 +482,12 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 // a window scaled by a power of two scores the same bits.  A constant series
 // (true variance 0) has drifted iff the transform predicts any variance.
 func relationshipDrift(rel *symex.Relationship, cov [3]float64, trueVar float64) float64 {
-	vars := rel.Transform.PropagateVariances(cov)
+	v := rel.Transform.PropagateSecondVariance(cov)
 	if trueVar == 0 {
-		if vars[1] == 0 {
+		if v == 0 {
 			return 0
 		}
 		return math.Inf(1)
 	}
-	return math.Abs(vars[1]-trueVar) / trueVar
+	return math.Abs(v-trueVar) / trueVar
 }

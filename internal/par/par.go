@@ -13,6 +13,10 @@
 // for any parallelism level — only wall-clock time changes.  This is the
 // mechanism that makes the DESIGN.md invariant "engines are deterministic
 // given (data, seed, config), at any parallelism" hold end to end.
+//
+// Scratch is the one home of the per-call working buffers those fan-outs
+// fill: a call borrows a block's buffers, merges them into its answer — the
+// one allocation at its final size — and returns them.
 package par
 
 import (
@@ -196,4 +200,32 @@ func FlattenBlocks[T any](parts [][]T) []T {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// Scratch is a pool of reusable working buffers of type T, shared by every
+// call of one code path: a call takes a buffer per worker block, fills it,
+// copies what it keeps into its own exact-size result and puts the buffer
+// back, so steady-state calls allocate their answers and nothing else.  A
+// buffer keeps whatever capacity it grew to; the pool drops idle buffers at
+// garbage collection.  The zero value is ready to use and safe for concurrent
+// use.
+type Scratch[T any] struct {
+	pool sync.Pool
+}
+
+// Get returns a buffer — a recycled one, as its last user left it, or a new
+// zero one — and whether it was recycled.
+func (s *Scratch[T]) Get() (*T, bool) {
+	if v := s.pool.Get(); v != nil {
+		return v.(*T), true
+	}
+	return new(T), false
+}
+
+// Put returns a buffer for reuse; a nil buffer is ignored.  The caller must
+// not touch it, or anything that aliases its memory, afterwards.
+func (s *Scratch[T]) Put(x *T) {
+	if x != nil {
+		s.pool.Put(x)
+	}
 }

@@ -171,6 +171,34 @@ func TestFlattenBlocksEmpty(t *testing.T) {
 	}
 }
 
+// TestScratchRecycles: a miss returns a fresh zero buffer, a hit returns a
+// buffer that was put back, as its last user left it, and a nil Put is
+// ignored.  The pool may drop any buffer (the race detector drops some on
+// purpose), so a hit is checked, never required.
+func TestScratchRecycles(t *testing.T) {
+	var s Scratch[[]int]
+	s.Put(nil)
+	put := map[*[]int]bool{}
+	for i := 0; i < 100; i++ {
+		buf, hit := s.Get()
+		if buf == nil {
+			t.Fatal("Get returned nil")
+		}
+		if hit != put[buf] {
+			t.Fatalf("Get reported hit=%v for a buffer put back=%v", hit, put[buf])
+		}
+		if !hit && *buf != nil {
+			t.Fatalf("fresh buffer %v, want the zero value", *buf)
+		}
+		if hit && len(*buf) != 1 {
+			t.Fatalf("recycled buffer %v, want its last user's contents", *buf)
+		}
+		*buf = append((*buf)[:0], i)
+		put[buf] = true
+		s.Put(buf)
+	}
+}
+
 // TestDoEveryIndexExactlyOnce pins the claim cursor: at every count and
 // parallelism — fewer items than workers, one item per worker, many items per
 // worker — each index runs exactly once.

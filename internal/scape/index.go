@@ -460,17 +460,7 @@ type pivotScratch struct {
 	entries []xiEntry
 }
 
-var pivotScratchPool sync.Pool
-
-// getScratch returns a scratch buffer and whether it came from the pool.
-func getScratch() (*pivotScratch, bool) {
-	if v := pivotScratchPool.Get(); v != nil {
-		return v.(*pivotScratch), true
-	}
-	return &pivotScratch{}, false
-}
-
-func putScratch(sc *pivotScratch) { pivotScratchPool.Put(sc) }
+var pivotScratchPool par.Scratch[pivotScratch]
 
 // nodeWork is what building one pivot node cost, summed into the statistics
 // once the (parallel) build is over.
@@ -573,8 +563,8 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.PivotTerms,
 	prevMeasures []pivotMeasure, keys []float64, ranks []int32) (scratchHit bool) {
 
-	sc, scratchHit := getScratch()
-	defer putScratch(sc)
+	sc, scratchHit := pivotScratchPool.Get()
+	defer pivotScratchPool.Put(sc)
 	k := len(node.canon)
 	for s, sp := range specs {
 		pm := &node.measures[s]

@@ -99,6 +99,10 @@ func (idx *Index) NodePivot(i int) symex.Pivot { return idx.pivots[i].pivot }
 // buffers are concatenated per query in block order.  idx.pivots is sorted
 // deterministically at build time, so the merged result is byte-identical at
 // any parallelism level and across rebuilds.
+//
+// The per-block buffers are pooled scratch: the merge copies them into each
+// query's answer, allocated once at its final size, and they go back to the
+// pool when the scan returns.
 func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair, [][]int32, error) {
 	scans := make([]pairScan, len(qs))
 	for qi, q := range qs {
@@ -118,10 +122,16 @@ func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair
 		}
 	}
 	blocks := par.Blocks(nodes, idx.opts.Parallelism)
-	parts := make([][][]timeseries.Pair, len(blocks)) // parts[block][query]
+	parts := make([]*scanScratch, len(blocks))
+	defer func() {
+		for _, sc := range parts {
+			scanScratchPool.Put(sc)
+		}
+	}()
 	// Compiled scans cannot fail; Do only fans the blocks out.
 	_ = par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
-		local := make([][]timeseries.Pair, len(qs))
+		sc, _ := scanScratchPool.Get()
+		local := sc.reset(len(qs))
 		for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
 			for qi := range scans {
 				local[qi] = idx.scanNode(i, scans[qi], local[qi])
@@ -130,7 +140,7 @@ func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair
 				}
 			}
 		}
-		parts[b] = local
+		parts[b] = sc
 		return nil
 	})
 	out := make([][]timeseries.Pair, len(qs))
@@ -138,7 +148,7 @@ func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair
 	for qi := range qs {
 		base := 0
 		for b := range parts {
-			perBlock[b] = parts[b][qi]
+			perBlock[b] = parts[b].pairs[qi]
 			if wantEnds && base > 0 {
 				for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
 					ends[qi][i] += int32(base)
@@ -149,6 +159,24 @@ func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair
 		out[qi] = par.FlattenBlocks(perBlock)
 	}
 	return out, ends, nil
+}
+
+// scanScratch is one node block's working set of a scan: pairs[qi] collects
+// query qi's matches in node order until the merge copies them out.
+type scanScratch struct {
+	pairs [][]timeseries.Pair
+}
+
+var scanScratchPool par.Scratch[scanScratch]
+
+// reset readies n empty per-query buffers, reusing the ones the scratch
+// already holds.
+func (sc *scanScratch) reset(n int) [][]timeseries.Pair {
+	sc.pairs = slices.Grow(sc.pairs[:0], n)[:n]
+	for qi := range sc.pairs {
+		sc.pairs[qi] = sc.pairs[qi][:0]
+	}
+	return sc.pairs
 }
 
 // PairValue returns the index's representation of a pairwise measure for a
