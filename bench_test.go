@@ -240,6 +240,7 @@ func BenchmarkEngineBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Build(sensor, core.Config{Clusters: 6, Seed: 42}); err != nil {

@@ -245,7 +245,7 @@ func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engi
 		rels[i] = &symex.Relationship{
 			Pair:  pair,
 			Pivot: pivot,
-			Transform: &affine.Transform{
+			Transform: affine.Transform{
 				A: [2][2]float64{{values[0], values[1]}, {values[2], values[3]}},
 				B: [2]float64{values[4], values[5]},
 			},

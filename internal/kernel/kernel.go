@@ -27,6 +27,11 @@
 //     for four partners.  (On samples the engine rejects at its boundary the
 //     guarantee is NaN-for-NaN: which payload survives a NaN·NaN is the
 //     operand order the compiler picked, not a property of the arithmetic.);
+//   - a caller that reduces many covariances over one window can centre every
+//     column once instead (Centre): the centred columns are the operands
+//     CovBlock rounds, so DotBlock over them divided by m − 1 keeps
+//     CovBlock's bits while each pair's loop does a multiply-add per sample
+//     and no subtractions — the cold SYMEX+ fit's route;
 //   - undefined derived values propagate arithmetically as NaN (see
 //     measure.OrNaN) and interval predicates compact results branch-free
 //     (CompactPairs) instead of taking a data-dependent branch per pair.
@@ -184,6 +189,26 @@ func (k *Matrix) CovBlock(mo *Moments, pairs []timeseries.Pair, out []float64) {
 		o[0], o[1], o[2], o[3] = s0/div, s1/div, s2/div, s3/div
 	}
 	k.covPairs(mo, pairs[full:], out[full:])
+}
+
+// Centre writes the centred column x_j − x̄ of every series in cols, x̄ taken
+// from mo, into dst (at least n·m long, laid out like the mirror; the columns
+// of other series are left as they are) and returns a mirror over dst.  Those
+// are exactly the operands CovBlock rounds for every pair, and DotBlock sums
+// their products in the same order, so DotBlock over the centred mirror
+// divided by m − 1 is CovBlock's covariance bit for bit: one centring per
+// series, however many pairs read it.  The returned mirror carries no
+// moments.
+func (k *Matrix) Centre(mo *Moments, dst []float64, cols []timeseries.SeriesID) Matrix {
+	dst = dst[:k.n*k.m]
+	for _, id := range cols {
+		x, c, mx := k.Col(id), dst[int(id)*k.m:(int(id)+1)*k.m], mo.Mean[id]
+		c = c[:len(x)]
+		for j, xj := range x {
+			c[j] = xj - mx
+		}
+	}
+	return Matrix{vals: dst, n: k.n, m: k.m}
 }
 
 // covPairs is the one-pair covariance loop — the scalar path's loop over

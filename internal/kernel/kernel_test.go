@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"affinity/internal/interval"
@@ -232,9 +233,12 @@ func FuzzTileKernelParity(f *testing.F) {
 // evaluates the canonical pair wherever its chunk puts it — so a pair list,
 // the same list with every pair flipped (its runs become mixed tiles sharing
 // the upper column) and each pair on its own (the scalar tail) must agree bit
-// for bit, NaN for NaN on hostileMatrix's non-finite samples.  The seeds cover
-// m ∈ {1, 2, 3}, and from n = 9 on the windows hold a constant column and
-// columns near 1e±150.
+// for bit, NaN for NaN on hostileMatrix's non-finite samples.  A cold SYMEX+
+// fit reduces the same covariances as DotBlock over the centred mirror divided
+// by m − 1, so from m = 2 on that must give every pair CovBlock's bits too,
+// over a mirror of every series and over one of only the pairs' series (the
+// other columns left as garbage).  The seeds cover m ∈ {1, 2, 3}, and from
+// n = 9 on the windows hold a constant column and columns near 1e±150.
 func FuzzCovBlockOrientation(f *testing.F) {
 	for i, m := range []uint8{0, 1, 2, 6, 136, 255} {
 		f.Add(int64(i)+1, uint8(3+4*i), m, uint8(4+9*i))
@@ -260,6 +264,32 @@ func FuzzCovBlockOrientation(f *testing.F) {
 			if !sameBits(got[i], back[i]) || !sameBits(got[i], alone[0]) {
 				t.Fatalf("pair %d of %d, %v over m=%d: %x in the list, %x flipped, %x alone", i, len(pairs), p, d.NumSamples(),
 					math.Float64bits(got[i]), math.Float64bits(back[i]), math.Float64bits(alone[0]))
+			}
+		}
+		ns, ms := d.NumSeries(), d.NumSamples()
+		if ms < 2 {
+			return
+		}
+		all, some := make([]timeseries.SeriesID, ns), make([]timeseries.SeriesID, 0, ns)
+		for v := range all {
+			all[v] = timeseries.SeriesID(v)
+			if slices.ContainsFunc(pairs, func(p timeseries.Pair) bool { return p.Contains(all[v]) }) {
+				some = append(some, all[v])
+			}
+		}
+		garbage := make([]float64, ns*ms)
+		for j := range garbage {
+			garbage[j] = 7
+		}
+		for _, cols := range [][]timeseries.SeriesID{all, some} {
+			centred := k.Centre(mo, slices.Clone(garbage), cols)
+			dots := make([]float64, length)
+			centred.DotBlock(nil, pairs, dots)
+			for i, p := range pairs {
+				if cov := dots[i] / float64(ms-1); !sameBits(got[i], cov) {
+					t.Fatalf("pair %d of %d, %v over m=%d, %d of %d series centred: CovBlock %x, centred DotBlock / (m−1) %x",
+						i, len(pairs), p, ms, len(cols), ns, math.Float64bits(got[i]), math.Float64bits(cov))
+				}
 			}
 		}
 	})

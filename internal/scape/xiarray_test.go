@@ -86,7 +86,7 @@ func hostileIndexInputs(t testing.TB, nan bool) (d, next *timeseries.DataMatrix,
 		}
 		pivot := symex.Pivot{Common: pair.U, Cluster: clustering.Assignment[pair.V]}
 		assignments = append(assignments, symex.Assignment{Pair: pair, Pivot: pivot})
-		r := &symex.Relationship{Pair: pair, Pivot: pivot, Transform: &affine.Transform{
+		r := &symex.Relationship{Pair: pair, Pivot: pivot, Transform: affine.Transform{
 			A: [2][2]float64{{1, b[0]}, {0, b[1]}}, B: [2]float64{0, b[2]},
 		}}
 		if pair == (timeseries.Pair{U: 5, V: 6}) {
@@ -524,7 +524,7 @@ func TestBuildSortsLocationEstimates(t *testing.T) {
 		if !ok {
 			t.Fatalf("no assignment for %v", pair)
 		}
-		rels[slot] = &symex.Relationship{Pair: pair, Pivot: rels[slot].Pivot, Transform: &affine.Transform{
+		rels[slot] = &symex.Relationship{Pair: pair, Pivot: rels[slot].Pivot, Transform: affine.Transform{
 			A: [2][2]float64{{1, 0}, {0, 0}}, B: [2]float64{0, values[v]},
 		}}
 	}

@@ -543,7 +543,7 @@ func TestRestrictThenMergeIsIdentity(t *testing.T) {
 		for _, a := range merged.AssignmentList() {
 			g, gok := merged.Relationship(a.Pair)
 			w, wok := ref.Relationship(a.Pair)
-			if gok != wok || (gok && (g.Pivot != w.Pivot || g.Flipped != w.Flipped || *g.Transform != *w.Transform)) {
+			if gok != wok || (gok && (g.Pivot != w.Pivot || g.Flipped != w.Flipped || g.Transform != w.Transform)) {
 				t.Fatalf("epoch %d: pair %v differs between the merged result and the single engine", epoch+1, a.Pair)
 			}
 		}

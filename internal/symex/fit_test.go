@@ -155,7 +155,7 @@ func exactFit(common, centre, other []float64) (as, ar, b float64) {
 // no yardstick here: on windows whose means dwarf their spread its uncentred
 // design is itself off by 1e-12 σ_v, which its first column shows.)  It
 // returns the largest slope error in σ_v units.
-func requireWithinFitBound(t testing.TB, label string, common, centre, other []float64, got *affine.Transform) float64 {
+func requireWithinFitBound(t testing.TB, label string, common, centre, other []float64, got affine.Transform) float64 {
 	t.Helper()
 	if got.A[0][0] != 1 || got.A[1][0] != 0 || got.B[0] != 0 {
 		t.Fatalf("%s: first column %v, %v, b₁ %v, want exactly 1, 0, 0", label, got.A[0][0], got.A[1][0], got.B[0])
@@ -200,7 +200,7 @@ func requireFits(t testing.TB, label string, d *timeseries.DataMatrix, res *Resu
 			continue
 		}
 		want, viaKernel := expectedFit(t, d, res.Clustering, pair, rel.Pivot, batch)
-		if transformBits(rel.Transform) != transformBits(want) {
+		if transformBits(rel.Transform) != transformBits(*want) {
 			t.Fatalf("%s: pair %v pivot %v (kernel=%v): transform %v, oracle %v", label, pair, rel.Pivot, viaKernel, rel.Transform, want)
 		}
 		if viaKernel {
@@ -295,7 +295,7 @@ func TestResultsMatchGenericFit(t *testing.T) {
 		"overflow":       {tiny, normals(rng, 90, 1), huge, true},
 	} {
 		got, rs := fitOne(t, c.common, c.centre, c.other, c.ownCentre)
-		if _, want := oracleFit(t, c.common, c.centre, c.other); transformBits(got) != transformBits(want) || rs.PivotInverses != 1 {
+		if _, want := oracleFit(t, c.common, c.centre, c.other); transformBits(got) != transformBits(*want) || rs.PivotInverses != 1 {
 			t.Fatalf("%s: transform %v (%d pseudo-inverses), kernel %v", name, got, rs.PivotInverses, want)
 		}
 	}

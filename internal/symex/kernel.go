@@ -231,9 +231,9 @@ func (k *pivotFit) dots(x []float64) [3]float64 {
 // fit returns the least-squares transform from the current pivot's
 // [s_common, r_cluster] to [s_common, other]: the other series' solution is
 // A's second column and b₂, the first column the exact (1, 0, 0).
-func (k *pivotFit) fit(other []float64) *affine.Transform {
+func (k *pivotFit) fit(other []float64) affine.Transform {
 	s := k.dots(other)
-	return &affine.Transform{
+	return affine.Transform{
 		A: [2][2]float64{{1, s[0]}, {0, s[1]}},
 		B: [2]float64{0, s[2]},
 	}

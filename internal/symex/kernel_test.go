@@ -50,7 +50,7 @@ func canonical(tr *affine.Transform) *affine.Transform {
 	return tr
 }
 
-func transformBits(tr *affine.Transform) [6]uint64 {
+func transformBits(tr affine.Transform) [6]uint64 {
 	return [6]uint64{
 		math.Float64bits(tr.A[0][0]), math.Float64bits(tr.A[0][1]),
 		math.Float64bits(tr.A[1][0]), math.Float64bits(tr.A[1][1]),
@@ -76,7 +76,7 @@ func checkKernelParity(t testing.TB, k *pivotFit, common, centre, other []float6
 			}
 		}
 	}
-	if got := k.fit(other); transformBits(got) != transformBits(want) {
+	if got := k.fit(other); transformBits(got) != transformBits(*want) {
 		t.Fatalf("m=%d: transform %v, oracle %v", m, got, want)
 	}
 }
@@ -200,7 +200,7 @@ func FuzzFitKernelParity(f *testing.F) {
 // fitOne fits the one relationship of a two-series window through Refit: the
 // other series regressed on [common, centre, 1_m].  Unless ownCentre is set,
 // the other series belongs to a second cluster, so centre is not its own.
-func fitOne(t testing.TB, common, centre, other []float64, ownCentre bool) (*affine.Transform, RefitStats) {
+func fitOne(t testing.TB, common, centre, other []float64, ownCentre bool) (affine.Transform, RefitStats) {
 	t.Helper()
 	d, err := timeseries.NewDataMatrix([][]float64{common, other})
 	if err != nil {
@@ -266,12 +266,12 @@ func FuzzMomentFitParity(f *testing.F) {
 		got, rs := fitOne(t, common, centre, other, true)
 		want, ok := momentOracle(common, centre, other)
 		if !ok {
-			if _, kernel := oracleFit(t, common, centre, other); transformBits(got) != transformBits(kernel) || rs.PivotInverses != 1 {
+			if _, kernel := oracleFit(t, common, centre, other); transformBits(got) != transformBits(*kernel) || rs.PivotInverses != 1 {
 				t.Fatalf("guarded pivot: transform %v (%d pseudo-inverses), kernel %v", got, rs.PivotInverses, kernel)
 			}
 			return
 		}
-		if transformBits(got) != transformBits(want) || rs.PivotInverses != 0 {
+		if transformBits(got) != transformBits(*want) || rs.PivotInverses != 0 {
 			t.Fatalf("moment form: transform %v (%d pseudo-inverses), oracle %v", got, rs.PivotInverses, want)
 		}
 		for _, col := range cols {

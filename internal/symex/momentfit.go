@@ -2,7 +2,6 @@ package symex
 
 import (
 	"math"
-	"slices"
 
 	"affinity/internal/affine"
 	"affinity/internal/kernel"
@@ -26,10 +25,13 @@ import (
 // the pivot terms' covariance block (PivotTerms), cov(r, y) is v's covariance
 // with its own centre (CenterCovariances; ω(v) = l for every member of pivot
 // (u, l)), the means are the window's and the clustering's memos — except
-// cov(s, y), one centred m-sample dot per relationship, which kernel.CovBlock
-// reduces with the pairs oriented (common, other) so a pivot's members share
-// the common column a tile at a time.  That replaces the kernel's Jacobi SVD
-// per pivot and its three latency-bound dots per relationship.
+// cov(s, y), one centred m-sample dot per relationship.  A worker block
+// reduces those of all its pivot groups in one call with the pairs oriented
+// (common, other), so a series' pivots share the common column a tile at a
+// time: in Compute as kernel.DotBlock over the window centred once per series
+// (kernel.Matrix.Centre) divided by m − 1, in Refit as kernel.CovBlock — the
+// same bits.  That replaces the kernel's Jacobi SVD per pivot and its three
+// latency-bound dots per relationship.
 //
 // Forming G squares the design's condition number (Golub & Van Loan, Matrix
 // Computations, §5.3), so the exactness guard below sends a pivot back to the
@@ -133,45 +135,31 @@ func (f *fitter) loadMoments(parallelism int) (err error) {
 	return err
 }
 
-// momentGroup fits the members of pivot pi, whose other series are w.others,
-// by the moment form.  It reports false when the guard sends the pivot to the
-// kernel — the pivot fails newMomentPivot, a member's own centre is not the
-// pivot's (so cov(r, y) is not its centre covariance), or a coefficient
-// overflows — and the caller then refits every member.
-//
-// A full fit passes covs (slot-aligned) and gets every member's cov(s, y) at
-// covs[slot] from the same CovBlock call whatever the guard decides, so a full
-// fit reduces each pair covariance once and keeps all of them
-// (Result.PairCov).  A partial refit passes nil and reduces them only for the
-// pivots the guard admits.
-func (f *fitter) momentGroup(w *fitScratch, pi int, members []int32, rels []*Relationship, covs []float64) bool {
+// momentPivot asks the exactness guard about pivot pi, whose members' other
+// series are others, and prepares its centred solve.  It reports false when
+// the pivot goes to the kernel: it fails newMomentPivot, or a member's own
+// centre is not the pivot's (so cov(r, y) is not its centre covariance).
+func (f *fitter) momentPivot(pi int, others []timeseries.SeriesID) (momentPivot, bool) {
 	p := f.layout.pivots[pi]
 	mp, ok := newMomentPivot(f.data.NumSamples(), f.terms[pi].Cov, f.series.Mean[p.Common], f.centers.Mean[p.Cluster])
-	w.pairs = w.pairs[:0]
-	for _, v := range w.others {
+	for _, v := range others {
 		ok = ok && f.clustering.Assignment[v] == p.Cluster
-		w.pairs = append(w.pairs, timeseries.Pair{U: p.Common, V: v})
 	}
-	if !ok && covs == nil {
-		return false
-	}
-	w.covs = slices.Grow(w.covs[:0], len(w.pairs))[:len(w.pairs)]
-	f.kern.CovBlock(f.series, w.pairs, w.covs)
-	if covs != nil {
-		for i, slot := range members {
-			covs[slot] = w.covs[i]
-		}
-	}
-	if !ok {
-		return false
-	}
+	return mp, ok
+}
+
+// momentGroup solves the members of pivot p, admitted by the guard with the
+// prepared solve mp, by the moment form: the member slots, their other series
+// and their cov(s, y) are aligned.  It reports false when a coefficient
+// overflows; the caller then refits every member by the kernel.
+func (f *fitter) momentGroup(p Pivot, mp momentPivot, members []int32, others []timeseries.SeriesID, covs []float64, rels []*Relationship) bool {
 	for i, slot := range members {
-		v := w.others[i]
-		as, ar, b := mp.solve(w.covs[i], f.centerCov[v], f.series.Mean[v])
+		v := others[i]
+		as, ar, b := mp.solve(covs[i], f.centerCov[v], f.series.Mean[v])
 		if !finite(as) || !finite(ar) || !finite(b) {
 			return false
 		}
-		rels[slot] = f.relationship(slot, p, &affine.Transform{A: [2][2]float64{{1, as}, {0, ar}}, B: [2]float64{0, b}})
+		rels[slot] = f.relationship(slot, p, affine.Transform{A: [2][2]float64{{1, as}, {0, ar}}, B: [2]float64{0, b}})
 	}
 	return true
 }

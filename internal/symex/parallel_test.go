@@ -45,7 +45,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if par.Pivot != seq.Pivot || par.Flipped != seq.Flipped {
 				t.Fatalf("parallelism %d: pair %v bookkeeping differs", workers, e)
 			}
-			if *par.Transform != *seq.Transform {
+			if par.Transform != seq.Transform {
 				t.Fatalf("parallelism %d: pair %v transform differs", workers, e)
 			}
 		}

@@ -58,8 +58,11 @@ type RefitStats struct {
 // taken from prev unchanged, so the work beyond the fits is one slice clone
 // and a visit to the stale slots; the window's pivot terms and centre
 // covariances are the layout's memo, which the engine has filled for d before
-// it calls Refit, and one centred dot per stale pair is what is left.  Every
-// centre is checked against d's length before anything is reduced.
+// it calls Refit, and one centred dot per stale pair is what is left:
+// kernel.CovBlock, one call per worker block.  Unlike Compute, Refit takes no
+// centred mirror: it runs on every Advance, where an n·m mirror would either
+// stay live or be allocated again whenever its pool misses.  Every centre is
+// checked against d's length before anything is reduced.
 func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, RefitStats, error) {
 	var rs RefitStats
 	if err := d.Validate(); err != nil {
@@ -102,8 +105,8 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 	if slots == nil {
 		covs = make([]float64, len(rels))
 	}
-	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, maxLSFD: opts.MaxLSFD}
-	pinvs, err := f.fitSlots(rels, covs, slots, true, opts.Parallelism)
+	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, maxLSFD: opts.MaxLSFD, batch: true}
+	pinvs, err := f.fitSlots(rels, covs, slots, opts.Parallelism)
 	if err != nil {
 		return nil, rs, err
 	}

@@ -69,7 +69,7 @@ func TestRefitAllMatchesComputeOnSameClustering(t *testing.T) {
 		if rr.Pivot != fr.Pivot || rr.Flipped != fr.Flipped {
 			t.Fatalf("pair %v: pivot/flip mismatch %+v vs %+v", pair, rr, fr)
 		}
-		if *rr.Transform != *fr.Transform {
+		if rr.Transform != fr.Transform {
 			t.Fatalf("pair %v: transform %v vs %v", pair, rr.Transform, fr.Transform)
 		}
 	}
@@ -160,7 +160,7 @@ func TestRefitWithoutAssignments(t *testing.T) {
 	}
 	for rel := range refitted.All() {
 		w, ok := want.Relationship(rel.Pair)
-		if !ok || rel.Pivot != w.Pivot || rel.Flipped != w.Flipped || *rel.Transform != *w.Transform {
+		if !ok || rel.Pivot != w.Pivot || rel.Flipped != w.Flipped || rel.Transform != w.Transform {
 			t.Fatalf("pair %v: restored refit %+v, original refit %+v", rel.Pair, rel, w)
 		}
 	}

@@ -1,7 +1,6 @@
 package symex
 
 import (
-	"cmp"
 	"fmt"
 	"iter"
 	"slices"
@@ -84,9 +83,11 @@ var reductions struct{ terms, centerCovs atomic.Int64 }
 // NewLayout indexes an assignment list over n series.  It rejects a pair
 // outside the series, a pivot whose common series is not a member of its
 // pair, a pair assigned twice, and more series than int32 can number pairs of.
+// A pivot naming a cluster the clustering does not have is indexed like any
+// other; the fit or the sweep that reads its centre reports it.
 func NewLayout(n int, assignments []Assignment) (*Layout, error) {
-	if n > 1<<16 {
-		return nil, fmt.Errorf("symex: %d series exceed the layout's int32 pair index", n)
+	if err := checkSeriesCount(n); err != nil {
+		return nil, err
 	}
 	l := &Layout{
 		assignments: assignments,
@@ -97,32 +98,41 @@ func NewLayout(n int, assignments []Assignment) (*Layout, error) {
 	for i := range l.slotOf {
 		l.slotOf[i] = -1
 	}
-	pivotIndex := make(map[Pivot]int32)
+	// The pivot index is dense: one entry per (common series, cluster), keyed
+	// common·k + cluster − lo over the clusters [lo, lo + k) the assignments
+	// name (lo is 0 unless one is negative).  Ascending keys are the
+	// canonical (Common, Cluster) order — the one total order every consumer
+	// walks pivots in, so that work distribution and error selection under
+	// the parallel helpers are deterministic.
+	lo, hi := 0, -1
+	for _, a := range assignments {
+		lo, hi = min(lo, a.Pivot.Cluster), max(hi, a.Pivot.Cluster)
+	}
+	k := hi - lo + 1
+	key := func(p Pivot) int { return int(p.Common)*k + p.Cluster - lo }
+	pivotIndex := make([]int32, n*k)
+	for i := range pivotIndex {
+		pivotIndex[i] = -1
+	}
 	for slot, a := range assignments {
 		if !a.Pair.Valid() || int(a.Pair.V) >= n || !a.Pair.Contains(a.Pivot.Common) {
 			return nil, fmt.Errorf("symex: invalid assignment %v → %v for %d series", a.Pair, a.Pivot, n)
 		}
-		at := l.pairIndex(a.Pair)
+		at := triIndex(n, a.Pair)
 		if l.slotOf[at] >= 0 {
 			return nil, fmt.Errorf("symex: pair %v assigned twice", a.Pair)
 		}
 		l.slotOf[at] = int32(slot)
-		if _, ok := pivotIndex[a.Pivot]; !ok {
-			pivotIndex[a.Pivot] = 0
-			l.pivots = append(l.pivots, a.Pivot)
+		pivotIndex[key(a.Pivot)] = 0
+	}
+	for i, seen := range pivotIndex {
+		if seen == 0 {
+			pivotIndex[i] = int32(len(l.pivots))
+			l.pivots = append(l.pivots, Pivot{Common: timeseries.SeriesID(i / k), Cluster: i%k + lo})
 		}
 	}
-	// The canonical (Common, Cluster) order: the one total order every
-	// consumer walks pivots in, so that work distribution and error selection
-	// under the parallel helpers are deterministic.
-	slices.SortFunc(l.pivots, func(a, b Pivot) int {
-		return cmp.Or(cmp.Compare(a.Common, b.Common), cmp.Compare(a.Cluster, b.Cluster))
-	})
-	for i, p := range l.pivots {
-		pivotIndex[p] = int32(i)
-	}
 	for slot, a := range assignments {
-		l.pivotOf[slot] = pivotIndex[a.Pivot]
+		l.pivotOf[slot] = pivotIndex[key(a.Pivot)]
 	}
 	// The triangular index ascends in canonical pair order, so bucketing the
 	// slots in its order leaves every pivot's group sorted that way.
@@ -156,11 +166,11 @@ func (l *Layout) bucket(slots []int32) (members, start []int32) {
 	return members, start
 }
 
-// pairIndex maps a canonical pair to its position in the strict upper
-// triangle of the n×n pair grid, row by row — ascending in (U, V) order.
-func (l *Layout) pairIndex(e timeseries.Pair) int {
+// triIndex maps a canonical pair over n series to its position in the strict
+// upper triangle of the n×n pair grid, row by row — ascending in (U, V) order.
+func triIndex(n int, e timeseries.Pair) int {
 	u, v := int(e.U), int(e.V)
-	return u*(2*l.n-u-1)/2 + v - u - 1
+	return u*(2*n-u-1)/2 + v - u - 1
 }
 
 // Assignments returns the frozen assignment list; slot i is Assignments()[i].
@@ -171,7 +181,7 @@ func (l *Layout) Slot(e timeseries.Pair) (int, bool) {
 	if !e.Valid() || int(e.V) >= l.n {
 		return 0, false
 	}
-	slot := l.slotOf[l.pairIndex(e)]
+	slot := l.slotOf[triIndex(l.n, e)]
 	return int(slot), slot >= 0
 }
 

@@ -60,7 +60,7 @@ func (s *mapStore) refit(t testing.TB, d *timeseries.DataMatrix, res *Result, st
 				continue
 			}
 		}
-		next.keep(&Relationship{Pair: a.Pair, Pivot: a.Pivot, Transform: tr, Flipped: a.Pivot.Common == a.Pair.V})
+		next.keep(&Relationship{Pair: a.Pair, Pivot: a.Pivot, Transform: *tr, Flipped: a.Pivot.Common == a.Pair.V})
 		rs.Refit++
 	}
 	rs.PivotInverses = len(fitPivots)

@@ -26,6 +26,7 @@ package symex
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"affinity/internal/affine"
@@ -62,8 +63,9 @@ type Relationship struct {
 	Pair timeseries.Pair
 	// Pivot is the pivot pair p assigned to e.
 	Pivot Pivot
-	// Transform maps [s_common, r_cluster] to [s_common, s_other].
-	Transform *affine.Transform
+	// Transform maps [s_common, r_cluster] to [s_common, s_other].  It is
+	// held by value, so a relationship is one heap object.
+	Transform affine.Transform
 	// Flipped reports that the common series is Pair.V (so the target pair
 	// matrix the transform produces is [s_V, s_U] rather than [s_U, s_V]).
 	// Pairwise measures are symmetric, so this only matters when per-column
@@ -182,6 +184,9 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: n=%d", ErrTooFewSeries, n)
 	}
+	if err := checkSeriesCount(n); err != nil {
+		return nil, err
+	}
 
 	clustering := opts.Clustering
 	if clustering == nil {
@@ -200,12 +205,17 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	// march toward each other from the extremes and the middle of the pair
 	// grid; each anchor scans one row and one column, assigning a pivot to
 	// every not-yet-covered pair.
+	pairs := n * (n - 1) / 2
 	ex := &explorer{
-		data:       d,
+		n:          n,
 		clustering: clustering,
 		limit:      opts.MaxRelationships,
-		assigned:   make(map[timeseries.Pair]bool),
+		assigned:   make([]bool, pairs),
 	}
+	if ex.limit > 0 {
+		pairs = min(pairs, ex.limit)
+	}
+	ex.assignments = make([]Assignment, 0, pairs)
 	ee := timeseries.Pair{U: 0, V: timeseries.SeriesID(n - 1)}
 	mid := timeseries.SeriesID((n - 1) / 2)
 	ew := timeseries.Pair{U: mid, V: mid + 1}
@@ -259,8 +269,12 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	if opts.CachePseudoInverse {
 		covs = make([]float64, len(rels))
 	}
-	f := &fitter{data: d, clustering: clustering, layout: layout, maxLSFD: opts.MaxLSFD}
-	pinvs, err := f.fitSlots(rels, covs, nil, opts.CachePseudoInverse, opts.Parallelism)
+	f := &fitter{data: d, clustering: clustering, layout: layout, maxLSFD: opts.MaxLSFD, batch: opts.CachePseudoInverse}
+	if f.batch {
+		f.mirror, _ = mirrorScratchPool.Get()
+		defer mirrorScratchPool.Put(f.mirror)
+	}
+	pinvs, err := f.fitSlots(rels, covs, nil, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -274,10 +288,12 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 
 // explorer carries the state of the exploration phase.
 type explorer struct {
-	data        *timeseries.DataMatrix
-	clustering  *cluster.Result
-	limit       int
-	assigned    map[timeseries.Pair]bool
+	n          int
+	clustering *cluster.Result
+	limit      int
+	// assigned flags the pairs that have a pivot, indexed by triIndex like
+	// the layout's pair→slot index.
+	assigned    []bool
 	assignments []Assignment
 }
 
@@ -291,7 +307,7 @@ func (ex *explorer) done() bool {
 // row keep the anchor's first component as the common series; pairs in the
 // scanned column keep the anchor's second component.
 func (ex *explorer) createPivots(ez timeseries.Pair) error {
-	n := timeseries.SeriesID(ex.data.NumSeries())
+	n := timeseries.SeriesID(ex.n)
 	if ez.U < 0 || ez.V >= n || !ez.Valid() {
 		return nil
 	}
@@ -311,7 +327,8 @@ func (ex *explorer) createPivots(ez timeseries.Pair) error {
 // assign records the pivot assignment of a sequence pair (the bookkeeping
 // half of SolveInsert), skipping pairs that already have one.
 func (ex *explorer) assign(e timeseries.Pair, common timeseries.SeriesID) error {
-	if ex.assigned[e] {
+	at := triIndex(ex.n, e)
+	if ex.assigned[at] {
 		return nil
 	}
 	other, err := e.Other(common)
@@ -322,7 +339,7 @@ func (ex *explorer) assign(e timeseries.Pair, common timeseries.SeriesID) error 
 	if err != nil {
 		return err
 	}
-	ex.assigned[e] = true
+	ex.assigned[at] = true
 	ex.assignments = append(ex.assignments, Assignment{Pair: e, Pivot: Pivot{Common: common, Cluster: omega}})
 	return nil
 }
@@ -333,39 +350,71 @@ type fitter struct {
 	clustering *cluster.Result
 	layout     *Layout
 	maxLSFD    float64
+	// batch selects SYMEX+ (the moment form, one pseudo-inverse per guarded
+	// pivot) over plain SYMEX (one pseudo-inverse per relationship).
+	batch bool
 
 	// The moment form's inputs over data (loadMoments; unset for plain SYMEX).
 	terms           []measure.PivotTerms
 	centerCov       []float64
 	series, centers *timeseries.Moments
 	kern            *kernel.Matrix
+	// mirror, when set, is the buffer fitSlots centres the window into:
+	// centred holds x − x̄ for every series the slots touch, and DotBlock over
+	// it divided by m − 1 is CovBlock's covariance without CovBlock's
+	// re-centring of both columns for every pair.  Compute sets it; a Refit
+	// reduces with CovBlock instead (see Refit).
+	mirror  *mirrorScratch
+	centred kernel.Matrix
 }
 
-// fitScratch is one worker's scratch, reused across the pivot groups of its
-// block: the kernel's buffers (sized on the first guarded pivot) and the
-// moment form's per-member lists, grown to the largest group.
+// fitScratch is one worker block's scratch, recycled through fitScratchPool:
+// the kernel's buffers (sized on the first guarded pivot) and the lists of
+// the batch of groups being fitted (fitBlock).
 type fitScratch struct {
 	k      pivotFit
-	others []timeseries.SeriesID // each member's non-common series
-	pairs  []timeseries.Pair     // (common, other), CovBlock's input
-	covs   []float64             // cov(s_common, s_other)
+	groups []groupFit
+	others []timeseries.SeriesID // each member's non-common series, in batch order
+	pairs  []timeseries.Pair     // (common, other) of every pair the batch reduces
+	covs   []float64             // cov(s_common, s_other), aligned with pairs
 }
+
+var fitScratchPool par.Scratch[fitScratch]
+
+// groupFit is one listed pivot group of a batch.
+type groupFit struct {
+	pi     int32
+	others int32 // offset of the members' other series in fitScratch.others
+	pairs  int32 // offset of the members' pairs in fitScratch.pairs, −1 for none
+	ok     bool  // the guard admits the pivot to the moment form
+	mp     momentPivot
+}
+
+// mirrorScratch is one Compute call's centred mirror, recycled through
+// mirrorScratchPool, and the list of series it holds.
+type mirrorScratch struct {
+	vals    []float64
+	touched []bool
+	cols    []timeseries.SeriesID
+}
+
+var mirrorScratchPool par.Scratch[mirrorScratch]
 
 // fitSlots fits the assignments at the given slots (nil means every slot)
 // against the window and stores each fit at rels[slot] — nil when the MaxLSFD
-// bound prunes it.  With batch set and covs non-nil it also stores every
-// fitted slot's pair covariance cov(s_common, s_other) at covs[slot], pruned
-// or not and whichever route the fit took (momentGroup).  Every fit is
-// independent and lands at its own slot, so the output is the same at any
-// parallelism.  It returns the number of pseudo-inverses the kernel computed.
+// bound prunes it.  Under SYMEX+ (f.batch) with covs non-nil it also stores
+// every fitted slot's pair covariance cov(s_common, s_other) at covs[slot],
+// pruned or not and whichever route the fit took.  Every fit is independent
+// and lands at its own slot, so the output is the same at any parallelism.
+// It returns the number of pseudo-inverses the kernel computed.
 //
-// The unit of work is a pivot group: all the slots to fit that share a
-// pivot.  With batch set (SYMEX+) a group takes the moment form
-// (momentfit.go) unless the exactness guard sends it to the kernel, which then
-// computes the pivot's pseudo-inverse rows once for the whole group; without
-// it (plain SYMEX) every fit pays for its own pseudo-inverse.  Workers take
-// contiguous blocks of groups, one scratch per block.
-func (f *fitter) fitSlots(rels []*Relationship, covs []float64, slots []int32, batch bool, parallelism int) (int, error) {
+// The unit of work is a pivot group: all the slots to fit that share a pivot.
+// Under SYMEX+ a group takes the moment form (momentfit.go) unless the
+// exactness guard sends it to the kernel, which then computes the pivot's
+// pseudo-inverse rows once for the whole group; under plain SYMEX every fit
+// pays for its own pseudo-inverse.  Workers take contiguous blocks of groups,
+// one pooled scratch per block (fitBlock).
+func (f *fitter) fitSlots(rels []*Relationship, covs []float64, slots []int32, parallelism int) (int, error) {
 	if m := f.data.NumSamples(); m < 2 {
 		return 0, fmt.Errorf("%w: fitting needs a window of at least 2 samples, got %d", affine.ErrBadShape, m)
 	}
@@ -373,56 +422,153 @@ func (f *fitter) fitSlots(rels []*Relationship, covs []float64, slots []int32, b
 	if slots != nil {
 		members, start = f.layout.bucket(slots)
 	}
-	if batch && len(members) > 0 {
+	if f.batch && len(members) > 0 {
 		if err := f.loadMoments(parallelism); err != nil {
 			return 0, err
+		}
+		if f.mirror != nil {
+			f.centre(members)
 		}
 	}
 	var pinvs atomic.Int64
 	err := par.DoBlocks(len(start)-1, parallelism, func(_ int, blk par.Block) error {
-		w := new(fitScratch)
-		for g := blk.Lo; g < blk.Hi; g++ {
-			if group := members[start[g]:start[g+1]]; len(group) > 0 {
-				n, err := f.fitGroup(w, g, group, rels, covs, batch)
-				if err != nil {
-					return err
-				}
-				pinvs.Add(int64(n))
-			}
-		}
-		return nil
+		w, _ := fitScratchPool.Get()
+		defer fitScratchPool.Put(w)
+		n, err := f.fitBlock(w, blk, members, start, rels, covs)
+		pinvs.Add(int64(n))
+		return err
 	})
 	return int(pinvs.Load()), err
 }
 
-// fitGroup fits every member slot of pivot pi — by the moment form when
-// batched and admitted by the guard, by the kernel otherwise — and applies the
-// MaxLSFD bound.  It returns the number of pseudo-inverses computed.
-func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relationship, covs []float64, batch bool) (int, error) {
-	p := f.layout.pivots[pi]
+// centre fills f.centred with the centred columns of every series the given
+// slots pair up, in the mirror's buffer.
+func (f *fitter) centre(slots []int32) {
+	sc := f.mirror
+	n, m := f.data.NumSeries(), f.data.NumSamples()
+	sc.touched = slices.Grow(sc.touched[:0], n)[:n]
+	clear(sc.touched)
+	for _, slot := range slots {
+		pair := f.layout.assignments[slot].Pair
+		sc.touched[pair.U], sc.touched[pair.V] = true, true
+	}
+	sc.cols = sc.cols[:0]
+	for id, touched := range sc.touched {
+		if touched {
+			sc.cols = append(sc.cols, timeseries.SeriesID(id))
+		}
+	}
+	sc.vals = slices.Grow(sc.vals[:0], n*m)[:n*m]
+	f.centred = f.kern.Centre(f.series, sc.vals, sc.cols)
+}
+
+// fitBlock fits the pivot groups of one worker block a batch at a time.  It
+// lists groups — their members and, under SYMEX+, the guard's verdict — until
+// they hold kernel.BlockPairs members, then reduces the pair covariances of
+// every listed group that needs them in one call and solves the groups
+// (fitBatch).  Pivots in (Common, Cluster) order make a series' pivots one run
+// of tiles sharing the common column, so only a batch's last tile can fall to
+// the one-pair loop, and the scratch stays O(BlockPairs + largest group).  It
+// returns the number of pseudo-inverses computed.
+func (f *fitter) fitBlock(w *fitScratch, blk par.Block, members, start []int32, rels []*Relationship, covs []float64) (int, error) {
+	pinvs := 0
+	w.groups, w.others, w.pairs = w.groups[:0], w.others[:0], w.pairs[:0]
+	for pi := blk.Lo; pi < blk.Hi; pi++ {
+		group := members[start[pi]:start[pi+1]]
+		if len(group) == 0 {
+			continue
+		}
+		p := f.layout.pivots[pi]
+		if _, _, err := pivotColumns(f.data, f.clustering, p); err != nil {
+			return 0, err
+		}
+		g := groupFit{pi: int32(pi), others: int32(len(w.others)), pairs: -1}
+		for _, slot := range group {
+			other, err := f.layout.assignments[slot].Pair.Other(p.Common)
+			if err != nil {
+				return 0, err
+			}
+			w.others = append(w.others, other)
+		}
+		if f.batch {
+			g.mp, g.ok = f.momentPivot(pi, w.others[g.others:])
+			// A full fit keeps every pair covariance, a partial refit reduces
+			// only those the moment form reads.
+			if g.ok || covs != nil {
+				g.pairs = int32(len(w.pairs))
+				for _, v := range w.others[g.others:] {
+					w.pairs = append(w.pairs, timeseries.Pair{U: p.Common, V: v})
+				}
+			}
+		}
+		w.groups = append(w.groups, g)
+		if len(w.others) >= kernel.BlockPairs {
+			n, err := f.fitBatch(w, members, start, rels, covs)
+			if err != nil {
+				return 0, err
+			}
+			pinvs += n
+		}
+	}
+	n, err := f.fitBatch(w, members, start, rels, covs)
+	return pinvs + n, err
+}
+
+// fitBatch reduces the pair covariances the listed groups need in one call —
+// DotBlock over the centred mirror, or CovBlock without one — fits every
+// listed group and empties the lists.
+func (f *fitter) fitBatch(w *fitScratch, members, start []int32, rels []*Relationship, covs []float64) (int, error) {
+	w.covs = slices.Grow(w.covs[:0], len(w.pairs))[:len(w.pairs)]
+	switch {
+	case len(w.pairs) == 0:
+	case f.mirror == nil:
+		f.kern.CovBlock(f.series, w.pairs, w.covs)
+	default:
+		// CovBlock's division, not a reciprocal multiply, so the bits are its.
+		div := float64(f.data.NumSamples() - 1)
+		f.centred.DotBlock(nil, w.pairs, w.covs)
+		for i := range w.covs {
+			w.covs[i] /= div
+		}
+	}
+	pinvs := 0
+	for i := range w.groups {
+		g := &w.groups[i]
+		n, err := f.fitGroup(w, g, members[start[g.pi]:start[g.pi+1]], rels, covs)
+		if err != nil {
+			return 0, err
+		}
+		pinvs += n
+	}
+	w.groups, w.others, w.pairs = w.groups[:0], w.others[:0], w.pairs[:0]
+	return pinvs, nil
+}
+
+// fitGroup fits the member slots of a listed pivot group — by the moment form
+// when the guard admits it, by the kernel otherwise — and applies the MaxLSFD
+// bound.  It returns the number of pseudo-inverses computed.
+func (f *fitter) fitGroup(w *fitScratch, g *groupFit, members []int32, rels []*Relationship, covs []float64) (int, error) {
+	p := f.layout.pivots[g.pi]
+	others := w.others[g.others : int(g.others)+len(members)]
+	if g.pairs >= 0 && covs != nil {
+		for i, slot := range members {
+			covs[slot] = w.covs[int(g.pairs)+i]
+		}
+	}
 	common, center, err := pivotColumns(f.data, f.clustering, p)
 	if err != nil {
 		return 0, err
 	}
-	w.others = w.others[:0]
-	for _, slot := range members {
-		other, err := f.layout.assignments[slot].Pair.Other(p.Common)
-		if err != nil {
-			return 0, err
-		}
-		w.others = append(w.others, other)
-	}
-
 	pinvs := 0
-	if !batch || !f.momentGroup(w, pi, members, rels, covs) {
+	if !g.ok || !f.momentGroup(p, g.mp, members, others, w.covs[g.pairs:], rels) {
 		// The kernel: the one caller of setPivot, once per group under SYMEX+
 		// and once per relationship under plain SYMEX.
 		for i, slot := range members {
-			if i == 0 || !batch {
+			if i == 0 || !f.batch {
 				w.k.setPivot(common, center)
 				pinvs++
 			}
-			other, err := f.data.Series(w.others[i])
+			other, err := f.data.Series(others[i])
 			if err != nil {
 				return 0, err
 			}
@@ -438,7 +584,7 @@ func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relati
 		return 0, err
 	}
 	for i, slot := range members {
-		other, err := f.data.Series(w.others[i])
+		other, err := f.data.Series(others[i])
 		if err != nil {
 			return 0, err
 		}
@@ -458,9 +604,18 @@ func (f *fitter) fitGroup(w *fitScratch, pi int, members []int32, rels []*Relati
 }
 
 // relationship wraps the transform fitted for an assignment slot of pivot p.
-func (f *fitter) relationship(slot int32, p Pivot, tr *affine.Transform) *Relationship {
+func (f *fitter) relationship(slot int32, p Pivot, tr affine.Transform) *Relationship {
 	pair := f.layout.assignments[slot].Pair
 	return &Relationship{Pair: pair, Pivot: p, Transform: tr, Flipped: p.Common == pair.V}
+}
+
+// checkSeriesCount rejects more series than int32 can number the pairs of —
+// the bound of the layout's triangular pair index.
+func checkSeriesCount(n int) error {
+	if n > 1<<16 {
+		return fmt.Errorf("symex: %d series exceed the layout's int32 pair index", n)
+	}
+	return nil
 }
 
 // checkCenters rejects a clustering whose centres do not all match an

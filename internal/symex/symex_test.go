@@ -75,8 +75,8 @@ func TestComputeCoversAllPairs(t *testing.T) {
 		if rel.Pair != e {
 			t.Fatalf("relationship pair %v stored under key %v", rel.Pair, e)
 		}
-		if rel.Transform == nil {
-			t.Fatalf("nil transform for %v", e)
+		if a := rel.Transform.A; a[0][0] != 1 || a[1][0] != 0 || rel.Transform.B[0] != 0 {
+			t.Fatalf("transform of %v has first column %v, %v, b₁ %v, want 1, 0, 0", e, a[0][0], a[1][0], rel.Transform.B[0])
 		}
 		if !e.Contains(rel.Common()) || !e.Contains(rel.Other()) || rel.Common() == rel.Other() {
 			t.Fatalf("common/other bookkeeping broken for %v: common=%d other=%d", e, rel.Common(), rel.Other())
