@@ -479,9 +479,6 @@ func (f *fitter) fitBlock(w *fitScratch, blk par.Block, members, start []int32, 
 			continue
 		}
 		p := f.layout.pivots[pi]
-		if _, _, err := pivotColumns(f.data, f.clustering, p); err != nil {
-			return 0, err
-		}
 		g := groupFit{pi: int32(pi), others: int32(len(w.others)), pairs: -1}
 		for _, slot := range group {
 			other, err := f.layout.assignments[slot].Pair.Other(p.Common)
