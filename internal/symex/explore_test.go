@@ -196,33 +196,30 @@ func TestComputeRejectsTooManySeriesUpFront(t *testing.T) {
 	}
 }
 
-// TestNegativeClusterKeepsUnknownClusterError: a supplied clustering that
-// puts a series in a negative cluster still builds a layout — the dense pivot
-// index is offset by the smallest cluster — and Compute reports the
-// unknown-cluster error of the first such pivot, as it did when the index was
-// a map.
-func TestNegativeClusterKeepsUnknownClusterError(t *testing.T) {
+// TestUnknownClusterRejectedUpFront: Compute rejects a supplied clustering
+// that puts a series outside its clusters [0, k) — negative or past the last
+// centre, however large — with the unknown-cluster error before it explores,
+// and NewLayout rejects a pivot naming a negative cluster.
+func TestUnknownClusterRejectedUpFront(t *testing.T) {
 	d := correlatedData(t, 47, 2, 6, 20, 0.05)
-	clustering := &cluster.Result{
-		Centers:    [][]float64{make([]float64, 20), make([]float64, 20)},
-		Assignment: []int{0, 1, -1, 0, 1, 0},
-	}
-	for _, cache := range []bool{false, true} {
-		_, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: cache})
-		if err == nil || !strings.Contains(err.Error(), "ω=-1) references unknown cluster") {
-			t.Fatalf("cache=%v: err = %v, want an unknown-cluster error for ω=-1", cache, err)
+	for _, bad := range []int{-1, 2, 1 << 40} {
+		clustering := &cluster.Result{
+			Centers:    [][]float64{make([]float64, 20), make([]float64, 20)},
+			Assignment: []int{0, 1, bad, 0, 1, 0},
+		}
+		want := fmt.Sprintf("series 2 is assigned to unknown cluster %d (k=2)", bad)
+		for _, cache := range []bool{false, true} {
+			_, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: cache})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ω=%d cache=%v: err = %v, want %q", bad, cache, err, want)
+			}
 		}
 	}
-	layout, err := NewLayout(3, []Assignment{
-		{Pair: timeseries.Pair{U: 0, V: 1}, Pivot: Pivot{Common: 0, Cluster: -2}},
-		{Pair: timeseries.Pair{U: 0, V: 2}, Pivot: Pivot{Common: 0, Cluster: 1}},
-		{Pair: timeseries.Pair{U: 1, V: 2}, Pivot: Pivot{Common: 2, Cluster: -2}},
+	_, err := NewLayout(3, []Assignment{
+		{Pair: timeseries.Pair{U: 0, V: 1}, Pivot: Pivot{Common: 0, Cluster: 0}},
+		{Pair: timeseries.Pair{U: 0, V: 2}, Pivot: Pivot{Common: 0, Cluster: -1}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Pivot{{Common: 0, Cluster: -2}, {Common: 0, Cluster: 1}, {Common: 2, Cluster: -2}}
-	if !slices.Equal(layout.Pivots(), want) {
-		t.Fatalf("pivots %v, want %v", layout.Pivots(), want)
+	if err == nil || !strings.Contains(err.Error(), "invalid assignment") {
+		t.Fatalf("NewLayout with a negative cluster: err = %v, want an invalid assignment", err)
 	}
 }

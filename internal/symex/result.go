@@ -82,9 +82,12 @@ var reductions struct{ terms, centerCovs atomic.Int64 }
 
 // NewLayout indexes an assignment list over n series.  It rejects a pair
 // outside the series, a pivot whose common series is not a member of its
-// pair, a pair assigned twice, and more series than int32 can number pairs of.
-// A pivot naming a cluster the clustering does not have is indexed like any
-// other; the fit or the sweep that reads its centre reports it.
+// pair or a negative cluster, a pair assigned twice, and more series than
+// int32 can number pairs of.  The pivot index is a dense table of
+// n·(largest cluster + 1) entries, so the clusters should be a clustering's
+// [0, k) — Compute and the snapshot decoder check that before they call it.
+// A pivot naming a cluster the clustering does not have is otherwise indexed
+// like any other; the fit or the sweep that reads its centre reports it.
 func NewLayout(n int, assignments []Assignment) (*Layout, error) {
 	if err := checkSeriesCount(n); err != nil {
 		return nil, err
@@ -99,23 +102,21 @@ func NewLayout(n int, assignments []Assignment) (*Layout, error) {
 		l.slotOf[i] = -1
 	}
 	// The pivot index is dense: one entry per (common series, cluster), keyed
-	// common·k + cluster − lo over the clusters [lo, lo + k) the assignments
-	// name (lo is 0 unless one is negative).  Ascending keys are the
-	// canonical (Common, Cluster) order — the one total order every consumer
-	// walks pivots in, so that work distribution and error selection under
-	// the parallel helpers are deterministic.
-	lo, hi := 0, -1
+	// common·k + cluster, where k is the largest cluster named + 1.
+	// Ascending keys are the canonical (Common, Cluster) order — the one total
+	// order every consumer walks pivots in, so that work distribution and
+	// error selection under the parallel helpers are deterministic.
+	k := 0
 	for _, a := range assignments {
-		lo, hi = min(lo, a.Pivot.Cluster), max(hi, a.Pivot.Cluster)
+		k = max(k, a.Pivot.Cluster+1)
 	}
-	k := hi - lo + 1
-	key := func(p Pivot) int { return int(p.Common)*k + p.Cluster - lo }
+	key := func(p Pivot) int { return int(p.Common)*k + p.Cluster }
 	pivotIndex := make([]int32, n*k)
 	for i := range pivotIndex {
 		pivotIndex[i] = -1
 	}
 	for slot, a := range assignments {
-		if !a.Pair.Valid() || int(a.Pair.V) >= n || !a.Pair.Contains(a.Pivot.Common) {
+		if !a.Pair.Valid() || int(a.Pair.V) >= n || !a.Pair.Contains(a.Pivot.Common) || a.Pivot.Cluster < 0 {
 			return nil, fmt.Errorf("symex: invalid assignment %v → %v for %d series", a.Pair, a.Pivot, n)
 		}
 		at := triIndex(n, a.Pair)
@@ -128,7 +129,7 @@ func NewLayout(n int, assignments []Assignment) (*Layout, error) {
 	for i, seen := range pivotIndex {
 		if seen == 0 {
 			pivotIndex[i] = int32(len(l.pivots))
-			l.pivots = append(l.pivots, Pivot{Common: timeseries.SeriesID(i / k), Cluster: i%k + lo})
+			l.pivots = append(l.pivots, Pivot{Common: timeseries.SeriesID(i / k), Cluster: i % k})
 		}
 	}
 	for slot, a := range assignments {
@@ -448,16 +449,13 @@ func reduceCenterCovariances(d *timeseries.DataMatrix, clustering *cluster.Resul
 	if err := checkCenters(clustering, d.NumSamples()); err != nil {
 		return nil, err
 	}
+	if err := checkAssignment(clustering, d.NumSeries()); err != nil {
+		return nil, err
+	}
 	k := clustering.K()
 	members := make([][]timeseries.SeriesID, k)
 	for _, id := range d.IDs() {
-		omega, err := clustering.Omega(id)
-		if err != nil {
-			return nil, err
-		}
-		if omega < 0 || omega >= k {
-			return nil, fmt.Errorf("symex: series %d is assigned to unknown cluster %d (k=%d)", id, omega, k)
-		}
+		omega := clustering.Assignment[id]
 		members[omega] = append(members[omega], id)
 	}
 	series, centers := d.Moments(), clustering.CenterMoments()

@@ -200,6 +200,9 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	if err := checkCenters(clustering, d.NumSamples()); err != nil {
 		return nil, err
 	}
+	if err := checkAssignment(clustering, n); err != nil {
+		return nil, err
+	}
 
 	// Phase 1: systematic exploration of P (Algorithm 2).  Two anchor pairs
 	// march toward each other from the extremes and the middle of the pair
@@ -611,6 +614,23 @@ func (f *fitter) relationship(slot int32, p Pivot, tr affine.Transform) *Relatio
 func checkSeriesCount(n int) error {
 	if n > 1<<16 {
 		return fmt.Errorf("symex: %d series exceed the layout's int32 pair index", n)
+	}
+	return nil
+}
+
+// checkAssignment rejects a clustering that puts one of the n series in a
+// cluster it has no centre for, before the exploration pivots on one: the
+// layout's pivot index is dense over the clusters [0, k).
+func checkAssignment(clustering *cluster.Result, n int) error {
+	k := clustering.K()
+	for id := range n {
+		omega, err := clustering.Omega(timeseries.SeriesID(id))
+		if err != nil {
+			return err
+		}
+		if omega < 0 || omega >= k {
+			return fmt.Errorf("symex: series %d is assigned to unknown cluster %d (k=%d)", id, omega, k)
+		}
 	}
 	return nil
 }
