@@ -12,12 +12,15 @@ package affinity
 // b.ReportMetric, and cmd/affinity-bench prints the same rows as text tables.
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"affinity/internal/cluster"
 	"affinity/internal/core"
 	"affinity/internal/experiments"
 	"affinity/internal/interval"
@@ -26,6 +29,7 @@ import (
 	"affinity/internal/shard"
 	"affinity/internal/sketch"
 	"affinity/internal/stats"
+	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
@@ -247,6 +251,123 @@ func BenchmarkEngineBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshotRestore measures BuildFromSnapshot on the benchmark
+// engine's snapshot: decoding the clustering and the relationships, then the
+// summaries and the index BuildFromRelationships rebuilds.  CI tracks its
+// allocs/op against BENCH_BUDGET.json: the decoder reads through one chunk
+// buffer into a handful of slabs, so the restore allocates a few dozen objects
+// beyond BenchmarkBuildFromRelationships, never one per relationship.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	engine := benchmarkEngine(b)
+	var snap bytes.Buffer
+	if err := engine.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(snap.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.BuildFromSnapshot(engine.Data(), bytes.NewReader(snap.Bytes()), core.Config{Clusters: 6, Seed: 42}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildFromRelationships is the floor a restore cannot go below:
+// the benchmark engine's summaries and index rebuilt from relationships
+// already in memory.  "warm" hands over the engine's own result, whose
+// layout and clustering still memoise the window's pivot terms, centre
+// covariances and centre locations; "cold" hands over a copy indexed afresh
+// (outside the timer), so those reductions run again, as in a restore.
+func BenchmarkBuildFromRelationships(b *testing.B) {
+	engine := benchmarkEngine(b)
+	cfg := core.Config{Clusters: 6, Seed: 42}
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.BuildFromRelationships(engine.Data(), cfg, engine.Relationships()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		rel := engine.Relationships()
+		rels := make([]*symex.Relationship, len(rel.AssignmentList()))
+		for slot := range rels {
+			rels[slot] = rel.At(slot)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			layout, err := symex.NewLayout(engine.Data().NumSeries(), rel.AssignmentList())
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := rel.Clustering
+			clustering := &cluster.Result{Centers: c.Centers, Assignment: c.Assignment, ProjectionErrors: c.ProjectionErrors, Converged: c.Converged}
+			cold := symex.NewResult(layout, clustering, slices.Clone(rels))
+			b.StartTimer()
+			if _, err := core.BuildFromRelationships(engine.Data(), cfg, cold); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSnapshotWrite measures WriteSnapshot of the benchmark engine.  CI
+// tracks its allocs/op against BENCH_BUDGET.json: the snapshot is encoded into
+// one buffer of its exact size and written once.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	engine := benchmarkEngine(b)
+	var snap bytes.Buffer
+	if err := engine.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(snap.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.Reset()
+		if err := engine.WriteSnapshot(&snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDatasetBinary measures the dataset codec behind store segments on
+// the benchmark's sensor matrix: WriteBinary into a reused buffer, and
+// ReadBinary, which allocates per series its name and its samples.
+func BenchmarkDatasetBinary(b *testing.B) {
+	sensor, err := experiments.GenerateSensorOnly(benchScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := sensor.WriteBinary(&raw); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("write", func(b *testing.B) {
+		var out bytes.Buffer
+		b.SetBytes(int64(raw.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := sensor.WriteBinary(&out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(int64(raw.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := timeseries.ReadBinary(bytes.NewReader(raw.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkScapeCorrelationThreshold measures a single correlation MET query

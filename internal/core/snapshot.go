@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,9 +39,18 @@ import (
 //	    flipped       uint8
 //	    A row-major   4 float64
 //	    b             2 float64
+//
+// The writer appends every field to one buffer of the exact size and writes
+// it once, the records in canonical pair order, so identical engines write
+// identical bytes.  The reader reads exactly these bytes, a section at a time
+// through one reused chunk buffer; it sizes what it allocates by the dataset
+// (centres and assignment) or by the bytes that have arrived (relationships,
+// whose count is a claim until they are in).
 const (
 	snapshotMagic   = uint32(0x4146534e) // "AFSN"
 	snapshotVersion = uint32(1)
+	recordSize      = 4*4 + 1 + 6*8
+	snapshotChunk   = 16 << 10 // the most the reader reads at once
 )
 
 // ErrBadSnapshot is returned when a snapshot cannot be decoded or does not
@@ -56,206 +64,192 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 }
 
 func (e *engineState) writeSnapshot(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	clustering := e.rel.Clustering
-
-	writeU32 := func(v uint32) error { return binary.Write(bw, binary.LittleEndian, v) }
-	writeF64 := func(v float64) error {
-		return binary.Write(bw, binary.LittleEndian, math.Float64bits(v))
-	}
-
-	header := []uint32{
-		snapshotMagic, snapshotVersion,
-		uint32(e.data.NumSeries()), uint32(e.data.NumSamples()), uint32(clustering.K()),
-	}
-	for _, h := range header {
-		if err := writeU32(h); err != nil {
-			return err
-		}
+	clustering, n, m := e.rel.Clustering, e.data.NumSeries(), e.data.NumSamples()
+	k, le := clustering.K(), binary.LittleEndian
+	b := make([]byte, 0, 5*4+8*k*m+4*n+4+recordSize*e.rel.Len())
+	for _, h := range [...]int{int(snapshotMagic), int(snapshotVersion), n, m, k} {
+		b = le.AppendUint32(b, uint32(h))
 	}
 	for _, center := range clustering.Centers {
-		if len(center) != e.data.NumSamples() {
-			return fmt.Errorf("%w: center length %d != m %d", ErrBadSnapshot, len(center), e.data.NumSamples())
+		if len(center) != m {
+			return fmt.Errorf("%w: center length %d != m %d", ErrBadSnapshot, len(center), m)
 		}
 		for _, v := range center {
-			if err := writeF64(v); err != nil {
-				return err
-			}
+			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 	}
 	for _, omega := range clustering.Assignment {
-		if err := writeU32(uint32(omega)); err != nil {
-			return err
+		b = le.AppendUint32(b, uint32(omega))
+	}
+	b = le.AppendUint32(b, uint32(e.rel.Len()))
+	for rel := range e.rel.InPairOrder() {
+		for _, f := range [...]int{int(rel.Pair.U), int(rel.Pair.V), int(rel.Pivot.Common), rel.Pivot.Cluster} {
+			b = le.AppendUint32(b, uint32(f))
+		}
+		b = append(b, flagByte(rel.Flipped))
+		a, c := rel.Transform.A, rel.Transform.B
+		for _, v := range [...]float64{a[0][0], a[0][1], a[1][0], a[1][1], c[0], c[1]} {
+			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	if err := writeU32(uint32(e.rel.Len())); err != nil {
-		return err
+	_, err := w.Write(b)
+	return err
+}
+
+func flagByte(b bool) byte {
+	if b {
+		return 1
 	}
-	// Iterate pairs in a deterministic order so identical engines produce
-	// byte-identical snapshots.
-	for _, pair := range e.data.AllPairs() {
-		rel, ok := e.rel.Relationship(pair)
-		if !ok {
-			continue
-		}
-		fields := []uint32{uint32(rel.Pair.U), uint32(rel.Pair.V),
-			uint32(rel.Pivot.Common), uint32(rel.Pivot.Cluster)}
-		for _, f := range fields {
-			if err := writeU32(f); err != nil {
-				return err
-			}
-		}
-		flipped := byte(0)
-		if rel.Flipped {
-			flipped = 1
-		}
-		if err := bw.WriteByte(flipped); err != nil {
-			return err
-		}
-		a := rel.Transform.A
-		for _, v := range []float64{a[0][0], a[0][1], a[1][0], a[1][1],
-			rel.Transform.B[0], rel.Transform.B[1]} {
-			if err := writeF64(v); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
+	return 0
 }
 
 // BuildFromSnapshot rebuilds an engine from a snapshot previously written
 // with WriteSnapshot and the dataset it was built on.  The clustering and the
 // affine relationships are taken from the snapshot; pivot summaries,
 // per-series statistics and (unless cfg.SkipIndex) the SCAPE index are
-// recomputed.
+// recomputed.  It reads exactly the snapshot's bytes from r.  A snapshot
+// WriteSnapshot could not have written, or one no engine can be assembled
+// from on d and cfg, is rejected with ErrBadSnapshot.
 func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engine, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	br := bufio.NewReader(r)
-
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
+	rel, err := readSnapshot(r, d.NumSeries(), d.NumSamples())
+	if err != nil {
+		return nil, err
 	}
-	readF64 := func() (float64, error) {
-		var bits uint64
-		err := binary.Read(br, binary.LittleEndian, &bits)
-		return math.Float64frombits(bits), err
+	e, err := assembleEngine(d, cfg.withDefaults(), rel, BuildInfo{}, time.Now())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
+	return e, nil
+}
 
-	var header [5]uint32
-	for i := range header {
-		v, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated header (%v)", ErrBadSnapshot, err)
+// readSnapshot decodes a snapshot of an n×m dataset.
+func readSnapshot(r io.Reader, n, m int) (*symex.Result, error) {
+	buf, le := make([]byte, snapshotChunk), binary.LittleEndian
+	// section reads the next size bytes, a chunk of whole elem-byte elements
+	// at a time, and hands each chunk to decode.
+	section := func(what string, size, elem int, decode func([]byte) error) error {
+		for size > 0 {
+			chunk := buf[:min(size, len(buf)/elem*elem)]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return fmt.Errorf("%w: truncated %s (%v)", ErrBadSnapshot, what, err)
+			}
+			if err := decode(chunk); err != nil {
+				return err
+			}
+			size -= len(chunk)
 		}
-		header[i] = v
+		return nil
 	}
-	if header[0] != snapshotMagic {
+	var header [5]int // magic, version, n, m, k
+	if err := section("header", 4*len(header), 4, func(b []byte) error {
+		for i := range header {
+			header[i] = int(le.Uint32(b[4*i:]))
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	k := header[4]
+	switch {
+	case uint32(header[0]) != snapshotMagic:
 		return nil, fmt.Errorf("%w: bad magic 0x%08x", ErrBadSnapshot, header[0])
-	}
-	if header[1] != snapshotVersion {
+	case uint32(header[1]) != snapshotVersion:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, header[1])
-	}
-	n, m, k := int(header[2]), int(header[3]), int(header[4])
-	if n != d.NumSeries() || m != d.NumSamples() {
-		return nil, fmt.Errorf("%w: snapshot is for a %dx%d dataset, got %dx%d",
-			ErrBadSnapshot, m, n, d.NumSamples(), d.NumSeries())
-	}
-	if k <= 0 || k > n {
+	case header[2] != n || header[3] != m:
+		return nil, fmt.Errorf("%w: snapshot is for a %dx%d dataset, got %dx%d", ErrBadSnapshot, header[3], header[2], m, n)
+	case k <= 0 || k > n:
 		return nil, fmt.Errorf("%w: implausible cluster count %d", ErrBadSnapshot, k)
 	}
 
+	flat, assignment := make([]float64, 0, k*m), make([]int, 0, n)
+	if err := section("centers", 8*k*m, 8, func(b []byte) error {
+		for i := 0; i < len(b); i += 8 {
+			flat = append(flat, math.Float64frombits(le.Uint64(b[i:])))
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := section("assignment", 4*n, 4, func(b []byte) error {
+		for i := 0; i < len(b); i += 4 {
+			if omega := int(le.Uint32(b[i:])); omega < k {
+				assignment = append(assignment, omega)
+			} else {
+				return fmt.Errorf("%w: series %d assigned to cluster %d of %d", ErrBadSnapshot, len(assignment), omega, k)
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	centers := make([][]float64, k)
 	for i := range centers {
-		center := make([]float64, m)
-		for j := range center {
-			v, err := readF64()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated centers (%v)", ErrBadSnapshot, err)
-			}
-			center[j] = v
-		}
-		centers[i] = center
+		centers[i] = flat[i*m : (i+1)*m : (i+1)*m]
 	}
-	assignment := make([]int, n)
-	for i := range assignment {
-		v, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated assignment (%v)", ErrBadSnapshot, err)
-		}
-		if int(v) >= k {
-			return nil, fmt.Errorf("%w: series %d assigned to cluster %d of %d", ErrBadSnapshot, i, v, k)
-		}
-		assignment[i] = int(v)
-	}
-	clustering := &cluster.Result{
-		Centers:          centers,
-		Assignment:       assignment,
-		ProjectionErrors: make([]float64, n),
-		Converged:        true,
-	}
+	clustering := &cluster.Result{Centers: centers, Assignment: assignment, ProjectionErrors: make([]float64, n), Converged: true}
 
-	count, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated relationship count (%v)", ErrBadSnapshot, err)
+	var count int
+	if err := section("relationship count", 4, 4, func(b []byte) error {
+		count = int(le.Uint32(b))
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	maxPairs := n * (n - 1) / 2
-	if int(count) > maxPairs {
+	if maxPairs := n * (n - 1) / 2; count > maxPairs {
 		return nil, fmt.Errorf("%w: %d relationships for %d pairs", ErrBadSnapshot, count, maxPairs)
+	}
+	// The records land in slabs each sized by the records already read, so
+	// the slabs total exactly count records and none is copied.  A record
+	// must be one WriteSnapshot writes: a pair of the dataset past the last
+	// one in canonical order, a pivot on one of its series and a known
+	// cluster, and the flag that says which series.
+	var slabs [][]symex.Relationship
+	var free []symex.Relationship // the newest slab's unfilled tail
+	read, last := 0, timeseries.Pair{}
+	if err := section("relationships", recordSize*count, recordSize, func(b []byte) error {
+		for ; len(b) > 0; b = b[recordSize:] {
+			pair := timeseries.Pair{U: timeseries.SeriesID(le.Uint32(b)), V: timeseries.SeriesID(le.Uint32(b[4:]))}
+			pivot := symex.Pivot{Common: timeseries.SeriesID(le.Uint32(b[8:])), Cluster: int(le.Uint32(b[12:]))}
+			if !pair.Valid() || int(pair.V) >= n || pair.U < last.U || (pair.U == last.U && pair.V <= last.V) {
+				return fmt.Errorf("%w: pair %v after %v", ErrBadSnapshot, pair, last)
+			}
+			if !pair.Contains(pivot.Common) || pivot.Cluster >= k || b[16] != flagByte(pivot.Common == pair.V) {
+				return fmt.Errorf("%w: invalid pivot %v (flag %d) for pair %v", ErrBadSnapshot, pivot, b[16], pair)
+			}
+			var v [6]float64
+			for i := range v {
+				v[i] = math.Float64frombits(le.Uint64(b[17+8*i:]))
+			}
+			if len(free) == 0 {
+				free = make([]symex.Relationship, min(count-read, max(read, len(buf)/recordSize)))
+				slabs = append(slabs, free)
+			}
+			free[0] = symex.Relationship{
+				Pair: pair, Pivot: pivot, Flipped: pivot.Common == pair.V,
+				Transform: affine.Transform{A: [2][2]float64{{v[0], v[1]}, {v[2], v[3]}}, B: [2]float64{v[4], v[5]}},
+			}
+			free, read, last = free[1:], read+1, pair
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// The records become the assignment list in file order (a snapshot keeps
 	// no pruned pairs), one relationship per slot.
-	assignments := make([]symex.Assignment, count)
-	rels := make([]*symex.Relationship, count)
-	for i := range rels {
-		var fields [4]uint32
-		for j := range fields {
-			v, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated relationship %d (%v)", ErrBadSnapshot, i, err)
-			}
-			fields[j] = v
-		}
-		flippedByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated relationship %d (%v)", ErrBadSnapshot, i, err)
-		}
-		var values [6]float64
-		for j := range values {
-			v, err := readF64()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated relationship %d (%v)", ErrBadSnapshot, i, err)
-			}
-			values[j] = v
-		}
-		pair := timeseries.Pair{U: timeseries.SeriesID(fields[0]), V: timeseries.SeriesID(fields[1])}
-		if !pair.Valid() || int(pair.V) >= n {
-			return nil, fmt.Errorf("%w: invalid pair %v", ErrBadSnapshot, pair)
-		}
-		pivot := symex.Pivot{Common: timeseries.SeriesID(fields[2]), Cluster: int(fields[3])}
-		if !pair.Contains(pivot.Common) || pivot.Cluster < 0 || pivot.Cluster >= k {
-			return nil, fmt.Errorf("%w: invalid pivot %v for pair %v", ErrBadSnapshot, pivot, pair)
-		}
-		assignments[i] = symex.Assignment{Pair: pair, Pivot: pivot}
-		rels[i] = &symex.Relationship{
-			Pair:  pair,
-			Pivot: pivot,
-			Transform: affine.Transform{
-				A: [2][2]float64{{values[0], values[1]}, {values[2], values[3]}},
-				B: [2]float64{values[4], values[5]},
-			},
-			Flipped: flippedByte == 1,
+	assignments, rels := make([]symex.Assignment, 0, count), make([]*symex.Relationship, 0, count)
+	for _, slab := range slabs {
+		for i := range slab {
+			assignments = append(assignments, symex.Assignment{Pair: slab[i].Pair, Pivot: slab[i].Pivot})
+			rels = append(rels, &slab[i])
 		}
 	}
 	layout, err := symex.NewLayout(n, assignments)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return assembleEngine(d, cfg, symex.NewResult(layout, clustering, rels),
-		BuildInfo{}, time.Now())
+	return symex.NewResult(layout, clustering, rels), nil
 }

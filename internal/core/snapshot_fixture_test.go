@@ -11,7 +11,7 @@ import (
 // snapshotFixtureBytes builds the engine behind testdata/snapshot_pr17.bin —
 // an LSFD bound that prunes some pairs, three drift-selected refits — and
 // returns its snapshot.
-func snapshotFixtureBytes(t *testing.T) (*Engine, []byte) {
+func snapshotFixtureBytes(t testing.TB) (*Engine, []byte) {
 	t.Helper()
 	fx := makeStreamFixture(t, 14, 60, 12, 3)
 	e, err := Build(fx.window, Config{

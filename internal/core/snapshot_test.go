@@ -135,6 +135,30 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := BuildFromSnapshot(&timeseries.DataMatrix{}, bytes.NewReader(raw), Config{}); err == nil {
 		t.Fatal("invalid dataset should error")
 	}
+
+	// Records WriteSnapshot never writes: a flag byte that disagrees with the
+	// pivot (or is not 0 or 1), two records out of canonical pair order, and
+	// a record repeated.
+	k, n, m := e.Relationships().Clustering.K(), e.Data().NumSeries(), e.Data().NumSamples()
+	first := 20 + 8*k*m + 4*n + 4
+	record := func(i int) []byte { return raw[first+i*recordSize : first+(i+1)*recordSize] }
+	for _, flag := range []byte{1 - raw[first+16], 2} {
+		bad = append([]byte(nil), raw...)
+		bad[first+16] = flag
+		if _, err := BuildFromSnapshot(e.Data(), bytes.NewReader(bad), Config{}); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("flag byte %d err = %v", flag, err)
+		}
+	}
+	swapped := append(append(append([]byte(nil), raw[:first]...), record(1)...), record(0)...)
+	swapped = append(swapped, raw[first+2*recordSize:]...)
+	if _, err := BuildFromSnapshot(e.Data(), bytes.NewReader(swapped), Config{}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("records out of order err = %v", err)
+	}
+	repeated := append(append(append([]byte(nil), raw[:first]...), record(0)...), record(0)...)
+	repeated = append(repeated, raw[first+2*recordSize:]...)
+	if _, err := BuildFromSnapshot(e.Data(), bytes.NewReader(repeated), Config{}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("repeated record err = %v", err)
+	}
 }
 
 // TestBuildInfoNumPairsIsQueryUniverse pins Info().NumPairs on every build

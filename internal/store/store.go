@@ -8,7 +8,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -36,6 +35,10 @@ const (
 	segmentExtension = ".seg"
 	segmentMagic     = uint32(0x41465347) // "AFSG"
 	segmentVersion   = uint32(1)
+	// A segment is three header words (magic, version, payload length), the
+	// payload, and a CRC32 of the payload.
+	segmentHeaderSize = 12
+	segmentCRCSize    = 4
 )
 
 // Store is a directory of dataset segments.
@@ -75,10 +78,17 @@ func (s *Store) WriteDataset(name string, d *timeseries.DataMatrix) error {
 		return err
 	}
 
-	var payload bytes.Buffer
-	if err := d.WriteBinary(&payload); err != nil {
+	// The frame — header words, payload, the payload's CRC — is one buffer,
+	// written at once.
+	seg, err := d.AppendBinary(make([]byte, segmentHeaderSize))
+	if err != nil {
 		return fmt.Errorf("store: encoding dataset %q: %w", name, err)
 	}
+	payload := seg[segmentHeaderSize:]
+	for i, h := range []uint32{segmentMagic, segmentVersion, uint32(len(payload))} {
+		binary.LittleEndian.PutUint32(seg[4*i:], h)
+	}
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(payload))
 
 	tmp, err := os.CreateTemp(s.dir, name+".tmp-*")
 	if err != nil {
@@ -87,26 +97,9 @@ func (s *Store) WriteDataset(name string, d *timeseries.DataMatrix) error {
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
 
-	w := bufio.NewWriter(tmp)
-	header := []uint32{segmentMagic, segmentVersion, uint32(payload.Len())}
-	for _, h := range header {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: writing header: %w", err)
-		}
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if _, err := tmp.Write(seg); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: writing payload: %w", err)
-	}
-	checksum := crc32.ChecksumIEEE(payload.Bytes())
-	if err := binary.Write(w, binary.LittleEndian, checksum); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing checksum: %w", err)
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: flushing segment: %w", err)
+		return fmt.Errorf("store: writing segment: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: closing segment: %w", err)
@@ -132,13 +125,16 @@ func (s *Store) ReadDataset(name string) (*timeseries.DataMatrix, error) {
 	}
 	defer f.Close()
 
-	r := bufio.NewReader(f)
-	var magic, version, payloadLen uint32
-	for _, p := range []*uint32{&magic, &version, &payloadLen} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("%w: truncated header (%v)", ErrCorrupt, err)
-		}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: stat %q: %w", name, err)
 	}
+	var header [segmentHeaderSize]byte
+	if _, err := io.ReadFull(f, header[:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated header (%v)", ErrCorrupt, err)
+	}
+	le := binary.LittleEndian
+	magic, version, payloadLen := le.Uint32(header[:]), le.Uint32(header[4:]), int64(le.Uint32(header[8:]))
 	if magic != segmentMagic {
 		return nil, fmt.Errorf("%w: bad magic 0x%08x", ErrCorrupt, magic)
 	}
@@ -148,15 +144,16 @@ func (s *Store) ReadDataset(name string) (*timeseries.DataMatrix, error) {
 	if version != segmentVersion {
 		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, version)
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The length is checked against the file before it sizes a buffer.
+	if payloadLen > fi.Size()-segmentHeaderSize-segmentCRCSize {
+		return nil, fmt.Errorf("%w: a %d-byte payload in a %d-byte segment", ErrCorrupt, payloadLen, fi.Size())
+	}
+	body := make([]byte, payloadLen+segmentCRCSize)
+	if _, err := io.ReadFull(f, body); err != nil {
 		return nil, fmt.Errorf("%w: truncated payload (%v)", ErrCorrupt, err)
 	}
-	var checksum uint32
-	if err := binary.Read(r, binary.LittleEndian, &checksum); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum (%v)", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(payload) != checksum {
+	payload := body[:payloadLen]
+	if crc32.ChecksumIEEE(payload) != le.Uint32(body[payloadLen:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch for %q", ErrCorrupt, name)
 	}
 	d, err := timeseries.ReadBinary(bytes.NewReader(payload))

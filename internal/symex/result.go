@@ -312,6 +312,18 @@ func (r *Result) All() iter.Seq[*Relationship] {
 	}
 }
 
+// InPairOrder iterates the relationships in canonical (U, V) pair order, the
+// order the layout's pair→slot table is laid out in.
+func (r *Result) InPairOrder() iter.Seq[*Relationship] {
+	return func(yield func(*Relationship) bool) {
+		for _, slot := range r.layout.slotOf {
+			if slot >= 0 && r.rels[slot] != nil && !yield(r.rels[slot]) {
+				return
+			}
+		}
+	}
+}
+
 // PivotLen returns the number of relationships of pivot pi (a position in
 // Layout().Pivots()).
 func (r *Result) PivotLen(pi int) int { return int(r.live[pi]) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,38 +16,25 @@ import (
 // first field as a number.
 
 // WriteCSV writes the data matrix in column-per-series CSV form, including a
-// header row with the series names.
+// header row with the series names.  The buffered writer keeps its first
+// error, so Flush reports any.
 func (d *DataMatrix) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	// Header.
 	for j, name := range d.names {
 		if j > 0 {
-			if _, err := bw.WriteString(","); err != nil {
-				return err
-			}
+			bw.WriteByte(',')
 		}
-		if _, err := bw.WriteString(escapeCSV(name)); err != nil {
-			return err
-		}
+		bw.WriteString(escapeCSV(name))
 	}
-	if _, err := bw.WriteString("\n"); err != nil {
-		return err
-	}
-	// Rows.
+	bw.WriteByte('\n')
 	for i := 0; i < d.m; i++ {
 		for j := range d.series {
 			if j > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
+				bw.WriteByte(',')
 			}
-			if _, err := bw.WriteString(strconv.FormatFloat(d.series[j][i], 'g', -1, 64)); err != nil {
-				return err
-			}
+			bw.WriteString(strconv.FormatFloat(d.series[j][i], 'g', -1, 64))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
@@ -146,73 +134,84 @@ func splitCSVLine(line string) []string {
 const (
 	binaryMagic   = 0x41465453 // "AFTS"
 	binaryVersion = 1
+	binaryChunk   = 16 << 10 // the most ReadBinary reads at once
 )
 
-// WriteBinary serializes the data matrix in the package's binary format.
-func (d *DataMatrix) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	header := []uint32{binaryMagic, binaryVersion, uint32(d.NumSeries()), uint32(d.m)}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
+// AppendBinary appends the matrix in the binary format to b, growing b once
+// by the encoded size.  It implements encoding.BinaryAppender.
+func (d *DataMatrix) AppendBinary(b []byte) ([]byte, error) {
+	size := 16
+	for _, name := range d.names {
+		size += 4 + len(name) + 8*d.m
+	}
+	b = slices.Grow(b, size)
+	for _, h := range [...]int{binaryMagic, binaryVersion, d.NumSeries(), d.m} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(h))
 	}
 	for i, s := range d.series {
-		name := []byte(d.names[i])
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(name))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(name); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(d.names[i])))
+		b = append(b, d.names[i]...)
 		for _, v := range s {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return bw.Flush()
+	return b, nil
 }
 
-// ReadBinary parses a data matrix previously written with WriteBinary.
+// WriteBinary serializes the data matrix in the binary format, in one write.
+func (d *DataMatrix) WriteBinary(w io.Writer) error {
+	b, _ := d.AppendBinary(nil) // appending cannot fail
+	_, err := w.Write(b)
+	return err
+}
+
+// ReadBinary parses a data matrix previously written with WriteBinary,
+// reading exactly its bytes from r.  Samples are read a chunk at a time and a
+// series' samples grow with its chunks until the first series has proven m,
+// so a header claiming more than r holds costs a chunk, not the claim.
 func ReadBinary(r io.Reader) (*DataMatrix, error) {
-	br := bufio.NewReader(r)
-	var magic, version, n, m uint32
-	for _, p := range []*uint32{&magic, &version, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("timeseries: reading binary header: %w", err)
-		}
+	buf := make([]byte, binaryChunk)
+	if _, err := io.ReadFull(r, buf[:16]); err != nil {
+		return nil, fmt.Errorf("timeseries: reading binary header: %w", err)
 	}
-	if magic != binaryMagic {
+	le := binary.LittleEndian
+	magic, version, n, m := le.Uint32(buf), le.Uint32(buf[4:]), int(le.Uint32(buf[8:])), int(le.Uint32(buf[12:]))
+	switch {
+	case magic != binaryMagic:
 		return nil, fmt.Errorf("timeseries: bad magic 0x%08x", magic)
-	}
-	if version != binaryVersion {
+	case version != binaryVersion:
 		return nil, fmt.Errorf("timeseries: unsupported binary version %d", version)
+	case (n == 0) != (m == 0):
+		return nil, fmt.Errorf("%w: %d series of %d samples", ErrShapeMismatch, n, m)
 	}
-	d := &DataMatrix{}
-	for i := uint32(0); i < n; i++ {
-		var nameLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
+	d, proven := &DataMatrix{m: m}, min(m, binaryChunk/8)
+	for i := range n {
+		if _, err := io.ReadFull(r, buf[:4]); err != nil {
 			return nil, fmt.Errorf("timeseries: reading series %d name length: %w", i, err)
 		}
+		nameLen := int(le.Uint32(buf))
 		if nameLen > 1<<20 {
 			return nil, fmt.Errorf("timeseries: series %d name length %d is implausible", i, nameLen)
 		}
-		nameBytes := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBytes); err != nil {
+		if nameLen > len(buf) {
+			buf = make([]byte, nameLen)
+		}
+		if _, err := io.ReadFull(r, buf[:nameLen]); err != nil {
 			return nil, fmt.Errorf("timeseries: reading series %d name: %w", i, err)
 		}
-		values := make([]float64, m)
-		for j := range values {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, fmt.Errorf("timeseries: reading series %d sample %d: %w", i, j, err)
+		d.names = append(d.names, string(buf[:nameLen]))
+		values := make([]float64, 0, proven)
+		for len(values) < m {
+			chunk := buf[:8*min(m-len(values), binaryChunk/8)]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return nil, fmt.Errorf("timeseries: reading series %d sample %d: %w", i, len(values), err)
 			}
-			values[j] = math.Float64frombits(bits)
+			for j := 0; j < len(chunk); j += 8 {
+				values = append(values, math.Float64frombits(le.Uint64(chunk[j:])))
+			}
 		}
-		if err := d.Append(string(nameBytes), values); err != nil {
-			return nil, err
-		}
+		d.series = append(d.series, slices.Clip(values))
+		proven = m // the first series arrived whole
 	}
 	return d, nil
 }
