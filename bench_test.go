@@ -745,7 +745,9 @@ func streamBenchSetup(b *testing.B, cfg core.Config) (*core.Engine, [][]float64)
 	return engine, ticks
 }
 
-// BenchmarkStreamAppend measures the pure buffering cost of one tick.
+// BenchmarkStreamAppend measures the pure buffering cost of one tick.  CI
+// tracks its allocs/op against BENCH_BUDGET.json: a tick is appended into the
+// engine's one pending buffer, so once that has grown Append allocates nothing.
 func BenchmarkStreamAppend(b *testing.B) {
 	engine, ticks := streamBenchSetup(b, core.Config{})
 	b.ResetTimer()
@@ -793,8 +795,9 @@ func BenchmarkStreamAdvanceDriftBounded(b *testing.B) { benchmarkAdvance(b, 0.05
 // BenchmarkAdvance is the incremental-maintenance smoke row: a drift-bounded
 // Advance, so every epoch exercises the incremental index update (stores
 // shared or re-derived per pivot + recompute) end to end.  CI tracks its
-// allocs/op against a checked-in budget (BENCH_BUDGET.json) to catch
-// allocation regressions in the pooled per-epoch scratch machinery.
+// allocs/op and B/op against a checked-in budget (BENCH_BUDGET.json) to catch
+// allocation regressions in the pooled per-epoch scratch machinery and in the
+// window slide, which writes only the new samples into a shared slab.
 func BenchmarkAdvance(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {

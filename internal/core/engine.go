@@ -312,9 +312,10 @@ type Engine struct {
 	// streamMu serializes Append/Advance and guards pending, stream and the
 	// scratch pools.
 	streamMu sync.Mutex
-	// pending buffers appended ticks (each of length n) until Advance folds
-	// them into the next epoch.
-	pending [][]float64
+	// pending buffers appended ticks, n samples each, one after the other,
+	// until Advance transposes them into the next epoch and truncates it; its
+	// capacity is reused from epoch to epoch.
+	pending []float64
 	// stream accumulates incremental-maintenance observability counters.
 	stream StreamStats
 	// sweep counts what the sweep stage did across every epoch: base-column

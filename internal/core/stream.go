@@ -31,18 +31,24 @@ import (
 // cluster centers, P assigned pivots of k relationships each, D indexed
 // D-measures and a stale set of size |stale|:
 //
-//	O(n·m)           copy the window into one slab (SlideCopy) — the memmove
-//	                 the epoch swap is made of.  The batch is checked for
-//	                 non-finite samples as it is copied in and the window
-//	                 carries its validation mark along, so nothing downstream
-//	                 scans the n·m samples for NaN again
+//	O(n·s)           write the s new samples of every series just past the
+//	                 window's columns in the slab it is a view into
+//	                 (SlideCopy): the next window is the same view shifted by
+//	                 s, while the slab's headroom H = max(m/4, s) lasts
+//	+ O(n·m)         and once every ⌊H/s⌋ + 1 epochs, when it runs out,
+//	                 compact the window into a fresh slab.  The batch is
+//	                 checked for non-finite samples as it is written and the
+//	                 window carries its validation mark along, so nothing
+//	                 downstream scans the n·m samples for NaN again
 //	O(pairs·s)       slide the pair moments Σ x_u·x_v, one multiply-add pair
 //	                 per pair and slid sample — only while a naive sweep has
 //	                 materialised the column (stats.PairMoments); an engine
 //	                 nobody sweeps naively pays nothing, and the statistics
 //	                 refresh epochs drop the column instead of sliding it
-//	O(n·s·log m)     slide the sorted columns (order statistics: median, mode
-//	                 are then read off them, O(1) and one pass, never re-sorted)
+//	O(n·s·log m)     slide the sorted columns in place and hand them forward
+//	                 to the new window, never copied (order statistics: median,
+//	                 mode are then read off them, O(1) and one pass, never
+//	                 re-sorted)
 //	O(n·m)           self-moments: Σx, Σx², mean, variance once per series
 //	                 and window, whoever asks — the summaries, the normalizers,
 //	                 drift scoring, the index, the kernel mirror and every
@@ -160,21 +166,19 @@ func (e *Engine) Append(tick []float64) error {
 			return fmt.Errorf("core: tick value for series %d is NaN or Inf", i)
 		}
 	}
-	cp := make([]float64, len(tick))
-	copy(cp, tick)
-
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
-	e.pending = append(e.pending, cp)
+	e.pending = append(e.pending, tick...)
 	return nil
 }
 
 // PendingSamples returns the number of buffered ticks not yet folded into
 // the window.
 func (e *Engine) PendingSamples() int {
+	n := e.state().data.NumSeries()
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
-	return len(e.pending)
+	return len(e.pending) / n
 }
 
 // Advance folds every buffered tick into a new epoch: the window slides
@@ -187,11 +191,11 @@ func (e *Engine) Advance() (AdvanceInfo, error) {
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
 	old := e.state()
-	slide := len(e.pending)
+	n := old.data.NumSeries()
+	slide := len(e.pending) / n
 	if slide == 0 {
 		return AdvanceInfo{Epoch: old.epoch}, nil
 	}
-	n := old.data.NumSeries()
 
 	// Transpose the buffered ticks into per-series batches.  The buffer comes
 	// from the engine's pool: SlideCopy, the sketch slide and the pair-moment
@@ -199,9 +203,9 @@ func (e *Engine) Advance() (AdvanceInfo, error) {
 	bs := e.getBatch()
 	defer e.putBatch(bs)
 	batch := bs.columns(n, slide)
-	for v := range batch {
-		for t, tick := range e.pending {
-			batch[v][t] = tick[v]
+	for t := range slide {
+		for v, x := range e.pending[t*n : (t+1)*n] {
+			batch[v][t] = x
 		}
 	}
 
@@ -213,7 +217,7 @@ func (e *Engine) Advance() (AdvanceInfo, error) {
 	if err != nil {
 		return AdvanceInfo{}, err
 	}
-	e.pending = nil
+	e.pending = e.pending[:0]
 	return info, nil
 }
 

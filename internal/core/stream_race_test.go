@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -634,4 +635,181 @@ func TestPinnedEpochReadsItsOwnWindowMoments(t *testing.T) {
 			t.Fatalf("round %d: the new epoch inherited the old window's moments", round)
 		}
 	}
+}
+
+// TestHeldEpochOutlivesCompactions: a reader holds one epoch — its window, a
+// view into a slab the next slides write past, and one answer of each door —
+// while the writer advances far enough for the window to be compacted into a
+// fresh slab at least three times.  Every sample, the moments, the median and
+// mode read off the held window, and every answer re-run on the held epoch
+// must keep the bits of a Clone and of the answers taken when it was
+// captured.  Run with -race.
+func TestHeldEpochOutlivesCompactions(t *testing.T) {
+	const n, window, slide = 14, 48, 2
+	// A slab leaves H = max(window/4, slide) samples of headroom: ⌊H/slide⌋
+	// slides run in place, and the next one compacts.
+	headroom := max(window/4, slide)
+	rounds := 3*(headroom/slide+1) + 1
+	for _, parallelism := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P%d", parallelism), func(t *testing.T) {
+			fx := makeStreamFixture(t, n, window, slide*(rounds+2), 29)
+			e, err := Build(fx.window, Config{
+				Clusters: 3, Seed: 9, Parallelism: parallelism,
+				Stream: StreamConfig{DriftBound: 0.05},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two warm epochs: the held window is a slid view at a non-zero
+			// offset into the slab the next slides run in place in.
+			for r := 0; r < 2; r++ {
+				appendTicks(t, e, fx.ticks[r*slide:(r+1)*slide])
+				if _, err := e.Advance(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held := e.View()
+			d := held.Data()
+			if vals, _, off := d.Slab(); vals == nil || off == 0 {
+				t.Fatalf("the held window is not a shifted slab view (offset %d)", off)
+			}
+			clone := d.Clone()
+			ids := d.IDs()
+			specs := []plan.QuerySpec{
+				plan.Interval(stats.Correlation, interval.GreaterThan(0.5)),
+				plan.TopK(stats.Covariance, 7, true),
+			}
+			type answers struct {
+				rows     [][]QueryResult
+				location [][]float64
+				pairwise [][][]float64
+			}
+			methods := []Method{MethodNaive, MethodAffine, MethodIndex}
+			ask := func() (answers, error) {
+				var a answers
+				for _, method := range methods {
+					rows, _, err := Run(held, specs, method, false)
+					if err != nil {
+						return a, err
+					}
+					var loc []float64
+					var pw [][]float64
+					if method != MethodIndex { // the index answers no MEC
+						if loc, err = computeLocation(held, stats.Median, ids, method); err != nil {
+							return a, err
+						}
+						if pw, err = computePairwise(held, stats.Correlation, ids[:5], method); err != nil {
+							return a, err
+						}
+					}
+					a.rows, a.location, a.pairwise = append(a.rows, rows), append(a.location, loc), append(a.pairwise, pw)
+				}
+				return a, nil
+			}
+			want, err := ask()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMoments := clone.Moments()
+
+			// check returns the first difference between the held epoch and
+			// what was captured, or nil.
+			check := func() error {
+				mo := d.Moments()
+				for _, id := range ids {
+					got, _ := d.Series(id)
+					orig, _ := clone.Series(id)
+					if !slices.Equal(bitsOf(got), bitsOf(orig)) {
+						return fmt.Errorf("series %d changed under the held epoch", id)
+					}
+					if !slices.Equal(bitsOf([]float64{mo.Sum[id], mo.Mean[id], mo.Variance[id], mo.SqNorm[id]}),
+						bitsOf([]float64{wantMoments.Sum[id], wantMoments.Mean[id], wantMoments.Variance[id], wantMoments.SqNorm[id]})) {
+						return fmt.Errorf("moments of series %d changed under the held epoch", id)
+					}
+					for _, m := range []stats.Measure{stats.Median, stats.Mode} {
+						got, err := stats.WindowLocation(m, d, id)
+						if err != nil {
+							return err
+						}
+						orig, _ := stats.WindowLocation(m, clone, id)
+						if math.Float64bits(got) != math.Float64bits(orig) {
+							return fmt.Errorf("%v of series %d: %v on the held window, %v on its clone", m, id, got, orig)
+						}
+					}
+				}
+				again, err := ask()
+				if err != nil {
+					return err
+				}
+				for i, method := range methods {
+					for q := range specs {
+						if !sameResult(again.rows[i][q], want.rows[i][q]) {
+							return fmt.Errorf("%v %v: the answer changed under the held epoch", method, specs[q])
+						}
+					}
+					if !slices.Equal(bitsOf(again.location[i]), bitsOf(want.location[i])) {
+						return fmt.Errorf("%v location: the answer changed under the held epoch", method)
+					}
+					for r := range want.pairwise[i] {
+						if !slices.Equal(bitsOf(again.pairwise[i][r]), bitsOf(want.pairwise[i][r])) {
+							return fmt.Errorf("%v pairwise row %d: the answer changed under the held epoch", method, r)
+						}
+					}
+				}
+				return nil
+			}
+
+			var stop atomic.Bool
+			var passes atomic.Int64
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						if err := check(); err != nil {
+							t.Error(err)
+							return
+						}
+						passes.Add(1)
+					}
+				}()
+			}
+			slabs := map[*float64]bool{}
+			for r := 2; r < rounds+2; r++ {
+				appendTicks(t, e, fx.ticks[r*slide:(r+1)*slide])
+				if _, err := e.Advance(); err != nil {
+					t.Fatal(err)
+				}
+				vals, _, _ := e.Data().Slab()
+				slabs[&vals[0]] = true
+			}
+			stop.Store(true)
+			wg.Wait()
+			if err := check(); err != nil {
+				t.Fatal(err)
+			}
+			heldSlab, _, _ := d.Slab()
+			delete(slabs, &heldSlab[0])
+			if len(slabs) < 3 {
+				t.Fatalf("%d compactions under the held epoch, want at least 3", len(slabs))
+			}
+			t.Logf("%d reader passes over %d epochs and %d compactions", passes.Load(), rounds, len(slabs))
+		})
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// sameResult reports whether two answers carry the same entries in the same
+// order and the same value bits.
+func sameResult(a, b QueryResult) bool {
+	return slices.Equal(a.Series, b.Series) && slices.Equal(a.Pairs, b.Pairs) &&
+		(a.Values == nil) == (b.Values == nil) && slices.Equal(bitsOf(a.Values), bitsOf(b.Values))
 }

@@ -60,24 +60,26 @@ const BlockPairs = 256
 // instead of chasing per-series slice headers.  A Matrix is immutable after
 // FromData.
 type Matrix struct {
-	vals []float64 // n contiguous columns of m samples each
-	n, m int
-	mom  *Moments // of the window as FromData saw it
+	vals        []float64 // column v at vals[v*stride+off:][:m]
+	n, m        int
+	stride, off int
+	mom         *Moments // of the window as FromData saw it
 }
 
-// FromData builds the columnar mirror of a data matrix.  A matrix that is
-// already one contiguous slab (every window a streaming engine slides into)
-// is aliased, not copied: nothing writes to a slab after SlideCopy filled it,
-// so the mirror stays immutable either way.  The window's moments are taken
-// here, with the samples: a mirror outlives an Append to its source, which
-// drops the source's memo.
+// FromData builds the columnar mirror of a data matrix.  A window that is a
+// view into a slab (every window a streaming engine slides into) is aliased,
+// not copied, at the slab's stride and the view's offset: SlideCopy writes
+// only past every view's columns and never into a superseded slab, so the
+// columns the mirror reads stay as they are either way.  The window's moments
+// are taken here, with the samples: a mirror outlives an Append to its
+// source, which drops the source's memo.
 func FromData(d *timeseries.DataMatrix) (*Matrix, error) {
 	n, m := d.NumSeries(), d.NumSamples()
-	k := &Matrix{vals: d.Slab(), n: n, m: m, mom: d.Moments()}
-	if k.vals != nil {
+	k := &Matrix{n: n, m: m, mom: d.Moments()}
+	if k.vals, k.stride, k.off = d.Slab(); k.vals != nil {
 		return k, nil
 	}
-	k.vals = make([]float64, n*m)
+	k.vals, k.stride = make([]float64, n*m), m
 	for _, id := range d.IDs() {
 		s, err := d.Series(id)
 		if err != nil {
@@ -98,7 +100,7 @@ func (k *Matrix) NumSamples() int { return k.m }
 // the source series (aliased or copied by FromData), so reductions over Col
 // are bit-identical to reductions over DataMatrix.Series.
 func (k *Matrix) Col(id timeseries.SeriesID) []float64 {
-	lo := int(id) * k.m
+	lo := int(id)*k.stride + k.off
 	return k.vals[lo : lo+k.m : lo+k.m]
 }
 
@@ -192,13 +194,13 @@ func (k *Matrix) CovBlock(mo *Moments, pairs []timeseries.Pair, out []float64) {
 }
 
 // Centre writes the centred column x_j − x̄ of every series in cols, x̄ taken
-// from mo, into dst (at least n·m long, laid out like the mirror; the columns
-// of other series are left as they are) and returns a mirror over dst.  Those
-// are exactly the operands CovBlock rounds for every pair, and DotBlock sums
-// their products in the same order, so DotBlock over the centred mirror
-// divided by m − 1 is CovBlock's covariance bit for bit: one centring per
-// series, however many pairs read it.  The returned mirror carries no
-// moments.
+// from mo, into dst (at least n·m long, column v at dst[v*m:(v+1)*m] whatever
+// the mirror's stride; the columns of other series are left as they are) and
+// returns a mirror over dst.  Those are exactly the operands CovBlock rounds
+// for every pair, and DotBlock sums their products in the same order, so
+// DotBlock over the centred mirror divided by m − 1 is CovBlock's covariance
+// bit for bit: one centring per series, however many pairs read it.  The
+// returned mirror carries no moments.
 func (k *Matrix) Centre(mo *Moments, dst []float64, cols []timeseries.SeriesID) Matrix {
 	dst = dst[:k.n*k.m]
 	for _, id := range cols {
@@ -208,7 +210,7 @@ func (k *Matrix) Centre(mo *Moments, dst []float64, cols []timeseries.SeriesID) 
 			c[j] = xj - mx
 		}
 	}
-	return Matrix{vals: dst, n: k.n, m: k.m}
+	return Matrix{vals: dst, n: k.n, m: k.m, stride: k.m}
 }
 
 // covPairs is the one-pair covariance loop — the scalar path's loop over

@@ -398,16 +398,32 @@ func TestFromDataAliasesSlidWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slid.Slab() == nil || &aliased.vals[0] != &slid.Slab()[0] {
+	slab, stride, off := slid.Slab()
+	if slab == nil || &aliased.vals[0] != &slab[0] || aliased.stride != stride || aliased.off != off {
 		t.Fatal("FromData copied a window that is already one slab")
 	}
 	copied, err := FromData(slid.Clone()) // Clone lays the columns out separately
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &copied.vals[0] == &slid.Slab()[0] {
+	if &copied.vals[0] == &slab[0] || copied.stride != copied.NumSamples() || copied.off != 0 {
 		t.Fatal("a cloned window must not alias the original's slab")
 	}
+	// The next slide runs in place: a view at a non-zero offset into the same
+	// slab, which its mirror aliases and reduces bit for bit.
+	shifted, err := slid.SlideCopy(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shiftedSlab, _, shiftedOff := shifted.Slab()
+	sk, err := FromData(shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &shiftedSlab[0] != &slab[0] || shiftedOff != off+len(batch[0]) || sk.off != shiftedOff {
+		t.Fatalf("the second slide did not run in place (offset %d after %d)", shiftedOff, off)
+	}
+	requireBlocksMatchScalar(t, shifted, sk, shifted.Moments(), allPairsWithDiagonal(shifted.NumSeries()))
 	// A second mirror of the window, whose moments nobody asks for until its
 	// source has been mutated.
 	late, err := FromData(slid)
@@ -454,7 +470,7 @@ func TestFromDataAliasesSlidWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSame("after Append")
-	if slid.Slab() != nil {
+	if vals, _, _ := slid.Slab(); vals != nil {
 		t.Fatal("a mutated window still claims to be one slab")
 	}
 	// A mirror keeps the moments of the window it was built from: the late

@@ -99,8 +99,10 @@ type Coordinator struct {
 
 	cur atomic.Pointer[coordState]
 
-	mu      sync.Mutex
-	pending [][]float64
+	mu sync.Mutex
+	// pending buffers appended ticks, n samples each, one after the other;
+	// Advance truncates it and reuses its capacity.
+	pending []float64
 }
 
 // Build runs clustering and SYMEX once globally, places the pivots onto
@@ -239,20 +241,18 @@ func (c *Coordinator) Append(tick []float64) error {
 			return fmt.Errorf("shard: tick value for series %d is NaN or Inf", i)
 		}
 	}
-	cp := make([]float64, len(tick))
-	copy(cp, tick)
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pending = append(c.pending, cp)
+	c.pending = append(c.pending, tick...)
 	return nil
 }
 
 // PendingSamples returns the number of buffered ticks.
 func (c *Coordinator) PendingSamples() int {
+	n := c.state().data.NumSeries()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return len(c.pending) / n
 }
 
 // Advance folds the buffered ticks into a new epoch on every shard in
@@ -268,18 +268,18 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs := c.state()
-	slide := len(c.pending)
+	n := cs.data.NumSeries()
+	slide := len(c.pending) / n
 	if slide == 0 {
 		return core.AdvanceInfo{Epoch: cs.epoch}, nil
 	}
 	start := time.Now()
 
-	n := cs.data.NumSeries()
 	batch := make([][]float64, n)
 	for v := 0; v < n; v++ {
 		col := make([]float64, slide)
 		for t := 0; t < slide; t++ {
-			col[t] = c.pending[t][v]
+			col[t] = c.pending[t*n+v]
 		}
 		batch[v] = col
 	}
@@ -340,7 +340,7 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 	c.cache.OnAdvance(st.epoch, core.SortedStalePairs(stale), fullRefit)
 
 	c.cur.Store(st)
-	c.pending = nil
+	c.pending = c.pending[:0]
 
 	agg := core.AdvanceInfo{
 		Epoch: st.epoch, Slide: slide, Duration: time.Since(start),

@@ -110,11 +110,7 @@ func WindowLocation(m Measure, d *timeseries.DataMatrix, id timeseries.SeriesID)
 		return 0, fmt.Errorf("%w: %v is not an L-measure", ErrUnknownMeasure, m)
 	}
 	if sp.EvalSorted != nil {
-		sorted, err := d.SortedSeries(id)
-		if err != nil {
-			return 0, err
-		}
-		return sp.EvalSorted(sorted)
+		return d.EvalSorted(id, sp.EvalSorted)
 	}
 	s, err := d.Series(id)
 	if err != nil {

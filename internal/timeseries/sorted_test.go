@@ -131,9 +131,9 @@ func TestSortedWindowSoak(t *testing.T) {
 	slideSequence(t, 99, 48, 1, 10000)
 }
 
-// TestSortedSeriesLifecycle: the columns are built on first use, inherited
-// by SlideCopy only from a window that has them, and dropped by every
-// in-place mutator.
+// TestSortedSeriesLifecycle: the columns are built on first use, moved on by
+// SlideCopy only from a window that has them — the receiver keeps none and
+// sorts afresh if asked again — and dropped by every in-place mutator.
 func TestSortedSeriesLifecycle(t *testing.T) {
 	d := sample3x4()
 	if _, err := d.SortedSeries(3); err == nil {
@@ -148,14 +148,19 @@ func TestSortedSeriesLifecycle(t *testing.T) {
 		t.Fatal("SlideCopy built sorted columns its receiver never had")
 	}
 	requireSortedParity(t, d, 0)
+	held := d.sorted
 	slid, err := d.SlideCopy(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slid.sorted == nil {
-		t.Fatal("SlideCopy dropped its receiver's sorted columns")
+	if slid.sorted == nil || &slid.sorted[0] != &held[0] {
+		t.Fatal("SlideCopy did not move its receiver's sorted columns forward")
+	}
+	if d.sorted != nil {
+		t.Fatal("the receiver kept the sorted columns it handed on")
 	}
 	requireSortedParity(t, slid, 1)
+	requireSortedParity(t, d, 1) // re-sorted on demand
 
 	mutators := map[string]func(*DataMatrix) error{
 		"Append": func(x *DataMatrix) error { return x.Append("d", make([]float64, x.NumSamples())) },
@@ -165,21 +170,21 @@ func TestSortedSeriesLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if x.Slab() == nil || x.sorted == nil {
+		vals, _, _ := x.Slab()
+		if vals == nil || x.sorted == nil {
 			t.Fatalf("%s: SlideCopy result has no slab or no sorted columns", name)
 		}
 		// The columns are cap-limited views of the slab, so Append cannot
 		// write into it.
-		slab := x.Slab()
-		before := append([]float64(nil), slab...)
+		before := append([]float64(nil), vals...)
 		if err := mutate(x); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if x.Slab() != nil || x.sorted != nil {
+		if after, _, _ := x.Slab(); after != nil || x.sorted != nil {
 			t.Fatalf("%s kept the slab marker or the sorted columns of the window it changed", name)
 		}
 		for i := range before {
-			if math.Float64bits(slab[i]) != math.Float64bits(before[i]) {
+			if math.Float64bits(vals[i]) != math.Float64bits(before[i]) {
 				t.Fatalf("%s wrote into the slab at %d", name, i)
 			}
 		}

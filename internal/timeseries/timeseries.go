@@ -86,14 +86,22 @@ func (p Pair) Other(id SeriesID) (SeriesID, error) {
 // A data matrix can act as a sliding window over an unbounded stream:
 // SlideCopy returns the next window — a batch of new samples appended at the
 // right edge of every series, as many of the oldest evicted from the left
-// edge — and leaves the receiver untouched, so a query holding the old window
-// keeps reading it.  The start index records how many samples have been
-// evicted over the stream's lifetime, so sample i of the current window is
-// logical stream position start+i.
+// edge — and leaves the receiver's samples untouched, so a query holding the
+// old window keeps reading it.  The start index records how many samples have
+// been evicted over the stream's lifetime, so sample i of the current window
+// is logical stream position start+i.
 //
-// A window also answers order statistics: SortedSeries returns a series'
-// samples in sorted order, built for the whole matrix on first use and from
-// then on slid by SlideCopy in O(slide) insertions per series instead of
+// Slid windows are views into one shared slab with headroom past every
+// column (windowSlab): the newest view slides in place by writing only the
+// new samples just past its columns, and every other slide compacts into a
+// fresh slab.  No view ever sees a write — new samples land beyond every view
+// of the slab, and a superseded slab is never written again — so the views
+// need no pin and the GC frees a slab with its last view.
+//
+// A window also answers order statistics: EvalSorted evaluates a function
+// over a series' samples in sorted order, built for the whole matrix on first
+// use and from then on slid by SlideCopy in O(slide) insertions per series —
+// the columns move forward to the next window instead of being copied or
 // re-sorted, so a streaming engine reads medians and modes off every epoch's
 // window without a per-epoch sort.  Moments returns the series' self-moments
 // (Σx, mean, variance, Σx²), reduced once per window for every consumer.
@@ -103,17 +111,21 @@ type DataMatrix struct {
 	m      int         // samples per series
 	start  int         // logical stream index of the first retained sample
 
-	// slab, when non-nil, is the one allocation backing every series:
-	// series[v] is slab[v*m:(v+1)*m].  SlideCopy lays its result out this way
-	// so the kernel mirror can alias the window instead of copying it; Append
-	// drops it.
-	slab []float64
+	// slab, when non-nil, backs every series: series[v] is the cap-limited
+	// view slab.vals[v*stride+off : v*stride+off+m].  SlideCopy lays its
+	// result out this way, so the kernel mirror can alias the window instead
+	// of copying it and the next slide can write just past it; Append drops
+	// it.
+	slab *windowSlab
+	off  int
 
 	// sorted holds the n columns of the window in measure.SortSamples order,
-	// column v at sorted[v*m:(v+1)*m]; nil until the first SortedSeries call.
-	// moments holds the series' self-moments; nil until the first Moments call.
-	// memoMu guards both fields (queries on one epoch may race to build them).
-	memoMu  sync.Mutex
+	// column v at sorted[v*m:(v+1)*m]; nil until the first EvalSorted call,
+	// and again once SlideCopy has moved them forward to the next window.
+	// moments holds the series' self-moments; nil until the first Moments
+	// call.  memoMu guards both fields (queries on one epoch may race to build
+	// them); readers of the sorted columns share it.
+	memoMu  sync.RWMutex
 	sorted  []float64
 	moments *Moments
 
@@ -121,6 +133,28 @@ type DataMatrix struct {
 	// the next Validate need not scan them again.  Several builders may
 	// validate one shared matrix at once, hence the atomic.
 	validated atomic.Bool
+}
+
+// windowSlab is the storage a chain of slid windows shares: n columns of
+// stride = m + H samples, column v at vals[v*stride:(v+1)*stride], each
+// window a view at some offset into every column.  tip is the offset of the
+// one view that may still slide in place — the newest; a slide claims it with
+// CompareAndSwap, so of two slides from one view at most one writes.
+type windowSlab struct {
+	vals   []float64
+	stride int
+	tip    atomic.Int64
+}
+
+// headroom returns H, the samples a fresh slab leaves past the window's m in
+// every column: a quarter of the window, or one slide where that is longer, so
+// ⌊H/slide⌋ slides of one length run in place between two compactions.  A
+// slide of a whole window never runs in place and does not size the room.
+func headroom(m, slide int) int {
+	if slide >= m {
+		slide = 0
+	}
+	return max(m/4, slide)
 }
 
 // NewDataMatrix builds a data matrix from n series of equal length.  The
@@ -167,7 +201,7 @@ func (d *DataMatrix) Append(name string, values []float64) error {
 	d.names = append(d.names, name)
 	// Drop the state derived from the previous layout and contents.
 	d.validated.Store(false)
-	d.slab = nil
+	d.slab, d.off = nil, 0
 	d.memoMu.Lock()
 	d.sorted = nil
 	d.moments = nil
@@ -189,9 +223,18 @@ func (d *DataMatrix) StartIndex() int { return d.start }
 // SlideCopy returns a new data matrix whose window holds the most recent
 // NumSamples() samples of every series after appending the batch: the window
 // length stays fixed, the oldest len(batch[v]) samples are evicted, and the
-// start index advances accordingly.  The receiver is not modified, so query
-// paths holding a reference to it keep observing the old window — this is the
-// copy-on-write primitive behind the engine's epoch swap.
+// start index advances accordingly.  The receiver's samples are not modified,
+// so query paths holding a reference to it keep observing the old window —
+// this is the copy-on-write primitive behind the engine's epoch swap.
+//
+// The result shares the receiver's slab when the receiver is the slab's
+// newest view and the headroom has room for the batch: then only the batch is
+// written, just past the receiver's columns, and the result is the receiver's
+// view shifted by the slide.  Every other slide — a second one from the same
+// receiver, one whose earlier result was discarded, a slide of a whole window,
+// a matrix with no slab — compacts the window into a fresh slab.  The
+// receiver's sorted columns, when it has them, move to the result slid, and
+// the receiver sorts afresh if asked again.
 //
 // A batch longer than the window replaces the window entirely (only its most
 // recent NumSamples() entries are retained).
@@ -213,25 +256,15 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 			return nil, fmt.Errorf("timeseries: batch for series %d contains NaN or Inf", v)
 		}
 	}
-	// One slab for the whole window, columns cap-limited so no column can
-	// grow into its neighbour.
-	m := d.m
+	n, m := len(d.series), d.m
 	out := &DataMatrix{
-		names:  append([]string(nil), d.names...),
-		series: make([][]float64, len(d.series)),
+		names:  d.names[:n:n],
+		series: make([][]float64, n),
 		m:      m,
 		start:  d.start + slide,
-		slab:   make([]float64, len(d.series)*m),
 	}
-	for v, s := range d.series {
-		w := out.slab[v*m : (v+1)*m : (v+1)*m]
-		if slide >= m {
-			copy(w, batch[v][slide-m:])
-		} else {
-			copy(w, s[slide:])
-			copy(w[m-slide:], batch[v])
-		}
-		out.series[v] = w
+	if !d.slideInPlace(out, batch, slide) {
+		d.compactInto(out, batch, slide)
 	}
 
 	// The batch was just checked sample by sample, so a validated window
@@ -239,14 +272,14 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 	out.validated.Store(d.validated.Load())
 
 	// A window that has its sorted columns hands them on, slid: whoever
-	// shares the copy (every shard behind a coordinator) shares them too.
+	// shares the result (every shard behind a coordinator) shares them too.
 	d.memoMu.Lock()
 	sorted := d.sorted
+	d.sorted = nil
 	d.memoMu.Unlock()
 	if sorted != nil {
-		out.sorted = append([]float64(nil), sorted...) // one copy, no zeroing pass
 		for v, s := range d.series {
-			w := out.sorted[v*m : (v+1)*m]
+			w := sorted[v*m : (v+1)*m]
 			if slide >= m {
 				copy(w, out.series[v])
 				measure.SortSamples(w)
@@ -256,8 +289,48 @@ func (d *DataMatrix) SlideCopy(batch [][]float64) (*DataMatrix, error) {
 				replaceSorted(w, s[i], in)
 			}
 		}
+		out.sorted = sorted
 	}
 	return out, nil
+}
+
+// slideInPlace lays out's window into d's slab, shifted by the slide, when d
+// is the slab's newest view and its headroom holds the batch: it claims the
+// tip and writes the batch just past d's columns, where no view of the slab
+// reads.  It reports whether it did.
+func (d *DataMatrix) slideInPlace(out *DataMatrix, batch [][]float64, slide int) bool {
+	b, m := d.slab, d.m
+	if b == nil || slide >= m || d.off+m+slide > b.stride ||
+		!b.tip.CompareAndSwap(int64(d.off), int64(d.off+slide)) {
+		return false
+	}
+	lo := d.off + slide
+	for v := range batch {
+		col := b.vals[v*b.stride : (v+1)*b.stride]
+		copy(col[d.off+m:], batch[v])
+		out.series[v] = col[lo : lo+m : lo+m]
+	}
+	out.slab, out.off = b, lo
+	return true
+}
+
+// compactInto lays out's window at the start of a fresh slab: the receiver's
+// surviving samples, then the batch.
+func (d *DataMatrix) compactInto(out *DataMatrix, batch [][]float64, slide int) {
+	m := d.m
+	b := &windowSlab{stride: m + headroom(m, slide)}
+	b.vals = make([]float64, len(d.series)*b.stride)
+	for v, s := range d.series {
+		w := b.vals[v*b.stride : v*b.stride+m : v*b.stride+m]
+		if slide >= m {
+			copy(w, batch[v][slide-m:])
+		} else {
+			copy(w, s[slide:])
+			copy(w[m-slide:], batch[v])
+		}
+		out.series[v] = w
+	}
+	out.slab, out.off = b, 0
 }
 
 // replaceSorted swaps one occurrence of out for in inside w, which is and
@@ -291,15 +364,25 @@ func sortedRank(w []float64, x float64, equal bool) int {
 	return lo
 }
 
-// SortedSeries returns the samples of series id in measure.SortSamples order
-// (by value, −0 before +0).  The first call sorts every column of the matrix
-// once; matrices produced from it by SlideCopy inherit the columns slid.  The
-// returned slice is internal storage and must not be modified.
-func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
+// EvalSorted returns f evaluated over the samples of series id in
+// measure.SortSamples order (by value, −0 before +0).  The first call sorts
+// every column of the matrix once; a matrix produced from it by SlideCopy
+// inherits the columns slid.  f runs under the memo's read lock, because the
+// next SlideCopy moves the columns on: it must not keep or modify the slice,
+// nor call back into d.
+func (d *DataMatrix) EvalSorted(id SeriesID, f func(sorted []float64) (float64, error)) (float64, error) {
 	if err := d.checkID(id); err != nil {
-		return nil, err
+		return 0, err
 	}
+	lo := int(id) * d.m
+	d.memoMu.RLock()
+	if d.sorted != nil {
+		defer d.memoMu.RUnlock()
+		return f(d.sorted[lo : lo+d.m : lo+d.m])
+	}
+	d.memoMu.RUnlock()
 	d.memoMu.Lock()
+	defer d.memoMu.Unlock()
 	if d.sorted == nil {
 		d.sorted = make([]float64, len(d.series)*d.m)
 		for v, s := range d.series {
@@ -308,17 +391,32 @@ func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
 			measure.SortSamples(w)
 		}
 	}
-	sorted := d.sorted
-	d.memoMu.Unlock()
-	lo := int(id) * d.m
-	return sorted[lo : lo+d.m : lo+d.m], nil
+	return f(d.sorted[lo : lo+d.m : lo+d.m])
 }
 
-// Slab returns the window as n contiguous columns of m samples — column v at
-// [v*m, (v+1)*m) — when the matrix is laid out that way (a SlideCopy result
-// not mutated since), and nil otherwise.  The slice is internal storage and
-// must not be modified.
-func (d *DataMatrix) Slab() []float64 { return d.slab }
+// SortedSeries returns a copy of the samples of series id in
+// measure.SortSamples order, read off the matrix's sorted columns
+// (EvalSorted).
+func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
+	var out []float64
+	_, err := d.EvalSorted(id, func(sorted []float64) (float64, error) {
+		out = append([]float64(nil), sorted...)
+		return 0, nil
+	})
+	return out, err
+}
+
+// Slab returns the storage behind the window when it is one slab (a
+// SlideCopy result not mutated since): column v is
+// vals[v*stride+off : v*stride+off+m].  vals is nil otherwise.  The slab is
+// internal storage and must not be modified; past the window's columns it
+// holds samples of other windows, including ones written after this call.
+func (d *DataMatrix) Slab() (vals []float64, stride, off int) {
+	if d.slab == nil {
+		return nil, 0, 0
+	}
+	return d.slab.vals, d.slab.stride, d.off
+}
 
 // Name returns the name of series id (empty when unnamed).
 func (d *DataMatrix) Name(id SeriesID) string {
