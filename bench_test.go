@@ -799,6 +799,63 @@ func BenchmarkStreamAdvanceDriftBounded(b *testing.B) { benchmarkAdvance(b, 0.05
 // allocation regressions in the pooled per-epoch scratch machinery and in the
 // window slide, which writes only the new samples into a shared slab.
 func BenchmarkAdvance(b *testing.B) {
+	engine, ticks := advanceBenchSetup(b)
+	const slide = 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < slide; s++ {
+			if err := engine.Append(ticks[(i*slide+s)%len(ticks)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := engine.Advance(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	ss := engine.StreamStats()
+	if b.N > 0 {
+		b.ReportMetric(float64(ss.IndexUpdates)/float64(b.N), "delta-updates/epoch")
+		b.ReportMetric(ss.PoolHitRate(), "pool-hit-rate")
+	}
+}
+
+// BenchmarkAdvanceMedian is BenchmarkAdvance for a stream that asks for a
+// median: every epoch is an Advance followed by a median interval by Index.
+// The epoch's query fills the index's median column from the window's sorted
+// columns, which the Advance slid forward from the previous window instead of
+// sorting afresh.  CI tracks its allocs/op against BENCH_BUDGET.json.
+func BenchmarkAdvanceMedian(b *testing.B) {
+	engine, ticks := advanceBenchSetup(b)
+	iv := interval.GreaterThan(0)
+	// The build epoch's query sorts the window once; every later one slides.
+	if _, err := engine.Interval(stats.Median, iv, core.MethodIndex); err != nil {
+		b.Fatal(err)
+	}
+	const slide = 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < slide; s++ {
+			if err := engine.Append(ticks[(i*slide+s)%len(ticks)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := engine.Advance(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.Interval(stats.Median, iv, core.MethodIndex); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// advanceBenchSetup builds the drift-bounded streaming engine of
+// BenchmarkAdvance over the sensor data and the ticks it streams: the
+// window's samples, slightly rescaled per series.
+func advanceBenchSetup(b *testing.B) (*core.Engine, [][]float64) {
+	b.Helper()
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {
 		b.Fatal(err)
@@ -824,25 +881,7 @@ func BenchmarkAdvance(b *testing.B) {
 		}
 		ticks[t] = tick
 	}
-	const slide = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < slide; s++ {
-			if err := engine.Append(ticks[(i*slide+s)%len(ticks)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := engine.Advance(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	ss := engine.StreamStats()
-	if b.N > 0 {
-		b.ReportMetric(float64(ss.IndexUpdates)/float64(b.N), "delta-updates/epoch")
-		b.ReportMetric(ss.PoolHitRate(), "pool-hit-rate")
-	}
+	return engine, ticks
 }
 
 // BenchmarkColdRebuild measures the alternative the streaming path replaces:

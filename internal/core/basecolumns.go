@@ -61,7 +61,8 @@ type baseKey struct {
 
 // Values of Actual.BaseValues and plan.Plan.BaseValues: an affine sweep filled
 // or reused the epoch's base column, or a naive sweep read the fit's
-// covariance column.
+// covariance column; an L-measure query filled or reused the index's location
+// column.
 const (
 	BaseFilled = "filled"
 	BaseReused = "reused"

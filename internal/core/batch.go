@@ -154,24 +154,14 @@ func (e *engineState) locationQuery(it Item) (QueryResult, error) {
 }
 
 // locationValues returns an L-measure's value for each requested series:
-// from the raw window (naive) or from the affine per-series estimates.
+// from the raw window (naive) or estimated through the series' calibration
+// (affine).
 func (e *engineState) locationValues(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
 	switch method {
 	case MethodNaive:
 		return e.naive.Location(m, ids)
 	case MethodAffine:
-		estimates, ok := e.seriesLocation[m]
-		if !ok {
-			return nil, fmt.Errorf("core: no location estimates for %v", m)
-		}
-		out := make([]float64, len(ids))
-		for i, id := range ids {
-			if int(id) < 0 || int(id) >= len(estimates) {
-				return nil, fmt.Errorf("%w: %d", timeseries.ErrInvalidSeries, id)
-			}
-			out[i] = estimates[id]
-		}
-		return out, nil
+		return e.calibratedLocations(m, ids)
 	default:
 		return nil, fmt.Errorf("%w: %v for an L-measure", ErrBadMethod, method)
 	}

@@ -262,9 +262,6 @@ type engineState struct {
 	// k cluster centers instead of all n series.
 	calibA []float64
 	calibB []float64
-	// Affine-estimated per-series location measures (the W_A path for
-	// L-measures); keyed by measure.
-	seriesLocation map[stats.Measure][]float64
 
 	// par is the worker count used by sharded and batched query scans over
 	// this epoch (from Config.Parallelism; merge order is deterministic).
@@ -472,10 +469,9 @@ func (e *Engine) Naive() *baseline.Naive { return e.state().naive }
 // built engine).
 func (e *Engine) Epoch() int { return e.state().epoch }
 
-// buildDerived fills the pivot summaries, the calibration and the
-// affine-estimated per-series locations for the state's window.  Whatever is
-// a function of the window alone or of the clustering alone — the series' and
-// the centers' self-moments, the centers' L-measures — is read off the memo on
+// buildDerived fills the pivot summaries and the calibration for the state's
+// window.  Whatever is a function of the window alone or of the clustering
+// alone — the series' and the centers' self-moments — is read off the memo on
 // that object, never reduced here, so an epoch's derived state is exactly a
 // cold build's on the same window.  The pivot terms and the centre
 // covariances are the relationship layout's memo for the window: a build
@@ -496,39 +492,26 @@ func (st *engineState) buildDerived(parallelism int) error {
 	// propagated through (a, b) are exact for the mean and approximate for
 	// the median and the mode (which is exactly the error pattern the paper
 	// reports in Figs. 9–10).
-	if err := st.calibrate(parallelism); err != nil {
-		return err
-	}
-
-	// Per-series location estimates propagated through the affine calibration
-	// against the cluster-center locations.
-	st.seriesLocation = make(map[stats.Measure][]float64, 3)
-	for _, m := range stats.LMeasures() {
-		values, err := st.calibratedLocations(m)
-		if err != nil {
-			return err
-		}
-		st.seriesLocation[m] = values
-	}
-	return nil
+	return st.calibrate(parallelism)
 }
 
-// calibratedLocations estimates L-measure m of every series from its cluster
-// center's through the series' 1-D calibration (Eq. 5 restricted to the
-// cluster-center column): O(1) per series.
-func (st *engineState) calibratedLocations(m stats.Measure) ([]float64, error) {
+// calibratedLocations estimates L-measure m of each series of ids from its
+// cluster center's through the series' 1-D calibration (Eq. 5 restricted to
+// the cluster-center column): O(1) per series, the center's value memoised on
+// the clustering.
+func (st *engineState) calibratedLocations(m stats.Measure, ids []timeseries.SeriesID) ([]float64, error) {
 	clustering := st.rel.Clustering
 	centers, err := clustering.CenterLocations(m)
 	if err != nil {
 		return nil, err
 	}
-	values := make([]float64, st.data.NumSeries())
-	for _, id := range st.data.IDs() {
+	values := make([]float64, len(ids))
+	for i, id := range ids {
 		omega, err := clustering.Omega(id)
 		if err != nil {
 			return nil, err
 		}
-		values[id] = st.calibA[id]*centers[omega] + st.calibB[id]
+		values[i] = st.calibA[id]*centers[omega] + st.calibB[id]
 	}
 	return values, nil
 }

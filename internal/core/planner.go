@@ -4,6 +4,7 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
+	"affinity/internal/stats"
 )
 
 // This file is the engine's side of the cost-based planner (internal/plan):
@@ -34,7 +35,7 @@ func (st *engineState) finishPlanner(cfg Config) {
 	}
 }
 
-// The planner and cache handles of Backend, and the two index probes the
+// The planner and cache handles of Backend, and the index probes the
 // pipeline reports and verifies with.
 
 func (e *engineState) Epoch() int                { return e.epoch }
@@ -48,6 +49,13 @@ func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 		return scape.Selectivity{}, ErrNoIndex
 	}
 	return e.index.EstimateSelectivity(spec.PairQuery())
+}
+
+func (e *engineState) FillLocation(m stats.Measure) (bool, error) {
+	if e.index == nil {
+		return false, ErrNoIndex
+	}
+	return e.index.FillLocation(m)
 }
 
 // Plan prices a query spec against the epoch without executing it.

@@ -83,14 +83,17 @@ import (
 //	                 inversions the new window caused (a fraction of a percent
 //	                 of the entries at slide 1); only a pivot whose store
 //	                 was re-derived sorts cold, O(k·log k)
-//	O(n·log n)       location columns (one sort per L-measure), per-series
-//	                 statistics
+//	O(n)             per-series statistics
 //
 // and, outside Advance, on the first index query or count of the epoch that
-// names a D-measure:
+// names a D- or an L-measure:
 //
-//	O(P·k)           that measure's value column, one value per sequence
+//	O(P·k)           that D-measure's value column, one value per sequence
 //	                 node — per queried measure, never O(P·k·D) up front
+//	O(|rel| + n·log n) that L-measure's location column; a median or mode
+//	                 reads the window's sorted columns, which the first such
+//	                 query of a stream sorts (O(n·m·log m)) and every later
+//	                 Advance slides (O(n·s·log m)) instead of sorting again
 //
 // and on the first naive sweep after a build or a statistics refresh epoch:
 //
@@ -382,8 +385,7 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 }
 
 // relAndDerived performs the epoch's relationship maintenance: it rebuilds
-// the window-derived quantities (pivot summaries, calibration, location
-// estimates), measures each old relationship's drift on the new window,
+// the window-derived quantities (pivot summaries, calibration), measures each old relationship's drift on the new window,
 // re-fits the stale ones and installs the resulting relationship set.
 // refresh marks the periodic full-refresh epochs, on which previously pruned
 // pairs also get a refit attempt.

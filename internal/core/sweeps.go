@@ -177,7 +177,7 @@ func (e *engineState) locationSweepNaive(m stats.Measure) (*LocationSweepResult,
 // centers' values are the clustering's, the O(1) propagation per series is
 // redone.
 func (e *engineState) locationSweepAffine(m stats.Measure) (*LocationSweepResult, error) {
-	values, err := e.calibratedLocations(m)
+	values, err := e.calibratedLocations(m, e.data.IDs())
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -159,7 +159,10 @@ func TestTopKLocationMeasures(t *testing.T) {
 						t.Fatal(err)
 					}
 				case MethodAffine:
-					oracle = st.seriesLocation[m]
+					oracle, err = st.calibratedLocations(m, e.Data().IDs())
+					if err != nil {
+						t.Fatal(err)
+					}
 				default:
 					continue
 				}

@@ -109,15 +109,19 @@ func requireAlphaFromPivotTerms(t *testing.T, label string, idx *Index, d *times
 	}
 }
 
-// requireSameLocation compares the location columns of two indexes entry by
-// entry.
+// requireSameLocation fills the location columns of two indexes and
+// compares them entry by entry.
 func requireSameLocation(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	if !slices.Equal(got.lMeasures, want.lMeasures) {
 		t.Fatalf("%s: L-measures %v, want %v", label, got.lMeasures, want.lMeasures)
 	}
-	for s, m := range want.lMeasures {
-		g, w := got.location[s], want.location[s]
+	for _, m := range want.lMeasures {
+		g, _, gerr := got.locationOf(m)
+		w, _, werr := want.locationOf(m)
+		if gerr != nil || werr != nil {
+			t.Fatalf("%s %v: filling the location columns: %v, %v", label, m, gerr, werr)
+		}
 		if !slices.Equal(g.ids, w.ids) || len(g.keys) != len(w.keys) {
 			t.Fatalf("%s %v: location column holds series %v, want %v", label, m, g.ids, w.ids)
 		}

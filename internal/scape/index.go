@@ -33,7 +33,7 @@
 // by inverting the transform, are not needed once every value is in hand.
 //
 // Location (L-) measures apply to single series rather than pairs; the index
-// keeps one sorted column per L-measure over the series' measure values,
+// can serve one sorted column per L-measure over the series' measure values,
 // estimated through an affine relationship (falling back to a direct
 // computation for series that only ever appear as the common member).
 //
@@ -58,12 +58,16 @@
 // by (value, series id), and one routine (keyWindow) maps an interval to the
 // index window of matching entries for both.
 //
-// The value column of a D-measure is not part of the epoch's construction.
-// The column — one value per entry in container order, NaN where the measure
-// is undefined, beside each node's extremes over its defined values — is
+// Neither the value column of a D-measure nor the location column of an
+// L-measure is part of the epoch's construction.  A value column — one value
+// per entry in container order, NaN where the measure is undefined, beside
+// each node's extremes over its defined values — and a location column are
 // filled by the first interval scan, batch, top-k or selectivity count of the
-// epoch that names the measure, once (a sync.Once per index and D-measure); a
-// measure nobody asks about at an epoch is never evaluated.
+// epoch that names the measure, once (a sync.Once per index and measure); a
+// measure nobody asks about at an epoch is never evaluated.  So an index
+// whose epochs are never asked for a median or a mode never sorts a window:
+// the order statistics read the window's sorted columns, which exist only
+// once such a fill has asked for them (timeseries.DataMatrix.EvalSorted).
 package scape
 
 import (
@@ -104,8 +108,9 @@ type Options struct {
 	// per-epoch value column, filled on first use.  Nil selects every
 	// D-measure with a separable normalizer.
 	DerivedMeasures []stats.Measure
-	// LocationMeasures lists the L-measures to index over individual series.
-	// Nil selects mean, median and mode.
+	// LocationMeasures lists the L-measures the index can serve over
+	// individual series: each gets a per-epoch location column, filled on
+	// first use.  Nil selects mean, median and mode.
 	LocationMeasures []stats.Measure
 	// Parallelism is the number of goroutines used to shard threshold/range
 	// scans by pivot at query time, to build the pivot nodes (one container
@@ -171,16 +176,22 @@ type pivotNode struct {
 
 // locationColumn is the index of one L-measure: every series' value in
 // ascending order — ties by series id, NaN first, the order of a ξ-container —
-// and the series beside it.
+// and the series beside it.  The values depend on the window, so the column is
+// per epoch; it is filled by the first query or count that names the measure,
+// and a failed fill leaves its error for every later one.
 type locationColumn struct {
+	once sync.Once
 	keys []float64
 	ids  []timeseries.SeriesID
+	err  error
 }
 
 // fill sorts entries — one per series, its value as the key and its id as the
 // rank — into the column.
-func (c locationColumn) fill(entries []xiEntry) {
+func (c *locationColumn) fill(entries []xiEntry) {
 	sortXi(entries)
+	c.keys = make([]float64, len(entries))
+	c.ids = make([]timeseries.SeriesID, len(entries))
 	for i, e := range entries {
 		c.keys[i], c.ids[i] = e.xi, timeseries.SeriesID(e.rank)
 	}
@@ -188,14 +199,11 @@ func (c locationColumn) fill(entries []xiEntry) {
 
 // BuildStats summarizes the index contents.
 type BuildStats struct {
-	Pivots             int
-	SequenceNodes      int
-	IndexedTMeasures   int
-	IndexedDMeasures   int
-	IndexedLMeasures   int
-	LocationEstimated  int // series whose L-value came from an affine relationship
-	LocationComputed   int // series whose L-value was computed directly (fallback)
-	TotalTreeInsertion int
+	Pivots           int
+	SequenceNodes    int
+	IndexedTMeasures int
+	IndexedDMeasures int
+	IndexedLMeasures int
 	// ScratchGets/ScratchHits count per-pivot scratch buffer requests and how
 	// many were satisfied from the shared pool (vs freshly allocated).
 	ScratchGets int
@@ -219,8 +227,12 @@ type Index struct {
 	offsets []int
 	// columns[s] is the value column of dMeasures[s], filled on first use.
 	columns []valueColumn
-	// location[s] is the global per-series column of lMeasures[s].
+	// location[s] is the global per-series column of lMeasures[s], filled on
+	// first use from data and rel: the epoch's window and relationship set,
+	// which whoever holds the index holds for the same epoch anyway.
 	location []locationColumn
+	data     *timeseries.DataMatrix
+	rel      *symex.Result
 	// pairMeasures / derivedSet for quick membership checks.
 	pairMeasures map[stats.Measure]bool
 	derivedSet   map[stats.Measure]bool
@@ -319,7 +331,7 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 			return nil, fmt.Errorf("%w: %v has a non-separable normalizer", ErrMeasureNotIndexed, m)
 		}
 	}
-	idx, err := newIndex(d, opts)
+	idx, err := newIndex(d, rel, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -337,16 +349,14 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 	if _, err := idx.buildNodes(d, rel, nil, nil, parallelism); err != nil {
 		return nil, err
 	}
-	if err := idx.buildLocationColumns(d, rel, parallelism); err != nil {
-		return nil, err
-	}
 	idx.finishStats(rel)
 	return idx, nil
 }
 
-// newIndex returns an index over d's shape with its L-measures registered
-// and no pivot nodes: what Build and BuildLocationOnly start from.
-func newIndex(d *timeseries.DataMatrix, opts Options) (*Index, error) {
+// newIndex returns an index over d's shape with its L-measures registered,
+// their columns unfilled, and no pivot nodes: what Build and
+// BuildLocationOnly start from.
+func newIndex(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
 	for _, m := range opts.LocationMeasures {
 		sp, ok := measure.Find(m)
 		if !ok || !sp.Location() {
@@ -360,11 +370,14 @@ func newIndex(d *timeseries.DataMatrix, opts Options) (*Index, error) {
 		locationSet:  make(map[stats.Measure]bool),
 		numSamples:   d.NumSamples(),
 		numSeries:    d.NumSeries(),
+		data:         d,
+		rel:          rel,
 	}
 	for _, m := range opts.LocationMeasures {
 		idx.locationSet[m] = true
 	}
 	idx.lMeasures = sortedMeasures(idx.locationSet)
+	idx.location = make([]locationColumn, len(idx.lMeasures))
 	return idx, nil
 }
 
@@ -539,7 +552,6 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 		return nil, err
 	}
 	for i := range work {
-		idx.stats.TotalTreeInsertion += T * len(idx.pivots[i].canon)
 		idx.stats.ScratchGets++
 		if work[i].scratchHit {
 			idx.stats.ScratchHits++
@@ -654,98 +666,110 @@ func (idx *Index) derivedValue(pm *pivotMeasure, sp *measure.Spec, xi, u float64
 	return v
 }
 
-// buildLocationColumns estimates every series' L-measures (through an affine
-// relationship when the series appears as the non-common member of one,
-// directly otherwise) and sorts them into the global location columns.
-func (idx *Index) buildLocationColumns(d *timeseries.DataMatrix, rel *symex.Result, parallelism int) error {
-	measures := idx.lMeasures
-	if len(measures) == 0 {
-		return nil
+// locationOf returns the epoch's column of an indexed L-measure, filling it
+// on the epoch's first call, and whether this call filled it.  It is the one
+// place a location column is filled.
+func (idx *Index) locationOf(m stats.Measure) (col *locationColumn, filled bool, err error) {
+	s := slices.Index(idx.lMeasures, m)
+	if s < 0 {
+		return nil, false, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
 	}
-	L := len(measures)
+	col = &idx.location[s]
+	col.once.Do(func() {
+		filled = true
+		col.err = idx.fillLocation(col, m)
+	})
+	if col.err != nil {
+		return nil, filled, col.err
+	}
+	return col, filled, nil
+}
+
+// FillLocation fills the epoch's column of L-measure m unless an earlier call
+// or query has, and reports whether this call filled it.  Queries fill the
+// column themselves; Explain calls it first, to report whether the query it
+// explains paid for the fill.
+func (idx *Index) FillLocation(m stats.Measure) (filled bool, err error) {
+	_, filled, err = idx.locationOf(m)
+	return filled, err
+}
+
+// fillLocation estimates L-measure m of every series — through an affine
+// relationship when the series appears as the non-common member of one,
+// directly otherwise — and sorts the values into col.
+func (idx *Index) fillLocation(col *locationColumn, m stats.Measure) error {
+	d, rel := idx.data, idx.rel
+	// An estimate reads the locations of its pivot's two columns.  A center's
+	// are memoised on the clustering it is frozen with; window series are
+	// reduced below.
+	centers, err := rel.Clustering.CenterLocations(m)
+	if err != nil {
+		return err
+	}
 	// Pick, for every series, one relationship in which it is the "other"
 	// (non-common) member: the candidate with the smallest canonical pair, so
 	// the estimate (and thus the column contents) does not depend on the order
-	// the relationships are stored in.
+	// the relationships are stored in.  Series v's pairs in canonical order
+	// are (u, v) for u < v, then (v, u) for u > v, so it is the first found by
+	// ascending u — a few lookups for most series, where a walk of the whole
+	// relationship set would touch every relationship.
 	chosen := make([]*symex.Relationship, d.NumSeries())
-	for r := range rel.All() {
-		if cur := chosen[r.Other()]; cur == nil || pairLess(r.Pair, cur.Pair) {
-			chosen[r.Other()] = r
+	for v := range chosen {
+		for u := range chosen {
+			if u == v {
+				continue
+			}
+			e, _ := timeseries.NewPair(timeseries.SeriesID(u), timeseries.SeriesID(v))
+			if r, ok := rel.Relationship(e); ok && int(r.Other()) == v {
+				chosen[v] = r
+				break
+			}
 		}
-	}
-
-	// An estimate reads the locations of its pivot's two columns.  A center's
-	// are memoised on the clustering it is frozen with; window series are
-	// reduced once per epoch each, below.
-	centers := make([][]float64, L)
-	for s, m := range measures {
-		locs, err := rel.Clustering.CenterLocations(m)
-		if err != nil {
-			return err
-		}
-		centers[s] = locs
 	}
 	ids := d.IDs()
-	direct := make([]bool, len(ids)) // series whose own L-measures are read
-	estimated := 0
+	direct := make([]bool, len(ids)) // series whose own L-measure is read
 	for _, id := range ids {
 		r := chosen[id]
 		if r == nil {
 			direct[id] = true
 			continue
 		}
-		estimated++
 		if _, _, err := rel.PivotColumns(d, r.Pivot); err != nil {
 			return err
 		}
 		direct[r.Pivot.Common] = true
 	}
 
-	// L-measures of the window's series: order statistics read the sorted
-	// column (slid, not re-sorted, from epoch to epoch), bit-identical to
-	// reducing the raw column.
-	own := make([]float64, L*len(ids))
-	err := par.Do(len(ids), parallelism, func(i int) error {
+	// The L-measure of the window's series: an order statistic reads the
+	// window's sorted column (slid, not re-sorted, from epoch to epoch once a
+	// fill has asked for it), bit-identical to reducing the raw column.
+	own := make([]float64, len(ids))
+	err = par.Do(len(ids), idx.opts.Parallelism, func(i int) error {
 		if !direct[ids[i]] {
 			return nil
 		}
-		for s, m := range measures {
-			v, err := stats.WindowLocation(m, d, ids[i])
-			if err != nil {
-				return err
-			}
-			own[L*i+s] = v
-		}
-		return nil
+		v, err := stats.WindowLocation(m, d, ids[i])
+		own[i] = v
+		return err
 	})
 	if err != nil {
 		return err
 	}
 
-	// One column per measure, in the ξ-container order with the series id as
-	// the rank: ascending value, equal values by id (what id-ordered inserts
-	// into a tie-stable tree produce), NaN first.
-	n := len(ids)
-	idx.location = make([]locationColumn, L)
-	keys := make([]float64, L*n)
-	sorted := make([]timeseries.SeriesID, L*n)
-	entries := make([]xiEntry, n)
-	for s := range measures {
-		for i, id := range ids {
-			value := own[L*i+s]
-			if r := chosen[id]; r != nil {
-				// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
-				value = r.Transform.PropagateLocation([2]float64{
-					own[L*int(r.Pivot.Common)+s], centers[s][r.Pivot.Cluster]})[1]
-			}
-			entries[i] = xiEntry{xi: value, rank: int32(id)}
+	// The column is in the ξ-container order with the series id as the rank:
+	// ascending value, equal values by id (what id-ordered inserts into a
+	// tie-stable tree produce), NaN first.
+	entries := make([]xiEntry, len(ids))
+	for i, id := range ids {
+		value := own[i]
+		if r := chosen[id]; r != nil {
+			// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
+			value = r.Transform.PropagateLocation([2]float64{
+				own[r.Pivot.Common], centers[r.Pivot.Cluster]})[1]
 		}
-		idx.location[s] = locationColumn{keys: keys[s*n : (s+1)*n], ids: sorted[s*n : (s+1)*n]}
-		idx.location[s].fill(entries)
-		idx.stats.TotalTreeInsertion += n
+		entries[i] = xiEntry{xi: value, rank: int32(id)}
 	}
-	idx.stats.LocationEstimated = estimated * L
-	idx.stats.LocationComputed = (len(ids) - estimated) * L
+	col.fill(entries)
 	return nil
 }
 

@@ -46,7 +46,7 @@ func (idx *Index) SeriesInterval(m stats.Measure, iv interval.Interval) ([]times
 	if iv.Empty() {
 		return nil, fmt.Errorf("%w: empty interval %v", ErrBadQuery, iv)
 	}
-	col, err := idx.locationOf(m)
+	col, _, err := idx.locationOf(m)
 	if err != nil {
 		return nil, err
 	}
@@ -55,15 +55,6 @@ func (idx *Index) SeriesInterval(m stats.Measure, iv interval.Interval) ([]times
 		return nil, nil
 	}
 	return slices.Clone(col.ids[lo:hi]), nil
-}
-
-// locationOf returns the column of an indexed L-measure.
-func (idx *Index) locationOf(m stats.Measure) (*locationColumn, error) {
-	s := slices.Index(idx.lMeasures, m)
-	if s < 0 {
-		return nil, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
-	}
-	return &idx.location[s], nil
 }
 
 // PairBatch answers a batch of pairwise interval queries in one pass over the

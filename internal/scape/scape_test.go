@@ -353,6 +353,109 @@ func TestSeriesThresholdAndRange(t *testing.T) {
 	}
 }
 
+// TestLocationColumnsFilledOnDemand: no route that builds an index fills a
+// location column; each L-measure's column is filled by the first query or
+// count that names it, once, and holds what the whole-relationship-set rule
+// gives — every series estimated through the relationship with the smallest
+// canonical pair among those it is the non-common member of, its own window
+// location when there is none — here over a relationship set with most
+// relationships pruned, so many series fall back to a later pair or to
+// their own value.
+func TestLocationColumnsFilledOnDemand(t *testing.T) {
+	d, full := testDataset(t, 17, 24, 80)
+	rng := rand.New(rand.NewSource(5))
+	rels := relsOf(full)
+	for slot := range rels {
+		if rng.Float64() < 0.8 {
+			rels[slot] = nil
+		}
+	}
+	rel := symex.NewResult(full.Layout(), full.Clustering, rels)
+
+	// The oracle: the smallest estimating pair of every series, found by a
+	// walk of the whole set.
+	chosen := map[timeseries.SeriesID]*symex.Relationship{}
+	for r := range rel.All() {
+		if cur, ok := chosen[r.Other()]; !ok || pairLess(r.Pair, cur.Pair) {
+			chosen[r.Other()] = r
+		}
+	}
+	if len(chosen) == 0 || len(chosen) == d.NumSeries() {
+		t.Fatalf("%d of %d series estimated: the pruning left no route uncovered", len(chosen), d.NumSeries())
+	}
+
+	idx, err := Build(d, rel, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, _, err := idx.Update(d, rel, map[timeseries.Pair]bool{}, UpdateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := BuildLocationOnly(d, rel, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{idx, upd, loc} {
+		for s := range ix.location {
+			if ix.location[s].keys != nil {
+				t.Fatalf("a fresh index holds the %v column", ix.lMeasures[s])
+			}
+		}
+	}
+	queries := []func(*Index, stats.Measure) error{
+		func(ix *Index, m stats.Measure) error {
+			_, err := ix.SeriesInterval(m, interval.AtLeast(0))
+			return err
+		},
+		func(ix *Index, m stats.Measure) error {
+			_, _, err := ix.SeriesTopK(m, 3, true)
+			return err
+		},
+		func(ix *Index, m stats.Measure) error {
+			_, err := ix.EstimateSelectivity(PairQuery{Measure: m, Interval: interval.AtMost(1)})
+			return err
+		},
+	}
+	for i, ix := range []*Index{idx, upd, loc} {
+		for s, m := range ix.lMeasures {
+			own, err := stats.LocationVector(m, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			centers, err := rel.Clustering.CenterLocations(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values := make([]float64, d.NumSeries())
+			for id := range values {
+				values[id] = own[id]
+				if r, ok := chosen[timeseries.SeriesID(id)]; ok {
+					values[id] = r.Transform.PropagateLocation([2]float64{own[r.Pivot.Common], centers[r.Pivot.Cluster]})[1]
+				}
+			}
+			if err := queries[(i+s)%len(queries)](ix, m); err != nil {
+				t.Fatal(err)
+			}
+			for r := s + 1; r < len(ix.location); r++ {
+				if ix.location[r].keys != nil {
+					t.Fatalf("a %v query filled the %v column", m, ix.lMeasures[r])
+				}
+			}
+			if filled, err := ix.FillLocation(m); err != nil || filled {
+				t.Fatalf("%v: a second fill reported %v, %v", m, filled, err)
+			}
+			got, want := &ix.location[s], &columnIndex(values).location[0]
+			for j := range want.keys {
+				if got.ids[j] != want.ids[j] || math.Float64bits(got.keys[j]) != math.Float64bits(want.keys[j]) {
+					t.Fatalf("%v: entry %d is series %d = %v, the oracle's series %d = %v",
+						m, j, got.ids[j], got.keys[j], want.ids[j], want.keys[j])
+				}
+			}
+		}
+	}
+}
+
 func TestPairValue(t *testing.T) {
 	d, rel := testDataset(t, 8, 10, 60)
 	idx, err := Build(d, rel, Options{})

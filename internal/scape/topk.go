@@ -370,7 +370,7 @@ func (idx *Index) SeriesTopK(m stats.Measure, k int, largest bool) ([]timeseries
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: top-k needs k >= 1, got %d", ErrBadQuery, k)
 	}
-	col, err := idx.locationOf(m)
+	col, _, err := idx.locationOf(m)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -60,8 +60,8 @@ type staleCount struct{ pairs, live int32 }
 // the re-fitted relationship set, and the set of pairs symex.Refit actually
 // re-fitted.  A pivot's sequence store is shared with the previous index when
 // no stale pair is assigned to it and re-derived from rel otherwise;
-// everything derived from the slid window (α vectors, scalar projections,
-// location estimates — and, on demand, value columns) is recomputed through
+// everything derived from the slid window (α vectors, scalar projections —
+// and, on demand, value and location columns) is recomputed through
 // the exact code path Build uses, and a container re-sorted from the previous
 // epoch's order is the array a cold sort yields, so the result answers every
 // query byte-identically to Build(d, rel, ...) on the same window.  The
@@ -108,6 +108,9 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		locationSet:  prev.locationSet,
 		numSamples:   d.NumSamples(),
 		numSeries:    prev.numSeries,
+		location:     make([]locationColumn, len(prev.lMeasures)),
+		data:         d,
+		rel:          rel,
 	}
 
 	// Count the stale pairs per (fixed) pivot assignment, found through the
@@ -142,12 +145,6 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		case w.rebuilt:
 			us.StoresRebuilt++
 		}
-	}
-
-	// Location estimates change with the window every epoch; they are rebuilt
-	// exactly as Build does.
-	if err := idx.buildLocationColumns(d, rel, opts.Parallelism); err != nil {
-		return nil, us, err
 	}
 	idx.finishStats(rel)
 	us.ScratchGets = idx.stats.ScratchGets

@@ -409,15 +409,16 @@ func TestEmptyXiContainer(t *testing.T) {
 // next to +0, ±Inf, a NaN estimate, and columns of one and two series.
 
 // columnIndex returns an index holding one location column, for the mean,
-// over values[id].
+// over values[id], filled as if by a first query.
 func columnIndex(values []float64) *Index {
 	entries := make([]xiEntry, len(values))
 	for id, v := range values {
 		entries[id] = xiEntry{xi: v, rank: int32(id)}
 	}
-	col := locationColumn{keys: make([]float64, len(values)), ids: make([]timeseries.SeriesID, len(values))}
-	col.fill(entries)
-	return &Index{lMeasures: []stats.Measure{stats.Mean}, location: []locationColumn{col}}
+	idx := &Index{lMeasures: []stats.Measure{stats.Mean}, location: make([]locationColumn, 1)}
+	col := &idx.location[0]
+	col.once.Do(func() { col.fill(entries) })
+	return idx
 }
 
 // locationOracle inserts every series' value into a B-tree in series order.
@@ -529,11 +530,14 @@ func TestBuildSortsLocationEstimates(t *testing.T) {
 		}}
 	}
 	rel = symex.NewResult(rel.Layout(), rel.Clustering, rels)
-	want := columnIndex(values).location[0]
+	want := &columnIndex(values).location[0]
 	check := func(label string, idx *Index) {
 		t.Helper()
-		for s, m := range idx.lMeasures {
-			got := idx.location[s]
+		for _, m := range idx.lMeasures {
+			got, _, err := idx.locationOf(m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !slices.Equal(got.ids, want.ids) {
 				t.Fatalf("%s %v: column order %v, want %v", label, m, got.ids, want.ids)
 			}

@@ -61,6 +61,15 @@ func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 	return total, nil
 }
 
+// FillLocation fills a column of the coordinator's location index, which
+// answers every L-measure index query.
+func (cs *coordState) FillLocation(m stats.Measure) (bool, error) {
+	if cs.locIndex == nil {
+		return false, core.ErrNoIndex
+	}
+	return cs.locIndex.FillLocation(m)
+}
+
 // PairValue routes an evaluation to the shard owning the pair's pivot, so the
 // propagation uses the owning shard's pivot summary — the same summary a
 // single engine holds — and a naive evaluation finds the pair in the owning

@@ -102,8 +102,9 @@ func (p Pair) Other(id SeriesID) (SeriesID, error) {
 // over a series' samples in sorted order, built for the whole matrix on first
 // use and from then on slid by SlideCopy in O(slide) insertions per series —
 // the columns move forward to the next window instead of being copied or
-// re-sorted, so a streaming engine reads medians and modes off every epoch's
-// window without a per-epoch sort.  Moments returns the series' self-moments
+// re-sorted, so a streaming engine asked for medians and modes at every epoch
+// reads them off each window without a per-epoch sort, and one never asked
+// for them never sorts at all.  Moments returns the series' self-moments
 // (Σx, mean, variance, Σx²), reduced once per window for every consumer.
 type DataMatrix struct {
 	names  []string    // optional per-series names, len n (may be empty strings)

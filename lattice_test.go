@@ -33,7 +33,12 @@ import (
 //	backend (core.Engine, 2-shard shard.Coordinator)
 //	× Parallelism {1, 2, 8} × result cache {off, on} × sketch {off, on}
 //	× epoch reached by {streaming, cold rebuild on the frozen clustering
-//	  (DriftBound 0 only), snapshot restore (engines only)}.
+//	  (DriftBound 0 only), snapshot restore (engines only)},
+//
+// plus one engine and one coordinator that ask every L-measure by Index at
+// every epoch they reach, so their location columns are filled, and their
+// windows' sorted columns slid, at every epoch, where the other cells fill a
+// column only when a query names its measure.
 //
 // Every answer must be Float64bits-equal across the lattice, typed errors
 // included; on the reference cell (engine, P 1, no cache, no sketch,
@@ -219,7 +224,19 @@ type cell struct {
 	cfg     core.Config
 	sharded bool
 	reach   string // how the cell reached its epoch: "", "cold" or "restored"
+	eager   bool   // fills every location column at every epoch it reaches
 	b       backend
+}
+
+// fillLocations asks an eager cell for every L-measure by Index; the answers
+// are compared when a query asks, not here.
+func (c *cell) fillLocations() {
+	if !c.eager {
+		return
+	}
+	for _, m := range stats.LMeasures() {
+		_, _ = c.b.Interval(m, interval.All(), core.MethodIndex)
+	}
 }
 
 func buildBackend(d *timeseries.DataMatrix, cfg core.Config, sharded bool) (backend, error) {
@@ -319,6 +336,23 @@ func newReplayer(seq sequence) (*replayer, error) {
 				}
 			}
 		}
+	}
+	for _, sharded := range []bool{false, true} {
+		c := &cell{
+			name:    fmt.Sprintf("sharded=%v/P=2/eager", sharded),
+			sharded: sharded,
+			eager:   true,
+			cfg: core.Config{
+				Clusters: seq.clusters, Seed: seq.seed, Parallelism: 2, MaxLSFD: seq.maxLSFD,
+				Stream: core.StreamConfig{DriftBound: seq.drift},
+			},
+		}
+		c.b, err = buildBackend(d, c.cfg, sharded)
+		builds = append(builds, render(nil, err))
+		if err == nil {
+			c.fillLocations()
+		}
+		r.cells = append(r.cells, c)
 	}
 	if err := sameAnswer("Build", r.cells, builds, nil); err != nil || builds[0] != render(nil, nil) {
 		return nil, err // every cell refused the window alike
@@ -879,6 +913,9 @@ func (r *replayer) apply(o *op) error {
 			if i == 0 && err == nil {
 				r.pending, r.stale, r.reused = nil, true, info.ReusedRelationships > 0
 			}
+			if err == nil {
+				c.fillLocations()
+			}
 			answers[i] = render(fmt.Sprint(info.Slide, info.FullRefit, core.SortedStalePairs(info.Stale),
 				info.RefitRelationships, info.ReusedRelationships), err)
 		}
@@ -905,6 +942,7 @@ func (r *replayer) apply(o *op) error {
 				}
 			}
 			c.b = restored
+			c.fillLocations()
 		}
 		r.stale = true
 		return nil
