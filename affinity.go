@@ -341,7 +341,7 @@ type StreamOptions struct {
 	// answer bit-identical to a cold rebuild's on the slid window (with the
 	// frozen clustering); a small positive value (e.g. 0.05) skips
 	// refits on quiet streams at the cost of a bounded extra approximation
-	// error.
+	// error.  NaN is rejected.
 	DriftBound float64
 	// StatsRefreshEvery is the number of epochs between refresh epochs
 	// (default 64), which re-reduce from the raw window what the others slide
@@ -440,6 +440,7 @@ type Options struct {
 	// MaxLSFD, when positive, prunes low-quality affine relationships whose
 	// LSFD exceeds the bound.  Queries on pruned pairs transparently fall
 	// back to the naive method; index queries do not report pruned pairs.
+	// +Inf prunes nothing, like zero; NaN is rejected.
 	MaxLSFD float64
 	// Stream configures the streaming update path (Append/Advance).
 	Stream StreamOptions
@@ -561,8 +562,7 @@ func (e *Engine) Explain(spec QuerySpec, method Method) (Result, QueryPlan, erro
 // pairs.  out[i] equals the result of the corresponding single Interval or
 // TopK call, in the same order; the first invalid spec fails the batch.
 func (e *Engine) Batch(specs []QuerySpec, method Method) ([]Result, error) {
-	out, _, err := core.Run(e.inner.View(), specs, method, false)
-	return out, err
+	return e.inner.Batch(specs, method)
 }
 
 // ComputeBatch answers k MEC queries against a single epoch; out[i] equals

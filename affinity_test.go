@@ -147,6 +147,17 @@ func TestPublicOptionsVariants(t *testing.T) {
 	if _, err := New(&Dataset{}, Options{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
+	if _, err := New(nil, Options{}); err == nil {
+		t.Fatal("nil dataset should error")
+	}
+	if _, err := NewFromSnapshot(nil, strings.NewReader(""), Options{}); err == nil {
+		t.Fatal("nil dataset should error on restore")
+	}
+	for _, opts := range []Options{{MaxLSFD: math.NaN()}, {Stream: StreamOptions{DriftBound: math.NaN()}}} {
+		if _, err := New(data, opts); err == nil {
+			t.Fatalf("NaN bound accepted: %+v", opts)
+		}
+	}
 }
 
 func TestPublicAutoAndExplain(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -846,6 +847,40 @@ func BenchmarkAdvanceMedian(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := engine.Interval(stats.Median, iv, core.MethodIndex); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdvanceCorrelation is BenchmarkAdvance for a stream that asks for
+// a D-measure: every epoch is an Advance followed by a correlation interval
+// by Index, whose scan fills the epoch's correlation value column.  The
+// Advance builds the index into the slabs of an epoch retired two Advances
+// back, and the fill writes into that epoch's value column, so an epoch
+// allocates neither.  CI tracks its allocs/op and B/op against
+// BENCH_BUDGET.json, with a ceiling below what an epoch allocating its value
+// column would take; the collector is off while it runs, because a collection
+// frees the weakly held spare and the Advance after it allocates everything.
+func BenchmarkAdvanceCorrelation(b *testing.B) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	engine, ticks := advanceBenchSetup(b)
+	iv := interval.GreaterThan(0.9)
+	if _, err := engine.Interval(stats.Correlation, iv, core.MethodIndex); err != nil {
+		b.Fatal(err)
+	}
+	const slide = 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < slide; s++ {
+			if err := engine.Append(ticks[(i*slide+s)%len(ticks)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := engine.Advance(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.Interval(stats.Correlation, iv, core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,7 +134,7 @@ func TestAutoBatchMatchesSingleAuto(t *testing.T) {
 func TestAutoComputeMatchesResolvedMethod(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
 	ids := e.Data().IDs()
-	st := e.state()
+	st := e.escapedState()
 	for _, m := range stats.AllMeasures() {
 		var k int
 		if m.Class() == stats.LocationClass {

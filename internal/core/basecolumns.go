@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
@@ -25,7 +27,9 @@ import (
 // only derives, compacts and offers.
 //
 // A column belongs to one immutable engineState and dies with it: no
-// invalidation, no Advance hook, nothing configured, nothing in snapshots.  An
+// invalidation, no Advance hook, nothing configured, nothing in snapshots.
+// Only its buffer outlives it, when the epoch is recycled: a later epoch's
+// fill of the same column writes every position of it.  An
 // engine nobody sweeps by the affine method allocates none.  A column's values
 // are the bits of the single-pair evaluator affinePairBase (same function,
 // same operands), which stays the source for MEC, cache repair and the values
@@ -87,9 +91,33 @@ type baseColumns struct {
 	cov, dot             baseColumn
 	covBounds, dotBounds boundColumn
 	fitCov               baseColumn
+	// spare is the columns of the recycled epoch this one was built into,
+	// held weakly: a fill writes into the spare's buffer of the same column
+	// unless a collection has freed it, and an epoch that never fills a
+	// column keeps nothing alive for it.
+	spare weak.Pointer[baseColumns]
 }
 
-func (e *Engine) newBaseColumns() *baseColumns { return &baseColumns{counters: &e.sweep} }
+// newBaseColumns returns an epoch's unfilled columns; spare, when non-nil,
+// is a recycled epoch's, whose buffers the fills may write into.
+func (e *Engine) newBaseColumns(spare *baseColumns) *baseColumns {
+	c := &baseColumns{counters: &e.sweep}
+	if spare != nil {
+		c.spare = weak.Make(spare)
+	}
+	return c
+}
+
+// noSpare stands in for a spare that is gone: every buffer in it is nil.
+var noSpare baseColumns
+
+// recycled returns the spare columns, or noSpare when there are none.
+func (c *baseColumns) recycled() *baseColumns {
+	if s := c.spare.Value(); s != nil {
+		return s
+	}
+	return &noSpare
+}
 
 // baseColumn is filled by the first sweep that asks for it; concurrent
 // sweeps of the same base wait for that fill instead of repeating it.
@@ -103,19 +131,20 @@ type baseColumn struct {
 // the whole pair universe in canonical order — and whether this call filled it
 // or found it.
 func (e *engineState) baseColumn(base stats.Measure) ([]float64, string, error) {
-	var col *baseColumn
+	var pick func(*baseColumns) *baseColumn
 	switch base {
 	case measure.Covariance:
-		col = &e.cols.cov
+		pick = func(c *baseColumns) *baseColumn { return &c.cov }
 	case measure.DotProduct:
-		col = &e.cols.dot
+		pick = func(c *baseColumns) *baseColumn { return &c.dot }
 	default:
 		return nil, "", fmt.Errorf("core: no base column for %v", base)
 	}
+	col := pick(e.cols)
 	source := BaseReused
 	col.once.Do(func() {
 		source = BaseFilled
-		col.values, col.err = e.fillAffineColumn(measure.Lookup(base))
+		col.values, col.err = e.fillAffineColumn(measure.Lookup(base), pick(e.cols.recycled()).values)
 	})
 	if col.err != nil {
 		return nil, "", col.err
@@ -141,18 +170,20 @@ type boundColumn struct {
 // fans out over the universe, so callers resolve the column before their own
 // fan-out, never inside a worker.
 func (e *engineState) sketchBounds(base stats.Measure, mom *kernel.Moments) *boundColumn {
-	var col *boundColumn
+	var pick func(*baseColumns) *boundColumn
 	switch base {
 	case measure.Covariance:
-		col = &e.cols.covBounds
+		pick = func(c *baseColumns) *boundColumn { return &c.covBounds }
 	case measure.DotProduct:
-		col = &e.cols.dotBounds
+		pick = func(c *baseColumns) *boundColumn { return &c.dotBounds }
 	default:
 		return nil
 	}
+	col := pick(e.cols)
 	col.once.Do(func() {
 		n := e.numUniversePairs()
-		lo, hi := make([]float64, n), make([]float64, n)
+		spare := pick(e.cols.recycled())
+		lo, hi := slices.Grow(spare.lo[:0], n)[:n], slices.Grow(spare.hi[:0], n)[:n]
 		_ = e.forUniverseChunks(e.par, func(at int, chunk []timeseries.Pair) error {
 			cLo, cHi := lo[at:at+len(chunk)], hi[at:at+len(chunk)]
 			if !e.sketch.BoundBlock(base, mom, chunk, cLo, cHi) {
@@ -182,7 +213,7 @@ func (e *engineState) fitCovColumn() []float64 {
 		if covs == nil || len(covs) != e.numUniversePairs() {
 			return
 		}
-		col.values = make([]float64, len(covs))
+		col.values = slices.Grow(e.cols.recycled().fitCov.values[:0], len(covs))[:len(covs)]
 		for slot, c := range covs {
 			col.values[e.columnPos(e.pairPos, int32(slot))] = c
 		}
@@ -235,9 +266,11 @@ func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32,
 // the propagation loop over the cached pivot summaries — the same function on
 // the same operands as affinePairBase, so the same bits — and, for the pairs
 // without a live relationship (unassigned, or pruned by Config.MaxLSFD), the
-// naive evaluator affinePairBase falls back to.
-func (e *engineState) fillAffineColumn(baseSp *measure.Spec) ([]float64, error) {
-	values := make([]float64, e.numUniversePairs())
+// naive evaluator affinePairBase falls back to.  Every position is written,
+// so spare, a recycled buffer the column is built into when its capacity
+// allows, may hold anything.
+func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([]float64, error) {
+	values := slices.Grow(spare[:0], e.numUniversePairs())[:e.numUniversePairs()]
 	e.propagate(func(pi int) measure.Moment { return baseSp.Moment(e.summaries[pi]) }, e.pairPos, values)
 	if e.table.FallbackPairs == 0 {
 		return values, nil

@@ -55,7 +55,7 @@ func requireSameResults(t *testing.T, tag string, got, want []QueryResult) {
 // affine sweep took from the base column).
 func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 	t.Helper()
-	st := cached.state()
+	st := cached.escapedState()
 	for _, method := range []Method{MethodNaive, MethodAffine} {
 		var all []plan.QuerySpec
 		for _, m := range pairwiseMeasures() {
@@ -120,7 +120,7 @@ func requireValuesOfPairEvaluator(t *testing.T, label string, st *engineState, m
 // measure derives from them, bit for bit with affinePairValue.
 func requireColumnsOfPairEvaluator(t *testing.T, tag string, e *Engine) {
 	t.Helper()
-	st := e.state()
+	st := e.escapedState()
 	n := st.numUniversePairs()
 	pairs := st.universeChunk(0, n, make([]timeseries.Pair, n))
 	for _, base := range stats.TMeasures() {
@@ -215,7 +215,7 @@ func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
 		Stream:            StreamConfig{DriftBound: 0.5},
 	}
 	cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, 4)
-	st := cached.state()
+	st := cached.escapedState()
 	if st.pairs == nil || len(st.pairs) >= st.data.NumPairs() {
 		t.Fatalf("universe is not restricted: %d of %d pairs", len(st.pairs), st.data.NumPairs())
 	}
@@ -279,7 +279,7 @@ func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 		}
 		// The naive method of the same base touches no column.
 		p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive)
-		if p.BaseValues != "" || p.SketchedPairs != e.state().numUniversePairs() || p.SketchRefinedPairs == 0 || p.SketchRefinedPairs >= p.SketchedPairs {
+		if p.BaseValues != "" || p.SketchedPairs != e.escapedState().numUniversePairs() || p.SketchRefinedPairs == 0 || p.SketchRefinedPairs >= p.SketchedPairs {
 			t.Fatalf("%s: naive sweep reported base values %q, %d pairs prescreened, %d refined", name, p.BaseValues, p.SketchedPairs, p.SketchRefinedPairs)
 		}
 		if e == cached {
@@ -315,7 +315,7 @@ func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocated := func() (cov, dot bool) {
-		cols := e.state().cols
+		cols := e.escapedState().cols
 		return cols.cov.values != nil, cols.dot.values != nil
 	}
 	ids := e.Data().IDs()
@@ -469,7 +469,7 @@ func TestSeriesStatsAreTheWindowMemo(t *testing.T) {
 	}
 	requireMemo := func(label string) {
 		t.Helper()
-		st := e.state()
+		st := e.escapedState()
 		_, mom, err := st.naive.Kernel()
 		if err != nil {
 			t.Fatal(err)

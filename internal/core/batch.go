@@ -55,7 +55,15 @@ func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]QueryResult
 	for i, q := range qs {
 		specs[i] = plan.Interval(q.Measure, q.Interval)
 	}
-	out, _, err := Run(e.state(), specs, method, false)
+	return e.Batch(specs, method)
+}
+
+// Batch answers a mixed list of interval and top-k specs against one pinned
+// epoch.  out[i] is identical to the matching single Interval or TopK call.
+func (e *Engine) Batch(specs []plan.QuerySpec, method Method) ([]QueryResult, error) {
+	st := e.acquire()
+	defer e.release(st)
+	out, _, err := Run(st, specs, method, false)
 	return out, err
 }
 
@@ -63,7 +71,9 @@ func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]QueryResult
 // out[i] corresponds to qs[i] and is identical to the matching
 // ComputeLocation/ComputePairwise call.
 func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult, error) {
-	return Compute(e.state(), qs, method)
+	st := e.acquire()
+	defer e.release(st)
+	return Compute(st, qs, method)
 }
 
 // Execute answers resolved items cold: location queries run directly from the

@@ -26,10 +26,12 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"affinity/internal/baseline"
 	"affinity/internal/cluster"
@@ -74,6 +76,10 @@ var ErrEmptyRange = errors.New("core: empty range")
 // the batched path.
 var ErrBadTopK = errors.New("core: top-k needs k >= 1")
 
+// ErrBadConfig is returned by the build doors for a configuration no build
+// can honour.
+var ErrBadConfig = errors.New("core: bad configuration")
+
 // ErrMeasureNotIndexed aliases the scape sentinel so callers can test the
 // "measure not indexed" condition without importing internal/scape; single
 // and batched index queries both fail with it.
@@ -94,7 +100,7 @@ type StreamConfig struct {
 	// series' true variance (the window's memoised moments) exceeds this
 	// bound — an O(1)-per-pair surrogate for the relationship's LSFD drift.
 	// Zero or negative refits every relationship on every Advance — the
-	// exact-maintenance default.
+	// exact-maintenance default.  NaN is rejected.
 	DriftBound float64
 	// StatsRefreshEvery is the number of epochs between refresh epochs (0
 	// selects DefaultStatsRefreshEvery): on those the pair-moment column is
@@ -135,7 +141,8 @@ type Config struct {
 	Parallelism int
 	// MaxLSFD prunes affine relationships whose LSFD exceeds the bound; the
 	// affine method falls back to the naive computation for pruned pairs and
-	// the SCAPE index simply does not contain them.  Zero disables pruning.
+	// the SCAPE index simply does not contain them.  Zero disables pruning,
+	// and so does +Inf, which no distance exceeds; NaN is rejected.
 	MaxLSFD float64
 	// AssignedPairsOnly restricts the engine's pairwise query universe to the
 	// pairs carrying a SYMEX assignment in its relationship result, instead of
@@ -178,7 +185,25 @@ func (c Config) withDefaults() Config {
 	if c.Stream.StatsRefreshEvery <= 0 {
 		c.Stream.StatsRefreshEvery = DefaultStatsRefreshEvery
 	}
+	// No distance exceeds +Inf: it prunes nothing, like 0, and takes 0's
+	// route, which skips the per-relationship distance.
+	if math.IsInf(c.MaxLSFD, 1) {
+		c.MaxLSFD = 0
+	}
 	return c
+}
+
+// check rejects the bounds that would silently mean something else: a NaN
+// MaxLSFD prunes nothing yet pays for every distance, and a NaN DriftBound
+// refits everything.
+func (c Config) check() error {
+	if math.IsNaN(c.MaxLSFD) {
+		return fmt.Errorf("%w: MaxLSFD is NaN", ErrBadConfig)
+	}
+	if math.IsNaN(c.Stream.DriftBound) {
+		return fmt.Errorf("%w: Stream.DriftBound is NaN", ErrBadConfig)
+	}
+	return nil
 }
 
 // indexOptions returns the SCAPE build options with the engine's parallelism
@@ -281,7 +306,8 @@ type engineState struct {
 
 	// cols holds the epoch's affine base T-measure columns, the affine sweeps'
 	// source of base values (basecolumns.go).  Filled lazily by the epoch's own
-	// sweeps and never carried across Advance.
+	// sweeps and never carried across Advance; only their buffers are, once
+	// the epoch is recycled.
 	cols *baseColumns
 
 	// moments is the epoch's handle on the slid pair-moment column, the naive
@@ -297,6 +323,14 @@ type engineState struct {
 
 	epoch int
 	info  BuildInfo
+
+	// refs counts the calls pinning the epoch, or is claimed once the epoch
+	// has been claimed for recycling; escaped marks an epoch an accessor
+	// handed out, which is never recycled; retired marks an epoch an Advance
+	// or a Restore replaced (view.go).
+	refs    atomic.Int32
+	escaped atomic.Bool
+	retired atomic.Bool
 }
 
 // Engine is the Affinity framework instance over one (possibly streaming)
@@ -324,6 +358,13 @@ type Engine struct {
 	// epoch's scratch.
 	batchPool sync.Pool
 	flagPool  sync.Pool
+
+	// spare is the last retired epoch nobody reads, held weakly: the next
+	// Advance builds into its memory if a collection has not freed it first
+	// (view.go).  recycles counts the Advances that did.
+	spareMu  sync.Mutex
+	spare    weak.Pointer[engineState]
+	recycles atomic.Int64
 }
 
 // Build constructs the engine: AFCLST → SYMEX(+) → pivot summaries → SCAPE.
@@ -342,6 +383,9 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Engine, error) {
 // fit counters.
 func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, BuildInfo, error) {
 	var info BuildInfo
+	if err := cfg.check(); err != nil {
+		return nil, info, err
+	}
 	if err := d.Validate(); err != nil {
 		return nil, info, err
 	}
@@ -437,37 +481,41 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	st.finishPlanner(cfg)
 	st.cache = qcache.New(cfg.Cache)
 	e := &Engine{cfg: cfg}
-	st.cols = e.newBaseColumns()
+	st.cols = e.newBaseColumns(nil)
 	st.moments = e.newMomentColumn()
 	e.cur.Store(st)
 	return e, nil
 }
 
-// state returns the current epoch.  Every query method loads it exactly once
-// so a concurrent Advance cannot tear a single query across epochs.
-func (e *Engine) state() *engineState { return e.cur.Load() }
+// current returns the current epoch without pinning it: for reading the
+// fields no epoch recycles (its window, info, epoch number, cache and
+// sketches) and for the writers, which hold streamMu.  A query pins the epoch
+// it reads instead (acquire), loading it exactly once so a concurrent Advance
+// cannot tear the query across epochs.
+func (e *Engine) current() *engineState { return e.cur.Load() }
 
 // Info returns build statistics for the current epoch.
-func (e *Engine) Info() BuildInfo { return e.state().info }
+func (e *Engine) Info() BuildInfo { return e.current().info }
 
 // Data returns the underlying data matrix of the current epoch.  Callers
 // must treat it as read-only.
-func (e *Engine) Data() *timeseries.DataMatrix { return e.state().data }
+func (e *Engine) Data() *timeseries.DataMatrix { return e.current().data }
 
 // Relationships exposes the current epoch's SYMEX result (for diagnostics
-// and experiments).
-func (e *Engine) Relationships() *symex.Result { return e.state().rel }
+// and experiments).  The epoch escapes: it is never recycled.
+func (e *Engine) Relationships() *symex.Result { return e.escape().rel }
 
 // Index exposes the current epoch's SCAPE index, or nil when SkipIndex was
-// set.
-func (e *Engine) Index() *scape.Index { return e.state().index }
+// set.  The epoch escapes: it is never recycled.
+func (e *Engine) Index() *scape.Index { return e.escape().index }
 
-// Naive exposes the W_N baseline bound to the current epoch's data.
-func (e *Engine) Naive() *baseline.Naive { return e.state().naive }
+// Naive exposes the W_N baseline bound to the current epoch's data.  The
+// epoch escapes: it is never recycled.
+func (e *Engine) Naive() *baseline.Naive { return e.escape().naive }
 
 // Epoch returns the number of Advance calls applied so far (0 for a freshly
 // built engine).
-func (e *Engine) Epoch() int { return e.state().epoch }
+func (e *Engine) Epoch() int { return e.current().epoch }
 
 // buildDerived fills the pivot summaries and the calibration for the state's
 // window.  Whatever is a function of the window alone or of the clustering
@@ -590,6 +638,9 @@ func ComputeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 // given.  With cfg.AssignedPairsOnly set and a pivot-restricted rel this is
 // the shard construction path; it is also the load path of snapshots.
 func BuildFromRelationships(d *timeseries.DataMatrix, cfg Config, rel *symex.Result) (*Engine, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

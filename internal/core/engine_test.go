@@ -270,7 +270,7 @@ func TestCalibrationOfAConstantCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.state()
+	st := e.escapedState()
 	members := 0
 	for _, id := range d.IDs() {
 		omega, err := clustering.Omega(id)
@@ -307,7 +307,7 @@ func TestPairValueMethods(t *testing.T) {
 		t.Fatalf("correlation estimate %v vs truth %v", approx, truth)
 	}
 	// Non-canonical pair input is canonicalized by the affine path.
-	swapped, err := e.state().affinePairValue(stats.Correlation, timeseries.Pair{U: 5, V: 0})
+	swapped, err := e.escapedState().affinePairValue(stats.Correlation, timeseries.Pair{U: 5, V: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

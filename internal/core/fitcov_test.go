@@ -66,7 +66,7 @@ func naiveBattery(o *scalarOracle) []plan.QuerySpec {
 // prescreen over the whole universe.
 func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 	t.Helper()
-	st := e.state()
+	st := e.escapedState()
 	if got := st.rel.PairCov() != nil && st.fitCovColumn() != nil; got != fit {
 		t.Fatalf("%s: epoch has a naive covariance column: %v, want %v", label, got, fit)
 	}
@@ -104,7 +104,7 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 			t.Fatalf("%s %v: base values %q, %d sketched; want the prescreen over all %d pairs", label, spec, p.BaseValues, p.SketchedPairs, st.numUniversePairs())
 		}
 	}
-	if executed == 0 && e.state().cache == nil {
+	if executed == 0 && e.escapedState().cache == nil {
 		t.Fatalf("%s: no query executed", label)
 	}
 

@@ -40,7 +40,7 @@ func advanceStreamEngine(t *testing.T, cfg Config, rounds, slide int) *Engine {
 // same order, same tie-breaks.
 func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 	t.Helper()
-	st := e.state()
+	st := e.escapedState()
 	if st.index == nil {
 		t.Fatal("engine has no index")
 	}

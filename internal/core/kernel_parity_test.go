@@ -25,7 +25,7 @@ func pairwiseMeasures() []stats.Measure {
 // engine computed it before the blocked kernels — the oracle the kernel
 // parity tests compare against.
 func (e *Engine) pairwiseSweepNaiveScalar(m stats.Measure) (*PairSweepResult, error) {
-	st := e.state()
+	st := e.escapedState()
 	if _, err := pairwiseSpec(m); err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func TestAffineSweepStableErrorWithBadPivots(t *testing.T) {
 			e := buildTestEngine(t, Config{Clusters: 4, Seed: 33, Parallelism: p})
 			// The same epoch over a result in which one relationship each of
 			// series 0 and 1 names a cluster that does not exist.
-			bad := *e.state()
+			bad := *e.escapedState()
 			assignments := slices.Clone(bad.rel.AssignmentList())
 			rels := make([]*symex.Relationship, len(assignments))
 			for slot := range rels {

@@ -24,10 +24,11 @@ type QueryResult struct {
 // Size returns the number of entries in the result set.
 func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) }
 
-// The public query methods load the current epoch state exactly once and
-// answer the whole query from it, so they are safe to call concurrently with
-// Append/Advance: a query started before an epoch swap keeps serving the old
-// epoch's window, relationships and index.
+// The public query methods pin the current epoch once and answer the whole
+// query from it, so they are safe to call concurrently with Append/Advance: a
+// query started before an epoch swap keeps serving the old epoch's window,
+// relationships and index, and no Advance recycles that epoch's memory before
+// the query returns.
 //
 // Each is sugar over the shared pipeline (executor.go): a single interval or
 // top-k query is a batch of one, so single and batched queries share one
@@ -38,7 +39,9 @@ func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) }
 // lies in iv, computed with the selected method.  MET and MER queries are its
 // half-bounded and bounded instances.
 func (e *Engine) Interval(m stats.Measure, iv interval.Interval, method Method) (QueryResult, error) {
-	return runOne(e.state(), plan.Interval(m, iv), method)
+	st := e.acquire()
+	defer e.release(st)
+	return runOne(st, plan.Interval(m, iv), method)
 }
 
 // TopK answers a top-k (MEK) query: the k entries — series for L-measures,
@@ -50,7 +53,9 @@ func (e *Engine) Interval(m stats.Measure, iv interval.Interval, method Method) 
 // non-indexable measures (Jaccard) price the index at +Inf and fall back to
 // the heap sweep through the same capability flags interval queries use.
 func (e *Engine) TopK(m stats.Measure, k int, largest bool, method Method) (QueryResult, error) {
-	return runOne(e.state(), plan.TopK(m, k, largest), method)
+	st := e.acquire()
+	defer e.release(st)
+	return runOne(st, plan.TopK(m, k, largest), method)
 }
 
 // Explain plans an interval or top-k query, executes it, and returns the
@@ -61,7 +66,9 @@ func (e *Engine) TopK(m stats.Measure, k int, largest bool, method Method) (Quer
 // method the plan prices that method (the cost columns still show the
 // alternatives).
 func (e *Engine) Explain(spec plan.QuerySpec, method Method) (QueryResult, plan.Plan, error) {
-	out, plans, err := Run(e.state(), []plan.QuerySpec{spec}, method, true)
+	st := e.acquire()
+	defer e.release(st)
+	out, plans, err := Run(st, []plan.QuerySpec{spec}, method, true)
 	if err != nil {
 		return QueryResult{}, plan.Plan{}, err
 	}
@@ -71,19 +78,24 @@ func (e *Engine) Explain(spec plan.QuerySpec, method Method) (QueryResult, plan.
 // ComputeLocation answers a MEC query for an L-measure over the requested
 // series, using the selected method (Query 1 with an L-measure).
 func (e *Engine) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
-	return computeLocation(e.state(), m, ids, method)
+	st := e.acquire()
+	defer e.release(st)
+	return computeLocation(st, m, ids, method)
 }
 
 // ComputePairwise answers a MEC query for a T- or D-measure over the
 // requested series: the |ψ|-by-|ψ| matrix of pairwise values in the order
 // given.  Undefined derived values (zero normalizer) are reported as NaN.
 func (e *Engine) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
-	return computePairwise(e.state(), m, ids, method)
+	st := e.acquire()
+	defer e.release(st)
+	return computePairwise(st, m, ids, method)
 }
 
 // PairValue computes a single pairwise measure with the selected method.
 func (e *Engine) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
-	st := e.state()
+	st := e.acquire()
+	defer e.release(st)
 	if !m.Pairwise() {
 		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
 	}

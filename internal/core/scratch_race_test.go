@@ -70,7 +70,7 @@ func TestPooledScratchNeverBacksAnAnswer(t *testing.T) {
 						t.Fatalf("%v/%v: empty answer, the band is too narrow to pin anything", kd.method, m)
 					}
 					key := qcache.IntervalKey(m, kd.method, band(m, 0).Interval)
-					stored, _, ok := e.state().cache.Lookup(key, e.Epoch())
+					stored, _, ok := e.escapedState().cache.Lookup(key, e.Epoch())
 					if !ok {
 						t.Fatalf("%v/%v: the answer was not stored", kd.method, m)
 					}
@@ -117,7 +117,7 @@ func TestPooledScratchNeverBacksAnAnswer(t *testing.T) {
 				if !slices.Equal(k.got, k.want) {
 					t.Errorf("%s: a kept answer changed under later queries", k.name)
 				}
-				again, _, ok := e.state().cache.Lookup(k.key, e.Epoch())
+				again, _, ok := e.escapedState().cache.Lookup(k.key, e.Epoch())
 				if !ok {
 					t.Fatalf("%s: the entry was evicted", k.name)
 				}

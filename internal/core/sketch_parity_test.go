@@ -347,10 +347,10 @@ func TestSweepStageParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if restricted && e.state().numUniversePairs() != 200 {
-						t.Fatalf("restricted universe has %d pairs", e.state().numUniversePairs())
+					if restricted && e.escapedState().numUniversePairs() != 200 {
+						t.Fatalf("restricted universe has %d pairs", e.escapedState().numUniversePairs())
 					}
-					if st := e.state(); st.rel.Len() == 0 || st.rel.Len() == len(st.rel.AssignmentList()) {
+					if st := e.escapedState(); st.rel.Len() == 0 || st.rel.Len() == len(st.rel.AssignmentList()) {
 						t.Fatalf("MaxLSFD %v prunes %d of %d relationships: the column's naive fallback is not exercised beside its propagation",
 							maxLSFD, len(st.rel.AssignmentList())-st.rel.Len(), len(st.rel.AssignmentList()))
 					}
@@ -380,7 +380,7 @@ func TestSweepStageParity(t *testing.T) {
 		for _, v := range engines {
 			requireColumnsOfPairEvaluator(t, fmt.Sprintf("epoch %d %s", round, v.name), v.e)
 			var universe map[timeseries.Pair]bool
-			if pairs := v.e.state().pairs; pairs != nil {
+			if pairs := v.e.escapedState().pairs; pairs != nil {
 				universe = make(map[timeseries.Pair]bool, len(pairs))
 				for _, pair := range pairs {
 					universe[pair] = true
@@ -420,7 +420,7 @@ func TestSweepStageParity(t *testing.T) {
 		if want := int64(1 + rounds/refreshEvery); s.MomentFills != want || s.MomentSweeps == 0 {
 			t.Fatalf("%s: %d moment fills, %d sweeps, want %d fills", v.name, s.MomentFills, s.MomentSweeps, want)
 		}
-		if pairs := int64(v.e.state().numUniversePairs()); s.MomentRefinedPairs == 0 || s.MomentRefinedPairs >= s.MomentSweeps*pairs/2 {
+		if pairs := int64(v.e.escapedState().numUniversePairs()); s.MomentRefinedPairs == 0 || s.MomentRefinedPairs >= s.MomentSweeps*pairs/2 {
 			t.Fatalf("%s: %d sweeps over %d pairs refined %d: the filter decided nothing", v.name, s.MomentSweeps, pairs, s.MomentRefinedPairs)
 		}
 	}
@@ -471,7 +471,7 @@ func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
 		if _, err := e.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
 			t.Fatal(err)
 		}
-		if s := e.StreamStats(); s.MomentFills != 0 || s.MomentSweeps != 0 || e.state().moments.col.Load() != nil {
+		if s := e.StreamStats(); s.MomentFills != 0 || s.MomentSweeps != 0 || e.escapedState().moments.col.Load() != nil {
 			t.Fatalf("epoch %d: %d moment fills, %d sweeps with no naive sweep asked", round, s.MomentFills, s.MomentSweeps)
 		}
 		advanceBoth(t, fx.ticks[round:round+1], e)
@@ -480,8 +480,8 @@ func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	advanceBoth(t, fx.ticks[3:4], e)
-	if s := e.StreamStats(); s.MomentFills != 1 || s.MomentSweeps != 1 || e.state().moments.col.Load() == nil {
+	if s := e.StreamStats(); s.MomentFills != 1 || s.MomentSweeps != 1 || e.escapedState().moments.col.Load() == nil {
 		t.Fatalf("after one naive sweep and an Advance: %d moment fills, %d sweeps, column carried: %v",
-			s.MomentFills, s.MomentSweeps, e.state().moments.col.Load() != nil)
+			s.MomentFills, s.MomentSweeps, e.escapedState().moments.col.Load() != nil)
 	}
 }

@@ -89,13 +89,13 @@ func TestSketchBoundColumnMatchesBoundBlock(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if got, want := e.state().sketch.Coefficients(), min(sh.d, sh.m-1); got != want {
+				if got, want := e.escapedState().sketch.Coefficients(), min(sh.d, sh.m-1); got != want {
 					t.Fatalf("%s: %d coefficients kept, want %d", label, got, want)
 				}
-				if restricted && e.state().numUniversePairs() == n*(n-1)/2 {
+				if restricted && e.escapedState().numUniversePairs() == n*(n-1)/2 {
 					t.Fatalf("%s: the universe is not restricted", label)
 				}
-				requireBoundColumnsOfBoundBlock(t, label+" cold", e.state())
+				requireBoundColumnsOfBoundBlock(t, label+" cold", e.escapedState())
 				tick := make([]float64, n)
 				for v := range tick {
 					tick[v] = float64(v%5) - 2
@@ -104,7 +104,7 @@ func TestSketchBoundColumnMatchesBoundBlock(t *testing.T) {
 					tick[3] = 5
 				}
 				advanceBoth(t, [][]float64{tick}, e)
-				requireBoundColumnsOfBoundBlock(t, label+" epoch 1", e.state())
+				requireBoundColumnsOfBoundBlock(t, label+" epoch 1", e.escapedState())
 			}
 		}
 	}
@@ -162,7 +162,7 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	filled := func(e *Engine) (cov, dot bool) {
-		cols := e.state().cols
+		cols := e.escapedState().cols
 		return cols.covBounds.lo != nil, cols.dotBounds.lo != nil
 	}
 	requireFills := func(tag string, e *Engine, wantFills int64, wantCov, wantDot bool) {
@@ -209,7 +209,7 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireFills("first naive correlation sweep", e, 1, true, false)
-	covLo := &e.state().cols.covBounds.lo[0]
+	covLo := &e.escapedState().cols.covBounds.lo[0]
 	if _, err := runSpecs(e, []plan.QuerySpec{
 		plan.Interval(stats.Covariance, interval.Between(-0.1, 0.1)),
 		plan.TopK(stats.Correlation, 4, false),
@@ -220,7 +220,7 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireFills("three more covariance-based naive sweeps", e, 1, true, false)
-	if &e.state().cols.covBounds.lo[0] != covLo {
+	if &e.escapedState().cols.covBounds.lo[0] != covLo {
 		t.Fatal("a later sweep replaced the covariance bound column")
 	}
 	if _, err := e.TopK(stats.Cosine, 3, true, MethodNaive); err != nil {
@@ -251,7 +251,7 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireFills("the new epoch's first naive sweep", e, 3, true, false)
-	if &e.state().cols.covBounds.lo[0] == &oldCol[0] {
+	if &e.escapedState().cols.covBounds.lo[0] == &oldCol[0] {
 		t.Fatal("the new epoch reads the previous epoch's column")
 	}
 	again, _, err := Run(old, specs[:1], MethodNaive, false)
@@ -397,7 +397,7 @@ func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 			var want sketch.Stats
 			for range 2 {
 				for _, spec := range specs {
-					countSketchOracle(t, e.state(), oracle, spec, &want)
+					countSketchOracle(t, e.escapedState(), oracle, spec, &want)
 				}
 			}
 			if got != want {

@@ -60,7 +60,9 @@ var ErrBadSnapshot = errors.New("core: bad snapshot")
 // WriteSnapshot persists the engine's clustering and affine relationships
 // (of the current epoch, for a streaming engine).
 func (e *Engine) WriteSnapshot(w io.Writer) error {
-	return e.state().writeSnapshot(w)
+	st := e.acquire()
+	defer e.release(st)
+	return st.writeSnapshot(w)
 }
 
 func (e *engineState) writeSnapshot(w io.Writer) error {
@@ -111,6 +113,9 @@ func flagByte(b bool) byte {
 // WriteSnapshot could not have written, or one no engine can be assembled
 // from on d and cfg, is rejected with ErrBadSnapshot.
 func BuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) (*Engine, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

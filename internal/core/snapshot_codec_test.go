@@ -94,7 +94,7 @@ func TestSnapshotCodecMatchesOracle(t *testing.T) {
 func checkSnapshotAgainstOracle(t *testing.T, e *Engine, cfg Config) {
 	t.Helper()
 	var want, got bytes.Buffer
-	if err := oracleWriteSnapshot(e.state(), &want); err != nil {
+	if err := oracleWriteSnapshot(e.escapedState(), &want); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.WriteSnapshot(&got); err != nil {

@@ -111,6 +111,10 @@ import (
 // per-pivot state is found by index, and an epoch's summaries, ξ keys,
 // container orders and per-(pivot, measure) headers are one slab each.  The
 // terms that remain proportional to P·k are arithmetic over contiguous memory.
+// Most of those slabs are not even allocated: an epoch retired since the last
+// Advance whose readers have all left is the spare (view.go), and the new
+// epoch's relationship slots, index slabs, offsets and value columns, and its
+// base columns when it fills them, are written into the spare's.
 //
 // With DriftBound <= 0 every relationship is re-fitted, which makes an epoch
 // bit-identical to a cold Build on the slid window with the frozen clustering:
@@ -160,7 +164,7 @@ type AdvanceInfo struct {
 // the next Advance.  Append never blocks queries; it only contends with other
 // writers.
 func (e *Engine) Append(tick []float64) error {
-	st := e.state()
+	st := e.current()
 	if len(tick) != st.data.NumSeries() {
 		return fmt.Errorf("%w: got %d, want %d", ErrStreamShape, len(tick), st.data.NumSeries())
 	}
@@ -178,7 +182,7 @@ func (e *Engine) Append(tick []float64) error {
 // PendingSamples returns the number of buffered ticks not yet folded into
 // the window.
 func (e *Engine) PendingSamples() int {
-	n := e.state().data.NumSeries()
+	n := e.current().data.NumSeries()
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
 	return len(e.pending) / n
@@ -193,7 +197,7 @@ func (e *Engine) PendingSamples() int {
 func (e *Engine) Advance() (AdvanceInfo, error) {
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
-	old := e.state()
+	old := e.current()
 	n := old.data.NumSeries()
 	slide := len(e.pending) / n
 	if slide == 0 {
@@ -236,7 +240,7 @@ func (e *Engine) Advance() (AdvanceInfo, error) {
 func (e *Engine) AdvanceShared(newData *timeseries.DataMatrix, batch [][]float64) (AdvanceInfo, error) {
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
-	old := e.state()
+	old := e.current()
 	n := old.data.NumSeries()
 	if len(batch) != n {
 		return AdvanceInfo{}, fmt.Errorf("%w: batch has %d series, want %d", ErrStreamShape, len(batch), n)
@@ -263,6 +267,10 @@ func (e *Engine) AdvanceShared(newData *timeseries.DataMatrix, batch [][]float64
 func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, batch [][]float64, slide int) (AdvanceInfo, error) {
 	start := time.Now()
 	m := old.data.NumSamples()
+	// The spare is an epoch retired since the last Advance whose readers have
+	// all left; the new epoch's index, relationship slots and base columns are
+	// built into its memory.
+	spare := e.takeSpare()
 
 	st := &engineState{
 		data: newData,
@@ -287,7 +295,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 
 	slideDone := time.Now()
 
-	stale, err := st.relAndDerived(old, e, slide, refresh)
+	stale, err := st.relAndDerived(old, e, slide, refresh, spare.rel)
 	if err != nil {
 		return AdvanceInfo{}, err
 	}
@@ -299,7 +307,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 		// the relationship set.  A nil stale set (every relationship was refit)
 		// leaves nothing to share and builds cold; either way the resulting
 		// index answers queries byte-identically to a from-scratch Build.
-		idx, us, err := old.index.Update(newData, st.rel, stale, scape.UpdateOptions{Parallelism: parallelism})
+		idx, us, err := old.index.Update(newData, st.rel, stale, scape.UpdateOptions{Parallelism: parallelism, Recycle: spare.index})
 		if err != nil {
 			return AdvanceInfo{}, fmt.Errorf("core: updating SCAPE index: %w", err)
 		}
@@ -337,7 +345,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	// cache knowing which pairs changed beyond the refit bound.
 	st.cache = old.cache
 	st.cache.OnAdvance(st.epoch, SortedStalePairs(stale), stale == nil)
-	st.cols = e.newBaseColumns()
+	st.cols = e.newBaseColumns(spare.cols)
 
 	// The pair-moment column, the naive sweeps' other bound provider, slides
 	// while some sweep has materialised it: O(slide) per pair.  The refresh
@@ -365,6 +373,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 		Duration:            st.info.AdvanceDuration,
 	}
 	e.cur.Store(st)
+	e.retire(old)
 	return info, nil
 }
 
@@ -388,11 +397,12 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 // the window-derived quantities (pivot summaries, calibration), measures each old relationship's drift on the new window,
 // re-fits the stale ones and installs the resulting relationship set.
 // refresh marks the periodic full-refresh epochs, on which previously pruned
-// pairs also get a refit attempt.
+// pairs also get a refit attempt.  spare, when non-nil, is a recycled epoch's
+// relationship result for the new one's slots.
 //
 // It returns the stale set handed to symex.Refit (nil when everything was
 // refit), which the caller threads into the incremental index update.
-func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, refresh bool) (map[timeseries.Pair]bool, error) {
+func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, refresh bool, spare *symex.Result) (map[timeseries.Pair]bool, error) {
 	cfg := e.cfg
 	parallelism := cfg.Parallelism
 	// The pivot assignment is frozen, so every summary and per-series
@@ -460,6 +470,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 		Stale:       stale,
 		Parallelism: parallelism,
 		MaxLSFD:     cfg.MaxLSFD,
+		Recycle:     spare,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: refitting relationships: %w", err)

@@ -174,7 +174,7 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 	// readers keep querying old ones — nothing an Advance does may change what
 	// a retained index answers.
 	var retained sync.Map // epoch int -> *scape.Index
-	retained.Store(0, e.state().index)
+	retained.Store(0, e.escapedState().index)
 
 	// The writer waits for every reader's first query before streaming, so
 	// the overlap the test exists for cannot be lost to scheduling luck on a
@@ -239,7 +239,7 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 		if _, err := e.Advance(); err != nil {
 			t.Fatal(err)
 		}
-		retained.Store(round+1, e.state().index)
+		retained.Store(round+1, e.escapedState().index)
 	}
 	stop.Store(true)
 	wg.Wait()

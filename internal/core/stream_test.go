@@ -192,12 +192,12 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 		}
 		// The pivot summaries are the terms the index was built from
 		// (symex.Result.PivotTerms, which scape calls too) and a cold build's.
-		terms, err := cold.state().rel.PivotTerms(slid, 1)
+		terms, err := cold.escapedState().rel.PivotTerms(slid, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, e := range streaming {
-			for _, sums := range [][]measure.PivotTerms{e.state().summaries, cold.state().summaries} {
+			for _, sums := range [][]measure.PivotTerms{e.escapedState().summaries, cold.escapedState().summaries} {
 				if fmt.Sprintf("%v", sums) != fmt.Sprintf("%v", terms) {
 					t.Fatalf("round %d P=%d: pivot summaries differ from the index's pivot terms", round, levels[i])
 				}
@@ -469,7 +469,7 @@ func TestSeriesStatsStayFreshAcrossEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := e.state()
+	st := e.escapedState()
 	for v := 0; v < n; v++ {
 		s, err := e.Data().Series(timeseries.SeriesID(v))
 		if err != nil {

@@ -132,7 +132,7 @@ func (e *Engine) StreamStats() StreamStats {
 	e.streamMu.Lock()
 	s := e.stream
 	e.streamMu.Unlock()
-	cs := e.state().cache.Stats()
+	cs := e.current().cache.Stats()
 	s.CacheExactHits = cs.ExactHits
 	s.CacheContainmentHits = cs.ContainmentHits
 	s.CacheRepairHits = cs.RepairHits
@@ -148,7 +148,7 @@ func (e *Engine) StreamStats() StreamStats {
 	s.MomentFills = e.sweep.momentFills.Load()
 	s.MomentSweeps = e.sweep.momentSweeps.Load()
 	s.MomentRefinedPairs = e.sweep.momentRefined.Load()
-	if sk := e.state().sketch; sk != nil {
+	if sk := e.current().sketch; sk != nil {
 		ss := sk.Counters().Snapshot()
 		s.SketchRebuilt = ss.Rebuilt
 		s.SketchSlid = ss.Slid

@@ -47,7 +47,9 @@ type LocationSweepResult struct {
 // the raw series (W_N) on the blocked kernels.  Pairs with an undefined
 // derived value carry NaN.
 func (e *Engine) PairwiseSweepNaive(m stats.Measure) (*PairSweepResult, error) {
-	return e.state().pairwiseSweepNaive(m)
+	st := e.acquire()
+	defer e.release(st)
+	return st.pairwiseSweepNaive(m)
 }
 
 // PairwiseSweepAffine computes a T- or D-measure for every sequence pair with
@@ -55,13 +57,17 @@ func (e *Engine) PairwiseSweepNaive(m stats.Measure) (*PairSweepResult, error) {
 // T-measure (the O(n·k) one-time cost) and then propagates the value to every
 // pair through its affine relationship (O(1) per pair).
 func (e *Engine) PairwiseSweepAffine(m stats.Measure) (*PairSweepResult, error) {
-	return e.state().pairwiseSweepAffine(m)
+	st := e.acquire()
+	defer e.release(st)
+	return st.pairwiseSweepAffine(m)
 }
 
 // LocationSweepNaive computes an L-measure for every series from the raw data
 // (W_N).
 func (e *Engine) LocationSweepNaive(m stats.Measure) (*LocationSweepResult, error) {
-	return e.state().locationSweepNaive(m)
+	st := e.acquire()
+	defer e.release(st)
+	return st.locationSweepNaive(m)
 }
 
 // LocationSweepAffine computes an L-measure for every series with the W_A
@@ -69,7 +75,9 @@ func (e *Engine) LocationSweepNaive(m stats.Measure) (*LocationSweepResult, erro
 // per clustering, memoised on it) and propagated to every series through its
 // 1-D affine calibration, making the per-series cost O(1) instead of O(m).
 func (e *Engine) LocationSweepAffine(m stats.Measure) (*LocationSweepResult, error) {
-	return e.state().locationSweepAffine(m)
+	st := e.acquire()
+	defer e.release(st)
+	return st.locationSweepAffine(m)
 }
 
 // pairwiseSpec resolves a pairwise measure to its spec with the shared typed

@@ -20,7 +20,7 @@ import (
 // top-k execution path must reproduce exactly.
 func pairOracle(t *testing.T, e *Engine, m stats.Measure, method Method, k int, largest bool) ([]timeseries.Pair, []float64) {
 	t.Helper()
-	st := e.state()
+	st := e.escapedState()
 	type entry struct {
 		pair  timeseries.Pair
 		value float64
@@ -118,7 +118,7 @@ func TestTopKMatchesOracle(t *testing.T) {
 // (prefix property) with correctly ordered values.
 func TestTopKLocationMeasures(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	st := e.state()
+	st := e.escapedState()
 	n := e.Data().NumSeries()
 	for _, m := range stats.LMeasures() {
 		for _, largest := range []bool{true, false} {

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
+	"affinity/internal/interval"
+	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -71,5 +75,70 @@ func TestNonFiniteWindowRejectedAtEveryDoor(t *testing.T) {
 	}
 	if info, err := e.AdvanceShared(slid, batch); err != nil || info.Epoch != 1 {
 		t.Fatalf("AdvanceShared on the engine's own slid window: %+v, %v", info, err)
+	}
+}
+
+// No build door panics on a missing window, and none accepts a NaN bound:
+// a NaN MaxLSFD would prune nothing through the distance route, and a NaN
+// DriftBound would refit everything.  +Inf prunes nothing, like 0, and answers
+// like it.
+func TestBuildDoorsRejectNilWindowAndNaNBounds(t *testing.T) {
+	fx := makeStreamFixture(t, 12, 40, 4, 31)
+	cfg := Config{Clusters: 3, Seed: 1}
+	e, err := Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot bytes.Buffer
+	if err := e.WriteSnapshot(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	doors := map[string]func(*timeseries.DataMatrix, Config) error{
+		"Build": func(d *timeseries.DataMatrix, c Config) error { _, err := Build(d, c); return err },
+		"ComputeRelationships": func(d *timeseries.DataMatrix, c Config) error {
+			_, err := ComputeRelationships(d, c)
+			return err
+		},
+		"BuildFromRelationships": func(d *timeseries.DataMatrix, c Config) error {
+			_, err := BuildFromRelationships(d, c, e.Relationships())
+			return err
+		},
+		"BuildFromSnapshot": func(d *timeseries.DataMatrix, c Config) error {
+			_, err := BuildFromSnapshot(d, bytes.NewReader(snapshot.Bytes()), c)
+			return err
+		},
+	}
+	nanLSFD, nanDrift := cfg, cfg
+	nanLSFD.MaxLSFD = math.NaN()
+	nanDrift.Stream.DriftBound = math.NaN()
+	for name, door := range doors {
+		if err := door(nil, cfg); !errors.Is(err, timeseries.ErrShapeMismatch) {
+			t.Errorf("%s on a nil window: %v", name, err)
+		}
+		for _, c := range []Config{nanLSFD, nanDrift} {
+			if err := door(fx.window, c); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s with MaxLSFD %v, DriftBound %v: %v", name, c.MaxLSFD, c.Stream.DriftBound, err)
+			}
+		}
+	}
+
+	inf := cfg
+	inf.MaxLSFD = math.Inf(1)
+	unbounded, err := Build(fx.window, inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
+		want, err := e.Interval(stats.Correlation, interval.GreaterThan(0.2), method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := unbounded.Interval(stats.Correlation, interval.GreaterThan(0.2), method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Pairs, want.Pairs) {
+			t.Errorf("%v: MaxLSFD +Inf answers %d pairs, 0 answers %d", method, len(got.Pairs), len(want.Pairs))
+		}
 	}
 }

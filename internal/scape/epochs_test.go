@@ -98,7 +98,7 @@ func requireAlphaFromPivotTerms(t *testing.T, label string, idx *Index, d *times
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pi := range livePivots(rel) {
+	for i, pi := range livePivots(rel, nil) {
 		node := &idx.pivots[i]
 		for s, m := range idx.tMeasures {
 			want := measure.Lookup(m).Moment(terms[pi]).Alpha()

@@ -39,14 +39,17 @@
 //
 // # Containers
 //
-// Every epoch's index is immutable: it is derived from the epoch's
-// relationship set and window and replaced wholesale by the next, so every
-// container is a sorted array and nothing is ever inserted into or deleted
-// from one.  A pivot's sequence store is the slice of its sequence nodes in
-// canonical pair order — the order symex.Layout hands the pivot's
-// relationships over in.  The next epoch's node shares the slice when no
-// stale pair is assigned to the pivot and re-derives it from the relationship
-// set otherwise.  The per-(pivot, measure) ξ-containers are sorted arrays
+// Every epoch's index is immutable while anyone can read it: it is derived
+// from the epoch's relationship set and window, and the next epoch gets an
+// index of its own, so every container is a sorted array and nothing is ever
+// inserted into or deleted from one.  Once an epoch is retired and its last
+// reader has left, the engine may hand its index to a later Update to build
+// into (UpdateOptions.Recycle): the slabs are overwritten whole, never
+// edited, and the sequence stores are not part of them.  A pivot's sequence
+// store is the slice of its sequence nodes in canonical pair order — the
+// order symex.Layout hands the pivot's relationships over in.  The next
+// epoch's node shares the slice when no stale pair is assigned to the pivot
+// and re-derives it from the relationship set otherwise.  The per-(pivot, measure) ξ-containers are sorted arrays
 // (xiArray) over that store: the ξ keys and, beside them, the permutation of
 // canonical ranks that sorts them.  ξ depends on the window, so every epoch
 // derives the keys afresh — but the order barely moves between neighbouring
@@ -54,9 +57,10 @@
 // order and only repairs the few inversions (the (ξ, rank) order is total, so
 // the repaired array is the array a cold sort produces).  All of an epoch's
 // keys, permutations and per-(pivot, measure) headers are carved out of one
-// slab each per index.  A location column is the same kind of array, ordered
-// by (value, series id), and one routine (keyWindow) maps an interval to the
-// index window of matching entries for both.
+// slab each per index, a recycled index's where one is given.  A location
+// column is the same kind of array, ordered by (value, series id), and one
+// routine (keyWindow) maps an interval to the index window of matching
+// entries for both.
 //
 // Neither the value column of a D-measure nor the location column of an
 // L-measure is part of the epoch's construction.  A value column — one value
@@ -243,6 +247,28 @@ type Index struct {
 	// D-measure parameters U_e are computed from them at query time.
 	moments *timeseries.Moments
 	stats   BuildStats
+	// slab holds the backing arrays the nodes' measure states and
+	// ξ-containers are windows of: with idx.pivots, idx.offsets and the value
+	// columns, what an Update recycling this index builds into
+	// (UpdateOptions.Recycle).
+	slab struct {
+		measures []pivotMeasure
+		keys     []float64
+		ranks    []int32
+	}
+}
+
+// noDonor stands in for a missing donor: it has nothing to build into.
+var noDonor Index
+
+// reuse returns s resized to n when its capacity allows, a new slice
+// otherwise.  A reused slice keeps its old contents: callers overwrite every
+// element.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // valueColumn holds one D-measure's value of every entry of the index, node
@@ -301,12 +327,12 @@ func (idx *Index) findPivot(p symex.Pivot, hint int) (int, bool) {
 // Build constructs a SCAPE index from the affine relationships produced by
 // SYMEX/SYMEX+ over the given data matrix.
 func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
-	return build(d, rel, opts, opts.Parallelism)
+	return build(d, rel, opts, opts.Parallelism, nil)
 }
 
-// build is Build with the given worker count (Update falling back to a full
-// build brings its own).
-func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelism int) (*Index, error) {
+// build is Build with the given worker count and, when non-nil, a retired
+// index to build into (Update falling back to a full build brings both).
+func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelism int, donor *Index) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -346,7 +372,7 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 	idx.tMeasures = sortedMeasures(idx.pairMeasures)
 	idx.dMeasures = sortedMeasures(idx.derivedSet)
 
-	if _, err := idx.buildNodes(d, rel, nil, nil, parallelism); err != nil {
+	if _, err := idx.buildNodes(d, rel, nil, nil, parallelism, donor); err != nil {
 		return nil, err
 	}
 	idx.finishStats(rel)
@@ -390,10 +416,10 @@ func (idx *Index) finishStats(rel *symex.Result) {
 	idx.stats.IndexedLMeasures = len(idx.locationSet)
 }
 
-// livePivots returns the pivots that get a node — those with at least one
-// relationship — as ascending positions in the layout's canonical pivot list.
-func livePivots(rel *symex.Result) []int {
-	var out []int
+// livePivots appends to out the pivots that get a node — those with at least
+// one relationship — as ascending positions in the layout's canonical pivot
+// list.
+func livePivots(rel *symex.Result, out []int) []int {
 	for pi := range rel.Layout().Pivots() {
 		if rel.PivotLen(pi) > 0 {
 			out = append(out, pi)
@@ -482,6 +508,16 @@ type nodeWork struct {
 	scratchHit bool
 }
 
+// nodeScratch is a build's per-pivot bookkeeping — the pivots that get a node
+// and what each cost — recycled through a pool across builds, since nothing
+// of it outlives the build.
+type nodeScratch struct {
+	order []int
+	work  []nodeWork
+}
+
+var nodeScratchPool par.Scratch[nodeScratch]
+
 // buildNodes builds idx.pivots — one node per pivot of rel with a
 // relationship — and is the single code path behind Build and Update.  With a
 // previous index a pivot's sequence store is shared with that index's node
@@ -497,23 +533,46 @@ type nodeWork struct {
 // parallel, each writing its own windows of the index's slabs; queries later
 // scan idx.pivots in this same order, which is what makes result ordering
 // independent of parallelism.
+//
+// With a donor — a retired index no reader can reach — the slabs, the
+// offsets and the value columns are carved out of the donor's wherever they
+// fit, which they do unless a pivot gained relationships.  Every element of
+// them is overwritten below or, for a value column, by its fill, so a
+// recycled slab holds exactly what a fresh one would.  The donor's sequence
+// stores are never touched: later epochs may share them.
+//
+// It returns the store counts of UpdateStats: how each node's sequence store
+// was obtained.
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
-	stale []staleCount, parallelism int) ([]nodeWork, error) {
+	stale []staleCount, parallelism int, donor *Index) (UpdateStats, error) {
 
+	if donor == nil {
+		donor = &noDonor
+	}
 	idx.moments = d.Moments()
-	idx.columns = make([]valueColumn, len(idx.dMeasures))
+	// A reused column keeps the donor's values as the capacity its fill writes
+	// into; the reset Once makes the column unfilled.
+	idx.columns = reuse(donor.columns, len(idx.dMeasures))
+	for s := range idx.columns {
+		col := &idx.columns[s]
+		*col = valueColumn{values: col.values, extremes: col.extremes}
+	}
 
 	// The pivot terms are the ones W_A propagates through, assembled in one
 	// place (symex.Result.PivotTerms); it also checks every pivot's columns.
+	var us UpdateStats
 	terms, err := rel.PivotTerms(d, parallelism)
 	if err != nil {
-		return nil, err
+		return us, err
 	}
+	sc, _ := nodeScratchPool.Get()
+	defer nodeScratchPool.Put(sc)
 	pivots := rel.Layout().Pivots()
-	pivotOrder := livePivots(rel)
+	pivotOrder := livePivots(rel, sc.order[:0])
 	// offsets[i] is where node i's entries start in the key and rank slabs
 	// (times the T-measure count) and in every value column.
-	offsets := make([]int, len(pivotOrder)+1)
+	offsets := reuse(donor.offsets, len(pivotOrder)+1)
+	offsets[0] = 0
 	for i, pi := range pivotOrder {
 		offsets[i+1] = offsets[i] + rel.PivotLen(pi)
 	}
@@ -523,11 +582,13 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 		specs[s] = measure.Lookup(m)
 	}
 	T := len(idx.tMeasures)
-	idx.pivots = make([]pivotNode, len(pivotOrder))
-	measures := make([]pivotMeasure, T*len(pivotOrder))
-	keys := make([]float64, T*offsets[len(pivotOrder)])
-	ranks := make([]int32, T*offsets[len(pivotOrder)])
-	work := make([]nodeWork, len(pivotOrder))
+	idx.pivots = reuse(donor.pivots, len(pivotOrder))
+	measures := reuse(donor.slab.measures, T*len(pivotOrder))
+	keys := reuse(donor.slab.keys, T*offsets[len(pivotOrder)])
+	ranks := reuse(donor.slab.ranks, T*offsets[len(pivotOrder)])
+	work := reuse(sc.work, len(pivotOrder))
+	sc.order, sc.work = pivotOrder, work
+	idx.slab.measures, idx.slab.keys, idx.slab.ranks = measures, keys, ranks
 
 	err = par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
 		for i := blk.Lo; i < blk.Hi; i++ {
@@ -549,15 +610,25 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return us, err
 	}
-	for i := range work {
+	for _, w := range work {
 		idx.stats.ScratchGets++
-		if work[i].scratchHit {
+		if w.scratchHit {
 			idx.stats.ScratchHits++
 		}
+		us.EntriesDeleted += w.deleted
+		us.EntriesInserted += w.inserted
+		switch {
+		case w.shared:
+			us.StoresShared++
+		case w.rederived:
+			us.StoresCloned++
+		case w.rebuilt:
+			us.StoresRebuilt++
+		}
 	}
-	return work, nil
+	return us, nil
 }
 
 // finishPivotNode derives the window-dependent per-(pivot, measure) state of
@@ -614,8 +685,8 @@ func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
 	col := &idx.columns[slices.Index(idx.dMeasures, sp.ID)]
 	col.once.Do(func() {
 		base := idx.baseSlot(sp.Base)
-		values := make([]float64, idx.offsets[len(idx.pivots)])
-		extremes := make([][2]float64, len(idx.pivots))
+		values := reuse(col.values, idx.offsets[len(idx.pivots)])
+		extremes := reuse(col.extremes, len(idx.pivots))
 		// The evaluation cannot fail; DoBlocks only fans it out.
 		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
 			var params []float64

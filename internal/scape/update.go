@@ -21,6 +21,12 @@ type UpdateOptions struct {
 	// same deterministic gather ordering as Build.  Zero or one runs
 	// sequentially.
 	Parallelism int
+	// Recycle, when non-nil, is a retired index that no reader can reach any
+	// more and that is not the index being updated: the new index builds into
+	// its node, container and offset slabs and its value columns instead of
+	// allocating them.  Its sequence stores, which later epochs may share, are
+	// left alone.  The recycled index must not be used afterwards.
+	Recycle *Index
 }
 
 // UpdateStats reports what an Update call did, for observability and the
@@ -64,8 +70,9 @@ type staleCount struct{ pairs, live int32 }
 // and, on demand, value and location columns) is recomputed through
 // the exact code path Build uses, and a container re-sorted from the previous
 // epoch's order is the array a cold sort yields, so the result answers every
-// query byte-identically to Build(d, rel, ...) on the same window.  The
-// previous index is never mutated and stays fully queryable.
+// query byte-identically to Build(d, rel, ...) on the same window, whether
+// or not it was built into a recycled index (opts.Recycle).  The previous
+// index is never mutated and stays fully queryable.
 //
 // A nil stale set means every relationship was refit (mirroring
 // symex.Refit): no store can be shared, and the index is built cold.
@@ -86,10 +93,13 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		return nil, us, fmt.Errorf("scape: update window has %d series, index has %d",
 			d.NumSeries(), prev.numSeries)
 	}
+	if opts.Recycle == prev {
+		return nil, us, fmt.Errorf("scape: an update cannot recycle the index it updates")
+	}
 
 	if stale == nil {
 		us.StaleFraction = 1
-		idx, err := build(d, rel, prev.opts, opts.Parallelism)
+		idx, err := build(d, rel, prev.opts, opts.Parallelism, opts.Recycle)
 		if err != nil {
 			return nil, us, err
 		}
@@ -128,24 +138,13 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 			marked++
 		}
 	}
-	us.StaleFraction = float64(marked) / float64(rel.Len())
+	staleFraction := float64(marked) / float64(rel.Len())
 
-	work, err := idx.buildNodes(d, rel, prev, perPivot, opts.Parallelism)
+	us, err := idx.buildNodes(d, rel, prev, perPivot, opts.Parallelism, opts.Recycle)
 	if err != nil {
 		return nil, us, err
 	}
-	for _, w := range work {
-		us.EntriesDeleted += w.deleted
-		us.EntriesInserted += w.inserted
-		switch {
-		case w.shared:
-			us.StoresShared++
-		case w.rederived:
-			us.StoresCloned++
-		case w.rebuilt:
-			us.StoresRebuilt++
-		}
-	}
+	us.StaleFraction = staleFraction
 	idx.finishStats(rel)
 	us.ScratchGets = idx.stats.ScratchGets
 	us.ScratchHits = idx.stats.ScratchHits

@@ -35,6 +35,12 @@ type RefitOptions struct {
 	// pairs on refit).  Carried-over relationships keep their previous
 	// pruning outcome.
 	MaxLSFD float64
+	// Recycle, when non-nil, is a retired result over the same layout that no
+	// reader can reach any more and that is not prev: the new result's
+	// relationship slots are written into its slot slice instead of a new
+	// one.  The relationships themselves are immutable and stay shared.  The
+	// recycled result must not be used afterwards.
+	Recycle *Result
 }
 
 // RefitStats reports the work a Refit run performed.
@@ -100,7 +106,11 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 	}
 	rs.Reused = prev.n - wasLive
 
-	rels := slices.Clone(prev.rels)
+	var spare []*Relationship
+	if opts.Recycle != nil && opts.Recycle != prev {
+		spare = opts.Recycle.rels[:0]
+	}
+	rels := append(spare, prev.rels...)
 	var covs []float64
 	if slots == nil {
 		covs = make([]float64, len(rels))

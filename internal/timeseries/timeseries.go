@@ -608,13 +608,16 @@ func (d *DataMatrix) Clone() *DataMatrix {
 	return out
 }
 
-// Validate checks structural invariants: at least one series, equal lengths,
-// and no NaN/Inf samples.  It returns a descriptive error for the first
+// Validate checks structural invariants: a matrix at all, at least one
+// series, equal lengths, and no NaN/Inf samples.  It returns a descriptive error for the first
 // violation found.  A matrix remembers that it passed: until Append adds a
 // series, further calls return without scanning, and SlideCopy hands the mark on to the window it returns.
 // Writing through a slice returned by Series — which callers must not do —
 // goes unnoticed.
 func (d *DataMatrix) Validate() error {
+	if d == nil {
+		return fmt.Errorf("%w: no data matrix", ErrShapeMismatch)
+	}
 	if d.validated.Load() {
 		return nil
 	}

@@ -40,6 +40,16 @@ import (
 // windows' sorted columns slid, at every epoch, where the other cells fill a
 // column only when a query names its measure.
 //
+// Every run of Advances is bracketed by the pin operation: before the run's
+// first Advance every engine cell pins its epoch and asks it a fixed set of
+// queries by every method, and at the next query, batch or the end of the
+// sequence the pinned epoch must answer them again with the same bits before
+// the pin is released — "pin, k Advances, query, release", where the
+// Advances in between recycle the epochs they retire.  It rides the Advance
+// and query operations rather than taking a byte of its own, so the saved
+// sequences under testdata/fuzz keep decoding to the operations they were
+// saved with.
+//
 // Every answer must be Float64bits-equal across the lattice, typed errors
 // included; on the reference cell (engine, P 1, no cache, no sketch,
 // streamed) Naive must equal the scalar per-pair oracle, Affine and Index
@@ -261,6 +271,61 @@ type replayer struct {
 	// relationship over from an older window: Lemma 1 and the fit oracle
 	// hold only for fits of the current window.
 	reused bool
+	// pins are the engine cells' pins while a run of Advances lasts, and
+	// pinnedAdvances the Advances applied since they were taken.
+	pins           []heldPin
+	pinnedAdvances int
+}
+
+// heldPin is an engine cell's pin on the epoch a run of Advances started
+// from, with what the epoch answered when it was pinned.
+type heldPin struct {
+	name    string
+	v       core.View
+	release func()
+	answer  string
+}
+
+// pinnedAnswers asks a pinned epoch a fixed set of queries — a D-measure
+// interval, a T-measure top-k and an L-measure interval — by every method.
+func pinnedAnswers(v core.View) string {
+	specs := []plan.QuerySpec{
+		plan.Interval(stats.Correlation, interval.All()),
+		plan.TopK(stats.Covariance, 3, true),
+		plan.Interval(stats.Mean, interval.All()),
+	}
+	var b strings.Builder
+	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodIndex} {
+		out, _, err := core.Run(v, specs, method, false)
+		b.WriteString(render(out, err))
+	}
+	return b.String()
+}
+
+// pinEpochs pins every engine cell's epoch before a run of Advances.
+func (r *replayer) pinEpochs() {
+	for _, c := range r.cells {
+		if e, ok := c.b.(*core.Engine); ok {
+			v, release := e.Pin()
+			r.pins = append(r.pins, heldPin{name: c.name, v: v, release: release, answer: pinnedAnswers(v)})
+		}
+	}
+	r.pinnedAdvances = 0
+}
+
+// releasePins asks every pinned epoch again and releases it.
+func (r *replayer) releasePins() error {
+	pins := r.pins
+	r.pins = nil
+	var err error
+	for _, p := range pins {
+		if got := pinnedAnswers(p.v); got != p.answer && err == nil {
+			err = fmt.Errorf("%s: the epoch pinned across %d Advances answers differently:\n then %.400s\n now  %.400s",
+				p.name, r.pinnedAdvances, p.answer, got)
+		}
+		p.release()
+	}
+	return err
 }
 
 // tick generates the next sample of every series: four latent groups of
@@ -876,12 +941,20 @@ func replay(data []byte) error {
 			r.last = o
 		}
 	}
-	return nil
+	return r.releasePins()
 }
 
 func (r *replayer) apply(o *op) error {
 	ref := r.cells[0]
 	answers := make([]string, len(r.cells))
+	switch {
+	case o.kind == opAdvance && r.pins == nil:
+		r.pinEpochs()
+	case o.kind == opQuery || o.kind == opBatch:
+		if err := r.releasePins(); err != nil {
+			return err
+		}
+	}
 	switch o.kind {
 	case opAppend, opAdvance:
 		var ticks [][]float64
@@ -908,6 +981,7 @@ func (r *replayer) apply(o *op) error {
 		if o.kind == opAppend {
 			return nil
 		}
+		r.pinnedAdvances++
 		for i, c := range r.cells {
 			info, err := c.b.Advance()
 			if i == 0 && err == nil {
