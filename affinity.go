@@ -93,7 +93,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -108,33 +107,33 @@ type SeriesID = timeseries.SeriesID
 type Pair = timeseries.Pair
 
 // Measure identifies a statistical measure.
-type Measure = stats.Measure
+type Measure = measure.Measure
 
 // Supported measures, grouped the way the paper groups them.
 const (
 	// L-measures (location).
-	Mean   = stats.Mean
-	Median = stats.Median
-	Mode   = stats.Mode
+	Mean   = measure.Mean
+	Median = measure.Median
+	Mode   = measure.Mode
 
 	// T-measures (dispersion).
-	Covariance = stats.Covariance
-	DotProduct = stats.DotProduct
+	Covariance = measure.Covariance
+	DotProduct = measure.DotProduct
 
 	// D-measures (derived).
-	Correlation  = stats.Correlation
-	Cosine       = stats.Cosine
-	Jaccard      = stats.Jaccard
-	Dice         = stats.Dice
-	HarmonicMean = stats.HarmonicMean
+	Correlation  = measure.Correlation
+	Cosine       = measure.Cosine
+	Jaccard      = measure.Jaccard
+	Dice         = measure.Dice
+	HarmonicMean = measure.HarmonicMean
 
 	// Distance D-measures: monotone-decreasing transforms of the dot
 	// product, registered through the declarative measure algebra
 	// (internal/measure) — interval queries on them exercise the SCAPE
 	// index's decreasing-transform pruning path.
-	EuclideanDistance     = stats.EuclideanDistance
-	MeanSquaredDifference = stats.MeanSquaredDifference
-	AngularDistance       = stats.AngularDistance
+	EuclideanDistance     = measure.EuclideanDistance
+	MeanSquaredDifference = measure.MeanSquaredDifference
+	AngularDistance       = measure.AngularDistance
 )
 
 // MeasureInfo describes one registered measure: its parseable name, class
@@ -174,7 +173,7 @@ func Measures() []MeasureInfo {
 
 // ParseMeasure resolves a measure name (as printed by Measure.String and
 // listed in Measures) in one registry lookup.
-func ParseMeasure(name string) (Measure, error) { return stats.ParseMeasure(name) }
+func ParseMeasure(name string) (Measure, error) { return measure.Parse(name) }
 
 // Method selects how queries are executed.
 type Method = core.Method
@@ -618,13 +617,13 @@ func NewFromSnapshot(d *Dataset, r io.Reader, opts Options) (*Engine, error) {
 // matrix over the given series (Problem 1 of the paper) with the Affine
 // method.
 func (e *Engine) CorrelationMatrix(ids []SeriesID) ([][]float64, error) {
-	return e.inner.ComputePairwise(stats.Correlation, ids, core.MethodAffine)
+	return e.inner.ComputePairwise(measure.Correlation, ids, core.MethodAffine)
 }
 
 // CorrelatedPairs is a convenience wrapper returning all sequence pairs with
 // correlation above tau, answered from the SCAPE index.
 func (e *Engine) CorrelatedPairs(tau float64) ([]Pair, error) {
-	res, err := e.inner.Interval(stats.Correlation, interval.GreaterThan(tau), core.MethodIndex)
+	res, err := e.inner.Interval(measure.Correlation, interval.GreaterThan(tau), core.MethodIndex)
 	if err != nil {
 		return nil, err
 	}

@@ -25,11 +25,11 @@ import (
 	"affinity/internal/core"
 	"affinity/internal/experiments"
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/shard"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -378,7 +378,7 @@ func BenchmarkDatasetBinary(b *testing.B) {
 // the timer.
 func BenchmarkScapeCorrelationThreshold(b *testing.B) {
 	query := func(b *testing.B, engine *core.Engine) {
-		if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
+		if _, err := engine.Interval(measure.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,7 +419,7 @@ func BenchmarkScapeCorrelationThreshold(b *testing.B) {
 func BenchmarkIndexInterval(b *testing.B) {
 	engine := benchmarkEngine(b)
 	var batch []core.IntervalQuery
-	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.EuclideanDistance} {
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.EuclideanDistance} {
 		sweep, err := engine.PairwiseSweepNaive(m)
 		if err != nil {
 			b.Fatal(err)
@@ -427,7 +427,7 @@ func BenchmarkIndexInterval(b *testing.B) {
 		vals := append([]float64(nil), sweep.Values...)
 		sort.Float64s(vals)
 		at := func(q float64) float64 { return vals[int(q*float64(len(vals)-1))] }
-		if m == stats.EuclideanDistance {
+		if m == measure.EuclideanDistance {
 			batch = append(batch,
 				core.IntervalQuery{Measure: m, Interval: interval.LessThan(at(0.01))},
 				core.IntervalQuery{Measure: m, Interval: interval.LessThan(at(0.20))},
@@ -457,7 +457,7 @@ func BenchmarkNaiveCorrelationThreshold(b *testing.B) {
 	engine := benchmarkEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodNaive); err != nil {
+		if _, err := engine.Interval(measure.Correlation, interval.GreaterThan(0.9), core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,7 +470,7 @@ func BenchmarkNaiveCorrelationThreshold(b *testing.B) {
 func BenchmarkAutoDerivedInterval(b *testing.B) {
 	engine := benchmarkEngine(b)
 	iv := interval.GreaterThan(0.9)
-	p, err := engine.View().Plan(plan.Interval(stats.Correlation, iv))
+	p, err := engine.View().Plan(plan.Interval(measure.Correlation, iv))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func BenchmarkAutoDerivedInterval(b *testing.B) {
 		b.Run(method.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Interval(stats.Correlation, iv, method); err != nil {
+				if _, err := engine.Interval(measure.Correlation, iv, method); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -497,7 +497,7 @@ func BenchmarkAutoDerivedInterval(b *testing.B) {
 // so the CI bench smoke exercises each.
 func BenchmarkDistanceMeasureThreshold(b *testing.B) {
 	engine := benchmarkEngine(b)
-	for _, m := range []stats.Measure{stats.EuclideanDistance, stats.MeanSquaredDifference, stats.AngularDistance} {
+	for _, m := range []measure.Measure{measure.EuclideanDistance, measure.MeanSquaredDifference, measure.AngularDistance} {
 		m := m
 		// Median-scale thresholds per measure (values from the affine sweep).
 		sweep, err := engine.PairwiseSweepAffine(m)
@@ -523,11 +523,11 @@ func BenchmarkDistanceMeasureThreshold(b *testing.B) {
 func BenchmarkTopK(b *testing.B) {
 	engine := benchmarkEngine(b)
 	for _, tc := range []struct {
-		m       stats.Measure
+		m       measure.Measure
 		largest bool
 	}{
-		{stats.Correlation, true},
-		{stats.EuclideanDistance, false},
+		{measure.Correlation, true},
+		{measure.EuclideanDistance, false},
 	} {
 		for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodIndex, core.MethodAuto} {
 			for _, k := range []int{10, 100} {
@@ -562,13 +562,13 @@ func BenchmarkShardTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := coord.TopK(stats.Correlation, 10, true, core.MethodIndex); err != nil {
+	if _, err := coord.TopK(measure.Correlation, 10, true, core.MethodIndex); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coord.TopK(stats.Correlation, 10, true, core.MethodIndex); err != nil {
+		if _, err := coord.TopK(measure.Correlation, 10, true, core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -580,7 +580,7 @@ func BenchmarkAffineCovarianceSweep(b *testing.B) {
 	engine := benchmarkEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.PairwiseSweepAffine(stats.Covariance); err != nil {
+		if _, err := engine.PairwiseSweepAffine(measure.Covariance); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -592,7 +592,7 @@ func BenchmarkNaiveCovarianceSweep(b *testing.B) {
 	engine := benchmarkEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.PairwiseSweepNaive(stats.Covariance); err != nil {
+		if _, err := engine.PairwiseSweepNaive(measure.Covariance); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -610,7 +610,7 @@ func BenchmarkNaiveCovarianceSweep(b *testing.B) {
 // epoch.
 func BenchmarkSweep(b *testing.B) {
 	engine := benchmarkEngine(b)
-	if _, err := engine.PairwiseSweepNaive(stats.Correlation); err != nil {
+	if _, err := engine.PairwiseSweepNaive(measure.Correlation); err != nil {
 		b.Fatal(err)
 	}
 	info := engine.Info()
@@ -618,7 +618,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.PairwiseSweepNaive(stats.Correlation); err != nil {
+		if _, err := engine.PairwiseSweepNaive(measure.Correlation); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -649,14 +649,14 @@ func BenchmarkSketchSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sweep, err := engine.PairwiseSweepNaive(stats.Cosine)
+	sweep, err := engine.PairwiseSweepNaive(measure.Cosine)
 	if err != nil {
 		b.Fatal(err)
 	}
 	vals := append([]float64(nil), sweep.Values...)
 	sort.Float64s(vals)
 	iv := interval.GreaterThan(vals[int(0.9*float64(len(vals)-1))])
-	if _, err := engine.Interval(stats.Cosine, iv, core.MethodNaive); err != nil {
+	if _, err := engine.Interval(measure.Cosine, iv, core.MethodNaive); err != nil {
 		b.Fatal(err)
 	}
 	info := engine.Info()
@@ -664,7 +664,7 @@ func BenchmarkSketchSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Cosine, iv, core.MethodNaive); err != nil {
+		if _, err := engine.Interval(measure.Cosine, iv, core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -685,7 +685,7 @@ func BenchmarkSketchSweepCold(b *testing.B) {
 		Stream:    core.StreamConfig{DriftBound: 0.05},
 		Sketch:    sketch.Options{Enabled: true, Coefficients: 16},
 	})
-	sweep, err := engine.PairwiseSweepNaive(stats.Correlation)
+	sweep, err := engine.PairwiseSweepNaive(measure.Correlation)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -705,7 +705,7 @@ func BenchmarkSketchSweepCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := engine.Interval(stats.Correlation, iv, core.MethodNaive); err != nil {
+		if _, err := engine.Interval(measure.Correlation, iv, core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -831,7 +831,7 @@ func BenchmarkAdvanceMedian(b *testing.B) {
 	engine, ticks := advanceBenchSetup(b)
 	iv := interval.GreaterThan(0)
 	// The build epoch's query sorts the window once; every later one slides.
-	if _, err := engine.Interval(stats.Median, iv, core.MethodIndex); err != nil {
+	if _, err := engine.Interval(measure.Median, iv, core.MethodIndex); err != nil {
 		b.Fatal(err)
 	}
 	const slide = 8
@@ -846,7 +846,7 @@ func BenchmarkAdvanceMedian(b *testing.B) {
 		if _, err := engine.Advance(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engine.Interval(stats.Median, iv, core.MethodIndex); err != nil {
+		if _, err := engine.Interval(measure.Median, iv, core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -865,7 +865,7 @@ func BenchmarkAdvanceCorrelation(b *testing.B) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	engine, ticks := advanceBenchSetup(b)
 	iv := interval.GreaterThan(0.9)
-	if _, err := engine.Interval(stats.Correlation, iv, core.MethodIndex); err != nil {
+	if _, err := engine.Interval(measure.Correlation, iv, core.MethodIndex); err != nil {
 		b.Fatal(err)
 	}
 	const slide = 8
@@ -880,7 +880,7 @@ func BenchmarkAdvanceCorrelation(b *testing.B) {
 		if _, err := engine.Advance(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engine.Interval(stats.Correlation, iv, core.MethodIndex); err != nil {
+		if _, err := engine.Interval(measure.Correlation, iv, core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -970,7 +970,7 @@ func BenchmarkStreamQueryDuringAdvance(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
+		if _, err := engine.Interval(measure.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1048,7 +1048,7 @@ func BenchmarkParallelIndexThreshold(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Interval(stats.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
+				if _, err := engine.Interval(measure.Correlation, interval.GreaterThan(0.9), core.MethodIndex); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1062,14 +1062,14 @@ func BenchmarkParallelIndexThreshold(b *testing.B) {
 func BenchmarkThresholdBatchVsSingles(b *testing.B) {
 	engine := benchmarkEngine(b)
 	batch := []core.IntervalQuery{
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.9)},
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.5)},
-		{Measure: stats.Covariance, Interval: interval.GreaterThan(0.0)},
-		{Measure: stats.Cosine, Interval: interval.GreaterThan(0.8)},
-		{Measure: stats.DotProduct, Interval: interval.LessThan(0.0)},
-		{Measure: stats.Dice, Interval: interval.GreaterThan(0.7)},
-		{Measure: stats.HarmonicMean, Interval: interval.GreaterThan(0.3)},
-		{Measure: stats.Mean, Interval: interval.GreaterThan(0.0)},
+		{Measure: measure.Correlation, Interval: interval.GreaterThan(0.9)},
+		{Measure: measure.Correlation, Interval: interval.GreaterThan(0.5)},
+		{Measure: measure.Covariance, Interval: interval.GreaterThan(0.0)},
+		{Measure: measure.Cosine, Interval: interval.GreaterThan(0.8)},
+		{Measure: measure.DotProduct, Interval: interval.LessThan(0.0)},
+		{Measure: measure.Dice, Interval: interval.GreaterThan(0.7)},
+		{Measure: measure.HarmonicMean, Interval: interval.GreaterThan(0.3)},
+		{Measure: measure.Mean, Interval: interval.GreaterThan(0.0)},
 	}
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -1123,13 +1123,13 @@ func BenchmarkCachedInterval(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the entry: the first issue misses, runs cold and stores.
-	if _, err := engine.Interval(stats.Covariance, interval.Between(-0.5, 0.9), core.MethodAffine); err != nil {
+	if _, err := engine.Interval(measure.Covariance, interval.Between(-0.5, 0.9), core.MethodAffine); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Covariance, interval.Between(-0.5, 0.9), core.MethodAffine); err != nil {
+		if _, err := engine.Interval(measure.Covariance, interval.Between(-0.5, 0.9), core.MethodAffine); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1171,14 +1171,14 @@ func BenchmarkCachedSweepMiss(b *testing.B) {
 		lo := -1 + 1.9*frac
 		return interval.Between(lo, lo+0.1)
 	}
-	if _, err := engine.Interval(stats.Cosine, band(-1), core.MethodNaive); err != nil {
+	if _, err := engine.Interval(measure.Cosine, band(-1), core.MethodNaive); err != nil {
 		b.Fatal(err)
 	}
 	warm := engine.StreamStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Interval(stats.Cosine, band(i), core.MethodNaive); err != nil {
+		if _, err := engine.Interval(measure.Cosine, band(i), core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}

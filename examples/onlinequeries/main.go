@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"affinity"
-	"affinity/internal/stats"
 	"affinity/internal/workload"
 )
 
@@ -128,7 +127,7 @@ func timedRun(data *affinity.Dataset, queries []workload.MECQuery, method affini
 
 func runBatch(engine *affinity.Engine, queries []workload.MECQuery, method affinity.Method) error {
 	for _, q := range queries {
-		if q.Measure.Class() == stats.LocationClass {
+		if !q.Measure.Pairwise() {
 			if _, err := engine.ComputeLocation(q.Measure, q.Series, method); err != nil {
 				return err
 			}

@@ -9,7 +9,6 @@ import (
 
 	"affinity/internal/mat"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 )
 
 func randomPairMatrix(rng *rand.Rand, m int) *mat.Matrix {
@@ -19,6 +18,23 @@ func randomPairMatrix(rng *rand.Rand, m int) *mat.Matrix {
 		a.Set(i, 1, rng.NormFloat64()*2-1)
 	}
 	return a
+}
+
+// pairMeans is the mean of each column of a pair matrix.
+func pairMeans(x *mat.Matrix) [2]float64 {
+	m0, _ := measure.MeanOf(x.Col(0))
+	m1, _ := measure.MeanOf(x.Col(1))
+	return [2]float64{m0, m1}
+}
+
+// pairCovariance is Σ(X), the 2-by-2 sample covariance matrix of a pair
+// matrix's columns (Eq. 2).
+func pairCovariance(x *mat.Matrix) *mat.Matrix {
+	v0, _ := measure.VarianceOf(x.Col(0))
+	v1, _ := measure.VarianceOf(x.Col(1))
+	cov, _ := measure.CovarianceOf(x.Col(0), x.Col(1))
+	out, _ := mat.NewFromRows([][]float64{{v0, cov}, {cov, v1}})
+	return out
 }
 
 func randomTransform(rng *rand.Rand) *Transform {
@@ -165,15 +181,8 @@ func TestPropagateLocationMeanProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lx, err := stats.PairMatrixLocation(stats.Mean, x)
-		if err != nil {
-			return false
-		}
-		got := tr.PropagateLocation([2]float64{lx[0], lx[1]})
-		want, err := stats.PairMatrixLocation(stats.Mean, y)
-		if err != nil {
-			return false
-		}
+		got := tr.PropagateLocation(pairMeans(x))
+		want := pairMeans(y)
 		tol := 1e-8 * (1 + math.Abs(want[0]) + math.Abs(want[1]))
 		return math.Abs(got[0]-want[0]) <= tol && math.Abs(got[1]-want[1]) <= tol
 	}
@@ -194,14 +203,7 @@ func TestPropagateCovarianceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		covX, err := stats.PairMatrixCovariance(x)
-		if err != nil {
-			return false
-		}
-		covYWant, err := stats.PairMatrixCovariance(y)
-		if err != nil {
-			return false
-		}
+		covX, covYWant := pairCovariance(x), pairCovariance(y)
 		scale := 1 + covYWant.MaxAbs()
 		v := tr.PropagateSecondVariance([3]float64{covX.At(0, 0), covX.At(0, 1), covX.At(1, 1)})
 		if math.Abs(v-covYWant.At(1, 1)) > 1e-8*scale {
@@ -246,7 +248,7 @@ func TestPropagateDotProductProperty(t *testing.T) {
 			return false
 		}
 		got := tr.PropagateMoment(mm)
-		want, err := stats.DotProductOf(y.Col(0), y.Col(1))
+		want, err := measure.DotProductOf(y.Col(0), y.Col(1))
 		if err != nil {
 			return false
 		}
@@ -285,7 +287,7 @@ func TestLemma1DotProductPreservation(t *testing.T) {
 			return false
 		}
 		got := tr.PropagateMoment(mm)
-		want, _ := stats.DotProductOf(common, target)
+		want, _ := measure.DotProductOf(common, target)
 		return math.Abs(got-want) <= 1e-6*(1+math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -307,39 +309,31 @@ func TestPropagateMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cases := []struct {
-		id   measure.Measure
-		want func(a, b []float64) (float64, error)
-	}{
-		{measure.Correlation, stats.CorrelationOf},
-		{measure.Cosine, stats.CosineOf},
-		{measure.EuclideanDistance, stats.EuclideanDistanceOf},
-	}
-	for _, tc := range cases {
-		sp := measure.Lookup(tc.id)
+	for _, id := range []measure.Measure{measure.Correlation, measure.Cosine, measure.EuclideanDistance} {
+		sp := measure.Lookup(id)
 		base := measure.Lookup(sp.Base)
 		terms, err := base.EvalTerms(x.Col(0), x.Col(1))
 		if err != nil {
-			t.Fatalf("%v terms: %v", tc.id, err)
+			t.Fatalf("%v terms: %v", id, err)
 		}
 		statOf := func(col []float64) measure.SeriesStat {
 			s, err := measure.NaiveSeriesStat(sp.ParamStats, col)
 			if err != nil {
-				t.Fatalf("%v stats: %v", tc.id, err)
+				t.Fatalf("%v stats: %v", id, err)
 			}
 			return s
 		}
 		param := sp.Param(statOf(y.Col(0)), statOf(y.Col(1)))
 		got, err := tr.PropagateMeasure(sp, base.Moment(terms), param, m)
 		if err != nil {
-			t.Fatalf("%v propagate: %v", tc.id, err)
+			t.Fatalf("%v propagate: %v", id, err)
 		}
-		want, err := tc.want(y.Col(0), y.Col(1))
+		want, err := measure.EvalPair(id, y.Col(0), y.Col(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
-			t.Fatalf("%v: got %v, want %v", tc.id, got, want)
+			t.Fatalf("%v: got %v, want %v", id, got, want)
 		}
 	}
 
@@ -350,7 +344,7 @@ func TestPropagateMeasure(t *testing.T) {
 		t.Fatal("non-pairwise measure should error")
 	}
 	corrSp := measure.Lookup(measure.Correlation)
-	if _, err := tr.PropagateMeasure(corrSp, covSp.Moment(covTerms), 0, m); !errors.Is(err, stats.ErrZeroNormalizer) {
+	if _, err := tr.PropagateMeasure(corrSp, covSp.Moment(covTerms), 0, m); !errors.Is(err, measure.ErrZeroNormalizer) {
 		t.Fatalf("zero normalizer err = %v", err)
 	}
 }
@@ -360,9 +354,9 @@ func TestPropagateVariances(t *testing.T) {
 	x := randomPairMatrix(rng, 40)
 	tr := randomTransform(rng)
 	y, _ := tr.Apply(x)
-	covX, _ := stats.PairMatrixCovariance(x)
+	covX := pairCovariance(x)
 	v := tr.PropagateSecondVariance([3]float64{covX.At(0, 0), covX.At(0, 1), covX.At(1, 1)})
-	v1, _ := stats.VarianceOf(y.Col(1))
+	v1, _ := measure.VarianceOf(y.Col(1))
 	if math.Abs(v-v1) > 1e-8*(1+v1) {
 		t.Fatalf("propagated variance %v, want %v", v, v1)
 	}

@@ -23,7 +23,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -62,19 +61,22 @@ func (n *Naive) Kernel() (*kernel.Matrix, *kernel.Moments, error) {
 	return n.kern, n.kernMom, n.kernErr
 }
 
-// Location computes an L-measure for the requested series from scratch.
-func (n *Naive) Location(m stats.Measure, ids []timeseries.SeriesID) ([]float64, error) {
+// Location computes an L-measure for the requested series from scratch: the
+// measure's EvalLocation over each raw series.
+func (n *Naive) Location(m measure.Measure, ids []timeseries.SeriesID) ([]float64, error) {
+	sp, ok := measure.Find(m)
+	if !ok || !sp.Location() {
+		return nil, fmt.Errorf("%w: %v is not an L-measure", measure.ErrUnknownMeasure, m)
+	}
 	out := make([]float64, len(ids))
 	for i, id := range ids {
 		s, err := n.data.Series(id)
 		if err != nil {
 			return nil, err
 		}
-		v, err := stats.ComputeLocation(m, s)
-		if err != nil {
+		if out[i], err = sp.EvalLocation(s); err != nil {
 			return nil, err
 		}
-		out[i] = v
 	}
 	return out, nil
 }
@@ -84,10 +86,10 @@ func (n *Naive) Location(m stats.Measure, ids []timeseries.SeriesID) ([]float64,
 // order given.  Pairs with an undefined derived value are reported as NaN.
 // The upper triangle (diagonal included) runs on the blocked kernels in
 // request order; results are byte-identical to per-pair scalar evaluation.
-func (n *Naive) Pairwise(m stats.Measure, ids []timeseries.SeriesID) ([][]float64, error) {
+func (n *Naive) Pairwise(m measure.Measure, ids []timeseries.SeriesID) ([][]float64, error) {
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Pairwise() {
-		return nil, fmt.Errorf("%w: %v is not a pairwise measure", stats.ErrUnknownMeasure, m)
+		return nil, fmt.Errorf("%w: %v is not a pairwise measure", measure.ErrUnknownMeasure, m)
 	}
 	for _, id := range ids {
 		if _, err := n.data.Series(id); err != nil {
@@ -172,7 +174,7 @@ func (n *Naive) sweepValuesScalar(sp *measure.Spec, pairs []timeseries.Pair, val
 		if err != nil {
 			return err
 		}
-		v, err := stats.OrNaN(stats.ComputePair(sp.ID, su, sv))
+		v, err := measure.OrNaN(measure.EvalPair(sp.ID, su, sv))
 		if err != nil {
 			return err
 		}
@@ -182,21 +184,29 @@ func (n *Naive) sweepValuesScalar(sp *measure.Spec, pairs []timeseries.Pair, val
 }
 
 // PairValue computes a single pairwise measure from scratch.
-func (n *Naive) PairValue(m stats.Measure, e timeseries.Pair) (float64, error) {
-	return stats.PairMeasure(m, n.data, e)
+func (n *Naive) PairValue(m measure.Measure, e timeseries.Pair) (float64, error) {
+	su, err := n.data.Series(e.U)
+	if err != nil {
+		return 0, err
+	}
+	sv, err := n.data.Series(e.V)
+	if err != nil {
+		return 0, err
+	}
+	return measure.EvalPair(m, su, sv)
 }
 
 // PairInterval evaluates an interval (MET/MER) query with one blocked sweep
 // over the sequence pairs: base values reduce block-at-a-time, undefined
 // derived values propagate as NaN, and the interval predicate compacts the
 // block branch-free (NaN never matches).
-func (n *Naive) PairInterval(m stats.Measure, iv interval.Interval) ([]timeseries.Pair, error) {
+func (n *Naive) PairInterval(m measure.Measure, iv interval.Interval) ([]timeseries.Pair, error) {
 	if iv.Empty() {
 		return nil, fmt.Errorf("baseline: empty interval %v", iv)
 	}
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Pairwise() {
-		return nil, fmt.Errorf("%w: %v is not a pairwise measure", stats.ErrUnknownMeasure, m)
+		return nil, fmt.Errorf("%w: %v is not a pairwise measure", measure.ErrUnknownMeasure, m)
 	}
 	numPairs := n.data.NumPairs()
 	var out []timeseries.Pair
@@ -213,22 +223,18 @@ func (n *Naive) PairInterval(m stats.Measure, iv interval.Interval) ([]timeserie
 }
 
 // SeriesInterval evaluates an interval query over an L-measure from scratch.
-func (n *Naive) SeriesInterval(m stats.Measure, iv interval.Interval) ([]timeseries.SeriesID, error) {
+func (n *Naive) SeriesInterval(m measure.Measure, iv interval.Interval) ([]timeseries.SeriesID, error) {
 	if iv.Empty() {
 		return nil, fmt.Errorf("baseline: empty interval %v", iv)
 	}
+	values, err := n.Location(m, n.data.IDs())
+	if err != nil {
+		return nil, err
+	}
 	var out []timeseries.SeriesID
-	for _, id := range n.data.IDs() {
-		s, err := n.data.Series(id)
-		if err != nil {
-			return nil, err
-		}
-		v, err := stats.ComputeLocation(m, s)
-		if err != nil {
-			return nil, err
-		}
+	for id, v := range values {
 		if iv.Contains(v) {
-			out = append(out, id)
+			out = append(out, timeseries.SeriesID(id))
 		}
 	}
 	return out, nil
@@ -320,7 +326,7 @@ func (w *DFT) ApproxCorrelation(e timeseries.Pair) (float64, error) {
 		return 0, fmt.Errorf("%w: %v", timeseries.ErrInvalidPair, e)
 	}
 	if w.degenerate[e.U] || w.degenerate[e.V] {
-		return 0, stats.ErrZeroNormalizer
+		return 0, measure.ErrZeroNormalizer
 	}
 	cu := w.coeffs[e.U]
 	cv := w.coeffs[e.V]
@@ -349,7 +355,7 @@ func (w *DFT) PairThreshold(tau float64, above bool) ([]timeseries.Pair, error) 
 	for _, e := range w.data.AllPairs() {
 		v, err := w.ApproxCorrelation(e)
 		if err != nil {
-			if errors.Is(err, stats.ErrZeroNormalizer) {
+			if errors.Is(err, measure.ErrZeroNormalizer) {
 				continue
 			}
 			return nil, err
@@ -373,7 +379,7 @@ func (w *DFT) PairRange(lo, hi float64) ([]timeseries.Pair, error) {
 	for _, e := range w.data.AllPairs() {
 		v, err := w.ApproxCorrelation(e)
 		if err != nil {
-			if errors.Is(err, stats.ErrZeroNormalizer) {
+			if errors.Is(err, measure.ErrZeroNormalizer) {
 				continue
 			}
 			return nil, err

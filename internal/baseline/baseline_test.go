@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -39,19 +39,19 @@ func TestNaiveLocationAndPairwise(t *testing.T) {
 	naive := NewNaive(d)
 
 	ids := []timeseries.SeriesID{0, 2, 4}
-	means, err := naive.Location(stats.Mean, ids)
+	means, err := naive.Location(measure.Mean, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
 		s, _ := d.Series(id)
-		want, _ := stats.MeanOf(s)
+		want, _ := measure.MeanOf(s)
 		if math.Abs(means[i]-want) > 1e-12 {
 			t.Fatalf("mean[%d] = %v, want %v", i, means[i], want)
 		}
 	}
 
-	cov, err := naive.Pairwise(stats.Covariance, ids)
+	cov, err := naive.Pairwise(measure.Covariance, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestNaiveLocationAndPairwise(t *testing.T) {
 	}
 	s0, _ := d.Series(0)
 	s4, _ := d.Series(4)
-	want, _ := stats.CovarianceOf(s0, s4)
+	want, _ := measure.CovarianceOf(s0, s4)
 	if math.Abs(cov[0][2]-want) > 1e-12 {
 		t.Fatalf("cov[0][2] = %v, want %v", cov[0][2], want)
 	}
@@ -68,7 +68,7 @@ func TestNaiveLocationAndPairwise(t *testing.T) {
 		t.Fatal("pairwise result must be symmetric")
 	}
 
-	v, err := naive.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1})
+	v, err := naive.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,18 +76,39 @@ func TestNaiveLocationAndPairwise(t *testing.T) {
 		t.Fatalf("correlation %v out of range", v)
 	}
 
-	if _, err := naive.Location(stats.Mean, []timeseries.SeriesID{99}); err == nil {
+	if _, err := naive.Location(measure.Mean, []timeseries.SeriesID{99}); err == nil {
 		t.Fatal("invalid id should error")
 	}
-	if _, err := naive.Pairwise(stats.Covariance, []timeseries.SeriesID{0, 99}); err == nil {
+	if _, err := naive.Pairwise(measure.Covariance, []timeseries.SeriesID{0, 99}); err == nil {
 		t.Fatal("invalid id should error")
+	}
+}
+
+// TestPairMeasure: one pair from scratch, an unknown series in either
+// position of the pair is an error, and Location refuses a pairwise measure.
+func TestPairMeasure(t *testing.T) {
+	d, err := timeseries.NewDataMatrix([][]float64{{1, 2, 3, 4, 5}, {2, 4, 6, 8, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := NewNaive(d)
+	if got, err := naive.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1}); err != nil || math.Abs(got-1) > 1e-12 {
+		t.Fatalf("PairValue = %v, %v; want 1", got, err)
+	}
+	for _, e := range []timeseries.Pair{{U: 0, V: 9}, {U: 9, V: 1}} {
+		if _, err := naive.PairValue(measure.Correlation, e); err == nil {
+			t.Fatalf("pair %v: no error", e)
+		}
+	}
+	if _, err := naive.Location(measure.Covariance, d.IDs()); !errors.Is(err, measure.ErrUnknownMeasure) {
+		t.Fatalf("Location of a pairwise measure: err = %v", err)
 	}
 }
 
 func TestNaivePairwiseConstantSeriesIsNaN(t *testing.T) {
 	d, _ := timeseries.NewDataMatrix([][]float64{{1, 2, 3}, {5, 5, 5}})
 	naive := NewNaive(d)
-	corr, err := naive.Pairwise(stats.Correlation, d.IDs())
+	corr, err := naive.Pairwise(measure.Correlation, d.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +121,17 @@ func TestNaiveThresholdAndRange(t *testing.T) {
 	d := testData(t, 2, 8, 60)
 	naive := NewNaive(d)
 
-	above, err := naive.PairInterval(stats.Correlation, interval.GreaterThan(0.5))
+	above, err := naive.PairInterval(measure.Correlation, interval.GreaterThan(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range above {
-		v, _ := naive.PairValue(stats.Correlation, e)
+		v, _ := naive.PairValue(measure.Correlation, e)
 		if v <= 0.5 {
 			t.Fatalf("pair %v has correlation %v <= 0.5", e, v)
 		}
 	}
-	below, err := naive.PairInterval(stats.Correlation, interval.LessThan(0.5))
+	below, err := naive.PairInterval(measure.Correlation, interval.LessThan(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,35 +139,35 @@ func TestNaiveThresholdAndRange(t *testing.T) {
 		t.Fatal("above and below overlap")
 	}
 
-	ranged, err := naive.PairInterval(stats.Correlation, interval.Between(0.2, 0.8))
+	ranged, err := naive.PairInterval(measure.Correlation, interval.Between(0.2, 0.8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ranged {
-		v, _ := naive.PairValue(stats.Correlation, e)
+		v, _ := naive.PairValue(measure.Correlation, e)
 		if v < 0.2 || v > 0.8 {
 			t.Fatalf("pair %v value %v outside range", e, v)
 		}
 	}
-	if _, err := naive.PairInterval(stats.Correlation, interval.Between(1, 0)); err == nil {
+	if _, err := naive.PairInterval(measure.Correlation, interval.Between(1, 0)); err == nil {
 		t.Fatal("inverted range should error")
 	}
 
-	seriesAbove, err := naive.SeriesInterval(stats.Mean, interval.GreaterThan(0))
+	seriesAbove, err := naive.SeriesInterval(measure.Mean, interval.GreaterThan(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range seriesAbove {
 		s, _ := d.Series(id)
-		m, _ := stats.MeanOf(s)
+		m, _ := measure.MeanOf(s)
 		if m <= 0 {
 			t.Fatalf("series %d mean %v <= 0", id, m)
 		}
 	}
-	if _, err := naive.SeriesInterval(stats.Mean, interval.Between(1, 0)); err == nil {
+	if _, err := naive.SeriesInterval(measure.Mean, interval.Between(1, 0)); err == nil {
 		t.Fatal("inverted series range should error")
 	}
-	sr, err := naive.SeriesInterval(stats.Mean, interval.Between(-100, 100))
+	sr, err := naive.SeriesInterval(measure.Mean, interval.Between(-100, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +201,7 @@ func TestDFTApproximationAccuracy(t *testing.T) {
 	naive := NewNaive(d)
 	var maxErr float64
 	for _, e := range d.AllPairs() {
-		truth, err := naive.PairValue(stats.Correlation, e)
+		truth, err := naive.PairValue(measure.Correlation, e)
 		if err != nil {
 			continue
 		}
@@ -222,7 +243,7 @@ func TestDFTDefaultCoefficientsAndDegenerate(t *testing.T) {
 		t.Fatalf("anti-correlated pair approximation = %v, want close to -1", v)
 	}
 	// Pair with the constant series is degenerate.
-	if _, err := w.ApproxCorrelation(timeseries.Pair{U: 0, V: 2}); !errors.Is(err, stats.ErrZeroNormalizer) {
+	if _, err := w.ApproxCorrelation(timeseries.Pair{U: 0, V: 2}); !errors.Is(err, measure.ErrZeroNormalizer) {
 		t.Fatalf("degenerate pair err = %v", err)
 	}
 	// Invalid pair.

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -15,7 +15,7 @@ import (
 // directions, with thresholds spanning near-empty to near-full results.
 func autoSpecs() []plan.QuerySpec {
 	var specs []plan.QuerySpec
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		specs = append(specs,
 			plan.Interval(m, interval.GreaterThan(0.25)),
 			plan.Interval(m, interval.GreaterThan(0.9)),
@@ -84,7 +84,7 @@ func TestAutoMatchesEveryForcedMethod(t *testing.T) {
 					t.Fatalf("%v: %v", spec, err)
 				}
 				want := forced
-				if forced == MethodIndex && spec.Measure == stats.Jaccard {
+				if forced == MethodIndex && spec.Measure == measure.Jaccard {
 					want = MethodAffine // not indexable; next-cheapest wins
 				}
 				if p.Method != want {
@@ -107,7 +107,7 @@ func TestAutoMatchesEveryForcedMethod(t *testing.T) {
 func TestAutoBatchMatchesSingleAuto(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
 	var tqs []plan.QuerySpec
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		tqs = append(tqs,
 			plan.Interval(m, interval.GreaterThan(0.3)),
 			plan.Interval(m, interval.LessThan(0.7)),
@@ -135,9 +135,9 @@ func TestAutoComputeMatchesResolvedMethod(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
 	ids := e.Data().IDs()
 	st := e.escapedState()
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		var k int
-		if m.Class() == stats.LocationClass {
+		if m.Class() == measure.LocationClass {
 			k = len(ids)
 		} else {
 			k = 8
@@ -149,7 +149,7 @@ func TestAutoComputeMatchesResolvedMethod(t *testing.T) {
 		if p.Method == MethodIndex {
 			t.Fatalf("%v: planner chose the index for MEC", m)
 		}
-		if m.Class() == stats.LocationClass {
+		if m.Class() == measure.LocationClass {
 			auto, err := e.ComputeLocation(m, ids, MethodAuto)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +179,7 @@ func TestAutoComputeMatchesResolvedMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PairValue(stats.Correlation, pair, MethodAuto); err != nil {
+	if _, err := e.PairValue(measure.Correlation, pair, MethodAuto); err != nil {
 		t.Fatalf("auto PairValue: %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestAutoWithoutIndex(t *testing.T) {
 // with ErrMeasureNotIndexed.
 func TestAutoJaccardAvoidsIndex(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	spec := plan.Interval(stats.Jaccard, interval.GreaterThan(0.5))
+	spec := plan.Interval(measure.Jaccard, interval.GreaterThan(0.5))
 	_, p, err := e.Explain(spec, MethodAuto)
 	if err != nil {
 		t.Fatalf("auto jaccard: %v", err)
@@ -215,7 +215,7 @@ func TestAutoJaccardAvoidsIndex(t *testing.T) {
 	if p.Method == MethodIndex {
 		t.Fatal("auto chose the index for jaccard")
 	}
-	if _, err := e.Interval(stats.Jaccard, interval.GreaterThan(0.5), MethodIndex); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := e.Interval(measure.Jaccard, interval.GreaterThan(0.5), MethodIndex); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("fixed index jaccard err = %v, want ErrMeasureNotIndexed", err)
 	}
 }
@@ -224,7 +224,7 @@ func TestAutoJaccardAvoidsIndex(t *testing.T) {
 // reports that method with its own cost while still pricing alternatives.
 func TestExplainFixedMethod(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	res, p, err := e.Explain(plan.Interval(stats.Correlation, interval.GreaterThan(0.8)), MethodNaive)
+	res, p, err := e.Explain(plan.Interval(measure.Correlation, interval.GreaterThan(0.8)), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +234,12 @@ func TestExplainFixedMethod(t *testing.T) {
 	if p.ActualRows != res.Size() || p.Duration <= 0 {
 		t.Fatalf("actuals not filled: %v", p)
 	}
-	if _, _, err := e.Explain(plan.Compute(stats.Mean, 3), MethodAuto); err == nil {
+	if _, _, err := e.Explain(plan.Compute(measure.Mean, 3), MethodAuto); err == nil {
 		t.Fatal("Explain accepted a MEC spec")
 	}
 	// An interval no value can satisfy is rejected, not planned.
 	empty := interval.New(interval.Open(0.9), interval.Open(0.9))
-	if _, _, err := e.Explain(plan.Interval(stats.Correlation, empty), MethodAuto); !errors.Is(err, ErrEmptyRange) {
+	if _, _, err := e.Explain(plan.Interval(measure.Correlation, empty), MethodAuto); !errors.Is(err, ErrEmptyRange) {
 		t.Fatalf("Explain with an empty interval err = %v, want ErrEmptyRange", err)
 	}
 }

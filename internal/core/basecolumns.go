@@ -11,7 +11,6 @@ import (
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/par"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -45,7 +44,7 @@ import (
 // kernels.  Elsewhere — the dot-product base, and every epoch after a partial
 // refit — a naive base value costs O(m) and an epoch's window differs from the
 // last one's by the slide, so the engine carries Σ x_u·x_v across epochs in
-// O(slide) per pair (stats.PairMoments) and uses it as a bound, not as a
+// O(slide) per pair (kernel.PairMoments) and uses it as a bound, not as a
 // value — the sweep stage (sketchsweep.go) classifies against it and sends
 // only the pairs it cannot decide, and the rows whose values the cache stores,
 // to the kernels (fillBase).
@@ -59,7 +58,7 @@ import (
 
 // baseKey identifies one shared base computation of a sweep.
 type baseKey struct {
-	base   stats.Measure
+	base   measure.Measure
 	method Method
 }
 
@@ -130,7 +129,7 @@ type baseColumn struct {
 // baseColumn returns the epoch's column of an affine base — its values over
 // the whole pair universe in canonical order — and whether this call filled it
 // or found it.
-func (e *engineState) baseColumn(base stats.Measure) ([]float64, string, error) {
+func (e *engineState) baseColumn(base measure.Measure) ([]float64, string, error) {
 	var pick func(*baseColumns) *baseColumn
 	switch base {
 	case measure.Covariance:
@@ -169,7 +168,7 @@ type boundColumn struct {
 // kernel's moments), or nil for a base the sketch cannot bound.  The fill
 // fans out over the universe, so callers resolve the column before their own
 // fan-out, never inside a worker.
-func (e *engineState) sketchBounds(base stats.Measure, mom *kernel.Moments) *boundColumn {
+func (e *engineState) sketchBounds(base measure.Measure, mom *kernel.Moments) *boundColumn {
 	var pick func(*baseColumns) *boundColumn
 	switch base {
 	case measure.Covariance:
@@ -203,9 +202,9 @@ func (e *engineState) sketchBounds(base stats.Measure, mom *kernel.Moments) *bou
 // covariances the epoch's full fit reduced (symex.Result.PairCov) scattered
 // into canonical universe order — for every pair the bits fillBase's CovBlock
 // gives it, since the kernel's products commute.  It is nil after a partial
-// refit and wherever the assignments do not cover the universe
-// (Config.MaxRelationships); a restricted universe is its assignments, so a
-// shard has one whenever its fit was full.
+// refit and wherever the assignments do not cover the universe (a SYMEX+ run
+// capped by symex.Options.MaxRelationships); a restricted universe is its
+// assignments, so a shard has one whenever its fit was full.
 func (e *engineState) fitCovColumn() []float64 {
 	col := &e.cols.fitCov
 	col.once.Do(func() {
@@ -224,7 +223,7 @@ func (e *engineState) fitCovColumn() []float64 {
 // naiveColumn returns the column a naive sweep reads a base's values from —
 // the fit's covariance column for the covariance base — or nil when the sweep
 // evaluates them.
-func (e *engineState) naiveColumn(base stats.Measure) []float64 {
+func (e *engineState) naiveColumn(base measure.Measure) []float64 {
 	if base != measure.Covariance {
 		return nil
 	}
@@ -294,7 +293,7 @@ func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([
 // fillBase writes the naive base T-measure values of pairs into t: the blocked
 // kernels (scalar for an extension base without one).  It is the naive sweeps'
 // exact evaluator.
-func (e *engineState) fillBase(base stats.Measure, pairs []timeseries.Pair, t []float64) error {
+func (e *engineState) fillBase(base measure.Measure, pairs []timeseries.Pair, t []float64) error {
 	kern, mom, err := e.naive.Kernel()
 	if err != nil {
 		return err

@@ -15,7 +15,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -28,7 +27,7 @@ import (
 
 // sweepSpecs is the query battery of one measure: two intervals that do not
 // contain each other (so both miss the cache) and both top-k directions.
-func sweepSpecs(m stats.Measure) []plan.QuerySpec {
+func sweepSpecs(m measure.Measure) []plan.QuerySpec {
 	return []plan.QuerySpec{
 		plan.Interval(m, interval.Between(-0.5, 0.9)),
 		plan.Interval(m, interval.GreaterThan(0.2)),
@@ -102,7 +101,7 @@ func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 
 // requireValuesOfPairEvaluator checks the values a sweep reported against the
 // epoch's single-pair evaluator of the method, bit for bit.
-func requireValuesOfPairEvaluator(t *testing.T, label string, st *engineState, m stats.Measure, method Method, res QueryResult) {
+func requireValuesOfPairEvaluator(t *testing.T, label string, st *engineState, m measure.Measure, method Method, res QueryResult) {
 	t.Helper()
 	for i, pair := range res.Pairs {
 		v, err := st.PairValue(m, pair, method)
@@ -123,7 +122,7 @@ func requireColumnsOfPairEvaluator(t *testing.T, tag string, e *Engine) {
 	st := e.escapedState()
 	n := st.numUniversePairs()
 	pairs := st.universeChunk(0, n, make([]timeseries.Pair, n))
-	for _, base := range stats.TMeasures() {
+	for _, base := range measure.ByClass(measure.DispersionClass) {
 		col, _, err := st.baseColumn(base)
 		if err != nil || len(col) != n {
 			t.Fatalf("%s: %v column has %d of %d values: %v", tag, base, len(col), n, err)
@@ -145,19 +144,13 @@ func requireColumnsOfPairEvaluator(t *testing.T, tag string, e *Engine) {
 // twinEngines builds a cache-enabled engine and its cache-off twin over the
 // same fixture.  n = 40 gives 780 pairs: several kernel chunks per sweep and
 // several chunks per block at every parallelism level.
-func twinEngines(t *testing.T, cfg Config, cache qcache.Options, streamLen int) (cached, cold *Engine, fx *streamFixture) {
+func twinEngines(t *testing.T, cfg Config, cache qcache.Options, streamLen, limit int) (cached, cold *Engine, fx *streamFixture) {
 	t.Helper()
 	fx = makeStreamFixture(t, 40, 90, streamLen, 7)
 	cachedCfg := cfg
 	cachedCfg.Cache = cache
-	cached, err := Build(fx.window, cachedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err = Build(makeStreamFixture(t, 40, 90, streamLen, 7).window, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached = buildLimited(t, fx.window, cachedCfg, limit)
+	cold = buildLimited(t, makeStreamFixture(t, 40, 90, streamLen, 7).window, cfg, limit)
 	return cached, cold, fx
 }
 
@@ -177,7 +170,7 @@ func TestBaseColumnsMatchColdTwin(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism-%d", p), func(t *testing.T) {
 			// Epoch 2 is a statistics-refresh epoch.
 			cfg := Config{Clusters: 4, Seed: 5, Parallelism: p, Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: 2}}
-			cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, rounds*slide)
+			cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, rounds*slide, 0)
 			requireSweepParity(t, cached, cold, "epoch0")
 			for r := 0; r < rounds; r++ {
 				advanceBoth(t, fx.ticks[r*slide:(r+1)*slide], cached, cold)
@@ -210,11 +203,10 @@ func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
 	cfg := Config{
 		Clusters: 4, Seed: 5, Parallelism: 2,
 		AssignedPairsOnly: true,
-		MaxRelationships:  500,
 		MaxLSFD:           0.05,
 		Stream:            StreamConfig{DriftBound: 0.5},
 	}
-	cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, 4)
+	cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, 4, 500)
 	st := cached.escapedState()
 	if st.pairs == nil || len(st.pairs) >= st.data.NumPairs() {
 		t.Fatalf("universe is not restricted: %d of %d pairs", len(st.pairs), st.data.NumPairs())
@@ -238,7 +230,7 @@ func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
 // no column.  Naive sweeps keep no column at all: they report the pairs the
 // stage prescreened and refined instead.
 func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
-	cached, cold, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 2)
+	cached, cold, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 2, 0)
 	for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
 		counters := func() (fills, reuses int64) {
 			s := e.StreamStats()
@@ -252,7 +244,7 @@ func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 			}
 			return p
 		}
-		if got := explain(plan.Interval(stats.Cosine, interval.GreaterThan(0.3)), MethodAffine).BaseValues; got != "filled" {
+		if got := explain(plan.Interval(measure.Cosine, interval.GreaterThan(0.3)), MethodAffine).BaseValues; got != "filled" {
 			t.Fatalf("%s: first dot-product sweep reported base values %q, want filled", name, got)
 		}
 		if fills, reuses := counters(); fills != 1 || reuses != 0 {
@@ -261,16 +253,16 @@ func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 		// Same base, same method: a different derived measure, a top-k, and a
 		// batch of both.
 		for i, spec := range []plan.QuerySpec{
-			plan.Interval(stats.EuclideanDistance, interval.LessThan(40)),
-			plan.TopK(stats.DotProduct, 5, true),
+			plan.Interval(measure.EuclideanDistance, interval.LessThan(40)),
+			plan.TopK(measure.DotProduct, 5, true),
 		} {
 			if got := explain(spec, MethodAffine).BaseValues; got != "reused" {
 				t.Fatalf("%s: sweep %d of a warm base reported base values %q, want reused", name, i, got)
 			}
 		}
 		if _, err := runSpecs(e, []plan.QuerySpec{
-			plan.Interval(stats.Jaccard, interval.GreaterThan(0.1)),
-			plan.TopK(stats.Cosine, 3, false),
+			plan.Interval(measure.Jaccard, interval.GreaterThan(0.1)),
+			plan.TopK(measure.Cosine, 3, false),
 		}, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
@@ -278,13 +270,13 @@ func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 			t.Fatalf("%s: after four sweeps of one base: %d fills, %d reuses, want 1 and 3", name, fills, reuses)
 		}
 		// The naive method of the same base touches no column.
-		p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive)
+		p := explain(plan.TopK(measure.Cosine, 3, true), MethodNaive)
 		if p.BaseValues != "" || p.SketchedPairs != e.escapedState().numUniversePairs() || p.SketchRefinedPairs == 0 || p.SketchRefinedPairs >= p.SketchedPairs {
 			t.Fatalf("%s: naive sweep reported base values %q, %d pairs prescreened, %d refined", name, p.BaseValues, p.SketchedPairs, p.SketchRefinedPairs)
 		}
 		if e == cached {
 			// A repeat is an exact hit: no sweep, no column traffic.
-			if p := explain(plan.TopK(stats.Cosine, 3, true), MethodNaive); p.BaseValues != "" || p.SketchedPairs != 0 {
+			if p := explain(plan.TopK(measure.Cosine, 3, true), MethodNaive); p.BaseValues != "" || p.SketchedPairs != 0 {
 				t.Fatalf("an exact hit reported base values %q, %d pairs prescreened", p.BaseValues, p.SketchedPairs)
 			}
 		}
@@ -293,7 +285,7 @@ func TestBaseColumnFilledOncePerEpoch(t *testing.T) {
 		}
 
 		advanceBoth(t, fx.ticks, e)
-		if got := explain(plan.TopK(stats.DotProduct, 6, true), MethodAffine).BaseValues; got != "filled" {
+		if got := explain(plan.TopK(measure.DotProduct, 6, true), MethodAffine).BaseValues; got != "filled" {
 			t.Fatalf("%s: first sweep of the new epoch reported base values %q, want filled", name, got)
 		}
 		if fills, _ := counters(); fills != 2 {
@@ -321,9 +313,9 @@ func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
 	ids := e.Data().IDs()
 	for round := 0; round < 3; round++ {
 		specs := []plan.QuerySpec{
-			plan.Interval(stats.Correlation, interval.GreaterThan(0.5)),
-			plan.Interval(stats.EuclideanDistance, interval.AtMost(5)),
-			plan.TopK(stats.Covariance, 5, true),
+			plan.Interval(measure.Correlation, interval.GreaterThan(0.5)),
+			plan.Interval(measure.EuclideanDistance, interval.AtMost(5)),
+			plan.TopK(measure.Covariance, 5, true),
 		}
 		for _, method := range []Method{MethodIndex, MethodNaive, MethodAuto} {
 			_, plans, err := Run(e.View(), specs, method, true)
@@ -336,13 +328,13 @@ func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
 				}
 			}
 		}
-		if _, err := e.ComputePairwise(stats.Correlation, ids, MethodAffine); err != nil {
+		if _, err := e.ComputePairwise(measure.Correlation, ids, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PairwiseSweepAffine(stats.Cosine); err != nil {
+		if _, err := e.PairwiseSweepAffine(measure.Cosine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, MethodAffine); err != nil {
+		if _, err := e.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1}, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
 		if cov, dot := allocated(); e.StreamStats().SweepBaseFills != 0 || cov || dot {
@@ -350,7 +342,7 @@ func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
 		}
 		advanceBoth(t, fx.ticks[round:round+1], e)
 	}
-	if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), MethodAffine); err != nil {
+	if _, err := e.Interval(measure.Correlation, interval.GreaterThan(0.5), MethodAffine); err != nil {
 		t.Fatal(err)
 	}
 	if cov, dot := allocated(); e.StreamStats().SweepBaseFills != 1 || !cov || dot {
@@ -365,8 +357,8 @@ func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
 // TestBaseColumnsPinnedView: a View pinned before an Advance keeps answering
 // from its own epoch's columns — the old answers, not the new epoch's.
 func TestBaseColumnsPinnedView(t *testing.T) {
-	cached, _, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 6)
-	specs := append(sweepSpecs(stats.Correlation), sweepSpecs(stats.EuclideanDistance)...)
+	cached, _, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Stream: StreamConfig{DriftBound: 0.5}}, qcache.Options{Enabled: true}, 6, 0)
+	specs := append(sweepSpecs(measure.Correlation), sweepSpecs(measure.EuclideanDistance)...)
 	old := cached.View()
 	before, _, err := Run(old, specs, MethodAffine, false)
 	if err != nil {
@@ -400,8 +392,8 @@ func TestBaseColumnsPinnedView(t *testing.T) {
 func TestBaseColumnsConcurrentSweepsDuringAdvance(t *testing.T) {
 	const slide, rounds = 3, 8
 	cached, _, fx := twinEngines(t, Config{Clusters: 4, Seed: 5, Parallelism: 2, Stream: StreamConfig{DriftBound: 0.5}},
-		qcache.Options{Enabled: true}, slide*rounds)
-	measures := []stats.Measure{stats.Covariance, stats.Correlation, stats.Cosine, stats.EuclideanDistance}
+		qcache.Options{Enabled: true}, slide*rounds, 0)
+	measures := []measure.Measure{measure.Covariance, measure.Correlation, measure.Cosine, measure.EuclideanDistance}
 
 	var stop atomic.Bool
 	var wg, ready sync.WaitGroup
@@ -530,7 +522,7 @@ func TestSnapshotRestoreAgreesOnCenterMemo(t *testing.T) {
 	sameColumn("Mean", bm.Mean, am.Mean)
 	sameColumn("Variance", bm.Variance, am.Variance)
 	sameColumn("SqNorm", bm.SqNorm, am.SqNorm)
-	for _, m := range stats.LMeasures() {
+	for _, m := range measure.ByClass(measure.LocationClass) {
 		al, err := a.CenterLocations(m)
 		if err != nil {
 			t.Fatal(err)

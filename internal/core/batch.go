@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -30,7 +30,7 @@ import (
 // IntervalQuery describes one interval (MET/MER) query of a batch: entries
 // whose measure value lies in Interval.
 type IntervalQuery struct {
-	Measure  stats.Measure
+	Measure  measure.Measure
 	Interval interval.Interval
 }
 
@@ -38,7 +38,7 @@ type IntervalQuery struct {
 // (answered in Location) or a pairwise measure over IDs (answered in
 // Pairwise).
 type ComputeQuery struct {
-	Measure stats.Measure
+	Measure measure.Measure
 	IDs     []timeseries.SeriesID
 }
 
@@ -164,12 +164,20 @@ func (e *engineState) locationQuery(it Item) (QueryResult, error) {
 }
 
 // locationValues returns an L-measure's value for each requested series:
-// from the raw window (naive) or estimated through the series' calibration
-// (affine).
-func (e *engineState) locationValues(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
+// exact, read off the window's memos (naive, DataMatrix.Location), or
+// estimated through the series' calibration (affine).
+func (e *engineState) locationValues(m measure.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
 	switch method {
 	case MethodNaive:
-		return e.naive.Location(m, ids)
+		out := make([]float64, len(ids))
+		for i, id := range ids {
+			v, err := e.data.Location(m, id)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
 	case MethodAffine:
 		return e.calibratedLocations(m, ids)
 	default:

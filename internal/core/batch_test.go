@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 )
 
 // TestBatchMatchesSingleQueries pins the batched API's equivalence guarantee:
@@ -22,8 +22,8 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 		t.Run(method.String(), func(t *testing.T) {
 			var tqs []plan.QuerySpec
 			var rqs []plan.QuerySpec
-			for _, m := range stats.AllMeasures() {
-				if method == MethodIndex && m == stats.Jaccard {
+			for _, m := range measure.All() {
+				if method == MethodIndex && m == measure.Jaccard {
 					continue // not indexable
 				}
 				tqs = append(tqs,
@@ -74,8 +74,8 @@ func TestComputeBatchMatchesSingleQueries(t *testing.T) {
 
 	for _, method := range []Method{MethodNaive, MethodAffine} {
 		var qs []ComputeQuery
-		for _, m := range stats.AllMeasures() {
-			if m.Class() == stats.LocationClass {
+		for _, m := range measure.All() {
+			if m.Class() == measure.LocationClass {
 				qs = append(qs, ComputeQuery{Measure: m, IDs: ids})
 			} else {
 				qs = append(qs, ComputeQuery{Measure: m, IDs: ids[:8]})
@@ -88,7 +88,7 @@ func TestComputeBatchMatchesSingleQueries(t *testing.T) {
 		for i, q := range qs {
 			var want any
 			var err error
-			if q.Measure.Class() == stats.LocationClass {
+			if q.Measure.Class() == measure.LocationClass {
 				want, err = e.ComputeLocation(q.Measure, q.IDs, method)
 			} else {
 				want, err = e.ComputePairwise(q.Measure, q.IDs, method)
@@ -97,7 +97,7 @@ func TestComputeBatchMatchesSingleQueries(t *testing.T) {
 				t.Fatalf("%v: single compute %v: %v", method, q.Measure, err)
 			}
 			var got any
-			if q.Measure.Class() == stats.LocationClass {
+			if q.Measure.Class() == measure.LocationClass {
 				got = batch[i].Location
 			} else {
 				got = batch[i].Pairwise
@@ -114,11 +114,11 @@ func TestComputeBatchMatchesSingleQueries(t *testing.T) {
 func TestBatchMixedMeasures(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 2})
 	qs := []plan.QuerySpec{
-		plan.Interval(stats.Mean, interval.GreaterThan(0.0)),
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.9)),
-		plan.Interval(stats.Correlation, interval.LessThan(0.1)),
-		plan.Interval(stats.Covariance, interval.GreaterThan(0.0)),
-		plan.Interval(stats.Mode, interval.LessThan(0.5)),
+		plan.Interval(measure.Mean, interval.GreaterThan(0.0)),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.9)),
+		plan.Interval(measure.Correlation, interval.LessThan(0.1)),
+		plan.Interval(measure.Covariance, interval.GreaterThan(0.0)),
+		plan.Interval(measure.Mode, interval.LessThan(0.5)),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 		batch, err := runSpecs(e, qs, method)
@@ -141,13 +141,13 @@ func TestBatchMixedMeasures(t *testing.T) {
 // the same way single queries do.
 func TestBatchValidation(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(stats.Correlation, interval.Between(1, -1))}, MethodAffine); err == nil {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(measure.Correlation, interval.Between(1, -1))}, MethodAffine); err == nil {
 		t.Fatal("empty range accepted")
 	}
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Compute(stats.Correlation, 2)}, MethodAffine); err == nil {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Compute(measure.Correlation, 2)}, MethodAffine); err == nil {
 		t.Fatal("compute spec accepted by the row pipeline")
 	}
-	if _, err := e.ComputeBatch([]ComputeQuery{{Measure: stats.Correlation}}, MethodIndex); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.ComputeBatch([]ComputeQuery{{Measure: measure.Correlation}}, MethodIndex); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("MEC via index: err = %v, want ErrBadMethod", err)
 	}
 	empty, err := runSpecs(e, nil, MethodAffine)
@@ -160,10 +160,10 @@ func TestBatchValidation(t *testing.T) {
 // engine fail with ErrNoIndex like single queries.
 func TestBatchNoIndex(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, SkipIndex: true})
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(stats.Correlation, interval.GreaterThan(0.5))}, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(measure.Correlation, interval.GreaterThan(0.5))}, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(stats.Correlation, interval.Between(0, 1))}, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(measure.Correlation, interval.Between(0, 1))}, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/stats"
 )
 
 // This file pins the result cache's correctness contract end to end: with the
@@ -32,7 +31,7 @@ type cacheCase struct {
 func cacheParityCases() []cacheCase {
 	var cases []cacheCase
 	methods := []Method{MethodNaive, MethodAffine, MethodIndex, MethodAuto}
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		m := m
 		for _, method := range methods {
 			method := method
@@ -67,28 +66,28 @@ func cacheParityCases() []cacheCase {
 		name: "interval-batch/covariance",
 		probe: func(e *Engine) (any, error) {
 			return runSpecs(e, []plan.QuerySpec{
-				plan.Interval(stats.Covariance, interval.Between(-0.5, 0.9)),
-				plan.Interval(stats.Correlation, interval.Between(0.1, 0.8)),
+				plan.Interval(measure.Covariance, interval.Between(-0.5, 0.9)),
+				plan.Interval(measure.Correlation, interval.Between(0.1, 0.8)),
 			}, MethodAffine)
 		},
 		narrower: func(e *Engine) (any, error) {
 			return runSpecs(e, []plan.QuerySpec{
-				plan.Interval(stats.Covariance, interval.Between(-0.2, 0.5)),
-				plan.Interval(stats.Correlation, interval.Between(0.2, 0.7)),
+				plan.Interval(measure.Covariance, interval.Between(-0.2, 0.5)),
+				plan.Interval(measure.Correlation, interval.Between(0.2, 0.7)),
 			}, MethodAffine)
 		},
 	}, cacheCase{
 		name: "topk-batch/correlation",
 		probe: func(e *Engine) (any, error) {
 			return runSpecs(e, []plan.QuerySpec{
-				plan.TopK(stats.Correlation, 8, true),
-				plan.TopK(stats.DotProduct, 8, false),
+				plan.TopK(measure.Correlation, 8, true),
+				plan.TopK(measure.DotProduct, 8, false),
 			}, MethodAffine)
 		},
 		narrower: func(e *Engine) (any, error) {
 			return runSpecs(e, []plan.QuerySpec{
-				plan.TopK(stats.Correlation, 3, true),
-				plan.TopK(stats.DotProduct, 3, false),
+				plan.TopK(measure.Correlation, 3, true),
+				plan.TopK(measure.DotProduct, 3, false),
 			}, MethodAffine)
 		},
 	})
@@ -195,20 +194,20 @@ func TestCacheTiersActuallyServe(t *testing.T) {
 	probe := func() {
 		// Twice: first issue repairs (or misses on the cold epoch), the
 		// repeat is an exact hit against the migrated entry.
-		if _, err := e.Interval(stats.Covariance, interval.Between(2.0, math.Inf(1)), MethodAffine); err != nil {
+		if _, err := e.Interval(measure.Covariance, interval.Between(2.0, math.Inf(1)), MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Interval(stats.Covariance, interval.Between(2.0, math.Inf(1)), MethodAffine); err != nil {
+		if _, err := e.Interval(measure.Covariance, interval.Between(2.0, math.Inf(1)), MethodAffine); err != nil {
 			t.Fatal(err)
 		}
 		// Contained tail served by filtering the [2, +inf) entry's rows.
-		if _, err := e.Interval(stats.Covariance, interval.Between(3.0, math.Inf(1)), MethodAffine); err != nil {
+		if _, err := e.Interval(measure.Covariance, interval.Between(3.0, math.Inf(1)), MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.TopK(stats.Correlation, 10, true, MethodAffine); err != nil {
+		if _, err := e.TopK(measure.Correlation, 10, true, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.TopK(stats.Correlation, 4, true, MethodAffine); err != nil {
+		if _, err := e.TopK(measure.Correlation, 4, true, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,10 +265,10 @@ func TestExplainCachePlanParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := plan.Interval(stats.Covariance, interval.AtLeast(2.0))
-	contained := plan.Interval(stats.Covariance, interval.AtLeast(3.0))
-	topk := plan.TopK(stats.Correlation, 10, true)
-	topkPrefix := plan.TopK(stats.Correlation, 4, true)
+	spec := plan.Interval(measure.Covariance, interval.AtLeast(2.0))
+	contained := plan.Interval(measure.Covariance, interval.AtLeast(3.0))
+	topk := plan.TopK(measure.Correlation, 10, true)
+	topkPrefix := plan.TopK(measure.Correlation, 4, true)
 
 	// explain runs the spec on both engines, asserts result parity and plan
 	// parity modulo Duration/CacheTier/CacheRepairedPairs/BaseValues, and

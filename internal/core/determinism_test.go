@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -30,7 +30,7 @@ func TestDeterministicRebuild(t *testing.T) {
 		return e
 	}
 	a, b := build(), build()
-	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.Mean} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.Mean} {
 		ra, err := a.Interval(m, interval.GreaterThan(0.2), MethodIndex)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestTieOrderingStable(t *testing.T) {
 	var want string
 	for _, p := range determinismLevels {
 		e := build(p)
-		res, err := e.Interval(stats.Covariance, interval.GreaterThan(0.0), MethodIndex)
+		res, err := e.Interval(measure.Covariance, interval.GreaterThan(0.0), MethodIndex)
 		if err != nil {
 			t.Fatal(err)
 		}

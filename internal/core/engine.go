@@ -40,7 +40,6 @@ import (
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -129,9 +128,6 @@ type Config struct {
 	SkipIndex bool
 	// Index holds SCAPE build options.
 	Index scape.Options
-	// MaxRelationships limits SYMEX to the first g relationships (0 = all);
-	// used by the scalability experiments.
-	MaxRelationships int
 	// Parallelism is the number of worker goroutines used across the whole
 	// hot path: AFCLST assignment/update rounds, the SYMEX least-squares
 	// fits, pivot summaries, calibration, drift scoring, SCAPE container
@@ -410,7 +406,6 @@ func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 	rel, err := symex.Compute(d, symex.Options{
 		Clustering:         clustering,
 		CachePseudoInverse: true,
-		MaxRelationships:   cfg.MaxRelationships,
 		Parallelism:        cfg.Parallelism,
 		MaxLSFD:            cfg.MaxLSFD,
 	})
@@ -547,7 +542,7 @@ func (st *engineState) buildDerived(parallelism int) error {
 // cluster center's through the series' 1-D calibration (Eq. 5 restricted to
 // the cluster-center column): O(1) per series, the center's value memoised on
 // the clustering.
-func (st *engineState) calibratedLocations(m stats.Measure, ids []timeseries.SeriesID) ([]float64, error) {
+func (st *engineState) calibratedLocations(m measure.Measure, ids []timeseries.SeriesID) ([]float64, error) {
 	clustering := st.rel.Clustering
 	centers, err := clustering.CenterLocations(m)
 	if err != nil {

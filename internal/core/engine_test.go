@@ -9,8 +9,8 @@ import (
 	"affinity/internal/cluster"
 	"affinity/internal/dataset"
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -28,6 +28,27 @@ func buildTestEngine(t testing.TB, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	e, err := Build(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// buildLimited builds an engine on the first limit relationships SYMEX+
+// explores over cfg's clustering (all of them at limit 0); with
+// cfg.AssignedPairsOnly set, the engine answers over those pairs alone.
+func buildLimited(t testing.TB, d *timeseries.DataMatrix, cfg Config, limit int) *Engine {
+	t.Helper()
+	e, err := Build(d, cfg)
+	if err == nil && limit > 0 {
+		c := cfg.withDefaults()
+		var rel *symex.Result
+		rel, err = symex.Compute(d, symex.Options{Clustering: e.Relationships().Clustering, CachePseudoInverse: true,
+			MaxRelationships: limit, Parallelism: c.Parallelism, MaxLSFD: c.MaxLSFD})
+		if err == nil {
+			e, err = BuildFromRelationships(d, cfg, rel)
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +93,10 @@ func TestBuildWithoutIndex(t *testing.T) {
 	if e.Index() != nil || e.Info().IndexBuilt {
 		t.Fatal("index should not be built")
 	}
-	if _, err := e.Interval(stats.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := e.Interval(measure.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("index query err = %v", err)
 	}
-	if _, err := e.Interval(stats.Covariance, interval.Between(0, 1), MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := e.Interval(measure.Covariance, interval.Between(0, 1), MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("index range err = %v", err)
 	}
 }
@@ -117,11 +138,11 @@ func TestPlainSymexBuild(t *testing.T) {
 		t.Fatalf("relationships %d != %d", plain.Info().NumRelationships, e.Info().NumRelationships)
 	}
 	ids := e.Data().IDs()
-	want, err := e.ComputePairwise(stats.Correlation, ids, MethodAffine)
+	want, err := e.ComputePairwise(measure.Correlation, ids, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plain.ComputePairwise(stats.Correlation, ids, MethodAffine)
+	got, err := plain.ComputePairwise(measure.Correlation, ids, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +159,7 @@ func TestComputeLocationAccuracy(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 3})
 	ids := e.Data().IDs()
 
-	for _, m := range []stats.Measure{stats.Mean, stats.Median} {
+	for _, m := range []measure.Measure{measure.Mean, measure.Median} {
 		truth, err := e.ComputeLocation(m, ids, MethodNaive)
 		if err != nil {
 			t.Fatal(err)
@@ -147,12 +168,12 @@ func TestComputeLocationAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rmse, err := stats.RMSE(truth, approx)
+		rmse, err := measure.RMSE(truth, approx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		limit := 1.0 // percent
-		if m == stats.Median {
+		if m == measure.Median {
 			limit = 6.0
 		}
 		if rmse > limit {
@@ -160,13 +181,13 @@ func TestComputeLocationAccuracy(t *testing.T) {
 		}
 	}
 
-	if _, err := e.ComputeLocation(stats.Covariance, ids, MethodNaive); err == nil {
+	if _, err := e.ComputeLocation(measure.Covariance, ids, MethodNaive); err == nil {
 		t.Fatal("T-measure should be rejected")
 	}
-	if _, err := e.ComputeLocation(stats.Mean, ids, MethodIndex); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.ComputeLocation(measure.Mean, ids, MethodIndex); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("index MEC err = %v", err)
 	}
-	if _, err := e.ComputeLocation(stats.Mean, []timeseries.SeriesID{999}, MethodAffine); err == nil {
+	if _, err := e.ComputeLocation(measure.Mean, []timeseries.SeriesID{999}, MethodAffine); err == nil {
 		t.Fatal("invalid id should error")
 	}
 }
@@ -175,7 +196,7 @@ func TestComputePairwiseAccuracy(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 4})
 	ids := e.Data().IDs()
 
-	for _, m := range []stats.Measure{stats.Covariance, stats.DotProduct, stats.Correlation, stats.Cosine} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.DotProduct, measure.Correlation, measure.Cosine} {
 		truth, err := e.ComputePairwise(m, ids, MethodNaive)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +215,7 @@ func TestComputePairwiseAccuracy(t *testing.T) {
 				flatApprox = append(flatApprox, approx[i][j])
 			}
 		}
-		rmse, err := stats.RMSE(flatTruth, flatApprox)
+		rmse, err := measure.RMSE(flatTruth, flatApprox)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,10 +233,10 @@ func TestComputePairwiseAccuracy(t *testing.T) {
 		}
 	}
 
-	if _, err := e.ComputePairwise(stats.Mean, ids, MethodNaive); err == nil {
+	if _, err := e.ComputePairwise(measure.Mean, ids, MethodNaive); err == nil {
 		t.Fatal("L-measure should be rejected")
 	}
-	if _, err := e.ComputePairwise(stats.Covariance, ids, MethodIndex); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.ComputePairwise(measure.Covariance, ids, MethodIndex); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("index pairwise MEC err = %v", err)
 	}
 }
@@ -223,7 +244,7 @@ func TestComputePairwiseAccuracy(t *testing.T) {
 func TestPairwiseDiagonal(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 5})
 	ids := []timeseries.SeriesID{0, 1, 2}
-	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.DotProduct, stats.Cosine, stats.HarmonicMean} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.DotProduct, measure.Cosine, measure.HarmonicMean} {
 		approx, err := e.ComputePairwise(m, ids, MethodAffine)
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +259,7 @@ func TestPairwiseDiagonal(t *testing.T) {
 			}
 			// W_A's self values read the window's two-pass moments, the bits
 			// of the naive reductions of a series against itself.
-			if (m == stats.Covariance || m == stats.DotProduct) && math.Float64bits(approx[i][i]) != math.Float64bits(truth[i][i]) {
+			if (m == measure.Covariance || m == measure.DotProduct) && math.Float64bits(approx[i][i]) != math.Float64bits(truth[i][i]) {
 				t.Fatalf("%v diagonal [%d] = %x, W_N's %x", m, i, math.Float64bits(approx[i][i]), math.Float64bits(truth[i][i]))
 			}
 		}
@@ -282,7 +303,7 @@ func TestCalibrationOfAConstantCenter(t *testing.T) {
 		}
 		members++
 		s, _ := d.Series(id)
-		mean, _ := stats.MeanOf(s)
+		mean, _ := measure.MeanOf(s)
 		if st.calibA[id] != 0 || math.Float64bits(st.calibB[id]) != math.Float64bits(mean) {
 			t.Fatalf("series %d against a constant center: a = %v, b = %v, want 0, %v", id, st.calibA[id], st.calibB[id], mean)
 		}
@@ -295,11 +316,11 @@ func TestCalibrationOfAConstantCenter(t *testing.T) {
 func TestPairValueMethods(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 6})
 	pair := timeseries.Pair{U: 0, V: 5}
-	truth, err := e.PairValue(stats.Correlation, pair, MethodNaive)
+	truth, err := e.PairValue(measure.Correlation, pair, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.PairValue(stats.Correlation, pair, MethodAffine)
+	approx, err := e.PairValue(measure.Correlation, pair, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,25 +328,25 @@ func TestPairValueMethods(t *testing.T) {
 		t.Fatalf("correlation estimate %v vs truth %v", approx, truth)
 	}
 	// Non-canonical pair input is canonicalized by the affine path.
-	swapped, err := e.escapedState().affinePairValue(stats.Correlation, timeseries.Pair{U: 5, V: 0})
+	swapped, err := e.escapedState().affinePairValue(measure.Correlation, timeseries.Pair{U: 5, V: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if swapped != approx {
 		t.Fatalf("non-canonical pair gave %v, want %v", swapped, approx)
 	}
-	if _, err := e.PairValue(stats.Mean, pair, MethodNaive); err == nil {
+	if _, err := e.PairValue(measure.Mean, pair, MethodNaive); err == nil {
 		t.Fatal("L-measure PairValue should error")
 	}
-	if _, err := e.PairValue(stats.Covariance, pair, MethodIndex); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.PairValue(measure.Covariance, pair, MethodIndex); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("index PairValue err = %v", err)
 	}
 	// Jaccard goes through the dot-product-dependent normalizer path.
-	jac, err := e.PairValue(stats.Jaccard, pair, MethodAffine)
+	jac, err := e.PairValue(measure.Jaccard, pair, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jacTruth, err := e.PairValue(stats.Jaccard, pair, MethodNaive)
+	jacTruth, err := e.PairValue(measure.Jaccard, pair, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +358,7 @@ func TestPairValueMethods(t *testing.T) {
 func TestThresholdMethodsAgree(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 7})
 
-	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation} {
 		// Pick a threshold from the naive value distribution.
 		naive, err := e.Interval(m, interval.GreaterThan(0), MethodNaive)
 		if err != nil {
@@ -370,15 +391,15 @@ func TestThresholdMethodsAgree(t *testing.T) {
 func TestRangeMethodsAgree(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 8})
 	lo, hi := 0.2, 0.9
-	naive, err := e.Interval(stats.Correlation, interval.Between(lo, hi), MethodNaive)
+	naive, err := e.Interval(measure.Correlation, interval.Between(lo, hi), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	affine, err := e.Interval(stats.Correlation, interval.Between(lo, hi), MethodAffine)
+	affine, err := e.Interval(measure.Correlation, interval.Between(lo, hi), MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := e.Interval(stats.Correlation, interval.Between(lo, hi), MethodIndex)
+	indexed, err := e.Interval(measure.Correlation, interval.Between(lo, hi), MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,14 +409,14 @@ func TestRangeMethodsAgree(t *testing.T) {
 	if diff := symmetricDiff(naive.Pairs, affine.Pairs); float64(diff) > 0.15*float64(len(naive.Pairs))+3 {
 		t.Fatalf("affine range result differs from naive by %d of %d pairs", diff, len(naive.Pairs))
 	}
-	if _, err := e.Interval(stats.Correlation, interval.Between(1, 0), MethodNaive); err == nil {
+	if _, err := e.Interval(measure.Correlation, interval.Between(1, 0), MethodNaive); err == nil {
 		t.Fatal("inverted range should error")
 	}
 }
 
 func TestLocationThresholdAndRange(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 9})
-	means, err := e.ComputeLocation(stats.Mean, e.Data().IDs(), MethodNaive)
+	means, err := e.ComputeLocation(measure.Mean, e.Data().IDs(), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +427,7 @@ func TestLocationThresholdAndRange(t *testing.T) {
 	tau /= float64(len(means))
 
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-		res, err := e.Interval(stats.Mean, interval.GreaterThan(tau), method)
+		res, err := e.Interval(measure.Mean, interval.GreaterThan(tau), method)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -419,7 +440,7 @@ func TestLocationThresholdAndRange(t *testing.T) {
 			}
 		}
 
-		ranged, err := e.Interval(stats.Mean, interval.Between(tau-1, tau+1), method)
+		ranged, err := e.Interval(measure.Mean, interval.Between(tau-1, tau+1), method)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -429,16 +450,16 @@ func TestLocationThresholdAndRange(t *testing.T) {
 			}
 		}
 	}
-	if _, err := e.Interval(stats.Mean, interval.GreaterThan(tau), Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(measure.Mean, interval.GreaterThan(tau), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
-	if _, err := e.Interval(stats.Mean, interval.Between(0, 1), Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(measure.Mean, interval.Between(0, 1), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
-	if _, err := e.Interval(stats.Covariance, interval.GreaterThan(0), Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(measure.Covariance, interval.GreaterThan(0), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
-	if _, err := e.Interval(stats.Covariance, interval.Between(0, 1), Method(9)); !errors.Is(err, ErrBadMethod) {
+	if _, err := e.Interval(measure.Covariance, interval.Between(0, 1), Method(9)); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("bad method err = %v", err)
 	}
 }

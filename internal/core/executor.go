@@ -9,7 +9,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -68,11 +67,11 @@ type Backend interface {
 	// FillLocation fills the epoch's location column of an L-measure
 	// Table().Indexes unless a query already has, and reports whether this
 	// call filled it: Explain asks before pricing, which would fill it too.
-	FillLocation(m stats.Measure) (bool, error)
+	FillLocation(m measure.Measure) (bool, error)
 	// PairValue evaluates one canonical pair with a concrete sweep method
 	// (MethodNaive or MethodAffine), and SelfValue a series against itself.
-	PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error)
-	SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error)
+	PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error)
+	SelfValue(m measure.Measure, id timeseries.SeriesID) (float64, error)
 	// Execute answers resolved items cold, out[i] for items[i].  A non-nil
 	// actuals is index-aligned with items and receives the sketch counts.
 	Execute(items []Item, actuals []Actual) ([]QueryResult, error)
@@ -358,7 +357,7 @@ func cacheServe(b Backend, cache *qcache.Cache, it Item, key qcache.Key) (QueryR
 func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]timeseries.Pair, int, bool) {
 	table := b.Table()
 	if it.Spec.Kind != plan.KindInterval || it.Method != MethodAffine ||
-		it.Spec.Measure.Class() == stats.DerivedClass || !table.Indexes(it.Spec.Measure) ||
+		it.Spec.Measure.Class() == measure.DerivedClass || !table.Indexes(it.Spec.Measure) ||
 		table.FallbackPairs != 0 {
 		return nil, 0, false
 	}
@@ -442,7 +441,7 @@ func Compute(b Backend, qs []ComputeQuery, method Method) ([]ComputeResult, erro
 	out := make([]ComputeResult, len(qs))
 	for i, q := range qs {
 		var err error
-		if q.Measure.Class() == stats.LocationClass {
+		if q.Measure.Class() == measure.LocationClass {
 			out[i].Location, err = computeLocation(b, q.Measure, q.IDs, method)
 		} else {
 			out[i].Pairwise, err = computePairwise(b, q.Measure, q.IDs, method)
@@ -457,9 +456,9 @@ func Compute(b Backend, qs []ComputeQuery, method Method) ([]ComputeResult, erro
 // computeLocation answers an L-measure MEC query.  Per-series state is
 // replicated, so the backend's replica answers it; the method is still
 // resolved against the backend's own table.
-func computeLocation(b Backend, m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
+func computeLocation(b Backend, m measure.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
 	if sp, ok := measure.Find(m); !ok || !sp.Location() {
-		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, stats.ErrUnknownMeasure)
+		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, measure.ErrUnknownMeasure)
 	}
 	method, err := resolve(b, plan.Compute(m, len(ids)), method)
 	if err != nil {
@@ -474,7 +473,7 @@ func computeLocation(b Backend, m stats.Measure, ids []timeseries.SeriesID, meth
 // the measure's base (naiveColumn); then it, like the affine method, asks the
 // backend for every cell, so a sharded backend answers each pair from the
 // shard that owns it — its pivot summary or its column.
-func computePairwise(b Backend, m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
+func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
 	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return nil, err

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 )
 
 // TestExplainBatchParity pins the batch/single Explain contract: Run with
@@ -22,12 +22,12 @@ func TestExplainBatchParity(t *testing.T) {
 	}
 
 	specs := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.25)),
-		plan.Interval(stats.Covariance, interval.Between(-0.5, 0.9)),
-		plan.TopK(stats.Correlation, 4, true),
-		plan.Interval(stats.Mean, interval.LessThan(0.1)),
-		plan.TopK(stats.Cosine, 3, false),
-		plan.Interval(stats.Jaccard, interval.Between(0.2, 0.8)),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.25)),
+		plan.Interval(measure.Covariance, interval.Between(-0.5, 0.9)),
+		plan.TopK(measure.Correlation, 4, true),
+		plan.Interval(measure.Mean, interval.LessThan(0.1)),
+		plan.TopK(measure.Cosine, 3, false),
+		plan.Interval(measure.Jaccard, interval.Between(0.2, 0.8)),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodAuto} {
 		results, plans, err := Run(e.View(), specs, method, true)
@@ -66,7 +66,7 @@ func TestExplainBatchParity(t *testing.T) {
 	if _, _, err := Run(e.View(), specs, Method(99), true); err == nil {
 		t.Fatal("explained batch accepted an invalid method")
 	}
-	bad := []plan.QuerySpec{plan.TopK(stats.Correlation, 0, true)}
+	bad := []plan.QuerySpec{plan.TopK(measure.Correlation, 0, true)}
 	if _, _, err := Run(e.View(), bad, MethodAuto, true); err == nil {
 		t.Fatal("explained batch accepted k=0")
 	}

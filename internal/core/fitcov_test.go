@@ -13,7 +13,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -49,7 +48,7 @@ func fitCovFixture(t testing.TB, n, window, streamLen int) *streamFixture {
 // covariance, the measures the naive covariance column serves.
 func naiveBattery(o *scalarOracle) []plan.QuerySpec {
 	var specs []plan.QuerySpec
-	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance} {
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance} {
 		specs = append(specs, stageSpecs(m, o.values[m])...)
 	}
 	return specs
@@ -74,7 +73,7 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 	specs := naiveBattery(oracle)
 
 	batch := slices.Clone(specs)
-	for _, m := range []stats.Measure{stats.Cosine, stats.EuclideanDistance, stats.DotProduct} {
+	for _, m := range []measure.Measure{measure.Cosine, measure.EuclideanDistance, measure.DotProduct} {
 		finite := sketchQuantiles(oracle.values[m])
 		batch = append(batch, plan.Interval(m, interval.Between(quantile(finite, 0.3), quantile(finite, 0.8))), plan.TopK(m, 5, true))
 	}
@@ -109,7 +108,7 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 	}
 
 	ids := []timeseries.SeriesID{5, 0, 2, 1, 7, 3}
-	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance} {
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance} {
 		gotMat, err := e.ComputePairwise(m, ids, MethodNaive)
 		if err != nil {
 			t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 )
 
 // This file pins the DESIGN.md invariant behind incremental SCAPE
@@ -48,8 +48,8 @@ func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 	if err != nil {
 		t.Fatalf("fresh build: %v", err)
 	}
-	measures := []stats.Measure{
-		stats.Covariance, stats.DotProduct, stats.Correlation, stats.Cosine,
+	measures := []measure.Measure{
+		measure.Covariance, measure.DotProduct, measure.Correlation, measure.Cosine,
 	}
 	intervals := []interval.Interval{
 		interval.AtLeast(0.1), interval.AtMost(-0.05), interval.Between(-0.5, 0.5),
@@ -84,7 +84,7 @@ func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 			}
 		}
 	}
-	for _, m := range []stats.Measure{stats.Mean, stats.Median} {
+	for _, m := range []measure.Measure{measure.Mean, measure.Median} {
 		got, err1 := st.index.SeriesInterval(m, interval.AtLeast(-0.2))
 		want, err2 := fresh.SeriesInterval(m, interval.AtLeast(-0.2))
 		if (err1 == nil) != (err2 == nil) {

@@ -9,22 +9,21 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
 // pairwiseMeasures returns every registered T- and D-measure — the full
 // surface the blocked kernels must reproduce.
-func pairwiseMeasures() []stats.Measure {
-	return append(stats.TMeasures(), stats.DMeasures()...)
+func pairwiseMeasures() []measure.Measure {
+	return append(measure.ByClass(measure.DispersionClass), measure.ByClass(measure.DerivedClass)...)
 }
 
 // pairwiseSweepNaiveScalar is the scalar reference implementation of the W_N
 // sweep: one pair at a time through the measure registry, exactly as the
 // engine computed it before the blocked kernels — the oracle the kernel
 // parity tests compare against.
-func (e *Engine) pairwiseSweepNaiveScalar(m stats.Measure) (*PairSweepResult, error) {
+func (e *Engine) pairwiseSweepNaiveScalar(m measure.Measure) (*PairSweepResult, error) {
 	st := e.escapedState()
 	if _, err := pairwiseSpec(m); err != nil {
 		return nil, err
@@ -107,7 +106,7 @@ func TestAffineSweepStableErrorWithBadPivots(t *testing.T) {
 				t.Fatal(err)
 			}
 			bad.rel = symex.NewResult(layout, bad.rel.Clustering, rels)
-			_, err = bad.pairwiseSweepAffine(stats.Covariance)
+			_, err = bad.pairwiseSweepAffine(measure.Covariance)
 			if err == nil {
 				t.Fatalf("P=%d run %d: expected error from bad pivots", p, run)
 			}
@@ -125,12 +124,12 @@ func TestAffineSweepStableErrorWithBadPivots(t *testing.T) {
 // (value, pair identity).  It shares no code with the sweep stage.
 type scalarOracle struct {
 	pairs  []timeseries.Pair
-	values map[stats.Measure][]float64
+	values map[measure.Measure][]float64
 }
 
 func newScalarOracle(t testing.TB, e *Engine) *scalarOracle {
 	t.Helper()
-	o := &scalarOracle{values: make(map[stats.Measure][]float64)}
+	o := &scalarOracle{values: make(map[measure.Measure][]float64)}
 	for _, m := range pairwiseMeasures() {
 		sweep, err := e.pairwiseSweepNaiveScalar(m)
 		if err != nil {

@@ -2,14 +2,15 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -38,34 +39,36 @@ func TestNoWindowSortWithoutOrderStatistics(t *testing.T) {
 	ask := func() {
 		t.Helper()
 		for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex, MethodAuto} {
-			if _, err := e.Interval(stats.Mean, interval.GreaterThan(0), method); err != nil {
+			if _, err := e.Interval(measure.Mean, interval.GreaterThan(0), method); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.TopK(stats.Mean, 3, true, method); err != nil {
+			if _, err := e.TopK(measure.Mean, 3, true, method); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := e.Explain(plan.Interval(stats.Mean, interval.AtMost(1)), method); err != nil {
+			if _, _, err := e.Explain(plan.Interval(measure.Mean, interval.AtMost(1)), method); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), method); err != nil {
+			if _, err := e.Interval(measure.Correlation, interval.GreaterThan(0.5), method); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.TopK(stats.EuclideanDistance, 4, false, method); err != nil {
+			if _, err := e.TopK(measure.EuclideanDistance, 4, false, method); err != nil {
 				t.Fatal(err)
 			}
 			if method == MethodIndex {
 				continue
 			}
-			if _, err := e.ComputePairwise(stats.Covariance, ids[:4], method); err != nil {
+			if _, err := e.ComputePairwise(measure.Covariance, ids[:4], method); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, m := range stats.LMeasures() {
-			// The sweep methods read the raw window and the calibration.
-			for _, method := range []Method{MethodNaive, MethodAffine} {
-				if _, err := e.ComputeLocation(m, ids, method); err != nil {
-					t.Fatal(err)
-				}
+		// The affine method reads the calibration; the naive one reads the
+		// window's memos, the sorted columns for an order statistic.
+		if _, err := e.ComputeLocation(measure.Mean, ids, MethodNaive); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range measure.ByClass(measure.LocationClass) {
+			if _, err := e.ComputeLocation(m, ids, MethodAffine); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -81,7 +84,7 @@ func TestNoWindowSortWithoutOrderStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := restored.Interval(stats.Mean, interval.GreaterThan(0), MethodIndex); err != nil {
+		if _, err := restored.Interval(measure.Mean, interval.GreaterThan(0), MethodIndex); err != nil {
 			t.Fatal(err)
 		}
 		appendTicks(t, e, fx.ticks[round*slide:(round+1)*slide])
@@ -96,7 +99,7 @@ func TestNoWindowSortWithoutOrderStatistics(t *testing.T) {
 		}
 	}
 
-	if _, err := e.Interval(stats.Median, interval.GreaterThan(0), MethodIndex); err != nil {
+	if _, err := e.Interval(measure.Median, interval.GreaterThan(0), MethodIndex); err != nil {
 		t.Fatal(err)
 	}
 	if !hasSortedColumns(e.Data()) {
@@ -110,6 +113,61 @@ func TestNoWindowSortWithoutOrderStatistics(t *testing.T) {
 		}
 		if hasSortedColumns(prev) || !hasSortedColumns(e.Data()) {
 			t.Fatalf("epoch %d: the Advance did not hand the sorted columns forward", round+1)
+		}
+	}
+}
+
+// TestNaiveLocationReadsWindowMemo: the naive L-measure route reads the
+// window's memos — its moments for the mean, its sorted columns for the median
+// and mode — so after one warm-up call a ComputeLocation over every series
+// allocates its answer and nothing per series, and every value has the bits
+// of the measure's EvalLocation over the raw series, at epoch 0 and after
+// Advances that slide the sorted columns on.
+func TestNaiveLocationReadsWindowMemo(t *testing.T) {
+	const n, window, slide, rounds = 20, 64, 3, 3
+	for _, drift := range []float64{0, 0.05} {
+		fx := makeStreamFixture(t, n, window, slide*rounds, 79)
+		e, err := Build(fx.window, Config{Clusters: 4, Seed: 13, Stream: StreamConfig{DriftBound: drift}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := fx.window.IDs()
+		for round := 0; ; round++ {
+			d := e.Data()
+			for _, m := range measure.ByClass(measure.LocationClass) {
+				got, err := e.ComputeLocation(m, ids, MethodNaive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, id := range ids {
+					s, _ := d.Series(id)
+					want, _ := measure.Lookup(m).EvalLocation(s)
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("DriftBound %v epoch %d: %v of series %d = %v, EvalLocation gives %v", drift, round, m, id, got[i], want)
+					}
+				}
+				allocs := testing.AllocsPerRun(5, func() {
+					if _, err := e.ComputeLocation(m, ids, MethodNaive); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 2 {
+					t.Fatalf("DriftBound %v epoch %d: a naive %v over %d series allocates %v objects, want at most 2", drift, round, m, n, allocs)
+				}
+			}
+			if !hasSortedColumns(d) {
+				t.Fatalf("DriftBound %v epoch %d: the naive median and mode did not read the sorted columns", drift, round)
+			}
+			if round == rounds {
+				break
+			}
+			appendTicks(t, e, fx.ticks[round*slide:(round+1)*slide])
+			if _, err := e.Advance(); err != nil {
+				t.Fatal(err)
+			}
+			if !hasSortedColumns(e.Data()) {
+				t.Fatalf("DriftBound %v epoch %d: the Advance did not slide the sorted columns on", drift, round+1)
+			}
 		}
 	}
 }
@@ -133,7 +191,7 @@ func TestExplainReportsLocationFill(t *testing.T) {
 		}
 		return p.BaseValues
 	}
-	medianIv, medianTop := plan.Interval(stats.Median, interval.GreaterThan(0)), plan.TopK(stats.Median, 3, false)
+	medianIv, medianTop := plan.Interval(measure.Median, interval.GreaterThan(0)), plan.TopK(measure.Median, 3, false)
 	for _, step := range []struct {
 		spec   plan.QuerySpec
 		method Method
@@ -144,8 +202,8 @@ func TestExplainReportsLocationFill(t *testing.T) {
 		{medianIv, MethodNaive, BaseFilled}, // its row count
 		{medianIv, MethodAffine, BaseReused},
 		{medianTop, MethodIndex, BaseReused},
-		{plan.TopK(stats.Mode, 3, true), MethodIndex, BaseFilled},
-		{plan.Interval(stats.Mode, interval.AtMost(0)), MethodAuto, BaseReused},
+		{plan.TopK(measure.Mode, 3, true), MethodIndex, BaseFilled},
+		{plan.Interval(measure.Mode, interval.AtMost(0)), MethodAuto, BaseReused},
 	} {
 		if got := explain(step.spec, step.method); got != step.want {
 			t.Fatalf("%v by %v reported base values %q, want %q", step.spec, step.method, got, step.want)
@@ -153,7 +211,7 @@ func TestExplainReportsLocationFill(t *testing.T) {
 	}
 	// A batch's first item fills, the next one of the measure finds it.
 	_, plans, err := Run(e.View(), []plan.QuerySpec{
-		plan.Interval(stats.Mean, interval.AtMost(1)), plan.TopK(stats.Mean, 2, true),
+		plan.Interval(measure.Mean, interval.AtMost(1)), plan.TopK(measure.Mean, 2, true),
 	}, MethodIndex, true)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +235,8 @@ func TestExplainReportsLocationFill(t *testing.T) {
 // while Advance slides its window, so a fill either sorts its window before
 // the slide takes the sorted columns on or sorts it afresh after; both must
 // equal the answers of a twin engine one goroutine queries, epoch by epoch.
-// Run with -race (CI does).
+// Half the readers ask by Naive, which reads the same sorted columns without
+// a fill.  Run with -race (CI does).
 func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 	const n, window, slide, rounds, readers = 16, 80, 5, 8, 6
 	fx := makeStreamFixture(t, n, window, slide*rounds, 73)
@@ -194,18 +253,21 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var specs []plan.QuerySpec
-	for _, m := range []stats.Measure{stats.Median, stats.Mode} {
+	for _, m := range []measure.Measure{measure.Median, measure.Mode} {
 		specs = append(specs,
 			plan.Interval(m, interval.GreaterThan(0)),
 			plan.Interval(m, interval.Between(-0.5, 0.5)),
 			plan.TopK(m, 5, true),
 			plan.TopK(m, 5, false))
 	}
+	methods := []Method{MethodIndex, MethodNaive}
 	for round := 0; round < rounds; round++ {
 		v := e.View()
-		want, _, err := Run(twin.View(), specs, MethodIndex, false)
-		if err != nil {
-			t.Fatal(err)
+		want := make([][]QueryResult, len(methods))
+		for i, method := range methods {
+			if want[i], _, err = Run(twin.View(), specs, method, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 		start := make(chan struct{})
 		got := make([][]QueryResult, readers)
@@ -220,7 +282,7 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 				// several goroutines racing to fill them.
 				lead := r % len(specs)
 				mine := append(slices.Clone(specs[lead:]), specs[:lead]...)
-				out, _, err := Run(v, mine, MethodIndex, false)
+				out, _, err := Run(v, mine, methods[r%len(methods)], false)
 				if err == nil {
 					out = append(out[len(specs)-lead:], out[:len(specs)-lead]...)
 				}
@@ -240,9 +302,9 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 				t.Fatalf("epoch %d reader %d: %v", round, r, errs[r])
 			}
 			for q, spec := range specs {
-				if !sameResult(got[r][q], want[q]) {
+				if w := want[r%len(methods)][q]; !sameResult(got[r][q], w) {
 					t.Fatalf("epoch %d reader %d %v: %v, the sequential twin has %v",
-						round, r, spec, got[r][q], want[q])
+						round, r, spec, got[r][q], w)
 				}
 			}
 		}

@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -54,7 +54,7 @@ func touchesConstant(p timeseries.Pair) bool { return p.U == 0 || p.V == 0 }
 func TestDegenerateNaNOracle(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		e := buildDegenerateEngine(t, p)
-		m := stats.Correlation
+		m := measure.Correlation
 
 		// MEC sweeps: NaN exactly on the degenerate pairs, both naive variants
 		// and the affine path agreeing on positions.
@@ -214,7 +214,7 @@ func TestDegenerateSweepStageParity(t *testing.T) {
 		}
 		oracle := newScalarOracle(t, ref)
 		undefined := 0
-		for _, v := range oracle.values[stats.Cosine] {
+		for _, v := range oracle.values[measure.Cosine] {
 			if math.IsNaN(v) {
 				undefined++
 			}

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -34,11 +34,11 @@ func epochAnswers(v View) (string, error) {
 		b.WriteByte('\n')
 	}
 	specs := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0)),
-		plan.Interval(stats.Covariance, interval.All()),
-		plan.TopK(stats.Correlation, 5, true),
-		plan.TopK(stats.DotProduct, 5, false),
-		plan.Interval(stats.Mean, interval.All()),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0)),
+		plan.Interval(measure.Covariance, interval.All()),
+		plan.TopK(measure.Correlation, 5, true),
+		plan.TopK(measure.DotProduct, 5, false),
+		plan.Interval(measure.Mean, interval.All()),
 	}
 	ids := v.Data().IDs()
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
@@ -53,7 +53,7 @@ func epochAnswers(v View) (string, error) {
 		if method == MethodIndex {
 			continue
 		}
-		mec, err := Compute(v, []ComputeQuery{{Measure: stats.Correlation, IDs: ids}}, method)
+		mec, err := Compute(v, []ComputeQuery{{Measure: measure.Correlation, IDs: ids}}, method)
 		if err != nil {
 			return "", fmt.Errorf("%v MEC: %w", method, err)
 		}
@@ -61,7 +61,7 @@ func epochAnswers(v View) (string, error) {
 			bits(row)
 		}
 		for _, pair := range []timeseries.Pair{{U: 0, V: 1}, {U: 2, V: 7}} {
-			x, err := v.PairValue(stats.Covariance, pair, method)
+			x, err := v.PairValue(measure.Covariance, pair, method)
 			if err != nil {
 				return "", fmt.Errorf("%v PairValue: %w", method, err)
 			}
@@ -205,17 +205,17 @@ func TestQueriesStraddleRecyclingAdvances(t *testing.T) {
 				return err
 			})
 			reader(func() error {
-				if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.3), MethodIndex); err != nil {
+				if _, err := e.Interval(measure.Correlation, interval.GreaterThan(0.3), MethodIndex); err != nil {
 					return err
 				}
-				if _, err := e.TopK(stats.Covariance, 4, true, MethodIndex); err != nil {
+				if _, err := e.TopK(measure.Covariance, 4, true, MethodIndex); err != nil {
 					return err
 				}
-				_, err := e.Batch([]plan.QuerySpec{plan.Interval(stats.Correlation, interval.LessThan(0))}, MethodAffine)
+				_, err := e.Batch([]plan.QuerySpec{plan.Interval(measure.Correlation, interval.LessThan(0))}, MethodAffine)
 				return err
 			})
 			reader(func() error {
-				_, err := e.ComputePairwise(stats.Correlation, e.Data().IDs()[:6], MethodAffine)
+				_, err := e.ComputePairwise(measure.Correlation, e.Data().IDs()[:6], MethodAffine)
 				return err
 			})
 			// The writer starts once the held epoch has a first answer, and

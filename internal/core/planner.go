@@ -1,10 +1,10 @@
 package core
 
 import (
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 )
 
 // This file is the engine's side of the cost-based planner (internal/plan):
@@ -51,7 +51,7 @@ func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 	return e.index.EstimateSelectivity(spec.PairQuery())
 }
 
-func (e *engineState) FillLocation(m stats.Measure) (bool, error) {
+func (e *engineState) FillLocation(m measure.Measure) (bool, error) {
 	if e.index == nil {
 		return false, ErrNoIndex
 	}

@@ -6,7 +6,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -38,7 +37,7 @@ func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) }
 // Interval answers the unified interval query: entries whose measure value
 // lies in iv, computed with the selected method.  MET and MER queries are its
 // half-bounded and bounded instances.
-func (e *Engine) Interval(m stats.Measure, iv interval.Interval, method Method) (QueryResult, error) {
+func (e *Engine) Interval(m measure.Measure, iv interval.Interval, method Method) (QueryResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return runOne(st, plan.Interval(m, iv), method)
@@ -52,7 +51,7 @@ func (e *Engine) Interval(m stats.Measure, iv interval.Interval, method Method) 
 // pass with a bounded result heap, and MethodAuto lets the planner choose —
 // non-indexable measures (Jaccard) price the index at +Inf and fall back to
 // the heap sweep through the same capability flags interval queries use.
-func (e *Engine) TopK(m stats.Measure, k int, largest bool, method Method) (QueryResult, error) {
+func (e *Engine) TopK(m measure.Measure, k int, largest bool, method Method) (QueryResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return runOne(st, plan.TopK(m, k, largest), method)
@@ -77,7 +76,7 @@ func (e *Engine) Explain(spec plan.QuerySpec, method Method) (QueryResult, plan.
 
 // ComputeLocation answers a MEC query for an L-measure over the requested
 // series, using the selected method (Query 1 with an L-measure).
-func (e *Engine) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
+func (e *Engine) ComputeLocation(m measure.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return computeLocation(st, m, ids, method)
@@ -86,18 +85,18 @@ func (e *Engine) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, met
 // ComputePairwise answers a MEC query for a T- or D-measure over the
 // requested series: the |ψ|-by-|ψ| matrix of pairwise values in the order
 // given.  Undefined derived values (zero normalizer) are reported as NaN.
-func (e *Engine) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
+func (e *Engine) ComputePairwise(m measure.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return computePairwise(st, m, ids, method)
 }
 
 // PairValue computes a single pairwise measure with the selected method.
-func (e *Engine) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
+func (e *Engine) PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error) {
 	st := e.acquire()
 	defer e.release(st)
 	if !m.Pairwise() {
-		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
+		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
 	}
 	method, err := resolve(st, plan.Compute(m, 2), method)
 	if err != nil {
@@ -110,7 +109,7 @@ func (e *Engine) PairValue(m stats.Measure, pair timeseries.Pair, method Method)
 // naive method reads a canonical pair of the universe off the epoch's naive
 // column of the measure's base where the epoch has one (naiveColumn), and
 // evaluates the raw series otherwise.
-func (e *engineState) PairValue(m stats.Measure, pair timeseries.Pair, method Method) (float64, error) {
+func (e *engineState) PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error) {
 	switch method {
 	case MethodNaive:
 		if sp, err := pairwiseSpec(m); err == nil {
@@ -144,7 +143,7 @@ func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (fl
 // affinePairValue computes a pairwise T- or D-measure through affine
 // relationships (the W_A method): the propagated base T value put through the
 // spec's transform with the pair's separable parameter.
-func (e *engineState) affinePairValue(m stats.Measure, pair timeseries.Pair) (float64, error) {
+func (e *engineState) affinePairValue(m measure.Measure, pair timeseries.Pair) (float64, error) {
 	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return 0, err
@@ -177,7 +176,7 @@ func (e *engineState) derivePair(sp *measure.Spec, pair timeseries.Pair, base fl
 // measure of a series with itself, declared per spec over the window's
 // memoised per-series moments (one object, so identical on every shard and
 // to W_N's diagonal).
-func (e *engineState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
+func (e *engineState) SelfValue(m measure.Measure, id timeseries.SeriesID) (float64, error) {
 	if int(id) < 0 || int(id) >= len(e.seriesMoments.Variance) {
 		return 0, fmt.Errorf("%w: %d", timeseries.ErrInvalidSeries, id)
 	}

@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -29,21 +29,21 @@ func TestPooledScratchNeverBacksAnAnswer(t *testing.T) {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			e := buildTestEngine(t, Config{Clusters: 4, Seed: 13, Parallelism: p,
 				Cache: qcache.Options{Enabled: true, MaxBytes: 64 << 20}})
-			quantile := quantiles(t, e, stats.Correlation, stats.Covariance, stats.EuclideanDistance, stats.Cosine)
+			quantile := quantiles(t, e, measure.Correlation, measure.Covariance, measure.EuclideanDistance, measure.Cosine)
 			kinds := []struct {
 				method   Method
-				measures []stats.Measure
+				measures []measure.Measure
 			}{
-				{MethodIndex, []stats.Measure{stats.Correlation, stats.Covariance, stats.EuclideanDistance}},
-				{MethodAffine, []stats.Measure{stats.Correlation, stats.Covariance, stats.EuclideanDistance}},
-				{MethodNaive, []stats.Measure{stats.Cosine, stats.Correlation, stats.EuclideanDistance}},
+				{MethodIndex, []measure.Measure{measure.Correlation, measure.Covariance, measure.EuclideanDistance}},
+				{MethodAffine, []measure.Measure{measure.Correlation, measure.Covariance, measure.EuclideanDistance}},
+				{MethodNaive, []measure.Measure{measure.Cosine, measure.Correlation, measure.EuclideanDistance}},
 			}
 			// band is the query of measure m at offset w around its middle
 			// 40 %: w < 0 narrows it, w > 0 widens it.
-			band := func(m stats.Measure, w float64) plan.QuerySpec {
+			band := func(m measure.Measure, w float64) plan.QuerySpec {
 				return plan.Interval(m, interval.Between(quantile(m, 0.3-w), quantile(m, 0.7+w)))
 			}
-			specsOf := func(measures []stats.Measure, w float64) []plan.QuerySpec {
+			specsOf := func(measures []measure.Measure, w float64) []plan.QuerySpec {
 				specs := make([]plan.QuerySpec, len(measures))
 				for i, m := range measures {
 					specs[i] = band(m, w)
@@ -133,9 +133,9 @@ func TestPooledScratchNeverBacksAnAnswer(t *testing.T) {
 
 // quantiles returns a lookup of the q-quantile of each measure's defined
 // values over the pair universe at the engine's epoch.
-func quantiles(t *testing.T, e *Engine, ms ...stats.Measure) func(m stats.Measure, q float64) float64 {
+func quantiles(t *testing.T, e *Engine, ms ...measure.Measure) func(m measure.Measure, q float64) float64 {
 	t.Helper()
-	sorted := make(map[stats.Measure][]float64, len(ms))
+	sorted := make(map[measure.Measure][]float64, len(ms))
 	for _, m := range ms {
 		sw, err := e.PairwiseSweepNaive(m)
 		if err != nil {
@@ -145,7 +145,7 @@ func quantiles(t *testing.T, e *Engine, ms ...stats.Measure) func(m stats.Measur
 		slices.Sort(vals)
 		sorted[m] = vals
 	}
-	return func(m stats.Measure, q float64) float64 {
+	return func(m measure.Measure, q float64) float64 {
 		vals := sorted[m]
 		return vals[int(math.Round(max(0, min(1, q))*float64(len(vals)-1)))]
 	}

@@ -8,10 +8,10 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -247,7 +247,7 @@ func TestSketchExplainActuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p, err := e.Explain(plan.Interval(stats.Cosine, interval.Between(0.5, 0.9)), MethodNaive)
+	_, p, err := e.Explain(plan.Interval(measure.Cosine, interval.Between(0.5, 0.9)), MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSketchExplainActuals(t *testing.T) {
 // the whole universe, closed, open and half-open bands, both half-bounded
 // directions, an empty result, and top-k in both directions at a k inside a
 // run of tied values, a larger k and one past the universe.
-func stageSpecs(m stats.Measure, values []float64) []plan.QuerySpec {
+func stageSpecs(m measure.Measure, values []float64) []plan.QuerySpec {
 	specs := []plan.QuerySpec{plan.Interval(m, interval.All())}
 	if finite := sketchQuantiles(values); len(finite) > 2 {
 		q := func(p float64) float64 { return quantile(finite, p) }
@@ -340,13 +340,11 @@ func TestSweepStageParity(t *testing.T) {
 						Cache:  qcache.Options{Enabled: cached},
 						Sketch: sketch.Options{Enabled: sketched, Coefficients: 8},
 					}
+					limit := 0
 					if restricted {
-						cfg.AssignedPairsOnly, cfg.MaxRelationships = true, 200
+						cfg.AssignedPairsOnly, limit = true, 200
 					}
-					e, err := Build(fixture().window, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					e := buildLimited(t, fixture().window, cfg, limit)
 					if restricted && e.escapedState().numUniversePairs() != 200 {
 						t.Fatalf("restricted universe has %d pairs", e.escapedState().numUniversePairs())
 					}
@@ -444,10 +442,10 @@ func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
 	ids := e.Data().IDs()
 	for round := 0; round < 3; round++ {
 		specs := []plan.QuerySpec{
-			plan.Interval(stats.Correlation, interval.GreaterThan(0.5+0.01*float64(round))),
-			plan.Interval(stats.EuclideanDistance, interval.AtMost(5)),
-			plan.TopK(stats.Covariance, 5, true),
-			plan.Interval(stats.Mean, interval.GreaterThan(0)),
+			plan.Interval(measure.Correlation, interval.GreaterThan(0.5+0.01*float64(round))),
+			plan.Interval(measure.EuclideanDistance, interval.AtMost(5)),
+			plan.TopK(measure.Covariance, 5, true),
+			plan.Interval(measure.Mean, interval.GreaterThan(0)),
 		}
 		for _, method := range []Method{MethodIndex, MethodAffine, MethodAuto} {
 			_, plans, err := Run(e.View(), specs, method, true)
@@ -455,20 +453,20 @@ func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range plans {
-				if p.Method == MethodNaive && p.Spec.Measure != stats.Mean {
+				if p.Method == MethodNaive && p.Spec.Measure != measure.Mean {
 					t.Fatalf("the planner routed %v to a naive sweep: the fixture does not test what it says", p.Spec)
 				}
 			}
 		}
 		for _, method := range []Method{MethodNaive, MethodAffine} {
-			if _, err := e.ComputePairwise(stats.Correlation, ids, method); err != nil {
+			if _, err := e.ComputePairwise(measure.Correlation, ids, method); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.PairwiseSweepNaive(stats.Cosine); err != nil {
+		if _, err := e.PairwiseSweepNaive(measure.Cosine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
+		if _, err := e.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
 			t.Fatal(err)
 		}
 		if s := e.StreamStats(); s.MomentFills != 0 || s.MomentSweeps != 0 || e.escapedState().moments.col.Load() != nil {
@@ -476,7 +474,7 @@ func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
 		}
 		advanceBoth(t, fx.ticks[round:round+1], e)
 	}
-	if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
+	if _, err := e.Interval(measure.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
 		t.Fatal(err)
 	}
 	advanceBoth(t, fx.ticks[3:4], e)

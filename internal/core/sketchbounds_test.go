@@ -13,7 +13,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -82,13 +81,11 @@ func TestSketchBoundColumnMatchesBoundBlock(t *testing.T) {
 					Clusters: 3, Seed: 5, Parallelism: p,
 					Sketch: sketch.Options{Enabled: true, Coefficients: sh.d},
 				}
+				limit := 0
 				if restricted {
-					cfg.AssignedPairsOnly, cfg.MaxRelationships = true, 300
+					cfg.AssignedPairsOnly, limit = true, 300
 				}
-				e, err := Build(sketchFixture(t, n, sh.m, sh.constant), cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
+				e := buildLimited(t, sketchFixture(t, n, sh.m, sh.constant), cfg, limit)
 				if got, want := e.escapedState().sketch.Coefficients(), min(sh.d, sh.m-1); got != want {
 					t.Fatalf("%s: %d coefficients kept, want %d", label, got, want)
 				}
@@ -119,7 +116,7 @@ func requireBoundColumnsOfBoundBlock(t *testing.T, label string, st *engineState
 		t.Fatal(err)
 	}
 	numPairs := st.numUniversePairs()
-	for _, base := range []stats.Measure{stats.Covariance, stats.DotProduct} {
+	for _, base := range []measure.Measure{measure.Covariance, measure.DotProduct} {
 		col := st.sketchBounds(base, mom)
 		if len(col.lo) != numPairs || len(col.hi) != numPairs {
 			t.Fatalf("%s %v: column of %d/%d bounds over %d pairs", label, base, len(col.lo), len(col.hi), numPairs)
@@ -176,10 +173,10 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 	requireFills("build", e, 0, false, false)
 	ids := e.Data().IDs()
 	specs := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.5)),
-		plan.Interval(stats.EuclideanDistance, interval.AtMost(5)),
-		plan.TopK(stats.Covariance, 5, true),
-		plan.TopK(stats.Cosine, 5, false),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.5)),
+		plan.Interval(measure.EuclideanDistance, interval.AtMost(5)),
+		plan.TopK(measure.Covariance, 5, true),
+		plan.TopK(measure.Cosine, 5, false),
 	}
 	for round := 0; round < 2; round++ {
 		for _, method := range []Method{MethodIndex, MethodAffine} {
@@ -188,14 +185,14 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 			}
 		}
 		for _, method := range []Method{MethodNaive, MethodAffine} {
-			if _, err := e.ComputePairwise(stats.Correlation, ids, method); err != nil {
+			if _, err := e.ComputePairwise(measure.Correlation, ids, method); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.PairwiseSweepNaive(stats.Cosine); err != nil {
+		if _, err := e.PairwiseSweepNaive(measure.Cosine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PairValue(stats.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
+		if _, err := e.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
 			t.Fatal(err)
 		}
 		requireFills(fmt.Sprintf("epoch %d, no naive sweep", round), e, 0, false, false)
@@ -205,25 +202,25 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 
 	// One naive correlation sweep fills the covariance column only; later
 	// sweeps of the base — another measure, a top-k, a batch — read it.
-	if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
+	if _, err := e.Interval(measure.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
 		t.Fatal(err)
 	}
 	requireFills("first naive correlation sweep", e, 1, true, false)
 	covLo := &e.escapedState().cols.covBounds.lo[0]
 	if _, err := runSpecs(e, []plan.QuerySpec{
-		plan.Interval(stats.Covariance, interval.Between(-0.1, 0.1)),
-		plan.TopK(stats.Correlation, 4, false),
+		plan.Interval(measure.Covariance, interval.Between(-0.1, 0.1)),
+		plan.TopK(measure.Correlation, 4, false),
 	}, MethodNaive); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.TopK(stats.Covariance, 3, true, MethodNaive); err != nil {
+	if _, err := e.TopK(measure.Covariance, 3, true, MethodNaive); err != nil {
 		t.Fatal(err)
 	}
 	requireFills("three more covariance-based naive sweeps", e, 1, true, false)
 	if &e.escapedState().cols.covBounds.lo[0] != covLo {
 		t.Fatal("a later sweep replaced the covariance bound column")
 	}
-	if _, err := e.TopK(stats.Cosine, 3, true, MethodNaive); err != nil {
+	if _, err := e.TopK(measure.Cosine, 3, true, MethodNaive); err != nil {
 		t.Fatal(err)
 	}
 	requireFills("first naive cosine top-k", e, 2, true, true)
@@ -247,7 +244,7 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 	}
 	advanceBoth(t, fx.ticks[2:3], e)
 	requireFills("Advance after naive sweeps", e, 2, false, false)
-	if _, err := e.Interval(stats.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
+	if _, err := e.Interval(measure.Correlation, interval.GreaterThan(0.5), MethodNaive); err != nil {
 		t.Fatal(err)
 	}
 	requireFills("the new epoch's first naive sweep", e, 3, true, false)
@@ -289,10 +286,10 @@ func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 		}
 		advanceBoth(t, fx.ticks[:1], e, plain)
 		specs := []plan.QuerySpec{
-			plan.Interval(stats.Correlation, interval.GreaterThan(0.4)),
-			plan.Interval(stats.Cosine, interval.Between(0.2, 0.9)),
-			plan.TopK(stats.Covariance, 6, true),
-			plan.TopK(stats.EuclideanDistance, 6, false),
+			plan.Interval(measure.Correlation, interval.GreaterThan(0.4)),
+			plan.Interval(measure.Cosine, interval.Between(0.2, 0.9)),
+			plan.TopK(measure.Covariance, 6, true),
+			plan.TopK(measure.EuclideanDistance, 6, false),
 		}
 		for round := 0; round < 2; round++ {
 			want, err := runSpecs(plain, specs, MethodNaive)
@@ -362,11 +359,11 @@ func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 			label := fmt.Sprintf("P=%d epoch %d", p, round+1)
 			oracle := newScalarOracle(t, e)
 			var specs []plan.QuerySpec
-			for _, m := range []stats.Measure{stats.Correlation, stats.Cosine, stats.EuclideanDistance} {
+			for _, m := range []measure.Measure{measure.Correlation, measure.Cosine, measure.EuclideanDistance} {
 				finite := sketchQuantiles(oracle.values[m])
 				q := func(p float64) float64 { return quantile(finite, p) }
 				tail := interval.GreaterThan(q(0.9))
-				if m == stats.EuclideanDistance {
+				if m == measure.EuclideanDistance {
 					tail = interval.LessThan(q(0.1))
 				}
 				specs = append(specs,
@@ -423,7 +420,7 @@ func liftedBounds(t *testing.T, st *engineState, sp *measure.Spec, useSketch boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pm *stats.PairMoments
+	var pm *kernel.PairMoments
 	if !useSketch {
 		if pm, err = st.pairMoments(); err != nil || pm == nil {
 			t.Fatalf("no pair-moment column (%v)", err)

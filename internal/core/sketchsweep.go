@@ -14,7 +14,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -37,7 +36,7 @@ import (
 //     a Parseval bound that settles most pairs, evaluated — O(d) per pair —
 //     once per base and epoch into a bound column (basecolumns.go) that every
 //     sweep of the base reads;
-//   - the slid pair-moment column (stats.PairMoments) on whatever is still
+//   - the slid pair-moment column (kernel.PairMoments) on whatever is still
 //     ambiguous: Σ x_u·x_v carried from epoch to epoch in O(slide) per pair,
 //     within a relative 1e-9 of the kernels' value, so what it leaves are the
 //     pairs within rounding distance of an endpoint.
@@ -78,7 +77,7 @@ func (st *engineState) buildSketch(opts sketch.Options, parallelism int, counter
 type momentColumn struct {
 	counters *sweepCounters
 	once     sync.Once
-	col      atomic.Pointer[stats.PairMoments]
+	col      atomic.Pointer[kernel.PairMoments]
 	err      error
 }
 
@@ -87,13 +86,13 @@ func (e *Engine) newMomentColumn() *momentColumn { return &momentColumn{counters
 // pairMoments returns the epoch's pair-moment column, materialising it with
 // one DotBlock pass if Advance did not carry one; nil when the window is too
 // long for the column's padding to cover the kernels' rounding.
-func (e *engineState) pairMoments() (*stats.PairMoments, error) {
+func (e *engineState) pairMoments() (*kernel.PairMoments, error) {
 	mc := e.moments
 	if pm := mc.col.Load(); pm != nil {
 		return pm, nil
 	}
 	mc.once.Do(func() {
-		if e.data.NumSamples() > stats.MaxPairMomentWindow {
+		if e.data.NumSamples() > kernel.MaxPairMomentWindow {
 			return
 		}
 		kern, mom, err := e.naive.Kernel()
@@ -106,7 +105,7 @@ func (e *engineState) pairMoments() (*stats.PairMoments, error) {
 			kern.DotBlock(mom, chunk, dot[lo:lo+len(chunk)])
 			return nil
 		})
-		mc.col.Store(stats.NewPairMoments(dot, mom.SqNorm, e.data.NumSamples()))
+		mc.col.Store(kernel.NewPairMoments(dot, mom.SqNorm, e.data.NumSamples()))
 		mc.counters.momentFills.Add(1)
 	})
 	return mc.col.Load(), mc.err
@@ -156,7 +155,7 @@ func (e *engineState) forUniverseChunks(parallelism int, fn func(lo int, chunk [
 // one is set).
 type boundProvider struct {
 	sketch  *boundColumn
-	moments *stats.PairMoments
+	moments *kernel.PairMoments
 }
 
 // bounds fills lo/hi with an interval that contains the exact base value of

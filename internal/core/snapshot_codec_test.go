@@ -66,26 +66,23 @@ func TestSnapshotCodecMatchesOracle(t *testing.T) {
 		checkSnapshotAgainstOracle(t, e, Config{Clusters: 1})
 	}
 	type shape struct {
-		n, m int
-		cfg  Config
+		n, m  int
+		cfg   Config
+		limit int
 	}
 	shapes := []shape{
-		{2, 8, Config{Clusters: 1, Seed: 1}},
-		{3, 5, Config{Clusters: 2, Seed: 2}},
-		{9, 40, Config{Clusters: 3, Seed: 3, MaxLSFD: 0.05}},
-		{17, 33, Config{Clusters: 5, Seed: 4, AssignedPairsOnly: true, MaxRelationships: 40}},
-		{30, 64, Config{Clusters: 6, Seed: 5}},
+		{2, 8, Config{Clusters: 1, Seed: 1}, 0},
+		{3, 5, Config{Clusters: 2, Seed: 2}, 0},
+		{9, 40, Config{Clusters: 3, Seed: 3, MaxLSFD: 0.05}, 0},
+		{17, 33, Config{Clusters: 5, Seed: 4, AssignedPairsOnly: true}, 40},
+		{30, 64, Config{Clusters: 6, Seed: 5}, 0},
 	}
 	for i, sh := range shapes {
 		d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: sh.n, NumSamples: sh.m, NumGroups: 2, Noise: 0.05, Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := Build(d, sh.cfg)
-		if err != nil {
-			t.Fatalf("%d×%d: %v", sh.n, sh.m, err)
-		}
-		checkSnapshotAgainstOracle(t, e, sh.cfg)
+		checkSnapshotAgainstOracle(t, buildLimited(t, d, sh.cfg, sh.limit), sh.cfg)
 	}
 	fixture, _ := snapshotFixtureBytes(t)
 	checkSnapshotAgainstOracle(t, fixture, Config{Clusters: 3})

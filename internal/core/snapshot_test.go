@@ -8,7 +8,7 @@ import (
 
 	"affinity/internal/dataset"
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -39,7 +39,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Every affine estimate must be identical to the original engine's.
 	for _, pair := range e.Data().AllPairs() {
-		for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.DotProduct} {
+		for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.DotProduct} {
 			want, errWant := e.PairValue(m, pair, MethodAffine)
 			got, errGot := restored.PairValue(m, pair, MethodAffine)
 			if (errWant == nil) != (errGot == nil) {
@@ -52,11 +52,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Index queries give the same results.
-	orig, err := e.Interval(stats.Correlation, interval.GreaterThan(0.9), MethodIndex)
+	orig, err := e.Interval(measure.Correlation, interval.GreaterThan(0.9), MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := restored.Interval(stats.Correlation, interval.GreaterThan(0.9), MethodIndex)
+	loaded, err := restored.Interval(measure.Correlation, interval.GreaterThan(0.9), MethodIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSnapshotSkipIndex(t *testing.T) {
 	if restored.Index() != nil {
 		t.Fatal("SkipIndex should leave the index unbuilt")
 	}
-	if _, err := restored.Interval(stats.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := restored.Interval(measure.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("index query err = %v", err)
 	}
 }
@@ -172,8 +172,8 @@ func TestBuildInfoNumPairsIsQueryUniverse(t *testing.T) {
 	}
 
 	const budget = 100
-	cfg := Config{Clusters: 4, Seed: 35, AssignedPairsOnly: true, MaxRelationships: budget}
-	e := buildTestEngine(t, cfg)
+	cfg := Config{Clusters: 4, Seed: 35, AssignedPairsOnly: true}
+	e := buildLimited(t, plain.Data(), cfg, budget)
 	if got := e.Info().NumPairs; got != budget || got >= e.Data().NumPairs() {
 		t.Fatalf("restricted build: NumPairs = %d, want the %d assigned pairs (of %d)", got, budget, e.Data().NumPairs())
 	}

@@ -42,7 +42,7 @@ import (
 //	                 downstream scans the n·m samples for NaN again
 //	O(pairs·s)       slide the pair moments Σ x_u·x_v, one multiply-add pair
 //	                 per pair and slid sample — only while a naive sweep has
-//	                 materialised the column (stats.PairMoments); an engine
+//	                 materialised the column (kernel.PairMoments); an engine
 //	                 nobody sweeps naively pays nothing, and the statistics
 //	                 refresh epochs drop the column instead of sliding it
 //	O(n·s·log m)     slide the sorted columns in place and hand them forward

@@ -9,10 +9,10 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -66,7 +66,7 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		reader(func() error {
-			res, err := e.Interval(stats.Correlation, interval.GreaterThan(0.8), MethodIndex)
+			res, err := e.Interval(measure.Correlation, interval.GreaterThan(0.8), MethodIndex)
 			if err != nil {
 				return err
 			}
@@ -80,27 +80,27 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 		})
 	}
 	reader(func() error {
-		_, err := e.ComputePairwise(stats.Covariance, ids, MethodAffine)
+		_, err := e.ComputePairwise(measure.Covariance, ids, MethodAffine)
 		return err
 	})
 	reader(func() error {
-		_, err := e.ComputePairwise(stats.Correlation, ids[:6], MethodNaive)
+		_, err := e.ComputePairwise(measure.Correlation, ids[:6], MethodNaive)
 		return err
 	})
 	reader(func() error {
-		_, err := e.PairValue(stats.Correlation, pair, MethodAffine)
+		_, err := e.PairValue(measure.Correlation, pair, MethodAffine)
 		return err
 	})
 	reader(func() error {
-		_, err := e.ComputeLocation(stats.Mean, ids, MethodAffine)
+		_, err := e.ComputeLocation(measure.Mean, ids, MethodAffine)
 		return err
 	})
 	reader(func() error {
-		_, err := e.Interval(stats.Covariance, interval.Between(-0.5, 0.5), MethodIndex)
+		_, err := e.Interval(measure.Covariance, interval.Between(-0.5, 0.5), MethodIndex)
 		return err
 	})
 	reader(func() error {
-		_, err := e.PairwiseSweepAffine(stats.Correlation)
+		_, err := e.PairwiseSweepAffine(measure.Correlation)
 		return err
 	})
 	reader(func() error {
@@ -199,23 +199,23 @@ func TestConcurrentQueriesDuringIncrementalAdvance(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		reader(func() error {
-			_, err := e.Interval(stats.Correlation, interval.GreaterThan(0.8), MethodIndex)
+			_, err := e.Interval(measure.Correlation, interval.GreaterThan(0.8), MethodIndex)
 			return err
 		})
 	}
 	reader(func() error {
-		_, err := e.Interval(stats.Covariance, interval.Between(-0.5, 0.5), MethodIndex)
+		_, err := e.Interval(measure.Covariance, interval.Between(-0.5, 0.5), MethodIndex)
 		return err
 	})
 	reader(func() error {
 		var innerErr error
 		retained.Range(func(_, v any) bool {
 			idx := v.(*scape.Index)
-			if _, _, _, err := idx.PairTopK(stats.Correlation, 5, true); err != nil {
+			if _, _, _, err := idx.PairTopK(measure.Correlation, 5, true); err != nil {
 				innerErr = err
 				return false
 			}
-			_, innerErr = idx.PairInterval(stats.Covariance, interval.AtLeast(0))
+			_, innerErr = idx.PairInterval(measure.Covariance, interval.AtLeast(0))
 			return innerErr == nil
 		})
 		return innerErr
@@ -344,17 +344,17 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	}
 
 	thresholdBatch := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.8)),
-		plan.Interval(stats.Covariance, interval.LessThan(0.0)),
-		plan.Interval(stats.Mean, interval.GreaterThan(0.2)),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.8)),
+		plan.Interval(measure.Covariance, interval.LessThan(0.0)),
+		plan.Interval(measure.Mean, interval.GreaterThan(0.2)),
 	}
 	rangeBatch := []plan.QuerySpec{
-		plan.Interval(stats.Cosine, interval.Between(0.5, 1.0)),
-		plan.Interval(stats.Covariance, interval.Between(-0.5, 0.5)),
+		plan.Interval(measure.Cosine, interval.Between(0.5, 1.0)),
+		plan.Interval(measure.Covariance, interval.Between(-0.5, 0.5)),
 	}
 	computeBatch := []ComputeQuery{
-		{Measure: stats.Correlation, IDs: ids[:8]},
-		{Measure: stats.Mean, IDs: ids},
+		{Measure: measure.Correlation, IDs: ids[:8]},
+		{Measure: measure.Mean, IDs: ids},
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 		method := method
@@ -379,15 +379,15 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 	})
 	// Sharded single-query scans alongside the batches.
 	reader(func() error {
-		_, err := e.Interval(stats.Correlation, interval.GreaterThan(0.8), MethodIndex)
+		_, err := e.Interval(measure.Correlation, interval.GreaterThan(0.8), MethodIndex)
 		return err
 	})
 	reader(func() error {
-		_, err := e.Interval(stats.DotProduct, interval.Between(-1, 1), MethodAffine)
+		_, err := e.Interval(measure.DotProduct, interval.Between(-1, 1), MethodAffine)
 		return err
 	})
 	reader(func() error {
-		_, err := e.PairwiseSweepAffine(stats.Correlation)
+		_, err := e.PairwiseSweepAffine(measure.Correlation)
 		return err
 	})
 
@@ -438,11 +438,11 @@ func TestFirstDerivedQueriesRaceAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.6)),
-		plan.Interval(stats.EuclideanDistance, interval.AtMost(4)),
-		plan.Interval(stats.Cosine, interval.Between(0.2, 0.95)),
-		plan.TopK(stats.Correlation, 7, true),
-		plan.TopK(stats.EuclideanDistance, 7, false),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.6)),
+		plan.Interval(measure.EuclideanDistance, interval.AtMost(4)),
+		plan.Interval(measure.Cosine, interval.Between(0.2, 0.95)),
+		plan.TopK(measure.Correlation, 7, true),
+		plan.TopK(measure.EuclideanDistance, 7, false),
 	}
 	for round := 0; round < rounds; round++ {
 		v := e.View()
@@ -522,7 +522,7 @@ func TestFirstNaiveSweepRacesAdvance(t *testing.T) {
 		v := e.View()
 		oracle := newScalarOracle(t, twin)
 		var specs []plan.QuerySpec
-		for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.Cosine, stats.EuclideanDistance} {
+		for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.Cosine, measure.EuclideanDistance} {
 			specs = append(specs, stageSpecs(m, oracle.values[m])...)
 		}
 		start := make(chan struct{})
@@ -612,8 +612,8 @@ func TestPinnedEpochReadsItsOwnWindowMoments(t *testing.T) {
 				}
 				for id := 0; id < n; id++ {
 					s, _ := v.Data().Series(timeseries.SeriesID(id))
-					variance, _ := stats.VarianceOf(s)
-					if mo.Sum[id] != stats.SumOf(s) || mo.Variance[id] != variance {
+					variance, _ := measure.VarianceOf(s)
+					if mo.Sum[id] != measure.SumOf(s) || mo.Variance[id] != variance {
 						errs[r] = fmt.Errorf("epoch %d series %d: pinned moments are not its window's", v.epoch, id)
 						return
 					}
@@ -676,8 +676,8 @@ func TestHeldEpochOutlivesCompactions(t *testing.T) {
 			clone := d.Clone()
 			ids := d.IDs()
 			specs := []plan.QuerySpec{
-				plan.Interval(stats.Correlation, interval.GreaterThan(0.5)),
-				plan.TopK(stats.Covariance, 7, true),
+				plan.Interval(measure.Correlation, interval.GreaterThan(0.5)),
+				plan.TopK(measure.Covariance, 7, true),
 			}
 			type answers struct {
 				rows     [][]QueryResult
@@ -695,10 +695,10 @@ func TestHeldEpochOutlivesCompactions(t *testing.T) {
 					var loc []float64
 					var pw [][]float64
 					if method != MethodIndex { // the index answers no MEC
-						if loc, err = computeLocation(held, stats.Median, ids, method); err != nil {
+						if loc, err = computeLocation(held, measure.Median, ids, method); err != nil {
 							return a, err
 						}
-						if pw, err = computePairwise(held, stats.Correlation, ids[:5], method); err != nil {
+						if pw, err = computePairwise(held, measure.Correlation, ids[:5], method); err != nil {
 							return a, err
 						}
 					}
@@ -726,12 +726,12 @@ func TestHeldEpochOutlivesCompactions(t *testing.T) {
 						bitsOf([]float64{wantMoments.Sum[id], wantMoments.Mean[id], wantMoments.Variance[id], wantMoments.SqNorm[id]})) {
 						return fmt.Errorf("moments of series %d changed under the held epoch", id)
 					}
-					for _, m := range []stats.Measure{stats.Median, stats.Mode} {
-						got, err := stats.WindowLocation(m, d, id)
+					for _, m := range []measure.Measure{measure.Median, measure.Mode} {
+						got, err := d.Location(m, id)
 						if err != nil {
 							return err
 						}
-						orig, _ := stats.WindowLocation(m, clone, id)
+						orig, _ := clone.Location(m, id)
 						if math.Float64bits(got) != math.Float64bits(orig) {
 							return fmt.Errorf("%v of series %d: %v on the held window, %v on its clone", m, id, got, orig)
 						}

@@ -9,7 +9,6 @@ import (
 	"affinity/internal/dataset"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -74,7 +73,7 @@ func pairSet(pairs []timeseries.Pair) map[timeseries.Pair]bool {
 // (above the cold build's median naive value) and top-k by naive, affine and
 // index, for pairwise and location measures alike.  %v prints the shortest
 // decimal that round-trips a float64, so equal strings are equal bits.
-func coldParityAnswers(t *testing.T, e *Engine, ids []timeseries.SeriesID, medians map[stats.Measure]float64) map[string]string {
+func coldParityAnswers(t *testing.T, e *Engine, ids []timeseries.SeriesID, medians map[measure.Measure]float64) map[string]string {
 	t.Helper()
 	render := func(res any, err error) string {
 		if err != nil {
@@ -121,8 +120,8 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 	}
 	frozen := streaming[0].Relationships().Clustering
 	ids := fx.window.IDs()
-	measures := []stats.Measure{stats.Correlation, stats.Covariance, stats.DotProduct, stats.Cosine,
-		stats.EuclideanDistance, stats.Mean, stats.Median, stats.Mode}
+	measures := []measure.Measure{measure.Correlation, measure.Covariance, measure.DotProduct, measure.Cosine,
+		measure.EuclideanDistance, measure.Mean, measure.Median, measure.Mode}
 
 	current := fx.window
 	for round := 0; round < rounds; round++ {
@@ -173,7 +172,7 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 			}
 		}
 
-		medians := make(map[stats.Measure]float64, len(measures))
+		medians := make(map[measure.Measure]float64, len(measures))
 		for _, m := range measures {
 			var vals []float64
 			if !m.Pairwise() {
@@ -215,11 +214,11 @@ func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
 		// Internal consistency: the index answers select the same pair sets as
 		// the affine path of the same engine.
 		for _, tau := range []float64{0.9, 0.5} {
-			sres, err := streaming[0].Interval(stats.Correlation, interval.GreaterThan(tau), MethodIndex)
+			sres, err := streaming[0].Interval(measure.Correlation, interval.GreaterThan(tau), MethodIndex)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ares, err := streaming[0].Interval(stats.Correlation, interval.GreaterThan(tau), MethodAffine)
+			ares, err := streaming[0].Interval(measure.Correlation, interval.GreaterThan(tau), MethodAffine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,12 +258,12 @@ func TestAdvanceApproximatesFreshRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	truth, err := streaming.PairwiseSweepNaive(stats.Correlation)
+	truth, err := streaming.PairwiseSweepNaive(measure.Correlation)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, e := range map[string]*Engine{"streaming": streaming, "fresh": fresh} {
-		approx, err := e.PairwiseSweepAffine(stats.Correlation)
+		approx, err := e.PairwiseSweepAffine(measure.Correlation)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,11 +311,11 @@ func TestSelectiveRefitDrift(t *testing.T) {
 		t.Fatal("drift bound never reused a relationship on a quiet stream")
 	}
 
-	truth, err := e.PairwiseSweepNaive(stats.Correlation)
+	truth, err := e.PairwiseSweepNaive(measure.Correlation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.PairwiseSweepAffine(stats.Correlation)
+	approx, err := e.PairwiseSweepAffine(measure.Correlation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +435,11 @@ func TestAdvanceWholeWindowReplacement(t *testing.T) {
 		t.Fatalf("window m=%d start=%d", e.Data().NumSamples(), e.Data().StartIndex())
 	}
 	// Naive vs affine still coherent on the fully replaced window.
-	truth, err := e.PairwiseSweepNaive(stats.Covariance)
+	truth, err := e.PairwiseSweepNaive(measure.Covariance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.PairwiseSweepAffine(stats.Covariance)
+	approx, err := e.PairwiseSweepAffine(measure.Covariance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,11 +475,11 @@ func TestSeriesStatsStayFreshAcrossEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := st.seriesMoments.Stat(timeseries.SeriesID(v))
-		wantVar, _ := stats.VarianceOf(s)
+		wantVar, _ := measure.VarianceOf(s)
 		if math.Float64bits(got.Variance) != math.Float64bits(wantVar) {
 			t.Fatalf("series %d variance %v vs %v", v, got.Variance, wantVar)
 		}
-		wantSq, _ := stats.DotProductOf(s, s)
+		wantSq, _ := measure.DotProductOf(s, s)
 		if math.Float64bits(got.SqNorm) != math.Float64bits(wantSq) {
 			t.Fatalf("series %d sqnorm %v vs %v", v, got.SqNorm, wantSq)
 		}

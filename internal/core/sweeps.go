@@ -6,7 +6,6 @@ import (
 
 	"affinity/internal/measure"
 	"affinity/internal/par"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -46,7 +45,7 @@ type LocationSweepResult struct {
 // PairwiseSweepNaive computes a T- or D-measure for every sequence pair from
 // the raw series (W_N) on the blocked kernels.  Pairs with an undefined
 // derived value carry NaN.
-func (e *Engine) PairwiseSweepNaive(m stats.Measure) (*PairSweepResult, error) {
+func (e *Engine) PairwiseSweepNaive(m measure.Measure) (*PairSweepResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return st.pairwiseSweepNaive(m)
@@ -56,7 +55,7 @@ func (e *Engine) PairwiseSweepNaive(m stats.Measure) (*PairSweepResult, error) {
 // the W_A method: it reduces the pivot pair matrices for the measure's base
 // T-measure (the O(n·k) one-time cost) and then propagates the value to every
 // pair through its affine relationship (O(1) per pair).
-func (e *Engine) PairwiseSweepAffine(m stats.Measure) (*PairSweepResult, error) {
+func (e *Engine) PairwiseSweepAffine(m measure.Measure) (*PairSweepResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return st.pairwiseSweepAffine(m)
@@ -64,7 +63,7 @@ func (e *Engine) PairwiseSweepAffine(m stats.Measure) (*PairSweepResult, error) 
 
 // LocationSweepNaive computes an L-measure for every series from the raw data
 // (W_N).
-func (e *Engine) LocationSweepNaive(m stats.Measure) (*LocationSweepResult, error) {
+func (e *Engine) LocationSweepNaive(m measure.Measure) (*LocationSweepResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return st.locationSweepNaive(m)
@@ -74,7 +73,7 @@ func (e *Engine) LocationSweepNaive(m stats.Measure) (*LocationSweepResult, erro
 // method: the measure is computed exactly for the k cluster centers only (once
 // per clustering, memoised on it) and propagated to every series through its
 // 1-D affine calibration, making the per-series cost O(1) instead of O(m).
-func (e *Engine) LocationSweepAffine(m stats.Measure) (*LocationSweepResult, error) {
+func (e *Engine) LocationSweepAffine(m measure.Measure) (*LocationSweepResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	return st.locationSweepAffine(m)
@@ -82,10 +81,10 @@ func (e *Engine) LocationSweepAffine(m stats.Measure) (*LocationSweepResult, err
 
 // pairwiseSpec resolves a pairwise measure to its spec with the shared typed
 // error.
-func pairwiseSpec(m stats.Measure) (*measure.Spec, error) {
+func pairwiseSpec(m measure.Measure) (*measure.Spec, error) {
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Pairwise() {
-		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
+		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
 	}
 	return sp, nil
 }
@@ -93,7 +92,7 @@ func pairwiseSpec(m stats.Measure) (*measure.Spec, error) {
 // pairwiseSweepNaive implements PairwiseSweepNaive for one epoch: row-block
 // sharded over the blocked kernels.  values[i] depends only on pairs[i], so
 // the sweep is identical at any parallelism.
-func (e *engineState) pairwiseSweepNaive(m stats.Measure) (*PairSweepResult, error) {
+func (e *engineState) pairwiseSweepNaive(m measure.Measure) (*PairSweepResult, error) {
 	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return nil, err
@@ -110,7 +109,7 @@ func (e *engineState) pairwiseSweepNaive(m stats.Measure) (*PairSweepResult, err
 }
 
 // pairwiseSweepAffine implements PairwiseSweepAffine for one epoch.
-func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, error) {
+func (e *engineState) pairwiseSweepAffine(m measure.Measure) (*PairSweepResult, error) {
 	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return nil, err
@@ -173,8 +172,8 @@ func (e *engineState) pairwiseSweepAffine(m stats.Measure) (*PairSweepResult, er
 }
 
 // locationSweepNaive implements LocationSweepNaive for one epoch.
-func (e *engineState) locationSweepNaive(m stats.Measure) (*LocationSweepResult, error) {
-	values, err := stats.LocationVector(m, e.data)
+func (e *engineState) locationSweepNaive(m measure.Measure) (*LocationSweepResult, error) {
+	values, err := e.naive.Location(m, e.data.IDs())
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +183,7 @@ func (e *engineState) locationSweepNaive(m stats.Measure) (*LocationSweepResult,
 // locationSweepAffine implements LocationSweepAffine for one epoch: the
 // centers' values are the clustering's, the O(1) propagation per series is
 // redone.
-func (e *engineState) locationSweepAffine(m stats.Measure) (*LocationSweepResult, error) {
+func (e *engineState) locationSweepAffine(m measure.Measure) (*LocationSweepResult, error) {
 	values, err := e.calibratedLocations(m, e.data.IDs())
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -208,5 +207,5 @@ func SweepRMSE(truth, approx []float64) (float64, error) {
 		cleanTruth = append(cleanTruth, truth[i])
 		cleanApprox = append(cleanApprox, approx[i])
 	}
-	return stats.RMSE(cleanTruth, cleanApprox)
+	return measure.RMSE(cleanTruth, cleanApprox)
 }

@@ -4,12 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 )
 
 func TestPairwiseSweepAccuracy(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 21})
-	for _, m := range []stats.Measure{stats.Covariance, stats.DotProduct, stats.Correlation, stats.Cosine, stats.Dice} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.DotProduct, measure.Correlation, measure.Cosine, measure.Dice} {
 		truth, err := e.PairwiseSweepNaive(m)
 		if err != nil {
 			t.Fatalf("%v naive sweep: %v", m, err)
@@ -34,10 +34,10 @@ func TestPairwiseSweepAccuracy(t *testing.T) {
 			t.Fatalf("%v sweep RMSE %.3f%% too high", m, rmse)
 		}
 	}
-	if _, err := e.PairwiseSweepNaive(stats.Mean); err == nil {
+	if _, err := e.PairwiseSweepNaive(measure.Mean); err == nil {
 		t.Fatal("L-measure naive pair sweep should error")
 	}
-	if _, err := e.PairwiseSweepAffine(stats.Mean); err == nil {
+	if _, err := e.PairwiseSweepAffine(measure.Mean); err == nil {
 		t.Fatal("L-measure affine pair sweep should error")
 	}
 }
@@ -46,12 +46,12 @@ func TestPairwiseSweepMatchesEngineEstimates(t *testing.T) {
 	// The sweep path recomputes pivot summaries from scratch; it must agree
 	// with the cached-summary path used by ComputePairwise/PairValue.
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 22})
-	sweep, err := e.PairwiseSweepAffine(stats.Covariance)
+	sweep, err := e.PairwiseSweepAffine(measure.Covariance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pair := range sweep.Pairs {
-		cached, err := e.PairValue(stats.Covariance, pair, MethodAffine)
+		cached, err := e.PairValue(measure.Covariance, pair, MethodAffine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +65,11 @@ func TestLocationSweepAccuracy(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 23})
 
 	// Mean propagates exactly through the 1-D calibration.
-	truthMean, err := e.LocationSweepNaive(stats.Mean)
+	truthMean, err := e.LocationSweepNaive(measure.Mean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approxMean, err := e.LocationSweepAffine(stats.Mean)
+	approxMean, err := e.LocationSweepAffine(measure.Mean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLocationSweepAccuracy(t *testing.T) {
 	}
 
 	// Median and mode are approximate but must stay within a few percent.
-	for _, m := range []stats.Measure{stats.Median, stats.Mode} {
+	for _, m := range []measure.Measure{measure.Median, measure.Mode} {
 		truth, err := e.LocationSweepNaive(m)
 		if err != nil {
 			t.Fatal(err)
@@ -98,21 +98,21 @@ func TestLocationSweepAccuracy(t *testing.T) {
 		}
 	}
 
-	if _, err := e.LocationSweepAffine(stats.Covariance); err == nil {
+	if _, err := e.LocationSweepAffine(measure.Covariance); err == nil {
 		t.Fatal("T-measure location sweep should error")
 	}
-	if _, err := e.LocationSweepNaive(stats.Covariance); err == nil {
+	if _, err := e.LocationSweepNaive(measure.Covariance); err == nil {
 		t.Fatal("T-measure naive location sweep should error")
 	}
 }
 
 func TestLocationSweepMatchesCachedEstimates(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 24})
-	sweep, err := e.LocationSweepAffine(stats.Median)
+	sweep, err := e.LocationSweepAffine(measure.Median)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := e.ComputeLocation(stats.Median, e.Data().IDs(), MethodAffine)
+	cached, err := e.ComputeLocation(measure.Median, e.Data().IDs(), MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"sort"
 	"testing"
 
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -18,7 +18,7 @@ import (
 // under the shared total order (value direction, then pair identity) and
 // returns the best k entries — the sort-the-full-matrix reference every
 // top-k execution path must reproduce exactly.
-func pairOracle(t *testing.T, e *Engine, m stats.Measure, method Method, k int, largest bool) ([]timeseries.Pair, []float64) {
+func pairOracle(t *testing.T, e *Engine, m measure.Measure, method Method, k int, largest bool) ([]timeseries.Pair, []float64) {
 	t.Helper()
 	st := e.escapedState()
 	type entry struct {
@@ -86,7 +86,7 @@ func sameTopK(gotPairs []timeseries.Pair, gotValues []float64, wantPairs []times
 func TestTopKMatchesOracle(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 2})
 	numPairs := e.Data().NumPairs()
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		if !m.Pairwise() {
 			continue
 		}
@@ -94,7 +94,7 @@ func TestTopKMatchesOracle(t *testing.T) {
 			for _, largest := range []bool{true, false} {
 				for _, k := range []int{1, 7, numPairs + 5} {
 					got, err := e.TopK(m, k, largest, method)
-					if method == MethodIndex && m == stats.Jaccard {
+					if method == MethodIndex && m == measure.Jaccard {
 						if !errors.Is(err, ErrMeasureNotIndexed) {
 							t.Fatalf("jaccard index top-k err = %v, want ErrMeasureNotIndexed", err)
 						}
@@ -120,7 +120,7 @@ func TestTopKLocationMeasures(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
 	st := e.escapedState()
 	n := e.Data().NumSeries()
-	for _, m := range stats.LMeasures() {
+	for _, m := range measure.ByClass(measure.LocationClass) {
 		for _, largest := range []bool{true, false} {
 			for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 				full, err := e.TopK(m, n, largest, method)
@@ -181,7 +181,7 @@ func TestTopKLocationMeasures(t *testing.T) {
 func TestTopKBatchMatchesSingle(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
 	var qs []plan.QuerySpec
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		qs = append(qs,
 			plan.TopK(m, 3, true),
 			plan.TopK(m, 9, false),
@@ -209,7 +209,7 @@ func TestTopKBatchMatchesSingle(t *testing.T) {
 // result, actuals are filled, and Jaccard routes around the index.
 func TestTopKAutoAndExplain(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		for _, largest := range []bool{true, false} {
 			res, p, err := e.Explain(plan.TopK(m, 4, largest), MethodAuto)
 			if err != nil {
@@ -218,7 +218,7 @@ func TestTopKAutoAndExplain(t *testing.T) {
 			if !p.Method.Concrete() {
 				t.Fatalf("%v: planner chose non-concrete %v", m, p.Method)
 			}
-			if m == stats.Jaccard && p.Method == MethodIndex {
+			if m == measure.Jaccard && p.Method == MethodIndex {
 				t.Fatalf("jaccard top-k routed to the index")
 			}
 			fixed, err := e.TopK(m, 4, largest, p.Method)
@@ -241,19 +241,19 @@ func TestTopKAutoAndExplain(t *testing.T) {
 func TestTopKValidation(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
 	for _, k := range []int{0, -3} {
-		if _, err := e.TopK(stats.Correlation, k, true, MethodNaive); !errors.Is(err, ErrBadTopK) {
+		if _, err := e.TopK(measure.Correlation, k, true, MethodNaive); !errors.Is(err, ErrBadTopK) {
 			t.Fatalf("k=%d err = %v, want ErrBadTopK", k, err)
 		}
-		_, berr := runSpecs(e, []plan.QuerySpec{plan.TopK(stats.Correlation, k, true)}, MethodNaive)
+		_, berr := runSpecs(e, []plan.QuerySpec{plan.TopK(measure.Correlation, k, true)}, MethodNaive)
 		if !errors.Is(berr, ErrBadTopK) {
 			t.Fatalf("batched k=%d err = %v, want ErrBadTopK", k, berr)
 		}
 	}
 	noIdx := buildTestEngine(t, Config{Clusters: 4, Seed: 2, SkipIndex: true})
-	if _, err := noIdx.TopK(stats.Correlation, 3, true, MethodIndex); !errors.Is(err, ErrNoIndex) {
+	if _, err := noIdx.TopK(measure.Correlation, 3, true, MethodIndex); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("SkipIndex top-k err = %v, want ErrNoIndex", err)
 	}
-	if _, err := noIdx.TopK(stats.Correlation, 3, true, MethodAuto); err != nil {
+	if _, err := noIdx.TopK(measure.Correlation, 3, true, MethodAuto); err != nil {
 		t.Fatalf("SkipIndex auto top-k should fall to a sweep, got %v", err)
 	}
 }
@@ -265,8 +265,8 @@ func TestTopKPruningExaminesFewerCandidates(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
 	idx := e.Index()
 	entries := idx.Stats().SequenceNodes
-	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.EuclideanDistance} {
-		largest := m != stats.EuclideanDistance // distances: k nearest
+	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.EuclideanDistance} {
+		largest := m != measure.EuclideanDistance // distances: k nearest
 		_, _, examined, err := idx.PairTopK(m, 1, largest)
 		if err != nil {
 			t.Fatal(err)

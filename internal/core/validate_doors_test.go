@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -129,11 +129,11 @@ func TestBuildDoorsRejectNilWindowAndNaNBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-		want, err := e.Interval(stats.Correlation, interval.GreaterThan(0.2), method)
+		want, err := e.Interval(measure.Correlation, interval.GreaterThan(0.2), method)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := unbounded.Interval(stats.Correlation, interval.GreaterThan(0.2), method)
+		got, err := unbounded.Interval(measure.Correlation, interval.GreaterThan(0.2), method)
 		if err != nil {
 			t.Fatal(err)
 		}

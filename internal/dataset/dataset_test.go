@@ -4,7 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"affinity/internal/stats"
+	"affinity/internal/baseline"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -84,7 +85,7 @@ func TestGenerateSensorGroupStructure(t *testing.T) {
 	}
 	var sameGroup, crossGroup []float64
 	for _, e := range d.AllPairs() {
-		v, err := stats.PairMeasure(stats.Correlation, d, e)
+		v, err := baseline.NewNaive(d).PairValue(measure.Correlation, e)
 		if err != nil {
 			continue
 		}
@@ -97,8 +98,8 @@ func TestGenerateSensorGroupStructure(t *testing.T) {
 	if len(sameGroup) == 0 || len(crossGroup) == 0 {
 		t.Fatal("expected both same-group and cross-group pairs")
 	}
-	meanSame, _ := stats.MeanOf(sameGroup)
-	meanCross, _ := stats.MeanOf(crossGroup)
+	meanSame, _ := measure.MeanOf(sameGroup)
+	meanCross, _ := measure.MeanOf(crossGroup)
 	if meanSame < 0.9 {
 		t.Fatalf("same-group |correlation| mean %.3f, want >= 0.9", meanSame)
 	}
@@ -137,7 +138,7 @@ func TestGenerateStockSectorCorrelation(t *testing.T) {
 	}
 	var sameSector, crossSector []float64
 	for _, e := range d.AllPairs() {
-		v, err := stats.PairMeasure(stats.Correlation, d, e)
+		v, err := baseline.NewNaive(d).PairValue(measure.Correlation, e)
 		if err != nil {
 			continue
 		}
@@ -147,8 +148,8 @@ func TestGenerateStockSectorCorrelation(t *testing.T) {
 			crossSector = append(crossSector, v)
 		}
 	}
-	meanSame, _ := stats.MeanOf(sameSector)
-	meanCross, _ := stats.MeanOf(crossSector)
+	meanSame, _ := measure.MeanOf(sameSector)
+	meanCross, _ := measure.MeanOf(crossSector)
 	if meanSame <= meanCross {
 		t.Fatalf("same-sector correlation (%.3f) should exceed cross-sector (%.3f)", meanSame, meanCross)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 )
 
 // testScale keeps experiment tests fast: tiny datasets exercise every code
@@ -57,7 +57,7 @@ func TestTradeoffSweepShape(t *testing.T) {
 		}
 		// Accuracy claim: covariance and mean estimates are essentially exact
 		// even at the smallest k (the paper reports RMSE ~1e-12).
-		if (r.Measure == stats.Covariance || r.Measure == stats.Mean) && r.RMSEPct > 1 {
+		if (r.Measure == measure.Covariance || r.Measure == measure.Mean) && r.RMSEPct > 1 {
 			t.Fatalf("%v RMSE %.4f%% unexpectedly high", r.Measure, r.RMSEPct)
 		}
 	}
@@ -202,15 +202,15 @@ func TestThresholdAndRangeQueries(t *testing.T) {
 		if r.NaiveTime <= 0 || r.AffineTime <= 0 || r.ScapeTime <= 0 {
 			t.Fatalf("non-positive times %+v", r)
 		}
-		if r.Measure == stats.Correlation && r.DFTTime <= 0 {
+		if r.Measure == measure.Correlation && r.DFTTime <= 0 {
 			t.Fatal("W_F should be measured for the correlation coefficient")
 		}
-		if r.Measure != stats.Correlation && r.DFTTime != 0 {
+		if r.Measure != measure.Correlation && r.DFTTime != 0 {
 			t.Fatalf("W_F measured for unsupported measure %v", r.Measure)
 		}
 		// The engine's filtered naive method is its own column next to the
 		// paper's raw-series W_N, and only for the measures it applies to.
-		if pairwise := r.Measure.Class() != stats.LocationClass; (r.FilteredNaiveTime > 0) != pairwise {
+		if pairwise := r.Measure.Class() != measure.LocationClass; (r.FilteredNaiveTime > 0) != pairwise {
 			t.Fatalf("filtered naive time %v for %v", r.FilteredNaiveTime, r.Measure)
 		}
 	}
@@ -245,10 +245,10 @@ func TestTable4(t *testing.T) {
 		if r.SpeedupVsNaive <= 0 || r.SpeedupVsAffine <= 0 {
 			t.Fatalf("non-positive speedups %+v", r)
 		}
-		if r.Measure == stats.Correlation && r.SpeedupVsDFT <= 0 {
+		if r.Measure == measure.Correlation && r.SpeedupVsDFT <= 0 {
 			t.Fatalf("correlation row missing W_F speedup: %+v", r)
 		}
-		if r.Measure != stats.Correlation && r.SpeedupVsDFT != 0 {
+		if r.Measure != measure.Correlation && r.SpeedupVsDFT != 0 {
 			t.Fatalf("unexpected W_F speedup for %v", r.Measure)
 		}
 	}

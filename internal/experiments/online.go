@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"affinity/internal/core"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 	"affinity/internal/workload"
 )
@@ -117,7 +117,7 @@ func OnlineWorkload(name string, d *timeseries.DataMatrix, queryCounts []int, cf
 // runMECBatch answers every MEC query of the batch with the given method.
 func runMECBatch(engine *core.Engine, batch []workload.MECQuery, method core.Method) error {
 	for _, q := range batch {
-		if q.Measure.Class() == stats.LocationClass {
+		if q.Measure.Class() == measure.LocationClass {
 			if _, err := engine.ComputeLocation(q.Measure, q.Series, method); err != nil {
 				return err
 			}

@@ -9,19 +9,19 @@ import (
 	"affinity/internal/baseline"
 	"affinity/internal/core"
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
 // ThresholdMeasures are the four measures of Fig. 15: (a) correlation
 // coefficient, (b) covariance, (c) median and (d) dot product.
-var ThresholdMeasures = []stats.Measure{
-	stats.Correlation, stats.Covariance, stats.Median, stats.DotProduct,
+var ThresholdMeasures = []measure.Measure{
+	measure.Correlation, measure.Covariance, measure.Median, measure.DotProduct,
 }
 
 // RangeMeasures are the two measures of Fig. 16: (a) correlation coefficient
 // and (b) covariance.
-var RangeMeasures = []stats.Measure{stats.Correlation, stats.Covariance}
+var RangeMeasures = []measure.Measure{measure.Correlation, measure.Covariance}
 
 // DefaultResultSizeQuantiles sweep the threshold so that the result size
 // grows from (nearly) empty to the full pair/series set, mirroring the
@@ -42,7 +42,7 @@ var DefaultRangeWidths = []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0}
 // baseline does not support (everything except the correlation coefficient).
 type QueryRow struct {
 	QueryType         string // "MET" or "MER"
-	Measure           stats.Measure
+	Measure           measure.Measure
 	Threshold         float64
 	Low, High         float64
 	ResultSize        int
@@ -81,8 +81,8 @@ func newQueryEnvironment(d *timeseries.DataMatrix, k int, seed int64) (*queryEnv
 // measureValues returns the sorted naive values of a measure over all pairs
 // (or all series for L-measures), used to derive thresholds that hit target
 // result sizes.
-func (env *queryEnvironment) measureValues(m stats.Measure) ([]float64, error) {
-	if m.Class() == stats.LocationClass {
+func (env *queryEnvironment) measureValues(m measure.Measure) ([]float64, error) {
+	if m.Class() == measure.LocationClass {
 		sweep, err := env.engine.LocationSweepNaive(m)
 		if err != nil {
 			return nil, err
@@ -113,7 +113,7 @@ const (
 // ThresholdQueries reproduces Fig. 15: MET queries over the given measures
 // with thresholds swept to produce growing result sizes; each query is timed
 // for W_N, W_A, W_F (correlation only) and the SCAPE index.
-func ThresholdQueries(d *timeseries.DataMatrix, measures []stats.Measure, quantiles []float64, k int, seed int64) ([]QueryRow, error) {
+func ThresholdQueries(d *timeseries.DataMatrix, measures []measure.Measure, quantiles []float64, k int, seed int64) ([]QueryRow, error) {
 	env, err := newQueryEnvironment(d, k, seed)
 	if err != nil {
 		return nil, err
@@ -146,7 +146,7 @@ func ThresholdQueries(d *timeseries.DataMatrix, measures []stats.Measure, quanti
 	return rows, nil
 }
 
-func (env *queryEnvironment) thresholdPoint(m stats.Measure, tau float64) (QueryRow, error) {
+func (env *queryEnvironment) thresholdPoint(m measure.Measure, tau float64) (QueryRow, error) {
 	return env.timePoint(QueryRow{QueryType: "MET", Measure: m, Threshold: tau}, interval.GreaterThan(tau), func() error {
 		_, err := env.dft.PairThreshold(tau, true)
 		return err
@@ -161,7 +161,7 @@ func (env *queryEnvironment) timePoint(row QueryRow, iv interval.Interval, dft f
 	naive := env.engine.Naive()
 	var err error
 	row.NaiveTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
-		if m.Class() == stats.LocationClass {
+		if m.Class() == measure.LocationClass {
 			ids, innerErr := naive.SeriesInterval(m, iv)
 			row.ResultSize = len(ids)
 			return innerErr
@@ -181,7 +181,7 @@ func (env *queryEnvironment) timePoint(row QueryRow, iv interval.Interval, dft f
 		{&row.AffineTime, core.MethodAffine},
 		{&row.ScapeTime, core.MethodIndex},
 	} {
-		if timed.method == core.MethodNaive && m.Class() == stats.LocationClass {
+		if timed.method == core.MethodNaive && m.Class() == measure.LocationClass {
 			continue
 		}
 		*timed.into, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
@@ -192,7 +192,7 @@ func (env *queryEnvironment) timePoint(row QueryRow, iv interval.Interval, dft f
 			return row, err
 		}
 	}
-	if m == stats.Correlation {
+	if m == measure.Correlation {
 		if row.DFTTime, err = timeRepeated(queryTimingFloor, queryTimingReps, dft); err != nil {
 			return row, err
 		}
@@ -202,7 +202,7 @@ func (env *queryEnvironment) timePoint(row QueryRow, iv interval.Interval, dft f
 
 // RangeQueries reproduces Fig. 16: MER queries over the given measures with
 // ranges of growing width.
-func RangeQueries(d *timeseries.DataMatrix, measures []stats.Measure, widths []float64, k int, seed int64) ([]QueryRow, error) {
+func RangeQueries(d *timeseries.DataMatrix, measures []measure.Measure, widths []float64, k int, seed int64) ([]QueryRow, error) {
 	env, err := newQueryEnvironment(d, k, seed)
 	if err != nil {
 		return nil, err
@@ -242,7 +242,7 @@ func RangeQueries(d *timeseries.DataMatrix, measures []stats.Measure, widths []f
 	return rows, nil
 }
 
-func (env *queryEnvironment) rangePoint(m stats.Measure, lo, hi float64) (QueryRow, error) {
+func (env *queryEnvironment) rangePoint(m measure.Measure, lo, hi float64) (QueryRow, error) {
 	return env.timePoint(QueryRow{QueryType: "MER", Measure: m, Low: lo, High: hi}, interval.Between(lo, hi), func() error {
 		_, err := env.dft.PairRange(lo, hi)
 		return err
@@ -272,7 +272,7 @@ func Fig16(s Scale) ([]QueryRow, error) {
 // maximum-size result set.
 type SpeedupRow struct {
 	QueryType       string
-	Measure         stats.Measure
+	Measure         measure.Measure
 	ResultSize      int
 	SpeedupVsNaive  float64
 	SpeedupVsAffine float64
@@ -288,7 +288,7 @@ func Table4(s Scale) ([]SpeedupRow, error) {
 		return nil, err
 	}
 
-	metMeasures := []stats.Measure{stats.Correlation, stats.Covariance, stats.DotProduct, stats.Median}
+	metMeasures := []measure.Measure{measure.Correlation, measure.Covariance, measure.DotProduct, measure.Median}
 	metRows, err := ThresholdQueries(sensor, metMeasures, []float64{0.001}, 6, s.Seed)
 	if err != nil {
 		return nil, err

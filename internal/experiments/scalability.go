@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"affinity/internal/cluster"
+	"affinity/internal/measure"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -134,9 +134,9 @@ func IndexConstruction(d *timeseries.DataMatrix, relationshipCounts []int, k int
 		}
 		covTime, err := timeOnce(func() error {
 			_, err := scape.Build(d, rel, scape.Options{
-				PairMeasures:     []stats.Measure{stats.Covariance},
-				DerivedMeasures:  []stats.Measure{},
-				LocationMeasures: []stats.Measure{},
+				PairMeasures:     []measure.Measure{measure.Covariance},
+				DerivedMeasures:  []measure.Measure{},
+				LocationMeasures: []measure.Measure{},
 			})
 			return err
 		})
@@ -145,9 +145,9 @@ func IndexConstruction(d *timeseries.DataMatrix, relationshipCounts []int, k int
 		}
 		meanTime, err := timeOnce(func() error {
 			_, err := scape.Build(d, rel, scape.Options{
-				PairMeasures:     []stats.Measure{},
-				DerivedMeasures:  []stats.Measure{},
-				LocationMeasures: []stats.Measure{stats.Mean},
+				PairMeasures:     []measure.Measure{},
+				DerivedMeasures:  []measure.Measure{},
+				LocationMeasures: []measure.Measure{measure.Mean},
 			})
 			return err
 		})

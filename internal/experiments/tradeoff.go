@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"affinity/internal/core"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
 // TradeoffMeasures are the five measures of Figs. 9–11.
-var TradeoffMeasures = []stats.Measure{
-	stats.Mean, stats.Median, stats.Mode, stats.Covariance, stats.DotProduct,
+var TradeoffMeasures = []measure.Measure{
+	measure.Mean, measure.Median, measure.Mode, measure.Covariance, measure.DotProduct,
 }
 
 // TradeoffClusterSweep is the k sweep of Figs. 9–11.
@@ -21,7 +21,7 @@ var TradeoffClusterSweep = []int{6, 10, 14, 18, 22}
 // Fig. 11 (absolute W_N and W_A times).
 type TradeoffRow struct {
 	Dataset    string
-	Measure    stats.Measure
+	Measure    measure.Measure
 	Clusters   int
 	NaiveTime  time.Duration
 	AffineTime time.Duration
@@ -58,10 +58,10 @@ func TradeoffSweep(name string, d *timeseries.DataMatrix, ks []int, seed int64) 
 	return rows, nil
 }
 
-func tradeoffPoint(name string, engine *core.Engine, m stats.Measure, k int) (TradeoffRow, error) {
+func tradeoffPoint(name string, engine *core.Engine, m measure.Measure, k int) (TradeoffRow, error) {
 	row := TradeoffRow{Dataset: name, Measure: m, Clusters: k}
 
-	if m.Class() == stats.LocationClass {
+	if m.Class() == measure.LocationClass {
 		var truth, approx *core.LocationSweepResult
 		naiveTime, err := timeOnce(func() error {
 			var innerErr error

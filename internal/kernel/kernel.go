@@ -36,6 +36,10 @@
 //     measure.OrNaN) and interval predicates compact results branch-free
 //     (CompactPairs) instead of taking a data-dependent branch per pair.
 //
+// The one statistic the engine slides rather than reduces lives here too: the
+// pair-moment column (PairMoments, pairmoments.go) holds Σ x_u·x_v as DotBlock
+// filled it and bounds, never values, the kernels' next reduction.
+//
 // Blocks are sized so the working set of one call — two columns of samples
 // plus the output slot per pair, with consecutive pairs sharing their lower
 // column under the canonical lexicographic pair order — stays inside the L2

@@ -1,4 +1,4 @@
-package stats
+package kernel
 
 import (
 	"math"
@@ -60,7 +60,7 @@ type PairMoments struct {
 }
 
 // NewPairMoments adopts dot — Σ x_u·x_v of every pair of the owner's list,
-// reduced by the exact kernel (kernel.DotBlock) from a window of m samples —
+// reduced by the exact kernel (DotBlock) from a window of m samples —
 // as that window's column; sqNorm[v] is ⟨x_v, x_v⟩ of the same window.
 func NewPairMoments(dot, sqNorm []float64, m int) *PairMoments {
 	p := &PairMoments{m: m, dot: dot, norm: make([]float64, len(sqNorm)), units: 6*m + 16}
@@ -128,8 +128,8 @@ func (p *PairMoments) SlideChunk(prev *PairMoments, at int, pairs []timeseries.P
 
 // Bounds fills lo[i], hi[i] with an interval that contains the exact kernels'
 // base value of pairs[i], the pair at position at+i of the column's list: the
-// inner product (kernel.DotBlock) or, with covariance set, the sample
-// covariance (kernel.CovBlock), for which sum[v] must be the kernel's own
+// inner product (DotBlock) or, with covariance set, the sample
+// covariance (CovBlock), for which sum[v] must be the kernel's own
 // hoisted Σx_v of the current window.  A pair whose interval is not finite —
 // overflowed sums — gets NaN endpoints, which every consumer classifies as
 // "no bound".

@@ -1,4 +1,4 @@
-package stats
+package kernel
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"affinity/internal/kernel"
 	"affinity/internal/timeseries"
 )
 
@@ -96,8 +95,8 @@ func newMomentScenario(seed int64, n, m, epochs, slide, refreshEvery int, kinds 
 type momentEpoch struct {
 	epoch int
 	at    int // stream position of the window's first sample
-	kern  *kernel.Matrix
-	mom   *kernel.Moments
+	kern  *Matrix
+	mom   *Moments
 	pairs []timeseries.Pair
 	col   *PairMoments
 	fresh bool // the column was materialised at this epoch
@@ -112,7 +111,7 @@ func (sc *momentScenario) run(t testing.TB, visit func(ep *momentEpoch)) {
 			pairs = append(pairs, timeseries.Pair{U: timeseries.SeriesID(u), V: timeseries.SeriesID(v)})
 		}
 	}
-	window := func(at int) (*kernel.Matrix, *kernel.Moments) {
+	window := func(at int) (*Matrix, *Moments) {
 		cols := make([][]float64, sc.n)
 		for v := range cols {
 			cols[v] = sc.stream[v][at : at+sc.m]
@@ -121,7 +120,7 @@ func (sc *momentScenario) run(t testing.TB, visit func(ep *momentEpoch)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kern, err := kernel.FromData(dm)
+		kern, err := FromData(dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +130,7 @@ func (sc *momentScenario) run(t testing.TB, visit func(ep *momentEpoch)) {
 		}
 		return kern, mom
 	}
-	materialise := func(kern *kernel.Matrix, mom *kernel.Moments) *PairMoments {
+	materialise := func(kern *Matrix, mom *Moments) *PairMoments {
 		dot := make([]float64, len(pairs))
 		kern.DotBlock(mom, pairs, dot)
 		return NewPairMoments(dot, mom.SqNorm, sc.m)

@@ -2,8 +2,9 @@
 // Affinity framework: every statistical measure the engine serves is described
 // by a Spec — its class, base T-measure, separable normalizer parameter,
 // monotone value transform and capability flags — registered in a process-wide
-// registry.  Every other layer (naive evaluation in internal/stats, affine
-// propagation in internal/affine, SCAPE routing and pruning in internal/scape,
+// registry.  Every other layer (naive evaluation here and in
+// internal/timeseries and internal/baseline, affine propagation in
+// internal/affine, SCAPE routing and pruning in internal/scape,
 // cost modelling in internal/plan and the execution engine in internal/core)
 // consumes the spec instead of switching on measure identities, so a new
 // measure that fits the algebra is registered here once and works everywhere.

@@ -7,8 +7,8 @@ import (
 )
 
 // Scalar statistic primitives.  These are the raw-series building blocks the
-// built-in specs are assembled from; internal/stats re-exports them for
-// callers outside the measure layer.  They are deliberately two-pass (mean
+// built-in specs are assembled from, and the from-scratch evaluators every
+// layer and test names directly.  They are deliberately two-pass (mean
 // then moments), which avoids the cancellation of the one-pass sums formula
 // (Σx² − m·x̄²)/(m−1); every second moment the engine reads — W_N, W_A and
 // the index alike — has this form.
@@ -214,4 +214,36 @@ func DotProductOf(x, y []float64) (float64, error) {
 		sum += x[i] * y[i]
 	}
 	return sum, nil
+}
+
+// RMSE computes the percentage root-mean-square error between true and
+// approximated values after normalizing both by (max(true) - min(true)),
+// exactly as defined in Eq. 16 of the paper.  It returns 0 for empty input
+// and treats a zero range as an exact match check.
+func RMSE(truth, approx []float64) (float64, error) {
+	if len(truth) != len(approx) {
+		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(truth), len(approx))
+	}
+	if len(truth) == 0 {
+		return 0, nil
+	}
+	minV, maxV := truth[0], truth[0]
+	for _, v := range truth {
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	rangeV := maxV - minV
+	var sum float64
+	for i := range truth {
+		diff := truth[i] - approx[i]
+		if rangeV != 0 {
+			diff /= rangeV
+		}
+		sum += diff * diff
+	}
+	return 100 * math.Sqrt(sum/float64(len(truth))), nil
 }

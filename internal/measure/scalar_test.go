@@ -1,4 +1,4 @@
-package stats
+package measure
 
 import (
 	"errors"
@@ -6,9 +6,87 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"affinity/internal/timeseries"
 )
+
+// The scalar primitives and the registry's measure identities, evaluated from
+// raw samples.
+
+func TestMeasureStringAndParse(t *testing.T) {
+	for _, m := range All() {
+		name := m.String()
+		if name == "" {
+			t.Fatalf("measure %d has empty name", int(m))
+		}
+		parsed, err := Parse(name)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", name, err)
+		}
+		if parsed != m {
+			t.Fatalf("Parse(%q) = %v, want %v", name, parsed, m)
+		}
+	}
+	if _, err := Parse("nope"); !errors.Is(err, ErrUnknownMeasure) {
+		t.Fatalf("Parse(nope) err = %v", err)
+	}
+	if Measure(99).String() == "" {
+		t.Fatal("out-of-range measure should still render a string")
+	}
+}
+
+func TestMeasureClasses(t *testing.T) {
+	classes := map[Measure]Class{
+		Mean: LocationClass, Median: LocationClass, Mode: LocationClass,
+		Covariance: DispersionClass, DotProduct: DispersionClass,
+		Correlation: DerivedClass, Cosine: DerivedClass, Jaccard: DerivedClass,
+		Dice: DerivedClass, HarmonicMean: DerivedClass,
+		EuclideanDistance: DerivedClass, MeanSquaredDifference: DerivedClass,
+		AngularDistance: DerivedClass,
+	}
+	for m, want := range classes {
+		if got := m.Class(); got != want {
+			t.Fatalf("%v.Class() = %v, want %v", m, got, want)
+		}
+	}
+	if LocationClass.String() != "L" || DispersionClass.String() != "T" || DerivedClass.String() != "D" {
+		t.Fatal("class names are wrong")
+	}
+	if Class(42).String() == "" {
+		t.Fatal("unknown class should render something")
+	}
+}
+
+func TestMeasurePairwiseAndValid(t *testing.T) {
+	if Mean.Pairwise() || Median.Pairwise() || Mode.Pairwise() {
+		t.Fatal("L-measures are not pairwise")
+	}
+	for _, m := range append(ByClass(DispersionClass), ByClass(DerivedClass)...) {
+		if !m.Pairwise() {
+			t.Fatalf("%v should be pairwise", m)
+		}
+	}
+	if !Mean.Valid() || Measure(-1).Valid() || Measure(len(All())).Valid() {
+		t.Fatal("Valid() is wrong")
+	}
+}
+
+func TestMeasureBase(t *testing.T) {
+	if Correlation.Base() != Covariance {
+		t.Fatal("correlation base should be covariance")
+	}
+	for _, m := range []Measure{
+		Cosine, Jaccard, Dice, HarmonicMean,
+		EuclideanDistance, MeanSquaredDifference, AngularDistance,
+	} {
+		if m.Base() != DotProduct {
+			t.Fatalf("%v base should be dot product", m)
+		}
+	}
+	for _, m := range []Measure{Mean, Median, Mode, Covariance, DotProduct} {
+		if m.Base() != m {
+			t.Fatalf("%v base should be itself", m)
+		}
+	}
+}
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
@@ -87,9 +165,6 @@ func TestEmptyInputErrors(t *testing.T) {
 	if _, err := DotProductOf(nil, []float64{1}); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("DotProductOf err = %v", err)
 	}
-	if _, err := NormalizerOf(Correlation, nil, nil); !errors.Is(err, ErrEmptyInput) {
-		t.Fatalf("NormalizerOf err = %v", err)
-	}
 }
 
 func TestLengthMismatchErrors(t *testing.T) {
@@ -100,9 +175,6 @@ func TestLengthMismatchErrors(t *testing.T) {
 	}
 	if _, err := DotProductOf(a, b); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("DotProductOf err = %v", err)
-	}
-	if _, err := NormalizerOf(Cosine, a, b); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("NormalizerOf err = %v", err)
 	}
 }
 
@@ -152,17 +224,17 @@ func TestCorrelation(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 
 	// Perfect positive and negative correlation.
-	pos, err := CorrelationOf(x, []float64{2, 4, 6, 8, 10})
+	pos, err := EvalPair(Correlation, x, []float64{2, 4, 6, 8, 10})
 	if err != nil || !almostEqual(pos, 1, 1e-12) {
 		t.Fatalf("positive correlation = %v, %v", pos, err)
 	}
-	neg, err := CorrelationOf(x, []float64{10, 8, 6, 4, 2})
+	neg, err := EvalPair(Correlation, x, []float64{10, 8, 6, 4, 2})
 	if err != nil || !almostEqual(neg, -1, 1e-12) {
 		t.Fatalf("negative correlation = %v, %v", neg, err)
 	}
 
 	// Constant series: zero normalizer.
-	if _, err := CorrelationOf(x, []float64{3, 3, 3, 3, 3}); !errors.Is(err, ErrZeroNormalizer) {
+	if _, err := EvalPair(Correlation, x, []float64{3, 3, 3, 3, 3}); !errors.Is(err, ErrZeroNormalizer) {
 		t.Fatalf("constant series err = %v", err)
 	}
 }
@@ -183,7 +255,7 @@ func TestCorrelationClamping(t *testing.T) {
 		if a == 0 {
 			continue
 		}
-		r, err := CorrelationOf(x, y)
+		r, err := EvalPair(Correlation, x, y)
 		if err != nil {
 			t.Fatalf("CorrelationOf: %v", err)
 		}
@@ -197,26 +269,26 @@ func TestDerivedDotProductMeasures(t *testing.T) {
 	x := []float64{1, 0, 1, 0}
 	y := []float64{1, 1, 0, 0}
 	// dot = 1, |x|^2 = 2, |y|^2 = 2.
-	cos, err := CosineOf(x, y)
+	cos, err := EvalPair(Cosine, x, y)
 	if err != nil || !almostEqual(cos, 0.5, 1e-12) {
 		t.Fatalf("CosineOf = %v, %v", cos, err)
 	}
-	jac, err := ComputePair(Jaccard, x, y)
+	jac, err := EvalPair(Jaccard, x, y)
 	if err != nil || !almostEqual(jac, 1.0/3.0, 1e-12) {
 		t.Fatalf("Jaccard = %v, %v", jac, err)
 	}
-	dice, err := ComputePair(Dice, x, y)
+	dice, err := EvalPair(Dice, x, y)
 	if err != nil || !almostEqual(dice, 0.5, 1e-12) {
 		t.Fatalf("Dice = %v, %v", dice, err)
 	}
-	hm, err := ComputePair(HarmonicMean, x, y)
+	hm, err := EvalPair(HarmonicMean, x, y)
 	if err != nil || !almostEqual(hm, 1.0, 1e-12) {
 		t.Fatalf("HarmonicMean = %v, %v", hm, err)
 	}
 
 	// Self-similarity should be 1 for cosine, Jaccard and Dice.
 	for _, m := range []Measure{Cosine, Jaccard, Dice} {
-		v, err := ComputePair(m, x, x)
+		v, err := EvalPair(m, x, x)
 		if err != nil || !almostEqual(v, 1, 1e-12) {
 			t.Fatalf("%v self similarity = %v, %v", m, v, err)
 		}
@@ -224,54 +296,8 @@ func TestDerivedDotProductMeasures(t *testing.T) {
 
 	// Zero vectors have zero normalizers.
 	z := []float64{0, 0, 0, 0}
-	if _, err := CosineOf(z, z); !errors.Is(err, ErrZeroNormalizer) {
+	if _, err := EvalPair(Cosine, z, z); !errors.Is(err, ErrZeroNormalizer) {
 		t.Fatalf("zero-vector cosine err = %v", err)
-	}
-}
-
-func TestComputeLocationDispatch(t *testing.T) {
-	x := []float64{5, 1, 1, 3}
-	for _, tc := range []struct {
-		m    Measure
-		want float64
-	}{
-		{Mean, 2.5},
-		{Median, 2},
-		{Mode, 1},
-	} {
-		got, err := ComputeLocation(tc.m, x)
-		if err != nil || !almostEqual(got, tc.want, 1e-9) {
-			t.Fatalf("ComputeLocation(%v) = %v, %v; want %v", tc.m, got, err, tc.want)
-		}
-	}
-	if _, err := ComputeLocation(Covariance, x); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("ComputeLocation(Covariance) err = %v", err)
-	}
-}
-
-func TestComputePairDispatch(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{2, 4, 5, 9}
-	for _, m := range append(TMeasures(), DMeasures()...) {
-		if _, err := ComputePair(m, x, y); err != nil {
-			t.Fatalf("ComputePair(%v): %v", m, err)
-		}
-	}
-	if _, err := ComputePair(Mean, x, y); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("ComputePair(Mean) err = %v", err)
-	}
-}
-
-func TestNormalizerUnknownMeasure(t *testing.T) {
-	if _, err := NormalizerOf(Measure(99), []float64{1}, []float64{1}); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("unknown measure err = %v", err)
-	}
-	// L- and T-measures have normalizer 1.
-	for _, m := range []Measure{Mean, Covariance, DotProduct} {
-		n, err := NormalizerOf(m, []float64{1, 2}, []float64{3, 4})
-		if err != nil || n != 1 {
-			t.Fatalf("NormalizerOf(%v) = %v, %v", m, n, err)
-		}
 	}
 }
 
@@ -293,8 +319,8 @@ func TestCorrelationAffineInvarianceProperty(t *testing.T) {
 		for i := range x {
 			scaled[i] = scale*x[i] + shift
 		}
-		r1, err1 := CorrelationOf(x, y)
-		r2, err2 := CorrelationOf(scaled, y)
+		r1, err1 := EvalPair(Correlation, x, y)
+		r2, err2 := EvalPair(Correlation, scaled, y)
 		if err1 != nil || err2 != nil {
 			return true // degenerate draw (constant series), skip
 		}
@@ -305,7 +331,7 @@ func TestCorrelationAffineInvarianceProperty(t *testing.T) {
 		for i := range x {
 			negated[i] = -scale*x[i] + shift
 		}
-		r3, err3 := CorrelationOf(negated, y)
+		r3, err3 := EvalPair(Correlation, negated, y)
 		if err3 != nil {
 			return true
 		}
@@ -327,7 +353,7 @@ func TestCosineBoundedProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		c, err := CosineOf(x, y)
+		c, err := EvalPair(Cosine, x, y)
 		if err != nil {
 			return true
 		}
@@ -349,9 +375,9 @@ func TestPairwiseSymmetryProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		for _, m := range append(TMeasures(), DMeasures()...) {
-			a, errA := ComputePair(m, x, y)
-			b, errB := ComputePair(m, y, x)
+		for _, m := range append(ByClass(DispersionClass), ByClass(DerivedClass)...) {
+			a, errA := EvalPair(m, x, y)
+			b, errB := EvalPair(m, y, x)
 			if (errA == nil) != (errB == nil) {
 				return false
 			}
@@ -366,46 +392,37 @@ func TestPairwiseSymmetryProperty(t *testing.T) {
 	}
 }
 
-// TestWindowLocationMatchesComputeLocation: reading an L-measure off a window
-// (sorted column for the order statistics, raw series for the mean) gives the
-// bits ComputeLocation gives on the raw series, before and after a slide.
-func TestWindowLocationMatchesComputeLocation(t *testing.T) {
-	d, err := timeseries.NewDataMatrix([][]float64{
-		{3, 1, 2, 2, 9, -4, 0.5},
-		{0, math.Copysign(0, -1), 0, 1, -1, 0, math.Copysign(0, -1)},
-		{7, 7, 7, 7, 7, 7, 7},
-	})
+func TestRMSE(t *testing.T) {
+	truth := []float64{0, 1, 2, 3, 4}
+	exact := []float64{0, 1, 2, 3, 4}
+	r, err := RMSE(truth, exact)
+	if err != nil || r != 0 {
+		t.Fatalf("RMSE exact = %v, %v", r, err)
+	}
+
+	approx := []float64{0, 1, 2, 3, 8}
+	r, err = RMSE(truth, approx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(d *timeseries.DataMatrix) {
-		t.Helper()
-		for _, m := range LMeasures() {
-			for _, id := range d.IDs() {
-				s, _ := d.Series(id)
-				want, err := ComputeLocation(m, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := WindowLocation(m, d, id)
-				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("WindowLocation(%v, series %d) = %v, %v; ComputeLocation = %v", m, id, got, err, want)
-				}
-			}
-		}
+	// Normalized error: (4-8)/4 = -1 for one of five entries => RMSE = 100*sqrt(1/5).
+	want := 100 * math.Sqrt(1.0/5.0)
+	if !almostEqual(r, want, 1e-9) {
+		t.Fatalf("RMSE = %v, want %v", r, want)
 	}
-	check(d)
-	next, err := d.SlideCopy([][]float64{{2, 2}, {math.Copysign(0, -1), 5}, {7, 8}})
+
+	if _, err := RMSE([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("length mismatch err = %v", err)
+	}
+	if r, err := RMSE(nil, nil); err != nil || r != 0 {
+		t.Fatalf("empty RMSE = %v, %v", r, err)
+	}
+	// Zero range: falls back to absolute differences.
+	r, err = RMSE([]float64{2, 2}, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(next)
-	if _, err := WindowLocation(Covariance, d, 0); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("WindowLocation of a pairwise measure: err = %v", err)
-	}
-	for _, m := range LMeasures() {
-		if _, err := WindowLocation(m, d, 9); !errors.Is(err, timeseries.ErrInvalidSeries) {
-			t.Fatalf("WindowLocation(%v) of an unknown series: err = %v", m, err)
-		}
+	if !almostEqual(r, 100*math.Sqrt(0.5), 1e-9) {
+		t.Fatalf("zero-range RMSE = %v", r)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 )
 
 // TableStats describes the epoch a query will run against — the inputs the
@@ -28,7 +27,7 @@ type TableStats struct {
 	// Indexed lists, in ascending order, the measures the epoch's SCAPE index
 	// answers interval and top-k queries for; empty when the epoch has no
 	// index.  Whether the index route applies is decided from it alone.
-	Indexed []stats.Measure
+	Indexed []measure.Measure
 	// SketchCoefficients is the width d of the epoch's coefficient sketches
 	// (zero when the sketch tier is disabled), and SketchAmbiguity the
 	// epoch's deterministic estimate of the prescreen's ambiguous fraction —
@@ -89,7 +88,7 @@ func (c CostModel) withDefaults() CostModel {
 }
 
 // Indexes reports whether the epoch's index answers queries over m.
-func (st TableStats) Indexes(m stats.Measure) bool { return slices.Contains(st.Indexed, m) }
+func (st TableStats) Indexes(m measure.Measure) bool { return slices.Contains(st.Indexed, m) }
 
 // defaultSelectivityFrac is the assumed result fraction when no index count
 // is at hand.  It only weights the emit term, which no choice depends on.

@@ -29,8 +29,8 @@ import (
 	"time"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 )
 
 // Method selects how a query is executed.
@@ -103,7 +103,7 @@ func (k Kind) String() string {
 // independent of how it will be executed.
 type QuerySpec struct {
 	Kind    Kind
-	Measure stats.Measure
+	Measure measure.Measure
 	// Interval parameterizes an interval (MET/MER) query.
 	Interval interval.Interval
 	// K and Largest parameterize a top-k query: the k greatest (Largest) or
@@ -116,18 +116,18 @@ type QuerySpec struct {
 
 // Interval builds the spec of an interval query: entries whose measure value
 // lies in iv.
-func Interval(m stats.Measure, iv interval.Interval) QuerySpec {
+func Interval(m measure.Measure, iv interval.Interval) QuerySpec {
 	return QuerySpec{Kind: KindInterval, Measure: m, Interval: iv}
 }
 
 // TopK builds the spec of a top-k (MEK) query: the k entries with the
 // greatest (largest) or smallest measure values.
-func TopK(m stats.Measure, k int, largest bool) QuerySpec {
+func TopK(m measure.Measure, k int, largest bool) QuerySpec {
 	return QuerySpec{Kind: KindTopK, Measure: m, K: k, Largest: largest}
 }
 
 // Compute builds the spec of a MEC query over numTargets series.
-func Compute(m stats.Measure, numTargets int) QuerySpec {
+func Compute(m measure.Measure, numTargets int) QuerySpec {
 	return QuerySpec{Kind: KindCompute, Measure: m, NumTargets: numTargets}
 }
 

@@ -9,13 +9,12 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 )
 
 // bigTable is a thousand-series epoch with an index over every indexable
 // measure: the regime the paper's evaluation runs in.
 func bigTable() TableStats {
-	var indexed []stats.Measure
+	var indexed []measure.Measure
 	for _, sp := range measure.Specs() {
 		if sp.Indexable {
 			indexed = append(indexed, sp.ID)
@@ -59,20 +58,20 @@ func TestMethodStrings(t *testing.T) {
 }
 
 func TestSpecConstructors(t *testing.T) {
-	s := Interval(stats.Correlation, interval.GreaterThan(0.9))
-	if s.Kind != KindInterval || s.Measure != stats.Correlation {
+	s := Interval(measure.Correlation, interval.GreaterThan(0.9))
+	if s.Kind != KindInterval || s.Measure != measure.Correlation {
 		t.Fatalf("threshold spec %+v", s)
 	}
 	if !s.Interval.Contains(0.95) || s.Interval.Contains(0.9) || s.Interval.Contains(0.5) {
 		t.Fatalf("threshold interval %v is not (0.9, +inf)", s.Interval)
 	}
-	if pq := s.PairQuery(); pq.Interval != s.Interval || pq.Measure != stats.Correlation {
+	if pq := s.PairQuery(); pq.Interval != s.Interval || pq.Measure != measure.Correlation {
 		t.Fatalf("pair query %+v", pq)
 	}
 	if !strings.Contains(s.String(), "MET correlation > 0.9") {
 		t.Fatalf("threshold spec renders %q", s.String())
 	}
-	r := Interval(stats.Covariance, interval.Between(-1, 2))
+	r := Interval(measure.Covariance, interval.Between(-1, 2))
 	if r.Kind != KindInterval || !r.Interval.Bounded() {
 		t.Fatalf("range spec %+v", r)
 	}
@@ -82,21 +81,21 @@ func TestSpecConstructors(t *testing.T) {
 	if !strings.Contains(r.String(), "MER covariance in [-1, 2]") {
 		t.Fatalf("range spec renders %q", r.String())
 	}
-	iv := Interval(stats.Cosine, interval.AtLeast(0.5))
+	iv := Interval(measure.Cosine, interval.AtLeast(0.5))
 	if iv.Kind != KindInterval || !iv.Interval.Contains(0.5) {
 		t.Fatalf("interval spec %+v", iv)
 	}
-	k := TopK(stats.Correlation, 10, true)
+	k := TopK(measure.Correlation, 10, true)
 	if k.Kind != KindTopK || k.K != 10 || !k.Largest {
 		t.Fatalf("topk spec %+v", k)
 	}
 	if !strings.Contains(k.String(), "MEK correlation top-10 largest") {
 		t.Fatalf("topk spec renders %q", k.String())
 	}
-	if !strings.Contains(TopK(stats.EuclideanDistance, 3, false).String(), "top-3 smallest") {
-		t.Fatalf("smallest topk renders %q", TopK(stats.EuclideanDistance, 3, false).String())
+	if !strings.Contains(TopK(measure.EuclideanDistance, 3, false).String(), "top-3 smallest") {
+		t.Fatalf("smallest topk renders %q", TopK(measure.EuclideanDistance, 3, false).String())
 	}
-	cq := Compute(stats.Mean, 17)
+	cq := Compute(measure.Mean, 17)
 	if cq.Kind != KindCompute || cq.NumTargets != 17 {
 		t.Fatalf("compute spec %+v", cq)
 	}
@@ -112,22 +111,22 @@ func TestSpecConstructors(t *testing.T) {
 // non-indexable measure never prices the index.
 func TestTopKCosts(t *testing.T) {
 	cm := DefaultCostModel()
-	p := cm.Plan(TopK(stats.Correlation, 10, true), bigTable(), nil)
+	p := cm.Plan(TopK(measure.Correlation, 10, true), bigTable(), nil)
 	if p.Method != MethodIndex {
 		t.Fatalf("top-10 chose %v, want SCAPE: %v", p.Method, p)
 	}
 	if p.EstimatedRows != 10 {
 		t.Fatalf("top-10 estimated rows = %d", p.EstimatedRows)
 	}
-	if pj := cm.Plan(TopK(stats.Jaccard, 10, true), bigTable(), nil); !math.IsInf(pj.CostIndex, 1) {
+	if pj := cm.Plan(TopK(measure.Jaccard, 10, true), bigTable(), nil); !math.IsInf(pj.CostIndex, 1) {
 		t.Fatalf("jaccard top-k priced the index: %v", pj)
 	}
 	st := bigTable()
 	st.Indexed = nil
-	if pn := cm.Plan(TopK(stats.Correlation, 10, true), st, nil); pn.Method == MethodIndex {
+	if pn := cm.Plan(TopK(measure.Correlation, 10, true), st, nil); pn.Method == MethodIndex {
 		t.Fatalf("no-index top-k chose the index: %v", pn)
 	}
-	if pl := cm.Plan(TopK(stats.Mean, 5, false), bigTable(), nil); pl.Method == MethodNaive {
+	if pl := cm.Plan(TopK(measure.Mean, 5, false), bigTable(), nil); pl.Method == MethodNaive {
 		t.Fatalf("location top-k should avoid the full naive recomputation: %v", pl)
 	}
 }
@@ -136,7 +135,7 @@ func TestTopKCosts(t *testing.T) {
 // MET query on an indexed measure goes to SCAPE.
 func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 	sel := &scape.Selectivity{Rows: 120}
-	p := DefaultCostModel().Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
+	p := DefaultCostModel().Plan(Interval(measure.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
 	if p.Method != MethodIndex {
 		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
 	}
@@ -156,7 +155,7 @@ func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 func TestChoosesAffineWithoutIndex(t *testing.T) {
 	st := bigTable()
 	st.Indexed = nil
-	p := DefaultCostModel().Plan(Interval(stats.Jaccard, interval.GreaterThan(0.5)), st, nil)
+	p := DefaultCostModel().Plan(Interval(measure.Jaccard, interval.GreaterThan(0.5)), st, nil)
 	if p.Method != MethodAffine {
 		t.Fatalf("chose %v, want WA: %v", p.Method, p)
 	}
@@ -177,7 +176,7 @@ func TestChoosesNaiveWhenFullyPruned(t *testing.T) {
 	st := bigTable()
 	st.Indexed = nil
 	st.FallbackPairs = st.NumPairs
-	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.5)), st, nil)
+	p := DefaultCostModel().Plan(Interval(measure.Correlation, interval.GreaterThan(0.5)), st, nil)
 	if p.Method != MethodNaive {
 		t.Fatalf("chose %v, want WN: %v", p.Method, p)
 	}
@@ -187,7 +186,7 @@ func TestChoosesNaiveWhenFullyPruned(t *testing.T) {
 // naive and affine methods.
 func TestComputeQueriesNeverChooseIndex(t *testing.T) {
 	cm := DefaultCostModel()
-	for _, spec := range []QuerySpec{Compute(stats.Mean, 50), Compute(stats.Correlation, 50)} {
+	for _, spec := range []QuerySpec{Compute(measure.Mean, 50), Compute(measure.Correlation, 50)} {
 		p := cm.Plan(spec, bigTable(), nil)
 		if !math.IsInf(p.CostIndex, 1) {
 			t.Fatalf("%v: index cost should be +Inf: %v", spec, p)
@@ -199,7 +198,7 @@ func TestComputeQueriesNeverChooseIndex(t *testing.T) {
 	// A fully pruned epoch flips pairwise MEC back to naive.
 	st := bigTable()
 	st.FallbackPairs = st.NumPairs
-	if p := cm.Plan(Compute(stats.Covariance, 50), st, nil); p.Method != MethodNaive {
+	if p := cm.Plan(Compute(measure.Covariance, 50), st, nil); p.Method != MethodNaive {
 		t.Fatalf("fully pruned MEC chose %v, want WN: %v", p.Method, p)
 	}
 }
@@ -218,8 +217,8 @@ func TestDerivedIntervalPricedLikeTMeasure(t *testing.T) {
 	for _, rows := range []int{0, 17, st.NumPairs / 2, st.NumPairs} {
 		sel := &scape.Selectivity{Rows: rows}
 		for _, iv := range []interval.Interval{interval.GreaterThan(0), interval.Between(-0.3, 0.7), interval.All()} {
-			d := cm.Plan(Interval(stats.Correlation, iv), st, sel)
-			base := cm.Plan(Interval(stats.Covariance, iv), st, sel)
+			d := cm.Plan(Interval(measure.Correlation, iv), st, sel)
+			base := cm.Plan(Interval(measure.Covariance, iv), st, sel)
 			if d.CostIndex != base.CostIndex || d.Candidates != 0 {
 				t.Fatalf("rows %d %v: correlation index cost %v (%d candidates), covariance %v",
 					rows, iv, d.CostIndex, d.Candidates, base.CostIndex)
@@ -227,13 +226,13 @@ func TestDerivedIntervalPricedLikeTMeasure(t *testing.T) {
 			if d.Method != MethodIndex || d.EstimatedRows != rows || !d.SelectivityExact {
 				t.Fatalf("rows %d %v: %v", rows, iv, d)
 			}
-			if blind := cm.Plan(Interval(stats.Correlation, iv), st, nil); blind.Method != d.Method {
+			if blind := cm.Plan(Interval(measure.Correlation, iv), st, nil); blind.Method != d.Method {
 				t.Fatalf("rows %d %v: the count moved the choice from %v to %v", rows, iv, blind.Method, d.Method)
 			}
 		}
 	}
-	st.Indexed = []stats.Measure{stats.Covariance, stats.DotProduct}
-	if p := cm.Plan(Interval(stats.Correlation, interval.GreaterThan(0)), st, nil); !math.IsInf(p.CostIndex, 1) {
+	st.Indexed = []measure.Measure{measure.Covariance, measure.DotProduct}
+	if p := cm.Plan(Interval(measure.Correlation, interval.GreaterThan(0)), st, nil); !math.IsInf(p.CostIndex, 1) {
 		t.Fatalf("an index without correlation priced it: %v", p)
 	}
 }
@@ -243,8 +242,8 @@ func TestDerivedIntervalPricedLikeTMeasure(t *testing.T) {
 func TestZeroModelUsesDefaults(t *testing.T) {
 	sel := &scape.Selectivity{Rows: 10}
 	var zero CostModel
-	a := zero.Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
-	b := DefaultCostModel().Plan(Interval(stats.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
+	a := zero.Plan(Interval(measure.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
+	b := DefaultCostModel().Plan(Interval(measure.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
 	if a.Method != b.Method || a.EstimatedCost != b.EstimatedCost {
 		t.Fatalf("zero model diverges from default: %v vs %v", a, b)
 	}
@@ -254,7 +253,7 @@ func TestZeroModelUsesDefaults(t *testing.T) {
 // lookup scan <= naive recomputation.
 func TestLocationThresholdCosts(t *testing.T) {
 	sel := &scape.Selectivity{Rows: 30}
-	p := DefaultCostModel().Plan(Interval(stats.Mean, interval.Between(0, 1)), bigTable(), sel)
+	p := DefaultCostModel().Plan(Interval(measure.Mean, interval.Between(0, 1)), bigTable(), sel)
 	if p.Method != MethodIndex {
 		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
 	}
@@ -265,7 +264,7 @@ func TestLocationThresholdCosts(t *testing.T) {
 
 // TestPlanString smoke-tests the EXPLAIN rendering.
 func TestPlanString(t *testing.T) {
-	p := DefaultCostModel().Plan(Interval(stats.Correlation, interval.GreaterThan(0.9)),
+	p := DefaultCostModel().Plan(Interval(measure.Correlation, interval.GreaterThan(0.9)),
 		bigTable(), &scape.Selectivity{Rows: 5})
 	s := p.String()
 	for _, frag := range []string{"MET correlation", "SCAPE", "est 5 rows"} {

@@ -41,8 +41,8 @@ import (
 	"sync"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -81,7 +81,7 @@ func (t Tier) String() string {
 // The epoch is deliberately not part of the key — it lives on the entry, which
 // is what lets one entry migrate forward across Advances via delta repair.
 type Key struct {
-	Measure  stats.Measure
+	Measure  measure.Measure
 	Kind     plan.Kind
 	Method   plan.Method
 	Interval interval.Interval // canonical; zero for top-k
@@ -91,12 +91,12 @@ type Key struct {
 
 // IntervalKey builds the key of an interval query, canonicalizing the
 // predicate so every equal-meaning spelling lands on one entry.
-func IntervalKey(m stats.Measure, method plan.Method, iv interval.Interval) Key {
+func IntervalKey(m measure.Measure, method plan.Method, iv interval.Interval) Key {
 	return Key{Measure: m, Kind: plan.KindInterval, Method: method, Interval: iv.Canonical()}
 }
 
 // TopKKey builds the key of a top-k query.
-func TopKKey(m stats.Measure, method plan.Method, k int, largest bool) Key {
+func TopKKey(m measure.Measure, method plan.Method, k int, largest bool) Key {
 	return Key{Measure: m, Kind: plan.KindTopK, Method: method, K: k, Largest: largest}
 }
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -23,7 +23,7 @@ func TestDisabledAndNilCacheAreNoOps(t *testing.T) {
 		t.Fatalf("New with Enabled=false = %v, want nil", c)
 	}
 	var c *Cache
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(1))
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(1))
 	if _, _, ok := c.Lookup(key, 0); ok {
 		t.Fatal("nil cache Lookup reported a hit")
 	}
@@ -43,13 +43,13 @@ func TestDisabledAndNilCacheAreNoOps(t *testing.T) {
 
 func TestExactHitRoundTrip(t *testing.T) {
 	c := enabled(0, 0)
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
 	pairs := []timeseries.Pair{pair(0, 1), pair(0, 2)}
 	values := []float64{0.7, 0.9}
 	c.Put(key, 0, pairs, values)
 
 	// The same predicate spelled differently must land on the same entry.
-	alias := IntervalKey(stats.Covariance, plan.MethodAffine,
+	alias := IntervalKey(measure.Covariance, plan.MethodAffine,
 		interval.New(interval.Closed(0.5), interval.Unbounded()))
 	r, tier, ok := c.Lookup(alias, 0)
 	if !ok || tier != TierExact {
@@ -65,7 +65,7 @@ func TestExactHitRoundTrip(t *testing.T) {
 
 func TestExactHitIsAllocationFree(t *testing.T) {
 	c := enabled(0, 0)
-	key := TopKKey(stats.Correlation, plan.MethodIndex, 5, true)
+	key := TopKKey(measure.Correlation, plan.MethodIndex, 5, true)
 	c.Put(key, 0, []timeseries.Pair{pair(1, 2)}, []float64{0.99})
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, ok := c.Lookup(key, 0); !ok {
@@ -79,7 +79,7 @@ func TestExactHitIsAllocationFree(t *testing.T) {
 
 func TestEpochGuards(t *testing.T) {
 	c := enabled(0, 0)
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0))
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0))
 	// A store from a stale epoch pin must be dropped.
 	c.OnAdvance(1, nil, true)
 	c.Put(key, 0, []timeseries.Pair{pair(0, 1)}, []float64{1})
@@ -99,12 +99,12 @@ func TestEpochGuards(t *testing.T) {
 func TestNaNKeysRejected(t *testing.T) {
 	c := enabled(0, 0)
 	nan := interval.New(interval.Closed(0), interval.Open(nan64()))
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, nan)
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, nan)
 	c.Put(key, 0, []timeseries.Pair{pair(0, 1)}, []float64{1})
 	if s := c.Stats(); s.Entries != 0 {
 		t.Fatalf("NaN-endpoint key was stored: %+v", s)
 	}
-	if k := TopKKey(stats.Covariance, plan.MethodAffine, 0, true); k.valid() {
+	if k := TopKKey(measure.Covariance, plan.MethodAffine, 0, true); k.valid() {
 		t.Fatal("k=0 key reported valid")
 	}
 }
@@ -116,12 +116,12 @@ func nan64() float64 {
 
 func TestTopKPrefix(t *testing.T) {
 	c := enabled(0, 0)
-	deep := TopKKey(stats.Correlation, plan.MethodAffine, 4, true)
+	deep := TopKKey(measure.Correlation, plan.MethodAffine, 4, true)
 	pairs := []timeseries.Pair{pair(0, 1), pair(0, 2), pair(1, 2), pair(1, 3)}
 	values := []float64{0.9, 0.8, 0.7, 0.6}
 	c.Put(deep, 0, pairs, values)
 
-	shallow := TopKKey(stats.Correlation, plan.MethodAffine, 2, true)
+	shallow := TopKKey(measure.Correlation, plan.MethodAffine, 2, true)
 	r, tier, ok := c.Lookup(shallow, 0)
 	if !ok || tier != TierContained {
 		t.Fatalf("prefix lookup = tier %v ok %v", tier, ok)
@@ -134,23 +134,23 @@ func TestTopKPrefix(t *testing.T) {
 		t.Fatalf("prefix caps = %d/%d, want 2/2", cap(r.Pairs), cap(r.Values))
 	}
 	// Opposite direction must not match.
-	if _, _, ok := c.Lookup(TopKKey(stats.Correlation, plan.MethodAffine, 2, false), 0); ok {
+	if _, _, ok := c.Lookup(TopKKey(measure.Correlation, plan.MethodAffine, 2, false), 0); ok {
 		t.Fatal("opposite-direction top-k hit")
 	}
 	// Deeper than cached must not match.
-	if _, _, ok := c.Lookup(TopKKey(stats.Correlation, plan.MethodAffine, 5, true), 0); ok {
+	if _, _, ok := c.Lookup(TopKKey(measure.Correlation, plan.MethodAffine, 5, true), 0); ok {
 		t.Fatal("deeper top-k hit")
 	}
 }
 
 func TestIntervalContainment(t *testing.T) {
 	c := enabled(0, 0)
-	wide := IntervalKey(stats.Covariance, plan.MethodAffine, interval.Between(0, 1))
+	wide := IntervalKey(measure.Covariance, plan.MethodAffine, interval.Between(0, 1))
 	pairs := []timeseries.Pair{pair(0, 1), pair(0, 2), pair(1, 2)}
 	values := []float64{0.1, 0.5, 0.9}
 	c.Put(wide, 0, pairs, values)
 
-	narrow := IntervalKey(stats.Covariance, plan.MethodAffine, interval.Between(0.4, 0.95))
+	narrow := IntervalKey(measure.Covariance, plan.MethodAffine, interval.Between(0.4, 0.95))
 	r, tier, ok := c.Lookup(narrow, 0)
 	if !ok || tier != TierContained {
 		t.Fatalf("containment lookup = tier %v ok %v", tier, ok)
@@ -160,12 +160,12 @@ func TestIntervalContainment(t *testing.T) {
 	}
 	// A query not contained in the entry must miss: same endpoints but the
 	// entry's closed bound cannot serve values its open query would include.
-	outside := IntervalKey(stats.Covariance, plan.MethodAffine, interval.Between(-0.5, 0.5))
+	outside := IntervalKey(measure.Covariance, plan.MethodAffine, interval.Between(-0.5, 0.5))
 	if _, _, ok := c.Lookup(outside, 0); ok {
 		t.Fatal("non-contained interval hit")
 	}
 	// Different method must miss (method is part of the key identity).
-	other := IntervalKey(stats.Covariance, plan.MethodNaive, interval.Between(0.4, 0.95))
+	other := IntervalKey(measure.Covariance, plan.MethodNaive, interval.Between(0.4, 0.95))
 	if _, _, ok := c.Lookup(other, 0); ok {
 		t.Fatal("cross-method containment hit")
 	}
@@ -205,9 +205,9 @@ func TestLRUEvictionIsDeterministic(t *testing.T) {
 	// The intervals are disjoint so no lookup below can fall through to the
 	// containment tier and mask an eviction.
 	c := enabled(330, 0)
-	k1 := IntervalKey(stats.Covariance, plan.MethodAffine, interval.Between(0, 1))
-	k2 := IntervalKey(stats.Covariance, plan.MethodAffine, interval.Between(2, 3))
-	k3 := IntervalKey(stats.Covariance, plan.MethodAffine, interval.Between(4, 5))
+	k1 := IntervalKey(measure.Covariance, plan.MethodAffine, interval.Between(0, 1))
+	k2 := IntervalKey(measure.Covariance, plan.MethodAffine, interval.Between(2, 3))
+	k3 := IntervalKey(measure.Covariance, plan.MethodAffine, interval.Between(4, 5))
 	c.Put(k1, 0, []timeseries.Pair{pair(0, 1)}, []float64{1})
 	c.Put(k2, 0, []timeseries.Pair{pair(0, 2)}, []float64{2})
 	// Touch k1 so k2 becomes the LRU victim.
@@ -238,7 +238,7 @@ func TestOversizeResultNotStored(t *testing.T) {
 	c := enabled(200, 0)
 	pairs := make([]timeseries.Pair, 100)
 	values := make([]float64, 100)
-	c.Put(IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0)), 0, pairs, values)
+	c.Put(IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0)), 0, pairs, values)
 	if s := c.Stats(); s.Entries != 0 {
 		t.Fatalf("oversize entry stored: %+v", s)
 	}
@@ -246,7 +246,7 @@ func TestOversizeResultNotStored(t *testing.T) {
 
 func TestPlanRepairCandidates(t *testing.T) {
 	c := enabled(0, 4)
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
 	c.Put(key, 0, []timeseries.Pair{pair(1, 3), pair(2, 4)}, []float64{0.6, 0.7})
 
 	c.OnAdvance(1, []timeseries.Pair{pair(0, 1), pair(2, 4)}, false)
@@ -303,7 +303,7 @@ func TestPlanRepairCandidateOrder(t *testing.T) {
 			[]timeseries.Pair{pair(0, 7), pair(4, 5)}},
 	} {
 		c := enabled(0, 4)
-		key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
+		key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
 		c.Put(key, 0, tc.rows, make([]float64, len(tc.rows)))
 		stale := 0
 		for i, set := range tc.stale {
@@ -322,7 +322,7 @@ func TestPlanRepairCandidateOrder(t *testing.T) {
 
 func TestPlanRepairRefusesFullRefitWindow(t *testing.T) {
 	c := enabled(0, 4)
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
 	c.Put(key, 0, []timeseries.Pair{pair(1, 3)}, []float64{0.6})
 	c.OnAdvance(1, nil, true)
 	if _, ok := c.PlanRepair(key, 1); ok {
@@ -336,7 +336,7 @@ func TestPlanRepairRefusesFullRefitWindow(t *testing.T) {
 
 func TestRingWindowExpiry(t *testing.T) {
 	c := enabled(0, 2)
-	key := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
+	key := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(0.5))
 	c.Put(key, 0, []timeseries.Pair{pair(1, 3)}, []float64{0.6})
 	c.OnAdvance(1, []timeseries.Pair{}, false)
 	c.OnAdvance(2, []timeseries.Pair{}, false)
@@ -353,7 +353,7 @@ func TestRingWindowExpiry(t *testing.T) {
 
 func TestTopKEntriesAreNotRepairable(t *testing.T) {
 	c := enabled(0, 4)
-	key := TopKKey(stats.Covariance, plan.MethodAffine, 3, true)
+	key := TopKKey(measure.Covariance, plan.MethodAffine, 3, true)
 	c.Put(key, 0, []timeseries.Pair{pair(1, 3)}, []float64{0.6})
 	c.OnAdvance(1, []timeseries.Pair{}, false)
 	if _, ok := c.PlanRepair(key, 1); ok {
@@ -372,8 +372,8 @@ func TestMissCounter(t *testing.T) {
 
 func TestEntryStatsOrder(t *testing.T) {
 	c := enabled(0, 0)
-	k1 := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(1))
-	k2 := IntervalKey(stats.Covariance, plan.MethodAffine, interval.AtLeast(2))
+	k1 := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(1))
+	k2 := IntervalKey(measure.Covariance, plan.MethodAffine, interval.AtLeast(2))
 	c.Put(k1, 0, []timeseries.Pair{pair(0, 1)}, []float64{1})
 	c.Put(k2, 0, []timeseries.Pair{pair(0, 2)}, []float64{2})
 	c.Lookup(k1, 0)

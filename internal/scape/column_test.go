@@ -11,7 +11,6 @@ import (
 	"affinity/internal/cluster"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -291,8 +290,8 @@ func TestDerivedScansMatchPerEntryOracle(t *testing.T) {
 }
 
 // filledColumns lists the D-measures whose value column an index has filled.
-func filledColumns(idx *Index) []stats.Measure {
-	var out []stats.Measure
+func filledColumns(idx *Index) []measure.Measure {
+	var out []measure.Measure
 	for s, m := range idx.dMeasures {
 		if idx.columns[s].values != nil {
 			out = append(out, m)
@@ -335,7 +334,7 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect := func(label string, idx *Index, want ...stats.Measure) {
+	expect := func(label string, idx *Index, want ...measure.Measure) {
 		t.Helper()
 		if got := filledColumns(idx); !slices.Equal(got, want) {
 			t.Fatalf("%s: columns filled for %v, want %v", label, got, want)
@@ -346,10 +345,10 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	// Queries and counts that name no D-measure or whose predicate misses
 	// the measure's range, and single-pair lookups, fill none.
 	for _, q := range []PairQuery{
-		{Measure: stats.Covariance, Interval: interval.AtLeast(0.1)},
-		{Measure: stats.DotProduct, Interval: interval.Between(-1, 1)},
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(2)},
-		{Measure: stats.EuclideanDistance, Interval: interval.LessThan(-1)},
+		{Measure: measure.Covariance, Interval: interval.AtLeast(0.1)},
+		{Measure: measure.DotProduct, Interval: interval.Between(-1, 1)},
+		{Measure: measure.Correlation, Interval: interval.GreaterThan(2)},
+		{Measure: measure.EuclideanDistance, Interval: interval.LessThan(-1)},
 	} {
 		if _, err := idx.EstimateSelectivity(q); err != nil {
 			t.Fatal(err)
@@ -358,46 +357,46 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, err := idx.PairTopK(stats.Covariance, 5, true); err != nil {
+	if _, _, _, err := idx.PairTopK(measure.Covariance, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.SeriesInterval(stats.Mean, interval.AtLeast(0)); err != nil {
+	if _, err := idx.SeriesInterval(measure.Mean, interval.AtLeast(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.PairValue(stats.Correlation, idx.pivots[0].canon[0].pair); err != nil {
+	if _, err := idx.PairValue(measure.Correlation, idx.pivots[0].canon[0].pair); err != nil {
 		t.Fatal(err)
 	}
 	expect("after queries that evaluate no D-measure", idx)
 
 	// Each door fills its own measure's column, once.
-	if _, err := idx.PairInterval(stats.Correlation, interval.AtLeast(0.5)); err != nil {
+	if _, err := idx.PairInterval(measure.Correlation, interval.AtLeast(0.5)); err != nil {
 		t.Fatal(err)
 	}
-	expect("after a correlation scan", idx, stats.Correlation)
-	corr := measure.Lookup(stats.Correlation)
-	first := &idx.columns[slices.Index(idx.dMeasures, stats.Correlation)].values[0]
-	if _, err := idx.PairBatch([]PairQuery{{Measure: stats.Correlation, Interval: interval.AtMost(0)}}); err != nil {
+	expect("after a correlation scan", idx, measure.Correlation)
+	corr := measure.Lookup(measure.Correlation)
+	first := &idx.columns[slices.Index(idx.dMeasures, measure.Correlation)].values[0]
+	if _, err := idx.PairBatch([]PairQuery{{Measure: measure.Correlation, Interval: interval.AtMost(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := idx.PairTopK(stats.Correlation, 3, false); err != nil {
+	if _, _, _, err := idx.PairTopK(measure.Correlation, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	if again := &idx.columnOf(corr).values[0]; again != first {
 		t.Fatal("the correlation column was filled twice at one epoch")
 	}
-	if _, err := idx.PairBatch([]PairQuery{{Measure: stats.Covariance, Interval: interval.All()}, {Measure: stats.Dice, Interval: interval.All()}}); err != nil {
+	if _, err := idx.PairBatch([]PairQuery{{Measure: measure.Covariance, Interval: interval.All()}, {Measure: measure.Dice, Interval: interval.All()}}); err != nil {
 		t.Fatal(err)
 	}
-	expect("after a Dice batch", idx, stats.Correlation, stats.Dice)
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Cosine, Interval: interval.AtLeast(0.5)}); err != nil {
+	expect("after a Dice batch", idx, measure.Correlation, measure.Dice)
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Cosine, Interval: interval.AtLeast(0.5)}); err != nil {
 		t.Fatal(err)
 	}
-	expect("after a cosine count", idx, stats.Correlation, stats.Cosine, stats.Dice)
-	cosine := &idx.columnOf(measure.Lookup(stats.Cosine)).values[0]
-	if _, _, _, err := idx.PairTopK(stats.Cosine, 5, true); err != nil {
+	expect("after a cosine count", idx, measure.Correlation, measure.Cosine, measure.Dice)
+	cosine := &idx.columnOf(measure.Lookup(measure.Cosine)).values[0]
+	if _, _, _, err := idx.PairTopK(measure.Cosine, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	if &idx.columnOf(measure.Lookup(stats.Cosine)).values[0] != cosine {
+	if &idx.columnOf(measure.Lookup(measure.Cosine)).values[0] != cosine {
 		t.Fatal("the cosine column was filled twice at one epoch")
 	}
 	requireColumn(t, "first epoch", idx, corr)
@@ -419,11 +418,11 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("index rebuilt by Update", rebuilt)
-	if _, err := upd.PairInterval(stats.Correlation, interval.AtLeast(0.5)); err != nil {
+	if _, err := upd.PairInterval(measure.Correlation, interval.AtLeast(0.5)); err != nil {
 		t.Fatal(err)
 	}
-	expect("updated index after a correlation scan", upd, stats.Correlation)
-	expect("previous index", idx, stats.Correlation, stats.Cosine, stats.Dice)
+	expect("updated index after a correlation scan", upd, measure.Correlation)
+	expect("previous index", idx, measure.Correlation, measure.Cosine, measure.Dice)
 	if &idx.columnOf(corr).values[0] != first {
 		t.Fatal("the previous index lost its correlation column")
 	}
@@ -440,7 +439,7 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms := []stats.Measure{stats.Correlation, stats.EuclideanDistance}
+		ms := []measure.Measure{measure.Correlation, measure.EuclideanDistance}
 		got := make([][]timeseries.Pair, 8)
 		var wg sync.WaitGroup
 		for r := range got {
@@ -455,19 +454,19 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 					out, _ := fresh.PairBatch([]PairQuery{{Measure: m, Interval: interval.AtLeast(0.5)}})
 					got[r] = out[0]
 				default:
-					got[r], _, _, _ = fresh.PairTopK(m, 7, m == stats.Correlation)
+					got[r], _, _, _ = fresh.PairTopK(m, 7, m == measure.Correlation)
 				}
 			}()
 		}
 		wg.Wait()
-		expect(fmt.Sprintf("P=%d after eight concurrent first queries", p), fresh, stats.Correlation, stats.EuclideanDistance)
+		expect(fmt.Sprintf("P=%d after eight concurrent first queries", p), fresh, measure.Correlation, measure.EuclideanDistance)
 		for r := range got {
 			m := ms[r%2]
 			sp := measure.Lookup(m)
 			entries := perEntryOracle(fresh, sp)
 			want := oracleInterval(entries, interval.AtLeast(0.5))
 			if r/2%3 == 2 {
-				want, _ = topKOracle(oracleValues(entries), 7, m == stats.Correlation)
+				want, _ = topKOracle(oracleValues(entries), 7, m == measure.Correlation)
 			}
 			if !slices.Equal(got[r], want) {
 				t.Fatalf("P=%d reader %d (%v): %d pairs, the oracle %d", p, r, m, len(got[r]), len(want))
@@ -478,24 +477,24 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 		}
 	}
 
-	plain, err := Build(d1, rel1, Options{DerivedMeasures: []stats.Measure{}})
+	plain, err := Build(d1, rel1, Options{DerivedMeasures: []measure.Measure{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.columns) != 0 || plain.Stats().IndexedDMeasures != 0 || plain.Stats().IndexedTMeasures != 2 {
 		t.Fatalf("index without D-measures: %d columns, stats %+v", len(plain.columns), plain.Stats())
 	}
-	if _, err := plain.PairInterval(stats.Correlation, interval.AtLeast(0.5)); err == nil {
+	if _, err := plain.PairInterval(measure.Correlation, interval.AtLeast(0.5)); err == nil {
 		t.Fatal("an index without D-measures answered a correlation query")
 	}
-	if _, _, _, err := plain.PairTopK(stats.Cosine, 3, true); err == nil {
+	if _, _, _, err := plain.PairTopK(measure.Cosine, 3, true); err == nil {
 		t.Fatal("an index without D-measures answered a cosine top-k")
 	}
-	gotCov, err := plain.PairInterval(stats.Covariance, interval.AtLeast(0.1))
+	gotCov, err := plain.PairInterval(measure.Covariance, interval.AtLeast(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCov, err := idx.PairInterval(stats.Covariance, interval.AtLeast(0.1))
+	wantCov, err := idx.PairInterval(measure.Covariance, interval.AtLeast(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

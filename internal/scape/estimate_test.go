@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 )
 
 // estimateQueries spans both interval shapes (half-bounded MET and bounded
 // MER predicates) over a spread of thresholds wide enough to cover near-empty
 // and near-full result sets.
-func estimateQueries(m stats.Measure) []PairQuery {
+func estimateQueries(m measure.Measure) []PairQuery {
 	return []PairQuery{
 		{Measure: m, Interval: interval.GreaterThan(0.9)},
 		{Measure: m, Interval: interval.GreaterThan(0.2)},
@@ -32,7 +32,7 @@ func TestEstimateSelectivityExactClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []stats.Measure{stats.Covariance, stats.DotProduct} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.DotProduct} {
 		for _, q := range estimateQueries(m) {
 			sel, err := idx.EstimateSelectivity(q)
 			if err != nil {
@@ -47,7 +47,7 @@ func TestEstimateSelectivityExactClasses(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range stats.LMeasures() {
+	for _, m := range measure.ByClass(measure.LocationClass) {
 		for _, q := range estimateQueries(m) {
 			sel, err := idx.EstimateSelectivity(q)
 			if err != nil {
@@ -98,13 +98,13 @@ func TestEstimateSelectivityErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Jaccard, Interval: interval.GreaterThan(0.5)}); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Jaccard, Interval: interval.GreaterThan(0.5)}); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("jaccard estimate err = %v, want ErrMeasureNotIndexed", err)
 	}
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Correlation, Interval: interval.Between(1, -1)}); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Correlation, Interval: interval.Between(1, -1)}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("empty interval err = %v, want ErrBadQuery", err)
 	}
-	if _, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Measure(99), Interval: interval.GreaterThan(0)}); err == nil {
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Measure(99), Interval: interval.GreaterThan(0)}); err == nil {
 		t.Fatal("unknown measure should error")
 	}
 }

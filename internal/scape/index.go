@@ -85,7 +85,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/par"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -107,15 +106,15 @@ type Options struct {
 	// PairMeasures lists the T-measures to index.  D-measures are answered
 	// through their base T-measure and do not need to be listed.  Nil selects
 	// all T-measures (covariance and dot product).
-	PairMeasures []stats.Measure
+	PairMeasures []measure.Measure
 	// DerivedMeasures lists the D-measures the index answers: each gets a
 	// per-epoch value column, filled on first use.  Nil selects every
 	// D-measure with a separable normalizer.
-	DerivedMeasures []stats.Measure
+	DerivedMeasures []measure.Measure
 	// LocationMeasures lists the L-measures the index can serve over
 	// individual series: each gets a per-epoch location column, filled on
 	// first use.  Nil selects mean, median and mode.
-	LocationMeasures []stats.Measure
+	LocationMeasures []measure.Measure
 	// Parallelism is the number of goroutines used to shard threshold/range
 	// scans by pivot at query time, to build the pivot nodes (one container
 	// set per pivot) and to fill value columns.  Zero or one runs
@@ -127,13 +126,13 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.PairMeasures == nil {
-		o.PairMeasures = stats.TMeasures()
+		o.PairMeasures = measure.ByClass(measure.DispersionClass)
 	}
 	if o.DerivedMeasures == nil {
 		o.DerivedMeasures = SeparableDerivedMeasures()
 	}
 	if o.LocationMeasures == nil {
-		o.LocationMeasures = stats.LMeasures()
+		o.LocationMeasures = measure.ByClass(measure.LocationClass)
 	}
 	return o
 }
@@ -143,7 +142,7 @@ func (o Options) withDefaults() Options {
 // (Section 5.1, "Indexing D-Measures", generalized to decreasing
 // transforms).  The generalized Jaccard coefficient declares itself
 // non-indexable: its transform has a pole inside the reachable base range.
-func SeparableDerivedMeasures() []stats.Measure {
+func SeparableDerivedMeasures() []measure.Measure {
 	return measure.IndexableDerived()
 }
 
@@ -223,9 +222,9 @@ type Index struct {
 	// tMeasures / dMeasures / lMeasures list the indexed measures of each
 	// class in ascending order; per-pivot measure state, the value columns
 	// and the center locations are slices aligned with them.
-	tMeasures []stats.Measure
-	dMeasures []stats.Measure
-	lMeasures []stats.Measure
+	tMeasures []measure.Measure
+	dMeasures []measure.Measure
+	lMeasures []measure.Measure
 	// offsets[i] is where node i's entries start in every value column (node
 	// i holds offsets[i+1] − offsets[i] entries under every measure).
 	offsets []int
@@ -238,9 +237,9 @@ type Index struct {
 	data     *timeseries.DataMatrix
 	rel      *symex.Result
 	// pairMeasures / derivedSet for quick membership checks.
-	pairMeasures map[stats.Measure]bool
-	derivedSet   map[stats.Measure]bool
-	locationSet  map[stats.Measure]bool
+	pairMeasures map[measure.Measure]bool
+	derivedSet   map[measure.Measure]bool
+	locationSet  map[measure.Measure]bool
 	numSamples   int
 	numSeries    int
 	// moments is the window's memoised per-series moments; the separable
@@ -299,7 +298,7 @@ func (idx *Index) NumPivots() int { return len(idx.pivots) }
 
 // Measures returns every measure the index answers interval and top-k
 // queries for — its T-, D- and L-measures — in ascending order.
-func (idx *Index) Measures() []stats.Measure {
+func (idx *Index) Measures() []measure.Measure {
 	out := slices.Concat(idx.tMeasures, idx.dMeasures, idx.lMeasures)
 	slices.Sort(out)
 	return out
@@ -307,7 +306,7 @@ func (idx *Index) Measures() []stats.Measure {
 
 // baseSlot returns the position of T-measure m in a node's measures, −1 when
 // it is not indexed.
-func (idx *Index) baseSlot(m stats.Measure) int { return slices.Index(idx.tMeasures, m) }
+func (idx *Index) baseSlot(m measure.Measure) int { return slices.Index(idx.tMeasures, m) }
 
 // findPivot returns the position of a pivot's node, false when it has none.
 // hint is where the node sits if the index has the caller's set of nodes —
@@ -391,9 +390,9 @@ func newIndex(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index
 	}
 	idx := &Index{
 		opts:         opts,
-		pairMeasures: make(map[stats.Measure]bool),
-		derivedSet:   make(map[stats.Measure]bool),
-		locationSet:  make(map[stats.Measure]bool),
+		pairMeasures: make(map[measure.Measure]bool),
+		derivedSet:   make(map[measure.Measure]bool),
+		locationSet:  make(map[measure.Measure]bool),
 		numSamples:   d.NumSamples(),
 		numSeries:    d.NumSeries(),
 		data:         d,
@@ -740,7 +739,7 @@ func (idx *Index) derivedValue(pm *pivotMeasure, sp *measure.Spec, xi, u float64
 // locationOf returns the epoch's column of an indexed L-measure, filling it
 // on the epoch's first call, and whether this call filled it.  It is the one
 // place a location column is filled.
-func (idx *Index) locationOf(m stats.Measure) (col *locationColumn, filled bool, err error) {
+func (idx *Index) locationOf(m measure.Measure) (col *locationColumn, filled bool, err error) {
 	s := slices.Index(idx.lMeasures, m)
 	if s < 0 {
 		return nil, false, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
@@ -760,7 +759,7 @@ func (idx *Index) locationOf(m stats.Measure) (col *locationColumn, filled bool,
 // or query has, and reports whether this call filled it.  Queries fill the
 // column themselves; Explain calls it first, to report whether the query it
 // explains paid for the fill.
-func (idx *Index) FillLocation(m stats.Measure) (filled bool, err error) {
+func (idx *Index) FillLocation(m measure.Measure) (filled bool, err error) {
 	_, filled, err = idx.locationOf(m)
 	return filled, err
 }
@@ -768,7 +767,7 @@ func (idx *Index) FillLocation(m stats.Measure) (filled bool, err error) {
 // fillLocation estimates L-measure m of every series — through an affine
 // relationship when the series appears as the non-common member of one,
 // directly otherwise — and sorts the values into col.
-func (idx *Index) fillLocation(col *locationColumn, m stats.Measure) error {
+func (idx *Index) fillLocation(col *locationColumn, m measure.Measure) error {
 	d, rel := idx.data, idx.rel
 	// An estimate reads the locations of its pivot's two columns.  A center's
 	// are memoised on the clustering it is frozen with; window series are
@@ -819,7 +818,7 @@ func (idx *Index) fillLocation(col *locationColumn, m stats.Measure) error {
 		if !direct[ids[i]] {
 			return nil
 		}
-		v, err := stats.WindowLocation(m, d, ids[i])
+		v, err := d.Location(m, ids[i])
 		own[i] = v
 		return err
 	})
@@ -853,8 +852,8 @@ func pairLess(a, b timeseries.Pair) bool {
 }
 
 // sortedMeasures returns the keys of a measure set in ascending order.
-func sortedMeasures(set map[stats.Measure]bool) []stats.Measure {
-	out := make([]stats.Measure, 0, len(set))
+func sortedMeasures(set map[measure.Measure]bool) []measure.Measure {
+	out := make([]measure.Measure, 0, len(set))
 	for m := range set {
 		out = append(out, m)
 	}

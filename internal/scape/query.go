@@ -7,13 +7,12 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/par"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
 // pairSpec validates that m names a pairwise measure and returns its spec.
-func pairSpec(m stats.Measure) (*measure.Spec, error) {
+func pairSpec(m measure.Measure) (*measure.Spec, error) {
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Pairwise() {
 		return nil, fmt.Errorf("%w: %v is not a pairwise measure", ErrBadQuery, m)
@@ -25,14 +24,14 @@ func pairSpec(m stats.Measure) (*measure.Spec, error) {
 // pair whose measure value lies in Interval.  MET and MER queries are the
 // half-bounded and bounded instances of the same predicate.
 type PairQuery struct {
-	Measure  stats.Measure
+	Measure  measure.Measure
 	Interval interval.Interval
 }
 
 // PairInterval answers a pairwise interval query (the unified MET/MER scan):
 // every sequence pair whose measure value, as represented by the index, lies
 // in iv.  It is a PairBatch of one.
-func (idx *Index) PairInterval(m stats.Measure, iv interval.Interval) ([]timeseries.Pair, error) {
+func (idx *Index) PairInterval(m measure.Measure, iv interval.Interval) ([]timeseries.Pair, error) {
 	out, err := idx.PairBatch([]PairQuery{{Measure: m, Interval: iv}})
 	if err != nil {
 		return nil, err
@@ -42,7 +41,7 @@ func (idx *Index) PairInterval(m stats.Measure, iv interval.Interval) ([]timeser
 
 // SeriesInterval answers an interval query over an L-measure: the series whose
 // measure value lies in iv.
-func (idx *Index) SeriesInterval(m stats.Measure, iv interval.Interval) ([]timeseries.SeriesID, error) {
+func (idx *Index) SeriesInterval(m measure.Measure, iv interval.Interval) ([]timeseries.SeriesID, error) {
 	if iv.Empty() {
 		return nil, fmt.Errorf("%w: empty interval %v", ErrBadQuery, iv)
 	}
@@ -174,7 +173,7 @@ func (sc *scanScratch) reset(n int) [][]timeseries.Pair {
 // single sequence pair (the value ‖α‖·ξ, put through the spec's transform for
 // D-measures).  It is mainly useful for diagnostics and tests; bulk
 // computation should go through the engine.
-func (idx *Index) PairValue(m stats.Measure, e timeseries.Pair) (float64, error) {
+func (idx *Index) PairValue(m measure.Measure, e timeseries.Pair) (float64, error) {
 	sp, err := pairSpec(m)
 	if err != nil {
 		return 0, err

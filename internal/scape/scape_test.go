@@ -1,6 +1,7 @@
 package scape
 
 import (
+	"affinity/internal/baseline"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,7 +11,6 @@ import (
 	"affinity/internal/cluster"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -56,7 +56,7 @@ func testDataset(t testing.TB, seed int64, n, m int) (*timeseries.DataMatrix, *s
 // affineEstimates computes, for every pair, the measure value as represented
 // by the affine relationships (the W_A estimate), which is what the SCAPE
 // index stores.  Pairs with an undefined derived value are omitted.
-func affineEstimates(t testing.TB, d *timeseries.DataMatrix, rel *symex.Result, m stats.Measure) map[timeseries.Pair]float64 {
+func affineEstimates(t testing.TB, d *timeseries.DataMatrix, rel *symex.Result, m measure.Measure) map[timeseries.Pair]float64 {
 	t.Helper()
 	out := make(map[timeseries.Pair]float64, rel.Len())
 	for r := range rel.All() {
@@ -75,10 +75,9 @@ func affineEstimates(t testing.TB, d *timeseries.DataMatrix, rel *symex.Result, 
 		if sp.Derived() {
 			su, _ := d.Series(e.U)
 			sv, _ := d.Series(e.V)
-			u, err := stats.NormalizerOf(m, su, sv)
-			if err != nil {
-				t.Fatal(err)
-			}
+			au, _ := measure.NaiveSeriesStat(sp.ParamStats, su)
+			av, _ := measure.NaiveSeriesStat(sp.ParamStats, sv)
+			u := sp.Param(au, av)
 			v, err := sp.Value(base, u, d.NumSamples())
 			if err != nil {
 				continue // undefined for this pair (zero normalizer)
@@ -128,16 +127,16 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(d, &symex.Result{}, Options{}); err == nil {
 		t.Fatal("empty relationships should error")
 	}
-	if _, err := Build(d, rel, Options{PairMeasures: []stats.Measure{stats.Mean}}); err == nil {
+	if _, err := Build(d, rel, Options{PairMeasures: []measure.Measure{measure.Mean}}); err == nil {
 		t.Fatal("L-measure as pair measure should error")
 	}
-	if _, err := Build(d, rel, Options{DerivedMeasures: []stats.Measure{stats.Covariance}}); err == nil {
+	if _, err := Build(d, rel, Options{DerivedMeasures: []measure.Measure{measure.Covariance}}); err == nil {
 		t.Fatal("T-measure as derived measure should error")
 	}
-	if _, err := Build(d, rel, Options{DerivedMeasures: []stats.Measure{stats.Jaccard}}); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := Build(d, rel, Options{DerivedMeasures: []measure.Measure{measure.Jaccard}}); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("non-separable D-measure err = %v", err)
 	}
-	if _, err := Build(d, rel, Options{LocationMeasures: []stats.Measure{stats.Covariance}}); err == nil {
+	if _, err := Build(d, rel, Options{LocationMeasures: []measure.Measure{measure.Covariance}}); err == nil {
 		t.Fatal("T-measure as location measure should error")
 	}
 	empty := &timeseries.DataMatrix{}
@@ -153,9 +152,9 @@ func TestPairThresholdMatchesAffineEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, m := range []stats.Measure{
-		stats.Covariance, stats.DotProduct, stats.Correlation, stats.Cosine,
-		stats.EuclideanDistance, stats.MeanSquaredDifference, stats.AngularDistance,
+	for _, m := range []measure.Measure{
+		measure.Covariance, measure.DotProduct, measure.Correlation, measure.Cosine,
+		measure.EuclideanDistance, measure.MeanSquaredDifference, measure.AngularDistance,
 	} {
 		estimates := affineEstimates(t, d, rel, m)
 		// Pick thresholds spanning the value distribution.
@@ -226,7 +225,7 @@ func TestPairRangeMatchesAffineEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.EuclideanDistance, stats.AngularDistance} {
+	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.EuclideanDistance, measure.AngularDistance} {
 		estimates := affineEstimates(t, d, rel, m)
 		values := make([]float64, 0, len(estimates))
 		for _, v := range estimates {
@@ -273,7 +272,7 @@ func TestCorrelationThresholdAgainstGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := idx.PairInterval(stats.Correlation, interval.GreaterThan(0.95))
+	got, err := idx.PairInterval(measure.Correlation, interval.GreaterThan(0.95))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +281,7 @@ func TestCorrelationThresholdAgainstGroundTruth(t *testing.T) {
 	truthCount := 0
 	misses := 0
 	for _, e := range d.AllPairs() {
-		want, err := stats.PairMeasure(stats.Correlation, d, e)
+		want, err := baseline.NewNaive(d).PairValue(measure.Correlation, e)
 		if err != nil {
 			continue
 		}
@@ -307,7 +306,7 @@ func TestSeriesThresholdAndRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	means, err := stats.LocationVector(stats.Mean, d)
+	means, err := baseline.NewNaive(d).Location(measure.Mean, d.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestSeriesThresholdAndRange(t *testing.T) {
 	sort.Float64s(sorted)
 	tau := sorted[len(sorted)/2]
 
-	got, err := idx.SeriesInterval(stats.Mean, interval.GreaterThan(tau))
+	got, err := idx.SeriesInterval(measure.Mean, interval.GreaterThan(tau))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +331,7 @@ func TestSeriesThresholdAndRange(t *testing.T) {
 		}
 	}
 
-	below, err := idx.SeriesInterval(stats.Mean, interval.LessThan(tau))
+	below, err := idx.SeriesInterval(measure.Mean, interval.LessThan(tau))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestSeriesThresholdAndRange(t *testing.T) {
 	}
 
 	lo, hi := sorted[2], sorted[len(sorted)-3]
-	ranged, err := idx.SeriesInterval(stats.Mean, interval.Between(lo, hi))
+	ranged, err := idx.SeriesInterval(measure.Mean, interval.Between(lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,23 +402,23 @@ func TestLocationColumnsFilledOnDemand(t *testing.T) {
 			}
 		}
 	}
-	queries := []func(*Index, stats.Measure) error{
-		func(ix *Index, m stats.Measure) error {
+	queries := []func(*Index, measure.Measure) error{
+		func(ix *Index, m measure.Measure) error {
 			_, err := ix.SeriesInterval(m, interval.AtLeast(0))
 			return err
 		},
-		func(ix *Index, m stats.Measure) error {
+		func(ix *Index, m measure.Measure) error {
 			_, _, err := ix.SeriesTopK(m, 3, true)
 			return err
 		},
-		func(ix *Index, m stats.Measure) error {
+		func(ix *Index, m measure.Measure) error {
 			_, err := ix.EstimateSelectivity(PairQuery{Measure: m, Interval: interval.AtMost(1)})
 			return err
 		},
 	}
 	for i, ix := range []*Index{idx, upd, loc} {
 		for s, m := range ix.lMeasures {
-			own, err := stats.LocationVector(m, d)
+			own, err := baseline.NewNaive(d).Location(m, d.IDs())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,9 +461,9 @@ func TestPairValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estimates := affineEstimates(t, d, rel, stats.Covariance)
+	estimates := affineEstimates(t, d, rel, measure.Covariance)
 	for e, want := range estimates {
-		got, err := idx.PairValue(stats.Covariance, e)
+		got, err := idx.PairValue(measure.Covariance, e)
 		if err != nil {
 			t.Fatalf("PairValue(%v): %v", e, err)
 		}
@@ -474,7 +473,7 @@ func TestPairValue(t *testing.T) {
 	}
 	// Correlation values must be within [-1, 1].
 	for e := range estimates {
-		v, err := idx.PairValue(stats.Correlation, e)
+		v, err := idx.PairValue(measure.Correlation, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +481,7 @@ func TestPairValue(t *testing.T) {
 			t.Fatalf("correlation estimate %v out of range", v)
 		}
 	}
-	if _, err := idx.PairValue(stats.Covariance, timeseries.Pair{U: 0, V: 99}); err == nil {
+	if _, err := idx.PairValue(measure.Covariance, timeseries.Pair{U: 0, V: 99}); err == nil {
 		t.Fatal("unknown pair should error")
 	}
 }
@@ -493,31 +492,31 @@ func TestQueryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.PairInterval(stats.Mean, interval.GreaterThan(0)); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.PairInterval(measure.Mean, interval.GreaterThan(0)); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("L-measure pair threshold err = %v", err)
 	}
-	if _, err := idx.PairInterval(stats.Jaccard, interval.GreaterThan(0)); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := idx.PairInterval(measure.Jaccard, interval.GreaterThan(0)); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("Jaccard threshold err = %v", err)
 	}
-	if _, err := idx.PairInterval(stats.Covariance, interval.Between(2, 1)); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.PairInterval(measure.Covariance, interval.Between(2, 1)); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("inverted range err = %v", err)
 	}
-	if _, err := idx.PairInterval(stats.Mean, interval.Between(0, 1)); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.PairInterval(measure.Mean, interval.Between(0, 1)); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("L-measure range err = %v", err)
 	}
-	if _, err := idx.PairInterval(stats.Jaccard, interval.Between(0, 1)); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := idx.PairInterval(measure.Jaccard, interval.Between(0, 1)); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("Jaccard range err = %v", err)
 	}
-	if _, err := idx.SeriesInterval(stats.Covariance, interval.GreaterThan(0)); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := idx.SeriesInterval(measure.Covariance, interval.GreaterThan(0)); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("series threshold on T-measure err = %v", err)
 	}
-	if _, err := idx.SeriesInterval(stats.Covariance, interval.Between(0, 1)); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, err := idx.SeriesInterval(measure.Covariance, interval.Between(0, 1)); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("series range on T-measure err = %v", err)
 	}
-	if _, err := idx.SeriesInterval(stats.Mean, interval.Between(1, 0)); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.SeriesInterval(measure.Mean, interval.Between(1, 0)); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("series inverted range err = %v", err)
 	}
-	if _, err := idx.SeriesInterval(stats.Mean, interval.New(interval.Open(1), interval.Closed(1))); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.SeriesInterval(measure.Mean, interval.New(interval.Open(1), interval.Closed(1))); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("empty point interval err = %v", err)
 	}
 }
@@ -546,7 +545,7 @@ func TestConstantSeriesDoesNotBreakIndex(t *testing.T) {
 	}
 	// Queries must not blow up; pairs involving the constant series are
 	// simply absent from correlation results.
-	res, err := idx.PairInterval(stats.Correlation, interval.GreaterThan(0.5))
+	res, err := idx.PairInterval(measure.Correlation, interval.GreaterThan(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +554,7 @@ func TestConstantSeriesDoesNotBreakIndex(t *testing.T) {
 			t.Fatalf("pair %v with a constant series should not appear in correlation results", e)
 		}
 	}
-	if _, err := idx.PairInterval(stats.Covariance, interval.GreaterThan(0)); err != nil {
+	if _, err := idx.PairInterval(measure.Covariance, interval.GreaterThan(0)); err != nil {
 		t.Fatal(err)
 	}
 }

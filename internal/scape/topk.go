@@ -18,7 +18,6 @@ import (
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -173,7 +172,7 @@ type nodeCand struct {
 // (bound best-first, node order).  The cursor itself holds no result state —
 // ranking lives in the TopHeap passed to Step — so several cursors can feed
 // one heap.
-func (idx *Index) NewTopKCursor(m stats.Measure, largest bool) (*TopKCursor, error) {
+func (idx *Index) NewTopKCursor(m measure.Measure, largest bool) (*TopKCursor, error) {
 	sp, err := pairSpec(m)
 	if err != nil {
 		return nil, err
@@ -281,7 +280,7 @@ func BoundBeats(bound, vk float64, largest bool) bool {
 // represented by the index, best first with ties broken by pair identity.
 // It returns the aligned values and the number of sequence-node entries
 // examined — the work metric the pruning saves against a full sweep.
-func (idx *Index) PairTopK(m stats.Measure, k int, largest bool) ([]timeseries.Pair, []float64, int, error) {
+func (idx *Index) PairTopK(m measure.Measure, k int, largest bool) ([]timeseries.Pair, []float64, int, error) {
 	if k <= 0 {
 		return nil, nil, 0, fmt.Errorf("%w: top-k needs k >= 1, got %d", ErrBadQuery, k)
 	}
@@ -366,7 +365,7 @@ func (c *TopKCursor) scanNodeTopK(i int, heap *TopHeap) int {
 // SeriesTopK answers a top-k query over an L-measure: the k series with the
 // greatest (largest) or smallest measure value in the global location column,
 // best first with ties broken by ascending series identity.
-func (idx *Index) SeriesTopK(m stats.Measure, k int, largest bool) ([]timeseries.SeriesID, []float64, error) {
+func (idx *Index) SeriesTopK(m measure.Measure, k int, largest bool) ([]timeseries.SeriesID, []float64, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: top-k needs k >= 1, got %d", ErrBadQuery, k)
 	}

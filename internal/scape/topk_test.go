@@ -10,7 +10,6 @@ import (
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -49,7 +48,7 @@ func topKOracle(estimates map[timeseries.Pair]float64, k int, largest bool) ([]t
 
 // requireNoNaNBound pins what makes the cursor's candidate order a strict
 // total order (bound, then node position): no node's optimistic bound is NaN.
-func requireNoNaNBound(t *testing.T, idx *Index, m stats.Measure, largest bool) {
+func requireNoNaNBound(t *testing.T, idx *Index, m measure.Measure, largest bool) {
 	t.Helper()
 	cur, err := idx.NewTopKCursor(m, largest)
 	if err != nil {
@@ -72,9 +71,9 @@ func TestPairTopKMatchesIndexValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := idx.Stats().SequenceNodes
-	for _, m := range []stats.Measure{
-		stats.Covariance, stats.DotProduct, stats.Correlation,
-		stats.Cosine, stats.EuclideanDistance, stats.AngularDistance,
+	for _, m := range []measure.Measure{
+		measure.Covariance, measure.DotProduct, measure.Correlation,
+		measure.Cosine, measure.EuclideanDistance, measure.AngularDistance,
 	} {
 		// The index's own representation of every pair, via the same
 		// evaluator the scans use.
@@ -123,8 +122,8 @@ func TestPairTopKPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := idx.Stats().SequenceNodes
-	for _, m := range []stats.Measure{stats.Covariance, stats.Correlation, stats.EuclideanDistance} {
-		largest := m != stats.EuclideanDistance
+	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.EuclideanDistance} {
+		largest := m != measure.EuclideanDistance
 		pairs, values, examined, err := idx.PairTopK(m, 5, largest)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +131,7 @@ func TestPairTopKPrunes(t *testing.T) {
 		if examined >= entries {
 			t.Fatalf("%v top-5 examined %d of %d entries — no pruning", m, examined, entries)
 		}
-		if m == stats.Covariance {
+		if m == measure.Covariance {
 			continue
 		}
 		wantPairs, wantValues := topKOracle(oracleValues(perEntryOracle(idx, measure.Lookup(m))), 5, largest)
@@ -152,7 +151,7 @@ func TestSeriesTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := d.NumSeries()
-	for _, m := range stats.LMeasures() {
+	for _, m := range measure.ByClass(measure.LocationClass) {
 		for _, largest := range []bool{true, false} {
 			ids, values, err := idx.SeriesTopK(m, n, largest)
 			if err != nil {
@@ -180,10 +179,10 @@ func TestSeriesTopK(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := idx.SeriesTopK(stats.Mean, 0, true); !errors.Is(err, ErrBadQuery) {
+	if _, _, err := idx.SeriesTopK(measure.Mean, 0, true); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("k=0 err = %v, want ErrBadQuery", err)
 	}
-	if _, _, err := idx.SeriesTopK(stats.Covariance, 3, true); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, _, err := idx.SeriesTopK(measure.Covariance, 3, true); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("T-measure series top-k err = %v, want ErrMeasureNotIndexed", err)
 	}
 }
@@ -195,13 +194,13 @@ func TestPairTopKErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := idx.PairTopK(stats.Correlation, 0, true); !errors.Is(err, ErrBadQuery) {
+	if _, _, _, err := idx.PairTopK(measure.Correlation, 0, true); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("k=0 err = %v, want ErrBadQuery", err)
 	}
-	if _, _, _, err := idx.PairTopK(stats.Mean, 3, true); !errors.Is(err, ErrBadQuery) {
+	if _, _, _, err := idx.PairTopK(measure.Mean, 3, true); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("L-measure pair top-k err = %v, want ErrBadQuery", err)
 	}
-	if _, _, _, err := idx.PairTopK(stats.Jaccard, 3, true); !errors.Is(err, ErrMeasureNotIndexed) {
+	if _, _, _, err := idx.PairTopK(measure.Jaccard, 3, true); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("jaccard top-k err = %v, want ErrMeasureNotIndexed", err)
 	}
 }
@@ -216,11 +215,11 @@ func TestPairBatchMatchesSingleIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := []PairQuery{
-		{Measure: stats.Covariance, Interval: interval.GreaterThan(0)},
-		{Measure: stats.Correlation, Interval: interval.Between(0.5, 1)},
-		{Measure: stats.EuclideanDistance, Interval: interval.LessThan(2)},
-		{Measure: stats.Cosine, Interval: interval.AtLeast(0.7)},
-		{Measure: stats.DotProduct, Interval: interval.AtMost(10)},
+		{Measure: measure.Covariance, Interval: interval.GreaterThan(0)},
+		{Measure: measure.Correlation, Interval: interval.Between(0.5, 1)},
+		{Measure: measure.EuclideanDistance, Interval: interval.LessThan(2)},
+		{Measure: measure.Cosine, Interval: interval.AtLeast(0.7)},
+		{Measure: measure.DotProduct, Interval: interval.AtMost(10)},
 	}
 	batch, err := idx.PairBatch(qs)
 	if err != nil {
@@ -272,7 +271,7 @@ func TestPairBatchMatchesSingleIntervals(t *testing.T) {
 			}
 		}
 	}
-	if _, err := idx.PairBatch([]PairQuery{{Measure: stats.Correlation, Interval: interval.Between(1, 0)}}); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.PairBatch([]PairQuery{{Measure: measure.Correlation, Interval: interval.Between(1, 0)}}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("empty-interval batch err = %v, want ErrBadQuery", err)
 	}
 }

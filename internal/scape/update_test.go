@@ -8,7 +8,7 @@ import (
 
 	"affinity/internal/cluster"
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -65,9 +65,9 @@ func slidingDataset(t testing.TB, seed int64, n, m, slide int) (d1, d2 *timeseri
 // requires byte-identical answers (same values, same order).
 func assertIndexEquivalent(t *testing.T, got, want *Index) {
 	t.Helper()
-	measures := []stats.Measure{
-		stats.Covariance, stats.DotProduct,
-		stats.Correlation, stats.Cosine,
+	measures := []measure.Measure{
+		measure.Covariance, measure.DotProduct,
+		measure.Correlation, measure.Cosine,
 	}
 	intervals := []interval.Interval{
 		interval.AtLeast(0.1), interval.AtMost(-0.05),
@@ -104,7 +104,7 @@ func assertIndexEquivalent(t *testing.T, got, want *Index) {
 			}
 		}
 	}
-	for _, m := range []stats.Measure{stats.Mean, stats.Median} {
+	for _, m := range []measure.Measure{measure.Mean, measure.Median} {
 		gs, err1 := got.SeriesInterval(m, interval.AtLeast(-0.2))
 		ws, err2 := want.SeriesInterval(m, interval.AtLeast(-0.2))
 		if (err1 == nil) != (err2 == nil) {

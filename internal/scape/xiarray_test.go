@@ -12,7 +12,7 @@ import (
 	"affinity/internal/btree"
 	"affinity/internal/cluster"
 	"affinity/internal/interval"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -334,7 +334,7 @@ func TestNaNProjectionHasADefinedPlace(t *testing.T) {
 		if found == 0 {
 			t.Fatalf("%s: no NaN ξ in the index — the inputs lost their poison", label)
 		}
-		for _, m := range []stats.Measure{stats.Covariance, stats.DotProduct, stats.Correlation, stats.EuclideanDistance} {
+		for _, m := range []measure.Measure{measure.Covariance, measure.DotProduct, measure.Correlation, measure.EuclideanDistance} {
 			for _, iv := range []interval.Interval{interval.All(), interval.AtMost(1e300), interval.GreaterThan(-1e300), interval.Between(-1, 1)} {
 				pairs, err := idx.PairInterval(m, iv)
 				if err != nil {
@@ -415,7 +415,7 @@ func columnIndex(values []float64) *Index {
 	for id, v := range values {
 		entries[id] = xiEntry{xi: v, rank: int32(id)}
 	}
-	idx := &Index{lMeasures: []stats.Measure{stats.Mean}, location: make([]locationColumn, 1)}
+	idx := &Index{lMeasures: []measure.Measure{measure.Mean}, location: make([]locationColumn, 1)}
 	col := &idx.location[0]
 	col.once.Do(func() { col.fill(entries) })
 	return idx
@@ -454,7 +454,7 @@ func TestLocationColumnsMatchInsertOrderTreeOracle(t *testing.T) {
 	} {
 		idx, want := columnIndex(values), locationOracle(values)
 		for _, iv := range probeIntervals(values) {
-			got, err := idx.SeriesInterval(stats.Mean, iv)
+			got, err := idx.SeriesInterval(measure.Mean, iv)
 			if iv.Empty() {
 				if err == nil {
 					t.Fatalf("%s: the empty interval %v was answered", name, iv)
@@ -472,7 +472,7 @@ func TestLocationColumnsMatchInsertOrderTreeOracle(t *testing.T) {
 			if !slices.Equal(got, w) {
 				t.Fatalf("%s: %v selects series %v, the tree %v", name, iv, got, w)
 			}
-			sel, err := idx.EstimateSelectivity(PairQuery{Measure: stats.Mean, Interval: iv})
+			sel, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Mean, Interval: iv})
 			if err != nil || sel.Rows != len(w) {
 				t.Fatalf("%s: count of %v = %+v (%v), scan returns %d", name, iv, sel, err, len(w))
 			}
@@ -494,7 +494,7 @@ func TestLocationColumnsMatchInsertOrderTreeOracle(t *testing.T) {
 				sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].value > ranking[j].value })
 			}
 			for _, k := range []int{1, 2, len(values), len(values) + 3} {
-				ids, vals, err := idx.SeriesTopK(stats.Mean, k, largest)
+				ids, vals, err := idx.SeriesTopK(measure.Mean, k, largest)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,7 +12,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 )
 
 // autoShapes returns the interval shapes the planner is probed with for one
@@ -39,10 +38,10 @@ func autoShapes(sp *measure.Spec, values []float64) []interval.Interval {
 // measureValues returns every value of m on the engine's window, naively:
 // one per series for an L-measure, one per pair (NaN where undefined)
 // otherwise.
-func measureValues(t *testing.T, e *core.Engine, m stats.Measure) []float64 {
+func measureValues(t *testing.T, e *core.Engine, m measure.Measure) []float64 {
 	t.Helper()
 	ids := e.Data().IDs()
-	if m.Class() == stats.LocationClass {
+	if m.Class() == measure.LocationClass {
 		values, err := e.ComputeLocation(m, ids, core.MethodNaive)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +66,7 @@ func measureValues(t *testing.T, e *core.Engine, m stats.Measure) []float64 {
 // count, Auto's result is that method's result, and the count Explain
 // reports is the index's scan size.
 func TestAutoMethodMatchesExplain(t *testing.T) {
-	var indexable []stats.Measure
+	var indexable []measure.Measure
 	for _, sp := range measure.Specs() {
 		if sp.Indexable {
 			indexable = append(indexable, sp.ID)
@@ -151,15 +150,15 @@ func TestAutoAsksNoEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.5)),
-		plan.Interval(stats.Covariance, interval.Between(-0.1, 0.1)),
-		plan.Interval(stats.EuclideanDistance, interval.LessThan(2)),
-		plan.Interval(stats.Mean, interval.AtLeast(0)),
-		plan.TopK(stats.Correlation, 5, true),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.5)),
+		plan.Interval(measure.Covariance, interval.Between(-0.1, 0.1)),
+		plan.Interval(measure.EuclideanDistance, interval.LessThan(2)),
+		plan.Interval(measure.Mean, interval.AtLeast(0)),
+		plan.TopK(measure.Correlation, 5, true),
 	}
 	repaired := []plan.QuerySpec{
-		plan.Interval(stats.Covariance, interval.AtLeast(0)),
-		plan.Interval(stats.Correlation, interval.AtLeast(0)),
+		plan.Interval(measure.Covariance, interval.AtLeast(0)),
+		plan.Interval(measure.Correlation, interval.AtLeast(0)),
 	}
 	ids := fx.window.IDs()[:6]
 	backends := []struct {
@@ -206,7 +205,7 @@ func TestAutoAsksNoEstimate(t *testing.T) {
 			return err
 		})
 		counted("Auto compute", false, func() error {
-			_, err := core.Compute(b, []core.ComputeQuery{{Measure: stats.Cosine, IDs: ids}}, core.MethodAuto)
+			_, err := core.Compute(b, []core.ComputeQuery{{Measure: measure.Cosine, IDs: ids}}, core.MethodAuto)
 			return err
 		})
 		counted("Explain", true, func() error {

@@ -9,11 +9,11 @@ import (
 	"time"
 
 	"affinity/internal/core"
+	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -125,7 +125,7 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	shardCfg.Clustering = rel.Clustering
 	// Location columns are the coordinator's job (they depend on the global
 	// relationship set); a non-nil empty list disables them on the shards.
-	shardCfg.Index.LocationMeasures = []stats.Measure{}
+	shardCfg.Index.LocationMeasures = []measure.Measure{}
 	// Result caching happens once, at the coordinator's merge layer, where a
 	// hit saves the whole fan-out; per-shard caches would only duplicate the
 	// merged results' memory.
@@ -175,7 +175,7 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 	rel *symex.Result, epoch int) (*coordState, error) {
 	var locIndex *scape.Index
-	var indexed []stats.Measure
+	var indexed []measure.Measure
 	if !c.cfg.Engine.SkipIndex {
 		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts)
 		if err != nil {

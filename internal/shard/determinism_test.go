@@ -10,7 +10,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -91,7 +90,7 @@ func shardDeterminismCases() []shardQueryCase {
 	var cases []shardQueryCase
 	methods := []core.Method{core.MethodNaive, core.MethodAffine, core.MethodIndex, core.MethodAuto}
 	mecIDs := []timeseries.SeriesID{3, 1, 7, 0, 12}
-	for _, m := range stats.AllMeasures() {
+	for _, m := range measure.All() {
 		m := m
 		for _, method := range methods {
 			method := method
@@ -161,7 +160,7 @@ func shardDeterminismCases() []shardQueryCase {
 	}
 	// Batched queries: per-item results must equal their single-query twins,
 	// so comparing the whole batch against the engine's batch suffices.
-	batchMeasures := []stats.Measure{stats.Correlation, stats.Covariance, stats.Mean, stats.Cosine}
+	batchMeasures := []measure.Measure{measure.Correlation, measure.Covariance, measure.Mean, measure.Cosine}
 	for _, method := range methods {
 		method := method
 		cases = append(cases,
@@ -238,7 +237,7 @@ func shardDeterminismCases() []shardQueryCase {
 	})
 	// Auto plan parity: the coordinator's global plan must make the same
 	// choice with the same estimates as the single engine at any shard count.
-	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.Mean, stats.Jaccard} {
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.Mean, measure.Jaccard} {
 		m := m
 		cases = append(cases, shardQueryCase{
 			name: fmt.Sprintf("plan/%v", m),
@@ -279,27 +278,27 @@ func shardDeterminismCases() []shardQueryCase {
 // after scanning and one outside correlation's declared range.
 func scatterBatch() []core.IntervalQuery {
 	return []core.IntervalQuery{
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(0.9)},
-		{Measure: stats.Covariance, Interval: interval.Between(-0.5, 0.9)},
-		{Measure: stats.Covariance, Interval: interval.GreaterThan(1e9)},
-		{Measure: stats.EuclideanDistance, Interval: interval.LessThan(3)},
-		{Measure: stats.Correlation, Interval: interval.GreaterThan(2)},
-		{Measure: stats.Cosine, Interval: interval.AtLeast(0.25)},
-		{Measure: stats.DotProduct, Interval: interval.All()},
+		{Measure: measure.Correlation, Interval: interval.GreaterThan(0.9)},
+		{Measure: measure.Covariance, Interval: interval.Between(-0.5, 0.9)},
+		{Measure: measure.Covariance, Interval: interval.GreaterThan(1e9)},
+		{Measure: measure.EuclideanDistance, Interval: interval.LessThan(3)},
+		{Measure: measure.Correlation, Interval: interval.GreaterThan(2)},
+		{Measure: measure.Cosine, Interval: interval.AtLeast(0.25)},
+		{Measure: measure.DotProduct, Interval: interval.All()},
 	}
 }
 
 // mixedBatch is the spec list of the batch-mixed case.
 func mixedBatch() []plan.QuerySpec {
 	return []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.GreaterThan(0.95)),
-		plan.Interval(stats.Jaccard, interval.GreaterThan(0.3)),
-		plan.TopK(stats.Correlation, 5, true),
-		plan.Interval(stats.Mean, interval.GreaterThan(0.1)),
-		plan.Interval(stats.Covariance, interval.Between(0.05, 0.1)),
-		plan.TopK(stats.Jaccard, 4, false),
-		plan.TopK(stats.Median, 3, true),
-		plan.Interval(stats.EuclideanDistance, interval.LessThan(1)),
+		plan.Interval(measure.Correlation, interval.GreaterThan(0.95)),
+		plan.Interval(measure.Jaccard, interval.GreaterThan(0.3)),
+		plan.TopK(measure.Correlation, 5, true),
+		plan.Interval(measure.Mean, interval.GreaterThan(0.1)),
+		plan.Interval(measure.Covariance, interval.Between(0.05, 0.1)),
+		plan.TopK(measure.Jaccard, 4, false),
+		plan.TopK(measure.Median, 3, true),
+		plan.Interval(measure.EuclideanDistance, interval.LessThan(1)),
 	}
 }
 

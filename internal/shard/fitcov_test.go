@@ -12,7 +12,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -66,9 +65,9 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 	}
 	naive := baseline.NewNaive(c.Data())
 	pairs := c.Data().AllPairs()
-	values := map[stats.Measure][]float64{}
+	values := map[measure.Measure][]float64{}
 	var specs []plan.QuerySpec
-	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.Cosine} {
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.Cosine} {
 		vals := make([]float64, len(pairs))
 		for i, pair := range pairs {
 			v, err := measure.OrNaN(naive.PairValue(m, pair))
@@ -99,7 +98,7 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 		}
 	}
 	for _, spec := range specs {
-		if spec.Measure == stats.Cosine {
+		if spec.Measure == measure.Cosine {
 			continue
 		}
 		out, plans, err := core.Run(cs, []plan.QuerySpec{spec}, core.MethodNaive, true)
@@ -119,7 +118,7 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 	}
 
 	ids := []timeseries.SeriesID{6, 0, 2, 1, 11, 4}
-	for _, m := range []stats.Measure{stats.Correlation, stats.Covariance} {
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance} {
 		gotMat, err := c.ComputePairwise(m, ids, core.MethodNaive)
 		if err != nil {
 			t.Fatal(err)

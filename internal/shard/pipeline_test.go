@@ -9,8 +9,8 @@ import (
 
 	"affinity/internal/core"
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/stats"
 )
 
 // This file pins the shared query pipeline (core.Run) once, over every door
@@ -27,8 +27,8 @@ type door struct {
 
 // surface is the named sugar core.Engine and Coordinator share.
 type surface interface {
-	Interval(m stats.Measure, iv interval.Interval, method core.Method) (core.QueryResult, error)
-	TopK(m stats.Measure, k int, largest bool, method core.Method) (core.QueryResult, error)
+	Interval(m measure.Measure, iv interval.Interval, method core.Method) (core.QueryResult, error)
+	TopK(m measure.Measure, k int, largest bool, method core.Method) (core.QueryResult, error)
 	IntervalBatch(qs []core.IntervalQuery, method core.Method) ([]core.QueryResult, error)
 }
 
@@ -121,33 +121,33 @@ func TestPipelineSpecTable(t *testing.T) {
 		want    error // nil: the query must answer, identically through every door
 		anyErr  bool  // the failure carries no typed sentinel
 	}{
-		{name: "empty range", doors: indexed, spec: plan.Interval(stats.Correlation, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
+		{name: "empty range", doors: indexed, spec: plan.Interval(measure.Correlation, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
 		{name: "empty half-open interval", doors: indexed, methods: allMethods, want: core.ErrEmptyRange,
-			spec: plan.Interval(stats.Correlation, interval.New(interval.Open(1), interval.Closed(1)))},
-		{name: "empty L-measure range", doors: indexed, spec: plan.Interval(stats.Mean, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
-		{name: "k = 0", doors: indexed, spec: plan.TopK(stats.Correlation, 0, true), methods: allMethods, want: core.ErrBadTopK},
-		{name: "k < 0, L-measure", doors: indexed, spec: plan.TopK(stats.Mean, -3, false), methods: allMethods, want: core.ErrBadTopK},
-		{name: "compute spec in the row pipeline", doors: indexed, spec: plan.Compute(stats.Correlation, 2), methods: allMethods, anyErr: true},
-		{name: "bad method, interval", doors: indexed, spec: plan.Interval(stats.Correlation, interval.GreaterThan(0.5)), methods: only(core.Method(42)), want: core.ErrBadMethod},
-		{name: "bad method, top-k", doors: indexed, spec: plan.TopK(stats.Correlation, 3, true), methods: only(core.Method(42)), want: core.ErrBadMethod},
-		{name: "bad method, L-measure", doors: indexed, spec: plan.Interval(stats.Mean, interval.GreaterThan(0.1)), methods: only(core.Method(-1)), want: core.ErrBadMethod},
-		{name: "jaccard via index", doors: indexed, spec: plan.Interval(stats.Jaccard, interval.GreaterThan(0.5)), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
-		{name: "jaccard range via index", doors: indexed, spec: plan.Interval(stats.Jaccard, interval.Between(0, 1)), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
-		{name: "jaccard top-k via index", doors: indexed, spec: plan.TopK(stats.Jaccard, 3, true), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
-		{name: "jaccard via the sweeps and auto", doors: indexed, spec: plan.Interval(stats.Jaccard, interval.GreaterThan(0.5)),
+			spec: plan.Interval(measure.Correlation, interval.New(interval.Open(1), interval.Closed(1)))},
+		{name: "empty L-measure range", doors: indexed, spec: plan.Interval(measure.Mean, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
+		{name: "k = 0", doors: indexed, spec: plan.TopK(measure.Correlation, 0, true), methods: allMethods, want: core.ErrBadTopK},
+		{name: "k < 0, L-measure", doors: indexed, spec: plan.TopK(measure.Mean, -3, false), methods: allMethods, want: core.ErrBadTopK},
+		{name: "compute spec in the row pipeline", doors: indexed, spec: plan.Compute(measure.Correlation, 2), methods: allMethods, anyErr: true},
+		{name: "bad method, interval", doors: indexed, spec: plan.Interval(measure.Correlation, interval.GreaterThan(0.5)), methods: only(core.Method(42)), want: core.ErrBadMethod},
+		{name: "bad method, top-k", doors: indexed, spec: plan.TopK(measure.Correlation, 3, true), methods: only(core.Method(42)), want: core.ErrBadMethod},
+		{name: "bad method, L-measure", doors: indexed, spec: plan.Interval(measure.Mean, interval.GreaterThan(0.1)), methods: only(core.Method(-1)), want: core.ErrBadMethod},
+		{name: "jaccard via index", doors: indexed, spec: plan.Interval(measure.Jaccard, interval.GreaterThan(0.5)), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
+		{name: "jaccard range via index", doors: indexed, spec: plan.Interval(measure.Jaccard, interval.Between(0, 1)), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
+		{name: "jaccard top-k via index", doors: indexed, spec: plan.TopK(measure.Jaccard, 3, true), methods: only(core.MethodIndex), want: core.ErrMeasureNotIndexed},
+		{name: "jaccard via the sweeps and auto", doors: indexed, spec: plan.Interval(measure.Jaccard, interval.GreaterThan(0.5)),
 			methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto)},
-		{name: "no index, interval", doors: indexless, spec: plan.Interval(stats.Correlation, interval.GreaterThan(0.25)), methods: only(core.MethodIndex), want: core.ErrNoIndex},
-		{name: "no index, top-k", doors: indexless, spec: plan.TopK(stats.Correlation, 3, true), methods: only(core.MethodIndex), want: core.ErrNoIndex},
-		{name: "no index, L-measure interval", doors: indexless, spec: plan.Interval(stats.Mean, interval.GreaterThan(0.1)), methods: only(core.MethodIndex), want: core.ErrNoIndex},
-		{name: "no index, L-measure top-k", doors: indexless, spec: plan.TopK(stats.Mean, 3, true), methods: only(core.MethodIndex), want: core.ErrNoIndex},
-		{name: "no index, sweeps and auto answer", doors: indexless, spec: plan.Interval(stats.Correlation, interval.GreaterThan(0.25)),
+		{name: "no index, interval", doors: indexless, spec: plan.Interval(measure.Correlation, interval.GreaterThan(0.25)), methods: only(core.MethodIndex), want: core.ErrNoIndex},
+		{name: "no index, top-k", doors: indexless, spec: plan.TopK(measure.Correlation, 3, true), methods: only(core.MethodIndex), want: core.ErrNoIndex},
+		{name: "no index, L-measure interval", doors: indexless, spec: plan.Interval(measure.Mean, interval.GreaterThan(0.1)), methods: only(core.MethodIndex), want: core.ErrNoIndex},
+		{name: "no index, L-measure top-k", doors: indexless, spec: plan.TopK(measure.Mean, 3, true), methods: only(core.MethodIndex), want: core.ErrNoIndex},
+		{name: "no index, sweeps and auto answer", doors: indexless, spec: plan.Interval(measure.Correlation, interval.GreaterThan(0.25)),
 			methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto)},
-		{name: "L-measure interval, every method", doors: indexed, spec: plan.Interval(stats.Mean, interval.GreaterThan(0.1)), methods: allMethods},
-		{name: "L-measure range, every method", doors: indexed, spec: plan.Interval(stats.Median, interval.Between(-0.5, 0.5)), methods: allMethods},
-		{name: "L-measure top-k, every method", doors: indexed, spec: plan.TopK(stats.Mode, 4, false), methods: allMethods},
+		{name: "L-measure interval, every method", doors: indexed, spec: plan.Interval(measure.Mean, interval.GreaterThan(0.1)), methods: allMethods},
+		{name: "L-measure range, every method", doors: indexed, spec: plan.Interval(measure.Median, interval.Between(-0.5, 0.5)), methods: allMethods},
+		{name: "L-measure top-k, every method", doors: indexed, spec: plan.TopK(measure.Mode, 4, false), methods: allMethods},
 	}
 
-	valid := plan.Interval(stats.Covariance, interval.GreaterThan(0))
+	valid := plan.Interval(measure.Covariance, interval.GreaterThan(0))
 	for _, row := range rows {
 		for _, method := range row.methods {
 			var reference string
@@ -196,13 +196,13 @@ func TestPipelineSpecTable(t *testing.T) {
 	for name, compute := range map[string]func([]core.ComputeQuery, core.Method) ([]core.ComputeResult, error){
 		"Engine": e.ComputeBatch, "Coordinator S=2": c.ComputeBatch,
 	} {
-		if _, err := compute([]core.ComputeQuery{{Measure: stats.Mean}}, core.Method(42)); !errors.Is(err, core.ErrBadMethod) {
+		if _, err := compute([]core.ComputeQuery{{Measure: measure.Mean}}, core.Method(42)); !errors.Is(err, core.ErrBadMethod) {
 			t.Errorf("%s: MEC with a bogus method: %v", name, err)
 		}
-		if _, err := compute([]core.ComputeQuery{{Measure: stats.Correlation}}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
+		if _, err := compute([]core.ComputeQuery{{Measure: measure.Correlation}}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 			t.Errorf("%s: pairwise MEC via the index: %v", name, err)
 		}
-		if _, err := compute([]core.ComputeQuery{{Measure: stats.Mean}}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
+		if _, err := compute([]core.ComputeQuery{{Measure: measure.Mean}}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 			t.Errorf("%s: location MEC via the index: %v", name, err)
 		}
 	}
@@ -216,9 +216,9 @@ func TestPipelineBatchEqualsSingle(t *testing.T) {
 	doors := pipelineDoors(t, core.Config{Clusters: 4, Seed: 5, Parallelism: 2})
 	for _, method := range allMethods {
 		var specs []plan.QuerySpec
-		for _, m := range []stats.Measure{stats.Correlation, stats.Covariance, stats.Cosine,
-			stats.Jaccard, stats.EuclideanDistance, stats.Mean, stats.Median} {
-			if method == core.MethodIndex && m == stats.Jaccard {
+		for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.Cosine,
+			measure.Jaccard, measure.EuclideanDistance, measure.Mean, measure.Median} {
+			if method == core.MethodIndex && m == measure.Jaccard {
 				continue // not indexable
 			}
 			specs = append(specs,
@@ -276,8 +276,8 @@ func TestComputeBatchPinsOneEpoch(t *testing.T) {
 	var batch []core.ComputeQuery
 	for i := 0; i < 6; i++ {
 		batch = append(batch,
-			core.ComputeQuery{Measure: stats.Mean, IDs: ids},
-			core.ComputeQuery{Measure: stats.Covariance, IDs: ids[:6]})
+			core.ComputeQuery{Measure: measure.Mean, IDs: ids},
+			core.ComputeQuery{Measure: measure.Covariance, IDs: ids[:6]})
 	}
 	sameBits := func(a, b []float64) bool {
 		for i := range a {

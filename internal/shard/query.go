@@ -11,7 +11,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -63,7 +62,7 @@ func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 
 // FillLocation fills a column of the coordinator's location index, which
 // answers every L-measure index query.
-func (cs *coordState) FillLocation(m stats.Measure) (bool, error) {
+func (cs *coordState) FillLocation(m measure.Measure) (bool, error) {
 	if cs.locIndex == nil {
 		return false, core.ErrNoIndex
 	}
@@ -75,11 +74,11 @@ func (cs *coordState) FillLocation(m stats.Measure) (bool, error) {
 // single engine holds — and a naive evaluation finds the pair in the owning
 // shard's naive covariance column where the epoch has one (any shard's raw
 // window gives the same bits otherwise).
-func (cs *coordState) PairValue(m stats.Measure, pair timeseries.Pair, method core.Method) (float64, error) {
+func (cs *coordState) PairValue(m measure.Measure, pair timeseries.Pair, method core.Method) (float64, error) {
 	return cs.views[cs.pairOwner(pair)].PairValue(m, pair, method)
 }
 
-func (cs *coordState) SelfValue(m stats.Measure, id timeseries.SeriesID) (float64, error) {
+func (cs *coordState) SelfValue(m measure.Measure, id timeseries.SeriesID) (float64, error) {
 	return cs.views[0].SelfValue(m, id)
 }
 
@@ -423,13 +422,13 @@ func (c *Coordinator) one(spec plan.QuerySpec, method core.Method) (core.QueryRe
 }
 
 // Interval answers the unified interval query (MET/MER) by scatter-gather.
-func (c *Coordinator) Interval(m stats.Measure, iv interval.Interval, method core.Method) (core.QueryResult, error) {
+func (c *Coordinator) Interval(m measure.Measure, iv interval.Interval, method core.Method) (core.QueryResult, error) {
 	return c.one(plan.Interval(m, iv), method)
 }
 
 // TopK answers a top-k (MEK) query; the index method runs the streaming
 // per-shard merge.
-func (c *Coordinator) TopK(m stats.Measure, k int, largest bool, method core.Method) (core.QueryResult, error) {
+func (c *Coordinator) TopK(m measure.Measure, k int, largest bool, method core.Method) (core.QueryResult, error) {
 	return c.one(plan.TopK(m, k, largest), method)
 }
 
@@ -451,9 +450,9 @@ func (c *Coordinator) ComputeBatch(qs []core.ComputeQuery, method core.Method) (
 }
 
 // ComputeLocation answers an L-measure MEC query.
-func (c *Coordinator) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID, method core.Method) ([]float64, error) {
-	if m.Class() != stats.LocationClass {
-		return nil, fmt.Errorf("shard: %v is not an L-measure: %w", m, stats.ErrUnknownMeasure)
+func (c *Coordinator) ComputeLocation(m measure.Measure, ids []timeseries.SeriesID, method core.Method) ([]float64, error) {
+	if m.Class() != measure.LocationClass {
+		return nil, fmt.Errorf("shard: %v is not an L-measure: %w", m, measure.ErrUnknownMeasure)
 	}
 	out, err := c.ComputeBatch([]core.ComputeQuery{{Measure: m, IDs: ids}}, method)
 	if err != nil {
@@ -463,9 +462,9 @@ func (c *Coordinator) ComputeLocation(m stats.Measure, ids []timeseries.SeriesID
 }
 
 // ComputePairwise answers a pairwise MEC query.
-func (c *Coordinator) ComputePairwise(m stats.Measure, ids []timeseries.SeriesID, method core.Method) ([][]float64, error) {
-	if m.Class() == stats.LocationClass {
-		return nil, fmt.Errorf("shard: %v is not a pairwise measure: %w", m, stats.ErrUnknownMeasure)
+func (c *Coordinator) ComputePairwise(m measure.Measure, ids []timeseries.SeriesID, method core.Method) ([][]float64, error) {
+	if m.Class() == measure.LocationClass {
+		return nil, fmt.Errorf("shard: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
 	}
 	out, err := c.ComputeBatch([]core.ComputeQuery{{Measure: m, IDs: ids}}, method)
 	if err != nil {

@@ -8,9 +8,9 @@ import (
 
 	"affinity/internal/core"
 	"affinity/internal/interval"
+	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -153,7 +153,7 @@ func TestCoordinatorExplain(t *testing.T) {
 		return out[0], plans[0]
 	}
 
-	spec := plan.Interval(stats.Correlation, interval.GreaterThan(0.25))
+	spec := plan.Interval(measure.Correlation, interval.GreaterThan(0.25))
 	res, cp := explain(c, spec, core.MethodIndex)
 	if cp.Method != core.MethodIndex {
 		t.Fatalf("plan method %v", cp.Method)
@@ -178,11 +178,11 @@ func TestCoordinatorExplain(t *testing.T) {
 	se, sc := buildFixturePair(t, 3, skCfg)
 	// The endpoint is one pair's exact value, so at least that pair stays
 	// ambiguous under every bound provider and reaches the kernels.
-	endpoint, err := se.PairValue(stats.Cosine, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
+	endpoint, err := se.PairValue(measure.Cosine, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skSpec := plan.Interval(stats.Cosine, interval.GreaterThan(endpoint))
+	skSpec := plan.Interval(measure.Cosine, interval.GreaterThan(endpoint))
 	_, sep, err := se.Explain(skSpec, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestCoordinatorStreaming(t *testing.T) {
 	// The naive sweeps are on cosine: these epochs are full refits, where a
 	// covariance-base naive sweep reads the fit's column and no bound.
 	for _, method := range []core.Method{core.MethodIndex, core.MethodAffine} {
-		if _, err := c.Interval(stats.Correlation, interval.GreaterThan(0.5), method); err != nil {
+		if _, err := c.Interval(measure.Correlation, interval.GreaterThan(0.5), method); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ func TestCoordinatorStreaming(t *testing.T) {
 		t.Fatalf("%d base-column fills after one affine sweep over %d shards", ss.SweepBaseFills, c.NumShards())
 	}
 	for round := 0; round < 2; round++ {
-		if _, err := c.Interval(stats.Cosine, interval.GreaterThan(0.5), core.MethodNaive); err != nil {
+		if _, err := c.Interval(measure.Cosine, interval.GreaterThan(0.5), core.MethodNaive); err != nil {
 			t.Fatal(err)
 		}
 		if ss, shards := c.StreamStats(), int64(c.NumShards()); ss.MomentFills != shards || ss.MomentSweeps != int64(round+1)*shards {
@@ -404,8 +404,8 @@ func TestCoordinatorSkipIndex(t *testing.T) {
 
 	// Auto falls back to sweeps, identically to the engine (the ErrNoIndex
 	// probes are rows of the shared pipeline table, pipeline_test.go).
-	want := render(e.Interval(stats.Correlation, interval.GreaterThan(0.25), core.MethodAuto))
-	got := render(c.Interval(stats.Correlation, interval.GreaterThan(0.25), core.MethodAuto))
+	want := render(e.Interval(measure.Correlation, interval.GreaterThan(0.25), core.MethodAuto))
+	got := render(c.Interval(measure.Correlation, interval.GreaterThan(0.25), core.MethodAuto))
 	if got != want {
 		t.Fatalf("SkipIndex auto diverged: %s vs %s", got, want)
 	}
@@ -418,8 +418,8 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 
 	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodAuto} {
 		qs := []core.ComputeQuery{
-			{Measure: stats.Correlation, IDs: ids},
-			{Measure: stats.Mean, IDs: ids},
+			{Measure: measure.Correlation, IDs: ids},
+			{Measure: measure.Mean, IDs: ids},
 		}
 		want := render(e.ComputeBatch(qs, method))
 		got := render(c.ComputeBatch(qs, method))
@@ -434,21 +434,21 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine} {
-		wantV := render(e.View().PairValue(stats.Covariance, pair, method))
-		gotV := render(c.state().PairValue(stats.Covariance, pair, method))
+		wantV := render(e.View().PairValue(measure.Covariance, pair, method))
+		gotV := render(c.state().PairValue(measure.Covariance, pair, method))
 		if gotV != wantV {
 			t.Fatalf("%v PairValue diverged: %s vs %s", method, gotV, wantV)
 		}
 	}
 
 	// Type guards.
-	if _, err := c.ComputeLocation(stats.Correlation, ids, core.MethodAuto); !errors.Is(err, stats.ErrUnknownMeasure) {
+	if _, err := c.ComputeLocation(measure.Correlation, ids, core.MethodAuto); !errors.Is(err, measure.ErrUnknownMeasure) {
 		t.Fatal("ComputeLocation accepted a pairwise measure")
 	}
-	if _, err := c.ComputePairwise(stats.Mean, ids, core.MethodAuto); !errors.Is(err, stats.ErrUnknownMeasure) {
+	if _, err := c.ComputePairwise(measure.Mean, ids, core.MethodAuto); !errors.Is(err, measure.ErrUnknownMeasure) {
 		t.Fatal("ComputePairwise accepted an L-measure")
 	}
-	if _, err := c.ComputePairwise(stats.Correlation, ids, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
+	if _, err := c.ComputePairwise(measure.Correlation, ids, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 		t.Fatal("pairwise MEC accepted MethodIndex")
 	}
 }

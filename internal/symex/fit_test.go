@@ -16,7 +16,7 @@ import (
 	"affinity/internal/cluster"
 	"affinity/internal/lsfd"
 	"affinity/internal/mat"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -46,14 +46,14 @@ func pairMatrices(t testing.TB, d *timeseries.DataMatrix, res *Result, pair time
 // CovBlock carry — through the production solve.  ok is false where the
 // exactness guard sends the pivot to the kernel.
 func momentOracle(common, centre, other []float64) (tr *affine.Transform, ok bool) {
-	vs, _ := stats.VarianceOf(common)
-	vr, _ := stats.VarianceOf(centre)
-	csr, _ := stats.CovarianceOf(common, centre)
-	csy, _ := stats.CovarianceOf(common, other)
-	cry, _ := stats.CovarianceOf(centre, other)
-	ms, _ := stats.MeanOf(common)
-	mr, _ := stats.MeanOf(centre)
-	my, _ := stats.MeanOf(other)
+	vs, _ := measure.VarianceOf(common)
+	vr, _ := measure.VarianceOf(centre)
+	csr, _ := measure.CovarianceOf(common, centre)
+	csy, _ := measure.CovarianceOf(common, other)
+	cry, _ := measure.CovarianceOf(centre, other)
+	ms, _ := measure.MeanOf(common)
+	mr, _ := measure.MeanOf(centre)
+	my, _ := measure.MeanOf(other)
 	mp, ok := newMomentPivot(len(common), [3]float64{vs, csr, vr}, ms, mr)
 	if !ok {
 		return nil, false
@@ -160,13 +160,13 @@ func requireWithinFitBound(t testing.TB, label string, common, centre, other []f
 	if got.A[0][0] != 1 || got.A[1][0] != 0 || got.B[0] != 0 {
 		t.Fatalf("%s: first column %v, %v, b₁ %v, want exactly 1, 0, 0", label, got.A[0][0], got.A[1][0], got.B[0])
 	}
-	vs, _ := stats.VarianceOf(common)
-	vr, _ := stats.VarianceOf(centre)
-	vy, _ := stats.VarianceOf(other)
-	csr, _ := stats.CovarianceOf(common, centre)
-	ms, _ := stats.MeanOf(common)
-	mr, _ := stats.MeanOf(centre)
-	my, _ := stats.MeanOf(other)
+	vs, _ := measure.VarianceOf(common)
+	vr, _ := measure.VarianceOf(centre)
+	vy, _ := measure.VarianceOf(other)
+	csr, _ := measure.CovarianceOf(common, centre)
+	ms, _ := measure.MeanOf(common)
+	mr, _ := measure.MeanOf(centre)
+	my, _ := measure.MeanOf(other)
 	ss, sr, sy := math.Sqrt(vs), math.Sqrt(vr), math.Sqrt(vy)
 	as, ar, b := exactFit(common, centre, other)
 	rho := csr / (ss * sr)
@@ -270,15 +270,17 @@ func TestResultsMatchGenericFit(t *testing.T) {
 	}
 	requireFits(t, "selective Refit", next, partial, stale, true)
 
-	// Two samples: the centred system is underdetermined, every pivot keeps
-	// the kernel.
-	d2 := correlatedData(t, 48, 2, 6, 2, 0.05)
-	two, err := Compute(d2, Options{Cluster: cluster.Config{K: 2, Seed: 1}, CachePseudoInverse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moment, _ := requireFits(t, "m=2", d2, two, nil, true); moment != 0 || two.Stats.PseudoInverseComputations != two.Stats.NumPivots {
-		t.Fatalf("m=2: %d moment-form fits, %d pseudo-inverses for %d pivots", moment, two.Stats.PseudoInverseComputations, two.Stats.NumPivots)
+	// Two samples leave the centred system underdetermined and three put
+	// every y in the design's span: every pivot keeps the kernel.
+	for _, m := range []int{2, 3} {
+		dm := correlatedData(t, 48, 2, 6, m, 0.05)
+		few, err := Compute(dm, Options{Cluster: cluster.Config{K: 2, Seed: 1}, CachePseudoInverse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moment, _ := requireFits(t, fmt.Sprintf("m=%d", m), dm, few, nil, true); moment != 0 || few.Stats.PseudoInverseComputations != few.Stats.NumPivots {
+			t.Fatalf("m=%d: %d moment-form fits, %d pseudo-inverses for %d pivots", m, moment, few.Stats.PseudoInverseComputations, few.Stats.NumPivots)
+		}
 	}
 
 	// Two branches a single relationship reaches: a centre that is not the
@@ -343,9 +345,9 @@ func guardData(t testing.TB, m int) (*timeseries.DataMatrix, *Result) {
 	// nearly returns x plus noise orthogonal to its centred part, scaled so the
 	// pair's 1 − ρ² is q.
 	nearly := func(x []float64, q float64) []float64 {
-		mx, _ := stats.MeanOf(x)
+		mx, _ := measure.MeanOf(x)
 		z := normals(rng, m, 1)
-		mz, _ := stats.MeanOf(z)
+		mz, _ := measure.MeanOf(z)
 		var xz, xx float64
 		for i := range z {
 			z[i] -= mz
@@ -355,8 +357,8 @@ func guardData(t testing.TB, m int) (*timeseries.DataMatrix, *Result) {
 		for i := range z {
 			z[i] -= xz / xx * (x[i] - mx)
 		}
-		vx, _ := stats.VarianceOf(x)
-		vz, _ := stats.VarianceOf(z)
+		vx, _ := measure.VarianceOf(x)
+		vz, _ := measure.VarianceOf(z)
 		eps := math.Sqrt(q * vx / (vz * (1 - q)))
 		out := make([]float64, m)
 		for i := range out {

@@ -10,7 +10,7 @@ import (
 	"affinity/internal/affine"
 	"affinity/internal/cluster"
 	"affinity/internal/mat"
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -275,8 +275,8 @@ func FuzzMomentFitParity(f *testing.F) {
 			t.Fatalf("moment form: transform %v (%d pseudo-inverses), oracle %v", got, rs.PivotInverses, want)
 		}
 		for _, col := range cols {
-			v, _ := stats.VarianceOf(col)
-			mean, _ := stats.MeanOf(col)
+			v, _ := measure.VarianceOf(col)
+			mean, _ := measure.MeanOf(col)
 			for _, x := range col {
 				if x != 0 && (math.Abs(x) > 0x1p300 || math.Abs(x) < 0x1p-300) {
 					return

@@ -92,11 +92,13 @@ type momentPivot struct {
 // newMomentPivot prepares the centred solve of a pivot from its covariance
 // block cov = (var s, cov(s,r), var r) over an m-sample window and the means of
 // its two columns.  ok is false when the exactness guard sends the pivot to
-// the kernel: m < 3 (three parameters, but centring leaves rank ≤ m − 1), a
+// the kernel: m ≤ 3 (three parameters, but centring leaves rank ≤ m − 1, so
+// at m = 3 every y lies in the design's span — tan θ = 0, where the kernel
+// keeps the digits the 1/(1 − ρ²) amplification costs the moment form), a
 // negligible or infinite variance, or 1 − ρ² ≤ tau.
 func newMomentPivot(m int, cov [3]float64, meanS, meanR float64) (p momentPivot, ok bool) {
 	vs, csr, vr := cov[0], cov[1], cov[2]
-	if m < 3 || negligible(vs, meanS, m) || negligible(vr, meanR, m) {
+	if m <= 3 || negligible(vs, meanS, m) || negligible(vr, meanR, m) {
 		return p, false
 	}
 	p.betaSR, p.betaRS = csr/vr, csr/vs

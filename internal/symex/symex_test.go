@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"affinity/internal/cluster"
+	"affinity/internal/mat"
 	"affinity/internal/measure"
-	"affinity/internal/stats"
 	"affinity/internal/timeseries"
 )
 
@@ -199,22 +199,21 @@ func TestRelationshipAccuracyOnCorrelatedData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		covOp, err := stats.PairMatrixCovariance(op)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v0, _ := measure.VarianceOf(op.Col(0))
+		v1, _ := measure.VarianceOf(op.Col(1))
+		c01, _ := measure.CovarianceOf(op.Col(0), op.Col(1))
+		covOp, _ := mat.NewFromRows([][]float64{{v0, c01}, {c01, v1}})
 		est, err := rel.Transform.PropagateCovariance(covOp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := stats.PairMeasure(stats.Covariance, d, e)
-		if err != nil {
-			t.Fatal(err)
-		}
+		su, _ := d.Series(e.U)
+		sv, _ := d.Series(e.V)
+		want, _ := measure.CovarianceOf(su, sv)
 		truth = append(truth, want)
 		approx = append(approx, est)
 	}
-	rmse, err := stats.RMSE(truth, approx)
+	rmse, err := measure.RMSE(truth, approx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +331,13 @@ func TestPivotTermsMatchScalarPrimitives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			varX, _ := stats.VarianceOf(x)
-			varR, _ := stats.VarianceOf(r)
-			cov, _ := stats.CovarianceOf(x, r)
-			sqX, _ := stats.DotProductOf(x, x)
-			sqR, _ := stats.DotProductOf(r, r)
-			dot, _ := stats.DotProductOf(x, r)
-			want := [8]float64{varX, cov, varR, sqX, dot, sqR, stats.SumOf(x), stats.SumOf(r)}
+			varX, _ := measure.VarianceOf(x)
+			varR, _ := measure.VarianceOf(r)
+			cov, _ := measure.CovarianceOf(x, r)
+			sqX, _ := measure.DotProductOf(x, x)
+			sqR, _ := measure.DotProductOf(r, r)
+			dot, _ := measure.DotProductOf(x, r)
+			want := [8]float64{varX, cov, varR, sqX, dot, sqR, measure.SumOf(x), measure.SumOf(r)}
 			got := terms[pi]
 			have := [8]float64{got.Cov[0], got.Cov[1], got.Cov[2], got.Dot[0], got.Dot[1], got.Dot[2], got.ColSums[0], got.ColSums[1]}
 			for i := range want {

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,5 +190,50 @@ func TestSortedSeriesLifecycle(t *testing.T) {
 			}
 		}
 		requireSortedParity(t, x, 2)
+	}
+}
+
+// TestLocationMatchesEvalLocation: reading an L-measure off a window
+// (Location: sorted column for the order statistics, moments for the mean)
+// gives the bits EvalLocation gives on the raw series, before and after a
+// slide.
+func TestLocationMatchesEvalLocation(t *testing.T) {
+	d, err := NewDataMatrix([][]float64{
+		{3, 1, 2, 2, 9, -4, 0.5},
+		{0, math.Copysign(0, -1), 0, 1, -1, 0, math.Copysign(0, -1)},
+		{7, 7, 7, 7, 7, 7, 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(d *DataMatrix) {
+		t.Helper()
+		for _, m := range measure.ByClass(measure.LocationClass) {
+			for _, id := range d.IDs() {
+				s, _ := d.Series(id)
+				want, err := measure.Lookup(m).EvalLocation(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := d.Location(m, id)
+				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Location(%v, series %d) = %v, %v; EvalLocation = %v", m, id, got, err, want)
+				}
+			}
+		}
+	}
+	check(d)
+	next, err := d.SlideCopy([][]float64{{2, 2}, {math.Copysign(0, -1), 5}, {7, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(next)
+	if _, err := d.Location(measure.Covariance, 0); !errors.Is(err, measure.ErrUnknownMeasure) {
+		t.Fatalf("Location of a pairwise measure: err = %v", err)
+	}
+	for _, m := range measure.ByClass(measure.LocationClass) {
+		if _, err := d.Location(m, 9); !errors.Is(err, ErrInvalidSeries) {
+			t.Fatalf("Location(%v) of an unknown series: err = %v", m, err)
+		}
 	}
 }

@@ -407,6 +407,29 @@ func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
 	return out, err
 }
 
+// Location computes L-measure m of series id — the bits of the measure's
+// EvalLocation over the raw series — from what the window memoises: order
+// statistics (median, mode) are read off the sorted columns (EvalSorted),
+// which a streaming window slides instead of re-sorting, and the mean off
+// Moments.  Only an L-measure with neither reduces the raw series.  Every
+// exact L-measure of a window series the engine answers comes from here.
+func (d *DataMatrix) Location(m measure.Measure, id SeriesID) (float64, error) {
+	sp, ok := measure.Find(m)
+	if !ok || !sp.Location() {
+		return 0, fmt.Errorf("%w: %v is not an L-measure", measure.ErrUnknownMeasure, m)
+	}
+	if sp.EvalSorted != nil {
+		return d.EvalSorted(id, sp.EvalSorted)
+	}
+	if err := d.checkID(id); err != nil {
+		return 0, err
+	}
+	if m == measure.Mean {
+		return d.Moments().Mean[id], nil
+	}
+	return sp.EvalLocation(d.series[id])
+}
+
 // Slab returns the storage behind the window when it is one slab (a
 // SlideCopy result not mutated since): column v is
 // vals[v*stride+off : v*stride+off+m].  vals is nil otherwise.  The slab is

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -30,7 +30,7 @@ const DefaultPowerLawExponent = 1.5
 // MECQuery is one measure computation query: a statistical measure and the
 // set ψ of requested series identifiers.
 type MECQuery struct {
-	Measure stats.Measure
+	Measure measure.Measure
 	Series  []timeseries.SeriesID
 }
 
@@ -45,7 +45,7 @@ type Config struct {
 	PowerLawExponent float64
 	// Measures restricts the measures queries may request (default: all
 	// supported measures, chosen uniformly).
-	Measures []stats.Measure
+	Measures []measure.Measure
 	// Seed makes the workload reproducible.
 	Seed int64
 }
@@ -61,7 +61,7 @@ func (c Config) withDefaults() Config {
 		c.PowerLawExponent = DefaultPowerLawExponent
 	}
 	if len(c.Measures) == 0 {
-		c.Measures = stats.AllMeasures()
+		c.Measures = measure.All()
 	}
 	return c
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"testing"
 
-	"affinity/internal/stats"
+	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -13,7 +13,7 @@ func TestNewGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(Config{NumSeries: 1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("n=1 err = %v", err)
 	}
-	if _, err := NewGenerator(Config{NumSeries: 10, Measures: []stats.Measure{stats.Measure(99)}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewGenerator(Config{NumSeries: 10, Measures: []measure.Measure{measure.Measure(99)}}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad measure err = %v", err)
 	}
 	g, err := NewGenerator(Config{NumSeries: 10, Seed: 1})
@@ -106,21 +106,21 @@ func TestPowerLawSkew(t *testing.T) {
 func TestMeasureRestriction(t *testing.T) {
 	g, err := NewGenerator(Config{
 		NumSeries: 20,
-		Measures:  []stats.Measure{stats.Covariance},
+		Measures:  []measure.Measure{measure.Covariance},
 		Seed:      5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range g.Batch(50) {
-		if q.Measure != stats.Covariance {
+		if q.Measure != measure.Covariance {
 			t.Fatalf("unexpected measure %v", q.Measure)
 		}
 	}
 }
 
 func TestPopularityCountsIgnoresOutOfRange(t *testing.T) {
-	queries := []MECQuery{{Measure: stats.Mean, Series: []timeseries.SeriesID{1, 99, -3}}}
+	queries := []MECQuery{{Measure: measure.Mean, Series: []timeseries.SeriesID{1, 99, -3}}}
 	counts := PopularityCounts(queries, 5)
 	if counts[1] != 1 {
 		t.Fatalf("counts = %v", counts)

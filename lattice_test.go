@@ -19,16 +19,15 @@ import (
 	"affinity/internal/qcache"
 	"affinity/internal/shard"
 	"affinity/internal/sketch"
-	"affinity/internal/stats"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
 // The operation lattice (DESIGN.md, "Testing: the operation lattice") pins
 // the repo's signature invariant under generated input: a byte string decodes
-// into a small window plus a sequence of Append / Advance / query / batch /
-// snapshot / repeat operations, and every operation is replayed on every
-// cell of the lattice
+// into a small window (2 to 8 series of 2 to 24 samples) plus a sequence of
+// Append / Advance / query / batch / snapshot / repeat operations, and every
+// operation is replayed on every cell of the lattice
 //
 //	backend (core.Engine, 2-shard shard.Coordinator)
 //	× Parallelism {1, 2, 8} × result cache {off, on} × sketch {off, on}
@@ -134,7 +133,7 @@ type boundChoice struct {
 type query struct {
 	door     door
 	topK     bool // the spec's kind; the Interval and TopK doors fix it
-	measure  stats.Measure
+	measure  measure.Measure
 	method   core.Method
 	lo, hi   boundChoice
 	k        int
@@ -164,8 +163,8 @@ type sequence struct {
 func decodeSequence(data []byte) sequence {
 	src := &byteSource{data: data}
 	s := sequence{
-		n:        4 + src.intn(5),
-		m:        10 + src.intn(15),
+		n:        2 + src.intn(7),
+		m:        2 + src.intn(23),
 		clusters: 1 + src.intn(3),
 		seed:     int64(src.next()),
 		drift:    []float64{0, 0.05, 0.5}[src.intn(3)],
@@ -173,13 +172,13 @@ func decodeSequence(data []byte) sequence {
 		flavor:   tickFlavor(src.intn(int(tickInvalid))),
 	}
 	s.u, s.v = src.intn(s.n), src.intn(s.n)
-	measures := stats.AllMeasures()
+	measures := measure.All()
 	decodeQuery := func(d door) query {
 		q := query{door: d, topK: src.next()&1 == 1, method: core.Method(src.intn(4))}
 		if i := src.intn(len(measures) + 1); i < len(measures) {
 			q.measure = measures[i]
 		} else {
-			q.measure = stats.Measure(999) // not a registered measure
+			q.measure = measure.Measure(999) // not a registered measure
 		}
 		q.lo = boundChoice{src.intn(3), src.next(), src.next()}
 		q.hi = boundChoice{src.intn(3), src.next(), src.next()}
@@ -219,10 +218,10 @@ func decodeSequence(data []byte) sequence {
 
 // backend is what core.Engine and shard.Coordinator share.
 type backend interface {
-	Interval(stats.Measure, interval.Interval, core.Method) (core.QueryResult, error)
-	TopK(stats.Measure, int, bool, core.Method) (core.QueryResult, error)
-	ComputeLocation(stats.Measure, []timeseries.SeriesID, core.Method) ([]float64, error)
-	ComputePairwise(stats.Measure, []timeseries.SeriesID, core.Method) ([][]float64, error)
+	Interval(measure.Measure, interval.Interval, core.Method) (core.QueryResult, error)
+	TopK(measure.Measure, int, bool, core.Method) (core.QueryResult, error)
+	ComputeLocation(measure.Measure, []timeseries.SeriesID, core.Method) ([]float64, error)
+	ComputePairwise(measure.Measure, []timeseries.SeriesID, core.Method) ([][]float64, error)
 	Append([]float64) error
 	Advance() (core.AdvanceInfo, error)
 	Data() *timeseries.DataMatrix
@@ -244,7 +243,7 @@ func (c *cell) fillLocations() {
 	if !c.eager {
 		return
 	}
-	for _, m := range stats.LMeasures() {
+	for _, m := range measure.ByClass(measure.LocationClass) {
 		_, _ = c.b.Interval(m, interval.All(), core.MethodIndex)
 	}
 }
@@ -290,9 +289,9 @@ type heldPin struct {
 // interval, a T-measure top-k and an L-measure interval — by every method.
 func pinnedAnswers(v core.View) string {
 	specs := []plan.QuerySpec{
-		plan.Interval(stats.Correlation, interval.All()),
-		plan.TopK(stats.Covariance, 3, true),
-		plan.Interval(stats.Mean, interval.All()),
+		plan.Interval(measure.Correlation, interval.All()),
+		plan.TopK(measure.Covariance, 3, true),
+		plan.Interval(measure.Mean, interval.All()),
 	}
 	var b strings.Builder
 	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodIndex} {
@@ -521,7 +520,7 @@ type oracle struct {
 	values []float64 // aligned with ids (L-measures) or pairs
 }
 
-func newOracle(d *timeseries.DataMatrix, m stats.Measure) (oracle, error) {
+func newOracle(d *timeseries.DataMatrix, m measure.Measure) (oracle, error) {
 	naive := baseline.NewNaive(d)
 	if !m.Pairwise() {
 		vals, err := naive.Location(m, d.IDs())
@@ -779,7 +778,7 @@ func checkOracle(ref *cell, q query, o oracle, res any, err error) error {
 func checkLemma1(ref *cell) error {
 	d := ref.b.Data()
 	norm := norms(d)
-	for _, m := range []stats.Measure{stats.DotProduct, stats.Covariance} {
+	for _, m := range []measure.Measure{measure.DotProduct, measure.Covariance} {
 		o, err := newOracle(d, m)
 		if err != nil {
 			return err
@@ -790,7 +789,7 @@ func checkLemma1(ref *cell) error {
 		}
 		for i, p := range o.pairs {
 			tol := 1e-7 * norm[p.U] * norm[p.V]
-			if m == stats.Covariance {
+			if m == measure.Covariance {
 				tol /= float64(d.NumSamples() - 1)
 			}
 			if got := affine[p.U][p.V]; !(math.Abs(got-o.values[i]) <= tol) {
@@ -816,7 +815,7 @@ func checkFits(ref *cell) error {
 		return fmt.Errorf("plain SYMEX: %w", err)
 	}
 	sigma := func(x []float64) float64 {
-		v, _ := stats.VarianceOf(x)
+		v, _ := measure.VarianceOf(x)
 		return math.Sqrt(v)
 	}
 	for got := range rel.All() {
@@ -1037,7 +1036,7 @@ func (r *replayer) apply(o *op) error {
 	}
 	cells := append(slices.Clone(r.cells), r.twins...)
 	answers = make([]string, len(cells))
-	oracles := map[stats.Measure]oracle{}
+	oracles := map[measure.Measure]oracle{}
 	for i := range o.queries {
 		q := &o.queries[i]
 		if _, ok := oracles[q.measure]; !ok && q.measure.Valid() {
