@@ -71,7 +71,7 @@
 // The engine can run as a sliding window over a live stream: Append buffers
 // newly arrived ticks and Advance slides the window forward, incrementally
 // re-fitting only the affine relationships whose drift exceeds
-// StreamOptions.DriftBound and rebuilding the SCAPE index for the new epoch.
+// Options.DriftBound and rebuilding the SCAPE index for the new epoch.
 // Queries may be issued from any number of goroutines concurrently with
 // Append/Advance; they are never blocked by an update and always observe a
 // complete, consistent epoch.
@@ -323,57 +323,6 @@ func GenerateStockData(cfg StockDataConfig) (*Dataset, error) {
 	return dataset.GenerateStock(cfg)
 }
 
-// StreamOptions configures the engine's streaming update path.
-//
-// The engine treats its dataset as a sliding window over an unbounded
-// stream: Append buffers newly arrived ticks (one sample per series) and
-// Advance folds them into a new epoch, sliding the window forward while
-// keeping its length fixed.  Queries are safe to issue concurrently with
-// Append/Advance: they serve the epoch current when they started and are
-// never blocked by an update.
-type StreamOptions struct {
-	// DriftBound controls selective relationship refitting after a window
-	// slide: a relationship is re-fitted only when the relative discrepancy
-	// between its transform-predicted variance of the non-common series and
-	// the series' true windowed variance exceeds the bound.  Zero (the
-	// default) refits every relationship on every Advance, which keeps every
-	// answer bit-identical to a cold rebuild's on the slid window (with the
-	// frozen clustering); a small positive value (e.g. 0.05) skips
-	// refits on quiet streams at the cost of a bounded extra approximation
-	// error.  NaN is rejected.
-	DriftBound float64
-	// StatsRefreshEvery is the number of epochs between refresh epochs
-	// (default 64), which re-reduce from the raw window what the others slide
-	// — the naive sweeps' pair-moment column and the sketches' coefficients —
-	// bounding their floating-point drift, and retry pruned relationships.
-	// Per-series statistics are never slid: every epoch reads its window's.
-	StatsRefreshEvery int
-}
-
-// CacheOptions configures the engine's epoch-aware semantic result cache.
-//
-// The cache sits behind every interval (MET/MER) and top-k query path and
-// serves repeated queries from three reuse tiers: an exact hit returns the
-// stored result with zero allocations; a query semantically contained in a
-// cached one (a narrower interval, or top-k with smaller k in the same
-// direction) is answered by filtering the cached rows; and across an Advance a
-// cached interval result is delta-repaired — only the rows plus the epochs'
-// drift-stale pairs are re-evaluated, verified complete against the index's
-// exact selectivity count.  Every cached answer is byte-identical to a cold
-// execution of the same query, so enabling the cache changes latency only.
-// Explain reports the serving tier on QueryPlan.CacheTier, and StreamStats
-// carries the hit/miss/repair counters.
-type CacheOptions struct {
-	// Enabled turns the cache on (the zero value keeps it off).
-	Enabled bool
-	// MaxBytes is the deterministic LRU eviction budget over the entries'
-	// estimated memory footprint (default 32 MiB).
-	MaxBytes int64
-	// EpochHistory is how many trailing Advances' stale sets are retained for
-	// delta repair; entries older than the window are expired (default 8).
-	EpochHistory int
-}
-
 // SketchOptions configures the DFT coefficient-sketch filter-and-refine tier
 // for sweep queries (StatStream-style, refs [1–3] of the paper).
 //
@@ -417,12 +366,10 @@ type AdvanceInfo = core.AdvanceInfo
 
 // Options configures Engine construction.
 type Options struct {
-	// Clusters is the number of affine clusters k for AFCLST (default 6).
+	// Clusters is the number of affine clusters k for AFCLST (default 6;
+	// AFCLST runs at most 10 rounds and stops once a round moves at most 10
+	// series).
 	Clusters int
-	// MaxIterations is the AFCLST iteration limit γ_max (default 10).
-	MaxIterations int
-	// MinChanges is the AFCLST convergence threshold δ_min (default 10).
-	MinChanges int
 	// Seed makes clustering (and therefore the whole build) reproducible.
 	Seed int64
 	// SkipIndex skips the SCAPE index when only MEC queries are needed.
@@ -436,17 +383,39 @@ type Options struct {
 	// to share costs about what it costs sequentially: set it to the number
 	// of processors the engine may use.
 	Parallelism int
-	// MaxLSFD, when positive, prunes low-quality affine relationships whose
-	// LSFD exceeds the bound.  Queries on pruned pairs transparently fall
-	// back to the naive method; index queries do not report pruned pairs.
-	// +Inf prunes nothing, like zero; NaN is rejected.
-	MaxLSFD float64
-	// Stream configures the streaming update path (Append/Advance).
-	Stream StreamOptions
-	// Cache configures the epoch-aware result cache (off by default; cached
-	// results are byte-identical to cold executions, so enabling it changes
-	// latency only).
-	Cache CacheOptions
+	// DriftBound controls selective relationship refitting on the streaming
+	// update path (Append/Advance).  The engine treats its dataset as a
+	// sliding window over an unbounded stream: Append buffers newly arrived
+	// ticks (one sample per series) and Advance folds them into a new epoch,
+	// sliding the window forward while keeping its length fixed; queries are
+	// safe to issue concurrently and serve the epoch current when they
+	// started.  After a slide a relationship is re-fitted only when the
+	// relative discrepancy between its transform-predicted variance of the
+	// non-common series and the series' true windowed variance exceeds the
+	// bound.  Zero (the default) refits every relationship on every Advance,
+	// which keeps every answer bit-identical to a cold rebuild's on the slid
+	// window (with the frozen clustering); a small positive value (e.g.
+	// 0.05) skips refits on quiet streams at the cost of a bounded extra
+	// approximation error.  NaN is rejected.  Every 64th epoch re-reduces
+	// from the raw window what the others slide — the naive sweeps'
+	// pair-moment column and the sketches' coefficients — bounding their
+	// floating-point drift; per-series statistics are never slid.
+	DriftBound float64
+	// Cache turns on the epoch-aware semantic result cache (off by default).
+	// It sits behind every interval (MET/MER) and top-k query path and serves
+	// repeated queries from three reuse tiers: an exact hit returns the stored
+	// result with zero allocations; a query semantically contained in a cached
+	// one (a narrower interval, or top-k with smaller k in the same direction)
+	// is answered by filtering the cached rows; and across an Advance a cached
+	// interval result is delta-repaired — only the rows plus the drift-stale
+	// pairs of the last 8 epochs are re-evaluated, verified complete against
+	// the index's exact selectivity count.  Entries are evicted in LRU order
+	// past 32 MiB of estimated footprint.  Every cached answer is
+	// byte-identical to a cold execution of the same query, so enabling the
+	// cache changes latency only.  Explain reports the serving tier on
+	// QueryPlan.CacheTier, and StreamStats carries the hit/miss/repair
+	// counters.
+	Cache bool
 	// Sketch configures the coefficient-sketch filter-and-refine sweep tier
 	// (off by default; prescreened results are byte-identical to the plain
 	// exact sweep, so enabling it changes latency only).
@@ -461,22 +430,12 @@ type Engine struct {
 // config translates the public options into the engine configuration.
 func (opts Options) config() core.Config {
 	return core.Config{
-		Clusters:      opts.Clusters,
-		MaxIterations: opts.MaxIterations,
-		MinChanges:    opts.MinChanges,
-		Seed:          opts.Seed,
-		SkipIndex:     opts.SkipIndex,
-		Parallelism:   opts.Parallelism,
-		MaxLSFD:       opts.MaxLSFD,
-		Stream: core.StreamConfig{
-			DriftBound:        opts.Stream.DriftBound,
-			StatsRefreshEvery: opts.Stream.StatsRefreshEvery,
-		},
-		Cache: qcache.Options{
-			Enabled:      opts.Cache.Enabled,
-			MaxBytes:     opts.Cache.MaxBytes,
-			EpochHistory: opts.Cache.EpochHistory,
-		},
+		Clusters:    opts.Clusters,
+		Seed:        opts.Seed,
+		SkipIndex:   opts.SkipIndex,
+		Parallelism: opts.Parallelism,
+		Stream:      core.StreamConfig{DriftBound: opts.DriftBound},
+		Cache:       qcache.Options{Enabled: opts.Cache},
 		Sketch: sketch.Options{
 			Enabled:      opts.Sketch.Enabled,
 			Coefficients: opts.Sketch.Coefficients,
@@ -601,8 +560,8 @@ func (e *Engine) WriteSnapshot(w io.Writer) error { return e.inner.WriteSnapshot
 
 // NewFromSnapshot rebuilds an engine from a snapshot written by WriteSnapshot
 // and the dataset it was built on.  Clustering-related options are ignored
-// (they are part of the snapshot); SkipIndex, Parallelism, MaxLSFD, Stream,
-// Cache and Sketch are honoured, so a snapshot-loaded engine plans,
+// (they are part of the snapshot); SkipIndex, Parallelism, DriftBound, Cache
+// and Sketch are honoured, so a snapshot-loaded engine plans,
 // caches, prescreens and streams exactly like an identically configured New
 // engine.
 func NewFromSnapshot(d *Dataset, r io.Reader, opts Options) (*Engine, error) {

@@ -153,10 +153,8 @@ func TestPublicOptionsVariants(t *testing.T) {
 	if _, err := NewFromSnapshot(nil, strings.NewReader(""), Options{}); err == nil {
 		t.Fatal("nil dataset should error on restore")
 	}
-	for _, opts := range []Options{{MaxLSFD: math.NaN()}, {Stream: StreamOptions{DriftBound: math.NaN()}}} {
-		if _, err := New(data, opts); err == nil {
-			t.Fatalf("NaN bound accepted: %+v", opts)
-		}
+	if _, err := New(data, Options{DriftBound: math.NaN()}); err == nil {
+		t.Fatal("NaN drift bound accepted")
 	}
 }
 

@@ -76,9 +76,9 @@ func main() {
 		{"drift-bounded (coarse bound, incremental index)", 1.0},
 	} {
 		eng, err := affinity.New(initial, affinity.Options{
-			Clusters: 6,
-			Seed:     42,
-			Stream:   affinity.StreamOptions{DriftBound: policy.drift},
+			Clusters:   6,
+			Seed:       42,
+			DriftBound: policy.drift,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -241,10 +241,10 @@ func (e *engineState) columnPos(pos []int32, slot int32) int {
 }
 
 // propagate is the W_A propagation loop (Eqs. 5–7), the only one: pivot by
-// pivot, the pivot's moment matrix is taken once and every live relationship
-// of the pivot propagates it in O(1) to its pair's position in values —
+// pivot, the pivot's moment matrix is taken once and every relationship of
+// the pivot propagates it in O(1) to its pair's position in values —
 // pos[slot] where a position table is given, the pair's rank in the full
-// universe otherwise.  Positions of pairs without a live relationship are left
+// universe otherwise.  Positions of pairs without a relationship are left
 // alone.
 func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32, values []float64) {
 	layout := e.rel.Layout()
@@ -252,9 +252,7 @@ func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32,
 		for pi := blk.Lo; pi < blk.Hi; pi++ {
 			mom := moment(pi)
 			for _, slot := range layout.PivotSlots(pi) {
-				if rel := e.rel.At(int(slot)); rel != nil {
-					values[e.columnPos(pos, slot)] = rel.Transform.PropagateMoment(mom)
-				}
+				values[e.columnPos(pos, slot)] = e.rel.At(int(slot)).Transform.PropagateMoment(mom)
 			}
 		}
 		return nil
@@ -264,8 +262,8 @@ func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32,
 // fillAffineColumn evaluates an affine base over the epoch's pair universe:
 // the propagation loop over the cached pivot summaries — the same function on
 // the same operands as affinePairBase, so the same bits — and, for the pairs
-// without a live relationship (unassigned, or pruned by Config.MaxLSFD), the
-// naive evaluator affinePairBase falls back to.  Every position is written,
+// without a relationship (unassigned, as in a partial layout), the naive
+// evaluator affinePairBase falls back to.  Every position is written,
 // so spare, a recycled buffer the column is built into when its capacity
 // allows, may hold anything.
 func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([]float64, error) {
@@ -277,7 +275,7 @@ func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([
 	layout := e.rel.Layout()
 	return values, e.forUniverseChunks(e.par, func(lo int, chunk []timeseries.Pair) error {
 		for i, pair := range chunk {
-			if slot, ok := layout.Slot(pair); ok && e.rel.At(slot) != nil {
+			if _, ok := layout.Slot(pair); ok {
 				continue // propagated above
 			}
 			v, err := e.naive.PairValue(baseSp.ID, pair)

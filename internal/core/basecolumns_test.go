@@ -195,31 +195,34 @@ func TestBaseColumnsMatchColdTwin(t *testing.T) {
 	}
 }
 
-// TestBaseColumnsRestrictedUniverseAndPruning: the same parity over an
-// AssignedPairsOnly universe (filled by pivot through the slot → position
-// table) with MaxLSFD pruning, where the fill takes the pruned pairs from the
-// naive evaluator as affinePairBase does.
-func TestBaseColumnsRestrictedUniverseAndPruning(t *testing.T) {
-	cfg := Config{
-		Clusters: 4, Seed: 5, Parallelism: 2,
-		AssignedPairsOnly: true,
-		MaxLSFD:           0.05,
-		Stream:            StreamConfig{DriftBound: 0.5},
-	}
-	cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, 4, 500)
-	st := cached.escapedState()
-	if st.pairs == nil || len(st.pairs) >= st.data.NumPairs() {
-		t.Fatalf("universe is not restricted: %d of %d pairs", len(st.pairs), st.data.NumPairs())
-	}
-	if st.table.FallbackPairs == 0 {
-		t.Fatal("fixture prunes no relationship: the naive fallback inside the affine fill is not exercised")
-	}
-	requireSweepParity(t, cached, cold, "epoch0")
-	advanceBoth(t, fx.ticks, cached, cold)
-	requireSweepParity(t, cached, cold, "epoch1")
-	for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
-		if s := e.StreamStats(); s.SweepBaseFills != 4 || s.MomentFills != 1 {
-			t.Fatalf("%s engine: %d base fills and %d moment fills over two epochs, want 4 and 1", name, s.SweepBaseFills, s.MomentFills)
+// TestBaseColumnsRestrictedUniverseAndPartialLayout: the same parity over a
+// partial layout, as an AssignedPairsOnly universe (filled by pivot through
+// the slot → position table) and as the full universe, where the fill takes
+// the pairs without a relationship from the naive evaluator as
+// affinePairBase does.
+func TestBaseColumnsRestrictedUniverseAndPartialLayout(t *testing.T) {
+	for _, restricted := range []bool{true, false} {
+		cfg := Config{
+			Clusters: 4, Seed: 5, Parallelism: 2,
+			AssignedPairsOnly: restricted,
+			Stream:            StreamConfig{DriftBound: 0.5},
+		}
+		cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, 4, 500)
+		st := cached.escapedState()
+		if restricted && (st.pairs == nil || len(st.pairs) >= st.data.NumPairs()) {
+			t.Fatalf("universe is not restricted: %d of %d pairs", len(st.pairs), st.data.NumPairs())
+		}
+		if !restricted && st.table.FallbackPairs == 0 {
+			t.Fatal("every pair has a relationship: the naive fallback inside the affine fill is not exercised")
+		}
+		label := fmt.Sprintf("restricted=%v ", restricted)
+		requireSweepParity(t, cached, cold, label+"epoch0")
+		advanceBoth(t, fx.ticks, cached, cold)
+		requireSweepParity(t, cached, cold, label+"epoch1")
+		for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
+			if s := e.StreamStats(); s.SweepBaseFills != 4 || s.MomentFills != 1 {
+				t.Fatalf("%s%s engine: %d base fills and %d moment fills over two epochs, want 4 and 1", label, name, s.SweepBaseFills, s.MomentFills)
+			}
 		}
 	}
 }

@@ -103,21 +103,18 @@ type StreamConfig struct {
 	DriftBound float64
 	// StatsRefreshEvery is the number of epochs between refresh epochs (0
 	// selects DefaultStatsRefreshEvery): on those the pair-moment column is
-	// dropped and re-reduced by the next naive sweep, every sketch is rebuilt
-	// from a full FFT, and pruned relationships get a refit attempt.  Between
-	// them both are slid, and the refresh bounds their rounding drift.
+	// dropped and re-reduced by the next naive sweep and every sketch is
+	// rebuilt from a full FFT.  Between them both are slid, and the refresh
+	// bounds their rounding drift.
 	StatsRefreshEvery int
 }
 
 // Config parameterizes engine construction.
 type Config struct {
 	// Clusters is the AFCLST k (default 6, the value the paper finds
-	// sufficient for high accuracy).
+	// sufficient for high accuracy).  AFCLST's γ_max and δ_min are
+	// cluster.DefaultMaxIterations and cluster.DefaultMinChanges.
 	Clusters int
-	// MaxIterations is the AFCLST γ_max (default 10).
-	MaxIterations int
-	// MinChanges is the AFCLST δ_min (default 10).
-	MinChanges int
 	// Seed drives the AFCLST initialization.
 	Seed int64
 	// Clustering, when non-nil, bypasses AFCLST and builds on the provided
@@ -135,11 +132,6 @@ type Config struct {
 	// Every parallel stage merges per-shard results in a deterministic
 	// order, so results are identical at any level.
 	Parallelism int
-	// MaxLSFD prunes affine relationships whose LSFD exceeds the bound; the
-	// affine method falls back to the naive computation for pruned pairs and
-	// the SCAPE index simply does not contain them.  Zero disables pruning,
-	// and so does +Inf, which no distance exceeds; NaN is rejected.
-	MaxLSFD float64
 	// AssignedPairsOnly restricts the engine's pairwise query universe to the
 	// pairs carrying a SYMEX assignment in its relationship result, instead of
 	// all n·(n-1)/2 pairs of the data matrix.  A sharded coordinator builds
@@ -172,30 +164,15 @@ func (c Config) withDefaults() Config {
 	if c.Clusters <= 0 {
 		c.Clusters = 6
 	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = cluster.DefaultMaxIterations
-	}
-	if c.MinChanges <= 0 {
-		c.MinChanges = cluster.DefaultMinChanges
-	}
 	if c.Stream.StatsRefreshEvery <= 0 {
 		c.Stream.StatsRefreshEvery = DefaultStatsRefreshEvery
-	}
-	// No distance exceeds +Inf: it prunes nothing, like 0, and takes 0's
-	// route, which skips the per-relationship distance.
-	if math.IsInf(c.MaxLSFD, 1) {
-		c.MaxLSFD = 0
 	}
 	return c
 }
 
-// check rejects the bounds that would silently mean something else: a NaN
-// MaxLSFD prunes nothing yet pays for every distance, and a NaN DriftBound
-// refits everything.
+// check rejects the bound that would silently mean something else: a NaN
+// DriftBound refits everything.
 func (c Config) check() error {
-	if math.IsNaN(c.MaxLSFD) {
-		return fmt.Errorf("%w: MaxLSFD is NaN", ErrBadConfig)
-	}
 	if math.IsNaN(c.Stream.DriftBound) {
 		return fmt.Errorf("%w: Stream.DriftBound is NaN", ErrBadConfig)
 	}
@@ -390,11 +367,9 @@ func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 		clusterStart := time.Now()
 		var err error
 		clustering, err = cluster.Run(d, cluster.Config{
-			K:             cfg.Clusters,
-			MaxIterations: cfg.MaxIterations,
-			MinChanges:    cfg.MinChanges,
-			Seed:          cfg.Seed,
-			Parallelism:   cfg.Parallelism,
+			K:           cfg.Clusters,
+			Seed:        cfg.Seed,
+			Parallelism: cfg.Parallelism,
 		})
 		if err != nil {
 			return nil, info, fmt.Errorf("core: clustering: %w", err)
@@ -407,7 +382,6 @@ func computeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 		Clustering:         clustering,
 		CachePseudoInverse: true,
 		Parallelism:        cfg.Parallelism,
-		MaxLSFD:            cfg.MaxLSFD,
 	})
 	if err != nil {
 		return nil, info, fmt.Errorf("core: symex: %w", err)

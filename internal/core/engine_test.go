@@ -41,10 +41,9 @@ func buildLimited(t testing.TB, d *timeseries.DataMatrix, cfg Config, limit int)
 	t.Helper()
 	e, err := Build(d, cfg)
 	if err == nil && limit > 0 {
-		c := cfg.withDefaults()
 		var rel *symex.Result
 		rel, err = symex.Compute(d, symex.Options{Clustering: e.Relationships().Clustering, CachePseudoInverse: true,
-			MaxRelationships: limit, Parallelism: c.Parallelism, MaxLSFD: c.MaxLSFD})
+			MaxRelationships: limit, Parallelism: cfg.Parallelism})
 		if err == nil {
 			e, err = BuildFromRelationships(d, cfg, rel)
 		}

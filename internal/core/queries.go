@@ -129,12 +129,12 @@ func (e *engineState) PairValue(m measure.Measure, pair timeseries.Pair, method 
 // affinePairBase computes a base T-measure of a pair through its affine
 // relationship: the spec's moment matrix over the cached pivot summary, taken
 // through the propagation quadratic form (Eq. 6 / Eq. 7 unified).  Pairs
-// whose relationship was pruned (Config.MaxLSFD) fall back to the naive
+// without a relationship (a partial layout) fall back to the naive
 // computation, preserving correctness at the cost of a raw-series scan.
 func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (float64, error) {
 	layout := e.rel.Layout()
 	slot, ok := layout.Slot(pair)
-	if !ok || e.rel.At(slot) == nil {
+	if !ok {
 		return e.naive.PairValue(sp.ID, pair)
 	}
 	return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(e.summaries[layout.PivotOf(slot)])), nil

@@ -299,11 +299,12 @@ func stageSpecs(m measure.Measure, values []float64) []plan.QuerySpec {
 // equal — on the cold epoch (which materialises the pair-moment column), over
 // Advances that carry it, and across a statistics-refresh epoch that drops it.
 // Series 1 duplicates series 0, so every measure has tied values for top-k to
-// break by pair identity.  On the same engines and epochs the affine half of
-// the stage — the base columns, with MaxLSFD pruning some relationships — is
+// break by pair identity.  Both universes sit on a partial layout.  On the
+// same engines and epochs the affine half of the stage — the base columns,
+// propagated where a pair has a relationship and naive where it has none — is
 // held to the single-pair evaluator (requireColumnsOfPairEvaluator).
 func TestSweepStageParity(t *testing.T) {
-	const n, window, slide, rounds, refreshEvery, maxLSFD = 26, 48, 2, 5, 4, 0.05
+	const n, window, slide, rounds, refreshEvery = 26, 48, 2, 5, 4
 	fixture := func() *streamFixture {
 		fx := makeStreamFixture(t, n, window, slide*rounds, 67)
 		rows := make([][]float64, n)
@@ -335,12 +336,12 @@ func TestSweepStageParity(t *testing.T) {
 			for _, sketched := range []bool{false, true} {
 				for _, restricted := range []bool{false, true} {
 					cfg := Config{
-						Clusters: 4, Seed: 11, Parallelism: p, MaxLSFD: maxLSFD,
+						Clusters: 4, Seed: 11, Parallelism: p,
 						Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: refreshEvery},
 						Cache:  qcache.Options{Enabled: cached},
 						Sketch: sketch.Options{Enabled: sketched, Coefficients: 8},
 					}
-					limit := 0
+					limit := 250
 					if restricted {
 						cfg.AssignedPairsOnly, limit = true, 200
 					}
@@ -348,9 +349,8 @@ func TestSweepStageParity(t *testing.T) {
 					if restricted && e.escapedState().numUniversePairs() != 200 {
 						t.Fatalf("restricted universe has %d pairs", e.escapedState().numUniversePairs())
 					}
-					if st := e.escapedState(); st.rel.Len() == 0 || st.rel.Len() == len(st.rel.AssignmentList()) {
-						t.Fatalf("MaxLSFD %v prunes %d of %d relationships: the column's naive fallback is not exercised beside its propagation",
-							maxLSFD, len(st.rel.AssignmentList())-st.rel.Len(), len(st.rel.AssignmentList()))
+					if st := e.escapedState(); !restricted && st.table.FallbackPairs == 0 {
+						t.Fatal("every pair has a relationship: the column's naive fallback is not exercised beside its propagation")
 					}
 					engines = append(engines, variant{fmt.Sprintf("P=%d cache=%v sketch=%v restricted=%v", p, cached, sketched, restricted), e})
 				}

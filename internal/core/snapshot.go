@@ -243,8 +243,9 @@ func readSnapshot(r io.Reader, n, m int) (*symex.Result, error) {
 		return nil, err
 	}
 
-	// The records become the assignment list in file order (a snapshot keeps
-	// no pruned pairs), one relationship per slot.
+	// The records become the assignment list in file order, one relationship
+	// per slot: pairs without a record (a snapshot of a partial layout) have
+	// no assignment and are answered naively.
 	assignments, rels := make([]symex.Assignment, 0, count), make([]*symex.Relationship, 0, count)
 	for _, slab := range slabs {
 		for i := range slab {

@@ -50,8 +50,8 @@ func sameRelationships(a, b *symex.Result) bool {
 }
 
 // TestSnapshotCodecMatchesOracle: over random shapes — down to the smallest
-// engine, two series of two samples in one cluster, pruned and budgeted
-// relationship sets, a streamed epoch — WriteSnapshot writes the oracle's
+// engine, two series of two samples in one cluster, partial relationship sets
+// over the full and over the assigned universe, a streamed epoch — WriteSnapshot writes the oracle's
 // bytes and BuildFromSnapshot decodes what the oracle decodes.
 func TestSnapshotCodecMatchesOracle(t *testing.T) {
 	for _, cols := range [][][]float64{{{1, 2}, {3, 5}}, {{1, 2, 4}, {3, 5, 1}, {0, 1, 0}}} {
@@ -73,7 +73,7 @@ func TestSnapshotCodecMatchesOracle(t *testing.T) {
 	shapes := []shape{
 		{2, 8, Config{Clusters: 1, Seed: 1}, 0},
 		{3, 5, Config{Clusters: 2, Seed: 2}, 0},
-		{9, 40, Config{Clusters: 3, Seed: 3, MaxLSFD: 0.05}, 0},
+		{9, 40, Config{Clusters: 3, Seed: 3}, 20},
 		{17, 33, Config{Clusters: 5, Seed: 4, AssignedPairsOnly: true}, 40},
 		{30, 64, Config{Clusters: 6, Seed: 5}, 0},
 	}

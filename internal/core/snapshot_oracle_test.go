@@ -166,8 +166,8 @@ func oracleBuildFromSnapshot(d *timeseries.DataMatrix, r io.Reader, cfg Config) 
 		return nil, fmt.Errorf("%w: %d relationships for %d pairs", ErrBadSnapshot, count, maxPairs)
 	}
 
-	// The records become the assignment list in file order (a snapshot keeps
-	// no pruned pairs), one relationship per slot.
+	// The records become the assignment list in file order, one
+	// relationship per slot.
 	assignments := make([]symex.Assignment, count)
 	rels := make([]*symex.Relationship, count)
 	for i := range rels {

@@ -290,12 +290,12 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	parallelism := e.cfg.Parallelism
 	// The refresh epochs — a whole-window slide, or the periodic schedule —
 	// re-reduce what the other epochs slide (the pair-moment column, the
-	// sketches) and retry pruned relationships.
+	// sketches).
 	refresh := slide >= m || st.epoch%e.cfg.Stream.StatsRefreshEvery == 0
 
 	slideDone := time.Now()
 
-	stale, err := st.relAndDerived(old, e, slide, refresh, spare.rel)
+	stale, err := st.relAndDerived(old, e, slide, spare.rel)
 	if err != nil {
 		return AdvanceInfo{}, err
 	}
@@ -396,13 +396,12 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 // relAndDerived performs the epoch's relationship maintenance: it rebuilds
 // the window-derived quantities (pivot summaries, calibration), measures each old relationship's drift on the new window,
 // re-fits the stale ones and installs the resulting relationship set.
-// refresh marks the periodic full-refresh epochs, on which previously pruned
-// pairs also get a refit attempt.  spare, when non-nil, is a recycled epoch's
-// relationship result for the new one's slots.
+// spare, when non-nil, is a recycled epoch's relationship result for the new
+// one's slots.
 //
 // It returns the stale set handed to symex.Refit (nil when everything was
 // refit), which the caller threads into the incremental index update.
-func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, refresh bool, spare *symex.Result) (map[timeseries.Pair]bool, error) {
+func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, spare *symex.Result) (map[timeseries.Pair]bool, error) {
 	cfg := e.cfg
 	parallelism := cfg.Parallelism
 	// The pivot assignment is frozen, so every summary and per-series
@@ -442,14 +441,6 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 				cov := st.summaries[pi].Cov
 				for _, slot := range layout.PivotSlots(pi) {
 					rel := old.rel.At(int(slot))
-					if rel == nil {
-						// Previously pruned: no transform exists to measure
-						// drift against, so retry it only on the periodic
-						// refresh epochs — a permanently poorly-fit pair must
-						// not force an O(m) refit on every Advance.
-						flags[slot] = refresh
-						continue
-					}
 					flags[slot] = relationshipDrift(rel, cov, st.seriesMoments.Variance[rel.Other()]) > bound
 				}
 			}
@@ -469,7 +460,6 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, ref
 	rel, rs, err := symex.Refit(st.data, old.rel, symex.RefitOptions{
 		Stale:       stale,
 		Parallelism: parallelism,
-		MaxLSFD:     cfg.MaxLSFD,
 		Recycle:     spare,
 	})
 	if err != nil {

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"slices"
 	"testing"
 
-	"affinity/internal/interval"
-	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
@@ -78,10 +75,8 @@ func TestNonFiniteWindowRejectedAtEveryDoor(t *testing.T) {
 	}
 }
 
-// No build door panics on a missing window, and none accepts a NaN bound:
-// a NaN MaxLSFD would prune nothing through the distance route, and a NaN
-// DriftBound would refit everything.  +Inf prunes nothing, like 0, and answers
-// like it.
+// No build door panics on a missing window, and none accepts a NaN drift
+// bound, which would refit everything.
 func TestBuildDoorsRejectNilWindowAndNaNBounds(t *testing.T) {
 	fx := makeStreamFixture(t, 12, 40, 4, 31)
 	cfg := Config{Clusters: 3, Seed: 1}
@@ -108,37 +103,14 @@ func TestBuildDoorsRejectNilWindowAndNaNBounds(t *testing.T) {
 			return err
 		},
 	}
-	nanLSFD, nanDrift := cfg, cfg
-	nanLSFD.MaxLSFD = math.NaN()
+	nanDrift := cfg
 	nanDrift.Stream.DriftBound = math.NaN()
 	for name, door := range doors {
 		if err := door(nil, cfg); !errors.Is(err, timeseries.ErrShapeMismatch) {
 			t.Errorf("%s on a nil window: %v", name, err)
 		}
-		for _, c := range []Config{nanLSFD, nanDrift} {
-			if err := door(fx.window, c); !errors.Is(err, ErrBadConfig) {
-				t.Errorf("%s with MaxLSFD %v, DriftBound %v: %v", name, c.MaxLSFD, c.Stream.DriftBound, err)
-			}
-		}
-	}
-
-	inf := cfg
-	inf.MaxLSFD = math.Inf(1)
-	unbounded, err := Build(fx.window, inf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-		want, err := e.Interval(measure.Correlation, interval.GreaterThan(0.2), method)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := unbounded.Interval(measure.Correlation, interval.GreaterThan(0.2), method)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Pairs, want.Pairs) {
-			t.Errorf("%v: MaxLSFD +Inf answers %d pairs, 0 answers %d", method, len(got.Pairs), len(want.Pairs))
+		if err := door(fx.window, nanDrift); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s with DriftBound NaN: %v", name, err)
 		}
 	}
 }

@@ -151,8 +151,8 @@ func TestTranslationInvarianceProperty(t *testing.T) {
 	}
 }
 
-// pivotPairs builds the two pair matrices SYMEX compares under MaxLSFD: the
-// sequence pair [common, other] and the pivot pair [common, center].
+// pivotPairs builds the two pair matrices an affine relationship connects:
+// the sequence pair [common, other] and the pivot pair [common, center].
 func pivotPairs(t *testing.T, common, other, center []float64) (x, y *mat.Matrix) {
 	t.Helper()
 	x, err := mat.NewFromColumns(common, other)

@@ -20,10 +20,6 @@ import (
 // ErrDimensionMismatch is returned when operands have incompatible shapes.
 var ErrDimensionMismatch = errors.New("mat: dimension mismatch")
 
-// ErrSingular is returned when an operation requires an invertible matrix but
-// the input is (numerically) singular.
-var ErrSingular = errors.New("mat: matrix is singular")
-
 // Matrix is a dense, row-major matrix of float64 values.
 //
 // The zero value is an empty (0x0) matrix.  Matrices are mutable; methods
@@ -42,16 +38,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewFromData returns a matrix wrapping the provided row-major data slice.
-// The slice is used directly (not copied); its length must equal rows*cols.
-func NewFromData(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("mat: data length %d does not match %dx%d: %w",
-			len(data), rows, cols, ErrDimensionMismatch)
-	}
-	return &Matrix{rows: rows, cols: cols, data: data}, nil
 }
 
 // NewFromRows builds a matrix from a slice of equally sized rows.
@@ -154,24 +140,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// SetRow overwrites row i with the provided values.
-func (m *Matrix) SetRow(i int, values []float64) {
-	if len(values) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(values), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], values)
-}
-
-// SetCol overwrites column j with the provided values.
-func (m *Matrix) SetCol(j int, values []float64) {
-	if len(values) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d, want %d", len(values), m.rows))
-	}
-	for i, v := range values {
-		m.data[i*m.cols+j] = v
-	}
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.rows, m.cols)
@@ -217,33 +185,6 @@ func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m*x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.cols != len(x) {
-		return nil, fmt.Errorf("mat: cannot multiply %dx%d by vector of length %d: %w",
-			m.rows, m.cols, len(x), ErrDimensionMismatch)
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
-	}
-	return out, nil
-}
-
-// Scale returns a new matrix with every element multiplied by s.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
 // HConcat returns the horizontal (column-wise) concatenation [m, other],
 // mirroring the paper's [X, Y] notation.
 func (m *Matrix) HConcat(other *Matrix) (*Matrix, error) {
@@ -272,25 +213,6 @@ func (m *Matrix) Slice(r0, r1, c0, c1 int) (*Matrix, error) {
 	return out, nil
 }
 
-// FrobeniusNorm returns the Frobenius norm of the matrix.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, v := range m.data {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			ssq = 1 + ssq*(scale/av)*(scale/av)
-			scale = av
-		} else {
-			ssq += (av / scale) * (av / scale)
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // MaxAbs returns the maximum absolute value of any element, or 0 for an
 // empty matrix.
 func (m *Matrix) MaxAbs() float64 {
@@ -301,20 +223,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// Equal reports whether two matrices have the same shape and all elements are
-// within tol of each other.
-func (m *Matrix) Equal(other *Matrix, tol float64) bool {
-	if m.rows != other.rows || m.cols != other.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-other.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // ColumnMeans returns the mean of each column.

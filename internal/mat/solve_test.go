@@ -15,7 +15,7 @@ func TestPseudoInverseSquareInvertible(t *testing.T) {
 		t.Fatalf("PseudoInverse: %v", err)
 	}
 	prod, _ := a.Mul(pinv)
-	if !prod.Equal(Identity(2), 1e-9) {
+	if !equal(prod, Identity(2), 1e-9) {
 		t.Fatalf("A * A+ != I, got %v", prod)
 	}
 }
@@ -32,7 +32,7 @@ func TestPseudoInverseTallMatrix(t *testing.T) {
 	}
 	// For a full-column-rank tall matrix, A+ A = I (left inverse).
 	prod, _ := pinv.Mul(a)
-	if !prod.Equal(Identity(3), 1e-8) {
+	if !equal(prod, Identity(3), 1e-8) {
 		t.Fatalf("A+ A != I for full-column-rank tall matrix: %v", prod)
 	}
 }
@@ -51,20 +51,20 @@ func TestPseudoInverseMoorePenroseProperties(t *testing.T) {
 		tol := 1e-7
 		apa, _ := a.Mul(p)
 		apa, _ = apa.Mul(a)
-		if !apa.Equal(a, tol) { // A A+ A = A
+		if !equal(apa, a, tol) { // A A+ A = A
 			return false
 		}
 		pap, _ := p.Mul(a)
 		pap, _ = pap.Mul(p)
-		if !pap.Equal(p, tol) { // A+ A A+ = A+
+		if !equal(pap, p, tol) { // A+ A A+ = A+
 			return false
 		}
 		ap, _ := a.Mul(p)
-		if !ap.Equal(ap.T(), tol) { // (A A+) symmetric
+		if !equal(ap, ap.T(), tol) { // (A A+) symmetric
 			return false
 		}
 		pa, _ := p.Mul(a)
-		return pa.Equal(pa.T(), tol) // (A+ A) symmetric
+		return equal(pa, pa.T(), tol) // (A+ A) symmetric
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestPseudoInverseRankDeficient(t *testing.T) {
 	// Even rank-deficient, A A+ A = A must hold.
 	apa, _ := a.Mul(p)
 	apa, _ = apa.Mul(a)
-	if !apa.Equal(a, 1e-8) {
+	if !equal(apa, a, 1e-8) {
 		t.Fatal("A A+ A != A for rank-deficient matrix")
 	}
 }
@@ -141,26 +141,6 @@ func TestLeastSquaresDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestInverse2x2(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	inv, err := Inverse2x2(a)
-	if err != nil {
-		t.Fatalf("Inverse2x2: %v", err)
-	}
-	prod, _ := a.Mul(inv)
-	if !prod.Equal(Identity(2), 1e-12) {
-		t.Fatalf("A * A^-1 != I: %v", prod)
-	}
-
-	sing, _ := NewFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse2x2(sing); !errors.Is(err, ErrSingular) {
-		t.Fatalf("singular matrix should return ErrSingular, got %v", err)
-	}
-	if _, err := Inverse2x2(New(3, 3)); err == nil {
-		t.Fatal("non-2x2 should error")
-	}
-}
-
 func TestDet2x2(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	d, err := Det2x2(a)
@@ -172,52 +152,5 @@ func TestDet2x2(t *testing.T) {
 	}
 	if _, err := Det2x2(New(1, 2)); err == nil {
 		t.Fatal("non-2x2 should error")
-	}
-}
-
-func TestSolveSquare(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
-	b := []float64{8, -11, -3}
-	x, err := SolveSquare(a, b)
-	if err != nil {
-		t.Fatalf("SolveSquare: %v", err)
-	}
-	if !VecEqual(x, []float64{2, 3, -1}, 1e-9) {
-		t.Fatalf("solution = %v, want [2 3 -1]", x)
-	}
-}
-
-func TestSolveSquareErrors(t *testing.T) {
-	if _, err := SolveSquare(New(2, 3), []float64{1, 2}); err == nil {
-		t.Fatal("non-square should error")
-	}
-	if _, err := SolveSquare(New(2, 2), []float64{1}); err == nil {
-		t.Fatal("rhs length mismatch should error")
-	}
-	sing, _ := NewFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveSquare(sing, []float64{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("singular system should return ErrSingular, got %v", err)
-	}
-}
-
-func TestSolveSquareRandomRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(5)
-		a := randomMatrix(rng, n, n)
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b, _ := a.MulVec(xTrue)
-		x, err := SolveSquare(a, b)
-		if err != nil {
-			// Random Gaussian matrices are almost surely non-singular; treat
-			// failure as a real error.
-			t.Fatalf("trial %d: SolveSquare: %v", trial, err)
-		}
-		if !VecEqual(x, xTrue, 1e-7) {
-			t.Fatalf("trial %d: solution %v != %v", trial, x, xTrue)
-		}
 	}
 }

@@ -173,24 +173,6 @@ func Rank(a *Matrix, tol float64) (int, error) {
 	return rank, nil
 }
 
-// Reconstruct returns U * diag(S) * Vᵀ, primarily used by tests to validate
-// the decomposition.
-func (s *SVD) Reconstruct() (*Matrix, error) {
-	m, p := s.U.Dims()
-	n, p2 := s.V.Dims()
-	if p != p2 || p != len(s.S) {
-		return nil, fmt.Errorf("mat: inconsistent SVD shapes U=%dx%d V=%dx%d S=%d: %w",
-			m, p, n, p2, len(s.S), ErrDimensionMismatch)
-	}
-	us := s.U.Clone()
-	for j := 0; j < p; j++ {
-		for i := 0; i < m; i++ {
-			us.data[i*p+j] *= s.S[j]
-		}
-	}
-	return us.Mul(s.V.T())
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

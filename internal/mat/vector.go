@@ -1,52 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
-
-// AddVec returns a+b as a new slice.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: AddVec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v + b[i]
-	}
-	return out
-}
-
-// Sum returns the sum of the elements of v.
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
-// VecEqual reports whether two vectors have the same length and all elements
-// are within tol of each other.
-func VecEqual(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if math.Abs(v-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
+import "math"
 
 // HasNaN reports whether v contains a NaN or infinity.
 func HasNaN(v []float64) bool {

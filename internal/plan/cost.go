@@ -21,8 +21,9 @@ type TableStats struct {
 	// number of binary searches a pairwise index query pays).
 	NumPivots int
 	// FallbackPairs is the number of sequence pairs without an affine
-	// relationship (pruned by MaxLSFD): the affine method answers them with a
-	// raw-series scan, so they bill at naive cost.
+	// relationship (a partial layout, such as one restored from a snapshot
+	// that omits pairs): the affine method answers them with a raw-series
+	// scan, so they bill at naive cost.
 	FallbackPairs int
 	// Indexed lists, in ascending order, the measures the epoch's SCAPE index
 	// answers interval and top-k queries for; empty when the epoch has no
@@ -163,8 +164,9 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 				p.CostSketch = c.sketchCost(st, passes, amb)
 				p.CostNaive = p.CostSketch
 			}
-			// Pruned pairs fall back to a raw scan plus the failed relationship
-			// lookup, so a mostly-pruned epoch prices affine above naive.
+			// Pairs without a relationship fall back to a raw scan plus the
+			// failed lookup, so a mostly unassigned epoch prices affine above
+			// naive.
 			p.CostAffine = float64(st.NumPairs-st.FallbackPairs)*c.AffinePairCost +
 				float64(st.FallbackPairs)*(c.LookupCost+c.naivePairCost(st, passes))
 			// One binary search per pivot node: a T-measure node scans its

@@ -4,9 +4,9 @@
 // The paper's evaluation (Section 6) shows that no single execution method
 // wins everywhere: the naive method (W_N) is exact but touches every raw
 // sample, the affine method (W_A) answers from closed-form propagations in
-// O(1) per pair but degrades to naive scans for pruned relationships, and the
-// SCAPE index answers interval queries with one search per pivot node.  The
-// planner makes the choice per query: a QuerySpec is the logical query,
+// O(1) per pair but degrades to naive scans for pairs without a relationship,
+// and the SCAPE index answers interval queries with one search per pivot
+// node.  The planner makes the choice per query: a QuerySpec is the logical query,
 // TableStats describes the epoch it runs against — which measures its index
 // covers among them — and CostModel.Plan prices every applicable method and
 // picks the cheapest.  Every method emits the same rows, so the choice needs

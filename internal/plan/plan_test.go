@@ -167,11 +167,11 @@ func TestChoosesAffineWithoutIndex(t *testing.T) {
 	}
 }
 
-// TestChoosesNaiveWhenFullyPruned pins the fallback crossover: when every
-// relationship was pruned, the affine method is naive-plus-lookup-overhead
-// per pair and the planner picks the plain naive sweep.  (The break-even sits
-// very close to 100%: each surviving relationship saves an O(m) scan while a
-// pruned one only adds a failed map lookup.)
+// TestChoosesNaiveWhenFullyPruned pins the fallback crossover: when no pair
+// has a relationship, the affine method is naive-plus-lookup-overhead per
+// pair and the planner picks the plain naive sweep.  (The break-even sits
+// very close to 100%: each relationship saves an O(m) scan while a pair
+// without one only adds a failed lookup.)
 func TestChoosesNaiveWhenFullyPruned(t *testing.T) {
 	st := bigTable()
 	st.Indexed = nil
@@ -195,11 +195,12 @@ func TestComputeQueriesNeverChooseIndex(t *testing.T) {
 			t.Fatalf("%v: chose %v, want WA (O(1) per target vs O(m))", spec, p.Method)
 		}
 	}
-	// A fully pruned epoch flips pairwise MEC back to naive.
+	// An epoch in which no pair has a relationship flips pairwise MEC back
+	// to naive.
 	st := bigTable()
 	st.FallbackPairs = st.NumPairs
 	if p := cm.Plan(Compute(measure.Covariance, 50), st, nil); p.Method != MethodNaive {
-		t.Fatalf("fully pruned MEC chose %v, want WN: %v", p.Method, p)
+		t.Fatalf("MEC without relationships chose %v, want WN: %v", p.Method, p)
 	}
 }
 

@@ -336,8 +336,8 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	// An index without L-measures may be empty: a coordinator shard whose
-	// relationships a refit pruned all away answers no pair, like the engine.
+	// An index without L-measures may be empty: it answers no pair, like an
+	// engine without relationships.
 	if rel == nil || rel.Len() == 0 && len(opts.LocationMeasures) > 0 {
 		return nil, fmt.Errorf("scape: no affine relationships to index")
 	}
@@ -415,18 +415,6 @@ func (idx *Index) finishStats(rel *symex.Result) {
 	idx.stats.IndexedLMeasures = len(idx.locationSet)
 }
 
-// livePivots appends to out the pivots that get a node — those with at least
-// one relationship — as ascending positions in the layout's canonical pivot
-// list.
-func livePivots(rel *symex.Result, out []int) []int {
-	for pi := range rel.Layout().Pivots() {
-		if rel.PivotLen(pi) > 0 {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
 // newSequenceNode builds the window-independent payload of one relationship.
 func newSequenceNode(r *symex.Relationship) sequenceNode {
 	return sequenceNode{
@@ -456,12 +444,12 @@ type storeDelta struct {
 }
 
 // nodeStore returns the sequence store of the node for layout pivot pi.  When
-// prev has a node for the pivot and stale (indexed like the layout's pivot
-// list) marks none of its pairs, that is the previous node's slice, returned
+// prev has a node for the pivot and stale (the stale pairs of each layout
+// pivot) counts none of its pairs, that is the previous node's slice, returned
 // with the node's measure state, whose container orders the new epoch
 // repairs; in every other case the store is derived from rel.  hint is the
 // node's position in the new index.
-func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []staleCount) (
+func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32) (
 	canon []sequenceNode, prevMeasures []pivotMeasure, delta storeDelta, err error) {
 
 	var prevNode *pivotNode
@@ -470,9 +458,9 @@ func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []staleCo
 			prevNode = &prev.pivots[at]
 		}
 	}
-	if prevNode != nil && stale[pi].pairs == 0 {
-		// Nothing but this check notices a stale set that omits a pair Refit
-		// pruned or revived.
+	if prevNode != nil && stale[pi] == 0 {
+		// Nothing but this check notices a previous index over another
+		// relationship layout.
 		if len(prevNode.canon) != rel.PivotLen(pi) {
 			return nil, nil, delta, fmt.Errorf("scape: incremental update diverged for pivot %v: store has %d pairs, relationships have %d",
 				prevNode.pivot, len(prevNode.canon), rel.PivotLen(pi))
@@ -486,7 +474,7 @@ func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []staleCo
 		return canon, nil, delta, nil
 	}
 	delta.rederived = true
-	delta.inserted = int(stale[pi].live)
+	delta.inserted = int(stale[pi])
 	delta.deleted = len(prevNode.canon) - (len(canon) - delta.inserted)
 	return canon, nil, delta, nil
 }
@@ -507,19 +495,18 @@ type nodeWork struct {
 	scratchHit bool
 }
 
-// nodeScratch is a build's per-pivot bookkeeping — the pivots that get a node
-// and what each cost — recycled through a pool across builds, since nothing
-// of it outlives the build.
+// nodeScratch is a build's per-pivot bookkeeping — what each node cost —
+// recycled through a pool across builds, since nothing of it outlives the
+// build.
 type nodeScratch struct {
-	order []int
-	work  []nodeWork
+	work []nodeWork
 }
 
 var nodeScratchPool par.Scratch[nodeScratch]
 
-// buildNodes builds idx.pivots — one node per pivot of rel with a
-// relationship — and is the single code path behind Build and Update.  With a
-// previous index a pivot's sequence store is shared with that index's node
+// buildNodes builds idx.pivots — node i for layout pivot i, every one of
+// which has a relationship — and is the single code path behind Build and
+// Update.  With a previous index a pivot's sequence store is shared with that index's node
 // when stale marks no pair of the pivot (stale is indexed like the layout's
 // pivot list); in every other case — Build, a pivot with a stale pair, a pivot
 // the previous index had no node for — it is derived from the relationship
@@ -543,7 +530,7 @@ var nodeScratchPool par.Scratch[nodeScratch]
 // It returns the store counts of UpdateStats: how each node's sequence store
 // was obtained.
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
-	stale []staleCount, parallelism int, donor *Index) (UpdateStats, error) {
+	stale []int32, parallelism int, donor *Index) (UpdateStats, error) {
 
 	if donor == nil {
 		donor = &noDonor
@@ -567,13 +554,12 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 	sc, _ := nodeScratchPool.Get()
 	defer nodeScratchPool.Put(sc)
 	pivots := rel.Layout().Pivots()
-	pivotOrder := livePivots(rel, sc.order[:0])
 	// offsets[i] is where node i's entries start in the key and rank slabs
 	// (times the T-measure count) and in every value column.
-	offsets := reuse(donor.offsets, len(pivotOrder)+1)
+	offsets := reuse(donor.offsets, len(pivots)+1)
 	offsets[0] = 0
-	for i, pi := range pivotOrder {
-		offsets[i+1] = offsets[i] + rel.PivotLen(pi)
+	for pi := range pivots {
+		offsets[pi+1] = offsets[pi] + rel.PivotLen(pi)
 	}
 	idx.offsets = offsets
 	specs := make([]*measure.Spec, len(idx.tMeasures))
@@ -581,29 +567,28 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 		specs[s] = measure.Lookup(m)
 	}
 	T := len(idx.tMeasures)
-	idx.pivots = reuse(donor.pivots, len(pivotOrder))
-	measures := reuse(donor.slab.measures, T*len(pivotOrder))
-	keys := reuse(donor.slab.keys, T*offsets[len(pivotOrder)])
-	ranks := reuse(donor.slab.ranks, T*offsets[len(pivotOrder)])
-	work := reuse(sc.work, len(pivotOrder))
-	sc.order, sc.work = pivotOrder, work
+	idx.pivots = reuse(donor.pivots, len(pivots))
+	measures := reuse(donor.slab.measures, T*len(pivots))
+	keys := reuse(donor.slab.keys, T*offsets[len(pivots)])
+	ranks := reuse(donor.slab.ranks, T*offsets[len(pivots)])
+	work := reuse(sc.work, len(pivots))
+	sc.work = work
 	idx.slab.measures, idx.slab.keys, idx.slab.ranks = measures, keys, ranks
 
-	err = par.DoBlocks(len(pivotOrder), parallelism, func(_ int, blk par.Block) error {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			pi := pivotOrder[i]
-			node := &idx.pivots[i]
+	err = par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
+		for pi := blk.Lo; pi < blk.Hi; pi++ {
+			node := &idx.pivots[pi]
 			node.pivot = pivots[pi]
-			node.measures = measures[T*i : T*(i+1) : T*(i+1)]
+			node.measures = measures[T*pi : T*(pi+1) : T*(pi+1)]
 			var prevMeasures []pivotMeasure
 			var err error
-			node.canon, prevMeasures, work[i].storeDelta, err = nodeStore(rel, pi, prev, i, stale)
+			node.canon, prevMeasures, work[pi].storeDelta, err = nodeStore(rel, pi, prev, pi, stale)
 			if err != nil {
 				return err
 			}
 			k := len(node.canon)
-			at := T * offsets[i]
-			work[i].scratchHit = finishPivotNode(node, specs, terms[pi], prevMeasures,
+			at := T * offsets[pi]
+			work[pi].scratchHit = finishPivotNode(node, specs, terms[pi], prevMeasures,
 				keys[at:at+T*k:at+T*k], ranks[at:at+T*k:at+T*k])
 		}
 		return nil

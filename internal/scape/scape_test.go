@@ -357,19 +357,22 @@ func TestSeriesThresholdAndRange(t *testing.T) {
 // count that names it, once, and holds what the whole-relationship-set rule
 // gives — every series estimated through the relationship with the smallest
 // canonical pair among those it is the non-common member of, its own window
-// location when there is none — here over a relationship set with most
-// relationships pruned, so many series fall back to a later pair or to
+// location when there is none — here over a partial layout that keeps a
+// fifth of the relationships, so many series fall back to a later pair or to
 // their own value.
 func TestLocationColumnsFilledOnDemand(t *testing.T) {
 	d, full := testDataset(t, 17, 24, 80)
 	rng := rand.New(rand.NewSource(5))
-	rels := relsOf(full)
-	for slot := range rels {
-		if rng.Float64() < 0.8 {
-			rels[slot] = nil
+	var keep []int32
+	for slot := range full.Layout().Assignments() {
+		if rng.Float64() >= 0.8 {
+			keep = append(keep, int32(slot))
 		}
 	}
-	rel := symex.NewResult(full.Layout(), full.Clustering, rels)
+	rel, err := full.Subset(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The oracle: the smallest estimating pair of every series, found by a
 	// walk of the whole set.
@@ -380,7 +383,7 @@ func TestLocationColumnsFilledOnDemand(t *testing.T) {
 		}
 	}
 	if len(chosen) == 0 || len(chosen) == d.NumSeries() {
-		t.Fatalf("%d of %d series estimated: the pruning left no route uncovered", len(chosen), d.NumSeries())
+		t.Fatalf("%d of %d series estimated: the partial layout left no route uncovered", len(chosen), d.NumSeries())
 	}
 
 	idx, err := Build(d, rel, Options{})

@@ -57,11 +57,6 @@ type UpdateStats struct {
 	ScratchHits int
 }
 
-// staleCount is what a stale set marks at one pivot: how many of the pairs
-// assigned to it, and how many of those the new relationship set holds (a
-// stale pair Refit pruned has a slot but no relationship).
-type staleCount struct{ pairs, live int32 }
-
 // Update produces the index for a new epoch from the previous epoch's index,
 // the re-fitted relationship set, and the set of pairs symex.Refit actually
 // re-fitted.  A pivot's sequence store is shared with the previous index when
@@ -126,15 +121,11 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	// Count the stale pairs per (fixed) pivot assignment, found through the
 	// layout's slot index — work in the stale set, not the relationship set.
 	layout := rel.Layout()
-	perPivot := make([]staleCount, len(layout.Pivots()))
+	perPivot := make([]int32, len(layout.Pivots())) // stale pairs per pivot
 	marked := 0
 	for p, isStale := range stale {
 		if slot, ok := layout.Slot(p); ok && isStale {
-			c := &perPivot[layout.PivotOf(slot)]
-			c.pairs++
-			if rel.At(slot) != nil {
-				c.live++
-			}
+			perPivot[layout.PivotOf(slot)]++
 			marked++
 		}
 	}

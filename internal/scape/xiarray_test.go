@@ -84,15 +84,14 @@ func hostileIndexInputs(t testing.TB, nan bool) (d, next *timeseries.DataMatrix,
 		if !ok {
 			b = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
+		if pair == (timeseries.Pair{U: 5, V: 6}) {
+			continue // the only pair of pivot (5, ω=0): the pivot is left out
+		}
 		pivot := symex.Pivot{Common: pair.U, Cluster: clustering.Assignment[pair.V]}
 		assignments = append(assignments, symex.Assignment{Pair: pair, Pivot: pivot})
-		r := &symex.Relationship{Pair: pair, Pivot: pivot, Transform: affine.Transform{
+		rels = append(rels, &symex.Relationship{Pair: pair, Pivot: pivot, Transform: affine.Transform{
 			A: [2][2]float64{{1, b[0]}, {0, b[1]}}, B: [2]float64{0, b[2]},
-		}}
-		if pair == (timeseries.Pair{U: 5, V: 6}) {
-			r = nil // the only pair of pivot (5, ω=0): the pivot is left empty
-		}
-		rels = append(rels, r)
+		}})
 	}
 	layout, err := symex.NewLayout(n, assignments)
 	if err != nil {
@@ -243,9 +242,9 @@ func TestXiContainersMatchStableSortTreeOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 13 assigned pivots, one of them left without a relationship.
-		if len(rel.Layout().Pivots()) != 13 || idx.NumPivots() != 12 {
-			t.Fatalf("P=%d: %d nodes over %d assigned pivots, want 12 over 13", p, idx.NumPivots(), len(rel.Layout().Pivots()))
+		// 12 assigned pivots, one node each.
+		if len(rel.Layout().Pivots()) != 12 || idx.NumPivots() != 12 {
+			t.Fatalf("P=%d: %d nodes over %d assigned pivots, want 12 over 12", p, idx.NumPivots(), len(rel.Layout().Pivots()))
 		}
 		shapes := map[string]bool{}
 		for _, node := range idx.pivots {

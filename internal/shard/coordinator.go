@@ -371,7 +371,6 @@ func (c *Coordinator) mergeRelationships(views []core.View) *symex.Result {
 		st := v.Relationships().Stats
 		merged.Stats.PseudoInverseComputations += st.PseudoInverseComputations
 		merged.Stats.PseudoInverseCacheHits += st.PseudoInverseCacheHits
-		merged.Stats.PrunedRelationships += st.PrunedRelationships
 	}
 	return merged
 }

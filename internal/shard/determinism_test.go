@@ -429,12 +429,6 @@ func TestShardedDeterminism(t *testing.T) {
 	runShardDeterminism(t, core.Config{Clusters: 4, Seed: 5})
 }
 
-func TestShardedDeterminismPruned(t *testing.T) {
-	// MaxLSFD pruning exercises the fallback routing: pruned pairs have no
-	// pivot owner and must still be answered identically (naively) everywhere.
-	runShardDeterminism(t, core.Config{Clusters: 4, Seed: 5, MaxLSFD: 0.5})
-}
-
 func TestShardedDeterminismDrift(t *testing.T) {
 	// A positive drift bound makes shard refits partial (per-shard stale
 	// sets); their union must still equal the baseline's refit.

@@ -80,9 +80,7 @@ func ComputePlacement(rel *symex.Result, shards int) (Placement, error) {
 	}
 	n := len(rel.Clustering.Assignment)
 
-	// Distinct assigned pivots in canonical order, grouped by cluster.  The
-	// layout covers pruned pairs too, so every pivot a streaming refit could
-	// revive gets an owner.
+	// Distinct assigned pivots in canonical order, grouped by cluster.
 	pivots := rel.Layout().Pivots()
 
 	sizes := rel.Clustering.Sizes()

@@ -401,8 +401,8 @@ func boundBetter(b, incumbent float64, largest bool) bool {
 	return b < incumbent
 }
 
-// pairOwner returns the shard owning a pair: the owner of its assigned pivot,
-// pruned or not.  A pair without an assignment is answered naively —
+// pairOwner returns the shard owning a pair: the owner of its assigned
+// pivot.  A pair without an assignment is answered naively —
 // identically on every shard — and routes to shard 0.
 func (cs *coordState) pairOwner(pair timeseries.Pair) int {
 	layout := cs.rel.Layout()

@@ -299,15 +299,13 @@ func TestCoordinatorStreaming(t *testing.T) {
 	runShardDeterminismSplit(t, cold, cold, 1, true)
 }
 
-// TestIndexScatterFollowsTheEpoch streams a MaxLSFD-pruned coordinator whose
-// pivots lose and regain their last relationship, so the shards' node lists —
-// and with them the merge schedule — change from epoch to epoch.  At every
-// epoch the schedule must be the canonical interleaving of exactly the nodes
-// the shard indexes hold, the batched index scatter and the mixed batch must
-// equal the single engine.
+// TestIndexScatterFollowsTheEpoch streams a coordinator beside a single
+// engine.  At every epoch the merge schedule must be the canonical
+// interleaving of exactly the nodes the shard indexes hold, and the batched
+// index scatter and the mixed batch must equal the single engine.
 func TestIndexScatterFollowsTheEpoch(t *testing.T) {
 	const rounds, slide = 3, 5
-	cfg := core.Config{Clusters: 4, Seed: 5, MaxLSFD: 0.1, Parallelism: 2}
+	cfg := core.Config{Clusters: 4, Seed: 5, Parallelism: 2}
 	fx := makeShardFixture(t, 20, 90, rounds*slide, 7)
 	e, err := core.Build(fx.window, cfg)
 	if err != nil {
@@ -318,7 +316,6 @@ func TestIndexScatterFollowsTheEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeCounts := make(map[string]bool)
 	for epoch := 0; ; epoch++ {
 		cs := c.state()
 		// The schedule visits every shard's nodes once, in shard order, and
@@ -338,14 +335,11 @@ func TestIndexScatterFollowsTheEpoch(t *testing.T) {
 			}
 			heads[run.shard] = run.hi
 		}
-		counts := ""
 		for s, v := range cs.views {
 			if int(heads[s]) != v.Index().NumPivots() {
 				t.Fatalf("epoch %d: schedule covers %d of shard %d's %d nodes", epoch, heads[s], s, v.Index().NumPivots())
 			}
-			counts += fmt.Sprint(heads[s], " ")
 		}
-		nodeCounts[counts] = true
 
 		for _, method := range []core.Method{core.MethodIndex, core.MethodAuto} {
 			want := render(e.IntervalBatch(scatterBatch(), method))
@@ -392,9 +386,6 @@ func TestIndexScatterFollowsTheEpoch(t *testing.T) {
 		if _, err := c.Advance(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(nodeCounts) < 3 {
-		t.Fatalf("the shards' node lists took %d shapes over %d epochs, want them to change: %v", len(nodeCounts), rounds+1, nodeCounts)
 	}
 }
 
@@ -473,11 +464,10 @@ func TestCoordinatorSingleShardAccessors(t *testing.T) {
 
 // TestRestrictThenMergeIsIdentity: restricting the global result to the
 // shards and merging the shard results back is the identity — every global
-// slot gets its own relationship back (pruned slots stay pruned), over the
-// same layout, with the same counts — at build time and, against a single
+// slot gets its own relationship back, over the same layout, with the same counts — at build time and, against a single
 // engine fed the same ticks, after a drift-selected refit.
 func TestRestrictThenMergeIsIdentity(t *testing.T) {
-	cfg := core.Config{Clusters: 4, Seed: 5, MaxLSFD: 0.05, Stream: core.StreamConfig{DriftBound: 0.02}}
+	cfg := core.Config{Clusters: 4, Seed: 5, Stream: core.StreamConfig{DriftBound: 0.02}}
 	fx := makeShardFixture(t, 24, 90, 12, 7)
 	single, err := core.Build(fx.window, cfg)
 	if err != nil {
@@ -488,9 +478,6 @@ func TestRestrictThenMergeIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	global := c.Relationships()
-	if global.Stats.PrunedRelationships == 0 || global.Len() == 0 {
-		t.Fatalf("the bound prunes %d of %d pairs: nothing to keep pruned", global.Stats.PrunedRelationships, len(global.AssignmentList()))
-	}
 	views := func() []core.View {
 		out := make([]core.View, len(c.engines))
 		for i, e := range c.engines {

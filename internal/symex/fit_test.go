@@ -14,7 +14,6 @@ import (
 
 	"affinity/internal/affine"
 	"affinity/internal/cluster"
-	"affinity/internal/lsfd"
 	"affinity/internal/mat"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
@@ -388,7 +387,17 @@ func guardData(t testing.TB, m int) (*timeseries.DataMatrix, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, NewResult(layout, clustering, make([]*Relationship, len(assignments)))
+	return d, NewResult(layout, clustering, unfitted(assignments))
+}
+
+// unfitted returns a relationship with a zero transform for every assignment:
+// the slots of a result that only a full Refit reads.
+func unfitted(assignments []Assignment) []*Relationship {
+	rels := make([]*Relationship, len(assignments))
+	for i, a := range assignments {
+		rels[i] = &Relationship{Pair: a.Pair, Pivot: a.Pivot, Flipped: a.Pivot.Common == a.Pair.V}
+	}
+	return rels
 }
 
 // requireSameResult compares everything a consumer can observe of two
@@ -423,8 +432,7 @@ func requireSameResult(t testing.TB, label string, got, want *Result) {
 
 // TestFitsIndependentOfParallelism: pivot batching hands whole pivot groups
 // to workers, yet Compute and Refit results — including pair order inside
-// every pivot's list and the LSFD pruning outcome — are the same at any
-// worker count.
+// every pivot's list — are the same at any worker count.
 func TestFitsIndependentOfParallelism(t *testing.T) {
 	d := correlatedData(t, 42, 3, 16, 80, 0.05)
 	clustering, err := cluster.Run(d, cluster.Config{K: 3, Seed: 1})
@@ -432,37 +440,35 @@ func TestFitsIndependentOfParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := slideData(t, d, 6, 7)
-	for _, maxLSFD := range []float64{0, 0.5} {
-		for _, cache := range []bool{false, true} {
-			var wantCompute, wantFull, wantPartial *Result
-			for _, p := range []int{1, 2, 8} {
-				label := fmt.Sprintf("MaxLSFD=%v cache=%v P=%d", maxLSFD, cache, p)
-				res, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: cache, MaxLSFD: maxLSFD, Parallelism: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				full, _, err := Refit(next, res, RefitOptions{MaxLSFD: maxLSFD, Parallelism: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				stale := map[timeseries.Pair]bool{}
-				for i, a := range res.AssignmentList() {
-					if i%4 != 1 {
-						stale[a.Pair] = true
-					}
-				}
-				partial, _, err := Refit(next, res, RefitOptions{Stale: stale, MaxLSFD: maxLSFD, Parallelism: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p == 1 {
-					wantCompute, wantFull, wantPartial = res, full, partial
-					continue
-				}
-				requireSameResult(t, label+" Compute", res, wantCompute)
-				requireSameResult(t, label+" full Refit", full, wantFull)
-				requireSameResult(t, label+" selective Refit", partial, wantPartial)
+	for _, cache := range []bool{false, true} {
+		var wantCompute, wantFull, wantPartial *Result
+		for _, p := range []int{1, 2, 8} {
+			label := fmt.Sprintf("cache=%v P=%d", cache, p)
+			res, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: cache, Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
 			}
+			full, _, err := Refit(next, res, RefitOptions{Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := map[timeseries.Pair]bool{}
+			for i, a := range res.AssignmentList() {
+				if i%4 != 1 {
+					stale[a.Pair] = true
+				}
+			}
+			partial, _, err := Refit(next, res, RefitOptions{Stale: stale, Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == 1 {
+				wantCompute, wantFull, wantPartial = res, full, partial
+				continue
+			}
+			requireSameResult(t, label+" Compute", res, wantCompute)
+			requireSameResult(t, label+" full Refit", full, wantFull)
+			requireSameResult(t, label+" selective Refit", partial, wantPartial)
 		}
 	}
 }
@@ -583,50 +589,4 @@ func TestFitShapeErrors(t *testing.T) {
 			t.Fatalf("P=%d: Refit with a missing center: err = %v, want an unknown-cluster error", p, err)
 		}
 	}
-}
-
-// TestMaxLSFDPrunesByGenericDistance: with a bound set, exactly the pairs
-// whose generic-route LSFD exceeds it are pruned, by Compute and by Refit.
-func TestMaxLSFDPrunesByGenericDistance(t *testing.T) {
-	d := correlatedData(t, 46, 3, 15, 80, 0.05)
-	clustering, err := cluster.Run(d, cluster.Config{K: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 0.5
-	check := func(label string, data *timeseries.DataMatrix, res *Result, pruned int) {
-		t.Helper()
-		wantPruned := 0
-		for _, a := range res.AssignmentList() {
-			op, target := pairMatrices(t, data, res, a.Pair, a.Pivot)
-			dist, err := lsfd.Distance(op, target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, kept := res.Relationship(a.Pair)
-			if kept != !(dist > bound) {
-				t.Fatalf("%s: pair %v has LSFD %v against bound %v but kept=%v", label, a.Pair, dist, bound, kept)
-			}
-			if !kept {
-				wantPruned++
-			}
-		}
-		if wantPruned == 0 || wantPruned == len(res.AssignmentList()) {
-			t.Fatalf("%s: %d of %d pairs pruned — the bound does not split the pairs", label, wantPruned, len(res.AssignmentList()))
-		}
-		if pruned != wantPruned {
-			t.Fatalf("%s: reported %d pruned pairs, want %d", label, pruned, wantPruned)
-		}
-	}
-	res, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true, MaxLSFD: bound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Compute", d, res, res.Stats.PrunedRelationships)
-	next := slideData(t, d, 10, 8)
-	refit, rs, err := Refit(next, res, RefitOptions{MaxLSFD: bound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Refit", next, refit, rs.Pruned)
 }

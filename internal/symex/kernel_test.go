@@ -214,7 +214,7 @@ func fitOne(t testing.TB, common, centre, other []float64, ownCentre bool) (affi
 	if ownCentre {
 		clustering.Assignment[1] = 0
 	}
-	res, rs, err := Refit(d, NewResult(layout, clustering, make([]*Relationship, 1)), RefitOptions{})
+	res, rs, err := Refit(d, NewResult(layout, clustering, unfitted(layout.Assignments())), RefitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

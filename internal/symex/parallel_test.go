@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"affinity/internal/cluster"
-	"affinity/internal/lsfd"
-	"affinity/internal/mat"
 	"affinity/internal/timeseries"
 )
 
@@ -81,68 +79,6 @@ func TestParallelWithoutCache(t *testing.T) {
 	}
 	if par.Stats.PseudoInverseCacheHits != 0 {
 		t.Fatal("no cache hits expected without the cache")
-	}
-}
-
-func TestMaxLSFDPruning(t *testing.T) {
-	d := correlatedData(t, 23, 3, 15, 80, 0.05)
-	clustering, err := cluster.Run(d, cluster.Config{K: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unpruned, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A generous bound keeps everything.
-	loose, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true, MaxLSFD: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Stats.PrunedRelationships != 0 ||
-		loose.Len() != unpruned.Len() {
-		t.Fatalf("loose bound pruned %d relationships", loose.Stats.PrunedRelationships)
-	}
-
-	// A very tight bound prunes something (noisy pairs cannot be represented
-	// exactly) but never everything on clustered data.
-	tight, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true, MaxLSFD: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Stats.PrunedRelationships == 0 {
-		t.Fatal("tight bound should prune relationships on noisy data")
-	}
-	if tight.Len()+tight.Stats.PrunedRelationships != unpruned.Len() {
-		t.Fatalf("pruned + kept = %d, want %d",
-			tight.Len()+tight.Stats.PrunedRelationships, unpruned.Len())
-	}
-
-	// Every surviving relationship must actually satisfy the bound.
-	bound := 0.5
-	pruned, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true, MaxLSFD: bound, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e, rel := range relMap(pruned) {
-		op, err := pruned.PivotMatrix(d, rel.Pivot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		common, _ := d.Series(rel.Common())
-		other, _ := d.Series(rel.Other())
-		target, err := mat.NewFromColumns(common, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist, err := lsfd.Distance(op, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dist > bound+1e-9 {
-			t.Fatalf("pair %v kept with LSFD %v > bound %v", e, dist, bound)
-		}
 	}
 }
 

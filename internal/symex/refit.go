@@ -30,11 +30,6 @@ type RefitOptions struct {
 	// Parallelism fans the least-squares fits out over worker goroutines
 	// (0 or 1 = sequential), exactly like Options.Parallelism.
 	Parallelism int
-	// MaxLSFD re-applies the relationship pruning bound to re-fitted
-	// relationships.  Zero disables pruning (and revives previously pruned
-	// pairs on refit).  Carried-over relationships keep their previous
-	// pruning outcome.
-	MaxLSFD float64
 	// Recycle, when non-nil, is a retired result over the same layout that no
 	// reader can reach any more and that is not prev: the new result's
 	// relationship slots are written into its slot slice instead of a new
@@ -53,8 +48,6 @@ type RefitStats struct {
 	// the kernel fitted — those the moment form's exactness guard turned
 	// away — each one design-matrix pseudo-inverse.
 	PivotInverses int
-	// Pruned is the number of re-fitted relationships dropped by MaxLSFD.
-	Pruned int
 }
 
 // Refit produces a new Result over the (slid) data matrix d: stale
@@ -86,25 +79,18 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 	}
 
 	// The stale slots in assignment order; nil keeps meaning "every slot".
-	// A carried-over slot keeps its previous outcome: a pruned pair stays
-	// pruned until its drift marks it stale again.
 	var slots []int32
-	fitted, wasLive := len(layout.assignments), prev.n
+	fitted := len(layout.assignments)
 	if opts.Stale != nil {
 		slots = make([]int32, 0, len(opts.Stale))
-		wasLive = 0
 		for pair, isStale := range opts.Stale {
 			if slot, ok := layout.Slot(pair); ok && isStale {
 				slots = append(slots, int32(slot))
-				if prev.rels[slot] != nil {
-					wasLive++
-				}
 			}
 		}
 		slices.Sort(slots)
 		fitted = len(slots)
 	}
-	rs.Reused = prev.n - wasLive
 
 	var spare []*Relationship
 	if opts.Recycle != nil && opts.Recycle != prev {
@@ -115,18 +101,14 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 	if slots == nil {
 		covs = make([]float64, len(rels))
 	}
-	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, maxLSFD: opts.MaxLSFD, batch: true}
+	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, batch: true}
 	pinvs, err := f.fitSlots(rels, covs, slots, opts.Parallelism)
 	if err != nil {
 		return nil, rs, err
 	}
 	res := NewResult(layout, prev.Clustering, rels)
 	res.pairCov = covs
-	rs.Refit = res.n - rs.Reused
-	rs.Pruned = fitted - rs.Refit
-	rs.PivotInverses = pinvs
-
-	res.Stats.PrunedRelationships = rs.Pruned
+	rs.Refit, rs.Reused, rs.PivotInverses = fitted, len(rels)-fitted, pinvs
 	res.Stats.PseudoInverseComputations = pinvs
 	res.Stats.PseudoInverseCacheHits = fitted - pinvs
 	return res, rs, nil

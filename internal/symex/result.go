@@ -187,7 +187,7 @@ func (l *Layout) Slot(e timeseries.Pair) (int, bool) {
 }
 
 // Pivots returns the distinct assigned pivots in canonical (Common, Cluster)
-// order, including pivots whose every relationship is currently pruned.
+// order.
 func (l *Layout) Pivots() []Pivot { return l.pivots }
 
 // PivotOf returns the position in Pivots of the pivot assigned to a slot.
@@ -206,11 +206,8 @@ func (l *Layout) PivotSlots(pi int) []int32 {
 // the stale slots, sharing the layout and every untouched relationship.
 type Result struct {
 	layout *Layout
-	// rels[slot] is the relationship fitted for assignment slot, nil while
-	// the MaxLSFD bound has it pruned.
+	// rels[slot] is the relationship fitted for assignment slot.
 	rels []*Relationship
-	live []int32 // surviving relationships per pivot, aligned with Pivots
-	n    int     // surviving relationships in total
 	// pairCov[slot] is cov(s_common, s_other) of the slot's pair over the
 	// fitted window, kept by a full SYMEX+ fit (PairCov); nil otherwise.
 	pairCov []float64
@@ -221,27 +218,20 @@ type Result struct {
 }
 
 // NewResult is the one constructor of results: rels[slot] holds the
-// relationship of the layout's assignment slot, nil when pruned, fitted over
-// the given clustering.  The slice is owned by the result from here on.  It
-// fills the relationship and pivot counts of Stats; the fit counters are the
-// caller's.
+// relationship of the layout's assignment slot, fitted over the given
+// clustering; every slot has one.  The slice is owned by the result from here
+// on.  It fills the relationship and pivot counts of Stats; the fit counters
+// are the caller's.
 func NewResult(l *Layout, clustering *cluster.Result, rels []*Relationship) *Result {
 	if len(rels) != len(l.assignments) {
 		panic(fmt.Sprintf("symex: %d relationship slots for %d assignments", len(rels), len(l.assignments)))
 	}
-	r := &Result{layout: l, rels: rels, live: make([]int32, len(l.pivots)), Clustering: clustering}
-	for slot, rel := range rels {
-		if rel != nil {
-			r.live[l.pivotOf[slot]]++
-			r.n++
-		}
+	if slot := slices.Index(rels, nil); slot >= 0 {
+		panic(fmt.Sprintf("symex: assignment slot %d has no relationship", slot))
 	}
-	for _, c := range r.live {
-		if c > 0 {
-			r.Stats.NumPivots++
-		}
-	}
-	r.Stats.NumRelationships = r.n
+	r := &Result{layout: l, rels: rels, Clustering: clustering}
+	r.Stats.NumPivots = len(l.pivots)
+	r.Stats.NumRelationships = len(rels)
 	return r
 }
 
@@ -253,7 +243,7 @@ func (r *Result) Layout() *Layout { return r.layout }
 // pair in (common, other) orientation, which are the canonical pair's bits
 // (the kernel's products commute) — or nil.  A full SYMEX+ fit (Compute, or
 // Refit with a nil stale set) reduces every one of them for the moment form
-// and keeps them, pruned slots and guard-routed pivots included; a partial
+// and keeps them, guard-routed pivots included; a partial
 // Refit, plain SYMEX and a result assembled from given relationships (a
 // snapshot) have none.  The slice must not be modified.
 func (r *Result) PairCov() []float64 { return r.pairCov }
@@ -283,19 +273,19 @@ func (r *Result) Subset(slots []int32) (*Result, error) {
 }
 
 // AssignmentList returns the full pair→pivot assignment produced by the
-// exploration, including pairs whose relationship is pruned.
+// exploration.
 func (r *Result) AssignmentList() []Assignment { return r.layout.assignments }
 
-// Len returns the number of (unpruned) affine relationships.
-func (r *Result) Len() int { return r.n }
+// Len returns the number of affine relationships, one per assignment.
+func (r *Result) Len() int { return len(r.rels) }
 
-// At returns the relationship of an assignment slot, nil while pruned.
+// At returns the relationship of an assignment slot.
 func (r *Result) At(slot int) *Relationship { return r.rels[slot] }
 
 // Relationship returns the affine relationship for a sequence pair.
 func (r *Result) Relationship(e timeseries.Pair) (*Relationship, bool) {
 	slot, ok := r.layout.Slot(e)
-	if !ok || r.rels[slot] == nil {
+	if !ok {
 		return nil, false
 	}
 	return r.rels[slot], true
@@ -303,13 +293,7 @@ func (r *Result) Relationship(e timeseries.Pair) (*Relationship, bool) {
 
 // All iterates the relationships in assignment order.
 func (r *Result) All() iter.Seq[*Relationship] {
-	return func(yield func(*Relationship) bool) {
-		for _, rel := range r.rels {
-			if rel != nil && !yield(rel) {
-				return
-			}
-		}
-	}
+	return slices.Values(r.rels)
 }
 
 // InPairOrder iterates the relationships in canonical (U, V) pair order, the
@@ -317,7 +301,7 @@ func (r *Result) All() iter.Seq[*Relationship] {
 func (r *Result) InPairOrder() iter.Seq[*Relationship] {
 	return func(yield func(*Relationship) bool) {
 		for _, slot := range r.layout.slotOf {
-			if slot >= 0 && r.rels[slot] != nil && !yield(r.rels[slot]) {
+			if slot >= 0 && !yield(r.rels[slot]) {
 				return
 			}
 		}
@@ -326,14 +310,14 @@ func (r *Result) InPairOrder() iter.Seq[*Relationship] {
 
 // PivotLen returns the number of relationships of pivot pi (a position in
 // Layout().Pivots()).
-func (r *Result) PivotLen(pi int) int { return int(r.live[pi]) }
+func (r *Result) PivotLen(pi int) int { return len(r.layout.PivotSlots(pi)) }
 
 // PivotRelationships iterates the relationships of pivot pi in canonical pair
 // order — the order the SCAPE sequence stores keep.
 func (r *Result) PivotRelationships(pi int) iter.Seq[*Relationship] {
 	return func(yield func(*Relationship) bool) {
 		for _, slot := range r.layout.PivotSlots(pi) {
-			if rel := r.rels[slot]; rel != nil && !yield(rel) {
+			if !yield(r.rels[slot]) {
 				return
 			}
 		}
@@ -359,8 +343,7 @@ func (r *Result) PivotColumns(d *timeseries.DataMatrix, p Pivot) (common, center
 }
 
 // PivotTerms returns the pivot-side terms of every layout pivot over window d,
-// aligned with Layout().Pivots() (pruned pivots included, so a refit that
-// revives a pair finds its pivot's terms): the covariance and Gram blocks and
+// aligned with Layout().Pivots(): the covariance and Gram blocks and
 // the column sums of O_p = [s_common, r_cluster] — the moments the paper's
 // pre-processing step stores in pivotHash, which W_A propagates (Eqs. 5–7),
 // whose first row is SCAPE's α and whose covariance block is the Gram of the

@@ -8,15 +8,13 @@ import (
 	"testing"
 
 	"affinity/internal/cluster"
-	"affinity/internal/lsfd"
 	"affinity/internal/timeseries"
 )
 
 // mapStore is the relationship store Result used to be — the affHash and
 // pivotHash maps filled by a hand-rolled loop — refit through the oracle fits
 // (expectedFit: the scalar moment form, the generic affine.Fit where the guard
-// keeps the kernel) and the generic lsfd.Distance.  It is the oracle of the
-// slot store.
+// keeps the kernel).  It is the oracle of the slot store.
 type mapStore struct {
 	rels   map[timeseries.Pair]*Relationship
 	pivots map[Pivot][]timeseries.Pair
@@ -30,7 +28,7 @@ func (s *mapStore) keep(rel *Relationship) {
 
 // refit is the pre-slot-store Refit, verbatim in structure: walk the
 // assignment list, carry over what is not stale, fit the rest.
-func (s *mapStore) refit(t testing.TB, d *timeseries.DataMatrix, res *Result, stale map[timeseries.Pair]bool, maxLSFD float64) (*mapStore, RefitStats) {
+func (s *mapStore) refit(t testing.TB, d *timeseries.DataMatrix, res *Result, stale map[timeseries.Pair]bool) (*mapStore, RefitStats) {
 	t.Helper()
 	next := &mapStore{rels: map[timeseries.Pair]*Relationship{}, pivots: map[Pivot][]timeseries.Pair{}}
 	var rs RefitStats
@@ -49,17 +47,6 @@ func (s *mapStore) refit(t testing.TB, d *timeseries.DataMatrix, res *Result, st
 		if kernel {
 			fitPivots[a.Pivot] = true
 		}
-		op, target := pairMatrices(t, d, res, a.Pair, a.Pivot)
-		if maxLSFD > 0 {
-			dist, err := lsfd.Distance(op, target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dist > maxLSFD {
-				rs.Pruned++
-				continue
-			}
-		}
 		next.keep(&Relationship{Pair: a.Pair, Pivot: a.Pivot, Transform: *tr, Flipped: a.Pivot.Common == a.Pair.V})
 		rs.Refit++
 	}
@@ -69,7 +56,6 @@ func (s *mapStore) refit(t testing.TB, d *timeseries.DataMatrix, res *Result, st
 		NumPivots:                 len(next.pivots),
 		PseudoInverseComputations: len(fitPivots),
 		PseudoInverseCacheHits:    fitted - len(fitPivots),
-		PrunedRelationships:       rs.Pruned,
 	}
 	return next, rs
 }
@@ -122,26 +108,22 @@ func requireStoreMatchesOracle(t testing.TB, label string, d *timeseries.DataMat
 	}
 }
 
-// TestSlotStoreMatchesMapOracle drives random selective refits under an LSFD
-// bound — pairs get pruned, stay pruned while not stale, and are revived when
-// a later refit takes them back — and holds the slot store to the map-based
-// oracle after every one.
+// TestSlotStoreMatchesMapOracle drives random selective refits and holds the
+// slot store to the map-based oracle after every one.
 func TestSlotStoreMatchesMapOracle(t *testing.T) {
 	d := correlatedData(t, 46, 3, 15, 80, 0.05)
 	clustering, err := cluster.Run(d, cluster.Config{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bound = 0.5
-	res, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true, MaxLSFD: bound})
+	res, err := Compute(d, Options{Clustering: clustering, CachePseudoInverse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _ := (&mapStore{}).refit(t, d, res, nil, bound)
+	oracle, _ := (&mapStore{}).refit(t, d, res, nil)
 	requireStoreMatchesOracle(t, "Compute", d, res, oracle)
 
 	rng := rand.New(rand.NewSource(3))
-	events := map[string]int{}
 	for round := 1; round <= 14; round++ {
 		d = slideData(t, d, int64(100+round), 24)
 		var stale map[timeseries.Pair]bool
@@ -151,11 +133,9 @@ func TestSlotStoreMatchesMapOracle(t *testing.T) {
 			stale = map[timeseries.Pair]bool{}
 		default:
 			stale = map[timeseries.Pair]bool{}
-			refresh := round%3 == 0 // a refresh epoch retries every pruned pair
 			for _, a := range res.AssignmentList() {
-				_, live := res.Relationship(a.Pair)
 				switch {
-				case rng.Float64() < 0.3 || (refresh && !live):
+				case rng.Float64() < 0.3:
 					stale[a.Pair] = true
 				case rng.Float64() < 0.1:
 					stale[a.Pair] = false // a false-valued key is not stale
@@ -163,33 +143,16 @@ func TestSlotStoreMatchesMapOracle(t *testing.T) {
 			}
 			stale[timeseries.Pair{U: 0, V: 99}] = true // not an assigned pair: ignored
 		}
-		next, rs, err := Refit(d, res, RefitOptions{Stale: stale, MaxLSFD: bound, Parallelism: 1 + round%3})
+		next, rs, err := Refit(d, res, RefitOptions{Stale: stale, Parallelism: 1 + round%3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nextOracle, wantRS := oracle.refit(t, d, res, stale, bound)
+		nextOracle, wantRS := oracle.refit(t, d, res, stale)
 		if rs != wantRS {
 			t.Fatalf("round %d: refit stats %+v, oracle %+v", round, rs, wantRS)
 		}
 		requireStoreMatchesOracle(t, "refit", d, next, nextOracle)
-		for _, a := range res.AssignmentList() {
-			_, was := res.Relationship(a.Pair)
-			_, is := next.Relationship(a.Pair)
-			switch {
-			case was && !is:
-				events["pruned"]++
-			case !was && !is && stale != nil && !stale[a.Pair]:
-				events["stayed pruned"]++
-			case !was && is:
-				events["revived"]++
-			}
-		}
 		res, oracle = next, nextOracle
-	}
-	for _, e := range []string{"pruned", "stayed pruned", "revived"} {
-		if events[e] == 0 {
-			t.Fatalf("the run never exercised %q: %v", e, events)
-		}
 	}
 }
 
@@ -199,7 +162,7 @@ func TestSlotStoreMatchesMapOracle(t *testing.T) {
 // the same pointers, the same coefficient bits — it held before.
 func TestRefitLeavesPreviousResultReadable(t *testing.T) {
 	d := correlatedData(t, 47, 3, 14, 60, 0.05)
-	prev, err := Compute(d, Options{Cluster: cluster.Config{K: 3, Seed: 1}, CachePseudoInverse: true, MaxLSFD: 0.5})
+	prev, err := Compute(d, Options{Cluster: cluster.Config{K: 3, Seed: 1}, CachePseudoInverse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +218,7 @@ func TestRefitLeavesPreviousResultReadable(t *testing.T) {
 		if round == 5 {
 			stale = nil
 		}
-		if _, _, err := Refit(next, prev, RefitOptions{Stale: stale, MaxLSFD: 0.5, Parallelism: 2}); err != nil {
+		if _, _, err := Refit(next, prev, RefitOptions{Stale: stale, Parallelism: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,8 +235,9 @@ func TestRefitLeavesPreviousResultReadable(t *testing.T) {
 	}
 }
 
-// TestNewLayoutRejectsBadAssignments: the three ways an assignment list can
-// be unusable, each reported rather than indexed.
+// TestNewLayoutRejectsBadAssignments: the ways an assignment list can be
+// unusable, each reported rather than indexed, and the relationship slices
+// NewResult refuses to store against a layout.
 func TestNewLayoutRejectsBadAssignments(t *testing.T) {
 	good := Assignment{Pair: timeseries.Pair{U: 0, V: 1}, Pivot: Pivot{Common: 0, Cluster: 0}}
 	for name, list := range map[string][]Assignment{
@@ -301,10 +265,14 @@ func TestNewLayoutRejectsBadAssignments(t *testing.T) {
 	if slot, ok := layout.Slot(good.Pair); !ok || slot != 0 || layout.PivotOf(slot) != 0 || len(layout.PivotSlots(0)) != 1 {
 		t.Fatal("the assigned pair is not at slot 0 of pivot 0")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewResult accepted a relationship slice of the wrong length")
-		}
-	}()
-	NewResult(layout, &cluster.Result{}, nil)
+	for name, rels := range map[string][]*Relationship{"a slice of the wrong length": nil, "a nil slot": {nil}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewResult accepted %s", name)
+				}
+			}()
+			NewResult(layout, &cluster.Result{}, rels)
+		}()
+	}
 }

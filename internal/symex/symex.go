@@ -32,8 +32,6 @@ import (
 	"affinity/internal/affine"
 	"affinity/internal/cluster"
 	"affinity/internal/kernel"
-	"affinity/internal/lsfd"
-	"affinity/internal/mat"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/timeseries"
@@ -112,12 +110,6 @@ type Options struct {
 	// result is identical either way (fits are independent), only the
 	// exploration-order bookkeeping differs internally.
 	Parallelism int
-	// MaxLSFD, when positive, prunes affine relationships whose LSFD between
-	// the pivot pair matrix and the sequence pair matrix exceeds the bound
-	// (Section 4: "we can, if required, prune the unnecessary affine
-	// relationships").  Pruned pairs have no relationship in the result and
-	// the engine falls back to the naive method for them.
-	MaxLSFD float64
 }
 
 // Stats reports work counters of a Compute run.
@@ -135,13 +127,10 @@ type Stats struct {
 	// of their own: the fitted relationships minus PseudoInverseComputations
 	// (always zero for plain SYMEX).
 	PseudoInverseCacheHits int
-	// PrunedRelationships counts relationships dropped by the MaxLSFD bound.
-	PrunedRelationships int
 }
 
 // Assignment records the pivot assigned to one sequence pair by the
-// exploration phase, independent of whether the fitted relationship survived
-// LSFD pruning.  The list of assignments is what a streaming refit needs to
+// exploration phase.  The list of assignments is what a streaming refit needs to
 // re-fit relationships on a slid window without re-running the exploration.
 type Assignment struct {
 	// Pair is the sequence pair e in canonical (U < V) order.
@@ -272,7 +261,7 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	if opts.CachePseudoInverse {
 		covs = make([]float64, len(rels))
 	}
-	f := &fitter{data: d, clustering: clustering, layout: layout, maxLSFD: opts.MaxLSFD, batch: opts.CachePseudoInverse}
+	f := &fitter{data: d, clustering: clustering, layout: layout, batch: opts.CachePseudoInverse}
 	if f.batch {
 		f.mirror, _ = mirrorScratchPool.Get()
 		defer mirrorScratchPool.Put(f.mirror)
@@ -283,7 +272,6 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 	}
 	res := NewResult(layout, clustering, rels)
 	res.pairCov = covs
-	res.Stats.PrunedRelationships = len(rels) - res.Len()
 	res.Stats.PseudoInverseComputations = pinvs
 	res.Stats.PseudoInverseCacheHits = len(rels) - pinvs
 	return res, nil
@@ -352,7 +340,6 @@ type fitter struct {
 	data       *timeseries.DataMatrix
 	clustering *cluster.Result
 	layout     *Layout
-	maxLSFD    float64
 	// batch selects SYMEX+ (the moment form, one pseudo-inverse per guarded
 	// pivot) over plain SYMEX (one pseudo-inverse per relationship).
 	batch bool
@@ -404,10 +391,10 @@ type mirrorScratch struct {
 var mirrorScratchPool par.Scratch[mirrorScratch]
 
 // fitSlots fits the assignments at the given slots (nil means every slot)
-// against the window and stores each fit at rels[slot] — nil when the MaxLSFD
-// bound prunes it.  Under SYMEX+ (f.batch) with covs non-nil it also stores
-// every fitted slot's pair covariance cov(s_common, s_other) at covs[slot],
-// pruned or not and whichever route the fit took.  Every fit is independent
+// against the window and stores each fit at rels[slot].  Under SYMEX+
+// (f.batch) with covs non-nil it also stores every fitted slot's pair
+// covariance cov(s_common, s_other) at covs[slot], whichever route the fit
+// took.  Every fit is independent
 // and lands at its own slot, so the output is the same at any parallelism.
 // It returns the number of pseudo-inverses the kernel computed.
 //
@@ -545,8 +532,7 @@ func (f *fitter) fitBatch(w *fitScratch, members, start []int32, rels []*Relatio
 }
 
 // fitGroup fits the member slots of a listed pivot group — by the moment form
-// when the guard admits it, by the kernel otherwise — and applies the MaxLSFD
-// bound.  It returns the number of pseudo-inverses computed.
+// when the guard admits it, by the kernel otherwise.  It returns the number of pseudo-inverses computed.
 func (f *fitter) fitGroup(w *fitScratch, g *groupFit, members []int32, rels []*Relationship, covs []float64) (int, error) {
 	p := f.layout.pivots[g.pi]
 	others := w.others[g.others : int(g.others)+len(members)]
@@ -573,31 +559,6 @@ func (f *fitter) fitGroup(w *fitScratch, g *groupFit, members []int32, rels []*R
 				return 0, err
 			}
 			rels[slot] = f.relationship(slot, p, w.k.fit(other))
-		}
-	}
-
-	if f.maxLSFD <= 0 {
-		return pinvs, nil
-	}
-	op, err := mat.NewFromColumns(common, center)
-	if err != nil {
-		return 0, err
-	}
-	for i, slot := range members {
-		other, err := f.data.Series(others[i])
-		if err != nil {
-			return 0, err
-		}
-		target, err := mat.NewFromColumns(common, other)
-		if err != nil {
-			return 0, err
-		}
-		dist, err := lsfd.Distance(op, target)
-		if err != nil {
-			return 0, err
-		}
-		if dist > f.maxLSFD {
-			rels[slot] = nil
 		}
 	}
 	return pinvs, nil

@@ -297,26 +297,15 @@ func TestPivotMatrixErrors(t *testing.T) {
 
 // TestPivotTermsMatchScalarPrimitives: the one assembly of the pivot terms is
 // the two-pass scalar reductions of each pivot's two columns, bit for bit, for
-// every layout pivot (pruned ones included) and at any parallelism, and it
-// rejects a pivot whose columns do not fit the window.
+// every layout pivot and at any parallelism, and it rejects a pivot whose
+// columns do not fit the window.
 func TestPivotTermsMatchScalarPrimitives(t *testing.T) {
 	d := correlatedData(t, 11, 3, 16, 73, 0.05)
-	opts := defaultOptions()
-	opts.MaxLSFD = 0.05
-	res, err := Compute(d, opts)
+	res, err := Compute(d, defaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pivots := res.Layout().Pivots()
-	pruned := 0
-	for pi := range pivots {
-		if res.PivotLen(pi) == 0 {
-			pruned++
-		}
-	}
-	if pruned == 0 {
-		t.Fatal("MaxLSFD pruned no pivot: the pruned-pivot case is not covered")
-	}
 	bits := func(v float64) uint64 { return math.Float64bits(v) }
 	for _, p := range []int{1, 2, 8} {
 		terms, err := res.PivotTerms(d, p)

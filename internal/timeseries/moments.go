@@ -59,12 +59,18 @@ func (mo *Moments) Stat(id SeriesID) measure.SeriesStat {
 // first call and shared by every later one — every engine, index, kernel
 // mirror and shard over this window reads the same object.  Append drops
 // them; SlideCopy does not hand them on, because a slid sum is
-// not the bits a fresh reduction yields.  The result must not be modified.
+// not the bits a fresh reduction yields.  Once memoised they are one atomic
+// load away: readers take no lock.  The result must not be modified.
 func (d *DataMatrix) Moments() *Moments {
+	if mo := d.moments.Load(); mo != nil {
+		return mo
+	}
 	d.memoMu.Lock()
 	defer d.memoMu.Unlock()
-	if d.moments == nil {
-		d.moments = NewMoments(d.series)
+	mo := d.moments.Load()
+	if mo == nil {
+		mo = NewMoments(d.series)
+		d.moments.Store(mo)
 	}
-	return d.moments
+	return mo
 }

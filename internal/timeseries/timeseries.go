@@ -124,11 +124,12 @@ type DataMatrix struct {
 	// column v at sorted[v*m:(v+1)*m]; nil until the first EvalSorted call,
 	// and again once SlideCopy has moved them forward to the next window.
 	// moments holds the series' self-moments; nil until the first Moments
-	// call.  memoMu guards both fields (queries on one epoch may race to build
-	// them); readers of the sorted columns share it.
+	// call.  memoMu guards sorted and serialises the builds of both (queries
+	// on one epoch may race to build them); readers of the sorted columns
+	// share it, readers of memoised moments load the pointer without it.
 	memoMu  sync.RWMutex
 	sorted  []float64
-	moments *Moments
+	moments atomic.Pointer[Moments]
 
 	// validated records that Validate succeeded on the current contents, so
 	// the next Validate need not scan them again.  Several builders may
@@ -205,7 +206,7 @@ func (d *DataMatrix) Append(name string, values []float64) error {
 	d.slab, d.off = nil, 0
 	d.memoMu.Lock()
 	d.sorted = nil
-	d.moments = nil
+	d.moments.Store(nil)
 	d.memoMu.Unlock()
 	return nil
 }

@@ -840,7 +840,7 @@ func TestMomentsLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if x.moments != nil {
+		if x.moments.Load() != nil {
 			t.Fatalf("%s handed on a memo", name)
 		}
 		requireMomentsParity(t, x, name)
@@ -872,6 +872,57 @@ func TestMomentsConcurrentFirstCallers(t *testing.T) {
 		}
 		requireMomentsParity(t, d, "concurrent")
 	}
+}
+
+// TestMomentsReadersRaceSlides: readers of a window's memoised moments (no
+// lock once memoised) and of its sorted columns (the read lock) run beside
+// slides that take the sorted columns away and readers that build them again;
+// every reader sees the one moments object and the bits of a fresh sort
+// (run under -race).
+func TestMomentsReadersRaceSlides(t *testing.T) {
+	d := momentsWindow(t, 7, 6, 48, 5)
+	memo := d.Moments()
+	medians := make([]float64, d.NumSeries())
+	for v := range medians {
+		s, _ := d.Series(SeriesID(v))
+		sorted := slices.Clone(s)
+		measure.SortSamples(sorted)
+		medians[v] = sorted[len(sorted)/2]
+	}
+	batch := make([][]float64, d.NumSeries())
+	for v := range batch {
+		batch[v] = []float64{float64(v)}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				v := SeriesID((g + i) % d.NumSeries())
+				switch g {
+				case 0:
+					if _, err := d.SlideCopy(batch); err != nil {
+						t.Error(err)
+						return
+					}
+				case 1:
+					if d.Moments() != memo {
+						t.Error("a reader got another moments object")
+						return
+					}
+				default:
+					got, err := d.EvalSorted(v, func(s []float64) (float64, error) { return s[len(s)/2], nil })
+					if err != nil || math.Float64bits(got) != math.Float64bits(medians[v]) {
+						t.Errorf("series %d: sorted middle %v (%v), want %v", v, got, err, medians[v])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	requireMomentsParity(t, d, "raced")
 }
 
 // BenchmarkWindowMoments is the per-epoch cost of the one reduction, beside

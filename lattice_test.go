@@ -154,7 +154,7 @@ type op struct {
 type sequence struct {
 	n, m, clusters int
 	seed           int64
-	drift, maxLSFD float64
+	drift          float64
 	flavor         tickFlavor
 	u, v           int
 	ops            []op
@@ -168,9 +168,11 @@ func decodeSequence(data []byte) sequence {
 		clusters: 1 + src.intn(3),
 		seed:     int64(src.next()),
 		drift:    []float64{0, 0.05, 0.5}[src.intn(3)],
-		maxLSFD:  []float64{0, 0.3, 0.8}[src.intn(3)],
-		flavor:   tickFlavor(src.intn(int(tickInvalid))),
 	}
+	// This byte chose an LSFD pruning bound when the engine had one; it is
+	// still read so that the saved corpus decodes to the same operations.
+	src.next()
+	s.flavor = tickFlavor(src.intn(int(tickInvalid)))
 	s.u, s.v = src.intn(s.n), src.intn(s.n)
 	measures := measure.All()
 	decodeQuery := func(d door) query {
@@ -388,7 +390,7 @@ func newReplayer(seq sequence) (*replayer, error) {
 						name:    fmt.Sprintf("sharded=%v/P=%d/cache=%v/sketch=%v", sharded, p, cached, sketched),
 						sharded: sharded,
 						cfg: core.Config{
-							Clusters: seq.clusters, Seed: seq.seed, Parallelism: p, MaxLSFD: seq.maxLSFD,
+							Clusters: seq.clusters, Seed: seq.seed, Parallelism: p,
 							Stream: core.StreamConfig{DriftBound: seq.drift},
 							Cache:  qcache.Options{Enabled: cached},
 							Sketch: sketch.Options{Enabled: sketched},
@@ -407,7 +409,7 @@ func newReplayer(seq sequence) (*replayer, error) {
 			sharded: sharded,
 			eager:   true,
 			cfg: core.Config{
-				Clusters: seq.clusters, Seed: seq.seed, Parallelism: 2, MaxLSFD: seq.maxLSFD,
+				Clusters: seq.clusters, Seed: seq.seed, Parallelism: 2,
 				Stream: core.StreamConfig{DriftBound: seq.drift},
 			},
 		}
@@ -862,12 +864,11 @@ func extremeNorms(d *timeseries.DataMatrix) bool {
 }
 
 // sameRows reports whether the affine and index answers hold the same pairs,
-// or a difference is excused: the index leaves out pairs whose relationship
-// was pruned (the affine method answers them naively), and the two methods'
-// values may differ in the last bits, so an entry within 1e-6 (relative) of
-// an interval endpoint or of the top-k cut may fall either way.
+// or a difference is excused: the two methods' values may differ in the last
+// bits, so an entry within 1e-6 (relative) of an interval endpoint or of the
+// top-k cut may fall either way.
 func sameRows(ref *cell, q query, affine, index core.QueryResult) bool {
-	d, rel := ref.b.Data(), ref.b.Relationships()
+	d := ref.b.Data()
 	values, err := ref.b.ComputePairwise(q.measure, d.IDs(), core.MethodAffine)
 	if err != nil {
 		return false
@@ -892,20 +893,7 @@ func sameRows(ref *cell, q query, affine, index core.QueryResult) bool {
 			}
 		}
 	}
-	fitted := func(p timeseries.Pair) bool {
-		slot, ok := rel.Layout().Slot(p)
-		return ok && rel.At(slot) != nil
-	}
-	if q.resolved.Kind == plan.KindTopK && rel.Len() < d.NumPairs() {
-		return true // without the pruned pairs the index ranks another list
-	}
 	for _, p := range d.AllPairs() {
-		if !fitted(p) {
-			if inIndex[p] {
-				return false // the index never reports a pruned pair
-			}
-			continue
-		}
 		if inAffine[p] == inIndex[p] {
 			continue
 		}
@@ -994,12 +982,6 @@ func (r *replayer) apply(o *op) error {
 		}
 		return sameAnswer("Advance", r.cells, answers, nil)
 	case opSnapshot:
-		// A snapshot keeps no pruned pair (core/snapshot.go), so an engine
-		// restored while some are pruned never refits them again: only the
-		// restored twins, compared at this epoch, stand in for it then.
-		if rel := ref.b.Relationships(); rel.Len() < len(rel.Layout().Assignments()) {
-			return nil
-		}
 		for _, c := range r.cells {
 			e, ok := c.b.(*core.Engine)
 			if !ok {
