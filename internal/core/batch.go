@@ -164,18 +164,15 @@ func (e *engineState) locationQuery(it Item) (QueryResult, error) {
 }
 
 // locationValues returns an L-measure's value for each requested series:
-// exact, read off the window's memos (naive, DataMatrix.Location), or
+// exact, read off the window's memos (naive, DataMatrix.Locations: one hold
+// of the sorted columns' read lock for the whole list), or
 // estimated through the series' calibration (affine).
 func (e *engineState) locationValues(m measure.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
 	switch method {
 	case MethodNaive:
 		out := make([]float64, len(ids))
-		for i, id := range ids {
-			v, err := e.data.Location(m, id)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+		if err := e.data.Locations(m, ids, out); err != nil {
+			return nil, err
 		}
 		return out, nil
 	case MethodAffine:

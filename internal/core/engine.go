@@ -605,7 +605,9 @@ func ComputeRelationships(d *timeseries.DataMatrix, cfg Config) (*symex.Result, 
 // result, skipping the AFCLST and SYMEX stages: pivot summaries, per-series
 // statistics and (unless cfg.SkipIndex) the SCAPE index are built from rel as
 // given.  With cfg.AssignedPairsOnly set and a pivot-restricted rel this is
-// the shard construction path; it is also the load path of snapshots.
+// the shard construction path; it is also the load path of snapshots.  The
+// engine shares rel with the caller, so rel is pinned: no Advance writes into
+// its relationships.
 func BuildFromRelationships(d *timeseries.DataMatrix, cfg Config, rel *symex.Result) (*Engine, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
@@ -616,5 +618,6 @@ func BuildFromRelationships(d *timeseries.DataMatrix, cfg Config, rel *symex.Res
 	if rel == nil || rel.Clustering == nil {
 		return nil, fmt.Errorf("core: BuildFromRelationships needs a relationship result with clustering")
 	}
+	rel.Pin()
 	return assembleEngine(d, cfg.withDefaults(), rel, BuildInfo{}, time.Now())
 }

@@ -13,6 +13,8 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
+	"affinity/internal/scape"
+	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
@@ -243,5 +245,110 @@ func TestQueriesStraddleRecyclingAdvances(t *testing.T) {
 				t.Fatalf("%d Advances recycled no epoch", rounds)
 			}
 		})
+	}
+}
+
+// storeAnswers renders the covariance of every pair as an index sharing
+// every sequence store of the epoch's index derives it: its ξ are projected
+// afresh from the stores' payloads, so they show whatever the stores hold.
+func storeAnswers(v View) (string, error) {
+	idx, _, err := v.Index().Update(v.Data(), v.Relationships(), map[timeseries.Pair]bool{}, scape.UpdateOptions{})
+	if err != nil {
+		return "", err
+	}
+	pairs, values, _, err := idx.PairTopK(measure.Covariance, v.Relationships().Len(), true)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintln(&b, pairs)
+	for _, x := range values {
+		fmt.Fprintf(&b, "%x ", math.Float64bits(x))
+	}
+	return b.String(), nil
+}
+
+// The pin rule across full → partial → full Advances.  The first full
+// Advance writes its relationships and index stores into slabs of its own, the
+// partial Advance after it shares them, and the second full Advance recycles
+// the epoch that owns them: it must build into new slabs, since a View held on
+// the partial epoch still reads them.  That View answers bit for bit what its
+// twin — the same Advances on an engine whose every epoch escapes, so nothing
+// is recycled — answers, and its relationships and index stores keep their
+// bits.
+func TestFullRefitRespectsAPinnedEpoch(t *testing.T) {
+	noCollection(t)
+	const n, window, small = 16, 48, 4
+	slides := []int{window, small, window} // full, partial, full
+	fx := makeStreamFixture(t, n, window, 2*window+small, 13)
+	for _, p := range []int{1, 2} {
+		// No relationship drifts past this bound: the partial Advance shares
+		// every relationship and every store.
+		cfg := Config{Clusters: 3, Seed: 1, Parallelism: p, Stream: StreamConfig{DriftBound: 1e300}}
+		e, err := Build(fx.window, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := Build(fx.window, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.View() // every epoch of the twin escapes
+		var held, heldTwin View
+		var release func()
+		var want string
+		var rels []symex.Relationship
+		at := 0
+		for k, slide := range slides {
+			if k == 2 {
+				held, release = e.Pin()
+				heldTwin = twin.View()
+				if want, err = epochAnswers(heldTwin); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := epochAnswers(held); err != nil || got != want {
+					t.Fatalf("P%d: the partial epoch differs from its twin before the full Advance (%v)", p, err)
+				}
+				for r := range held.Relationships().All() {
+					rels = append(rels, *r)
+				}
+			}
+			for _, eng := range []*Engine{e, twin} {
+				appendTicks(t, eng, fx.ticks[at:at+slide])
+				info, err := eng.Advance()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.FullRefit != (slide == window) || !info.FullRefit && info.RefitRelationships != 0 {
+					t.Fatalf("P%d: Advance %d: full refit %v with %d refit, want full %v or nothing refit",
+						p, k+1, info.FullRefit, info.RefitRelationships, slide == window)
+				}
+			}
+			twin.View()
+			at += slide
+		}
+		// Advances 2 and 3 recycled epochs 0 and 1; the last one must not have
+		// written into epoch 1's relationships, which epoch 2 shares.
+		if got, twins := e.recycles.Load(), twin.recycles.Load(); got != 2 || twins != 0 {
+			t.Fatalf("P%d: %d Advances recycled %d epochs and %d of the twin's, want 2 and 0", p, len(slides), got, twins)
+		}
+		if got, err := epochAnswers(held); err != nil || got != want {
+			t.Fatalf("P%d: the pinned partial epoch answers differently after a full Advance recycled the epoch it shares with (%v)", p, err)
+		}
+		stores, err := storeAnswers(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantStores, err := storeAnswers(heldTwin); err != nil || stores != wantStores {
+			t.Fatalf("P%d: the pinned partial epoch's index stores differ from its twin's (%v)", p, err)
+		}
+		slot := 0
+		for r := range held.Relationships().All() {
+			if *r != rels[slot] {
+				t.Fatalf("P%d: relationship of slot %d changed under the pinned epoch", p, slot)
+			}
+			slot++
+		}
+		release()
 	}
 }

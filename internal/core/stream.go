@@ -114,7 +114,9 @@ import (
 // Most of those slabs are not even allocated: an epoch retired since the last
 // Advance whose readers have all left is the spare (view.go), and the new
 // epoch's relationship slots, index slabs, offsets and value columns, and its
-// base columns when it fills them, are written into the spare's.
+// base columns when it fills them, are written into the spare's — on a full
+// refit its relationships and sequence stores too, unless a younger epoch
+// shares the spare's (DESIGN.md "Epoch lifetime").
 //
 // With DriftBound <= 0 every relationship is re-fitted, which makes an epoch
 // bit-identical to a cold Build on the slid window with the frozen clustering:

@@ -65,7 +65,8 @@ func (e *Engine) Restore(v View) {
 // An Advance or a Restore retires the epoch it replaces, and the last release
 // of a retired epoch that never escaped claims it and offers it, through a
 // weak pointer, as the spare the next Advance builds its index, value
-// columns and relationship slots into.  The spare is weak so that an idle
+// columns and relationship slots — and, on a full refit, its relationships
+// and sequence stores — into.  The spare is weak so that an idle
 // engine keeps nothing alive for it: a collection that finds no other
 // reference frees it, and that Advance allocates as before.
 

@@ -407,21 +407,78 @@ func (c *Cache) PlanRepair(key Key, epoch int) (RepairPlan, bool) {
 	for _, s := range staleSets {
 		stale += len(s)
 	}
-	candidates := make([]timeseries.Pair, 0, len(e.pairs)+stale)
-	candidates = append(candidates, e.pairs...)
-	for _, s := range staleSets {
-		candidates = append(candidates, s...)
-	}
-	slices.SortFunc(candidates, func(a, b timeseries.Pair) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	dedup := candidates[:0]
-	for i, p := range candidates {
-		if i == 0 || p != candidates[i-1] {
-			dedup = append(dedup, p)
+	lists := make([][]timeseries.Pair, 0, 1+len(staleSets))
+	lists = append(append(lists, e.pairs), staleSets...)
+	return RepairPlan{Candidates: mergePairs(lists, len(e.pairs)+stale), StalePairs: stale}, true
+}
+
+// comparePairs is the canonical (U, V) order.
+func comparePairs(a, b timeseries.Pair) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+}
+
+// mergePairs returns the union of the lists, total pairs in all, in canonical
+// order without duplicates.  The entry's rows and the stale sets each come
+// strictly ascending in that order, so it merges them: each step takes the
+// list with the smallest head and copies out its run below every other head.
+// Should a list not be strictly ascending it sorts their concatenation
+// instead.
+func mergePairs(lists [][]timeseries.Pair, total int) []timeseries.Pair {
+	out := make([]timeseries.Pair, 0, total)
+	for _, l := range lists {
+		if !ascending(l) {
+			for _, l := range lists {
+				out = append(out, l...)
+			}
+			slices.SortFunc(out, comparePairs)
+			return slices.Compact(out)
 		}
 	}
-	return RepairPlan{Candidates: dedup, StalePairs: stale}, true
+	for {
+		least, next := -1, -1 // the smallest head, and the smallest of the others
+		for i, l := range lists {
+			switch {
+			case len(l) == 0:
+			case least < 0 || pairLess(l[0], lists[least][0]):
+				least, next = i, least
+			case next < 0 || pairLess(l[0], lists[next][0]):
+				next = i
+			}
+		}
+		if least < 0 {
+			return out
+		}
+		l := lists[least]
+		if len(out) > 0 && out[len(out)-1] == l[0] {
+			lists[least] = l[1:]
+			continue
+		}
+		run := len(l)
+		if next >= 0 {
+			bound := lists[next][0]
+			run = 1
+			for run < len(l) && pairLess(l[run], bound) {
+				run++
+			}
+		}
+		out = append(out, l[:run]...)
+		lists[least] = l[run:]
+	}
+}
+
+// pairLess is the canonical (U, V) order.
+func pairLess(a, b timeseries.Pair) bool {
+	return a.U < b.U || a.U == b.U && a.V < b.V
+}
+
+// ascending reports whether l is strictly ascending in canonical order.
+func ascending(l []timeseries.Pair) bool {
+	for i := 1; i < len(l); i++ {
+		if !pairLess(l[i-1], l[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // staleSince returns the stale sets of every Advance in (from, to], or

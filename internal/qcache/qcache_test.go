@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -387,4 +388,87 @@ func TestEntryStatsOrder(t *testing.T) {
 	if c.head.hits != 1 || len(c.head.pairs) != 1 {
 		t.Fatalf("MRU entry: %d hits, %d rows", c.head.hits, len(c.head.pairs))
 	}
+}
+
+// sortUnion is the candidate list PlanRepair built before it merged: the
+// concatenation of the lists sorted in canonical order, duplicates dropped.
+func sortUnion(lists [][]timeseries.Pair) []timeseries.Pair {
+	var all []timeseries.Pair
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	slices.SortFunc(all, comparePairs)
+	return slices.Compact(all)
+}
+
+// The merge of the entry's rows with the stale sets is the sorted, deduplicated
+// union on random inputs: overlapping lists, empty lists, a single list, and
+// lists that are not strictly ascending (the sorting fallback).
+func TestMergePairsMatchesSortUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 2000 {
+		n := 2 + rng.Intn(12)
+		lists := make([][]timeseries.Pair, rng.Intn(10))
+		total := 0
+		for i := range lists {
+			seen := map[timeseries.Pair]bool{}
+			for range rng.Intn(20) {
+				u := rng.Intn(n - 1)
+				seen[pair(u, u+1+rng.Intn(n-1-u))] = true
+			}
+			for p := range seen {
+				lists[i] = append(lists[i], p)
+			}
+			if trial%5 != 0 {
+				slices.SortFunc(lists[i], comparePairs)
+			} else if len(lists[i]) > 0 && rng.Intn(2) == 0 {
+				lists[i] = append(lists[i], lists[i][0]) // a repeat
+			}
+			total += len(lists[i])
+		}
+		want := sortUnion(lists)
+		got := mergePairs(slices.Clone(lists), total)
+		if !slices.Equal(got, want) && (len(got) > 0 || len(want) > 0) {
+			t.Fatalf("trial %d: merge of %v = %v, want %v", trial, lists, got, want)
+		}
+	}
+}
+
+// The sort and the merge on the candidate lists of a repair at the serving
+// workload's shape: a few thousand entry rows and a handful of small stale
+// sets.
+func BenchmarkRepairCandidates(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 168
+	draw := func(size int) []timeseries.Pair {
+		seen := map[timeseries.Pair]bool{}
+		for len(seen) < size {
+			u := rng.Intn(n - 1)
+			seen[pair(u, u+1+rng.Intn(n-1-u))] = true
+		}
+		l := make([]timeseries.Pair, 0, size)
+		for p := range seen {
+			l = append(l, p)
+		}
+		slices.SortFunc(l, comparePairs)
+		return l
+	}
+	lists := [][]timeseries.Pair{draw(3000)}
+	total := 3000
+	for range 4 {
+		lists = append(lists, draw(150))
+		total += 150
+	}
+	b.Run("sort", func(b *testing.B) {
+		for range b.N {
+			sortUnion(lists)
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		heads := make([][]timeseries.Pair, len(lists))
+		for range b.N {
+			copy(heads, lists)
+			mergePairs(heads, total)
+		}
+	})
 }

@@ -45,11 +45,13 @@
 // inserted into or deleted from one.  Once an epoch is retired and its last
 // reader has left, the engine may hand its index to a later Update to build
 // into (UpdateOptions.Recycle): the slabs are overwritten whole, never
-// edited, and the sequence stores are not part of them.  A pivot's sequence
-// store is the slice of its sequence nodes in canonical pair order — the
-// order symex.Layout hands the pivot's relationships over in.  The next
-// epoch's node shares the slice when no stale pair is assigned to the pivot
-// and re-derives it from the relationship set otherwise.  The per-(pivot, measure) ξ-containers are sorted arrays
+// edited.  A pivot's sequence store is the slice of its sequence nodes in
+// canonical pair order — the order symex.Layout hands the pivot's
+// relationships over in.  The next epoch's node shares the slice when no
+// stale pair is assigned to the pivot and re-derives it from the relationship
+// set otherwise.  Sharing a store pins the index it came from: the store slab
+// of an index a cold Update built is written again only while no later index
+// shares a store of it.  The per-(pivot, measure) ξ-containers are sorted arrays
 // (xiArray) over that store: the ξ keys and, beside them, the permutation of
 // canonical ranks that sorts them.  ξ depends on the window, so every epoch
 // derives the keys afresh — but the order barely moves between neighbouring
@@ -81,6 +83,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
@@ -249,12 +252,17 @@ type Index struct {
 	// slab holds the backing arrays the nodes' measure states and
 	// ξ-containers are windows of: with idx.pivots, idx.offsets and the value
 	// columns, what an Update recycling this index builds into
-	// (UpdateOptions.Recycle).
+	// (UpdateOptions.Recycle).  stores backs every node's sequence store when
+	// a cold Update built the index, and is nil otherwise; it is written again
+	// only while the index is not pinned.
 	slab struct {
 		measures []pivotMeasure
 		keys     []float64
 		ranks    []int32
+		stores   []sequenceNode
 	}
+	// pinned marks an index a later index shares a sequence store with.
+	pinned atomic.Bool
 }
 
 // noDonor stands in for a missing donor: it has nothing to build into.
@@ -330,7 +338,8 @@ func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, e
 }
 
 // build is Build with the given worker count and, when non-nil, a retired
-// index to build into (Update falling back to a full build brings both).
+// index to build into (Update building cold brings both, its donor noDonor
+// when it has none to recycle).
 func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelism int, donor *Index) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -426,8 +435,13 @@ func newSequenceNode(r *symex.Relationship) sequenceNode {
 // buildStore derives the sequence store of pivot pi (a position in the
 // layout's pivot list) from the relationship set: the layout hands the pivot's
 // relationships over in canonical pair order already, one sequence node each.
-func buildStore(rel *symex.Result, pi int) []sequenceNode {
-	canon := make([]sequenceNode, 0, rel.PivotLen(pi))
+// The store is written into dst, the pivot's window of a store slab, or into
+// a slice of its own when dst is nil.
+func buildStore(rel *symex.Result, pi int, dst []sequenceNode) []sequenceNode {
+	canon := dst[:0]
+	if dst == nil {
+		canon = make([]sequenceNode, 0, rel.PivotLen(pi))
+	}
 	for r := range rel.PivotRelationships(pi) {
 		canon = append(canon, newSequenceNode(r))
 	}
@@ -447,9 +461,10 @@ type storeDelta struct {
 // prev has a node for the pivot and stale (the stale pairs of each layout
 // pivot) counts none of its pairs, that is the previous node's slice, returned
 // with the node's measure state, whose container orders the new epoch
-// repairs; in every other case the store is derived from rel.  hint is the
-// node's position in the new index.
-func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32) (
+// repairs, and prev is pinned; in every other case the store is derived from
+// rel, into dst when it is not nil (buildStore).  hint is the node's position
+// in the new index.
+func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32, dst []sequenceNode) (
 	canon []sequenceNode, prevMeasures []pivotMeasure, delta storeDelta, err error) {
 
 	var prevNode *pivotNode
@@ -466,9 +481,10 @@ func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32) 
 				prevNode.pivot, len(prevNode.canon), rel.PivotLen(pi))
 		}
 		delta.shared = true
+		prev.pinned.Store(true)
 		return prevNode.canon, prevNode.measures, delta, nil
 	}
-	canon = buildStore(rel, pi)
+	canon = buildStore(rel, pi, dst)
 	if prevNode == nil {
 		delta.rebuilt = true
 		return canon, nil, delta, nil
@@ -524,14 +540,19 @@ var nodeScratchPool par.Scratch[nodeScratch]
 // offsets and the value columns are carved out of the donor's wherever they
 // fit, which they do unless a pivot gained relationships.  Every element of
 // them is overwritten below or, for a value column, by its fill, so a
-// recycled slab holds exactly what a fresh one would.  The donor's sequence
-// stores are never touched: later epochs may share them.
+// recycled slab holds exactly what a fresh one would.  A cold build with a
+// donor (an Update with no prev; noDonor when it has nothing to recycle) also
+// carves every sequence store out of one store slab: the donor's when the
+// donor is not pinned — no later index shares a store of it — and a new one
+// otherwise.  Build, and an Update that shares stores, allocate the stores
+// they derive one by one, since later epochs may share each of them.
 //
 // It returns the store counts of UpdateStats: how each node's sequence store
 // was obtained.
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
 	stale []int32, parallelism int, donor *Index) (UpdateStats, error) {
 
+	slabbed := prev == nil && donor != nil
 	if donor == nil {
 		donor = &noDonor
 	}
@@ -574,6 +595,13 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 	work := reuse(sc.work, len(pivots))
 	sc.work = work
 	idx.slab.measures, idx.slab.keys, idx.slab.ranks = measures, keys, ranks
+	if slabbed {
+		var stores []sequenceNode
+		if !donor.pinned.Load() {
+			stores = donor.slab.stores
+		}
+		idx.slab.stores = reuse(stores, offsets[len(pivots)])
+	}
 
 	err = par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
 		for pi := blk.Lo; pi < blk.Hi; pi++ {
@@ -581,8 +609,12 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 			node.pivot = pivots[pi]
 			node.measures = measures[T*pi : T*(pi+1) : T*(pi+1)]
 			var prevMeasures []pivotMeasure
+			var dst []sequenceNode
+			if idx.slab.stores != nil {
+				dst = idx.slab.stores[offsets[pi]:offsets[pi+1]:offsets[pi+1]]
+			}
 			var err error
-			node.canon, prevMeasures, work[pi].storeDelta, err = nodeStore(rel, pi, prev, pi, stale)
+			node.canon, prevMeasures, work[pi].storeDelta, err = nodeStore(rel, pi, prev, pi, stale, dst)
 			if err != nil {
 				return err
 			}

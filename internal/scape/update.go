@@ -24,8 +24,9 @@ type UpdateOptions struct {
 	// Recycle, when non-nil, is a retired index that no reader can reach any
 	// more and that is not the index being updated: the new index builds into
 	// its node, container and offset slabs and its value columns instead of
-	// allocating them.  Its sequence stores, which later epochs may share, are
-	// left alone.  The recycled index must not be used afterwards.
+	// allocating them, and a cold update's sequence stores into its store slab
+	// when no later index shares a store of it (Update).  The recycled index
+	// must not be used afterwards.
 	Recycle *Index
 }
 
@@ -70,7 +71,11 @@ type UpdateStats struct {
 // index is never mutated and stays fully queryable.
 //
 // A nil stale set means every relationship was refit (mirroring
-// symex.Refit): no store can be shared, and the index is built cold.
+// symex.Refit): no store can be shared, and the index is built cold, every
+// sequence store carved out of one store slab — the recycled index's when it
+// is not pinned, a new one otherwise.  An update that shares stores
+// allocates each store it re-derives, since the next epoch may share it in
+// turn.
 func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	stale map[timeseries.Pair]bool, opts UpdateOptions) (*Index, UpdateStats, error) {
 
@@ -94,7 +99,11 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 
 	if stale == nil {
 		us.StaleFraction = 1
-		idx, err := build(d, rel, prev.opts, opts.Parallelism, opts.Recycle)
+		donor := opts.Recycle
+		if donor == nil {
+			donor = &noDonor // nothing to recycle, but the stores still go into a slab
+		}
+		idx, err := build(d, rel, prev.opts, opts.Parallelism, donor)
 		if err != nil {
 			return nil, us, err
 		}

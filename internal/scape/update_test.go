@@ -3,6 +3,7 @@ package scape
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -333,5 +334,71 @@ func TestUpdateChainedEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertIndexEquivalent(t, idx, full)
+	}
+}
+
+// storesOf copies every sequence store of idx, node by node.
+func storesOf(idx *Index) [][]sequenceNode {
+	out := make([][]sequenceNode, len(idx.pivots))
+	for i := range idx.pivots {
+		out[i] = append([]sequenceNode(nil), idx.pivots[i].canon...)
+	}
+	return out
+}
+
+// A cold Update carves every sequence store out of one slab, and a cold
+// Update recycling that index reuses the slab while no later index shares a
+// store of it.  Once an Update shares its stores (pinning it), a cold Update
+// recycling it takes a new slab, and the sharing index keeps its stores and
+// its answers.
+func TestColdUpdateStoreSlabRespectsPins(t *testing.T) {
+	d1, d2, rel1 := slidingDataset(t, 23, 24, 120, 12)
+	rel2, _, err := symex.Refit(d2, rel1, symex.RefitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(d *timeseries.DataMatrix, rel *symex.Result) *Index {
+		t.Helper()
+		idx, err := Build(d, rel, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	update := func(prev *Index, d *timeseries.DataMatrix, rel *symex.Result, stale map[timeseries.Pair]bool, donor *Index) *Index {
+		t.Helper()
+		idx, _, err := prev.Update(d, rel, stale, UpdateOptions{Recycle: donor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	for _, shared := range []bool{false, true} {
+		owner := update(build(d1, rel1), d2, rel2, nil, nil)
+		if owner.slab.stores == nil || &owner.pivots[0].canon[0] != &owner.slab.stores[0] {
+			t.Fatal("a cold update did not carve its stores out of a slab")
+		}
+		slab := &owner.slab.stores[0]
+		var sharer *Index
+		var held [][]sequenceNode
+		if shared {
+			sharer = update(owner, d2, rel2, staleSubset(rel2, 0.1, 5), nil)
+			held = storesOf(sharer)
+		}
+		// A cold update over the other window into owner.
+		next := update(build(d2, rel2), d1, rel1, nil, owner)
+		assertIndexEquivalent(t, next, build(d1, rel1))
+		if reused := &next.slab.stores[0] == slab; reused == shared {
+			t.Fatalf("shared=%v: the cold update reused the recycled store slab: %v", shared, reused)
+		}
+		if !shared {
+			continue
+		}
+		for i, want := range held {
+			if got := sharer.pivots[i].canon; !slices.Equal(got, want) {
+				t.Fatalf("node %d: a store the later index shares changed under it", i)
+			}
+		}
+		assertIndexEquivalent(t, sharer, build(d2, rel2))
 	}
 }

@@ -359,11 +359,14 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 // sets partition the global ones), over the shared global layout.  Because
 // each shard refits exactly the restriction of the global assignment list,
 // the union is byte-identical to a single engine's refit of the whole list.
+// The merged result shares the shard results' relationships, which pins them.
 func (c *Coordinator) mergeRelationships(views []core.View) *symex.Result {
 	rels := make([]*symex.Relationship, len(c.layout.Assignments()))
 	for s, v := range views {
+		shard := v.Relationships()
+		shard.Pin()
 		for i, slot := range c.slots[s] {
-			rels[slot] = v.Relationships().At(i)
+			rels[slot] = shard.At(i)
 		}
 	}
 	merged := symex.NewResult(c.layout, views[0].Relationships().Clustering, rels)

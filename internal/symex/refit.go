@@ -17,10 +17,15 @@ import (
 //
 // Refit takes a staleness set: only relationships whose pair is in the set
 // are re-fitted against the new window; the rest are carried over unchanged
-// (transforms are immutable, so old and new results share them).  Passing a
-// nil set refits everything, which reproduces exactly what Compute would
-// produce on the new window with the same clustering, the pair covariances
-// (Result.PairCov) included; a partial refit keeps none.
+// (transforms are immutable, so old and new results share them, and the old
+// result is pinned from then on); the relationships it fits are allocated one
+// by one, since the next epoch may share any of them.  Passing a nil set
+// refits everything, which reproduces exactly what Compute would produce on
+// the new window with the same clustering, the pair covariances
+// (Result.PairCov) included; a partial refit keeps none.  A full refit writes
+// its relationships by value into one slot-aligned slab, which is reused by
+// the full refit that recycles the result (RefitOptions.Recycle) unless the
+// result was pinned meanwhile.
 
 // RefitOptions configures Refit.
 type RefitOptions struct {
@@ -33,8 +38,10 @@ type RefitOptions struct {
 	// Recycle, when non-nil, is a retired result over the same layout that no
 	// reader can reach any more and that is not prev: the new result's
 	// relationship slots are written into its slot slice instead of a new
-	// one.  The relationships themselves are immutable and stay shared.  The
-	// recycled result must not be used afterwards.
+	// one, and a full refit's relationship slab and pair covariances into the
+	// recycled result's when that result is not pinned (no younger result
+	// shares its relationships).  The recycled result must not be used
+	// afterwards.
 	Recycle *Result
 }
 
@@ -92,22 +99,37 @@ func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, 
 		fitted = len(slots)
 	}
 
-	var spare []*Relationship
-	if opts.Recycle != nil && opts.Recycle != prev {
-		spare = opts.Recycle.rels[:0]
+	// The spare's slot slice always takes the new slots; its slab and pair
+	// covariances only when no younger result reads them.
+	spare := opts.Recycle
+	if spare == prev {
+		spare = nil
 	}
-	rels := append(spare, prev.rels...)
+	var spareRels []*Relationship
+	var spareSlab []Relationship
+	var spareCovs []float64
+	if spare != nil {
+		spareRels = spare.rels
+		if !spare.pinned.Load() {
+			spareSlab, spareCovs = spare.slab, spare.pairCov
+		}
+	}
+	rels := append(spareRels[:0], prev.rels...)
+	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, batch: true}
 	var covs []float64
 	if slots == nil {
-		covs = make([]float64, len(rels))
+		covs = slices.Grow(spareCovs[:0], len(rels))[:len(rels)]
+		f.slab = slices.Grow(spareSlab[:0], len(rels))[:len(rels)]
+	} else {
+		// The new result shares every relationship it does not refit.
+		prev.pinned.Store(true)
 	}
-	f := &fitter{data: d, clustering: prev.Clustering, layout: layout, batch: true}
 	pinvs, err := f.fitSlots(rels, covs, slots, opts.Parallelism)
 	if err != nil {
 		return nil, rs, err
 	}
 	res := NewResult(layout, prev.Clustering, rels)
-	res.pairCov = covs
+	res.slab, res.pairCov = f.slab, covs
 	rs.Refit, rs.Reused, rs.PivotInverses = fitted, len(rels)-fitted, pinvs
 	res.Stats.PseudoInverseComputations = pinvs
 	res.Stats.PseudoInverseCacheHits = fitted - pinvs

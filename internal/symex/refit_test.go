@@ -2,6 +2,8 @@ package symex
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"affinity/internal/cluster"
@@ -181,5 +183,134 @@ func TestRefitWindowMismatch(t *testing.T) {
 	}
 	if _, _, err := Refit(d, &Result{}, RefitOptions{}); err == nil {
 		t.Fatal("refit of a result without a clustering should fail")
+	}
+}
+
+// relationshipValues copies every relationship of r, in slot order.
+func relationshipValues(r *Result) []Relationship {
+	out := make([]Relationship, 0, r.Len())
+	for rel := range r.All() {
+		out = append(out, *rel)
+	}
+	return out
+}
+
+// A full Refit writes its relationships into a slab, and a full Refit
+// recycling that result writes into the same slab unless a younger result
+// shares the relationships — a partial Refit of it, a Subset of it, or a
+// caller that pinned it — and the sharing result keeps its bits.  Either way
+// the refit's relationships are the bits Compute fits on the same window.
+func TestFullRefitRespectsPins(t *testing.T) {
+	d := correlatedData(t, 8, 3, 14, 60, 0.05)
+	base, err := Compute(d, defaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, d2 := slideData(t, d, 1, 6), slideData(t, d, 2, 9)
+	refit := func(w *timeseries.DataMatrix, prev *Result, opts RefitOptions) *Result {
+		t.Helper()
+		r, _, err := Refit(w, prev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	slabOwner := func() *Result {
+		r := refit(d1, base, RefitOptions{})
+		if r.slab == nil || r.At(0) != &r.slab[0] {
+			t.Fatal("a full refit has no relationship slab")
+		}
+		return r
+	}
+	fresh, err := Compute(d2, Options{Clustering: base.Clustering, CachePseudoInverse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relationshipValues(fresh)
+	for _, share := range []string{"none", "partial refit", "subset", "pin"} {
+		owner := slabOwner()
+		slab := &owner.slab[0]
+		var sharer *Result
+		switch share {
+		case "partial refit":
+			stale := map[timeseries.Pair]bool{owner.At(0).Pair: true, owner.At(owner.Len() - 1).Pair: true}
+			sharer = refit(d2, owner, RefitOptions{Stale: stale})
+		case "subset":
+			if sharer, err = owner.Subset([]int32{0, 3, 5}); err != nil {
+				t.Fatal(err)
+			}
+		case "pin":
+			// What a shard coordinator's merge does: a result assembled from
+			// the owner's relationships, after pinning it.
+			owner.Pin()
+			rels := make([]*Relationship, owner.Len())
+			for slot := range rels {
+				rels[slot] = owner.At(slot)
+			}
+			sharer = NewResult(owner.Layout(), owner.Clustering, rels)
+		}
+		var held []Relationship
+		if sharer != nil {
+			held = relationshipValues(sharer)
+		}
+		prev := refit(d1, base, RefitOptions{})
+		next := refit(d2, prev, RefitOptions{Recycle: owner})
+		if got := relationshipValues(next); !slices.Equal(got, want) {
+			t.Fatalf("%s: the full refit into the recycled result differs from Compute", share)
+		}
+		if reused := next.At(0) == slab; reused != (share == "none") {
+			t.Fatalf("%s: the refit reused the recycled slab: %v", share, reused)
+		}
+		if sharer != nil && !slices.Equal(relationshipValues(sharer), held) {
+			t.Fatalf("%s: the full refit wrote into relationships a younger result shares", share)
+		}
+	}
+}
+
+// TestRefitRecycleAllocations: a full Refit into a recyclable result whose
+// window memo the caller filled (as the engine does before it refits)
+// allocates O(1) bytes — the result, the fitter and pooled scratch that
+// missed — and nothing per relationship: the slots, the relationship slab and
+// the pair covariances are the recycled result's.
+func TestRefitRecycleAllocations(t *testing.T) {
+	const m = 256
+	d := correlatedData(t, 45, 3, 90, m, 0.05)
+	base, err := Compute(d, Options{Cluster: cluster.Config{K: 3, Seed: 1}, CachePseudoInverse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, d2, d3 := slideData(t, d, 1, 8), slideData(t, d, 2, 8), slideData(t, d, 3, 8)
+	refit := func(w *timeseries.DataMatrix, prev *Result, opts RefitOptions) *Result {
+		t.Helper()
+		r, _, err := Refit(w, prev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	owner := refit(d1, base, RefitOptions{})
+	prev := refit(d2, base, RefitOptions{})
+	if _, err := prev.PivotTerms(d3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prev.CenterCovariances(d3, 1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	next, rs, err := Refit(d3, prev, RefitOptions{Recycle: owner})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Refit != next.Len() || next.Len() < 1000 {
+		t.Fatalf("full refit stats %+v over %d relationships", rs, next.Len())
+	}
+	// Pooled fit scratch that missed costs at most a worker's kernel buffers
+	// and its lists of kernel.BlockPairs pairs; a relationship object per
+	// pair would cost over 300 KB here.
+	const budget = 6*m*8 + 32<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("a full Refit into a recycled result allocated %d B over %d relationships, want at most %d", got, next.Len(), budget)
 	}
 }

@@ -204,10 +204,20 @@ func (l *Layout) PivotSlots(pi int) []int32 {
 // per-pivot grouping (pivotHash) read off the layout, and the clustering they
 // are based on.  A result is immutable: Refit clones the slice and overwrites
 // the stale slots, sharing the layout and every untouched relationship.
+//
+// A result is pinned once a younger result shares its relationships — a
+// partial Refit of it, a Subset of it, or a caller that says so (Pin) — and
+// the slab a full Refit wrote its relationships into is written again, by a
+// later full Refit that recycles the result, only while it is not pinned.
 type Result struct {
 	layout *Layout
 	// rels[slot] is the relationship fitted for assignment slot.
 	rels []*Relationship
+	// slab holds the relationships by value when a full Refit fitted them
+	// (rels[slot] == &slab[slot]); nil otherwise.
+	slab []Relationship
+	// pinned marks a result some younger result shares relationships with.
+	pinned atomic.Bool
 	// pairCov[slot] is cov(s_common, s_other) of the slot's pair over the
 	// fitted window, kept by a full SYMEX+ fit (PairCov); nil otherwise.
 	pairCov []float64
@@ -248,11 +258,17 @@ func (r *Result) Layout() *Layout { return r.layout }
 // snapshot) have none.  The slice must not be modified.
 func (r *Result) PairCov() []float64 { return r.pairCov }
 
+// Pin marks the result's relationships as shared by a younger result that
+// the caller assembles from them (At): no later Refit recycling r writes
+// into them.
+func (r *Result) Pin() { r.pinned.Store(true) }
+
 // Subset restricts the result to the given assignment slots, in the order
 // given: a result over a layout of those assignments alone that shares the
-// clustering and the relationships and carries the slots' pair covariances
-// when r has them.  The fit counters of Stats are left zero.
+// clustering and the relationships (r is pinned) and carries the slots' pair
+// covariances when r has them.  The fit counters of Stats are left zero.
 func (r *Result) Subset(slots []int32) (*Result, error) {
+	r.Pin()
 	assignments := make([]Assignment, len(slots))
 	rels := make([]*Relationship, len(slots))
 	for i, slot := range slots {

@@ -356,6 +356,10 @@ type fitter struct {
 	// reduces with CovBlock instead (see Refit).
 	mirror  *mirrorScratch
 	centred kernel.Matrix
+	// slab, when set, is where the fits are written by value: slot i's
+	// relationship is &slab[i].  A full Refit sets it; every other fit
+	// allocates each relationship on its own.
+	slab []Relationship
 }
 
 // fitScratch is one worker block's scratch, recycled through fitScratchPool:
@@ -564,9 +568,14 @@ func (f *fitter) fitGroup(w *fitScratch, g *groupFit, members []int32, rels []*R
 	return pinvs, nil
 }
 
-// relationship wraps the transform fitted for an assignment slot of pivot p.
+// relationship wraps the transform fitted for an assignment slot of pivot p,
+// in the slot's place in the fitter's slab when it has one.
 func (f *fitter) relationship(slot int32, p Pivot, tr affine.Transform) *Relationship {
 	pair := f.layout.assignments[slot].Pair
+	if f.slab != nil {
+		f.slab[slot] = Relationship{Pair: pair, Pivot: p, Transform: tr, Flipped: p.Common == pair.V}
+		return &f.slab[slot]
+	}
 	return &Relationship{Pair: pair, Pivot: p, Transform: tr, Flipped: p.Common == pair.V}
 }
 

@@ -376,11 +376,22 @@ func (d *DataMatrix) EvalSorted(id SeriesID, f func(sorted []float64) (float64, 
 	if err := d.checkID(id); err != nil {
 		return 0, err
 	}
-	lo := int(id) * d.m
+	var v float64
+	err := d.withSorted(func(sorted []float64) (err error) {
+		v, err = f(d.sortedColumn(sorted, id))
+		return err
+	})
+	return v, err
+}
+
+// withSorted runs f over the window's sorted columns, sorting them first when
+// the window has none, under one hold of the memo's lock: its read lock once
+// they exist.
+func (d *DataMatrix) withSorted(f func(sorted []float64) error) error {
 	d.memoMu.RLock()
 	if d.sorted != nil {
 		defer d.memoMu.RUnlock()
-		return f(d.sorted[lo : lo+d.m : lo+d.m])
+		return f(d.sorted)
 	}
 	d.memoMu.RUnlock()
 	d.memoMu.Lock()
@@ -393,7 +404,13 @@ func (d *DataMatrix) EvalSorted(id SeriesID, f func(sorted []float64) (float64, 
 			measure.SortSamples(w)
 		}
 	}
-	return f(d.sorted[lo : lo+d.m : lo+d.m])
+	return f(d.sorted)
+}
+
+// sortedColumn is series id's column of the sorted columns.
+func (d *DataMatrix) sortedColumn(sorted []float64, id SeriesID) []float64 {
+	lo := int(id) * d.m
+	return sorted[lo : lo+d.m : lo+d.m]
 }
 
 // SortedSeries returns a copy of the samples of series id in
@@ -413,22 +430,54 @@ func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
 // statistics (median, mode) are read off the sorted columns (EvalSorted),
 // which a streaming window slides instead of re-sorting, and the mean off
 // Moments.  Only an L-measure with neither reduces the raw series.  Every
-// exact L-measure of a window series the engine answers comes from here.
+// exact L-measure of a window series the engine answers comes from here or
+// from Locations.
 func (d *DataMatrix) Location(m measure.Measure, id SeriesID) (float64, error) {
+	var out [1]float64
+	err := d.Locations(m, []SeriesID{id}, out[:])
+	return out[0], err
+}
+
+// Locations writes L-measure m of every series in ids into out, aligned with
+// ids: the bits Location gives each.  An order statistic reads all of them off
+// the sorted columns under one hold of the memo's read lock.
+func (d *DataMatrix) Locations(m measure.Measure, ids []SeriesID, out []float64) error {
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Location() {
-		return 0, fmt.Errorf("%w: %v is not an L-measure", measure.ErrUnknownMeasure, m)
+		return fmt.Errorf("%w: %v is not an L-measure", measure.ErrUnknownMeasure, m)
+	}
+	for _, id := range ids {
+		if err := d.checkID(id); err != nil {
+			return err
+		}
 	}
 	if sp.EvalSorted != nil {
-		return d.EvalSorted(id, sp.EvalSorted)
-	}
-	if err := d.checkID(id); err != nil {
-		return 0, err
+		return d.withSorted(func(sorted []float64) error {
+			for i, id := range ids {
+				v, err := sp.EvalSorted(d.sortedColumn(sorted, id))
+				if err != nil {
+					return err
+				}
+				out[i] = v
+			}
+			return nil
+		})
 	}
 	if m == measure.Mean {
-		return d.Moments().Mean[id], nil
+		mean := d.Moments().Mean
+		for i, id := range ids {
+			out[i] = mean[id]
+		}
+		return nil
 	}
-	return sp.EvalLocation(d.series[id])
+	for i, id := range ids {
+		v, err := sp.EvalLocation(d.series[id])
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
 }
 
 // Slab returns the storage behind the window when it is one slab (a

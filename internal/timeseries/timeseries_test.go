@@ -949,3 +949,57 @@ func BenchmarkWindowMoments(b *testing.B) {
 		})
 	}
 }
+
+// Readers asking for every series' median or mode in one Locations call race
+// slides that take the window's sorted columns away from it: each list is
+// answered from one consistent set of columns, the bits EvalLocation gives
+// the raw series.  Run with -race.
+func TestLocationsReadersRaceSlides(t *testing.T) {
+	d := momentsWindow(t, 11, 9, 40, 5)
+	ids := d.IDs()
+	want := map[measure.Measure][]float64{}
+	for _, m := range []measure.Measure{measure.Median, measure.Mode} {
+		sp := measure.Lookup(m)
+		for _, id := range ids {
+			s, _ := d.Series(id)
+			v, err := sp.EvalLocation(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[m] = append(want[m], v)
+		}
+	}
+	batch := make([][]float64, d.NumSeries())
+	for v := range batch {
+		batch[v] = []float64{float64(v) / 3}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]float64, len(ids))
+			for i := range 200 {
+				if g == 0 {
+					if _, err := d.SlideCopy(batch); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				m := []measure.Measure{measure.Median, measure.Mode}[(g+i)%2]
+				if err := d.Locations(m, ids, out); err != nil {
+					t.Error(err)
+					return
+				}
+				for v, x := range out {
+					if math.Float64bits(x) != math.Float64bits(want[m][v]) {
+						t.Errorf("%v of series %d: %v, want %v", m, v, x, want[m][v])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -276,7 +276,19 @@ type replayer struct {
 	// pinnedAdvances the Advances applied since they were taken.
 	pins           []heldPin
 	pinnedAdvances int
+	// refits lists whether each of the reference's Advances since its last
+	// build or restore refit every relationship; chains counts the
+	// full → partial → full runs among them.
+	refits []bool
+	chains chainCount
 }
+
+// chainCount counts the full → partial → full runs of Advances on a
+// sequence's reference engine: all of them, and those whose partial epoch was
+// pinned across the second full Advance — which recycles the full epoch the
+// partial one shares its relationships and sequence stores with, so only the
+// pin rule keeps the pinned epoch's answers.
+type chainCount struct{ all, pinned int }
 
 // heldPin is an engine cell's pin on the epoch a run of Advances started
 // from, with what the epoch answered when it was pinned.
@@ -906,12 +918,12 @@ func sameRows(ref *cell, q query, affine, index core.QueryResult) bool {
 }
 
 // replay runs one encoded sequence across the lattice and returns its first
-// divergence.
-func replay(data []byte) error {
+// divergence, and its full → partial → full runs of Advances.
+func replay(data []byte) (chainCount, error) {
 	seq := decodeSequence(data)
 	r, err := newReplayer(seq)
 	if r == nil {
-		return err
+		return chainCount{}, err
 	}
 	for i := range seq.ops {
 		o := &seq.ops[i]
@@ -922,13 +934,13 @@ func replay(data []byte) error {
 			o = r.last
 		}
 		if err := r.apply(o); err != nil {
-			return fmt.Errorf("op %d (%+v): %w", i, *o, err)
+			return r.chains, fmt.Errorf("op %d (%+v): %w", i, *o, err)
 		}
 		if o.kind == opQuery || o.kind == opBatch {
 			r.last = o
 		}
 	}
-	return r.releasePins()
+	return r.chains, r.releasePins()
 }
 
 func (r *replayer) apply(o *op) error {
@@ -973,6 +985,7 @@ func (r *replayer) apply(o *op) error {
 			info, err := c.b.Advance()
 			if i == 0 && err == nil {
 				r.pending, r.stale, r.reused = nil, true, info.ReusedRelationships > 0
+				r.countChain(info.FullRefit)
 			}
 			if err == nil {
 				c.fillLocations()
@@ -999,7 +1012,7 @@ func (r *replayer) apply(o *op) error {
 			c.b = restored
 			c.fillLocations()
 		}
-		r.stale = true
+		r.stale, r.refits = true, nil
 		return nil
 	}
 
@@ -1082,6 +1095,21 @@ func (r *replayer) apply(o *op) error {
 	return checkOracle(ref, q, oracles[q.measure], refRes, refErr)
 }
 
+// countChain records one Advance of the reference engine and counts the
+// full → partial → full run it may end.  The first Advance of a run is the
+// one the engine cells' pins were taken before, on the epoch the previous
+// Advance produced.
+func (r *replayer) countChain(full bool) {
+	r.refits = append(r.refits, full)
+	n := len(r.refits)
+	if n >= 3 && r.refits[n-3] && !r.refits[n-2] && full {
+		r.chains.all++
+		if r.pinnedAdvances == 1 {
+			r.chains.pinned++
+		}
+	}
+}
+
 // generate draws the bytes of the i-th generated sequence.
 func generate(seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -1093,7 +1121,10 @@ func generate(seed int64) []byte {
 // shrink minimises a failing byte string QuickCheck-style: it keeps any
 // deletion of a chunk, or lowering of a byte, after which replay still fails.
 func shrink(data []byte) []byte {
-	fails := func(d []byte) bool { return replay(d) != nil }
+	fails := func(d []byte) bool {
+		_, err := replay(d)
+		return err != nil
+	}
 	for improved := true; improved; {
 		improved = false
 		for size := len(data) / 2; size >= 1; size /= 2 {
@@ -1123,16 +1154,30 @@ func shrink(data []byte) []byte {
 }
 
 // TestOperationLattice replays -lattice.sequences generated sequences.
+// It logs how many sequences ran full → partial → full Advances on the
+// reference engine, and in how many the partial epoch was pinned across the
+// second full Advance (chainCount).
 func TestOperationLattice(t *testing.T) {
+	var chained, pinned int
 	for i := 0; i < *latticeSequences; i++ {
 		seed := *latticeSeed + int64(i)
 		data := generate(seed)
-		if err := replay(data); err != nil {
+		chains, err := replay(data)
+		if err != nil {
 			small := shrink(data)
+			_, smallErr := replay(small)
 			t.Fatalf("sequence seed %d: %v\nshrunk to %d bytes: %v\nsave as testdata/fuzz/FuzzOperationSequence/seed-%d:\ngo test fuzz v1\n[]byte(%q)",
-				seed, err, len(small), replay(small), seed, small)
+				seed, err, len(small), smallErr, seed, small)
+		}
+		if chains.all > 0 {
+			chained++
+		}
+		if chains.pinned > 0 {
+			pinned++
 		}
 	}
+	t.Logf("%d of %d sequences ran full → partial → full Advances, %d with the partial epoch pinned across the second full Advance",
+		chained, *latticeSequences, pinned)
 }
 
 // FuzzOperationSequence is the lattice behind Go's fuzzer, which shrinks a
@@ -1142,7 +1187,7 @@ func FuzzOperationSequence(f *testing.F) {
 		f.Add(generate(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := replay(data); err != nil {
+		if _, err := replay(data); err != nil {
 			t.Fatal(strings.TrimSpace(err.Error()))
 		}
 	})
