@@ -24,8 +24,9 @@
 // is Interval with GreaterThan or LessThan (AtLeast / AtMost for the closed
 // forms), a MER query is Interval with Between.  Top-k runs as a best-first
 // index traversal that adaptively tightens the interval [v_k, best].  The
-// engine thus has two questions, each with one door — Interval and TopK —
-// plus Batch, which answers a mixed list of QuerySpecs against one epoch.
+// two row-returning questions each have one door — Interval and TopK — and
+// Batch answers any mixed list of QuerySpecs (IntervalSpec, TopKSpec and the
+// MEC's ComputeSpec) against one epoch; Explain answers one with its plan.
 //
 // Instead of computing a pairwise measure for all n(n−1)/2 pairs from the
 // raw data, AFFINITY clusters the series (AFCLST), computes one affine
@@ -51,6 +52,14 @@
 //	for i, pair := range top.Pairs {
 //		fmt.Println(data.Name(pair.U), data.Name(pair.V), top.Values[i])
 //	}
+//
+//	// The correlation matrix of the first five stocks (MEC), and the three
+//	// most correlated pairs, answered from one epoch:
+//	out, _ := eng.Batch([]affinity.QuerySpec{
+//		affinity.ComputeSpec(affinity.Correlation, data.IDs()[:5]),
+//		affinity.TopKSpec(affinity.Correlation, 3, true),
+//	}, affinity.Affine)
+//	fmt.Println(out[0].Matrix, out[1].Pairs)
 //
 // The three concrete execution methods mirror the paper's evaluation: Naive
 // recomputes from raw data (W_N), Affine uses the affine relationships (W_A),
@@ -92,7 +101,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/sketch"
 	"affinity/internal/timeseries"
 )
 
@@ -147,10 +155,6 @@ type MeasureInfo struct {
 	Base      Measure
 	Doc       string
 	Indexable bool
-	// Sketchable reports whether the coefficient-sketch prescreen tier
-	// (SketchOptions) can filter sweeps on this measure; others simply take
-	// the plain exact sweep.
-	Sketchable bool
 }
 
 // Measures returns every registered measure in registration order.
@@ -159,13 +163,12 @@ func Measures() []MeasureInfo {
 	out := make([]MeasureInfo, len(specs))
 	for i, sp := range specs {
 		out[i] = MeasureInfo{
-			Measure:    sp.ID,
-			Name:       sp.Name,
-			Class:      sp.Class.String(),
-			Base:       sp.Base,
-			Doc:        sp.Doc,
-			Indexable:  sp.Indexable,
-			Sketchable: sp.SketchBoundable(),
+			Measure:   sp.ID,
+			Name:      sp.Name,
+			Class:     sp.Class.String(),
+			Base:      sp.Base,
+			Doc:       sp.Doc,
+			Indexable: sp.Indexable,
 		}
 	}
 	return out
@@ -237,8 +240,9 @@ func ParseInterval(s string) (Interval, error) { return interval.Parse(s) }
 // IntervalGrammar describes the forms ParseInterval accepts (CLI help).
 func IntervalGrammar() string { return interval.Grammar() }
 
-// QuerySpec is the logical form of one interval (MET/MER) or top-k (MEK)
-// query, read by Explain and Batch.  Build one with IntervalSpec or TopKSpec.
+// QuerySpec is the logical form of one interval (MET/MER), top-k (MEK) or
+// measure computation (MEC) query, read by Explain and Batch.  Build one with
+// IntervalSpec, TopKSpec or ComputeSpec.
 type QuerySpec = plan.QuerySpec
 
 // QueryPlan is the planner's decision for one query: chosen method,
@@ -253,6 +257,14 @@ func IntervalSpec(m Measure, iv Interval) QuerySpec {
 // TopKSpec builds the logical spec of a top-k (MEK) query.
 func TopKSpec(m Measure, k int, largest bool) QuerySpec {
 	return plan.TopK(m, k, largest)
+}
+
+// ComputeSpec builds the logical spec of a measure computation (MEC) query
+// over the series ids, answered in their order: an L-measure's values (mean,
+// median, mode) in Result.Series and Result.Values, a T- or D-measure's
+// pairwise matrix in Result.Matrix.  The Index method does not answer it.
+func ComputeSpec(m Measure, ids []SeriesID) QuerySpec {
+	return core.ComputeSpec(m, ids)
 }
 
 // Typed query errors, shared by the single and batched entry points.
@@ -271,18 +283,15 @@ var (
 	ErrBadTopK = core.ErrBadTopK
 )
 
-// Result is the answer to an interval (MET/MER) or top-k query:
-// Series for L-measures, Pairs for T- and D-measures.  For top-k queries
+// Result is the answer to one query.  An interval (MET/MER) or top-k query
+// returns Series for L-measures and Pairs for T- and D-measures; for top-k
 // Values aligns with Series or Pairs and carries the measure value that
-// ranked each entry, best first.
+// ranked each entry, best first.  A MEC query (ComputeSpec) over an
+// L-measure returns the requested Series with their Values aligned; over a T-
+// or D-measure it returns Matrix, symmetric and in the order requested, with
+// NaN where the derived measure is undefined (for example the correlation
+// against a constant series).
 type Result = core.QueryResult
-
-// ComputeQuery describes one MEC query of a ComputeBatch.
-type ComputeQuery = core.ComputeQuery
-
-// ComputeResult is the answer to one ComputeQuery: Location for L-measures,
-// Pairwise for T- and D-measures.
-type ComputeResult = core.ComputeResult
 
 // BuildInfo describes what Engine construction produced.
 type BuildInfo = core.BuildInfo
@@ -321,37 +330,6 @@ func GenerateSensorData(cfg SensorDataConfig) (*Dataset, error) {
 // intra-day price series with sector co-movement.
 func GenerateStockData(cfg StockDataConfig) (*Dataset, error) {
 	return dataset.GenerateStock(cfg)
-}
-
-// SketchOptions configures the DFT coefficient-sketch filter-and-refine tier
-// for sweep queries (StatStream-style, refs [1–3] of the paper).
-//
-// When enabled, the engine keeps a per-series sketch of the d largest-
-// magnitude DFT coefficients of the centered window, maintained incrementally
-// across Advance (every series slides its kept coefficients in O(slide·d);
-// the periodic statistics refresh rebuilds them from a full FFT).
-// Naive-method sweeps over measures whose base is covariance or the dot
-// product — Measures reports them as Sketchable — first classify every pair
-// against the query from definite Parseval bounds: definite-in pairs are
-// emitted without touching a raw sample, definite-out pairs are dropped, and
-// the ambiguous remainder goes on to the engine's slid pair moments, the
-// bound every naive sweep classifies against with or without sketches, and
-// from there — a sliver — to the exact kernels; top-k sweeps visit pair
-// blocks best-first by their optimistic bounds.  At an epoch whose fit was
-// full (the build, and every Advance that refits everything) a
-// covariance-base sweep reads the covariances the fit reduced instead and
-// consults neither bound.  Prescreened results are byte-identical to the
-// plain exact sweep by construction, so enabling sketches changes latency
-// only.  Explain reports the filtered/refined pair counts on QueryPlan, and
-// StreamStats carries the prescreen counters.
-type SketchOptions struct {
-	// Enabled turns the sketch tier on (the zero value keeps it off).
-	Enabled bool
-	// Coefficients is the sketch width d — DFT coefficients kept per series
-	// (default 16, clamped to the window's m−1 non-DC bins).  Wider sketches
-	// tighten the bounds (fewer exact evaluations) at O(n·d) extra memory and
-	// O(d) extra prescreen work per pair.
-	Coefficients int
 }
 
 // StreamStats reports the engine's cumulative incremental-maintenance
@@ -398,8 +376,8 @@ type Options struct {
 	// 0.05) skips refits on quiet streams at the cost of a bounded extra
 	// approximation error.  NaN is rejected.  Every 64th epoch re-reduces
 	// from the raw window what the others slide — the naive sweeps'
-	// pair-moment column and the sketches' coefficients — bounding their
-	// floating-point drift; per-series statistics are never slid.
+	// pair-moment column — bounding its floating-point drift; per-series
+	// statistics are never slid.
 	DriftBound float64
 	// Cache turns on the epoch-aware semantic result cache (off by default).
 	// It sits behind every interval (MET/MER) and top-k query path and serves
@@ -416,10 +394,6 @@ type Options struct {
 	// QueryPlan.CacheTier, and StreamStats carries the hit/miss/repair
 	// counters.
 	Cache bool
-	// Sketch configures the coefficient-sketch filter-and-refine sweep tier
-	// (off by default; prescreened results are byte-identical to the plain
-	// exact sweep, so enabling it changes latency only).
-	Sketch SketchOptions
 }
 
 // Engine is a built AFFINITY instance over one dataset.
@@ -436,10 +410,6 @@ func (opts Options) config() core.Config {
 		Parallelism: opts.Parallelism,
 		Stream:      core.StreamConfig{DriftBound: opts.DriftBound},
 		Cache:       qcache.Options{Enabled: opts.Cache},
-		Sketch: sketch.Options{
-			Enabled:      opts.Sketch.Enabled,
-			Coefficients: opts.Sketch.Coefficients,
-		},
 	}
 }
 
@@ -461,25 +431,6 @@ func (e *Engine) Info() BuildInfo { return e.inner.Info() }
 // Data returns the engine's dataset.
 func (e *Engine) Data() *Dataset { return e.inner.Data() }
 
-// ComputeLocation answers a MEC query for an L-measure (mean, median, mode)
-// over the requested series.
-func (e *Engine) ComputeLocation(m Measure, ids []SeriesID, method Method) ([]float64, error) {
-	return e.inner.ComputeLocation(m, ids, method)
-}
-
-// ComputePairwise answers a MEC query for a T- or D-measure over the
-// requested series: the symmetric |ids|-by-|ids| matrix of pairwise values in
-// the order given.  Entries whose derived measure is undefined (for example
-// the correlation against a constant series) are NaN.
-func (e *Engine) ComputePairwise(m Measure, ids []SeriesID, method Method) ([][]float64, error) {
-	return e.inner.ComputePairwise(m, ids, method)
-}
-
-// PairValue computes a single pairwise measure.
-func (e *Engine) PairValue(m Measure, pair Pair, method Method) (float64, error) {
-	return e.inner.PairValue(m, pair, method)
-}
-
 // Interval answers the unified interval query: all series (for L-measures)
 // or sequence pairs (for T- and D-measures) whose measure value lies in iv.
 // A MET query passes GreaterThan(τ) or LessThan(τ), a MER query Between(lo,
@@ -500,7 +451,7 @@ func (e *Engine) TopK(m Measure, k int, largest bool, method Method) (Result, er
 	return e.inner.TopK(m, k, largest, method)
 }
 
-// Explain plans an interval or top-k query, executes it, and returns the
+// Explain plans an interval, top-k or MEC query, executes it, and returns the
 // result with the plan: per-method cost estimates, the index's row count of
 // an interval query, and the observed actuals (rows, duration).  With Auto
 // the plan shows the planner's pick; with a concrete method it prices that
@@ -512,21 +463,16 @@ func (e *Engine) Explain(spec QuerySpec, method Method) (Result, QueryPlan, erro
 	return e.inner.Explain(spec, method)
 }
 
-// Batch answers a mixed list of interval and top-k specs (IntervalSpec,
-// TopKSpec) against a single epoch, so a concurrent Advance cannot split it.
-// Interval specs on the same measure share one sweep with the per-pair
-// values and normalizers computed once, index specs share the pivot-node
-// traversal, and sweep-method top-k specs share one pass over the sequence
-// pairs.  out[i] equals the result of the corresponding single Interval or
-// TopK call, in the same order; the first invalid spec fails the batch.
+// Batch answers a mixed list of interval, top-k and MEC specs (IntervalSpec,
+// TopKSpec, ComputeSpec) against a single epoch, so a concurrent Advance
+// cannot split it.  Interval specs on the same measure share one sweep with
+// the per-pair values and normalizers computed once, index specs share the
+// pivot-node traversal, and sweep-method top-k specs share one pass over the
+// sequence pairs.  out[i] equals the answer to specs[i] asked alone, in the
+// same order; the first invalid spec fails the batch.  A single MEC query is
+// a batch of one.
 func (e *Engine) Batch(specs []QuerySpec, method Method) ([]Result, error) {
 	return e.inner.Batch(specs, method)
-}
-
-// ComputeBatch answers k MEC queries against a single epoch; out[i] equals
-// the corresponding ComputeLocation/ComputePairwise result.
-func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult, error) {
-	return e.inner.ComputeBatch(qs, method)
 }
 
 // Append buffers one newly arrived tick — one sample per series, in series
@@ -545,9 +491,6 @@ func (e *Engine) Advance() (AdvanceInfo, error) { return e.inner.Advance() }
 // the window.
 func (e *Engine) PendingSamples() int { return e.inner.PendingSamples() }
 
-// Epoch returns the number of Advance transitions applied so far.
-func (e *Engine) Epoch() int { return e.inner.Epoch() }
-
 // StreamStats returns a snapshot of the engine's incremental-maintenance
 // counters (see StreamStats).
 func (e *Engine) StreamStats() StreamStats { return e.inner.StreamStats() }
@@ -560,31 +503,13 @@ func (e *Engine) WriteSnapshot(w io.Writer) error { return e.inner.WriteSnapshot
 
 // NewFromSnapshot rebuilds an engine from a snapshot written by WriteSnapshot
 // and the dataset it was built on.  Clustering-related options are ignored
-// (they are part of the snapshot); SkipIndex, Parallelism, DriftBound, Cache
-// and Sketch are honoured, so a snapshot-loaded engine plans,
-// caches, prescreens and streams exactly like an identically configured New
-// engine.
+// (they are part of the snapshot); SkipIndex, Parallelism, DriftBound and
+// Cache are honoured, so a snapshot-loaded engine plans, caches and streams
+// exactly like an identically configured New engine.
 func NewFromSnapshot(d *Dataset, r io.Reader, opts Options) (*Engine, error) {
 	eng, err := core.BuildFromSnapshot(d, r, opts.config())
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{inner: eng}, nil
-}
-
-// CorrelationMatrix is a convenience wrapper computing the full correlation
-// matrix over the given series (Problem 1 of the paper) with the Affine
-// method.
-func (e *Engine) CorrelationMatrix(ids []SeriesID) ([][]float64, error) {
-	return e.inner.ComputePairwise(measure.Correlation, ids, core.MethodAffine)
-}
-
-// CorrelatedPairs is a convenience wrapper returning all sequence pairs with
-// correlation above tau, answered from the SCAPE index.
-func (e *Engine) CorrelatedPairs(tau float64) ([]Pair, error) {
-	res, err := e.inner.Interval(measure.Correlation, interval.GreaterThan(tau), core.MethodIndex)
-	if err != nil {
-		return nil, err
-	}
-	return res.Pairs, nil
 }

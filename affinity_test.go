@@ -27,6 +27,26 @@ func buildPublicEngine(t testing.TB) (*Engine, *Dataset) {
 	return eng, data
 }
 
+// matrix answers a pairwise MEC query: the matrix of m over ids.
+func matrix(t testing.TB, eng *Engine, m Measure, ids []SeriesID, method Method) [][]float64 {
+	t.Helper()
+	out, err := eng.Batch([]QuerySpec{ComputeSpec(m, ids)}, method)
+	if err != nil {
+		t.Fatalf("%v MEC by %v: %v", m, method, err)
+	}
+	return out[0].Matrix
+}
+
+// pairValue asks one pair's value as a two-series MEC.
+func pairValue(t testing.TB, eng *Engine, m Measure, p Pair, method Method) float64 {
+	t.Helper()
+	out, err := eng.Batch([]QuerySpec{ComputeSpec(m, []SeriesID{p.U, p.V})}, method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0].Matrix[0][1]
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	eng, data := buildPublicEngine(t)
 
@@ -38,35 +58,24 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("Data() should return the original dataset")
 	}
 
-	// MEC: mean vector and correlation matrix.
-	means, err := eng.ComputeLocation(Mean, data.IDs(), Affine)
+	// MEC: mean vector and correlation matrix, in one batch.
+	mec, err := eng.Batch([]QuerySpec{ComputeSpec(Mean, data.IDs()), ComputeSpec(Correlation, data.IDs())}, Affine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(means) != 20 {
-		t.Fatalf("means length %d", len(means))
+	if means := mec[0].Values; len(means) != 20 || !slices.Equal(mec[0].Series, data.IDs()) {
+		t.Fatalf("means %v of series %v", means, mec[0].Series)
 	}
-	corr, err := eng.CorrelationMatrix(data.IDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(corr) != 20 || math.Abs(corr[3][3]-1) > 1e-9 {
+	if corr := mec[1].Matrix; len(corr) != 20 || math.Abs(corr[3][3]-1) > 1e-9 {
 		t.Fatalf("correlation matrix shape/diagonal wrong")
 	}
 
-	// MET via index and convenience wrapper.
+	// MET via index.
 	res, err := eng.Interval(Correlation, GreaterThan(0.9), Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := eng.CorrelatedPairs(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != len(res.Pairs) {
-		t.Fatalf("CorrelatedPairs %d vs Interval %d", len(pairs), len(res.Pairs))
-	}
-	if len(pairs) == 0 {
+	if len(res.Pairs) == 0 {
 		t.Fatal("clustered data should contain highly correlated pairs")
 	}
 
@@ -79,16 +88,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("non-negative covariance range should match pairs")
 	}
 
-	// PairValue across methods.
+	// One pair's value across methods.
 	p := Pair{U: 0, V: 4}
-	exact, err := eng.PairValue(Correlation, p, Naive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := eng.PairValue(Correlation, p, Affine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, approx := pairValue(t, eng, Correlation, p, Naive), pairValue(t, eng, Correlation, p, Affine)
 	if math.Abs(exact-approx) > 0.05 {
 		t.Fatalf("correlation %v vs %v", exact, approx)
 	}
@@ -195,8 +197,11 @@ func TestPublicAutoAndExplain(t *testing.T) {
 	if _, err := eng.Batch([]QuerySpec{IntervalSpec(Cosine, GreaterThan(0.5))}, Auto); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ComputeLocation(Mean, eng.Data().IDs(), Auto); err != nil {
-		t.Fatal(err)
+	if _, p, err := eng.Explain(ComputeSpec(Mean, eng.Data().IDs()), Auto); err != nil || p.Method == Index {
+		t.Fatalf("auto MEC: %v %v", p, err)
+	}
+	if _, err := eng.Batch([]QuerySpec{ComputeSpec(Correlation, eng.Data().IDs()[:3])}, Index); !errors.Is(err, ErrBadMethod) {
+		t.Fatalf("MEC via index err = %v, want ErrBadMethod", err)
 	}
 
 	// Typed errors surface through the facade.
@@ -211,16 +216,14 @@ func TestPublicAutoAndExplain(t *testing.T) {
 	}
 }
 
-// TestPublicEngineMethodSet pins the engine's public surface: two questions
-// (Interval, TopK) with one door each, one mixed batch door, the MEC doors,
-// Explain, the streaming and snapshot lifecycle and the two convenience
-// wrappers.  A new method is a deliberate API change: add it here.
+// TestPublicEngineMethodSet pins the engine's public surface: two
+// row-returning questions (Interval, TopK) with one door each, one batch door
+// for any mix of interval, top-k and MEC specs, Explain, and the streaming and
+// snapshot lifecycle.  A new method is a deliberate API change: add it here.
 func TestPublicEngineMethodSet(t *testing.T) {
 	want := []string{
-		"Advance", "Append", "Batch", "ComputeBatch", "ComputeLocation",
-		"ComputePairwise", "CorrelatedPairs", "CorrelationMatrix", "Data",
-		"Epoch", "Explain", "Info", "Interval", "PairValue", "PendingSamples",
-		"StreamStats", "TopK", "WriteSnapshot",
+		"Advance", "Append", "Batch", "Data", "Explain", "Info", "Interval",
+		"PendingSamples", "StreamStats", "TopK", "WriteSnapshot",
 	}
 	typ := reflect.TypeOf((*Engine)(nil))
 	var got []string

@@ -17,6 +17,7 @@
 //	affinity-query -csv prices.csv -measure euclidean -topk 10 -smallest
 //
 //	# the covariance matrix of three series, computed through affine relationships
+//	# (a MEC query: one ComputeSpec answered by Engine.Batch)
 //	affinity-query -csv prices.csv -query mec -measure covariance -series 0,3,7 -method wa
 //
 //	# all series whose median lies in [20, 25]
@@ -52,9 +53,9 @@ func run(args []string, out io.Writer) error {
 		storeDir  = fs.String("store", "", "store directory holding the dataset")
 		dsName    = fs.String("dataset", "", "dataset name inside the store")
 		csvPath   = fs.String("csv", "", "CSV file to load instead of the store")
-		queryKind = fs.String("query", "mec", "query type: mec, met, mer, interval or topk")
+		queryKind = fs.String("query", "mec", "query type: mec (the measure's values over -series; a matrix for pairwise measures), met, mer, interval or topk")
 		measure   = fs.String("measure", "correlation", "statistical measure ("+strings.Join(names, ", ")+")")
-		methodStr = fs.String("method", "wa", "execution method: wn (naive), wa (affine), scape (index) or auto (planner)")
+		methodStr = fs.String("method", "wa", "execution method: wn (naive), wa (affine), scape (index; not for mec) or auto (planner)")
 		seriesArg = fs.String("series", "", "comma-separated series identifiers for MEC queries (empty = all)")
 		threshold = fs.Float64("threshold", 0.9, "MET threshold")
 		op        = fs.String("op", ">", "MET comparison operator, from the interval grammar: "+affinity.IntervalGrammar())
@@ -212,25 +213,22 @@ func parseSeries(arg string, d *affinity.Dataset) ([]affinity.SeriesID, error) {
 
 func runMEC(out io.Writer, engine *affinity.Engine, d *affinity.Dataset,
 	m affinity.Measure, ids []affinity.SeriesID, method affinity.Method, limit int) error {
+	res, err := engine.Batch([]affinity.QuerySpec{affinity.ComputeSpec(m, ids)}, method)
+	if err != nil {
+		return err
+	}
 	if !m.Pairwise() {
-		values, err := engine.ComputeLocation(m, ids, method)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "MEC %v via %v over %d series:\n", m, method, len(ids))
 		for i, id := range ids {
 			if limit > 0 && i >= limit {
 				fmt.Fprintf(out, "  ... (%d more)\n", len(ids)-limit)
 				break
 			}
-			fmt.Fprintf(out, "  %-24s %v\n", d.Name(id), values[i])
+			fmt.Fprintf(out, "  %-24s %v\n", d.Name(id), res[0].Values[i])
 		}
 		return nil
 	}
-	matrix, err := engine.ComputePairwise(m, ids, method)
-	if err != nil {
-		return err
-	}
+	matrix := res[0].Matrix
 	fmt.Fprintf(out, "MEC %v via %v over %d series (showing up to %d rows):\n", m, method, len(ids), limit)
 	for i := range matrix {
 		if limit > 0 && i >= limit {

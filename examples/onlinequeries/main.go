@@ -126,16 +126,10 @@ func timedRun(data *affinity.Dataset, queries []workload.MECQuery, method affini
 }
 
 func runBatch(engine *affinity.Engine, queries []workload.MECQuery, method affinity.Method) error {
-	for _, q := range queries {
-		if !q.Measure.Pairwise() {
-			if _, err := engine.ComputeLocation(q.Measure, q.Series, method); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := engine.ComputePairwise(q.Measure, q.Series, method); err != nil {
-			return err
-		}
+	specs := make([]affinity.QuerySpec, len(queries))
+	for i, q := range queries {
+		specs[i] = affinity.ComputeSpec(q.Measure, q.Series)
 	}
-	return nil
+	_, err := engine.Batch(specs, method)
+	return err
 }

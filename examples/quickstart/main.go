@@ -41,30 +41,33 @@ func main() {
 	// 3. MEC query: the mean of the first five series, computed through
 	// affine relationships (W_A).
 	ids := []affinity.SeriesID{0, 1, 2, 3, 4}
-	means, err := engine.ComputeLocation(affinity.Mean, ids, affinity.Affine)
+	mec, err := engine.Batch([]affinity.QuerySpec{affinity.ComputeSpec(affinity.Mean, ids)}, affinity.Affine)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("MEC: mean of the first five series (affine method):")
-	for i, id := range ids {
-		fmt.Printf("  %-22s %8.3f\n", data.Name(id), means[i])
+	for i, id := range mec[0].Series {
+		fmt.Printf("  %-22s %8.3f\n", data.Name(id), mec[0].Values[i])
 	}
 
 	// 4. MET query: all pairs with correlation above 0.95, answered by the
 	// SCAPE index.
-	pairs, err := engine.CorrelatedPairs(0.95)
+	met, err := engine.Interval(affinity.Correlation, affinity.GreaterThan(0.95), affinity.Index)
 	if err != nil {
 		log.Fatal(err)
 	}
+	pairs := met.Pairs
 	fmt.Printf("\nMET: %d pairs with correlation > 0.95 (SCAPE index); first five:\n", len(pairs))
 	for i, p := range pairs {
 		if i == 5 {
 			break
 		}
-		rho, err := engine.PairValue(affinity.Correlation, p, affinity.Affine)
+		// A pair's value is a MEC query over its two series.
+		out, err := engine.Batch([]affinity.QuerySpec{affinity.ComputeSpec(affinity.Correlation, []affinity.SeriesID{p.U, p.V})}, affinity.Affine)
 		if err != nil {
 			log.Fatal(err)
 		}
+		rho := out[0].Matrix[0][1]
 		fmt.Printf("  %-22s %-22s rho=%.4f\n", data.Name(p.U), data.Name(p.V), rho)
 	}
 

@@ -52,26 +52,25 @@ func main() {
 	// Problem 1: the full correlation matrix.  The affine method computes it
 	// from the pivot-pair covariances plus one O(1) propagation per pair.
 	mecStart := time.Now()
-	corr, err := engine.CorrelationMatrix(data.IDs())
+	corr, err := correlationMatrix(engine, data.IDs(), affinity.Affine)
 	if err != nil {
 		log.Fatal(err)
 	}
 	affineTime := time.Since(mecStart)
 
 	naiveStart := time.Now()
-	if _, err := engine.ComputePairwise(affinity.Correlation, data.IDs(), affinity.Naive); err != nil {
+	if _, err := correlationMatrix(engine, data.IDs(), affinity.Naive); err != nil {
 		log.Fatal(err)
 	}
 	naiveTime := time.Since(naiveStart)
 	fmt.Printf("correlation matrix of all %d pairs: affine %v vs naive %v (%.1fx)\n\n",
 		data.NumPairs(), affineTime.Round(time.Millisecond), naiveTime.Round(time.Millisecond),
 		float64(naiveTime)/float64(affineTime))
-	_ = corr
 
 	// The trader's threshold query: pairs correlated above 0.95, from the
 	// SCAPE index.
 	queryStart := time.Now()
-	hot, err := engine.CorrelatedPairs(0.95)
+	hot, err := correlatedPairs(engine, 0.95)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func main() {
 		if i == 5 {
 			break
 		}
-		rho, _ := engine.PairValue(affinity.Correlation, p, affinity.Affine)
+		rho := corr[p.U][p.V] // the matrix is over every series, in id order
 		fmt.Printf("  %-22s %-22s rho=%.4f\n", data.Name(p.U), data.Name(p.V), rho)
 	}
 
@@ -111,18 +110,35 @@ func introExample() {
 
 	// rho(AMD, MSFT) computed two ways: from the raw series and through the
 	// affine relationship with the pivot pair.
-	pair := affinity.Pair{U: 1, V: 2}
-	exact, err := engine.PairValue(affinity.Correlation, pair, affinity.Naive)
+	pair := []affinity.SeriesID{1, 2}
+	exact, err := correlationMatrix(engine, pair, affinity.Naive)
 	if err != nil {
 		log.Fatal(err)
 	}
-	viaAffine, err := engine.PairValue(affinity.Correlation, pair, affinity.Affine)
+	viaAffine, err := correlationMatrix(engine, pair, affinity.Affine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rho(%s, %s) from raw series:          %.6f\n", names[1], names[2], exact)
-	fmt.Printf("rho(%s, %s) via affine relationship:  %.6f\n", names[1], names[2], viaAffine)
-	fmt.Printf("absolute error: %.2e\n", abs(exact-viaAffine))
+	fmt.Printf("rho(%s, %s) from raw series:          %.6f\n", names[1], names[2], exact[0][1])
+	fmt.Printf("rho(%s, %s) via affine relationship:  %.6f\n", names[1], names[2], viaAffine[0][1])
+	fmt.Printf("absolute error: %.2e\n", abs(exact[0][1]-viaAffine[0][1]))
+}
+
+// correlationMatrix answers Problem 1 over the given series: a MEC query, the
+// correlation of every pair of ids, as a batch of one.
+func correlationMatrix(engine *affinity.Engine, ids []affinity.SeriesID, method affinity.Method) ([][]float64, error) {
+	out, err := engine.Batch([]affinity.QuerySpec{affinity.ComputeSpec(affinity.Correlation, ids)}, method)
+	if err != nil {
+		return nil, err
+	}
+	return out[0].Matrix, nil
+}
+
+// correlatedPairs returns every pair whose correlation exceeds tau, answered
+// from the SCAPE index.
+func correlatedPairs(engine *affinity.Engine, tau float64) ([]affinity.Pair, error) {
+	res, err := engine.Interval(affinity.Correlation, affinity.GreaterThan(tau), affinity.Index)
+	return res.Pairs, err
 }
 
 func abs(x float64) float64 {

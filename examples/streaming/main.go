@@ -93,7 +93,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := eng.CorrelatedPairs(0.9); err != nil {
+				if _, err := eng.Interval(affinity.Correlation, affinity.GreaterThan(0.9), affinity.Index); err != nil {
 					log.Fatal(err)
 				}
 				served.Add(1)
@@ -115,13 +115,13 @@ func main() {
 				log.Fatal(err)
 			}
 			totalRefit += info.RefitRelationships
-			pairs, err := eng.CorrelatedPairs(0.9)
+			hot, err := eng.Interval(affinity.Correlation, affinity.GreaterThan(0.9), affinity.Index)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%5d  %12d  %5d  %6d  %12v  %8d\n",
 				info.Epoch, eng.Data().StartIndex(), info.RefitRelationships,
-				info.ReusedRelationships, info.Duration.Round(time.Microsecond), len(pairs))
+				info.ReusedRelationships, info.Duration.Round(time.Microsecond), len(hot.Pairs))
 		}
 		elapsed := time.Since(start)
 		stop.Store(true)

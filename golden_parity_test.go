@@ -21,6 +21,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,20 +110,39 @@ func goldenEngine(t testing.TB) (*affinity.Engine, *affinity.Dataset) {
 // quantiles returns deterministic per-measure query bounds derived from the
 // naive value distribution, so every recorded query has a non-trivial result
 // at every measure's natural scale.
+// matrixOf answers a pairwise MEC query: the matrix of m over ids.
+func matrixOf(t testing.TB, eng *affinity.Engine, m affinity.Measure, ids []affinity.SeriesID, method affinity.Method) [][]float64 {
+	t.Helper()
+	out, err := eng.Batch([]affinity.QuerySpec{affinity.ComputeSpec(m, ids)}, method)
+	if err != nil {
+		t.Fatalf("%v MEC by %v: %v", m, method, err)
+	}
+	return out[0].Matrix
+}
+
+// mecValues answers a batch whose last spec is a MEC query and flattens that
+// answer: an L-measure's values, or a pairwise measure's matrix row by row.
+func mecValues(eng *affinity.Engine, specs []affinity.QuerySpec, method affinity.Method) ([]float64, error) {
+	out, err := eng.Batch(specs, method)
+	if err != nil {
+		return nil, err
+	}
+	mec := out[len(out)-1]
+	flat := mec.Values
+	for _, row := range mec.Matrix {
+		flat = append(flat, row...)
+	}
+	return flat, nil
+}
+
 func quantiles(t testing.TB, eng *affinity.Engine, m affinity.Measure) (q25, q50, q75 float64) {
 	t.Helper()
-	var vals []float64
-	if !m.Pairwise() {
-		vs, err := eng.ComputeLocation(m, eng.Data().IDs(), affinity.Naive)
-		if err != nil {
-			t.Fatalf("%v location: %v", m, err)
-		}
-		vals = vs
-	} else {
-		matrix, err := eng.ComputePairwise(m, eng.Data().IDs(), affinity.Naive)
-		if err != nil {
-			t.Fatalf("%v pairwise: %v", m, err)
-		}
+	out, err := eng.Batch([]affinity.QuerySpec{affinity.ComputeSpec(m, eng.Data().IDs())}, affinity.Naive)
+	if err != nil {
+		t.Fatalf("%v MEC: %v", m, err)
+	}
+	vals := out[0].Values
+	if matrix := out[0].Matrix; m.Pairwise() {
 		for i := range matrix {
 			for j := i + 1; j < len(matrix[i]); j++ {
 				if !math.IsNaN(matrix[i][j]) {
@@ -213,30 +233,17 @@ func collectGolden(t testing.TB) []goldenCase {
 			}
 		}
 
-		// MEC single + batch with the sweep methods.
+		// MEC alone (every series of an L-measure, a pairwise measure's
+		// matrix over sub) and riding a mixed batch behind the MET specs, with
+		// the sweep methods.
+		mecIDs := sub
+		if !m.Pairwise() {
+			mecIDs = ids
+		}
 		for _, method := range methods[:2] {
-			if !m.Pairwise() {
-				vals, err := eng.ComputeLocation(m, ids, method.m)
-				cases = append(cases, floatsCase(fmt.Sprintf("%v/%s/mec", m, method.name), vals, err))
-			} else {
-				matrix, err := eng.ComputePairwise(m, sub, method.m)
-				var flat []float64
-				if err == nil {
-					for _, row := range matrix {
-						flat = append(flat, row...)
-					}
-				}
-				cases = append(cases, floatsCase(fmt.Sprintf("%v/%s/mec", m, method.name), flat, err))
-			}
-			cq := []affinity.ComputeQuery{{Measure: m, IDs: sub}}
-			bres, err := eng.ComputeBatch(cq, method.m)
-			var flat []float64
-			if err == nil {
-				flat = append(flat, bres[0].Location...)
-				for _, row := range bres[0].Pairwise {
-					flat = append(flat, row...)
-				}
-			}
+			flat, err := mecValues(eng, []affinity.QuerySpec{affinity.ComputeSpec(m, mecIDs)}, method.m)
+			cases = append(cases, floatsCase(fmt.Sprintf("%v/%s/mec", m, method.name), flat, err))
+			flat, err = mecValues(eng, append(slices.Clone(mets), affinity.ComputeSpec(m, sub)), method.m)
 			cases = append(cases, floatsCase(fmt.Sprintf("%v/%s/mec-batch", m, method.name), flat, err))
 		}
 	}

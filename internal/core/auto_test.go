@@ -8,7 +8,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/timeseries"
 )
 
 // autoSpecs enumerates MET/MER specs across every measure and both
@@ -175,12 +174,8 @@ func TestAutoComputeMatchesResolvedMethod(t *testing.T) {
 			t.Errorf("%v: auto MEC differs from %v", m, p.Method)
 		}
 	}
-	pair, err := timeseries.NewPair(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.PairValue(measure.Correlation, pair, MethodAuto); err != nil {
-		t.Fatalf("auto PairValue: %v", err)
+	if _, err := e.ComputePairwise(measure.Correlation, ids[:2], MethodAuto); err != nil {
+		t.Fatalf("auto two-series MEC: %v", err)
 	}
 }
 
@@ -234,8 +229,13 @@ func TestExplainFixedMethod(t *testing.T) {
 	if p.ActualRows != res.Size() || p.Duration <= 0 {
 		t.Fatalf("actuals not filled: %v", p)
 	}
-	if _, _, err := e.Explain(plan.Compute(measure.Mean, 3), MethodAuto); err == nil {
-		t.Fatal("Explain accepted a MEC spec")
+	ids := e.Data().IDs()[:3]
+	res, p, err = e.Explain(ComputeSpec(measure.Mean, ids), MethodAuto)
+	if err != nil {
+		t.Fatalf("Explain of a MEC spec: %v", err)
+	}
+	if !p.Method.Concrete() || p.Method == MethodIndex || p.ActualRows != len(ids) || len(res.Values) != len(ids) {
+		t.Fatalf("MEC plan %v answered %v", p, res)
 	}
 	// An interval no value can satisfy is rejected, not planned.
 	empty := interval.New(interval.Open(0.9), interval.Open(0.9))

@@ -34,22 +34,9 @@ type IntervalQuery struct {
 	Interval interval.Interval
 }
 
-// ComputeQuery describes one MEC query of a batch: an L-measure over IDs
-// (answered in Location) or a pairwise measure over IDs (answered in
-// Pairwise).
-type ComputeQuery struct {
-	Measure measure.Measure
-	IDs     []timeseries.SeriesID
-}
-
-// ComputeResult is the answer to one ComputeQuery.
-type ComputeResult struct {
-	Location []float64
-	Pairwise [][]float64
-}
-
 // IntervalBatch answers a batch of interval queries with the selected method.
-// out[i] corresponds to qs[i] and is identical to Interval(qs[i]...).
+// out[i] corresponds to qs[i] and is identical to Interval(qs[i]...).  It is
+// Batch over interval specs, kept for the benchmark's drivers.
 func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]QueryResult, error) {
 	specs := make([]plan.QuerySpec, len(qs))
 	for i, q := range qs {
@@ -58,22 +45,13 @@ func (e *Engine) IntervalBatch(qs []IntervalQuery, method Method) ([]QueryResult
 	return e.Batch(specs, method)
 }
 
-// Batch answers a mixed list of interval and top-k specs against one pinned
-// epoch.  out[i] is identical to the matching single Interval or TopK call.
+// Batch answers a mixed list of interval, top-k and compute specs against one
+// pinned epoch.  out[i] is identical to the matching single query.
 func (e *Engine) Batch(specs []plan.QuerySpec, method Method) ([]QueryResult, error) {
 	st := e.acquire()
 	defer e.release(st)
 	out, _, err := Run(st, specs, method, false)
 	return out, err
-}
-
-// ComputeBatch answers a batch of MEC queries with the selected method.
-// out[i] corresponds to qs[i] and is identical to the matching
-// ComputeLocation/ComputePairwise call.
-func (e *Engine) ComputeBatch(qs []ComputeQuery, method Method) ([]ComputeResult, error) {
-	st := e.acquire()
-	defer e.release(st)
-	return Compute(st, qs, method)
 }
 
 // Execute answers resolved items cold: location queries run directly from the

@@ -67,48 +67,6 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 	}
 }
 
-// TestComputeBatchMatchesSingleQueries does the same for MEC queries.
-func TestComputeBatchMatchesSingleQueries(t *testing.T) {
-	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
-	ids := e.Data().IDs()
-
-	for _, method := range []Method{MethodNaive, MethodAffine} {
-		var qs []ComputeQuery
-		for _, m := range measure.All() {
-			if m.Class() == measure.LocationClass {
-				qs = append(qs, ComputeQuery{Measure: m, IDs: ids})
-			} else {
-				qs = append(qs, ComputeQuery{Measure: m, IDs: ids[:8]})
-			}
-		}
-		batch, err := e.ComputeBatch(qs, method)
-		if err != nil {
-			t.Fatalf("%v: ComputeBatch: %v", method, err)
-		}
-		for i, q := range qs {
-			var want any
-			var err error
-			if q.Measure.Class() == measure.LocationClass {
-				want, err = e.ComputeLocation(q.Measure, q.IDs, method)
-			} else {
-				want, err = e.ComputePairwise(q.Measure, q.IDs, method)
-			}
-			if err != nil {
-				t.Fatalf("%v: single compute %v: %v", method, q.Measure, err)
-			}
-			var got any
-			if q.Measure.Class() == measure.LocationClass {
-				got = batch[i].Location
-			} else {
-				got = batch[i].Pairwise
-			}
-			if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-				t.Errorf("%v compute %v: batch result differs from single call", method, q.Measure)
-			}
-		}
-	}
-}
-
 // TestBatchMixedMeasuresSharesSweep checks a mixed batch (location + pairwise
 // + duplicate measures with different predicates) round-trips correctly.
 func TestBatchMixedMeasures(t *testing.T) {
@@ -144,10 +102,10 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := runSpecs(e, []plan.QuerySpec{plan.Interval(measure.Correlation, interval.Between(1, -1))}, MethodAffine); err == nil {
 		t.Fatal("empty range accepted")
 	}
-	if _, err := runSpecs(e, []plan.QuerySpec{plan.Compute(measure.Correlation, 2)}, MethodAffine); err == nil {
-		t.Fatal("compute spec accepted by the row pipeline")
+	if _, err := runSpecs(e, []plan.QuerySpec{{Kind: plan.Kind(99), Measure: measure.Correlation}}, MethodAffine); err == nil {
+		t.Fatal("a spec of no known kind was accepted")
 	}
-	if _, err := e.ComputeBatch([]ComputeQuery{{Measure: measure.Correlation}}, MethodIndex); !errors.Is(err, ErrBadMethod) {
+	if _, err := runSpecs(e, []plan.QuerySpec{ComputeSpec(measure.Correlation, nil)}, MethodIndex); !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("MEC via index: err = %v, want ErrBadMethod", err)
 	}
 	empty, err := runSpecs(e, nil, MethodAffine)

@@ -314,7 +314,7 @@ type Engine struct {
 	cur atomic.Pointer[engineState]
 
 	// streamMu serializes Append/Advance and guards pending, stream and the
-	// scratch pools.
+	// Advance scratch (batch, flags).
 	streamMu sync.Mutex
 	// pending buffers appended ticks, n samples each, one after the other,
 	// until Advance transposes them into the next epoch and truncates it; its
@@ -325,12 +325,10 @@ type Engine struct {
 	// sweep counts what the sweep stage did across every epoch: base-column
 	// fills and reuses, pair-moment materialisations, sweeps and refinements.
 	sweep sweepCounters
-	// batchPool recycles the per-epoch tick-transpose buffers; flagPool
-	// recycles the drift-scoring flag slices.  Both only ever hold buffers
-	// released at the end of an Advance, so pooled memory is bounded by one
-	// epoch's scratch.
-	batchPool sync.Pool
-	flagPool  sync.Pool
+	// batch is the tick-transpose buffer and flags the drift-scoring flag
+	// slice of the Advance in progress, reused by the next one.
+	batch batchScratch
+	flags []bool
 
 	// spare is the last retired epoch nobody reads, held weakly: the next
 	// Advance builds into its memory if a collection has not freed it first

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -312,14 +313,25 @@ func TestCalibrationOfAConstantCenter(t *testing.T) {
 	}
 }
 
+// TestPairValueMethods asks single pairs as two-series MEC queries.
 func TestPairValueMethods(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 6})
-	pair := timeseries.Pair{U: 0, V: 5}
-	truth, err := e.PairValue(measure.Correlation, pair, MethodNaive)
+	pair := []timeseries.SeriesID{0, 5}
+	pairValue := func(m measure.Measure, method Method) (float64, error) {
+		out, err := runSpecs(e, []plan.QuerySpec{ComputeSpec(m, pair)}, method)
+		if err != nil {
+			return 0, err
+		}
+		if out[0].Matrix == nil {
+			return 0, fmt.Errorf("%v answered %v, no matrix", m, out[0])
+		}
+		return out[0].Matrix[0][1], nil
+	}
+	truth, err := pairValue(measure.Correlation, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.PairValue(measure.Correlation, pair, MethodAffine)
+	approx, err := pairValue(measure.Correlation, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,18 +346,18 @@ func TestPairValueMethods(t *testing.T) {
 	if swapped != approx {
 		t.Fatalf("non-canonical pair gave %v, want %v", swapped, approx)
 	}
-	if _, err := e.PairValue(measure.Mean, pair, MethodNaive); err == nil {
-		t.Fatal("L-measure PairValue should error")
+	if _, err := pairValue(measure.Mean, MethodNaive); err == nil {
+		t.Fatal("an L-measure answered with a matrix")
 	}
-	if _, err := e.PairValue(measure.Covariance, pair, MethodIndex); !errors.Is(err, ErrBadMethod) {
-		t.Fatalf("index PairValue err = %v", err)
+	if _, err := pairValue(measure.Covariance, MethodIndex); !errors.Is(err, ErrBadMethod) {
+		t.Fatalf("index MEC err = %v", err)
 	}
 	// Jaccard goes through the dot-product-dependent normalizer path.
-	jac, err := e.PairValue(measure.Jaccard, pair, MethodAffine)
+	jac, err := pairValue(measure.Jaccard, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jacTruth, err := e.PairValue(measure.Jaccard, pair, MethodNaive)
+	jacTruth, err := pairValue(measure.Jaccard, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,17 @@ import (
 )
 
 // This file is the query pipeline, written once.  Every query the engine
-// serves is a plan.QuerySpec plus a Method, and every row-returning one —
-// interval (MET/MER) or top-k (MEK), single or batched, on one engine or on S
-// shards — runs
+// serves is a plan.QuerySpec plus a Method — interval (MET/MER), top-k (MEK)
+// or compute (MEC), single or batched, on one engine or on S shards — and runs
 //
 //	validate → plan → cache → execute → store
 //
-// against one pinned epoch of a Backend.  The pipeline owns spec validation,
-// MethodAuto resolution and method pricing, the result-cache protocol and the
-// Explain actuals; a Backend answers only what genuinely differs between one
-// engine and a sharded coordinator.  engineState (one epoch of an Engine) and
+// against one pinned epoch of a Backend; a compute spec skips the cache and
+// is answered straight from the epoch's per-series state and per-pair
+// evaluator.  The pipeline owns spec validation, MethodAuto resolution and
+// method pricing, the result-cache protocol and the Explain actuals; a
+// Backend answers only what genuinely differs between one engine and a
+// sharded coordinator.  engineState (one epoch of an Engine) and
 // shard's coordinator epoch are the two implementations.
 //
 // Cache correctness contract (pinned by the cache determinism harnesses):
@@ -56,7 +57,7 @@ type Backend interface {
 	Cache() *qcache.Cache
 	// Replica returns a single-engine epoch holding the state that is
 	// replicated rather than partitioned — the raw window and the per-series
-	// statistics.  L-measure and naive MEC queries are answered from it.
+	// statistics.  L-measure and naive compute specs are answered from it.
 	Replica() View
 
 	// Selectivity is the index's row count for an interval spec over a
@@ -69,7 +70,8 @@ type Backend interface {
 	// call filled it: Explain asks before pricing, which would fill it too.
 	FillLocation(m measure.Measure) (bool, error)
 	// PairValue evaluates one canonical pair with a concrete sweep method
-	// (MethodNaive or MethodAffine), and SelfValue a series against itself.
+	// (MethodNaive or MethodAffine), and SelfValue a series against itself:
+	// the cells of a pairwise compute spec, and the cache's per-row values.
 	PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error)
 	SelfValue(m measure.Measure, id timeseries.SeriesID) (float64, error)
 	// Execute answers resolved items cold, out[i] for items[i].  A non-nil
@@ -77,7 +79,8 @@ type Backend interface {
 	Execute(items []Item, actuals []Actual) ([]QueryResult, error)
 }
 
-// Item is one validated interval/top-k query with its concrete method.
+// Item is one validated interval/top-k query with its concrete method.  Compute
+// specs never become Items: Run answers them itself.
 type Item struct {
 	Spec   plan.QuerySpec
 	Method Method
@@ -104,11 +107,11 @@ type Actual struct {
 	BaseValues string
 }
 
-// Run answers a batch of interval/top-k specs against one backend epoch.
-// out[i] belongs to specs[i] and equals the single-query answer exactly: a
-// single query is a batch of one.  The whole batch is validated before
-// anything executes, so a malformed batch fails with its typed error and no
-// side effect.  With wantPlans every spec is priced (a concrete method keeps
+// Run answers a batch of interval, top-k and compute specs against one
+// backend epoch.  out[i] belongs to specs[i] and equals the single-query
+// answer exactly: a single query is a batch of one.  The whole batch is
+// validated before anything executes, so a malformed batch fails with its
+// typed error and no side effect.  With wantPlans every spec is priced (a concrete method keeps
 // the alternatives' cost columns) and plans[i] carries the actuals:
 // ActualRows per item, and the wall time of the shared execution as Duration
 // on every plan, because fused scans cannot be attributed per item.
@@ -160,6 +163,14 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 			it.Method = plans[i].Method
 		} else if method == MethodAuto {
 			it.Method = decide(b, spec).Method
+		}
+		if spec.Kind == plan.KindCompute {
+			res, err := compute(b, spec, it.Method)
+			if err != nil {
+				return nil, nil, err
+			}
+			out[i] = res
+			continue
 		}
 		if cache != nil && !it.Location {
 			key := cacheKey(it)
@@ -230,8 +241,12 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 // it — one that runs on the index, or an interval whose rows pricing counts
 // on the index — before pricing or execution can, and reports whether this
 // query filled it (BaseFilled) or found it filled (BaseReused); empty for
-// every other spec.
+// every other spec, compute specs included: no method answers them from the
+// index.
 func locationSource(b Backend, spec plan.QuerySpec, method Method) (string, error) {
+	if spec.Kind == plan.KindCompute {
+		return "", nil
+	}
 	if method == MethodAuto {
 		method = decide(b, spec).Method
 	}
@@ -258,8 +273,9 @@ func runOne(b Backend, spec plan.QuerySpec, method Method) (QueryResult, error) 
 	return out[0], nil
 }
 
-// validateSpec rejects malformed interval/top-k specs with the typed
-// sentinels shared by every entry point.
+// validateSpec rejects malformed specs with the typed sentinels shared by
+// every entry point.  A compute spec's measure and series are checked where
+// they are read, as a sweep checks an interval spec's measure.
 func validateSpec(spec plan.QuerySpec) error {
 	switch spec.Kind {
 	case plan.KindInterval:
@@ -270,8 +286,9 @@ func validateSpec(spec plan.QuerySpec) error {
 		if spec.K < 1 {
 			return fmt.Errorf("%w: %d", ErrBadTopK, spec.K)
 		}
+	case plan.KindCompute:
 	default:
-		return fmt.Errorf("core: %v is not an interval or top-k query kind", spec.Kind)
+		return fmt.Errorf("core: %v is not a query kind", spec.Kind)
 	}
 	return nil
 }
@@ -304,15 +321,6 @@ func price(b Backend, spec plan.QuerySpec) (plan.Plan, error) {
 		return plan.Plan{}, err
 	}
 	return b.CostModel().Plan(spec, table, &sel), nil
-}
-
-// resolve maps a requested method to the concrete one that will run:
-// concrete methods pass through, MethodAuto asks the planner.
-func resolve(b Backend, spec plan.QuerySpec, method Method) (Method, error) {
-	if err := checkMethod(method); err != nil || method != MethodAuto {
-		return method, err
-	}
-	return decide(b, spec).Method, nil
 }
 
 // cacheKey builds the cache key of a pairwise item.  L-measure items never
@@ -431,40 +439,20 @@ func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res Que
 	cache.Put(key, b.Epoch(), res.Pairs, values)
 }
 
-// Compute answers a batch of MEC queries against one backend epoch; out[i]
-// is identical to the matching single ComputeLocation/ComputePairwise call.
-// MEC queries read only cached epoch state, so the sharing is the epoch
-// pinning itself.  Queries run sequentially: each pairwise computation
-// already shards its rows across the full worker pool, and nesting the two
-// levels would spawn up to Parallelism² goroutines of O(n²) work.
-func Compute(b Backend, qs []ComputeQuery, method Method) ([]ComputeResult, error) {
-	out := make([]ComputeResult, len(qs))
-	for i, q := range qs {
-		var err error
-		if q.Measure.Class() == measure.LocationClass {
-			out[i].Location, err = computeLocation(b, q.Measure, q.IDs, method)
-		} else {
-			out[i].Pairwise, err = computePairwise(b, q.Measure, q.IDs, method)
-		}
+// compute answers a compute (MEC) spec with its concrete method: an L-measure
+// in Series and Values, the shape of an L-measure top-k, read from the
+// backend's replica (per-series state is replicated), with Series the spec's
+// own IDs slice; a pairwise measure as the |ψ|-by-|ψ| Matrix.
+func compute(b Backend, spec plan.QuerySpec, method Method) (QueryResult, error) {
+	if sp, ok := measure.Find(spec.Measure); ok && sp.Location() {
+		values, err := b.Replica().locationValues(spec.Measure, spec.IDs, method)
 		if err != nil {
-			return nil, err
+			return QueryResult{}, err
 		}
+		return QueryResult{Series: spec.IDs, Values: values}, nil
 	}
-	return out, nil
-}
-
-// computeLocation answers an L-measure MEC query.  Per-series state is
-// replicated, so the backend's replica answers it; the method is still
-// resolved against the backend's own table.
-func computeLocation(b Backend, m measure.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
-	if sp, ok := measure.Find(m); !ok || !sp.Location() {
-		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, measure.ErrUnknownMeasure)
-	}
-	method, err := resolve(b, plan.Compute(m, len(ids)), method)
-	if err != nil {
-		return nil, err
-	}
-	return b.Replica().locationValues(m, ids, method)
+	matrix, err := computePairwise(b, spec.Measure, spec.IDs, method)
+	return QueryResult{Matrix: matrix}, err
 }
 
 // computePairwise answers a pairwise MEC query: the |ψ|-by-|ψ| matrix in the
@@ -475,10 +463,6 @@ func computeLocation(b Backend, m measure.Measure, ids []timeseries.SeriesID, me
 // shard that owns it — its pivot summary or its column.
 func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
 	sp, err := pairwiseSpec(m)
-	if err != nil {
-		return nil, err
-	}
-	method, err = resolve(b, plan.Compute(m, len(ids)), method)
 	if err != nil {
 		return nil, err
 	}

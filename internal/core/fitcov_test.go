@@ -126,7 +126,7 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 		}
 		for _, pair := range st.data.AllPairs() {
 			for _, oriented := range []timeseries.Pair{pair, {U: pair.V, V: pair.U}} {
-				got, gotErr := e.PairValue(m, oriented, MethodNaive)
+				got, gotErr := st.PairValue(m, oriented, MethodNaive)
 				want, wantErr := e.Naive().PairValue(m, oriented)
 				if math.Float64bits(got) != math.Float64bits(want) || errors.Is(gotErr, measure.ErrZeroNormalizer) != errors.Is(wantErr, measure.ErrZeroNormalizer) ||
 					(gotErr == nil) != (wantErr == nil) {

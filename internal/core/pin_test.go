@@ -55,11 +55,11 @@ func epochAnswers(v View) (string, error) {
 		if method == MethodIndex {
 			continue
 		}
-		mec, err := Compute(v, []ComputeQuery{{Measure: measure.Correlation, IDs: ids}}, method)
+		mec, _, err := Run(v, []plan.QuerySpec{ComputeSpec(measure.Correlation, ids)}, method, false)
 		if err != nil {
 			return "", fmt.Errorf("%v MEC: %w", method, err)
 		}
-		for _, row := range mec[0].Pairwise {
+		for _, row := range mec[0].Matrix {
 			bits(row)
 		}
 		for _, pair := range []timeseries.Pair{{U: 0, V: 1}, {U: 2, V: 7}} {

@@ -9,19 +9,24 @@ import (
 	"affinity/internal/timeseries"
 )
 
-// QueryResult is the answer to a row-returning query — interval (MET/MER) or
-// top-k (MEK): series identifiers for L-measures, sequence pairs for T- and
-// D-measures.  For top-k queries Values aligns with Series or Pairs and
-// carries the measure value that ranked each entry, best first; interval
-// queries leave it nil.
+// QueryResult is the answer to one query spec.  An interval (MET/MER) or
+// top-k (MEK) query returns series identifiers for L-measures and sequence
+// pairs for T- and D-measures; for top-k Values aligns with Series or Pairs
+// and carries the measure value that ranked each entry, best first, and
+// interval queries leave it nil.  A compute (MEC) query over an L-measure
+// returns the requested series in Series (the spec's IDs slice itself) with
+// their values aligned in Values; over a T- or D-measure it returns Matrix,
+// the symmetric |ψ|-by-|ψ| matrix of pairwise values in the order requested,
+// NaN where the measure is undefined.
 type QueryResult struct {
 	Series []timeseries.SeriesID
 	Pairs  []timeseries.Pair
 	Values []float64
+	Matrix [][]float64
 }
 
-// Size returns the number of entries in the result set.
-func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) }
+// Size returns the number of entries in the result set: rows of a matrix.
+func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) + len(r.Matrix) }
 
 // The public query methods pin the current epoch once and answer the whole
 // query from it, so they are safe to call concurrently with Append/Advance: a
@@ -29,18 +34,15 @@ func (r QueryResult) Size() int { return len(r.Series) + len(r.Pairs) }
 // relationships and index, and no Advance recycles that epoch's memory before
 // the query returns.
 //
-// Each is sugar over the shared pipeline (executor.go): a single interval or
-// top-k query is a batch of one, so single and batched queries share one
-// validation, planning, caching and scan implementation — and fail with the
-// same typed errors.
+// Each is sugar over the shared pipeline (executor.go): a single query is a
+// batch of one, so single and batched queries share one validation, planning,
+// caching and scan implementation — and fail with the same typed errors.
 
 // Interval answers the unified interval query: entries whose measure value
 // lies in iv, computed with the selected method.  MET and MER queries are its
 // half-bounded and bounded instances.
 func (e *Engine) Interval(m measure.Measure, iv interval.Interval, method Method) (QueryResult, error) {
-	st := e.acquire()
-	defer e.release(st)
-	return runOne(st, plan.Interval(m, iv), method)
+	return e.one(plan.Interval(m, iv), method)
 }
 
 // TopK answers a top-k (MEK) query: the k entries — series for L-measures,
@@ -52,15 +54,13 @@ func (e *Engine) Interval(m measure.Measure, iv interval.Interval, method Method
 // non-indexable measures (Jaccard) price the index at +Inf and fall back to
 // the heap sweep through the same capability flags interval queries use.
 func (e *Engine) TopK(m measure.Measure, k int, largest bool, method Method) (QueryResult, error) {
-	st := e.acquire()
-	defer e.release(st)
-	return runOne(st, plan.TopK(m, k, largest), method)
+	return e.one(plan.TopK(m, k, largest), method)
 }
 
-// Explain plans an interval or top-k query, executes it, and returns the
-// result together with the plan: the per-method cost estimates, the index's
-// row count of an interval query (which no choice depends on), and the
-// observed actuals.  With
+// Explain plans an interval, top-k or compute query, executes it, and returns
+// the result together with the plan: the per-method cost estimates, the
+// index's row count of an interval query (which no choice depends on), and
+// the observed actuals.  With
 // MethodAuto the plan's method is the planner's choice; with a concrete
 // method the plan prices that method (the cost columns still show the
 // alternatives).
@@ -74,35 +74,38 @@ func (e *Engine) Explain(spec plan.QuerySpec, method Method) (QueryResult, plan.
 	return out[0], plans[0], nil
 }
 
-// ComputeLocation answers a MEC query for an L-measure over the requested
-// series, using the selected method (Query 1 with an L-measure).
+// ComputeLocation answers a MEC query for an L-measure over ids: a compute
+// spec asked as a batch of one, of which it returns the Values.
 func (e *Engine) ComputeLocation(m measure.Measure, ids []timeseries.SeriesID, method Method) ([]float64, error) {
-	st := e.acquire()
-	defer e.release(st)
-	return computeLocation(st, m, ids, method)
+	if m.Pairwise() {
+		return nil, fmt.Errorf("core: %v is not an L-measure: %w", m, measure.ErrUnknownMeasure)
+	}
+	res, err := e.one(ComputeSpec(m, ids), method)
+	return res.Values, err
 }
 
-// ComputePairwise answers a MEC query for a T- or D-measure over the
-// requested series: the |ψ|-by-|ψ| matrix of pairwise values in the order
-// given.  Undefined derived values (zero normalizer) are reported as NaN.
+// ComputePairwise answers a MEC query for a T- or D-measure over ids: a
+// compute spec asked as a batch of one, of which it returns the Matrix.
 func (e *Engine) ComputePairwise(m measure.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
-	st := e.acquire()
-	defer e.release(st)
-	return computePairwise(st, m, ids, method)
+	if !m.Pairwise() {
+		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
+	}
+	res, err := e.one(ComputeSpec(m, ids), method)
+	return res.Matrix, err
 }
 
-// PairValue computes a single pairwise measure with the selected method.
-func (e *Engine) PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error) {
+// ComputeSpec is the compute (MEC) spec of measure m over the series ids.
+func ComputeSpec(m measure.Measure, ids []timeseries.SeriesID) plan.QuerySpec {
+	spec := plan.Compute(m, len(ids))
+	spec.IDs = ids
+	return spec
+}
+
+// one answers a single spec against the current epoch, pinned for the call.
+func (e *Engine) one(spec plan.QuerySpec, method Method) (QueryResult, error) {
 	st := e.acquire()
 	defer e.release(st)
-	if !m.Pairwise() {
-		return 0, fmt.Errorf("core: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
-	}
-	method, err := resolve(st, plan.Compute(m, 2), method)
-	if err != nil {
-		return 0, err
-	}
-	return st.PairValue(m, pair, method)
+	return runOne(st, spec, method)
 }
 
 // PairValue evaluates one pair with a concrete sweep method (Backend).  The

@@ -192,9 +192,6 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 		if _, err := e.PairwiseSweepNaive(measure.Cosine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1}, MethodNaive); err != nil {
-			t.Fatal(err)
-		}
 		requireFills(fmt.Sprintf("epoch %d, no naive sweep", round), e, 0, false, false)
 		advanceBoth(t, fx.ticks[round:round+1], e, plain)
 		requireFills(fmt.Sprintf("Advance %d", round+1), e, 0, false, false)

@@ -206,12 +206,10 @@ func (e *Engine) Advance() (AdvanceInfo, error) {
 		return AdvanceInfo{Epoch: old.epoch}, nil
 	}
 
-	// Transpose the buffered ticks into per-series batches.  The buffer comes
-	// from the engine's pool: SlideCopy, the sketch slide and the pair-moment
-	// slide only read it, so it is recycled at the end of the epoch.
-	bs := e.getBatch()
-	defer e.putBatch(bs)
-	batch := bs.columns(n, slide)
+	// Transpose the buffered ticks into per-series batches.  The buffer is
+	// the engine's: SlideCopy, the sketch slide and the pair-moment slide
+	// only read it, so the next Advance reuses it.
+	batch := e.batch.columns(n, slide)
 	for t := range slide {
 		for v, x := range e.pending[t*n : (t+1)*n] {
 			batch[v][t] = x
@@ -436,8 +434,7 @@ func (st *engineState) relAndDerived(old *engineState, e *Engine, slide int, spa
 		// parallelism.  The walk goes pivot by pivot through the layout, so a
 		// relationship and its pivot's summary are both found by index.
 		layout := old.rel.Layout()
-		flags := e.getFlags(len(layout.Assignments()))
-		defer e.putFlags(flags)
+		flags := e.driftFlags(len(layout.Assignments()))
 		err := par.DoBlocks(len(layout.Pivots()), parallelism, func(_ int, blk par.Block) error {
 			for pi := blk.Lo; pi < blk.Hi; pi++ {
 				cov := st.summaries[pi].Cov

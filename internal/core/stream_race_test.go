@@ -88,7 +88,7 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 		return err
 	})
 	reader(func() error {
-		_, err := e.PairValue(measure.Correlation, pair, MethodAffine)
+		_, err := e.ComputePairwise(measure.Correlation, []timeseries.SeriesID{pair.U, pair.V}, MethodAffine)
 		return err
 	})
 	reader(func() error {
@@ -352,9 +352,9 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 		plan.Interval(measure.Cosine, interval.Between(0.5, 1.0)),
 		plan.Interval(measure.Covariance, interval.Between(-0.5, 0.5)),
 	}
-	computeBatch := []ComputeQuery{
-		{Measure: measure.Correlation, IDs: ids[:8]},
-		{Measure: measure.Mean, IDs: ids},
+	computeBatch := []plan.QuerySpec{
+		ComputeSpec(measure.Correlation, ids[:8]),
+		ComputeSpec(measure.Mean, ids),
 	}
 	for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
 		method := method
@@ -374,7 +374,7 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 		})
 	}
 	reader(func() error {
-		_, err := e.ComputeBatch(computeBatch, MethodAffine)
+		_, err := runSpecs(e, computeBatch, MethodAffine)
 		return err
 	})
 	// Sharded single-query scans alongside the batches.
@@ -695,12 +695,13 @@ func TestHeldEpochOutlivesCompactions(t *testing.T) {
 					var loc []float64
 					var pw [][]float64
 					if method != MethodIndex { // the index answers no MEC
-						if loc, err = computeLocation(held, measure.Median, ids, method); err != nil {
+						mec, _, err := Run(held, []plan.QuerySpec{
+							ComputeSpec(measure.Median, ids), ComputeSpec(measure.Correlation, ids[:5]),
+						}, method, false)
+						if err != nil {
 							return a, err
 						}
-						if pw, err = computePairwise(held, measure.Correlation, ids[:5], method); err != nil {
-							return a, err
-						}
+						loc, pw = mec[0].Values, mec[1].Matrix
 					}
 					a.rows, a.location, a.pairwise = append(a.rows, rows), append(a.location, loc), append(a.pairwise, pw)
 				}

@@ -29,13 +29,9 @@ type StreamStats struct {
 	StoresShared  int
 	StoresCloned  int
 	StoresRebuilt int
-	// ScratchGets/ScratchHits track the SCAPE per-pivot scratch pool;
-	// PoolGets/PoolHits track the engine's own per-epoch buffer pools
-	// (tick transpose, drift flags).
+	// ScratchGets/ScratchHits track the SCAPE per-pivot scratch pool.
 	ScratchGets int
 	ScratchHits int
-	PoolGets    int
-	PoolHits    int
 	// LastStaleFraction is the stale fraction of the most recent index
 	// maintenance (1 on an epoch that refit everything).
 	LastStaleFraction float64
@@ -98,14 +94,13 @@ type StreamStats struct {
 	MomentRefinedPairs int64
 }
 
-// PoolHitRate returns the combined hit rate of all scratch pools in [0, 1]
-// (1 when no pool was ever consulted).
+// PoolHitRate returns the hit rate of the SCAPE scratch pool in [0, 1] (1
+// when it was never consulted).
 func (s StreamStats) PoolHitRate() float64 {
-	gets := s.ScratchGets + s.PoolGets
-	if gets == 0 {
+	if s.ScratchGets == 0 {
 		return 1
 	}
-	return float64(s.ScratchHits+s.PoolHits) / float64(gets)
+	return float64(s.ScratchHits) / float64(s.ScratchGets)
 }
 
 // addUpdate folds one index-maintenance outcome into the counters; rebuilt
@@ -161,8 +156,8 @@ func (e *Engine) StreamStats() StreamStats {
 	return s
 }
 
-// batchScratch is the pooled tick-transpose buffer: n column slices cut from
-// one backing array, regrown only when an epoch needs more room.
+// batchScratch is the engine's tick-transpose buffer: n column slices cut
+// from one backing array, regrown only when an epoch needs more room.
 type batchScratch struct {
 	cols [][]float64
 	buf  []float64
@@ -184,37 +179,13 @@ func (b *batchScratch) columns(n, slide int) [][]float64 {
 	return cols
 }
 
-// getBatch returns a pooled transpose buffer, recording the pool outcome.
-// Callers hold streamMu.
-func (e *Engine) getBatch() *batchScratch {
-	e.stream.PoolGets++
-	if v := e.batchPool.Get(); v != nil {
-		e.stream.PoolHits++
-		return v.(*batchScratch)
+// driftFlags returns the engine's drift-scoring flag slice, zeroed, of
+// length n.  Callers hold streamMu.
+func (e *Engine) driftFlags(n int) []bool {
+	if cap(e.flags) < n {
+		e.flags = make([]bool, n)
 	}
-	return &batchScratch{}
-}
-
-func (e *Engine) putBatch(b *batchScratch) { e.batchPool.Put(b) }
-
-// getFlags returns a pooled, zeroed flag slice of length n for drift scoring.
-// Callers hold streamMu.
-func (e *Engine) getFlags(n int) []bool {
-	e.stream.PoolGets++
-	if v := e.flagPool.Get(); v != nil {
-		flags := v.([]bool)
-		if cap(flags) >= n {
-			e.stream.PoolHits++
-			flags = flags[:n]
-			for i := range flags {
-				flags[i] = false
-			}
-			return flags
-		}
-	}
-	return make([]bool, n)
-}
-
-func (e *Engine) putFlags(flags []bool) {
-	e.flagPool.Put(flags[:0]) //nolint:staticcheck // slice header allocation is amortized
+	e.flags = e.flags[:n]
+	clear(e.flags)
+	return e.flags
 }

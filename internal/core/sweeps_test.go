@@ -44,14 +44,15 @@ func TestPairwiseSweepAccuracy(t *testing.T) {
 
 func TestPairwiseSweepMatchesEngineEstimates(t *testing.T) {
 	// The sweep path recomputes pivot summaries from scratch; it must agree
-	// with the cached-summary path used by ComputePairwise/PairValue.
+	// with the cached-summary path a pairwise MEC reads.
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 22})
 	sweep, err := e.PairwiseSweepAffine(measure.Covariance)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := e.escapedState()
 	for i, pair := range sweep.Pairs {
-		cached, err := e.PairValue(measure.Covariance, pair, MethodAffine)
+		cached, err := st.PairValue(measure.Covariance, pair, MethodAffine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,12 +16,11 @@ import (
 // multi-call scatter-gather (or a streaming top-k merge polling shards one
 // node at a time) never straddles a shard's epoch swap.
 //
-// A View is a Backend: Run and Compute answer queries against the pinned
-// epoch, and a coordinator calls Execute, PairValue and Selectivity on its
-// shard views directly.  Note that on a restricted (sharded)
-// engine the affine PairValue falls back to the naive computation for pairs
-// outside the shard's universe; a coordinator routes each pair to its owning
-// shard instead.
+// A View is a Backend: Run answers queries against the pinned epoch, and a
+// coordinator calls Execute, PairValue and Selectivity on its shard views
+// directly.  Note that on a restricted (sharded) engine the affine PairValue
+// falls back to the naive computation for pairs outside the shard's
+// universe; a coordinator routes each pair to its owning shard instead.
 //
 // A View from Engine.View holds its epoch for as long as the caller keeps
 // it: the epoch escapes, and its memory is never recycled.  A View from

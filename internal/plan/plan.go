@@ -31,6 +31,7 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/scape"
+	"affinity/internal/timeseries"
 )
 
 // Method selects how a query is executed.
@@ -110,8 +111,11 @@ type QuerySpec struct {
 	// smallest measure values.
 	K       int
 	Largest bool
-	// NumTargets is |ψ| of a compute query (the number of requested series).
+	// NumTargets is |ψ| of a compute query (the number of requested series),
+	// and IDs is ψ itself, in the order the answer is returned: callers that
+	// execute a compute spec set it after Compute, which prices by the count.
 	NumTargets int
+	IDs        []timeseries.SeriesID
 }
 
 // Interval builds the spec of an interval query: entries whose measure value

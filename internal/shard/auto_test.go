@@ -205,7 +205,7 @@ func TestAutoAsksNoEstimate(t *testing.T) {
 			return err
 		})
 		counted("Auto compute", false, func() error {
-			_, err := core.Compute(b, []core.ComputeQuery{{Measure: measure.Cosine, IDs: ids}}, core.MethodAuto)
+			_, _, err := core.Run(b, []plan.QuerySpec{core.ComputeSpec(measure.Cosine, ids)}, core.MethodAuto, false)
 			return err
 		})
 		counted("Explain", true, func() error {

@@ -115,6 +115,11 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every pair must have an owning shard: the shard universes partition the
+	// pairs, and pairOwner routes each pair by its assigned pivot.
+	if rel.Len() != d.NumPairs() {
+		return nil, fmt.Errorf("shard: %d of %d pairs carry an assignment", rel.Len(), d.NumPairs())
+	}
 	pl, err := ComputePlacement(rel, cfg.Shards)
 	if err != nil {
 		return nil, err
@@ -196,12 +201,11 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 		owner:    c.placement.Owner,
 		schedule: mergeSchedule(views),
 		table: plan.TableStats{
-			NumSeries:     d.NumSeries(),
-			NumSamples:    d.NumSamples(),
-			NumPairs:      d.NumPairs(),
-			NumPivots:     rel.Stats.NumPivots,
-			FallbackPairs: d.NumPairs() - rel.Len(),
-			Indexed:       indexed,
+			NumSeries:  d.NumSeries(),
+			NumSamples: d.NumSamples(),
+			NumPairs:   d.NumPairs(),
+			NumPivots:  rel.Stats.NumPivots,
+			Indexed:    indexed,
 			// Sketches are per series, built by every shard over the shared
 			// window, so shard 0's statistics describe the global prescreen.
 			SketchCoefficients: views[0].Table().SketchCoefficients,
@@ -398,8 +402,6 @@ func (c *Coordinator) StreamStats() core.StreamStats {
 		agg.StoresRebuilt += s.StoresRebuilt
 		agg.ScratchGets += s.ScratchGets
 		agg.ScratchHits += s.ScratchHits
-		agg.PoolGets += s.PoolGets
-		agg.PoolHits += s.PoolHits
 		agg.SketchRebuilt += s.SketchRebuilt
 		agg.SketchSlid += s.SketchSlid
 		agg.SketchSweeps += s.SketchSweeps

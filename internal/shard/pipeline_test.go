@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
+	"affinity/internal/timeseries"
 )
 
 // This file pins the shared query pipeline (core.Run) once, over every door
@@ -113,6 +113,7 @@ func TestPipelineSpecTable(t *testing.T) {
 	indexed, indexless := pipelineDoors(t, cfg), pipelineDoors(t, noIndex)
 
 	only := func(ms ...core.Method) []core.Method { return ms }
+	mecIDs := []timeseries.SeriesID{5, 1, 5, 9}
 	rows := []struct {
 		name    string
 		doors   []door
@@ -127,7 +128,13 @@ func TestPipelineSpecTable(t *testing.T) {
 		{name: "empty L-measure range", doors: indexed, spec: plan.Interval(measure.Mean, interval.Between(1, -1)), methods: allMethods, want: core.ErrEmptyRange},
 		{name: "k = 0", doors: indexed, spec: plan.TopK(measure.Correlation, 0, true), methods: allMethods, want: core.ErrBadTopK},
 		{name: "k < 0, L-measure", doors: indexed, spec: plan.TopK(measure.Mean, -3, false), methods: allMethods, want: core.ErrBadTopK},
-		{name: "compute spec in the row pipeline", doors: indexed, spec: plan.Compute(measure.Correlation, 2), methods: allMethods, anyErr: true},
+		{name: "no query kind", doors: indexed, spec: plan.QuerySpec{Kind: plan.Kind(99), Measure: measure.Correlation}, methods: allMethods, anyErr: true},
+		{name: "MEC via index", doors: indexed, spec: core.ComputeSpec(measure.Correlation, mecIDs), methods: only(core.MethodIndex), want: core.ErrBadMethod},
+		{name: "L-measure MEC via index", doors: indexed, spec: core.ComputeSpec(measure.Median, mecIDs), methods: only(core.MethodIndex), want: core.ErrBadMethod},
+		{name: "MEC over a series outside the window", doors: indexed, spec: core.ComputeSpec(measure.Covariance, []timeseries.SeriesID{0, 999}),
+			methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto), want: timeseries.ErrInvalidSeries},
+		{name: "MEC, sweeps and auto", doors: indexed, spec: core.ComputeSpec(measure.Correlation, mecIDs), methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto)},
+		{name: "L-measure MEC, sweeps and auto", doors: indexed, spec: core.ComputeSpec(measure.Median, mecIDs), methods: only(core.MethodNaive, core.MethodAffine, core.MethodAuto)},
 		{name: "bad method, interval", doors: indexed, spec: plan.Interval(measure.Correlation, interval.GreaterThan(0.5)), methods: only(core.Method(42)), want: core.ErrBadMethod},
 		{name: "bad method, top-k", doors: indexed, spec: plan.TopK(measure.Correlation, 3, true), methods: only(core.Method(42)), want: core.ErrBadMethod},
 		{name: "bad method, L-measure", doors: indexed, spec: plan.Interval(measure.Mean, interval.GreaterThan(0.1)), methods: only(core.Method(-1)), want: core.ErrBadMethod},
@@ -193,25 +200,26 @@ func TestPipelineSpecTable(t *testing.T) {
 	// MEC resolves its method through the same planner and rejects the same
 	// way at any shard count.
 	e, c := buildFixturePair(t, 2, cfg)
-	for name, compute := range map[string]func([]core.ComputeQuery, core.Method) ([]core.ComputeResult, error){
-		"Engine": e.ComputeBatch, "Coordinator S=2": c.ComputeBatch,
+	for name, batch := range map[string]func([]plan.QuerySpec, core.Method) ([]core.QueryResult, error){
+		"Engine": e.Batch, "Coordinator S=2": c.Batch,
 	} {
-		if _, err := compute([]core.ComputeQuery{{Measure: measure.Mean}}, core.Method(42)); !errors.Is(err, core.ErrBadMethod) {
+		if _, err := batch([]plan.QuerySpec{core.ComputeSpec(measure.Mean, nil)}, core.Method(42)); !errors.Is(err, core.ErrBadMethod) {
 			t.Errorf("%s: MEC with a bogus method: %v", name, err)
 		}
-		if _, err := compute([]core.ComputeQuery{{Measure: measure.Correlation}}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
+		if _, err := batch([]plan.QuerySpec{core.ComputeSpec(measure.Correlation, nil)}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 			t.Errorf("%s: pairwise MEC via the index: %v", name, err)
 		}
-		if _, err := compute([]core.ComputeQuery{{Measure: measure.Mean}}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
+		if _, err := batch([]plan.QuerySpec{core.ComputeSpec(measure.Mean, nil)}, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 			t.Errorf("%s: location MEC via the index: %v", name, err)
 		}
 	}
 }
 
 // TestPipelineBatchEqualsSingle is the pipeline's central property: through
-// every door and under every method, a mixed batch of interval and top-k
-// specs answers each item exactly as the single query does — explained or
-// not — and every door agrees with the plain engine.
+// every door and under every method, a mixed batch of interval, top-k and
+// (where the method answers them) MEC specs answers each item exactly as the
+// single query does — explained or not — and every door agrees with the
+// plain engine.
 func TestPipelineBatchEqualsSingle(t *testing.T) {
 	doors := pipelineDoors(t, core.Config{Clusters: 4, Seed: 5, Parallelism: 2})
 	for _, method := range allMethods {
@@ -228,6 +236,9 @@ func TestPipelineBatchEqualsSingle(t *testing.T) {
 				plan.TopK(m, 3, true),
 				plan.TopK(m, 9, false),
 			)
+			if method != core.MethodIndex {
+				specs = append(specs, core.ComputeSpec(m, []timeseries.SeriesID{4, 0, 7}))
+			}
 		}
 		var reference []core.QueryResult
 		for _, d := range doors {
@@ -260,12 +271,11 @@ func TestPipelineBatchEqualsSingle(t *testing.T) {
 	}
 }
 
-// TestComputeBatchPinsOneEpoch is the regression test for the coordinator
-// reloading its state per batch item: every item of a ComputeBatch must be
+// TestCoordinatorBatchPinsOneEpoch: every item of a coordinator's Batch is
 // answered from one epoch even while Advance publishes new ones.  A batch
-// repeats the same two queries, so items of one batch can only differ if the
-// batch straddled an epoch swap.  Run with -race.
-func TestComputeBatchPinsOneEpoch(t *testing.T) {
+// repeats the same MEC, top-k and interval specs, so its items can only
+// differ if the batch straddled an epoch swap.  Run with -race.
+func TestCoordinatorBatchPinsOneEpoch(t *testing.T) {
 	const rounds, slide = 24, 2
 	fx := makeShardFixture(t, 16, 60, rounds*slide, 7)
 	c, err := Build(fx.window, Config{Shards: 2, Engine: core.Config{Clusters: 3, Seed: 5}})
@@ -273,19 +283,15 @@ func TestComputeBatchPinsOneEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := fx.window.IDs()
-	var batch []core.ComputeQuery
-	for i := 0; i < 6; i++ {
-		batch = append(batch,
-			core.ComputeQuery{Measure: measure.Mean, IDs: ids},
-			core.ComputeQuery{Measure: measure.Covariance, IDs: ids[:6]})
+	kinds := []plan.QuerySpec{
+		core.ComputeSpec(measure.Mean, ids),
+		core.ComputeSpec(measure.Covariance, ids[:6]),
+		plan.TopK(measure.Correlation, 5, true),
+		plan.Interval(measure.Covariance, interval.GreaterThan(0)),
 	}
-	sameBits := func(a, b []float64) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return len(a) == len(b)
+	var batch []plan.QuerySpec
+	for i := 0; i < 4; i++ {
+		batch = append(batch, kinds...)
 	}
 
 	done := make(chan struct{})
@@ -302,44 +308,34 @@ func TestComputeBatchPinsOneEpoch(t *testing.T) {
 					}
 				default:
 				}
-				out, err := c.ComputeBatch(batch, method)
+				out, err := c.Batch(batch, method)
 				if err != nil {
-					t.Errorf("%v ComputeBatch: %v", method, err)
+					t.Errorf("%v Batch: %v", method, err)
 					return
 				}
-				for i := 2; i < len(out); i++ {
-					ref := out[i%2]
-					if !sameBits(out[i].Location, ref.Location) {
-						t.Errorf("%v: batch item %d answered from another epoch than item %d", method, i, i%2)
+				for i := len(kinds); i < len(out); i++ {
+					if fmt.Sprint(out[i]) != fmt.Sprint(out[i%len(kinds)]) {
+						t.Errorf("%v: batch item %d answered from another epoch than item %d", method, i, i%len(kinds))
 						return
-					}
-					for r := range out[i].Pairwise {
-						if !sameBits(out[i].Pairwise[r], ref.Pairwise[r]) {
-							t.Errorf("%v: batch item %d answered from another epoch than item %d", method, i, i%2)
-							return
-						}
 					}
 				}
 			}
 		}(method)
 	}
-	advance := func() error {
-		for r := 0; r < rounds; r++ {
-			for _, tick := range fx.ticks[r*slide : (r+1)*slide] {
-				if err := c.Append(tick); err != nil {
-					return err
-				}
-			}
-			if _, err := c.Advance(); err != nil {
-				return err
+	var advanceErr error
+	for r := 0; r < rounds && advanceErr == nil; r++ {
+		for _, tick := range fx.ticks[r*slide : (r+1)*slide] {
+			if advanceErr = c.Append(tick); advanceErr != nil {
+				break
 			}
 		}
-		return nil
+		if advanceErr == nil {
+			_, advanceErr = c.Advance()
+		}
 	}
-	err = advance()
 	close(done)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if advanceErr != nil {
+		t.Fatal(advanceErr)
 	}
 }

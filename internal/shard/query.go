@@ -16,8 +16,8 @@ import (
 )
 
 // Scatter-gather query execution.  A coordinator epoch is a core.Backend: the
-// shared pipeline (core.Run, core.Compute) validates, plans, caches and
-// stores exactly as it does for a single engine, and this file answers only
+// shared pipeline (core.Run) validates, plans, caches and stores exactly as
+// it does for a single engine, and this file answers only
 // what sharding changes — how an estimate or a count is summed over shards,
 // which shard evaluates a pair, and how resolved items are scattered and
 // their results merged.  The design invariant throughout: MethodAuto is
@@ -402,17 +402,16 @@ func boundBetter(b, incumbent float64, largest bool) bool {
 }
 
 // pairOwner returns the shard owning a pair: the owner of its assigned
-// pivot.  A pair without an assignment is answered naively —
-// identically on every shard — and routes to shard 0.
+// pivot.  Every pair of the window has one, because Build checks that the
+// assignment is total; a pair outside the window reads slot 0, whose owner
+// rejects it as every shard would.
 func (cs *coordState) pairOwner(pair timeseries.Pair) int {
 	layout := cs.rel.Layout()
-	if slot, ok := layout.Slot(pair); ok {
-		return cs.owner[layout.Assignments()[slot].Pivot]
-	}
-	return 0
+	slot, _ := layout.Slot(pair)
+	return cs.owner[layout.Assignments()[slot].Pivot]
 }
 
-// one answers a single interval/top-k query as a batch of one.
+// one answers a single query as a batch of one.
 func (c *Coordinator) one(spec plan.QuerySpec, method core.Method) (core.QueryResult, error) {
 	out, _, err := core.Run(c.state(), []plan.QuerySpec{spec}, method, false)
 	if err != nil {
@@ -432,43 +431,36 @@ func (c *Coordinator) TopK(m measure.Measure, k int, largest bool, method core.M
 	return c.one(plan.TopK(m, k, largest), method)
 }
 
-// IntervalBatch answers a batch of interval queries against one pinned
-// coordinator epoch; out[i] is identical to Interval(qs[i]...).
+// Batch answers a mixed list of interval, top-k and compute specs against one
+// pinned coordinator epoch; out[i] is identical to the matching single query.
+func (c *Coordinator) Batch(specs []plan.QuerySpec, method core.Method) ([]core.QueryResult, error) {
+	out, _, err := core.Run(c.state(), specs, method, false)
+	return out, err
+}
+
+// IntervalBatch is Batch over interval specs.
 func (c *Coordinator) IntervalBatch(qs []core.IntervalQuery, method core.Method) ([]core.QueryResult, error) {
 	specs := make([]plan.QuerySpec, len(qs))
 	for i, q := range qs {
 		specs[i] = plan.Interval(q.Measure, q.Interval)
 	}
-	out, _, err := core.Run(c.state(), specs, method, false)
-	return out, err
-}
-
-// ComputeBatch answers a batch of MEC queries against one pinned coordinator
-// epoch: a concurrent Advance cannot split the batch across epochs.
-func (c *Coordinator) ComputeBatch(qs []core.ComputeQuery, method core.Method) ([]core.ComputeResult, error) {
-	return core.Compute(c.state(), qs, method)
+	return c.Batch(specs, method)
 }
 
 // ComputeLocation answers an L-measure MEC query.
 func (c *Coordinator) ComputeLocation(m measure.Measure, ids []timeseries.SeriesID, method core.Method) ([]float64, error) {
-	if m.Class() != measure.LocationClass {
+	if m.Pairwise() {
 		return nil, fmt.Errorf("shard: %v is not an L-measure: %w", m, measure.ErrUnknownMeasure)
 	}
-	out, err := c.ComputeBatch([]core.ComputeQuery{{Measure: m, IDs: ids}}, method)
-	if err != nil {
-		return nil, err
-	}
-	return out[0].Location, nil
+	res, err := c.one(core.ComputeSpec(m, ids), method)
+	return res.Values, err
 }
 
 // ComputePairwise answers a pairwise MEC query.
 func (c *Coordinator) ComputePairwise(m measure.Measure, ids []timeseries.SeriesID, method core.Method) ([][]float64, error) {
-	if m.Class() == measure.LocationClass {
+	if !m.Pairwise() {
 		return nil, fmt.Errorf("shard: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
 	}
-	out, err := c.ComputeBatch([]core.ComputeQuery{{Measure: m, IDs: ids}}, method)
-	if err != nil {
-		return nil, err
-	}
-	return out[0].Pairwise, nil
+	res, err := c.one(core.ComputeSpec(m, ids), method)
+	return res.Matrix, err
 }

@@ -178,7 +178,7 @@ func TestCoordinatorExplain(t *testing.T) {
 	se, sc := buildFixturePair(t, 3, skCfg)
 	// The endpoint is one pair's exact value, so at least that pair stays
 	// ambiguous under every bound provider and reaches the kernels.
-	endpoint, err := se.PairValue(measure.Cosine, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
+	endpoint, err := se.View().PairValue(measure.Cosine, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,14 +408,14 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 	ids := []timeseries.SeriesID{2, 9, 4, 17}
 
 	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodAuto} {
-		qs := []core.ComputeQuery{
-			{Measure: measure.Correlation, IDs: ids},
-			{Measure: measure.Mean, IDs: ids},
+		qs := []plan.QuerySpec{
+			core.ComputeSpec(measure.Correlation, ids),
+			core.ComputeSpec(measure.Mean, ids),
 		}
-		want := render(e.ComputeBatch(qs, method))
-		got := render(c.ComputeBatch(qs, method))
+		want := render(e.Batch(qs, method))
+		got := render(c.Batch(qs, method))
 		if got != want {
-			t.Fatalf("%v ComputeBatch diverged:\n%s\n%s", method, got, want)
+			t.Fatalf("%v MEC batch diverged:\n%s\n%s", method, got, want)
 		}
 	}
 	// The per-pair evaluators route to the owning shard (affine) or the
@@ -441,6 +441,45 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 	}
 	if _, err := c.ComputePairwise(measure.Correlation, ids, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 		t.Fatal("pairwise MEC accepted MethodIndex")
+	}
+}
+
+// TestCoordinatorLayoutCoversEveryPair pins what the coordinator's pair
+// routing relies on: Build's assignment is total, so every pair of the window
+// has a slot and an owning shard, the shards' slot lists partition the
+// global slots, and the shard universes add up to every pair.
+func TestCoordinatorLayoutCoversEveryPair(t *testing.T) {
+	fx := makeShardFixture(t, 24, 90, 0, 7)
+	for _, shards := range []int{1, 2, 3} {
+		c, err := Build(fx.window, Config{Shards: shards, Engine: core.Config{Clusters: 4, Seed: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := c.state()
+		for _, p := range fx.window.AllPairs() {
+			if _, ok := c.layout.Slot(p); !ok {
+				t.Fatalf("S=%d: pair %v has no slot", shards, p)
+			}
+			if owner := cs.pairOwner(p); owner < 0 || owner >= c.NumShards() {
+				t.Fatalf("S=%d: pair %v routes to shard %d of %d", shards, p, owner, c.NumShards())
+			}
+		}
+		owned := make([]int, len(c.layout.Assignments()))
+		universe := 0
+		for s, slots := range c.slots {
+			for _, slot := range slots {
+				owned[slot]++
+			}
+			universe += c.engines[s].Info().NumPairs
+		}
+		for slot, n := range owned {
+			if n != 1 {
+				t.Fatalf("S=%d: slot %d is owned by %d shards", shards, slot, n)
+			}
+		}
+		if len(owned) != fx.window.NumPairs() || universe != fx.window.NumPairs() {
+			t.Fatalf("S=%d: %d slots and %d universe pairs for %d pairs", shards, len(owned), universe, fx.window.NumPairs())
+		}
 	}
 }
 

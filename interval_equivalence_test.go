@@ -32,10 +32,7 @@ func equivalenceEngine(t testing.TB) *affinity.Engine {
 // observed value, so it sits precisely on the open/closed boundary.
 func observedMedian(t testing.TB, eng *affinity.Engine, m affinity.Measure) float64 {
 	t.Helper()
-	matrix, err := eng.ComputePairwise(m, eng.Data().IDs(), affinity.Naive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	matrix := matrixOf(t, eng, m, eng.Data().IDs(), affinity.Naive)
 	var vals []float64
 	for i := range matrix {
 		for j := i + 1; j < len(matrix[i]); j++ {

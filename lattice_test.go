@@ -49,6 +49,11 @@ import (
 // sequences under testdata/fuzz keep decoding to the operations they were
 // saved with.
 //
+// Every batch is followed by a mixed batch, which takes no byte of its own
+// either: the batch's items with a MEC item over each item's measure and
+// series interleaved, asked in one Batch call of every cell, and again
+// through a pinned View of every engine cell.
+//
 // Every answer must be Float64bits-equal across the lattice, typed errors
 // included; on the reference cell (engine, P 1, no cache, no sketch,
 // streamed) Naive must equal the scalar per-pair oracle, Affine and Index
@@ -94,6 +99,7 @@ const (
 	opAdvance
 	opSnapshot
 	opRepeat
+	opMixedBatch // decoded after every opBatch, from the batch's items
 )
 
 // tickFlavor shapes the samples of an Append (or of the initial window).
@@ -112,13 +118,15 @@ const (
 
 type door int
 
+// The MEC doors ask a compute spec: every one through Batch, except that
+// doorComputeExplain asks engines through Explain.
 const (
 	doorInterval door = iota
 	doorTopK
 	doorExplain
-	doorComputePairwise
-	doorComputeLocation
-	doorPairValue
+	doorCompute        // a MEC spec over the query's series
+	doorComputeExplain // the same spec through Explain
+	doorPair           // a MEC spec over the query's pair: one pair's value
 	numDoors
 )
 
@@ -193,7 +201,7 @@ func decodeSequence(data []byte) sequence {
 		q.pair = timeseries.Pair{U: timeseries.SeriesID(src.intn(s.n)), V: timeseries.SeriesID(src.intn(s.n))}
 		return q
 	}
-	for src.pos < len(data) && len(s.ops) < 12 {
+	for decoded := 0; src.pos < len(data) && decoded < 12; decoded++ {
 		o := op{kind: []opKind{opQuery, opQuery, opBatch, opAppend, opAdvance, opAdvance, opSnapshot, opRepeat}[src.intn(8)]}
 		switch o.kind {
 		case opQuery:
@@ -214,16 +222,30 @@ func decodeSequence(data []byte) sequence {
 			o.count = 1 + src.intn(s.m+2) // slides from 1 past the window length
 		}
 		s.ops = append(s.ops, o)
+		if o.kind == opBatch {
+			s.ops = append(s.ops, mixedBatch(o))
+		}
 	}
 	return s
+}
+
+// mixedBatch is the MixedBatch operation that follows a batch: its items,
+// each followed by a MEC item over the item's measure and series.
+func mixedBatch(b op) op {
+	o := op{kind: opMixedBatch, batchMethod: b.batchMethod}
+	for _, q := range b.queries {
+		mec := q
+		mec.door = doorCompute
+		o.queries = append(o.queries, q, mec)
+	}
+	return o
 }
 
 // backend is what core.Engine and shard.Coordinator share.
 type backend interface {
 	Interval(measure.Measure, interval.Interval, core.Method) (core.QueryResult, error)
 	TopK(measure.Measure, int, bool, core.Method) (core.QueryResult, error)
-	ComputeLocation(measure.Measure, []timeseries.SeriesID, core.Method) ([]float64, error)
-	ComputePairwise(measure.Measure, []timeseries.SeriesID, core.Method) ([][]float64, error)
+	Batch([]plan.QuerySpec, core.Method) ([]core.QueryResult, error)
 	Append([]float64) error
 	Advance() (core.AdvanceInfo, error)
 	Data() *timeseries.DataMatrix
@@ -629,61 +651,77 @@ func (q *query) resolve(o oracle) {
 		}
 		return interval.Unbounded()
 	}
-	if q.topK {
+	switch {
+	case q.door == doorPair:
+		q.resolved = core.ComputeSpec(q.measure, []timeseries.SeriesID{q.pair.U, q.pair.V})
+	case q.door >= doorCompute:
+		q.resolved = core.ComputeSpec(q.measure, q.ids)
+	case q.topK:
 		q.resolved = plan.TopK(q.measure, q.k, q.largest)
-	} else {
+	default:
 		q.resolved = plan.Interval(q.measure, interval.New(bound(q.lo), bound(q.hi)))
 	}
 }
 
 // ask runs one query through its door on one cell.  A coordinator has no
-// Explain or PairValue door: it answers Explain's spec through Interval or
-// TopK and is not asked PairValue.
+// Explain door: it answers the explained doors' specs like the others.
 func ask(c *cell, q query, method core.Method) (any, error) {
 	spec := q.resolved
-	e, isEngine := c.b.(*core.Engine)
-	switch q.door {
-	case doorExplain:
-		if isEngine {
-			res, _, err := e.Explain(spec, method)
-			return res, err
-		}
-		fallthrough
-	case doorInterval, doorTopK:
-		if spec.Kind == plan.KindTopK {
-			return c.b.TopK(spec.Measure, spec.K, spec.Largest, method)
-		}
-		return c.b.Interval(spec.Measure, spec.Interval, method)
-	case doorComputePairwise:
-		return c.b.ComputePairwise(q.measure, q.ids, method)
-	case doorComputeLocation:
-		return c.b.ComputeLocation(q.measure, q.ids, method)
-	default:
-		if !isEngine {
-			return nil, nil
-		}
-		return measure.OrNaN(e.PairValue(q.measure, q.pair, method))
+	if e, ok := c.b.(*core.Engine); ok && (q.door == doorExplain || q.door == doorComputeExplain) {
+		res, _, err := e.Explain(spec, method)
+		return res, err
 	}
+	switch spec.Kind {
+	case plan.KindTopK:
+		return c.b.TopK(spec.Measure, spec.K, spec.Largest, method)
+	case plan.KindInterval:
+		return c.b.Interval(spec.Measure, spec.Interval, method)
+	}
+	out, err := c.b.Batch([]plan.QuerySpec{spec}, method)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// batch runs a batch op on one cell: the facade's Batch over an engine, or
-// the coordinator's IntervalBatch when every item is an interval.
-func batch(c *cell, qs []query, method core.Method) ([]core.QueryResult, error) {
-	specs := make([]plan.QuerySpec, len(qs))
-	var ivs []core.IntervalQuery
-	for i, q := range qs {
-		specs[i] = q.resolved
-		if q.resolved.Kind == plan.KindInterval {
-			ivs = append(ivs, core.IntervalQuery{Measure: q.measure, Interval: q.resolved.Interval})
-		}
+// mecMatrix asks a pairwise MEC spec: the matrix of m over ids.
+func mecMatrix(b backend, m measure.Measure, ids []timeseries.SeriesID, method core.Method) ([][]float64, error) {
+	out, err := b.Batch([]plan.QuerySpec{core.ComputeSpec(m, ids)}, method)
+	if err != nil {
+		return nil, err
 	}
+	return out[0].Matrix, nil
+}
+
+// batch runs a batch op on one cell: the facade's Batch over an engine, the
+// coordinator's own otherwise.
+func batch(c *cell, specs []plan.QuerySpec, method core.Method) ([]core.QueryResult, error) {
 	if e, ok := c.b.(*core.Engine); ok {
 		return (&Engine{inner: e}).Batch(specs, method)
 	}
-	if len(ivs) < len(qs) {
-		return nil, nil // a coordinator has no mixed batch door
+	return c.b.Batch(specs, method)
+}
+
+// pinnedBatch asks an engine cell's batch again through a pinned View of its
+// epoch, as one core.Run and item by item, and requires the batch's answers.
+func pinnedBatch(c *cell, specs []plan.QuerySpec, method core.Method, want []core.QueryResult) error {
+	e, ok := c.b.(*core.Engine)
+	if !ok {
+		return nil
 	}
-	return c.b.(*shard.Coordinator).IntervalBatch(ivs, method)
+	v, release := e.Pin()
+	defer release()
+	out, _, err := core.Run(v, specs, method, false)
+	if got, w := render(out, err), render(want, nil); got != w {
+		return fmt.Errorf("%s: the batch through a pinned View differs:\n view  %.400s\n batch %.400s", c.name, got, w)
+	}
+	for j, spec := range specs {
+		one, _, err := core.Run(v, specs[j:j+1], method, false)
+		if got, w := render(one, err), render(want[j:j+1], nil); got != w {
+			return fmt.Errorf("%s: item %d (%v) alone through a pinned View differs:\n view  %.400s\n batch %.400s", c.name, j, spec, got, w)
+		}
+	}
+	return nil
 }
 
 // checkCell asserts the per-cell properties of one query: Explain's actual
@@ -691,7 +729,7 @@ func batch(c *cell, qs []query, method core.Method) ([]core.QueryResult, error) 
 // reports for it.
 func checkCell(c *cell, q query, answer string) error {
 	e, ok := c.b.(*core.Engine)
-	if !ok || q.door > doorExplain || !q.resolved.Measure.Valid() {
+	if !ok || !q.resolved.Measure.Valid() {
 		return nil
 	}
 	res, p, err := e.Explain(q.resolved, q.method)
@@ -723,26 +761,26 @@ func checkOracle(ref *cell, q query, o oracle, res any, err error) error {
 	switch q.method {
 	case core.MethodNaive:
 		var want any
-		switch q.door {
-		case doorInterval, doorTopK, doorExplain:
-			if q.resolved.Kind == plan.KindTopK {
-				want = o.topK(q.k, q.largest)
-			} else {
-				rows := o.entries(q.resolved.Interval.Contains)
-				rows.Values = nil // an interval result carries no values
-				want = rows
+		switch spec := q.resolved; spec.Kind {
+		case plan.KindTopK:
+			want = o.topK(q.k, q.largest)
+		case plan.KindInterval:
+			rows := o.entries(spec.Interval.Contains)
+			rows.Values = nil // an interval result carries no values
+			want = rows
+		default:
+			if !q.measure.Pairwise() {
+				values := make([]float64, len(spec.IDs))
+				for i, id := range spec.IDs {
+					values[i] = o.values[id]
+				}
+				want = core.QueryResult{Series: spec.IDs, Values: values}
+				break
 			}
-		case doorComputeLocation:
-			pos := make([]float64, len(q.ids))
-			for i, id := range q.ids {
-				pos[i] = o.values[id]
-			}
-			want = pos
-		case doorComputePairwise:
-			got := res.([][]float64)
+			got := res.(core.QueryResult).Matrix
 			d := ref.b.Data()
-			for i, u := range q.ids {
-				for j, v := range q.ids {
+			for i, u := range spec.IDs {
+				for j, v := range spec.IDs {
 					if u == v {
 						continue
 					}
@@ -753,17 +791,12 @@ func checkOracle(ref *cell, q query, o oracle, res any, err error) error {
 				}
 			}
 			return nil
-		case doorPairValue:
-			if q.pair.U == q.pair.V {
-				return nil
-			}
-			want = o.values[ref.b.Data().PairRank(orderedPair(q.pair.U, q.pair.V))]
 		}
 		if got, w := render(res, nil), render(want, nil); got != w {
 			return fmt.Errorf("%s: naive answer differs from the scalar oracle:\n got  %.400s\n want %.400s", label, got, w)
 		}
 	case core.MethodAffine, core.MethodIndex:
-		if q.door > doorExplain || !q.measure.Pairwise() || !measure.Lookup(q.measure).Indexable || extremeNorms(ref.b.Data()) {
+		if q.resolved.Kind == plan.KindCompute || !q.measure.Pairwise() || !measure.Lookup(q.measure).Indexable || extremeNorms(ref.b.Data()) {
 			return nil
 		}
 		other := core.MethodIndex + core.MethodAffine - q.method
@@ -797,7 +830,7 @@ func checkLemma1(ref *cell) error {
 		if err != nil {
 			return err
 		}
-		affine, err := ref.b.ComputePairwise(m, d.IDs(), core.MethodAffine)
+		affine, err := mecMatrix(ref.b, m, d.IDs(), core.MethodAffine)
 		if err != nil {
 			return fmt.Errorf("Lemma 1: affine %v: %w", m, err)
 		}
@@ -881,7 +914,7 @@ func extremeNorms(d *timeseries.DataMatrix) bool {
 // top-k cut may fall either way.
 func sameRows(ref *cell, q query, affine, index core.QueryResult) bool {
 	d := ref.b.Data()
-	values, err := ref.b.ComputePairwise(q.measure, d.IDs(), core.MethodAffine)
+	values, err := mecMatrix(ref.b, q.measure, d.IDs(), core.MethodAffine)
 	if err != nil {
 		return false
 	}
@@ -936,7 +969,7 @@ func replay(data []byte) (chainCount, error) {
 		if err := r.apply(o); err != nil {
 			return r.chains, fmt.Errorf("op %d (%+v): %w", i, *o, err)
 		}
-		if o.kind == opQuery || o.kind == opBatch {
+		if o.kind == opQuery || o.kind == opBatch || o.kind == opMixedBatch {
 			r.last = o
 		}
 	}
@@ -949,7 +982,7 @@ func (r *replayer) apply(o *op) error {
 	switch {
 	case o.kind == opAdvance && r.pins == nil:
 		r.pinEpochs()
-	case o.kind == opQuery || o.kind == opBatch:
+	case o.kind == opQuery || o.kind == opBatch || o.kind == opMixedBatch:
 		if err := r.releasePins(); err != nil {
 			return err
 		}
@@ -1044,20 +1077,26 @@ func (r *replayer) apply(o *op) error {
 		q.resolve(oracles[q.measure])
 	}
 
-	if o.kind == opBatch {
+	if o.kind == opBatch || o.kind == opMixedBatch {
+		specs := make([]plan.QuerySpec, len(o.queries))
+		for j, q := range o.queries {
+			specs[j] = q.resolved
+		}
 		for i, c := range cells {
-			out, err := batch(c, o.queries, o.batchMethod)
+			out, err := batch(c, specs, o.batchMethod)
 			answers[i] = render(out, err)
-			if out == nil && err == nil {
-				answers[i] = answers[0]
-			}
-			if err != nil || out == nil {
+			if err != nil {
 				continue
 			}
 			for j, q := range o.queries {
 				if got, want := render(ask(c, q, q.method)), render(out[j], nil); got != want {
 					return fmt.Errorf("%s: batch item %d (%v) differs from the single query:\n batch  %.400s\n single %.400s",
 						c.name, j, q.resolved, want, got)
+				}
+			}
+			if o.kind == opMixedBatch {
+				if err := pinnedBatch(c, specs, o.batchMethod, out); err != nil {
+					return err
 				}
 			}
 		}

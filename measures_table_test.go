@@ -17,8 +17,8 @@ import (
 
 func renderMeasureTable() string {
 	var b strings.Builder
-	b.WriteString("| Measure | Class | Base | Indexable | TopK | Sketch | Definition |\n")
-	b.WriteString("|---------|-------|------|-----------|------|--------|------------|\n")
+	b.WriteString("| Measure | Class | Base | Indexable | TopK | Definition |\n")
+	b.WriteString("|---------|-------|------|-----------|------|------------|\n")
 	for _, mi := range affinity.Measures() {
 		idx := "yes"
 		if !mi.Indexable {
@@ -35,18 +35,11 @@ func renderMeasureTable() string {
 		case mi.Indexable:
 			topk = "best-first"
 		}
-		// The Sketch column comes from the same flag the sweep executor
-		// consults: sketchable measures run the DFT-coefficient prescreen
-		// before touching raw samples, the rest evaluate exactly.
-		sk := "exact"
-		if mi.Sketchable {
-			sk = "prescreen"
-		}
 		base := "—"
 		if mi.Base != mi.Measure {
 			base = fmt.Sprintf("`%v`", mi.Base)
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s | %s |\n", mi.Name, mi.Class, base, idx, topk, sk, mi.Doc)
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s |\n", mi.Name, mi.Class, base, idx, topk, mi.Doc)
 	}
 	return b.String()
 }

@@ -55,10 +55,7 @@ func newMeasures() []affinity.Measure {
 // with any value, so exact set equality across methods is well-posed.
 func naiveDistribution(t *testing.T, eng *affinity.Engine, m affinity.Measure) (values []float64, midpoint func(q float64) float64) {
 	t.Helper()
-	matrix, err := eng.ComputePairwise(m, eng.Data().IDs(), affinity.Naive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	matrix := matrixOf(t, eng, m, eng.Data().IDs(), affinity.Naive)
 	for i := range matrix {
 		for j := i + 1; j < len(matrix[i]); j++ {
 			if !math.IsNaN(matrix[i][j]) {
@@ -95,14 +92,8 @@ func TestNewMeasuresAllMethodsAgreeWithNaive(t *testing.T) {
 			// infinite condition number at distance 0 (a 1-ulp perturbation of
 			// a perfect cosine moves the angle by ~1e-8), so the 1e-9 contract
 			// is stated on the transform's well-conditioned inverse.
-			naiveMat, err := eng.ComputePairwise(m, ids, affinity.Naive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			affineMat, err := eng.ComputePairwise(m, ids, affinity.Affine)
-			if err != nil {
-				t.Fatal(err)
-			}
+			naiveMat := matrixOf(t, eng, m, ids, affinity.Naive)
+			affineMat := matrixOf(t, eng, m, ids, affinity.Affine)
 			for i := range naiveMat {
 				for j := range naiveMat[i] {
 					nv, av := naiveMat[i][j], affineMat[i][j]

@@ -21,27 +21,20 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("relationship count changed across the snapshot")
 	}
 	p := Pair{U: 1, V: 7}
-	want, err := eng.PairValue(Correlation, p, Affine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.PairValue(Correlation, p, Affine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, got := pairValue(t, eng, Correlation, p, Affine), pairValue(t, restored, Correlation, p, Affine)
 	if math.Abs(want-got) > 1e-12 {
 		t.Fatalf("restored estimate %v != %v", got, want)
 	}
-	origPairs, err := eng.CorrelatedPairs(0.9)
+	orig, err := eng.Interval(Correlation, GreaterThan(0.9), Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoredPairs, err := restored.CorrelatedPairs(0.9)
+	again, err := restored.Interval(Correlation, GreaterThan(0.9), Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(origPairs) != len(restoredPairs) {
-		t.Fatalf("index results differ: %d vs %d", len(origPairs), len(restoredPairs))
+	if len(orig.Pairs) != len(again.Pairs) {
+		t.Fatalf("index results differ: %d vs %d", len(orig.Pairs), len(again.Pairs))
 	}
 }
 
@@ -59,8 +52,7 @@ func TestPublicParallelOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Pair{U: 0, V: 9}
-	a, _ := sequential.PairValue(Covariance, p, Affine)
-	b, _ := parallel.PairValue(Covariance, p, Affine)
+	a, b := pairValue(t, sequential, Covariance, p, Affine), pairValue(t, parallel, Covariance, p, Affine)
 	if a != b {
 		t.Fatalf("parallel build changed results: %v vs %v", a, b)
 	}

@@ -64,8 +64,8 @@ func TestPublicStreaming(t *testing.T) {
 		if info.Epoch != round+1 || info.Slide != slide {
 			t.Fatalf("round %d: info = %+v", round, info)
 		}
-		if eng.Epoch() != round+1 {
-			t.Fatalf("round %d: Epoch() = %d", round, eng.Epoch())
+		if eng.Info().Epoch != round+1 {
+			t.Fatalf("round %d: Info().Epoch = %d", round, eng.Info().Epoch)
 		}
 		if eng.Data().NumSamples() != window || eng.Data().StartIndex() != (round+1)*slide {
 			t.Fatalf("round %d: window m=%d start=%d",
@@ -74,14 +74,7 @@ func TestPublicStreaming(t *testing.T) {
 
 		// The affine approximation must track the naive ground truth on the
 		// current window.
-		truth, err := eng.ComputePairwise(Correlation, ids, Naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := eng.ComputePairwise(Correlation, ids, Affine)
-		if err != nil {
-			t.Fatal(err)
-		}
+		truth, approx := matrix(t, eng, Correlation, ids, Naive), matrix(t, eng, Correlation, ids, Affine)
 		var worst float64
 		for i := range truth {
 			for j := range truth[i] {
