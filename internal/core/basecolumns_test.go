@@ -15,7 +15,6 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/timeseries"
 )
 
 // This file pins the epoch base columns (basecolumns.go) and the value
@@ -114,33 +113,6 @@ func requireValuesOfPairEvaluator(t *testing.T, label string, st *engineState, m
 	}
 }
 
-// requireColumnsOfPairEvaluator compares the epoch's two base columns over the
-// whole universe, and every defined value an affine sweep of each pairwise
-// measure derives from them, bit for bit with affinePairValue.
-func requireColumnsOfPairEvaluator(t *testing.T, tag string, e *Engine) {
-	t.Helper()
-	st := e.escapedState()
-	n := st.numUniversePairs()
-	pairs := st.universeChunk(0, n, make([]timeseries.Pair, n))
-	for _, base := range measure.ByClass(measure.DispersionClass) {
-		col, _, err := st.baseColumn(base)
-		if err != nil || len(col) != n {
-			t.Fatalf("%s: %v column has %d of %d values: %v", tag, base, len(col), n, err)
-		}
-		requireValuesOfPairEvaluator(t, fmt.Sprintf("%s %v column", tag, base), st, base, MethodAffine, QueryResult{Pairs: pairs, Values: col})
-	}
-	for _, m := range pairwiseMeasures() {
-		res, err := runSpecs(e, []plan.QuerySpec{plan.TopK(m, n, true)}, MethodAffine)
-		if err != nil {
-			t.Fatalf("%s: %v sweep: %v", tag, m, err)
-		}
-		if len(res[0].Pairs) == 0 {
-			t.Fatalf("%s: the affine sweep of %v ranked no pair", tag, m)
-		}
-		requireValuesOfPairEvaluator(t, fmt.Sprintf("%s %v sweep", tag, m), st, m, MethodAffine, res[0])
-	}
-}
-
 // twinEngines builds a cache-enabled engine and its cache-off twin over the
 // same fixture.  n = 40 gives 780 pairs: several kernel chunks per sweep and
 // several chunks per block at every parallelism level.
@@ -161,37 +133,6 @@ func advanceBoth(t *testing.T, ticks [][]float64, engines ...*Engine) {
 		if _, err := e.Advance(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestBaseColumnsMatchColdTwin(t *testing.T) {
-	const rounds, slide = 3, 4
-	for _, p := range determinismLevels {
-		t.Run(fmt.Sprintf("parallelism-%d", p), func(t *testing.T) {
-			// Epoch 2 is a statistics-refresh epoch.
-			cfg := Config{Clusters: 4, Seed: 5, Parallelism: p, Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: 2}}
-			cached, cold, fx := twinEngines(t, cfg, qcache.Options{Enabled: true}, rounds*slide, 0)
-			requireSweepParity(t, cached, cold, "epoch0")
-			for r := 0; r < rounds; r++ {
-				advanceBoth(t, fx.ticks[r*slide:(r+1)*slide], cached, cold)
-				requireSweepParity(t, cached, cold, fmt.Sprintf("epoch%d", r+1))
-			}
-			// Two affine bases, filled once per epoch whatever the number of
-			// sweeps, on the cache-off twin as on the cached engine.  The naive
-			// sweeps of both classify against the pair-moment column,
-			// materialised by the first of them, carried by every Advance since
-			// and dropped once, on the refresh epoch.
-			for name, e := range map[string]*Engine{"cached": cached, "cold": cold} {
-				s := e.StreamStats()
-				if s.SweepBaseFills != 2*(rounds+1) || s.SweepBaseReuses == 0 {
-					t.Fatalf("%s engine: %d fills, %d reuses, want %d fills", name, s.SweepBaseFills, s.SweepBaseReuses, 2*(rounds+1))
-				}
-				if s.MomentFills != 2 || s.MomentSweeps == 0 || s.MomentRefinedPairs == 0 {
-					t.Fatalf("%s engine: %d moment fills, %d sweeps, %d refined pairs, want a fill at the build and one after the refresh epoch",
-						name, s.MomentFills, s.MomentSweeps, s.MomentRefinedPairs)
-				}
-			}
-		})
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 //     queries each run their own best-first traversal;
 //   - parallelism: the shared sweeps shard across the engine's worker pool.
 //
-// Results are guaranteed — and pinned by TestBatchMatchesSingleQueries — to
-// equal the corresponding sequence of single-query calls, element for
-// element, in the same order.
+// Results are guaranteed — and pinned by the operation lattice
+// (lattice_test.go) — to equal the corresponding sequence of single-query
+// calls, element for element, in the same order.
 
 // IntervalQuery describes one interval (MET/MER) query of a batch: entries
 // whose measure value lies in Interval.

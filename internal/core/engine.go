@@ -141,11 +141,6 @@ type Config struct {
 	// every pair exactly once.  The universe is frozen at build time and
 	// carried across Advance (the pair→pivot assignment is frozen too).
 	AssignedPairsOnly bool
-	// CostModel overrides the planner's calibrated per-operation costs used
-	// by MethodAuto and Explain (the zero value selects
-	// plan.DefaultCostModel).  The model must stay deterministic in the epoch
-	// state for plan choices to be identical at any Parallelism.
-	CostModel plan.CostModel
 	// Stream configures the incremental maintenance path.
 	Stream StreamConfig
 	// Cache configures the epoch-aware semantic result cache consulted by the
@@ -265,10 +260,9 @@ type engineState struct {
 	// this epoch (from Config.Parallelism; merge order is deterministic).
 	par int
 
-	// table summarizes the epoch for the cost-based planner, and cost is the
-	// model pricing queries against it (MethodAuto, Explain).
+	// table summarizes the epoch for the cost-based planner, which prices
+	// queries against it with plan.DefaultCostModel (MethodAuto, Explain).
 	table plan.TableStats
-	cost  plan.CostModel
 
 	// cache is the engine-wide semantic result cache (nil when disabled).  The
 	// same cache object is threaded through every epoch state — entries
@@ -471,10 +465,6 @@ func (e *Engine) Data() *timeseries.DataMatrix { return e.current().data }
 // Relationships exposes the current epoch's SYMEX result (for diagnostics
 // and experiments).  The epoch escapes: it is never recycled.
 func (e *Engine) Relationships() *symex.Result { return e.escape().rel }
-
-// Index exposes the current epoch's SCAPE index, or nil when SkipIndex was
-// set.  The epoch escapes: it is never recycled.
-func (e *Engine) Index() *scape.Index { return e.escape().index }
 
 // Naive exposes the W_N baseline bound to the current epoch's data.  The
 // epoch escapes: it is never recycled.

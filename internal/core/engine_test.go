@@ -83,14 +83,14 @@ func TestBuildInfo(t *testing.T) {
 	if info.TotalDuration <= 0 {
 		t.Fatal("durations should be recorded")
 	}
-	if e.Data() == nil || e.Relationships() == nil || e.Index() == nil || e.Naive() == nil {
+	if e.Data() == nil || e.Relationships() == nil || e.escapedState().index == nil || e.Naive() == nil {
 		t.Fatal("accessors should be populated")
 	}
 }
 
 func TestBuildWithoutIndex(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, SkipIndex: true})
-	if e.Index() != nil || e.Info().IndexBuilt {
+	if e.escapedState().index != nil || e.Info().IndexBuilt {
 		t.Fatal("index should not be built")
 	}
 	if _, err := e.Interval(measure.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {

@@ -46,14 +46,13 @@ import (
 // be deterministic in the epoch state, so that plans and results are
 // identical at any parallelism and any shard count.
 type Backend interface {
-	// Epoch, Table, CostModel and Cache are the planner and cache handles:
-	// the epoch number cache entries are stamped with, the table statistics
-	// and cost model MethodAuto is priced against (global ones on a sharded
+	// Epoch, Table and Cache are the planner and cache handles: the epoch
+	// number cache entries are stamped with, the table statistics MethodAuto
+	// is priced against with plan.DefaultCostModel (global ones on a sharded
 	// backend, so the chosen method does not depend on the shard count), and
 	// the result cache (nil when disabled).
 	Epoch() int
 	Table() plan.TableStats
-	CostModel() plan.CostModel
 	Cache() *qcache.Cache
 	// Replica returns a single-engine epoch holding the state that is
 	// replicated rather than partitioned — the raw window and the per-series
@@ -306,7 +305,7 @@ func checkMethod(method Method) error {
 // sweeps, and no row count could change the choice.  MethodAuto resolves
 // through it and never asks the index anything.
 func decide(b Backend, spec plan.QuerySpec) plan.Plan {
-	return b.CostModel().Plan(spec, b.Table(), nil)
+	return plan.DefaultCostModel().Plan(spec, b.Table(), nil)
 }
 
 // price is decide with the index's row count of an interval spec the index
@@ -320,7 +319,7 @@ func price(b Backend, spec plan.QuerySpec) (plan.Plan, error) {
 	if err != nil {
 		return plan.Plan{}, err
 	}
-	return b.CostModel().Plan(spec, table, &sel), nil
+	return plan.DefaultCostModel().Plan(spec, table, &sel), nil
 }
 
 // cacheKey builds the cache key of a pairwise item.  L-measure items never
@@ -378,7 +377,7 @@ func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]times
 		return nil, 0, false
 	}
 	rows := sel.Rows
-	cost := b.CostModel()
+	cost := plan.DefaultCostModel()
 	p := cost.Plan(it.Spec, table, &sel)
 	if cost.RepairCost(len(rp.Candidates), rows, table) >= p.CostAffine {
 		return nil, 0, false

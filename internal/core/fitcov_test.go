@@ -11,7 +11,6 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
-	"affinity/internal/qcache"
 	"affinity/internal/sketch"
 	"affinity/internal/timeseries"
 )
@@ -133,31 +132,6 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 					t.Fatalf("%s PairValue %v %v: %v (%v), scalar %v (%v)", label, m, oriented, got, gotErr, want, wantErr)
 				}
 			}
-		}
-	}
-}
-
-// TestNaiveCovarianceColumnAtFullFit: at a full-fit epoch — the build, and an
-// Advance under the refit-everything default — every naive covariance and
-// correlation query reads the covariances the fit reduced and answers exactly
-// the scalar oracle, at every parallelism, with the cache on and off, with the
-// sketch on and off.
-func TestNaiveCovarianceColumnAtFullFit(t *testing.T) {
-	for _, p := range determinismLevels {
-		for _, cached := range []bool{false, true} {
-			label := fmt.Sprintf("P=%d cache=%v", p, cached)
-			fx := fitCovFixture(t, 18, 70, 2)
-			cfg := Config{Clusters: 3, Seed: 5, Parallelism: p, Cache: qcache.Options{Enabled: cached}}
-			if cached {
-				cfg.Sketch = sketch.Options{Enabled: true, Coefficients: 8}
-			}
-			e, err := Build(fx.window, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireNaiveOracle(t, label+" epoch 0", e, true)
-			advanceBoth(t, fx.ticks, e)
-			requireNaiveOracle(t, label+" epoch 1", e, true)
 		}
 	}
 }

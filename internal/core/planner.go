@@ -15,7 +15,6 @@ import (
 // place.  Everything here derives from the epoch state alone, so engines
 // with identical epochs make identical plan choices at any Parallelism.
 func (st *engineState) finishPlanner(cfg Config) {
-	st.cost = cfg.CostModel
 	// Table statistics describe the epoch's pairwise query universe: the full
 	// pair set normally, the restricted assigned set for a sharded engine
 	// (AssignedPairsOnly), so per-shard plans price per-shard work.
@@ -38,11 +37,10 @@ func (st *engineState) finishPlanner(cfg Config) {
 // The planner and cache handles of Backend, and the index probes the
 // pipeline reports and verifies with.
 
-func (e *engineState) Epoch() int                { return e.epoch }
-func (e *engineState) Table() plan.TableStats    { return e.table }
-func (e *engineState) CostModel() plan.CostModel { return e.cost }
-func (e *engineState) Cache() *qcache.Cache      { return e.cache }
-func (e *engineState) Replica() View             { return View{e} }
+func (e *engineState) Epoch() int             { return e.epoch }
+func (e *engineState) Table() plan.TableStats { return e.table }
+func (e *engineState) Cache() *qcache.Cache   { return e.cache }
+func (e *engineState) Replica() View          { return View{e} }
 
 func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error) {
 	if e.index == nil {

@@ -12,7 +12,6 @@ import (
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/sketch"
-	"affinity/internal/timeseries"
 )
 
 // sketchQuantiles extracts interval endpoints from a sweep's value
@@ -260,7 +259,7 @@ func TestSketchExplainActuals(t *testing.T) {
 	}
 }
 
-// stageSpecs is the query battery of one measure for the stage parity test,
+// stageSpecs is a query battery of one measure for the naive stage,
 // with endpoints taken from the measure's own values so that every predicate
 // has pairs sitting exactly on an endpoint — the ones no bound can decide:
 // the whole universe, closed, open and half-open bands, both half-bounded
@@ -290,138 +289,6 @@ func stageSpecs(m measure.Measure, values []float64) []plan.QuerySpec {
 		}
 	}
 	return specs
-}
-
-// TestSweepStageParity holds the one filter-and-refine stage to answers
-// derived from the scalar oracle — every registered pairwise measure × the
-// stageSpecs battery × single and batched × cache on/off × sketch on/off ×
-// P ∈ {1, 2, 8} × the full and an AssignedPairsOnly universe, Float64bits
-// equal — on the cold epoch (which materialises the pair-moment column), over
-// Advances that carry it, and across a statistics-refresh epoch that drops it.
-// Series 1 duplicates series 0, so every measure has tied values for top-k to
-// break by pair identity.  Both universes sit on a partial layout.  On the
-// same engines and epochs the affine half of the stage — the base columns,
-// propagated where a pair has a relationship and naive where it has none — is
-// held to the single-pair evaluator (requireColumnsOfPairEvaluator).
-func TestSweepStageParity(t *testing.T) {
-	const n, window, slide, rounds, refreshEvery = 26, 48, 2, 5, 4
-	fixture := func() *streamFixture {
-		fx := makeStreamFixture(t, n, window, slide*rounds, 67)
-		rows := make([][]float64, n)
-		for v := range rows {
-			s, err := fx.window.Series(timeseries.SeriesID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows[v] = append([]float64(nil), s...)
-		}
-		rows[1] = append([]float64(nil), rows[0]...)
-		d, err := timeseries.NewDataMatrix(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fx.window = d
-		for _, tick := range fx.ticks {
-			tick[1] = tick[0]
-		}
-		return fx
-	}
-	type variant struct {
-		name string
-		e    *Engine
-	}
-	var engines []variant
-	for _, p := range determinismLevels {
-		for _, cached := range []bool{false, true} {
-			for _, sketched := range []bool{false, true} {
-				for _, restricted := range []bool{false, true} {
-					cfg := Config{
-						Clusters: 4, Seed: 11, Parallelism: p,
-						Stream: StreamConfig{DriftBound: 0.5, StatsRefreshEvery: refreshEvery},
-						Cache:  qcache.Options{Enabled: cached},
-						Sketch: sketch.Options{Enabled: sketched, Coefficients: 8},
-					}
-					limit := 250
-					if restricted {
-						cfg.AssignedPairsOnly, limit = true, 200
-					}
-					e := buildLimited(t, fixture().window, cfg, limit)
-					if restricted && e.escapedState().numUniversePairs() != 200 {
-						t.Fatalf("restricted universe has %d pairs", e.escapedState().numUniversePairs())
-					}
-					if st := e.escapedState(); !restricted && st.table.FallbackPairs == 0 {
-						t.Fatal("every pair has a relationship: the column's naive fallback is not exercised beside its propagation")
-					}
-					engines = append(engines, variant{fmt.Sprintf("P=%d cache=%v sketch=%v restricted=%v", p, cached, sketched, restricted), e})
-				}
-			}
-		}
-	}
-	fx := fixture()
-	ref, err := Build(fx.window, Config{Clusters: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round <= rounds; round++ {
-		if round > 0 {
-			ticks := fx.ticks[(round-1)*slide : round*slide]
-			advanceBoth(t, ticks, ref)
-			for _, v := range engines {
-				advanceBoth(t, ticks, v.e)
-			}
-		}
-		oracle := newScalarOracle(t, ref)
-		var specs []plan.QuerySpec
-		for _, m := range pairwiseMeasures() {
-			specs = append(specs, stageSpecs(m, oracle.values[m])...)
-		}
-		for _, v := range engines {
-			requireColumnsOfPairEvaluator(t, fmt.Sprintf("epoch %d %s", round, v.name), v.e)
-			var universe map[timeseries.Pair]bool
-			if pairs := v.e.escapedState().pairs; pairs != nil {
-				universe = make(map[timeseries.Pair]bool, len(pairs))
-				for _, pair := range pairs {
-					universe[pair] = true
-				}
-			}
-			// Alternate which of the two goes first, so that on a cache-enabled
-			// engine each gets to sweep (the other is then served by the cache).
-			for pass := 0; pass < 2; pass++ {
-				if batched := (pass+round)%2 == 0; batched {
-					got, err := runSpecs(v.e, specs, MethodNaive)
-					if err != nil {
-						t.Fatalf("epoch %d %s batch: %v", round, v.name, err)
-					}
-					for i, spec := range specs {
-						mustEqualResults(t, fmt.Sprintf("epoch %d %s batch %v", round, v.name, spec), got[i], oracle.answer(spec, universe))
-					}
-					continue
-				}
-				for _, spec := range specs {
-					got, err := runSpecs(v.e, []plan.QuerySpec{spec}, MethodNaive)
-					if err != nil {
-						t.Fatalf("epoch %d %s %v: %v", round, v.name, spec, err)
-					}
-					mustEqualResults(t, fmt.Sprintf("epoch %d %s %v", round, v.name, spec), got[0], oracle.answer(spec, universe))
-				}
-			}
-		}
-	}
-	// The pair-moment column was materialised cold and once more after the
-	// refresh epoch, every other Advance carried it; each affine base column was
-	// filled once per epoch.
-	for _, v := range engines {
-		s := v.e.StreamStats()
-		if s.SweepBaseFills != 2*(rounds+1) || s.SweepBaseReuses == 0 {
-			t.Fatalf("%s: %d base fills, %d reuses over %d epochs, want two fills an epoch", v.name, s.SweepBaseFills, s.SweepBaseReuses, rounds+1)
-		}
-		if want := int64(1 + rounds/refreshEvery); s.MomentFills != want || s.MomentSweeps == 0 {
-			t.Fatalf("%s: %d moment fills, %d sweeps, want %d fills", v.name, s.MomentFills, s.MomentSweeps, want)
-		}
-		if pairs := int64(v.e.escapedState().numUniversePairs()); s.MomentRefinedPairs == 0 || s.MomentRefinedPairs >= s.MomentSweeps*pairs/2 {
-			t.Fatalf("%s: %d sweeps over %d pairs refined %d: the filter decided nothing", v.name, s.MomentSweeps, pairs, s.MomentRefinedPairs)
-		}
-	}
 }
 
 // TestNoNaiveSweepKeepsNoMomentColumn: an engine nobody sweeps naively never

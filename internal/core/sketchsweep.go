@@ -53,8 +53,9 @@ import (
 // source, DESIGN.md "Slid pair moments") and the pairs that need a value get
 // it from the very kernels, in the very order, an unfiltered sweep would have
 // used, what the filter changes is latency and counters, never a result bit —
-// the property TestSketchSweepParity and TestSweepStageParity pin with
-// Float64bits comparisons against the scalar oracle.
+// the property TestSketchSweepParity and the operation lattice
+// (lattice_test.go) pin with Float64bits comparisons against the scalar
+// oracle.
 
 // buildSketch computes the epoch's sketch set from the naive kernel mirror —
 // the same contiguous columns and hoisted moments the exact sweeps read.

@@ -89,7 +89,7 @@ func TestSnapshotSkipIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Index() != nil {
+	if restored.escapedState().index != nil {
 		t.Fatal("SkipIndex should leave the index unbuilt")
 	}
 	if _, err := restored.Interval(measure.Covariance, interval.GreaterThan(0), MethodIndex); !errors.Is(err, ErrNoIndex) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"affinity/internal/dataset"
-	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
@@ -56,181 +55,6 @@ func appendTicks(t testing.TB, e *Engine, ticks [][]float64) {
 	for _, tick := range ticks {
 		if err := e.Append(tick); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-func pairSet(pairs []timeseries.Pair) map[timeseries.Pair]bool {
-	out := make(map[timeseries.Pair]bool, len(pairs))
-	for _, p := range pairs {
-		out[p] = true
-	}
-	return out
-}
-
-// coldParityAnswers renders every answer the streaming equivalence test
-// compares, labelled, one string each: MEC by naive and affine, and interval
-// (above the cold build's median naive value) and top-k by naive, affine and
-// index, for pairwise and location measures alike.  %v prints the shortest
-// decimal that round-trips a float64, so equal strings are equal bits.
-func coldParityAnswers(t *testing.T, e *Engine, ids []timeseries.SeriesID, medians map[measure.Measure]float64) map[string]string {
-	t.Helper()
-	render := func(res any, err error) string {
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		return fmt.Sprintf("%v", res)
-	}
-	out := make(map[string]string)
-	for m, med := range medians {
-		for _, method := range []Method{MethodNaive, MethodAffine} {
-			key := fmt.Sprintf("%v/%v/", m, method)
-			if !m.Pairwise() {
-				out[key+"mec"] = render(e.ComputeLocation(m, ids, method))
-			} else {
-				out[key+"mec"] = render(e.ComputePairwise(m, ids, method))
-			}
-		}
-		for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-			key := fmt.Sprintf("%v/%v/", m, method)
-			out[key+"interval"] = render(e.Interval(m, interval.GreaterThan(med), method))
-			out[key+"topk"] = render(e.TopK(m, 5, true, method))
-		}
-	}
-	return out
-}
-
-// TestAdvanceMatchesColdRebuildFrozenClustering is the streaming equivalence
-// test: across three window slides, an Advance
-// with the refit-all default (DriftBound 0) answers every query bit for bit
-// like a cold Build on the slid window with the same frozen clustering — MEC,
-// interval, top-k (values included) and location, by the naive, affine and
-// index methods, at any parallelism.
-func TestAdvanceMatchesColdRebuildFrozenClustering(t *testing.T) {
-	const n, window, slide, rounds = 18, 90, 12, 3
-	fx := makeStreamFixture(t, n, window, slide*rounds, 3)
-	levels := []int{1, 2, 8}
-	streaming := make([]*Engine, len(levels))
-	for i, p := range levels {
-		e, err := Build(fx.window, Config{Clusters: 4, Seed: 7, Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		streaming[i] = e
-	}
-	frozen := streaming[0].Relationships().Clustering
-	ids := fx.window.IDs()
-	measures := []measure.Measure{measure.Correlation, measure.Covariance, measure.DotProduct, measure.Cosine,
-		measure.EuclideanDistance, measure.Mean, measure.Median, measure.Mode}
-
-	current := fx.window
-	for round := 0; round < rounds; round++ {
-		ticks := fx.ticks[round*slide : (round+1)*slide]
-		for i, e := range streaming {
-			appendTicks(t, e, ticks)
-			info, err := e.Advance()
-			if err != nil {
-				t.Fatalf("round %d P=%d: Advance: %v", round, levels[i], err)
-			}
-			if info.Epoch != round+1 || info.Slide != slide || info.RefitRelationships != n*(n-1)/2 {
-				t.Fatalf("round %d P=%d: refit-all should refit every pair, got %+v", round, levels[i], info)
-			}
-		}
-
-		// Cold rebuild on the manually slid window with the same clustering.
-		batch := make([][]float64, n)
-		for v := range batch {
-			col := make([]float64, slide)
-			for s, tick := range ticks {
-				col[s] = tick[v]
-			}
-			batch[v] = col
-		}
-		slid, err := current.SlideCopy(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		current = slid
-		cold, err := Build(slid, Config{Clusters: 4, Clustering: frozen})
-		if err != nil {
-			t.Fatalf("round %d: cold rebuild: %v", round, err)
-		}
-
-		// Window contents: the streaming window must equal the manually slid
-		// window exactly.
-		for i, e := range streaming {
-			if e.Data().NumSamples() != window || e.Data().StartIndex() != (round+1)*slide {
-				t.Fatalf("round %d P=%d: window shape m=%d start=%d",
-					round, levels[i], e.Data().NumSamples(), e.Data().StartIndex())
-			}
-			for v := 0; v < n; v++ {
-				sw, _ := e.Data().Series(timeseries.SeriesID(v))
-				cw, _ := slid.Series(timeseries.SeriesID(v))
-				if !slices.Equal(sw, cw) {
-					t.Fatalf("round %d P=%d: series %d differs from the slid window", round, levels[i], v)
-				}
-			}
-		}
-
-		medians := make(map[measure.Measure]float64, len(measures))
-		for _, m := range measures {
-			var vals []float64
-			if !m.Pairwise() {
-				if vals, err = cold.ComputeLocation(m, ids, MethodNaive); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				sweep, err := cold.PairwiseSweepNaive(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				vals = slices.Clone(sweep.Values)
-			}
-			slices.Sort(vals)
-			medians[m] = vals[len(vals)/2]
-		}
-		// The pivot summaries are the terms the index was built from
-		// (symex.Result.PivotTerms, which scape calls too) and a cold build's.
-		terms, err := cold.escapedState().rel.PivotTerms(slid, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range streaming {
-			for _, sums := range [][]measure.PivotTerms{e.escapedState().summaries, cold.escapedState().summaries} {
-				if fmt.Sprintf("%v", sums) != fmt.Sprintf("%v", terms) {
-					t.Fatalf("round %d P=%d: pivot summaries differ from the index's pivot terms", round, levels[i])
-				}
-			}
-		}
-		want := coldParityAnswers(t, cold, ids, medians)
-		for i, e := range streaming {
-			for key, got := range coldParityAnswers(t, e, ids, medians) {
-				if got != want[key] {
-					t.Fatalf("round %d P=%d %s: streamed\n%.400s\ncold\n%.400s", round, levels[i], key, got, want[key])
-				}
-			}
-		}
-
-		// Internal consistency: the index answers select the same pair sets as
-		// the affine path of the same engine.
-		for _, tau := range []float64{0.9, 0.5} {
-			sres, err := streaming[0].Interval(measure.Correlation, interval.GreaterThan(tau), MethodIndex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ares, err := streaming[0].Interval(measure.Correlation, interval.GreaterThan(tau), MethodAffine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss, as := pairSet(sres.Pairs), pairSet(ares.Pairs)
-			if len(as) != len(ss) {
-				t.Fatalf("round %d tau %v: index %d pairs vs affine %d", round, tau, len(ss), len(as))
-			}
-			for p := range as {
-				if !ss[p] {
-					t.Fatalf("round %d tau %v: pair %v only in affine result", round, tau, p)
-				}
-			}
 		}
 	}
 }

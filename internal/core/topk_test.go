@@ -5,113 +5,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/timeseries"
 )
-
-// pairOracle computes the full pairwise value matrix for one (measure,
-// method) through the same per-pair evaluators the engine uses, sorts it
-// under the shared total order (value direction, then pair identity) and
-// returns the best k entries — the sort-the-full-matrix reference every
-// top-k execution path must reproduce exactly.
-func pairOracle(t *testing.T, e *Engine, m measure.Measure, method Method, k int, largest bool) ([]timeseries.Pair, []float64) {
-	t.Helper()
-	st := e.escapedState()
-	type entry struct {
-		pair  timeseries.Pair
-		value float64
-	}
-	var entries []entry
-	for _, pair := range e.Data().AllPairs() {
-		var v float64
-		var err error
-		switch method {
-		case MethodNaive:
-			v, err = st.naive.PairValue(m, pair)
-		case MethodAffine:
-			v, err = st.affinePairValue(m, pair)
-		case MethodIndex:
-			v, err = st.index.PairValue(m, pair)
-		default:
-			t.Fatalf("oracle has no evaluator for %v", method)
-		}
-		if err != nil || math.IsNaN(v) {
-			continue // undefined pairs never rank (or absent from the index)
-		}
-		entries = append(entries, entry{pair: pair, value: v})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].value != entries[j].value {
-			if largest {
-				return entries[i].value > entries[j].value
-			}
-			return entries[i].value < entries[j].value
-		}
-		return entries[i].pair.U < entries[j].pair.U ||
-			(entries[i].pair.U == entries[j].pair.U && entries[i].pair.V < entries[j].pair.V)
-	})
-	if len(entries) > k {
-		entries = entries[:k]
-	}
-	pairs := make([]timeseries.Pair, len(entries))
-	values := make([]float64, len(entries))
-	for i, en := range entries {
-		pairs[i] = en.pair
-		values[i] = en.value
-	}
-	return pairs, values
-}
-
-func sameTopK(gotPairs []timeseries.Pair, gotValues []float64, wantPairs []timeseries.Pair, wantValues []float64) error {
-	if len(gotPairs) != len(wantPairs) || len(gotValues) != len(gotPairs) {
-		return fmt.Errorf("got %d pairs / %d values, want %d", len(gotPairs), len(gotValues), len(wantPairs))
-	}
-	for i := range gotPairs {
-		if gotPairs[i] != wantPairs[i] || gotValues[i] != wantValues[i] {
-			return fmt.Errorf("entry %d: got (%v, %v), want (%v, %v)",
-				i, gotPairs[i], gotValues[i], wantPairs[i], wantValues[i])
-		}
-	}
-	return nil
-}
-
-// TestTopKMatchesOracle pins pairwise top-k against the full-matrix oracle
-// for every pairwise measure, every concrete method, both directions, and k
-// spanning 1 to beyond the pair count — entries, values and order must match
-// exactly, including the pair-identity tie-break.
-func TestTopKMatchesOracle(t *testing.T) {
-	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 2})
-	numPairs := e.Data().NumPairs()
-	for _, m := range measure.All() {
-		if !m.Pairwise() {
-			continue
-		}
-		for _, method := range []Method{MethodNaive, MethodAffine, MethodIndex} {
-			for _, largest := range []bool{true, false} {
-				for _, k := range []int{1, 7, numPairs + 5} {
-					got, err := e.TopK(m, k, largest, method)
-					if method == MethodIndex && m == measure.Jaccard {
-						if !errors.Is(err, ErrMeasureNotIndexed) {
-							t.Fatalf("jaccard index top-k err = %v, want ErrMeasureNotIndexed", err)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%v %v k=%d largest=%v: %v", m, method, k, largest, err)
-					}
-					wantPairs, wantValues := pairOracle(t, e, m, method, k, largest)
-					if err := sameTopK(got.Pairs, got.Values, wantPairs, wantValues); err != nil {
-						t.Errorf("%v %v k=%d largest=%v: %v", m, method, k, largest, err)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestTopKLocationMeasures pins L-measure top-k: the sweep methods against
 // their own per-series oracles, and the index against its own full ranking
@@ -176,34 +75,6 @@ func TestTopKLocationMeasures(t *testing.T) {
 	}
 }
 
-// TestTopKBatchMatchesSingle pins batch ≡ single for top-k across measures,
-// methods (incl. Auto) and mixed directions, riding the shared sweep pass.
-func TestTopKBatchMatchesSingle(t *testing.T) {
-	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2, Parallelism: 4})
-	var qs []plan.QuerySpec
-	for _, m := range measure.All() {
-		qs = append(qs,
-			plan.TopK(m, 3, true),
-			plan.TopK(m, 9, false),
-		)
-	}
-	for _, method := range []Method{MethodNaive, MethodAffine, MethodAuto} {
-		batch, err := runSpecs(e, qs, method)
-		if err != nil {
-			t.Fatalf("TopKBatch %v: %v", method, err)
-		}
-		for i, q := range qs {
-			single, err := e.TopK(q.Measure, q.K, q.Largest, method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprintf("%v", batch[i]) != fmt.Sprintf("%v", single) {
-				t.Errorf("%v %v: batch != single", method, q)
-			}
-		}
-	}
-}
-
 // TestTopKAutoAndExplain pins the planner integration: Explain on a top-k
 // spec chooses a concrete method whose direct execution returns the identical
 // result, actuals are filled, and Jaccard routes around the index.
@@ -263,7 +134,7 @@ func TestTopKValidation(t *testing.T) {
 // entries than a full sweep touches pairs.
 func TestTopKPruningExaminesFewerCandidates(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
-	idx := e.Index()
+	idx := e.escapedState().index
 	entries := idx.Stats().SequenceNodes
 	for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.EuclideanDistance} {
 		largest := m != measure.EuclideanDistance // distances: k nearest

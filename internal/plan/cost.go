@@ -79,15 +79,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// withDefaults treats a zero model as the default one, so an unset
-// Config.CostModel never divides the world by zero.
-func (c CostModel) withDefaults() CostModel {
-	if c == (CostModel{}) {
-		return DefaultCostModel()
-	}
-	return c
-}
-
 // Indexes reports whether the epoch's index answers queries over m.
 func (st TableStats) Indexes(m measure.Measure) bool { return slices.Contains(st.Indexed, m) }
 
@@ -108,7 +99,6 @@ const defaultSelectivityFrac = 0.1
 // pays its sort) and the W_A fallback term pays the same naive passes.  A
 // measure registered tomorrow is priced correctly today.
 func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) Plan {
-	c = c.withDefaults()
 	p := Plan{
 		Spec:       spec,
 		CostNaive:  math.Inf(1),
@@ -243,7 +233,6 @@ func (c CostModel) indexSteps(st TableStats) float64 {
 // of re-running the sweep the entry came from — so a mostly-stale epoch falls
 // back to a cold scan exactly like the ROADMAP's standing-query item asks.
 func (c CostModel) RepairCost(candidates, rows int, st TableStats) float64 {
-	c = c.withDefaults()
 	return float64(candidates)*c.AffinePairCost + c.indexSteps(st) + float64(rows)*c.RowCost
 }
 

@@ -151,7 +151,10 @@ func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 }
 
 // TestChoosesAffineWithoutIndex pins that un-indexable queries (Jaccard, or
-// an engine built with SkipIndex) fall to the affine sweep.
+// an engine built with SkipIndex) fall to the affine sweep, and that a model
+// whose coefficients make one method the cheapest makes Plan choose it for
+// every measure and interval shape — but the index for Jaccard, which falls
+// to the affine sweep.
 func TestChoosesAffineWithoutIndex(t *testing.T) {
 	st := bigTable()
 	st.Indexed = nil
@@ -164,6 +167,25 @@ func TestChoosesAffineWithoutIndex(t *testing.T) {
 	}
 	if p.SelectivityExact || p.EstimatedRows == 0 {
 		t.Fatalf("heuristic rows expected: %+v", p)
+	}
+	for forced, cheapest := range map[Method]func(*CostModel){
+		MethodNaive:  func(c *CostModel) { c.SampleCost = 1e-9 },
+		MethodAffine: func(c *CostModel) { c.AffinePairCost, c.LookupCost = 1e-9, 1e-9 },
+		MethodIndex:  func(c *CostModel) { c.TreeStepCost, c.CandidateCost = 1e-9, 1e-9 },
+	} {
+		cm := DefaultCostModel()
+		cheapest(&cm)
+		for _, m := range measure.All() {
+			for _, iv := range []interval.Interval{interval.GreaterThan(0.25), interval.GreaterThan(0.9), interval.LessThan(0.75), interval.Between(-0.5, 0.9)} {
+				want := forced
+				if forced == MethodIndex && m == measure.Jaccard {
+					want = MethodAffine
+				}
+				if p := cm.Plan(Interval(m, iv), bigTable(), nil); p.Method != want {
+					t.Fatalf("%v cheapest, %v %v: chose %v", forced, m, iv, p)
+				}
+			}
+		}
 	}
 }
 
@@ -235,18 +257,6 @@ func TestDerivedIntervalPricedLikeTMeasure(t *testing.T) {
 	st.Indexed = []measure.Measure{measure.Covariance, measure.DotProduct}
 	if p := cm.Plan(Interval(measure.Correlation, interval.GreaterThan(0)), st, nil); !math.IsInf(p.CostIndex, 1) {
 		t.Fatalf("an index without correlation priced it: %v", p)
-	}
-}
-
-// TestZeroModelUsesDefaults pins that a zero CostModel behaves like the
-// calibrated default, so an unset Config never panics or picks degenerately.
-func TestZeroModelUsesDefaults(t *testing.T) {
-	sel := &scape.Selectivity{Rows: 10}
-	var zero CostModel
-	a := zero.Plan(Interval(measure.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
-	b := DefaultCostModel().Plan(Interval(measure.Covariance, interval.GreaterThan(0.9)), bigTable(), sel)
-	if a.Method != b.Method || a.EstimatedCost != b.EstimatedCost {
-		t.Fatalf("zero model diverges from default: %v vs %v", a, b)
 	}
 }
 

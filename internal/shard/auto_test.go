@@ -93,7 +93,7 @@ func TestAutoMethodMatchesExplain(t *testing.T) {
 				spec := plan.Interval(m, iv)
 				for name, b := range backends {
 					label := fmt.Sprintf("P=%d %s %v", p, name, spec)
-					auto := b.CostModel().Plan(spec, b.Table(), nil).Method
+					auto := plan.DefaultCostModel().Plan(spec, b.Table(), nil).Method
 					out, plans, err := core.Run(b, []plan.QuerySpec{spec}, core.MethodAuto, true)
 					if err != nil {
 						t.Fatal(err)

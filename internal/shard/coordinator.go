@@ -51,12 +51,10 @@ type coordState struct {
 	// shards' pivot-node lists of this epoch interleaved into the canonical
 	// global node order.
 	schedule []mergeRun
-	// table and cost are the planner inputs of a single unsharded engine at
-	// this epoch: MethodAuto is resolved against the global table, so the
-	// chosen method — and therefore the result bytes — are identical at
-	// every shard count.
+	// table is the planner input of a single unsharded engine at this epoch:
+	// MethodAuto is resolved against the global table, so the chosen method —
+	// and therefore the result bytes — are identical at every shard count.
 	table plan.TableStats
-	cost  plan.CostModel
 	// cache is the coordinator's global result cache (nil when disabled),
 	// shared across epochs like the single engine's; the shard engines run
 	// cache-disabled underneath it.
@@ -211,7 +209,6 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 			SketchCoefficients: views[0].Table().SketchCoefficients,
 			SketchAmbiguity:    views[0].Table().SketchAmbiguity,
 		},
-		cost:  c.cfg.Engine.CostModel,
 		cache: c.cache,
 	}, nil
 }

@@ -31,10 +31,9 @@ import (
 // with their own caches disabled — caching both layers would double the
 // memory for results the coordinator already holds merged.
 
-func (cs *coordState) Epoch() int                { return cs.epoch }
-func (cs *coordState) Table() plan.TableStats    { return cs.table }
-func (cs *coordState) CostModel() plan.CostModel { return cs.cost }
-func (cs *coordState) Cache() *qcache.Cache      { return cs.cache }
+func (cs *coordState) Epoch() int             { return cs.epoch }
+func (cs *coordState) Table() plan.TableStats { return cs.table }
+func (cs *coordState) Cache() *qcache.Cache   { return cs.cache }
 
 // Replica returns shard 0: the raw window and the per-series state are
 // replicated on every shard, so any one of them answers L-measure and naive

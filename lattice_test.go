@@ -8,15 +8,18 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"affinity/internal/baseline"
+	"affinity/internal/cluster"
 	"affinity/internal/core"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
+	"affinity/internal/scape"
 	"affinity/internal/shard"
 	"affinity/internal/sketch"
 	"affinity/internal/symex"
@@ -25,7 +28,8 @@ import (
 
 // The operation lattice (DESIGN.md, "Testing: the operation lattice") pins
 // the repo's signature invariant under generated input: a byte string decodes
-// into a small window (2 to 8 series of 2 to 24 samples) plus a sequence of
+// into a small window (2 to 8 series of 2 to 24 samples, or a wide one of 24
+// to 28 series, more pairs than one kernel block holds) plus a sequence of
 // Append / Advance / query / batch / snapshot / repeat operations, and every
 // operation is replayed on every cell of the lattice
 //
@@ -34,6 +38,8 @@ import (
 //	× epoch reached by {streaming, cold rebuild on the frozen clustering
 //	  (DriftBound 0 only), snapshot restore (engines only)},
 //
+// where the P 2 and P 8 cells refresh their statistics every 2 and 3 epochs
+// (Stream.StatsRefreshEvery), so that sequences cross refresh epochs,
 // plus one engine and one coordinator that ask every L-measure by Index at
 // every epoch they reach, so their location columns are filled, and their
 // windows' sorted columns slid, at every epoch, where the other cells fill a
@@ -50,9 +56,10 @@ import (
 // saved with.
 //
 // Every batch is followed by a mixed batch, which takes no byte of its own
-// either: the batch's items with a MEC item over each item's measure and
-// series interleaved, asked in one Batch call of every cell, and again
-// through a pinned View of every engine cell.
+// either: the batch's valid items with a MEC item over each item's measure and
+// series interleaved, by Auto where the batch asks the index (which answers no
+// MEC item), asked in one Batch call of every cell, and again through a pinned
+// View of every engine cell, plain and explained.
 //
 // Every answer must be Float64bits-equal across the lattice, typed errors
 // included; on the reference cell (engine, P 1, no cache, no sketch,
@@ -60,7 +67,10 @@ import (
 // must return the same rows on T- and D-measures, the affine dot product must
 // keep Lemma 1 and every fit must be plain SYMEX's least-squares fit; on
 // every cell a batch must equal its items asked singly, Auto must equal the
-// method Explain reports and Explain's ActualRows the result size.
+// method Explain reports and Explain's ActualRows the result size, and an
+// explained batch's plans the single Explains'; Explain's plan, but for what
+// the cache, the sketch and the epoch's history of fills change, must be the
+// same on every engine cell.
 //
 //	go test -run TestOperationLattice -lattice.sequences 10000 .
 //
@@ -177,9 +187,13 @@ func decodeSequence(data []byte) sequence {
 		seed:     int64(src.next()),
 		drift:    []float64{0, 0.05, 0.5}[src.intn(3)],
 	}
-	// This byte chose an LSFD pruning bound when the engine had one; it is
-	// still read so that the saved corpus decodes to the same operations.
-	src.next()
+	// This byte chose an LSFD pruning bound when the engine had one.  One
+	// value in six now makes the window wide: 24 to 28 series, 276 to 378
+	// pairs, more than the kernel.BlockPairs one sweep chunk holds.  The saved
+	// corpus holds 0, 82 and 100 here and keeps its shape.
+	if b := src.next(); b%6 == 5 {
+		s.n = 24 + int(b/6)%5
+	}
 	s.flavor = tickFlavor(src.intn(int(tickInvalid)))
 	s.u, s.v = src.intn(s.n), src.intn(s.n)
 	measures := measure.All()
@@ -230,15 +244,34 @@ func decodeSequence(data []byte) sequence {
 }
 
 // mixedBatch is the MixedBatch operation that follows a batch: its items,
-// each followed by a MEC item over the item's measure and series.
+// each followed by a MEC item over the item's measure and series, by Auto
+// where the batch asks the index, which answers no MEC item.  Its invalid
+// items are dropped when it is asked (validItems).
 func mixedBatch(b op) op {
 	o := op{kind: opMixedBatch, batchMethod: b.batchMethod}
+	if o.batchMethod == core.MethodIndex {
+		o.batchMethod = core.MethodAuto
+	}
 	for _, q := range b.queries {
+		q.method = o.batchMethod
 		mec := q
 		mec.door = doorCompute
 		o.queries = append(o.queries, q, mec)
 	}
 	return o
+}
+
+// validItems drops the resolved items a batch rejects as a whole — an
+// unregistered measure, k < 1, an empty interval — from a mixed batch: the
+// batch it follows already compares those errors.
+func validItems(o *op) *op {
+	valid := *o
+	valid.queries = slices.DeleteFunc(slices.Clone(o.queries), func(q query) bool {
+		spec := q.resolved
+		return !q.measure.Valid() || spec.Kind == plan.KindTopK && spec.K < 1 ||
+			spec.Kind == plan.KindInterval && spec.Interval.Empty()
+	})
+	return &valid
 }
 
 // backend is what core.Engine and shard.Coordinator share.
@@ -249,7 +282,19 @@ type backend interface {
 	Append([]float64) error
 	Advance() (core.AdvanceInfo, error)
 	Data() *timeseries.DataMatrix
-	Relationships() *symex.Result
+}
+
+// clustering returns a backend's frozen clustering.  An engine's is read
+// through a pin, so that its epoch stays recyclable: the escaping
+// Relationships would keep every epoch the lattice reads it at from ever
+// being recycled, and the pin rule from being exercised.
+func clustering(b backend) *cluster.Result {
+	if e, ok := b.(*core.Engine); ok {
+		v, release := e.Pin()
+		defer release()
+		return v.Relationships().Clustering
+	}
+	return b.(*shard.Coordinator).Relationships().Clustering
 }
 
 type cell struct {
@@ -299,18 +344,26 @@ type replayer struct {
 	pins           []heldPin
 	pinnedAdvances int
 	// refits lists whether each of the reference's Advances since its last
-	// build or restore refit every relationship; chains counts the
-	// full → partial → full runs among them.
+	// build or restore refit every relationship.
 	refits []bool
-	chains chainCount
+	stats  latticeStats
 }
 
-// chainCount counts the full → partial → full runs of Advances on a
-// sequence's reference engine: all of them, and those whose partial epoch was
-// pinned across the second full Advance — which recycles the full epoch the
-// partial one shares its relationships and sequence stores with, so only the
-// pin rule keeps the pinned epoch's answers.
-type chainCount struct{ all, pinned int }
+// latticeStats is what a sequence exercised: its full → partial → full runs
+// of Advances on the reference engine, all of them and those whose partial
+// epoch was pinned across the second full Advance — which recycles the full
+// epoch the partial one shares its relationships and sequence stores with, so
+// only the pin rule keeps the pinned epoch's answers; its mixed batches asked
+// and answered on the reference cell; whether its window is wide; the refresh
+// epochs its small-cadence cells crossed; and the methods Auto planned on the
+// reference cell.
+type latticeStats struct {
+	chains, pinnedChains      int
+	mixedAsked, mixedAnswered int
+	wide                      bool
+	refreshes                 int
+	autoPlans                 map[core.Method]int
+}
 
 // heldPin is an engine cell's pin on the epoch a run of Advances started
 // from, with what the epoch answered when it was pinned.
@@ -322,19 +375,38 @@ type heldPin struct {
 }
 
 // pinnedAnswers asks a pinned epoch a fixed set of queries — a D-measure
-// interval, a T-measure top-k and an L-measure interval — by every method.
+// interval, a T-measure top-k and an L-measure interval — by every method,
+// and reads what those answer from once an epoch has filled its columns: its
+// relationships, and the covariance of every pair as an index sharing every
+// sequence store of the epoch's derives it (its ξ are projected afresh from
+// the stores' payloads, so they show whatever the stores hold).
 func pinnedAnswers(v core.View) string {
 	specs := []plan.QuerySpec{
 		plan.Interval(measure.Correlation, interval.All()),
 		plan.TopK(measure.Covariance, 3, true),
 		plan.Interval(measure.Mean, interval.All()),
 	}
-	var b strings.Builder
+	var b []byte
 	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine, core.MethodIndex} {
 		out, _, err := core.Run(v, specs, method, false)
-		b.WriteString(render(out, err))
+		b = append(b, render(out, err)...)
 	}
-	return b.String()
+	rel := v.Relationships()
+	for r := range rel.All() {
+		a, t := r.Transform.A, r.Transform.B
+		b = appendResult(b, core.QueryResult{Pairs: []timeseries.Pair{r.Pair}, Values: []float64{a[0][0], a[0][1], a[1][0], a[1][1], t[0], t[1]}})
+	}
+	if v.Index() != nil {
+		shared, _, err := v.Index().Update(v.Data(), rel, map[timeseries.Pair]bool{}, scape.UpdateOptions{})
+		if err == nil {
+			var pairs []timeseries.Pair
+			var values []float64
+			pairs, values, _, err = shared.PairTopK(measure.Covariance, rel.Len(), true)
+			b = appendResult(b, core.QueryResult{Pairs: pairs, Values: values})
+		}
+		b = append(b, render(nil, err)...)
+	}
+	return string(b)
 }
 
 // pinEpochs pins every engine cell's epoch before a run of Advances.
@@ -400,8 +472,13 @@ func (r *replayer) tick(f tickFlavor, u, v int) []float64 {
 	return out
 }
 
+// refreshEvery is the statistics-refresh cadence of the cells of each
+// Parallelism; 0 is the default, which no sequence reaches.
+var refreshEvery = map[int]int{1: 0, 2: 2, 8: 3}
+
 func newReplayer(seq sequence) (*replayer, error) {
 	r := &replayer{seq: seq, rng: rand.New(rand.NewSource(seq.seed)), phase: make([]float64, 4)}
+	r.stats.wide, r.stats.autoPlans = seq.n >= 24, map[core.Method]int{}
 	for g := range r.phase {
 		r.phase[g] = r.rng.Float64() * 2 * math.Pi
 	}
@@ -425,7 +502,7 @@ func newReplayer(seq sequence) (*replayer, error) {
 						sharded: sharded,
 						cfg: core.Config{
 							Clusters: seq.clusters, Seed: seq.seed, Parallelism: p,
-							Stream: core.StreamConfig{DriftBound: seq.drift},
+							Stream: core.StreamConfig{DriftBound: seq.drift, StatsRefreshEvery: refreshEvery[p]},
 							Cache:  qcache.Options{Enabled: cached},
 							Sketch: sketch.Options{Enabled: sketched},
 						},
@@ -469,7 +546,7 @@ func (r *replayer) rebuildTwins() error {
 	for _, c := range r.cells {
 		if r.seq.drift == 0 {
 			cfg := c.cfg
-			cfg.Clustering = c.b.Relationships().Clustering
+			cfg.Clustering = clustering(c.b)
 			b, err := buildBackend(c.b.Data(), cfg, c.sharded)
 			if err != nil {
 				return fmt.Errorf("%s: cold rebuild: %w", c.name, err)
@@ -503,9 +580,10 @@ var typedErrors = []error{
 	measure.ErrLengthMismatch, measure.ErrZeroNormalizer, timeseries.ErrInvalidSeries, timeseries.ErrInvalidPair,
 }
 
-// render is an answer's lattice-comparable form: %v prints every float as the
-// shortest decimal that round-trips it, so equal renderings are equal bits,
-// and an error as the sentinels it wraps.
+// render is an answer's lattice-comparable form: a result's floats in
+// hexadecimal, anything else by %v, which prints every float as the shortest
+// decimal that round-trips it, so equal renderings are equal bits; an error
+// as the sentinels it wraps.
 func render(v any, err error) string {
 	if err != nil {
 		var names []string
@@ -516,7 +594,43 @@ func render(v any, err error) string {
 		}
 		return fmt.Sprintf("error %q", names)
 	}
+	switch res := v.(type) {
+	case core.QueryResult:
+		return string(appendResult(nil, res))
+	case []core.QueryResult:
+		var b []byte
+		for _, r := range res {
+			b = appendResult(b, r)
+		}
+		return string(b)
+	}
 	return fmt.Sprintf("%v", v)
+}
+
+// appendResult appends a result's rendering to b: its pairs, series, values
+// and matrix rows, each list closed by a semicolon.
+func appendResult(b []byte, res core.QueryResult) []byte {
+	b = append(b, '{')
+	for _, p := range res.Pairs {
+		b = strconv.AppendInt(b, int64(p.U), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(p.V), 10)
+		b = append(b, ' ')
+	}
+	b = append(b, ';')
+	for _, id := range res.Series {
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, ' ')
+	}
+	b = append(b, ';')
+	for _, row := range append([][]float64{res.Values}, res.Matrix...) {
+		for _, x := range row {
+			b = strconv.AppendFloat(b, x, 'x', -1, 64)
+			b = append(b, ' ')
+		}
+		b = append(b, ';')
+	}
+	return append(b, '}')
 }
 
 // sameAnswer requires every cell's answer to equal the first answer of its
@@ -545,8 +659,12 @@ func autoGroup(c *cell) string {
 	if !c.cfg.Sketch.Enabled {
 		return ""
 	}
-	return fmt.Sprint(c.sharded, c.reach)
+	return fmt.Sprint(c.sharded, c.reach, c.cfg.Stream.StatsRefreshEvery)
 }
+
+// planGroup groups the cells whose Explain plans must agree: the engines as
+// Auto's plans do; a coordinator has no Explain door.
+func planGroup(c *cell) string { return fmt.Sprint(c.sharded, autoGroup(c)) }
 
 // oracle evaluates a measure from the raw window, one pair (or series) at a
 // time through the scalar evaluators: NaN where the measure is undefined.
@@ -703,8 +821,11 @@ func batch(c *cell, specs []plan.QuerySpec, method core.Method) ([]core.QueryRes
 }
 
 // pinnedBatch asks an engine cell's batch again through a pinned View of its
-// epoch, as one core.Run and item by item, and requires the batch's answers.
-func pinnedBatch(c *cell, specs []plan.QuerySpec, method core.Method, want []core.QueryResult) error {
+// epoch, as one core.Run, explained, and item by item, and requires the
+// batch's answers, and of every explained plan the single Explain's, but for
+// the shared wall time and which of the two found a column filled.  It counts
+// the methods Auto plans in autoPlans unless it is nil.
+func pinnedBatch(c *cell, specs []plan.QuerySpec, method core.Method, want []core.QueryResult, autoPlans map[core.Method]int) error {
 	e, ok := c.b.(*core.Engine)
 	if !ok {
 		return nil
@@ -715,40 +836,72 @@ func pinnedBatch(c *cell, specs []plan.QuerySpec, method core.Method, want []cor
 	if got, w := render(out, err), render(want, nil); got != w {
 		return fmt.Errorf("%s: the batch through a pinned View differs:\n view  %.400s\n batch %.400s", c.name, got, w)
 	}
+	out, plans, err := core.Run(v, specs, method, true)
+	if got, w := render(out, err), render(want, nil); got != w {
+		return fmt.Errorf("%s: the explained batch through a pinned View differs:\n view  %.400s\n batch %.400s", c.name, got, w)
+	}
 	for j, spec := range specs {
 		one, _, err := core.Run(v, specs[j:j+1], method, false)
 		if got, w := render(one, err), render(want[j:j+1], nil); got != w {
 			return fmt.Errorf("%s: item %d (%v) alone through a pinned View differs:\n view  %.400s\n batch %.400s", c.name, j, spec, got, w)
 		}
+		_, single, err := e.Explain(spec, method)
+		if err != nil {
+			return fmt.Errorf("%s: Explain %v: %w", c.name, spec, err)
+		}
+		if got, w := comparablePlan(plans[j], false), comparablePlan(single, false); got != w {
+			return fmt.Errorf("%s: item %d (%v) of the explained batch plans differently from Explain:\n batch   %s\n Explain %s", c.name, j, spec, got, w)
+		}
+		if autoPlans != nil && method == core.MethodAuto {
+			autoPlans[single.Method]++
+		}
 	}
 	return nil
 }
 
+// comparablePlan renders every field of a plan but its wall time and where
+// its base values came from, which depends on which query of the epoch came
+// first; across cells also but what the result cache and the sketches did for
+// it.
+func comparablePlan(p plan.Plan, acrossCells bool) string {
+	p.Duration, p.BaseValues = 0, ""
+	if acrossCells {
+		p.CacheTier, p.CacheRepairedPairs, p.SketchedPairs, p.SketchRefinedPairs = "", 0, 0, 0
+	}
+	type fields plan.Plan // without Plan's String method, which prints a few
+	return fmt.Sprintf("%+v", fields(p))
+}
+
 // checkCell asserts the per-cell properties of one query: Explain's actual
 // row count is the result size and Auto answers like the method Explain
-// reports for it.
-func checkCell(c *cell, q query, answer string) error {
+// reports for it.  It returns the plan in the form planGroup compares, empty
+// where there is none, and counts the methods Auto plans in autoPlans unless
+// it is nil.
+func checkCell(c *cell, q query, answer string, autoPlans map[core.Method]int) (string, error) {
 	e, ok := c.b.(*core.Engine)
 	if !ok || !q.resolved.Measure.Valid() {
-		return nil
+		return "", nil
 	}
 	res, p, err := e.Explain(q.resolved, q.method)
 	if err != nil {
-		return nil // the lattice already compared the error
+		return "", nil // the lattice already compared the error
 	}
 	if p.ActualRows != res.Size() {
-		return fmt.Errorf("%s: Explain %v reports %d rows, returned %d", c.name, q.resolved, p.ActualRows, res.Size())
+		return "", fmt.Errorf("%s: Explain %v reports %d rows, returned %d", c.name, q.resolved, p.ActualRows, res.Size())
 	}
 	if q.method != core.MethodAuto {
-		return nil
+		return comparablePlan(p, true), nil
+	}
+	if autoPlans != nil {
+		autoPlans[p.Method]++
 	}
 	if !p.Method.Concrete() {
-		return fmt.Errorf("%s: Explain %v plans %v", c.name, q.resolved, p.Method)
+		return "", fmt.Errorf("%s: Explain %v plans %v", c.name, q.resolved, p.Method)
 	}
 	if got := render(ask(c, q, p.Method)); got != answer {
-		return fmt.Errorf("%s: Auto %v differs from the %v it plans:\n auto %.400s\n plan %.400s", c.name, q.resolved, p.Method, answer, got)
+		return "", fmt.Errorf("%s: Auto %v differs from the %v it plans:\n auto %.400s\n plan %.400s", c.name, q.resolved, p.Method, answer, got)
 	}
-	return nil
+	return comparablePlan(p, true), nil
 }
 
 // checkOracle asserts the reference-cell properties: Naive is the scalar
@@ -855,8 +1008,10 @@ func checkLemma1(ref *cell) error {
 // kernel — its common series and centre nearly collinear — breaks it long
 // before Lemma 1 notices, because ill-conditioning moves coefficients, not
 // fitted values.
-func checkFits(ref *cell) error {
-	d, rel := ref.b.Data(), ref.b.Relationships()
+func checkFits(ref *core.Engine) error {
+	v, release := ref.Pin()
+	defer release()
+	d, rel := v.Data(), v.Relationships()
 	plain, err := symex.Compute(d, symex.Options{Clustering: rel.Clustering})
 	if err != nil {
 		return fmt.Errorf("plain SYMEX: %w", err)
@@ -951,12 +1106,12 @@ func sameRows(ref *cell, q query, affine, index core.QueryResult) bool {
 }
 
 // replay runs one encoded sequence across the lattice and returns its first
-// divergence, and its full → partial → full runs of Advances.
-func replay(data []byte) (chainCount, error) {
+// divergence, and what it exercised.
+func replay(data []byte) (latticeStats, error) {
 	seq := decodeSequence(data)
 	r, err := newReplayer(seq)
 	if r == nil {
-		return chainCount{}, err
+		return latticeStats{}, err
 	}
 	for i := range seq.ops {
 		o := &seq.ops[i]
@@ -967,13 +1122,13 @@ func replay(data []byte) (chainCount, error) {
 			o = r.last
 		}
 		if err := r.apply(o); err != nil {
-			return r.chains, fmt.Errorf("op %d (%+v): %w", i, *o, err)
+			return r.stats, fmt.Errorf("op %d (%+v): %w", i, *o, err)
 		}
 		if o.kind == opQuery || o.kind == opBatch || o.kind == opMixedBatch {
 			r.last = o
 		}
 	}
-	return r.chains, r.releasePins()
+	return r.stats, r.releasePins()
 }
 
 func (r *replayer) apply(o *op) error {
@@ -1014,6 +1169,7 @@ func (r *replayer) apply(o *op) error {
 			return nil
 		}
 		r.pinnedAdvances++
+		refreshed := false
 		for i, c := range r.cells {
 			info, err := c.b.Advance()
 			if i == 0 && err == nil {
@@ -1022,9 +1178,15 @@ func (r *replayer) apply(o *op) error {
 			}
 			if err == nil {
 				c.fillLocations()
+				if every := c.cfg.Stream.StatsRefreshEvery; every > 0 && info.Epoch%every == 0 {
+					refreshed = true
+				}
 			}
 			answers[i] = render(fmt.Sprint(info.Slide, info.FullRefit, core.SortedStalePairs(info.Stale),
 				info.RefitRelationships, info.ReusedRelationships), err)
+		}
+		if refreshed {
+			r.stats.refreshes++
 		}
 		return sameAnswer("Advance", r.cells, answers, nil)
 	case opSnapshot:
@@ -1057,7 +1219,7 @@ func (r *replayer) apply(o *op) error {
 			if err := checkLemma1(ref); err != nil {
 				return err
 			}
-			if err := checkFits(ref); err != nil {
+			if err := checkFits(ref.b.(*core.Engine)); err != nil {
 				return err
 			}
 		}
@@ -1077,6 +1239,12 @@ func (r *replayer) apply(o *op) error {
 		q.resolve(oracles[q.measure])
 	}
 
+	if o.kind == opMixedBatch {
+		if o = validItems(o); len(o.queries) == 0 {
+			return nil
+		}
+		r.stats.mixedAsked++
+	}
 	if o.kind == opBatch || o.kind == opMixedBatch {
 		specs := make([]plan.QuerySpec, len(o.queries))
 		for j, q := range o.queries {
@@ -1085,6 +1253,9 @@ func (r *replayer) apply(o *op) error {
 		for i, c := range cells {
 			out, err := batch(c, specs, o.batchMethod)
 			answers[i] = render(out, err)
+			if i == 0 && err == nil && o.kind == opMixedBatch {
+				r.stats.mixedAnswered++
+			}
 			if err != nil {
 				continue
 			}
@@ -1095,7 +1266,11 @@ func (r *replayer) apply(o *op) error {
 				}
 			}
 			if o.kind == opMixedBatch {
-				if err := pinnedBatch(c, specs, o.batchMethod, out); err != nil {
+				var autoPlans map[core.Method]int
+				if i == 0 {
+					autoPlans = r.stats.autoPlans
+				}
+				if err := pinnedBatch(c, specs, o.batchMethod, out, autoPlans); err != nil {
 					return err
 				}
 			}
@@ -1110,6 +1285,7 @@ func (r *replayer) apply(o *op) error {
 	q := o.queries[0]
 	var refRes any
 	var refErr error
+	plans := make([]string, len(cells))
 	for i, c := range cells {
 		res, err := ask(c, q, q.method)
 		if i == 0 {
@@ -1120,15 +1296,23 @@ func (r *replayer) apply(o *op) error {
 			continue
 		}
 		answers[i] = render(res, err)
-		if err := checkCell(c, q, answers[i]); err != nil {
+		var autoPlans map[core.Method]int
+		if i == 0 {
+			autoPlans = r.stats.autoPlans
+		}
+		if plans[i], err = checkCell(c, q, answers[i], autoPlans); err != nil {
 			return err
 		}
 	}
+	label := fmt.Sprintf("%v door %d method %v", q.resolved, q.door, q.method)
 	var group func(*cell) string
 	if q.method == core.MethodAuto {
 		group = autoGroup
 	}
-	if err := sameAnswer(fmt.Sprintf("%v door %d method %v", q.resolved, q.door, q.method), cells, answers, group); err != nil {
+	if err := sameAnswer(label, cells, answers, group); err != nil {
+		return err
+	}
+	if err := sameAnswer(label+" plan", cells, plans, planGroup); err != nil {
 		return err
 	}
 	return checkOracle(ref, q, oracles[q.measure], refRes, refErr)
@@ -1142,19 +1326,65 @@ func (r *replayer) countChain(full bool) {
 	r.refits = append(r.refits, full)
 	n := len(r.refits)
 	if n >= 3 && r.refits[n-3] && !r.refits[n-2] && full {
-		r.chains.all++
+		r.stats.chains++
 		if r.pinnedAdvances == 1 {
-			r.chains.pinned++
+			r.stats.pinnedChains++
 		}
 	}
 }
 
-// generate draws the bytes of the i-th generated sequence.
+// generate draws the bytes of the i-th generated sequence.  One in eight is
+// wide (decodeSequence), and no other.  Under a positive drift bound, where a
+// slide shorter than the window refits only the drifted relationships, two
+// prefixes are drawn more often than random bytes would:
+//
+//   - one in four starts with full, partial and full Advances, each followed
+//     by a query: the second full Advance is the first of its run, so it
+//     recycles the first one's epoch while the partial epoch, which shares
+//     its relationships and sequence stores, is pinned;
+//   - one in eight starts from a window with a constant series, keeps it
+//     constant through a partial Advance — no fit leaves the naive
+//     covariance column there, so naive sweeps classify by bounds — and asks
+//     the naive correlation of every pair, undefined on the constant
+//     series' pairs.
 func generate(seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 24+rng.Intn(160))
 	rng.Read(data)
-	return data
+	if data[5]%6 == 5 {
+		data[5]--
+	}
+	if seed%8 == 0 {
+		data[5] = byte(5 + 6*rng.Intn(5))
+	}
+	prefix := rng.Intn(8)
+	if prefix > 2 {
+		return data
+	}
+	data[4] = byte(1 + rng.Intn(2)) // DriftBound 0.05 or 0.5
+	m := 2 + int(data[1])%23
+	header, ops := data[:9], data[9:]
+	query := func() []byte { // an opQuery's byte, then its door's and query's
+		q := make([]byte, 17)
+		rng.Read(q)
+		q[0] = 0
+		return q
+	}
+	advance := func(full bool) []byte { // the slide is the second byte plus one
+		if full {
+			return []byte{4, byte(m - 1 + rng.Intn(3))}
+		}
+		return []byte{4, byte(rng.Intn(m - 1))}
+	}
+	if prefix < 2 {
+		return slices.Concat(header, advance(true), query(), advance(false), query(), advance(true), query(), ops)
+	}
+	header[6] = byte(tickConstant) // the window's series header[8] is constant
+	appendConstant := []byte{3, byte(tickConstant), header[7], header[8], 0}
+	correlation := query()
+	correlation[1] = byte(doorInterval)
+	copy(correlation[2:], []byte{0, byte(core.MethodNaive), byte(slices.Index(measure.All(), measure.Correlation)), 0, 0, 0, 0, 0, 0})
+	return slices.Concat(header, appendConstant, []byte{4, 0}, correlation, ops)
 }
 
 // shrink minimises a failing byte string QuickCheck-style: it keeps any
@@ -1192,31 +1422,41 @@ func shrink(data []byte) []byte {
 	return data
 }
 
-// TestOperationLattice replays -lattice.sequences generated sequences.
-// It logs how many sequences ran full → partial → full Advances on the
-// reference engine, and in how many the partial epoch was pinned across the
-// second full Advance (chainCount).
+// TestOperationLattice replays -lattice.sequences generated sequences and
+// logs what they exercised (latticeStats).
 func TestOperationLattice(t *testing.T) {
-	var chained, pinned int
+	var chained, pinned, asked, answered, wide, refreshed int
+	auto := map[core.Method]int{}
 	for i := 0; i < *latticeSequences; i++ {
 		seed := *latticeSeed + int64(i)
 		data := generate(seed)
-		chains, err := replay(data)
+		st, err := replay(data)
 		if err != nil {
 			small := shrink(data)
 			_, smallErr := replay(small)
 			t.Fatalf("sequence seed %d: %v\nshrunk to %d bytes: %v\nsave as testdata/fuzz/FuzzOperationSequence/seed-%d:\ngo test fuzz v1\n[]byte(%q)",
 				seed, err, len(small), smallErr, seed, small)
 		}
-		if chains.all > 0 {
-			chained++
+		count := func(yes bool) int {
+			if yes {
+				return 1
+			}
+			return 0
 		}
-		if chains.pinned > 0 {
-			pinned++
+		chained += count(st.chains > 0)
+		pinned += count(st.pinnedChains > 0)
+		wide += count(st.wide)
+		refreshed += count(st.refreshes > 0)
+		asked += st.mixedAsked
+		answered += st.mixedAnswered
+		for m, n := range st.autoPlans {
+			auto[m] += n
 		}
 	}
-	t.Logf("%d of %d sequences ran full → partial → full Advances, %d with the partial epoch pinned across the second full Advance",
-		chained, *latticeSequences, pinned)
+	n := *latticeSequences
+	t.Logf("%d of %d sequences ran full → partial → full Advances, %d with the partial epoch pinned across the second full Advance", chained, n, pinned)
+	t.Logf("%d of %d mixed batches answered; %d wide sequences; %d crossed a refresh epoch; Auto planned Naive %d, Affine %d, Index %d times",
+		answered, asked, wide, refreshed, auto[core.MethodNaive], auto[core.MethodAffine], auto[core.MethodIndex])
 }
 
 // FuzzOperationSequence is the lattice behind Go's fuzzer, which shrinks a
