@@ -71,7 +71,9 @@ import (
 //	                 slot (no hashing)
 //	O(|stale|·m)     re-fit the stale relationships: one centred dot
 //	+ O(P)           cov(s_common, s_other) per stale pair (kernel.CovBlock,
-//	                 four pairs of a pivot per tile), then the moment form's
+//	                 four pairs of a pivot per tile; a full refit reduces
+//	                 every pair in one pass over the pair triangle,
+//	                 kernel.CovTriangle), then the moment form's
 //	                 2×2 solve — a determinant per stale pivot, O(1) per
 //	                 pair; only a pivot the exactness guard turns away pays
 //	                 the kernel's pseudo-inverse and three dots per pair
@@ -81,8 +83,9 @@ import (
 //	O(P·k + inv)     re-derive the ξ-containers: project each pivot's entries
 //	                 in the previous epoch's container order and repair the
 //	                 inversions the new window caused (a fraction of a percent
-//	                 of the entries at slide 1); only a pivot whose store
-//	                 was re-derived sorts cold, O(k·log k)
+//	                 of the entries at slide 1), a full refit's cold-built
+//	                 stores too; only a pivot the previous index had no node
+//	                 for sorts cold, O(k·log k)
 //	O(n)             per-series statistics
 //
 // and, outside Advance, on the first index query or count of the epoch that

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"affinity/internal/interval"
@@ -228,17 +227,16 @@ func FuzzTileKernelParity(f *testing.F) {
 
 // FuzzCovBlockOrientation pins the invariant the naive covariance column rests
 // on: CovBlock gives a pair the same bits in either orientation and in any
-// tile.  The SYMEX+ fit reduces cov(s_common, s_other) a pivot at a time, in
-// runs that share the common column (shared-U tiles), and a naive sweep
-// evaluates the canonical pair wherever its chunk puts it — so a pair list,
-// the same list with every pair flipped (its runs become mixed tiles sharing
-// the upper column) and each pair on its own (the scalar tail) must agree bit
-// for bit, NaN for NaN on hostileMatrix's non-finite samples.  A cold SYMEX+
-// fit reduces the same covariances as DotBlock over the centred mirror divided
-// by m − 1, so from m = 2 on that must give every pair CovBlock's bits too,
-// over a mirror of every series and over one of only the pairs' series (the
-// other columns left as garbage).  The seeds cover m ∈ {1, 2, 3}, and from
-// n = 9 on the windows hold a constant column and columns near 1e±150.
+// tile.  A partial SYMEX+ refit reduces cov(s_common, s_other) a pivot at a
+// time, in runs that share the common column (shared-U tiles), and a naive
+// sweep evaluates the canonical pair wherever its chunk puts it — so a pair
+// list, the same list with every pair flipped (its runs become mixed tiles
+// sharing the upper column) and each pair on its own (the scalar tail) must
+// agree bit for bit, NaN for NaN on hostileMatrix's non-finite samples.  A
+// full SYMEX+ fit reduces the same covariances in CovTriangle's pass, which
+// must give every off-diagonal pair of the list CovBlock's bits too from
+// m = 2 on.  The seeds cover m ∈ {1, 2, 3}, and from n = 9 on the windows
+// hold a constant column and columns near 1e±150.
 func FuzzCovBlockOrientation(f *testing.F) {
 	for i, m := range []uint8{0, 1, 2, 6, 136, 255} {
 		f.Add(int64(i)+1, uint8(3+4*i), m, uint8(4+9*i))
@@ -266,30 +264,21 @@ func FuzzCovBlockOrientation(f *testing.F) {
 					math.Float64bits(got[i]), math.Float64bits(back[i]), math.Float64bits(alone[0]))
 			}
 		}
-		ns, ms := d.NumSeries(), d.NumSamples()
-		if ms < 2 {
+		// The full fit's triangle pass must give every canonical pair the
+		// same bits over any window a fit accepts.
+		if d.NumSamples() < 2 {
 			return
 		}
-		all, some := make([]timeseries.SeriesID, ns), make([]timeseries.SeriesID, 0, ns)
-		for v := range all {
-			all[v] = timeseries.SeriesID(v)
-			if slices.ContainsFunc(pairs, func(p timeseries.Pair) bool { return p.Contains(all[v]) }) {
-				some = append(some, all[v])
+		ns := d.NumSeries()
+		tri := make([]float64, ns*(ns-1)/2)
+		k.CovTriangle(mo, identityAt(len(tri)), tri, 1)
+		for i, p := range pairs {
+			if p.U == p.V {
+				continue
 			}
-		}
-		garbage := make([]float64, ns*ms)
-		for j := range garbage {
-			garbage[j] = 7
-		}
-		for _, cols := range [][]timeseries.SeriesID{all, some} {
-			centred := k.Centre(mo, slices.Clone(garbage), cols)
-			dots := make([]float64, length)
-			centred.DotBlock(nil, pairs, dots)
-			for i, p := range pairs {
-				if cov := dots[i] / float64(ms-1); !sameBits(got[i], cov) {
-					t.Fatalf("pair %d of %d, %v over m=%d, %d of %d series centred: CovBlock %x, centred DotBlock / (m−1) %x",
-						i, len(pairs), p, ms, len(cols), ns, math.Float64bits(got[i]), math.Float64bits(cov))
-				}
+			if cov := tri[triIndex(ns, p)]; !sameBits(got[i], cov) {
+				t.Fatalf("pair %d of %d, %v over m=%d: CovBlock %x, CovTriangle %x",
+					i, len(pairs), p, d.NumSamples(), math.Float64bits(got[i]), math.Float64bits(cov))
 			}
 		}
 	})

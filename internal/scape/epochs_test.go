@@ -145,11 +145,16 @@ func relsOf(rel *symex.Result) []*symex.Relationship {
 // TestUpdateEqualsBuildOverEpochs chains fifty epochs of Update at slides of
 // one, eight and a whole window and holds every epoch's index against a Build
 // of the same inputs.  Most epochs have a few stale pairs; every tenth marks
-// half, three quarters or all of them.  Next to the chain runs one
+// half, three quarters or all of them, and every tenth from the fifth on has a
+// nil stale set — a full refit, which builds the index cold with every
+// container repaired from the previous epoch's order.  Before the
+// twenty-fifth the previous index's containers are reversed, so that the
+// longer ones exhaust repairXi's budget and hand over to sortXi.  Next to the
+// chain runs one
 // of location-only indexes, each built on the previous one and held against a
 // cold one, its clustering swapped for a different one once on the way.
 func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
-	const n, m, epochs, groups = 18, 48, 50, 3
+	const n, m, epochs, groups = 36, 48, 50, 3
 	for _, slide := range []int{1, 8, m} {
 		for _, p := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("slide=%d/P=%d", slide, p), func(t *testing.T) {
@@ -201,6 +206,25 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 					for range 3 {
 						stale[assignments[rng.Intn(len(assignments))].Pair] = true
 					}
+					fullRefit := e%10 == 5
+					if fullRefit {
+						stale = nil
+					}
+					if e == 25 {
+						longest := 0
+						for i := range idx.pivots {
+							for s := range idx.pivots[i].measures {
+								ranks := idx.pivots[i].measures[s].xi.ranks
+								slices.Reverse(ranks)
+								longest = max(longest, len(ranks))
+							}
+						}
+						// A reversed container of k entries holds k(k−1)/2
+						// inversions, past the budget of 4k from k = 10 on.
+						if longest < 10 {
+							t.Fatalf("epoch %d: the longest container holds %d entries, too few to exhaust repairXi's budget reversed", e, longest)
+						}
+					}
 					if e%10 == 0 {
 						frac := []float64{0.5, 0.75, 1}[(e/10-1)%3]
 						for _, slot := range rng.Perm(len(assignments))[:int(frac*float64(len(assignments)))] {
@@ -212,13 +236,16 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 						t.Fatal(err)
 					}
 					// Every stale pair leaves its pivot's re-derived store and
-					// enters it again.
+					// enters it again; a full refit shares and re-derives none.
 					upd, us, err := idx.Update(d, next, stale, UpdateOptions{Parallelism: p})
 					if err != nil {
 						t.Fatalf("epoch %d: %v", e, err)
 					}
-					if us.EntriesDeleted != len(stale) || us.EntriesInserted != len(stale) || us.StoresRebuilt != 0 ||
-						us.StaleFraction != float64(len(stale))/float64(next.Len()) {
+					if fullRefit && (us.StaleFraction != 1 || us.StoresShared+us.StoresCloned+us.StoresRebuilt+us.EntriesDeleted+us.EntriesInserted != 0) {
+						t.Fatalf("epoch %d: full-refit update stats %+v, want stale fraction 1 and no store counts", e, us)
+					}
+					if !fullRefit && (us.EntriesDeleted != len(stale) || us.EntriesInserted != len(stale) || us.StoresRebuilt != 0 ||
+						us.StaleFraction != float64(len(stale))/float64(next.Len())) {
 						t.Fatalf("epoch %d: update stats %+v, want %d deleted and inserted of %d, no store rebuilt",
 							e, us, len(stale), next.Len())
 					}

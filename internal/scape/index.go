@@ -55,14 +55,15 @@
 // (xiArray) over that store: the ξ keys and, beside them, the permutation of
 // canonical ranks that sorts them.  ξ depends on the window, so every epoch
 // derives the keys afresh — but the order barely moves between neighbouring
-// windows, so a node that shares its store projects in the previous epoch's
-// order and only repairs the few inversions (the (ξ, rank) order is total, so
-// the repaired array is the array a cold sort produces).  All of an epoch's
-// keys, permutations and per-(pivot, measure) headers are carved out of one
-// slab each per index, a recycled index's where one is given.  A location
-// column is the same kind of array, ordered by (value, series id), and one
-// routine (keyWindow) maps an interval to the index window of matching
-// entries for both.
+// windows, so an Update projects every node the previous epoch had a node for
+// in that node's order and only repairs the few inversions, whether the store
+// was shared, re-derived or, on a full refit, built cold (the (ξ, rank) order
+// is total, so the repaired array is the array a cold sort produces).  All of
+// an epoch's keys, permutations and per-(pivot, measure) headers are carved
+// out of one slab each per index, a recycled index's where one is given.  A
+// location column is the same kind of array, ordered by (value, series id),
+// and one routine (keyWindow) maps an interval to the index window of
+// matching entries for both.
 //
 // Neither the value column of a D-measure nor the location column of an
 // L-measure is part of the epoch's construction.  A value column — one value
@@ -334,13 +335,14 @@ func (idx *Index) findPivot(p symex.Pivot, hint int) (int, bool) {
 // Build constructs a SCAPE index from the affine relationships produced by
 // SYMEX/SYMEX+ over the given data matrix.
 func Build(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
-	return build(d, rel, opts, opts.Parallelism, nil)
+	return build(d, rel, opts, opts.Parallelism, nil, nil)
 }
 
-// build is Build with the given worker count and, when non-nil, a retired
-// index to build into (Update building cold brings both, its donor noDonor
-// when it has none to recycle).
-func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelism int, donor *Index) (*Index, error) {
+// build is Build with the given worker count and, when non-nil, the previous
+// epoch's index, whose container orders the new ones are repaired from, and a
+// retired index to build into (Update building cold brings all three, its
+// donor noDonor when it has none to recycle).
+func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelism int, prev, donor *Index) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -380,7 +382,7 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 	idx.tMeasures = sortedMeasures(idx.pairMeasures)
 	idx.dMeasures = sortedMeasures(idx.derivedSet)
 
-	if _, err := idx.buildNodes(d, rel, nil, nil, parallelism, donor); err != nil {
+	if _, err := idx.buildNodes(d, rel, prev, nil, parallelism, donor); err != nil {
 		return nil, err
 	}
 	idx.finishStats(rel)
@@ -457,13 +459,13 @@ type storeDelta struct {
 	shared, rederived, rebuilt bool
 }
 
-// nodeStore returns the sequence store of the node for layout pivot pi.  When
-// prev has a node for the pivot and stale (the stale pairs of each layout
-// pivot) counts none of its pairs, that is the previous node's slice, returned
-// with the node's measure state, whose container orders the new epoch
-// repairs, and prev is pinned; in every other case the store is derived from
-// rel, into dst when it is not nil (buildStore).  hint is the node's position
-// in the new index.
+// nodeStore returns the sequence store of the node for layout pivot pi and,
+// when prev has a node for the pivot, that node's measure state, whose
+// container orders the new epoch repairs.  When stale (the stale pairs of
+// each layout pivot; nil shares nothing) counts none of the pivot's pairs,
+// the store is the previous node's slice and prev is pinned; in every other
+// case it is derived from rel, into dst when it is not nil (buildStore).
+// hint is the node's position in the new index.
 func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32, dst []sequenceNode) (
 	canon []sequenceNode, prevMeasures []pivotMeasure, delta storeDelta, err error) {
 
@@ -473,7 +475,7 @@ func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32, 
 			prevNode = &prev.pivots[at]
 		}
 	}
-	if prevNode != nil && stale[pi] == 0 {
+	if prevNode != nil && stale != nil && stale[pi] == 0 {
 		// Nothing but this check notices a previous index over another
 		// relationship layout.
 		if len(prevNode.canon) != rel.PivotLen(pi) {
@@ -485,14 +487,18 @@ func nodeStore(rel *symex.Result, pi int, prev *Index, hint int, stale []int32, 
 		return prevNode.canon, prevNode.measures, delta, nil
 	}
 	canon = buildStore(rel, pi, dst)
-	if prevNode == nil {
+	switch {
+	case prevNode == nil:
 		delta.rebuilt = true
 		return canon, nil, delta, nil
+	case stale == nil:
+		delta.rebuilt = true
+	default:
+		delta.rederived = true
+		delta.inserted = int(stale[pi])
+		delta.deleted = len(prevNode.canon) - (len(canon) - delta.inserted)
 	}
-	delta.rederived = true
-	delta.inserted = int(stale[pi])
-	delta.deleted = len(prevNode.canon) - (len(canon) - delta.inserted)
-	return canon, nil, delta, nil
+	return canon, prevNode.measures, delta, nil
 }
 
 // pivotScratch holds the reusable per-pivot build buffer.  It grows to the
@@ -522,13 +528,15 @@ var nodeScratchPool par.Scratch[nodeScratch]
 
 // buildNodes builds idx.pivots — node i for layout pivot i, every one of
 // which has a relationship — and is the single code path behind Build and
-// Update.  With a previous index a pivot's sequence store is shared with that index's node
-// when stale marks no pair of the pivot (stale is indexed like the layout's
-// pivot list); in every other case — Build, a pivot with a stale pair, a pivot
-// the previous index had no node for — it is derived from the relationship
-// set.  Everything window-dependent is then derived by finishPivotNode, from
-// the same payloads in the same canonical order through the same
-// floating-point operations on every route, which is what makes incrementally
+// Update.  With a previous index and a stale set (indexed like the layout's
+// pivot list) a pivot's sequence store is shared with that index's node when
+// stale marks no pair of the pivot; in every other case — Build, a nil stale
+// set, a pivot with a stale pair, a pivot the previous index had no node for
+// — it is derived from the relationship set.  Everything window-dependent is
+// then derived by finishPivotNode, from the same payloads in the same
+// canonical order through the same floating-point operations on every route,
+// with the previous index's node for the pivot, where there is one, as the
+// order its containers are repaired from; that is what makes incrementally
 // maintained indexes byte-identical to freshly built ones.
 //
 // The nodes are independent, so contiguous blocks of them are built in
@@ -552,7 +560,7 @@ var nodeScratchPool par.Scratch[nodeScratch]
 func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *Index,
 	stale []int32, parallelism int, donor *Index) (UpdateStats, error) {
 
-	slabbed := prev == nil && donor != nil
+	slabbed := stale == nil && donor != nil
 	if donor == nil {
 		donor = &noDonor
 	}
@@ -654,11 +662,14 @@ func (idx *Index) buildNodes(d *timeseries.DataMatrix, rel *symex.Result, prev *
 // by (ξ, canonical pair rank), keys and ranks laid out side by side in the
 // node's windows of the index slabs.
 //
-// prevMeasures, when non-nil, is the previous epoch's state of a node over
-// the same sequence store: the entries are then projected in last epoch's
-// container order, which the new ξ leave nearly sorted, and repaired instead
-// of sorted cold.  The order is total, so both routes produce one array.  It
-// reports whether the scratch buffer came from the pool.
+// prevMeasures, when non-nil, is the previous epoch's state of the node for
+// the same pivot: a container of it that holds as many entries as the new one
+// holds a permutation of the same canonical ranks, so the entries are then
+// projected in last epoch's container order, which the new ξ leave nearly
+// sorted, and repaired instead of sorted cold (repairXi sorts cold by itself
+// once the order turns out to tell little).  The order is total, so both
+// routes produce one array.  It reports whether the scratch buffer came from
+// the pool.
 func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.PivotTerms,
 	prevMeasures []pivotMeasure, keys []float64, ranks []int32) (scratchHit bool) {
 
@@ -670,7 +681,7 @@ func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.Pivot
 		pm.alpha = sp.Moment(terms).Alpha()
 		pm.alphaNorm = vec3Norm(pm.alpha)
 		entries := sc.entries[:0]
-		if prevMeasures != nil {
+		if s < len(prevMeasures) && len(prevMeasures[s].xi.ranks) == k {
 			for _, rank := range prevMeasures[s].xi.ranks {
 				entries = append(entries, xiEntry{xi: scalarProjection(pm, node.canon[rank].beta), rank: rank})
 			}

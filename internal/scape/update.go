@@ -10,10 +10,10 @@ import (
 // An epoch's index is derived from the epoch's relationship set, so an
 // incremental update is a cold Build minus what it may share with the previous
 // epoch's index: the sequence store of every pivot no stale pair is assigned
-// to, and with it the container orders the new ξ are repaired from.  (What is
-// frozen with the clustering lives on the clustering, not on an index.)  There
-// is one maintenance path; how much it shares is decided per pivot, not per
-// epoch.
+// to.  Every update, a cold one included, repairs the new ξ-containers from
+// the previous epoch's orders instead of sorting them cold.  (What is frozen
+// with the clustering lives on the clustering, not on an index.)  There is one
+// maintenance path; how much it shares is decided per pivot, not per epoch.
 
 // UpdateOptions configures an incremental index update.
 type UpdateOptions struct {
@@ -73,7 +73,8 @@ type UpdateStats struct {
 // A nil stale set means every relationship was refit (mirroring
 // symex.Refit): no store can be shared, and the index is built cold, every
 // sequence store carved out of one store slab — the recycled index's when it
-// is not pinned, a new one otherwise.  An update that shares stores
+// is not pinned, a new one otherwise — and every container repaired from the
+// previous index's order for its pivot.  An update that shares stores
 // allocates each store it re-derives, since the next epoch may share it in
 // turn.
 func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
@@ -103,7 +104,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		if donor == nil {
 			donor = &noDonor // nothing to recycle, but the stores still go into a slab
 		}
-		idx, err := build(d, rel, prev.opts, opts.Parallelism, donor)
+		idx, err := build(d, rel, prev.opts, opts.Parallelism, prev, donor)
 		if err != nil {
 			return nil, us, err
 		}

@@ -246,31 +246,29 @@ func shardDeterminismCases() []shardQueryCase {
 				if err != nil {
 					return nil, err
 				}
-				// Duration, the cache actuals and who filled the epoch's base
-				// column are run-dependent (the cached harness legitimately
-				// reports a tier, and sweeps nothing, on repeat passes); plan
-				// parity modulo those fields is what this case pins.
-				p.Duration = 0
-				p.CacheTier = ""
-				p.CacheRepairedPairs = 0
-				p.BaseValues = ""
-				return p, nil
+				return comparablePlan(p), nil
 			},
 			coord: func(c *Coordinator) (any, error) {
 				_, plans, err := core.Run(c.state(), []plan.QuerySpec{plan.Interval(m, interval.GreaterThan(0.25))}, core.MethodAuto, true)
 				if err != nil {
 					return nil, err
 				}
-				p := plans[0]
-				p.Duration = 0
-				p.CacheTier = ""
-				p.CacheRepairedPairs = 0
-				p.BaseValues = ""
-				return p, nil
+				return comparablePlan(plans[0]), nil
 			},
 		})
 	}
 	return cases
+}
+
+// comparablePlan renders every field of a plan — not only those Plan's String
+// prints — but its wall time, its cache actuals and who filled the epoch's
+// base column, which are run-dependent (the cached harness legitimately
+// reports a tier, and sweeps nothing, on repeat passes): plan parity modulo
+// those fields is what the plan cases pin.
+func comparablePlan(p plan.Plan) string {
+	p.Duration, p.CacheTier, p.CacheRepairedPairs, p.BaseValues = 0, "", 0, ""
+	type fields plan.Plan // without Plan's String method
+	return fmt.Sprintf("%+v", fields(p))
 }
 
 // scatterBatch is the interval batch of the batch-vs-singles cases: selective,

@@ -25,12 +25,12 @@ import (
 // the pivot terms' covariance block (PivotTerms), cov(r, y) is v's covariance
 // with its own centre (CenterCovariances; ω(v) = l for every member of pivot
 // (u, l)), the means are the window's and the clustering's memos — except
-// cov(s, y), one centred m-sample dot per relationship.  A worker block
-// reduces those of all its pivot groups in one call with the pairs oriented
-// (common, other), so a series' pivots share the common column a tile at a
-// time: in Compute as kernel.DotBlock over the window centred once per series
-// (kernel.Matrix.Centre) divided by m − 1, in Refit as kernel.CovBlock — the
-// same bits.  That replaces the kernel's Jacobi SVD per pivot and its three
+// cov(s, y), one centred m-sample dot per relationship.  A full fit (Compute,
+// a Refit of every slot) reduces all of them in one pass over the pair
+// triangle (kernel.CovTriangle); a partial Refit has a worker block reduce
+// those of its pivot groups in one kernel.CovBlock call with the pairs
+// oriented (common, other), so a series' pivots share the common column a
+// tile at a time — the same bits.  That replaces the kernel's Jacobi SVD per pivot and its three
 // latency-bound dots per relationship.
 //
 // Forming G squares the design's condition number (Golub & Van Loan, Matrix

@@ -64,11 +64,12 @@ type RefitStats struct {
 // taken from prev unchanged, so the work beyond the fits is one slice clone
 // and a visit to the stale slots; the window's pivot terms and centre
 // covariances are the layout's memo, which the engine has filled for d before
-// it calls Refit, and one centred dot per stale pair is what is left:
-// kernel.CovBlock, one call per worker block.  Unlike Compute, Refit takes no
-// centred mirror: it runs on every Advance, where an n·m mirror would either
-// stay live or be allocated again whenever its pool misses.  Every centre is
-// checked against d's length before anything is reduced.
+// it calls Refit, and one centred dot per stale pair is what is left: a full
+// refit reduces them all in Compute's pass over the pair triangle
+// (kernel.CovTriangle), whose scratch is a few pooled panels of columns, never
+// an n·m copy of the window; a partial one in one kernel.CovBlock call per
+// worker block.  Every centre is checked against d's length before anything
+// is reduced.
 func Refit(d *timeseries.DataMatrix, prev *Result, opts RefitOptions) (*Result, RefitStats, error) {
 	var rs RefitStats
 	if err := d.Validate(); err != nil {

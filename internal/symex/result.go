@@ -382,6 +382,16 @@ func pivotTerms(d *timeseries.DataMatrix, l *Layout, clustering *cluster.Result,
 	return w.terms, w.termsErr
 }
 
+// termScratch is one block's scratch in reducePivotTerms, recycled through
+// termScratchPool: the centre columns and the means, dots and covariances of
+// one common series' run of pivots.
+type termScratch struct {
+	cols [][]float64
+	buf  []float64
+}
+
+var termScratchPool par.Scratch[termScratch]
+
 func reducePivotTerms(d *timeseries.DataMatrix, pivots []Pivot, clustering *cluster.Result, parallelism int) ([]measure.PivotTerms, error) {
 	// Check every pivot's columns in pivot order first, so the error reported
 	// does not depend on how the reduction below is blocked.
@@ -397,8 +407,11 @@ func reducePivotTerms(d *timeseries.DataMatrix, pivots []Pivot, clustering *clus
 	// changes no output (every pivot has its own accumulators).
 	k := clustering.K() // a common series has at most one pivot per center
 	err := par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
-		cols := make([][]float64, 0, k)
-		scratch := make([]float64, 3*k)
+		sc, _ := termScratchPool.Get()
+		defer termScratchPool.Put(sc)
+		sc.cols, sc.buf = slices.Grow(sc.cols[:0], k), slices.Grow(sc.buf[:0], 3*k)[:3*k]
+		defer clear(sc.cols[:k]) // the pool keeps no centre reachable
+		cols, scratch := sc.cols, sc.buf
 		for lo := blk.Lo; lo < blk.Hi; {
 			common := pivots[lo].Common
 			cols = cols[:0]

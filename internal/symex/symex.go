@@ -262,10 +262,6 @@ func Compute(d *timeseries.DataMatrix, opts Options) (*Result, error) {
 		covs = make([]float64, len(rels))
 	}
 	f := &fitter{data: d, clustering: clustering, layout: layout, batch: opts.CachePseudoInverse}
-	if f.batch {
-		f.mirror, _ = mirrorScratchPool.Get()
-		defer mirrorScratchPool.Put(f.mirror)
-	}
 	pinvs, err := f.fitSlots(rels, covs, nil, opts.Parallelism)
 	if err != nil {
 		return nil, err
@@ -349,13 +345,6 @@ type fitter struct {
 	centerCov       []float64
 	series, centers *timeseries.Moments
 	kern            *kernel.Matrix
-	// mirror, when set, is the buffer fitSlots centres the window into:
-	// centred holds x − x̄ for every series the slots touch, and DotBlock over
-	// it divided by m − 1 is CovBlock's covariance without CovBlock's
-	// re-centring of both columns for every pair.  Compute sets it; a Refit
-	// reduces with CovBlock instead (see Refit).
-	mirror  *mirrorScratch
-	centred kernel.Matrix
 	// slab, when set, is where the fits are written by value: slot i's
 	// relationship is &slab[i].  A full Refit sets it; every other fit
 	// allocates each relationship on its own.
@@ -369,8 +358,8 @@ type fitScratch struct {
 	k      pivotFit
 	groups []groupFit
 	others []timeseries.SeriesID // each member's non-common series, in batch order
-	pairs  []timeseries.Pair     // (common, other) of every pair the batch reduces
-	covs   []float64             // cov(s_common, s_other), aligned with pairs
+	pairs  []timeseries.Pair     // (common, other) of every pair a partial refit's batch reduces
+	covs   []float64             // cov(s_common, s_other) of the moment-form members, in batch order
 }
 
 var fitScratchPool par.Scratch[fitScratch]
@@ -379,28 +368,19 @@ var fitScratchPool par.Scratch[fitScratch]
 type groupFit struct {
 	pi     int32
 	others int32 // offset of the members' other series in fitScratch.others
-	pairs  int32 // offset of the members' pairs in fitScratch.pairs, −1 for none
+	covs   int32 // offset of the members' covariances in fitScratch.covs, −1 for none
 	ok     bool  // the guard admits the pivot to the moment form
 	mp     momentPivot
 }
 
-// mirrorScratch is one Compute call's centred mirror, recycled through
-// mirrorScratchPool, and the list of series it holds.
-type mirrorScratch struct {
-	vals    []float64
-	touched []bool
-	cols    []timeseries.SeriesID
-}
-
-var mirrorScratchPool par.Scratch[mirrorScratch]
-
 // fitSlots fits the assignments at the given slots (nil means every slot)
 // against the window and stores each fit at rels[slot].  Under SYMEX+
-// (f.batch) with covs non-nil it also stores every fitted slot's pair
-// covariance cov(s_common, s_other) at covs[slot], whichever route the fit
-// took.  Every fit is independent
-// and lands at its own slot, so the output is the same at any parallelism.
-// It returns the number of pseudo-inverses the kernel computed.
+// (f.batch) with covs non-nil — a full fit, slots nil — it first reduces
+// every slot's pair covariance cov(s_common, s_other) into covs[slot] in one
+// pass over the pair triangle (kernel.CovTriangle), which the moment form
+// reads and the result keeps, whichever route the fit takes.  Every fit is
+// independent and lands at its own slot, so the output is the same at any
+// parallelism.  It returns the number of pseudo-inverses the kernel computed.
 //
 // The unit of work is a pivot group: all the slots to fit that share a pivot.
 // Under SYMEX+ a group takes the moment form (momentfit.go) unless the
@@ -420,8 +400,8 @@ func (f *fitter) fitSlots(rels []*Relationship, covs []float64, slots []int32, p
 		if err := f.loadMoments(parallelism); err != nil {
 			return 0, err
 		}
-		if f.mirror != nil {
-			f.centre(members)
+		if covs != nil {
+			f.kern.CovTriangle(f.series, f.layout.slotOf, covs, parallelism)
 		}
 	}
 	var pinvs atomic.Int64
@@ -435,45 +415,25 @@ func (f *fitter) fitSlots(rels []*Relationship, covs []float64, slots []int32, p
 	return int(pinvs.Load()), err
 }
 
-// centre fills f.centred with the centred columns of every series the given
-// slots pair up, in the mirror's buffer.
-func (f *fitter) centre(slots []int32) {
-	sc := f.mirror
-	n, m := f.data.NumSeries(), f.data.NumSamples()
-	sc.touched = slices.Grow(sc.touched[:0], n)[:n]
-	clear(sc.touched)
-	for _, slot := range slots {
-		pair := f.layout.assignments[slot].Pair
-		sc.touched[pair.U], sc.touched[pair.V] = true, true
-	}
-	sc.cols = sc.cols[:0]
-	for id, touched := range sc.touched {
-		if touched {
-			sc.cols = append(sc.cols, timeseries.SeriesID(id))
-		}
-	}
-	sc.vals = slices.Grow(sc.vals[:0], n*m)[:n*m]
-	f.centred = f.kern.Centre(f.series, sc.vals, sc.cols)
-}
-
 // fitBlock fits the pivot groups of one worker block a batch at a time.  It
-// lists groups — their members and, under SYMEX+, the guard's verdict — until
-// they hold kernel.BlockPairs members, then reduces the pair covariances of
-// every listed group that needs them in one call and solves the groups
-// (fitBatch).  Pivots in (Common, Cluster) order make a series' pivots one run
-// of tiles sharing the common column, so only a batch's last tile can fall to
-// the one-pair loop, and the scratch stays O(BlockPairs + largest group).  It
-// returns the number of pseudo-inverses computed.
+// lists groups — their members and, under SYMEX+, the guard's verdict and the
+// moment form's pair covariances, copied from a full fit's covs or listed as
+// pairs for a partial refit to reduce — until they hold kernel.BlockPairs
+// members, then solves them (fitBatch).  Pivots in (Common, Cluster) order
+// make a series' pivots one run of tiles sharing the common column, so only a
+// batch's last tile can fall to CovBlock's one-pair loop, and the scratch
+// stays O(BlockPairs + largest group).  It returns the number of
+// pseudo-inverses computed.
 func (f *fitter) fitBlock(w *fitScratch, blk par.Block, members, start []int32, rels []*Relationship, covs []float64) (int, error) {
 	pinvs := 0
-	w.groups, w.others, w.pairs = w.groups[:0], w.others[:0], w.pairs[:0]
+	w.groups, w.others, w.pairs, w.covs = w.groups[:0], w.others[:0], w.pairs[:0], w.covs[:0]
 	for pi := blk.Lo; pi < blk.Hi; pi++ {
 		group := members[start[pi]:start[pi+1]]
 		if len(group) == 0 {
 			continue
 		}
 		p := f.layout.pivots[pi]
-		g := groupFit{pi: int32(pi), others: int32(len(w.others)), pairs: -1}
+		g := groupFit{pi: int32(pi), others: int32(len(w.others)), covs: -1}
 		for _, slot := range group {
 			other, err := f.layout.assignments[slot].Pair.Other(p.Common)
 			if err != nil {
@@ -483,10 +443,17 @@ func (f *fitter) fitBlock(w *fitScratch, blk par.Block, members, start []int32, 
 		}
 		if f.batch {
 			g.mp, g.ok = f.momentPivot(pi, w.others[g.others:])
-			// A full fit keeps every pair covariance, a partial refit reduces
-			// only those the moment form reads.
-			if g.ok || covs != nil {
-				g.pairs = int32(len(w.pairs))
+			switch {
+			case !g.ok:
+			case covs != nil:
+				g.covs = int32(len(w.covs))
+				for _, slot := range group {
+					w.covs = append(w.covs, covs[slot])
+				}
+			default:
+				// A partial refit reduces only the covariances the moment
+				// form reads.
+				g.covs = int32(len(w.pairs))
 				for _, v := range w.others[g.others:] {
 					w.pairs = append(w.pairs, timeseries.Pair{U: p.Common, V: v})
 				}
@@ -494,63 +461,48 @@ func (f *fitter) fitBlock(w *fitScratch, blk par.Block, members, start []int32, 
 		}
 		w.groups = append(w.groups, g)
 		if len(w.others) >= kernel.BlockPairs {
-			n, err := f.fitBatch(w, members, start, rels, covs)
+			n, err := f.fitBatch(w, members, start, rels)
 			if err != nil {
 				return 0, err
 			}
 			pinvs += n
 		}
 	}
-	n, err := f.fitBatch(w, members, start, rels, covs)
+	n, err := f.fitBatch(w, members, start, rels)
 	return pinvs + n, err
 }
 
-// fitBatch reduces the pair covariances the listed groups need in one call —
-// DotBlock over the centred mirror, or CovBlock without one — fits every
-// listed group and empties the lists.
-func (f *fitter) fitBatch(w *fitScratch, members, start []int32, rels []*Relationship, covs []float64) (int, error) {
-	w.covs = slices.Grow(w.covs[:0], len(w.pairs))[:len(w.pairs)]
-	switch {
-	case len(w.pairs) == 0:
-	case f.mirror == nil:
+// fitBatch reduces the pair covariances a partial refit's listed groups need
+// in one CovBlock call, fits every listed group and empties the lists.
+func (f *fitter) fitBatch(w *fitScratch, members, start []int32, rels []*Relationship) (int, error) {
+	if len(w.pairs) > 0 {
+		w.covs = slices.Grow(w.covs[:0], len(w.pairs))[:len(w.pairs)]
 		f.kern.CovBlock(f.series, w.pairs, w.covs)
-	default:
-		// CovBlock's division, not a reciprocal multiply, so the bits are its.
-		div := float64(f.data.NumSamples() - 1)
-		f.centred.DotBlock(nil, w.pairs, w.covs)
-		for i := range w.covs {
-			w.covs[i] /= div
-		}
 	}
 	pinvs := 0
 	for i := range w.groups {
 		g := &w.groups[i]
-		n, err := f.fitGroup(w, g, members[start[g.pi]:start[g.pi+1]], rels, covs)
+		n, err := f.fitGroup(w, g, members[start[g.pi]:start[g.pi+1]], rels)
 		if err != nil {
 			return 0, err
 		}
 		pinvs += n
 	}
-	w.groups, w.others, w.pairs = w.groups[:0], w.others[:0], w.pairs[:0]
+	w.groups, w.others, w.pairs, w.covs = w.groups[:0], w.others[:0], w.pairs[:0], w.covs[:0]
 	return pinvs, nil
 }
 
 // fitGroup fits the member slots of a listed pivot group — by the moment form
 // when the guard admits it, by the kernel otherwise.  It returns the number of pseudo-inverses computed.
-func (f *fitter) fitGroup(w *fitScratch, g *groupFit, members []int32, rels []*Relationship, covs []float64) (int, error) {
+func (f *fitter) fitGroup(w *fitScratch, g *groupFit, members []int32, rels []*Relationship) (int, error) {
 	p := f.layout.pivots[g.pi]
 	others := w.others[g.others : int(g.others)+len(members)]
-	if g.pairs >= 0 && covs != nil {
-		for i, slot := range members {
-			covs[slot] = w.covs[int(g.pairs)+i]
-		}
-	}
 	common, center, err := pivotColumns(f.data, f.clustering, p)
 	if err != nil {
 		return 0, err
 	}
 	pinvs := 0
-	if !g.ok || !f.momentGroup(p, g.mp, members, others, w.covs[g.pairs:], rels) {
+	if !g.ok || !f.momentGroup(p, g.mp, members, others, w.covs[g.covs:], rels) {
 		// The kernel: the one caller of setPivot, once per group under SYMEX+
 		// and once per relationship under plain SYMEX.
 		for i, slot := range members {
