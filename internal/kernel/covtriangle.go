@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"affinity/internal/par"
 	"affinity/internal/timeseries"
@@ -34,29 +33,11 @@ const tileRows, tileCols = 3, 2
 // tile's.
 type panelScratch struct{ buf []float64 }
 
-// A scratch is recycled through panelSpare, one held for good, and behind it
-// panelPool.  A collection empties the pool, and streaming engines collect
-// often enough that a pooled scratch alone — 109 kB for a 720-sample window —
-// would be allocated again on a sizeable share of Advances; the spare keeps
-// one worker's from ever being.
-var (
-	panelSpare atomic.Pointer[panelScratch]
-	panelPool  par.Scratch[panelScratch]
-)
-
-func getPanel() *panelScratch {
-	if sc := panelSpare.Swap(nil); sc != nil {
-		return sc
-	}
-	sc, _ := panelPool.Get()
-	return sc
-}
-
-func putPanel(sc *panelScratch) {
-	if !panelSpare.CompareAndSwap(nil, sc) {
-		panelPool.Put(sc)
-	}
-}
+// panelPool holds one scratch for good: a collection empties a pool, and
+// streaming engines collect often enough that a pooled scratch alone — 109 kB
+// for a 720-sample window — would be allocated again on a sizeable share of
+// Advances.
+var panelPool = par.Scratch[panelScratch]{Hold: true}
 
 // CovTriangle fills, for every canonical pair (u, v), u < v, of the mirror's
 // n series with at[t] >= 0 — t the pair's position in the strict upper
@@ -89,12 +70,17 @@ func (k *Matrix) covPanel(mo *Moments, at []int32, out []float64, p int) {
 	n, m := k.n, k.m
 	v0 := p * panelWidth
 	v1 := min(v0+panelWidth, n)
-	sc := getPanel()
-	defer putPanel(sc)
+	sc, _ := panelPool.Get()
+	defer panelPool.Put(sc)
 	// Sized for the widest panel the window has, so a work item that misses
-	// the pool allocates once for the whole pass.
+	// the pool allocates once for the whole pass.  A scratch more than twice
+	// that size is dropped, so the held one follows the window down.
 	w := v1 - v0
-	sc.buf = slices.Grow(sc.buf[:0], (min(panelWidth, n)+tileRows)*m)
+	need := (min(panelWidth, n) + tileRows) * m
+	if cap(sc.buf) > 2*need {
+		sc.buf = nil
+	}
+	sc.buf = slices.Grow(sc.buf[:0], need)
 	cols, rows := sc.buf[:w*m], sc.buf[w*m:(w+tileRows)*m]
 	for v := v0; v < v1; v++ {
 		centre(cols[(v-v0)*m:(v-v0+1)*m], k.Col(timeseries.SeriesID(v)), mo.Mean[v])

@@ -207,15 +207,27 @@ func FlattenBlocks[T any](parts [][]T) []T {
 // copies what it keeps into its own exact-size result and puts the buffer
 // back, so steady-state calls allocate their answers and nothing else.  A
 // buffer keeps whatever capacity it grew to; the pool drops idle buffers at
-// garbage collection.  The zero value is ready to use and safe for concurrent
-// use.
+// garbage collection, except the one a Scratch with Hold set keeps for good.
+// The zero value is ready to use and safe for concurrent use.
 type Scratch[T any] struct {
+	// Hold keeps one idle buffer out of the pool, so it survives collections:
+	// for a path that runs on every streaming Advance, where a buffer
+	// allocated again after each collection would show in the allocation
+	// rate.  Set it where the Scratch is declared; the held buffer is never
+	// freed, so the path must bound its size.
+	Hold bool
+	held atomic.Pointer[T]
 	pool sync.Pool
 }
 
 // Get returns a buffer — a recycled one, as its last user left it, or a new
 // zero one — and whether it was recycled.
 func (s *Scratch[T]) Get() (*T, bool) {
+	if s.Hold {
+		if x := s.held.Swap(nil); x != nil {
+			return x, true
+		}
+	}
 	if v := s.pool.Get(); v != nil {
 		return v.(*T), true
 	}
@@ -225,7 +237,8 @@ func (s *Scratch[T]) Get() (*T, bool) {
 // Put returns a buffer for reuse; a nil buffer is ignored.  The caller must
 // not touch it, or anything that aliases its memory, afterwards.
 func (s *Scratch[T]) Put(x *T) {
-	if x != nil {
-		s.pool.Put(x)
+	if x == nil || s.Hold && s.held.CompareAndSwap(nil, x) {
+		return
 	}
+	s.pool.Put(x)
 }

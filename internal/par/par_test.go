@@ -199,6 +199,28 @@ func TestScratchRecycles(t *testing.T) {
 	}
 }
 
+// TestScratchHoldSurvivesCollections: a Scratch with Hold set hands back the
+// buffer last put whatever the collector did in between, and a second buffer
+// put while one is held goes to the pool.
+func TestScratchHoldSurvivesCollections(t *testing.T) {
+	s := Scratch[[]int]{Hold: true}
+	a, hit := s.Get()
+	if hit {
+		t.Fatal("a new Scratch reported a hit")
+	}
+	b, _ := s.Get()
+	s.Put(a)
+	s.Put(b) // to the pool: a is held
+	runtime.GC()
+	runtime.GC()
+	if got, hit := s.Get(); got != a || !hit {
+		t.Fatalf("Get after two collections = %p (hit %v), want the held buffer %p", got, hit, a)
+	}
+	if got, _ := s.Get(); got == a {
+		t.Fatal("the held buffer was handed out twice")
+	}
+}
+
 // TestDoEveryIndexExactlyOnce pins the claim cursor: at every count and
 // parallelism — fewer items than workers, one item per worker, many items per
 // worker — each index runs exactly once.

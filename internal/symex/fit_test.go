@@ -536,10 +536,7 @@ func TestRefitAllocations(t *testing.T) {
 	if rs.Refit != len(prev.AssignmentList()) || res.Len() != rs.Refit {
 		t.Fatalf("full refit stats %+v over %d assignments", rs, len(prev.AssignmentList()))
 	}
-	// One worker's kernel buffers, were a pivot to take the kernel, and the
-	// pair-covariance pass's panel of 16 + 3 centred columns, were its pool
-	// to miss.
-	const scratch = (6 + 16 + 3) * m * 8
+	const scratch = 6 * m * 8 // one worker's kernel buffers, were a pivot to take the kernel
 	perRelationship := (float64(after.TotalAlloc-before.TotalAlloc) - scratch) / float64(rs.Refit)
 	if perRelationship >= 256 {
 		t.Fatalf("full Refit allocated %.0f B per relationship beyond scratch at m=%d, want < 256", perRelationship, m)

@@ -306,11 +306,10 @@ func TestRefitRecycleAllocations(t *testing.T) {
 	if rs.Refit != next.Len() || next.Len() < 1000 {
 		t.Fatalf("full refit stats %+v over %d relationships", rs, next.Len())
 	}
-	// Pooled fit scratch that missed costs at most a worker's kernel buffers,
-	// its lists of kernel.BlockPairs pairs and the pair-covariance pass's
-	// panel of 16 + 3 centred columns; a relationship object per pair would
-	// cost over 300 KB here.
-	const budget = (6+16+3)*m*8 + 32<<10
+	// Pooled fit scratch that missed costs at most a worker's kernel buffers
+	// and its lists of kernel.BlockPairs pairs; a relationship object per
+	// pair would cost over 300 KB here.
+	const budget = 6*m*8 + 32<<10
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Fatalf("a full Refit into a recycled result allocated %d B over %d relationships, want at most %d", got, next.Len(), budget)
 	}
