@@ -56,17 +56,13 @@ import (
 //	                 reduction memoised on the window (DataMatrix.Moments);
 //	                 the K centers' are memoised on the clustering and cost
 //	                 an epoch nothing
-//	O(P·m)           the pivot cross moments Σxy and Σ(x−x̄)(y−ȳ): one form,
-//	                 reduced once per window and engine
-//	                 (symex.Result.PivotTerms, memoised on the layout: the
-//	                 summaries, drift scoring, the fits and the index read
-//	                 the one reduction) in one shared-operand pass — a
-//	                 common series is loaded once for a tile of its centers
-//	                 (measure.CrossMoments), not once per pivot and term
-//	O(n·m)           Σ(r−r̄)(s−s̄) of every series with its own center, once
-//	                 per window and engine (symex.Result.CenterCovariances:
-//	                 the calibration and the fits read it), a center loaded
-//	                 once for a tile of its members
+//	O(n·K·m)         the pivot cross moments Σxy and Σ(x−x̄)(y−ȳ) and
+//	                 Σ(r−r̄)(s−s̄) of every series with its own center: one
+//	                 form, one cross pass of every series against every
+//	                 center per window and engine (kernel.CrossPanel,
+//	                 memoised on the layout: symex.Result.PivotTerms and
+//	                 CenterCovariances, which the summaries, drift scoring,
+//	                 the calibration, the fits and the index read)
 //	O(P·k)           drift scoring, a closed form per relationship found by
 //	                 slot (no hashing)
 //	O(|stale|·m)     re-fit the stale relationships: one centred dot

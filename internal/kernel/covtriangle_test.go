@@ -49,15 +49,15 @@ func scaledMatrix(t testing.TB, rng *rand.Rand, n, m int) (*timeseries.DataMatri
 }
 
 // TestCovTriangleMatchesCovBlock holds the full fit's triangle pass to
-// CovBlock bit for bit on every pair, at shapes that leave every remainder of
-// the panels and of the register tile, over constant and 2^±500-scaled
-// columns and at several worker counts.  Besides the whole triangle, a second
+// CovBlock bit for bit on every pair, on both micro-kernel routes, at shapes
+// that leave every remainder of the panels (widths 4, 8, 12 and 16) and of the row tiles, over
+// constant and 2^±500-scaled columns and at several worker counts.  Besides the whole triangle, a second
 // map sends a shuffled half of the pairs to a shorter output (the layout of a
 // capped exploration): those get CovBlock's bits, and no other entry of the
 // output is written.
 func TestCovTriangleMatchesCovBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	for _, n := range []int{2, 3, 4, 5, 17, 33} {
+	for _, n := range []int{2, 3, 4, 5, 17, 27, 33, 46} {
 		for _, m := range []int{2, 3, 4, 7, 360, 720} {
 			d, k, mo := scaledMatrix(t, rng, n, m)
 			pairs := d.AllPairs()
@@ -71,34 +71,36 @@ func TestCovTriangleMatchesCovBlock(t *testing.T) {
 			for slot, pos := range kept {
 				half[pos] = int32(slot)
 			}
-			for _, p := range []int{1, 2, 8} {
-				label := fmt.Sprintf("n=%d m=%d P=%d", n, m, p)
-				got := make([]float64, len(pairs))
-				k.CovTriangle(mo, identityAt(len(pairs)), got, p)
-				for pos, pair := range pairs {
-					if math.Float64bits(got[pos]) != math.Float64bits(want[pos]) {
-						t.Fatalf("%s: pair %v reads %x, CovBlock %x", label, pair, math.Float64bits(got[pos]), math.Float64bits(want[pos]))
+			forEachRoute(t, func(route string) {
+				for _, p := range []int{1, 2, 8} {
+					label := fmt.Sprintf("%s: n=%d m=%d P=%d", route, n, m, p)
+					got := make([]float64, len(pairs))
+					k.CovTriangle(mo, identityAt(len(pairs)), got, p)
+					for pos, pair := range pairs {
+						if !sameBits(got[pos], want[pos]) {
+							t.Fatalf("%s: pair %v reads %x, CovBlock %x", label, pair, math.Float64bits(got[pos]), math.Float64bits(want[pos]))
+						}
+					}
+					sparse := make([]float64, len(kept)+1)
+					sparse[len(kept)] = 7
+					k.CovTriangle(mo, half, sparse, p)
+					for slot, pos := range kept {
+						if !sameBits(sparse[slot], want[pos]) {
+							t.Fatalf("%s, half the pairs: pair %v reads %x, CovBlock %x", label, pairs[pos], math.Float64bits(sparse[slot]), math.Float64bits(want[pos]))
+						}
+					}
+					if sparse[len(kept)] != 7 {
+						t.Fatalf("%s, half the pairs: an unmapped pair was written", label)
 					}
 				}
-				sparse := make([]float64, len(kept)+1)
-				sparse[len(kept)] = 7
-				k.CovTriangle(mo, half, sparse, p)
-				for slot, pos := range kept {
-					if math.Float64bits(sparse[slot]) != math.Float64bits(want[pos]) {
-						t.Fatalf("%s, half the pairs: pair %v reads %x, CovBlock %x", label, pairs[pos], math.Float64bits(sparse[slot]), math.Float64bits(want[pos]))
-					}
-				}
-				if sparse[len(kept)] != 7 {
-					t.Fatalf("%s, half the pairs: an unmapped pair was written", label)
-				}
-			}
+			})
 		}
 	}
 }
 
 // benchmarkCovTriangle times the triangle pass over every pair of an n×m
-// window at one worker, the way a full fit calls it, and reports ns per pair
-// beside BenchmarkCovBlock's.
+// window at one worker, the way a full fit calls it, on each micro-kernel
+// route, and reports ns per pair beside BenchmarkCovBlock's.
 func benchmarkCovTriangle(b *testing.B, n, m int) {
 	rng := rand.New(rand.NewSource(3))
 	rows := make([][]float64, n)
@@ -111,12 +113,15 @@ func benchmarkCovTriangle(b *testing.B, n, m int) {
 	_, k, mo := mirror(b, rows)
 	pairs := n * (n - 1) / 2
 	at, out := identityAt(pairs), make([]float64, pairs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.CovTriangle(mo, at, out, 1)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
+	forEachRoute(b, func(route string) {
+		b.Run(route, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.CovTriangle(mo, at, out, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
+		})
+	})
 }
 
 func BenchmarkCovTriangle(b *testing.B)           { benchmarkCovTriangle(b, 168, 360) }

@@ -19,21 +19,27 @@
 //     walks the two contiguous columns in sample order with the expression
 //     shape of measure.CovarianceOf / measure.DotProductOf, so each pair's
 //     sequence of rounded operations — and therefore its bits — is the scalar
-//     path's.  What is shared is everything around that chain: the evaluators
-//     reduce a 1×4 register tile, four pairs per inner loop, so the four
-//     independent add chains overlap in the floating-point pipeline (one chain
-//     alone is bound by add latency), and consecutive canonical pairs (u,v),
+//     path's.  What is shared is everything around that chain: the pair-list
+//     evaluators the sweeps call (CovBlock, DotBlock) reduce a 1×4 register
+//     tile, four pairs per inner loop, so the four independent add chains
+//     overlap in the floating-point pipeline (one chain alone is bound by add
+//     latency), and consecutive canonical pairs (u,v),
 //     (u,v+1), … load — and for covariance centre — their common column once
 //     for four partners.  (On samples the engine rejects at its boundary the
 //     guarantee is NaN-for-NaN: which payload survives a NaN·NaN is the
 //     operand order the compiler picked, not a property of the arithmetic.);
-//   - a caller that reduces the covariance of every pair of the window
-//     (a full SYMEX+ fit) takes one pass over the pair triangle instead
-//     (CovTriangle, covtriangle.go): it centres each column once per panel of
-//     partners into a small scratch, the operands CovBlock rounds, and
-//     reduces a 3×2 register tile of pairs per inner loop with a
-//     multiply-add per pair and sample and no subtractions, keeping
-//     CovBlock's bits;
+//   - a full SYMEX+ fit reduces the covariance of every pair of the window
+//     in one pass over the pair triangle (CovTriangle, covtriangle.go), and
+//     every series against every cluster centre in one cross pass
+//     (CrossPanel, crosspanel.go).  Both centre each column once per panel
+//     of up to 16 partners into a small scratch — the operands CovBlock and
+//     measure.CovarianceOf round — and hand 3 rows × the panel to one
+//     micro-kernel (micro.go) with a rounded multiply and a rounded add per
+//     pair and sample and no subtractions, keeping the scalar bits.  The
+//     micro-kernel is AVX2 assembly on amd64 CPUs that have it (four pairs a
+//     register, twelve accumulators, never a fused multiply-add) and a
+//     portable Go twin with a 3×2 register tile everywhere else, chosen once
+//     at package init;
 //   - undefined derived values propagate arithmetically as NaN (see
 //     measure.OrNaN) and interval predicates compact results branch-free
 //     (CompactPairs) instead of taking a data-dependent branch per pair.

@@ -6,14 +6,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
 
-// The tiled pivot-moment reductions promise the bits of the scalar primitives
-// they stand in for: measure.CovarianceOf and DotProductOf for the cross terms
-// of the pivot terms and the calibration, and — for the self-moments they are
-// paired with, memoised by timeseries.NewMoments — SumOf, VarianceOf and
+// The pivot-moment reductions promise the bits of the scalar primitives they
+// stand in for: measure.CovarianceOf and DotProductOf for the cross terms of
+// the pivot terms and the calibration (the window's cross pass,
+// kernel.CrossPanel), and — for the self-moments they are paired with,
+// memoised by timeseries.NewMoments — SumOf, VarianceOf and
 // DotProductOf(x, x).  These tests hold them to it on finite data that walks
 // the edges of float64.
 
@@ -56,9 +58,9 @@ func meanOf(t testing.TB, x []float64) float64 {
 	return mean
 }
 
-// requireCrossMomentParity reduces x against ys both ways — inner products
-// only, and with the covariances — and compares every output with the scalar
-// routes by Float64bits.
+// requireCrossMomentParity reduces x against ys by the cross pass, at one
+// worker and at two, and compares every output with the scalar routes by
+// Float64bits.
 func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 	t.Helper()
 	m := len(x)
@@ -67,12 +69,13 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 	for c, y := range ys {
 		mys[c] = meanOf(t, y)
 	}
-	dotOnly := make([]float64, len(ys))
-	if err := measure.CrossMoments(x, 0, ys, nil, dotOnly, nil); err != nil {
+	dot, cov := make([]float64, len(ys)), make([]float64, len(ys))
+	if err := kernel.CrossPanel([][]float64{x}, []float64{mx}, ys, mys, dot, cov, 1); err != nil {
 		t.Fatal(err)
 	}
-	dot, cov := make([]float64, len(ys)), make([]float64, len(ys))
-	if err := measure.CrossMoments(x, mx, ys, mys, dot, cov); err != nil {
+	// Two workers reduce the same single row tile; the pass must not care.
+	dot2, cov2 := make([]float64, len(ys)), make([]float64, len(ys))
+	if err := kernel.CrossPanel([][]float64{x}, []float64{mx}, ys, mys, dot2, cov2, 2); err != nil {
 		t.Fatal(err)
 	}
 	same := func(got, want float64) bool {
@@ -89,13 +92,13 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !same(dot[c], wantDot) || !same(dotOnly[c], wantDot) {
+		if !same(dot[c], wantDot) || !same(dot2[c], wantDot) {
 			t.Fatalf("m=%d, %d centres, centre %d: dot %x / %x, DotProductOf %x", m, len(ys), c,
-				math.Float64bits(dot[c]), math.Float64bits(dotOnly[c]), math.Float64bits(wantDot))
+				math.Float64bits(dot[c]), math.Float64bits(dot2[c]), math.Float64bits(wantDot))
 		}
-		if !same(cov[c], wantCov) {
-			t.Fatalf("m=%d, %d centres, centre %d: cov %x, CovarianceOf %x", m, len(ys), c,
-				math.Float64bits(cov[c]), math.Float64bits(wantCov))
+		if !same(cov[c], wantCov) || !same(cov2[c], wantCov) {
+			t.Fatalf("m=%d, %d centres, centre %d: cov %x / %x, CovarianceOf %x", m, len(ys), c,
+				math.Float64bits(cov[c]), math.Float64bits(cov2[c]), math.Float64bits(wantCov))
 		}
 	}
 	// The self-moments the engine pairs the cross terms with: the memoised
@@ -119,9 +122,9 @@ func requireCrossMomentParity(t testing.TB, x []float64, ys [][]float64) {
 	}
 }
 
-// TestCrossMomentsBitIdentical: 1–7 centres per series (every tile width with
-// every tail), the window lengths the kernels are pinned at, every kind of
-// hostile column on either side.
+// TestCrossMomentsBitIdentical: 1–7 centres per series (every panel width
+// with every padding), the window lengths the kernels are pinned at, every
+// kind of hostile column on either side.
 func TestCrossMomentsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, m := range []int{1, 2, 3, 7, 137, 360} {
@@ -155,26 +158,25 @@ func FuzzPivotMomentParity(f *testing.F) {
 	})
 }
 
+// TestCrossMomentsErrors: the cross pass rejects what the scalar primitives
+// reject.
 func TestCrossMomentsErrors(t *testing.T) {
 	x := []float64{1, 2, 3}
-	out := make([]float64, 2)
-	for _, withCov := range []bool{false, true} {
-		cov := []float64(nil)
-		if withCov {
-			cov = make([]float64, 2)
-		}
-		if err := measure.CrossMoments(nil, 0, [][]float64{x}, out, out, cov); !errors.Is(err, measure.ErrEmptyInput) {
-			t.Fatalf("empty window: %v, want ErrEmptyInput", err)
-		}
-		if err := measure.CrossMoments(x, 2, [][]float64{x, {1, 2}}, out, out, cov); !errors.Is(err, measure.ErrLengthMismatch) {
-			t.Fatalf("centre of another length: %v, want ErrLengthMismatch", err)
-		}
-		if err := measure.CrossMoments(x, 2, [][]float64{x, {}}, out, out, cov); !errors.Is(err, measure.ErrEmptyInput) {
-			t.Fatalf("empty centre: %v, want ErrEmptyInput", err)
-		}
-		// No centre at all is no work.
-		if err := measure.CrossMoments(x, 2, nil, nil, nil, cov); err != nil {
-			t.Fatalf("no centre: %v", err)
-		}
+	out, cov := make([]float64, 2), make([]float64, 2)
+	cross := func(x []float64, ys [][]float64) error {
+		return kernel.CrossPanel([][]float64{x}, []float64{2}, ys, []float64{2, 2}, out, cov, 1)
+	}
+	if err := cross(nil, [][]float64{x}); !errors.Is(err, measure.ErrEmptyInput) {
+		t.Fatalf("empty window: %v, want ErrEmptyInput", err)
+	}
+	if err := cross(x, [][]float64{x, {1, 2}}); !errors.Is(err, measure.ErrLengthMismatch) {
+		t.Fatalf("centre of another length: %v, want ErrLengthMismatch", err)
+	}
+	if err := cross(x, [][]float64{x, {}}); !errors.Is(err, measure.ErrEmptyInput) {
+		t.Fatalf("empty centre: %v, want ErrEmptyInput", err)
+	}
+	// No centre at all is no work.
+	if err := cross(x, nil); err != nil {
+		t.Fatalf("no centre: %v", err)
 	}
 }

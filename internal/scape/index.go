@@ -508,7 +508,7 @@ type pivotScratch struct {
 	entries []xiEntry
 }
 
-var pivotScratchPool par.Scratch[pivotScratch]
+var pivotScratchPool = par.Scratch[pivotScratch]{Hold: true}
 
 // nodeWork is what building one pivot node cost, summed into the statistics
 // once the (parallel) build is over.
@@ -524,7 +524,7 @@ type nodeScratch struct {
 	work []nodeWork
 }
 
-var nodeScratchPool par.Scratch[nodeScratch]
+var nodeScratchPool = par.Scratch[nodeScratch]{Hold: true}
 
 // buildNodes builds idx.pivots — node i for layout pivot i, every one of
 // which has a relationship — and is the single code path behind Build and

@@ -41,8 +41,8 @@ func pairMatrices(t testing.TB, d *timeseries.DataMatrix, res *Result, pair time
 }
 
 // momentOracle is the moment-form fit of one relationship assembled from the
-// scalar primitives — the bits the window and centre memos, CrossMoments and
-// CovBlock carry — through the production solve.  ok is false where the
+// scalar primitives — the bits the window and centre memos, the cross pass
+// and CovBlock carry — through the production solve.  ok is false where the
 // exactness guard sends the pivot to the kernel.
 func momentOracle(common, centre, other []float64) (tr *affine.Transform, ok bool) {
 	vs, _ := measure.VarianceOf(common)

@@ -1,6 +1,7 @@
 package symex
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"affinity/internal/cluster"
+	"affinity/internal/kernel"
 	"affinity/internal/mat"
 	"affinity/internal/measure"
 	"affinity/internal/par"
@@ -38,23 +40,21 @@ type Layout struct {
 }
 
 // windowMemo holds what one window reduces against a layout's pivots and a
-// clustering: the pivot terms and the series-versus-own-centre covariances.
-// An epoch asks for them several times — the engine's summaries, drift
-// scoring and calibration, the fits, the index — and every ask after the
-// first reads the memo, so each is reduced once per window and engine.  The
-// key is the window's own memo object (a mutated window drops it, so a stale
-// entry can never match) and the clustering; the layout keeps the latest
-// window's entry only, which is what an Advance, the Refit inside it and the
-// index update after it all share.
+// clustering: the pivot terms and the series-versus-own-centre covariances,
+// both out of one cross pass (reduceCrossMoments).  An epoch asks for them
+// several times — the engine's summaries, drift scoring and calibration, the
+// fits, the index — and every ask after the first reads the memo, so the pass
+// runs once per window and engine.  The key is the window's own memo object (a
+// mutated window drops it, so a stale entry can never match) and the
+// clustering; the layout keeps the latest window's entry only, which is what
+// an Advance, the Refit inside it and the index update after it all share.
 type windowMemo struct {
 	window     *timeseries.Moments
 	clustering *cluster.Result
 
-	termsOnce sync.Once
+	once      sync.Once
 	terms     []measure.PivotTerms
 	termsErr  error
-
-	covOnce   sync.Once
 	centerCov []float64
 	covErr    error
 }
@@ -75,10 +75,20 @@ func (l *Layout) memoFor(d *timeseries.DataMatrix, clustering *cluster.Result) *
 	}
 }
 
-// reductions counts the reductions windowMemo performs.  Nothing reads it
-// but a test that runs alone and pins "once per window and engine" on the
-// deltas.
-var reductions struct{ terms, centerCovs atomic.Int64 }
+// reduced returns the layout's memo entry for window d and the clustering,
+// running the window's cross pass if no one asked for it yet.
+func (l *Layout) reduced(d *timeseries.DataMatrix, clustering *cluster.Result, parallelism int) *windowMemo {
+	w := l.memoFor(d, clustering)
+	w.once.Do(func() {
+		reductions.Add(1)
+		w.terms, w.termsErr, w.centerCov, w.covErr = reduceCrossMoments(d, l.pivots, clustering, parallelism)
+	})
+	return w
+}
+
+// reductions counts the cross passes windowMemo runs.  Nothing reads it but
+// a test that runs alone and pins "once per window and engine" on the deltas.
+var reductions atomic.Int64
 
 // NewLayout indexes an assignment list over n series.  It rejects a pair
 // outside the series, a pivot whose common series is not a member of its
@@ -366,86 +376,15 @@ func (r *Result) PivotColumns(d *timeseries.DataMatrix, p Pivot) (common, center
 // moment-form fit.  This is the one place they are assembled, once per window
 // (memoised on the layout; the result must not be modified).  The
 // self-moments are the memoised two-pass ones of the window and of the
-// clustering; the cross terms are reduced by measure.CrossMoments in the
-// centred form, the common series loaded once for a tile of its centers.
-// The output is identical at any parallelism.
+// clustering; the cross terms come from the window's cross pass
+// (kernel.CrossPanel).  The output is identical at any parallelism.
 func (r *Result) PivotTerms(d *timeseries.DataMatrix, parallelism int) ([]measure.PivotTerms, error) {
 	return pivotTerms(d, r.layout, r.Clustering, parallelism)
 }
 
 func pivotTerms(d *timeseries.DataMatrix, l *Layout, clustering *cluster.Result, parallelism int) ([]measure.PivotTerms, error) {
-	w := l.memoFor(d, clustering)
-	w.termsOnce.Do(func() {
-		reductions.terms.Add(1)
-		w.terms, w.termsErr = reducePivotTerms(d, l.pivots, clustering, parallelism)
-	})
+	w := l.reduced(d, clustering, parallelism)
 	return w.terms, w.termsErr
-}
-
-// termScratch is one block's scratch in reducePivotTerms, recycled through
-// termScratchPool: the centre columns and the means, dots and covariances of
-// one common series' run of pivots.
-type termScratch struct {
-	cols [][]float64
-	buf  []float64
-}
-
-var termScratchPool par.Scratch[termScratch]
-
-func reducePivotTerms(d *timeseries.DataMatrix, pivots []Pivot, clustering *cluster.Result, parallelism int) ([]measure.PivotTerms, error) {
-	// Check every pivot's columns in pivot order first, so the error reported
-	// does not depend on how the reduction below is blocked.
-	for _, p := range pivots {
-		if _, _, err := pivotColumns(d, clustering, p); err != nil {
-			return nil, err
-		}
-	}
-	series, centers := d.Moments(), clustering.CenterMoments()
-	terms := make([]measure.PivotTerms, len(pivots))
-	// Pivots are in (Common, Cluster) order, so the pivots of one common series
-	// are a run; a run cut by a block boundary is reduced in two pieces, which
-	// changes no output (every pivot has its own accumulators).
-	k := clustering.K() // a common series has at most one pivot per center
-	err := par.DoBlocks(len(pivots), parallelism, func(_ int, blk par.Block) error {
-		sc, _ := termScratchPool.Get()
-		defer termScratchPool.Put(sc)
-		sc.cols, sc.buf = slices.Grow(sc.cols[:0], k), slices.Grow(sc.buf[:0], 3*k)[:3*k]
-		defer clear(sc.cols[:k]) // the pool keeps no centre reachable
-		cols, scratch := sc.cols, sc.buf
-		for lo := blk.Lo; lo < blk.Hi; {
-			common := pivots[lo].Common
-			cols = cols[:0]
-			for hi := lo; hi < blk.Hi && pivots[hi].Common == common; hi++ {
-				cols = append(cols, clustering.Centers[pivots[hi].Cluster])
-			}
-			run := pivots[lo : lo+len(cols)]
-			means, dots, covs := scratch[:len(run)], scratch[k:k+len(run)], scratch[2*k:2*k+len(run)]
-			for i, p := range run {
-				means[i] = centers.Mean[p.Cluster]
-			}
-			x, err := d.Series(common)
-			if err != nil {
-				return err
-			}
-			if err := measure.CrossMoments(x, series.Mean[common], cols, means, dots, covs); err != nil {
-				return err
-			}
-			for i, p := range run {
-				terms[lo+i] = measure.PivotTerms{
-					Cov:        [3]float64{series.Variance[common], covs[i], centers.Variance[p.Cluster]},
-					Dot:        [3]float64{series.SqNorm[common], dots[i], centers.SqNorm[p.Cluster]},
-					ColSums:    [2]float64{series.Sum[common], centers.Sum[p.Cluster]},
-					NumSamples: len(x),
-				}
-			}
-			lo += len(run)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return terms, nil
 }
 
 // CenterCovariances returns, for every series v of window d, the centred
@@ -453,59 +392,77 @@ func reducePivotTerms(d *timeseries.DataMatrix, pivots []Pivot, clustering *clus
 // (CovarianceOf's bits).  It is the one home of that reduction: the engine's
 // per-series calibration reads it, and so does every moment-form fit, since
 // the centre of pivot (u, ω(v)) is the other series' own.  Memoised on the
-// layout per window like PivotTerms; the result must not be modified.  Each
-// centre is loaded once for a tile of its members, and the output is
-// identical at any parallelism.
+// layout per window with PivotTerms, out of the same cross pass; the result
+// must not be modified.  The output is identical at any parallelism.
 func (r *Result) CenterCovariances(d *timeseries.DataMatrix, parallelism int) ([]float64, error) {
 	return centerCovariances(d, r.layout, r.Clustering, parallelism)
 }
 
 func centerCovariances(d *timeseries.DataMatrix, l *Layout, clustering *cluster.Result, parallelism int) ([]float64, error) {
-	w := l.memoFor(d, clustering)
-	w.covOnce.Do(func() {
-		reductions.centerCovs.Add(1)
-		w.centerCov, w.covErr = reduceCenterCovariances(d, clustering, parallelism)
-	})
+	w := l.reduced(d, clustering, parallelism)
 	return w.centerCov, w.covErr
 }
 
-func reduceCenterCovariances(d *timeseries.DataMatrix, clustering *cluster.Result, parallelism int) ([]float64, error) {
-	if err := checkCenters(clustering, d.NumSamples()); err != nil {
-		return nil, err
+// crossScratch is reduceCrossMoments' scratch, recycled through
+// crossScratchPool: the window's series and the n×K inner products and
+// covariances of every series with every centre.
+type crossScratch struct {
+	rows [][]float64
+	buf  []float64
+}
+
+var crossScratchPool = par.Scratch[crossScratch]{Hold: true}
+
+// reduceCrossMoments reduces every series of window d against every centre of
+// the clustering in one kernel.CrossPanel pass and assembles both of the
+// window's memos from it: the pivot terms of the pivots and each series'
+// covariance with its own centre.  Each has its own error, reported without
+// regard to how the pass is blocked: the terms check every pivot's columns in
+// pivot order, the covariances every series' assignment, and both need every
+// centre to fit the window.
+func reduceCrossMoments(d *timeseries.DataMatrix, pivots []Pivot, clustering *cluster.Result, parallelism int) (terms []measure.PivotTerms, termsErr error, covs []float64, covErr error) {
+	for _, p := range pivots {
+		if _, _, termsErr = pivotColumns(d, clustering, p); termsErr != nil {
+			break
+		}
 	}
-	if err := checkAssignment(clustering, d.NumSeries()); err != nil {
-		return nil, err
+	n, m, k := d.NumSeries(), d.NumSamples(), clustering.K()
+	if err := checkCenters(clustering, m); err != nil {
+		return nil, cmp.Or(termsErr, err), nil, err
 	}
-	k := clustering.K()
-	members := make([][]timeseries.SeriesID, k)
-	for _, id := range d.IDs() {
-		omega := clustering.Assignment[id]
-		members[omega] = append(members[omega], id)
+	if covErr = checkAssignment(clustering, n); termsErr != nil && covErr != nil {
+		return nil, termsErr, nil, covErr
 	}
+	sc, _ := crossScratchPool.Get()
+	defer crossScratchPool.Put(sc)
+	sc.rows = slices.Grow(sc.rows[:0], n)[:n]
+	defer clear(sc.rows) // the pool keeps no window reachable
+	for id := range n {
+		sc.rows[id], _ = d.Series(timeseries.SeriesID(id))
+	}
+	sc.buf = slices.Grow(sc.buf[:0], 2*n*k)
+	dot, cov := sc.buf[:n*k], sc.buf[n*k:2*n*k]
 	series, centers := d.Moments(), clustering.CenterMoments()
-	covs := make([]float64, d.NumSeries())
-	err := par.Do(k, parallelism, func(l int) error {
-		size := len(members[l])
-		cols := make([][]float64, size)
-		buf := make([]float64, 3*size)
-		means, dots, out := buf[:size], buf[size:2*size], buf[2*size:]
-		for i, id := range members[l] {
-			s, err := d.Series(id)
-			if err != nil {
-				return err
-			}
-			cols[i], means[i] = s, series.Mean[id]
-		}
-		if err := measure.CrossMoments(clustering.Centers[l], centers.Mean[l], cols, means, dots, out); err != nil {
-			return err
-		}
-		for i, id := range members[l] {
-			covs[id] = out[i]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if err := kernel.CrossPanel(sc.rows, series.Mean, clustering.Centers, centers.Mean, dot, cov, parallelism); err != nil {
+		return nil, err, nil, err
 	}
-	return covs, nil
+	if termsErr == nil {
+		terms = make([]measure.PivotTerms, len(pivots))
+		for i, p := range pivots {
+			u, l := int(p.Common), p.Cluster
+			terms[i] = measure.PivotTerms{
+				Cov:        [3]float64{series.Variance[u], cov[u*k+l], centers.Variance[l]},
+				Dot:        [3]float64{series.SqNorm[u], dot[u*k+l], centers.SqNorm[l]},
+				ColSums:    [2]float64{series.Sum[u], centers.Sum[l]},
+				NumSamples: m,
+			}
+		}
+	}
+	if covErr == nil {
+		covs = make([]float64, n)
+		for v := range covs {
+			covs[v] = cov[v*k+clustering.Assignment[v]]
+		}
+	}
+	return terms, termsErr, covs, covErr
 }

@@ -362,7 +362,7 @@ type fitScratch struct {
 	covs   []float64             // cov(s_common, s_other) of the moment-form members, in batch order
 }
 
-var fitScratchPool par.Scratch[fitScratch]
+var fitScratchPool = par.Scratch[fitScratch]{Hold: true}
 
 // groupFit is one listed pivot group of a batch.
 type groupFit struct {

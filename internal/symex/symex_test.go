@@ -363,11 +363,10 @@ func TestWindowMemoUnderConcurrentWindows(t *testing.T) {
 	wantTerms := make([][]measure.PivotTerms, len(windows))
 	wantCovs := make([][]float64, len(windows))
 	for i, w := range windows {
-		if wantTerms[i], err = reducePivotTerms(w, res.Layout().Pivots(), res.Clustering, 1); err != nil {
-			t.Fatal(err)
-		}
-		if wantCovs[i], err = reduceCenterCovariances(w, res.Clustering, 1); err != nil {
-			t.Fatal(err)
+		var termsErr, covErr error
+		wantTerms[i], termsErr, wantCovs[i], covErr = reduceCrossMoments(w, res.Layout().Pivots(), res.Clustering, 1)
+		if termsErr != nil || covErr != nil {
+			t.Fatal(termsErr, covErr)
 		}
 	}
 	var wg sync.WaitGroup
