@@ -237,7 +237,7 @@ func (e *engineState) columnPos(pos []int32, slot int32) int {
 	if pos != nil {
 		return int(pos[slot])
 	}
-	return e.data.PairRank(e.rel.Layout().Assignments()[slot].Pair)
+	return timeseries.PairRank(e.data.NumSeries(), e.rel.Layout().Assignments()[slot].Pair)
 }
 
 // propagate is the W_A propagation loop (Eqs. 5–7), the only one: pivot by

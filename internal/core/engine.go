@@ -23,7 +23,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -567,7 +566,7 @@ func assignedPairs(rel *symex.Result) ([]timeseries.Pair, []int32) {
 		slots[slot] = int32(slot)
 	}
 	slices.SortFunc(slots, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(as[a].Pair.U, as[b].Pair.U), cmp.Compare(as[a].Pair.V, as[b].Pair.V))
+		return timeseries.ComparePairs(as[a].Pair, as[b].Pair)
 	})
 	pairs := make([]timeseries.Pair, len(as))
 	pos := make([]int32, len(as))

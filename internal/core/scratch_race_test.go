@@ -3,7 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -154,4 +158,109 @@ func quantiles(t *testing.T, e *Engine, ms ...measure.Measure) func(m measure.Me
 // sameBits reports whether two value slices hold the same float bits.
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestConcurrentAdvancesKeepTheirScratch: two engines at Parallelism 2 that
+// advance at once borrow fit, panel, cross and node scratch side by side, a
+// collection after every Advance.  A Scratch keeps what it lends, so over all
+// the rounds each pool makes no more buffers than can be out at once — one
+// per worker, or one per engine for a pass that takes one — and the Advances
+// after the first find every buffer they need kept.  A buffer made is an
+// allocation inside a Scratch's Get, charged to the pool its caller names on
+// the memory profile's stack.  The test runs in a child process of its own,
+// so the pools start empty.
+func TestConcurrentAdvancesKeepTheirScratch(t *testing.T) {
+	if os.Getenv("AFFINITY_SCRATCH_CHILD") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestConcurrentAdvancesKeepTheirScratch$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), "AFFINITY_SCRATCH_CHILD=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	const parallelism, rounds = 2, 4
+	engines := make([]*Engine, 2)
+	fixtures := make([]*streamFixture, 2)
+	for i := range engines {
+		fixtures[i] = makeStreamFixture(t, 48, 96, rounds, int64(7+i))
+		e, err := Build(fixtures[i].window, Config{Clusters: 4, Seed: 3, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	advance := func(tick int) {
+		var wg sync.WaitGroup
+		errs := make([]error, len(engines))
+		for i, e := range engines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if errs[i] = e.Append(fixtures[i].ticks[tick]); errs[i] != nil {
+					return
+				}
+				var info AdvanceInfo
+				if info, errs[i] = e.Advance(); errs[i] == nil && !info.FullRefit {
+					errs[i] = fmt.Errorf("engine %d refit %d relationships, want a full fit", i, info.RefitRelationships)
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pools := map[string]string{
+		"affinity/internal/symex.(*fitter).fitSlots.func1": "fit",
+		"affinity/internal/kernel.(*Matrix).covPanel":      "panel",
+		"affinity/internal/kernel.CrossPanel":              "panel",
+		"affinity/internal/symex.reduceCrossMoments":       "cross",
+		"affinity/internal/scape.(*Index).buildNodes":      "node",
+	}
+	// madeByPool counts, per pool, the allocations made inside a Scratch's
+	// Get; three collections publish every allocation made before them.
+	madeByPool := func() map[string]int64 {
+		for range 3 {
+			runtime.GC()
+		}
+		var records []runtime.MemProfileRecord
+		for n := 256; ; n *= 2 {
+			records = make([]runtime.MemProfileRecord, n)
+			if got, ok := runtime.MemProfile(records, true); ok {
+				records = records[:got]
+				break
+			}
+		}
+		out := map[string]int64{}
+		for _, r := range records {
+			frames := runtime.CallersFrames(r.Stack())
+			for inGet := false; ; {
+				f, more := frames.Next()
+				if inGet {
+					out[pools[f.Function]] += r.AllocObjects
+					break
+				}
+				inGet = strings.HasPrefix(f.Function, "affinity/internal/par.(*Scratch[") && strings.HasSuffix(f.Function, "]).Get")
+				if !more {
+					break
+				}
+			}
+		}
+		return out
+	}
+	for r := range rounds {
+		advance(r)
+		runtime.GC()
+	}
+	made := madeByPool()
+	for pool, perEngine := range map[string]int64{"fit": parallelism, "panel": parallelism, "cross": 1, "node": 1} {
+		if n, most := made[pool], perEngine*int64(len(engines)); n == 0 || n > most {
+			t.Errorf("%d rounds of Advances, a collection after each, made %d %s scratch buffers, want 1 to %d", rounds, n, pool, most)
+		}
+	}
+	t.Logf("scratch buffers made: %v", made)
 }

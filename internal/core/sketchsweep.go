@@ -370,7 +370,7 @@ type blockScratch struct {
 	partials []sweepPartial
 }
 
-var blockScratchPool = par.Scratch[blockScratch]{Hold: true}
+var blockScratchPool par.Scratch[blockScratch]
 
 // reset readies the scratch for a sweep of items items, numCls of them
 // classified, and returns the items' empty partials.

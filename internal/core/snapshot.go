@@ -218,7 +218,7 @@ func readSnapshot(r io.Reader, n, m int) (*symex.Result, error) {
 		for ; len(b) > 0; b = b[recordSize:] {
 			pair := timeseries.Pair{U: timeseries.SeriesID(le.Uint32(b)), V: timeseries.SeriesID(le.Uint32(b[4:]))}
 			pivot := symex.Pivot{Common: timeseries.SeriesID(le.Uint32(b[8:])), Cluster: int(le.Uint32(b[12:]))}
-			if !pair.Valid() || int(pair.V) >= n || pair.U < last.U || (pair.U == last.U && pair.V <= last.V) {
+			if !pair.Valid() || int(pair.V) >= n || timeseries.ComparePairs(pair, last) <= 0 {
 				return fmt.Errorf("%w: pair %v after %v", ErrBadSnapshot, pair, last)
 			}
 			if !pair.Contains(pivot.Common) || pivot.Cluster >= k || b[16] != flagByte(pivot.Common == pair.V) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"affinity/internal/timeseries"
 )
 
 // snapshotFixtureBytes builds the engine that streams to the window of
@@ -71,7 +73,7 @@ func TestSnapshotBytesMatchMapStoreFixture(t *testing.T) {
 		inOrder := true
 		if i > 0 {
 			prev := rel.AssignmentList()[i-1].Pair
-			inOrder = prev.U < a.Pair.U || (prev.U == a.Pair.U && prev.V < a.Pair.V)
+			inOrder = timeseries.ComparePairs(prev, a.Pair) < 0
 		}
 		if rel.At(i).Pair != a.Pair || !inOrder {
 			t.Fatalf("decoded slot %d is out of file order", i)

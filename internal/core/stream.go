@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -386,9 +385,7 @@ func SortedStalePairs(stale map[timeseries.Pair]bool) []timeseries.Pair {
 	for p := range stale {
 		out = append(out, p)
 	}
-	slices.SortFunc(out, func(a, b timeseries.Pair) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
+	slices.SortFunc(out, timeseries.ComparePairs)
 	return out
 }
 

@@ -22,6 +22,8 @@ import (
 	"math/cmplx"
 	"sort"
 	"sync"
+
+	"affinity/internal/par"
 )
 
 // ErrEmptyInput is returned for empty inputs.
@@ -95,8 +97,8 @@ type Plan struct {
 	conv                 *Plan // power-of-two plan of length convLen
 	convLen              int
 	fwdChirp, invChirp   []complex128
-	fwdFilter, invFilter []complex128 // forward FFT of the chirp filter b
-	scratch              sync.Pool    // *[]complex128 of length convLen
+	fwdFilter, invFilter []complex128              // forward FFT of the chirp filter b
+	scratch              par.Scratch[[]complex128] // convolution buffers of length convLen
 }
 
 var planCache sync.Map // int -> *Plan
@@ -134,10 +136,6 @@ func newPlan(n int) *Plan {
 	p.invChirp = buildChirp(n, true)
 	p.fwdFilter = p.buildFilter(p.fwdChirp)
 	p.invFilter = p.buildFilter(p.invChirp)
-	p.scratch.New = func() any {
-		buf := make([]complex128, convLen)
-		return &buf
-	}
 	return p
 }
 
@@ -245,7 +243,7 @@ func radix2(x []complex128, st stageTables) {
 // bluesteinReal is the forward chirp-z transform of a real input, writing the
 // n output coefficients into dst using one pooled convolution buffer.
 func (p *Plan) bluesteinReal(dst []complex128, x []float64) {
-	bufp := p.scratch.Get().(*[]complex128)
+	bufp := p.convBuffer()
 	a := *bufp
 	for k := 0; k < p.n; k++ {
 		a[k] = complex(x[k], 0) * p.fwdChirp[k]
@@ -263,7 +261,7 @@ func (p *Plan) bluestein(dst, src []complex128, inverse bool) {
 	if inverse {
 		chirp, filter = p.invChirp, p.invFilter
 	}
-	bufp := p.scratch.Get().(*[]complex128)
+	bufp := p.convBuffer()
 	a := *bufp
 	for k := 0; k < p.n; k++ {
 		a[k] = src[k] * chirp[k]
@@ -273,6 +271,16 @@ func (p *Plan) bluestein(dst, src []complex128, inverse bool) {
 	}
 	p.convolve(dst, a, chirp, filter)
 	p.scratch.Put(bufp)
+}
+
+// convBuffer borrows a convolution buffer of length convLen from the plan's
+// scratch; the caller puts it back.
+func (p *Plan) convBuffer() *[]complex128 {
+	bufp, _ := p.scratch.Get()
+	if *bufp == nil {
+		*bufp = make([]complex128, p.convLen)
+	}
+	return bufp
 }
 
 // convolve runs the Bluestein convolution a ⊛ b through the power-of-two

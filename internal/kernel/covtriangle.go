@@ -23,14 +23,12 @@ import (
 // tile's.  The cross pass (crosspanel.go) borrows the same scratch.
 type panelScratch struct{ buf []float64 }
 
-// panelPool holds one scratch for good: a collection empties a pool, and
-// streaming engines collect often enough that a pooled scratch alone — 109 kB
-// for a 720-sample window — would be allocated again on a sizeable share of
-// Advances.
-var panelPool = par.Scratch[panelScratch]{Hold: true}
+// panelPool recycles the panel scratch of both passes: 109 kB for a
+// 720-sample window, kept across collections like every par.Scratch.
+var panelPool par.Scratch[panelScratch]
 
 // grow sizes the scratch for need floats.  A scratch is allocated at the
-// exact size, and one more than twice that size is dropped, so the held one
+// exact size, and one more than twice that size is dropped, so a kept one
 // follows the window down.  The two passes that share it need (16 + 3)·m and
 // (2·⌈K/4⌉·4 + 3)·m floats at one window, within that factor of each other
 // from 13 series and up to 16 centres.

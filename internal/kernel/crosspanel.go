@@ -17,7 +17,8 @@ import (
 
 // rowPool recycles the centred row tiles of a fanned-out pass; a pass at one
 // worker centres its rows into the tail of its panel scratch.  They are kept
-// apart so the buffer panelPool holds is always a panel's.
+// apart so every buffer panelPool keeps is a panel's, which grow would drop
+// after serving a row tile.
 var rowPool par.Scratch[panelScratch]
 
 // CrossPanel fills, for every row x_u and every column y_l, l < K = len(cols),

@@ -16,7 +16,10 @@
 //
 // Scratch is the one home of the per-call working buffers those fan-outs
 // fill: a call borrows a block's buffers, merges them into its answer — the
-// one allocation at its final size — and returns them.
+// one allocation at its final size — and returns them.  A Scratch keeps what
+// it lends for good, so per Scratch the memory held is bounded by the peak
+// number of buffers out at once, each sized as the path that fills it bounds
+// it.
 package par
 
 import (
@@ -202,43 +205,41 @@ func FlattenBlocks[T any](parts [][]T) []T {
 	return out
 }
 
-// Scratch is a pool of reusable working buffers of type T, shared by every
-// call of one code path: a call takes a buffer per worker block, fills it,
-// copies what it keeps into its own exact-size result and puts the buffer
-// back, so steady-state calls allocate their answers and nothing else.  A
-// buffer keeps whatever capacity it grew to; the pool drops idle buffers at
-// garbage collection, except the one a Scratch with Hold set keeps for good.
-// The zero value is ready to use and safe for concurrent use.
+// Scratch is the free list of reusable working buffers of type T shared by
+// every call of one code path: a call takes a buffer per worker block, fills
+// it, copies what it keeps into its own exact-size result and puts the buffer
+// back, so steady-state calls allocate their answers and nothing else.  It
+// keeps every buffer put back, across garbage collections, and makes a new one
+// only when all it holds are out, so it holds at most as many buffers as were
+// ever out at once; a buffer keeps whatever capacity it grew to, so the path
+// that fills it bounds its size.  The zero value is ready to use and safe for
+// concurrent use.
 type Scratch[T any] struct {
-	// Hold keeps one idle buffer out of the pool, so it survives collections:
-	// for a path that runs on every streaming Advance, where a buffer
-	// allocated again after each collection would show in the allocation
-	// rate.  Set it where the Scratch is declared; the held buffer is never
-	// freed, so the path must bound its size.
-	Hold bool
-	held atomic.Pointer[T]
-	pool sync.Pool
+	mu   sync.Mutex
+	free []*T
 }
 
-// Get returns a buffer — a recycled one, as its last user left it, or a new
-// zero one — and whether it was recycled.
+// Get returns a buffer — the one put back last, as its last user left it, or
+// a new zero one — and whether it was recycled.
 func (s *Scratch[T]) Get() (*T, bool) {
-	if s.Hold {
-		if x := s.held.Swap(nil); x != nil {
-			return x, true
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return new(T), false
 	}
-	if v := s.pool.Get(); v != nil {
-		return v.(*T), true
-	}
-	return new(T), false
+	x := s.free[n-1]
+	s.free = s.free[:n-1]
+	return x, true
 }
 
 // Put returns a buffer for reuse; a nil buffer is ignored.  The caller must
 // not touch it, or anything that aliases its memory, afterwards.
 func (s *Scratch[T]) Put(x *T) {
-	if x == nil || s.Hold && s.held.CompareAndSwap(nil, x) {
+	if x == nil {
 		return
 	}
-	s.pool.Put(x)
+	s.mu.Lock()
+	s.free = append(s.free, x)
+	s.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -171,53 +172,62 @@ func TestFlattenBlocksEmpty(t *testing.T) {
 	}
 }
 
-// TestScratchRecycles: a miss returns a fresh zero buffer, a hit returns a
-// buffer that was put back, as its last user left it, and a nil Put is
-// ignored.  The pool may drop any buffer (the race detector drops some on
-// purpose), so a hit is checked, never required.
+// TestScratchRecycles: a miss returns a fresh zero buffer, a hit returns the
+// buffer put back last, as its last user left it, and a nil Put is ignored.
 func TestScratchRecycles(t *testing.T) {
 	var s Scratch[[]int]
 	s.Put(nil)
-	put := map[*[]int]bool{}
+	if buf, hit := s.Get(); hit || *buf != nil {
+		t.Fatalf("a new Scratch returned %v (hit %v), want a fresh zero buffer", *buf, hit)
+	}
+	var last *[]int
 	for i := 0; i < 100; i++ {
 		buf, hit := s.Get()
-		if buf == nil {
-			t.Fatal("Get returned nil")
-		}
-		if hit != put[buf] {
-			t.Fatalf("Get reported hit=%v for a buffer put back=%v", hit, put[buf])
-		}
-		if !hit && *buf != nil {
-			t.Fatalf("fresh buffer %v, want the zero value", *buf)
+		if hit != (last != nil) || hit && buf != last {
+			t.Fatalf("Get = %p (hit %v), want the buffer put back last, %p", buf, hit, last)
 		}
 		if hit && len(*buf) != 1 {
 			t.Fatalf("recycled buffer %v, want its last user's contents", *buf)
 		}
 		*buf = append((*buf)[:0], i)
-		put[buf] = true
+		last = buf
 		s.Put(buf)
 	}
 }
 
-// TestScratchHoldSurvivesCollections: a Scratch with Hold set hands back the
-// buffer last put whatever the collector did in between, and a second buffer
-// put while one is held goes to the pool.
-func TestScratchHoldSurvivesCollections(t *testing.T) {
-	s := Scratch[[]int]{Hold: true}
-	a, hit := s.Get()
-	if hit {
-		t.Fatal("a new Scratch reported a hit")
+// TestScratchKeepsBuffersAcrossCollections: k buffers borrowed at once and put
+// back are all still there after two collections — k hits, each a distinct
+// buffer — and the next Get makes a new one.
+func TestScratchKeepsBuffersAcrossCollections(t *testing.T) {
+	const k = 8
+	var s Scratch[[]int]
+	var wg sync.WaitGroup
+	borrowed := make(chan *[]int, k)
+	for range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf, _ := s.Get()
+			borrowed <- buf
+		}()
 	}
-	b, _ := s.Get()
-	s.Put(a)
-	s.Put(b) // to the pool: a is held
+	wg.Wait()
+	close(borrowed)
+	for buf := range borrowed {
+		s.Put(buf)
+	}
 	runtime.GC()
 	runtime.GC()
-	if got, hit := s.Get(); got != a || !hit {
-		t.Fatalf("Get after two collections = %p (hit %v), want the held buffer %p", got, hit, a)
+	seen := map[*[]int]bool{}
+	for i := range k {
+		buf, hit := s.Get()
+		if !hit || seen[buf] {
+			t.Fatalf("Get %d after two collections = %p (hit %v, seen before %v), want a distinct kept buffer", i, buf, hit, seen[buf])
+		}
+		seen[buf] = true
 	}
-	if got, _ := s.Get(); got == a {
-		t.Fatal("the held buffer was handed out twice")
+	if buf, hit := s.Get(); hit || seen[buf] {
+		t.Fatalf("Get with all %d buffers out = %p (hit %v), want a new one", k, buf, hit)
 	}
 }
 

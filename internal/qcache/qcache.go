@@ -34,7 +34,6 @@
 package qcache
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -412,11 +411,6 @@ func (c *Cache) PlanRepair(key Key, epoch int) (RepairPlan, bool) {
 	return RepairPlan{Candidates: mergePairs(lists, len(e.pairs)+stale), StalePairs: stale}, true
 }
 
-// comparePairs is the canonical (U, V) order.
-func comparePairs(a, b timeseries.Pair) int {
-	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-}
-
 // mergePairs returns the union of the lists, total pairs in all, in canonical
 // order without duplicates.  The entry's rows and the stale sets each come
 // strictly ascending in that order, so it merges them: each step takes the
@@ -430,7 +424,7 @@ func mergePairs(lists [][]timeseries.Pair, total int) []timeseries.Pair {
 			for _, l := range lists {
 				out = append(out, l...)
 			}
-			slices.SortFunc(out, comparePairs)
+			slices.SortFunc(out, timeseries.ComparePairs)
 			return slices.Compact(out)
 		}
 	}
@@ -439,9 +433,9 @@ func mergePairs(lists [][]timeseries.Pair, total int) []timeseries.Pair {
 		for i, l := range lists {
 			switch {
 			case len(l) == 0:
-			case least < 0 || pairLess(l[0], lists[least][0]):
+			case least < 0 || timeseries.ComparePairs(l[0], lists[least][0]) < 0:
 				least, next = i, least
-			case next < 0 || pairLess(l[0], lists[next][0]):
+			case next < 0 || timeseries.ComparePairs(l[0], lists[next][0]) < 0:
 				next = i
 			}
 		}
@@ -457,7 +451,7 @@ func mergePairs(lists [][]timeseries.Pair, total int) []timeseries.Pair {
 		if next >= 0 {
 			bound := lists[next][0]
 			run = 1
-			for run < len(l) && pairLess(l[run], bound) {
+			for run < len(l) && timeseries.ComparePairs(l[run], bound) < 0 {
 				run++
 			}
 		}
@@ -466,15 +460,10 @@ func mergePairs(lists [][]timeseries.Pair, total int) []timeseries.Pair {
 	}
 }
 
-// pairLess is the canonical (U, V) order.
-func pairLess(a, b timeseries.Pair) bool {
-	return a.U < b.U || a.U == b.U && a.V < b.V
-}
-
 // ascending reports whether l is strictly ascending in canonical order.
 func ascending(l []timeseries.Pair) bool {
 	for i := 1; i < len(l); i++ {
-		if !pairLess(l[i-1], l[i]) {
+		if timeseries.ComparePairs(l[i-1], l[i]) >= 0 {
 			return false
 		}
 	}

@@ -397,7 +397,7 @@ func sortUnion(lists [][]timeseries.Pair) []timeseries.Pair {
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	slices.SortFunc(all, comparePairs)
+	slices.SortFunc(all, timeseries.ComparePairs)
 	return slices.Compact(all)
 }
 
@@ -420,7 +420,7 @@ func TestMergePairsMatchesSortUnion(t *testing.T) {
 				lists[i] = append(lists[i], p)
 			}
 			if trial%5 != 0 {
-				slices.SortFunc(lists[i], comparePairs)
+				slices.SortFunc(lists[i], timeseries.ComparePairs)
 			} else if len(lists[i]) > 0 && rng.Intn(2) == 0 {
 				lists[i] = append(lists[i], lists[i][0]) // a repeat
 			}
@@ -450,7 +450,7 @@ func BenchmarkRepairCandidates(b *testing.B) {
 		for p := range seen {
 			l = append(l, p)
 		}
-		slices.SortFunc(l, comparePairs)
+		slices.SortFunc(l, timeseries.ComparePairs)
 		return l
 	}
 	lists := [][]timeseries.Pair{draw(3000)}

@@ -508,7 +508,7 @@ type pivotScratch struct {
 	entries []xiEntry
 }
 
-var pivotScratchPool = par.Scratch[pivotScratch]{Hold: true}
+var pivotScratchPool par.Scratch[pivotScratch]
 
 // nodeWork is what building one pivot node cost, summed into the statistics
 // once the (parallel) build is over.
@@ -524,7 +524,7 @@ type nodeScratch struct {
 	work []nodeWork
 }
 
-var nodeScratchPool = par.Scratch[nodeScratch]{Hold: true}
+var nodeScratchPool par.Scratch[nodeScratch]
 
 // buildNodes builds idx.pivots — node i for layout pivot i, every one of
 // which has a relationship — and is the single code path behind Build and
@@ -869,14 +869,6 @@ func (idx *Index) fillLocation(col *locationColumn, m measure.Measure) error {
 	}
 	col.fill(entries)
 	return nil
-}
-
-// pairLess orders canonical pairs lexicographically.
-func pairLess(a, b timeseries.Pair) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
 }
 
 // sortedMeasures returns the keys of a measure set in ascending order.

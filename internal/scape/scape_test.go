@@ -378,7 +378,7 @@ func TestLocationColumnsFilledOnDemand(t *testing.T) {
 	// walk of the whole set.
 	chosen := map[timeseries.SeriesID]*symex.Relationship{}
 	for r := range rel.All() {
-		if cur, ok := chosen[r.Other()]; !ok || pairLess(r.Pair, cur.Pair) {
+		if cur, ok := chosen[r.Other()]; !ok || timeseries.ComparePairs(r.Pair, cur.Pair) < 0 {
 			chosen[r.Other()] = r
 		}
 	}

@@ -51,7 +51,7 @@ func (h *TopHeap) better(a, b topEntry) bool {
 		}
 		return a.value < b.value
 	}
-	return pairLess(a.pair, b.pair)
+	return timeseries.ComparePairs(a.pair, b.pair) < 0
 }
 
 // Offer considers one entry; NaN values (undefined measures) never rank.

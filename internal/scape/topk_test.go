@@ -32,7 +32,7 @@ func topKOracle(estimates map[timeseries.Pair]float64, k int, largest bool) ([]t
 			}
 			return entries[i].value < entries[j].value
 		}
-		return pairLess(entries[i].pair, entries[j].pair)
+		return timeseries.ComparePairs(entries[i].pair, entries[j].pair) < 0
 	})
 	if len(entries) > k {
 		entries = entries[:k]

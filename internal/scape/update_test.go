@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"affinity/internal/cluster"
@@ -139,7 +138,7 @@ func staleSubset(rel *symex.Result, frac float64, seed int64) map[timeseries.Pai
 	for i, a := range list {
 		pairs[i] = a.Pair
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairLess(pairs[i], pairs[j]) })
+	slices.SortFunc(pairs, timeseries.ComparePairs)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	k := int(frac * float64(len(pairs)))

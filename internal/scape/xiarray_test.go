@@ -262,7 +262,7 @@ func TestXiContainersMatchStableSortTreeOracle(t *testing.T) {
 					}
 					if i > 0 && xi == pm.xi.keys[i-1] {
 						shapes["equal"] = true
-						if !pairLess(pm.xi.node(i-1).pair, pm.xi.node(i).pair) {
+						if timeseries.ComparePairs(pm.xi.node(i-1).pair, pm.xi.node(i).pair) >= 0 {
 							t.Fatalf("P=%d %v: equal ξ not in canonical pair order", p, node.pivot)
 						}
 					}

@@ -217,7 +217,7 @@ func mergePairLists(results []core.QueryResult) []timeseries.Pair {
 			if heads[s] >= len(r.Pairs) {
 				continue
 			}
-			if best == -1 || pairBefore(r.Pairs[heads[s]], results[best].Pairs[heads[best]]) {
+			if best == -1 || timeseries.ComparePairs(r.Pairs[heads[s]], results[best].Pairs[heads[best]]) < 0 {
 				best = s
 			}
 		}
@@ -225,13 +225,6 @@ func mergePairLists(results []core.QueryResult) []timeseries.Pair {
 		heads[best]++
 	}
 	return out
-}
-
-func pairBefore(a, b timeseries.Pair) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
 }
 
 // indexIntervals scatters the index-method interval items items[group...] to

@@ -46,7 +46,6 @@ package sketch
 import (
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"affinity/internal/dft"
@@ -191,7 +190,7 @@ type buildScratch struct {
 	mag  []float64 // squared magnitudes of the non-DC bins, mag[k-1] for bin k
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+var scratchPool par.Scratch[buildScratch]
 
 // Build computes the sketch set of a window from its mirrored columns and
 // exact moments.  parallelism shards the per-series FFTs; the result is
@@ -241,7 +240,7 @@ func (s *Set) rebuild(v int, col []float64, mom *kernel.Moments, plan *dft.Plan)
 	if s.d == 0 {
 		return
 	}
-	sc := scratchPool.Get().(*buildScratch)
+	sc, _ := scratchPool.Get()
 	sc.spec = plan.TransformInto(sc.spec, col)
 	spec := sc.spec
 	if cap(sc.mag) < s.m-1 {

@@ -106,8 +106,7 @@ func newMapLayout(assignments []Assignment) mapLayout {
 	})
 	for p, slots := range l.byPivot {
 		slices.SortFunc(slots, func(a, b int) int {
-			pa, pb := assignments[a].Pair, assignments[b].Pair
-			return cmp.Or(cmp.Compare(pa.U, pb.U), cmp.Compare(pa.V, pb.V))
+			return timeseries.ComparePairs(assignments[a].Pair, assignments[b].Pair)
 		})
 		l.byPivot[p] = slots
 	}

@@ -129,7 +129,7 @@ func NewLayout(n int, assignments []Assignment) (*Layout, error) {
 		if !a.Pair.Valid() || int(a.Pair.V) >= n || !a.Pair.Contains(a.Pivot.Common) || a.Pivot.Cluster < 0 {
 			return nil, fmt.Errorf("symex: invalid assignment %v → %v for %d series", a.Pair, a.Pivot, n)
 		}
-		at := triIndex(n, a.Pair)
+		at := timeseries.PairRank(n, a.Pair)
 		if l.slotOf[at] >= 0 {
 			return nil, fmt.Errorf("symex: pair %v assigned twice", a.Pair)
 		}
@@ -177,13 +177,6 @@ func (l *Layout) bucket(slots []int32) (members, start []int32) {
 	return members, start
 }
 
-// triIndex maps a canonical pair over n series to its position in the strict
-// upper triangle of the n×n pair grid, row by row — ascending in (U, V) order.
-func triIndex(n int, e timeseries.Pair) int {
-	u, v := int(e.U), int(e.V)
-	return u*(2*n-u-1)/2 + v - u - 1
-}
-
 // Assignments returns the frozen assignment list; slot i is Assignments()[i].
 func (l *Layout) Assignments() []Assignment { return l.assignments }
 
@@ -192,7 +185,7 @@ func (l *Layout) Slot(e timeseries.Pair) (int, bool) {
 	if !e.Valid() || int(e.V) >= l.n {
 		return 0, false
 	}
-	slot := l.slotOf[triIndex(l.n, e)]
+	slot := l.slotOf[timeseries.PairRank(l.n, e)]
 	return int(slot), slot >= 0
 }
 
@@ -411,7 +404,7 @@ type crossScratch struct {
 	buf  []float64
 }
 
-var crossScratchPool = par.Scratch[crossScratch]{Hold: true}
+var crossScratchPool par.Scratch[crossScratch]
 
 // reduceCrossMoments reduces every series of window d against every centre of
 // the clustering in one kernel.CrossPanel pass and assembles both of the

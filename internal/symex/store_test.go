@@ -82,12 +82,7 @@ func requireStoreMatchesOracle(t testing.TB, label string, d *timeseries.DataMat
 	gotPivots := pivotPairs(got)
 	for p, pairs := range want.pivots {
 		sorted := slices.Clone(pairs)
-		slices.SortFunc(sorted, func(a, b timeseries.Pair) int {
-			if a.U != b.U {
-				return int(a.U - b.U)
-			}
-			return int(a.V - b.V)
-		})
+		slices.SortFunc(sorted, timeseries.ComparePairs)
 		if !reflect.DeepEqual(gotPivots[p], sorted) {
 			t.Fatalf("%s: pivot %v holds %v, oracle %v", label, p, gotPivots[p], sorted)
 		}

@@ -278,7 +278,7 @@ type explorer struct {
 	n          int
 	clustering *cluster.Result
 	limit      int
-	// assigned flags the pairs that have a pivot, indexed by triIndex like
+	// assigned flags the pairs that have a pivot, indexed by timeseries.PairRank like
 	// the layout's pair→slot index.
 	assigned    []bool
 	assignments []Assignment
@@ -314,7 +314,7 @@ func (ex *explorer) createPivots(ez timeseries.Pair) error {
 // assign records the pivot assignment of a sequence pair (the bookkeeping
 // half of SolveInsert), skipping pairs that already have one.
 func (ex *explorer) assign(e timeseries.Pair, common timeseries.SeriesID) error {
-	at := triIndex(ex.n, e)
+	at := timeseries.PairRank(ex.n, e)
 	if ex.assigned[at] {
 		return nil
 	}
@@ -362,7 +362,7 @@ type fitScratch struct {
 	covs   []float64             // cov(s_common, s_other) of the moment-form members, in batch order
 }
 
-var fitScratchPool = par.Scratch[fitScratch]{Hold: true}
+var fitScratchPool par.Scratch[fitScratch]
 
 // groupFit is one listed pivot group of a batch.
 type groupFit struct {

@@ -16,6 +16,7 @@
 package timeseries
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -54,6 +55,21 @@ func NewPair(a, b SeriesID) (Pair, error) {
 		a, b = b, a
 	}
 	return Pair{U: a, V: b}, nil
+}
+
+// ComparePairs is the canonical pair order — by U, then by V — in which
+// AllPairs lists the pairs and PairRank counts them, and in which every sorted
+// pair list of the engine is kept.
+func ComparePairs(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+}
+
+// PairRank returns the position of canonical pair e among the n(n−1)/2 pairs
+// of n series in canonical order: its index in AllPairs, the inverse of
+// PairsAt.
+func PairRank(n int, e Pair) int {
+	u, v := int(e.U), int(e.V)
+	return u*n - u*(u+1)/2 + v - u - 1
 }
 
 // String renders the pair as "(u,v)".
@@ -580,13 +596,6 @@ func (d *DataMatrix) PairsAt(rank int, dst []Pair) []Pair {
 		}
 	}
 	return dst
-}
-
-// PairRank returns the position of a canonical pair in the AllPairs order —
-// the inverse of PairsAt.
-func (d *DataMatrix) PairRank(e Pair) int {
-	u, v := int(e.U), int(e.V)
-	return u*d.NumSeries() - u*(u+1)/2 + v - u - 1
 }
 
 // NumPairs returns |P| = n(n-1)/2.

@@ -164,7 +164,7 @@ func TestPairsAtMatchesAllPairs(t *testing.T) {
 		}
 		want := d.AllPairs()
 		for rank, p := range want {
-			if got := d.PairRank(p); got != rank {
+			if got := PairRank(n, p); got != rank {
 				t.Fatalf("n=%d: PairRank(%v) = %d, AllPairs has it at %d", n, p, got, rank)
 			}
 		}

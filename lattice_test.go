@@ -937,7 +937,7 @@ func checkOracle(ref *cell, q query, o oracle, res any, err error) error {
 					if u == v {
 						continue
 					}
-					w := o.values[d.PairRank(orderedPair(u, v))]
+					w := o.values[timeseries.PairRank(d.NumSeries(), orderedPair(u, v))]
 					if math.Float64bits(got[i][j]) != math.Float64bits(w) && !(math.IsNaN(w) && math.IsNaN(got[i][j])) {
 						return fmt.Errorf("%s: naive cell (%d,%d) = %x, oracle %x", label, u, v, got[i][j], w)
 					}
