@@ -278,8 +278,8 @@ type explorer struct {
 	n          int
 	clustering *cluster.Result
 	limit      int
-	// assigned flags the pairs that have a pivot, indexed by timeseries.PairRank like
-	// the layout's pair→slot index.
+	// assigned flags the pairs that have a pivot, indexed by
+	// timeseries.PairRank like the layout's pair→slot index.
 	assigned    []bool
 	assignments []Assignment
 }
