@@ -21,6 +21,7 @@ import (
 	"sort"
 	"testing"
 
+	"affinity/internal/baseline"
 	"affinity/internal/cluster"
 	"affinity/internal/core"
 	"affinity/internal/experiments"
@@ -225,6 +226,18 @@ func BenchmarkAblationPinvCache(b *testing.B) {
 
 // --- micro-benchmarks of the core building blocks -------------------------
 
+// sortedNaiveValues returns the W_N values of m over every pair of the
+// engine's window, sorted: the distribution benchmarks pick thresholds from.
+func sortedNaiveValues(b *testing.B, engine *core.Engine, m measure.Measure) []float64 {
+	b.Helper()
+	vals, err := experiments.NaivePairSweep(baseline.NewNaive(engine.Data()), engine.Data(), m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sort.Float64s(vals)
+	return vals
+}
+
 func benchmarkEngine(b *testing.B) *core.Engine {
 	b.Helper()
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
@@ -420,12 +433,7 @@ func BenchmarkIndexInterval(b *testing.B) {
 	engine := benchmarkEngine(b)
 	var batch []core.IntervalQuery
 	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.EuclideanDistance} {
-		sweep, err := engine.PairwiseSweepNaive(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vals := append([]float64(nil), sweep.Values...)
-		sort.Float64s(vals)
+		vals := sortedNaiveValues(b, engine, m)
 		at := func(q float64) float64 { return vals[int(q*float64(len(vals)-1))] }
 		if m == measure.EuclideanDistance {
 			batch = append(batch,
@@ -500,11 +508,10 @@ func BenchmarkDistanceMeasureThreshold(b *testing.B) {
 	for _, m := range []measure.Measure{measure.EuclideanDistance, measure.MeanSquaredDifference, measure.AngularDistance} {
 		m := m
 		// Median-scale thresholds per measure (values from the affine sweep).
-		sweep, err := engine.PairwiseSweepAffine(m)
+		vals, err := experiments.AffinePairSweep(engine, m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		vals := append([]float64(nil), sweep.Values...)
 		sort.Float64s(vals)
 		tau := vals[len(vals)/2]
 		b.Run(m.String(), func(b *testing.B) {
@@ -580,7 +587,7 @@ func BenchmarkAffineCovarianceSweep(b *testing.B) {
 	engine := benchmarkEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.PairwiseSweepAffine(measure.Covariance); err != nil {
+		if _, err := experiments.AffinePairSweep(engine, measure.Covariance); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -590,19 +597,20 @@ func BenchmarkAffineCovarianceSweep(b *testing.B) {
 // computation.
 func BenchmarkNaiveCovarianceSweep(b *testing.B) {
 	engine := benchmarkEngine(b)
+	naive := baseline.NewNaive(engine.Data())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.PairwiseSweepNaive(measure.Covariance); err != nil {
+		if _, err := experiments.NaivePairSweep(naive, engine.Data(), measure.Covariance); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSweep is the blocked-kernel smoke row: one full W_N correlation
-// sweep on the blocked columnar kernels, with b.SetBytes reporting effective
-// pair-data throughput (pairs × samples × 2 columns × 8 bytes per sweep).
-// CI tracks its allocs/op against BENCH_BUDGET.json: the blocked path
-// allocates the pair list, the output vector and O(blocks) scratch per sweep
+// sweep (the paper's, experiments.NaivePairSweep) on the blocked columnar
+// kernels, with b.SetBytes reporting effective pair-data throughput (pairs ×
+// samples × 2 columns × 8 bytes per sweep).  CI tracks its allocs/op against
+// BENCH_BUDGET.json: the sweep allocates the pair list and the output vector
 // — a count independent of the derived-measure transform and never O(pairs)
 // transient garbage.  The columnar mirror and the hoisted moments are built
 // lazily once per window, so the warm-up sweep keeps them out of the timed
@@ -610,7 +618,8 @@ func BenchmarkNaiveCovarianceSweep(b *testing.B) {
 // epoch.
 func BenchmarkSweep(b *testing.B) {
 	engine := benchmarkEngine(b)
-	if _, err := engine.PairwiseSweepNaive(measure.Correlation); err != nil {
+	naive := baseline.NewNaive(engine.Data())
+	if _, err := experiments.NaivePairSweep(naive, engine.Data(), measure.Correlation); err != nil {
 		b.Fatal(err)
 	}
 	info := engine.Info()
@@ -618,7 +627,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.PairwiseSweepNaive(measure.Correlation); err != nil {
+		if _, err := experiments.NaivePairSweep(naive, engine.Data(), measure.Correlation); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -649,12 +658,7 @@ func BenchmarkSketchSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sweep, err := engine.PairwiseSweepNaive(measure.Cosine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vals := append([]float64(nil), sweep.Values...)
-	sort.Float64s(vals)
+	vals := sortedNaiveValues(b, engine, measure.Cosine)
 	iv := interval.GreaterThan(vals[int(0.9*float64(len(vals)-1))])
 	if _, err := engine.Interval(measure.Cosine, iv, core.MethodNaive); err != nil {
 		b.Fatal(err)
@@ -685,12 +689,7 @@ func BenchmarkSketchSweepCold(b *testing.B) {
 		Stream:    core.StreamConfig{DriftBound: 0.05},
 		Sketch:    sketch.Options{Enabled: true, Coefficients: 16},
 	})
-	sweep, err := engine.PairwiseSweepNaive(measure.Correlation)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vals := append([]float64(nil), sweep.Values...)
-	sort.Float64s(vals)
+	vals := sortedNaiveValues(b, engine, measure.Correlation)
 	iv := interval.GreaterThan(vals[int(0.9*float64(len(vals)-1))])
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1151,9 +1150,10 @@ func BenchmarkCachedInterval(b *testing.B) {
 // values) and the sliver it cannot decide to the kernels.  CI tracks its
 // allocs/op against BENCH_BUDGET.json: the result, pairs and values, each
 // allocated once at its final size; the per-block scratch is pooled — never
-// the pair universe and never a column.  The cache budget is small enough
-// that old bands are evicted: a miss scans the stored entries for one that
-// contains it, and ns/op should not grow with b.N.
+// the pair universe and never a column.  The cache keeps its fixed 32 MiB
+// budget, so the stored bands accumulate over a run and a miss's scan for an
+// entry that contains it walks them all: at a long -benchtime that scan adds
+// to ns/op, though not to allocs/op.
 func BenchmarkCachedSweepMiss(b *testing.B) {
 	sensor, err := experiments.GenerateSensorOnly(benchScale())
 	if err != nil {
@@ -1161,7 +1161,7 @@ func BenchmarkCachedSweepMiss(b *testing.B) {
 	}
 	engine, err := core.Build(sensor, core.Config{
 		Clusters: 6, Seed: 42, SkipIndex: true,
-		Cache: qcache.Options{Enabled: true, MaxBytes: 256 << 10},
+		Cache: qcache.Options{Enabled: true},
 	})
 	if err != nil {
 		b.Fatal(err)

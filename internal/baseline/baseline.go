@@ -32,8 +32,7 @@ var ErrNotPrecomputed = errors.New("baseline: DFT coefficients not precomputed")
 // Naive is the W_N method: it holds a reference to the data matrix and
 // computes every requested measure from the raw series.  Full-dataset scans
 // run on the blocked columnar kernels (internal/kernel), built lazily once
-// per window and byte-identical to the scalar evaluation; single-pair lookups
-// stay scalar.
+// per window and byte-identical to the scalar evaluation.
 type Naive struct {
 	data *timeseries.DataMatrix
 
@@ -47,9 +46,9 @@ type Naive struct {
 func NewNaive(d *timeseries.DataMatrix) *Naive { return &Naive{data: d} }
 
 // Kernel returns the lazily built columnar mirror of the window and its
-// hoisted per-series moments, shared by every blocked scan over this window
-// (the engine's sweep and batch executors call this too).  Safe for
-// concurrent use; the window is immutable for the lifetime of the Naive.
+// hoisted per-series moments, shared by every blocked scan over this window.
+// Safe for concurrent use; the window is immutable for the lifetime of the
+// Naive.
 func (n *Naive) Kernel() (*kernel.Matrix, *kernel.Moments, error) {
 	n.kernOnce.Do(func() {
 		n.kern, n.kernErr = kernel.FromData(n.data)
@@ -81,53 +80,10 @@ func (n *Naive) Location(m measure.Measure, ids []timeseries.SeriesID) ([]float6
 	return out, nil
 }
 
-// Pairwise computes a T- or D-measure for every pair among the requested
-// series from scratch, returned as a symmetric |ids|-by-|ids| matrix in the
-// order given.  Pairs with an undefined derived value are reported as NaN.
-// The upper triangle (diagonal included) runs on the blocked kernels in
-// request order; results are byte-identical to per-pair scalar evaluation.
-func (n *Naive) Pairwise(m measure.Measure, ids []timeseries.SeriesID) ([][]float64, error) {
-	sp, ok := measure.Find(m)
-	if !ok || !sp.Pairwise() {
-		return nil, fmt.Errorf("%w: %v is not a pairwise measure", measure.ErrUnknownMeasure, m)
-	}
-	for _, id := range ids {
-		if _, err := n.data.Series(id); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]float64, len(ids))
-	for i := range out {
-		out[i] = make([]float64, len(ids))
-	}
-	// The kernels are symmetric in (U, V) and accept U == V, so the triangle
-	// enumerates raw column index pairs without canonicalization.
-	pairs := make([]timeseries.Pair, 0, len(ids)*(len(ids)+1)/2)
-	for i := range ids {
-		for j := i; j < len(ids); j++ {
-			pairs = append(pairs, timeseries.Pair{U: ids[i], V: ids[j]})
-		}
-	}
-	values := make([]float64, len(pairs))
-	if err := n.SweepValues(sp, pairs, values); err != nil {
-		return nil, err
-	}
-	k := 0
-	for i := range ids {
-		for j := i; j < len(ids); j++ {
-			out[i][j] = values[k]
-			out[j][i] = values[k]
-			k++
-		}
-	}
-	return out, nil
-}
-
 // SweepValues fills values[i] with the naive evaluation of sp for pairs[i],
 // NaN where the measure is undefined, using the blocked kernels (bit-equal
-// to the scalar path); bases without a blocked kernel fall back to per-pair
-// scalar evaluation.  Pairs are raw column index pairs: U == V is allowed and
-// yields the measure of a series with itself.  len(values) must equal
+// to the scalar path).  Pairs are raw column index pairs: U == V is allowed
+// and yields the measure of a series with itself.  len(values) must equal
 // len(pairs); callers shard pair ranges across workers by slicing both.
 func (n *Naive) SweepValues(sp *measure.Spec, pairs []timeseries.Pair, values []float64) error {
 	kern, mom, err := n.Kernel()
@@ -135,9 +91,6 @@ func (n *Naive) SweepValues(sp *measure.Spec, pairs []timeseries.Pair, values []
 		return err
 	}
 	baseBlock := kern.BaseBlock(sp.Base)
-	if baseBlock == nil {
-		return n.sweepValuesScalar(sp, pairs, values)
-	}
 	numSamples := n.data.NumSamples()
 	for lo := 0; lo < len(pairs); lo += kernel.BlockPairs {
 		hi := lo + kernel.BlockPairs
@@ -159,41 +112,6 @@ func (n *Naive) SweepValues(sp *measure.Spec, pairs []timeseries.Pair, values []
 		}
 	}
 	return nil
-}
-
-// sweepValuesScalar is the per-pair fallback for bases without a blocked
-// kernel; it is also the reference implementation the kernel parity tests
-// compare against.
-func (n *Naive) sweepValuesScalar(sp *measure.Spec, pairs []timeseries.Pair, values []float64) error {
-	for i, p := range pairs {
-		su, err := n.data.Series(p.U)
-		if err != nil {
-			return err
-		}
-		sv, err := n.data.Series(p.V)
-		if err != nil {
-			return err
-		}
-		v, err := measure.OrNaN(measure.EvalPair(sp.ID, su, sv))
-		if err != nil {
-			return err
-		}
-		values[i] = v
-	}
-	return nil
-}
-
-// PairValue computes a single pairwise measure from scratch.
-func (n *Naive) PairValue(m measure.Measure, e timeseries.Pair) (float64, error) {
-	su, err := n.data.Series(e.U)
-	if err != nil {
-		return 0, err
-	}
-	sv, err := n.data.Series(e.V)
-	if err != nil {
-		return 0, err
-	}
-	return measure.EvalPair(m, su, sv)
 }
 
 // PairInterval evaluates an interval (MET/MER) query with one blocked sweep

@@ -51,54 +51,41 @@ func TestNaiveLocationAndPairwise(t *testing.T) {
 		}
 	}
 
-	cov, err := naive.Pairwise(measure.Covariance, ids)
-	if err != nil {
+	pairs := []timeseries.Pair{{U: 0, V: 4}, {U: 4, V: 0}, {U: 2, V: 2}}
+	cov := make([]float64, len(pairs))
+	if err := naive.SweepValues(measure.Lookup(measure.Covariance), pairs, cov); err != nil {
 		t.Fatal(err)
-	}
-	if len(cov) != 3 || len(cov[0]) != 3 {
-		t.Fatalf("pairwise shape %dx%d", len(cov), len(cov[0]))
 	}
 	s0, _ := d.Series(0)
 	s4, _ := d.Series(4)
 	want, _ := measure.CovarianceOf(s0, s4)
-	if math.Abs(cov[0][2]-want) > 1e-12 {
-		t.Fatalf("cov[0][2] = %v, want %v", cov[0][2], want)
+	if math.Abs(cov[0]-want) > 1e-12 {
+		t.Fatalf("cov(0, 4) = %v, want %v", cov[0], want)
 	}
-	if cov[0][2] != cov[2][0] {
-		t.Fatal("pairwise result must be symmetric")
+	if cov[0] != cov[1] {
+		t.Fatal("a pair's value must not depend on its orientation")
 	}
-
-	v, err := naive.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v < -1 || v > 1 {
-		t.Fatalf("correlation %v out of range", v)
+	s2, _ := d.Series(2)
+	if want, _ := measure.CovarianceOf(s2, s2); math.Abs(cov[2]-want) > 1e-12 {
+		t.Fatalf("cov(2, 2) = %v, want the variance %v", cov[2], want)
 	}
 
 	if _, err := naive.Location(measure.Mean, []timeseries.SeriesID{99}); err == nil {
 		t.Fatal("invalid id should error")
 	}
-	if _, err := naive.Pairwise(measure.Covariance, []timeseries.SeriesID{0, 99}); err == nil {
-		t.Fatal("invalid id should error")
-	}
 }
 
-// TestPairMeasure: one pair from scratch, an unknown series in either
-// position of the pair is an error, and Location refuses a pairwise measure.
+// TestPairMeasure: one pair from scratch, and Location refuses a pairwise
+// measure.
 func TestPairMeasure(t *testing.T) {
 	d, err := timeseries.NewDataMatrix([][]float64{{1, 2, 3, 4, 5}, {2, 4, 6, 8, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	naive := NewNaive(d)
-	if got, err := naive.PairValue(measure.Correlation, timeseries.Pair{U: 0, V: 1}); err != nil || math.Abs(got-1) > 1e-12 {
-		t.Fatalf("PairValue = %v, %v; want 1", got, err)
-	}
-	for _, e := range []timeseries.Pair{{U: 0, V: 9}, {U: 9, V: 1}} {
-		if _, err := naive.PairValue(measure.Correlation, e); err == nil {
-			t.Fatalf("pair %v: no error", e)
-		}
+	got := make([]float64, 1)
+	if err := naive.SweepValues(measure.Lookup(measure.Correlation), []timeseries.Pair{{U: 0, V: 1}}, got); err != nil || math.Abs(got[0]-1) > 1e-12 {
+		t.Fatalf("correlation = %v, %v; want 1", got[0], err)
 	}
 	if _, err := naive.Location(measure.Covariance, d.IDs()); !errors.Is(err, measure.ErrUnknownMeasure) {
 		t.Fatalf("Location of a pairwise measure: err = %v", err)
@@ -108,12 +95,66 @@ func TestPairMeasure(t *testing.T) {
 func TestNaivePairwiseConstantSeriesIsNaN(t *testing.T) {
 	d, _ := timeseries.NewDataMatrix([][]float64{{1, 2, 3}, {5, 5, 5}})
 	naive := NewNaive(d)
-	corr, err := naive.Pairwise(measure.Correlation, d.IDs())
+	corr := make([]float64, 1)
+	if err := naive.SweepValues(measure.Lookup(measure.Correlation), d.AllPairs(), corr); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(corr[0]) {
+		t.Fatalf("correlation with constant series = %v, want NaN", corr[0])
+	}
+}
+
+// sweepValuesScalar is the scalar W_N loop: one pair at a time through the
+// measure registry, the oracle SweepValues' blocked kernels reproduce.
+func sweepValuesScalar(d *timeseries.DataMatrix, sp *measure.Spec, pairs []timeseries.Pair, values []float64) error {
+	for i, p := range pairs {
+		v, err := measure.OrNaN(pairValue(d, sp.ID, p))
+		if err != nil {
+			return err
+		}
+		values[i] = v
+	}
+	return nil
+}
+
+// pairValue evaluates one pair from the raw series.
+func pairValue(d *timeseries.DataMatrix, m measure.Measure, p timeseries.Pair) (float64, error) {
+	su, err := d.Series(p.U)
+	if err != nil {
+		return 0, err
+	}
+	sv, err := d.Series(p.V)
+	if err != nil {
+		return 0, err
+	}
+	return measure.EvalPair(m, su, sv)
+}
+
+// TestSweepValuesMatchesScalar: the blocked sweep gives every pairwise
+// measure the scalar loop's bits, NaN for NaN, diagonal pairs included.
+func TestSweepValuesMatchesScalar(t *testing.T) {
+	d, err := timeseries.NewDataMatrix([][]float64{
+		{1, 2, 3, 4, 5, 6, 7}, {5, 5, 5, 5, 5, 5, 5}, {-3, 0.5, 2, -1, 4, 4, 0}, {0, 0, 0, 0, 0, 0, 0}, {2, 1, 2, 1, 2, 1, 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(corr[0][1]) {
-		t.Fatalf("correlation with constant series = %v, want NaN", corr[0][1])
+	pairs := append(d.AllPairs(), timeseries.Pair{U: 2, V: 2}, timeseries.Pair{U: 4, V: 0})
+	naive := NewNaive(d)
+	for _, m := range append(measure.ByClass(measure.DispersionClass), measure.ByClass(measure.DerivedClass)...) {
+		sp := measure.Lookup(m)
+		got, want := make([]float64, len(pairs)), make([]float64, len(pairs))
+		if err := naive.SweepValues(sp, pairs, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := sweepValuesScalar(d, sp, pairs, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range pairs {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%v %v: blocked %v, scalar %v", m, pairs[i], got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -126,7 +167,7 @@ func TestNaiveThresholdAndRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range above {
-		v, _ := naive.PairValue(measure.Correlation, e)
+		v, _ := pairValue(d, measure.Correlation, e)
 		if v <= 0.5 {
 			t.Fatalf("pair %v has correlation %v <= 0.5", e, v)
 		}
@@ -144,7 +185,7 @@ func TestNaiveThresholdAndRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ranged {
-		v, _ := naive.PairValue(measure.Correlation, e)
+		v, _ := pairValue(d, measure.Correlation, e)
 		if v < 0.2 || v > 0.8 {
 			t.Fatalf("pair %v value %v outside range", e, v)
 		}
@@ -198,10 +239,9 @@ func TestDFTApproximationAccuracy(t *testing.T) {
 	if err := w.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	naive := NewNaive(d)
 	var maxErr float64
 	for _, e := range d.AllPairs() {
-		truth, err := naive.PairValue(measure.Correlation, e)
+		truth, err := pairValue(d, measure.Correlation, e)
 		if err != nil {
 			continue
 		}

@@ -214,7 +214,7 @@ func (e *engineState) fitCovColumn() []float64 {
 		}
 		col.values = slices.Grow(e.cols.recycled().fitCov.values[:0], len(covs))[:len(covs)]
 		for slot, c := range covs {
-			col.values[e.columnPos(e.pairPos, int32(slot))] = c
+			col.values[e.columnPos(int32(slot))] = c
 		}
 	})
 	return col.values
@@ -231,28 +231,27 @@ func (e *engineState) naiveColumn(base measure.Measure) []float64 {
 }
 
 // columnPos returns the position of an assignment slot's pair in a column over
-// the pair universe: pos[slot] where a position table is given, the pair's
-// rank in the full universe otherwise.
-func (e *engineState) columnPos(pos []int32, slot int32) int {
-	if pos != nil {
-		return int(pos[slot])
+// the pair universe: pairPos[slot] in a restricted universe, the pair's rank
+// in the full universe otherwise.
+func (e *engineState) columnPos(slot int32) int {
+	if e.pairPos != nil {
+		return int(e.pairPos[slot])
 	}
 	return timeseries.PairRank(e.data.NumSeries(), e.rel.Layout().Assignments()[slot].Pair)
 }
 
-// propagate is the W_A propagation loop (Eqs. 5–7), the only one: pivot by
-// pivot, the pivot's moment matrix is taken once and every relationship of
-// the pivot propagates it in O(1) to its pair's position in values —
-// pos[slot] where a position table is given, the pair's rank in the full
-// universe otherwise.  Positions of pairs without a relationship are left
-// alone.
-func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32, values []float64) {
+// propagate is the engine's W_A propagation loop (Eqs. 5–7): pivot by pivot,
+// the pivot's moment matrix of baseSp is taken once over its cached summary
+// and every relationship of the pivot propagates it in O(1) to its pair's
+// position in values (columnPos).  Positions of pairs without a relationship
+// are left alone.
+func (e *engineState) propagate(baseSp *measure.Spec, values []float64) {
 	layout := e.rel.Layout()
 	_ = par.DoBlocks(len(layout.Pivots()), e.par, func(_ int, blk par.Block) error {
 		for pi := blk.Lo; pi < blk.Hi; pi++ {
-			mom := moment(pi)
+			mom := baseSp.Moment(e.summaries[pi])
 			for _, slot := range layout.PivotSlots(pi) {
-				values[e.columnPos(pos, slot)] = e.rel.At(int(slot)).Transform.PropagateMoment(mom)
+				values[e.columnPos(slot)] = e.rel.At(int(slot)).Transform.PropagateMoment(mom)
 			}
 		}
 		return nil
@@ -268,7 +267,7 @@ func (e *engineState) propagate(moment func(pi int) measure.Moment, pos []int32,
 // allows, may hold anything.
 func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([]float64, error) {
 	values := slices.Grow(spare[:0], e.numUniversePairs())[:e.numUniversePairs()]
-	e.propagate(func(pi int) measure.Moment { return baseSp.Moment(e.summaries[pi]) }, e.pairPos, values)
+	e.propagate(baseSp, values)
 	if e.table.FallbackPairs == 0 {
 		return values, nil
 	}
@@ -278,7 +277,7 @@ func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([
 			if _, ok := layout.Slot(pair); ok {
 				continue // propagated above
 			}
-			v, err := e.naive.PairValue(baseSp.ID, pair)
+			v, err := e.naivePairValue(baseSp.ID, pair)
 			if err != nil {
 				return err
 			}
@@ -288,26 +287,46 @@ func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([
 	})
 }
 
-// fillBase writes the naive base T-measure values of pairs into t: the blocked
-// kernels (scalar for an extension base without one).  It is the naive sweeps'
-// exact evaluator.
+// naiveKernel returns the epoch's columnar mirror of the window and its
+// per-series moments (the window's memo), building the mirror on first use.
+// Every blocked evaluation of the epoch — sweeps, naive MEC, the pair-moment
+// column, the sketches — reads this one mirror.
+func (e *engineState) naiveKernel() (*kernel.Matrix, *kernel.Moments, error) {
+	e.kernOnce.Do(func() {
+		e.kern, e.kernErr = kernel.FromData(e.data)
+	})
+	if e.kernErr != nil {
+		return nil, nil, e.kernErr
+	}
+	mom, err := e.kern.Moments()
+	return e.kern, mom, err
+}
+
+// fillBase writes the naive base T-measure values of pairs into t with the
+// blocked kernels.  It is the engine's exact evaluator: the naive sweeps'
+// refinement and naive MEC both run it, then deriveValues.
 func (e *engineState) fillBase(base measure.Measure, pairs []timeseries.Pair, t []float64) error {
-	kern, mom, err := e.naive.Kernel()
+	kern, mom, err := e.naiveKernel()
 	if err != nil {
 		return err
 	}
-	if baseBlock := kern.BaseBlock(base); baseBlock != nil {
-		baseBlock(mom, pairs, t)
-		return nil
-	}
-	for i, pair := range pairs {
-		v, err := e.naive.PairValue(base, pair)
-		if err != nil {
-			return err
-		}
-		t[i] = v
-	}
+	kern.BaseBlock(base)(mom, pairs, t)
 	return nil
+}
+
+// naivePairValue evaluates a pairwise measure of one pair from the window's
+// raw series: the scalar route for a single pair, bit-identical to the
+// blocked kernels by their parity contract.
+func (e *engineState) naivePairValue(m measure.Measure, pair timeseries.Pair) (float64, error) {
+	su, err := e.data.Series(pair.U)
+	if err != nil {
+		return 0, err
+	}
+	sv, err := e.data.Series(pair.V)
+	if err != nil {
+		return 0, err
+	}
+	return measure.EvalPair(m, su, sv)
 }
 
 // universeChunk returns positions [lo, hi) of the epoch's pairwise query

@@ -275,7 +275,7 @@ func TestNoAffineSweepAllocatesNoBaseColumn(t *testing.T) {
 		if _, err := e.ComputePairwise(measure.Correlation, ids, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PairwiseSweepAffine(measure.Cosine); err != nil {
+		if _, err := pipelineSweep(e, measure.Cosine, MethodAffine); err != nil {
 			t.Fatal(err)
 		}
 		if cov, dot := allocated(); e.StreamStats().SweepBaseFills != 0 || cov || dot {
@@ -403,7 +403,7 @@ func TestSeriesStatsAreTheWindowMemo(t *testing.T) {
 	requireMemo := func(label string) {
 		t.Helper()
 		st := e.escapedState()
-		_, mom, err := st.naive.Kernel()
+		_, mom, err := st.naiveKernel()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,16 +473,16 @@ func TestSnapshotRestoreAgreesOnCenterMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameColumn(m.String(), bl, al)
-		// And the engines' affine location sweeps, which read them.
-		as, err := cold.LocationSweepAffine(m)
+		// And the engines' affine location estimates, which read them.
+		as, err := cold.ComputeLocation(m, cold.Data().IDs(), MethodAffine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := restored.LocationSweepAffine(m)
+		bs, err := restored.ComputeLocation(m, restored.Data().IDs(), MethodAffine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(as.Values, bs.Values) {
+		if !slices.Equal(as, bs) {
 			t.Fatalf("%v: the affine location sweeps of the cold and the restored engine differ", m)
 		}
 	}

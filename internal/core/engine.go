@@ -32,8 +32,8 @@ import (
 	"time"
 	"weak"
 
-	"affinity/internal/baseline"
 	"affinity/internal/cluster"
+	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
@@ -222,9 +222,15 @@ type BuildInfo struct {
 type engineState struct {
 	data *timeseries.DataMatrix
 
-	naive *baseline.Naive
 	rel   *symex.Result
 	index *scape.Index
+
+	// kern is the window's columnar mirror, the blocked kernels' operand:
+	// built by the first caller that needs it (naiveKernel), because
+	// kernel.FromData copies a window that has no slab.
+	kernOnce sync.Once
+	kern     *kernel.Matrix
+	kernErr  error
 
 	// pairs, when non-nil, is the engine's restricted pairwise query universe
 	// (Config.AssignedPairsOnly): the assigned pairs of rel in canonical
@@ -392,7 +398,6 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	st := &engineState{
 		data:          d,
 		seriesMoments: d.Moments(),
-		naive:         baseline.NewNaive(d),
 		rel:           rel,
 		par:           cfg.Parallelism,
 		info:          info,
@@ -464,10 +469,6 @@ func (e *Engine) Data() *timeseries.DataMatrix { return e.current().data }
 // Relationships exposes the current epoch's SYMEX result (for diagnostics
 // and experiments).  The epoch escapes: it is never recycled.
 func (e *Engine) Relationships() *symex.Result { return e.escape().rel }
-
-// Naive exposes the W_N baseline bound to the current epoch's data.  The
-// epoch escapes: it is never recycled.
-func (e *Engine) Naive() *baseline.Naive { return e.escape().naive }
 
 // Epoch returns the number of Advance calls applied so far (0 for a freshly
 // built engine).

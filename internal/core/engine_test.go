@@ -83,7 +83,7 @@ func TestBuildInfo(t *testing.T) {
 	if info.TotalDuration <= 0 {
 		t.Fatal("durations should be recorded")
 	}
-	if e.Data() == nil || e.Relationships() == nil || e.escapedState().index == nil || e.Naive() == nil {
+	if e.Data() == nil || e.Relationships() == nil || e.escapedState().index == nil {
 		t.Fatal("accessors should be populated")
 	}
 }

@@ -467,19 +467,49 @@ func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, me
 	}
 	switch {
 	case method == MethodNaive && b.Replica().naiveColumn(sp.Base) == nil:
-		out, err := b.Replica().naive.Pairwise(m, ids)
-		if err != nil {
+		// The exact evaluator over the strict upper triangle in request order:
+		// the kernels are symmetric in (U, V), so the pairs need no
+		// canonicalization.
+		r := b.Replica()
+		for _, id := range ids {
+			if _, err := r.data.Series(id); err != nil {
+				return nil, err
+			}
+		}
+		pairs := make([]timeseries.Pair, 0, len(ids)*(len(ids)-1)/2)
+		for i := range ids {
+			for j := i + 1; j < len(ids); j++ {
+				pairs = append(pairs, timeseries.Pair{U: ids[i], V: ids[j]})
+			}
+		}
+		values := make([]float64, len(pairs))
+		if err := r.fillBase(sp.Base, pairs, values); err != nil {
 			return nil, err
 		}
-		// A series with itself is the spec's declared self value on every
-		// route: the kernels' cov/√(var·var) overflows to 0 past ~1e77.
+		if _, err := r.deriveValues(sp, pairs, values, values); err != nil {
+			return nil, err
+		}
+		out := make([][]float64, len(ids))
+		for i := range out {
+			out[i] = make([]float64, len(ids))
+		}
+		k := 0
 		for i, u := range ids {
-			for j, v := range ids {
-				if u == v {
-					if out[i][j], err = measure.OrNaN(b.SelfValue(m, u)); err != nil {
+			for j := i; j < len(ids); j++ {
+				var value float64
+				if j > i {
+					value = values[k]
+					k++
+				}
+				// A series with itself is the spec's declared self value on
+				// every route: the kernels' cov/√(var·var) overflows to 0
+				// past ~1e77.
+				if u == ids[j] {
+					if value, err = measure.OrNaN(b.SelfValue(m, u)); err != nil {
 						return nil, err
 					}
 				}
+				out[i][j], out[j][i] = value, value
 			}
 		}
 		return out, nil

@@ -56,9 +56,9 @@ func naiveBattery(o *scalarOracle) []plan.QuerySpec {
 // requireNaiveOracle holds the naive method at e's current epoch to the
 // scalar W_N oracle, Float64bits equal: a batch mixing the battery with
 // dot-product base items (cosine, Euclidean distance, the dot product), every
-// battery query on its own through Explain, MEC over series that include the
-// constant one and the tied pair, and PairValue of every pair in both
-// orientations.  fit says whether the epoch's full fit left the naive
+// battery query on its own through Explain, MEC on both bases over series
+// that include the constant one, the tied pair and a repeated id, and
+// PairValue of every pair in both orientations.  fit says whether the epoch's full fit left the naive
 // covariance column, and Explain must report the source that served each
 // executed query: the column with nothing sketched or refined, or the
 // prescreen over the whole universe.
@@ -106,27 +106,39 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 		t.Fatalf("%s: no query executed", label)
 	}
 
-	ids := []timeseries.SeriesID{5, 0, 2, 1, 7, 3}
-	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance} {
+	// MEC cell by cell against the scalar oracle, NaN for NaN: the fit
+	// column's route for correlation and covariance where the epoch has it,
+	// the exact evaluator over the triangle otherwise and for the dot-product
+	// base always.  A series with itself — on the diagonal or off it, where
+	// an id repeats — is the spec's SelfValue.
+	ids := []timeseries.SeriesID{5, 0, 2, 1, 7, 3, 2}
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.DotProduct, measure.Cosine} {
 		gotMat, err := e.ComputePairwise(m, ids, MethodNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMat, err := e.Naive().Pairwise(m, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ids {
-			for j := range ids {
-				if math.Float64bits(gotMat[i][j]) != math.Float64bits(wantMat[i][j]) {
-					t.Fatalf("%s MEC %v (%d, %d): %v, W_N %v", label, m, ids[i], ids[j], gotMat[i][j], wantMat[i][j])
+		for i, u := range ids {
+			for j, v := range ids {
+				var want float64
+				if u == v {
+					want, err = measure.OrNaN(st.SelfValue(m, u))
+				} else {
+					want, err = measure.OrNaN(evalPair(st, m, timeseries.Pair{U: u, V: v}))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := gotMat[i][j]; math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s MEC %v (%d, %d): %v, scalar %v", label, m, u, v, got, want)
 				}
 			}
 		}
+	}
+	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance} {
 		for _, pair := range st.data.AllPairs() {
 			for _, oriented := range []timeseries.Pair{pair, {U: pair.V, V: pair.U}} {
 				got, gotErr := st.PairValue(m, oriented, MethodNaive)
-				want, wantErr := e.Naive().PairValue(m, oriented)
+				want, wantErr := evalPair(st, m, oriented)
 				if math.Float64bits(got) != math.Float64bits(want) || errors.Is(gotErr, measure.ErrZeroNormalizer) != errors.Is(wantErr, measure.ErrZeroNormalizer) ||
 					(gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("%s PairValue %v %v: %v (%v), scalar %v (%v)", label, m, oriented, got, gotErr, want, wantErr)

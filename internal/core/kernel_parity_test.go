@@ -3,13 +3,10 @@ package core
 import (
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"affinity/internal/measure"
-	"affinity/internal/par"
 	"affinity/internal/plan"
-	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
 
@@ -19,31 +16,56 @@ func pairwiseMeasures() []measure.Measure {
 	return append(measure.ByClass(measure.DispersionClass), measure.ByClass(measure.DerivedClass)...)
 }
 
-// pairwiseSweepNaiveScalar is the scalar reference implementation of the W_N
-// sweep: one pair at a time through the measure registry, exactly as the
-// engine computed it before the blocked kernels — the oracle the kernel
-// parity tests compare against.
-func (e *Engine) pairwiseSweepNaiveScalar(m measure.Measure) (*PairSweepResult, error) {
+// scalarSweep is the scalar reference of the W_N sweep: every pair of the
+// epoch's window in canonical order, one at a time through measure.EvalPair,
+// NaN where the measure is undefined — the oracle the parity tests compare
+// the blocked kernels against.
+func scalarSweep(e *Engine, m measure.Measure) ([]timeseries.Pair, []float64, error) {
 	st := e.escapedState()
 	if _, err := pairwiseSpec(m); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pairs := st.data.AllPairs()
 	values := make([]float64, len(pairs))
-	err := par.DoBlocks(len(pairs), st.par, func(_ int, blk par.Block) error {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			v, err := measure.OrNaN(st.naive.PairValue(m, pairs[i]))
-			if err != nil {
-				return err
-			}
-			values[i] = v
+	for i, pair := range pairs {
+		v, err := measure.OrNaN(evalPair(st, m, pair))
+		if err != nil {
+			return nil, nil, err
 		}
-		return nil
-	})
+		values[i] = v
+	}
+	return pairs, values, nil
+}
+
+// evalPair is measure.EvalPair over the epoch's raw series: the scalar oracle
+// of one pair.
+func evalPair(st *engineState, m measure.Measure, pair timeseries.Pair) (float64, error) {
+	su, err := st.data.Series(pair.U)
+	if err != nil {
+		return 0, err
+	}
+	sv, err := st.data.Series(pair.V)
+	if err != nil {
+		return 0, err
+	}
+	return measure.EvalPair(m, su, sv)
+}
+
+// pipelineSweep asks the query pipeline for m over every pair of e's current
+// window: one MEC spec over every series id, as a Batch by method.  It
+// returns the matrix's strict upper triangle row by row — the canonical pair
+// order of DataMatrix.AllPairs.
+func pipelineSweep(e *Engine, m measure.Measure, method Method) ([]float64, error) {
+	ids := e.Data().IDs()
+	out, err := e.Batch([]plan.QuerySpec{ComputeSpec(m, ids)}, method)
 	if err != nil {
 		return nil, err
 	}
-	return &PairSweepResult{Pairs: pairs, Values: values}, nil
+	values := make([]float64, 0, len(ids)*(len(ids)-1)/2)
+	for i, row := range out[0].Matrix {
+		values = append(values, row[i+1:]...)
+	}
+	return values, nil
 }
 
 // TestBlockedSweepBitIdenticalToScalar is the tentpole contract: the blocked
@@ -53,66 +75,24 @@ func TestBlockedSweepBitIdenticalToScalar(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
 		e := buildTestEngine(t, Config{Clusters: 4, Seed: 31, Parallelism: p})
 		for _, m := range pairwiseMeasures() {
-			want, err := e.pairwiseSweepNaiveScalar(m)
+			pairs, want, err := scalarSweep(e, m)
 			if err != nil {
 				t.Fatalf("P=%d %v scalar sweep: %v", p, m, err)
 			}
-			got, err := e.PairwiseSweepNaive(m)
+			got, err := pipelineSweep(e, m, MethodNaive)
 			if err != nil {
 				t.Fatalf("P=%d %v blocked sweep: %v", p, m, err)
 			}
-			if len(got.Values) != len(want.Values) {
-				t.Fatalf("P=%d %v: %d values, want %d", p, m, len(got.Values), len(want.Values))
+			if len(got) != len(want) {
+				t.Fatalf("P=%d %v: %d values, want %d", p, m, len(got), len(want))
 			}
-			for i := range want.Values {
-				if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("P=%d %v pair %v: blocked %x (%v) != scalar %x (%v)",
-						p, m, got.Pairs[i],
-						math.Float64bits(got.Values[i]), got.Values[i],
-						math.Float64bits(want.Values[i]), want.Values[i])
+						p, m, pairs[i],
+						math.Float64bits(got[i]), got[i],
+						math.Float64bits(want[i]), want[i])
 				}
-			}
-		}
-	}
-}
-
-// TestAffineSweepStableErrorWithBadPivots is the regression test for the
-// map-iteration-order bug: when several pivots are broken, the affine sweep
-// must surface the error of the canonically-first bad pivot — the same one on
-// every run, at every parallelism level — not whichever pivot a goroutine
-// happened to report first.
-func TestAffineSweepStableErrorWithBadPivots(t *testing.T) {
-	const wantPivot = "(0, ω=99)" // sorts before (1, ω=98) in (Common, Cluster) order
-	for _, p := range []int{1, 2, 8} {
-		for run := 0; run < 5; run++ {
-			e := buildTestEngine(t, Config{Clusters: 4, Seed: 33, Parallelism: p})
-			// The same epoch over a result in which one relationship each of
-			// series 0 and 1 names a cluster that does not exist.
-			bad := *e.escapedState()
-			assignments := slices.Clone(bad.rel.AssignmentList())
-			rels := make([]*symex.Relationship, len(assignments))
-			for slot := range rels {
-				rels[slot] = bad.rel.At(slot)
-			}
-			for common, cluster := range map[timeseries.SeriesID]int{0: 99, 1: 98} {
-				slot := slices.IndexFunc(assignments, func(a symex.Assignment) bool { return a.Pivot.Common == common })
-				assignments[slot].Pivot.Cluster = cluster
-				moved := *rels[slot]
-				moved.Pivot = assignments[slot].Pivot
-				rels[slot] = &moved
-			}
-			layout, err := symex.NewLayout(bad.data.NumSeries(), assignments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bad.rel = symex.NewResult(layout, bad.rel.Clustering, rels)
-			_, err = bad.pairwiseSweepAffine(measure.Covariance)
-			if err == nil {
-				t.Fatalf("P=%d run %d: expected error from bad pivots", p, run)
-			}
-			if !strings.Contains(err.Error(), wantPivot) {
-				t.Fatalf("P=%d run %d: err = %q, want the canonically-first bad pivot %s",
-					p, run, err, wantPivot)
 			}
 		}
 	}
@@ -131,11 +111,11 @@ func newScalarOracle(t testing.TB, e *Engine) *scalarOracle {
 	t.Helper()
 	o := &scalarOracle{values: make(map[measure.Measure][]float64)}
 	for _, m := range pairwiseMeasures() {
-		sweep, err := e.pairwiseSweepNaiveScalar(m)
+		pairs, values, err := scalarSweep(e, m)
 		if err != nil {
 			t.Fatalf("scalar sweep of %v: %v", m, err)
 		}
-		o.pairs, o.values[m] = sweep.Pairs, sweep.Values
+		o.pairs, o.values[m] = pairs, values
 	}
 	return o
 }

@@ -108,6 +108,16 @@ func (e *Engine) one(spec plan.QuerySpec, method Method) (QueryResult, error) {
 	return runOne(st, spec, method)
 }
 
+// pairwiseSpec resolves a pairwise measure to its spec with the shared typed
+// error.
+func pairwiseSpec(m measure.Measure) (*measure.Spec, error) {
+	sp, ok := measure.Find(m)
+	if !ok || !sp.Pairwise() {
+		return nil, fmt.Errorf("core: %v is not a pairwise measure: %w", m, measure.ErrUnknownMeasure)
+	}
+	return sp, nil
+}
+
 // PairValue evaluates one pair with a concrete sweep method (Backend).  The
 // naive method reads a canonical pair of the universe off the epoch's naive
 // column of the measure's base where the epoch has one (naiveColumn), and
@@ -118,10 +128,10 @@ func (e *engineState) PairValue(m measure.Measure, pair timeseries.Pair, method 
 		if sp, err := pairwiseSpec(m); err == nil {
 			slot, ok := e.rel.Layout().Slot(pair)
 			if col := e.naiveColumn(sp.Base); col != nil && ok {
-				return e.derivePair(sp, pair, col[e.columnPos(e.pairPos, int32(slot))])
+				return e.derivePair(sp, pair, col[e.columnPos(int32(slot))])
 			}
 		}
-		return e.naive.PairValue(m, pair)
+		return e.naivePairValue(m, pair)
 	case MethodAffine:
 		return e.affinePairValue(m, pair)
 	default:
@@ -138,7 +148,7 @@ func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (fl
 	layout := e.rel.Layout()
 	slot, ok := layout.Slot(pair)
 	if !ok {
-		return e.naive.PairValue(sp.ID, pair)
+		return e.naivePairValue(sp.ID, pair)
 	}
 	return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(e.summaries[layout.PivotOf(slot)])), nil
 }

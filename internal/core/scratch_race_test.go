@@ -32,7 +32,7 @@ func TestPooledScratchNeverBacksAnAnswer(t *testing.T) {
 	for _, p := range determinismLevels {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			e := buildTestEngine(t, Config{Clusters: 4, Seed: 13, Parallelism: p,
-				Cache: qcache.Options{Enabled: true, MaxBytes: 64 << 20}})
+				Cache: qcache.Options{Enabled: true}})
 			quantile := quantiles(t, e, measure.Correlation, measure.Covariance, measure.EuclideanDistance, measure.Cosine)
 			kinds := []struct {
 				method   Method
@@ -141,11 +141,11 @@ func quantiles(t *testing.T, e *Engine, ms ...measure.Measure) func(m measure.Me
 	t.Helper()
 	sorted := make(map[measure.Measure][]float64, len(ms))
 	for _, m := range ms {
-		sw, err := e.PairwiseSweepNaive(m)
+		sw, err := pipelineSweep(e, m, MethodNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals := slices.DeleteFunc(slices.Clone(sw.Values), math.IsNaN)
+		vals := slices.DeleteFunc(sw, math.IsNaN)
 		slices.Sort(vals)
 		sorted[m] = vals
 	}

@@ -68,12 +68,12 @@ func mustEqualResults(t *testing.T, label string, got, want QueryResult) {
 func checkSketchParity(t *testing.T, label string, plain, sketched *Engine) {
 	t.Helper()
 	for _, m := range pairwiseMeasures() {
-		exact, err := plain.PairwiseSweepNaive(m)
+		exact, err := pipelineSweep(plain, m, MethodNaive)
 		if err != nil {
 			t.Fatalf("%s %v: exact sweep: %v", label, m, err)
 		}
 		ivs := []interval.Interval{interval.All()}
-		if finite := sketchQuantiles(exact.Values); len(finite) > 2 {
+		if finite := sketchQuantiles(exact); len(finite) > 2 {
 			ivs = append(ivs,
 				interval.Between(quantile(finite, 0.3), quantile(finite, 0.7)),
 				interval.GreaterThan(quantile(finite, 0.8)),
@@ -330,7 +330,7 @@ func TestNoNaiveSweepKeepsNoMomentColumn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.PairwiseSweepNaive(measure.Cosine); err != nil {
+		if _, err := pipelineSweep(e, measure.Cosine, MethodNaive); err != nil {
 			t.Fatal(err)
 		}
 		if s := e.StreamStats(); s.MomentFills != 0 || s.MomentSweeps != 0 || e.escapedState().moments.col.Load() != nil {

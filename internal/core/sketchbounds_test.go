@@ -111,7 +111,7 @@ func TestSketchBoundColumnMatchesBoundBlock(t *testing.T) {
 // compares them with BoundBlock over each kernel chunk of the universe.
 func requireBoundColumnsOfBoundBlock(t *testing.T, label string, st *engineState) {
 	t.Helper()
-	_, mom, err := st.naive.Kernel()
+	_, mom, err := st.naiveKernel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSketchBoundColumnsFilledOnDemand(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.PairwiseSweepNaive(measure.Cosine); err != nil {
+		if _, err := pipelineSweep(e, measure.Cosine, MethodNaive); err != nil {
 			t.Fatal(err)
 		}
 		requireFills(fmt.Sprintf("epoch %d, no naive sweep", round), e, 0, false, false)
@@ -413,7 +413,7 @@ func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 // through Spec.BoundValue, NaN where either step has no answer.
 func liftedBounds(t *testing.T, st *engineState, sp *measure.Spec, useSketch bool) (lo, hi []float64) {
 	t.Helper()
-	_, mom, err := st.naive.Kernel()
+	_, mom, err := st.naiveKernel()
 	if err != nil {
 		t.Fatal(err)
 	}

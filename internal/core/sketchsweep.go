@@ -60,7 +60,7 @@ import (
 // buildSketch computes the epoch's sketch set from the naive kernel mirror —
 // the same contiguous columns and hoisted moments the exact sweeps read.
 func (st *engineState) buildSketch(opts sketch.Options, parallelism int, counters *sketch.Counters) error {
-	kern, mom, err := st.naive.Kernel()
+	kern, mom, err := st.naiveKernel()
 	if err != nil {
 		return err
 	}
@@ -96,7 +96,7 @@ func (e *engineState) pairMoments() (*kernel.PairMoments, error) {
 		if e.data.NumSamples() > kernel.MaxPairMomentWindow {
 			return
 		}
-		kern, mom, err := e.naive.Kernel()
+		kern, mom, err := e.naiveKernel()
 		if err != nil {
 			mc.err = err
 			return
@@ -236,7 +236,7 @@ type itemState struct {
 // which Run strips before returning: interval results keep nil Values by
 // contract.
 func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals []Actual) error {
-	_, mom, err := e.naive.Kernel()
+	_, mom, err := e.naiveKernel()
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"affinity/internal/baseline"
 	"affinity/internal/par"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
@@ -277,7 +276,6 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 		// shards share one reduction) and never slid: a slid sum is not the
 		// bits a cold build on the same window reads.
 		seriesMoments: newData.Moments(),
-		naive:         baseline.NewNaive(newData),
 		par:           e.cfg.Parallelism,
 		epoch:         old.epoch + 1,
 		// The restricted pair universe (if any) is frozen with the pair→pivot
@@ -324,7 +322,7 @@ func (e *Engine) advanceTo(old *engineState, newData *timeseries.DataMatrix, bat
 	// a full FFT, which re-picks the kept coefficients and bounds the
 	// recurrence's rounding drift.
 	if old.sketch != nil {
-		kern, mom, err := st.naive.Kernel()
+		kern, mom, err := st.naiveKernel()
 		if err != nil {
 			return AdvanceInfo{}, err
 		}

@@ -100,7 +100,7 @@ func TestConcurrentQueriesDuringAdvance(t *testing.T) {
 		return err
 	})
 	reader(func() error {
-		_, err := e.PairwiseSweepAffine(measure.Correlation)
+		_, err := pipelineSweep(e, measure.Correlation, MethodAffine)
 		return err
 	})
 	reader(func() error {
@@ -387,7 +387,7 @@ func TestConcurrentBatchedQueriesDuringParallelAdvance(t *testing.T) {
 		return err
 	})
 	reader(func() error {
-		_, err := e.PairwiseSweepAffine(measure.Correlation)
+		_, err := pipelineSweep(e, measure.Correlation, MethodAffine)
 		return err
 	})
 
@@ -601,7 +601,7 @@ func TestPinnedEpochReadsItsOwnWindowMoments(t *testing.T) {
 				defer wg.Done()
 				<-start
 				mo := v.Data().Moments()
-				_, kmo, err := v.naive.Kernel()
+				_, kmo, err := v.naiveKernel()
 				if err != nil {
 					errs[r] = err
 					return

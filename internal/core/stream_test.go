@@ -11,6 +11,17 @@ import (
 	"affinity/internal/timeseries"
 )
 
+// rmsePct is the paper's %RMSE (Eq. 16) of an affine sweep against the naive
+// one, over stream windows in which every value is defined.
+func rmsePct(t *testing.T, truth, approx []float64) float64 {
+	t.Helper()
+	r, err := measure.RMSE(truth, approx)
+	if err != nil || math.IsNaN(r) {
+		t.Fatalf("RMSE = %v, %v", r, err)
+	}
+	return r
+}
+
 // streamFixture generates one long sensor dataset and splits it into an
 // initial window and a stream of future ticks drawn from the same latent
 // process.
@@ -82,19 +93,16 @@ func TestAdvanceApproximatesFreshRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	truth, err := streaming.PairwiseSweepNaive(measure.Correlation)
+	truth, err := pipelineSweep(streaming, measure.Correlation, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, e := range map[string]*Engine{"streaming": streaming, "fresh": fresh} {
-		approx, err := e.PairwiseSweepAffine(measure.Correlation)
+		approx, err := pipelineSweep(e, measure.Correlation, MethodAffine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rmse, err := SweepRMSE(truth.Values, approx.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rmse := rmsePct(t, truth, approx)
 		// The paper reports low single-digit percentage RMSE for W_A.
 		if rmse > 5 {
 			t.Fatalf("%s correlation RMSE = %.3f%%", name, rmse)
@@ -135,18 +143,15 @@ func TestSelectiveRefitDrift(t *testing.T) {
 		t.Fatal("drift bound never reused a relationship on a quiet stream")
 	}
 
-	truth, err := e.PairwiseSweepNaive(measure.Correlation)
+	truth, err := pipelineSweep(e, measure.Correlation, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.PairwiseSweepAffine(measure.Correlation)
+	approx, err := pipelineSweep(e, measure.Correlation, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmse, err := SweepRMSE(truth.Values, approx.Values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rmse := rmsePct(t, truth, approx)
 	if rmse > 5 {
 		t.Fatalf("selective-refit correlation RMSE = %.3f%%", rmse)
 	}
@@ -259,18 +264,15 @@ func TestAdvanceWholeWindowReplacement(t *testing.T) {
 		t.Fatalf("window m=%d start=%d", e.Data().NumSamples(), e.Data().StartIndex())
 	}
 	// Naive vs affine still coherent on the fully replaced window.
-	truth, err := e.PairwiseSweepNaive(measure.Covariance)
+	truth, err := pipelineSweep(e, measure.Covariance, MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.PairwiseSweepAffine(measure.Covariance)
+	approx, err := pipelineSweep(e, measure.Covariance, MethodAffine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmse, err := SweepRMSE(truth.Values, approx.Values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rmse := rmsePct(t, truth, approx)
 	if rmse > 5 {
 		t.Fatalf("post-replacement covariance RMSE = %.3f%%", rmse)
 	}

@@ -53,9 +53,16 @@ func TestTopKLocationMeasures(t *testing.T) {
 				var oracle []float64
 				switch method {
 				case MethodNaive:
-					oracle, err = st.naive.Location(m, e.Data().IDs())
-					if err != nil {
-						t.Fatal(err)
+					for _, id := range e.Data().IDs() {
+						s, err := e.Data().Series(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						v, err := measure.Lookup(m).EvalLocation(s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						oracle = append(oracle, v)
 					}
 				case MethodAffine:
 					oracle, err = st.calibratedLocations(m, e.Data().IDs())

@@ -60,7 +60,7 @@ func (e *Engine) Restore(v View) {
 // An epoch's lifetime (DESIGN.md, "Epoch lifetime: pins, escapes and
 // recycled slabs").  Every query door pins the epoch it reads for the length
 // of the call (acquire, release); the accessors that hand epoch internals to
-// a caller — View, Relationships, Naive — mark it escaped instead.
+// a caller — View, Relationships — mark it escaped instead.
 // An Advance or a Restore retires the epoch it replaces, and the last release
 // of a retired epoch that never escaped claims it and offers it, through a
 // weak pointer, as the spare the next Advance builds its index, value

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"affinity/internal/baseline"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
 )
@@ -85,7 +84,7 @@ func TestGenerateSensorGroupStructure(t *testing.T) {
 	}
 	var sameGroup, crossGroup []float64
 	for _, e := range d.AllPairs() {
-		v, err := baseline.NewNaive(d).PairValue(measure.Correlation, e)
+		v, err := correlation(d, e)
 		if err != nil {
 			continue
 		}
@@ -138,7 +137,7 @@ func TestGenerateStockSectorCorrelation(t *testing.T) {
 	}
 	var sameSector, crossSector []float64
 	for _, e := range d.AllPairs() {
-		v, err := baseline.NewNaive(d).PairValue(measure.Correlation, e)
+		v, err := correlation(d, e)
 		if err != nil {
 			continue
 		}
@@ -210,4 +209,18 @@ func TestScaleConfig(t *testing.T) {
 	if same.NumSeries != SensorDefaultSeries {
 		t.Fatalf("unscaled config %+v", same)
 	}
+}
+
+// correlation evaluates the correlation coefficient of one pair from the raw
+// series.
+func correlation(d *timeseries.DataMatrix, e timeseries.Pair) (float64, error) {
+	su, err := d.Series(e.U)
+	if err != nil {
+		return 0, err
+	}
+	sv, err := d.Series(e.V)
+	if err != nil {
+		return 0, err
+	}
+	return measure.EvalPair(measure.Correlation, su, sv)
 }

@@ -57,6 +57,7 @@ type QueryRow struct {
 type queryEnvironment struct {
 	data   *timeseries.DataMatrix
 	engine *core.Engine
+	naive  *baseline.Naive
 	dft    *baseline.DFT
 }
 
@@ -75,7 +76,7 @@ func newQueryEnvironment(d *timeseries.DataMatrix, k int, seed int64) (*queryEnv
 	if err := wf.Precompute(); err != nil {
 		return nil, fmt.Errorf("experiments: precomputing DFT coefficients: %w", err)
 	}
-	return &queryEnvironment{data: d, engine: engine, dft: wf}, nil
+	return &queryEnvironment{data: d, engine: engine, naive: baseline.NewNaive(d), dft: wf}, nil
 }
 
 // measureValues returns the sorted naive values of a measure over all pairs
@@ -83,20 +84,19 @@ func newQueryEnvironment(d *timeseries.DataMatrix, k int, seed int64) (*queryEnv
 // result sizes.
 func (env *queryEnvironment) measureValues(m measure.Measure) ([]float64, error) {
 	if m.Class() == measure.LocationClass {
-		sweep, err := env.engine.LocationSweepNaive(m)
+		values, err := env.naive.Location(m, env.data.IDs())
 		if err != nil {
 			return nil, err
 		}
-		values := append([]float64(nil), sweep.Values...)
 		sort.Float64s(values)
 		return values, nil
 	}
-	sweep, err := env.engine.PairwiseSweepNaive(m)
+	sweep, err := NaivePairSweep(env.naive, env.data, m)
 	if err != nil {
 		return nil, err
 	}
-	values := make([]float64, 0, len(sweep.Values))
-	for _, v := range sweep.Values {
+	values := make([]float64, 0, len(sweep))
+	for _, v := range sweep {
 		if !math.IsNaN(v) {
 			values = append(values, v)
 		}
@@ -158,7 +158,7 @@ func (env *queryEnvironment) thresholdPoint(m measure.Measure, tau float64) (Que
 // package, as in the paper; the engine's naive method is timed beside it.
 func (env *queryEnvironment) timePoint(row QueryRow, iv interval.Interval, dft func() error) (QueryRow, error) {
 	m := row.Measure
-	naive := env.engine.Naive()
+	naive := env.naive
 	var err error
 	row.NaiveTime, err = timeRepeated(queryTimingFloor, queryTimingReps, func() error {
 		if m.Class() == measure.LocationClass {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"affinity/internal/baseline"
 	"affinity/internal/core"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
@@ -47,8 +48,9 @@ func TradeoffSweep(name string, d *timeseries.DataMatrix, ks []int, seed int64) 
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building engine (k=%d): %w", k, err)
 		}
+		naive := baseline.NewNaive(d)
 		for _, m := range TradeoffMeasures {
-			row, err := tradeoffPoint(name, engine, m, k)
+			row, err := tradeoffPoint(name, d, engine, naive, m, k)
 			if err != nil {
 				return nil, err
 			}
@@ -58,56 +60,32 @@ func TradeoffSweep(name string, d *timeseries.DataMatrix, ks []int, seed int64) 
 	return rows, nil
 }
 
-func tradeoffPoint(name string, engine *core.Engine, m measure.Measure, k int) (TradeoffRow, error) {
+// tradeoffPoint times one measure's W_N and W_A sweeps over the whole
+// dataset: every series for an L-measure, every pair otherwise.
+func tradeoffPoint(name string, d *timeseries.DataMatrix, engine *core.Engine, naive *baseline.Naive, m measure.Measure, k int) (TradeoffRow, error) {
 	row := TradeoffRow{Dataset: name, Measure: m, Clusters: k}
-
+	naiveSweep := func() ([]float64, error) { return NaivePairSweep(naive, d, m) }
+	affineSweep := func() ([]float64, error) { return AffinePairSweep(engine, m) }
 	if m.Class() == measure.LocationClass {
-		var truth, approx *core.LocationSweepResult
-		naiveTime, err := timeOnce(func() error {
-			var innerErr error
-			truth, innerErr = engine.LocationSweepNaive(m)
-			return innerErr
-		})
-		if err != nil {
-			return row, err
-		}
-		affineTime, err := timeOnce(func() error {
-			var innerErr error
-			approx, innerErr = engine.LocationSweepAffine(m)
-			return innerErr
-		})
-		if err != nil {
-			return row, err
-		}
-		rmse, err := core.SweepRMSE(truth.Values, approx.Values)
-		if err != nil {
-			return row, err
-		}
-		row.NaiveTime = naiveTime
-		row.AffineTime = affineTime
-		row.Speedup = speedup(naiveTime, affineTime)
-		row.RMSEPct = rmse
-		return row, nil
+		naiveSweep = func() ([]float64, error) { return naive.Location(m, d.IDs()) }
+		affineSweep = func() ([]float64, error) { return engine.ComputeLocation(m, d.IDs(), core.MethodAffine) }
 	}
-
-	var truth, approx *core.PairSweepResult
-	naiveTime, err := timeOnce(func() error {
-		var innerErr error
-		truth, innerErr = engine.PairwiseSweepNaive(m)
-		return innerErr
+	var truth, approx []float64
+	naiveTime, err := timeOnce(func() (err error) {
+		truth, err = naiveSweep()
+		return err
 	})
 	if err != nil {
 		return row, err
 	}
-	affineTime, err := timeOnce(func() error {
-		var innerErr error
-		approx, innerErr = engine.PairwiseSweepAffine(m)
-		return innerErr
+	affineTime, err := timeOnce(func() (err error) {
+		approx, err = affineSweep()
+		return err
 	})
 	if err != nil {
 		return row, err
 	}
-	rmse, err := core.SweepRMSE(truth.Values, approx.Values)
+	rmse, err := sweepRMSE(truth, approx)
 	if err != nil {
 		return row, err
 	}

@@ -127,9 +127,9 @@ type Moments = timeseries.Moments
 // from.
 func (k *Matrix) Moments() (*Moments, error) { return k.mom, nil }
 
-// BaseBlock returns the blocked evaluator of a base T-measure, or nil when
-// the base has no blocked kernel (an extension measure whose base is neither
-// covariance nor the dot product); callers fall back to the scalar path then.
+// BaseBlock returns the blocked evaluator of a base T-measure.  Covariance
+// and the dot product are the only T-measures measure.Register admits, so any
+// other base is a programming error and panics.
 func (k *Matrix) BaseBlock(base measure.Measure) func(mo *Moments, pairs []timeseries.Pair, out []float64) {
 	switch base {
 	case measure.Covariance:
@@ -137,7 +137,7 @@ func (k *Matrix) BaseBlock(base measure.Measure) func(mo *Moments, pairs []times
 	case measure.DotProduct:
 		return k.DotBlock
 	default:
-		return nil
+		panic("kernel: BaseBlock of a measure that is not a base T-measure")
 	}
 }
 

@@ -276,6 +276,8 @@ func TestRegisterValidation(t *testing.T) {
 	mustPanic("duplicate", Spec{Name: "mean", Class: LocationClass, EvalLocation: MeanOf})
 	mustPanic("L without evaluator", Spec{Name: "cov-test-l", Class: LocationClass})
 	mustPanic("T without base", Spec{Name: "cov-test-t", Class: DispersionClass})
+	mustPanic("T without a blocked kernel", Spec{Name: "cov-test-t2", Class: DispersionClass,
+		EvalBase: CovarianceOf, EvalTerms: Lookup(Covariance).EvalTerms, Moment: Lookup(Covariance).Moment, SelfValue: Lookup(Covariance).SelfValue})
 	mustPanic("D without base", Spec{Name: "cov-test-d", Class: DerivedClass, Base: Mean})
 	mustPanic("D without transform", Spec{Name: "cov-test-d2", Class: DerivedClass, Base: Covariance})
 	mustPanic("unknown class", Spec{Name: "cov-test-c", Class: Class(9)})

@@ -328,7 +328,7 @@ func (s *Spec) BoundValue(tLo, tHi, u float64, m int) (lo, hi float64, ok bool) 
 // liftable through BoundValue (identity, declared monotone, or a custom
 // ValueBounds).  Measures outside this set simply take the exact sweep path.
 func (s *Spec) SketchBoundable() bool {
-	if !s.Pairwise() || (s.Base != Covariance && s.Base != DotProduct) {
+	if !s.Pairwise() {
 		return false
 	}
 	return s.Value == nil || s.ValueBounds != nil || s.Indexable
@@ -365,6 +365,12 @@ func Register(s Spec) Measure {
 	case DispersionClass:
 		if s.EvalBase == nil || s.Moment == nil || s.EvalTerms == nil {
 			panic(fmt.Sprintf("measure: T-measure %q without base evaluators", s.Name))
+		}
+		// Every exact evaluator runs a base on a blocked kernel
+		// (kernel.Matrix.BaseBlock), and there are two: a new measure derives
+		// from one of them.
+		if id != Covariance && id != DotProduct {
+			panic(fmt.Sprintf("measure: T-measure %q has no blocked kernel; derive it from covariance or the dot product", s.Name))
 		}
 		s.Base = id
 	case DerivedClass:

@@ -122,33 +122,22 @@ type Result struct {
 // Options configures a cache.  The zero value is a disabled cache, which keeps
 // every existing construction path byte-for-byte unchanged.
 type Options struct {
-	// Enabled turns the cache on.
+	// Enabled turns the cache on, with an eviction budget of maxBytes over
+	// all entries' estimated footprint and the stale sets of the last
+	// epochHistory Advances retained for delta repair.
 	Enabled bool
-	// MaxBytes is the eviction budget over all entries' estimated footprint
-	// (default 32 MiB).
-	MaxBytes int64
-	// EpochHistory is how many trailing Advances' stale sets are retained for
-	// delta repair; entries older than the window are expired (default 8).
-	EpochHistory int
 }
 
 const (
-	defaultMaxBytes     = 32 << 20
-	defaultEpochHistory = 8
+	// maxBytes is the eviction budget over all entries' estimated footprint.
+	maxBytes = 32 << 20
+	// epochHistory is how many trailing Advances' stale sets are retained for
+	// delta repair; entries older than the window are expired.
+	epochHistory = 8
 	// entryOverhead approximates the fixed per-entry footprint (struct, map
-	// slot, list links) charged against MaxBytes on top of the slices.
+	// slot, list links) charged against the budget on top of the slices.
 	entryOverhead = 128
 )
-
-func (o Options) withDefaults() Options {
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = defaultMaxBytes
-	}
-	if o.EpochHistory <= 0 {
-		o.EpochHistory = defaultEpochHistory
-	}
-	return o
-}
 
 // Stats are the cache's aggregate counters.  Hit/miss/repair totals are
 // cumulative; Entries/Bytes describe the current contents.
@@ -194,9 +183,11 @@ type epochStale struct {
 // concurrent use and safe on a nil *Cache (every operation is a no-op miss),
 // so call sites need no enabled-checks.
 type Cache struct {
-	mu    sync.Mutex
-	opts  Options
-	items map[Key]*entry
+	mu sync.Mutex
+	// maxBytes and epochHistory are the package constants outside tests.
+	maxBytes     int64
+	epochHistory int
+	items        map[Key]*entry
 	// LRU list: head is most recently used, tail least.
 	head, tail *entry
 	epoch      int
@@ -209,7 +200,13 @@ func New(opts Options) *Cache {
 	if !opts.Enabled {
 		return nil
 	}
-	return &Cache{opts: opts.withDefaults(), items: make(map[Key]*entry)}
+	return newCache(maxBytes, epochHistory)
+}
+
+// newCache returns an enabled cache with the given eviction budget and repair
+// history.
+func newCache(budget int64, history int) *Cache {
+	return &Cache{maxBytes: budget, epochHistory: history, items: make(map[Key]*entry)}
 }
 
 // Lookup serves key at the given epoch from the exact or containment tier.
@@ -555,7 +552,7 @@ func (c *Cache) Put(key Key, epoch int, pairs []timeseries.Pair, values []float6
 		return
 	}
 	b := entryBytes(pairs, values)
-	if b > c.opts.MaxBytes {
+	if b > c.maxBytes {
 		return
 	}
 	if e, ok := c.items[key]; ok {
@@ -594,7 +591,7 @@ func (c *Cache) OnAdvance(epoch int, stale []timeseries.Pair, full bool) {
 	defer c.mu.Unlock()
 	c.epoch = epoch
 	c.ring = append(c.ring, epochStale{epoch: epoch, full: full, stale: stale})
-	if n := len(c.ring) - c.opts.EpochHistory; n > 0 {
+	if n := len(c.ring) - c.epochHistory; n > 0 {
 		c.ring = append(c.ring[:0], c.ring[n:]...)
 	}
 	for key, e := range c.items {
@@ -674,7 +671,7 @@ func (c *Cache) touch(e *entry) {
 }
 
 func (c *Cache) evict() {
-	for c.stats.Bytes > c.opts.MaxBytes && c.tail != nil {
+	for c.stats.Bytes > c.maxBytes && c.tail != nil {
 		victim := c.tail
 		c.remove(victim)
 		delete(c.items, victim.key)

@@ -15,8 +15,16 @@ func pair(u, v int) timeseries.Pair {
 	return timeseries.Pair{U: timeseries.SeriesID(u), V: timeseries.SeriesID(v)}
 }
 
-func enabled(maxBytes int64, history int) *Cache {
-	return New(Options{Enabled: true, MaxBytes: maxBytes, EpochHistory: history})
+// enabled returns a cache with the given eviction budget and repair history,
+// 0 meaning the package's constant.
+func enabled(budget int64, history int) *Cache {
+	if budget == 0 {
+		budget = maxBytes
+	}
+	if history == 0 {
+		history = epochHistory
+	}
+	return newCache(budget, history)
 }
 
 func TestDisabledAndNilCacheAreNoOps(t *testing.T) {

@@ -3,6 +3,7 @@ package scape
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
@@ -83,16 +84,17 @@ func (idx *Index) PairBatchNodes(qs []PairQuery) (out [][]timeseries.Pair, ends 
 func (idx *Index) NodePivot(i int) symex.Pivot { return idx.pivots[i].pivot }
 
 // scanBlocks is the one interval scan over the pivot nodes: the queries are
-// compiled once, every worker walks a contiguous block of nodes — not one task
+// compiled once, every worker claims contiguous blocks of nodes — not one task
 // per node, so the dispatch cost stays negligible next to the container scans —
 // answering all queries per node straight into its per-query buffer, and the
-// buffers are concatenated per query in block order.  idx.pivots is sorted
-// deterministically at build time, so the merged result is byte-identical at
-// any parallelism level and across rebuilds.
+// blocks' stretches of the buffers are concatenated per query in block order.
+// idx.pivots is sorted deterministically at build time, so the merged result
+// is byte-identical at any parallelism level and across rebuilds.
 //
-// The per-block buffers are pooled scratch: the merge copies them into each
-// query's answer, allocated once at its final size, and they go back to the
-// pool when the scan returns.
+// The buffers are pooled scratch, one per worker however many blocks it
+// claims, so a scan holds at most Parallelism of them: the merge copies them
+// into each query's answer, allocated once at its final size, and they go
+// back to the pool when the scan returns.
 func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair, [][]int32, error) {
 	scans := make([]pairScan, len(qs))
 	for qi, q := range qs {
@@ -102,57 +104,76 @@ func (idx *Index) scanBlocks(qs []PairQuery, wantEnds bool) ([][]timeseries.Pair
 		}
 		scans[qi] = ps
 	}
-	nodes := len(idx.pivots)
+	nodes, nq := len(idx.pivots), len(qs)
 	var ends [][]int32
 	if wantEnds {
-		slab := make([]int32, len(qs)*nodes)
-		ends = make([][]int32, len(qs))
+		slab := make([]int32, nq*nodes)
+		ends = make([][]int32, nq)
 		for qi := range ends {
 			ends[qi] = slab[qi*nodes : (qi+1)*nodes]
 		}
 	}
 	blocks := par.Blocks(nodes, idx.opts.Parallelism)
-	parts := make([]*scanScratch, len(blocks))
+	call, _ := scanCallPool.Get()
+	call.reset(len(blocks), nq, min(len(blocks), max(1, idx.opts.Parallelism)))
 	defer func() {
-		for _, sc := range parts {
+		for _, sc := range call.workers {
 			scanScratchPool.Put(sc)
 		}
+		scanCallPool.Put(call)
 	}()
-	// Compiled scans cannot fail; Do only fans the blocks out.
-	_ = par.Do(len(blocks), idx.opts.Parallelism, func(b int) error {
-		sc, _ := scanScratchPool.Get()
-		local := sc.reset(len(qs))
-		for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
-			for qi := range scans {
-				local[qi] = idx.scanNode(i, scans[qi], local[qi])
-				if wantEnds {
-					ends[qi][i] = int32(len(local[qi])) // block-local until merged
+	// Compiled scans cannot fail; Do only starts the workers, which claim the
+	// blocks from the call's cursor.
+	_ = par.Do(len(call.workers), len(call.workers), func(w int) error {
+		var local [][]timeseries.Pair
+		for {
+			b := int(call.next.Add(1) - 1)
+			if b >= len(blocks) {
+				return nil
+			}
+			if call.workers[w] == nil {
+				call.workers[w], _ = scanScratchPool.Get()
+				local = call.workers[w].reset(nq)
+			}
+			call.owner[b] = int32(w)
+			span := call.spans[2*b*nq:][:2*nq]
+			for qi := range local {
+				span[2*qi] = int32(len(local[qi]))
+			}
+			for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
+				for qi := range scans {
+					local[qi] = idx.scanNode(i, scans[qi], local[qi])
+					if wantEnds {
+						ends[qi][i] = int32(len(local[qi])) - span[2*qi] // block-local until merged
+					}
 				}
 			}
+			for qi := range local {
+				span[2*qi+1] = int32(len(local[qi]))
+			}
 		}
-		parts[b] = sc
-		return nil
 	})
-	out := make([][]timeseries.Pair, len(qs))
-	perBlock := make([][]timeseries.Pair, len(parts))
+	out := make([][]timeseries.Pair, nq)
 	for qi := range qs {
 		base := 0
-		for b := range parts {
-			perBlock[b] = parts[b].pairs[qi]
+		for b := range blocks {
+			span := call.spans[2*(b*nq+qi):]
+			call.perBlock[b] = call.workers[call.owner[b]].pairs[qi][span[0]:span[1]]
 			if wantEnds && base > 0 {
 				for i := blocks[b].Lo; i < blocks[b].Hi; i++ {
 					ends[qi][i] += int32(base)
 				}
 			}
-			base += len(perBlock[b])
+			base += len(call.perBlock[b])
 		}
-		out[qi] = par.FlattenBlocks(perBlock)
+		out[qi] = par.FlattenBlocks(call.perBlock)
 	}
 	return out, ends, nil
 }
 
-// scanScratch is one node block's working set of a scan: pairs[qi] collects
-// query qi's matches in node order until the merge copies them out.
+// scanScratch is one worker's working set of a scan: pairs[qi] collects
+// query qi's matches of every block the worker claims, in claim order, until
+// the merge copies them out.
 type scanScratch struct {
 	pairs [][]timeseries.Pair
 }
@@ -167,6 +188,31 @@ func (sc *scanScratch) reset(n int) [][]timeseries.Pair {
 		sc.pairs[qi] = sc.pairs[qi][:0]
 	}
 	return sc.pairs
+}
+
+// scanCall is one scan's bookkeeping, pooled like its buffers: the claim
+// cursor over the node blocks, each worker's scratch, and per block the
+// worker that scanned it (owner) and, per query, the stretch [start, end) of
+// that worker's buffer its matches fill (spans).
+type scanCall struct {
+	next     atomic.Int64
+	workers  []*scanScratch
+	owner    []int32
+	spans    []int32
+	perBlock [][]timeseries.Pair
+}
+
+var scanCallPool par.Scratch[scanCall]
+
+// reset readies the bookkeeping of a scan of blocks node blocks and nq
+// queries by workers workers.
+func (c *scanCall) reset(blocks, nq, workers int) {
+	c.next.Store(0)
+	c.workers = slices.Grow(c.workers[:0], workers)[:workers]
+	clear(c.workers)
+	c.owner = slices.Grow(c.owner[:0], blocks)[:blocks]
+	c.spans = slices.Grow(c.spans[:0], 2*blocks*nq)[:2*blocks*nq]
+	c.perBlock = slices.Grow(c.perBlock[:0], blocks)[:blocks]
 }
 
 // PairValue returns the index's representation of a pairwise measure for a

@@ -281,7 +281,9 @@ func TestCorrelationThresholdAgainstGroundTruth(t *testing.T) {
 	truthCount := 0
 	misses := 0
 	for _, e := range d.AllPairs() {
-		want, err := baseline.NewNaive(d).PairValue(measure.Correlation, e)
+		su, _ := d.Series(e.U)
+		sv, _ := d.Series(e.V)
+		want, err := measure.EvalPair(measure.Correlation, su, sv)
 		if err != nil {
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 
 	"affinity/internal/interval"
 	"affinity/internal/measure"
+	"affinity/internal/par"
 	"affinity/internal/timeseries"
 )
 
@@ -273,6 +274,60 @@ func TestPairBatchMatchesSingleIntervals(t *testing.T) {
 	}
 	if _, err := idx.PairBatch([]PairQuery{{Measure: measure.Correlation, Interval: interval.Between(1, 0)}}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("empty-interval batch err = %v, want ErrBadQuery", err)
+	}
+}
+
+// drainScratch empties a scratch pool and returns how many buffers it held.
+func drainScratch[T any](s *par.Scratch[T]) int {
+	n := 0
+	for {
+		if _, recycled := s.Get(); !recycled {
+			return n
+		}
+		n++
+	}
+}
+
+// TestScanKeepsOneBufferPerWorker: a scan borrows one buffer per worker, not
+// one per node block, so a P = 2 scan over eight or more blocks leaves at most
+// two buffers in the pool — at the same answers and node offsets as the
+// sequential scan.
+func TestScanKeepsOneBufferPerWorker(t *testing.T) {
+	d, rel := testDataset(t, 25, 15, 80)
+	seq, err := Build(d, rel, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(d, rel, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks := len(par.Blocks(idx.NumPivots(), 2)); blocks < 8 {
+		t.Fatalf("the fixture scans %d node blocks at P = 2, want at least 8", blocks)
+	}
+	qs := []PairQuery{
+		{Measure: measure.Covariance, Interval: interval.GreaterThan(0)},
+		{Measure: measure.Correlation, Interval: interval.Between(0.2, 1)},
+		{Measure: measure.EuclideanDistance, Interval: interval.LessThan(3)},
+	}
+	want, wantEnds, err := seq.PairBatchNodes(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		drainScratch(&scanScratchPool)
+		got, ends, err := idx.PairBatchNodes(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := range qs {
+			if !slices.Equal(got[qi], want[qi]) || !slices.Equal(ends[qi], wantEnds[qi]) {
+				t.Fatalf("run %d query %d: the P = 2 scan differs from the sequential one", run, qi)
+			}
+		}
+		if held := drainScratch(&scanScratchPool); held > 2 {
+			t.Fatalf("run %d: a P = 2 scan left %d buffers in the pool, want at most 2", run, held)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"affinity/internal/baseline"
 	"affinity/internal/core"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
@@ -63,14 +62,16 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 			t.Fatalf("%s: shard has pair covariances: %v, want %v", label, got, fit)
 		}
 	}
-	naive := baseline.NewNaive(c.Data())
-	pairs := c.Data().AllPairs()
+	d := c.Data()
+	pairs := d.AllPairs()
 	values := map[measure.Measure][]float64{}
 	var specs []plan.QuerySpec
 	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance, measure.Cosine} {
 		vals := make([]float64, len(pairs))
 		for i, pair := range pairs {
-			v, err := measure.OrNaN(naive.PairValue(m, pair))
+			su, _ := d.Series(pair.U)
+			sv, _ := d.Series(pair.V)
+			v, err := measure.OrNaN(measure.EvalPair(m, su, sv))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,14 +124,19 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMat, err := naive.Pairwise(m, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ids {
-			for j := range ids {
-				if math.Float64bits(gotMat[i][j]) != math.Float64bits(wantMat[i][j]) {
-					t.Fatalf("%s MEC %v (%d, %d): %v, W_N %v", label, m, ids[i], ids[j], gotMat[i][j], wantMat[i][j])
+		for i, u := range ids {
+			for j, v := range ids {
+				want, err := measure.OrNaN(cs.SelfValue(m, u))
+				if u != v {
+					su, _ := d.Series(u)
+					sv, _ := d.Series(v)
+					want, err = measure.OrNaN(measure.EvalPair(m, su, sv))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := gotMat[i][j]; math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s MEC %v (%d, %d): %v, scalar %v", label, m, u, v, got, want)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"affinity/internal/core"
 	"affinity/internal/interval"
+	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/sketch"
@@ -611,11 +612,15 @@ func TestShardsShareOneWindowReduction(t *testing.T) {
 			previous = window
 			centers := c.Relationships().Clustering.CenterMoments()
 			for s, e := range c.engines {
-				_, kernel, err := e.Naive().Kernel()
+				kern, err := kernel.FromData(e.Data())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Data().Moments() != window || kernel != window {
+				mom, err := kern.Moments()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Data().Moments() != window || mom != window {
 					t.Fatalf("S=%d epoch %d shard %d: the shard reduced the shared window itself", shards, epoch, s)
 				}
 				if e.Relationships().Clustering.CenterMoments() != centers {

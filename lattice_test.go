@@ -675,14 +675,15 @@ type oracle struct {
 }
 
 func newOracle(d *timeseries.DataMatrix, m measure.Measure) (oracle, error) {
-	naive := baseline.NewNaive(d)
 	if !m.Pairwise() {
-		vals, err := naive.Location(m, d.IDs())
+		vals, err := baseline.NewNaive(d).Location(m, d.IDs())
 		return oracle{ids: d.IDs(), values: vals}, err
 	}
 	o := oracle{pairs: d.AllPairs()}
 	for _, p := range o.pairs {
-		v, err := measure.OrNaN(naive.PairValue(m, p))
+		su, _ := d.Series(p.U)
+		sv, _ := d.Series(p.V)
+		v, err := measure.OrNaN(measure.EvalPair(m, su, sv))
 		if err != nil {
 			return o, err
 		}
