@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -163,20 +162,15 @@ type boundColumn struct {
 	lo, hi []float64
 }
 
-// sketchBounds returns the epoch's sketch-bound column of a base, filling it
-// on first use with the bits BoundBlock gives each pair (mom is the naive
-// kernel's moments), or nil for a base the sketch cannot bound.  The fill
-// fans out over the universe, so callers resolve the column before their own
-// fan-out, never inside a worker.
+// sketchBounds returns the epoch's sketch-bound column of a base — covariance
+// or the dot product, the only bases measure.Register admits — filling it on
+// first use with the bits BoundBlock gives each pair (mom is the naive
+// kernel's moments).  The fill fans out over the universe, so callers resolve
+// the column before their own fan-out, never inside a worker.
 func (e *engineState) sketchBounds(base measure.Measure, mom *kernel.Moments) *boundColumn {
-	var pick func(*baseColumns) *boundColumn
-	switch base {
-	case measure.Covariance:
+	pick := func(c *baseColumns) *boundColumn { return &c.dotBounds }
+	if base == measure.Covariance {
 		pick = func(c *baseColumns) *boundColumn { return &c.covBounds }
-	case measure.DotProduct:
-		pick = func(c *baseColumns) *boundColumn { return &c.dotBounds }
-	default:
-		return nil
 	}
 	col := pick(e.cols)
 	col.once.Do(func() {
@@ -184,12 +178,7 @@ func (e *engineState) sketchBounds(base measure.Measure, mom *kernel.Moments) *b
 		spare := pick(e.cols.recycled())
 		lo, hi := slices.Grow(spare.lo[:0], n)[:n], slices.Grow(spare.hi[:0], n)[:n]
 		_ = e.forUniverseChunks(e.par, func(at int, chunk []timeseries.Pair) error {
-			cLo, cHi := lo[at:at+len(chunk)], hi[at:at+len(chunk)]
-			if !e.sketch.BoundBlock(base, mom, chunk, cLo, cHi) {
-				for i := range cLo {
-					cLo[i], cHi[i] = math.NaN(), math.NaN()
-				}
-			}
+			e.sketch.BoundBlock(base, mom, chunk, lo[at:at+len(chunk)], hi[at:at+len(chunk)])
 			return nil
 		})
 		col.lo, col.hi = lo, hi

@@ -10,6 +10,7 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
+	"affinity/internal/par"
 	"affinity/internal/plan"
 	"affinity/internal/scape"
 	"affinity/internal/sketch"
@@ -339,10 +340,12 @@ func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 // bounds every item afresh with BoundBlock per chunk and classifies each pair
 // with sketch.Classify: the column changes what a sweep reads, not what it
 // counts.  The epochs are partial refits (DriftBound > 0, after a first
-// Advance), where correlation has no fit column and is sketched.
+// Advance), where correlation has no fit column and is sketched.  With 130
+// series every row block spans more than one chunk even at P = 8, so a top-k
+// heap is full when a later chunk of its block is classified.
 func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 	for _, p := range determinismLevels {
-		fx := makeStreamFixture(t, 30, 90, 2, 23)
+		fx := makeStreamFixture(t, 130, 90, 2, 23)
 		e, err := Build(fx.window, Config{
 			Clusters: 4, Seed: 5, Parallelism: p,
 			Sketch: sketch.Options{Enabled: true, Coefficients: 8},
@@ -375,8 +378,8 @@ func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The same items once more in one batch: the intervals share a
-			// pass, each top-k runs on its own.
+			// The same items once more in one batch: every item rides one
+			// pass, and a top-k's heap sees only what it would alone.
 			if _, err := runSpecs(e, specs, MethodNaive); err != nil {
 				t.Fatal(err)
 			}
@@ -453,11 +456,12 @@ func liftedBounds(t *testing.T, st *engineState, sp *measure.Spec, useSketch boo
 
 // countSketchOracle adds what one naive item of a full-universe engine
 // contributes to the sketch counters.  An interval classifies every pair
-// against its sketch bound.  A top-k visits chunks by descending best
-// optimistic sketch endpoint and stops at the first chunk strictly worse than
-// the k-th exact value it has, offering the pairs whose pair-moment bound
-// reaches the k-th best pessimistic endpoint θ; the visited pairs count as
-// ambiguous and the rest as skipped.
+// against its sketch bound.  A top-k replays each row block of the engine's
+// partition (par.Blocks) in chunk order with a heap of its own: every pair of
+// a chunk is classified against the heap's running interval as the chunk
+// begins — the pairs it rules out count as skipped, the rest as ambiguous —
+// and then offered with its exact value (a pair ruled out cannot enter the
+// heap, so offering it changes nothing).
 func countSketchOracle(t *testing.T, st *engineState, oracle *scalarOracle, spec plan.QuerySpec, c *sketch.Stats) {
 	t.Helper()
 	sp := measure.Lookup(spec.Measure)
@@ -476,59 +480,21 @@ func countSketchOracle(t *testing.T, st *engineState, oracle *scalarOracle, spec
 		}
 		return
 	}
-	// Orient every endpoint so that higher is better.
-	sign := 1.0
-	if !spec.Largest {
-		sign, lo, hi = -1, hi, lo
-	}
-	mLo, mHi := liftedBounds(t, st, sp, false)
-	if !spec.Largest {
-		mLo, mHi = mHi, mLo
-	}
-	floor := scape.NewTopHeap(spec.K, true)
-	for i, pair := range oracle.pairs {
-		floor.Offer(pair, sign*mLo[i])
-	}
-	theta, certain := floor.Threshold()
-	numChunks := (len(lo) + kernel.BlockPairs - 1) / kernel.BlockPairs
-	scores := make([]float64, numChunks)
-	for c := range scores {
-		scores[c] = math.Inf(-1)
-		for i := c * kernel.BlockPairs; i < min((c+1)*kernel.BlockPairs, len(hi)); i++ {
-			opt := sign * hi[i]
-			if math.IsNaN(opt) {
-				opt = math.Inf(1)
+	for _, blk := range par.Blocks(len(lo), st.par) {
+		heap := scape.NewTopHeap(spec.K, spec.Largest)
+		for at := blk.Lo; at < blk.Hi; at += kernel.BlockPairs {
+			end := min(at+kernel.BlockPairs, blk.Hi)
+			iv := heap.RunningInterval()
+			for i := at; i < end; i++ {
+				if sketch.Classify(iv, lo[i], hi[i]) == sketch.DefiniteOut {
+					c.TopKSkippedPairs++
+				} else {
+					c.Ambiguous++
+				}
 			}
-			scores[c] = max(scores[c], opt)
-		}
-	}
-	order := make([]int, numChunks)
-	for c := range order {
-		order[c] = c
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		switch {
-		case scores[a] > scores[b]:
-			return -1
-		case scores[a] < scores[b]:
-			return 1
-		}
-		return 0
-	})
-	heap := scape.NewTopHeap(spec.K, true)
-	visited := 0
-	for _, ch := range order {
-		if vk, full := heap.Threshold(); full && scores[ch] < vk {
-			break
-		}
-		for i := ch * kernel.BlockPairs; i < min((ch+1)*kernel.BlockPairs, len(lo)); i++ {
-			visited++
-			if certain && sign*mHi[i] < theta {
-				continue
+			for i := at; i < end; i++ {
+				heap.Offer(oracle.pairs[i], oracle.values[spec.Measure][i])
 			}
-			heap.Offer(oracle.pairs[i], sign*oracle.values[spec.Measure][i])
 		}
 	}
-	c.Ambiguous += int64(visited)
-	c.TopKSkippedPairs += int64(len(lo) - visited)
 }

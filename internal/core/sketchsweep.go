@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -26,10 +24,12 @@ import (
 // (base T-measure, method); a group's bound providers put an interval around
 // the base value of every pair without touching a raw sample, Spec.BoundValue
 // lifts it to each item's measure, and the pair is classified against the
-// item's predicate: definitely in, definitely out, or ambiguous.  Only what is
-// left — the ambiguous sliver, plus on a cache-enabled engine the rows that are
-// kept, whose values the cache stores — reaches the exact evaluator, once per
-// group for the union of what its items need.  The providers of a naive group,
+// item's predicate — an interval item's interval, a top-k item's heap's
+// running interval — definitely in, definitely out, or ambiguous.  Only what
+// is left — the ambiguous sliver, every pair a top-k did not rule out, and on
+// a cache-enabled engine the rows that are kept, whose values the cache
+// stores — reaches the exact evaluator, once per group for the union of what
+// its items need.  The providers of a naive group,
 // in the order they are asked:
 //
 //   - the DFT coefficient sketch (internal/sketch) where Config.Sketch is on:
@@ -180,9 +180,7 @@ func (p boundProvider) bounds(base measure.Measure, mom *kernel.Moments, at int,
 func (e *engineState) boundProviders(base measure.Measure, mom *kernel.Moments) ([]boundProvider, error) {
 	provs := make([]boundProvider, 0, 2)
 	if e.sketch != nil {
-		if col := e.sketchBounds(base, mom); col != nil {
-			provs = append(provs, boundProvider{sketch: col})
-		}
+		provs = append(provs, boundProvider{sketch: e.sketchBounds(base, mom)})
 	}
 	pm, err := e.pairMoments()
 	if pm != nil {
@@ -227,9 +225,8 @@ type itemState struct {
 // (base T-measure, method) — queries on cosine, Dice and Euclidean distance
 // all ride one dot-product evaluation — and every group runs the stage at the
 // head of this file in one shared pass over the pair universe (sweepPass).
-// Only a naive top-k item of a boundable measure without a column runs on its
-// own (boundTopK): it has to see every pair's bound before it knows which
-// pairs to refine.
+// A top-k item classifies against its block heap's running interval, so it
+// rides the same pass as the intervals.
 //
 // On a cache-enabled engine an interval result also carries the value of
 // every row it kept — the stage has them in hand and the cache stores them —
@@ -242,17 +239,6 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 	}
 	states := make([]itemState, len(items))
 	groups := make([]baseGroup, 0, len(idxs))
-	// observed records what an item's bound providers did for it.
-	observed := func(k int, provs []boundProvider, refined int64) {
-		if provs[len(provs)-1].moments != nil {
-			e.moments.counters.momentSweeps.Add(1)
-			e.moments.counters.momentRefined.Add(refined)
-		}
-		if actuals != nil {
-			actuals[k].Sketched = e.numUniversePairs()
-			actuals[k].Refined = int(refined)
-		}
-	}
 	for _, k := range idxs {
 		p := items[k]
 		states[k].cls = -1
@@ -264,22 +250,8 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 			return fmt.Errorf("%w: %v for batched pair queries", ErrBadMethod, p.Method)
 		}
 		// A naive item the fit's covariance column answers rides its group
-		// like an affine item: no bounds, no classification, no boundTopK.
+		// like an affine item: no bounds, no classification.
 		boundable := p.Method == MethodNaive && sp.SketchBoundable() && e.naiveColumn(sp.Base) == nil
-		if boundable && p.Spec.Kind == plan.KindTopK {
-			provs, err := e.boundProviders(sp.Base, mom)
-			if err != nil {
-				return err
-			}
-			if len(provs) > 0 {
-				var refined int64
-				if out[k], refined, err = e.boundTopK(p, sp, provs, mom); err != nil {
-					return err
-				}
-				observed(k, provs, refined)
-				continue
-			}
-		}
 		key := baseKey{base: sp.Base, method: p.Method}
 		gi := slices.IndexFunc(groups, func(g baseGroup) bool { return g.key == key })
 		if gi < 0 {
@@ -338,36 +310,41 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 			for _, k := range mg.idxs {
 				st := &states[k]
 				if g.providers[0].sketch != nil {
-					e.sketch.Counters().CountSweep(st.in, st.out, st.ambiguous)
+					if items[k].Spec.Kind == plan.KindTopK {
+						e.sketch.Counters().CountTopK(st.in+st.ambiguous, st.out)
+					} else {
+						e.sketch.Counters().CountSweep(st.in, st.out, st.ambiguous)
+					}
 				}
-				observed(k, g.providers, st.refined)
+				if g.providers[len(g.providers)-1].moments != nil {
+					e.moments.counters.momentSweeps.Add(1)
+					e.moments.counters.momentRefined.Add(st.refined)
+				}
+				if actuals != nil {
+					actuals[k].Sketched = e.numUniversePairs()
+					actuals[k].Refined = int(st.refined)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// chunkScratch is a row block's per-chunk working set, reused across the
-// block's chunks: pairs holds the chunk (the universe is enumerated, not
-// materialised), sub the pairs whose exact values are needed and subAt their
-// positions in it, t and v base and derived values, lo and hi a provider's
-// bounds.
-type chunkScratch struct {
+// blockScratch is the pooled working set of one row block of a pass over the
+// pair universe — a sweep, a column fill — reused across the block's chunks:
+// pairs holds the chunk (the universe is enumerated, not materialised), sub
+// the pairs whose exact values are needed and subAt their positions in it, t
+// and v base and derived values, lo and hi a provider's bounds.  For the
+// shared sweep pass it also keeps the class buffer of the classified items
+// and every item's partial result, whose pair and value buffers keep the
+// capacity they grew to from call to call.
+type blockScratch struct {
 	pairs, sub   [kernel.BlockPairs]timeseries.Pair
 	t, v, lo, hi [kernel.BlockPairs]float64
 	subAt        [kernel.BlockPairs]int16
 	need         [kernel.BlockPairs]bool
-}
-
-// blockScratch is the pooled working set of one row block of a pass over the
-// pair universe — a sweep, a top-k's bounding phase, a column fill: the chunk
-// scratch plus, for the shared sweep pass, the class buffer of its classified
-// items and every item's partial result, whose pair and value buffers keep the
-// capacity they grew to from call to call.
-type blockScratch struct {
-	chunkScratch
-	classes  []sketch.Class
-	partials []sweepPartial
+	classes      []sketch.Class
+	partials     []sweepPartial
 }
 
 var blockScratchPool par.Scratch[blockScratch]
@@ -437,7 +414,6 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 		// derived values flow as NaN (EvalOrNaN): interval compaction never
 		// matches NaN and the heaps never rank it, so degenerate pairs drop out
 		// of every result without per-pair control flow.
-		classes := w.classes
 		for lo := blocks[b].Lo; lo < blocks[b].Hi; lo += kernel.BlockPairs {
 			hi := min(lo+kernel.BlockPairs, blocks[b].Hi)
 			chunk := e.universeChunk(lo, hi, w.pairs[:])
@@ -445,7 +421,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 				g := &groups[gi]
 				sub := chunk
 				if len(g.providers) > 0 {
-					sub = e.classifyChunk(g, items, lo, chunk, mom, &w.chunkScratch, classes, local)
+					sub = e.classifyChunk(g, items, lo, chunk, mom, w)
 				}
 				t := w.t[:len(sub)]
 				if g.column != nil {
@@ -474,7 +450,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 							// A definite-in row needs no value unless the cache
 							// stores it; where one is in hand it decides, so a
 							// kept row's membership is the exact value's.
-							for i, c := range p.classes(classes, len(chunk)) {
+							for i, c := range p.classes(w.classes, len(chunk)) {
 								switch {
 								case c == sketch.DefiniteOut:
 								case c == sketch.DefiniteIn && !keepValues:
@@ -499,13 +475,24 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 	for gi := range groups {
 		for _, mg := range groups[gi].measures {
 			for _, k := range mg.idxs {
+				st := &states[k]
+				for _, sc := range scratch {
+					p := &sc.partials[k]
+					st.in += p.in
+					st.out += p.out
+					st.ambiguous += p.ambiguous
+					st.refined += p.refined
+				}
 				if spec := items[k].Spec; spec.Kind == plan.KindTopK {
 					// Merge the per-block heaps: the retained set is a function
 					// of the offered (value, pair) multiset under a total order,
 					// so the merge is independent of the block partition.
 					final := scape.NewTopHeap(spec.K, spec.Largest)
 					for _, sc := range scratch {
-						offerAll(final, sc.partials[k].heap)
+						pairs, values := sc.partials[k].heap.Sorted()
+						for i := range pairs {
+							final.Offer(pairs[i], values[i])
+						}
 					}
 					topPairs, values := final.Sorted()
 					out[k] = QueryResult{Pairs: topPairs, Values: values}
@@ -521,15 +508,9 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 						out[k].Values = make([]float64, 0, rows)
 					}
 				}
-				st := &states[k]
 				for _, sc := range scratch {
-					p := &sc.partials[k]
-					out[k].Pairs = append(out[k].Pairs, p.pairs...)
-					out[k].Values = append(out[k].Values, p.values...)
-					st.in += p.in
-					st.out += p.out
-					st.ambiguous += p.ambiguous
-					st.refined += p.refined
+					out[k].Pairs = append(out[k].Pairs, sc.partials[k].pairs...)
+					out[k].Values = append(out[k].Values, sc.partials[k].values...)
 				}
 			}
 		}
@@ -537,24 +518,20 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 	return nil
 }
 
-// offerAll offers every entry src retains to dst.
-func offerAll(dst, src *scape.TopHeap) {
-	pairs, values := src.Sorted()
-	for i := range pairs {
-		dst.Offer(pairs[i], values[i])
-	}
-}
-
 // classifyChunk classifies every pair of one chunk — universe positions
-// [at, at+len(chunk)) — against every interval item of a bounded group and
-// returns the pairs whose exact values are needed, with w.subAt[i] the
-// position of chunk[i] among them.  Each provider bounds the base values once
-// for the group; per item, Spec.BoundValue lifts the bound of every pair the
-// item still finds ambiguous to its measure and sketch.Classify compares it
-// with the predicate.  A pair no provider has a definite bound for stays
-// ambiguous.  What is needed is the union over the items: the ambiguous pairs
-// and, on a cache-enabled engine, the rows that are kept.
-func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []timeseries.Pair, mom *kernel.Moments, w *chunkScratch, classes []sketch.Class, local []sweepPartial) []timeseries.Pair {
+// [at, at+len(chunk)) — against every item of a bounded group and returns the
+// pairs whose exact values are needed, with w.subAt[i] the position of
+// chunk[i] among them.  An interval item's predicate is its interval; a top-k
+// item's is its block heap's running interval, which only narrows as the
+// block's later chunks are offered, so a pair it rules out could never have
+// entered the heap.  Each provider bounds the base values once for the group;
+// per item, Spec.BoundValue lifts the bound of every pair the item still finds
+// ambiguous to its measure and sketch.Classify compares it with the predicate.
+// A pair no provider has a definite bound for stays ambiguous.  What is needed
+// is the union over the items: every pair a top-k item did not rule out, an
+// interval item's ambiguous pairs and, on a cache-enabled engine, the rows it
+// keeps.
+func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []timeseries.Pair, mom *kernel.Moments, w *blockScratch) []timeseries.Pair {
 	numSamples := e.data.NumSamples()
 	keepValues := e.cache != nil
 	lo, hi := w.lo[:len(chunk)], w.hi[:len(chunk)]
@@ -564,12 +541,15 @@ func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []
 		for _, mg := range g.measures {
 			sp := mg.sp
 			for _, k := range mg.idxs {
-				st := &local[k]
-				cls := st.classes(classes, len(chunk))
+				st := &w.partials[k]
+				cls := st.classes(w.classes, len(chunk))
 				if pi == 0 {
 					clear(cls) // sketch.Ambiguous
 				}
 				iv := items[k].Spec.Interval
+				if st.heap != nil {
+					iv = st.heap.RunningInterval()
+				}
 				for i, pair := range chunk {
 					if cls[i] != sketch.Ambiguous {
 						continue
@@ -609,9 +589,10 @@ func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []
 	clear(need)
 	for _, mg := range g.measures {
 		for _, k := range mg.idxs {
-			st := &local[k]
-			for i, c := range st.classes(classes, len(chunk)) {
-				if c == sketch.Ambiguous || (keepValues && c == sketch.DefiniteIn) {
+			st := &w.partials[k]
+			keep := keepValues || st.heap != nil
+			for i, c := range st.classes(w.classes, len(chunk)) {
+				if c == sketch.Ambiguous || (keep && c == sketch.DefiniteIn) {
 					need[i] = true
 					st.refined++
 				}
@@ -647,168 +628,4 @@ func (e *engineState) deriveValues(sp *measure.Spec, pairs []timeseries.Pair, t,
 		buf[i] = v
 	}
 	return buf, nil
-}
-
-// boundTopK answers one naive top-k item of a boundable measure and reports
-// how many pairs it sent to the kernels.  Phase 1 lifts every pair's bound to
-// the measure: the k-th best pessimistic endpoint θ of the last (tightest)
-// provider is a value at least k pairs are certain to reach, and the best
-// optimistic endpoint of the first provider scores each chunk.
-// Phase 2 visits the chunks best-first, refines — exact kernels, the item's
-// transform — every pair whose optimistic endpoint reaches θ and offers it to
-// the result heap, and stops at the first chunk whose score is strictly worse
-// than the heap's threshold v_k: scores only descend from there and v_k only
-// tightens.  Both comparisons keep the closed endpoint, because a value equal
-// to v_k can still enter the heap on the pair-id tie-break.  Every pair of the
-// exact sweep's result reaches θ and sits in a visited chunk, the heap's
-// retained set is a function of the offered (value, pair) multiset under its
-// total order, and a pair that is not offered could not have stayed in it, so
-// the result — and the sequence of visited chunks, which the sketch tier's
-// counters report — equals the unfiltered sweep's exactly.
-func (e *engineState) boundTopK(it Item, sp *measure.Spec, provs []boundProvider, mom *kernel.Moments) (QueryResult, int64, error) {
-	numPairs := e.numUniversePairs()
-	largest := it.Spec.Largest
-	first, last := provs[0], provs[len(provs)-1]
-	var refined int64
-	numChunks := (numPairs + kernel.BlockPairs - 1) / kernel.BlockPairs
-	chunkOf := func(c int, w *chunkScratch) (int, []timeseries.Pair) {
-		lo := c * kernel.BlockPairs
-		return lo, e.universeChunk(lo, min(lo+kernel.BlockPairs, numPairs), w.pairs[:])
-	}
-	// optimistic and pessimistic pick a lifted bound's endpoints by direction;
-	// a pair without a definite bound has neither (NaN).
-	optimistic := func(w *chunkScratch, i int) float64 {
-		if largest {
-			return w.hi[i]
-		}
-		return w.lo[i]
-	}
-	pessimistic := func(w *chunkScratch, i int) float64 {
-		if largest {
-			return w.lo[i]
-		}
-		return w.hi[i]
-	}
-
-	// Phase 1, sharded over chunks with O(blocks) scratch.  A chunk's score is
-	// oriented so that higher is more promising; a pair without a bound makes
-	// its chunk unprunable (+Inf).
-	scores := make([]float64, numChunks)
-	cblocks := par.Blocks(numChunks, e.par)
-	floors := make([]*scape.TopHeap, len(cblocks))
-	_ = par.Do(len(cblocks), e.par, func(cb int) error {
-		sc, _ := blockScratchPool.Get()
-		defer blockScratchPool.Put(sc)
-		w := &sc.chunkScratch
-		floor := scape.NewTopHeap(it.Spec.K, largest)
-		for c := cblocks[cb].Lo; c < cblocks[cb].Hi; c++ {
-			at, chunk := chunkOf(c, w)
-			e.liftBounds(first, sp, at, chunk, mom, w)
-			score := math.Inf(-1)
-			for i := range chunk {
-				opt := optimistic(w, i)
-				if !largest {
-					opt = -opt
-				}
-				if math.IsNaN(opt) {
-					opt = math.Inf(1)
-				}
-				score = max(score, opt)
-			}
-			scores[c] = score
-			if len(provs) > 1 {
-				e.liftBounds(last, sp, at, chunk, mom, w)
-			}
-			for i, pair := range chunk {
-				floor.Offer(pair, pessimistic(w, i))
-			}
-		}
-		floors[cb] = floor
-		return nil
-	})
-	floor := scape.NewTopHeap(it.Spec.K, largest)
-	for _, f := range floors {
-		offerAll(floor, f)
-	}
-	theta, certain := floor.Threshold()
-
-	// Phase 2.
-	heap := scape.NewTopHeap(it.Spec.K, largest)
-	sc, _ := blockScratchPool.Get()
-	defer blockScratchPool.Put(sc)
-	w := &sc.chunkScratch
-	visited := 0
-	for _, c := range chunkVisitOrder(scores) {
-		if vk, full := heap.Threshold(); full {
-			if !largest {
-				vk = -vk
-			}
-			if scores[c] < vk {
-				break
-			}
-		}
-		at, chunk := chunkOf(c, w)
-		visited += len(chunk)
-		e.liftBounds(last, sp, at, chunk, mom, w)
-		sub := w.sub[:0]
-		for i, pair := range chunk {
-			// The negated comparisons keep a pair without a bound (NaN).
-			if opt := optimistic(w, i); certain && ((largest && opt < theta) || (!largest && opt > theta)) {
-				continue
-			}
-			sub = append(sub, pair)
-		}
-		t := w.t[:len(sub)]
-		if err := e.fillBase(sp.Base, sub, t); err != nil {
-			return QueryResult{}, 0, err
-		}
-		vals, err := e.deriveValues(sp, sub, t, w.v[:len(sub)])
-		if err != nil {
-			return QueryResult{}, 0, err
-		}
-		for i, pair := range sub {
-			heap.Offer(pair, vals[i])
-		}
-		refined += int64(len(sub))
-	}
-	if first.sketch != nil {
-		// Every chunk is either visited whole or skipped whole.
-		e.sketch.Counters().CountTopK(int64(visited), int64(numPairs-visited))
-	}
-	topPairs, values := heap.Sorted()
-	return QueryResult{Pairs: topPairs, Values: values}, refined, nil
-}
-
-// chunkVisitOrder returns the chunk indices by descending score, ties by
-// ascending index — a strict total order (no score is NaN), so the visit order
-// is deterministic.
-func chunkVisitOrder(scores []float64) []int {
-	order := make([]int, len(scores))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(scores[b], scores[a]), cmp.Compare(a, b))
-	})
-	return order
-}
-
-// liftBounds fills w.lo/w.hi with the provider's bounds on the value of sp for
-// every pair of chunk: the base bound lifted through Spec.BoundValue, NaN
-// endpoints where either step has no definite answer.
-func (e *engineState) liftBounds(prov boundProvider, sp *measure.Spec, at int, chunk []timeseries.Pair, mom *kernel.Moments, w *chunkScratch) {
-	numSamples := e.data.NumSamples()
-	lo, hi := w.lo[:len(chunk)], w.hi[:len(chunk)]
-	prov.bounds(sp.Base, mom, at, chunk, lo, hi)
-	for i, pair := range chunk {
-		var u float64
-		if sp.Derived() {
-			u = sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
-		}
-		vLo, vHi, ok := sp.BoundValue(lo[i], hi[i], u, numSamples)
-		if !ok {
-			vLo, vHi = math.NaN(), math.NaN()
-		}
-		lo[i], hi[i] = vLo, vHi
-	}
 }

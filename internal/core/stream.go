@@ -102,7 +102,8 @@ import (
 // flags → map[Pair]bool → sorted slice → per-pivot counts, O(|stale|) hashing
 // — O(relationships) when a tight DriftBound marks most of them — because
 // symex.RefitOptions.Stale and Index.Update's parameter are maps the frozen
-// benchmark compiles against (ROADMAP item 3 replaces them with layout slots).
+// benchmark compiles against (ROADMAP item 15(iv) deletes the stale set with
+// the partial refit it serves).
 // Nothing else is, and nothing is allocated per relationship or per pivot: the
 // relationship store is a slice cloned and overwritten at the stale slots, the
 // per-pivot state is found by index, and an epoch's summaries, ξ keys,

@@ -66,8 +66,9 @@ type StreamStats struct {
 	// structure.  SketchSweeps counts prescreened sweep executions, and the
 	// DefiniteIn/DefiniteOut/Ambiguous triple their interval classifications —
 	// the ambiguous pairs went on to the pair-moment column.
-	// SketchTopKSkippedPairs counts pairs pruned by best-first top-k bound
-	// ordering.
+	// SketchTopKSkippedPairs counts the pairs a naive top-k's sketch bounds
+	// ruled out against its heap's running threshold; the rest count as
+	// ambiguous.
 	SketchRebuilt          int64
 	SketchSlid             int64
 	SketchSweeps           int64

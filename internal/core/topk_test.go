@@ -204,25 +204,6 @@ func TestTopSeriesOrderOnTies(t *testing.T) {
 	}
 }
 
-func TestChunkVisitOrderOnTies(t *testing.T) {
-	inf := math.Inf(1)
-	for _, tc := range []struct {
-		name   string
-		scores []float64
-		want   []int
-	}{
-		{"none", nil, []int{}},
-		{"all equal: chunk order", []float64{3, 3, 3, 3}, []int{0, 1, 2, 3}},
-		{"descending score, ties by chunk", []float64{1, 5, 1, 5, 2}, []int{1, 3, 4, 0, 2}},
-		{"unprunable chunks first", []float64{0, inf, -inf, inf, 7}, []int{1, 3, 4, 0, 2}},
-		{"zeros of both signs are one score", []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}, []int{0, 1, 2}},
-	} {
-		if got := chunkVisitOrder(tc.scores); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestSortedStalePairsOrder(t *testing.T) {
 	p := func(u, v int) timeseries.Pair {
 		return timeseries.Pair{U: timeseries.SeriesID(u), V: timeseries.SeriesID(v)}

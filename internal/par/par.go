@@ -169,25 +169,6 @@ func DoBlocks(count, parallelism int, fn func(b int, blk Block) error) error {
 	})
 }
 
-// Gather runs fn(i) for i in [0, count) in parallel and returns the results
-// in index order: out[i] = fn(i).  The output order is independent of the
-// scheduling order.
-func Gather[T any](count, parallelism int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, count)
-	err := Do(count, parallelism, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // FlattenBlocks concatenates per-block result slices in block order into one
 // slice — the deterministic merge step paired with DoBlocks.
 func FlattenBlocks[T any](parts [][]T) []T {

@@ -149,20 +149,6 @@ func TestDoBlocksDeterministicMerge(t *testing.T) {
 	}
 }
 
-func TestGatherOrder(t *testing.T) {
-	out, err := Gather(100, 8, func(i int) (string, error) {
-		return fmt.Sprintf("v%d", i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("out[%d] = %q", i, v)
-		}
-	}
-}
-
 func TestFlattenBlocksEmpty(t *testing.T) {
 	if got := FlattenBlocks[int](nil); got != nil {
 		t.Fatalf("FlattenBlocks(nil) = %v, want nil", got)

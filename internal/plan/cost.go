@@ -185,9 +185,10 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 		} else {
 			p.EstimatedRows = min(spec.K, st.NumPairs)
 			p.CostNaive = float64(st.NumPairs) * float64(st.NumSamples) * c.SampleCost * passes
-			// The sketch-enabled naive route scans best-first and stops when
-			// the optimistic bounds cannot beat v_k; the examined fraction is
-			// governed by the same bound width the ambiguity estimates.
+			// The sketch-enabled naive route classifies each pair against
+			// its heap's running threshold and refines what the bounds cannot
+			// rule out; that fraction is governed by the same bound width the
+			// ambiguity estimates.
 			if st.SketchCoefficients > 0 && sp.SketchBoundable() {
 				p.CostSketch = c.sketchCost(st, passes, st.SketchAmbiguity)
 				p.CostNaive = p.CostSketch

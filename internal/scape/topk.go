@@ -89,6 +89,24 @@ func (h *TopHeap) Threshold() (float64, bool) {
 	return h.entries[0].value, true
 }
 
+// RunningInterval is the predicate "could still enter the heap": unbounded
+// until the heap fills, then closed at v_k on the moving side.  The endpoint
+// is padded outward by a relative epsilon so an entry whose value
+// reconstructs to exactly v_k through a differently-rounded window — an index
+// scan's ξ, a sweep's lifted bound — is still examined (the heap's exact
+// comparison rejects anything genuinely worse).  It only narrows as entries
+// are offered.
+func (h *TopHeap) RunningInterval() interval.Interval {
+	vk, full := h.Threshold()
+	if !full {
+		return interval.All()
+	}
+	if h.largest {
+		return interval.AtLeast(padBound(vk, -1))
+	}
+	return interval.AtMost(padBound(vk, +1))
+}
+
 // Sorted returns the retained entries best-first.
 func (h *TopHeap) Sorted() ([]timeseries.Pair, []float64) {
 	es := append([]topEntry(nil), h.entries...)
@@ -305,22 +323,6 @@ func (idx *Index) PairTopK(m measure.Measure, k int, largest bool) ([]timeseries
 	return pairs, values, cur.Examined(), nil
 }
 
-// runningInterval is the predicate "could still enter the heap" of a T-measure
-// scan: unbounded until the heap fills, then closed at v_k on the moving side.
-// The endpoint is padded outward by a relative epsilon so an entry whose value
-// reconstructs to exactly v_k through a differently-rounded ξ window is still
-// examined (the heap's exact comparison rejects anything genuinely worse).
-func runningInterval(heap *TopHeap, largest bool) interval.Interval {
-	vk, full := heap.Threshold()
-	if !full {
-		return interval.All()
-	}
-	if largest {
-		return interval.AtLeast(padBound(vk, -1))
-	}
-	return interval.AtMost(padBound(vk, +1))
-}
-
 // padBound nudges a bound outward (dir = −1 toward smaller values, +1 toward
 // larger) by a relative epsilon; infinite bounds stay where they are.
 func padBound(x float64, dir float64) float64 {
@@ -342,7 +344,7 @@ func (c *TopKCursor) scanNodeTopK(i int, heap *TopHeap) int {
 		}
 		return len(values)
 	}
-	iv := runningInterval(heap, c.largest)
+	iv := heap.RunningInterval()
 	examined := 0
 	if pm.alphaNorm == 0 {
 		if iv.Contains(0) {

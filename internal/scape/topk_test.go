@@ -388,7 +388,7 @@ func minInt(a, b int) int {
 // FuzzTopKPaddedWindow pins padBound, the no-false-dismissal pad of a
 // T-measure top-k scan: whenever an entry's value ‖α‖·ξ would enter a full
 // heap at threshold v_k (it ties or beats v_k), its ξ lies inside the window
-// the scan ascends, scaleInterval(runningInterval(...), ‖α‖), although the
+// the scan ascends, scaleInterval(heap.RunningInterval(), ‖α‖), although the
 // division that window takes rounds differently from the product.
 func FuzzTopKPaddedWindow(f *testing.F) {
 	f.Add(1.0, 0.5, 0.5, true)
@@ -406,7 +406,7 @@ func FuzzTopKPaddedWindow(f *testing.F) {
 		}
 		heap := NewTopHeap(1, largest)
 		heap.Offer(timeseries.Pair{U: 0, V: 1}, vk)
-		if window := scaleInterval(runningInterval(heap, largest), alphaNorm); !window.Contains(xi) {
+		if window := scaleInterval(heap.RunningInterval(), alphaNorm); !window.Contains(xi) {
 			t.Fatalf("‖α‖ %v · ξ %v = %v beats v_k %v (largest %v) but ξ is outside %v", alphaNorm, xi, value, vk, largest, window)
 		}
 	})

@@ -71,9 +71,8 @@ func (s *Set) centeredBounds(u, v int) (lo, hi float64) {
 
 // BoundBlock fills tLo/tHi (len(pairs) each) with padded definite bounds on
 // the base T-measure for every pair, reading the exact hoisted moments the
-// sweep kernels use.  It returns false when the base has no sketch bound
-// (an extension measure whose base is neither covariance nor the dot
-// product); callers fall back to the exact path then.
+// sweep kernels use.  It returns false for a base other than covariance or
+// the dot product, which measure.Register does not admit.
 func (s *Set) BoundBlock(base measure.Measure, mom *kernel.Moments, pairs []timeseries.Pair, tLo, tHi []float64) bool {
 	switch base {
 	case measure.Covariance:

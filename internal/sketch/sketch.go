@@ -105,8 +105,8 @@ type Stats struct {
 	DefiniteIn  int64
 	DefiniteOut int64
 	Ambiguous   int64
-	// TopKSkippedPairs counts pairs in top-k sweep blocks pruned by the
-	// best-first optimistic-bound ordering.
+	// TopKSkippedPairs counts pairs a top-k sweep ruled out against its
+	// heap's running threshold, so they were never refined.
 	TopKSkippedPairs int64
 }
 
@@ -134,8 +134,9 @@ func (c *Counters) CountSweep(in, out, ambiguous int64) {
 	c.ambiguous.Add(ambiguous)
 }
 
-// CountTopK records one best-first top-k sweep: refined pairs offered to the
-// heap and pairs skipped by the optimistic-bound pruning.
+// CountTopK records one prescreened top-k sweep: the pairs the bounds could
+// not rule out against the heap's running threshold, which go on to be
+// refined, and the pairs they ruled out (skipped).
 func (c *Counters) CountTopK(refined, skipped int64) {
 	c.sweeps.Add(1)
 	c.ambiguous.Add(refined)

@@ -635,22 +635,6 @@ func (d *DataMatrix) ColumnsMatrix(u SeriesID, other []float64) (*mat.Matrix, er
 	return mat.NewFromColumns(su, other)
 }
 
-// SubMatrix returns the data matrix restricted to the requested identifiers,
-// in the order given.  Names are preserved.
-func (d *DataMatrix) SubMatrix(ids []SeriesID) (*DataMatrix, error) {
-	out := &DataMatrix{}
-	for _, id := range ids {
-		s, err := d.SeriesCopy(id)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Append(d.Name(id), s); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Window returns a new data matrix containing only samples [start, end) of
 // every series, used for windowed statistical queries.
 func (d *DataMatrix) Window(start, end int) (*DataMatrix, error) {

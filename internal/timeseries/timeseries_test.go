@@ -223,19 +223,8 @@ func TestPairMatrixAndColumnsMatrix(t *testing.T) {
 	}
 }
 
-func TestSubMatrixAndWindow(t *testing.T) {
+func TestWindow(t *testing.T) {
 	d := sample3x4()
-	sub, err := d.SubMatrix([]SeriesID{2, 0})
-	if err != nil {
-		t.Fatalf("SubMatrix: %v", err)
-	}
-	if sub.NumSeries() != 2 || sub.Name(0) != "c" || sub.Name(1) != "a" {
-		t.Fatalf("SubMatrix wrong: %d series, names %q %q", sub.NumSeries(), sub.Name(0), sub.Name(1))
-	}
-	if _, err := d.SubMatrix([]SeriesID{7}); err == nil {
-		t.Fatal("invalid id should error")
-	}
-
 	w, err := d.Window(1, 3)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
@@ -808,8 +797,8 @@ func FuzzWindowMomentsParity(f *testing.F) {
 }
 
 // TestMomentsLifecycle: the memo is built on first use, dropped by Append,
-// and never handed to another window — SlideCopy, Clone, SubMatrix and
-// Window results reduce their own samples.
+// and never handed to another window — SlideCopy, Clone and Window results
+// reduce their own samples.
 func TestMomentsLifecycle(t *testing.T) {
 	batch := [][]float64{{10}, {20}, {6}}
 	mutators := map[string]func(d *DataMatrix) error{
@@ -832,7 +821,6 @@ func TestMomentsLifecycle(t *testing.T) {
 	derived := map[string]func() (*DataMatrix, error){
 		"SlideCopy": func() (*DataMatrix, error) { return d.SlideCopy(batch) },
 		"Clone":     func() (*DataMatrix, error) { return d.Clone(), nil },
-		"SubMatrix": func() (*DataMatrix, error) { return d.SubMatrix([]SeriesID{2, 0}) },
 		"Window":    func() (*DataMatrix, error) { return d.Window(1, 3) },
 	}
 	for name, derive := range derived {
