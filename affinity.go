@@ -65,12 +65,11 @@
 // recomputes from raw data (W_N), Affine uses the affine relationships (W_A),
 // and Index uses the SCAPE index.  For T- and D-measures Affine and Index
 // answer from the same relationships and return the same rows (their values
-// agree to about 1e-9 relative).  For L-measures they use two different
-// estimators and may return different rows: Affine reads each series' 1-D
-// calibration against its cluster centre, Index propagates the location
-// through one affine relationship in which the series is the non-common
-// member (DESIGN.md, "Two L-measure estimators").  Both approximate Naive
-// with the small errors reported in EXPERIMENTS.md.  A fourth method, Auto,
+// agree to about 1e-9 relative).  For L-measures they return the same bits:
+// the index holds nothing per series, so both read each series' 1-D
+// calibration against its cluster centre (DESIGN.md, "One L-measure
+// estimator"), which approximates Naive with the small errors reported in
+// EXPERIMENTS.md.  A fourth method, Auto,
 // routes each query through a cost-based planner that estimates the query's
 // selectivity from the index and picks the cheapest applicable method;
 // Explain exposes the plan.

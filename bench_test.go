@@ -140,8 +140,9 @@ func BenchmarkFig13SymexScalability(b *testing.B) {
 	}
 }
 
-// BenchmarkFig14IndexConstruction reproduces Fig. 14: SCAPE index
-// construction time vs the number of indexed affine relationships.
+// BenchmarkFig14IndexConstruction reproduces Fig. 14's covariance series:
+// SCAPE index construction time vs the number of indexed affine
+// relationships.  The index keeps nothing for the paper's mean series.
 func BenchmarkFig14IndexConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig14(benchScale(), nil); err != nil {
@@ -822,15 +823,15 @@ func BenchmarkAdvance(b *testing.B) {
 }
 
 // BenchmarkAdvanceMedian is BenchmarkAdvance for a stream that asks for a
-// median: every epoch is an Advance followed by a median interval by Index.
-// The epoch's query fills the index's median column from the window's sorted
-// columns, which the Advance slid forward from the previous window instead of
-// sorting afresh.  CI tracks its allocs/op against BENCH_BUDGET.json.
+// median: every epoch is an Advance followed by a naive median interval.  The
+// epoch's query reads the window's sorted columns, which the Advance slid
+// forward from the previous window instead of sorting afresh.  CI tracks its
+// allocs/op against BENCH_BUDGET.json.
 func BenchmarkAdvanceMedian(b *testing.B) {
 	engine, ticks := advanceBenchSetup(b)
 	iv := interval.GreaterThan(0)
 	// The build epoch's query sorts the window once; every later one slides.
-	if _, err := engine.Interval(measure.Median, iv, core.MethodIndex); err != nil {
+	if _, err := engine.Interval(measure.Median, iv, core.MethodNaive); err != nil {
 		b.Fatal(err)
 	}
 	const slide = 8
@@ -845,7 +846,7 @@ func BenchmarkAdvanceMedian(b *testing.B) {
 		if _, err := engine.Advance(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engine.Interval(measure.Median, iv, core.MethodIndex); err != nil {
+		if _, err := engine.Interval(measure.Median, iv, core.MethodNaive); err != nil {
 			b.Fatal(err)
 		}
 	}

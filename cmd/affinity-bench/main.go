@@ -156,10 +156,9 @@ func runExperiment(id string, scale experiments.Scale, out io.Writer) error {
 			return err
 		}
 		w := newTable(out)
-		fmt.Fprintln(w, "relationships\tcovariance index build\tmean index build")
+		fmt.Fprintln(w, "relationships\tcovariance index build")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%d\t%v\t%v\n", r.Relationships,
-				r.CovarianceTime.Round(time.Microsecond), r.MeanTime.Round(time.Microsecond))
+			fmt.Fprintf(w, "%d\t%v\n", r.Relationships, r.CovarianceTime.Round(time.Microsecond))
 		}
 		return w.Flush()
 

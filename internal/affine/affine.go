@@ -135,17 +135,6 @@ func (t *Transform) Apply(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// PropagateLocation applies Eq. 5: given the L-measure vector (l1, l2) of the
-// source pair matrix, it returns the propagated L-measure vector of the
-// target pair matrix, L(Y)ᵀ = L(X)ᵀ·A + bᵀ.
-func (t *Transform) PropagateLocation(sourceLocation [2]float64) [2]float64 {
-	a := &t.A
-	return [2]float64{
-		sourceLocation[0]*a[0][0] + sourceLocation[1]*a[1][0] + t.B[0],
-		sourceLocation[0]*a[0][1] + sourceLocation[1]*a[1][1] + t.B[1],
-	}
-}
-
 // PropagateCovariance applies the off-diagonal part of Eq. 6:
 // Σ12(Y) = a1ᵀ·Σ(X)·a2, the covariance between the two target series.
 func (t *Transform) PropagateCovariance(sourceCov *mat.Matrix) (float64, error) {

@@ -20,13 +20,6 @@ func randomPairMatrix(rng *rand.Rand, m int) *mat.Matrix {
 	return a
 }
 
-// pairMeans is the mean of each column of a pair matrix.
-func pairMeans(x *mat.Matrix) [2]float64 {
-	m0, _ := measure.MeanOf(x.Col(0))
-	m1, _ := measure.MeanOf(x.Col(1))
-	return [2]float64{m0, m1}
-}
-
 // pairCovariance is Σ(X), the 2-by-2 sample covariance matrix of a pair
 // matrix's columns (Eq. 2).
 func pairCovariance(x *mat.Matrix) *mat.Matrix {
@@ -166,28 +159,6 @@ func TestShapeErrors(t *testing.T) {
 	}
 	if _, err := FitWithPseudoInverse(mat.New(3, 10), bad); !errors.Is(err, ErrBadShape) {
 		t.Fatalf("FitWithPseudoInverse target err = %v", err)
-	}
-}
-
-// Property (Eq. 5): the mean propagates exactly through an exact affine
-// transformation.
-func TestPropagateLocationMeanProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 5 + rng.Intn(60)
-		x := randomPairMatrix(rng, m)
-		tr := randomTransform(rng)
-		y, err := tr.Apply(x)
-		if err != nil {
-			return false
-		}
-		got := tr.PropagateLocation(pairMeans(x))
-		want := pairMeans(y)
-		tol := 1e-8 * (1 + math.Abs(want[0]) + math.Abs(want[1]))
-		return math.Abs(got[0]-want[0]) <= tol && math.Abs(got[1]-want[1]) <= tol
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

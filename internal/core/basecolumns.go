@@ -63,8 +63,7 @@ type baseKey struct {
 
 // Values of Actual.BaseValues and plan.Plan.BaseValues: an affine sweep filled
 // or reused the epoch's base column, or a naive sweep read the fit's
-// covariance column; an L-measure query filled or reused the index's location
-// column.
+// covariance column.
 const (
 	BaseFilled = "filled"
 	BaseReused = "reused"

@@ -55,9 +55,9 @@ func (e *Engine) Batch(specs []plan.QuerySpec, method Method) ([]QueryResult, er
 }
 
 // Execute answers resolved items cold: location queries run directly from the
-// cached per-series vectors or the location columns, index-method interval
-// queries share one pivot-node traversal, index top-k queries run their
-// best-first traversals, and the sweep-method pairwise queries — naive and
+// per-series values, index-method interval queries share one pivot-node
+// traversal, index top-k queries run their best-first traversals, and the
+// sweep-method pairwise queries — naive and
 // affine, interval and top-k alike — go through the one filter-and-refine
 // stage (sketchsweep.go), with results scattered back into request order.
 func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, error) {
@@ -109,23 +109,19 @@ func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, er
 }
 
 // locationQuery answers one L-measure interval or top-k query with its
-// resolved method: from the index's location columns, or by filtering / ranking
-// the per-series values of the sweep methods.
+// resolved method by filtering / ranking the per-series values.  The index
+// holds nothing per series: an engine that has one answers the index method
+// with the affine method's calibrated values.
 func (e *engineState) locationQuery(it Item) (QueryResult, error) {
-	spec := it.Spec
-	if it.Method == MethodIndex {
+	spec, method := it.Spec, it.Method
+	if method == MethodIndex {
 		if e.index == nil {
 			return QueryResult{}, ErrNoIndex
 		}
-		if spec.Kind == plan.KindTopK {
-			ids, values, err := e.index.SeriesTopK(spec.Measure, spec.K, spec.Largest)
-			return QueryResult{Series: ids, Values: values}, err
-		}
-		ids, err := e.index.SeriesInterval(spec.Measure, spec.Interval)
-		return QueryResult{Series: ids}, err
+		method = MethodAffine
 	}
 	ids := e.data.IDs()
-	values, err := e.locationValues(spec.Measure, ids, it.Method)
+	values, err := e.locationValues(spec.Measure, ids, method)
 	if err != nil {
 		return QueryResult{}, err
 	}

@@ -122,8 +122,6 @@ type Config struct {
 	Clustering *cluster.Result
 	// SkipIndex skips building the SCAPE index (MEC-only deployments).
 	SkipIndex bool
-	// Index holds SCAPE build options.
-	Index scape.Options
 	// Parallelism is the number of worker goroutines used across the whole
 	// hot path: AFCLST assignment/update rounds, the SYMEX least-squares
 	// fits, pivot summaries, calibration, drift scoring, SCAPE container
@@ -171,16 +169,6 @@ func (c Config) check() error {
 		return fmt.Errorf("%w: Stream.DriftBound is NaN", ErrBadConfig)
 	}
 	return nil
-}
-
-// indexOptions returns the SCAPE build options with the engine's parallelism
-// threaded through (an explicit Index.Parallelism wins).
-func (c Config) indexOptions() scape.Options {
-	opts := c.Index
-	if opts.Parallelism == 0 {
-		opts.Parallelism = c.Parallelism
-	}
-	return opts
 }
 
 // BuildInfo reports what the build produced and how long each stage took.
@@ -418,7 +406,7 @@ func assembleEngine(d *timeseries.DataMatrix, cfg Config, rel *symex.Result, inf
 	// Stage 4: the SCAPE index.
 	if !cfg.SkipIndex {
 		indexStart := time.Now()
-		idx, err := scape.Build(d, rel, cfg.indexOptions())
+		idx, err := scape.Build(d, rel, scape.Options{Parallelism: cfg.Parallelism})
 		if err != nil {
 			return nil, fmt.Errorf("core: building SCAPE index: %w", err)
 		}

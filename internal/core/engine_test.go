@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -459,6 +460,22 @@ func TestLocationThresholdAndRange(t *testing.T) {
 			if means[id] < tau-1-1e-6 || means[id] > tau+1+1e-6 {
 				t.Fatalf("%v: series %d mean %v outside range", method, id, means[id])
 			}
+		}
+	}
+	// The index answers an L-measure from the affine method's calibration:
+	// the same series in the same order.  Without an index it answers none.
+	bare := buildTestEngine(t, Config{Clusters: 4, Seed: 9, SkipIndex: true})
+	for _, iv := range []interval.Interval{interval.GreaterThan(tau), interval.Between(tau-1, tau+1)} {
+		affine, err := e.Interval(measure.Mean, iv, MethodAffine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index, err := e.Interval(measure.Mean, iv, MethodIndex)
+		if err != nil || !reflect.DeepEqual(index, affine) {
+			t.Fatalf("%v by the index: %v, %v; by the affine method %v", iv, index.Series, err, affine.Series)
+		}
+		if _, err := bare.Interval(measure.Mean, iv, MethodIndex); !errors.Is(err, ErrNoIndex) {
+			t.Fatalf("%v by the index without one: err = %v", iv, err)
 		}
 	}
 	if _, err := e.Interval(measure.Mean, interval.GreaterThan(tau), Method(9)); !errors.Is(err, ErrBadMethod) {

@@ -64,10 +64,6 @@ type Backend interface {
 	// priced plan that reports it (Explain, View.Plan) and delta repair's
 	// completeness check ask for it — MethodAuto never does.
 	Selectivity(spec plan.QuerySpec) (scape.Selectivity, error)
-	// FillLocation fills the epoch's location column of an L-measure
-	// Table().Indexes unless a query already has, and reports whether this
-	// call filled it: Explain asks before pricing, which would fill it too.
-	FillLocation(m measure.Measure) (bool, error)
 	// PairValue evaluates one canonical pair with a concrete sweep method
 	// (MethodNaive or MethodAffine), and SelfValue a series against itself:
 	// the cells of a pairwise compute spec, and the cache's per-row values.
@@ -94,10 +90,7 @@ type Item struct {
 // still sent to the exact kernels (Refined), or where a sweep's base values
 // came from: an affine sweep filled or reused the epoch's base column
 // (BaseFilled, BaseReused), a naive one read the fit's covariance column
-// (BaseFit); empty when the sweep evaluated them or none ran.  An L-measure
-// query that read the epoch's location column — on the index, or for its
-// interval's row count — reports the same way whether it filled the column or
-// found it filled.
+// (BaseFit); empty when the sweep evaluated them or none ran.
 type Actual struct {
 	Tier       qcache.Tier
 	Repaired   int
@@ -130,10 +123,6 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 		plans = make([]plan.Plan, len(specs))
 		acts = make([]Actual, len(specs))
 		for i, spec := range specs {
-			var err error
-			if acts[i].BaseValues, err = locationSource(b, spec, method); err != nil {
-				return nil, nil, err
-			}
 			p, err := price(b, spec)
 			if err != nil {
 				return nil, nil, err
@@ -194,11 +183,7 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 	if len(cold) > 0 {
 		var coldActs []Actual
 		if wantPlans {
-			// An L-measure item brings its location column's source along.
 			coldActs = make([]Actual, len(cold))
-			for k, i := range coldAt {
-				coldActs[k] = acts[i]
-			}
 		}
 		results, err := b.Execute(cold, coldActs)
 		if err != nil {
@@ -234,33 +219,6 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 		}
 	}
 	return out, plans, nil
-}
-
-// locationSource fills the location column of an L-measure spec that reads
-// it — one that runs on the index, or an interval whose rows pricing counts
-// on the index — before pricing or execution can, and reports whether this
-// query filled it (BaseFilled) or found it filled (BaseReused); empty for
-// every other spec, compute specs included: no method answers them from the
-// index.
-func locationSource(b Backend, spec plan.QuerySpec, method Method) (string, error) {
-	if spec.Kind == plan.KindCompute {
-		return "", nil
-	}
-	if method == MethodAuto {
-		method = decide(b, spec).Method
-	}
-	if sp, ok := measure.Find(spec.Measure); !ok || !sp.Location() || !b.Table().Indexes(spec.Measure) ||
-		method != MethodIndex && spec.Kind != plan.KindInterval {
-		return "", nil
-	}
-	filled, err := b.FillLocation(spec.Measure)
-	if err != nil {
-		return "", err
-	}
-	if filled {
-		return BaseFilled, nil
-	}
-	return BaseReused, nil
 }
 
 // runOne answers a single query as a batch of one.

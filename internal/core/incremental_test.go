@@ -43,7 +43,7 @@ func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 	if st.index == nil {
 		t.Fatal("engine has no index")
 	}
-	fresh, err := scape.Build(st.data, st.rel, e.cfg.indexOptions())
+	fresh, err := scape.Build(st.data, st.rel, scape.Options{Parallelism: e.cfg.Parallelism})
 	if err != nil {
 		t.Fatalf("fresh build: %v", err)
 	}
@@ -80,21 +80,6 @@ func assertIndexMatchesRebuild(t *testing.T, e *Engine) {
 		for i := range gp {
 			if gp[i] != wp[i] || gv[i] != wv[i] {
 				t.Fatalf("PairTopK(%v)[%d] = %v/%v, want %v/%v", m, i, gp[i], gv[i], wp[i], wv[i])
-			}
-		}
-	}
-	for _, m := range []measure.Measure{measure.Mean, measure.Median} {
-		got, err1 := st.index.SeriesInterval(m, interval.AtLeast(-0.2))
-		want, err2 := fresh.SeriesInterval(m, interval.AtLeast(-0.2))
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("SeriesInterval(%v) error mismatch: %v vs %v", m, err1, err2)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("SeriesInterval(%v): %d vs %d", m, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("SeriesInterval(%v)[%d] = %v, want %v", m, i, got[i], want[i])
 			}
 		}
 	}

@@ -22,11 +22,12 @@ func hasSortedColumns(d *timeseries.DataMatrix) bool {
 	return !reflect.ValueOf(d).Elem().FieldByName("sorted").IsNil()
 }
 
-// TestNoWindowSortWithoutOrderStatistics: the median and mode columns are
-// filled on first use, so a build, a snapshot restore, Advances, and queries
-// that name only pairwise measures and the mean never sort a window.  The
-// first median query sorts its epoch's window, and from then on every Advance
-// hands the sorted columns forward instead of sorting again.
+// TestNoWindowSortWithoutOrderStatistics: a window's sorted columns are built
+// on first use, so a build, a snapshot restore, Advances, and queries that
+// name only pairwise measures, the mean, or an order statistic by a method
+// that reads the calibration never sort a window.  The first naive median
+// query sorts its epoch's window, and from then on every Advance hands the
+// sorted columns forward instead of sorting again.
 func TestNoWindowSortWithoutOrderStatistics(t *testing.T) {
 	const n, window, slide, rounds = 14, 60, 4, 6
 	fx := makeStreamFixture(t, n, window, slide*(rounds+2), 67)
@@ -99,11 +100,11 @@ func TestNoWindowSortWithoutOrderStatistics(t *testing.T) {
 		}
 	}
 
-	if _, err := e.Interval(measure.Median, interval.GreaterThan(0), MethodIndex); err != nil {
+	if _, err := e.Interval(measure.Median, interval.GreaterThan(0), MethodNaive); err != nil {
 		t.Fatal(err)
 	}
 	if !hasSortedColumns(e.Data()) {
-		t.Fatal("the first median query did not sort its window")
+		t.Fatal("the first naive median query did not sort its window")
 	}
 	for round := rounds; round < rounds+2; round++ {
 		prev := e.Data()
@@ -172,71 +173,14 @@ func TestNaiveLocationReadsWindowMemo(t *testing.T) {
 	}
 }
 
-// TestExplainReportsLocationFill: an L-measure query whose Explain reads the
-// epoch's location column — to run on the index, or to count an interval's
-// rows — reports through the base-values actual whether it filled the column
-// or found it filled; one that does not read it reports none.
-func TestExplainReportsLocationFill(t *testing.T) {
-	const n, window, slide = 12, 50, 3
-	fx := makeStreamFixture(t, n, window, slide, 71)
-	e, err := Build(fx.window, Config{Clusters: 3, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explain := func(spec plan.QuerySpec, method Method) string {
-		t.Helper()
-		_, p, err := e.Explain(spec, method)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.BaseValues
-	}
-	medianIv, medianTop := plan.Interval(measure.Median, interval.GreaterThan(0)), plan.TopK(measure.Median, 3, false)
-	for _, step := range []struct {
-		spec   plan.QuerySpec
-		method Method
-		want   string
-	}{
-		{medianTop, MethodNaive, ""},
-		{medianTop, MethodAffine, ""},
-		{medianIv, MethodNaive, BaseFilled}, // its row count
-		{medianIv, MethodAffine, BaseReused},
-		{medianTop, MethodIndex, BaseReused},
-		{plan.TopK(measure.Mode, 3, true), MethodIndex, BaseFilled},
-		{plan.Interval(measure.Mode, interval.AtMost(0)), MethodAuto, BaseReused},
-	} {
-		if got := explain(step.spec, step.method); got != step.want {
-			t.Fatalf("%v by %v reported base values %q, want %q", step.spec, step.method, got, step.want)
-		}
-	}
-	// A batch's first item fills, the next one of the measure finds it.
-	_, plans, err := Run(e.View(), []plan.QuerySpec{
-		plan.Interval(measure.Mean, interval.AtMost(1)), plan.TopK(measure.Mean, 2, true),
-	}, MethodIndex, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plans[0].BaseValues != BaseFilled || plans[1].BaseValues != BaseReused {
-		t.Fatalf("a mean batch reported %q, %q; want filled, reused", plans[0].BaseValues, plans[1].BaseValues)
-	}
-	appendTicks(t, e, fx.ticks)
-	if _, err := e.Advance(); err != nil {
-		t.Fatal(err)
-	}
-	if got := explain(medianIv, MethodIndex); got != BaseFilled {
-		t.Fatalf("the next epoch's first median index query reported %q, want %q", got, BaseFilled)
-	}
-}
-
-// TestFirstMedianQueriesRaceAdvance: the median and mode columns are filled
-// by the first query of an epoch that names them, and the fill reads the
-// window's sorted columns, which the next Advance moves forward.  Every epoch,
-// many goroutines issue those first queries against one pinned View at once
-// while Advance slides its window, so a fill either sorts its window before
-// the slide takes the sorted columns on or sorts it afresh after; both must
-// equal the answers of a twin engine one goroutine queries, epoch by epoch.
-// Half the readers ask by Naive, which reads the same sorted columns without
-// a fill.  Run with -race (CI does).
+// TestFirstMedianQueriesRaceAdvance: the first naive median or mode query of
+// an epoch reads the window's sorted columns, sorting the window unless an
+// earlier query has, and the next Advance moves the columns forward.  Every
+// epoch, many goroutines issue those first queries against one pinned View at
+// once while Advance slides its window, so a reader either sorts its window
+// before the slide takes the sorted columns on or sorts it afresh after; both
+// must equal the answers of a twin engine one goroutine queries, epoch by
+// epoch.  Run with -race (CI does).
 func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 	const n, window, slide, rounds, readers = 16, 80, 5, 8, 6
 	fx := makeStreamFixture(t, n, window, slide*rounds, 73)
@@ -260,14 +204,11 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 			plan.TopK(m, 5, true),
 			plan.TopK(m, 5, false))
 	}
-	methods := []Method{MethodIndex, MethodNaive}
 	for round := 0; round < rounds; round++ {
 		v := e.View()
-		want := make([][]QueryResult, len(methods))
-		for i, method := range methods {
-			if want[i], _, err = Run(twin.View(), specs, method, false); err != nil {
-				t.Fatal(err)
-			}
+		want, _, err := Run(twin.View(), specs, MethodNaive, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		start := make(chan struct{})
 		got := make([][]QueryResult, readers)
@@ -278,11 +219,11 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				// Each reader leads with another query, so both columns have
-				// several goroutines racing to fill them.
+				// Each reader leads with another query, so several goroutines
+				// race to sort the window.
 				lead := r % len(specs)
 				mine := append(slices.Clone(specs[lead:]), specs[:lead]...)
-				out, _, err := Run(v, mine, methods[r%len(methods)], false)
+				out, _, err := Run(v, mine, MethodNaive, false)
 				if err == nil {
 					out = append(out[len(specs)-lead:], out[:len(specs)-lead]...)
 				}
@@ -302,7 +243,7 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 				t.Fatalf("epoch %d reader %d: %v", round, r, errs[r])
 			}
 			for q, spec := range specs {
-				if w := want[r%len(methods)][q]; !sameResult(got[r][q], w) {
+				if w := want[q]; !sameResult(got[r][q], w) {
 					t.Fatalf("epoch %d reader %d %v: %v, the sequential twin has %v",
 						round, r, spec, got[r][q], w)
 				}
@@ -310,6 +251,6 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 		}
 	}
 	if !hasSortedColumns(twin.Data()) {
-		t.Fatal("the twin's window holds no sorted columns: its fills never slid")
+		t.Fatal("the twin's window holds no sorted columns: they never slid")
 	}
 }

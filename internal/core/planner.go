@@ -1,7 +1,6 @@
 package core
 
 import (
-	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
 	"affinity/internal/scape"
@@ -47,13 +46,6 @@ func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 		return scape.Selectivity{}, ErrNoIndex
 	}
 	return e.index.EstimateSelectivity(spec.PairQuery())
-}
-
-func (e *engineState) FillLocation(m measure.Measure) (bool, error) {
-	if e.index == nil {
-		return false, ErrNoIndex
-	}
-	return e.index.FillLocation(m)
 }
 
 // Plan prices a query spec against the epoch without executing it.

@@ -83,14 +83,15 @@ import (
 //	O(n)             per-series statistics
 //
 // and, outside Advance, on the first index query or count of the epoch that
-// names a D- or an L-measure:
+// names a D-measure:
 //
 //	O(P·k)           that D-measure's value column, one value per sequence
 //	                 node — per queried measure, never O(P·k·D) up front
-//	O(|rel| + n·log n) that L-measure's location column; a median or mode
-//	                 reads the window's sorted columns, which the first such
-//	                 query of a stream sorts (O(n·m·log m)) and every later
-//	                 Advance slides (O(n·s·log m)) instead of sorting again
+//
+// and on the first naive median or mode query of a stream:
+//
+//	O(n·m·log m)     sort the window's columns, which every later Advance
+//	                 slides (O(n·s·log m)) instead of sorting again
 //
 // and on the first naive sweep after a build or a statistics refresh epoch:
 //

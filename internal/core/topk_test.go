@@ -12,9 +12,10 @@ import (
 	"affinity/internal/timeseries"
 )
 
-// TestTopKLocationMeasures pins L-measure top-k: the sweep methods against
-// their own per-series oracles, and the index against its own full ranking
-// (prefix property) with correctly ordered values.
+// TestTopKLocationMeasures pins L-measure top-k on every method: a full
+// ranking with correctly ordered values, top-k its prefix, and every value the
+// method's own per-series oracle — the raw series for the naive method, the
+// calibration for the affine and index methods.
 func TestTopKLocationMeasures(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 2})
 	st := e.escapedState()
@@ -49,7 +50,6 @@ func TestTopKLocationMeasures(t *testing.T) {
 						t.Fatalf("%v %v: top-5 is not a prefix of the full ranking", m, method)
 					}
 				}
-				// Sweep methods must agree with their direct per-series values.
 				var oracle []float64
 				switch method {
 				case MethodNaive:
@@ -64,13 +64,11 @@ func TestTopKLocationMeasures(t *testing.T) {
 						}
 						oracle = append(oracle, v)
 					}
-				case MethodAffine:
+				default:
 					oracle, err = st.calibratedLocations(m, e.Data().IDs())
 					if err != nil {
 						t.Fatal(err)
 					}
-				default:
-					continue
 				}
 				for i, id := range full.Series {
 					if full.Values[i] != oracle[id] {

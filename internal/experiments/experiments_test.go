@@ -174,7 +174,7 @@ func TestIndexConstruction(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.CovarianceTime <= 0 || r.MeanTime <= 0 {
+		if r.CovarianceTime <= 0 {
 			t.Fatalf("non-positive times %+v", r)
 		}
 	}

@@ -138,9 +138,6 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 		if sp.Location() {
 			p.CostNaive = float64(st.NumSeries) * float64(st.NumSamples) * c.SampleCost * passes
 			p.CostAffine = float64(st.NumSeries) * c.LookupCost
-			if indexed {
-				p.CostIndex = c.TreeStepCost * log2(st.NumSeries)
-			}
 		} else {
 			p.CostNaive = float64(st.NumPairs) * float64(st.NumSamples) * c.SampleCost * passes
 			// A sketch-enabled epoch executes the naive route through the
@@ -176,12 +173,6 @@ func (c CostModel) Plan(spec QuerySpec, st TableStats, sel *scape.Selectivity) P
 			p.EstimatedRows = min(spec.K, st.NumSeries)
 			p.CostNaive = float64(st.NumSeries) * float64(st.NumSamples) * c.SampleCost * passes
 			p.CostAffine = float64(st.NumSeries) * c.LookupCost
-			if indexed {
-				// Priced as one step per series, the cost the planner
-				// experiment calibrated; the location column itself hands
-				// its k extreme entries over without a scan.
-				p.CostIndex = float64(st.NumSeries) * c.TreeStepCost
-			}
 		} else {
 			p.EstimatedRows = min(spec.K, st.NumPairs)
 			p.CostNaive = float64(st.NumPairs) * float64(st.NumSamples) * c.SampleCost * passes

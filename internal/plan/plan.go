@@ -218,10 +218,7 @@ type Plan struct {
 	// "reused" when an earlier affine sweep of the same base at this epoch
 	// already had, "fit" when this naive query read the covariances the
 	// epoch's full fit reduced.  Empty when the sweep evaluated its base
-	// values or none ran (the index, a cache hit).  An L-measure query that
-	// read the epoch's location column — on the index, or to count an
-	// interval's rows — reports "filled" when it filled the column and
-	// "reused" when it found it filled.
+	// values or none ran (the index, a cache hit, an L-measure query).
 	BaseValues string
 }
 

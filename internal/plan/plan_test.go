@@ -153,8 +153,8 @@ func TestChoosesIndexForSelectiveQuery(t *testing.T) {
 // TestChoosesAffineWithoutIndex pins that un-indexable queries (Jaccard, or
 // an engine built with SkipIndex) fall to the affine sweep, and that a model
 // whose coefficients make one method the cheapest makes Plan choose it for
-// every measure and interval shape — but the index for Jaccard, which falls
-// to the affine sweep.
+// every measure and interval shape — but the index for Jaccard and the
+// L-measures, which fall to the affine method.
 func TestChoosesAffineWithoutIndex(t *testing.T) {
 	st := bigTable()
 	st.Indexed = nil
@@ -178,7 +178,7 @@ func TestChoosesAffineWithoutIndex(t *testing.T) {
 		for _, m := range measure.All() {
 			for _, iv := range []interval.Interval{interval.GreaterThan(0.25), interval.GreaterThan(0.9), interval.LessThan(0.75), interval.Between(-0.5, 0.9)} {
 				want := forced
-				if forced == MethodIndex && m == measure.Jaccard {
+				if forced == MethodIndex && (m == measure.Jaccard || m.Class() == measure.LocationClass) {
 					want = MethodAffine
 				}
 				if p := cm.Plan(Interval(m, iv), bigTable(), nil); p.Method != want {
@@ -260,16 +260,19 @@ func TestDerivedIntervalPricedLikeTMeasure(t *testing.T) {
 	}
 }
 
-// TestLocationThresholdCosts pins the L-measure ordering: index <= affine
-// lookup scan <= naive recomputation.
+// TestLocationThresholdCosts pins the L-measure ordering: the calibration's
+// per-series lookups undercut the naive recomputation, and no index route is
+// priced, since the index holds nothing per series, even where the table
+// lists the measure.
 func TestLocationThresholdCosts(t *testing.T) {
-	sel := &scape.Selectivity{Rows: 30}
-	p := DefaultCostModel().Plan(Interval(measure.Mean, interval.Between(0, 1)), bigTable(), sel)
-	if p.Method != MethodIndex {
-		t.Fatalf("chose %v, want SCAPE: %v", p.Method, p)
-	}
-	if !(p.CostIndex < p.CostAffine && p.CostAffine < p.CostNaive) {
-		t.Fatalf("cost ordering unexpected: %v", p)
+	for _, spec := range []QuerySpec{Interval(measure.Mean, interval.Between(0, 1)), TopK(measure.Median, 5, true)} {
+		p := DefaultCostModel().Plan(spec, bigTable(), nil)
+		if p.Method != MethodAffine {
+			t.Fatalf("%v: chose %v, want W_A: %v", spec, p.Method, p)
+		}
+		if !math.IsInf(p.CostIndex, 1) || !(p.CostAffine < p.CostNaive) {
+			t.Fatalf("%v: cost ordering unexpected: %v", spec, p)
+		}
 	}
 }
 

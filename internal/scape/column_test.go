@@ -360,9 +360,6 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	if _, _, _, err := idx.PairTopK(measure.Covariance, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.SeriesInterval(measure.Mean, interval.AtLeast(0)); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := idx.PairValue(measure.Correlation, idx.pivots[0].canon[0].pair); err != nil {
 		t.Fatal(err)
 	}

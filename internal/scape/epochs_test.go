@@ -15,7 +15,7 @@ import (
 
 // An index maintained by Update must be the index Build makes of the same
 // window and relationships — not just answer alike: the same nodes, α, keys
-// and container orders, value columns and location columns, bit for bit.
+// and container orders and value columns, bit for bit.
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -27,7 +27,7 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 	if len(got.pivots) != len(want.pivots) {
 		t.Fatalf("%s: %d pivot nodes, want %d", label, len(got.pivots), len(want.pivots))
 	}
-	if !slices.Equal(got.tMeasures, want.tMeasures) || !slices.Equal(got.dMeasures, want.dMeasures) || !slices.Equal(got.lMeasures, want.lMeasures) {
+	if !slices.Equal(got.tMeasures, want.tMeasures) || !slices.Equal(got.dMeasures, want.dMeasures) {
 		t.Fatalf("%s: measure lists differ", label)
 	}
 	for v := range want.moments.Sum {
@@ -81,7 +81,6 @@ func requireSameIndex(t *testing.T, label string, got, want *Index) {
 			t.Fatalf("%s %v: value columns differ", label, m)
 		}
 	}
-	requireSameLocation(t, label, got, want)
 	gs, ws := got.stats, want.stats
 	gs.ScratchGets, gs.ScratchHits, ws.ScratchGets, ws.ScratchHits = 0, 0, 0, 0
 	if gs != ws {
@@ -109,39 +108,6 @@ func requireAlphaFromPivotTerms(t *testing.T, label string, idx *Index, d *times
 	}
 }
 
-// requireSameLocation fills the location columns of two indexes and
-// compares them entry by entry.
-func requireSameLocation(t *testing.T, label string, got, want *Index) {
-	t.Helper()
-	if !slices.Equal(got.lMeasures, want.lMeasures) {
-		t.Fatalf("%s: L-measures %v, want %v", label, got.lMeasures, want.lMeasures)
-	}
-	for _, m := range want.lMeasures {
-		g, _, gerr := got.locationOf(m)
-		w, _, werr := want.locationOf(m)
-		if gerr != nil || werr != nil {
-			t.Fatalf("%s %v: filling the location columns: %v, %v", label, m, gerr, werr)
-		}
-		if !slices.Equal(g.ids, w.ids) || len(g.keys) != len(w.keys) {
-			t.Fatalf("%s %v: location column holds series %v, want %v", label, m, g.ids, w.ids)
-		}
-		for i := range w.keys {
-			if !sameBits(g.keys[i], w.keys[i]) {
-				t.Fatalf("%s %v: location entry %d = %v, want %v", label, m, i, g.keys[i], w.keys[i])
-			}
-		}
-	}
-}
-
-// relsOf returns a copy of rel's relationship slots.
-func relsOf(rel *symex.Result) []*symex.Relationship {
-	rels := make([]*symex.Relationship, len(rel.Layout().Assignments()))
-	for slot := range rels {
-		rels[slot] = rel.At(slot)
-	}
-	return rels
-}
-
 // TestUpdateEqualsBuildOverEpochs chains fifty epochs of Update at slides of
 // one, eight and a whole window and holds every epoch's index against a Build
 // of the same inputs.  Most epochs have a few stale pairs; every tenth marks
@@ -149,10 +115,7 @@ func relsOf(rel *symex.Result) []*symex.Relationship {
 // nil stale set — a full refit, which builds the index cold with every
 // container repaired from the previous epoch's order.  Before the
 // twenty-fifth the previous index's containers are reversed, so that the
-// longer ones exhaust repairXi's budget and hand over to sortXi.  Next to the
-// chain runs one
-// of location-only indexes, each built on the previous one and held against a
-// cold one, its clustering swapped for a different one once on the way.
+// longer ones exhaust repairXi's budget and hand over to sortXi.
 func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 	const n, m, epochs, groups = 36, 48, 50, 3
 	for _, slide := range []int{1, 8, m} {
@@ -190,9 +153,7 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				locClustering := rel.Clustering
-				layout := rel.Layout()
-				assignments := layout.Assignments()
+				assignments := rel.Layout().Assignments()
 				var shared, cloned, repaired int
 				for e := 1; e <= epochs; e++ {
 					batch := make([][]float64, n)
@@ -264,35 +225,6 @@ func TestUpdateEqualsBuildOverEpochs(t *testing.T) {
 							repaired++
 						}
 					}
-
-					// The location-only index: center locations live on the
-					// clustering object, so a new one (here one whose centers
-					// moved) brings its own.
-					if e == epochs/2 {
-						moved := &cluster.Result{Centers: make([][]float64, len(next.Clustering.Centers)), Assignment: next.Clustering.Assignment}
-						for l, c := range next.Clustering.Centers {
-							moved.Centers[l] = make([]float64, len(c))
-							for i, v := range c {
-								moved.Centers[l][i] = 2*v + float64(l+1)
-							}
-						}
-						locClustering = moved
-					}
-					locRel := next
-					if locClustering != next.Clustering {
-						locRel = symex.NewResult(layout, locClustering, relsOf(next))
-					}
-					loc, err := BuildLocationOnly(d, locRel, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := full
-					if locRel != next {
-						if want, err = Build(d, locRel, opts); err != nil {
-							t.Fatal(err)
-						}
-					}
-					requireSameLocation(t, fmt.Sprintf("epoch %d, location-only against Build", e), loc, want)
 					idx, rel = upd, next
 				}
 				if shared == 0 || cloned == 0 || repaired != shared {

@@ -16,10 +16,9 @@ type Selectivity struct {
 
 // EstimateSelectivity counts the result size of an interval (MET/MER) query
 // without materializing it.  For T-measures the modified bounds τ' = τ/‖α_q‖
-// turn the question into key-range counts, O(log) per pivot, and for
-// L-measures into one on the location column (filled on first use); for
-// D-measures the entries of the value column (filled on first use too) are
-// counted the way a scan tests them.  Every count equals
+// turn the question into key-range counts, O(log) per pivot; for D-measures
+// the entries of the value column (filled on first use) are counted the way a
+// scan tests them.  Every count equals
 // the size of the matching index scan.  The planner never needs it to choose
 // a method: Explain and View.Plan report it as EstimatedRows, and delta
 // repair verifies a repaired T-measure result against it.
@@ -27,17 +26,8 @@ func (idx *Index) EstimateSelectivity(q PairQuery) (Selectivity, error) {
 	if q.Interval.Empty() {
 		return Selectivity{}, fmt.Errorf("%w: empty interval %v", ErrBadQuery, q.Interval)
 	}
-	sp, ok := measure.Find(q.Measure)
-	if !ok {
+	if _, ok := measure.Find(q.Measure); !ok {
 		return Selectivity{}, fmt.Errorf("%w: %v", measure.ErrUnknownMeasure, q.Measure)
-	}
-	if sp.Location() {
-		col, _, err := idx.locationOf(q.Measure)
-		if err != nil {
-			return Selectivity{}, err
-		}
-		lo, hi := keyWindow(col.keys, q.Interval)
-		return Selectivity{Rows: max(hi-lo, 0)}, nil
 	}
 	ps, err := idx.compilePair(q)
 	if err != nil {

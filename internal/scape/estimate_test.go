@@ -23,9 +23,10 @@ func estimateQueries(m measure.Measure) []PairQuery {
 	}
 }
 
-// TestEstimateSelectivityExactClasses pins that T- and L-measure estimates
-// equal the actual result sizes exactly: both are derived from the same
-// modified bounds, one by measuring the index window and one by walking it.
+// TestEstimateSelectivityExactClasses pins that T-measure estimates equal the
+// actual result sizes exactly: the count and the scan are derived from the
+// same modified bounds, one by measuring the index window and one by walking
+// it.
 func TestEstimateSelectivityExactClasses(t *testing.T) {
 	d, rel := testDataset(t, 11, 18, 90)
 	idx, err := Build(d, rel, Options{})
@@ -44,21 +45,6 @@ func TestEstimateSelectivityExactClasses(t *testing.T) {
 			}
 			if sel.Rows != len(pairs) {
 				t.Errorf("%v %+v: estimated %d rows, actual %d", m, q, sel.Rows, len(pairs))
-			}
-		}
-	}
-	for _, m := range measure.ByClass(measure.LocationClass) {
-		for _, q := range estimateQueries(m) {
-			sel, err := idx.EstimateSelectivity(q)
-			if err != nil {
-				t.Fatalf("%v %+v: %v", m, q, err)
-			}
-			ids, err := idx.SeriesInterval(m, q.Interval)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sel.Rows != len(ids) {
-				t.Errorf("%v %+v: estimated %d rows, actual %d", m, q, sel.Rows, len(ids))
 			}
 		}
 	}
@@ -106,5 +92,8 @@ func TestEstimateSelectivityErrors(t *testing.T) {
 	}
 	if _, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Measure(99), Interval: interval.GreaterThan(0)}); err == nil {
 		t.Fatal("unknown measure should error")
+	}
+	if _, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Mean, Interval: interval.AtLeast(0)}); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("L-measure estimate err = %v, want ErrBadQuery", err)
 	}
 }

@@ -16,7 +16,6 @@
 //
 //	covariance:  α = (Σ11(O_p), Σ12(O_p), 0)
 //	dot product: α = (Π11(O_p), Π12(O_p), h1(O_p))
-//	location:    α = (L1(O_p), L2(O_p), 1)
 //
 // The scalar projection depends on α and therefore on the measure; the index
 // stores one sorted container per (pivot, measure) sharing the sequence-node
@@ -32,10 +31,8 @@
 // per-pivot normalizer bounds (U^min_q, U^max_q) of Section 5.3, which pruned
 // by inverting the transform, are not needed once every value is in hand.
 //
-// Location (L-) measures apply to single series rather than pairs; the index
-// can serve one sorted column per L-measure over the series' measure values,
-// estimated through an affine relationship (falling back to a direct
-// computation for series that only ever appear as the common member).
+// Location (L-) measures apply to single series rather than pairs, and the
+// index holds nothing for them: an engine answers them per series.
 //
 // # Containers
 //
@@ -60,21 +57,14 @@
 // was shared, re-derived or, on a full refit, built cold (the (ξ, rank) order
 // is total, so the repaired array is the array a cold sort produces).  All of
 // an epoch's keys, permutations and per-(pivot, measure) headers are carved
-// out of one slab each per index, a recycled index's where one is given.  A
-// location column is the same kind of array, ordered by (value, series id),
-// and one routine (keyWindow) maps an interval to the index window of
-// matching entries for both.
+// out of one slab each per index, a recycled index's where one is given.
 //
-// Neither the value column of a D-measure nor the location column of an
-// L-measure is part of the epoch's construction.  A value column — one value
-// per entry in container order, NaN where the measure is undefined, beside
-// each node's extremes over its defined values — and a location column are
-// filled by the first interval scan, batch, top-k or selectivity count of the
-// epoch that names the measure, once (a sync.Once per index and measure); a
-// measure nobody asks about at an epoch is never evaluated.  So an index
-// whose epochs are never asked for a median or a mode never sorts a window:
-// the order statistics read the window's sorted columns, which exist only
-// once such a fill has asked for them (timeseries.DataMatrix.EvalSorted).
+// The value column of a D-measure is not part of the epoch's construction:
+// one value per entry in container order, NaN where the measure is undefined,
+// beside each node's extremes over its defined values, it is filled by the
+// first interval scan, batch, top-k or selectivity count of the epoch that
+// names the measure, once (a sync.Once per index and measure); a measure
+// nobody asks about at an epoch is never evaluated.
 package scape
 
 import (
@@ -115,10 +105,6 @@ type Options struct {
 	// per-epoch value column, filled on first use.  Nil selects every
 	// D-measure with a separable normalizer.
 	DerivedMeasures []measure.Measure
-	// LocationMeasures lists the L-measures the index can serve over
-	// individual series: each gets a per-epoch location column, filled on
-	// first use.  Nil selects mean, median and mode.
-	LocationMeasures []measure.Measure
 	// Parallelism is the number of goroutines used to shard threshold/range
 	// scans by pivot at query time, to build the pivot nodes (one container
 	// set per pivot) and to fill value columns.  Zero or one runs
@@ -134,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DerivedMeasures == nil {
 		o.DerivedMeasures = SeparableDerivedMeasures()
-	}
-	if o.LocationMeasures == nil {
-		o.LocationMeasures = measure.ByClass(measure.LocationClass)
 	}
 	return o
 }
@@ -181,36 +164,12 @@ type pivotNode struct {
 	canon []sequenceNode
 }
 
-// locationColumn is the index of one L-measure: every series' value in
-// ascending order — ties by series id, NaN first, the order of a ξ-container —
-// and the series beside it.  The values depend on the window, so the column is
-// per epoch; it is filled by the first query or count that names the measure,
-// and a failed fill leaves its error for every later one.
-type locationColumn struct {
-	once sync.Once
-	keys []float64
-	ids  []timeseries.SeriesID
-	err  error
-}
-
-// fill sorts entries — one per series, its value as the key and its id as the
-// rank — into the column.
-func (c *locationColumn) fill(entries []xiEntry) {
-	sortXi(entries)
-	c.keys = make([]float64, len(entries))
-	c.ids = make([]timeseries.SeriesID, len(entries))
-	for i, e := range entries {
-		c.keys[i], c.ids[i] = e.xi, timeseries.SeriesID(e.rank)
-	}
-}
-
 // BuildStats summarizes the index contents.
 type BuildStats struct {
 	Pivots           int
 	SequenceNodes    int
 	IndexedTMeasures int
 	IndexedDMeasures int
-	IndexedLMeasures int
 	// ScratchGets/ScratchHits count per-pivot scratch buffer requests and how
 	// many were satisfied from the shared pool (vs freshly allocated).
 	ScratchGets int
@@ -223,27 +182,19 @@ type Index struct {
 	// pivots holds one node per pivot with a relationship, in the canonical
 	// (Common, Cluster) order.
 	pivots []pivotNode
-	// tMeasures / dMeasures / lMeasures list the indexed measures of each
-	// class in ascending order; per-pivot measure state, the value columns
-	// and the center locations are slices aligned with them.
+	// tMeasures / dMeasures list the indexed measures of each class in
+	// ascending order; per-pivot measure state and the value columns are
+	// slices aligned with them.
 	tMeasures []measure.Measure
 	dMeasures []measure.Measure
-	lMeasures []measure.Measure
 	// offsets[i] is where node i's entries start in every value column (node
 	// i holds offsets[i+1] − offsets[i] entries under every measure).
 	offsets []int
 	// columns[s] is the value column of dMeasures[s], filled on first use.
 	columns []valueColumn
-	// location[s] is the global per-series column of lMeasures[s], filled on
-	// first use from data and rel: the epoch's window and relationship set,
-	// which whoever holds the index holds for the same epoch anyway.
-	location []locationColumn
-	data     *timeseries.DataMatrix
-	rel      *symex.Result
 	// pairMeasures / derivedSet for quick membership checks.
 	pairMeasures map[measure.Measure]bool
 	derivedSet   map[measure.Measure]bool
-	locationSet  map[measure.Measure]bool
 	numSamples   int
 	numSeries    int
 	// moments is the window's memoised per-series moments; the separable
@@ -306,9 +257,9 @@ func (idx *Index) Stats() BuildStats { return idx.stats }
 func (idx *Index) NumPivots() int { return len(idx.pivots) }
 
 // Measures returns every measure the index answers interval and top-k
-// queries for — its T-, D- and L-measures — in ascending order.
+// queries for — its T- and D-measures — in ascending order.
 func (idx *Index) Measures() []measure.Measure {
-	out := slices.Concat(idx.tMeasures, idx.dMeasures, idx.lMeasures)
+	out := slices.Concat(idx.tMeasures, idx.dMeasures)
 	slices.Sort(out)
 	return out
 }
@@ -347,9 +298,7 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	// An index without L-measures may be empty: it answers no pair, like an
-	// engine without relationships.
-	if rel == nil || rel.Len() == 0 && len(opts.LocationMeasures) > 0 {
+	if rel == nil || rel.Len() == 0 {
 		return nil, fmt.Errorf("scape: no affine relationships to index")
 	}
 	for _, m := range opts.PairMeasures {
@@ -367,9 +316,12 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 			return nil, fmt.Errorf("%w: %v has a non-separable normalizer", ErrMeasureNotIndexed, m)
 		}
 	}
-	idx, err := newIndex(d, rel, opts)
-	if err != nil {
-		return nil, err
+	idx := &Index{
+		opts:         opts,
+		pairMeasures: make(map[measure.Measure]bool),
+		derivedSet:   make(map[measure.Measure]bool),
+		numSamples:   d.NumSamples(),
+		numSeries:    d.NumSeries(),
 	}
 	for _, m := range opts.PairMeasures {
 		idx.pairMeasures[m] = true
@@ -389,41 +341,12 @@ func build(d *timeseries.DataMatrix, rel *symex.Result, opts Options, parallelis
 	return idx, nil
 }
 
-// newIndex returns an index over d's shape with its L-measures registered,
-// their columns unfilled, and no pivot nodes: what Build and
-// BuildLocationOnly start from.
-func newIndex(d *timeseries.DataMatrix, rel *symex.Result, opts Options) (*Index, error) {
-	for _, m := range opts.LocationMeasures {
-		sp, ok := measure.Find(m)
-		if !ok || !sp.Location() {
-			return nil, fmt.Errorf("%w: %v is not an L-measure", ErrBadQuery, m)
-		}
-	}
-	idx := &Index{
-		opts:         opts,
-		pairMeasures: make(map[measure.Measure]bool),
-		derivedSet:   make(map[measure.Measure]bool),
-		locationSet:  make(map[measure.Measure]bool),
-		numSamples:   d.NumSamples(),
-		numSeries:    d.NumSeries(),
-		data:         d,
-		rel:          rel,
-	}
-	for _, m := range opts.LocationMeasures {
-		idx.locationSet[m] = true
-	}
-	idx.lMeasures = sortedMeasures(idx.locationSet)
-	idx.location = make([]locationColumn, len(idx.lMeasures))
-	return idx, nil
-}
-
 // finishStats fills the content counters once the nodes and columns are built.
 func (idx *Index) finishStats(rel *symex.Result) {
 	idx.stats.Pivots = len(idx.pivots)
 	idx.stats.SequenceNodes = rel.Len()
 	idx.stats.IndexedTMeasures = len(idx.pairMeasures)
 	idx.stats.IndexedDMeasures = len(idx.derivedSet)
-	idx.stats.IndexedLMeasures = len(idx.locationSet)
 }
 
 // newSequenceNode builds the window-independent payload of one relationship.
@@ -762,113 +685,6 @@ func (idx *Index) derivedValue(pm *pivotMeasure, sp *measure.Spec, xi, u float64
 		return math.NaN()
 	}
 	return v
-}
-
-// locationOf returns the epoch's column of an indexed L-measure, filling it
-// on the epoch's first call, and whether this call filled it.  It is the one
-// place a location column is filled.
-func (idx *Index) locationOf(m measure.Measure) (col *locationColumn, filled bool, err error) {
-	s := slices.Index(idx.lMeasures, m)
-	if s < 0 {
-		return nil, false, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
-	}
-	col = &idx.location[s]
-	col.once.Do(func() {
-		filled = true
-		col.err = idx.fillLocation(col, m)
-	})
-	if col.err != nil {
-		return nil, filled, col.err
-	}
-	return col, filled, nil
-}
-
-// FillLocation fills the epoch's column of L-measure m unless an earlier call
-// or query has, and reports whether this call filled it.  Queries fill the
-// column themselves; Explain calls it first, to report whether the query it
-// explains paid for the fill.
-func (idx *Index) FillLocation(m measure.Measure) (filled bool, err error) {
-	_, filled, err = idx.locationOf(m)
-	return filled, err
-}
-
-// fillLocation estimates L-measure m of every series — through an affine
-// relationship when the series appears as the non-common member of one,
-// directly otherwise — and sorts the values into col.
-func (idx *Index) fillLocation(col *locationColumn, m measure.Measure) error {
-	d, rel := idx.data, idx.rel
-	// An estimate reads the locations of its pivot's two columns.  A center's
-	// are memoised on the clustering it is frozen with; window series are
-	// reduced below.
-	centers, err := rel.Clustering.CenterLocations(m)
-	if err != nil {
-		return err
-	}
-	// Pick, for every series, one relationship in which it is the "other"
-	// (non-common) member: the candidate with the smallest canonical pair, so
-	// the estimate (and thus the column contents) does not depend on the order
-	// the relationships are stored in.  Series v's pairs in canonical order
-	// are (u, v) for u < v, then (v, u) for u > v, so it is the first found by
-	// ascending u — a few lookups for most series, where a walk of the whole
-	// relationship set would touch every relationship.
-	chosen := make([]*symex.Relationship, d.NumSeries())
-	for v := range chosen {
-		for u := range chosen {
-			if u == v {
-				continue
-			}
-			e, _ := timeseries.NewPair(timeseries.SeriesID(u), timeseries.SeriesID(v))
-			if r, ok := rel.Relationship(e); ok && int(r.Other()) == v {
-				chosen[v] = r
-				break
-			}
-		}
-	}
-	ids := d.IDs()
-	direct := make([]bool, len(ids)) // series whose own L-measure is read
-	for _, id := range ids {
-		r := chosen[id]
-		if r == nil {
-			direct[id] = true
-			continue
-		}
-		if _, _, err := rel.PivotColumns(d, r.Pivot); err != nil {
-			return err
-		}
-		direct[r.Pivot.Common] = true
-	}
-
-	// The L-measure of the window's series: an order statistic reads the
-	// window's sorted column (slid, not re-sorted, from epoch to epoch once a
-	// fill has asked for it), bit-identical to reducing the raw column.
-	own := make([]float64, len(ids))
-	err = par.Do(len(ids), idx.opts.Parallelism, func(i int) error {
-		if !direct[ids[i]] {
-			return nil
-		}
-		v, err := d.Location(m, ids[i])
-		own[i] = v
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	// The column is in the ξ-container order with the series id as the rank:
-	// ascending value, equal values by id (what id-ordered inserts into a
-	// tie-stable tree produce), NaN first.
-	entries := make([]xiEntry, len(ids))
-	for i, id := range ids {
-		value := own[i]
-		if r := chosen[id]; r != nil {
-			// L(other) = L(O_p)ᵀ·a2 + b2  (second component of Eq. 5).
-			value = r.Transform.PropagateLocation([2]float64{
-				own[r.Pivot.Common], centers[r.Pivot.Cluster]})[1]
-		}
-		entries[i] = xiEntry{xi: value, rank: int32(id)}
-	}
-	col.fill(entries)
-	return nil
 }
 
 // sortedMeasures returns the keys of a measure set in ascending order.

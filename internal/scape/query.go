@@ -40,23 +40,6 @@ func (idx *Index) PairInterval(m measure.Measure, iv interval.Interval) ([]times
 	return out[0], nil
 }
 
-// SeriesInterval answers an interval query over an L-measure: the series whose
-// measure value lies in iv.
-func (idx *Index) SeriesInterval(m measure.Measure, iv interval.Interval) ([]timeseries.SeriesID, error) {
-	if iv.Empty() {
-		return nil, fmt.Errorf("%w: empty interval %v", ErrBadQuery, iv)
-	}
-	col, _, err := idx.locationOf(m)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := keyWindow(col.keys, iv)
-	if hi <= lo {
-		return nil, nil
-	}
-	return slices.Clone(col.ids[lo:hi]), nil
-}
-
 // PairBatch answers a batch of pairwise interval queries in one pass over the
 // pivot nodes: every node is visited once and serves all queries from its
 // ξ-containers before the scan moves on, sharing the per-node α lookups and the

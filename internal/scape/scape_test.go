@@ -1,7 +1,6 @@
 package scape
 
 import (
-	"affinity/internal/baseline"
 	"errors"
 	"math"
 	"math/rand"
@@ -113,9 +112,8 @@ func TestBuildBasics(t *testing.T) {
 	if idx.NumPivots() != st.Pivots {
 		t.Fatal("NumPivots mismatch")
 	}
-	if st.IndexedLMeasures != 3 || st.IndexedTMeasures != 2 ||
-		st.IndexedDMeasures != len(SeparableDerivedMeasures()) {
-		t.Fatalf("measure counts L=%d T=%d D=%d", st.IndexedLMeasures, st.IndexedTMeasures, st.IndexedDMeasures)
+	if st.IndexedTMeasures != 2 || st.IndexedDMeasures != len(SeparableDerivedMeasures()) {
+		t.Fatalf("measure counts T=%d D=%d", st.IndexedTMeasures, st.IndexedDMeasures)
 	}
 }
 
@@ -135,9 +133,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(d, rel, Options{DerivedMeasures: []measure.Measure{measure.Jaccard}}); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("non-separable D-measure err = %v", err)
-	}
-	if _, err := Build(d, rel, Options{LocationMeasures: []measure.Measure{measure.Covariance}}); err == nil {
-		t.Fatal("T-measure as location measure should error")
 	}
 	empty := &timeseries.DataMatrix{}
 	if _, err := Build(empty, rel, Options{}); err == nil {
@@ -302,164 +297,6 @@ func TestCorrelationThresholdAgainstGroundTruth(t *testing.T) {
 	}
 }
 
-func TestSeriesThresholdAndRange(t *testing.T) {
-	d, rel := testDataset(t, 7, 12, 60)
-	idx, err := Build(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	means, err := baseline.NewNaive(d).Location(measure.Mean, d.IDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]float64(nil), means...)
-	sort.Float64s(sorted)
-	tau := sorted[len(sorted)/2]
-
-	got, err := idx.SeriesInterval(measure.Mean, interval.GreaterThan(tau))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSet := map[timeseries.SeriesID]bool{}
-	for _, id := range got {
-		gotSet[id] = true
-	}
-	for id, v := range means {
-		if v > tau+1e-9 && !gotSet[timeseries.SeriesID(id)] {
-			t.Fatalf("series %d with mean %v missing from > %v result", id, v, tau)
-		}
-		if v < tau-1e-9 && gotSet[timeseries.SeriesID(id)] {
-			t.Fatalf("series %d with mean %v wrongly in > %v result", id, v, tau)
-		}
-	}
-
-	below, err := idx.SeriesInterval(measure.Mean, interval.LessThan(tau))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(below)+len(got) > d.NumSeries() {
-		t.Fatal("above and below results overlap")
-	}
-
-	lo, hi := sorted[2], sorted[len(sorted)-3]
-	ranged, err := idx.SeriesInterval(measure.Mean, interval.Between(lo, hi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ranged {
-		v := means[id]
-		if v < lo-1e-9 || v > hi+1e-9 {
-			t.Fatalf("series %d mean %v outside [%v, %v]", id, v, lo, hi)
-		}
-	}
-}
-
-// TestLocationColumnsFilledOnDemand: no route that builds an index fills a
-// location column; each L-measure's column is filled by the first query or
-// count that names it, once, and holds what the whole-relationship-set rule
-// gives — every series estimated through the relationship with the smallest
-// canonical pair among those it is the non-common member of, its own window
-// location when there is none — here over a partial layout that keeps a
-// fifth of the relationships, so many series fall back to a later pair or to
-// their own value.
-func TestLocationColumnsFilledOnDemand(t *testing.T) {
-	d, full := testDataset(t, 17, 24, 80)
-	rng := rand.New(rand.NewSource(5))
-	var keep []int32
-	for slot := range full.Layout().Assignments() {
-		if rng.Float64() >= 0.8 {
-			keep = append(keep, int32(slot))
-		}
-	}
-	rel, err := full.Subset(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The oracle: the smallest estimating pair of every series, found by a
-	// walk of the whole set.
-	chosen := map[timeseries.SeriesID]*symex.Relationship{}
-	for r := range rel.All() {
-		if cur, ok := chosen[r.Other()]; !ok || timeseries.ComparePairs(r.Pair, cur.Pair) < 0 {
-			chosen[r.Other()] = r
-		}
-	}
-	if len(chosen) == 0 || len(chosen) == d.NumSeries() {
-		t.Fatalf("%d of %d series estimated: the partial layout left no route uncovered", len(chosen), d.NumSeries())
-	}
-
-	idx, err := Build(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	upd, _, err := idx.Update(d, rel, map[timeseries.Pair]bool{}, UpdateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc, err := BuildLocationOnly(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range []*Index{idx, upd, loc} {
-		for s := range ix.location {
-			if ix.location[s].keys != nil {
-				t.Fatalf("a fresh index holds the %v column", ix.lMeasures[s])
-			}
-		}
-	}
-	queries := []func(*Index, measure.Measure) error{
-		func(ix *Index, m measure.Measure) error {
-			_, err := ix.SeriesInterval(m, interval.AtLeast(0))
-			return err
-		},
-		func(ix *Index, m measure.Measure) error {
-			_, _, err := ix.SeriesTopK(m, 3, true)
-			return err
-		},
-		func(ix *Index, m measure.Measure) error {
-			_, err := ix.EstimateSelectivity(PairQuery{Measure: m, Interval: interval.AtMost(1)})
-			return err
-		},
-	}
-	for i, ix := range []*Index{idx, upd, loc} {
-		for s, m := range ix.lMeasures {
-			own, err := baseline.NewNaive(d).Location(m, d.IDs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			centers, err := rel.Clustering.CenterLocations(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			values := make([]float64, d.NumSeries())
-			for id := range values {
-				values[id] = own[id]
-				if r, ok := chosen[timeseries.SeriesID(id)]; ok {
-					values[id] = r.Transform.PropagateLocation([2]float64{own[r.Pivot.Common], centers[r.Pivot.Cluster]})[1]
-				}
-			}
-			if err := queries[(i+s)%len(queries)](ix, m); err != nil {
-				t.Fatal(err)
-			}
-			for r := s + 1; r < len(ix.location); r++ {
-				if ix.location[r].keys != nil {
-					t.Fatalf("a %v query filled the %v column", m, ix.lMeasures[r])
-				}
-			}
-			if filled, err := ix.FillLocation(m); err != nil || filled {
-				t.Fatalf("%v: a second fill reported %v, %v", m, filled, err)
-			}
-			got, want := &ix.location[s], &columnIndex(values).location[0]
-			for j := range want.keys {
-				if got.ids[j] != want.ids[j] || math.Float64bits(got.keys[j]) != math.Float64bits(want.keys[j]) {
-					t.Fatalf("%v: entry %d is series %d = %v, the oracle's series %d = %v",
-						m, j, got.ids[j], got.keys[j], want.ids[j], want.keys[j])
-				}
-			}
-		}
-	}
-}
-
 func TestPairValue(t *testing.T) {
 	d, rel := testDataset(t, 8, 10, 60)
 	idx, err := Build(d, rel, Options{})
@@ -512,16 +349,7 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := idx.PairInterval(measure.Jaccard, interval.Between(0, 1)); !errors.Is(err, ErrMeasureNotIndexed) {
 		t.Fatalf("Jaccard range err = %v", err)
 	}
-	if _, err := idx.SeriesInterval(measure.Covariance, interval.GreaterThan(0)); !errors.Is(err, ErrMeasureNotIndexed) {
-		t.Fatalf("series threshold on T-measure err = %v", err)
-	}
-	if _, err := idx.SeriesInterval(measure.Covariance, interval.Between(0, 1)); !errors.Is(err, ErrMeasureNotIndexed) {
-		t.Fatalf("series range on T-measure err = %v", err)
-	}
-	if _, err := idx.SeriesInterval(measure.Mean, interval.Between(1, 0)); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("series inverted range err = %v", err)
-	}
-	if _, err := idx.SeriesInterval(measure.Mean, interval.New(interval.Open(1), interval.Closed(1))); !errors.Is(err, ErrBadQuery) {
+	if _, err := idx.PairInterval(measure.Covariance, interval.New(interval.Open(1), interval.Closed(1))); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("empty point interval err = %v", err)
 	}
 }

@@ -364,37 +364,6 @@ func (c *TopKCursor) scanNodeTopK(i int, heap *TopHeap) int {
 	return examined
 }
 
-// SeriesTopK answers a top-k query over an L-measure: the k series with the
-// greatest (largest) or smallest measure value in the global location column,
-// best first with ties broken by ascending series identity.
-func (idx *Index) SeriesTopK(m measure.Measure, k int, largest bool) ([]timeseries.SeriesID, []float64, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("%w: top-k needs k >= 1, got %d", ErrBadQuery, k)
-	}
-	col, _, err := idx.locationOf(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	// A NaN value ranks nowhere; the column keeps those first.
-	first := rankBelow(col.keys, math.Inf(-1))
-	k = min(k, len(col.keys)-first)
-	if !largest {
-		return slices.Clone(col.ids[first : first+k]), slices.Clone(col.keys[first : first+k]), nil
-	}
-	// Descending by value, but a run of equal values stays in id order: walk
-	// the runs from the top, each run forwards.
-	ids := make([]timeseries.SeriesID, 0, k)
-	values := make([]float64, 0, k)
-	for hi := len(col.keys); len(ids) < k; {
-		lo := rankBelow(col.keys, col.keys[hi-1])
-		n := min(hi-lo, k-len(ids))
-		ids = append(ids, col.ids[lo:lo+n]...)
-		values = append(values, col.keys[lo:lo+n]...)
-		hi = lo
-	}
-	return ids, values, nil
-}
-
 // nodeTopBound returns the optimistic bound on the best value a pivot node
 // can contain for the measure: the exact container extreme scaled by ‖α‖ for
 // a T-measure, the exact column extreme for a D-measure.  A node without an

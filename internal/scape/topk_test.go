@@ -142,52 +142,6 @@ func TestPairTopKPrunes(t *testing.T) {
 	}
 }
 
-// TestSeriesTopK pins L-measure top-k against the location column's own
-// contents: a full-k query returns every series in value order with id
-// tie-breaks, and smaller k are prefixes.
-func TestSeriesTopK(t *testing.T) {
-	d, rel := testDataset(t, 23, 14, 70)
-	idx, err := Build(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := d.NumSeries()
-	for _, m := range measure.ByClass(measure.LocationClass) {
-		for _, largest := range []bool{true, false} {
-			ids, values, err := idx.SeriesTopK(m, n, largest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ids) != n || len(values) != n {
-				t.Fatalf("%v: full ranking %d/%d of %d", m, len(ids), len(values), n)
-			}
-			for i := 1; i < n; i++ {
-				if (largest && values[i] > values[i-1]) || (!largest && values[i] < values[i-1]) {
-					t.Fatalf("%v largest=%v: values out of order at %d", m, largest, i)
-				}
-				if values[i] == values[i-1] && ids[i] < ids[i-1] {
-					t.Fatalf("%v: id tie-break violated at %d", m, i)
-				}
-			}
-			top, topVals, err := idx.SeriesTopK(m, 4, largest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range top {
-				if top[i] != ids[i] || topVals[i] != values[i] {
-					t.Fatalf("%v: top-4 not a prefix of the full ranking", m)
-				}
-			}
-		}
-	}
-	if _, _, err := idx.SeriesTopK(measure.Mean, 0, true); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("k=0 err = %v, want ErrBadQuery", err)
-	}
-	if _, _, err := idx.SeriesTopK(measure.Covariance, 3, true); !errors.Is(err, ErrMeasureNotIndexed) {
-		t.Fatalf("T-measure series top-k err = %v, want ErrMeasureNotIndexed", err)
-	}
-}
-
 // TestPairTopKErrors pins the traversal's typed errors.
 func TestPairTopKErrors(t *testing.T) {
 	d, rel := testDataset(t, 24, 8, 40)

@@ -63,7 +63,7 @@ type UpdateStats struct {
 // re-fitted.  A pivot's sequence store is shared with the previous index when
 // no stale pair is assigned to it and re-derived from rel otherwise;
 // everything derived from the slid window (α vectors, scalar projections —
-// and, on demand, value and location columns) is recomputed through
+// and, on demand, value columns) is recomputed through
 // the exact code path Build uses, and a container re-sorted from the previous
 // epoch's order is the array a cold sort yields, so the result answers every
 // query byte-identically to Build(d, rel, ...) on the same window, whether
@@ -87,7 +87,7 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 	if err := d.Validate(); err != nil {
 		return nil, us, err
 	}
-	if rel == nil || rel.Len() == 0 && len(prev.opts.LocationMeasures) > 0 {
+	if rel == nil || rel.Len() == 0 {
 		return nil, us, fmt.Errorf("scape: no affine relationships to index")
 	}
 	if d.NumSeries() != prev.numSeries {
@@ -117,15 +117,10 @@ func (prev *Index) Update(d *timeseries.DataMatrix, rel *symex.Result,
 		opts:         prev.opts,
 		tMeasures:    prev.tMeasures,
 		dMeasures:    prev.dMeasures,
-		lMeasures:    prev.lMeasures,
 		pairMeasures: prev.pairMeasures,
 		derivedSet:   prev.derivedSet,
-		locationSet:  prev.locationSet,
 		numSamples:   d.NumSamples(),
 		numSeries:    prev.numSeries,
-		location:     make([]locationColumn, len(prev.lMeasures)),
-		data:         d,
-		rel:          rel,
 	}
 
 	// Count the stale pairs per (fixed) pivot assignment, found through the

@@ -104,31 +104,6 @@ func assertIndexEquivalent(t *testing.T, got, want *Index) {
 			}
 		}
 	}
-	for _, m := range []measure.Measure{measure.Mean, measure.Median} {
-		gs, err1 := got.SeriesInterval(m, interval.AtLeast(-0.2))
-		ws, err2 := want.SeriesInterval(m, interval.AtLeast(-0.2))
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("SeriesInterval(%v) error mismatch: %v vs %v", m, err1, err2)
-		}
-		if len(gs) != len(ws) {
-			t.Fatalf("SeriesInterval(%v): %d vs %d", m, len(gs), len(ws))
-		}
-		for i := range gs {
-			if gs[i] != ws[i] {
-				t.Fatalf("SeriesInterval(%v)[%d] = %v, want %v", m, i, gs[i], ws[i])
-			}
-		}
-		gid, gv, err1 := got.SeriesTopK(m, 5, false)
-		wid, wv, err2 := want.SeriesTopK(m, 5, false)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("SeriesTopK(%v) error mismatch: %v vs %v", m, err1, err2)
-		}
-		for i := range gid {
-			if gid[i] != wid[i] || gv[i] != wv[i] {
-				t.Fatalf("SeriesTopK(%v)[%d] = %v/%v, want %v/%v", m, i, gid[i], gv[i], wid[i], wv[i])
-			}
-		}
-	}
 }
 
 // staleSubset deterministically picks a fraction of the assignments as stale.

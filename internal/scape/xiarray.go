@@ -98,8 +98,7 @@ func (a *xiArray) AscendRange(min, max float64, fn func(xi float64, sn *sequence
 }
 
 // rankBelow returns how many keys of a sorted column (ascending, NaN first: a
-// ξ-container's, a location column's) are ordered before key: the smaller
-// ones, and the NaN ones.
+// ξ-container's) are ordered before key: the smaller ones, and the NaN ones.
 func rankBelow(keys []float64, key float64) int {
 	return sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
 }

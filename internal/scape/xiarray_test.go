@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -400,169 +399,4 @@ func TestEmptyXiContainer(t *testing.T) {
 	if c := a.countInterval(interval.All()); c != 0 {
 		t.Fatalf("count over an empty container = %d", c)
 	}
-}
-
-// The location trees used to be B-trees filled by one insert per series, in
-// series order; that route is the oracle the sorted location columns are
-// compared against, over values shaped to stress the order: duplicates, −0
-// next to +0, ±Inf, a NaN estimate, and columns of one and two series.
-
-// columnIndex returns an index holding one location column, for the mean,
-// over values[id], filled as if by a first query.
-func columnIndex(values []float64) *Index {
-	entries := make([]xiEntry, len(values))
-	for id, v := range values {
-		entries[id] = xiEntry{xi: v, rank: int32(id)}
-	}
-	idx := &Index{lMeasures: []measure.Measure{measure.Mean}, location: make([]locationColumn, 1)}
-	col := &idx.location[0]
-	col.once.Do(func() { col.fill(entries) })
-	return idx
-}
-
-// locationOracle inserts every series' value into a B-tree in series order.
-// A NaN has no defined place in a tree and is left out; no scan of a column
-// may reach one either.
-func locationOracle(values []float64) *btree.Tree[timeseries.SeriesID] {
-	tree := btree.New[timeseries.SeriesID]()
-	for id, v := range values {
-		if !math.IsNaN(v) {
-			tree.Insert(v, timeseries.SeriesID(id))
-		}
-	}
-	return tree
-}
-
-func TestLocationColumnsMatchInsertOrderTreeOracle(t *testing.T) {
-	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
-	rng := rand.New(rand.NewSource(9))
-	few := make([]float64, 40)
-	for i := range few {
-		few[i] = float64(rng.Intn(7) - 3)
-	}
-	for name, values := range map[string][]float64{
-		"one series":     {3},
-		"one NaN series": {nan},
-		"two series":     {2, -1},
-		"two equal":      {1, 1},
-		"zeros":          {0, negZero, 0, negZero, 1},
-		"duplicates":     {5, 1, 5, 1, 5, 1, 3},
-		"infinities":     {inf, 0, -inf, inf, -inf, 7},
-		"NaN estimates":  {1, nan, 0, nan, 1, -inf},
-		"few values":     few,
-	} {
-		idx, want := columnIndex(values), locationOracle(values)
-		for _, iv := range probeIntervals(values) {
-			got, err := idx.SeriesInterval(measure.Mean, iv)
-			if iv.Empty() {
-				if err == nil {
-					t.Fatalf("%s: the empty interval %v was answered", name, iv)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			var w []timeseries.SeriesID
-			scanOracle(want, iv, func(_ float64, id timeseries.SeriesID) bool {
-				w = append(w, id)
-				return true
-			})
-			if !slices.Equal(got, w) {
-				t.Fatalf("%s: %v selects series %v, the tree %v", name, iv, got, w)
-			}
-			sel, err := idx.EstimateSelectivity(PairQuery{Measure: measure.Mean, Interval: iv})
-			if err != nil || sel.Rows != len(w) {
-				t.Fatalf("%s: count of %v = %+v (%v), scan returns %d", name, iv, sel, err, len(w))
-			}
-		}
-
-		// Top-k: the tree's entries — by value, equal values in series order —
-		// stably re-sorted for the direction.
-		type entry struct {
-			id    timeseries.SeriesID
-			value float64
-		}
-		for _, largest := range []bool{true, false} {
-			var ranking []entry
-			want.Ascend(func(v float64, id timeseries.SeriesID) bool {
-				ranking = append(ranking, entry{id, v})
-				return true
-			})
-			if largest {
-				sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].value > ranking[j].value })
-			}
-			for _, k := range []int{1, 2, len(values), len(values) + 3} {
-				ids, vals, err := idx.SeriesTopK(measure.Mean, k, largest)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ids) != min(k, len(ranking)) || len(vals) != len(ids) {
-					t.Fatalf("%s: top-%d (largest %v) returns %d series and %d values of %d ranked", name, k, largest, len(ids), len(vals), len(ranking))
-				}
-				for i := range ids {
-					if ids[i] != ranking[i].id || math.Float64bits(vals[i]) != math.Float64bits(ranking[i].value) {
-						t.Fatalf("%s: top-%d (largest %v) ranks series %d (%v) at %d, the tree %d (%v)",
-							name, k, largest, ids[i], vals[i], i, ranking[i].id, ranking[i].value)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBuildSortsLocationEstimates: the same columns through the front door —
-// relationships whose transforms put a chosen value (a duplicate, ±Inf, a
-// NaN) on every series but the all-zero series 0, for every L-measure.
-func TestBuildSortsLocationEstimates(t *testing.T) {
-	d, next, rel := hostileIndexInputs(t, false)
-	values := []float64{0, 1, math.NaN(), 1, math.Inf(1), -2, math.Inf(-1), 0}
-	rels := relsOf(rel)
-	for v := 1; v < len(values); v++ {
-		pair := timeseries.Pair{U: 0, V: timeseries.SeriesID(v)} // the smallest pair estimating v
-		slot, ok := rel.Layout().Slot(pair)
-		if !ok {
-			t.Fatalf("no assignment for %v", pair)
-		}
-		rels[slot] = &symex.Relationship{Pair: pair, Pivot: rels[slot].Pivot, Transform: affine.Transform{
-			A: [2][2]float64{{1, 0}, {0, 0}}, B: [2]float64{0, values[v]},
-		}}
-	}
-	rel = symex.NewResult(rel.Layout(), rel.Clustering, rels)
-	want := &columnIndex(values).location[0]
-	check := func(label string, idx *Index) {
-		t.Helper()
-		for _, m := range idx.lMeasures {
-			got, _, err := idx.locationOf(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got.ids, want.ids) {
-				t.Fatalf("%s %v: column order %v, want %v", label, m, got.ids, want.ids)
-			}
-			for i := range want.keys {
-				if math.Float64bits(got.keys[i]) != math.Float64bits(want.keys[i]) {
-					t.Fatalf("%s %v: entry %d = %v, want %v", label, m, i, got.keys[i], want.keys[i])
-				}
-			}
-		}
-	}
-	idx, err := Build(d, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.lMeasures) != 3 {
-		t.Fatalf("index over L-measures %v", idx.lMeasures)
-	}
-	check("Build", idx)
-	upd, _, err := idx.Update(next, rel, map[timeseries.Pair]bool{}, UpdateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Update", upd)
-	loc, err := BuildLocationOnly(next, rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("BuildLocationOnly", loc)
 }

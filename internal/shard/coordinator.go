@@ -3,17 +3,14 @@ package shard
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"affinity/internal/core"
-	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
-	"affinity/internal/scape"
 	"affinity/internal/symex"
 	"affinity/internal/timeseries"
 )
@@ -40,11 +37,6 @@ type coordState struct {
 	// rel is the global relationship result: the union of the shard results,
 	// equal to what a single unsharded engine holds at the same epoch.
 	rel *symex.Result
-	// locIndex answers L-measure index queries (location columns only); the
-	// shard indexes carry no location columns, because location estimates
-	// depend on the full relationship set, not a shard's restriction.  Nil
-	// under Config.Engine.SkipIndex.
-	locIndex *scape.Index
 	// owner maps each pivot to its shard (static across epochs).
 	owner map[symex.Pivot]int
 	// schedule is the order index-method interval results are merged in: the
@@ -88,9 +80,8 @@ type Coordinator struct {
 	// layout is the frozen global assignment layout and slots[s][i] the global
 	// slot of shard s's slot i; shard refits keep their layouts frozen too,
 	// so merging an epoch is one slot copy per relationship.
-	layout  *symex.Layout
-	slots   [][]int32
-	locOpts scape.Options
+	layout *symex.Layout
+	slots  [][]int32
 	// cache is the global result cache, caching merged scatter-gather results
 	// at the coordinator (Config.Engine.Cache; nil when disabled).
 	cache *qcache.Cache
@@ -126,9 +117,6 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 	shardCfg := cfg.Engine
 	shardCfg.AssignedPairsOnly = true
 	shardCfg.Clustering = rel.Clustering
-	// Location columns are the coordinator's job (they depend on the global
-	// relationship set); a non-nil empty list disables them on the shards.
-	shardCfg.Index.LocationMeasures = []measure.Measure{}
 	// Result caching happens once, at the coordinator's merge layer, where a
 	// hit saves the whole fan-out; per-shard caches would only duplicate the
 	// merged results' memory.
@@ -149,53 +137,30 @@ func Build(d *timeseries.DataMatrix, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 
-	locOpts := cfg.Engine.Index
-	if locOpts.Parallelism == 0 {
-		locOpts.Parallelism = cfg.Engine.Parallelism
-	}
 	c := &Coordinator{
 		cfg:       cfg,
 		engines:   engines,
 		placement: pl,
 		layout:    rel.Layout(),
 		slots:     slots,
-		locOpts:   locOpts,
 		cache:     qcache.New(cfg.Engine.Cache),
 	}
 	views := make([]core.View, len(engines))
 	for i, e := range engines {
 		views[i] = e.View()
 	}
-	st, err := c.makeState(views, d, rel, 0)
-	if err != nil {
-		return nil, err
-	}
-	c.cur.Store(st)
+	c.cur.Store(c.makeState(views, d, rel, 0))
 	return c, nil
 }
 
 // makeState assembles one coordinator epoch from the captured shard views.
 func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
-	rel *symex.Result, epoch int) (*coordState, error) {
-	var locIndex *scape.Index
-	var indexed []measure.Measure
-	if !c.cfg.Engine.SkipIndex {
-		idx, err := scape.BuildLocationOnly(d, rel, c.locOpts)
-		if err != nil {
-			return nil, err
-		}
-		locIndex = idx
-		// The shards index the pairwise measures (all alike) and the
-		// coordinator the L-measures.
-		indexed = slices.Concat(views[0].Table().Indexed, idx.Measures())
-		slices.Sort(indexed)
-	}
+	rel *symex.Result, epoch int) *coordState {
 	return &coordState{
 		epoch:    epoch,
 		data:     d,
 		views:    views,
 		rel:      rel,
-		locIndex: locIndex,
 		owner:    c.placement.Owner,
 		schedule: mergeSchedule(views),
 		table: plan.TableStats{
@@ -203,14 +168,15 @@ func (c *Coordinator) makeState(views []core.View, d *timeseries.DataMatrix,
 			NumSamples: d.NumSamples(),
 			NumPairs:   d.NumPairs(),
 			NumPivots:  rel.Stats.NumPivots,
-			Indexed:    indexed,
+			// The shards index the same measures.
+			Indexed: views[0].Table().Indexed,
 			// Sketches are per series, built by every shard over the shared
 			// window, so shard 0's statistics describe the global prescreen.
 			SketchCoefficients: views[0].Table().SketchCoefficients,
 			SketchAmbiguity:    views[0].Table().SketchAmbiguity,
 		},
 		cache: c.cache,
-	}, nil
+	}
 }
 
 // state returns the current coordinator epoch.
@@ -314,10 +280,7 @@ func (c *Coordinator) Advance() (core.AdvanceInfo, error) {
 		views[i] = e.View()
 	}
 	merged := c.mergeRelationships(views)
-	st, err := c.makeState(views, newData, merged, cs.epoch+1)
-	if err != nil {
-		return fail(err)
-	}
+	st := c.makeState(views, newData, merged, cs.epoch+1)
 
 	// The coordinator's stale set is the union of the per-shard sets (the
 	// shard universes are disjoint); a full refit on any shard makes the

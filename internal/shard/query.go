@@ -42,12 +42,8 @@ func (cs *coordState) Replica() core.View { return cs.views[0] }
 
 // Selectivity assembles the row count from the shards.  Per-pivot-node
 // counts are additive and the shard pivot sets are disjoint, so the summed
-// Rows equal the global index's count, whatever the shard count.  L-measure
-// counts come from the coordinator's location index.
+// Rows equal the global index's count, whatever the shard count.
 func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error) {
-	if sp, known := measure.Find(spec.Measure); known && sp.Location() {
-		return cs.locIndex.EstimateSelectivity(spec.PairQuery())
-	}
 	var total scape.Selectivity
 	for _, v := range cs.views {
 		s, err := v.Selectivity(spec)
@@ -57,15 +53,6 @@ func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 		total.Rows += s.Rows
 	}
 	return total, nil
-}
-
-// FillLocation fills a column of the coordinator's location index, which
-// answers every L-measure index query.
-func (cs *coordState) FillLocation(m measure.Measure) (bool, error) {
-	if cs.locIndex == nil {
-		return false, core.ErrNoIndex
-	}
-	return cs.locIndex.FillLocation(m)
 }
 
 // PairValue routes an evaluation to the shard owning the pair's pivot, so the
@@ -94,7 +81,12 @@ func (cs *coordState) Execute(items []core.Item, actuals []core.Actual) ([]core.
 		var err error
 		switch {
 		case it.Location:
-			out[i], err = cs.locationQuery(it)
+			// Per-series state is replicated: shard 0 answers exactly like a
+			// single engine.
+			var res []core.QueryResult
+			if res, err = cs.views[0].Execute([]core.Item{it}, nil); err == nil {
+				out[i] = res[0]
+			}
 		case it.Method == core.MethodNaive:
 			naive = append(naive, i)
 		case it.Method == core.MethodAffine:
@@ -117,29 +109,6 @@ func (cs *coordState) Execute(items []core.Item, actuals []core.Actual) ([]core.
 		}
 	}
 	return out, nil
-}
-
-// locationQuery answers an L-measure interval/top-k item: per-series state is
-// replicated, so shard 0 answers the sweep methods exactly like a single
-// engine, and the coordinator's location index answers the index method (the
-// shard indexes carry no location columns).
-func (cs *coordState) locationQuery(it core.Item) (core.QueryResult, error) {
-	if it.Method != core.MethodIndex {
-		res, err := cs.views[0].Execute([]core.Item{it}, nil)
-		if err != nil {
-			return core.QueryResult{}, err
-		}
-		return res[0], nil
-	}
-	if cs.locIndex == nil {
-		return core.QueryResult{}, core.ErrNoIndex
-	}
-	if it.Spec.Kind == plan.KindTopK {
-		ids, values, err := cs.locIndex.SeriesTopK(it.Spec.Measure, it.Spec.K, it.Spec.Largest)
-		return core.QueryResult{Series: ids, Values: values}, err
-	}
-	ids, err := cs.locIndex.SeriesInterval(it.Spec.Measure, it.Spec.Interval)
-	return core.QueryResult{Series: ids}, err
 }
 
 // sweep scatters the sweep-method items items[group...] (all of one method)

@@ -1,7 +1,7 @@
 // Package stats holds aliases of the measure identities the benchmark module
 // (bench/) compiles against, and nothing else: the measures, their scalar
 // primitives and RMSE live in internal/measure, an exact L-measure of a
-// window series in timeseries.DataMatrix.Location, the slid pair-moment
+// window series in timeseries.DataMatrix.Locations, the slid pair-moment
 // column in internal/kernel.  Nothing outside bench/ imports it; it goes when
 // the benchmark is next rebuilt.
 package stats

@@ -194,7 +194,7 @@ func TestSortedSeriesLifecycle(t *testing.T) {
 }
 
 // TestLocationMatchesEvalLocation: reading an L-measure off a window
-// (Location: sorted column for the order statistics, moments for the mean)
+// (Locations: sorted column for the order statistics, moments for the mean)
 // gives the bits EvalLocation gives on the raw series, before and after a
 // slide.
 func TestLocationMatchesEvalLocation(t *testing.T) {
@@ -215,9 +215,10 @@ func TestLocationMatchesEvalLocation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := d.Location(m, id)
-				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("Location(%v, series %d) = %v, %v; EvalLocation = %v", m, id, got, err, want)
+				var got [1]float64
+				err = d.Locations(m, []SeriesID{id}, got[:])
+				if err != nil || math.Float64bits(got[0]) != math.Float64bits(want) {
+					t.Fatalf("Locations(%v, series %d) = %v, %v; EvalLocation = %v", m, id, got[0], err, want)
 				}
 			}
 		}
@@ -228,12 +229,13 @@ func TestLocationMatchesEvalLocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(next)
-	if _, err := d.Location(measure.Covariance, 0); !errors.Is(err, measure.ErrUnknownMeasure) {
-		t.Fatalf("Location of a pairwise measure: err = %v", err)
+	out := make([]float64, 1)
+	if err := d.Locations(measure.Covariance, []SeriesID{0}, out); !errors.Is(err, measure.ErrUnknownMeasure) {
+		t.Fatalf("Locations of a pairwise measure: err = %v", err)
 	}
 	for _, m := range measure.ByClass(measure.LocationClass) {
-		if _, err := d.Location(m, 9); !errors.Is(err, ErrInvalidSeries) {
-			t.Fatalf("Location(%v) of an unknown series: err = %v", m, err)
+		if err := d.Locations(m, []SeriesID{9}, out); !errors.Is(err, ErrInvalidSeries) {
+			t.Fatalf("Locations(%v) of an unknown series: err = %v", m, err)
 		}
 	}
 }

@@ -441,22 +441,13 @@ func (d *DataMatrix) SortedSeries(id SeriesID) ([]float64, error) {
 	return out, err
 }
 
-// Location computes L-measure m of series id — the bits of the measure's
-// EvalLocation over the raw series — from what the window memoises: order
-// statistics (median, mode) are read off the sorted columns (EvalSorted),
-// which a streaming window slides instead of re-sorting, and the mean off
-// Moments.  Only an L-measure with neither reduces the raw series.  Every
-// exact L-measure of a window series the engine answers comes from here or
-// from Locations.
-func (d *DataMatrix) Location(m measure.Measure, id SeriesID) (float64, error) {
-	var out [1]float64
-	err := d.Locations(m, []SeriesID{id}, out[:])
-	return out[0], err
-}
-
 // Locations writes L-measure m of every series in ids into out, aligned with
-// ids: the bits Location gives each.  An order statistic reads all of them off
-// the sorted columns under one hold of the memo's read lock.
+// ids — the bits of the measure's EvalLocation over the raw series — from what
+// the window memoises: order statistics (median, mode) are read off the
+// sorted columns (EvalSorted), all of them under one hold of the memo's read
+// lock, which a streaming window slides instead of re-sorting, and the mean
+// off Moments.  Only an L-measure with neither reduces the raw series.  Every
+// exact L-measure of a window series the engine answers comes from here.
 func (d *DataMatrix) Locations(m measure.Measure, ids []SeriesID, out []float64) error {
 	sp, ok := measure.Find(m)
 	if !ok || !sp.Location() {

@@ -26,12 +26,12 @@ func renderMeasureTable() string {
 		}
 		// The TopK column is derived from the same capability flags the
 		// executor routes on: indexable pairwise measures run the best-first
-		// SCAPE traversal, L-measures rank from the location column, and
+		// SCAPE traversal, L-measures rank their per-series values, and
 		// non-indexable measures fall back to the heap-over-sweep path.
 		topk := "heap sweep"
 		switch {
 		case mi.Class == "L":
-			topk = "location column"
+			topk = "per-series rank"
 		case mi.Indexable:
 			topk = "best-first"
 		}
