@@ -186,14 +186,42 @@ func (t *Transform) PropagateSecondVariance(cov [3]float64) float64 {
 // block, column sums and sample count it is exactly the expanded Eq. 7 — the
 // spec decides, so no layer above names individual T-measures.
 func (t *Transform) PropagateMoment(mm measure.Moment) float64 {
-	a1, a2 := t.Columns()
-	quad := a1[0]*(mm.S[0]*a2[0]+mm.S[1]*a2[1]) + a1[1]*(mm.S[1]*a2[0]+mm.S[2]*a2[1])
-	if mm.H == ([2]float64{}) && mm.C == 0 {
+	p := NewPropagator(mm)
+	return p.Propagate(t)
+}
+
+// Propagator is one source moment matrix M laid out as scalars, for
+// propagating it through many transforms: the inner loop of a W_A column
+// fill, one pivot's moment against each of its relationships.
+type Propagator struct {
+	s11, s12, s22, h1, h2, c float64
+	// centred reports H = 0 and C = 0 (the covariance form), where the
+	// translation drops out.
+	centred bool
+}
+
+// NewPropagator hoists mm into a Propagator.
+func NewPropagator(mm measure.Moment) Propagator {
+	return Propagator{
+		s11: mm.S[0], s12: mm.S[1], s22: mm.S[2], h1: mm.H[0], h2: mm.H[1], c: mm.C,
+		centred: mm.H[0] == 0 && mm.H[1] == 0 && mm.C == 0,
+	}
+}
+
+// Propagate is PropagateMoment of the propagator's moment matrix through t.
+// It reads A and B in place rather than through Columns: a copy of the
+// columns into stack arrays is read back wider than it was written, which
+// stalls store-to-load forwarding on every call of a column fill.
+func (p *Propagator) Propagate(t *Transform) float64 {
+	a11, a21 := t.A[0][0], t.A[1][0] // ã1
+	a12, a22 := t.A[0][1], t.A[1][1] // ã2
+	quad := a11*(p.s11*a12+p.s12*a22) + a21*(p.s12*a12+p.s22*a22)
+	if p.centred {
 		return quad
 	}
-	a1h := a1[0]*mm.H[0] + a1[1]*mm.H[1]
-	a2h := a2[0]*mm.H[0] + a2[1]*mm.H[1]
-	return quad + t.B[1]*a1h + t.B[0]*a2h + mm.C*t.B[0]*t.B[1]
+	a1h := a11*p.h1 + a21*p.h2
+	a2h := a12*p.h1 + a22*p.h2
+	return quad + t.B[1]*a1h + t.B[0]*a2h + p.c*t.B[0]*t.B[1]
 }
 
 // PropagateMeasure computes any pairwise measure of the

@@ -23,6 +23,7 @@ import (
 	"affinity/internal/interval"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
+	"affinity/internal/par"
 	"affinity/internal/timeseries"
 )
 
@@ -91,28 +92,20 @@ func (n *Naive) SweepValues(sp *measure.Spec, pairs []timeseries.Pair, values []
 		return err
 	}
 	baseBlock := kern.BaseBlock(sp.Base)
-	numSamples := n.data.NumSamples()
+	sc, _ := deriveScratchPool.Get()
+	defer deriveScratchPool.Put(sc)
 	for lo := 0; lo < len(pairs); lo += kernel.BlockPairs {
-		hi := lo + kernel.BlockPairs
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
+		hi := min(lo+kernel.BlockPairs, len(pairs))
 		chunk, out := pairs[lo:hi], values[lo:hi]
 		baseBlock(mom, chunk, out)
-		if !sp.Derived() {
-			continue
-		}
-		for i, p := range chunk {
-			u := sp.Param(mom.Stat(p.U), mom.Stat(p.V))
-			v, err := sp.EvalOrNaN(out[i], u, numSamples)
-			if err != nil {
-				return err
-			}
-			out[i] = v
+		if err := mom.Derive(sp, chunk, out, n.data.NumSamples(), out, sc); err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+var deriveScratchPool par.Scratch[timeseries.DeriveScratch]
 
 // PairInterval evaluates an interval (MET/MER) query with one blocked sweep
 // over the sequence pairs: base values reduce block-at-a-time, undefined

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"weak"
 
+	"affinity/internal/affine"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/par"
@@ -230,16 +231,25 @@ func (e *engineState) columnPos(slot int32) int {
 
 // propagate is the engine's W_A propagation loop (Eqs. 5–7): pivot by pivot,
 // the pivot's moment matrix of baseSp is taken once over its cached summary
-// and every relationship of the pivot propagates it in O(1) to its pair's
-// position in values (columnPos).  Positions of pairs without a relationship
+// and hoisted into an affine.Propagator, and every relationship of the pivot
+// propagates it in O(1) to its pair's position in values (columnPos, resolved
+// here without a call per slot).  Positions of pairs without a relationship
 // are left alone.
 func (e *engineState) propagate(baseSp *measure.Spec, values []float64) {
 	layout := e.rel.Layout()
+	assignments, n := layout.Assignments(), e.data.NumSeries()
 	_ = par.DoBlocks(len(layout.Pivots()), e.par, func(_ int, blk par.Block) error {
 		for pi := blk.Lo; pi < blk.Hi; pi++ {
-			mom := baseSp.Moment(e.summaries[pi])
-			for _, slot := range layout.PivotSlots(pi) {
-				values[e.columnPos(slot)] = e.rel.At(int(slot)).Transform.PropagateMoment(mom)
+			prop := affine.NewPropagator(baseSp.Moment(e.summaries[pi]))
+			slots := layout.PivotSlots(pi)
+			if e.pairPos != nil {
+				for _, slot := range slots {
+					values[e.pairPos[slot]] = prop.Propagate(&e.rel.At(int(slot)).Transform)
+				}
+				continue
+			}
+			for _, slot := range slots {
+				values[timeseries.PairRank(n, assignments[slot].Pair)] = prop.Propagate(&e.rel.At(int(slot)).Transform)
 			}
 		}
 		return nil

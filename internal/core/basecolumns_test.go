@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"affinity/internal/dataset"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/plan"
@@ -485,5 +486,38 @@ func TestSnapshotRestoreAgreesOnCenterMemo(t *testing.T) {
 		if !slices.Equal(as, bs) {
 			t.Fatalf("%v: the affine location sweeps of the cold and the restored engine differ", m)
 		}
+	}
+}
+
+// BenchmarkAffineBaseColumn times the epoch base-column fills of both bases —
+// every relationship's W_A propagation (fillAffineColumn) for covariance and
+// for the dot product, one op — on an engine at the streaming benchmark's
+// scale (168 series × 360 samples, full fit), so the layer's cost is
+// reproducible without the lifecycle.  Each fill writes into the previous
+// one's buffer, as an epoch recycling its spare does.
+func BenchmarkAffineBaseColumn(b *testing.B) {
+	d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: 168, NumSamples: 360, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := Build(d, Config{Clusters: 6, Seed: 1, SkipIndex: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := e.current()
+	bases := []*measure.Spec{measure.Lookup(measure.Covariance), measure.Lookup(measure.DotProduct)}
+	cols := make([][]float64, len(bases))
+	fill := func() {
+		for i, sp := range bases {
+			if cols[i], err = st.fillAffineColumn(sp, cols[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill()
 	}
 }

@@ -109,19 +109,11 @@ func (e *engineState) Execute(items []Item, actuals []Actual) ([]QueryResult, er
 }
 
 // locationQuery answers one L-measure interval or top-k query with its
-// resolved method by filtering / ranking the per-series values.  The index
-// holds nothing per series: an engine that has one answers the index method
-// with the affine method's calibrated values.
+// resolved method by filtering / ranking the per-series values.
 func (e *engineState) locationQuery(it Item) (QueryResult, error) {
-	spec, method := it.Spec, it.Method
-	if method == MethodIndex {
-		if e.index == nil {
-			return QueryResult{}, ErrNoIndex
-		}
-		method = MethodAffine
-	}
+	spec := it.Spec
 	ids := e.data.IDs()
-	values, err := e.locationValues(spec.Measure, ids, method)
+	values, err := e.seriesValues(spec.Measure, it.Method)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -135,6 +127,36 @@ func (e *engineState) locationQuery(it Item) (QueryResult, error) {
 		}
 	}
 	return QueryResult{Series: out}, nil
+}
+
+// locationRows counts the series an L-measure interval query answers with
+// method: the rows of locationQuery's result, without building it.
+func (e *engineState) locationRows(m measure.Measure, iv interval.Interval, method Method) (int, error) {
+	values, err := e.seriesValues(m, method)
+	if err != nil {
+		return 0, err
+	}
+	rows := 0
+	for _, v := range values {
+		if iv.Contains(v) {
+			rows++
+		}
+	}
+	return rows, nil
+}
+
+// seriesValues returns an L-measure's value of every series of the window as
+// a resolved method reads it.  The index holds nothing per series: an engine
+// that has one answers the index method with the affine method's calibrated
+// values.
+func (e *engineState) seriesValues(m measure.Measure, method Method) ([]float64, error) {
+	if method == MethodIndex {
+		if e.index == nil {
+			return nil, ErrNoIndex
+		}
+		method = MethodAffine
+	}
+	return e.locationValues(m, e.data.IDs(), method)
 }
 
 // locationValues returns an L-measure's value for each requested series:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/par"
 	"affinity/internal/plan"
@@ -123,12 +124,9 @@ func Run(b Backend, specs []plan.QuerySpec, method Method, wantPlans bool) ([]Qu
 		plans = make([]plan.Plan, len(specs))
 		acts = make([]Actual, len(specs))
 		for i, spec := range specs {
-			p, err := price(b, spec)
+			p, err := price(b, spec, method)
 			if err != nil {
 				return nil, nil, err
-			}
-			if method != MethodAuto {
-				p = p.WithMethod(method)
 			}
 			plans[i] = p
 		}
@@ -266,18 +264,35 @@ func decide(b Backend, spec plan.QuerySpec) plan.Plan {
 	return plan.DefaultCostModel().Plan(spec, b.Table(), nil)
 }
 
-// price is decide with the index's row count of an interval spec the index
-// covers as EstimatedRows: the plan Explain and View.Plan report.
-func price(b Backend, spec plan.QuerySpec) (plan.Plan, error) {
+// price is the plan Explain and View.Plan report: decide's choice, or the
+// method the caller forces, with an exact row count of an interval spec as
+// EstimatedRows where one is cheap — the index's count for a measure the
+// index covers, and for an L-measure the O(n) count of the per-series values
+// the method reads.  The count is taken after the choice and only moves the
+// emit term every method shares.
+func price(b Backend, spec plan.QuerySpec, method Method) (plan.Plan, error) {
 	table := b.Table()
-	if spec.Kind != plan.KindInterval || !table.Indexes(spec.Measure) {
-		return decide(b, spec), nil
+	p := decide(b, spec)
+	if method != MethodAuto {
+		p = p.WithMethod(method)
 	}
-	sel, err := b.Selectivity(spec)
+	if spec.Kind != plan.KindInterval {
+		return p, nil
+	}
+	var sel scape.Selectivity
+	var err error
+	switch sp, ok := measure.Find(spec.Measure); {
+	case table.Indexes(spec.Measure):
+		sel, err = b.Selectivity(spec)
+	case ok && sp.Location():
+		sel.Rows, err = b.Replica().locationRows(spec.Measure, spec.Interval, p.Method)
+	default:
+		return p, nil
+	}
 	if err != nil {
 		return plan.Plan{}, err
 	}
-	return plan.DefaultCostModel().Plan(spec, table, &sel), nil
+	return plan.DefaultCostModel().Plan(spec, table, &sel).WithMethod(p.Method), nil
 }
 
 // cacheKey builds the cache key of a pairwise item.  L-measure items never
@@ -416,8 +431,9 @@ func compute(b Backend, spec plan.QuerySpec, method Method) (QueryResult, error)
 // order given, undefined derived values as NaN.  The naive method reads the
 // raw window, which the replica holds, unless the epoch has a naive column of
 // the measure's base (naiveColumn); then it, like the affine method, asks the
-// backend for every cell, so a sharded backend answers each pair from the
-// shard that owns it — its pivot summary or its column.
+// backend for every cell's base value, so a sharded backend answers each pair
+// from the shard that owns it — its pivot summary or its column — and derives
+// the measure from the replica's window moments.
 func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
 	sp, err := pairwiseSpec(m)
 	if err != nil {
@@ -444,7 +460,10 @@ func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, me
 		if err := r.fillBase(sp.Base, pairs, values); err != nil {
 			return nil, err
 		}
-		if _, err := r.deriveValues(sp, pairs, values, values); err != nil {
+		w, _ := blockScratchPool.Get()
+		_, err := r.deriveValues(sp, pairs, values, values, w)
+		blockScratchPool.Put(w)
+		if err != nil {
 			return nil, err
 		}
 		out := make([][]float64, len(ids))
@@ -472,8 +491,11 @@ func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, me
 		}
 		return out, nil
 	case method == MethodNaive || method == MethodAffine:
-		// Pair by pair through the backend: the affine propagation, or the
-		// naive covariance column of the owning engine.
+		// Base value by base value through the backend — the affine
+		// propagation, or the naive covariance column of the owning engine —
+		// then the measure over the replica's window moments, a row's cells
+		// a chunk at a time through the spec's block forms.
+		r := b.Replica()
 		out := make([][]float64, len(ids))
 		for i := range out {
 			out[i] = make([]float64, len(ids))
@@ -482,27 +504,40 @@ func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, me
 		// column entries out[j][i]; all written cells are distinct, and each
 		// cell's value depends only on (i, j), so the matrix is identical at
 		// any parallelism.
-		err := par.Do(len(ids), b.Replica().par, func(i int) error {
+		err := par.Do(len(ids), r.par, func(i int) error {
+			w, _ := blockScratchPool.Get()
+			defer blockScratchPool.Put(w)
 			u := ids[i]
-			for j := i; j < len(ids); j++ {
-				v := ids[j]
-				var value float64
-				var err error
-				if u == v {
-					value, err = b.SelfValue(m, u)
-				} else {
-					pair, perr := timeseries.NewPair(u, v)
-					if perr != nil {
-						return perr
+			for lo := i; lo < len(ids); lo += kernel.BlockPairs {
+				row := ids[lo:min(lo+kernel.BlockPairs, len(ids))]
+				pairs, t := w.sub[:len(row)], w.t[:len(row)]
+				for k, v := range row {
+					pairs[k], t[k] = timeseries.Pair{U: u, V: u}, 0 // a diagonal cell, set below
+					if v == u {
+						continue
 					}
-					value, err = b.PairValue(m, pair, method)
+					pair, err := timeseries.NewPair(u, v)
+					if err != nil {
+						return err
+					}
+					if t[k], err = b.PairValue(sp.Base, pair, method); err != nil {
+						return err
+					}
+					pairs[k] = pair
 				}
-				value, err = measure.OrNaN(value, err)
+				values, err := r.deriveValues(sp, pairs, t, w.v[:len(row)], w)
 				if err != nil {
 					return err
 				}
-				out[i][j] = value
-				out[j][i] = value
+				for k, v := range row {
+					value := values[k]
+					if v == u {
+						if value, err = measure.OrNaN(b.SelfValue(m, u)); err != nil {
+							return err
+						}
+					}
+					out[i][lo+k], out[lo+k][i] = value, value
+				}
 			}
 			return nil
 		})

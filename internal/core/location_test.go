@@ -254,3 +254,46 @@ func TestFirstMedianQueriesRaceAdvance(t *testing.T) {
 		t.Fatal("the twin's window holds no sorted columns: they never slid")
 	}
 }
+
+// TestExplainLocationRowsExact: Explain of an L-measure interval reports the
+// exact row count of the method the plan runs — the calibration's for Affine,
+// Index and an Auto that picks Affine, the window's for Naive — with
+// SelectivityExact set, and Auto's choice is the one made without a count.
+func TestExplainLocationRowsExact(t *testing.T) {
+	fx := makeStreamFixture(t, 14, 60, 0, 71)
+	e, err := Build(fx.window, Config{Clusters: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []measure.Measure{measure.Mean, measure.Median, measure.Mode} {
+		values, err := e.ComputeLocation(m, fx.window.IDs(), MethodNaive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := slices.Sorted(slices.Values(values))
+		for _, iv := range []interval.Interval{
+			interval.GreaterThan(sorted[len(sorted)/2]),
+			interval.AtMost(sorted[len(sorted)/4]),
+			interval.Between(sorted[2], sorted[len(sorted)-3]),
+		} {
+			spec := plan.Interval(m, iv)
+			for _, method := range []Method{MethodAuto, MethodNaive, MethodAffine, MethodIndex} {
+				res, p, err := e.Explain(spec, method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !p.SelectivityExact || p.EstimatedRows != len(res.Series) {
+					t.Fatalf("%v %v by %v: plan says %d rows (exact=%v), the answer has %d",
+						m, iv, method, p.EstimatedRows, p.SelectivityExact, len(res.Series))
+				}
+				want := method
+				if method == MethodAuto {
+					want = decide(e.current(), spec).Method
+				}
+				if p.Method != want {
+					t.Fatalf("%v %v by %v: plan runs %v, want %v", m, iv, method, p.Method, want)
+				}
+			}
+		}
+	}
+}

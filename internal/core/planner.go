@@ -50,5 +50,5 @@ func (e *engineState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 
 // Plan prices a query spec against the epoch without executing it.
 func (e *engineState) Plan(spec plan.QuerySpec) (plan.Plan, error) {
-	return price(e, spec)
+	return price(e, spec, MethodAuto)
 }

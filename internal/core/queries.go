@@ -182,7 +182,7 @@ func (e *engineState) derivePair(sp *measure.Spec, pair timeseries.Pair, base fl
 	if !sp.Derived() {
 		return base, nil
 	}
-	return sp.Value(base, sp.Param(e.seriesMoments.Stat(pair.U), e.seriesMoments.Stat(pair.V)), e.data.NumSamples())
+	return sp.Eval(base, sp.Param(e.seriesMoments.Stat(pair.U), e.seriesMoments.Stat(pair.V)), e.data.NumSamples())
 }
 
 // SelfValue returns the diagonal entry of a pairwise MEC response: the

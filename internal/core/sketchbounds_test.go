@@ -338,7 +338,7 @@ func TestSketchBoundColumnConcurrentFirstSweeps(t *testing.T) {
 // band interval on correlation, cosine and Euclidean distance, and naive top-k
 // in both directions — and holds the sketch tier's counters to an oracle that
 // bounds every item afresh with BoundBlock per chunk and classifies each pair
-// with sketch.Classify: the column changes what a sweep reads, not what it
+// with Interval.Classify: the column changes what a sweep reads, not what it
 // counts.  The epochs are partial refits (DriftBound > 0, after a first
 // Advance), where correlation has no fit column and is sketched.  With 130
 // series every row block spans more than one chunk even at P = 8, so a top-k
@@ -469,10 +469,10 @@ func countSketchOracle(t *testing.T, st *engineState, oracle *scalarOracle, spec
 	c.Sweeps++
 	if spec.Kind == plan.KindInterval {
 		for i := range lo {
-			switch sketch.Classify(spec.Interval, lo[i], hi[i]) {
-			case sketch.DefiniteIn:
+			switch spec.Interval.Classify(lo[i], hi[i]) {
+			case interval.DefiniteIn:
 				c.DefiniteIn++
-			case sketch.DefiniteOut:
+			case interval.DefiniteOut:
 				c.DefiniteOut++
 			default:
 				c.Ambiguous++
@@ -486,7 +486,7 @@ func countSketchOracle(t *testing.T, st *engineState, oracle *scalarOracle, spec
 			end := min(at+kernel.BlockPairs, blk.Hi)
 			iv := heap.RunningInterval()
 			for i := at; i < end; i++ {
-				if sketch.Classify(iv, lo[i], hi[i]) == sketch.DefiniteOut {
+				if iv.Classify(lo[i], hi[i]) == interval.DefiniteOut {
 					c.TopKSkippedPairs++
 				} else {
 					c.Ambiguous++

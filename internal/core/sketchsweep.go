@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"affinity/internal/interval"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/par"
@@ -22,10 +23,10 @@ import (
 //
 // per 256-pair chunk of the query universe.  Items group by
 // (base T-measure, method); a group's bound providers put an interval around
-// the base value of every pair without touching a raw sample, Spec.BoundValue
-// lifts it to each item's measure, and the pair is classified against the
+// the base value of every pair without touching a raw sample, Spec.Classify
+// lifts it to each item's measure and classifies the pair against the
 // item's predicate — an interval item's interval, a top-k item's heap's
-// running interval — definitely in, definitely out, or ambiguous.  Only what
+// running interval — as definitely in, definitely out, or ambiguous.  Only what
 // is left — the ambiguous sliver, every pair a top-k did not rule out, and on
 // a cache-enabled engine the rows that are kept, whose values the cache
 // stores — reaches the exact evaluator, once per group for the union of what
@@ -334,17 +335,20 @@ func (e *engineState) sweep(items []Item, idxs []int, out []QueryResult, actuals
 // pair universe — a sweep, a column fill — reused across the block's chunks:
 // pairs holds the chunk (the universe is enumerated, not materialised), sub
 // the pairs whose exact values are needed and subAt their positions in it, t
-// and v base and derived values, lo and hi a provider's bounds.  For the
-// shared sweep pass it also keeps the class buffer of the classified items
-// and every item's partial result, whose pair and value buffers keep the
-// capacity they grew to from call to call.
+// and v base and derived values, lo and hi a provider's bounds and vlo and
+// vhi their lift to an item's measure, derive the pairs' series statistics
+// and separable parameters.  For the shared sweep pass it also keeps the
+// class buffer of the classified items and every item's partial result,
+// whose pair and value buffers keep the capacity they grew to from call to
+// call.
 type blockScratch struct {
-	pairs, sub   [kernel.BlockPairs]timeseries.Pair
-	t, v, lo, hi [kernel.BlockPairs]float64
-	subAt        [kernel.BlockPairs]int16
-	need         [kernel.BlockPairs]bool
-	classes      []sketch.Class
-	partials     []sweepPartial
+	pairs, sub             [kernel.BlockPairs]timeseries.Pair
+	t, v, lo, hi, vlo, vhi [kernel.BlockPairs]float64
+	derive                 timeseries.DeriveScratch
+	subAt                  [kernel.BlockPairs]int16
+	need                   [kernel.BlockPairs]bool
+	classes                []interval.Class
+	partials               []sweepPartial
 }
 
 var blockScratchPool par.Scratch[blockScratch]
@@ -371,7 +375,7 @@ type sweepPartial struct {
 
 // classes returns the item's classification of an n-pair chunk within the
 // block's class buffer.
-func (p *sweepPartial) classes(buf []sketch.Class, n int) []sketch.Class {
+func (p *sweepPartial) classes(buf []interval.Class, n int) []interval.Class {
 	return buf[p.cls*kernel.BlockPairs:][:n]
 }
 
@@ -411,7 +415,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 			}
 		}
 		// O(blocks) scratch for the whole sweep, never O(pairs).  Undefined
-		// derived values flow as NaN (EvalOrNaN): interval compaction never
+		// derived values flow as NaN (Spec.ValueBlock): interval compaction never
 		// matches NaN and the heaps never rank it, so degenerate pairs drop out
 		// of every result without per-pair control flow.
 		for lo := blocks[b].Lo; lo < blocks[b].Hi; lo += kernel.BlockPairs {
@@ -430,7 +434,7 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 					return err
 				}
 				for _, mg := range g.measures {
-					vals, err := e.deriveValues(mg.sp, sub, t, w.v[:len(sub)])
+					vals, err := e.deriveValues(mg.sp, sub, t, w.v[:len(sub)], w)
 					if err != nil {
 						return err
 					}
@@ -452,8 +456,8 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 							// kept row's membership is the exact value's.
 							for i, c := range p.classes(w.classes, len(chunk)) {
 								switch {
-								case c == sketch.DefiniteOut:
-								case c == sketch.DefiniteIn && !keepValues:
+								case c == interval.DefiniteOut:
+								case c == interval.DefiniteIn && !keepValues:
 									p.pairs = append(p.pairs, chunk[i])
 								case iv.Contains(vals[w.subAt[i]]):
 									p.pairs = append(p.pairs, chunk[i])
@@ -525,8 +529,9 @@ func (e *engineState) sweepPass(items []Item, groups []baseGroup, states []itemS
 // item's is its block heap's running interval, which only narrows as the
 // block's later chunks are offered, so a pair it rules out could never have
 // entered the heap.  Each provider bounds the base values once for the group;
-// per item, Spec.BoundValue lifts the bound of every pair the item still finds
-// ambiguous to its measure and sketch.Classify compares it with the predicate.
+// per item, Spec.Classify lifts the bounds of every pair the item still finds
+// ambiguous to its measure — for a half-bounded predicate the value end that
+// can rule the pair out first — and compares the range with the predicate.
 // A pair no provider has a definite bound for stays ambiguous.  What is needed
 // is the union over the items: every pair a top-k item did not rule out, an
 // interval item's ambiguous pairs and, on a cache-enabled engine, the rows it
@@ -535,44 +540,35 @@ func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []
 	numSamples := e.data.NumSamples()
 	keepValues := e.cache != nil
 	lo, hi := w.lo[:len(chunk)], w.hi[:len(chunk)]
+	vLo, vHi := w.vlo[:len(chunk)], w.vhi[:len(chunk)]
 	for pi, prov := range g.providers {
 		prov.bounds(g.key.base, mom, at, chunk, lo, hi)
 		pending := 0
 		for _, mg := range g.measures {
 			sp := mg.sp
+			var u []float64
+			if sp.Derived() {
+				// Hoisted kernel moments; bit-identical to the exact
+				// evaluation's parameters.
+				u = mom.Params(sp, chunk, &w.derive)
+			}
 			for _, k := range mg.idxs {
 				st := &w.partials[k]
 				cls := st.classes(w.classes, len(chunk))
 				if pi == 0 {
-					clear(cls) // sketch.Ambiguous
+					clear(cls) // interval.Ambiguous
 				}
 				iv := items[k].Spec.Interval
 				if st.heap != nil {
 					iv = st.heap.RunningInterval()
 				}
-				for i, pair := range chunk {
-					if cls[i] != sketch.Ambiguous {
-						continue
-					}
-					var u float64
-					if sp.Derived() {
-						// Hoisted kernel moments; bit-identical to the exact
-						// evaluation's parameter.
-						u = sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
-					}
-					if vLo, vHi, ok := sp.BoundValue(lo[i], hi[i], u, numSamples); ok {
-						cls[i] = sketch.Classify(iv, vLo, vHi)
-					}
-					if cls[i] == sketch.Ambiguous {
-						pending++
-					}
-				}
+				pending += sp.Classify(iv, lo, hi, u, numSamples, vLo, vHi, cls)
 				if prov.sketch != nil {
 					for _, c := range cls {
 						switch c {
-						case sketch.DefiniteIn:
+						case interval.DefiniteIn:
 							st.in++
-						case sketch.DefiniteOut:
+						case interval.DefiniteOut:
 							st.out++
 						default:
 							st.ambiguous++
@@ -592,7 +588,7 @@ func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []
 			st := &w.partials[k]
 			keep := keepValues || st.heap != nil
 			for i, c := range st.classes(w.classes, len(chunk)) {
-				if c == sketch.Ambiguous || (keep && c == sketch.DefiniteIn) {
+				if c == interval.Ambiguous || (keep && c == interval.DefiniteIn) {
 					need[i] = true
 					st.refined++
 				}
@@ -610,22 +606,14 @@ func (e *engineState) classifyChunk(g *baseGroup, items []Item, at int, chunk []
 }
 
 // deriveValues turns base values t of pairs into the values of sp: t itself
-// for a T-measure, the spec's transform over the pair's separable parameter —
-// from the window's memoised moments, which naive and affine share
-// (bit-identical to NaiveSeriesStat on the raw series) — into buf for a
-// D-measure, NaN where the measure is undefined.
-func (e *engineState) deriveValues(sp *measure.Spec, pairs []timeseries.Pair, t, buf []float64) ([]float64, error) {
+// for a T-measure; for a D-measure the spec's transform over the pairs'
+// separable parameters — from the window's memoised moments, which naive and
+// affine share (bit-identical to NaiveSeriesStat on the raw series) — into
+// out, which may alias t, NaN where the measure is undefined.
+func (e *engineState) deriveValues(sp *measure.Spec, pairs []timeseries.Pair, t, out []float64, w *blockScratch) ([]float64, error) {
 	if !sp.Derived() {
 		return t, nil
 	}
-	numSamples := e.data.NumSamples()
-	for i, pair := range pairs {
-		u := sp.Param(e.seriesMoments.Stat(pair.U), e.seriesMoments.Stat(pair.V))
-		v, err := sp.EvalOrNaN(t[i], u, numSamples)
-		if err != nil {
-			return nil, err
-		}
-		buf[i] = v
-	}
-	return buf, nil
+	out = out[:len(pairs)]
+	return out, e.seriesMoments.Derive(sp, pairs, t, e.data.NumSamples(), out, &w.derive)
 }

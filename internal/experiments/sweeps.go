@@ -88,15 +88,7 @@ func affinePairSweep(d *timeseries.DataMatrix, rel *symex.Result, m measure.Meas
 	if !sp.Derived() {
 		return values, nil
 	}
-	moments := d.Moments()
-	for i, pair := range pairs {
-		v, err := sp.EvalOrNaN(values[i], sp.Param(moments.Stat(pair.U), moments.Stat(pair.V)), d.NumSamples())
-		if err != nil {
-			return nil, err
-		}
-		values[i] = v
-	}
-	return values, nil
+	return values, d.Moments().Derive(sp, pairs, values, d.NumSamples(), values, new(timeseries.DeriveScratch))
 }
 
 // pairwiseSpec resolves a pairwise measure to its spec.

@@ -105,6 +105,76 @@ func (iv Interval) Contains(v float64) bool {
 	return true
 }
 
+// Span returns the closed range [lo, hi] of the values the predicate
+// accepts: Contains(v) == (lo <= v && v <= hi) for every float64 v, NaN
+// included (no comparison with NaN holds).  An open endpoint moves to the
+// next float inward, an unbounded one to the infinity on its side, and an
+// open infinite endpoint, which admits nothing, to NaN.  Compiled once, the
+// span answers Contains without a branch on the endpoint kinds — what the
+// sweep's compaction loops test per value.
+func (iv Interval) Span() (lo, hi float64) {
+	lo, hi = math.Inf(-1), math.Inf(1)
+	if !iv.Lo.Unbounded {
+		lo = iv.Lo.Value
+		if iv.Lo.Open {
+			lo = openEnd(lo, 1)
+		}
+	}
+	if !iv.Hi.Unbounded {
+		hi = iv.Hi.Value
+		if iv.Hi.Open {
+			hi = openEnd(hi, -1)
+		}
+	}
+	return lo, hi
+}
+
+// openEnd returns the first float past v in direction dir (+1 up, −1 down),
+// NaN when v is the infinity in that direction.
+func openEnd(v float64, dir int) float64 {
+	if math.IsInf(v, dir) {
+		return math.NaN()
+	}
+	return math.Nextafter(v, math.Inf(dir))
+}
+
+// Class is the verdict on a definite range of values [lo, hi] — every value
+// a pair can take lies in it — against an interval: the prescreen stages
+// decide a pair on it without evaluating the pair.
+type Class uint8
+
+// The three verdicts.
+const (
+	// Ambiguous means the range straddles an endpoint of the interval (or no
+	// definite range exists): the pair needs exact evaluation.
+	Ambiguous Class = iota
+	// DefiniteIn means every value of the range satisfies the predicate.
+	DefiniteIn
+	// DefiniteOut means no value of the range satisfies the predicate.
+	DefiniteOut
+)
+
+// Classify compares a definite value range [lo, hi] against the predicate.
+// Invalid ranges (lo > hi, NaN) classify as Ambiguous, so degenerate inputs
+// always take the exact path.  DefiniteIn follows from the predicate's
+// convexity: an interval containing both ends contains everything between
+// them.
+func (iv Interval) Classify(lo, hi float64) Class {
+	if !(lo <= hi) {
+		return Ambiguous
+	}
+	if iv.Contains(lo) && iv.Contains(hi) {
+		return DefiniteIn
+	}
+	if !iv.Lo.Unbounded && (hi < iv.Lo.Value || (hi == iv.Lo.Value && iv.Lo.Open)) {
+		return DefiniteOut
+	}
+	if !iv.Hi.Unbounded && (lo > iv.Hi.Value || (lo == iv.Hi.Value && iv.Hi.Open)) {
+		return DefiniteOut
+	}
+	return Ambiguous
+}
+
 // Canonical returns the normal form of the interval: the representation every
 // equal-meaning spelling maps to.  An unbounded endpoint ignores its Value and
 // Open fields, so ">= τ" written as {Closed(τ), Unbounded} and "[τ, +∞)"

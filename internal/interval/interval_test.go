@@ -2,6 +2,8 @@ package interval
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -128,5 +130,66 @@ func TestBounded(t *testing.T) {
 	}
 	if GreaterThan(0).Bounded() || LessThan(0).Bounded() || All().Bounded() {
 		t.Error("half/unbounded intervals must not report Bounded")
+	}
+}
+
+// TestSpanMatchesContains checks the compiled form the compaction loops test
+// against: for every interval spelling randBound draws — open, closed,
+// unbounded, infinite and NaN endpoints — and every probe, including each
+// endpoint's neighbours, lo <= v <= hi holds exactly where Contains(v) does.
+func TestSpanMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	bounds := func() Bound {
+		if rng.Intn(8) == 0 {
+			return Bound{Value: math.NaN(), Open: rng.Intn(2) == 0}
+		}
+		return randBound(rng)
+	}
+	probes := []float64{math.Inf(-1), -math.MaxFloat64, -1e300, -3, -0.5, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0.5, 3, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for i := 0; i < 2000; i++ {
+		iv := Interval{Lo: bounds(), Hi: bounds()}
+		vs := slices.Clone(probes)
+		for _, b := range []Bound{iv.Lo, iv.Hi} {
+			vs = append(vs, b.Value, math.Nextafter(b.Value, math.Inf(-1)), math.Nextafter(b.Value, math.Inf(1)))
+		}
+		lo, hi := iv.Span()
+		for _, v := range vs {
+			if got, want := lo <= v && v <= hi, iv.Contains(v); got != want {
+				t.Fatalf("%+v: span [%v, %v] says %v for %v, Contains says %v", iv, lo, hi, got, v, want)
+			}
+		}
+	}
+}
+
+// TestClassify pins the verdict table of Interval.Classify, including open
+// endpoints, half-bounded predicates and degenerate ranges.
+func TestClassify(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		iv     Interval
+		lo, hi float64
+		want   Class
+	}{
+		{Between(0, 1), 0.2, 0.8, DefiniteIn},
+		{Between(0, 1), 0, 1, DefiniteIn}, // closed endpoints included
+		{Between(0, 1), -0.5, -0.1, DefiniteOut},
+		{Between(0, 1), 1.1, 2, DefiniteOut},
+		{Between(0, 1), -0.1, 0.5, Ambiguous},
+		{Between(0, 1), 0.5, 1.5, Ambiguous},
+		{GreaterThan(0), 0, 0, DefiniteOut}, // open endpoint excluded
+		{GreaterThan(0), 1e-9, 1, DefiniteIn},
+		{AtLeast(0), 0, 0, DefiniteIn},
+		{AtMost(0), 0.1, 0.2, DefiniteOut},
+		{LessThan(0), -2, -1, DefiniteIn},
+		{All(), -1e300, 1e300, DefiniteIn},
+		{Between(0, 1), 2, 1, Ambiguous},     // inverted bound
+		{Between(0, 1), nan, 0.5, Ambiguous}, // NaN bound
+		{Between(0, 1), 0.5, nan, Ambiguous},
+	}
+	for i, tc := range cases {
+		if got := tc.iv.Classify(tc.lo, tc.hi); got != tc.want {
+			t.Fatalf("case %d: Classify(%v, %v, %v) = %v, want %v", i, tc.iv, tc.lo, tc.hi, got, tc.want)
+		}
 	}
 }

@@ -277,15 +277,17 @@ func Mask1(b bool) int {
 
 // CompactPairs appends to dst every pairs[i] whose values[i] satisfies the
 // interval predicate, in order.  The write is unconditional and the write
-// index advances by the predicate mask, so the loop carries no data-dependent
-// branch; NaN values never match (interval.Contains rejects them), which is
-// how undefined derived values drop out of interval results.
+// index advances by the predicate mask — two comparisons against the
+// interval's Span — so the loop carries no data-dependent branch; NaN values
+// never match (no comparison with NaN holds), which is how undefined derived
+// values drop out of interval results.
 func CompactPairs(dst []timeseries.Pair, pairs []timeseries.Pair, values []float64, iv interval.Interval) []timeseries.Pair {
+	lo, hi := iv.Span()
 	w := len(dst)
 	dst = append(dst, pairs...) // reserve; surplus is trimmed below
 	for i, p := range pairs {
 		dst[w] = p
-		w += Mask1(iv.Contains(values[i]))
+		w += Mask1(lo <= values[i]) & Mask1(values[i] <= hi)
 	}
 	return dst[:w]
 }
@@ -295,11 +297,12 @@ func CompactPairs(dst []timeseries.Pair, pairs []timeseries.Pair, values []float
 // write — so compacting a chunk's pairs and its values by one interval keeps
 // the two lists aligned.
 func CompactValues(dst []float64, values []float64, iv interval.Interval) []float64 {
+	lo, hi := iv.Span()
 	w := len(dst)
 	dst = append(dst, values...) // reserve; surplus is trimmed below
 	for _, v := range values {
 		dst[w] = v
-		w += Mask1(iv.Contains(v))
+		w += Mask1(lo <= v) & Mask1(v <= hi)
 	}
 	return dst[:w]
 }

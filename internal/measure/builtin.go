@@ -119,14 +119,22 @@ func init() {
 		Doc:        "Pearson correlation Σ12/√(Σ11·Σ22), clamped to [−1, 1]",
 		Indexable:  true,
 		ParamStats: NeedVariance,
-		Param: func(u, v SeriesStat) float64 {
-			return math.Sqrt(u.Variance * v.Variance)
-		},
-		Value: func(t, u float64, _ int) (float64, error) {
-			if u == 0 {
-				return 0, ErrZeroNormalizer
+		ParamBlock: func(su, sv []SeriesStat, u []float64) {
+			su, sv = su[:len(u)], sv[:len(u)]
+			for i := range u {
+				u[i] = math.Sqrt(su[i].Variance * sv[i].Variance)
 			}
-			return clamp(t/u, -1, 1), nil
+		},
+		ValueBlock: func(t, u []float64, _ int, out []float64) error {
+			t, u = t[:len(out)], u[:len(out)]
+			for i := range out {
+				if u[i] == 0 {
+					out[i] = math.NaN()
+				} else {
+					out[i] = clamp(t[i]/u[i], -1, 1)
+				}
+			}
+			return nil
 		},
 		Bounded:  true,
 		RangeMin: -1,
@@ -140,16 +148,14 @@ func init() {
 		NaivePasses: 2,
 	}))
 	mustBe(Cosine, Register(Spec{
-		Name:       "cosine",
-		Class:      DerivedClass,
-		Base:       DotProduct,
-		Doc:        "cosine similarity ⟨u,v⟩/(‖u‖·‖v‖)",
-		Indexable:  true,
-		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			return math.Sqrt(u.SqNorm * v.SqNorm)
-		},
-		Value:       ratioValue,
+		Name:        "cosine",
+		Class:       DerivedClass,
+		Base:        DotProduct,
+		Doc:         "cosine similarity ⟨u,v⟩/(‖u‖·‖v‖)",
+		Indexable:   true,
+		ParamStats:  NeedSqNorm,
+		ParamBlock:  normProduct,
+		ValueBlock:  ratioValues,
 		SelfValue:   unitSelfValue,
 		NaivePasses: 2,
 	}))
@@ -164,33 +170,32 @@ func init() {
 		// special case: every layer routes around the index from this flag.
 		Indexable:  false,
 		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			return u.SqNorm + v.SqNorm
-		},
-		Value: func(t, u float64, _ int) (float64, error) {
-			denom := u - t
-			if denom == 0 {
-				return 0, ErrZeroNormalizer
+		ParamBlock: normSum,
+		ValueBlock: func(t, u []float64, _ int, out []float64) error {
+			t, u = t[:len(out)], u[:len(out)]
+			for i := range out {
+				if denom := u[i] - t[i]; denom == 0 {
+					out[i] = math.NaN()
+				} else {
+					out[i] = t[i] / denom
+				}
 			}
-			return t / denom, nil
+			return nil
 		},
 		// t/(u−t) is increasing in t on either side of its pole at t = u
 		// (derivative u/(u−t)² with u = ‖u‖²+‖v‖² ≥ 0), so a T-interval
 		// confined to one branch is bounded by its endpoints; an interval
 		// touching the pole has no finite bound and stays ambiguous.
-		ValueBounds: func(tLo, tHi, u float64, m int) (float64, float64, bool) {
-			if !(tLo <= tHi) || math.IsNaN(u) || u <= 0 {
-				return 0, 0, false
+		BoundsBlock: func(tLo, tHi, u []float64, _ int, lo, hi []float64) {
+			tLo, tHi, u, hi = tLo[:len(lo)], tHi[:len(lo)], u[:len(lo)], hi[:len(lo)]
+			for i := range lo {
+				if !(tLo[i] <= tHi[i]) || math.IsNaN(u[i]) || u[i] <= 0 || (!(tHi[i] < u[i]) && !(tLo[i] > u[i])) {
+					lo[i], hi[i] = math.NaN(), math.NaN()
+					continue
+				}
+				lo[i] = tLo[i] / (u[i] - tLo[i])
+				hi[i] = tHi[i] / (u[i] - tHi[i])
 			}
-			if !(tHi < u) && !(tLo > u) {
-				return 0, 0, false
-			}
-			lo := tLo / (u - tLo)
-			hi := tHi / (u - tHi)
-			if math.IsNaN(lo) || math.IsNaN(hi) {
-				return 0, 0, false
-			}
-			return lo, hi, true
 		},
 		SelfValue:   unitSelfValue,
 		NaivePasses: 2,
@@ -202,10 +207,13 @@ func init() {
 		Doc:        "generalized Dice 2⟨u,v⟩/(‖u‖²+‖v‖²)",
 		Indexable:  true,
 		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			return (u.SqNorm + v.SqNorm) / 2
+		ParamBlock: func(su, sv []SeriesStat, u []float64) {
+			su, sv = su[:len(u)], sv[:len(u)]
+			for i := range u {
+				u[i] = (su[i].SqNorm + sv[i].SqNorm) / 2
+			}
 		},
-		Value:       ratioValue,
+		ValueBlock:  ratioValues,
 		SelfValue:   unitSelfValue,
 		NaivePasses: 2,
 	}))
@@ -216,14 +224,17 @@ func init() {
 		Doc:        "harmonic-mean similarity ⟨u,v⟩·(‖u‖²+‖v‖²)/(‖u‖²·‖v‖²)",
 		Indexable:  true,
 		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			sum := u.SqNorm + v.SqNorm
-			if sum == 0 {
-				return 0
+		ParamBlock: func(su, sv []SeriesStat, u []float64) {
+			su, sv = su[:len(u)], sv[:len(u)]
+			for i := range u {
+				if sum := su[i].SqNorm + sv[i].SqNorm; sum == 0 {
+					u[i] = 0
+				} else {
+					u[i] = su[i].SqNorm * sv[i].SqNorm / sum
+				}
 			}
-			return u.SqNorm * v.SqNorm / sum
 		},
-		Value: ratioValue,
+		ValueBlock: ratioValues,
 		SelfValue: func(s SeriesStat) (float64, error) {
 			if s.SqNorm == 0 {
 				return 0, ErrZeroNormalizer
@@ -235,7 +246,7 @@ func init() {
 
 	// Distance D-measures (monotone decreasing transforms of the dot
 	// product).  These exercise the decreasing branch of every monotone
-	// lift (Spec.BoundValue): a definite T interval maps to a value interval
+	// lift (Spec.Lift): a definite T interval maps to a value interval
 	// with its ends swapped.
 	mustBe(EuclideanDistance, Register(Spec{
 		Name:       "euclidean",
@@ -244,15 +255,17 @@ func init() {
 		Doc:        "Euclidean distance √(‖u‖²+‖v‖²−2⟨u,v⟩)",
 		Indexable:  true,
 		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			return u.SqNorm + v.SqNorm
-		},
-		Value: func(t, u float64, _ int) (float64, error) {
-			diff := u - 2*t
-			if diff < 0 { // rounding excursion below ‖u−v‖² = 0
-				diff = 0
+		ParamBlock: normSum,
+		ValueBlock: func(t, u []float64, _ int, out []float64) error {
+			t, u = t[:len(out)], u[:len(out)]
+			for i := range out {
+				diff := u[i] - 2*t[i]
+				if diff < 0 { // rounding excursion below ‖u−v‖² = 0
+					diff = 0
+				}
+				out[i] = math.Sqrt(diff)
 			}
-			return math.Sqrt(diff), nil
+			return nil
 		},
 		Decreasing:  true,
 		Bounded:     true,
@@ -268,18 +281,20 @@ func init() {
 		Doc:        "mean squared difference (‖u‖²+‖v‖²−2⟨u,v⟩)/m",
 		Indexable:  true,
 		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			return u.SqNorm + v.SqNorm
-		},
-		Value: func(t, u float64, m int) (float64, error) {
+		ParamBlock: normSum,
+		ValueBlock: func(t, u []float64, m int, out []float64) error {
+			t, u = t[:len(out)], u[:len(out)]
 			if m <= 0 {
-				return 0, ErrEmptyInput
+				return ErrEmptyInput
 			}
-			diff := u - 2*t
-			if diff < 0 {
-				diff = 0
+			for i := range out {
+				diff := u[i] - 2*t[i]
+				if diff < 0 {
+					diff = 0
+				}
+				out[i] = diff / float64(m)
 			}
-			return diff / float64(m), nil
+			return nil
 		},
 		Decreasing:  true,
 		Bounded:     true,
@@ -295,14 +310,17 @@ func init() {
 		Doc:        "angular distance arccos(cosine)/π ∈ [0, 1]",
 		Indexable:  true,
 		ParamStats: NeedSqNorm,
-		Param: func(u, v SeriesStat) float64 {
-			return math.Sqrt(u.SqNorm * v.SqNorm)
-		},
-		Value: func(t, u float64, _ int) (float64, error) {
-			if u == 0 {
-				return 0, ErrZeroNormalizer
+		ParamBlock: normProduct,
+		ValueBlock: func(t, u []float64, _ int, out []float64) error {
+			t, u = t[:len(out)], u[:len(out)]
+			for i := range out {
+				if u[i] == 0 {
+					out[i] = math.NaN()
+				} else {
+					out[i] = math.Acos(clamp(t[i]/u[i], -1, 1)) / math.Pi
+				}
 			}
-			return math.Acos(clamp(t/u, -1, 1)) / math.Pi, nil
+			return nil
 		},
 		Decreasing: true,
 		Bounded:    true,
@@ -318,13 +336,35 @@ func init() {
 	}))
 }
 
-// ratioValue is the shared increasing transform t/u of the similarity
+// ratioValues is the shared increasing transform t/u of the similarity
 // D-measures.
-func ratioValue(t, u float64, _ int) (float64, error) {
-	if u == 0 {
-		return 0, ErrZeroNormalizer
+func ratioValues(t, u []float64, _ int, out []float64) error {
+	t, u = t[:len(out)], u[:len(out)]
+	for i := range out {
+		if u[i] == 0 {
+			out[i] = math.NaN()
+		} else {
+			out[i] = t[i] / u[i]
+		}
 	}
-	return t / u, nil
+	return nil
+}
+
+// normProduct is the parameter √(‖u‖²·‖v‖²) of cosine and the angular
+// distance.
+func normProduct(su, sv []SeriesStat, u []float64) {
+	su, sv = su[:len(u)], sv[:len(u)]
+	for i := range u {
+		u[i] = math.Sqrt(su[i].SqNorm * sv[i].SqNorm)
+	}
+}
+
+// normSum is the parameter ‖u‖² + ‖v‖² of Jaccard and the distances.
+func normSum(su, sv []SeriesStat, u []float64) {
+	su, sv = su[:len(u)], sv[:len(u)]
+	for i := range u {
+		u[i] = su[i].SqNorm + sv[i].SqNorm
+	}
 }
 
 // unitSelfValue is the diagonal of the normalized similarity measures: a

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// This fuzz target is the transform-algebra oracle behind Spec.BoundValue's
+// This fuzz target is the transform-algebra oracle behind Spec.Lift's
 // monotone lift: for every indexable D-measure it checks, on fuzzed inputs,
-// that Value is monotone in the base T value (in the spec's declared
+// that the transform is monotone in the base T value (in the spec's declared
 // direction) for a fixed parameter — the property that lets the lift
-// evaluate Value at the two ends of a definite T interval and bracket every
+// evaluate it at the two ends of a definite T interval and bracket every
 // value inside it.  The decreasing transforms (euclidean, mean-squared-diff,
 // angular) exercise the mirrored branch.
 
@@ -58,18 +58,18 @@ func FuzzTransformInverseOracle(f *testing.F) {
 				continue
 			}
 			for _, u := range []float64{math.Abs(uLoRaw), math.Abs(uHiRaw)} {
-				v1, err1 := sp.Value(tBase, u, m)
-				v2, err2 := sp.Value(tBase+tDelta, u, m)
+				v1, err1 := sp.Eval(tBase, u, m)
+				v2, err2 := sp.Eval(tBase+tDelta, u, m)
 				if err1 != nil || err2 != nil {
 					continue
 				}
 				// Monotonicity in t (weak: clamps flatten the tails).
 				if sp.Decreasing && v2 > v1+1e-9*(1+math.Abs(v1)) {
-					t.Fatalf("%v: Value not decreasing: f(%v)=%v < f(%v)=%v (u=%v)",
+					t.Fatalf("%v: transform not decreasing: f(%v)=%v < f(%v)=%v (u=%v)",
 						sp.Name, tBase, v1, tBase+tDelta, v2, u)
 				}
 				if !sp.Decreasing && v2 < v1-1e-9*(1+math.Abs(v1)) {
-					t.Fatalf("%v: Value not increasing: f(%v)=%v > f(%v)=%v (u=%v)",
+					t.Fatalf("%v: transform not increasing: f(%v)=%v > f(%v)=%v (u=%v)",
 						sp.Name, tBase, v1, tBase+tDelta, v2, u)
 				}
 			}

@@ -31,7 +31,7 @@
 // Monotonicity is what makes a D-measure indexable: SCAPE orders sequence
 // pairs by their base T value and reads every pair's measure value from a
 // per-epoch column, and a definite interval of T values lifts to a definite
-// interval of measure values (Spec.BoundValue) for the sketch prescreen,
+// interval of measure values (Spec.Lift) for the sketch prescreen,
 // in both monotone directions.
 package measure
 
@@ -39,6 +39,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"affinity/internal/interval"
 )
 
 // Measure identifies one registered statistical measure.
@@ -207,28 +209,30 @@ type Spec struct {
 	// (T-measures; inherited for D-measures).
 	Moment func(p PivotTerms) Moment
 
-	// ParamStats declares which per-series statistics Param reads.
+	// ParamStats declares which per-series statistics ParamBlock reads.
 	ParamStats StatMask
-	// Param assembles the separable per-pair parameter U from the two
-	// series' statistics (D-measures; nil for L/T).
-	Param func(u, v SeriesStat) float64
-	// Value applies the monotone transform: the measure value from the base
-	// T value, the parameter U and the sample count.  It returns
-	// ErrZeroNormalizer when the measure is undefined for the pair.
-	// T-measures leave it nil (identity); use Eval for uniform access.
-	Value func(t, u float64, m int) (float64, error)
-	// Decreasing reports that Value is monotone decreasing in t (distances);
-	// false means increasing (similarities and all T-measures).
+	// ParamBlock assembles the separable parameter U of a chunk of pairs:
+	// u[i] from the two series' statistics su[i] and sv[i] (D-measures; nil
+	// for L/T).  Param is the form for one pair.
+	ParamBlock func(su, sv []SeriesStat, u []float64)
+	// ValueBlock applies the monotone transform to a chunk of pairs: out[i]
+	// is the measure value from the base T value t[i], the parameter u[i]
+	// and the sample count m, NaN where the measure is undefined for the
+	// pair.  It returns an error only for an m no pair can take.  out may
+	// alias t or u.  T-measures leave it nil (identity).  EvalOrNaN and Eval
+	// are the forms for one pair.
+	ValueBlock func(t, u []float64, m int, out []float64) error
+	// Decreasing reports that the transform is monotone decreasing in t
+	// (distances); false means increasing (similarities and all T-measures).
 	Decreasing bool
-	// ValueBounds, when non-nil, maps a definite base-T interval [tLo, tHi]
-	// onto a definite value interval for a pair with parameter u and m
-	// samples, for transforms where endpoint evaluation alone is unsound
-	// (e.g. Jaccard, whose t/(u−t) has a pole at t = u inside the reachable
-	// T range).  ok = false reports that no definite bound exists for the
-	// input — the caller must fall back to exact evaluation.  Specs without
-	// ValueBounds get the monotone endpoint lift through Spec.BoundValue.
-	ValueBounds func(tLo, tHi, u float64, m int) (lo, hi float64, ok bool)
-	// Bounded declares that Value's output is confined to the closed
+	// BoundsBlock, when non-nil, maps definite base-T intervals [tLo[i],
+	// tHi[i]] onto definite value intervals [lo[i], hi[i]] for pairs with
+	// parameter u[i] and m samples, for transforms where endpoint evaluation
+	// alone is unsound (e.g. Jaccard, whose t/(u−t) has a pole at t = u inside
+	// the reachable T range); NaN endpoints where no definite bound exists.
+	// Specs without it get the monotone endpoint lift of Lift.
+	BoundsBlock func(tLo, tHi, u []float64, m int, lo, hi []float64)
+	// Bounded declares that the transform's output is confined to the closed
 	// interval [RangeMin, RangeMax] (by clamping or by construction).  Index
 	// scans use it to answer a probe disjoint from the range without reading
 	// a single value.  Use ±Inf for a half-bounded range.
@@ -249,21 +253,48 @@ func (s *Spec) Pairwise() bool { return s.Class != LocationClass }
 // Derived reports whether the spec describes a D-measure.
 func (s *Spec) Derived() bool { return s.Class == DerivedClass }
 
-// Eval applies the spec's value transform to a base T value; for T-measures
-// it is the identity.
-func (s *Spec) Eval(t, u float64, m int) (float64, error) {
-	if s.Value == nil {
+// Param is ParamBlock for one pair; 0 for L- and T-measures.
+func (s *Spec) Param(u, v SeriesStat) float64 {
+	if s.ParamBlock == nil {
+		return 0
+	}
+	buf := struct {
+		stats [2]SeriesStat
+		u     [1]float64
+	}{stats: [2]SeriesStat{u, v}}
+	s.ParamBlock(buf.stats[:1], buf.stats[1:], buf.u[:])
+	return buf.u[0]
+}
+
+// EvalOrNaN is ValueBlock for one pair: NaN where the derived measure is
+// undefined, t itself for a T-measure.
+func (s *Spec) EvalOrNaN(t, u float64, m int) (float64, error) {
+	if s.ValueBlock == nil {
 		return t, nil
 	}
-	return s.Value(t, u, m)
+	buf := [2]float64{t, u}
+	if err := s.ValueBlock(buf[:1], buf[1:], m, buf[:1]); err != nil {
+		return 0, err
+	}
+	return buf[0], nil
+}
+
+// Eval is EvalOrNaN with the undefined value reported as ErrZeroNormalizer
+// rather than NaN; for T-measures it is the identity.
+func (s *Spec) Eval(t, u float64, m int) (float64, error) {
+	v, err := s.EvalOrNaN(t, u, m)
+	if err == nil && s.Derived() && math.IsNaN(v) {
+		return 0, ErrZeroNormalizer
+	}
+	return v, err
 }
 
 // OrNaN maps the "measure undefined for this pair" condition to NaN: a
 // result carrying ErrZeroNormalizer becomes (NaN, nil), every other error
-// passes through.  This is the single definition of the engine's NaN
-// semantics — sweeps and MEC matrices report the NaN, interval predicates
-// never match it (interval.Contains rejects NaN) and top-k heaps never rank
-// it — so every execution path that wraps an evaluation in OrNaN agrees on
+// passes through.  Together with the block forms' NaN this is the single
+// definition of the engine's NaN semantics — sweeps and MEC matrices report
+// the NaN, interval predicates never match it (interval.Contains rejects NaN)
+// and top-k heaps never rank it — so every execution path agrees on
 // degenerate pairs by construction.
 func OrNaN(v float64, err error) (float64, error) {
 	if err != nil {
@@ -275,63 +306,160 @@ func OrNaN(v float64, err error) (float64, error) {
 	return v, nil
 }
 
-// EvalOrNaN is Eval with OrNaN applied: undefined derived values come back
-// as NaN instead of ErrZeroNormalizer control flow.
-func (s *Spec) EvalOrNaN(t, u float64, m int) (float64, error) {
-	return OrNaN(s.Eval(t, u, m))
-}
-
-// BoundValue lifts a definite base-T interval [tLo, tHi] (tLo <= tHi) to a
-// definite interval of measure values for a pair with parameter u and m
-// samples: every t in [tLo, tHi] satisfies lo <= Value(t, u, m) <= hi.  For
-// T-measures the lift is the identity.  D-measures with a custom ValueBounds
-// delegate to it; otherwise indexable D-measures declare Value monotone in t,
-// so the extrema sit at the interval endpoints and evaluating Value there
-// brackets every reachable value.  ok = false reports that no definite bound
-// exists (the transform errors at an endpoint, produces NaN, or the measure
-// declares no usable monotonicity): callers must treat the pair as ambiguous
+// BoundValue is Lift for one pair: it lifts a definite base-T interval
+// [tLo, tHi] to a definite interval of measure values.  ok = false reports
+// that no definite bound exists: callers must treat the pair as ambiguous
 // and evaluate it exactly — a fallback that affects cost, never results.
 func (s *Spec) BoundValue(tLo, tHi, u float64, m int) (lo, hi float64, ok bool) {
-	if !(tLo <= tHi) { // also rejects NaN endpoints
+	buf := [5]float64{tLo, tHi, u}
+	s.Lift(buf[0:1], buf[1:2], buf[2:3], m, buf[3:4], buf[4:5])
+	lo, hi = buf[3], buf[4]
+	if math.IsNaN(lo) || math.IsNaN(hi) {
 		return 0, 0, false
 	}
-	if s.Value == nil {
-		return tLo, tHi, true
+	return lo, hi, true
+}
+
+// Lift lifts definite base-T intervals of a chunk of pairs — [tLo[i], tHi[i]]
+// for a pair with parameter u[i] and m samples — to definite intervals of
+// measure values [lo[i], hi[i]]: every t in [tLo[i], tHi[i]] has its value in
+// [lo[i], hi[i]].  For T-measures the lift is the identity.  D-measures with
+// a BoundsBlock delegate to it; otherwise indexable D-measures declare the
+// transform monotone in t, so the extrema sit at the interval endpoints and
+// evaluating the transform there brackets every reachable value.  An endpoint
+// is NaN where no definite bound exists: the T interval is empty or has a NaN
+// end, the transform is undefined at an endpoint, or the measure declares no
+// usable monotonicity.  lo and hi must not alias the inputs.
+func (s *Spec) Lift(tLo, tHi, u []float64, m int, lo, hi []float64) {
+	switch {
+	case s.ValueBlock == nil:
+		copy(lo, tLo)
+		copy(hi, tHi)
+	case s.BoundsBlock != nil:
+		s.BoundsBlock(tLo, tHi, u, m, lo, hi)
+	case !s.Indexable:
+		fillNaN(lo)
+	default:
+		tDown, tUp := s.ends(tLo, tHi)
+		if s.ValueBlock(tDown, u, m, lo) != nil || s.ValueBlock(tUp, u, m, hi) != nil {
+			fillNaN(lo)
+		}
 	}
-	if s.ValueBounds != nil {
-		return s.ValueBounds(tLo, tHi, u, m)
+	for i := range lo {
+		if !(tLo[i] <= tHi[i]) { // also rejects NaN endpoints
+			lo[i] = math.NaN()
+		}
 	}
-	if !s.Indexable {
-		return 0, 0, false
-	}
-	a, err := s.Value(tLo, u, m)
-	if err != nil {
-		return 0, 0, false
-	}
-	b, err := s.Value(tHi, u, m)
-	if err != nil {
-		return 0, 0, false
-	}
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return 0, 0, false
-	}
+}
+
+// ends returns the T ends a monotone transform takes a value range's lower
+// and upper end from.
+func (s *Spec) ends(tLo, tHi []float64) (tDown, tUp []float64) {
 	if s.Decreasing {
-		return b, a, true
+		return tHi, tLo
 	}
-	return a, b, true
+	return tLo, tHi
+}
+
+// Classify decides the still-ambiguous pairs of a chunk against the predicate
+// iv from definite base-T intervals [tLo[i], tHi[i]]: every pair with cls[i]
+// == interval.Ambiguous gets the verdict iv.Classify gives its lifted value
+// range (Lift, the range BoundValue returns), and the other pairs are left
+// alone.  It returns how many pairs are left ambiguous; lo and hi receive the
+// lifted ranges and must not alias the inputs.
+//
+// For a predicate bounded on one side only and a monotone transform it
+// evaluates first, over the chunk, the value end that can rule a pair out —
+// the upper one for "above c", the lower one for "below c" — and the other
+// end only for the pairs the first does not rule out.  It skips the other end
+// only where it is surely defined and on its side (steady), so every verdict
+// is the one both ends give.
+func (s *Spec) Classify(iv interval.Interval, tLo, tHi, u []float64, m int, lo, hi []float64, cls []interval.Class) (pending int) {
+	above := !iv.Lo.Unbounded && iv.Hi.Unbounded
+	below := iv.Lo.Unbounded && !iv.Hi.Unbounded
+	if s.ValueBlock == nil || s.BoundsBlock != nil || !s.Indexable || !(above || below) {
+		s.Lift(tLo, tHi, u, m, lo, hi)
+		for i, c := range cls {
+			if c == interval.Ambiguous {
+				if cls[i] = iv.Classify(lo[i], hi[i]); cls[i] == interval.Ambiguous {
+					pending++
+				}
+			}
+		}
+		return pending
+	}
+	// first is the value end that can rule a pair out, tFirst the T end it
+	// comes from; second and tSecond the other.
+	tDown, tUp := s.ends(tLo, tHi)
+	first, tFirst, second, tSecond := hi, tUp, lo, tDown
+	cut := iv.Lo
+	if below {
+		first, tFirst, second, tSecond = lo, tDown, hi, tUp
+		cut = iv.Hi
+	}
+	if s.ValueBlock(tFirst, u, m, first) != nil {
+		for _, c := range cls {
+			if c == interval.Ambiguous {
+				pending++
+			}
+		}
+		return pending
+	}
+	n := len(cls)
+	tLo, tHi, u, first, tSecond = tLo[:n], tHi[:n], u[:n], first[:n], tSecond[:n]
+	for i, c := range cls {
+		if c != interval.Ambiguous {
+			continue
+		}
+		if !(tLo[i] <= tHi[i]) { // also rejects NaN endpoints
+			pending++
+			continue
+		}
+		v := first[i]
+		out := v < cut.Value
+		if below {
+			out = v > cut.Value
+		}
+		if (out || (v == cut.Value && cut.Open)) && steady(tSecond[i], u[i]) {
+			cls[i] = interval.DefiniteOut
+			continue
+		}
+		_ = s.ValueBlock(tSecond[i:i+1], u[i:i+1], m, second[i:i+1]) // m passed above
+		if cls[i] = iv.Classify(lo[i], hi[i]); cls[i] == interval.Ambiguous {
+			pending++
+		}
+	}
+	return pending
+}
+
+// steady reports that a monotone transform is surely defined at the T
+// endpoint t for parameter u, and on the far side of the end evaluated from
+// the interval's other T endpoint: u is positive and finite and t is finite.
+// Every indexable D-measure without a BoundsBlock promises that of its
+// ValueBlock (TestClassifySteadyContract); a zero, infinite or NaN u, or an
+// infinite T bound, gets both ends evaluated.
+func steady(t, u float64) bool {
+	return u > 0 && u <= math.MaxFloat64 && math.Abs(t) <= math.MaxFloat64
+}
+
+// fillNaN sets every element of x to NaN.
+func fillNaN(x []float64) {
+	for i := range x {
+		x[i] = math.NaN()
+	}
 }
 
 // SketchBoundable reports whether the coefficient-sketch prescreen tier
 // (internal/sketch) can derive definite value bounds for this measure: a
 // pairwise measure whose base T-measure has a Parseval sketch bound
 // (covariance or the dot product) and whose value transform, if any, is
-// liftable through BoundValue (identity, declared monotone, or a custom
-// ValueBounds).  Measures outside this set simply take the exact sweep path.
+// liftable through Lift (identity, declared monotone, or a custom
+// BoundsBlock).  Measures outside this set simply take the exact sweep path.
 func (s *Spec) SketchBoundable() bool {
 	if !s.Pairwise() {
 		return false
 	}
-	return s.Value == nil || s.ValueBounds != nil || s.Indexable
+	return s.ValueBlock == nil || s.BoundsBlock != nil || s.Indexable
 }
 
 // registry state.  Registration happens in package init functions (builtin.go
@@ -378,8 +506,8 @@ func Register(s Spec) Measure {
 		if base == nil || base.Class != DispersionClass {
 			panic(fmt.Sprintf("measure: D-measure %q has no registered T-measure base", s.Name))
 		}
-		if s.Param == nil || s.Value == nil {
-			panic(fmt.Sprintf("measure: D-measure %q without Param/Value", s.Name))
+		if s.ParamBlock == nil || s.ValueBlock == nil {
+			panic(fmt.Sprintf("measure: D-measure %q without ParamBlock/ValueBlock", s.Name))
 		}
 		s.EvalBase = base.EvalBase
 		s.EvalTerms = base.EvalTerms
@@ -555,7 +683,7 @@ func EvalPair(m Measure, x, y []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sp.Value(t, sp.Param(su, sv), len(x))
+	return sp.Eval(t, sp.Param(su, sv), len(x))
 }
 
 // clamp bounds v to [lo, hi].

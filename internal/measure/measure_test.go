@@ -31,7 +31,7 @@ func TestRegistryInvariants(t *testing.T) {
 			if base.Class != DispersionClass {
 				t.Fatalf("%v base %v is not a T-measure", m, sp.Base)
 			}
-			if sp.Param == nil || sp.Value == nil || sp.SelfValue == nil {
+			if sp.ParamBlock == nil || sp.ValueBlock == nil || sp.SelfValue == nil {
 				t.Fatalf("%v missing derived evaluators", m)
 			}
 		} else if sp.Base != m {

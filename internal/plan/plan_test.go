@@ -276,6 +276,31 @@ func TestLocationThresholdCosts(t *testing.T) {
 	}
 }
 
+// TestLocationIntervalExactRows pins how an L-measure interval carries the
+// exact count the engine takes from the per-series values of the method it
+// picked: EstimatedRows is the count with SelectivityExact set, the choice is
+// the one made without it, and every cost column moves by the emit term alone.
+func TestLocationIntervalExactRows(t *testing.T) {
+	cm := DefaultCostModel()
+	for _, m := range []measure.Measure{measure.Mean, measure.Median, measure.Mode} {
+		spec := Interval(m, interval.Between(0, 1))
+		guess := cm.Plan(spec, bigTable(), nil)
+		exact := cm.Plan(spec, bigTable(), &scape.Selectivity{Rows: 37})
+		if guess.SelectivityExact || !exact.SelectivityExact || exact.EstimatedRows != 37 {
+			t.Fatalf("%v: rows %d exact=%v with a count, %d exact=%v without", m, exact.EstimatedRows, exact.SelectivityExact, guess.EstimatedRows, guess.SelectivityExact)
+		}
+		if exact.Method != guess.Method {
+			t.Fatalf("%v: the count moved the choice from %v to %v", m, guess.Method, exact.Method)
+		}
+		emit := float64(37-guess.EstimatedRows) * cm.RowCost
+		for _, c := range [][2]float64{{guess.CostNaive, exact.CostNaive}, {guess.CostAffine, exact.CostAffine}} {
+			if math.Abs(c[0]+emit-c[1]) > 1e-9*math.Abs(c[1]) {
+				t.Fatalf("%v: cost %v with the count, want %v + %v", m, c[1], c[0], emit)
+			}
+		}
+	}
+}
+
 // TestPlanString smoke-tests the EXPLAIN rendering.
 func TestPlanString(t *testing.T) {
 	p := DefaultCostModel().Plan(Interval(measure.Correlation, interval.GreaterThan(0.9)),

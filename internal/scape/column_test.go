@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"affinity/internal/cluster"
+	"affinity/internal/dataset"
 	"affinity/internal/interval"
 	"affinity/internal/measure"
 	"affinity/internal/symex"
@@ -38,7 +39,7 @@ func perEntryOracle(idx *Index, sp *measure.Spec) [][]oracleEntry {
 		for j, xi := range pm.xi.keys {
 			pair := pm.xi.canon[pm.xi.ranks[j]].pair
 			u := sp.Param(idx.moments.Stat(pair.U), idx.moments.Stat(pair.V))
-			v, err := sp.Value(pm.alphaNorm*xi, u, idx.numSamples)
+			v, err := sp.Eval(pm.alphaNorm*xi, u, idx.numSamples)
 			out[i] = append(out[i], oracleEntry{pair: pair, value: v, defined: err == nil && !math.IsNaN(v)})
 		}
 	}
@@ -497,5 +498,36 @@ func TestDerivedColumnsFilledOnDemand(t *testing.T) {
 	}
 	if !slices.Equal(gotCov, wantCov) {
 		t.Fatalf("covariance scan: %d pairs without D-measures, %d with", len(gotCov), len(wantCov))
+	}
+}
+
+// BenchmarkIndexValueColumn times one fill of the correlation value column
+// (columnOf) on an index at the streaming benchmark's scale (168 series × 360
+// samples, six clusters), so the layer's cost is reproducible without the
+// lifecycle.  Each iteration refills the column into its own buffers, as an
+// epoch recycling its spare does.
+func BenchmarkIndexValueColumn(b *testing.B) {
+	d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: 168, NumSamples: 360, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := symex.Compute(d, symex.Options{
+		Cluster:            cluster.Config{K: 6, MaxIterations: 10, MinChanges: 0, Seed: 1},
+		CachePseudoInverse: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := Build(d, rel, Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := measure.Lookup(measure.Correlation)
+	col := idx.columnOf(sp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*col = valueColumn{values: col.values, extremes: col.extremes}
+		idx.columnOf(sp)
 	}
 }

@@ -630,7 +630,7 @@ func finishPivotNode(node *pivotNode, specs []*measure.Spec, terms measure.Pivot
 // separable parameter is evaluated once per entry of the canonical store,
 // walking it in order, and the transform once per entry of the base
 // ξ-container, in container order, reading its entry's parameter through the
-// container's ranks.
+// container's ranks — both a chunk at a time through the spec's block forms.
 func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
 	col := &idx.columns[slices.Index(idx.dMeasures, sp.ID)]
 	col.once.Do(func() {
@@ -639,20 +639,36 @@ func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
 		extremes := reuse(col.extremes, len(idx.pivots))
 		// The evaluation cannot fail; DoBlocks only fans it out.
 		_ = par.DoBlocks(len(idx.pivots), idx.opts.Parallelism, func(_ int, blk par.Block) error {
-			var params []float64
+			sc, _ := columnScratchPool.Get()
+			defer columnScratchPool.Put(sc)
 			for i := blk.Lo; i < blk.Hi; i++ {
 				canon := idx.pivots[i].canon
-				params = params[:0]
-				for r := range canon {
-					e := canon[r].pair
-					params = append(params, sp.Param(idx.moments.Stat(e.U), idx.moments.Stat(e.V)))
+				sc.params = reuse(sc.params, len(canon))
+				for lo := 0; lo < len(canon); lo += columnChunk {
+					chunk := canon[lo:min(lo+columnChunk, len(canon))]
+					pairs := sc.pairs[:len(chunk)]
+					for r := range chunk {
+						pairs[r] = chunk[r].pair
+					}
+					copy(sc.params[lo:], idx.moments.Params(sp, pairs, &sc.derive))
 				}
 				pm := &idx.pivots[i].measures[base]
 				node := values[idx.offsets[i]:idx.offsets[i+1]]
+				for lo := 0; lo < len(node); lo += columnChunk {
+					out := node[lo:min(lo+columnChunk, len(node))]
+					t, u := sc.t[:len(out)], sc.u[:len(out)]
+					for j := range out {
+						t[j] = pm.alphaNorm * pm.xi.keys[lo+j]
+						u[j] = sc.params[pm.xi.ranks[lo+j]]
+					}
+					if sp.ValueBlock(t, u, idx.numSamples, out) != nil {
+						for j := range out {
+							out[j] = math.NaN() // no sample count makes the measure defined
+						}
+					}
+				}
 				lo, hi := math.Inf(1), math.Inf(-1)
-				for j, xi := range pm.xi.keys {
-					v := idx.derivedValue(pm, sp, xi, params[pm.xi.ranks[j]])
-					node[j] = v
+				for _, v := range node {
 					// No comparison with NaN holds: undefined values bound nothing.
 					if v < lo {
 						lo = v
@@ -670,21 +686,26 @@ func (idx *Index) columnOf(sp *measure.Spec) *valueColumn {
 	return col
 }
 
+// columnChunk is the number of entries a value-column fill hands the block
+// forms at a time.
+const columnChunk = timeseries.DeriveChunk
+
+// columnScratch is the pooled working set of one block of a value-column
+// fill: a node's parameters in canonical order; one chunk's pairs and their
+// statistics in canonical order; and one chunk's base values and parameters
+// in container order.
+type columnScratch struct {
+	params []float64
+	pairs  [columnChunk]timeseries.Pair
+	derive timeseries.DeriveScratch
+	t, u   [columnChunk]float64
+}
+
+var columnScratchPool par.Scratch[columnScratch]
+
 // nodeValues returns node i's window of a value column.
 func (idx *Index) nodeValues(col *valueColumn, i int) []float64 {
 	return col.values[idx.offsets[i]:idx.offsets[i+1]]
-}
-
-// derivedValue computes the exact derived measure of a sequence node from
-// index-resident quantities: the spec transform of ‖α‖·ξ with the node's
-// separable parameter u, derived from the window's per-series statistics; NaN
-// when the measure is undefined for the pair.
-func (idx *Index) derivedValue(pm *pivotMeasure, sp *measure.Spec, xi, u float64) float64 {
-	v, err := sp.Value(pm.alphaNorm*xi, u, idx.numSamples)
-	if err != nil {
-		return math.NaN()
-	}
-	return v
 }
 
 // sortedMeasures returns the keys of a measure set in ascending order.

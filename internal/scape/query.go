@@ -233,7 +233,7 @@ func (idx *Index) PairValue(m measure.Measure, e timeseries.Pair) (float64, erro
 			return 0, fmt.Errorf("%w: %v", ErrMeasureNotIndexed, m)
 		}
 		u := sp.Param(idx.moments.Stat(e.U), idx.moments.Stat(e.V))
-		return sp.Value(pm.alphaNorm*foundXi, u, idx.numSamples)
+		return sp.Eval(pm.alphaNorm*foundXi, u, idx.numSamples)
 	}
 	return 0, fmt.Errorf("scape: pair %v not present in the index", e)
 }

@@ -77,7 +77,7 @@ func affineEstimates(t testing.TB, d *timeseries.DataMatrix, rel *symex.Result, 
 			au, _ := measure.NaiveSeriesStat(sp.ParamStats, su)
 			av, _ := measure.NaiveSeriesStat(sp.ParamStats, sv)
 			u := sp.Param(au, av)
-			v, err := sp.Value(base, u, d.NumSamples())
+			v, err := sp.Eval(base, u, d.NumSamples())
 			if err != nil {
 				continue // undefined for this pair (zero normalizer)
 			}

@@ -3,7 +3,6 @@ package sketch
 import (
 	"math"
 
-	"affinity/internal/interval"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
@@ -100,39 +99,4 @@ func (s *Set) BoundBlock(base measure.Measure, mom *kernel.Moments, pairs []time
 	default:
 		return false
 	}
-}
-
-// Class is the prescreen verdict for one pair against a query interval.
-type Class uint8
-
-// The three prescreen outcomes.
-const (
-	// Ambiguous means the bound straddles an interval endpoint (or no
-	// definite bound exists): the pair needs exact evaluation.
-	Ambiguous Class = iota
-	// DefiniteIn means every value the bound admits satisfies the predicate.
-	DefiniteIn
-	// DefiniteOut means no value the bound admits satisfies the predicate.
-	DefiniteOut
-)
-
-// Classify compares a definite value interval [lo, hi] against the query
-// predicate.  Invalid bounds (lo > hi, NaN) classify as Ambiguous, so
-// degenerate inputs always take the exact path.  DefiniteIn follows from the
-// predicate's convexity: an interval containing both endpoints contains
-// everything between them.
-func Classify(iv interval.Interval, lo, hi float64) Class {
-	if !(lo <= hi) {
-		return Ambiguous
-	}
-	if iv.Contains(lo) && iv.Contains(hi) {
-		return DefiniteIn
-	}
-	if !iv.Lo.Unbounded && (hi < iv.Lo.Value || (hi == iv.Lo.Value && iv.Lo.Open)) {
-		return DefiniteOut
-	}
-	if !iv.Hi.Unbounded && (lo > iv.Hi.Value || (lo == iv.Hi.Value && iv.Hi.Open)) {
-		return DefiniteOut
-	}
-	return Ambiguous
 }

@@ -95,13 +95,13 @@ func FuzzSketchBoundSoundness(f *testing.F) {
 					t.Fatalf("n=%d m=%d d=%d %v pair %v: exact %v outside [%v, %v]",
 						n, m, d, base, p, exact, tLo[i], tHi[i])
 				}
-				switch Classify(iv, tLo[i], tHi[i]) {
-				case DefiniteIn:
+				switch iv.Classify(tLo[i], tHi[i]) {
+				case interval.DefiniteIn:
 					if !iv.Contains(exact) {
 						t.Fatalf("%v pair %v: DefiniteIn but exact %v outside %v (bound [%v, %v])",
 							base, p, exact, iv, tLo[i], tHi[i])
 					}
-				case DefiniteOut:
+				case interval.DefiniteOut:
 					if iv.Contains(exact) {
 						t.Fatalf("%v pair %v: DefiniteOut but exact %v inside %v (bound [%v, %v])",
 							base, p, exact, iv, tLo[i], tHi[i])

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"affinity/internal/dft"
-	"affinity/internal/interval"
 	"affinity/internal/kernel"
 	"affinity/internal/measure"
 	"affinity/internal/timeseries"
@@ -410,38 +409,6 @@ func TestAdvanceRebuildAndStale(t *testing.T) {
 		t.Fatalf("whole-window advance counters = %+v, want all rebuilt", got)
 	}
 	checkBounds(t, whole, mom2, next, "whole-window")
-}
-
-// TestClassify pins the prescreen verdict table, including open endpoints,
-// half-bounded predicates and degenerate bounds.
-func TestClassify(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		iv     interval.Interval
-		lo, hi float64
-		want   Class
-	}{
-		{interval.Between(0, 1), 0.2, 0.8, DefiniteIn},
-		{interval.Between(0, 1), 0, 1, DefiniteIn}, // closed endpoints included
-		{interval.Between(0, 1), -0.5, -0.1, DefiniteOut},
-		{interval.Between(0, 1), 1.1, 2, DefiniteOut},
-		{interval.Between(0, 1), -0.1, 0.5, Ambiguous},
-		{interval.Between(0, 1), 0.5, 1.5, Ambiguous},
-		{interval.GreaterThan(0), 0, 0, DefiniteOut}, // open endpoint excluded
-		{interval.GreaterThan(0), 1e-9, 1, DefiniteIn},
-		{interval.AtLeast(0), 0, 0, DefiniteIn},
-		{interval.AtMost(0), 0.1, 0.2, DefiniteOut},
-		{interval.LessThan(0), -2, -1, DefiniteIn},
-		{interval.All(), -1e300, 1e300, DefiniteIn},
-		{interval.Between(0, 1), 2, 1, Ambiguous},     // inverted bound
-		{interval.Between(0, 1), nan, 0.5, Ambiguous}, // NaN bound
-		{interval.Between(0, 1), 0.5, nan, Ambiguous},
-	}
-	for i, tc := range cases {
-		if got := Classify(tc.iv, tc.lo, tc.hi); got != tc.want {
-			t.Fatalf("case %d: Classify(%v, %v, %v) = %v, want %v", i, tc.iv, tc.lo, tc.hi, got, tc.want)
-		}
-	}
 }
 
 // TestCountersNilAndSweep covers the counter plumbing edges.

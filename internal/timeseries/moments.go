@@ -74,3 +74,51 @@ func (d *DataMatrix) Moments() *Moments {
 	}
 	return mo
 }
+
+// DeriveChunk is the most pairs Moments.Params takes at a time, and the
+// chunk Moments.Derive hands the measure's block forms.
+const DeriveChunk = 256
+
+// DeriveScratch is the working memory of Moments.Params and Moments.Derive:
+// one chunk's series statistics and separable parameters.
+type DeriveScratch struct {
+	su, sv [DeriveChunk]measure.SeriesStat
+	u      [DeriveChunk]float64
+}
+
+// Params returns the separable parameters of sp for pairs — at most
+// DeriveChunk of them — from the columns' statistics, in sc.  Only the
+// statistics sp.ParamStats names are gathered.
+func (mo *Moments) Params(sp *measure.Spec, pairs []Pair, sc *DeriveScratch) []float64 {
+	su, sv, u := sc.su[:len(pairs)], sc.sv[:len(pairs)], sc.u[:len(pairs)]
+	if sp.ParamStats&measure.NeedVariance != 0 {
+		for i, p := range pairs {
+			su[i].Variance, sv[i].Variance = mo.Variance[p.U], mo.Variance[p.V]
+		}
+	}
+	if sp.ParamStats&measure.NeedSqNorm != 0 {
+		for i, p := range pairs {
+			su[i].SqNorm, sv[i].SqNorm = mo.SqNorm[p.U], mo.SqNorm[p.V]
+		}
+	}
+	sp.ParamBlock(su, sv, u)
+	return u
+}
+
+// Derive writes the values of sp for pairs with base values t into out,
+// which may alias t: the spec's transform over the pairs' separable
+// parameters under m samples, NaN where the measure is undefined, a chunk at
+// a time through the block forms; t itself for a T-measure.
+func (mo *Moments) Derive(sp *measure.Spec, pairs []Pair, t []float64, m int, out []float64, sc *DeriveScratch) error {
+	if !sp.Derived() {
+		copy(out, t)
+		return nil
+	}
+	for lo := 0; lo < len(pairs); lo += DeriveChunk {
+		hi := min(lo+DeriveChunk, len(pairs))
+		if err := sp.ValueBlock(t[lo:hi], mo.Params(sp, pairs[lo:hi], sc), m, out[lo:hi]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
