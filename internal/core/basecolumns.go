@@ -29,10 +29,10 @@ import (
 // invalidation, no Advance hook, nothing configured, nothing in snapshots.
 // Only its buffer outlives it, when the epoch is recycled: a later epoch's
 // fill of the same column writes every position of it.  An
-// engine nobody sweeps by the affine method allocates none.  A column's values
-// are the bits of the single-pair evaluator affinePairBase (same function,
-// same operands), which stays the source for MEC, cache repair and the values
-// the cache stores.
+// engine nobody sweeps by the affine method allocates none.  Columns and
+// BaseValues — the door MEC, cache repair and the values the cache stores read
+// base values through — share one propagation: the same function on the same
+// operands, so the same bits.
 //
 // The naive covariance column is the fit's.  A full SYMEX+ fit reduces
 // cov(s_u, s_v) of every assigned pair for the moment form with the very
@@ -40,7 +40,7 @@ import (
 // full and covers the universe the first naive sweep of a covariance-base
 // measure scatters those values into canonical order (fitCovColumn) and every
 // naive covariance and correlation query of the epoch — interval, top-k,
-// batch, MEC and PairValue — reads it like an affine column: no bounds, no
+// batch, MEC and BaseValues — reads it like an affine column: no bounds, no
 // kernels.  Elsewhere — the dot-product base, and every epoch after a partial
 // refit — a naive base value costs O(m) and an epoch's window differs from the
 // last one's by the slide, so the engine carries Σ x_u·x_v across epochs in
@@ -257,32 +257,56 @@ func (e *engineState) propagate(baseSp *measure.Spec, values []float64) {
 }
 
 // fillAffineColumn evaluates an affine base over the epoch's pair universe:
-// the propagation loop over the cached pivot summaries — the same function on
-// the same operands as affinePairBase, so the same bits — and, for the pairs
-// without a relationship (unassigned, as in a partial layout), the naive
-// evaluator affinePairBase falls back to.  Every position is written,
-// so spare, a recycled buffer the column is built into when its capacity
-// allows, may hold anything.
+// the propagation loop over the cached pivot summaries and, for the pairs
+// without a relationship (unassigned, as in a partial layout), the kernels,
+// a chunk's unassigned pairs at a time.  Every position is written, so spare,
+// a recycled buffer the column is built into when its capacity allows, may
+// hold anything.
 func (e *engineState) fillAffineColumn(baseSp *measure.Spec, spare []float64) ([]float64, error) {
 	values := slices.Grow(spare[:0], e.numUniversePairs())[:e.numUniversePairs()]
 	e.propagate(baseSp, values)
 	if e.table.FallbackPairs == 0 {
 		return values, nil
 	}
-	layout := e.rel.Layout()
 	return values, e.forUniverseChunks(e.par, func(lo int, chunk []timeseries.Pair) error {
-		for i, pair := range chunk {
-			if _, ok := layout.Slot(pair); ok {
-				continue // propagated above
-			}
-			v, err := e.naivePairValue(baseSp.ID, pair)
-			if err != nil {
-				return err
-			}
-			values[lo+i] = v
-		}
-		return nil
+		return e.slotValues(baseSp.ID, chunk, values[lo:lo+len(chunk)], nil)
 	})
+}
+
+// slotValues writes into t the base values of pairs: at(slot) for a pair
+// with a relationship slot — or nothing, when at is nil — and for the others,
+// a series paired with itself included, the kernels' values, gathered into
+// one fillBase call per kernel.BlockPairs chunk.  The gather's scratch is
+// borrowed only when a pair without a slot comes up, so a caller holding its
+// own chunk scratch keeps the pool at one buffer per worker.
+func (e *engineState) slotValues(base measure.Measure, pairs []timeseries.Pair, t []float64, at func(slot int) float64) error {
+	layout := e.rel.Layout()
+	var w *blockScratch
+	defer func() { blockScratchPool.Put(w) }()
+	for lo := 0; lo < len(pairs); lo += kernel.BlockPairs {
+		n := 0
+		for i, pair := range pairs[lo:min(lo+kernel.BlockPairs, len(pairs))] {
+			if slot, ok := layout.Slot(pair); ok && at != nil {
+				t[lo+i] = at(slot)
+			} else if !ok {
+				if w == nil {
+					w, _ = blockScratchPool.Get()
+				}
+				w.sub[n], w.subAt[n] = pair, int16(i)
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		if err := e.fillBase(base, w.sub[:n], w.t[:n]); err != nil {
+			return err
+		}
+		for k, i := range w.subAt[:n] {
+			t[lo+int(i)] = w.t[k]
+		}
+	}
+	return nil
 }
 
 // naiveKernel returns the epoch's columnar mirror of the window and its
@@ -310,21 +334,6 @@ func (e *engineState) fillBase(base measure.Measure, pairs []timeseries.Pair, t 
 	}
 	kern.BaseBlock(base)(mom, pairs, t)
 	return nil
-}
-
-// naivePairValue evaluates a pairwise measure of one pair from the window's
-// raw series: the scalar route for a single pair, bit-identical to the
-// blocked kernels by their parity contract.
-func (e *engineState) naivePairValue(m measure.Measure, pair timeseries.Pair) (float64, error) {
-	su, err := e.data.Series(pair.U)
-	if err != nil {
-		return 0, err
-	}
-	sv, err := e.data.Series(pair.V)
-	if err != nil {
-		return 0, err
-	}
-	return measure.EvalPair(m, su, sv)
 }
 
 // universeChunk returns positions [lo, hi) of the epoch's pairwise query

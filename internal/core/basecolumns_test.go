@@ -16,12 +16,13 @@ import (
 	"affinity/internal/measure"
 	"affinity/internal/plan"
 	"affinity/internal/qcache"
+	"affinity/internal/timeseries"
 )
 
 // This file pins the epoch base columns (basecolumns.go) and the value
 // hand-off from the sweep to the cache: every engine, cache or not, evaluates
 // each affine base once per epoch into a column whose values — and the derived
-// values a sweep takes from them — are the single-pair evaluator's bit for bit;
+// values a sweep takes from them — are the reference routes' bit for bit;
 // a cache-enabled engine answers every sweep exactly as its cache-off twin and
 // stores exactly those values; no column is carried across an Advance.
 
@@ -47,14 +48,15 @@ func requireSameResults(t *testing.T, tag string, got, want []QueryResult) {
 	}
 }
 
-// requireSweepParity asks the cached engine and its cache-off twin the whole
+// requireSweepParity checks the epoch's BaseValues against the reference
+// routes, then asks the cached engine and its cache-off twin the whole
 // battery — single calls first, then one mixed batch — with both sweep
 // methods, and checks every stored interval entry and every top-k value
-// against the per-pair evaluator of its method (affinePairValue for the rows an
-// affine sweep took from the base column).
+// against the reference route of its method (referenceValue).
 func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 	t.Helper()
 	st := cached.escapedState()
+	requireBaseValuesOfReference(t, tag, st)
 	for _, method := range []Method{MethodNaive, MethodAffine} {
 		var all []plan.QuerySpec
 		for _, m := range pairwiseMeasures() {
@@ -100,18 +102,57 @@ func requireSweepParity(t *testing.T, cached, cold *Engine, tag string) {
 }
 
 // requireValuesOfPairEvaluator checks the values a sweep reported against the
-// epoch's single-pair evaluator of the method, bit for bit.
+// reference route of the method at the epoch (referenceValue), bit for bit.
 func requireValuesOfPairEvaluator(t *testing.T, label string, st *engineState, m measure.Measure, method Method, res QueryResult) {
 	t.Helper()
 	for i, pair := range res.Pairs {
-		v, err := st.PairValue(m, pair, method)
+		v, err := referenceValue(st, m, pair, method)
 		if err != nil {
-			t.Fatalf("%s: PairValue(%v): %v", label, pair, err)
+			t.Fatalf("%s: reference value of %v: %v", label, pair, err)
 		}
 		if math.Float64bits(res.Values[i]) != math.Float64bits(v) {
-			t.Fatalf("%s: sweep value of %v = %v, PairValue = %v", label, pair, res.Values[i], v)
+			t.Fatalf("%s: sweep value of %v = %v, reference %v", label, pair, res.Values[i], v)
 		}
 	}
+}
+
+// requireBaseValuesOfReference checks BaseValues — the door MEC, repair and
+// the cache read base values through — on every pair of the window, those
+// outside a restricted universe or without a relationship included, against
+// the reference route of each method, bit for bit.
+func requireBaseValuesOfReference(t *testing.T, label string, st *engineState) {
+	t.Helper()
+	pairs := st.data.AllPairs()
+	got := make([]float64, len(pairs))
+	for _, method := range []Method{MethodNaive, MethodAffine} {
+		for _, base := range []measure.Measure{measure.Covariance, measure.DotProduct} {
+			if err := st.BaseValues(base, pairs, method, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, pair := range pairs {
+				want, err := referenceValue(st, base, pair, method)
+				if err != nil || math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s: BaseValues %v by %v of %v = %v, reference %v (%v)", label, base, method, pair, got[i], want, err)
+				}
+			}
+		}
+	}
+}
+
+// referenceValue is a canonical pair's value at an epoch by the reference
+// route of a sweep method, which shares no code with the engine's
+// evaluators: for the affine method affine.Transform.PropagateMeasure over
+// the pair's relationship and its pivot's summary, with the pair's separable
+// parameter from the window's moments; for the naive method, and for a pair
+// without a relationship, measure.EvalPair on the window's series.
+func referenceValue(st *engineState, m measure.Measure, pair timeseries.Pair, method Method) (float64, error) {
+	sp := measure.Lookup(m)
+	layout := st.rel.Layout()
+	if slot, ok := layout.Slot(pair); ok && method == MethodAffine {
+		param := sp.Param(st.seriesMoments.Stat(pair.U), st.seriesMoments.Stat(pair.V))
+		return st.rel.At(slot).Transform.PropagateMeasure(sp, sp.Moment(st.summaries[layout.PivotOf(slot)]), param, st.data.NumSamples())
+	}
+	return evalPair(st, m, pair)
 }
 
 // twinEngines builds a cache-enabled engine and its cache-off twin over the
@@ -140,8 +181,8 @@ func advanceBoth(t *testing.T, ticks [][]float64, engines ...*Engine) {
 // TestBaseColumnsRestrictedUniverseAndPartialLayout: the same parity over a
 // partial layout, as an AssignedPairsOnly universe (filled by pivot through
 // the slot → position table) and as the full universe, where the fill takes
-// the pairs without a relationship from the naive evaluator as
-// affinePairBase does.
+// the pairs without a relationship from the kernels, which the reference
+// route's measure.EvalPair matches bit for bit.
 func TestBaseColumnsRestrictedUniverseAndPartialLayout(t *testing.T) {
 	for _, restricted := range []bool{true, false} {
 		cfg := Config{
@@ -361,13 +402,13 @@ func TestBaseColumnsConcurrentSweepsDuringAdvance(t *testing.T) {
 					return
 				}
 				for _, pair := range res[0].Pairs {
-					if v, err := view.PairValue(m, pair, method); err != nil || !iv.Contains(v) {
+					if v, err := referenceValue(view.engineState, m, pair, method); err != nil || !iv.Contains(v) {
 						t.Errorf("%v by %v: row %v has value %v (%v), outside %v", m, method, pair, v, err, iv)
 						return
 					}
 				}
 				for j, pair := range res[1].Pairs {
-					if v, err := view.PairValue(m, pair, method); err != nil || math.Float64bits(v) != math.Float64bits(res[1].Values[j]) {
+					if v, err := referenceValue(view.engineState, m, pair, method); err != nil || math.Float64bits(v) != math.Float64bits(res[1].Values[j]) {
 						t.Errorf("%v by %v: top-k row %v ranked with %v, its value at the pinned epoch is %v (%v)", m, method, pair, res[1].Values[j], v, err)
 						return
 					}
@@ -519,5 +560,40 @@ func BenchmarkAffineBaseColumn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fill()
+	}
+}
+
+// BenchmarkComputePairwise times a pairwise MEC query — correlation over 16
+// series spread across the window, by Affine and by Naive, one op — on the
+// engine BenchmarkAffineBaseColumn builds.  At the build epoch the naive
+// route reads the fit's covariance column, the affine one propagates each
+// cell's relationship; both run a row's cells a chunk at a time in pooled
+// scratch, so an op allocates the matrix and the fan-out's bookkeeping and
+// nothing per cell.
+func BenchmarkComputePairwise(b *testing.B) {
+	d, err := dataset.GenerateSensor(dataset.SensorConfig{NumSeries: 168, NumSamples: 360, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := Build(d, Config{Clusters: 6, Seed: 1, SkipIndex: true, Parallelism: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]timeseries.SeriesID, 16)
+	for i := range ids {
+		ids[i] = timeseries.SeriesID(i * 10)
+	}
+	mec := func() {
+		for _, method := range []Method{MethodAffine, MethodNaive} {
+			if _, err := e.ComputePairwise(measure.Correlation, ids, method); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	mec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mec()
 	}
 }

@@ -317,9 +317,11 @@ func TestCalibrationOfAConstantCenter(t *testing.T) {
 // TestPairValueMethods asks single pairs as two-series MEC queries.
 func TestPairValueMethods(t *testing.T) {
 	e := buildTestEngine(t, Config{Clusters: 4, Seed: 6})
-	pair := []timeseries.SeriesID{0, 5}
-	pairValue := func(m measure.Measure, method Method) (float64, error) {
-		out, err := runSpecs(e, []plan.QuerySpec{ComputeSpec(m, pair)}, method)
+	pairValue := func(m measure.Measure, method Method, ids ...timeseries.SeriesID) (float64, error) {
+		if ids == nil {
+			ids = []timeseries.SeriesID{0, 5}
+		}
+		out, err := runSpecs(e, []plan.QuerySpec{ComputeSpec(m, ids)}, method)
 		if err != nil {
 			return 0, err
 		}
@@ -339,8 +341,8 @@ func TestPairValueMethods(t *testing.T) {
 	if math.Abs(truth-approx) > 0.05 {
 		t.Fatalf("correlation estimate %v vs truth %v", approx, truth)
 	}
-	// Non-canonical pair input is canonicalized by the affine path.
-	swapped, err := e.escapedState().affinePairValue(measure.Correlation, timeseries.Pair{U: 5, V: 0})
+	// Series asked in non-canonical order read the canonical pair's value.
+	swapped, err := pairValue(measure.Correlation, MethodAffine, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"affinity/internal/kernel"
@@ -20,12 +22,12 @@ import (
 //	validate → plan → cache → execute → store
 //
 // against one pinned epoch of a Backend; a compute spec skips the cache and
-// is answered straight from the epoch's per-series state and per-pair
-// evaluator.  The pipeline owns spec validation, MethodAuto resolution and
-// method pricing, the result-cache protocol and the Explain actuals; a
-// Backend answers only what genuinely differs between one engine and a
-// sharded coordinator.  engineState (one epoch of an Engine) and
-// shard's coordinator epoch are the two implementations.
+// is answered straight from the epoch's per-series state and base values.
+// The pipeline owns spec validation, MethodAuto resolution and method
+// pricing, the result-cache protocol and the Explain actuals; a Backend
+// answers only what genuinely differs between one engine and a sharded
+// coordinator.  engineState (one epoch of an Engine) and shard's coordinator
+// epoch are the two implementations.
 //
 // Cache correctness contract (pinned by the cache determinism harnesses):
 // every result served from the cache is byte-identical to the cold execution
@@ -37,8 +39,8 @@ import (
 //     preserves the method's canonical result order, of which the narrower
 //     result is a subsequence.
 //   - Delta repair re-evaluates the candidate set (cached rows ∪ stale pairs
-//     of the crossed epochs) with the same affine evaluator the sweep uses,
-//     in canonical pair order, and only commits when the repaired row count
+//     of the crossed epochs) with the affine base values the sweep reads
+//     (BaseValues), in canonical pair order, and only commits when the repaired row count
 //     equals the index's exact selectivity: a subset of the true result with
 //     the true result's cardinality is the true result.  Any disagreement
 //     falls back to a cold run.
@@ -65,11 +67,12 @@ type Backend interface {
 	// priced plan that reports it (Explain, View.Plan) and delta repair's
 	// completeness check ask for it — MethodAuto never does.
 	Selectivity(spec plan.QuerySpec) (scape.Selectivity, error)
-	// PairValue evaluates one canonical pair with a concrete sweep method
-	// (MethodNaive or MethodAffine), and SelfValue a series against itself:
-	// the cells of a pairwise compute spec, and the cache's per-row values.
-	PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error)
-	SelfValue(m measure.Measure, id timeseries.SeriesID) (float64, error)
+	// BaseValues writes into t the values of the base T-measure base for
+	// canonical pairs by a concrete sweep method (MethodNaive or
+	// MethodAffine), the bits that method's sweep reads: the cells of a
+	// pairwise compute spec, delta repair's candidates and the values the
+	// cache stores, a chunk at a time (pairValues).
+	BaseValues(base measure.Measure, pairs []timeseries.Pair, method Method, t []float64) error
 	// Execute answers resolved items cold, out[i] for items[i].  A non-nil
 	// actuals is index-aligned with items and receives the sketch counts.
 	Execute(items []Item, actuals []Actual) ([]QueryResult, error)
@@ -355,16 +358,22 @@ func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]times
 	if cost.RepairCost(len(rp.Candidates), rows, table) >= p.CostAffine {
 		return nil, 0, false
 	}
+	sp := measure.Lookup(it.Spec.Measure)
+	w, _ := blockScratchPool.Get()
+	defer blockScratchPool.Put(w)
 	pairs := make([]timeseries.Pair, 0, rows)
 	values := make([]float64, 0, rows)
-	for _, pair := range rp.Candidates {
-		v, err := b.PairValue(it.Spec.Measure, pair, MethodAffine)
+	for lo := 0; lo < len(rp.Candidates); lo += kernel.BlockPairs {
+		chunk := rp.Candidates[lo:min(lo+kernel.BlockPairs, len(rp.Candidates))]
+		vs, err := pairValues(b, sp, MethodAffine, chunk, w)
 		if err != nil {
 			return nil, 0, false
 		}
-		if it.Spec.Interval.Contains(v) {
-			pairs = append(pairs, pair)
-			values = append(values, v)
+		for i, v := range vs {
+			if it.Spec.Interval.Contains(v) {
+				pairs = append(pairs, chunk[i])
+				values = append(values, v)
+			}
 		}
 	}
 	if len(pairs) != rows {
@@ -379,12 +388,11 @@ func tryRepair(b Backend, cache *qcache.Cache, it Item, key qcache.Key) ([]times
 // result rows' measure values (containment filtering and repair seeding read
 // them).  A single engine's sweep — naive or affine, prescreened or not — has
 // the exact value of every row it keeps in hand and hands them over in
-// res.Values; a coordinator's merged fan-out has them captured post hoc with
-// the per-pair evaluator of the item's method, once per cold query (a hit
-// never pays it), and an index entry stores none (see below).
-// Both give the same bits: the sweeps are bit-identical to the per-pair
-// evaluators by the engine's parity contract.  Top-k entries store their
-// ranking values directly.
+// res.Values; a coordinator's merged fan-out has them captured post hoc
+// through pairValues with the item's method, once per cold query (a hit
+// never pays it), and an index entry stores none (see below).  Both give the
+// same bits: BaseValues reads what the method's sweep reads.  Top-k entries
+// store their ranking values directly.
 func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res QueryResult) {
 	if it.Spec.Kind == plan.KindTopK || res.Values != nil {
 		cache.Put(key, b.Epoch(), res.Pairs, res.Values)
@@ -400,13 +408,19 @@ func cacheStore(b Backend, cache *qcache.Cache, it Item, key qcache.Key, res Que
 		cache.Put(key, b.Epoch(), res.Pairs, nil)
 		return
 	}
+	sp := measure.Lookup(it.Spec.Measure)
+	w, _ := blockScratchPool.Get()
+	defer blockScratchPool.Put(w)
 	values := make([]float64, len(res.Pairs))
-	for i, pair := range res.Pairs {
-		v, err := b.PairValue(it.Spec.Measure, pair, it.Method)
-		if err != nil {
-			return // not storable; the returned result is unaffected
+	for lo := 0; lo < len(res.Pairs); lo += kernel.BlockPairs {
+		chunk := res.Pairs[lo:min(lo+kernel.BlockPairs, len(res.Pairs))]
+		vs, err := pairValues(b, sp, it.Method, chunk, w)
+		// A row whose value is undefined is not storable; the returned
+		// result is unaffected.
+		if err != nil || slices.ContainsFunc(vs, math.IsNaN) {
+			return
 		}
-		values[i] = v
+		copy(values[lo:], vs)
 	}
 	cache.Put(key, b.Epoch(), res.Pairs, values)
 }
@@ -428,124 +442,77 @@ func compute(b Backend, spec plan.QuerySpec, method Method) (QueryResult, error)
 }
 
 // computePairwise answers a pairwise MEC query: the |ψ|-by-|ψ| matrix in the
-// order given, undefined derived values as NaN.  The naive method reads the
-// raw window, which the replica holds, unless the epoch has a naive column of
-// the measure's base (naiveColumn); then it, like the affine method, asks the
-// backend for every cell's base value, so a sharded backend answers each pair
-// from the shard that owns it — its pivot summary or its column — and derives
-// the measure from the replica's window moments.
+// order given, undefined derived values as NaN.  Each row's cells go through
+// pairValues a chunk at a time — a sharded backend answers each pair from the
+// shard that owns it, its pivot summary or its naive column — and a series
+// with itself is the spec's declared self value on every route, read from
+// the replica: the kernels' cov/√(var·var) overflows to 0 past ~1e77.
 func computePairwise(b Backend, m measure.Measure, ids []timeseries.SeriesID, method Method) ([][]float64, error) {
 	sp, err := pairwiseSpec(m)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case method == MethodNaive && b.Replica().naiveColumn(sp.Base) == nil:
-		// The exact evaluator over the strict upper triangle in request order:
-		// the kernels are symmetric in (U, V), so the pairs need no
-		// canonicalization.
-		r := b.Replica()
-		for _, id := range ids {
-			if _, err := r.data.Series(id); err != nil {
-				return nil, err
-			}
-		}
-		pairs := make([]timeseries.Pair, 0, len(ids)*(len(ids)-1)/2)
-		for i := range ids {
-			for j := i + 1; j < len(ids); j++ {
-				pairs = append(pairs, timeseries.Pair{U: ids[i], V: ids[j]})
-			}
-		}
-		values := make([]float64, len(pairs))
-		if err := r.fillBase(sp.Base, pairs, values); err != nil {
-			return nil, err
-		}
-		w, _ := blockScratchPool.Get()
-		_, err := r.deriveValues(sp, pairs, values, values, w)
-		blockScratchPool.Put(w)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]float64, len(ids))
-		for i := range out {
-			out[i] = make([]float64, len(ids))
-		}
-		k := 0
-		for i, u := range ids {
-			for j := i; j < len(ids); j++ {
-				var value float64
-				if j > i {
-					value = values[k]
-					k++
-				}
-				// A series with itself is the spec's declared self value on
-				// every route: the kernels' cov/√(var·var) overflows to 0
-				// past ~1e77.
-				if u == ids[j] {
-					if value, err = measure.OrNaN(b.SelfValue(m, u)); err != nil {
-						return nil, err
-					}
-				}
-				out[i][j], out[j][i] = value, value
-			}
-		}
-		return out, nil
-	case method == MethodNaive || method == MethodAffine:
-		// Base value by base value through the backend — the affine
-		// propagation, or the naive covariance column of the owning engine —
-		// then the measure over the replica's window moments, a row's cells
-		// a chunk at a time through the spec's block forms.
-		r := b.Replica()
-		out := make([][]float64, len(ids))
-		for i := range out {
-			out[i] = make([]float64, len(ids))
-		}
-		// Row-sharded: worker i fills out[i][j] for j >= i plus the mirrored
-		// column entries out[j][i]; all written cells are distinct, and each
-		// cell's value depends only on (i, j), so the matrix is identical at
-		// any parallelism.
-		err := par.Do(len(ids), r.par, func(i int) error {
-			w, _ := blockScratchPool.Get()
-			defer blockScratchPool.Put(w)
-			u := ids[i]
-			for lo := i; lo < len(ids); lo += kernel.BlockPairs {
-				row := ids[lo:min(lo+kernel.BlockPairs, len(ids))]
-				pairs, t := w.sub[:len(row)], w.t[:len(row)]
-				for k, v := range row {
-					pairs[k], t[k] = timeseries.Pair{U: u, V: u}, 0 // a diagonal cell, set below
-					if v == u {
-						continue
-					}
-					pair, err := timeseries.NewPair(u, v)
-					if err != nil {
-						return err
-					}
-					if t[k], err = b.PairValue(sp.Base, pair, method); err != nil {
-						return err
-					}
-					pairs[k] = pair
-				}
-				values, err := r.deriveValues(sp, pairs, t, w.v[:len(row)], w)
-				if err != nil {
-					return err
-				}
-				for k, v := range row {
-					value := values[k]
-					if v == u {
-						if value, err = measure.OrNaN(b.SelfValue(m, u)); err != nil {
-							return err
-						}
-					}
-					out[i][lo+k], out[lo+k][i] = value, value
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	default:
+	if method != MethodNaive && method != MethodAffine {
 		return nil, fmt.Errorf("%w: %v for pairwise MEC", ErrBadMethod, method)
 	}
+	r := b.Replica()
+	for _, id := range ids {
+		if _, err := r.data.Series(id); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]float64, len(ids))
+	for i := range out {
+		out[i] = make([]float64, len(ids))
+	}
+	// Row-sharded: worker i fills out[i][j] for j >= i plus the mirrored
+	// column entries out[j][i]; all written cells are distinct, and each
+	// cell's value depends only on (i, j), so the matrix is identical at any
+	// parallelism.
+	err = par.Do(len(ids), r.par, func(i int) error {
+		w, _ := blockScratchPool.Get()
+		defer blockScratchPool.Put(w)
+		u := ids[i]
+		self, err := measure.OrNaN(r.SelfValue(m, u))
+		if err != nil {
+			return err
+		}
+		out[i][i] = self
+		for lo := i + 1; lo < len(ids); lo += kernel.BlockPairs {
+			row := ids[lo:min(lo+kernel.BlockPairs, len(ids))]
+			pairs := w.sub[:len(row)]
+			for k, v := range row {
+				// A repeated id gives the zero pair: evaluated, then set to self.
+				pairs[k], _ = timeseries.NewPair(u, v)
+			}
+			values, err := pairValues(b, sp, method, pairs, w)
+			if err != nil {
+				return err
+			}
+			for k, v := range row {
+				value := values[k]
+				if v == u {
+					value = self
+				}
+				out[i][lo+k], out[lo+k][i] = value, value
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// pairValues evaluates measure sp for at most kernel.BlockPairs pairs by a
+// concrete sweep method in w's value buffers: the backend's base values, put
+// through the replica's transform over the window moments (deriveValues),
+// NaN where the measure is undefined.  The result lives in w.
+func pairValues(b Backend, sp *measure.Spec, method Method, pairs []timeseries.Pair, w *blockScratch) ([]float64, error) {
+	t := w.t[:len(pairs)]
+	if err := b.BaseValues(sp.Base, pairs, method, t); err != nil {
+		return nil, err
+	}
+	return b.Replica().deriveValues(sp, pairs, t, w.v[:len(pairs)], w)
 }

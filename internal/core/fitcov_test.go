@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -57,8 +56,8 @@ func naiveBattery(o *scalarOracle) []plan.QuerySpec {
 // scalar W_N oracle, Float64bits equal: a batch mixing the battery with
 // dot-product base items (cosine, Euclidean distance, the dot product), every
 // battery query on its own through Explain, MEC on both bases over series
-// that include the constant one, the tied pair and a repeated id, and
-// PairValue of every pair in both orientations.  fit says whether the epoch's full fit left the naive
+// that include the constant one, the tied pair and a repeated id, and the
+// base values of every pair through BaseValues.  fit says whether the epoch's full fit left the naive
 // covariance column, and Explain must report the source that served each
 // executed query: the column with nothing sketched or refined, or the
 // prescreen over the whole universe.
@@ -134,15 +133,18 @@ func requireNaiveOracle(t *testing.T, label string, e *Engine, fit bool) {
 			}
 		}
 	}
-	for _, m := range []measure.Measure{measure.Correlation, measure.Covariance} {
-		for _, pair := range st.data.AllPairs() {
-			for _, oriented := range []timeseries.Pair{pair, {U: pair.V, V: pair.U}} {
-				got, gotErr := st.PairValue(m, oriented, MethodNaive)
-				want, wantErr := evalPair(st, m, oriented)
-				if math.Float64bits(got) != math.Float64bits(want) || errors.Is(gotErr, measure.ErrZeroNormalizer) != errors.Is(wantErr, measure.ErrZeroNormalizer) ||
-					(gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s PairValue %v %v: %v (%v), scalar %v (%v)", label, m, oriented, got, gotErr, want, wantErr)
-				}
+	// The backend door MEC, repair and the cache read base values through:
+	// the fit column where the epoch has it, the kernels otherwise.
+	pairs := st.data.AllPairs()
+	base := make([]float64, len(pairs))
+	for _, m := range []measure.Measure{measure.Covariance, measure.DotProduct} {
+		if err := st.BaseValues(m, pairs, MethodNaive, base); err != nil {
+			t.Fatal(err)
+		}
+		for i, pair := range pairs {
+			want, err := evalPair(st, m, pair)
+			if err != nil || math.Float64bits(base[i]) != math.Float64bits(want) {
+				t.Fatalf("%s BaseValues %v %v: %v, scalar %v (%v)", label, m, pair, base[i], want, err)
 			}
 		}
 	}

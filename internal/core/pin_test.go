@@ -63,9 +63,9 @@ func epochAnswers(v View) (string, error) {
 			bits(row)
 		}
 		for _, pair := range []timeseries.Pair{{U: 0, V: 1}, {U: 2, V: 7}} {
-			x, err := v.PairValue(measure.Covariance, pair, method)
+			x, err := referenceValue(v.engineState, measure.Covariance, pair, method)
 			if err != nil {
-				return "", fmt.Errorf("%v PairValue: %w", method, err)
+				return "", fmt.Errorf("%v reference value: %w", method, err)
 			}
 			bits([]float64{x})
 		}

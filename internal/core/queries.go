@@ -118,71 +118,27 @@ func pairwiseSpec(m measure.Measure) (*measure.Spec, error) {
 	return sp, nil
 }
 
-// PairValue evaluates one pair with a concrete sweep method (Backend).  The
-// naive method reads a canonical pair of the universe off the epoch's naive
-// column of the measure's base where the epoch has one (naiveColumn), and
-// evaluates the raw series otherwise.
-func (e *engineState) PairValue(m measure.Measure, pair timeseries.Pair, method Method) (float64, error) {
+// BaseValues writes the base T-measure values of canonical pairs into t by a
+// concrete sweep method (Backend): naive from the epoch's naive column where
+// it has one (naiveColumn) and the kernels otherwise, affine by propagating
+// each pair's relationship through its pivot's summary — the base column's
+// operands, so its bits.  Pairs without a slot take the kernels' values.
+func (e *engineState) BaseValues(base measure.Measure, pairs []timeseries.Pair, method Method, t []float64) error {
 	switch method {
 	case MethodNaive:
-		if sp, err := pairwiseSpec(m); err == nil {
-			slot, ok := e.rel.Layout().Slot(pair)
-			if col := e.naiveColumn(sp.Base); col != nil && ok {
-				return e.derivePair(sp, pair, col[e.columnPos(int32(slot))])
-			}
+		col := e.naiveColumn(base)
+		if col == nil {
+			return e.fillBase(base, pairs, t)
 		}
-		return e.naivePairValue(m, pair)
+		return e.slotValues(base, pairs, t, func(slot int) float64 { return col[e.columnPos(int32(slot))] })
 	case MethodAffine:
-		return e.affinePairValue(m, pair)
+		sp, layout := measure.Lookup(base), e.rel.Layout()
+		return e.slotValues(base, pairs, t, func(slot int) float64 {
+			return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(e.summaries[layout.PivotOf(slot)]))
+		})
 	default:
-		return 0, fmt.Errorf("%w: %v for PairValue", ErrBadMethod, method)
+		return fmt.Errorf("%w: %v for base values", ErrBadMethod, method)
 	}
-}
-
-// affinePairBase computes a base T-measure of a pair through its affine
-// relationship: the spec's moment matrix over the cached pivot summary, taken
-// through the propagation quadratic form (Eq. 6 / Eq. 7 unified).  Pairs
-// without a relationship (a partial layout) fall back to the naive
-// computation, preserving correctness at the cost of a raw-series scan.
-func (e *engineState) affinePairBase(sp *measure.Spec, pair timeseries.Pair) (float64, error) {
-	layout := e.rel.Layout()
-	slot, ok := layout.Slot(pair)
-	if !ok {
-		return e.naivePairValue(sp.ID, pair)
-	}
-	return e.rel.At(slot).Transform.PropagateMoment(sp.Moment(e.summaries[layout.PivotOf(slot)])), nil
-}
-
-// affinePairValue computes a pairwise T- or D-measure through affine
-// relationships (the W_A method): the propagated base T value put through the
-// spec's transform with the pair's separable parameter.
-func (e *engineState) affinePairValue(m measure.Measure, pair timeseries.Pair) (float64, error) {
-	sp, err := pairwiseSpec(m)
-	if err != nil {
-		return 0, err
-	}
-	if !pair.Valid() {
-		canonical, err := timeseries.NewPair(pair.U, pair.V)
-		if err != nil {
-			return 0, err
-		}
-		pair = canonical
-	}
-	base, err := e.affinePairBase(measure.Lookup(sp.Base), pair)
-	if err != nil {
-		return 0, err
-	}
-	return e.derivePair(sp, pair, base)
-}
-
-// derivePair puts a pair's base T value through sp's transform with the pair's
-// separable parameter over the window's memoised moments — the bits
-// measure.EvalPair gives on the raw series.
-func (e *engineState) derivePair(sp *measure.Spec, pair timeseries.Pair, base float64) (float64, error) {
-	if !sp.Derived() {
-		return base, nil
-	}
-	return sp.Eval(base, sp.Param(e.seriesMoments.Stat(pair.U), e.seriesMoments.Stat(pair.V)), e.data.NumSamples())
 }
 
 // SelfValue returns the diagonal entry of a pairwise MEC response: the

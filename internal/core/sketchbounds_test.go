@@ -413,7 +413,7 @@ func TestSketchCountersMatchPerItemOracle(t *testing.T) {
 // liftedBounds bounds the value of sp for every pair of the full universe the
 // way a sweep's bound provider would, computed from scratch: BoundBlock per
 // chunk for the sketch, PairMoments.Bounds for the pair-moment column, lifted
-// through Spec.BoundValue, NaN where either step has no answer.
+// through Spec.Lift, NaN where either step has no answer.
 func liftedBounds(t *testing.T, st *engineState, sp *measure.Spec, useSketch bool) (lo, hi []float64) {
 	t.Helper()
 	_, mom, err := st.naiveKernel()
@@ -429,6 +429,7 @@ func liftedBounds(t *testing.T, st *engineState, sp *measure.Spec, useSketch boo
 	numPairs := st.numUniversePairs()
 	lo, hi = make([]float64, numPairs), make([]float64, numPairs)
 	scratch := make([]timeseries.Pair, kernel.BlockPairs)
+	u, vLo, vHi := make([]float64, kernel.BlockPairs), make([]float64, kernel.BlockPairs), make([]float64, kernel.BlockPairs)
 	for at := 0; at < numPairs; at += kernel.BlockPairs {
 		chunk := st.universeChunk(at, min(at+kernel.BlockPairs, numPairs), scratch)
 		cLo, cHi := lo[at:at+len(chunk)], hi[at:at+len(chunk)]
@@ -440,15 +441,14 @@ func liftedBounds(t *testing.T, st *engineState, sp *measure.Spec, useSketch boo
 			pm.Bounds(sp.Base == measure.Covariance, mom.Sum, at, chunk, cLo, cHi)
 		}
 		for i, pair := range chunk {
-			var u float64
-			if sp.Derived() {
-				u = sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
+			u[i] = sp.Param(mom.Stat(pair.U), mom.Stat(pair.V))
+		}
+		sp.Lift(cLo, cHi, u[:len(chunk)], st.data.NumSamples(), vLo[:len(chunk)], vHi[:len(chunk)])
+		for i := range chunk {
+			cLo[i], cHi[i] = vLo[i], vHi[i]
+			if math.IsNaN(vLo[i]) || math.IsNaN(vHi[i]) {
+				cLo[i], cHi[i] = math.NaN(), math.NaN()
 			}
-			vLo, vHi, ok := sp.BoundValue(cLo[i], cHi[i], u, st.data.NumSamples())
-			if !ok {
-				vLo, vHi = math.NaN(), math.NaN()
-			}
-			cLo[i], cHi[i] = vLo, vHi
 		}
 	}
 	return lo, hi

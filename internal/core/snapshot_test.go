@@ -40,8 +40,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Every affine estimate must be identical to the original engine's.
 	for _, pair := range e.Data().AllPairs() {
 		for _, m := range []measure.Measure{measure.Covariance, measure.Correlation, measure.DotProduct} {
-			want, errWant := e.escapedState().PairValue(m, pair, MethodAffine)
-			got, errGot := restored.escapedState().PairValue(m, pair, MethodAffine)
+			want, errWant := referenceValue(e.escapedState(), m, pair, MethodAffine)
+			got, errGot := referenceValue(restored.escapedState(), m, pair, MethodAffine)
 			if (errWant == nil) != (errGot == nil) {
 				t.Fatalf("pair %v %v: error mismatch %v vs %v", pair, m, errWant, errGot)
 			}

@@ -194,8 +194,7 @@ func derivedSpecs(t *testing.T) []*measure.Spec {
 // TestBlockFormsMatchScalarOracle checks ParamBlock, ValueBlock and Lift of
 // every registered D-measure against its scalar formulas, bit for bit, over
 // the edge inputs (Jaccard's pole t = u among them) and m = 0, 1 and 360; and
-// that the scalar wrappers Param, EvalOrNaN, Eval and BoundValue are the
-// block forms.
+// that the scalar wrappers Param, EvalOrNaN and Eval are the block forms.
 func TestBlockFormsMatchScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	edges := edgeValues(rng)
@@ -271,11 +270,6 @@ func TestBlockFormsMatchScalarOracle(t *testing.T) {
 					if gotOK != ok || (ok && (!sameValue(lo[i], wLo) || !sameValue(hi[i], wHi))) {
 						t.Fatalf("%v m=%d: Lift([%v, %v], u=%v) = [%v, %v], oracle [%v, %v] ok=%v",
 							sp.Name, m, tLo[i], tHi[i], u, lo[i], hi[i], wLo, wHi, ok)
-					}
-					bLo, bHi, bOK := sp.BoundValue(tLo[i], tHi[i], u, m)
-					if bOK != ok || (ok && (!sameValue(bLo, wLo) || !sameValue(bHi, wHi))) {
-						t.Fatalf("%v m=%d: BoundValue([%v, %v], u=%v) = [%v, %v] %v, oracle [%v, %v] %v",
-							sp.Name, m, tLo[i], tHi[i], u, bLo, bHi, bOK, wLo, wHi, ok)
 					}
 				}
 			}
@@ -391,11 +385,12 @@ func predicates(cuts []float64) []interval.Interval {
 
 // checkVerdicts runs Spec.Classify over the cases in kernel-sized chunks,
 // some pairs pre-decided, and compares every verdict with iv.Classify of
-// BoundValue's two-end range.
+// Lift's two-end range.
 func checkVerdicts(t *testing.T, tag string, sp *measure.Spec, c classifyCase, m int, iv interval.Interval) {
 	t.Helper()
 	const chunk = 256
 	lo, hi := make([]float64, chunk), make([]float64, chunk)
+	vLo, vHi := make([]float64, chunk), make([]float64, chunk)
 	cls := make([]interval.Class, chunk)
 	for at := 0; at < len(c.tLo); at += chunk {
 		n := min(chunk, len(c.tLo)-at)
@@ -406,13 +401,14 @@ func checkVerdicts(t *testing.T, tag string, sp *measure.Spec, c classifyCase, m
 			}
 		}
 		pending := sp.Classify(iv, c.tLo[at:at+n], c.tHi[at:at+n], c.u[at:at+n], m, lo[:n], hi[:n], cls[:n])
+		sp.Lift(c.tLo[at:at+n], c.tHi[at:at+n], c.u[at:at+n], m, vLo[:n], vHi[:n])
 		left := 0
 		for i := range n {
 			want := interval.DefiniteIn
 			if i%17 != 16 {
 				want = interval.Ambiguous
-				if vLo, vHi, ok := sp.BoundValue(c.tLo[at+i], c.tHi[at+i], c.u[at+i], m); ok {
-					want = iv.Classify(vLo, vHi)
+				if !math.IsNaN(vLo[i]) && !math.IsNaN(vHi[i]) {
+					want = iv.Classify(vLo[i], vHi[i])
 				}
 			}
 			if cls[i] != want {

@@ -306,20 +306,6 @@ func OrNaN(v float64, err error) (float64, error) {
 	return v, nil
 }
 
-// BoundValue is Lift for one pair: it lifts a definite base-T interval
-// [tLo, tHi] to a definite interval of measure values.  ok = false reports
-// that no definite bound exists: callers must treat the pair as ambiguous
-// and evaluate it exactly — a fallback that affects cost, never results.
-func (s *Spec) BoundValue(tLo, tHi, u float64, m int) (lo, hi float64, ok bool) {
-	buf := [5]float64{tLo, tHi, u}
-	s.Lift(buf[0:1], buf[1:2], buf[2:3], m, buf[3:4], buf[4:5])
-	lo, hi = buf[3], buf[4]
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
 // Lift lifts definite base-T intervals of a chunk of pairs — [tLo[i], tHi[i]]
 // for a pair with parameter u[i] and m samples — to definite intervals of
 // measure values [lo[i], hi[i]]: every t in [tLo[i], tHi[i]] has its value in
@@ -364,7 +350,7 @@ func (s *Spec) ends(tLo, tHi []float64) (tDown, tUp []float64) {
 // Classify decides the still-ambiguous pairs of a chunk against the predicate
 // iv from definite base-T intervals [tLo[i], tHi[i]]: every pair with cls[i]
 // == interval.Ambiguous gets the verdict iv.Classify gives its lifted value
-// range (Lift, the range BoundValue returns), and the other pairs are left
+// range (Lift), and the other pairs are left
 // alone.  It returns how many pairs are left ambiguous; lo and hi receive the
 // lifted ranges and must not alias the inputs.
 //

@@ -50,7 +50,7 @@ func oracleAnswer(pairs []timeseries.Pair, values []float64, spec plan.QuerySpec
 // requireCoordinatorNaive holds a coordinator's naive covariance and
 // correlation answers at its current epoch to the scalar oracle, Float64bits
 // equal: closed, open and half-bounded intervals whose endpoints are pair
-// values, top-k both ways, a batch that mixes in cosine, MEC and PairValue.
+// values, top-k both ways, a batch that mixes in cosine, MEC and BaseValues.
 // Where the coordinator executed a query, Explain must report the source
 // that served it: the shards' naive covariance columns (fit) or the
 // prescreen over the whole universe.
@@ -126,7 +126,7 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 		}
 		for i, u := range ids {
 			for j, v := range ids {
-				want, err := measure.OrNaN(cs.SelfValue(m, u))
+				want, err := measure.OrNaN(cs.Replica().SelfValue(m, u))
 				if u != v {
 					su, _ := d.Series(u)
 					sv, _ := d.Series(v)
@@ -140,11 +140,16 @@ func requireCoordinatorNaive(t *testing.T, label string, c *Coordinator, fit boo
 				}
 			}
 		}
-		for i, pair := range pairs {
-			v, err := measure.OrNaN(cs.PairValue(m, pair, core.MethodNaive))
-			if err != nil || math.Float64bits(v) != math.Float64bits(values[m][i]) {
-				t.Fatalf("%s PairValue %v %v: %v (%v), scalar %v", label, m, pair, v, err, values[m][i])
-			}
+	}
+	// The owning shards' base values: their fit columns where they have
+	// them, the kernels otherwise.
+	base := make([]float64, len(pairs))
+	if err := cs.BaseValues(measure.Covariance, pairs, core.MethodNaive, base); err != nil {
+		t.Fatal(err)
+	}
+	for i, pair := range pairs {
+		if math.Float64bits(base[i]) != math.Float64bits(values[measure.Covariance][i]) {
+			t.Fatalf("%s BaseValues %v: %v, scalar %v", label, pair, base[i], values[measure.Covariance][i])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"affinity/internal/core"
 	"affinity/internal/interval"
@@ -36,8 +37,8 @@ func (cs *coordState) Table() plan.TableStats { return cs.table }
 func (cs *coordState) Cache() *qcache.Cache   { return cs.cache }
 
 // Replica returns shard 0: the raw window and the per-series state are
-// replicated on every shard, so any one of them answers L-measure and naive
-// MEC queries exactly like a single engine.
+// replicated on every shard, so any one of them answers L-measure queries and
+// a MEC's per-series part exactly like a single engine.
 func (cs *coordState) Replica() core.View { return cs.views[0] }
 
 // Selectivity assembles the row count from the shards.  Per-pivot-node
@@ -55,18 +56,44 @@ func (cs *coordState) Selectivity(spec plan.QuerySpec) (scape.Selectivity, error
 	return total, nil
 }
 
-// PairValue routes an evaluation to the shard owning the pair's pivot, so the
-// propagation uses the owning shard's pivot summary — the same summary a
-// single engine holds — and a naive evaluation finds the pair in the owning
-// shard's naive covariance column where the epoch has one (any shard's raw
-// window gives the same bits otherwise).
-func (cs *coordState) PairValue(m measure.Measure, pair timeseries.Pair, method core.Method) (float64, error) {
-	return cs.views[cs.pairOwner(pair)].PairValue(m, pair, method)
+// BaseValues asks each shard once for the base values of the pairs it owns
+// (pairOwner), so a propagation uses the owning shard's pivot summary — the
+// same summary a single engine holds — and a naive evaluation reads the
+// owning shard's covariance column where the epoch has one.
+func (cs *coordState) BaseValues(base measure.Measure, pairs []timeseries.Pair, method core.Method, t []float64) error {
+	w, _ := routePool.Get()
+	defer routePool.Put(w)
+	for s, v := range cs.views {
+		w.pairs, w.at = w.pairs[:0], w.at[:0]
+		for i, pair := range pairs {
+			if cs.pairOwner(pair) == s {
+				w.pairs = append(w.pairs, pair)
+				w.at = append(w.at, i)
+			}
+		}
+		if len(w.pairs) == 0 {
+			continue
+		}
+		w.t = slices.Grow(w.t[:0], len(w.pairs))[:len(w.pairs)]
+		if err := v.BaseValues(base, w.pairs, method, w.t); err != nil {
+			return err
+		}
+		for k, i := range w.at {
+			t[i] = w.t[k]
+		}
+	}
+	return nil
 }
 
-func (cs *coordState) SelfValue(m measure.Measure, id timeseries.SeriesID) (float64, error) {
-	return cs.views[0].SelfValue(m, id)
+// routeScratch is one BaseValues call's working set: one shard's share of
+// the pairs, their positions in the call and their values.
+type routeScratch struct {
+	pairs []timeseries.Pair
+	at    []int
+	t     []float64
 }
+
+var routePool par.Scratch[routeScratch]
 
 // Execute answers resolved items cold by scatter-gather.  L-measure items do
 // not fan out and index top-k items run their streaming merge; everything
@@ -364,11 +391,15 @@ func boundBetter(b, incumbent float64, largest bool) bool {
 
 // pairOwner returns the shard owning a pair: the owner of its assigned
 // pivot.  Every pair of the window has one, because Build checks that the
-// assignment is total; a pair outside the window reads slot 0, whose owner
-// rejects it as every shard would.
+// assignment is total; a pair without a slot — a series paired with itself,
+// a pair outside the window — goes to shard 0, which evaluates or rejects it
+// as every shard would.
 func (cs *coordState) pairOwner(pair timeseries.Pair) int {
 	layout := cs.rel.Layout()
-	slot, _ := layout.Slot(pair)
+	slot, ok := layout.Slot(pair)
+	if !ok {
+		return 0
+	}
 	return cs.owner[layout.Assignments()[slot].Pivot]
 }
 

@@ -179,10 +179,11 @@ func TestCoordinatorExplain(t *testing.T) {
 	se, sc := buildFixturePair(t, 3, skCfg)
 	// The endpoint is one pair's exact value, so at least that pair stays
 	// ambiguous under every bound provider and reaches the kernels.
-	endpoint, err := se.View().PairValue(measure.Cosine, timeseries.Pair{U: 0, V: 1}, core.MethodNaive)
+	mat, err := se.ComputePairwise(measure.Cosine, []timeseries.SeriesID{0, 1}, core.MethodNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
+	endpoint := mat[0][1]
 	skSpec := plan.Interval(measure.Cosine, interval.GreaterThan(endpoint))
 	_, sep, err := se.Explain(skSpec, core.MethodNaive)
 	if err != nil {
@@ -419,19 +420,6 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 			t.Fatalf("%v MEC batch diverged:\n%s\n%s", method, got, want)
 		}
 	}
-	// The per-pair evaluators route to the owning shard (affine) or the
-	// replicated window (naive) and must match the engine's bit for bit.
-	pair, err := timeseries.NewPair(2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []core.Method{core.MethodNaive, core.MethodAffine} {
-		wantV := render(e.View().PairValue(measure.Covariance, pair, method))
-		gotV := render(c.state().PairValue(measure.Covariance, pair, method))
-		if gotV != wantV {
-			t.Fatalf("%v PairValue diverged: %s vs %s", method, gotV, wantV)
-		}
-	}
 
 	// Type guards.
 	if _, err := c.ComputeLocation(measure.Correlation, ids, core.MethodAuto); !errors.Is(err, measure.ErrUnknownMeasure) {
@@ -443,6 +431,83 @@ func TestCoordinatorComputeSurface(t *testing.T) {
 	if _, err := c.ComputePairwise(measure.Correlation, ids, core.MethodIndex); !errors.Is(err, core.ErrBadMethod) {
 		t.Fatal("pairwise MEC accepted MethodIndex")
 	}
+}
+
+// TestCoordinatorBaseValuesMatchEngine: a coordinator's BaseValues, which
+// asks each shard once for the pairs it owns, equals a single engine's bit for
+// bit on every pair of the window, by Naive (the shards' fit columns) and by
+// Affine (the owning shards' pivot summaries), at 2 and 3 shards.  The list
+// also pairs every series with itself, as a MEC's diagonal does: such a pair
+// has no slot and goes through slot 0's owner to its kernels.  The capped case
+// assembles a coordinator epoch over a layout symex.Options.MaxRelationships
+// cut short — Build refuses one — so that pairs without a slot interleave with
+// assigned ones across the owner grouping.
+func TestCoordinatorBaseValuesMatchEngine(t *testing.T) {
+	fx := makeShardFixture(t, 24, 90, 0, 7)
+	pairs := fx.window.AllPairs()
+	for _, id := range fx.window.IDs() {
+		pairs = append(pairs, timeseries.Pair{U: id, V: id})
+	}
+	want, got := make([]float64, len(pairs)), make([]float64, len(pairs))
+	check := func(label string, e core.View, c core.Backend) {
+		t.Helper()
+		for _, method := range []core.Method{core.MethodNaive, core.MethodAffine} {
+			for _, base := range []measure.Measure{measure.Covariance, measure.DotProduct} {
+				if err := e.BaseValues(base, pairs, method, want); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.BaseValues(base, pairs, method, got); err != nil {
+					t.Fatal(err)
+				}
+				for i, pair := range pairs {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %v %v %v: coordinator %v, engine %v", label, method, base, pair, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	cfg := core.Config{Clusters: 4, Seed: 5}
+	for _, shards := range []int{2, 3} {
+		e, c := buildFixturePair(t, shards, cfg)
+		check(fmt.Sprintf("S=%d", shards), e.View(), c.state())
+	}
+
+	full, err := core.Build(fx.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := symex.Compute(fx.window, symex.Options{Clustering: full.Relationships().Clustering, CachePseudoInverse: true, MaxRelationships: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := core.BuildFromRelationships(fx.window, cfg, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := ComputePlacement(rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardCfg := cfg
+	shardCfg.AssignedPairsOnly = true
+	shardCfg.Clustering = rel.Clustering
+	views := make([]core.View, pl.Shards)
+	for s := range views {
+		restricted, _, err := Restrict(rel, pl.Owner, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := core.BuildFromRelationships(fx.window, shardCfg, restricted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[s] = se.View()
+	}
+	if pl.Shards != 2 || rel.Len() >= fx.window.NumPairs() {
+		t.Fatalf("capped layout: %d shards, %d of %d pairs assigned", pl.Shards, rel.Len(), fx.window.NumPairs())
+	}
+	check("capped", capped.View(), &coordState{views: views, rel: rel, owner: pl.Owner})
 }
 
 // TestCoordinatorLayoutCoversEveryPair pins what the coordinator's pair
